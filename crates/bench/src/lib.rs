@@ -1,8 +1,10 @@
-//! Shared plumbing for the benchmark binaries.
+//! Shared plumbing for the paper-reproduction binaries.
 //!
 //! Every table/figure of the paper has a binary in `src/bin/` that prints
 //! the same rows/series the paper reports and writes JSON to
-//! `target/experiments/<name>.json`. Environment knobs:
+//! `target/experiments/<name>.json`. These are exploratory: the
+//! repository's gated performance numbers come from `benchmark/`
+//! (declared by `BENCHMARK.json`), not from this crate. Environment knobs:
 //!
 //! * `IACCF_BENCH_SECS` — seconds per measured point (default 2);
 //! * `IACCF_ACCOUNTS` — SmallBank accounts (default 10 000; the paper uses

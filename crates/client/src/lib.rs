@@ -122,11 +122,6 @@ impl Client {
         self.id
     }
 
-    /// The client's public key (to provision replicas with).
-    pub fn public_key(&self) -> ia_ccf_types::PublicKey {
-        self.keypair.public()
-    }
-
     /// The configuration the client currently believes is active.
     pub fn current_config(&self) -> &Configuration {
         self.history.latest()

@@ -173,7 +173,7 @@ pub(crate) struct LedgerSyncState {
 
 /// Counters and outcome of the most recent ledger sync (kept after the
 /// sync state itself is dropped; read by harnesses, tests and the
-/// `--mode sync` benchmark).
+/// benchmark's `core.bootstrap.sync_*` counters).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SyncReport {
     /// Pages received.
@@ -1029,11 +1029,7 @@ impl Replica {
         state.phase = SyncPhase::Paging;
         state.pinned_cp = None;
         state.tried.insert(state.server);
-        let config = self.gov.active().clone();
-        let peers: Vec<ReplicaId> = (0..config.n())
-            .filter_map(|rank| config.replica_at_rank(rank).map(|r| r.id))
-            .filter(|id| *id != self.id)
-            .collect();
+        let peers = self.sync_peers();
         let candidate = peers.iter().find(|id| !state.tried.contains(id)).copied();
         let next_server = match candidate {
             Some(id) => id,

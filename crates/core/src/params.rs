@@ -97,14 +97,6 @@ pub struct ProtocolParams {
     /// survive, and the replica re-pages it from its peers. **Local**
     /// knob.
     pub fsync_interval_batches: u64,
-    /// Allow [`crate::Replica::new`] to claim a `data_dir` that already
-    /// holds durable state (segment files, a manifest, a seed
-    /// checkpoint) by **deleting** that state first. Off by default: a
-    /// fresh replica refuses an occupied directory with a typed error,
-    /// because the near-certain cause is an operator who meant
-    /// [`crate::Replica::restart_from_dir`] — silently reconciling the
-    /// disk history down to genesis would destroy it. **Local** knob.
-    pub wipe_existing_data_dir: bool,
     /// Segment roll size for the durable ledger, in bytes. `0` (the
     /// default) resolves to [`ia_ccf_ledger::DurableLog::DEFAULT_ROLL_BYTES`]
     /// (8 MiB); tests set tiny values to exercise multi-file logs and
@@ -132,7 +124,6 @@ impl Default for ProtocolParams {
             sync_timeout_ticks: 8,
             data_dir: None,
             fsync_interval_batches: 1,
-            wipe_existing_data_dir: false,
             durable_roll_bytes: 0,
         }
     }

@@ -550,22 +550,20 @@ impl Replica {
     /// honest refusal (the record aged out or is not offerable) — the
     /// requester falls back to paging from genesis.
     pub(crate) fn serve_checkpoint_fetch(&mut self, sender: ReplicaId, seq: SeqNum) {
+        let refusal = ProtocolMsg::FetchCheckpointResponse {
+            seq,
+            kv_bytes: Vec::new(),
+            frontier: Vec::new(),
+            ledger_len: 0,
+            next_tx_index: 0,
+            seed_entries: Vec::new(),
+        };
         let offer = self
             .offerable_checkpoint()
             .filter(|r| r.seq == seq)
             .map(|r| (r.kv.to_bytes(), r.frontier.to_bytes(), r.ledger_len, r.next_tx_index));
         let Some((kv_bytes, frontier, ledger_len, next_tx_index)) = offer else {
-            return self.send_replica(
-                sender,
-                ProtocolMsg::FetchCheckpointResponse {
-                    seq,
-                    kv_bytes: Vec::new(),
-                    frontier: Vec::new(),
-                    ledger_len: 0,
-                    next_tx_index: 0,
-                    seed_entries: Vec::new(),
-                },
-            );
+            return self.send_replica(sender, refusal);
         };
         // The record's prefix ends just before the checkpoint batch's own
         // entries; the seed spans that pre-prepare and its tx run.
@@ -577,17 +575,7 @@ impl Replica {
         if !pp_here {
             // Suffix no longer in this ledger (shouldn't happen for an
             // offerable record) — refuse rather than mis-seed.
-            return self.send_replica(
-                sender,
-                ProtocolMsg::FetchCheckpointResponse {
-                    seq,
-                    kv_bytes: Vec::new(),
-                    frontier: Vec::new(),
-                    ledger_len: 0,
-                    next_tx_index: 0,
-                    seed_entries: Vec::new(),
-                },
-            );
+            return self.send_replica(sender, refusal);
         }
         let mut end = start + 1;
         while matches!(self.ledger.entry(LedgerIdx(end)), Some(LedgerEntry::Tx(_))) {
@@ -605,16 +593,6 @@ impl Replica {
                 seed_entries,
             },
         );
-    }
-
-    /// Serve a legacy single-shot [`ProtocolMsg::FetchLedger`] as the
-    /// first page of the paged protocol. Nothing in-tree sends the
-    /// monolithic request anymore, but answering it with a bounded page
-    /// keeps the frame-limit contract: no inbound message can make this
-    /// replica assemble an unframable response.
-    pub(crate) fn serve_ledger_fetch(&mut self, sender: ReplicaId, from_seq: SeqNum) {
-        let budget = self.params.effective_sync_page_bytes();
-        self.serve_ledger_page(sender, from_seq, budget);
     }
 
     /// The seed's monolithic fetch response — the whole remaining ledger

@@ -99,12 +99,6 @@ impl BatchExec {
     pub(crate) fn path(&self, pos: u64) -> Option<ia_ccf_merkle::MerklePath> {
         self.frozen.get_or_init(|| self.tree.freeze_paths()).path(pos)
     }
-
-    /// Whether the frozen-paths view has been materialized (test hook).
-    #[doc(hidden)]
-    pub(crate) fn paths_frozen(&self) -> bool {
-        self.frozen.get().is_some()
-    }
 }
 
 /// Rollback information for a batch (Lemma 1).

@@ -309,7 +309,6 @@ impl Replica {
             if self.ledger.root_m() != pp.core.root_m {
                 self.debug_reject(&pp, "root_m mismatch");
                 self.rollback_batch(seq, &mark);
-                self.note_divergence();
                 return;
             }
         }
@@ -318,7 +317,6 @@ impl Replica {
         if let Err(e) = self.validate_batch_kind(&pp, &batch) {
             self.debug_reject(&pp, &format!("kind validation: {e:?}"));
             self.rollback_batch(seq, &mark);
-            self.note_divergence();
             return;
         }
 
@@ -337,7 +335,6 @@ impl Replica {
         if !self.finish_batch_verify(verify) {
             // A correct primary never includes a forged request.
             self.rollback_batch(seq, &mark);
-            self.note_divergence();
             return;
         }
         let exec = match exec_result {
@@ -345,7 +342,6 @@ impl Replica {
             Err(e) => {
                 self.debug_reject(&pp, &format!("execution: {e:?}"));
                 self.rollback_batch(seq, &mark);
-                self.note_divergence();
                 return;
             }
         };
@@ -353,7 +349,6 @@ impl Replica {
         if exec.tree.root() != pp.root_g {
             self.debug_reject(&pp, "root_g mismatch");
             self.rollback_batch(seq, &mark);
-            self.note_divergence();
             return;
         }
 

@@ -125,14 +125,6 @@ impl Replica {
         self.receipt_cache.stats
     }
 
-    /// Whether the frozen-paths view of the batch at `seq` has been
-    /// materialized (test hook for the cache lifecycle); `None` when the
-    /// batch is not retained.
-    #[doc(hidden)]
-    pub fn batch_paths_frozen(&self, seq: SeqNum) -> Option<bool> {
-        self.batch_exec.get(&seq).map(|e| e.paths_frozen())
-    }
-
     /// Drop cached certificates and locator entries for the batches in
     /// `dropped` (the `batch_exec` range about to be discarded). `keep`
     /// decides which sequence numbers *survive*; both cache maps are

@@ -20,7 +20,7 @@ use ia_ccf_kv::ShardedKvStore;
 use ia_ccf_ledger::Ledger;
 use ia_ccf_types::{
     ClientId, Configuration, Digest, LedgerEntry, LedgerIdx, Nonce, PrePrepare, ProtocolMsg,
-    PublicKey, ReplicaId, Request, RequestAction, SeqNum, Signature, SignedRequest, View, Wire,
+    PublicKey, ReplicaId, SeqNum, Signature, SignedRequest, View, Wire,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -150,11 +150,10 @@ pub struct Replica {
 pub enum ReplicaInitError {
     /// `params.data_dir` already holds durable state (segment files, a
     /// suffix manifest, or a seed checkpoint) from a previous replica
-    /// instance. Claiming it would silently destroy that history; set
-    /// [`ProtocolParams::wipe_existing_data_dir`] to opt into deletion,
-    /// or restart from the state via [`Replica::restart_from_dir`].
+    /// instance. Claiming it would silently destroy that history;
+    /// restart from the state via [`Replica::restart_from_dir`].
     DataDirNotEmpty(std::path::PathBuf),
-    /// Opening, wiping or writing the durable directory failed.
+    /// Opening or writing the durable directory failed.
     Io(std::io::Error),
     /// The freshly opened log could not attach to the genesis ledger.
     Attach(ia_ccf_ledger::AttachError),
@@ -166,7 +165,7 @@ impl std::fmt::Display for ReplicaInitError {
             ReplicaInitError::DataDirNotEmpty(dir) => write!(
                 f,
                 "data directory {} holds durable state from a previous replica \
-                 (use restart_from_dir, or set wipe_existing_data_dir)",
+                 (use restart_from_dir)",
                 dir.display()
             ),
             ReplicaInitError::Io(e) => write!(f, "durable data directory: {e}"),
@@ -180,7 +179,7 @@ impl std::error::Error for ReplicaInitError {}
 impl Replica {
     /// A replica starting from genesis. Fallible only when
     /// `params.data_dir` is set: claiming the directory refuses existing
-    /// durable state unless `params.wipe_existing_data_dir` opts in.
+    /// durable state.
     pub fn new(
         id: ReplicaId,
         keypair: ia_ccf_crypto::KeyPair,
@@ -258,16 +257,11 @@ impl Replica {
         // append. `new` *claims* the directory for a fresh history: a
         // directory already holding durable state is refused (silently
         // reconciling a previous instance's history down to genesis
-        // destroys it) unless `wipe_existing_data_dir` opts into the
-        // deletion. Restarting from existing state is
+        // destroys it). Restarting from existing state is
         // [`Replica::restart_from_dir`].
         if let Some(dir) = replica.params.data_dir.clone() {
             if ia_ccf_ledger::DurableLog::dir_is_occupied(&dir) {
-                if replica.params.wipe_existing_data_dir {
-                    ia_ccf_ledger::DurableLog::wipe_dir(&dir).map_err(ReplicaInitError::Io)?;
-                } else {
-                    return Err(ReplicaInitError::DataDirNotEmpty(dir));
-                }
+                return Err(ReplicaInitError::DataDirNotEmpty(dir));
             }
             let (log, _existing) = ia_ccf_ledger::DurableLog::open_with_roll(
                 &dir,
@@ -531,24 +525,10 @@ impl Replica {
     pub fn is_primary(&self) -> bool {
         self.gov.active().primary_of(self.view) == self.id
     }
-    /// Whether this replica has retired after a reconfiguration.
-    pub fn is_retired(&self) -> bool {
-        self.retired
-    }
-    /// The message store (used when assembling ledger packages for audits).
-    pub fn msg_store(&self) -> &MsgStore {
-        &self.msgs
-    }
     /// The view in which `seq` prepared on this replica, if it has.
     pub fn prepared_view_of(&self, seq: SeqNum) -> Option<View> {
         self.prepared_view.get(&seq).copied()
     }
-    /// Register an additional client signing key (provisioning; in CCF
-    /// client registration is itself governance state).
-    pub fn register_client(&mut self, client: ClientId, key: PublicKey) {
-        self.client_keys.insert(client, key);
-    }
-
     /// Seed the key-value store before any batch executes — used by the
     /// benchmark harness to pre-populate identical state (e.g. SmallBank
     /// accounts) on every replica, standing in for a bulk-load phase.
@@ -639,15 +619,6 @@ impl Replica {
                 }
                 self.retry_stashed();
             }
-            ProtocolMsg::FetchLedger { from_seq } => {
-                if let NodeId::Replica(sender) = from {
-                    self.serve_ledger_fetch(sender, from_seq);
-                }
-            }
-            ProtocolMsg::FetchLedgerResponse { .. } => {
-                // Legacy single-shot response: superseded by the paged
-                // protocol (nothing in-tree requests it anymore).
-            }
             ProtocolMsg::FetchLedgerPage { from_seq, max_bytes } => {
                 if let NodeId::Replica(sender) = from {
                     self.serve_ledger_page(sender, from_seq, max_bytes);
@@ -709,15 +680,26 @@ impl Replica {
                 }
             }
             ProtocolMsg::FetchEvidenceResponse { prepares, commits } => {
-                for p in prepares {
-                    self.on_prepare(p);
+                if let NodeId::Replica(_) = from {
+                    for p in prepares {
+                        self.on_prepare(p);
+                    }
+                    for cmt in commits {
+                        // A relayed commit is unauthenticated: it must
+                        // never displace a stored nonce that already
+                        // opens its replica's signed commitment.
+                        let stored_opens = self
+                            .valid_commit_nonces(cmt.seq, cmt.view)
+                            .iter()
+                            .any(|(r, _)| *r == cmt.replica);
+                        if !stored_opens {
+                            self.msgs.put_commit(&cmt);
+                        }
+                    }
+                    self.retry_stashed();
+                    self.try_advance_committed();
+                    self.retry_pending_gov_receipts();
                 }
-                for cmt in commits {
-                    self.msgs.put_commit(&cmt);
-                }
-                self.retry_stashed();
-                self.try_advance_committed();
-                self.retry_pending_gov_receipts();
             }
             ProtocolMsg::Reply(_)
             | ProtocolMsg::ReplyX(_)
@@ -824,11 +806,6 @@ impl Replica {
         self.last_progress_tick = self.tick;
     }
 
-    pub(crate) fn note_divergence(&mut self) {
-        // Divergence from the primary: eligible for view change on timeout.
-        // (Liveness, not safety: the batch was rolled back.)
-    }
-
     pub(crate) fn pipeline_depth(&self) -> u64 {
         self.gov.active().pipeline_depth as u64
     }
@@ -863,26 +840,4 @@ fn mac_authenticate(payload: &[u8]) -> Signature {
     out[..32].copy_from_slice(h1.as_ref());
     out[32..].copy_from_slice(h2.as_ref());
     Signature(out)
-}
-
-/// Helper for clients/tests: build a signed app request.
-pub fn make_app_request(
-    key: &ia_ccf_crypto::KeyPair,
-    client: ClientId,
-    gt_hash: Digest,
-    proc: ia_ccf_types::ProcId,
-    args: Vec<u8>,
-    min_index: LedgerIdx,
-    req_id: u64,
-) -> SignedRequest {
-    SignedRequest::sign(
-        Request {
-            action: RequestAction::App { proc, args },
-            client,
-            gt_hash,
-            min_index,
-            req_id,
-        },
-        key,
-    )
 }

@@ -298,32 +298,6 @@ impl DurableLog {
             || dir.join(CHECKPOINT_FILE).exists()
     }
 
-    /// Remove all durable state under `dir` (segments, manifest, seed
-    /// checkpoint) so a new replica can claim it. Archived generations
-    /// under `archive/` are kept — they are inert history, not state the
-    /// next instance would ever read.
-    pub fn wipe_dir(dir: &Path) -> io::Result<()> {
-        if !dir.exists() {
-            return Ok(());
-        }
-        let mut idx = 0;
-        loop {
-            let path = seg_path(dir, idx);
-            if !path.exists() {
-                break;
-            }
-            fs::remove_file(path)?;
-            idx += 1;
-        }
-        for name in [MANIFEST_FILE, CHECKPOINT_FILE] {
-            let path = dir.join(name);
-            if path.exists() {
-                fs::remove_file(path)?;
-            }
-        }
-        sync_dir(dir)
-    }
-
     /// Parse one file's bytes, recording entry/chunk locations and
     /// decoding entries into `decoded`. Returns the byte length of the
     /// valid chunk prefix.

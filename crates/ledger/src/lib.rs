@@ -7,7 +7,7 @@
 //! Merkle tree `M`, whose root every signed pre-prepare carries, committing
 //! each replica to the entire history.
 //!
-//! Four facilities live here:
+//! Three facilities live here:
 //!
 //! * [`Ledger`] — the replica-side structure: append, rollback
 //!   ([`Ledger::truncate_to`], Lemma 1), roots, lookups;
@@ -15,15 +15,12 @@
 //!   Appx. B terms) used by replicas validating fetched fragments and by
 //!   the auditor;
 //! * [`durable`] — the disk-backed segment files behind a durable
-//!   replica: chunk-framed appends, batched fsync, torn-tail repair;
-//! * [`subledger`] — extraction of the governance sub-ledger (§5.2).
+//!   replica: chunk-framed appends, batched fsync, torn-tail repair.
 
 pub mod durable;
 pub mod segment;
 pub mod store;
-pub mod subledger;
 
 pub use durable::{DurableLog, ARCHIVE_DIR, CHECKPOINT_FILE, MANIFEST_FILE};
 pub use segment::{segment_entries, Segment, SegmentError};
 pub use store::{AttachError, Ledger};
-pub use subledger::governance_tx_indices;

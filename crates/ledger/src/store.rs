@@ -197,14 +197,7 @@ impl Clone for Ledger {
 impl Ledger {
     /// A ledger seeded with the genesis transaction.
     pub fn new(genesis_config: Configuration) -> Self {
-        let mut ledger = Ledger::empty();
-        ledger.append(LedgerEntry::Genesis { config: genesis_config });
-        ledger
-    }
-
-    /// An empty ledger (used when reconstructing from fragments).
-    pub fn empty() -> Self {
-        Ledger {
+        let mut ledger = Ledger {
             entries: Vec::new(),
             base: 0,
             tree: MTree::Full(MerkleTree::new()),
@@ -213,7 +206,9 @@ impl Ledger {
             nv_entries: Vec::new(),
             durable: None,
             durability_lost: false,
-        }
+        };
+        ledger.append(LedgerEntry::Genesis { config: genesis_config });
+        ledger
     }
 
     /// A *suffix* ledger restored from a checkpoint: the `base_entries`
@@ -416,20 +411,9 @@ impl Ledger {
         &self.entries
     }
 
-    /// Entries from `from` (inclusive) onward.
-    pub fn entries_from(&self, from: LedgerIdx) -> &[LedgerEntry] {
-        let rel = from.0.saturating_sub(self.base) as usize;
-        &self.entries[rel.min(self.entries.len())..]
-    }
-
     /// Current root of the ledger tree `M` (`M̄` for the next pre-prepare).
     pub fn root_m(&self) -> Digest {
         self.tree.root()
-    }
-
-    /// Number of M-leaves so far.
-    pub fn m_leaf_count(&self) -> u64 {
-        self.tree.len()
     }
 
     /// The tree frontier — persisted in checkpoints so a restoring replica
@@ -482,11 +466,6 @@ impl Ledger {
     /// remaining-batch list must never be materialized per request.
     pub fn batch_seqs_iter(&self, from_seq: SeqNum) -> impl Iterator<Item = SeqNum> + '_ {
         self.pp_by_seq.range(from_seq..).map(|(s, _)| *s)
-    }
-
-    /// [`Ledger::batch_seqs_iter`] collected (test/harness convenience).
-    pub fn batch_seqs_from(&self, from_seq: SeqNum) -> Vec<SeqNum> {
-        self.batch_seqs_iter(from_seq).collect()
     }
 
     /// Whether a new-view entry for `view` is present. Keyed on ledger
@@ -602,21 +581,6 @@ impl Ledger {
         }
         self.entries[lo..hi].iter().map(|e| e.to_bytes()).collect()
     }
-
-    /// Views in which pre-prepares exist, ascending.
-    pub fn views_present(&self) -> Vec<View> {
-        let mut views: Vec<View> = self
-            .entries
-            .iter()
-            .filter_map(|e| match e {
-                LedgerEntry::PrePrepare(pp) => Some(pp.view()),
-                _ => None,
-            })
-            .collect();
-        views.sort_unstable();
-        views.dedup();
-        views
-    }
 }
 
 #[cfg(test)]
@@ -638,7 +602,7 @@ mod tests {
         assert_eq!(ledger.len(), 1);
         assert!(matches!(ledger.entry(LedgerIdx(0)), Some(LedgerEntry::Genesis { .. })));
         assert!(ledger.genesis_hash().is_some());
-        assert_eq!(ledger.m_leaf_count(), 1);
+        assert_eq!(ledger.frontier().len(), 1);
     }
 
     #[test]
@@ -670,12 +634,12 @@ mod tests {
             },
         }));
         assert_eq!(ledger.root_m(), before);
-        assert_eq!(ledger.m_leaf_count(), 1);
+        assert_eq!(ledger.frontier().len(), 1);
 
         // A pre-prepare does.
         ledger.append(LedgerEntry::PrePrepare(test_pp(0, 1, &rk[0])));
         assert_ne!(ledger.root_m(), before);
-        assert_eq!(ledger.m_leaf_count(), 2);
+        assert_eq!(ledger.frontier().len(), 2);
     }
 
     #[test]
@@ -779,9 +743,10 @@ mod tests {
         assert_eq!(ledger.fetch_start_pos(SeqNum(2)), 4);
         // Past the tip: the trailing entries after batch 2's segment.
         assert_eq!(ledger.fetch_start_pos(SeqNum(3)), 8);
-        assert_eq!(ledger.batch_seqs_from(SeqNum(1)), vec![SeqNum(1), SeqNum(2)]);
-        assert_eq!(ledger.batch_seqs_from(SeqNum(2)), vec![SeqNum(2)]);
-        assert!(ledger.batch_seqs_from(SeqNum(3)).is_empty());
+        let seqs_from = |s| ledger.batch_seqs_iter(SeqNum(s)).collect::<Vec<_>>();
+        assert_eq!(seqs_from(1), vec![SeqNum(1), SeqNum(2)]);
+        assert_eq!(seqs_from(2), vec![SeqNum(2)]);
+        assert!(seqs_from(3).is_empty());
     }
 
     #[test]
@@ -839,15 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn views_present_collects_sorted_unique() {
-        let (mut ledger, rk) = ledger4();
-        ledger.append(LedgerEntry::PrePrepare(test_pp(2, 1, &rk[2])));
-        ledger.append(LedgerEntry::PrePrepare(test_pp(0, 2, &rk[0])));
-        ledger.append(LedgerEntry::PrePrepare(test_pp(2, 3, &rk[2])));
-        assert_eq!(ledger.views_present(), vec![View(0), View(2)]);
-    }
-
-    #[test]
     fn append_batch_matches_sequential_appends() {
         let (mut batched, rk) = ledger4();
         let (mut sequential, _) = ledger4();
@@ -864,7 +820,7 @@ mod tests {
         }
         assert_eq!(batched.len(), sequential.len());
         assert_eq!(batched.root_m(), sequential.root_m());
-        assert_eq!(batched.m_leaf_count(), sequential.m_leaf_count());
+        assert_eq!(batched.frontier().len(), sequential.frontier().len());
         for i in 0..batched.len() {
             assert_eq!(batched.entry(LedgerIdx(i)), sequential.entry(LedgerIdx(i)), "entry {i}");
         }
@@ -929,7 +885,7 @@ mod tests {
         assert_eq!(suffix.len(), full.len());
         assert_eq!(suffix.root_m(), full.root_m());
         assert_eq!(suffix.frontier(), full.frontier());
-        assert_eq!(suffix.m_leaf_count(), full.m_leaf_count());
+        assert_eq!(suffix.frontier().len(), full.frontier().len());
         assert_eq!(suffix.max_seq(), full.max_seq());
         assert_eq!(
             suffix.pp_index_at(SeqNum(3)),

@@ -9,13 +9,6 @@
 //! With a non-zero [`LatencyModel`], envelopes pass through a delay wheel
 //! thread that releases them after the model's one-way delay, preserving
 //! per-link FIFO order (equal delays, monotonic release).
-//!
-//! For byte-level traffic the bus shares the TCP transport's framing:
-//! wrap a `BusEndpoint<bytes::Bytes>` in [`crate::frame::FramedEndpoint`]
-//! and every message travels as a [`crate::frame`]-encoded frame. (The
-//! benchmark harness keeps sending structured messages directly — the
-//! framed layer is the byte-level surface for codec tests and for
-//! harnesses that want TCP-identical wire bytes without sockets.)
 
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;

@@ -1,11 +1,8 @@
 //! The shared length-prefixed frame codec.
 //!
-//! Every transport in this crate speaks the same framing: a `u32`
-//! little-endian length prefix followed by exactly that many payload
-//! bytes. [`crate::tcp`] uses it on real sockets (one `write` per frame,
-//! encode scratch reused per connection); [`crate::bus`] layers it over
-//! the in-memory bus through [`FramedEndpoint`], so the simulated and
-//! socket paths exercise byte-identical wire traffic.
+//! The framing is a `u32` little-endian length prefix followed by exactly
+//! that many payload bytes. [`crate::tcp`] uses it on real sockets (one
+//! `write` per frame, encode scratch reused per connection).
 //!
 //! Hostile-input discipline: a length prefix is *untrusted*. Decoders
 //! reject prefixes above [`MAX_FRAME`] before allocating, and the stream
@@ -14,10 +11,7 @@
 
 use std::io::{Read, Write};
 
-use bytes::Bytes;
 use ia_ccf_types::Wire;
-
-use crate::bus::BusEndpoint;
 
 /// Maximum accepted payload size (64 MiB) — guards against corrupt or
 /// hostile prefixes.
@@ -182,66 +176,9 @@ pub fn write_frame<W: Write>(
     w.write_all(scratch)
 }
 
-/// A byte-framed endpoint over the in-memory [`crate::bus`]: messages are
-/// encoded once into a reusable scratch with the shared codec and sent as
-/// cheaply clonable [`Bytes`] frames — the same bytes TCP puts on the
-/// wire, without a per-message allocation on the send path beyond the
-/// frame itself.
-pub struct FramedEndpoint {
-    inner: BusEndpoint<Bytes>,
-    scratch: Vec<u8>,
-}
-
-impl FramedEndpoint {
-    /// Wrap a byte-payload bus endpoint.
-    pub fn new(inner: BusEndpoint<Bytes>) -> Self {
-        FramedEndpoint { inner, scratch: Vec::new() }
-    }
-
-    /// This endpoint's bus address.
-    pub fn address(&self) -> u64 {
-        self.inner.address()
-    }
-
-    /// Encode `msg` as one frame and send it to `to`.
-    pub fn send_msg<T: Wire>(&mut self, to: u64, msg: &T) {
-        let frame = Bytes::copy_from_slice(encode_msg(msg, &mut self.scratch));
-        self.inner.send(to, frame);
-    }
-
-    /// Encode `msg` once and send the frame to every listed peer
-    /// (excluding self); clones share the encoded storage.
-    pub fn broadcast_msg<T: Wire>(&mut self, to: impl IntoIterator<Item = u64>, msg: &T) {
-        let frame = Bytes::copy_from_slice(encode_msg(msg, &mut self.scratch));
-        self.inner.send_many(to, frame);
-    }
-
-    /// Non-blocking receive: decode the frame, then the message.
-    pub fn try_recv_msg<T: Wire>(&self) -> Option<(u64, Result<T, FrameError>)> {
-        let env = self.inner.try_recv()?;
-        Some((env.from, Self::decode_envelope(&env.msg)))
-    }
-
-    /// Blocking receive with timeout.
-    pub fn recv_msg_timeout<T: Wire>(
-        &self,
-        timeout: std::time::Duration,
-    ) -> Option<(u64, Result<T, FrameError>)> {
-        let env = self.inner.recv_timeout(timeout)?;
-        Some((env.from, Self::decode_envelope(&env.msg)))
-    }
-
-    fn decode_envelope<T: Wire>(frame: &Bytes) -> Result<T, FrameError> {
-        let payload = decode_exact(frame)?;
-        T::from_bytes(payload).map_err(FrameError::Malformed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bus::Bus;
-    use crate::latency::LatencyModel;
 
     #[test]
     fn encode_split_roundtrip() {
@@ -302,28 +239,5 @@ mod tests {
         read_frame(&mut reader, &mut payload).unwrap();
         assert_eq!(payload, b"second");
         assert_eq!(payload.capacity(), cap, "payload buffer is reused");
-    }
-
-    #[test]
-    fn framed_endpoint_roundtrips_wire_messages() {
-        let bus: Bus<Bytes> = Bus::new(LatencyModel::Zero);
-        let mut a = FramedEndpoint::new(bus.register(1));
-        let b = FramedEndpoint::new(bus.register(2));
-        a.send_msg(2, &0xDEAD_BEEFu64);
-        let (from, msg) = b.try_recv_msg::<u64>().expect("delivered");
-        assert_eq!(from, 1);
-        assert_eq!(msg.unwrap(), 0xDEAD_BEEF);
-    }
-
-    #[test]
-    fn framed_broadcast_shares_one_encoding() {
-        let bus: Bus<Bytes> = Bus::new(LatencyModel::Zero);
-        let mut a = FramedEndpoint::new(bus.register(1));
-        let b = FramedEndpoint::new(bus.register(2));
-        let c = FramedEndpoint::new(bus.register(3));
-        a.broadcast_msg([1, 2, 3], &7u32);
-        assert_eq!(b.try_recv_msg::<u32>().unwrap().1.unwrap(), 7);
-        assert_eq!(c.try_recv_msg::<u32>().unwrap().1.unwrap(), 7);
-        assert!(a.try_recv_msg::<u32>().is_none(), "broadcast skips self");
     }
 }

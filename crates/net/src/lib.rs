@@ -10,18 +10,17 @@
 //! * [`bus`] — a threaded in-memory message bus with per-link latency
 //!   injection and sender authentication (the paper's MbedTLS channels are
 //!   modelled by the bus stamping unforgeable sender ids).
-//! * [`frame`] — the single length-prefixed frame codec shared by every
-//!   transport: scratch-buffer encoding (no per-message allocation on the
-//!   hot path), hostile-prefix-safe decoding, and [`frame::FramedEndpoint`]
-//!   for byte-framed traffic over the bus.
+//! * [`frame`] — the single length-prefixed frame codec: scratch-buffer
+//!   encoding (no per-message allocation on the hot path) and
+//!   hostile-prefix-safe decoding.
 //! * [`tcp`] — a real-socket TCP transport speaking [`frame`] frames on an
 //!   **event-driven runtime**: one epoll loop per node owns the listener
 //!   and every connection (O(nodes) threads for O(10k) connections),
 //!   with deadline-bounded handshakes, generation-tagged peer entries,
 //!   bounded inbound/outbound queues and readiness-driven flushing. Used
-//!   by the `tcp_cluster` example and the `--mode c10k` benchmark.
+//!   by the `tcp_cluster` example and the benchmark's loopback probe.
 //! * [`poll`] — the minimal vendored epoll/eventfd poller the runtime
-//!   (and the benchmark's client sweep) is built on.
+//!   is built on.
 //! * [`conn`] — per-connection state: incremental frame reassembly
 //!   ([`conn::FrameAssembler`]) and the bounded outbound queue.
 
@@ -34,6 +33,6 @@ pub mod tcp;
 
 pub use bus::{Bus, BusEndpoint, Envelope};
 pub use conn::FrameAssembler;
-pub use frame::{FrameError, FramedEndpoint};
+pub use frame::FrameError;
 pub use latency::LatencyModel;
 pub use tcp::{TcpConfig, TcpNode, TcpPeer};

@@ -1,9 +1,8 @@
 //! Event-driven TCP transport (C10K-capable).
 //!
 //! A real-socket transport for running IA-CCF nodes over localhost or a
-//! LAN. Framing is the shared [`crate::frame`] codec (a `u32`
-//! little-endian length prefix, then the payload — the same codec the
-//! in-memory bus layers over [`crate::frame::FramedEndpoint`]).
+//! LAN. Framing is the [`crate::frame`] codec (a `u32` little-endian
+//! length prefix, then the payload).
 //!
 //! ## Runtime model
 //!

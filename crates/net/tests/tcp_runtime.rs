@@ -487,3 +487,50 @@ fn interleaved_bidirectional_traffic_under_load() {
     }
     assert_eq!(echo.join().unwrap(), 8 * 20);
 }
+
+// ---------------------------------------------------------------------
+// Scale: connections cost sockets, not threads.
+// ---------------------------------------------------------------------
+
+#[test]
+fn hundreds_of_framed_connections_share_one_event_loop() {
+    const CONNS: u64 = 300;
+    let node = TcpNode::listen(1300, "127.0.0.1:0").unwrap();
+    let peer = TcpNode::listen(1301, "127.0.0.1:0").unwrap();
+    peer.connect(&node.local_addr()).unwrap();
+    wait_for("peer mesh up", || node.connected_peers().contains(&1301));
+
+    // 300 raw clients complete the hello and stay open, all at once.
+    let mut clients: Vec<RawClient> = (0..CONNS)
+        .map(|i| {
+            let client = RawClient::connect(&node, 5000 + i);
+            assert_eq!(node.live_transport_threads(), 1, "a connection must not cost a thread");
+            client
+        })
+        .collect();
+    wait_for("every connection registered", || {
+        node.connected_peers().len() as u64 == CONNS + 1
+    });
+
+    // Every one of them is live: a frame from each reaches the node.
+    for (i, client) in clients.iter_mut().enumerate() {
+        client.send(&(i as u64).to_le_bytes());
+    }
+    let mut heard = std::collections::HashSet::new();
+    while (heard.len() as u64) < CONNS {
+        let (from, got) = node.inbound.recv_timeout(Duration::from_secs(5)).expect("client frame");
+        assert_eq!(&got[..], &(from - 5000).to_le_bytes()[..]);
+        heard.insert(from);
+    }
+
+    // A real peer node still gets a frame round-trip through the crowd.
+    assert!(peer.send(1300, b"ping"));
+    let (from, got) = node.inbound.recv_timeout(Duration::from_secs(5)).unwrap();
+    assert_eq!((from, &got[..]), (1301, &b"ping"[..]));
+    assert!(node.send(1301, b"pong"));
+    let (from, got) = peer.inbound.recv_timeout(Duration::from_secs(5)).unwrap();
+    assert_eq!((from, &got[..]), (1300, &b"pong"[..]));
+
+    assert_eq!(node.connected_peers().len() as u64, CONNS + 1, "every connection still held");
+    assert_eq!(node.live_transport_threads(), 1);
+}

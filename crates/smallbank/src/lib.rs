@@ -27,9 +27,6 @@ pub const AMALGAMATE: ProcId = ProcId(14);
 /// A no-op procedure for the "empty requests" rows of Tab. 3.
 pub const NOOP: ProcId = ProcId(15);
 
-/// All SmallBank procedure ids (for app registry wiring).
-pub const ALL_PROCS: [ProcId; 6] = [DEPOSIT, TRANSFER, WITHDRAW, BALANCE, AMALGAMATE, NOOP];
-
 /// An account's balances, stored as the value under the account key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Balances {
@@ -302,11 +299,6 @@ impl Workload {
                 }
             }
         }
-    }
-
-    /// An empty-request op (Tab. 3 row (h)).
-    pub fn noop() -> WorkloadOp {
-        WorkloadOp { proc: NOOP, args: Vec::new() }
     }
 }
 

@@ -377,17 +377,6 @@ pub enum ProtocolMsg {
         /// The requested bodies.
         requests: Vec<SignedRequest>,
     },
-    /// Ask a peer for its ledger suffix starting at a sequence number
-    /// (view-change synchronisation).
-    FetchLedger {
-        /// First sequence number wanted.
-        from_seq: SeqNum,
-    },
-    /// Encoded ledger entries answering a [`ProtocolMsg::FetchLedger`].
-    FetchLedgerResponse {
-        /// Wire-encoded `LedgerEntry` values in ledger order.
-        entries: Vec<Vec<u8>>,
-    },
     /// Ask a peer for one bounded page of its ledger suffix (resumable
     /// state transfer). The continuation token is a sequence number: the
     /// server replies with whole batch segments from `from_seq` on, cut
@@ -820,17 +809,6 @@ impl Wire for ProtocolMsg {
                 buf.push(9);
                 encode_seq(requests, buf);
             }
-            ProtocolMsg::FetchLedger { from_seq } => {
-                buf.push(10);
-                from_seq.encode(buf);
-            }
-            ProtocolMsg::FetchLedgerResponse { entries } => {
-                buf.push(11);
-                (entries.len() as u32).encode(buf);
-                for e in entries {
-                    e.encode(buf);
-                }
-            }
             ProtocolMsg::FetchGovReceipts { from_index } => {
                 buf.push(12);
                 from_index.encode(buf);
@@ -930,15 +908,8 @@ impl Wire for ProtocolMsg {
             }
             8 => Ok(ProtocolMsg::FetchRequests { hashes: decode_seq(r)? }),
             9 => Ok(ProtocolMsg::FetchRequestsResponse { requests: decode_seq(r)? }),
-            10 => Ok(ProtocolMsg::FetchLedger { from_seq: SeqNum::decode(r)? }),
-            11 => {
-                let n = u32::decode(r)?;
-                let mut entries = Vec::with_capacity(n.min(4096) as usize);
-                for _ in 0..n {
-                    entries.push(Vec::<u8>::decode(r)?);
-                }
-                Ok(ProtocolMsg::FetchLedgerResponse { entries })
-            }
+            // Tags 10 and 11 are reserved: never reassign them. They decode
+            // to `BadTag` like any unknown tag.
             12 => Ok(ProtocolMsg::FetchGovReceipts { from_index: LedgerIdx::decode(r)? }),
             13 => Ok(ProtocolMsg::GovReceipts { receipts: decode_seq(r)? }),
             14 => Ok(ProtocolMsg::FetchReceipt { tx_hash: Digest::decode(r)? }),
@@ -1021,10 +992,6 @@ impl Wire for ProtocolMsg {
             }
             ProtocolMsg::FetchRequests { hashes } => encoded_len_seq(hashes),
             ProtocolMsg::FetchRequestsResponse { requests } => encoded_len_seq(requests),
-            ProtocolMsg::FetchLedger { from_seq } => from_seq.encoded_len(),
-            ProtocolMsg::FetchLedgerResponse { entries } => {
-                4 + entries.iter().map(Wire::encoded_len).sum::<usize>()
-            }
             ProtocolMsg::FetchGovReceipts { from_index } => from_index.encoded_len(),
             ProtocolMsg::GovReceipts { receipts } => encoded_len_seq(receipts),
             ProtocolMsg::FetchReceipt { tx_hash } => tx_hash.encoded_len(),
@@ -1188,8 +1155,6 @@ mod tests {
                 nonce: Nonce([3; 16]),
             }),
             ProtocolMsg::FetchRequests { hashes: vec![hash_bytes(b"a"), hash_bytes(b"b")] },
-            ProtocolMsg::FetchLedger { from_seq: SeqNum(10) },
-            ProtocolMsg::FetchLedgerResponse { entries: vec![vec![1, 2, 3], vec![]] },
             ProtocolMsg::FetchGovReceipts { from_index: LedgerIdx(4) },
             ProtocolMsg::FetchLedgerPage { from_seq: SeqNum(7), max_bytes: 1 << 20 },
             ProtocolMsg::FetchLedgerPageResponse {

@@ -688,10 +688,9 @@ fn double_crashed_seeded_replica_restarts_locally_and_matches_survivor() {
 /// `Replica::new` used to claim a `data_dir` holding a previous
 /// instance's segment files and silently reconcile that history down to
 /// genesis — destroying it. Pin the fix: occupied directories are a
-/// typed refusal, `restart_from_dir` remains the restart path, and the
-/// explicit `wipe_existing_data_dir` opt-in claims the directory fresh.
+/// typed refusal, and `restart_from_dir` remains the restart path.
 #[test]
-fn fresh_replica_refuses_occupied_data_dir_unless_wipe_opted_in() {
+fn fresh_replica_refuses_occupied_data_dir() {
     use ia_ccf::core::ReplicaInitError;
     let tmp = TempDir::new("occupied-dir").expect("tempdir");
     let dir = tmp.subdir("r0").expect("subdir");
@@ -730,24 +729,8 @@ fn fresh_replica_refuses_occupied_data_dir_unless_wipe_opted_in() {
     );
 
     // The legitimate restart path still works and keeps the history.
-    let restarted =
-        spec.restart_replica(0, Arc::new(CounterApp), params0.clone()).expect("restart");
+    let restarted = spec.restart_replica(0, Arc::new(CounterApp), params0).expect("restart");
     assert!(restarted.ledger().len() > 1, "history survived the refusal");
-    drop(restarted);
-
-    // The opt-in wipes and claims the directory for a fresh genesis.
-    params0.wipe_existing_data_dir = true;
-    let fresh = Replica::new(
-        ReplicaId(0),
-        spec.replica_keys[0].clone(),
-        spec.genesis.clone(),
-        Arc::new(CounterApp),
-        params0,
-        spec.client_keys(),
-    )
-    .expect("wipe opt-in claims the directory");
-    assert_eq!(fresh.ledger().len(), 1, "genesis only after the wipe");
-    assert!(fresh.ledger().durable().is_some(), "durability attached on the wiped dir");
 }
 
 // ----------------------------------------------------------------------

@@ -1,14 +1,13 @@
 //! Paged ledger fetch vs the frame size limit.
 //!
-//! The seed served a `FetchLedger` with the *entire* remaining ledger in
-//! one `FetchLedgerResponse`; past [`ia_ccf_net::frame::MAX_FRAME`]
-//! (64 MiB) the frame encoder asserted on the sender, so a recovering
-//! replica simply could not sync a large ledger (the old version of this
-//! file pinned that cliff as a known limitation). The paged `FetchLedgerPage`
-//! protocol retires it: the server cuts bounded pages at batch-segment
-//! boundaries, clamped to [`PAGE_CEILING_BYTES`] (well under `MAX_FRAME`),
-//! and the requester resumes with the returned continuation token. These
-//! tests pin both sides of the new contract:
+//! A response carrying the *entire* remaining ledger in one message
+//! cannot be framed past [`ia_ccf_net::frame::MAX_FRAME`] (64 MiB): the
+//! frame encoder asserts on the sender, so a recovering replica could
+//! never sync a large ledger that way. The paged `FetchLedgerPage`
+//! protocol has no such cliff: the server cuts bounded pages at
+//! batch-segment boundaries, clamped to [`PAGE_CEILING_BYTES`] (well under
+//! `MAX_FRAME`), and the requester resumes with the returned continuation
+//! token. These tests pin both sides of that contract:
 //!
 //! * a ledger whose remaining suffix exceeds `MAX_FRAME` transfers
 //!   completely — every page frames, the concatenation is byte-identical

@@ -4,8 +4,8 @@
 //! For any committed schedule, any `from_seq` and any page budget —
 //! including budgets of one byte (one batch segment per page) and budgets
 //! larger than the whole remainder — the concatenation of
-//! `FetchLedgerPageResponse` entries is byte-identical to the seed's
-//! monolithic `FetchLedgerResponse` oracle
+//! `FetchLedgerPageResponse` entries is byte-identical to the
+//! monolithic whole-suffix oracle
 //! (`Replica::ledger_fetch_oracle`). On top of the byte-level
 //! equivalence, a replica that crashes, misses traffic and recovers
 //! through the paged state transfer must end with a ledger and KV digest
@@ -122,8 +122,8 @@ proptest! {
             let batches = cluster
                 .replica(ReplicaId(0))
                 .ledger()
-                .batch_seqs_from(SeqNum(from_seq))
-                .len();
+                .batch_seqs_iter(SeqNum(from_seq))
+                .count();
             prop_assert_eq!(pages, batches.max(1), "one segment per page at budget 1");
         }
     }

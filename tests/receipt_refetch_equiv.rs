@@ -10,14 +10,15 @@
 //! reference oracle, and pins the incremental governance-receipt serving
 //! (`from_index`) semantics.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use ia_ccf::core::app::CounterApp;
-use ia_ccf::core::{Input, NodeId, Output, ProtocolParams};
+use ia_ccf::core::{Input, NodeId, Output, ProtocolParams, Replica};
 use ia_ccf_sim::{ClusterSpec, DetCluster};
 use ia_ccf_types::{
-    ClientId, Digest, GovAction, LedgerIdx, ProtocolMsg, ReplicaId, Request, RequestAction,
-    SignedRequest, Wire,
+    ClientId, Commit, Digest, GovAction, LedgerIdx, Nonce, ProtocolMsg, ReplicaId, Request,
+    RequestAction, SeqNum, SignedRequest, View, Wire,
 };
 use proptest::prelude::*;
 
@@ -225,4 +226,118 @@ fn gov_receipts_served_incrementally() {
         1,
         "an index below the link still serves it"
     );
+}
+
+// ----------------------------------------------------------------------
+// Hostile `FetchEvidenceResponse`: relayed commits are unauthenticated.
+// ----------------------------------------------------------------------
+
+/// A `FetchEvidenceResponse` relays *other* replicas' commit nonces, so
+/// nothing authenticates them. It used to be accepted from any sender and
+/// to overwrite stored nonces: one client (or one Byzantine replica)
+/// could replace a backup's valid nonces with garbage, costing it the
+/// commit quorum and the batch certificate for that slot. Pin the fix on
+/// a hand-driven 4-replica round: the victim backup holds two valid
+/// nonces (its own and the primary's) when the garbage arrives, from a
+/// client id and from a replica id; the two late commits must still
+/// complete the quorum, the certificate must assemble and the receipt
+/// re-fetch must serve.
+#[test]
+fn garbage_evidence_response_cannot_displace_valid_commit_nonces() {
+    type Queue = VecDeque<(ReplicaId, ReplicaId, ProtocolMsg)>;
+    fn enqueue(from: ReplicaId, outs: Vec<Output>, queue: &mut Queue) {
+        for out in outs {
+            match out {
+                Output::SendReplica(to, msg) => queue.push_back((from, to, msg)),
+                Output::BroadcastReplicas(msg) => {
+                    for to in (0..4).map(ReplicaId).filter(|to| *to != from) {
+                        queue.push_back((from, to, msg.clone()));
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    let spec = ClusterSpec::new(4, 1, ProtocolParams::default());
+    let mut replicas: Vec<Replica> =
+        (0..4).map(|rank| spec.build_replica(rank, Arc::new(CounterApp))).collect();
+    let victim = ReplicaId(1);
+    let (client, kp) = (spec.clients[0].0, &spec.clients[0].1);
+    let req = SignedRequest::sign(
+        Request {
+            action: RequestAction::App { proc: CounterApp::INCR, args: b"k".to_vec() },
+            client,
+            gt_hash: replicas[0].gt_hash(),
+            min_index: LedgerIdx(0),
+            req_id: 1,
+        },
+        kp,
+    );
+    let tx_hash = req.digest();
+
+    // One ordering round, with every commit addressed to the victim held
+    // back: it prepares batch 1 but stores only its own nonce.
+    let mut queue = Queue::new();
+    for r in replicas.iter_mut() {
+        let outs = r.handle(Input::Message {
+            from: NodeId::Client(client),
+            msg: ProtocolMsg::Request(req.clone()),
+        });
+        enqueue(r.id(), outs, &mut queue);
+    }
+    for _ in 0..5 {
+        let outs = replicas[0].handle(Input::Tick);
+        enqueue(ReplicaId(0), outs, &mut queue);
+    }
+    let mut held: Vec<(ReplicaId, ProtocolMsg)> = Vec::new();
+    while let Some((from, to, msg)) = queue.pop_front() {
+        if to == victim && matches!(msg, ProtocolMsg::Commit(_)) {
+            held.push((from, msg));
+            continue;
+        }
+        let outs = replicas[to.0 as usize]
+            .handle(Input::Message { from: NodeId::Replica(from), msg });
+        enqueue(to, outs, &mut queue);
+    }
+    held.sort_by_key(|(from, _)| *from);
+    assert_eq!(held.iter().map(|(from, _)| from.0).collect::<Vec<_>>(), [0, 2, 3]);
+    let v = &mut replicas[victim.0 as usize];
+    assert_eq!(v.prepared_view_of(SeqNum(1)), Some(View(0)), "victim prepared batch 1");
+    assert_eq!(v.committed_up_to(), SeqNum(0));
+
+    let garbage = ProtocolMsg::FetchEvidenceResponse {
+        prepares: Vec::new(),
+        commits: (0..4)
+            .map(|r| Commit {
+                view: View(0),
+                seq: SeqNum(1),
+                replica: ReplicaId(r),
+                nonce: Nonce([0xAB; 16]),
+            })
+            .collect(),
+    };
+    let deliver = |v: &mut Replica, from: NodeId, msg: &ProtocolMsg| {
+        v.handle(Input::Message { from, msg: msg.clone() })
+    };
+
+    // The primary's commit arrives (two valid nonces stored), then the
+    // garbage, then the last two commits.
+    deliver(v, NodeId::Replica(held[0].0), &held[0].1);
+    deliver(v, NodeId::Client(client), &garbage);
+    deliver(v, NodeId::Replica(ReplicaId(2)), &garbage);
+    assert_eq!(v.committed_up_to(), SeqNum(0), "garbage nonces must not form a quorum");
+    for (from, commit) in &held[1..] {
+        deliver(v, NodeId::Replica(*from), commit);
+    }
+    assert_eq!(v.committed_up_to(), SeqNum(1), "batch 1 must commit despite the garbage");
+
+    // Same attack after the commit, before the certificate is memoized.
+    assert!(!v.has_cached_certificate(SeqNum(1), View(0)));
+    deliver(v, NodeId::Client(client), &garbage);
+    deliver(v, NodeId::Replica(ReplicaId(2)), &garbage);
+    assert!(v.batch_certificate(SeqNum(1), View(0)).is_some(), "certificate must assemble");
+    let refetch = ProtocolMsg::FetchReceipt { tx_hash };
+    let served = client_sends(deliver(v, NodeId::Client(client), &refetch));
+    assert_eq!(served.len(), 2, "re-fetch serves the Reply/ReplyX pair");
 }

@@ -9,9 +9,10 @@ use ia_ccf_net::frame;
 use proptest::prelude::*;
 
 use ia_ccf_types::{
-    BatchKind, ClientId, Commit, Digest, LedgerEntry, LedgerIdx, Nonce, NonceCommitment,
-    PrePrepare, PrePrepareCore, Prepare, ProcId, ProtocolMsg, Reply, ReplicaBitmap, ReplicaId,
-    Request, RequestAction, SeqNum, Signature, SignedRequest, TxLedgerEntry, TxResult, View, Wire,
+    BatchKind, ClientId, CodecError, Commit, Digest, LedgerEntry, LedgerIdx, Nonce,
+    NonceCommitment, PrePrepare, PrePrepareCore, Prepare, ProcId, ProtocolMsg, Reply,
+    ReplicaBitmap, ReplicaId, Request, RequestAction, SeqNum, Signature, SignedRequest,
+    TxLedgerEntry, TxResult, View, Wire,
 };
 
 fn arb_digest() -> impl Strategy<Value = Digest> {
@@ -218,8 +219,6 @@ proptest! {
             }),
             ProtocolMsg::FetchRequests { hashes: hashes.clone() },
             ProtocolMsg::FetchRequestsResponse { requests: vec![req.clone()] },
-            ProtocolMsg::FetchLedger { from_seq: core.seq },
-            ProtocolMsg::FetchLedgerResponse { entries: vec![output.clone(), Vec::new()] },
             ProtocolMsg::FetchLedgerPage { from_seq: core.seq, max_bytes: 1 << 20 },
             ProtocolMsg::FetchLedgerPageResponse {
                 entries: vec![output.clone(), Vec::new()],
@@ -400,6 +399,29 @@ proptest! {
         }
     }
 
+    /// Tags 10 and 11 are reserved (the retired single-shot ledger
+    /// fetch): a frame carrying either tag is rejected on the tag byte,
+    /// whatever follows — including a body that opens with a forged
+    /// `u32::MAX` entry count, which must never be read as a length to
+    /// allocate from.
+    #[test]
+    fn reserved_tags_always_error(
+        body in proptest::collection::vec(any::<u8>(), 0..256),
+        forge_count in any::<bool>(),
+    ) {
+        for tag in [10u8, 11] {
+            let mut payload = vec![tag];
+            if forge_count {
+                payload.extend_from_slice(&u32::MAX.to_le_bytes());
+            }
+            payload.extend_from_slice(&body);
+            let mut framed = Vec::new();
+            frame::encode(&payload, &mut framed);
+            let decoded = ProtocolMsg::from_bytes(frame::decode_exact(&framed).unwrap());
+            prop_assert_eq!(decoded, Err(CodecError::BadTag { context: "ProtocolMsg", tag }));
+        }
+    }
+
     /// Hostile input for the paged state-transfer messages: every decoded
     /// page must be internally consistent or rejected — flipped `done`
     /// bytes, backwards continuation tokens, forged entry counts and
@@ -519,7 +541,6 @@ proptest! {
             }),
             ProtocolMsg::FetchRequests { hashes: hashes.clone() },
             ProtocolMsg::FetchRequestsResponse { requests: vec![req.clone()] },
-            ProtocolMsg::FetchLedger { from_seq: core.seq },
             ProtocolMsg::FetchGovReceipts { from_index: core.gov_index },
             ProtocolMsg::FetchReceipt { tx_hash: root_g },
             ProtocolMsg::FetchEvidence { seq: core.seq },
