@@ -6,7 +6,12 @@
 //! [`Upom`] blaming at least `f + 1` replicas:
 //!
 //! 1. **auditReceipts** — verify every receipt cryptographically and check
-//!    each request's `min_index` was honoured (real-time ordering, Thm. 2);
+//!    each request's `min_index` was honoured (real-time ordering, Thm. 2).
+//!    Receipts of one batch share a certificate, so each audit keeps a
+//!    [`VerifiedCerts`] memo for its own duration: a certificate's
+//!    signatures are checked once, every further receipt of the batch
+//!    costs its Merkle path. The memo is built per [`Auditor::audit`] call
+//!    and dropped on return — audits stay independent of each other;
 //! 2. **getCheckpointAndLedger** — obtain a well-formed package spanning
 //!    the receipts (a malformed one incriminates its server; checkpoint
 //!    digests must match the receipts' `d_C`);
@@ -29,10 +34,15 @@ use ia_ccf_governance::{GovOutcome, GovernanceState};
 use ia_ccf_kv::KvStore;
 use ia_ccf_types::{
     Configuration, Digest, LedgerEntry, Receipt, ReplicaId, RequestAction, SeqNum, SignedRequest,
-
+    VerifiedCerts,
 };
 
 use crate::package::{validate_package, LedgerPackage, PackageError, ValidatedPackage};
+
+/// Certificates one audit remembers as verified. Stored receipts come
+/// grouped by batch (clients complete a batch's requests together), so a
+/// window of recent batches is all a hit needs.
+const VERIFIED_CERTS_CAPACITY: usize = 256;
 
 /// A receipt together with the request it certifies — what clients store
 /// "to resolve future disputes" (§3.3).
@@ -248,9 +258,11 @@ impl Auditor {
         receipts: &[StoredReceipt],
         history: &ConfigHistory,
     ) -> Option<Upom> {
+        // Local to this audit: repeated audits share nothing.
+        let mut verified_certs = VerifiedCerts::new(VERIFIED_CERTS_CAPACITY);
         for sr in receipts {
             let config = history.config_for_gov_index(sr.receipt.gov_index());
-            if let Err(e) = sr.receipt.verify(config) {
+            if let Err(e) = sr.receipt.verify_with(config, &mut verified_certs) {
                 return Some(Upom {
                     kind: UpomKind::InvalidReceipt,
                     blamed: BTreeSet::new(),

@@ -10,6 +10,14 @@
 //! receipts plus `P`-th end-of-configuration receipts) is all they need to know the
 //! valid signing keys at any governance index.
 //!
+//! All receipts of a batch carry the same certificate, so the client keeps
+//! one bounded [`VerifiedCerts`] memo: the first receipt of a batch pays
+//! for the `1 + 2f` signature checks, the rest pay for their Merkle path
+//! ([`Client::verified_cert_stats`] counts both). A backup whose prepare
+//! signature fails is dropped from that batch's replies and the receipt is
+//! re-assembled from the others, so `f` garbling backups cannot withhold
+//! receipts (§3.3 liveness).
+//!
 //! Like the replica, the client is sans-io: feed messages with
 //! [`Client::on_message`], drain sends with [`Client::poll_send`], collect
 //! finished transactions with [`Client::take_completed`].
@@ -19,9 +27,13 @@ use std::collections::{BTreeMap, HashMap};
 use ia_ccf_governance::chain::{ConfigHistory, GovLink, GovernanceChain};
 use ia_ccf_types::{
     BatchCertificate, ClientId, Configuration, Digest, KeyPair, LedgerIdx, ProcId, ProtocolMsg,
-    Receipt, ReceiptBody, Reply, ReplyX, ReplicaBitmap, ReplicaId, Request, RequestAction,
-    SeqNum, SignedRequest, TxWitness, View,
+    Receipt, ReceiptBody, ReceiptError, Reply, ReplyX, ReplicaBitmap, ReplicaId, Request,
+    RequestAction, SeqNum, SignedRequest, TxWitness, VerifiedCerts, View,
 };
+
+/// Certificates the client remembers as verified: a few pipeline windows'
+/// worth of batches (receipts of one batch arrive together).
+const VERIFIED_CERTS_CAPACITY: usize = 64;
 
 /// A transaction whose receipt has been assembled and verified.
 #[derive(Debug, Clone)]
@@ -80,6 +92,11 @@ pub struct Client {
     /// `min_index = M_i + 1` to encode real-time ordering (§B.1).
     max_seen_index: u64,
     pending: HashMap<u64, PendingReq>,
+    /// `H(t)` → request id for every pending request, so a `replyx` finds
+    /// its request without scanning `pending`.
+    pending_by_hash: HashMap<Digest, u64>,
+    /// Batch certificates already signature-checked.
+    verified_certs: VerifiedCerts,
     /// Completions stalled on missing governance receipts.
     waiting_for_gov: Vec<u64>,
     completed: Vec<FinishedTx>,
@@ -108,6 +125,8 @@ impl Client {
             next_req_id: 1,
             max_seen_index: 0,
             pending: HashMap::new(),
+            pending_by_hash: HashMap::new(),
+            verified_certs: VerifiedCerts::new(VERIFIED_CERTS_CAPACITY),
             waiting_for_gov: Vec::new(),
             completed: Vec::new(),
             outbox: Vec::new(),
@@ -142,6 +161,12 @@ impl Client {
         &self.chain
     }
 
+    /// `(hits, misses)` of the verified-certificate memo: receipts whose
+    /// signature checks were elided, and receipts that ran them.
+    pub fn verified_cert_stats(&self) -> (u64, u64) {
+        (self.verified_certs.hits(), self.verified_certs.misses())
+    }
+
     /// Build, record and queue a request invoking `proc` with `args`.
     /// Returns the request id.
     pub fn submit(&mut self, proc: ProcId, args: Vec<u8>) -> u64 {
@@ -158,6 +183,7 @@ impl Client {
             &self.keypair,
         );
         let digest = request.digest();
+        self.pending_by_hash.insert(digest, req_id);
         self.pending.insert(
             req_id,
             PendingReq {
@@ -245,9 +271,7 @@ impl Client {
     }
 
     fn on_replyx(&mut self, rx: ReplyX) {
-        let Some((req_id, _)) =
-            self.pending.iter().find(|(_, p)| p.digest == rx.tx_hash).map(|(k, p)| (*k, p.digest))
-        else {
+        let Some(&req_id) = self.pending_by_hash.get(&rx.tx_hash) else {
             return;
         };
         if let Some(p) = self.pending.get_mut(&req_id) {
@@ -320,7 +344,7 @@ impl Client {
             // NoReceipt baseline: done on a quorum of matching replies.
             let quorum = self.current_config().quorum();
             if p.replies.values().any(|m| m.len() >= quorum) {
-                let p = self.pending.remove(&req_id).expect("checked");
+                let p = self.remove_pending(req_id);
                 self.completed.push(FinishedTx {
                     request: p.request,
                     req_id,
@@ -350,85 +374,136 @@ impl Client {
         }
         let config = self.history.config_for_gov_index(rx.core.gov_index).clone();
         let key = (rx.core.view, rx.core.seq);
-        let Some(batch_replies) = p.replies.get(&key) else {
-            return;
-        };
-        let quorum = config.quorum();
-        let primary = config.primary_of(rx.core.view);
-        let Some(primary_reply) = batch_replies.get(&primary) else {
-            return;
-        };
-        if batch_replies.len() < quorum {
-            return;
-        }
-
-        // Assemble: primary + lowest-ranked backups to quorum, rank order.
-        let mut ranked: Vec<(usize, &Reply)> = batch_replies
-            .values()
-            .filter_map(|r| config.rank_of(r.replica).map(|rank| (rank, r)))
-            .collect();
-        ranked.sort_by_key(|(rank, _)| *rank);
-        let primary_rank = config.rank_of(primary).expect("primary in config");
-        let mut chosen: Vec<(usize, &Reply)> = vec![(primary_rank, primary_reply)];
-        for (rank, r) in &ranked {
-            if chosen.len() >= quorum {
-                break;
+        let receipt = loop {
+            let p = self.pending.get(&req_id).expect("looked up above");
+            let rx = p.replyx.as_ref().expect("checked above");
+            let Some(receipt) =
+                p.replies.get(&key).and_then(|replies| assemble_receipt(&config, rx, replies))
+            else {
+                return;
+            };
+            match receipt.verify_with(&config, &mut self.verified_certs) {
+                Ok(_) => break receipt,
+                // One backup's signature is bad: drop its reply and try the
+                // remaining ones, so up to f garbling backups cannot
+                // withhold the receipt. Each round removes a reply, so the
+                // loop ends.
+                Err(ReceiptError::BadPrepareSig(rank)) => {
+                    let Some(bad) = config.replica_at_rank(rank).map(|d| d.id) else {
+                        return;
+                    };
+                    self.evict_reply(req_id, key, bad);
+                }
+                // Bad replyx or primary reply: wait for more replies; retry
+                // will also re-fetch the replyx from a different replica.
+                Err(_) => return,
             }
-            if *rank != primary_rank {
-                chosen.push((*rank, r));
-            }
-        }
-        if chosen.len() < quorum {
-            return;
-        }
-        chosen.sort_by_key(|(rank, _)| *rank);
-
-        let mut signers = ReplicaBitmap::empty();
-        let mut prepare_sigs = Vec::new();
-        let mut nonces = Vec::new();
-        for (rank, r) in &chosen {
-            signers.set(*rank);
-            nonces.push(r.nonce);
-            if *rank != primary_rank {
-                prepare_sigs.push(r.sig);
-            }
-        }
-        let receipt = Receipt {
-            cert: BatchCertificate {
-                core: rx.core.clone(),
-                primary_sig: rx.primary_sig,
-                signers,
-                prepare_sigs,
-                nonces,
-            },
-            body: ReceiptBody::Tx(TxWitness {
-                tx_hash: rx.tx_hash,
-                index: rx.index,
-                result: rx.result.clone(),
-                path: rx.path.clone(),
-            }),
         };
-        if receipt.verify(&config).is_err() {
-            // Bad data from some replica: wait for more replies; retry will
-            // also re-fetch the replyx from a different replica.
-            return;
-        }
 
-        let index = rx.index.0;
-        let output = rx.result.output.clone();
-        let ok = rx.result.ok;
-        let p = self.pending.remove(&req_id).expect("checked");
-        self.max_seen_index = self.max_seen_index.max(index);
+        let p = self.remove_pending(req_id);
+        let rx = p.replyx.expect("the receipt was assembled from it");
+        self.max_seen_index = self.max_seen_index.max(rx.index.0);
         self.completed.push(FinishedTx {
             request: p.request,
             req_id,
-            output,
-            ok,
+            output: rx.result.output,
+            ok: rx.result.ok,
             receipt: Some(receipt),
             sent_tick: p.sent_tick,
             done_tick: self.tick,
         });
     }
+
+    fn remove_pending(&mut self, req_id: u64) -> PendingReq {
+        let p = self.pending.remove(&req_id).expect("caller looked it up");
+        self.pending_by_hash.remove(&p.digest);
+        p
+    }
+
+    /// Forget `bad`'s reply for batch `key`: for `req_id`, and for every
+    /// other pending request the same reply message covered.
+    fn evict_reply(&mut self, req_id: u64, key: (View, SeqNum), bad: ReplicaId) {
+        let Some(reply) = self.batch_replies_mut(req_id, key).and_then(|m| m.remove(&bad)) else {
+            return;
+        };
+        for &other in &reply.req_ids {
+            if let Some(replies) = self.batch_replies_mut(other, key) {
+                if replies.get(&bad) == Some(&reply) {
+                    replies.remove(&bad);
+                }
+            }
+        }
+    }
+
+    fn batch_replies_mut(
+        &mut self,
+        req_id: u64,
+        key: (View, SeqNum),
+    ) -> Option<&mut BTreeMap<ReplicaId, Reply>> {
+        self.pending.get_mut(&req_id)?.replies.get_mut(&key)
+    }
+}
+
+/// Assemble the receipt for `rx` from one batch's replies (§3.3): the
+/// primary plus the lowest-ranked backups up to a quorum, in rank order.
+/// `None` until the primary's reply and a quorum are on hand.
+fn assemble_receipt(
+    config: &Configuration,
+    rx: &ReplyX,
+    batch_replies: &BTreeMap<ReplicaId, Reply>,
+) -> Option<Receipt> {
+    let quorum = config.quorum();
+    let primary = config.primary_of(rx.core.view);
+    let primary_reply = batch_replies.get(&primary)?;
+    if batch_replies.len() < quorum {
+        return None;
+    }
+
+    let mut ranked: Vec<(usize, &Reply)> = batch_replies
+        .values()
+        .filter_map(|r| config.rank_of(r.replica).map(|rank| (rank, r)))
+        .collect();
+    ranked.sort_by_key(|(rank, _)| *rank);
+    let primary_rank = config.rank_of(primary).expect("primary in config");
+    let mut chosen: Vec<(usize, &Reply)> = vec![(primary_rank, primary_reply)];
+    for (rank, r) in &ranked {
+        if chosen.len() >= quorum {
+            break;
+        }
+        if *rank != primary_rank {
+            chosen.push((*rank, r));
+        }
+    }
+    if chosen.len() < quorum {
+        return None;
+    }
+    chosen.sort_by_key(|(rank, _)| *rank);
+
+    let mut signers = ReplicaBitmap::empty();
+    let mut prepare_sigs = Vec::new();
+    let mut nonces = Vec::new();
+    for (rank, r) in &chosen {
+        signers.set(*rank);
+        nonces.push(r.nonce);
+        if *rank != primary_rank {
+            prepare_sigs.push(r.sig);
+        }
+    }
+    Some(Receipt {
+        cert: BatchCertificate {
+            core: rx.core.clone(),
+            primary_sig: rx.primary_sig,
+            signers,
+            prepare_sigs,
+            nonces,
+        },
+        body: ReceiptBody::Tx(TxWitness {
+            tx_hash: rx.tx_hash,
+            index: rx.index,
+            result: rx.result.clone(),
+            path: rx.path.clone(),
+        }),
+    })
 }
 
 #[cfg(test)]

@@ -39,6 +39,12 @@ pub enum Fault {
     /// Receipt verification catches this: the forged leaf breaks the
     /// recomputed `Ḡ` and the primary-signature check fails.
     CorruptReplyX,
+    /// Flip a bit of the signature inside outgoing `reply` messages. A
+    /// client that assembles its certificate from this replica's reply
+    /// gets `BadPrepareSig` for its rank (or `BadPrimarySig` when it is
+    /// the primary); with at most `f` such backups the client must still
+    /// obtain a receipt from the remaining replies.
+    CorruptReplySig,
     /// Suppress outbound commit messages (the revealed nonces): batches
     /// execute and prepare but can never commit. Applied cluster-wide
     /// this freezes the committed frontier with a live executed pipeline
@@ -113,6 +119,16 @@ impl ByzantineReplica {
                         rx.result.output.push(0xFF);
                         rx.result.ok = !rx.result.ok;
                         Output::SendClient(c, ProtocolMsg::ReplyX(rx))
+                    }
+                    other => other,
+                })
+                .collect(),
+            Fault::CorruptReplySig => outs
+                .into_iter()
+                .map(|o| match o {
+                    Output::SendClient(c, ProtocolMsg::Reply(mut reply)) => {
+                        reply.sig.0[0] ^= 1;
+                        Output::SendClient(c, ProtocolMsg::Reply(reply))
                     }
                     other => other,
                 })

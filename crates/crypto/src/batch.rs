@@ -13,6 +13,16 @@
 //! pairs return byte-identical answers — signature validity is a pure
 //! function of the job — so callers pick purely on whether they own a
 //! pool.
+//!
+//! "Batch" here means *many independent single verifications*: every job
+//! is checked by [`PublicKey::verify`] on its own (through the calling
+//! thread's parsed-key cache — pool workers each have theirs, nothing is
+//! shared or locked). It is deliberately **not** random-linear-combination
+//! batch verification: under the cofactorless equation a crafted
+//! signature with a small-order component can pass a combined equation and
+//! fail singly, so replicas (batch) and auditors (single) could disagree
+//! on one client's request. Moving both paths to the cofactored equation
+//! is a protocol decision of its own (ROADMAP item 1).
 
 use ia_ccf_pool::WorkerPool;
 

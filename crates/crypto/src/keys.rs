@@ -5,9 +5,20 @@
 //! endorsements (§2, §5.1). The paper uses secp256k1; Ed25519 has the same
 //! signature and public key sizes (64 B / 32 B) so ledger-entry and receipt
 //! sizes (Tab. 1, §6.4) keep their shape.
+//!
+//! [`PublicKey`] is the 32 wire bytes; turning them into a curve point
+//! costs a field square root (≈ 4 µs of a ≈ 48 µs verification). The
+//! protocol verifies under a small fixed set of keys — the replicas, and
+//! the clients with requests in flight — so [`PublicKey::verify`] keeps
+//! the parsed form in a **thread-local, direct-mapped, fixed-size
+//! cache**: no lock for pool workers to contend on, a full 32-byte
+//! compare on every hit, only successfully parsed keys stored, a
+//! colliding key simply takes the slot. It changes no verdict — a miss
+//! parses exactly as before.
 
-use ed25519_dalek::{Signer as _, Verifier as _};
+use ed25519_dalek::{Signer as _, Verifier as _, VerifyingKey};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::fmt;
 
 use crate::digest::{hash_bytes, Digest};
@@ -67,10 +78,33 @@ impl fmt::Debug for KeyPair {
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct PublicKey(pub [u8; PUBLIC_KEY_LEN]);
 
+/// Slots in each thread's parsed-key cache (≈ 200 B each).
+const KEY_CACHE_SLOTS: usize = 64;
+
+thread_local! {
+    /// Parsed keys, indexed by the key's first byte modulo the slot count.
+    static KEY_CACHE: RefCell<[Option<VerifyingKey>; KEY_CACHE_SLOTS]> =
+        const { RefCell::new([None; KEY_CACHE_SLOTS]) };
+}
+
 impl PublicKey {
+    /// The parsed key, from this thread's cache when it is there; `None`
+    /// when the bytes are not a curve point.
+    fn parsed(&self) -> Option<VerifyingKey> {
+        KEY_CACHE.with(|cache| {
+            let slot = &mut cache.borrow_mut()[self.0[0] as usize % KEY_CACHE_SLOTS];
+            if let Some(vk) = slot.filter(|vk| vk.to_bytes() == self.0) {
+                return Some(vk);
+            }
+            let vk = VerifyingKey::from_bytes(&self.0).ok()?;
+            *slot = Some(vk);
+            Some(vk)
+        })
+    }
+
     /// Verify `sig` over `msg` under this key.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
-        let Ok(vk) = ed25519_dalek::VerifyingKey::from_bytes(&self.0) else {
+        let Some(vk) = self.parsed() else {
             return false;
         };
         let s = ed25519_dalek::Signature::from_bytes(&sig.0);
@@ -183,6 +217,46 @@ mod tests {
         let mut sig = kp.sign(b"m");
         sig.0[0] ^= 0xff;
         assert!(!kp.public().verify(b"m", &sig));
+    }
+
+    #[test]
+    fn key_cache_never_changes_a_verdict() {
+        // Keys whose first byte maps to one slot evict each other; every
+        // verdict is still the key's own.
+        let mut same_slot: Vec<KeyPair> = Vec::new();
+        let mut i = 0;
+        while same_slot.len() < 3 {
+            let kp = KeyPair::from_label(&format!("slot-{i}"));
+            i += 1;
+            let slot = |k: &KeyPair| k.public().0[0] as usize % KEY_CACHE_SLOTS;
+            if same_slot.first().is_none_or(|first| slot(first) == slot(&kp)) {
+                same_slot.push(kp);
+            }
+        }
+        let sigs: Vec<Signature> = same_slot.iter().map(|kp| kp.sign(b"m")).collect();
+        for _ in 0..3 {
+            for (i, kp) in same_slot.iter().enumerate() {
+                for (j, sig) in sigs.iter().enumerate() {
+                    assert_eq!(kp.public().verify(b"m", sig), i == j, "key {i}, sig {j}");
+                }
+            }
+        }
+        // A key that does not parse (x = 0 with the sign bit set) is
+        // rejected on every call — nothing is stored for it.
+        let mut unparsable = [0u8; 32];
+        unparsable[0] = 1;
+        unparsable[31] = 0x80;
+        let honest = KeyPair::from_label("slot-honest");
+        let sig = honest.sign(b"m");
+        for _ in 0..2 {
+            assert!(!PublicKey(unparsable).verify(b"m", &sig));
+            assert!(honest.public().verify(b"m", &sig));
+        }
+        // A one-byte neighbour of a cached key is a different key.
+        let mut neighbour = honest.public();
+        neighbour.0[31] ^= 0x01;
+        assert!(!neighbour.verify(b"m", &sig));
+        assert!(honest.public().verify(b"m", &sig));
     }
 
     #[test]

@@ -1,0 +1,333 @@
+//! Differential test of `vendor/ed25519-dalek` against the implementation
+//! it replaced (`oracle/`): identical public keys and signature bytes, and
+//! the **same verdict** on every valid, corrupted, non-canonical and
+//! small-order input. The accept set of `verify` is a consensus and audit
+//! fact — a signature one replica accepts and an auditor rejects (or the
+//! reverse) forks blame — so this file freezes it.
+//!
+//! Case counts are bounded: the oracle costs ≈ 0.2 ms per verification.
+
+mod oracle;
+
+use ed25519_dalek::{Signature, Signer as _, SigningKey, Verifier as _, VerifyingKey};
+use oracle::point::EdwardsPoint;
+use proptest::prelude::*;
+
+/// ℓ, little-endian.
+const ELL: [u8; 32] = [
+    0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9, 0xde, 0x14,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10,
+];
+
+/// The verdict of the implementation under test, in the oracle's shape:
+/// `None` when the key does not parse.
+fn fast_verify(key: &[u8; 32], msg: &[u8], sig: &[u8; 64]) -> Option<bool> {
+    let vk = VerifyingKey::from_bytes(key).ok()?;
+    Some(vk.verify(msg, &Signature::from_bytes(sig)).is_ok())
+}
+
+/// Both implementations on one input; panics on disagreement, returns the
+/// common verdict.
+fn same_verdict(key: &[u8; 32], msg: &[u8], sig: &[u8; 64]) -> Option<bool> {
+    let expect = oracle::verify(key, msg, sig);
+    let got = fast_verify(key, msg, sig);
+    assert_eq!(
+        got, expect,
+        "verdicts differ (fast vs oracle)\n key {key:02x?}\n msg {msg:02x?}\n sig {sig:02x?}"
+    );
+    expect
+}
+
+fn signature(r: &[u8; 32], s: &[u8; 32]) -> [u8; 64] {
+    let mut sig = [0u8; 64];
+    sig[..32].copy_from_slice(r);
+    sig[32..].copy_from_slice(s);
+    sig
+}
+
+fn scalar(v: u64) -> [u8; 32] {
+    let mut s = [0u8; 32];
+    s[..8].copy_from_slice(&v.to_le_bytes());
+    s
+}
+
+/// 256-bit little-endian `a + b`, wrapping.
+fn add_le(a: &[u8; 32], b: &[u8; 32]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    let mut carry = 0u16;
+    for i in 0..32 {
+        let t = a[i] as u16 + b[i] as u16 + carry;
+        out[i] = t as u8;
+        carry = t >> 8;
+    }
+    out
+}
+
+/// One honest (key, message, signature) triple, checked byte-for-byte
+/// against the oracle on the way.
+fn honest(seed: &[u8; 32], msg: &[u8]) -> ([u8; 32], [u8; 64]) {
+    let fast = SigningKey::from_bytes(seed);
+    let slow = oracle::SigningKey::from_bytes(seed);
+    let key = fast.verifying_key().to_bytes();
+    assert_eq!(key, slow.public(), "public key bytes differ for seed {seed:02x?}");
+    let sig = fast.sign(msg).to_bytes();
+    assert_eq!(sig, slow.sign(msg), "signature bytes differ for seed {seed:02x?}");
+    (key, sig)
+}
+
+/// The eight points of small order, as `ℓ·P` for decodable `P` (ℓ kills
+/// the prime-order component and leaves the torsion one), in the
+/// encoding `compress` gives them.
+fn small_order_encodings() -> Vec<[u8; 32]> {
+    let mut found: Vec<[u8; 32]> = Vec::new();
+    let mut candidate = [0u8; 32];
+    let mut tried = 0u32;
+    while found.len() < 8 {
+        candidate[0] = candidate[0].wrapping_add(1);
+        candidate[1] = candidate[1].wrapping_add(candidate[0] & 1);
+        tried += 1;
+        assert!(tried < 2_000, "torsion search did not converge: {} found", found.len());
+        let Some(p) = EdwardsPoint::decompress(&candidate) else { continue };
+        let enc = p.mul_scalar(&ELL).compress();
+        if !found.contains(&enc) {
+            found.push(enc);
+        }
+    }
+    found.sort();
+    found
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// Keys and signatures are byte-identical; honest signatures verify
+    /// under both; one random bit flipped in each of R, s, the message
+    /// and the key gets the same verdict from both.
+    #[test]
+    fn honest_and_randomly_corrupted_inputs_agree(
+        seed in any::<[u8; 32]>(),
+        msg in proptest::collection::vec(any::<u8>(), 0..200),
+        bit in 0usize..256,
+    ) {
+        let (key, sig) = honest(&seed, &msg);
+        prop_assert_eq!(same_verdict(&key, &msg, &sig), Some(true));
+
+        let mut bad_r = sig;
+        bad_r[bit / 8] ^= 1 << (bit % 8);
+        prop_assert_eq!(same_verdict(&key, &msg, &bad_r), Some(false));
+
+        let mut bad_s = sig;
+        bad_s[32 + bit / 8] ^= 1 << (bit % 8);
+        prop_assert_eq!(same_verdict(&key, &msg, &bad_s), Some(false));
+
+        let mut bad_key = key;
+        bad_key[bit / 8] ^= 1 << (bit % 8);
+        prop_assert_ne!(same_verdict(&bad_key, &msg, &sig), Some(true));
+
+        if !msg.is_empty() {
+            let mut bad_msg = msg.clone();
+            let at = bit % (msg.len() * 8);
+            bad_msg[at / 8] ^= 1 << (at % 8);
+            prop_assert_eq!(same_verdict(&key, &bad_msg, &sig), Some(false));
+        }
+    }
+}
+
+/// Every bit position of R, s, the key and a 32-byte message, for one
+/// signature.
+#[test]
+fn every_single_bit_corruption_gets_the_same_verdict() {
+    let msg = *b"pre-prepare payload, 32 bytes ..";
+    let (key, sig) = honest(&[0x42; 32], &msg);
+    for bit in 0..256 {
+        let (byte, mask) = (bit / 8, 1u8 << (bit % 8));
+        let mut bad_r = sig;
+        bad_r[byte] ^= mask;
+        assert_eq!(same_verdict(&key, &msg, &bad_r), Some(false), "R bit {bit}");
+        let mut bad_s = sig;
+        bad_s[32 + byte] ^= mask;
+        assert_eq!(same_verdict(&key, &msg, &bad_s), Some(false), "s bit {bit}");
+        let mut bad_key = key;
+        bad_key[byte] ^= mask;
+        assert_ne!(same_verdict(&bad_key, &msg, &sig), Some(true), "key bit {bit}");
+        let mut bad_msg = msg;
+        bad_msg[byte] ^= mask;
+        assert_eq!(same_verdict(&key, &bad_msg, &sig), Some(false), "message bit {bit}");
+    }
+}
+
+/// `s ≥ ℓ` is refused by both — including `s + ℓ` of a valid signature,
+/// which satisfies the group equation.
+#[test]
+fn non_canonical_s_is_rejected_by_both() {
+    let msg = b"malleability";
+    let (key, sig) = honest(&[7; 32], msg);
+    let (r, s): ([u8; 32], [u8; 32]) =
+        (sig[..32].try_into().unwrap(), sig[32..].try_into().unwrap());
+
+    let s_plus_ell = add_le(&s, &ELL);
+    assert_eq!(same_verdict(&key, msg, &signature(&r, &s_plus_ell)), Some(false));
+    let mut ell_minus_1 = ELL;
+    ell_minus_1[0] -= 1;
+    for s in [ELL, add_le(&ELL, &scalar(1)), add_le(&ELL, &ELL), [0xff; 32]] {
+        assert_eq!(same_verdict(&key, msg, &signature(&r, &s)), Some(false), "{s:02x?}");
+    }
+    // ℓ − 1 is canonical: the verdict is the equation's (false here), and
+    // it must be the same one.
+    assert_eq!(same_verdict(&key, msg, &signature(&r, &ell_minus_1)), Some(false));
+}
+
+/// Encodings with `y ≥ p` (`y = p + c`, `c < 19`) decode to the point
+/// with `y = c` under today's rules; `x = 0` with the sign bit set does
+/// not decode. As keys and as `R`, both sign bits.
+#[test]
+fn non_canonical_point_encodings_get_the_same_verdict() {
+    let msg = b"non-canonical";
+    let (key, sig) = honest(&[9; 32], msg);
+    let (r, s): ([u8; 32], [u8; 32]) =
+        (sig[..32].try_into().unwrap(), sig[32..].try_into().unwrap());
+
+    let mut decodable = 0;
+    for c in 0u8..19 {
+        for sign in [0u8, 0x80] {
+            // p + c = 2^255 − 19 + c.
+            let mut enc = [0xffu8; 32];
+            enc[0] = 0xed + c;
+            enc[31] = 0x7f | sign;
+            // As the key, under an honest signature and under s = 0, 1.
+            let as_key = same_verdict(&enc, msg, &sig);
+            decodable += as_key.is_some() as u32;
+            same_verdict(&enc, msg, &signature(&r, &scalar(0)));
+            same_verdict(&enc, msg, &signature(&enc, &scalar(0)));
+            same_verdict(&enc, msg, &signature(&enc, &scalar(1)));
+            // As R, under the honest key.
+            assert_eq!(same_verdict(&key, msg, &signature(&enc, &s)), Some(false));
+            same_verdict(&key, msg, &signature(&enc, &scalar(0)));
+        }
+    }
+    assert!(decodable > 0, "some y = p + c must decode, or the class is not exercised");
+
+    // y = p + 1 is a second encoding of the identity: with R the identity
+    // and s = 0 the equation 0·B = R + k·A holds for every message.
+    let mut identity_alias = [0xffu8; 32];
+    identity_alias[0] = 0xee;
+    identity_alias[31] = 0x7f;
+    let mut identity = [0u8; 32];
+    identity[0] = 1;
+    for m in [&b"any"[..], &b"message"[..], &[][..]] {
+        let sig = signature(&identity, &scalar(0));
+        assert_eq!(same_verdict(&identity_alias, m, &sig), Some(true));
+        let sig = signature(&identity_alias, &scalar(0));
+        assert_eq!(same_verdict(&identity_alias, m, &sig), Some(true));
+    }
+
+    // x = 0 with the sign bit set: y = 1 and y = −1, canonical and not.
+    let mut minus_one = [0xffu8; 32];
+    minus_one[0] = 0xec;
+    minus_one[31] = 0x7f;
+    for mut enc in [identity, minus_one, identity_alias] {
+        enc[31] |= 0x80;
+        assert_eq!(same_verdict(&enc, msg, &sig), None, "{enc:02x?} must not parse as a key");
+        assert_eq!(same_verdict(&key, msg, &signature(&enc, &s)), Some(false));
+        assert_eq!(same_verdict(&key, msg, &signature(&enc, &scalar(0))), Some(false));
+    }
+}
+
+/// Small-order `A` and `R` are **not** rejected: the verdict is whatever
+/// the cofactorless equation says, and it must be the same one. Includes
+/// the degenerate triple `A` = identity, `R` = identity, `s = 0`, which
+/// verifies for every message (whether governance should refuse such
+/// keys is ROADMAP item 4's question, not this crate's).
+#[test]
+fn small_order_points_get_the_same_verdict() {
+    let torsion = small_order_encodings();
+    let mut identity = [0u8; 32];
+    identity[0] = 1;
+    let mut minus_one = [0xffu8; 32];
+    minus_one[0] = 0xec;
+    minus_one[31] = 0x7f;
+    assert!(torsion.contains(&identity) && torsion.contains(&minus_one));
+    assert!(torsion.contains(&[0u8; 32]), "y = 0 (order 4) is among them");
+
+    let (honest_key, honest_sig) = honest(&[3; 32], b"m0");
+    let honest_s: [u8; 32] = honest_sig[32..].try_into().unwrap();
+    let messages: [&[u8]; 3] = [b"m0", b"a different message", b""];
+    let mut accepted = 0u32;
+    for a in &torsion {
+        for r in &torsion {
+            for s in [scalar(0), scalar(1), honest_s] {
+                for m in messages {
+                    accepted += (same_verdict(a, m, &signature(r, &s)) == Some(true)) as u32;
+                }
+            }
+        }
+        // Small-order R under an honest key, small-order A under an
+        // honest signature.
+        for m in messages {
+            same_verdict(&honest_key, m, &signature(a, &honest_s));
+            same_verdict(a, m, &honest_sig);
+        }
+    }
+    assert!(accepted > 0, "the cofactorless equation accepts some small-order triples");
+    for m in messages {
+        let sig = signature(&identity, &scalar(0));
+        assert_eq!(same_verdict(&identity, m, &sig), Some(true), "degenerate triple");
+    }
+
+    // An honest signature shifted by torsion: R' = R + T, same s. The
+    // hash changes with R', so this is just one more arbitrary input.
+    let r = EdwardsPoint::decompress(honest_sig[..32].try_into().unwrap()).unwrap();
+    for t in &torsion {
+        let shifted = r.add(&EdwardsPoint::decompress(t).unwrap()).compress();
+        let verdict = same_verdict(&honest_key, b"m0", &signature(&shifted, &honest_s));
+        assert_eq!(verdict, Some(*t == identity), "torsion shift {t:02x?}");
+    }
+}
+
+#[test]
+fn all_zero_inputs_get_the_same_verdict() {
+    let (key, _) = honest(&[1; 32], b"m");
+    assert_eq!(same_verdict(&key, b"m", &[0u8; 64]), Some(false));
+    // The all-zero key is the order-4 point (√−1, 0); it parses.
+    assert!(same_verdict(&[0u8; 32], b"m", &[0u8; 64]).is_some());
+    same_verdict(&[0u8; 32], b"", &[0u8; 64]);
+}
+
+/// RFC 8032 §7.1 TEST 1–3 through both implementations.
+#[test]
+fn rfc8032_vectors_agree() {
+    let unhex = |s: &str| -> Vec<u8> {
+        (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect()
+    };
+    let vectors = [
+        (
+            "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60",
+            "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a",
+            "",
+            "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e06522490155\
+             5fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b",
+        ),
+        (
+            "4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb",
+            "3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c",
+            "72",
+            "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da\
+             085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00",
+        ),
+        (
+            "c5aa8df43f9f837bedb7442f31dcb7b166d38535076f094b85ce3a2e0b4458f7",
+            "fc51cd8e6218a1a38da47ed00230f0580816ed13ba3303ac5deb911548908025",
+            "af82",
+            "6291d657deec24024827e69c3abe01a30ce548a284743a445e3680d7db5ac3ac\
+             18ff9b538d16f290ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a",
+        ),
+    ];
+    for (seed, pk, msg, sig) in vectors {
+        let seed: [u8; 32] = unhex(seed).try_into().unwrap();
+        let msg = unhex(msg);
+        let (key, got) = honest(&seed, &msg);
+        assert_eq!(key.to_vec(), unhex(pk));
+        assert_eq!(got.to_vec(), unhex(sig));
+        assert_eq!(same_verdict(&key, &msg, &got), Some(true));
+    }
+}

@@ -492,6 +492,34 @@ mod tests {
     }
 
     #[test]
+    fn corrupted_reply_sig_from_f_backups_does_not_block_receipts() {
+        // One backup (f = 1) garbles the signature in its replies. Rank 1
+        // is the lowest-ranked backup, the one certificate assembly picks
+        // first; rank 3 is never picked. Either way the client must end up
+        // with a verified receipt built from the honest replies.
+        for byzantine in [1, 3] {
+            let s = spec(4, 1);
+            let mut cluster = DetCluster::new(&s, Arc::new(CounterApp));
+            cluster.set_fault(ReplicaId(byzantine), Fault::CorruptReplySig);
+            let client = s.clients[0].0;
+            for i in 0..3u8 {
+                cluster.submit(client, CounterApp::INCR, vec![b'k', i]);
+            }
+            assert!(
+                cluster.run_until_finished(3, 300),
+                "replica {byzantine} garbling Reply::sig must not deny the receipt"
+            );
+            let config = cluster.replica(ReplicaId(0)).active_config().clone();
+            let garbler_rank = config.rank_of(ReplicaId(byzantine)).unwrap();
+            for (_, tx) in &cluster.finished {
+                let receipt = tx.receipt.as_ref().unwrap();
+                receipt.verify(&config).unwrap();
+                assert!(!receipt.cert.signers.contains(garbler_rank));
+            }
+        }
+    }
+
+    #[test]
     fn sharded_execution_matches_serial_in_sim() {
         // Mini differential check at the sim layer (the full proptest
         // harness lives in tests/sharded_execution.rs): the same schedule

@@ -31,7 +31,9 @@ pub use messages::{
     BatchKind, Commit, NewViewMsg, PrePrepare, PrePrepareCore, Prepare, ProtocolMsg, Reply,
     ReplyX, ViewChange,
 };
-pub use receipt::{BatchCertificate, Receipt, ReceiptBody, ReceiptError, TxWitness};
+pub use receipt::{
+    BatchCertificate, Receipt, ReceiptBody, ReceiptError, TxWitness, VerifiedCerts,
+};
 pub use request::{GovAction, Request, RequestAction, SignedRequest, SystemOp};
 pub use wire::{CodecError, Reader, Wire};
 

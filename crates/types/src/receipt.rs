@@ -11,8 +11,36 @@
 //! and the primary's nonce commitment. A forged nonce cannot slip through:
 //! the reconstructed prepare embeds `H(K_s[r])`, so a wrong nonce changes
 //! the signed bytes and the signature check fails.
+//!
+//! # Verifying a certificate once per batch
+//!
+//! Every receipt of a batch carries the same [`BatchCertificate`], so a
+//! verifier holding `k` receipts of one batch would check the same
+//! `1 + 2f` Ed25519 signatures `k` times. [`VerifiedCerts`] is a bounded
+//! memo of certificates whose signature checks have already **succeeded**;
+//! [`Receipt::verify_with`] consults it, [`Receipt::verify`] is the same
+//! code path without one (always cold). The contract:
+//!
+//! * **Only signature checks are elided.** The structural checks
+//!   (primary of the view, quorum, signer/nonce/signature counts) and the
+//!   Merkle-path recomputation of `Ḡ` from *this* receipt's witness run on
+//!   every call; a hit skips the primary-signature, nonce-commitment and
+//!   prepare-signature checks and nothing else.
+//! * **The key is everything those checks read.** SHA-256 over
+//!   `(n, quorum, per signer: rank, replica id, public key; the encoded
+//!   core; the recomputed Ḡ root; primary_sig; signer bitmap;
+//!   prepare_sigs; nonces)`, mapped to the `pp_digest` the checks return.
+//!   A differing byte anywhere — a signature, a nonce, a replica key of
+//!   the configuration, a root recomputed from a tampered witness — is a
+//!   different key, hence a miss, hence a full check.
+//! * **Only successes are stored.** A failing check stores nothing and
+//!   returns the same [`ReceiptError`] as a cold [`Receipt::verify`].
+//! * **Bounded, FIFO.** At capacity the oldest entry is evicted; an
+//!   evicted certificate is simply verified again.
 
-use ia_ccf_crypto::{Digest, Nonce, Signature};
+use std::collections::{HashMap, VecDeque};
+
+use ia_ccf_crypto::{hash_bytes, Digest, Nonce, Signature};
 use serde::{Deserialize, Serialize};
 
 use crate::config::Configuration;
@@ -176,11 +204,32 @@ impl Receipt {
         }
     }
 
-    /// Verify the receipt under `config` (Alg. 3).
+    /// Verify the receipt under `config` (Alg. 3), checking every
+    /// signature — the uncached entry point.
     ///
     /// On success returns the reconstructed pre-prepare digest `H(pp_{σp})`,
     /// which auditors compare against the ledger.
     pub fn verify(&self, config: &Configuration) -> Result<Digest, ReceiptError> {
+        self.verify_inner(config, None)
+    }
+
+    /// [`Receipt::verify`], except that a certificate `memo` has already
+    /// seen verify — byte for byte, under the same replica keys — is not
+    /// signature-checked again (see the module docs for the contract).
+    /// Returns exactly what `verify` returns.
+    pub fn verify_with(
+        &self,
+        config: &Configuration,
+        memo: &mut VerifiedCerts,
+    ) -> Result<Digest, ReceiptError> {
+        self.verify_inner(config, Some(memo))
+    }
+
+    fn verify_inner(
+        &self,
+        config: &Configuration,
+        memo: Option<&mut VerifiedCerts>,
+    ) -> Result<Digest, ReceiptError> {
         let core = &self.cert.core;
 
         // The primary is determined by the view (p = v mod N).
@@ -206,22 +255,46 @@ impl Receipt {
             return Err(ReceiptError::Malformed("prepare signature count mismatch"));
         }
 
-        // Recompute Ḡ (Alg. 3 lines 2–4) and rebuild the signed pre-prepare.
+        // Recompute Ḡ from this receipt's own witness (Alg. 3 lines 2–4).
         let root_g = self.implied_root_g()?;
-        let pp_payload = PrePrepare::signing_payload(core, &root_g);
+        let Some(memo) = memo else {
+            return self.cert.check_signatures(config, primary_rank, &root_g);
+        };
+        let key = self.cert.memo_key(config, &root_g);
+        if let Some(pp_digest) = memo.lookup(&key) {
+            return Ok(pp_digest);
+        }
+        let pp_digest = self.cert.check_signatures(config, primary_rank, &root_g)?;
+        memo.insert(key, pp_digest);
+        Ok(pp_digest)
+    }
+}
+
+impl BatchCertificate {
+    /// The cryptographic half of Alg. 3: the primary's signature over the
+    /// pre-prepare rebuilt around `root_g`, its nonce commitment, and every
+    /// backup's prepare signature. The caller has checked the counts.
+    fn check_signatures(
+        &self,
+        config: &Configuration,
+        primary_rank: usize,
+        root_g: &Digest,
+    ) -> Result<Digest, ReceiptError> {
+        let core = &self.core;
+        let pp_payload = PrePrepare::signing_payload(core, root_g);
         let primary_key = config
             .replica_key(core.primary)
             .ok_or(ReceiptError::UnknownSigner(primary_rank))?;
-        if !primary_key.verify(&pp_payload, &self.cert.primary_sig) {
+        if !primary_key.verify(&pp_payload, &self.primary_sig) {
             return Err(ReceiptError::BadPrimarySig);
         }
-        let pp_digest = PrePrepare::digest_from_parts(core, &root_g, &self.cert.primary_sig);
+        let pp_digest = PrePrepare::digest_from_parts(core, root_g, &self.primary_sig);
 
         // Check every signer (Alg. 3 lines 7–9).
-        let mut prepare_iter = self.cert.prepare_sigs.iter();
-        for (nonce_idx, rank) in self.cert.signers.iter().enumerate() {
+        let mut prepare_iter = self.prepare_sigs.iter();
+        for (nonce_idx, rank) in self.signers.iter().enumerate() {
             let desc = config.replica_at_rank(rank).ok_or(ReceiptError::UnknownSigner(rank))?;
-            let nonce = &self.cert.nonces[nonce_idx];
+            let nonce = &self.nonces[nonce_idx];
             if rank == primary_rank {
                 if nonce.commitment() != core.nonce_commit {
                     return Err(ReceiptError::BadPrimaryNonce);
@@ -241,6 +314,106 @@ impl Receipt {
             }
         }
         Ok(pp_digest)
+    }
+
+    /// The [`VerifiedCerts`] key: a digest of every byte
+    /// [`Self::check_signatures`] reads (module docs).
+    fn memo_key(&self, config: &Configuration, root_g: &Digest) -> Digest {
+        let mut buf = Vec::with_capacity(768);
+        buf.extend_from_slice(b"ia-ccf/verified-cert");
+        (config.n() as u64).encode(&mut buf);
+        (config.quorum() as u64).encode(&mut buf);
+        for rank in self.signers.iter() {
+            (rank as u64).encode(&mut buf);
+            // A rank outside the configuration fails the check; it still
+            // gets a well-defined (never stored) key.
+            match config.replica_at_rank(rank) {
+                Some(desc) => {
+                    buf.push(1);
+                    desc.id.encode(&mut buf);
+                    desc.key.encode(&mut buf);
+                }
+                None => buf.push(0),
+            }
+        }
+        self.core.encode(&mut buf);
+        root_g.encode(&mut buf);
+        self.primary_sig.encode(&mut buf);
+        self.signers.encode(&mut buf);
+        encode_seq(&self.prepare_sigs, &mut buf);
+        encode_seq(&self.nonces, &mut buf);
+        hash_bytes(&buf)
+    }
+}
+
+/// A bounded, success-only memo of batch certificates whose signature
+/// checks have passed, keyed by a digest of everything those checks read
+/// (module docs). One per verifier: the client keeps one for its
+/// lifetime, the auditor builds one per audit.
+#[derive(Debug)]
+pub struct VerifiedCerts {
+    capacity: usize,
+    /// Key → the `pp_digest` the checks returned.
+    verified: HashMap<Digest, Digest>,
+    /// Keys in insertion order, oldest first.
+    order: VecDeque<Digest>,
+    hits: u64,
+    misses: u64,
+}
+
+impl VerifiedCerts {
+    /// An empty memo remembering at most `capacity` certificates.
+    pub fn new(capacity: usize) -> Self {
+        VerifiedCerts {
+            capacity,
+            verified: HashMap::with_capacity(capacity),
+            order: VecDeque::with_capacity(capacity),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// Lookups answered from the memo (signature checks elided).
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Lookups that found nothing and ran the signature checks.
+    pub fn misses(&self) -> u64 {
+        self.misses
+    }
+
+    /// Certificates currently remembered.
+    pub fn len(&self) -> usize {
+        self.verified.len()
+    }
+
+    /// Whether nothing is remembered.
+    pub fn is_empty(&self) -> bool {
+        self.verified.is_empty()
+    }
+
+    fn lookup(&mut self, key: &Digest) -> Option<Digest> {
+        let found = self.verified.get(key).copied();
+        match found {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
+        }
+        found
+    }
+
+    fn insert(&mut self, key: Digest, pp_digest: Digest) {
+        if self.capacity == 0 {
+            return;
+        }
+        if self.verified.len() == self.capacity {
+            if let Some(oldest) = self.order.pop_front() {
+                self.verified.remove(&oldest);
+            }
+        }
+        // `insert` follows a failed `lookup`, so the key is new.
+        self.verified.insert(key, pp_digest);
+        self.order.push_back(key);
     }
 }
 
@@ -539,6 +712,160 @@ mod tests {
                 &receipts[0].cert.primary_sig
             )
         );
+    }
+
+    /// Every way of changing one field of an honest receipt, each of which
+    /// a cold `verify` rejects.
+    fn single_field_mutations(honest: &Receipt) -> Vec<(String, Receipt)> {
+        let mut out: Vec<(String, Receipt)> = Vec::new();
+        let mut push = |name: String, mutate: &dyn Fn(&mut Receipt)| {
+            let mut r = honest.clone();
+            mutate(&mut r);
+            out.push((name, r));
+        };
+        push("primary_sig".into(), &|r| r.cert.primary_sig.0[17] ^= 0x20);
+        for i in 0..honest.cert.prepare_sigs.len() {
+            push(format!("prepare_sig[{i}] R"), &|r| r.cert.prepare_sigs[i].0[3] ^= 1);
+            push(format!("prepare_sig[{i}] s"), &|r| r.cert.prepare_sigs[i].0[40] ^= 0x80);
+        }
+        for i in 0..honest.cert.nonces.len() {
+            push(format!("nonce[{i}]"), &|r| r.cert.nonces[i].0[0] ^= 1);
+        }
+        // Same count, a different backup; and one signer too many.
+        push("signers swapped".into(), &|r| {
+            r.cert.signers = ReplicaBitmap::from_ranks([0, 1, 3]);
+        });
+        push("signers extra".into(), &|r| r.cert.signers.set(3));
+        push("core.view (same primary)".into(), &|r| r.cert.core.view = View(4));
+        push("core.view (other primary)".into(), &|r| r.cert.core.view = View(1));
+        push("core.seq".into(), &|r| r.cert.core.seq = SeqNum(8));
+        push("core.root_m".into(), &|r| r.cert.core.root_m.0[0] ^= 1);
+        push("core.nonce_commit".into(), &|r| r.cert.core.nonce_commit.0 .0[0] ^= 1);
+        push("core.evidence_seq".into(), &|r| r.cert.core.evidence_seq = SeqNum(6));
+        push("core.evidence_bitmap".into(), &|r| r.cert.core.evidence_bitmap.set(3));
+        push("core.gov_index".into(), &|r| r.cert.core.gov_index = LedgerIdx(1));
+        push("core.checkpoint_digest".into(), &|r| r.cert.core.checkpoint_digest.0[31] ^= 1);
+        push("core.kind".into(), &|r| r.cert.core.kind = BatchKind::Checkpoint);
+        push("core.committed_root".into(), &|r| {
+            r.cert.core.committed_root = Some(hash_bytes(b"committed"));
+        });
+        push("core.primary".into(), &|r| r.cert.core.primary = ReplicaId(1));
+        let witness = |r: &mut Receipt, mutate: &dyn Fn(&mut TxWitness)| {
+            let ReceiptBody::Tx(w) = &mut r.body else { panic!("tx receipt") };
+            mutate(w);
+        };
+        push("path sibling".into(), &|r| witness(r, &|w| w.path.siblings[0].0[5] ^= 1));
+        push("path index".into(), &|r| witness(r, &|w| w.path.index ^= 1));
+        push("result byte".into(), &|r| witness(r, &|w| w.result.output[0] ^= 1));
+        push("result ok".into(), &|r| witness(r, &|w| w.result.ok = !w.result.ok));
+        push("tx_hash".into(), &|r| witness(r, &|w| w.tx_hash.0[9] ^= 1));
+        push("tx index".into(), &|r| witness(r, &|w| w.index = LedgerIdx(99)));
+        push("batch body, wrong root".into(), &|r| {
+            r.body = ReceiptBody::Batch { root_g: hash_bytes(b"not the root") };
+        });
+        out
+    }
+
+    #[test]
+    fn memoised_verdicts_equal_cold_verdicts_for_every_mutation() {
+        let (config, receipts) = sample_receipts(4, 4);
+        let mut memo = VerifiedCerts::new(8);
+        let pp_digest = receipts[0].verify(&config).unwrap();
+        assert_eq!(receipts[0].verify_with(&config, &mut memo), Ok(pp_digest));
+        assert_eq!((memo.hits(), memo.misses(), memo.len()), (0, 1, 1));
+
+        // A configuration with the same n whose rank-1 replica has another
+        // key: the certificate memoised under `config` must not carry over.
+        let mut other_keys = config.clone();
+        other_keys.replicas[1].key = ia_ccf_crypto::KeyPair::from_label("intruder").public();
+
+        for honest in &receipts {
+            assert_eq!(honest.verify_with(&config, &mut memo), Ok(pp_digest));
+            for (name, mutated) in single_field_mutations(honest) {
+                let cold = mutated.verify(&config);
+                assert!(cold.is_err(), "{name}: the mutation must matter");
+                assert_eq!(mutated.verify_with(&config, &mut memo), cold, "{name}");
+            }
+            let cold = honest.verify(&other_keys);
+            assert_eq!(cold, Err(ReceiptError::BadPrepareSig(1)));
+            assert_eq!(honest.verify_with(&other_keys, &mut memo), cold);
+        }
+        // Failures stored nothing: still the one honest certificate.
+        assert_eq!(memo.len(), 1);
+    }
+
+    #[test]
+    fn memo_is_keyed_by_the_signers_keys_not_the_configuration() {
+        let (config, receipts) = sample_receipts(4, 2);
+        let mut memo = VerifiedCerts::new(8);
+        receipts[0].verify_with(&config, &mut memo).unwrap();
+
+        // Different keys for a signer: a miss (and a failure, uncached).
+        let mut config_b = config.clone();
+        config_b.replicas[0].key = ia_ccf_crypto::KeyPair::from_label("other-primary").public();
+        assert_eq!(
+            receipts[1].verify_with(&config_b, &mut memo),
+            Err(ReceiptError::BadPrimarySig)
+        );
+        assert_eq!((memo.hits(), memo.misses()), (0, 2));
+
+        // A configuration differing only in a replica that did not sign
+        // verifies cold, so a hit is the same answer.
+        let mut config_c = config.clone();
+        config_c.replicas[3].key = ia_ccf_crypto::KeyPair::from_label("bystander").public();
+        assert_eq!(receipts[1].verify_with(&config_c, &mut memo), receipts[1].verify(&config_c));
+        assert_eq!((memo.hits(), memo.misses()), (1, 2));
+    }
+
+    #[test]
+    fn memo_counts_one_miss_per_batch_and_honours_capacity() {
+        let (config, replica_keys, _) = test_config(4);
+        let batch = |seq: u64, count: usize| -> Vec<Receipt> {
+            let entries: Vec<(Digest, LedgerIdx, TxResult)> = (0..count)
+                .map(|i| (hash_bytes(&[seq as u8, i as u8]), LedgerIdx(seq * 100 + i as u64), result("r")))
+                .collect();
+            make_tx_receipts(
+                &config,
+                &replica_keys,
+                View(0),
+                SeqNum(seq),
+                hash_bytes(b"root-m"),
+                LedgerIdx(0),
+                Digest::zero(),
+                &entries,
+            )
+        };
+        let k = 9;
+        let batches = [batch(1, k), batch(2, k), batch(3, k)];
+
+        let mut memo = VerifiedCerts::new(2);
+        for r in &batches[0] {
+            r.verify_with(&config, &mut memo).unwrap();
+        }
+        assert_eq!((memo.hits(), memo.misses()), (k as u64 - 1, 1));
+        for r in batches[1].iter().chain(&batches[2]) {
+            r.verify_with(&config, &mut memo).unwrap();
+        }
+        assert_eq!((memo.hits(), memo.misses()), (3 * (k as u64 - 1), 3));
+        assert_eq!(memo.len(), 2, "capacity bounds the memo");
+
+        // Batch 1 was the oldest: evicted, verified afresh (correctly), and
+        // in turn evicts batch 2; batch 3 is still remembered.
+        assert_eq!(batches[0][0].verify_with(&config, &mut memo), batches[0][0].verify(&config));
+        assert_eq!((memo.hits(), memo.misses()), (3 * (k as u64 - 1), 4));
+        batches[2][0].verify_with(&config, &mut memo).unwrap();
+        assert_eq!(memo.misses(), 4);
+        batches[1][0].verify_with(&config, &mut memo).unwrap();
+        assert_eq!(memo.misses(), 5);
+        assert_eq!(memo.len(), 2);
+
+        // Capacity 0 remembers nothing and still answers correctly.
+        let mut none = VerifiedCerts::new(0);
+        for r in &batches[0] {
+            r.verify_with(&config, &mut none).unwrap();
+        }
+        assert_eq!((none.hits(), none.misses(), none.len()), (0, k as u64, 0));
+        assert!(none.is_empty());
     }
 
     #[test]
