@@ -5,10 +5,13 @@
 //! executed set, and queues the request for ordering. Client *signature*
 //! checks on app requests are deferred to batch time (§3.4: "Signature
 //! verification is parallelized for messages received from replicas and
-//! clients") and fan out over the replica's persistent
-//! [`ia_ccf_pool::WorkerPool`] in deterministically ordered chunks — one
-//! parallel verification pass per pre-prepare, not one closure per
-//! request. Verification is split into `start_batch_verify` /
+//! clients"): the batch's signatures form one job slice, checked by the
+//! combined equation of [`ia_ccf_crypto::verify_batch_indices`] — whole
+//! on a size-1 pool, in deterministically ordered chunks of at least
+//! [`ia_ccf_crypto::VERIFY_MIN_CHUNK`] over the replica's persistent
+//! [`ia_ccf_pool::WorkerPool`] otherwise; a failing slice or chunk is
+//! re-checked job by job, so the failed indices are exact either way.
+//! Verification is split into `start_batch_verify` /
 //! `finish_batch_verify` halves so the ordering stage can overlap it
 //! with batch execution, and `prewarm_next_batch_verify` pushes the
 //! overlap across batches: while batch *n* executes, the pool verifies
@@ -57,8 +60,9 @@ pub(crate) enum BatchVerify {
     Pending(PendingVerify),
 }
 
-/// Split `jobs` into per-worker chunks and submit each to the pool,
-/// recording the base index of every chunk.
+/// Split `jobs` into per-worker chunks, each long enough for the combined
+/// equation to pay, and submit each to the pool, recording the base index
+/// of every chunk.
 fn spawn_verify_chunks(
     pool: &WorkerPool,
     mut jobs: Vec<VerifyJob>,

@@ -77,17 +77,19 @@ impl Replica {
                 }
                 return;
             }
-            let mut requests: Vec<SignedRequest> =
+            let requests: Vec<SignedRequest> =
                 eligible.iter().map(|d| self.req_store[d].clone()).collect();
             if !self.ensure_batch_verified(&requests) {
-                // Drop forged requests; retry with the valid remainder.
-                requests.retain(|r| {
-                    !matches!(r.request.action, ia_ccf_types::RequestAction::App { .. })
-                        || self.verified_reqs.contains(&r.digest())
-                });
-                for r in &requests {
-                    // re-queue the valid ones in order
-                    self.pending_reqs.push_front(r.digest());
+                // Evict the forged requests and retry with the valid
+                // remainder, back at the head of the queue in its order.
+                for (digest, r) in eligible.iter().zip(&requests).rev() {
+                    if !matches!(r.request.action, ia_ccf_types::RequestAction::App { .. })
+                        || self.verified_reqs.contains(digest)
+                    {
+                        self.pending_reqs.push_front(*digest);
+                    } else {
+                        self.req_store.remove(digest);
+                    }
                 }
                 continue;
             }

@@ -2,35 +2,48 @@
 //!
 //! §3.4: "Signature verification is parallelized for messages received from
 //! replicas and clients to improve throughput and scalability." §6.5 notes
-//! the audit bottleneck is client-request signature verification, "which can
-//! be trivially parallelized" — this module is that parallelization, shared
-//! by replicas and the auditor.
+//! the audit bottleneck is client-request signature verification — this
+//! module is where a replica checks the client signatures of one
+//! pre-prepare, and what an auditor replaying requests would call.
 //!
-//! [`verify_batch`] / [`verify_batch_indices`] are the **sequential**
-//! kernels (one core, no pool); [`verify_batch_on`] /
-//! [`verify_batch_indices_on`] fan the same work out over a persistent
-//! [`ia_ccf_pool::WorkerPool`] in deterministically ordered chunks. Both
-//! pairs return byte-identical answers — signature validity is a pure
-//! function of the job — so callers pick purely on whether they own a
-//! pool.
+//! [`verify_batch_indices`] is the kernel. A slice of at least
+//! [`VERIFY_BATCH_MIN`] jobs is checked by **one** random-linear-combination
+//! equation (`ed25519_dalek::verify_batch`: one multi-scalar
+//! multiplication, 128-bit coefficients hashed from the whole slice, the
+//! coefficients of equal keys coalesced so a client with many requests in
+//! the batch costs one full-width scalar). When it holds, every job is
+//! valid. When it does not — or the slice is shorter, or a key does not
+//! parse — every job is checked by [`PublicKey::verify`] on its own, so
+//! the failed indices are exactly the singles' verdicts (§6.5: blame is
+//! per signature). A slice with one forged signature therefore costs the
+//! failed combined check plus the singles, ≈ 1.25× the singles alone.
 //!
-//! "Batch" here means *many independent single verifications*: every job
-//! is checked by [`PublicKey::verify`] on its own (through the calling
-//! thread's parsed-key cache — pool workers each have theirs, nothing is
-//! shared or locked). It is deliberately **not** random-linear-combination
-//! batch verification: under the cofactorless equation a crafted
-//! signature with a small-order component can pass a combined equation and
-//! fail singly, so replicas (batch) and auditors (single) could disagree
-//! on one client's request. Moving both paths to the cofactored equation
-//! is a protocol decision of its own (ROADMAP item 1).
+//! **One accept set.** The combined equation and the single check are both
+//! RFC 8032's cofactored equation (see `vendor/ed25519-dalek`), which is
+//! what makes them agree: a slice passes combined iff each member passes
+//! singly, up to a ≈ 2⁻¹²⁸ chance that a forgery slips through the random
+//! combination. How a slice is cut — whole on one thread, or per worker by
+//! [`verify_batch_indices_on`] — changes the coefficients but not the
+//! verdicts, so callers pick purely on whether they own a pool.
+//! `tests/batch_equiv.rs` is the differential that holds this down.
+
+use std::collections::HashMap;
 
 use ia_ccf_pool::WorkerPool;
 
 use crate::keys::{PublicKey, Signature};
 
-/// Smallest per-worker chunk worth a queue handoff: below this, Ed25519
-/// verification (~tens of µs each) is cheaper than waking a worker.
-pub const VERIFY_MIN_CHUNK: usize = 4;
+/// Shortest slice the combined equation is tried on. Measured against
+/// singles, keys all distinct (its worst case): 1.07× their cost at 2
+/// jobs, 0.88× at 3, 0.77× at 4, 0.61× at 8 — 4 leaves room for the
+/// occasional failed slice, which pays for both.
+pub const VERIFY_BATCH_MIN: usize = 4;
+
+/// Smallest per-worker chunk: the combined equation has a fixed cost per
+/// slice (one chain of 253 doublings for the keys and `B`), so a chunk
+/// should hold enough signatures to spread it — at 32 a signature costs
+/// ≈ 14 µs against ≈ 11 µs in a slice of 300 and ≈ 43 µs singly.
+pub const VERIFY_MIN_CHUNK: usize = 32;
 
 /// One verification work item: `sig` must verify over `msg` under `key`.
 pub struct VerifyJob {
@@ -42,25 +55,49 @@ pub struct VerifyJob {
     pub sig: Signature,
 }
 
-impl VerifyJob {
-    fn check(&self) -> bool {
-        self.key.verify(&self.msg, &self.sig)
+/// Whether the combined equation over all of `jobs` holds. `false` also
+/// when a key does not parse: the singles then say which.
+fn combined_check(jobs: &[VerifyJob]) -> bool {
+    // Distinct keys first, so each is parsed (and weighs on the
+    // multi-scalar multiplication) once.
+    let mut slot_of: HashMap<PublicKey, usize> = HashMap::new();
+    let mut keys = Vec::new();
+    let mut key_of = Vec::with_capacity(jobs.len());
+    for job in jobs {
+        let next = keys.len();
+        let slot = *slot_of.entry(job.key).or_insert(next);
+        if slot == next {
+            match job.key.with_parsed(|vk| *vk) {
+                Some(vk) => keys.push(vk),
+                None => return false,
+            }
+        }
+        key_of.push(slot);
     }
+    let messages: Vec<&[u8]> = jobs.iter().map(|j| j.msg.as_slice()).collect();
+    let signatures: Vec<ed25519_dalek::Signature> =
+        jobs.iter().map(|j| ed25519_dalek::Signature::from_bytes(&j.sig.0)).collect();
+    ed25519_dalek::verify_batch(&messages, &signatures, &keys, &key_of).is_ok()
 }
 
-/// Verify all jobs sequentially; `true` iff every signature verifies.
+/// Verify all jobs on the calling thread; `true` iff every signature
+/// verifies.
 pub fn verify_batch(jobs: &[VerifyJob]) -> bool {
-    jobs.iter().all(VerifyJob::check)
+    verify_batch_indices(jobs).is_empty()
 }
 
-/// Verify all jobs sequentially and return the indices that *failed*.
+/// Verify all jobs on the calling thread and return the indices that
+/// *failed*, ascending.
 ///
 /// Auditing needs to know which signer misbehaved, not just that someone
 /// did, so failures are reported individually.
 pub fn verify_batch_indices(jobs: &[VerifyJob]) -> Vec<usize> {
+    if jobs.len() >= VERIFY_BATCH_MIN && combined_check(jobs) {
+        return Vec::new();
+    }
     jobs.iter()
         .enumerate()
-        .filter_map(|(i, j)| (!j.check()).then_some(i))
+        .filter_map(|(i, j)| (!j.key.verify(&j.msg, &j.sig)).then_some(i))
         .collect()
 }
 
@@ -69,14 +106,17 @@ pub fn verify_batch_on(pool: &WorkerPool, jobs: &[VerifyJob]) -> bool {
     verify_batch_indices_on(pool, jobs).is_empty()
 }
 
-/// [`verify_batch_indices`] fanned out over `pool` in chunks. The failed
-/// indices come back in ascending order regardless of pool size (chunk
-/// results are stitched in slice order).
+/// [`verify_batch_indices`] run per chunk of at least
+/// [`VERIFY_MIN_CHUNK`] jobs on `pool`'s workers. The failed indices come
+/// back in ascending order regardless of pool size (chunk results are
+/// stitched in slice order).
 pub fn verify_batch_indices_on(pool: &WorkerPool, jobs: &[VerifyJob]) -> Vec<usize> {
-    pool.map_chunked(jobs, VERIFY_MIN_CHUNK, |i, j| (!j.check()).then_some(i))
-        .into_iter()
-        .flatten()
-        .collect()
+    let chunk = jobs.len().div_ceil(pool.threads()).max(VERIFY_MIN_CHUNK);
+    let parts: Vec<&[VerifyJob]> = jobs.chunks(chunk).collect();
+    pool.map_chunked(&parts, 1, |part, jobs| {
+        verify_batch_indices(jobs).into_iter().map(|i| part * chunk + i).collect::<Vec<_>>()
+    })
+    .concat()
 }
 
 #[cfg(test)]
@@ -126,10 +166,10 @@ mod tests {
 
     #[test]
     fn pooled_verification_matches_sequential() {
-        let mut js = jobs(33);
+        let mut js = jobs(3 * VERIFY_MIN_CHUNK + 1);
         js[0].sig.0[5] ^= 9;
-        js[16].msg.push(b'x');
-        js[32].sig.0[63] ^= 1;
+        js[VERIFY_MIN_CHUNK].msg.push(b'x');
+        js[3 * VERIFY_MIN_CHUNK].sig.0[63] ^= 1;
         let serial = verify_batch_indices(&js);
         for threads in [1, 2, 8] {
             let pool = WorkerPool::new(threads);
@@ -137,7 +177,7 @@ mod tests {
             assert!(!verify_batch_on(&pool, &js));
         }
         let pool = WorkerPool::new(4);
-        assert!(verify_batch_on(&pool, &jobs(17)));
+        assert!(verify_batch_on(&pool, &jobs(2 * VERIFY_MIN_CHUNK + 1)));
         assert!(pool.tasks_completed() > 0, "chunks must have hit the pool");
     }
 }

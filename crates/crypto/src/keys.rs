@@ -7,14 +7,15 @@
 //! sizes (Tab. 1, §6.4) keep their shape.
 //!
 //! [`PublicKey`] is the 32 wire bytes; turning them into a curve point
-//! costs a field square root (≈ 4 µs of a ≈ 48 µs verification). The
-//! protocol verifies under a small fixed set of keys — the replicas, and
-//! the clients with requests in flight — so [`PublicKey::verify`] keeps
-//! the parsed form in a **thread-local, direct-mapped, fixed-size
-//! cache**: no lock for pool workers to contend on, a full 32-byte
-//! compare on every hit, only successfully parsed keys stored, a
-//! colliding key simply takes the slot. It changes no verdict — a miss
-//! parses exactly as before.
+//! and the table of multiples verification walks costs a field square
+//! root and eight point additions (≈ 5 µs of a ≈ 48 µs verification).
+//! The protocol verifies under a small fixed set of keys — the replicas,
+//! and the clients with requests in flight — so [`PublicKey::verify`]
+//! and the batch kernel keep the parsed form in a **thread-local,
+//! direct-mapped, fixed-size cache**: no lock for pool workers to
+//! contend on, a full 32-byte compare on every hit, only successfully
+//! parsed keys stored, a colliding key simply takes the slot. It changes
+//! no verdict — a miss parses exactly as before.
 
 use ed25519_dalek::{Signer as _, Verifier as _, VerifyingKey};
 use serde::{Deserialize, Serialize};
@@ -78,7 +79,8 @@ impl fmt::Debug for KeyPair {
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct PublicKey(pub [u8; PUBLIC_KEY_LEN]);
 
-/// Slots in each thread's parsed-key cache (≈ 200 B each).
+/// Slots in each thread's parsed-key cache (≈ 1.5 KB each: the point
+/// and its eight-entry table).
 const KEY_CACHE_SLOTS: usize = 64;
 
 thread_local! {
@@ -88,27 +90,22 @@ thread_local! {
 }
 
 impl PublicKey {
-    /// The parsed key, from this thread's cache when it is there; `None`
-    /// when the bytes are not a curve point.
-    fn parsed(&self) -> Option<VerifyingKey> {
+    /// Run `f` on the parsed key, taken from this thread's cache when it
+    /// is there; `None` when the bytes are not a curve point.
+    pub(crate) fn with_parsed<T>(&self, f: impl FnOnce(&VerifyingKey) -> T) -> Option<T> {
         KEY_CACHE.with(|cache| {
             let slot = &mut cache.borrow_mut()[self.0[0] as usize % KEY_CACHE_SLOTS];
-            if let Some(vk) = slot.filter(|vk| vk.to_bytes() == self.0) {
-                return Some(vk);
+            if slot.as_ref().is_none_or(|vk| vk.to_bytes() != self.0) {
+                *slot = Some(VerifyingKey::from_bytes(&self.0).ok()?);
             }
-            let vk = VerifyingKey::from_bytes(&self.0).ok()?;
-            *slot = Some(vk);
-            Some(vk)
+            slot.as_ref().map(f)
         })
     }
 
     /// Verify `sig` over `msg` under this key.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
-        let Some(vk) = self.parsed() else {
-            return false;
-        };
         let s = ed25519_dalek::Signature::from_bytes(&sig.0);
-        vk.verify(msg, &s).is_ok()
+        self.with_parsed(|vk| vk.verify(msg, &s).is_ok()).unwrap_or(false)
     }
 
     /// Raw bytes.
@@ -139,8 +136,12 @@ impl fmt::Display for PublicKey {
 pub struct Signature(#[serde(with = "serde_bytes64")] pub [u8; SIGNATURE_LEN]);
 
 impl Signature {
-    /// An all-zero placeholder signature. Never verifies; used only to
-    /// reserve space when measuring wire sizes.
+    /// An all-zero placeholder signature, used only to reserve space when
+    /// measuring wire sizes. It verifies under no honestly generated key,
+    /// but it is not a universal reject: `R` = 0 decodes to a point of
+    /// order 4 and `s` = 0 is canonical, so under a small-order public
+    /// key the equation can hold (`ed25519_oracle.rs` pins the all-zero
+    /// triple).
     pub const fn zero() -> Self {
         Signature([0u8; SIGNATURE_LEN])
     }

@@ -16,24 +16,29 @@
 //!   message, halving the signatures on the critical path.
 //!
 //! Signature verification dominates IA-CCF's cost (§6.8), so this crate also
-//! provides batch verification ([`batch::verify_batch`] sequential,
-//! [`batch::verify_batch_on`] fanned out over a persistent
-//! [`ia_ccf_pool::WorkerPool`]), mirroring the paper's parallelized
-//! verification (§3.4).
+//! provides batch verification ([`batch::verify_batch_indices`] on the
+//! calling thread, [`batch::verify_batch_indices_on`] cut into chunks over
+//! a persistent [`ia_ccf_pool::WorkerPool`]), mirroring the paper's
+//! parallelized verification (§3.4): a slice of signatures is checked by
+//! one combined equation, and one by one only to locate a failure.
 //!
 //! The primitive itself is the in-tree `vendor/ed25519-dalek` (windowed,
-//! variable-time; ≈ 47 µs per verification, ≈ 17 µs per signature on the
-//! benchmark box). Two things here sit on top of it:
+//! variable-time; ≈ 45 µs per single verification, ≈ 11 µs per signature
+//! in a slice of 300, ≈ 17 µs per signature made, on the benchmark box).
+//! Two things here sit on top of it:
 //!
-//! * [`PublicKey::verify`] keeps parsed keys in a small thread-local cache
-//!   ([`keys`] module docs), so the per-call square root of key
-//!   decompression is paid once per key per thread;
+//! * [`PublicKey::verify`] and the slice kernel keep parsed keys — the
+//!   point and the table of multiples verification walks — in a small
+//!   thread-local cache ([`keys`] module docs), so a key is parsed once
+//!   per thread;
 //! * `tests/ed25519_oracle.rs` holds the previous bit-serial
 //!   implementation and compares key bytes, signature bytes and verdicts
-//!   against it. **Which byte strings verify is a consensus and audit
+//!   against it, and `tests/batch_equiv.rs` holds slice verdicts to single
+//!   verdicts. **Which byte strings verify is a consensus and audit
 //!   fact** — replicas, clients and auditors must agree on it forever —
-//!   so the accept set (cofactorless equation, `s < ℓ`, today's point
-//!   decoding, no small-order rejection) is frozen by that test.
+//!   so the accept set (RFC 8032's cofactored equation, `s < ℓ`, today's
+//!   point decoding, no small-order rejection; one rule for single and
+//!   slice checks) is frozen by those tests.
 
 pub mod batch;
 pub mod digest;

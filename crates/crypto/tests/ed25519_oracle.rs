@@ -1,9 +1,19 @@
-//! Differential test of `vendor/ed25519-dalek` against the implementation
-//! it replaced (`oracle/`): identical public keys and signature bytes, and
-//! the **same verdict** on every valid, corrupted, non-canonical and
-//! small-order input. The accept set of `verify` is a consensus and audit
-//! fact — a signature one replica accepts and an auditor rejects (or the
-//! reverse) forks blame — so this file freezes it.
+//! Differential test of `vendor/ed25519-dalek` against the bit-serial
+//! implementation it replaced (`oracle/`): identical public keys and
+//! signature bytes, and the **same verdict** on every valid, corrupted,
+//! non-canonical and small-order input. The accept set of `verify` is a
+//! consensus and audit fact — a signature one replica accepts and an
+//! auditor rejects (or the reverse) forks blame — so this file freezes it.
+//!
+//! The reference is RFC 8032's **cofactored** equation
+//! (`oracle::verify_cofactored`), the rule batch verification needs: with
+//! the factor 8, a random linear combination of signatures verifies iff
+//! each does. The oracle also keeps the cofactorless rule every ledger
+//! before PR 17 was checked with (`oracle::verify`), and every input of
+//! every suite here goes through both: *old accepts ⇒ new accepts* is
+//! asserted each time (old ledgers still verify), and
+//! `the_two_rules_differ_only_by_small_order_residues` lists where the new
+//! rule accepts more.
 //!
 //! Case counts are bounded: the oracle costs ≈ 0.2 ms per verification.
 
@@ -11,13 +21,8 @@ mod oracle;
 
 use ed25519_dalek::{Signature, Signer as _, SigningKey, Verifier as _, VerifyingKey};
 use oracle::point::EdwardsPoint;
+use oracle::{add_le, ELL};
 use proptest::prelude::*;
-
-/// ℓ, little-endian.
-const ELL: [u8; 32] = [
-    0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9, 0xde, 0x14,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10,
-];
 
 /// The verdict of the implementation under test, in the oracle's shape:
 /// `None` when the key does not parse.
@@ -26,16 +31,28 @@ fn fast_verify(key: &[u8; 32], msg: &[u8], sig: &[u8; 64]) -> Option<bool> {
     Some(vk.verify(msg, &Signature::from_bytes(sig)).is_ok())
 }
 
-/// Both implementations on one input; panics on disagreement, returns the
-/// common verdict.
-fn same_verdict(key: &[u8; 32], msg: &[u8], sig: &[u8; 64]) -> Option<bool> {
-    let expect = oracle::verify(key, msg, sig);
+/// One input under the retired cofactorless rule and under the
+/// reference: `(old, new)`. Panics when the implementation under test
+/// disagrees with the reference or when the new rule is not a superset.
+fn both_rules(key: &[u8; 32], msg: &[u8], sig: &[u8; 64]) -> (Option<bool>, Option<bool>) {
+    let old = oracle::verify(key, msg, sig);
+    let new = oracle::verify_cofactored(key, msg, sig);
     let got = fast_verify(key, msg, sig);
     assert_eq!(
-        got, expect,
+        got, new,
         "verdicts differ (fast vs oracle)\n key {key:02x?}\n msg {msg:02x?}\n sig {sig:02x?}"
     );
-    expect
+    assert!(
+        old.is_some() == new.is_some() && (old != Some(true) || new == Some(true)),
+        "not a superset: old {old:?}, new {new:?}\n key {key:02x?}\n msg {msg:02x?}\n sig {sig:02x?}"
+    );
+    (old, new)
+}
+
+/// The common verdict of the implementation under test and the
+/// reference (see [`both_rules`] for what is asserted on the way).
+fn same_verdict(key: &[u8; 32], msg: &[u8], sig: &[u8; 64]) -> Option<bool> {
+    both_rules(key, msg, sig).1
 }
 
 fn signature(r: &[u8; 32], s: &[u8; 32]) -> [u8; 64] {
@@ -51,18 +68,6 @@ fn scalar(v: u64) -> [u8; 32] {
     s
 }
 
-/// 256-bit little-endian `a + b`, wrapping.
-fn add_le(a: &[u8; 32], b: &[u8; 32]) -> [u8; 32] {
-    let mut out = [0u8; 32];
-    let mut carry = 0u16;
-    for i in 0..32 {
-        let t = a[i] as u16 + b[i] as u16 + carry;
-        out[i] = t as u8;
-        carry = t >> 8;
-    }
-    out
-}
-
 /// One honest (key, message, signature) triple, checked byte-for-byte
 /// against the oracle on the way.
 fn honest(seed: &[u8; 32], msg: &[u8]) -> ([u8; 32], [u8; 64]) {
@@ -75,26 +80,10 @@ fn honest(seed: &[u8; 32], msg: &[u8]) -> ([u8; 32], [u8; 64]) {
     (key, sig)
 }
 
-/// The eight points of small order, as `ℓ·P` for decodable `P` (ℓ kills
-/// the prime-order component and leaves the torsion one), in the
-/// encoding `compress` gives them.
+/// The eight points of small order, in the encoding `compress` gives
+/// them.
 fn small_order_encodings() -> Vec<[u8; 32]> {
-    let mut found: Vec<[u8; 32]> = Vec::new();
-    let mut candidate = [0u8; 32];
-    let mut tried = 0u32;
-    while found.len() < 8 {
-        candidate[0] = candidate[0].wrapping_add(1);
-        candidate[1] = candidate[1].wrapping_add(candidate[0] & 1);
-        tried += 1;
-        assert!(tried < 2_000, "torsion search did not converge: {} found", found.len());
-        let Some(p) = EdwardsPoint::decompress(&candidate) else { continue };
-        let enc = p.mul_scalar(&ELL).compress();
-        if !found.contains(&enc) {
-            found.push(enc);
-        }
-    }
-    found.sort();
-    found
+    oracle::small_order_points().iter().map(EdwardsPoint::compress).collect()
 }
 
 proptest! {
@@ -234,8 +223,8 @@ fn non_canonical_point_encodings_get_the_same_verdict() {
 }
 
 /// Small-order `A` and `R` are **not** rejected: the verdict is whatever
-/// the cofactorless equation says, and it must be the same one. Includes
-/// the degenerate triple `A` = identity, `R` = identity, `s = 0`, which
+/// the equation says, and it must be the same one. Includes the
+/// degenerate triple `A` = identity, `R` = identity, `s = 0`, which
 /// verifies for every message (whether governance should refuse such
 /// keys is ROADMAP item 4's question, not this crate's).
 #[test]
@@ -268,7 +257,7 @@ fn small_order_points_get_the_same_verdict() {
             same_verdict(a, m, &honest_sig);
         }
     }
-    assert!(accepted > 0, "the cofactorless equation accepts some small-order triples");
+    assert!(accepted > 0, "the equation accepts some small-order triples");
     for m in messages {
         let sig = signature(&identity, &scalar(0));
         assert_eq!(same_verdict(&identity, m, &sig), Some(true), "degenerate triple");
@@ -281,6 +270,66 @@ fn small_order_points_get_the_same_verdict() {
         let shifted = r.add(&EdwardsPoint::decompress(t).unwrap()).compress();
         let verdict = same_verdict(&honest_key, b"m0", &signature(&shifted, &honest_s));
         assert_eq!(verdict, Some(*t == identity), "torsion shift {t:02x?}");
+    }
+}
+
+/// Where the cofactored rule accepts and the cofactorless one did not:
+/// exactly when `s·B − k·A − R` is a non-zero point of small order. Three
+/// ways to get there, each pinned with both verdicts.
+#[test]
+fn the_two_rules_differ_only_by_small_order_residues() {
+    let torsion = small_order_encodings();
+    let mut identity = [0u8; 32];
+    identity[0] = 1;
+
+    // (1) Mixed-order R under an honest key: R' = R + T with s made for
+    // R'. The residue is −T. Only the key holder can produce these.
+    for (seed, msg) in [([3u8; 32], &b"m0"[..]), ([0x42; 32], &b"a client request"[..])] {
+        let signer = oracle::SigningKey::from_bytes(&seed);
+        for t in &torsion {
+            let sig = signer.sign_with_torsion(msg, &EdwardsPoint::decompress(t).unwrap());
+            let verdicts = both_rules(&signer.public(), msg, &sig);
+            assert_eq!(verdicts, (Some(*t == identity), Some(true)), "torsion {t:02x?}");
+            // Made for one message only.
+            assert_eq!(both_rules(&signer.public(), b"another", &sig), (Some(false), Some(false)));
+        }
+    }
+
+    // (2) Small-order A with small-order R and s = 0: the residue is
+    // −k·A − R, always of small order, zero for some (A, R, message) only.
+    // With s = 1 the residue has B in it and nothing accepts.
+    let messages: [&[u8]; 3] = [b"m0", b"a different message", b""];
+    let (mut old_accepts, mut total) = (0u32, 0u32);
+    for a in &torsion {
+        for r in &torsion {
+            for m in messages {
+                let (old, new) = both_rules(a, m, &signature(r, &scalar(0)));
+                assert_eq!(new, Some(true), "A {a:02x?} R {r:02x?}");
+                old_accepts += (old == Some(true)) as u32;
+                total += 1;
+                assert_eq!(both_rules(a, m, &signature(r, &scalar(1))), (Some(false), Some(false)));
+            }
+        }
+    }
+    // A residue of small order is zero about one time in eight (k hashes
+    // R too, so not exactly); the count is pinned.
+    assert_eq!((old_accepts, total), (26, 192));
+
+    // (3) The all-zero triple: A = R = the order-4 point with y = 0,
+    // s = 0. The old verdict depended on k mod 4, i.e. on the message.
+    let zero_sig = [0u8; 64];
+    let pinned_old: [(&[u8], bool); 8] = [
+        (b"m", false),
+        (b"", false),
+        (b"m7", false),
+        (b"m8", true),
+        (b"m11", false),
+        (b"m12", true),
+        (b"m26", false),
+        (b"m27", true),
+    ];
+    for (m, old) in pinned_old {
+        assert_eq!(both_rules(&[0u8; 32], m, &zero_sig), (Some(old), Some(true)), "over {m:02x?}");
     }
 }
 

@@ -4,10 +4,20 @@
 //! compress-to-compare equality, bit-serial scalar reduction. `field.rs`,
 //! `point.rs` and `scalar.rs` are the old files (their unit tests run as
 //! part of this test crate); the signing and verification routines below
-//! are the old `SigningKey` / `VerifyingKey` method bodies.
+//! are the old `SigningKey` / `VerifyingKey` method bodies (signing now
+//! with an optional small-order offset on `R`, for the tests that craft
+//! mixed-order signatures; the offset-free case is the old body), and
+//! the helpers at the end are shared by the test files that include this
+//! module.
 //!
-//! What this code accepts *defines* the accept set the fast
-//! implementation must reproduce — do not "fix" it.
+//! Two verification rules sit on that arithmetic. [`verify`] is the old
+//! method body, the **cofactorless** equation `s·B = R + k·A`: what every
+//! ledger written before batch verification was checked with.
+//! [`verify_cofactored`] is RFC 8032's `8·s·B = 8·R + 8·k·A`, and since
+//! PR 17 the reference: what it accepts *defines* the accept set the fast
+//! implementation — single and batch — must reproduce. It differs from
+//! the old rule only in the final comparison, so it accepts everything
+//! the old rule did. Do not "fix" either.
 
 #![allow(dead_code)]
 
@@ -51,13 +61,22 @@ impl SigningKey {
 
     /// Sign a message; returns `R ‖ s`.
     pub fn sign(&self, msg: &[u8]) -> [u8; 64] {
-        // r = H(prefix ‖ M) mod ℓ; R = r·B; k = H(R ‖ A ‖ M) mod ℓ;
+        self.sign_with_torsion(msg, &EdwardsPoint::identity())
+    }
+
+    /// A signature whose `R` carries the small-order component `torsion`:
+    /// `R' = r·B + T`, `s = r + H(R' ‖ A ‖ M)·a`, so `s·B − k·A − R' = −T`.
+    /// Only the holder of `a` can make one. The cofactorless rule rejects
+    /// it unless `T` is the identity; the cofactored rule accepts it; and
+    /// in a sum of several without the factor 8 the `T`s can cancel.
+    pub fn sign_with_torsion(&self, msg: &[u8], torsion: &EdwardsPoint) -> [u8; 64] {
+        // r = H(prefix ‖ M) mod ℓ; R = r·B (+ T); k = H(R ‖ A ‖ M) mod ℓ;
         // s = k·a + r mod ℓ.
         let mut h = Sha512::new();
         h.update(self.prefix);
         h.update(msg);
         let r = scalar::reduce_bytes(&h.finalize());
-        let big_r = EdwardsPoint::basepoint().mul_scalar(&r).compress();
+        let big_r = EdwardsPoint::basepoint().mul_scalar(&r).add(torsion).compress();
 
         let mut h = Sha512::new();
         h.update(big_r);
@@ -73,9 +92,67 @@ impl SigningKey {
     }
 }
 
+/// ℓ, the order of the basepoint, little-endian.
+pub const ELL: [u8; 32] = [
+    0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9, 0xde, 0x14,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10,
+];
+
+/// The eight points of small order, as `ℓ·P` for decodable `P` (ℓ kills
+/// the prime-order component and leaves the torsion one), sorted by the
+/// encoding `compress` gives them.
+pub fn small_order_points() -> Vec<EdwardsPoint> {
+    let mut found: Vec<[u8; 32]> = Vec::new();
+    let mut candidate = [0u8; 32];
+    let mut tried = 0u32;
+    while found.len() < 8 {
+        candidate[0] = candidate[0].wrapping_add(1);
+        candidate[1] = candidate[1].wrapping_add(candidate[0] & 1);
+        tried += 1;
+        assert!(tried < 2_000, "torsion search did not converge: {} found", found.len());
+        let Some(p) = EdwardsPoint::decompress(&candidate) else { continue };
+        let enc = p.mul_scalar(&ELL).compress();
+        if !found.contains(&enc) {
+            found.push(enc);
+        }
+    }
+    found.sort();
+    found.iter().map(|enc| EdwardsPoint::decompress(enc).expect("compress output decodes")).collect()
+}
+
+/// 256-bit little-endian `a + b`, wrapping.
+pub fn add_le(a: &[u8; 32], b: &[u8; 32]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    let mut carry = 0u16;
+    for i in 0..32 {
+        let t = a[i] as u16 + b[i] as u16 + carry;
+        out[i] = t as u8;
+        carry = t >> 8;
+    }
+    out
+}
+
 /// The old `VerifyingKey::from_bytes` + `verify`: `None` when the key
-/// does not decode, otherwise whether `signature` verifies over `msg`.
+/// does not decode, otherwise whether `signature` verifies over `msg`
+/// under the cofactorless equation.
 pub fn verify(key: &[u8; 32], msg: &[u8], signature: &[u8; 64]) -> Option<bool> {
+    Some(sides(key, msg, signature)?.is_some_and(|(lhs, rhs)| lhs.eq_point(&rhs)))
+}
+
+/// The reference rule: the same decoding and range checks, then
+/// `8·s·B = 8·(R + k·A)`.
+pub fn verify_cofactored(key: &[u8; 32], msg: &[u8], signature: &[u8; 64]) -> Option<bool> {
+    let times_8 = |p: &EdwardsPoint| p.double().double().double();
+    Some(sides(key, msg, signature)?.is_some_and(|(lhs, rhs)| times_8(&lhs).eq_point(&times_8(&rhs))))
+}
+
+/// `(s·B, R + k·A)`: outer `None` when the key does not decode, inner
+/// `None` when `s ≥ ℓ` or `R` does not decode.
+fn sides(
+    key: &[u8; 32],
+    msg: &[u8],
+    signature: &[u8; 64],
+) -> Option<Option<(EdwardsPoint, EdwardsPoint)>> {
     let point = EdwardsPoint::decompress(key)?;
 
     let mut r_bytes = [0u8; 32];
@@ -85,10 +162,10 @@ pub fn verify(key: &[u8; 32], msg: &[u8], signature: &[u8; 64]) -> Option<bool> 
 
     // Reject non-canonical s (malleability guard, RFC 8032 §5.1.7).
     if !scalar::is_canonical(&s_bytes) {
-        return Some(false);
+        return Some(None);
     }
     let Some(big_r) = EdwardsPoint::decompress(&r_bytes) else {
-        return Some(false);
+        return Some(None);
     };
 
     let mut h = Sha512::new();
@@ -97,8 +174,7 @@ pub fn verify(key: &[u8; 32], msg: &[u8], signature: &[u8; 64]) -> Option<bool> 
     h.update(msg);
     let k = scalar::reduce_bytes(&h.finalize());
 
-    // Check s·B == R + k·A.
     let lhs = EdwardsPoint::basepoint().mul_scalar(&s_bytes);
     let rhs = big_r.add(&point.mul_scalar(&k));
-    Some(lhs.eq_point(&rhs))
+    Some(Some((lhs, rhs)))
 }

@@ -578,4 +578,75 @@ mod tests {
             .sum();
         assert_eq!(total, 100);
     }
+
+    /// A registered client's request with a garbage signature, in the
+    /// middle of valid ones. The primary's slice check fails, the
+    /// per-job fallback locates the one bad index, and the primary must
+    /// (a) propose the valid remainder *in submission order* — it used to
+    /// re-queue it reversed — and (b) forget the forged body — it used
+    /// to keep it in its request store forever.
+    #[test]
+    fn forged_request_is_evicted_and_the_rest_commit_in_order() {
+        use ia_ccf_types::{LedgerIdx, Request, RequestAction, SignedRequest};
+
+        let s = spec(4, 1);
+        let mut cluster = DetCluster::new(&s, Arc::new(CounterApp));
+        let client = s.clients[0].0;
+        let gt_hash = cluster.replica(ReplicaId(0)).gt_hash();
+        let mut forged = SignedRequest::sign(
+            Request {
+                action: RequestAction::App { proc: CounterApp::INCR, args: b"k".to_vec() },
+                client,
+                gt_hash,
+                min_index: LedgerIdx(0),
+                req_id: 1_000_000,
+            },
+            &s.clients[0].1,
+        );
+        forged.sig.0 = [0xa5; 64];
+
+        // Eight valid requests with the forgery fourth in line: one
+        // candidate batch of nine, long enough for the combined check.
+        for i in 0..8 {
+            if i == 3 {
+                cluster.submit_raw(client, forged.clone());
+            }
+            cluster.submit(client, CounterApp::INCR, b"k".to_vec());
+        }
+        assert!(cluster.run_until_finished(8, 100), "only {} finished", cluster.finished.len());
+
+        // Submission order = request number order = ledger order, and the
+        // counter saw exactly the eight valid increments.
+        let mut by_index: Vec<(u64, u64)> = cluster
+            .finished
+            .iter()
+            .map(|(_, tx)| (tx.receipt.as_ref().unwrap().tx_index().unwrap().0, tx.req_id))
+            .collect();
+        by_index.sort_unstable();
+        let committed: Vec<u64> = by_index.iter().map(|&(_, req_id)| req_id).collect();
+        let mut submitted = committed.clone();
+        submitted.sort_unstable();
+        assert_eq!(committed, submitted, "valid requests must commit in submission order");
+        for r in cluster.replicas.values() {
+            assert_eq!(r.inner.kv().get(b"k"), Some(&8u64.to_le_bytes().to_vec()));
+            assert_eq!(r.inner.view().0, 0, "a forged client request must not cost a view");
+        }
+        cluster.assert_ledgers_consistent();
+
+        // The primary serves request bodies out of its store: it still has
+        // a valid one, and no longer has the forged one.
+        let ask = |cluster: &mut DetCluster, digest| {
+            let primary = &mut cluster.replicas.get_mut(&ReplicaId(0)).unwrap().inner;
+            let outs = primary.handle(Input::Message {
+                from: NodeId::Replica(ReplicaId(1)),
+                msg: ProtocolMsg::FetchRequests { hashes: vec![digest] },
+            });
+            outs.iter().any(|o| {
+                matches!(o, Output::SendReplica(_, ProtocolMsg::FetchRequestsResponse { .. }))
+            })
+        };
+        let valid = cluster.finished[0].1.request.digest();
+        assert!(ask(&mut cluster, valid), "a committed request body is still served");
+        assert!(!ask(&mut cluster, forged.digest()), "the forged body must be gone");
+    }
 }
