@@ -28,13 +28,13 @@ use std::sync::Arc;
 
 use ia_ccf_core::app::App;
 use ia_ccf_core::checkpoint::receipt_checkpoint_seq;
+use ia_ccf_core::execute::{execute_tx, Effect, Executed, MarkCheck};
 use ia_ccf_governance::chain::{ConfigHistory, GovernanceChain};
 use ia_ccf_governance::fork::find_fork;
 use ia_ccf_governance::{GovOutcome, GovernanceState};
-use ia_ccf_kv::KvStore;
+use ia_ccf_kv::ShardedKvStore;
 use ia_ccf_types::{
-    Configuration, Digest, LedgerEntry, Receipt, ReplicaId, RequestAction, SeqNum, SignedRequest,
-    VerifiedCerts,
+    Configuration, Digest, LedgerEntry, Receipt, ReplicaId, SeqNum, SignedRequest, VerifiedCerts,
 };
 
 use crate::package::{validate_package, LedgerPackage, PackageError, ValidatedPackage};
@@ -507,7 +507,8 @@ impl Auditor {
         history: &ConfigHistory,
         receipts: &[&StoredReceipt],
     ) -> Option<Upom> {
-        let mut kv = KvStore::new();
+        // A one-shard store: the rule the replicas run takes theirs.
+        let mut kv = ShardedKvStore::new(1);
         let mut next_tx_index: u64 = 1;
         let mut start_seq = SeqNum(0);
         if let Some((cp_seq, cp)) = &package.checkpoint {
@@ -515,128 +516,66 @@ impl Auditor {
             start_seq = *cp_seq;
         }
         let mut gov = GovernanceState::new(self.genesis.clone());
-        let mut cp_digests: Vec<(SeqNum, Digest)> = vec![(SeqNum(0), KvStore::new().digest())];
+        let mut cp_digests: Vec<(SeqNum, Digest)> =
+            vec![(SeqNum(0), ShardedKvStore::new(1).digest())];
+        // Before the replay window only governance state is carried
+        // forward (governance transactions are rare, §6.4): the rule runs
+        // against a scratch store, so nothing pre-window reaches `kv`.
+        let mut scratch = ShardedKvStore::new(1);
 
         for batch in &validated.batches {
             let replaying = batch.seq > start_seq;
-            // Resume the tx-index counter from the recorded entries when
-            // skipping ahead (their positions were validated structurally).
             for &ti in &batch.tx_at {
-                let LedgerEntry::Tx(tx) = &package.entries[ti] else { unreachable!() };
+                let LedgerEntry::Tx(recorded) = &package.entries[ti] else { unreachable!() };
                 if !replaying {
-                    next_tx_index = tx.index.0 + 1;
-                    // Keep governance state warm even before the replay
-                    // window: governance transactions are rare (§6.4).
-                    if let RequestAction::Governance(action) = &tx.request.request.action {
-                        if tx.result.ok {
-                            let member = ia_ccf_governance::chain::member_of(&tx.request);
-                            if let Ok(GovOutcome::ReferendumPassed(cfg)) =
-                                gov.apply(member, action)
-                            {
-                                gov.activate(*cfg);
-                            }
+                    // Resume the tx-index counter from the recorded entries
+                    // (their positions were validated structurally).
+                    next_tx_index = recorded.index.0 + 1;
+                    if recorded.request.is_governance() && recorded.result.ok {
+                        let tx = &recorded.request;
+                        let warmed = execute_tx(&*self.app, &mut gov, &mut scratch, tx, |_| None);
+                        if let Effect::Governance(GovOutcome::ReferendumPassed(cfg)) = warmed.effect
+                        {
+                            gov.activate(*cfg);
                         }
                     }
                     continue;
                 }
-                let recorded = tx;
                 let expected_index = next_tx_index;
                 next_tx_index += 1;
-                if recorded.index.0 != expected_index {
-                    return Some(self.wrong_execution(
-                        validated,
-                        history,
-                        receipts,
-                        batch.seq,
-                        format!(
-                            "transaction at ledger index {} recorded as {}",
-                            expected_index, recorded.index
-                        ),
-                    ));
-                }
-                // Re-execute.
-                kv.begin_tx().ok()?;
-                let (ok, output) = match &recorded.request.request.action {
-                    RequestAction::App { proc, args } => {
-                        match self.app.execute(&mut kv, *proc, args, recorded.request.request.client) {
-                            Ok(out) => (true, out),
-                            Err(e) => (false, e.0.into_bytes()),
-                        }
-                    }
-                    RequestAction::Governance(action) => {
-                        let member = ia_ccf_governance::chain::member_of(&recorded.request);
-                        match gov.apply(member, action) {
-                            Ok(GovOutcome::Recorded) => {
-                                (true, ia_ccf_governance::chain::GOV_OUTPUT_RECORDED.to_vec())
-                            }
-                            Ok(GovOutcome::ReferendumPassed(cfg)) => {
-                                gov.activate(*cfg);
-                                (true, ia_ccf_governance::chain::GOV_OUTPUT_PASSED.to_vec())
-                            }
-                            Err(e) => (false, e.to_string().into_bytes()),
-                        }
-                    }
-                    RequestAction::System(ia_ccf_types::SystemOp::CheckpointMark {
-                        checkpoint_seq,
-                        kv_digest,
-                        ..
-                    }) => {
-                        let known = cp_digests.iter().find(|(s, _)| s == checkpoint_seq);
-                        match known {
-                            Some((_, d)) if d == kv_digest => (true, Vec::new()),
-                            Some(_) => {
-                                let _ = kv.abort_tx();
-                                return Some(self.wrong_execution(
-                                    validated,
-                                    history,
-                                    receipts,
-                                    batch.seq,
-                                    format!("checkpoint digest mismatch at mark {checkpoint_seq}"),
-                                ));
-                            }
-                            // Outside our replay horizon: trust the signed
-                            // agreement (backups verified it in-band).
-                            None => (true, Vec::new()),
-                        }
-                    }
+                let mismatch = |details: String| {
+                    Some(self.wrong_execution(validated, history, receipts, batch.seq, details))
                 };
-                if ok != recorded.result.ok
-                    || (ok && output != recorded.result.output)
-                {
-                    let _ = kv.abort_tx();
-                    return Some(self.wrong_execution(
-                        validated,
-                        history,
-                        receipts,
-                        batch.seq,
-                        format!("result mismatch at index {}", recorded.index),
+                if recorded.index.0 != expected_index {
+                    return mismatch(format!(
+                        "transaction at ledger index {} recorded as {}",
+                        expected_index, recorded.index
                     ));
                 }
-                if ok {
-                    // Governance mirrors its state into the store exactly
-                    // like the replicas do, keeping write sets comparable.
-                    if recorded.request.is_governance() {
-                        kv.put(b"\x00gov_state".to_vec(), gov_snapshot(&gov)).ok()?;
-                    }
-                    let ws = kv.commit_tx().ok()?;
-                    // System transactions record the zero digest (they have
-                    // no application write set) — mirror the replica rule.
-                    let expected_ws = if recorded.request.is_system() {
-                        Digest::zero()
-                    } else {
-                        ws.digest()
-                    };
-                    if expected_ws != recorded.result.write_set_digest {
-                        return Some(self.wrong_execution(
-                            validated,
-                            history,
-                            receipts,
-                            batch.seq,
-                            format!("write-set mismatch at index {}", recorded.index),
+                // Re-execute with the rule the replicas ran.
+                let Executed { result, effect } =
+                    execute_tx(&*self.app, &mut gov, &mut kv, &recorded.request, |seq| {
+                        cp_digests.iter().find(|(s, _)| *s == seq).map(|(_, d)| *d)
+                    });
+                match effect {
+                    // The auditor needs no reconfiguration schedule: the
+                    // elected configuration simply becomes the active one.
+                    Effect::Governance(GovOutcome::ReferendumPassed(cfg)) => gov.activate(*cfg),
+                    Effect::Mark(MarkCheck::Differs) => {
+                        return mismatch(format!(
+                            "checkpoint digest mismatch in the mark at index {}",
+                            recorded.index
                         ));
                     }
-                } else {
-                    kv.abort_tx().ok()?;
+                    // `Unknown` is a mark outside our replay horizon: trust
+                    // the signed agreement (backups verified it in-band).
+                    _ => {}
+                }
+                if result.ok != recorded.result.ok || result.output != recorded.result.output {
+                    return mismatch(format!("result mismatch at index {}", recorded.index));
+                }
+                if result.write_set_digest != recorded.result.write_set_digest {
+                    return mismatch(format!("write-set mismatch at index {}", recorded.index));
                 }
             }
             // Checkpoint bookkeeping while replaying.
@@ -728,27 +667,6 @@ fn package_error_seq(e: &PackageError) -> SeqNum {
         | PackageError::BadNonce(s)
         | PackageError::RootMismatch(s)
         | PackageError::EvidenceShape(s) => *s,
-        PackageError::Malformed(_) => SeqNum(0),
-        PackageError::BadViewChange(v) => {
-            let _ = v;
-            SeqNum(0)
-        }
+        PackageError::Malformed(_) | PackageError::BadViewChange(_) => SeqNum(0),
     }
 }
-
-/// Deterministic governance-state snapshot — must match the replica's
-/// mirror (`replica.rs::gov_state_snapshot`).
-fn gov_snapshot(gov: &GovernanceState) -> Vec<u8> {
-    let mut h = ia_ccf_crypto::Hasher::new();
-    h.update(gov.active().digest());
-    for p in gov.proposals() {
-        h.update(p.proposer.0.to_le_bytes());
-        h.update(p.id.to_le_bytes());
-        h.update(p.new_config.digest());
-        for m in &p.approvals {
-            h.update(m.0.to_le_bytes());
-        }
-    }
-    h.finalize().as_ref().to_vec()
-}
-

@@ -142,11 +142,6 @@ impl Enforcer {
         self.sanctions.push(sanction.clone());
         Some(sanction)
     }
-
-    /// Members punished so far.
-    pub fn punished_members(&self) -> BTreeSet<MemberId> {
-        self.sanctions.iter().map(|s| s.member).collect()
-    }
 }
 
 fn to_owned_reason(reason: &str) -> String {
@@ -177,10 +172,8 @@ mod tests {
         let got = enforcer.obtain_packages(&[&a, &b], SeqNum(0), &config);
         assert!(got.is_empty());
         assert_eq!(enforcer.sanctions.len(), 2);
-        assert_eq!(
-            enforcer.punished_members(),
-            [MemberId(1), MemberId(2)].into_iter().collect()
-        );
+        let punished: Vec<MemberId> = enforcer.sanctions.iter().map(|s| s.member).collect();
+        assert_eq!(punished, [MemberId(1), MemberId(2)]);
     }
 
     #[test]

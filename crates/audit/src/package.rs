@@ -143,7 +143,11 @@ pub fn validate_package(
                 let LedgerEntry::ViewChangeSet { view_changes, .. } = &entries[*set_at] else {
                     unreachable!("segmenter guarantees");
                 };
-                let config = config_for_seq(SeqNum(u64::MAX)); // latest for vc sigs
+                // The set sits where the next batch would: its senders sign
+                // under the configuration governing that position, not a
+                // later one that may have dropped them.
+                let position = out.batches.last().map_or(SeqNum(1), |b| b.seq.next());
+                let config = config_for_seq(position);
                 let mut senders = Vec::new();
                 for vc in view_changes {
                     let ok = config
@@ -273,11 +277,4 @@ pub fn validate_package(
         }
     }
     Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    // Package validation is exercised end-to-end by the auditor tests and
-    // the workspace integration tests, which feed it real cluster ledgers
-    // (honest and tampered).
 }

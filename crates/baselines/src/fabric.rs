@@ -78,7 +78,9 @@ pub enum FabricMsg {
     },
 }
 
-/// Run the pipeline with `n` peers (peer 0 doubles as the orderer).
+/// Run the pipeline with `n` peers (peer 0 doubles as the orderer). Peers
+/// start from the empty store; initial state, if the service needs any,
+/// is `op_source`'s first operation.
 #[allow(clippy::too_many_arguments)]
 pub fn run_fabric(
     n: usize,
@@ -88,7 +90,6 @@ pub fn run_fabric(
     latency: LatencyModel,
     duration: Duration,
     app: Arc<dyn App>,
-    prime: impl Fn(&mut KvStore),
     op_source: Arc<dyn Fn(usize) -> (ProcId, Vec<u8>) + Send + Sync>,
 ) -> BaselineReport {
     let bus: Bus<FabricMsg> = Bus::new(latency);
@@ -107,7 +108,6 @@ pub fn run_fabric(
         let keys = keys.clone();
         let app = Arc::clone(&app);
         let mut kv = KvStore::new();
-        prime(&mut kv);
         let peer_addrs: Vec<u64> = (0..n as u64).collect();
         handles.push(std::thread::spawn(move || {
             let is_orderer = index == 0;
@@ -306,7 +306,6 @@ mod tests {
             LatencyModel::Zero,
             Duration::from_millis(1200),
             Arc::new(CounterApp),
-            |_| {},
             Arc::new(|_| (CounterApp::INCR, b"k".to_vec())),
         );
         assert!(report.committed_tx > 0, "{report:?}");

@@ -60,7 +60,6 @@ fn main() {
             LatencyModel::Zero,
             duration(),
             Arc::new(ia_ccf_smallbank::SmallBankApp),
-            |kv| ia_ccf_smallbank::populate(kv, accounts, 10_000),
             smallbank_ops(accounts),
         );
         let mut lat = report.latency.clone();

@@ -55,7 +55,6 @@ fn main() {
         Arc::new(ia_ccf_smallbank::SmallBankApp),
         &rt_cfg(false),
         noop_ops(),
-        |_| {},
     );
     rows.push(Row::new("(h) + with empty requests", &[("tx_s", report.throughput().per_sec())]));
 

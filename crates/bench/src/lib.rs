@@ -33,15 +33,24 @@ pub fn max_n() -> usize {
     std::env::var("IACCF_MAX_N").ok().and_then(|v| v.parse().ok()).unwrap_or(16)
 }
 
+/// Opening balance of every SmallBank account.
+pub const INITIAL_BALANCE: i64 = 10_000;
+
 /// A SmallBank op source shared across client threads (per-client RNG
-/// streams derived from the client index).
+/// streams derived from the client index). The first operation drawn is
+/// the bulk load of the accounts — [`run_cluster`] commits it as the
+/// ledger's first transaction before the clock starts.
 pub fn smallbank_ops(
     accounts: u64,
 ) -> Arc<dyn Fn(usize) -> (ia_ccf_types::ProcId, Vec<u8>) + Send + Sync> {
+    let load = Mutex::new(Some(ia_ccf_smallbank::load_accounts(accounts, INITIAL_BALANCE)));
     let workloads: Vec<Mutex<ia_ccf_smallbank::Workload>> =
         (0..64).map(|i| Mutex::new(ia_ccf_smallbank::Workload::new(accounts, 1000 + i))).collect();
     Arc::new(move |ci| {
-        let op = workloads[ci % workloads.len()].lock().next_op();
+        let op = match load.lock().take() {
+            Some(load) => load,
+            None => workloads[ci % workloads.len()].lock().next_op(),
+        };
         (op.proc, op.args)
     })
 }
@@ -58,9 +67,7 @@ pub fn run_iaccf_smallbank(
     account_count: u64,
 ) -> RtReport {
     let app = Arc::new(ia_ccf_smallbank::SmallBankApp);
-    run_cluster(spec, app, cfg, smallbank_ops(account_count), |kv| {
-        ia_ccf_smallbank::populate(kv, account_count, 10_000);
-    })
+    run_cluster(spec, app, cfg, smallbank_ops(account_count))
 }
 
 /// One output row: label plus metric pairs, printable and JSON-able.

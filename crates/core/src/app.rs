@@ -11,7 +11,7 @@
 //! Procedures run against a [`KvAccess`] view rather than a concrete
 //! store: replicas hand out their sharded store (serial lane), a
 //! speculative group view (parallel execution of conflict-free batches),
-//! or a plain store (auditor replay) — the procedure cannot tell the
+//! the auditor a one-shard store (replay) — the procedure cannot tell the
 //! difference, which is exactly the property the differential sharding
 //! harness (`tests/sharded_execution.rs`) checks.
 //!

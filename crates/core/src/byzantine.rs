@@ -75,6 +75,12 @@ pub enum Fault {
         /// The sequence number the server pretends the ledger ends at.
         claim: SeqNum,
     },
+    /// A primary that does not check what it proposes: every request in
+    /// its queue counts as verified, so a forged body — a governance
+    /// action "from member 0" under a random key, say — is ordered,
+    /// executed locally and broadcast. Correct backups verify the batch
+    /// themselves and refuse to prepare it.
+    ProposeUnverified,
 }
 
 /// A replica wrapper that applies a [`Fault`] to the outputs of an
@@ -94,9 +100,13 @@ impl ByzantineReplica {
 
     /// Drive the wrapped replica and apply the fault to its outputs.
     pub fn handle(&mut self, input: Input) -> Vec<Output> {
+        if self.fault == Fault::ProposeUnverified {
+            let queued = self.inner.pending_reqs.iter().copied();
+            self.inner.verified_reqs.extend(queued);
+        }
         let outs = self.inner.handle(input);
         match self.fault {
-            Fault::None => outs,
+            Fault::None | Fault::ProposeUnverified => outs,
             Fault::Mute => outs
                 .into_iter()
                 .filter(|o| {

@@ -29,6 +29,7 @@ pub mod bootstrap;
 pub mod byzantine;
 pub mod checkpoint;
 pub mod events;
+pub mod execute;
 pub mod msgstore;
 pub mod params;
 pub mod pipeline;

@@ -2,8 +2,13 @@
 //!
 //! Requests enter here: `verify(t)` checks the service binding `H(gt)`
 //! and membership at admission, dedupes against the pool and the
-//! executed set, and queues the request for ordering. Client *signature*
-//! checks on app requests are deferred to batch time (§3.4: "Signature
+//! executed set, and queues the request for ordering. **Batch time is
+//! the one verification point**: whatever door a request body came
+//! through (a client, a `FetchRequestsResponse`, a view-change page), it
+//! executes on the live path only after its class's signature — the
+//! client's key for app requests, the member's key under the active
+//! configuration for governance — and its service binding were checked
+//! there (§3.4: "Signature
 //! verification is parallelized for messages received from replicas and
 //! clients"): the batch's signatures form one job slice, checked by the
 //! combined equation of [`ia_ccf_crypto::verify_batch_indices`] — whole
@@ -25,38 +30,39 @@
 
 use ia_ccf_crypto::VerifyJob;
 use ia_ccf_pool::{TaskHandle, WorkerPool};
-use ia_ccf_types::{Digest, PrePrepare, RequestAction, SignedRequest};
+use ia_ccf_types::{Digest, PrePrepare, PublicKey, RequestAction, SignedRequest};
 
 use crate::replica::Replica;
 
-/// Client-signature verification in flight on the worker pool: the
-/// batch's unverified app-request digests, plus one [`TaskHandle`] per
-/// job chunk (chunk results carry their base offset so the failed-index
-/// list stitches back in ascending order).
+/// Request-signature verification in flight on the worker pool: the
+/// batch's unverified request digests, plus one [`TaskHandle`] per job
+/// chunk (chunk results carry their base offset so the failed-index list
+/// stitches back in ascending order).
 pub(crate) struct PendingVerify {
     digests: Vec<Digest>,
     chunks: Vec<(usize, TaskHandle<Vec<usize>>)>,
-    /// False when a request referenced an unknown client key (detected
-    /// at collection time, not worth a pool round-trip).
-    all_ok: bool,
+    /// Requests rejected at collection time (unknown key, foreign
+    /// service): not worth a pool round-trip.
+    rejected: Vec<Digest>,
 }
 
 impl PendingVerify {
     /// Join every chunk and return the failed indices, ascending.
-    fn join_failed(self) -> (Vec<Digest>, Vec<usize>, bool) {
+    fn join_failed(self) -> (Vec<Digest>, Vec<usize>, Vec<Digest>) {
         let mut failed = Vec::new();
         for (base, handle) in self.chunks {
             failed.extend(handle.join().into_iter().map(|i| base + i));
         }
         failed.sort_unstable();
-        (self.digests, failed, self.all_ok)
+        (self.digests, failed, self.rejected)
     }
 }
 
-/// A batch-verification pass either completed inline (serial pool, empty
-/// job list, or signature checks disabled) or is pending on the pool.
+/// A batch-verification pass either completed inline (serial pool or an
+/// empty job list) — carrying the rejected requests' digests — or is
+/// pending on the pool.
 pub(crate) enum BatchVerify {
-    Done(bool),
+    Done(Vec<Digest>),
     Pending(PendingVerify),
 }
 
@@ -92,34 +98,41 @@ impl Replica {
         }
     }
 
-    /// `verify(t)`: service binding and membership at admission. Client
-    /// signature checks on app requests are *deferred* to batch time and
-    /// verified in parallel (§3.4).
-    pub(crate) fn verify_request(&self, req: &SignedRequest) -> bool {
-        if req.request.gt_hash != self.gt_hash {
-            return false;
-        }
-        match &req.request.action {
-            RequestAction::System(_) => false, // never accepted from the network
-            RequestAction::Governance(_) => {
-                let member = ia_ccf_governance::chain::member_of(req);
-                match self.gov.active().member_key(member) {
-                    Some(key) => req.verify_with(key),
-                    None => false,
+    /// `verify(t)` at the client-facing door: service binding and a known
+    /// signer — a cheap filter. Signatures themselves are checked at batch
+    /// time, in parallel (§3.4), for every door alike.
+    fn verify_request(&self, req: &SignedRequest) -> bool {
+        req.request.gt_hash == self.gt_hash
+            && match &req.request.action {
+                RequestAction::System(_) => false, // never accepted from the network
+                RequestAction::Governance(_) => self.signer_key(req).is_some(),
+                RequestAction::App { .. } => {
+                    !self.params.verify_client_sigs || self.signer_key(req).is_some()
                 }
             }
-            RequestAction::App { .. } => {
-                !self.params.verify_client_sigs
-                    || self.client_keys.contains_key(&req.request.client)
-            }
+    }
+
+    /// The key `req`'s signature must verify under: the registered client
+    /// key for app requests, the member's key in the active configuration
+    /// for governance. System requests are unsigned.
+    fn signer_key(&self, req: &SignedRequest) -> Option<PublicKey> {
+        match &req.request.action {
+            RequestAction::App { .. } => self.client_keys.get(&req.request.client).copied(),
+            RequestAction::Governance(_) => self
+                .gov
+                .active()
+                .member_key(ia_ccf_governance::chain::member_of(req))
+                .copied(),
+            RequestAction::System(_) => None,
         }
     }
 
-    /// Batch-verify the client signatures of `requests`, caching
-    /// successes. The batch's unverified app requests become one
-    /// [`VerifyJob`] slice fanned out over the worker pool (§3.4).
-    /// Returns false when any signature is invalid or unkeyed.
-    pub(crate) fn ensure_batch_verified(&mut self, requests: &[SignedRequest]) -> bool {
+    /// Batch-verify the signatures of `requests`, caching successes. The
+    /// batch's unverified requests become one [`VerifyJob`] slice fanned
+    /// out over the worker pool (§3.4). Returns the digests of the
+    /// requests that must not execute (forged, unkeyed, foreign); empty
+    /// when the whole batch verified.
+    pub(crate) fn ensure_batch_verified(&mut self, requests: &[SignedRequest]) -> Vec<Digest> {
         let pass = self.start_batch_verify(requests);
         self.finish_batch_verify(pass)
     }
@@ -131,80 +144,84 @@ impl Replica {
     /// (or nothing to verify) the pass completes inline, byte-for-byte
     /// like the pre-pool replica.
     pub(crate) fn start_batch_verify(&mut self, requests: &[SignedRequest]) -> BatchVerify {
-        if !self.params.verify_client_sigs {
-            return BatchVerify::Done(true);
-        }
         self.harvest_prewarm();
-        let (digests, jobs, all_ok) = self.collect_verify_jobs(requests.iter());
+        let (digests, jobs, rejected) = self.collect_verify_jobs(requests.iter());
         if jobs.is_empty() {
-            return BatchVerify::Done(all_ok);
+            return BatchVerify::Done(rejected);
         }
         if self.pool.threads() <= 1 {
             let failed = ia_ccf_crypto::verify_batch_indices(&jobs);
-            return BatchVerify::Done(self.absorb_verify_results(&digests, &failed) && all_ok);
+            return BatchVerify::Done(self.absorb_verify_results(&digests, &failed, rejected));
         }
         let chunks = spawn_verify_chunks(&self.pool, jobs);
-        BatchVerify::Pending(PendingVerify { digests, chunks, all_ok })
+        BatchVerify::Pending(PendingVerify { digests, chunks, rejected })
     }
 
     /// Second half: join the in-flight chunks (if any), cache the valid
-    /// digests, and report whether the whole batch verified.
-    pub(crate) fn finish_batch_verify(&mut self, pass: BatchVerify) -> bool {
+    /// digests, and return the rejected ones (empty: the batch verified).
+    pub(crate) fn finish_batch_verify(&mut self, pass: BatchVerify) -> Vec<Digest> {
         match pass {
-            BatchVerify::Done(ok) => ok,
+            BatchVerify::Done(rejected) => rejected,
             BatchVerify::Pending(pending) => {
-                let (digests, failed, all_ok) = pending.join_failed();
-                self.absorb_verify_results(&digests, &failed) && all_ok
+                let (digests, failed, rejected) = pending.join_failed();
+                self.absorb_verify_results(&digests, &failed, rejected)
             }
         }
     }
 
     /// Cache every digest whose index is not in the (ascending) failed
-    /// list; returns true iff nothing failed.
-    fn absorb_verify_results(&mut self, digests: &[Digest], failed: &[usize]) -> bool {
+    /// list; the failed ones join `rejected`.
+    fn absorb_verify_results(
+        &mut self,
+        digests: &[Digest],
+        failed: &[usize],
+        mut rejected: Vec<Digest>,
+    ) -> Vec<Digest> {
         let mut next_failure = failed.iter().peekable();
-        let mut ok = true;
         for (i, digest) in digests.iter().enumerate() {
             if next_failure.peek() == Some(&&i) {
                 next_failure.next();
-                ok = false;
+                rejected.push(*digest);
             } else {
                 self.verified_reqs.insert(*digest);
             }
         }
-        ok
+        rejected
     }
 
-    /// The unverified app-request jobs among `requests`, in order.
-    /// `all_ok` comes back false when a request's client key is unknown.
+    /// The signature jobs of the not-yet-verified `requests`, in order,
+    /// plus the digests rejected outright: a request bound to another
+    /// service, or one whose signer has no key. System requests carry no
+    /// signature — a checkpoint mark is legal only where
+    /// `validate_batch_kind` and the schedule put it, and is judged by the
+    /// digest comparison at execution. App requests pass unchecked under
+    /// the `verify_client_sigs` ablation.
     fn collect_verify_jobs<'a>(
         &self,
         requests: impl Iterator<Item = &'a SignedRequest>,
-    ) -> (Vec<Digest>, Vec<VerifyJob>, bool) {
-        let mut all_ok = true;
+    ) -> (Vec<Digest>, Vec<VerifyJob>, Vec<Digest>) {
+        let mut rejected: Vec<Digest> = Vec::new();
         let mut digests: Vec<Digest> = Vec::new();
         let mut jobs: Vec<VerifyJob> = Vec::new();
         for r in requests {
-            if !matches!(r.request.action, RequestAction::App { .. }) {
-                continue;
+            match r.request.action {
+                RequestAction::System(_) => continue,
+                RequestAction::App { .. } if !self.params.verify_client_sigs => continue,
+                _ => {}
             }
             let digest = r.digest();
             if self.verified_reqs.contains(&digest) {
                 continue;
             }
-            match self.client_keys.get(&r.request.client) {
+            match self.signer_key(r).filter(|_| r.request.gt_hash == self.gt_hash) {
                 Some(key) => {
                     digests.push(digest);
-                    jobs.push(VerifyJob {
-                        key: *key,
-                        msg: r.request.signing_payload(),
-                        sig: r.sig,
-                    });
+                    jobs.push(VerifyJob { key, msg: r.request.signing_payload(), sig: r.sig });
                 }
-                None => all_ok = false,
+                None => rejected.push(digest),
             }
         }
-        (digests, jobs, all_ok)
+        (digests, jobs, rejected)
     }
 
     /// Cross-batch overlap: while the batch at `seq_next` executes, start
@@ -214,10 +231,7 @@ impl Replica {
     /// `harvest_prewarm` at the next admission; no-ops on a size-1 pool
     /// (there is no spare worker to overlap onto).
     pub(crate) fn prewarm_next_batch_verify(&mut self) {
-        if !self.params.verify_client_sigs
-            || self.pool.threads() <= 1
-            || self.prewarm_verify.is_some()
-        {
+        if self.pool.threads() <= 1 || self.prewarm_verify.is_some() {
             return;
         }
         let next_seq = self.seq_next.next();
@@ -238,7 +252,7 @@ impl Replica {
             return;
         }
         let chunks = spawn_verify_chunks(&self.pool, jobs);
-        self.prewarm_verify = Some(PendingVerify { digests, chunks, all_ok: true });
+        self.prewarm_verify = Some(PendingVerify { digests, chunks, rejected: Vec::new() });
     }
 
     /// Fold a finished (or still-running: join blocks) prewarm pass into
@@ -246,19 +260,24 @@ impl Replica {
     /// cached — the owning batch's own verification pass rejects them.
     pub(crate) fn harvest_prewarm(&mut self) {
         if let Some(pending) = self.prewarm_verify.take() {
-            let (digests, failed, _) = pending.join_failed();
-            self.absorb_verify_results(&digests, &failed);
+            let (digests, failed, rejected) = pending.join_failed();
+            self.absorb_verify_results(&digests, &failed, rejected);
         }
     }
 
+    /// Store a request body and queue it for ordering. System requests
+    /// are stored only (a checkpoint batch's backups fetch the mark's
+    /// body): the schedule proposes them, the queue never does.
     pub(crate) fn admit_request(&mut self, req: SignedRequest) {
         let digest = req.digest();
         if self.executed_reqs.contains(&digest) || self.req_store.contains_key(&digest) {
             // Already known. If executed and committed, re-serve the reply.
             return;
         }
+        if !req.is_system() {
+            self.pending_reqs.push_back(digest);
+        }
         self.req_store.insert(digest, req);
-        self.pending_reqs.push_back(digest);
     }
 
     /// Pop up to `batch_max` orderable requests, stopping after a

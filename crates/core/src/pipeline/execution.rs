@@ -40,18 +40,17 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ia_ccf_crypto::{Digest, Hasher};
-use ia_ccf_governance::chain::{GOV_OUTPUT_PASSED, GOV_OUTPUT_RECORDED};
+use ia_ccf_crypto::Digest;
 use ia_ccf_governance::GovOutcome;
 use ia_ccf_kv::{Key, SpeculativeGroup, TxWriteSet};
 use ia_ccf_merkle::MerkleTree;
 use ia_ccf_types::{
-    BatchKind, ClientId, LedgerIdx, RequestAction, SeqNum, SignedRequest, SystemOp, TxResult,
-    View,
+    BatchKind, ClientId, LedgerIdx, RequestAction, SeqNum, SignedRequest, TxResult, View,
 };
 
 use crate::checkpoint::CheckpointRecord;
 use crate::events::Output;
+use crate::execute::{execute_tx, run_procedure, Effect, Executed, MarkCheck};
 use crate::replica::Replica;
 
 /// One conflict-free group's speculative output: `(batch position,
@@ -308,37 +307,18 @@ impl Replica {
                     .enumerate()
                     .map(|(pos_in_group, &i)| {
                         let Lane::Parallel(keys) = &lanes[i] else { unreachable!() };
-                        let RequestAction::App { proc, args } = &reqs[i].request.action else {
-                            unreachable!("parallel lane only holds app requests")
-                        };
+                        // The group's last tx has no readers left: skip
+                        // publishing its delta (singleton groups dominate
+                        // uncontended batches).
                         let is_last = pos_in_group + 1 == members.len();
-                        let mut tx = spec.begin_tx(keys);
-                        match app.execute(&mut tx, *proc, args, reqs[i].request.client) {
-                            Ok(output) => {
-                                // The group's last tx has no readers left:
-                                // skip publishing its delta (singleton
-                                // groups dominate uncontended batches).
-                                let ws = if is_last { tx.commit_final() } else { tx.commit() };
-                                let digest = ws.digest();
-                                (
-                                    i,
-                                    TxResult { ok: true, output, write_set_digest: digest },
-                                    Some(ws),
-                                )
-                            }
-                            Err(e) => {
-                                tx.abort();
-                                (
-                                    i,
-                                    TxResult {
-                                        ok: false,
-                                        output: e.0.into_bytes(),
-                                        write_set_digest: Digest::zero(),
-                                    },
-                                    None,
-                                )
-                            }
-                        }
+                        let (result, ws) = run_procedure(
+                            &*app,
+                            &reqs[i],
+                            spec.begin_tx(keys),
+                            |tx| if is_last { tx.commit_final() } else { tx.commit() },
+                            |tx| tx.abort(),
+                        );
+                        (i, result, ws)
                     })
                     .collect()
             };
@@ -390,93 +370,33 @@ impl Replica {
         self.kv.apply_write_sets(&self.pool, write_sets);
     }
 
-    fn execute_one(&mut self, _seq: SeqNum, req: &SignedRequest) -> Result<TxResult, ExecError> {
-        self.kv.begin_tx().expect("no nested tx");
-        match &req.request.action {
-            RequestAction::App { proc, args } => {
-                match self.app.execute(&mut self.kv, *proc, args, req.request.client) {
-                    Ok(output) => {
-                        let ws = self.kv.commit_tx().expect("tx open");
-                        Ok(TxResult { ok: true, output, write_set_digest: ws.digest() })
-                    }
-                    Err(e) => {
-                        self.kv.abort_tx().expect("tx open");
-                        Ok(TxResult {
-                            ok: false,
-                            output: e.0.into_bytes(),
-                            write_set_digest: Digest::zero(),
-                        })
-                    }
+    /// The serial lane: one call of the shared rule
+    /// ([`crate::execute::execute_tx`]) plus the replica's own reaction to
+    /// its effect.
+    fn execute_one(&mut self, seq: SeqNum, req: &SignedRequest) -> Result<TxResult, ExecError> {
+        let cp_digests = &self.cp_digests;
+        let Executed { result, effect } =
+            execute_tx(&*self.app, &mut self.gov, &mut self.kv, req, |s| {
+                cp_digests.get(&s).copied()
+            });
+        match effect {
+            Effect::None => {}
+            Effect::Governance(outcome) => {
+                // Governance mutated: refresh the copy-on-write rollback
+                // snapshot (rejected actions never mutate).
+                self.gov_snapshot = Arc::new(self.gov.clone());
+                if let GovOutcome::ReferendumPassed(new_config) = outcome {
+                    self.begin_reconfig(*new_config, seq);
                 }
             }
-            RequestAction::Governance(action) => {
-                let member = ia_ccf_governance::chain::member_of(req);
-                match self.gov.apply(member, action) {
-                    Ok(outcome) => {
-                        // Governance mutated: refresh the copy-on-write
-                        // rollback snapshot (Err paths never mutate).
-                        self.gov_snapshot = std::sync::Arc::new(self.gov.clone());
-                        // Mirror governance state into the store so
-                        // checkpoints capture it (replay needs it).
-                        let snapshot = self.gov_state_snapshot();
-                        self.kv
-                            .put(b"\x00gov_state".to_vec(), snapshot)
-                            .expect("tx open");
-                        let ws = self.kv.commit_tx().expect("tx open");
-                        let output = match &outcome {
-                            GovOutcome::Recorded => GOV_OUTPUT_RECORDED.to_vec(),
-                            GovOutcome::ReferendumPassed(_) => GOV_OUTPUT_PASSED.to_vec(),
-                        };
-                        if let GovOutcome::ReferendumPassed(new_config) = outcome {
-                            self.begin_reconfig(*new_config, _seq);
-                        }
-                        Ok(TxResult { ok: true, output, write_set_digest: ws.digest() })
-                    }
-                    Err(e) => {
-                        self.kv.abort_tx().expect("tx open");
-                        Ok(TxResult {
-                            ok: false,
-                            output: e.to_string().into_bytes(),
-                            write_set_digest: Digest::zero(),
-                        })
-                    }
-                }
-            }
-            RequestAction::System(SystemOp::CheckpointMark { checkpoint_seq, kv_digest, .. }) => {
-                self.kv.commit_tx().expect("tx open");
-                if !self.params.checkpoints_enabled {
-                    return Ok(TxResult {
-                        ok: true,
-                        output: Vec::new(),
-                        write_set_digest: Digest::zero(),
-                    });
-                }
-                match self.cp_digests.get(checkpoint_seq) {
-                    Some(own) if own == kv_digest => Ok(TxResult {
-                        ok: true,
-                        output: Vec::new(),
-                        write_set_digest: Digest::zero(),
-                    }),
-                    _ => Err(ExecError::CheckpointMismatch),
+            // A backup that cannot vouch for the digest rejects the batch.
+            Effect::Mark(check) => {
+                if self.params.checkpoints_enabled && check != MarkCheck::Matches {
+                    return Err(ExecError::CheckpointMismatch);
                 }
             }
         }
-    }
-
-    /// Serialize governance state (active config digest + open proposals)
-    /// for the KV mirror. Deterministic across replicas.
-    fn gov_state_snapshot(&self) -> Vec<u8> {
-        let mut h = Hasher::new();
-        h.update(self.gov.active().digest());
-        for p in self.gov.proposals() {
-            h.update(p.proposer.0.to_le_bytes());
-            h.update(p.id.to_le_bytes());
-            h.update(p.new_config.digest());
-            for m in &p.approvals {
-                h.update(m.0.to_le_bytes());
-            }
-        }
-        h.finalize().as_ref().to_vec()
+        Ok(result)
     }
 
     pub(crate) fn take_checkpoint(&mut self, seq: SeqNum) {
@@ -505,6 +425,9 @@ impl Replica {
         // from this batch onward are undone with the snapshot; a
         // configuration that first took effect after the rolled-back
         // point loses its history entry too.
+        if self.gov.active().number != mark.gov_before.active().number {
+            self.verified_reqs.clear(); // back under the previous configuration's keys
+        }
         self.gov = (*mark.gov_before).clone();
         self.gov_snapshot = std::sync::Arc::clone(&mark.gov_before);
         self.config_first_seq.retain(|(first, _)| first.0 <= seq.0);

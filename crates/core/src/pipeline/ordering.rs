@@ -79,16 +79,16 @@ impl Replica {
             }
             let requests: Vec<SignedRequest> =
                 eligible.iter().map(|d| self.req_store[d].clone()).collect();
-            if !self.ensure_batch_verified(&requests) {
-                // Evict the forged requests and retry with the valid
-                // remainder, back at the head of the queue in its order.
-                for (digest, r) in eligible.iter().zip(&requests).rev() {
-                    if !matches!(r.request.action, ia_ccf_types::RequestAction::App { .. })
-                        || self.verified_reqs.contains(digest)
-                    {
-                        self.pending_reqs.push_front(*digest);
-                    } else {
+            let rejected = self.ensure_batch_verified(&requests);
+            if !rejected.is_empty() {
+                // Evict the forged requests — whatever their class — and
+                // retry with the valid remainder, back at the head of the
+                // queue in its order.
+                for digest in eligible.iter().rev() {
+                    if rejected.contains(digest) {
                         self.req_store.remove(digest);
+                    } else {
+                        self.pending_reqs.push_front(*digest);
                     }
                 }
                 continue;
@@ -315,15 +315,15 @@ impl Replica {
             }
         }
 
+        let requests: Vec<SignedRequest> =
+            batch.iter().map(|h| self.req_store[h].clone()).collect();
         // Kind-specific validation before execution.
-        if let Err(e) = self.validate_batch_kind(&pp, &batch) {
+        if let Err(e) = self.validate_batch_kind(&pp, &requests) {
             self.debug_reject(&pp, &format!("kind validation: {e:?}"));
             self.rollback_batch(seq, &mark);
             return;
         }
 
-        let requests: Vec<SignedRequest> =
-            batch.iter().map(|h| self.req_store[h].clone()).collect();
         // Pipelined verify-while-execute: hand this batch's signature
         // checks to the worker pool, start verifying the *next* stashed
         // pre-prepare's signatures too (cross-batch overlap), and execute
@@ -334,7 +334,7 @@ impl Replica {
         let verify = self.start_batch_verify(&requests);
         self.prewarm_next_batch_verify();
         let exec_result = self.execute_batch(seq, view, pp.core.kind, &requests);
-        if !self.finish_batch_verify(verify) {
+        if !self.finish_batch_verify(verify).is_empty() {
             // A correct primary never includes a forged request.
             self.rollback_batch(seq, &mark);
             return;
@@ -388,16 +388,24 @@ impl Replica {
     }
 
     /// Kind-specific checks a backup applies before executing (§3.4, §5.1).
-    fn validate_batch_kind(&self, pp: &PrePrepare, batch: &[Digest]) -> Result<(), ExecError> {
+    fn validate_batch_kind(
+        &self,
+        pp: &PrePrepare,
+        batch: &[SignedRequest],
+    ) -> Result<(), ExecError> {
         match pp.core.kind {
+            // System requests are legal only as the single request of a
+            // checkpoint batch.
             BatchKind::Regular => {
-                if pp.core.committed_root.is_some() {
+                if pp.core.committed_root.is_some()
+                    || batch.iter().any(SignedRequest::is_system)
+                {
                     return Err(ExecError::KindMismatch);
                 }
                 Ok(())
             }
             BatchKind::Checkpoint => {
-                if batch.len() != 1 {
+                if batch.len() != 1 || !batch[0].is_system() {
                     return Err(ExecError::KindMismatch);
                 }
                 Ok(()) // digest equality validated during execution

@@ -61,8 +61,11 @@ pub struct Replica {
     pub(crate) pending_reqs: VecDeque<Digest>,
     pub(crate) req_store: HashMap<Digest, SignedRequest>,
     pub(crate) executed_reqs: HashSet<Digest>,
-    /// App requests whose client signatures have been verified (client
-    /// signature checks are deferred and batch-verified, §3.4).
+    /// Requests whose signatures have been verified — client keys for app
+    /// requests, member keys of the active configuration for governance
+    /// (signature checks are deferred and batch-verified, §3.4). Cleared
+    /// whenever the active configuration changes: the facts are relative
+    /// to its keys.
     pub(crate) verified_reqs: HashSet<Digest>,
 
     // Message/nonce stores.
@@ -276,23 +279,23 @@ impl Replica {
 
     /// Rebuild a crashed replica from its durable ledger directory
     /// (`params.data_dir`): open the segment files (the chunk-level
-    /// torn-tail repair runs inside the open), cut any structurally
-    /// incomplete trailing segment the crash left behind, replay the
-    /// surviving prefix through the normal bootstrap verification, and
-    /// re-attach the log so the repaired file tail matches the replayed
-    /// state byte for byte. The replica then resumes — typically via
-    /// [`Replica::begin_ledger_sync`], which pages only from its first
-    /// missing batch (the applied prefix is never re-fetched).
+    /// torn-tail repair runs inside the open), pick the state the run
+    /// continues from, cut any structurally incomplete trailing segment
+    /// the crash left behind, replay the surviving run through the normal
+    /// bootstrap verification, and re-attach the log so the repaired file
+    /// tail matches the replayed state byte for byte. The replica then
+    /// resumes — typically via [`Replica::begin_ledger_sync`], which pages
+    /// only from its first missing batch (the applied prefix is never
+    /// re-fetched).
     ///
-    /// Two on-disk layouts restart. A **full-history** directory (base-0
-    /// segments, no seed file) replays from genesis. A **seeded**
-    /// directory — `checkpoint.cp` plus a suffix segment run whose
-    /// manifest base equals the seed's ledger length — re-runs the seed's
-    /// verification chain locally, replays only the surviving suffix
-    /// tail, and leaves the paged sync to fetch just the batches past its
-    /// durable frontier: the prefix costs zero network bytes. A seed file
-    /// next to a *non-empty base-0 run* means the crash landed before the
-    /// prefix retired; the full history is intact and wins.
+    /// Two on-disk layouts restart, and they differ only in that base. A
+    /// **full-history** directory (base-0 segments, no seed file) starts
+    /// from the genesis entry its run opens with. A **seeded** directory —
+    /// `checkpoint.cp` plus a suffix segment run whose manifest base equals
+    /// the seed's ledger length — starts from the seed checkpoint, re-run
+    /// through the verification chain a network fast-path would run, and
+    /// leaves the paged sync to fetch just the batches past its durable
+    /// frontier: the prefix costs zero network bytes.
     pub fn restart_from_dir(
         id: ReplicaId,
         keypair: ia_ccf_crypto::KeyPair,
@@ -306,150 +309,102 @@ impl Replica {
                 "restart_from_dir needs params.data_dir".into(),
             ));
         };
-        let (log, raw) = ia_ccf_ledger::DurableLog::open_with_roll(
-            &dir,
-            params.fsync_interval_batches,
-            params.resolved_durable_roll_bytes(),
-        )
-        .map_err(|e| BootstrapError::Malformed(format!("durable log: {e}")))?;
-        let seed = crate::seedfile::SeedCheckpointFile::load(&dir)
-            .map_err(|e| BootstrapError::Malformed(format!("seed checkpoint: {e}")))?;
-        match seed {
-            None if log.base() == 0 => {
-                Self::restart_full_history(id, keypair, app, params, client_keys, dir, log, raw)
-            }
-            None => Err(BootstrapError::Malformed(format!(
-                "suffix segments at base {} without a seed checkpoint file",
-                log.base()
-            ))),
-            Some(_) if log.base() == 0 && !raw.is_empty() => {
-                Self::restart_full_history(id, keypair, app, params, client_keys, dir, log, raw)
-            }
-            Some(seed) => {
-                Self::restart_seeded(id, keypair, app, params, client_keys, dir, log, raw, seed)
-            }
-        }
-    }
-
-    /// Full-history restart: structural repair, replay from genesis,
-    /// re-attach. Bootstrap replays in memory first; the held log
-    /// attaches after, so replay never double-writes the files it was
-    /// read from.
-    #[allow(clippy::too_many_arguments)]
-    fn restart_full_history(
-        id: ReplicaId,
-        keypair: ia_ccf_crypto::KeyPair,
-        app: Arc<dyn App>,
-        params: ProtocolParams,
-        client_keys: impl IntoIterator<Item = (ClientId, PublicKey)>,
-        dir: std::path::PathBuf,
-        log: ia_ccf_ledger::DurableLog,
-        raw: Vec<LedgerEntry>,
-    ) -> Result<Replica, crate::bootstrap::BootstrapError> {
-        use crate::bootstrap::BootstrapError;
-        let keep = Self::structural_prefix(&raw);
-        let mut boot_params = params;
-        boot_params.data_dir = None;
-        let mut replica = Self::bootstrap(id, keypair, app, boot_params, client_keys, &raw[..keep])?;
-        replica.params.data_dir = Some(dir);
-        replica
-            .ledger
-            .attach_durable(log)
-            .map_err(|e| BootstrapError::Malformed(format!("durable log: {e}")))?;
-        Ok(replica)
-    }
-
-    /// Seeded restart: rebuild the replica from the persisted seed
-    /// checkpoint (re-running the full verification chain a network
-    /// fast-path would), then structural-repair and replay the suffix
-    /// tail that survived on disk. No network traffic — the caller's
-    /// paged sync covers only batches past the durable frontier.
-    #[allow(clippy::too_many_arguments)]
-    fn restart_seeded(
-        id: ReplicaId,
-        keypair: ia_ccf_crypto::KeyPair,
-        app: Arc<dyn App>,
-        params: ProtocolParams,
-        client_keys: impl IntoIterator<Item = (ClientId, PublicKey)>,
-        dir: std::path::PathBuf,
-        mut log: ia_ccf_ledger::DurableLog,
-        mut raw: Vec<LedgerEntry>,
-        seed: crate::seedfile::SeedCheckpointFile,
-    ) -> Result<Replica, crate::bootstrap::BootstrapError> {
-        use crate::bootstrap::BootstrapError;
+        let malformed = |what: &str, e: &dyn std::fmt::Display| {
+            BootstrapError::Malformed(format!("{what}: {e}"))
+        };
         let fsync = params.fsync_interval_batches;
         let roll = params.resolved_durable_roll_bytes();
-        // Normalize the suffix log. `base == ledger_len` is the committed
-        // layout; an *empty* base-0 log next to a seed file means the
-        // crash landed after the prefix retired but before the manifest
-        // committed — recreate the empty suffix run at the seed point.
-        if log.base() == 0 && raw.is_empty() {
-            drop(log);
-            log = ia_ccf_ledger::DurableLog::create_suffix(&dir, fsync, roll, seed.ledger_len)
-                .map_err(|e| BootstrapError::Malformed(format!("durable log: {e}")))?;
-        } else if log.base() != seed.ledger_len {
-            return Err(BootstrapError::Malformed(format!(
-                "suffix log base {} does not match the seed checkpoint's ledger length {}",
-                log.base(),
-                seed.ledger_len
-            )));
-        }
-        // Rebuild from the seed: genesis configuration first (the suffix
-        // holds no genesis entry), then the verified checkpoint restore —
-        // the same chain a network-seeded recovery runs.
-        let genesis = match LedgerEntry::from_bytes(&seed.genesis_entry) {
-            Ok(LedgerEntry::Genesis { config }) => config,
-            _ => return Err(BootstrapError::NoGenesis),
-        };
+        let (mut log, mut raw) = ia_ccf_ledger::DurableLog::open_with_roll(&dir, fsync, roll)
+            .map_err(|e| malformed("durable log", &e))?;
+        // A seed file next to a *non-empty base-0 run* means the crash
+        // landed before the prefix retired; the full history is intact
+        // and wins.
+        let seed = crate::seedfile::SeedCheckpointFile::load(&dir)
+            .map_err(|e| malformed("seed checkpoint", &e))?
+            .filter(|_| log.base() != 0 || raw.is_empty());
+        // Replay runs in memory; the held log attaches after, so replay
+        // never double-writes the files it was read from (nor re-persists
+        // the seed it was restored from).
         let mut boot_params = params;
         boot_params.data_dir = None;
-        let mut replica = Replica::new(id, keypair, genesis, app, boot_params, client_keys)
-            .map_err(|e| BootstrapError::Malformed(format!("replica init: {e}")))?;
-        replica.restore_checkpoint_from_seed(&seed)?;
-        // The suffix run opens with the seed batch's own entries (the
-        // attach reconcile wrote them at seed time). A disk run that does
-        // not reproduce them byte for byte — or stops short of them — is
-        // corruption or a torn reconcile: drop the run entirely; the
-        // restored seed plus paged sync re-covers it.
-        let n = seed.seed_entries.len();
-        let matches = raw.len() >= n
-            && raw[..n].iter().zip(&seed.seed_entries).all(|(e, b)| &e.to_bytes() == b);
-        if !matches {
-            log.truncate_entries(0)
-                .map_err(|e| BootstrapError::Malformed(format!("durable log: {e}")))?;
-            raw.clear();
+
+        // Pick the base the run's entries continue from: the genesis entry
+        // the run opens with, or the verified seed file.
+        if seed.is_none() && log.base() != 0 {
+            return Err(BootstrapError::Malformed(format!(
+                "suffix segments at base {} without a seed checkpoint file",
+                log.base()
+            )));
         }
-        let tail = &raw[n.min(raw.len())..];
+        let genesis_entry = match &seed {
+            Some(seed) => LedgerEntry::from_bytes(&seed.genesis_entry).ok(),
+            None => raw.first().cloned(),
+        };
+        let Some(LedgerEntry::Genesis { config: genesis }) = genesis_entry else {
+            return Err(BootstrapError::NoGenesis);
+        };
+        let mut replica = Replica::new(id, keypair, genesis, app, boot_params, client_keys)
+            .map_err(|e| malformed("replica init", &e))?;
+        // How many leading entries of the run the base already covers.
+        let covered = match seed {
+            None => 1, // the genesis entry
+            Some(seed) => {
+                // `base == ledger_len` is the committed layout; an *empty*
+                // base-0 log next to a seed file means the crash landed
+                // after the prefix retired but before the manifest
+                // committed — recreate the empty suffix run at the seed
+                // point.
+                if log.base() == 0 {
+                    drop(log);
+                    let base = seed.ledger_len;
+                    log = ia_ccf_ledger::DurableLog::create_suffix(&dir, fsync, roll, base)
+                        .map_err(|e| malformed("durable log", &e))?;
+                } else if log.base() != seed.ledger_len {
+                    return Err(BootstrapError::Malformed(format!(
+                        "suffix log base {} does not match the seed checkpoint's ledger length {}",
+                        log.base(),
+                        seed.ledger_len
+                    )));
+                }
+                // The verified checkpoint restore — the same chain a
+                // network-seeded recovery runs.
+                replica.restore_checkpoint_from_seed(&seed)?;
+                // The suffix run opens with the seed batch's own entries
+                // (the attach reconcile wrote them at seed time). A disk
+                // run that does not reproduce them byte for byte — or stops
+                // short of them — is corruption or a torn reconcile: drop
+                // the run entirely; the restored seed plus paged sync
+                // re-covers it.
+                let n = seed.seed_entries.len();
+                let matches = raw.len() >= n
+                    && raw[..n].iter().zip(&seed.seed_entries).all(|(e, b)| &e.to_bytes() == b);
+                if !matches {
+                    log.truncate_entries(0).map_err(|e| malformed("durable log", &e))?;
+                    raw.clear();
+                }
+                n.min(raw.len())
+            }
+        };
+
+        // One body from here: structural repair, replay, re-attach.
+        let tail = &raw[covered..];
         let base = replica.ledger.len() as usize;
         let keep = Self::structural_prefix_at(tail, base);
         replica.replay_entries(&tail[..keep], base)?;
         replica.params.data_dir = Some(dir);
-        replica
-            .ledger
-            .attach_durable(log)
-            .map_err(|e| BootstrapError::Malformed(format!("durable log: {e}")))?;
+        replica.ledger.attach_durable(log).map_err(|e| malformed("durable log", &e))?;
         Ok(replica)
     }
 
-    /// The longest prefix of `raw` (genesis included) that parses into
-    /// complete segments — the structural half of torn-tail repair. The
-    /// chunk framing already guarantees crash cuts land on append-call
-    /// boundaries, but one batch is *two* appends (evidence pair, then
-    /// pre-prepare + transactions) and a view change is two as well, so a
-    /// crash between them leaves a structurally incomplete tail that must
-    /// be cut — never parsed into state. Committed batches are always
-    /// complete on disk, so the cut only ever drops an unfinished tail.
-    fn structural_prefix(raw: &[LedgerEntry]) -> usize {
-        if raw.len() <= 1 {
-            return raw.len();
-        }
-        1 + Self::structural_prefix_at(&raw[1..], 1)
-    }
-
-    /// [`Replica::structural_prefix`] for a post-genesis entry run
-    /// starting at absolute ledger position `base` — also the repair for
-    /// a seeded restart's suffix tail, whose entries never include
-    /// genesis.
+    /// The longest prefix of a post-genesis entry run, starting at
+    /// absolute ledger position `base`, that parses into complete segments
+    /// — the structural half of torn-tail repair. The chunk framing
+    /// already guarantees crash cuts land on append-call boundaries, but
+    /// one batch is *two* appends (evidence pair, then pre-prepare +
+    /// transactions) and a view change is two as well, so a crash between
+    /// them leaves a structurally incomplete tail that must be cut — never
+    /// parsed into state. Committed batches are always complete on disk,
+    /// so the cut only ever drops an unfinished tail.
     fn structural_prefix_at(entries: &[LedgerEntry], base: usize) -> usize {
         use ia_ccf_ledger::segment::segment_complete_prefix;
         let mut end = entries.len();
@@ -529,23 +484,6 @@ impl Replica {
     pub fn prepared_view_of(&self, seq: SeqNum) -> Option<View> {
         self.prepared_view.get(&seq).copied()
     }
-    /// Seed the key-value store before any batch executes — used by the
-    /// benchmark harness to pre-populate identical state (e.g. SmallBank
-    /// accounts) on every replica, standing in for a bulk-load phase.
-    /// Panics if batches have already executed.
-    pub fn prime_kv(&mut self, snapshot: &ia_ccf_kv::KvCheckpoint) {
-        assert_eq!(self.seq_next, SeqNum(1), "prime_kv only before execution");
-        self.kv.restore(snapshot);
-        // Re-baseline the genesis checkpoint on the seeded state.
-        self.cp_digests.insert(SeqNum(0), self.kv.digest());
-        self.checkpoints.insert(crate::checkpoint::CheckpointRecord {
-            seq: SeqNum(0),
-            kv: self.kv.checkpoint(),
-            frontier: self.ledger.frontier(),
-            ledger_len: self.ledger.len(),
-            next_tx_index: 1,
-        });
-    }
 
     // ------------------------------------------------------------------
     // Main entry point: stage dispatch.
@@ -614,10 +552,14 @@ impl Replica {
                 }
             }
             ProtocolMsg::FetchRequestsResponse { requests } => {
-                for r in requests {
-                    self.admit_request(r);
+                // Bodies only: nothing here is trusted until batch time
+                // verifies it (see `pipeline::admission`).
+                if let NodeId::Replica(_) = from {
+                    for r in requests {
+                        self.admit_request(r);
+                    }
+                    self.retry_stashed();
                 }
-                self.retry_stashed();
             }
             ProtocolMsg::FetchLedgerPage { from_seq, max_bytes } => {
                 if let NodeId::Replica(sender) = from {

@@ -56,12 +56,6 @@ impl KvCheckpoint {
         digest_of(&self.entries) == self.digest
     }
 
-    /// Forge a checkpoint whose advertised digest does not match its
-    /// contents. Only for fault-injection tests of the auditor.
-    pub fn forge_with_digest(entries: BTreeMap<Key, Value>, digest: Digest) -> Self {
-        KvCheckpoint { digest, entries }
-    }
-
     /// Serialize for checkpoint transfer:
     /// `digest || entry-count || (key-len, key, value-len, value)*`.
     /// The advertised digest travels with the entries so the receiver can
@@ -153,11 +147,15 @@ mod tests {
 
     #[test]
     fn forged_checkpoint_fails_integrity() {
-        let cp = KvCheckpoint::forge_with_digest(
-            BTreeMap::from([(b"a".to_vec(), b"1".to_vec())]),
-            Digest::zero(),
-        );
+        // The advertised digest travels first in the transfer encoding; a
+        // server lying about the contents sends one that does not match.
+        let honest = KvCheckpoint::from_entries(BTreeMap::from([(b"a".to_vec(), b"1".to_vec())]));
+        let mut bytes = honest.to_bytes();
+        bytes[0] ^= 1;
+        let cp = KvCheckpoint::from_bytes(&bytes).expect("structurally valid");
+        assert_eq!(cp.entries(), honest.entries());
         assert!(!cp.verify_integrity());
+        assert!(KvCheckpoint::from_bytes_verified(&bytes).is_none());
     }
 
     #[test]

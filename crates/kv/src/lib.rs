@@ -70,9 +70,9 @@ pub(crate) fn digest_entries<'a>(
 }
 
 /// Object-safe data-plane access to a store: the subset of operations a
-/// stored procedure may perform. Implemented by [`KvStore`] (single store:
-/// auditor replay, tests), [`ShardedKvStore`] (the replica's serial
-/// execution lane) and [`SpeculativeTx`] (conflict-free groups executing
+/// stored procedure may perform. Implemented by [`KvStore`] (one shard;
+/// baselines, tests), [`ShardedKvStore`] (the replica's serial execution
+/// lane and, with one shard, the auditor's replay) and [`SpeculativeTx`] (conflict-free groups executing
 /// in parallel). Keeping `App::execute` behind this trait is what lets the
 /// execution stage swap the backing view without the application noticing.
 pub trait KvAccess {
@@ -82,4 +82,18 @@ pub trait KvAccess {
     fn put(&mut self, key: Key, value: Value) -> Result<(), KvError>;
     /// Delete `key` inside the open transaction.
     fn delete(&mut self, key: Key) -> Result<(), KvError>;
+}
+
+/// A mutable borrow of a view is a view: lets code that owns "some open
+/// transaction" by value take the serial store by reference.
+impl<T: KvAccess + ?Sized> KvAccess for &mut T {
+    fn get(&self, key: &[u8]) -> Option<&Value> {
+        (**self).get(key)
+    }
+    fn put(&mut self, key: Key, value: Value) -> Result<(), KvError> {
+        (**self).put(key, value)
+    }
+    fn delete(&mut self, key: Key) -> Result<(), KvError> {
+        (**self).delete(key)
+    }
 }

@@ -256,31 +256,6 @@ fn collect_txs(entries: &[LedgerEntry], from: usize) -> Vec<usize> {
     txs
 }
 
-/// Check that batch sequence numbers advance by one within each view run
-/// (a fragment may begin mid-stream, so only adjacency is checked).
-pub fn check_seq_progression(segments: &[Segment]) -> Result<(), SegmentError> {
-    let mut prev: Option<(View, SeqNum)> = None;
-    for seg in segments {
-        if let Segment::Batch { seq, view, pp_at, .. } = seg {
-            if let Some((pv, ps)) = prev {
-                let monotone = if *view == pv {
-                    seq.0 == ps.0 + 1
-                } else {
-                    // A new view may re-propose prepared batches: it can step
-                    // back by up to the pipeline depth, but never skip ahead
-                    // by more than one.
-                    *view > pv && seq.0 <= ps.0 + 1
-                };
-                if !monotone {
-                    return Err(SegmentError { at: *pp_at, what: "sequence numbers not contiguous" });
-                }
-            }
-            prev = Some((*view, *seq));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,7 +353,6 @@ mod tests {
             matches!(&segs[2], Segment::Batch { evidence_at: Some(4), nonces_at: Some(5), tx_at, .. }
                 if tx_at.len() == 1)
         );
-        check_seq_progression(&segs).unwrap();
     }
 
     #[test]
@@ -444,29 +418,6 @@ mod tests {
         })];
         let err = segment_entries(&entries, 1).unwrap_err();
         assert_eq!(err.what, "new-view without view-change set");
-    }
-
-    #[test]
-    fn seq_progression_detects_gap() {
-        let segs = vec![
-            Segment::Batch {
-                evidence_at: None,
-                nonces_at: None,
-                pp_at: 0,
-                tx_at: vec![],
-                seq: SeqNum(1),
-                view: View(0),
-            },
-            Segment::Batch {
-                evidence_at: None,
-                nonces_at: None,
-                pp_at: 1,
-                tx_at: vec![],
-                seq: SeqNum(3),
-                view: View(0),
-            },
-        ];
-        assert!(check_seq_progression(&segs).is_err());
     }
 
     #[test]
@@ -539,30 +490,5 @@ mod tests {
         let (segs, consumed) = segment_complete_prefix(&[ev], 1).unwrap();
         assert!(segs.is_empty());
         assert_eq!(consumed, 0);
-    }
-
-    #[test]
-    fn seq_progression_allows_view_change_stepback() {
-        // After a view change, the new primary may re-propose the last
-        // prepared batches: seq steps back in a higher view.
-        let segs = vec![
-            Segment::Batch {
-                evidence_at: None,
-                nonces_at: None,
-                pp_at: 0,
-                tx_at: vec![],
-                seq: SeqNum(5),
-                view: View(0),
-            },
-            Segment::Batch {
-                evidence_at: None,
-                nonces_at: None,
-                pp_at: 1,
-                tx_at: vec![],
-                seq: SeqNum(4),
-                view: View(1),
-            },
-        ];
-        check_seq_progression(&segs).unwrap();
     }
 }

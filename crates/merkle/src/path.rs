@@ -56,12 +56,6 @@ impl MerklePath {
     pub fn verify(&self, leaf: Digest, root: Digest) -> bool {
         self.compute_root(leaf) == Some(root)
     }
-
-    /// Number of sibling hashes (logarithmic in the batch size; quoted in
-    /// §3.3 as the only non-constant receipt component).
-    pub fn proof_len(&self) -> usize {
-        self.siblings.len()
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +105,8 @@ mod tests {
         let leaves: Vec<Digest> = (0..300u32).map(|i| hash_bytes(&i.to_le_bytes())).collect();
         let t = MerkleTree::from_leaves(leaves.iter().copied());
         let p = t.path(123).unwrap();
-        // ceil(log2(300)) == 9
-        assert!(p.proof_len() <= 9, "{}", p.proof_len());
+        // ceil(log2(300)) == 9: the only non-constant receipt component
+        // (§3.3) is logarithmic in the batch size.
+        assert!(p.siblings.len() <= 9, "{}", p.siblings.len());
     }
 }

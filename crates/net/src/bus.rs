@@ -93,12 +93,6 @@ impl<T: Send + 'static> Bus<T> {
         BusEndpoint { bus: self.clone(), address, rx }
     }
 
-    /// Remove a node (a retired or crashed replica); its queued messages
-    /// are dropped.
-    pub fn deregister(&self, address: u64) {
-        self.inner.nodes.write().remove(&address);
-    }
-
     /// Send `msg` from `from` to `to`, applying the latency model.
     pub fn send(&self, from: u64, to: u64, msg: T) {
         let envelope = Envelope { from, to, msg };
@@ -271,15 +265,5 @@ mod tests {
         assert_eq!(b.try_recv().unwrap().msg, 9);
         assert_eq!(c.try_recv().unwrap().msg, 9);
         assert!(a.try_recv().is_none());
-    }
-
-    #[test]
-    fn deregistered_node_drops_messages() {
-        let bus: Bus<u32> = Bus::new(LatencyModel::Zero);
-        let a = bus.register(1);
-        let b = bus.register(2);
-        bus.deregister(2);
-        a.send(2, 5);
-        assert!(b.try_recv().is_none());
     }
 }

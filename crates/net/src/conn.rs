@@ -157,11 +157,6 @@ impl TcpPeer {
         self.queued_bytes.store(0, Ordering::Relaxed);
     }
 
-    /// Whether the connection behind this handle is gone.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
-    }
-
     /// Bytes currently queued and not yet written to the socket.
     pub fn queued_bytes(&self) -> usize {
         self.queued_bytes.load(Ordering::Relaxed)
@@ -412,7 +407,6 @@ mod tests {
         let peer = TcpPeer::new(1, 1024);
         assert!(peer.enqueue(Bytes::copy_from_slice(b"x")));
         peer.mark_closed();
-        assert!(peer.is_closed());
         assert_eq!(peer.queued_bytes(), 0, "queued chunks released on close");
         assert!(!peer.enqueue(Bytes::copy_from_slice(b"y")));
     }

@@ -79,11 +79,6 @@ impl Event {
     pub fn writable(&self) -> bool {
         self.raw & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0
     }
-
-    /// The peer hung up or the socket errored.
-    pub fn hangup(&self) -> bool {
-        self.raw & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0
-    }
 }
 
 /// A level-triggered epoll instance.
@@ -296,6 +291,5 @@ mod tests {
         poller.wait(&mut events, 2_000).unwrap();
         assert_eq!(events.len(), 1);
         assert!(events[0].readable(), "close must surface as readable (EOF)");
-        assert!(events[0].hangup());
     }
 }

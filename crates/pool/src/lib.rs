@@ -287,11 +287,6 @@ impl<R> TaskHandle<R> {
             Err(payload) => resume_unwind(payload),
         }
     }
-
-    /// Whether the task has finished (join would not block).
-    pub fn is_finished(&self) -> bool {
-        self.shared.slot.lock().unwrap().is_some()
-    }
 }
 
 /// Bookkeeping for one [`WorkerPool::scope`] call.
@@ -442,7 +437,6 @@ mod tests {
         drop(pool);
         assert_eq!(gauge.load(Ordering::SeqCst), 0);
         // The queued task completed before shutdown.
-        assert!(h.is_finished());
         assert_eq!(h.join(), 123);
     }
 }

@@ -284,6 +284,30 @@ impl DetCluster {
         self.run_until(max_rounds, |c| c.finished.len() >= count)
     }
 
+    /// Submit one transaction on an otherwise idle cluster and drive it
+    /// until `client` holds its receipt and every live replica has
+    /// committed it — how a test makes initial state a ledger fact (e.g.
+    /// SmallBank's `LOAD_ACCOUNTS` as the ledger's first transaction). The
+    /// completion is returned instead of being recorded in `finished`, so
+    /// the caller's own transaction counts start at zero.
+    pub fn commit_setup_tx(
+        &mut self,
+        client: ClientId,
+        proc: ia_ccf_types::ProcId,
+        args: Vec<u8>,
+    ) -> FinishedTx {
+        let done = self.finished.len();
+        self.submit(client, proc, args);
+        let settled = self.run_until(200, |c| {
+            c.finished.len() > done
+                && c.replicas.iter().filter(|(id, _)| !c.crashed.contains(id)).all(|(_, r)| {
+                    r.inner.committed_up_to() == r.inner.prepared_up_to()
+                })
+        });
+        assert!(settled, "setup transaction did not commit");
+        self.finished.pop().expect("just finished").1
+    }
+
     /// The highest sequence number committed on every live replica.
     pub fn min_committed(&self) -> SeqNum {
         self.replicas

@@ -21,12 +21,6 @@ impl Histogram {
         self.sorted = false;
     }
 
-    /// Record a raw microsecond sample.
-    pub fn record_us(&mut self, us: u64) {
-        self.samples_us.push(us);
-        self.sorted = false;
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.samples_us.len()
@@ -52,11 +46,6 @@ impl Histogram {
         self.sort();
         let rank = ((self.samples_us.len() as f64 - 1.0) * q).floor() as usize;
         self.samples_us[rank.min(self.samples_us.len() - 1)]
-    }
-
-    /// Median latency in microseconds.
-    pub fn p50_us(&mut self) -> u64 {
-        self.quantile_us(0.50)
     }
 
     /// 99th percentile latency in microseconds.
@@ -106,9 +95,9 @@ mod tests {
     fn quantiles_on_known_distribution() {
         let mut h = Histogram::new();
         for i in 1..=100u64 {
-            h.record_us(i);
+            h.record(Duration::from_micros(i));
         }
-        assert_eq!(h.p50_us(), 50);
+        assert_eq!(h.quantile_us(0.50), 50);
         assert_eq!(h.p99_us(), 99);
         assert_eq!(h.quantile_us(1.0), 100);
         assert_eq!(h.quantile_us(0.0), 1);
@@ -119,7 +108,7 @@ mod tests {
     #[test]
     fn empty_histogram_is_zero() {
         let mut h = Histogram::new();
-        assert_eq!(h.p50_us(), 0);
+        assert_eq!(h.quantile_us(0.50), 0);
         assert_eq!(h.mean_us(), 0);
         assert!(h.is_empty());
     }
@@ -127,9 +116,9 @@ mod tests {
     #[test]
     fn merge_combines_samples() {
         let mut a = Histogram::new();
-        a.record_us(10);
+        a.record(Duration::from_micros(10));
         let mut b = Histogram::new();
-        b.record_us(30);
+        b.record(Duration::from_micros(30));
         a.merge(&b);
         assert_eq!(a.len(), 2);
         assert_eq!(a.mean_us(), 20);

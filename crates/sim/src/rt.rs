@@ -70,33 +70,29 @@ type WireMsg = (NodeId, ProtocolMsg);
 
 /// Run a cluster under closed-loop load.
 ///
-/// `op_source` yields `(proc, args)` per request, keyed by client index;
-/// `prime` seeds the pre-execution KV state on every replica (e.g.
-/// SmallBank accounts).
+/// `op_source` yields `(proc, args)` per request, keyed by client index.
+/// Its very first operation is the run's **setup transaction**: client 0
+/// submits it alone and drives it to completion before the clock starts
+/// and the other clients begin. A service that needs initial state makes
+/// it the bulk load (SmallBank's `LOAD_ACCOUNTS`), so that state is a
+/// ledger fact — the ledger's first transaction — and not something
+/// installed behind the ledger's back; for any other source it is one
+/// warm-up request.
 pub fn run_cluster(
     spec: &ClusterSpec,
     app: Arc<dyn App>,
     cfg: &RtConfig,
     op_source: Arc<dyn Fn(usize) -> (ia_ccf_types::ProcId, Vec<u8>) + Send + Sync>,
-    prime: impl FnOnce(&mut ia_ccf_kv::KvStore),
 ) -> RtReport {
     let bus: Bus<WireMsg> = Bus::new(cfg.latency);
     let stop = Arc::new(AtomicBool::new(false));
+    let set_up = Arc::new(AtomicBool::new(false));
     let committed_at_primary = Arc::new(AtomicU64::new(0));
     let n = spec.genesis.n();
-
-    // Pre-populate one KV and clone it into every replica (all replicas
-    // must start from identical state).
-    let mut seed_kv = ia_ccf_kv::KvStore::new();
-    prime(&mut seed_kv);
-    let seed_cp = seed_kv.checkpoint();
 
     let mut replica_handles = Vec::new();
     for rank in 0..n {
         let mut replica = spec.build_replica(rank, Arc::clone(&app));
-        if !seed_cp.is_empty() {
-            replica.prime_kv(&seed_cp);
-        }
         let endpoint = bus.register(rank as u64);
         let stop = Arc::clone(&stop);
         let committed = Arc::clone(&committed_at_primary);
@@ -163,6 +159,7 @@ pub fn run_cluster(
     for (ci, (client_id, keypair)) in spec.clients.iter().enumerate() {
         let endpoint = bus.register(client_id.0);
         let stop = Arc::clone(&stop);
+        let set_up = Arc::clone(&set_up);
         let finished_ctr = Arc::clone(&total_finished);
         let latencies = Arc::clone(&latencies);
         let op_source = Arc::clone(&op_source);
@@ -188,6 +185,10 @@ pub fn run_cluster(
                     let mut local_hist = Histogram::new();
                     let mut last_tick = Instant::now();
                     while !stop.load(Ordering::Relaxed) {
+                        // Until the setup transaction completes, client 0
+                        // keeps exactly that one request outstanding.
+                        let measuring = set_up.load(Ordering::Acquire);
+                        let window = if measuring { window } else { usize::from(ci == 0) };
                         while inflight.len() < window {
                             let (proc, args) = op_source(ci);
                             let req_id = client.submit(proc, args);
@@ -214,9 +215,12 @@ pub fn run_cluster(
                             last_tick = Instant::now();
                         }
                         for tx in client.take_completed() {
-                            if let Some(t0) = inflight.remove(&tx.req_id) {
+                            let Some(t0) = inflight.remove(&tx.req_id) else { continue };
+                            if measuring {
                                 local_hist.record(t0.elapsed());
                                 finished_ctr.fetch_add(1, Ordering::Relaxed);
+                            } else {
+                                set_up.store(true, Ordering::Release);
                             }
                         }
                     }
@@ -226,6 +230,10 @@ pub fn run_cluster(
         );
     }
 
+    while !set_up.load(Ordering::Acquire) {
+        std::thread::sleep(cfg.tick_every);
+    }
+    let committed_before = committed_at_primary.load(Ordering::Relaxed);
     let t0 = Instant::now();
     std::thread::sleep(cfg.duration);
     stop.store(true, Ordering::Relaxed);
@@ -238,7 +246,7 @@ pub fn run_cluster(
     }
 
     RtReport {
-        committed_tx: committed_at_primary.load(Ordering::Relaxed),
+        committed_tx: committed_at_primary.load(Ordering::Relaxed) - committed_before,
         elapsed,
         latency: Arc::try_unwrap(latencies)
             .map(|m| m.into_inner())
@@ -266,7 +274,6 @@ mod tests {
             Arc::new(CounterApp),
             &cfg,
             Arc::new(|_| (CounterApp::INCR, b"k".to_vec())),
-            |_| {},
         );
         assert!(report.committed_tx > 0, "no commits: {report:?}");
         assert!(report.finished_ops > 0, "no client completions: {report:?}");

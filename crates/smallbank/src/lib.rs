@@ -9,7 +9,7 @@
 //! paper's names.
 
 use ia_ccf_core::app::{App, AppError};
-use ia_ccf_kv::{Key, KvAccess, KvStore};
+use ia_ccf_kv::{Key, KvAccess};
 use ia_ccf_types::{ClientId, ProcId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,6 +26,13 @@ pub const BALANCE: ProcId = ProcId(13);
 pub const AMALGAMATE: ProcId = ProcId(14);
 /// A no-op procedure for the "empty requests" rows of Tab. 3.
 pub const NOOP: ProcId = ProcId(15);
+/// Bulk load: create `accounts` accounts holding `initial` in both
+/// balances. Arguments: `accounts: u64 LE, initial: i64 LE`; the output is
+/// `accounts`, LE. Initial state is a ledger fact like any other — a
+/// service loads its accounts with the ledger's first transaction
+/// ([`load_accounts`]), so replay from genesis and audit start, as they
+/// must, from the empty store.
+pub const LOAD_ACCOUNTS: ProcId = ProcId(20);
 
 /// An account's balances, stored as the value under the account key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -164,14 +171,27 @@ impl App for SmallBankApp {
                 Ok(tb.checking.to_le_bytes().to_vec())
             }
             NOOP => Ok(Vec::new()),
+            LOAD_ACCOUNTS => {
+                let accounts = arg_u64(args, 0)?;
+                let initial = arg_i64(args, 8)?;
+                let opening = Balances { checking: initial, savings: initial };
+                for a in 0..accounts {
+                    write_account(kv, a, opening)?;
+                }
+                Ok(accounts.to_le_bytes().to_vec())
+            }
             other => Err(AppError(format!("smallbank: unknown proc {other:?}"))),
         }
     }
 
     /// Every SmallBank procedure touches exactly the accounts named in its
     /// arguments, so the footprint is exact. Calls whose arguments fail to
-    /// parse error out before any store access: empty footprint.
+    /// parse error out before any store access: empty footprint. The bulk
+    /// load declares none and runs on the serial lane.
     fn key_hints(&self, proc: ProcId, args: &[u8], _client: ClientId) -> Option<Vec<Key>> {
+        if proc == LOAD_ACCOUNTS {
+            return None;
+        }
         Some(match proc {
             DEPOSIT | WITHDRAW | BALANCE => match arg_u64(args, 0) {
                 Ok(account) => vec![account_key(account)],
@@ -187,22 +207,6 @@ impl App for SmallBankApp {
     }
 }
 
-/// Pre-populate `kv` with `accounts` accounts holding `initial` in both
-/// balances (run inside a transaction by the harness, or standalone here).
-pub fn populate(kv: &mut KvStore, accounts: u64, initial: i64) {
-    let standalone = !kv.in_tx();
-    if standalone {
-        kv.begin_tx().expect("no open tx");
-    }
-    for a in 0..accounts {
-        kv.put(account_key(a), Balances { checking: initial, savings: initial }.to_bytes())
-            .expect("tx open");
-    }
-    if standalone {
-        kv.commit_tx().expect("tx open");
-    }
-}
-
 /// One generated request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkloadOp {
@@ -210,6 +214,14 @@ pub struct WorkloadOp {
     pub proc: ProcId,
     /// Serialized arguments.
     pub args: Vec<u8>,
+}
+
+/// The bulk-load request for `accounts` accounts at `initial` each.
+pub fn load_accounts(accounts: u64, initial: i64) -> WorkloadOp {
+    WorkloadOp {
+        proc: LOAD_ACCOUNTS,
+        args: [accounts.to_le_bytes(), initial.to_le_bytes()].concat(),
+    }
 }
 
 /// Size of the hot account set conflict-skewed workloads draw from.
@@ -305,10 +317,12 @@ impl Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ia_ccf_kv::KvStore;
 
     fn bank(accounts: u64) -> KvStore {
         let mut kv = KvStore::new();
-        populate(&mut kv, accounts, 1000);
+        let load = load_accounts(accounts, 1000);
+        exec(&mut kv, load.proc, &load.args).unwrap();
         kv
     }
 
@@ -324,6 +338,39 @@ mod tests {
             }
         }
         r
+    }
+
+    /// `benchmark/src/cluster.rs` loads its accounts through a wrapper
+    /// that intercepts this procedure id; the native procedure must build
+    /// the store that wrapper builds from the same argument bytes.
+    #[test]
+    fn load_accounts_builds_the_benchmark_wrappers_store() {
+        // The benchmark's argument bytes: `accounts: u64 LE, initial: i64 LE`.
+        let (accounts, initial) = (37u64, 10_000i64);
+        let mut args = accounts.to_le_bytes().to_vec();
+        args.extend_from_slice(&initial.to_le_bytes());
+        assert_eq!(load_accounts(accounts, initial).args, args);
+
+        let mut kv = KvStore::new();
+        let out = exec(&mut kv, LOAD_ACCOUNTS, &args).unwrap();
+        assert_eq!(out, accounts.to_le_bytes().to_vec());
+
+        // The wrapper's body, verbatim: one put per account.
+        let mut expected = KvStore::new();
+        expected.begin_tx().unwrap();
+        let opening = Balances { checking: initial, savings: initial }.to_bytes();
+        for a in 0..accounts {
+            expected.put(account_key(a), opening.clone()).unwrap();
+        }
+        expected.commit_tx().unwrap();
+        assert_eq!(kv.len(), accounts as usize);
+        assert_eq!(kv.digest(), expected.digest());
+
+        // Serial lane, and short arguments fail before touching anything.
+        assert_eq!(SmallBankApp.key_hints(LOAD_ACCOUNTS, &args, ClientId(1)), None);
+        let mut empty = KvStore::new();
+        assert!(exec(&mut empty, LOAD_ACCOUNTS, &args[..15]).is_err());
+        assert!(empty.is_empty());
     }
 
     #[test]

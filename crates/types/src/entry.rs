@@ -133,19 +133,6 @@ impl LedgerEntry {
         h.update(self.to_bytes());
         h.finalize()
     }
-
-    /// Short kind name for diagnostics.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            LedgerEntry::Genesis { .. } => "genesis",
-            LedgerEntry::Evidence { .. } => "evidence",
-            LedgerEntry::Nonces { .. } => "nonces",
-            LedgerEntry::PrePrepare(_) => "pre-prepare",
-            LedgerEntry::Tx(_) => "tx",
-            LedgerEntry::ViewChangeSet { .. } => "view-change-set",
-            LedgerEntry::NewView(_) => "new-view",
-        }
-    }
 }
 
 impl Wire for TxResult {
@@ -300,7 +287,7 @@ mod tests {
             LedgerEntry::ViewChangeSet { view: View(1), view_changes: vec![] },
         ];
         for e in entries {
-            assert_eq!(LedgerEntry::from_bytes(&e.to_bytes()).unwrap(), e, "{}", e.kind_name());
+            assert_eq!(LedgerEntry::from_bytes(&e.to_bytes()).unwrap(), e);
         }
     }
 

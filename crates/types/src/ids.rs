@@ -61,10 +61,6 @@ impl SeqNum {
     pub fn next(self) -> SeqNum {
         SeqNum(self.0 + 1)
     }
-    /// Sequence number `n` later.
-    pub fn plus(self, n: u64) -> SeqNum {
-        SeqNum(self.0 + n)
-    }
     /// Saturating `n` earlier.
     pub fn minus(self, n: u64) -> SeqNum {
         SeqNum(self.0.saturating_sub(n))
@@ -180,7 +176,6 @@ mod tests {
     #[test]
     fn seq_arithmetic() {
         assert_eq!(SeqNum(5).next(), SeqNum(6));
-        assert_eq!(SeqNum(5).plus(3), SeqNum(8));
         assert_eq!(SeqNum(2).minus(5), SeqNum(0));
     }
 

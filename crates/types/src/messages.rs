@@ -65,13 +65,6 @@ pub enum BatchKind {
     },
 }
 
-impl BatchKind {
-    /// Whether this batch belongs to the governance sub-ledger machinery.
-    pub fn is_config_boundary(&self) -> bool {
-        matches!(self, BatchKind::EndOfConfig { .. } | BatchKind::StartOfConfig { .. })
-    }
-}
-
 /// The fields of a pre-prepare other than `Ḡ` and the signature.
 ///
 /// Receipts transmit exactly this plus the transaction witness: the
@@ -289,11 +282,6 @@ impl ViewChange {
     /// This message's own signed bytes.
     pub fn own_payload(&self) -> Vec<u8> {
         Self::signing_payload(self.view, self.replica, &self.pps, &self.last_proof)
-    }
-
-    /// Highest sequence number this replica claims to have prepared.
-    pub fn last_prepared_seq(&self) -> Option<SeqNum> {
-        self.pps.last().map(|pp| pp.seq())
     }
 }
 
@@ -1140,7 +1128,6 @@ mod tests {
         let d = ViewChange::from_bytes(&vc.to_bytes()).unwrap();
         assert_eq!(d, vc);
         assert!(kp.public().verify(&d.own_payload(), &d.sig));
-        assert_eq!(d.last_prepared_seq(), Some(SeqNum(5)));
     }
 
     #[test]
@@ -1293,7 +1280,5 @@ mod tests {
         ] {
             assert_eq!(BatchKind::from_bytes(&k.to_bytes()).unwrap(), k);
         }
-        assert!(BatchKind::EndOfConfig { phase: 1 }.is_config_boundary());
-        assert!(!BatchKind::Checkpoint.is_config_boundary());
     }
 }

@@ -6,15 +6,16 @@
 
 use std::sync::Arc;
 
-use ia_ccf::audit::{AuditOutcome, Auditor, LedgerPackage, StoredReceipt};
+use ia_ccf::audit::package::validate_package;
+use ia_ccf::audit::{AuditOutcome, Auditor, LedgerPackage, PackageError, StoredReceipt};
 use ia_ccf::core::app::CounterApp;
 use ia_ccf::core::ProtocolParams;
 use ia_ccf::governance::chain::GovernanceChain;
 use ia_ccf_sim::{ClusterSpec, DetCluster};
-use ia_ccf_types::{ReplicaId, SeqNum};
+use ia_ccf_types::{LedgerEntry, ReplicaId, SeqNum, View};
 
-#[test]
-fn honest_view_change_audits_clean() {
+/// Six requests in view 0, the primary crashes, six more in view 1.
+fn honest_view_change_run() -> (ClusterSpec, DetCluster) {
     let params = ProtocolParams { view_timeout_ticks: 15, ..ProtocolParams::default() };
     let spec = ClusterSpec::new(4, 1, params);
     let mut cluster = DetCluster::new(&spec, Arc::new(CounterApp));
@@ -33,6 +34,12 @@ fn honest_view_change_audits_clean() {
         cluster.round();
     }
     assert!(cluster.run_until_finished(12, 600), "finished {}", cluster.finished.len());
+    (spec, cluster)
+}
+
+#[test]
+fn honest_view_change_audits_clean() {
+    let (spec, cluster) = honest_view_change_run();
 
     let receipts: Vec<StoredReceipt> = cluster
         .finished
@@ -53,7 +60,7 @@ fn honest_view_change_audits_clean() {
     let has_vc = package
         .entries
         .iter()
-        .any(|e| matches!(e, ia_ccf_types::LedgerEntry::ViewChangeSet { .. }));
+        .any(|e| matches!(e, LedgerEntry::ViewChangeSet { .. }));
     assert!(has_vc, "ledger must contain the view change");
     let auditor = Auditor::new(spec.genesis.clone(), Arc::new(CounterApp));
     let outcome = auditor.audit(&receipts, &GovernanceChain::new(), &package);
@@ -98,4 +105,51 @@ fn view_change_ledger_still_convicts_wrong_execution() {
     let upom = outcome.upom().expect("wrong execution must be found");
     assert_eq!(upom.kind, ia_ccf::audit::UpomKind::WrongExecution);
     assert!(upom.blamed.len() > spec.genesis.f(), "blamed: {:?}", upom.blamed);
+}
+
+/// View-change signatures verify under the configuration governing the
+/// view change's own position. Checking them under the *latest*
+/// configuration would make an honest ledger whose view change predates a
+/// reconfiguration that removed one of its senders fail with
+/// `BadViewChange` — and incriminate the server that handed it over.
+#[test]
+fn view_change_senders_are_checked_under_the_configuration_of_their_position() {
+    let (spec, cluster) = honest_view_change_run();
+    let entries = cluster.replica(ReplicaId(2)).ledger().entries().to_vec();
+
+    // The set, one of its senders, and the sequence number it sits at: the
+    // one after the last batch before it.
+    let set_at = entries
+        .iter()
+        .position(|e| matches!(e, LedgerEntry::ViewChangeSet { .. }))
+        .expect("ledger must contain the view change");
+    let LedgerEntry::ViewChangeSet { view, view_changes } = &entries[set_at] else {
+        unreachable!()
+    };
+    assert_eq!(*view, View(1));
+    let sender = view_changes[0].replica;
+    let seq_of = |e: &LedgerEntry| match e {
+        LedgerEntry::PrePrepare(pp) => Some(pp.seq()),
+        _ => None,
+    };
+    let position = entries[..set_at].iter().rev().find_map(seq_of).expect("batches").next();
+    let last = entries.iter().rev().find_map(seq_of).expect("batches");
+    assert!(position <= last, "batches follow the view change");
+
+    let genesis = spec.genesis.clone();
+    let mut without_sender = genesis.clone();
+    without_sender.replicas.retain(|r| r.id != sender);
+    let dropped_from = |first: SeqNum| {
+        let (genesis, without_sender) = (genesis.clone(), without_sender.clone());
+        move |seq: SeqNum| if seq >= first { without_sender.clone() } else { genesis.clone() }
+    };
+
+    // Removed by a later reconfiguration: the view change stays valid.
+    let validated = validate_package(&entries, &dropped_from(last.next()));
+    assert!(validated.is_ok(), "{:?}", validated.err());
+    // Not a replica at the view change's own position: rejected.
+    assert_eq!(
+        validate_package(&entries, &dropped_from(position)).err(),
+        Some(PackageError::BadViewChange(View(1)))
+    );
 }

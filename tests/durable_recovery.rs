@@ -13,7 +13,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use ia_ccf::core::app::CounterApp;
+use ia_ccf::core::app::{App, CounterApp};
 use ia_ccf::core::byzantine::Fault;
 use ia_ccf::core::{Input, NodeId, Output, ProtocolParams, Replica};
 use ia_ccf_sim::{ClusterSpec, DetCluster, TempDir};
@@ -27,10 +27,15 @@ fn durable_params(fsync_interval_batches: u64) -> ProtocolParams {
 /// Build a cluster where every replica persists its ledger under its own
 /// subdirectory of `tmp`.
 fn durable_cluster(spec: &ClusterSpec, tmp: &TempDir) -> DetCluster {
+    durable_cluster_running(spec, tmp, Arc::new(CounterApp))
+}
+
+/// [`durable_cluster`] for any application.
+fn durable_cluster_running(spec: &ClusterSpec, tmp: &TempDir, app: Arc<dyn App>) -> DetCluster {
     DetCluster::with_replica_builder(spec, |rank| {
         let mut params = spec.params.clone();
         params.data_dir = Some(tmp.subdir(&format!("r{rank}")).expect("subdir"));
-        spec.build_replica_with(rank, Arc::new(CounterApp), params)
+        spec.build_replica_with(rank, Arc::clone(&app), params)
     })
 }
 
@@ -679,6 +684,91 @@ fn double_crashed_seeded_replica_restarts_locally_and_matches_survivor() {
     let log = r3.ledger().durable().expect("durable again after the second restart");
     assert!(log.base() > 0, "still the suffix layout");
     cluster.assert_ledgers_consistent();
+}
+
+// ----------------------------------------------------------------------
+// State is a function of the ledger: a loaded service restarts from disk.
+// ----------------------------------------------------------------------
+
+/// A SmallBank cluster whose accounts were loaded by the ledger's first
+/// transaction (`LOAD_ACCOUNTS`) crashes and comes back through
+/// `restart_from_dir` — from a full-history directory, then from a seeded
+/// one — with the survivors' KV digest. While accounts could be primed
+/// behind the ledger's back, replay started from a store no ledger
+/// described and this restart failed with `ExecutionMismatch(SeqNum(1))`.
+#[test]
+fn ledger_loaded_smallbank_restarts_from_full_history_and_from_a_seed() {
+    use ia_ccf_smallbank::{account_key, load_accounts, SmallBankApp, Workload};
+    const ACCOUNTS: u64 = 16;
+
+    let tmp = TempDir::new("loaded-restart").expect("tempdir");
+    let spec = ClusterSpec::new(4, 2, durable_params(1)).with_config(|c| c.checkpoint_interval = 5);
+    let app: Arc<dyn App> = Arc::new(SmallBankApp);
+    let mut cluster = durable_cluster_running(&spec, &tmp, Arc::clone(&app));
+    let load = load_accounts(ACCOUNTS, 1_000);
+    assert!(cluster.commit_setup_tx(spec.clients[0].0, load.proc, load.args).ok);
+
+    let mut workload = Workload::new(ACCOUNTS, 5);
+    let mut finished = 0;
+    let mut traffic = |cluster: &mut DetCluster, n: usize| {
+        for i in 0..n {
+            let op = workload.next_op();
+            cluster.submit(spec.clients[i % 2].0, op.proc, op.args);
+            cluster.round();
+        }
+        finished += n;
+        assert!(cluster.run_until_finished(finished, 2_000), "finished {}", cluster.finished.len());
+    };
+    let mut params3 = spec.params.clone();
+    params3.data_dir = Some(tmp.path().join("r3"));
+    // Crash replica 3, let the survivors move on, restart it from its
+    // directory and re-sync; returns the restart's own view of itself.
+    type Traffic<'a> = &'a mut dyn FnMut(&mut DetCluster, usize);
+    let crash_and_restart = |cluster: &mut DetCluster, traffic: Traffic| {
+        drop(cluster.crash_and_drop(ReplicaId(3)).expect("replica 3 present"));
+        traffic(cluster, 3);
+        let restarted = spec
+            .restart_replica(3, Arc::clone(&app), params3.clone())
+            .expect("a ledger-loaded store replays from its own ledger");
+        assert!(restarted.kv().get(&account_key(ACCOUNTS - 1)).is_some(), "accounts replayed");
+        let (base, tip) = (restarted.ledger().base(), restarted.prepared_up_to());
+        cluster.recover(restarted, ReplicaId(0));
+        assert!(
+            cluster.run_until(300, |c| c.replica(ReplicaId(3)).sync_report().complete),
+            "re-sync did not complete: {:?}",
+            cluster.replica(ReplicaId(3)).sync_report()
+        );
+        traffic(cluster, 3);
+        let (r3, r1) = (cluster.replica(ReplicaId(3)), cluster.replica(ReplicaId(1)));
+        assert_eq!(r3.kv().digest(), r1.kv().digest(), "KV digest after restart");
+        cluster.assert_ledgers_consistent();
+        (base, tip)
+    };
+
+    // Full history on disk: replay from the run's genesis entry.
+    traffic(&mut cluster, 12);
+    let (base, tip) = crash_and_restart(&mut cluster, &mut traffic);
+    assert_eq!(base, 0, "full-history layout");
+    assert!(tip >= SeqNum(12), "the durable prefix replayed locally: {tip:?}");
+    assert_ledgers_byte_identical(&cluster, ReplicaId(3), ReplicaId(1));
+
+    // Lose the disk: the replacement is seeded over the network and
+    // persists the seeded layout — checkpoint file plus suffix run.
+    traffic(&mut cluster, 12);
+    drop(cluster.crash_and_drop(ReplicaId(3)).expect("replica 3 present"));
+    std::fs::remove_dir_all(tmp.path().join("r3")).expect("lose the disk");
+    let mut fresh = params3.clone();
+    fresh.data_dir = Some(tmp.subdir("r3").expect("subdir"));
+    cluster.recover(spec.build_replica_with(3, Arc::clone(&app), fresh), ReplicaId(0));
+    assert!(cluster.run_until(300, |c| c.replica(ReplicaId(3)).sync_report().complete));
+    let seed = cluster.replica(ReplicaId(3)).sync_report().checkpoint_seed;
+    assert!(seed.is_some(), "the replacement must take the checkpoint fast-path");
+
+    // Seeded directory: restore the verified seed, replay the suffix run.
+    traffic(&mut cluster, 4);
+    let (base, tip) = crash_and_restart(&mut cluster, &mut traffic);
+    assert!(base > 0, "seeded layout");
+    assert!(tip >= seed.unwrap(), "restart reaches at least the seed point: {tip:?}");
 }
 
 // ----------------------------------------------------------------------

@@ -193,13 +193,11 @@ fn sharded_batch_rolls_back_and_reexecutes_identically() {
         };
         let spec = ClusterSpec::new(4, 1, params);
         let mut cluster = DetCluster::new(&spec, Arc::new(ia_ccf_smallbank::SmallBankApp));
-        let mut seed_kv = ia_ccf::kv::KvStore::new();
-        ia_ccf_smallbank::populate(&mut seed_kv, 8, 1_000);
-        let snapshot = seed_kv.checkpoint();
-        for r in cluster.replicas.values_mut() {
-            r.inner.prime_kv(&snapshot);
-        }
         let client = spec.clients[0].0;
+        // The accounts are the ledger's first transaction (batch 1); the
+        // batch under test is batch 2.
+        let load = ia_ccf_smallbank::load_accounts(8, 1_000);
+        assert!(cluster.commit_setup_tx(client, load.proc, load.args).ok);
 
         for r in 0..4 {
             cluster.set_fault(ReplicaId(r), Fault::DropCommits);
@@ -225,18 +223,18 @@ fn sharded_batch_rolls_back_and_reexecutes_identically() {
         }
         for r in 0..4 {
             let replica = cluster.replica(ReplicaId(r));
-            assert_eq!(replica.prepared_up_to(), SeqNum(1), "replica {r} must prepare");
-            assert_eq!(replica.committed_up_to(), SeqNum(0), "replica {r} must not commit");
+            assert_eq!(replica.prepared_up_to(), SeqNum(2), "replica {r} must prepare");
+            assert_eq!(replica.committed_up_to(), SeqNum(1), "replica {r} must not commit");
         }
         let before = tx_entries(&cluster, ReplicaId(1));
-        assert_eq!(before.len(), 6, "all six txs must be executed (ledgered)");
+        assert_eq!(before.len(), 1 + 6, "the load and all six txs must be executed (ledgered)");
 
         cluster.crash(ReplicaId(0));
         for r in 1..4 {
             cluster.set_fault(ReplicaId(r), Fault::None);
         }
         assert!(
-            cluster.run_until(400, |c| c.min_committed() >= SeqNum(1)),
+            cluster.run_until(400, |c| c.min_committed() >= SeqNum(2)),
             "{shards} shards: batch must recommit in the new view"
         );
         for r in 1..4 {

@@ -13,18 +13,21 @@
 //! serial), executed on sharded clusters (shards ∈ {2, 8}, pool threads
 //! ∈ {1, 2, 8}) and a serial cluster (shards = 1, pool = 1) from the
 //! same seed. On top of byte equality, the sharded replica's ledger must
-//! replay **clean through the auditor** (which re-executes on a plain
-//! single store) — the end-to-end proof that audit replay cannot tell
+//! replay **clean through the auditor** (which re-executes serially on a
+//! one-shard store) — the end-to-end proof that audit replay cannot tell
 //! parallel execution happened.
 
 use std::sync::Arc;
 
-use ia_ccf::audit::{AuditOutcome, Auditor, LedgerPackage, StoredReceipt};
+use ia_ccf::audit::{AuditOutcome, Auditor, LedgerPackage, StoredReceipt, UpomKind};
 use ia_ccf::core::ProtocolParams;
 use ia_ccf::governance::chain::GovernanceChain;
 use ia_ccf_sim::{ClusterSpec, DetCluster};
-use ia_ccf_smallbank::{populate, SmallBankApp, Workload, WorkloadOp};
-use ia_ccf_types::{LedgerIdx, ReplicaId, SeqNum, Wire};
+use ia_ccf_smallbank::{load_accounts, SmallBankApp, Workload, WorkloadOp};
+use ia_ccf_types::{
+    ClientId, GovAction, LedgerEntry, LedgerIdx, MemberId, PrePrepare, ReplicaId, Request,
+    RequestAction, SeqNum, SignedRequest, SystemOp, TxLedgerEntry, Wire,
+};
 use proptest::prelude::*;
 
 const ACCOUNTS: u64 = 12; // small account set → frequent footprint overlap
@@ -51,12 +54,8 @@ fn run(shards: usize, pool: usize, ops: &[WorkloadOp]) -> (Observed, u64) {
         .with_shards(shards)
         .with_pool_threads(pool);
     let mut cluster = DetCluster::new(&spec, Arc::new(SmallBankApp));
-    let mut seed_kv = ia_ccf::kv::KvStore::new();
-    populate(&mut seed_kv, ACCOUNTS, INITIAL);
-    let snapshot = seed_kv.checkpoint();
-    for r in cluster.replicas.values_mut() {
-        r.inner.prime_kv(&snapshot);
-    }
+    let load = load_accounts(ACCOUNTS, INITIAL);
+    assert!(cluster.commit_setup_tx(spec.clients[0].0, load.proc, load.args).ok);
 
     for (i, op) in ops.iter().enumerate() {
         let client = spec.clients[i % N_CLIENTS].0;
@@ -73,8 +72,8 @@ fn run(shards: usize, pool: usize, ops: &[WorkloadOp]) -> (Observed, u64) {
     );
     cluster.assert_ledgers_consistent();
 
-    // Audit: replay the sharded ledger on the auditor's plain serial
-    // store against every receipt the clients collected.
+    // Audit: replay the sharded ledger on the auditor's one-shard store
+    // against every receipt the clients collected.
     let receipts: Vec<StoredReceipt> = cluster
         .finished
         .iter()
@@ -175,6 +174,227 @@ fn more_groups_than_shards_uses_pool_and_stays_identical() {
     let (parallel, tasks) = run(2, 8, &ops);
     assert_eq!(parallel, serial, "(2 shards, 8 pool threads) diverged from serial");
     assert!(tasks > 0, "the pool must engage when groups exceed the shard count");
+}
+
+/// A history with every kind of transaction the execution rule knows —
+/// the accounts' bulk load, successful and failing (insufficient funds)
+/// application transactions, a referendum that passes, in-band checkpoint
+/// marks and the reconfiguration schedule's own mark — on `shards`
+/// shards. Returns the spec, a replica's ledger, the governance chain and
+/// the clients' receipts.
+fn mixed_history(
+    shards: usize,
+) -> (ClusterSpec, Vec<LedgerEntry>, GovernanceChain, Vec<StoredReceipt>) {
+    const C: u64 = 4;
+    let spec = ClusterSpec::new(4, N_CLIENTS, ProtocolParams::default())
+        .with_config(|c| c.checkpoint_interval = C)
+        .with_shards(shards)
+        .with_pool_threads(2);
+    let mut cluster = DetCluster::new(&spec, Arc::new(SmallBankApp));
+    let load = load_accounts(ACCOUNTS, INITIAL);
+    assert!(cluster.commit_setup_tx(spec.clients[0].0, load.proc, load.args).ok);
+
+    // Three requests a round — two drawn from the workload, one transfer
+    // no account can afford — until the history holds checkpoint marks.
+    let mut workload = Workload::with_skew(ACCOUNTS, 7, 50);
+    let mut submitted = 0;
+    let mut traffic = |cluster: &mut DetCluster, rounds: u64| {
+        for round in 0..rounds {
+            let overdraft = WorkloadOp {
+                proc: ia_ccf_smallbank::TRANSFER,
+                args: [
+                    (round % ACCOUNTS).to_le_bytes(),
+                    ((round + 1) % ACCOUNTS).to_le_bytes(),
+                    (100 * INITIAL).to_le_bytes(),
+                ]
+                .concat(),
+            };
+            let ops = [workload.next_op(), overdraft, workload.next_op()];
+            for (i, op) in ops.into_iter().enumerate() {
+                cluster.submit(spec.clients[i].0, op.proc, op.args);
+                submitted += 1;
+            }
+            cluster.round();
+        }
+        assert!(
+            cluster.run_until_finished(submitted, 1_000),
+            "{shards} shards: finished {}/{submitted}",
+            cluster.finished.len()
+        );
+    };
+    traffic(&mut cluster, 3 * C);
+
+    // A referendum re-electing the same replicas as configuration 1:
+    // propose, then votes up to the threshold.
+    let gt_hash = cluster.replica(ReplicaId(0)).gt_hash();
+    let mut new_config = spec.genesis.clone();
+    new_config.number = 1;
+    let govern = |cluster: &mut DetCluster, member: u32, action: GovAction, req_id: u64| {
+        let request = Request {
+            action: RequestAction::Governance(action),
+            client: ClientId(member as u64),
+            gt_hash,
+            min_index: LedgerIdx(0),
+            req_id,
+        };
+        let signed = SignedRequest::sign(request, &spec.member_keys[MemberId(member).0 as usize]);
+        cluster.submit_raw(ClientId(member as u64), signed);
+        cluster.round();
+    };
+    govern(&mut cluster, 0, GovAction::Propose { proposal_id: 1, new_config }, 1);
+    for member in 0..spec.genesis.vote_threshold {
+        govern(&mut cluster, member, GovAction::Vote { proposal_id: 1, approve: true }, 10);
+    }
+    assert!(
+        cluster
+            .run_until(400, |c| c.replicas.values().all(|r| r.inner.active_config().number == 1)),
+        "{shards} shards: configuration 1 never activated"
+    );
+    traffic(&mut cluster, C);
+    cluster.assert_ledgers_consistent();
+
+    let replica = cluster.replica(ReplicaId(1));
+    let mut chain = GovernanceChain::new();
+    for link in replica.gov_chain() {
+        chain.push(link.clone());
+    }
+    let receipts = cluster
+        .finished
+        .iter()
+        .map(|(_, tx)| StoredReceipt {
+            request: tx.request.clone(),
+            receipt: tx.receipt.clone().expect("receipts enabled"),
+        })
+        .collect();
+    (spec, replica.ledger().entries().to_vec(), chain, receipts)
+}
+
+/// The differential for the shared execution rule
+/// (`ia_ccf::core::execute`): what the replicas recorded — on one shard or
+/// eight — is what the auditor's replay from the empty store recomputes,
+/// for every kind of transaction; and a ledger that records anything
+/// else, by as little as one output byte or one digest bit, convicts.
+#[test]
+fn mixed_history_audits_clean_and_any_other_recorded_result_convicts() {
+    let (spec, serial, chain, receipts) = mixed_history(1);
+    let (_, sharded, _, _) = mixed_history(8);
+    assert_eq!(
+        serial.iter().map(Wire::to_bytes).collect::<Vec<_>>(),
+        sharded.iter().map(Wire::to_bytes).collect::<Vec<_>>(),
+        "8 shards diverged from serial"
+    );
+
+    let tx_of = |e: &LedgerEntry| match e {
+        LedgerEntry::Tx(tx) => Some(tx.clone()),
+        _ => None,
+    };
+    let txs: Vec<TxLedgerEntry> = sharded.iter().filter_map(tx_of).collect();
+    let is_app = |tx: &TxLedgerEntry| !tx.request.is_governance() && !tx.request.is_system();
+    assert!(txs.iter().any(|tx| is_app(tx) && !tx.result.ok), "no failing app transaction");
+    assert!(
+        txs.iter().any(|tx| tx.request.is_governance()
+            && tx.result.output == ia_ccf::governance::chain::GOV_OUTPUT_PASSED),
+        "no passed referendum"
+    );
+    assert!(txs.iter().filter(|tx| tx.request.is_system()).count() >= 3, "too few marks");
+
+    // Seq 0 is the empty store by construction: the audit replays the
+    // whole history, bulk load included.
+    let auditor = Auditor::new(spec.genesis.clone(), Arc::new(SmallBankApp));
+    let genesis_cp = ia_ccf::kv::KvCheckpoint::from_entries(Default::default());
+    let audit = |entries: Vec<LedgerEntry>, receipts: &[StoredReceipt]| {
+        let package = LedgerPackage { entries, checkpoint: Some((SeqNum(0), genesis_cp.clone())) };
+        auditor.audit(receipts, &chain, &package)
+    };
+    for ledger in [&serial, &sharded] {
+        let outcome = audit(ledger.clone(), &receipts);
+        assert!(matches!(outcome, AuditOutcome::Clean), "audit not clean: {:?}", outcome.upom());
+    }
+
+    // A ledger cut after the batch holding the first transaction `pick`
+    // selects, with `lie` applied to that entry and the batch's
+    // pre-prepare re-sealed over the lie by its primary: well-formed,
+    // signed, and wrong.
+    let lying_ledger = |pick: &dyn Fn(&TxLedgerEntry) -> bool, lie: &dyn Fn(&mut TxLedgerEntry)| {
+        let at = sharded
+            .iter()
+            .position(|e| tx_of(e).is_some_and(|tx| pick(&tx)))
+            .expect("the history holds such a transaction");
+        let pp_at =
+            (0..at).rev().find(|&i| matches!(sharded[i], LedgerEntry::PrePrepare(_))).unwrap();
+        let end =
+            (at..sharded.len()).find(|&i| tx_of(&sharded[i]).is_none()).unwrap_or(sharded.len());
+        let mut entries = sharded[..end].to_vec();
+        let LedgerEntry::Tx(tx) = &mut entries[at] else { unreachable!() };
+        lie(tx);
+        let leaves = entries[pp_at + 1..].iter().map(|e| tx_of(e).expect("tx run").g_leaf());
+        let root_g = ia_ccf::merkle::MerkleTree::from_leaves(leaves).root();
+        let LedgerEntry::PrePrepare(pp) = &mut entries[pp_at] else { unreachable!() };
+        pp.root_g = root_g;
+        let primary = &spec.replica_keys[pp.core.primary.0 as usize];
+        pp.sig = primary.sign(&PrePrepare::signing_payload(&pp.core, &root_g));
+        let seq = pp.seq();
+        (entries, seq)
+    };
+    type Pick = Box<dyn Fn(&TxLedgerEntry) -> bool>;
+    type Lie = Box<dyn Fn(&mut TxLedgerEntry)>;
+    let lies: Vec<(&str, Pick, Lie)> = vec![
+        (
+            "a failed transfer's error text",
+            Box::new(move |tx| is_app(tx) && !tx.result.ok),
+            Box::new(|tx| tx.result.output[0] ^= 1),
+        ),
+        (
+            "a committed transaction's output",
+            Box::new(move |tx| is_app(tx) && tx.result.ok && tx.index.0 > 1),
+            Box::new(|tx| tx.result.output[0] ^= 1),
+        ),
+        (
+            "a failed transaction recorded as committed",
+            Box::new(move |tx| is_app(tx) && !tx.result.ok),
+            Box::new(|tx| tx.result.ok = true),
+        ),
+        (
+            "the passing vote's write-set digest",
+            Box::new(|tx| tx.result.output == ia_ccf::governance::chain::GOV_OUTPUT_PASSED),
+            Box::new(|tx| tx.result.write_set_digest.0[31] ^= 1),
+        ),
+        (
+            "the passing vote recorded as merely recorded",
+            Box::new(|tx| tx.result.output == ia_ccf::governance::chain::GOV_OUTPUT_PASSED),
+            Box::new(|tx| {
+                tx.result.output = ia_ccf::governance::chain::GOV_OUTPUT_RECORDED.to_vec()
+            }),
+        ),
+        (
+            "a checkpoint mark's digest",
+            Box::new(|tx| tx.request.is_system()),
+            Box::new(|tx| {
+                let RequestAction::System(SystemOp::CheckpointMark { kv_digest, .. }) =
+                    &mut tx.request.request.action
+                else {
+                    unreachable!()
+                };
+                kv_digest.0[0] ^= 1;
+            }),
+        ),
+        (
+            "a checkpoint mark given a write set",
+            Box::new(|tx| tx.request.is_system()),
+            Box::new(|tx| tx.result.write_set_digest.0[0] ^= 1),
+        ),
+    ];
+    for (what, pick, lie) in &lies {
+        let (entries, seq) = lying_ledger(pick, lie);
+        // Receipts of earlier batches only: one for the lying batch itself
+        // would contradict the ledger before replay got to it.
+        let earlier: Vec<StoredReceipt> =
+            receipts.iter().filter(|r| r.receipt.seq() < seq).cloned().collect();
+        let outcome = audit(entries, &earlier);
+        let upom = outcome.upom().unwrap_or_else(|| panic!("{what}: audited clean"));
+        assert_eq!(upom.kind, UpomKind::WrongExecution, "{what}: {}", upom.details);
+        assert_eq!(upom.at_seq, seq, "{what}: {}", upom.details);
+    }
 }
 
 proptest! {

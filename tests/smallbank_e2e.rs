@@ -8,7 +8,7 @@ use ia_ccf::audit::{AuditOutcome, Auditor, LedgerPackage, StoredReceipt};
 use ia_ccf::core::ProtocolParams;
 use ia_ccf::governance::chain::GovernanceChain;
 use ia_ccf_sim::{ClusterSpec, DetCluster};
-use ia_ccf_smallbank::{account_key, populate, Balances, SmallBankApp, Workload};
+use ia_ccf_smallbank::{account_key, load_accounts, Balances, SmallBankApp, Workload};
 use ia_ccf_types::{ReplicaId, SeqNum};
 
 const ACCOUNTS: u64 = 40;
@@ -16,13 +16,10 @@ const INITIAL: i64 = 1_000;
 
 fn primed_cluster(spec: &ClusterSpec) -> DetCluster {
     let mut cluster = DetCluster::new(spec, Arc::new(SmallBankApp));
-    // Prime every replica identically before any batch executes.
-    let mut seed = ia_ccf::kv::KvStore::new();
-    populate(&mut seed, ACCOUNTS, INITIAL);
-    let snapshot = seed.checkpoint();
-    for r in cluster.replicas.values_mut() {
-        r.inner.prime_kv(&snapshot);
-    }
+    // The accounts are the ledger's first transaction.
+    let load = load_accounts(ACCOUNTS, INITIAL);
+    let loaded = cluster.commit_setup_tx(spec.clients[0].0, load.proc, load.args);
+    assert!(loaded.ok);
     cluster
 }
 
