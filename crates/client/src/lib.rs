@@ -23,6 +23,7 @@
 //! finished transactions with [`Client::take_completed`].
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use ia_ccf_governance::chain::{ConfigHistory, GovLink, GovernanceChain};
 use ia_ccf_types::{
@@ -60,8 +61,9 @@ pub struct FinishedTx {
 struct PendingReq {
     request: SignedRequest,
     digest: Digest,
-    /// Replies keyed by (view, seq) then replica.
-    replies: BTreeMap<(View, SeqNum), BTreeMap<ReplicaId, Reply>>,
+    /// Replies keyed by (view, seq) then replica. One reply message covers
+    /// every request of its batch: they share it.
+    replies: BTreeMap<(View, SeqNum), BTreeMap<ReplicaId, Arc<Reply>>>,
     replyx: Option<ReplyX>,
     sent_tick: u64,
     last_action_tick: u64,
@@ -257,10 +259,11 @@ impl Client {
             return; // authenticated channel: ignore impersonations
         }
         let key = (reply.view, reply.seq);
+        let reply = Arc::new(reply);
         let mut touched = Vec::new();
         for req_id in &reply.req_ids {
             if let Some(p) = self.pending.get_mut(req_id) {
-                p.replies.entry(key).or_default().insert(reply.replica, reply.clone());
+                p.replies.entry(key).or_default().insert(reply.replica, Arc::clone(&reply));
                 p.last_action_tick = self.tick;
                 touched.push(*req_id);
             }
@@ -372,17 +375,17 @@ impl Client {
             ));
             return;
         }
-        let config = self.history.config_for_gov_index(rx.core.gov_index).clone();
+        let config = self.history.config_for_gov_index(rx.core.gov_index);
         let key = (rx.core.view, rx.core.seq);
         let receipt = loop {
             let p = self.pending.get(&req_id).expect("looked up above");
             let rx = p.replyx.as_ref().expect("checked above");
             let Some(receipt) =
-                p.replies.get(&key).and_then(|replies| assemble_receipt(&config, rx, replies))
+                p.replies.get(&key).and_then(|replies| assemble_receipt(config, rx, replies))
             else {
                 return;
             };
-            match receipt.verify_with(&config, &mut self.verified_certs) {
+            match receipt.verify_with(config, &mut self.verified_certs) {
                 Ok(_) => break receipt,
                 // One backup's signature is bad: drop its reply and try the
                 // remaining ones, so up to f garbling backups cannot
@@ -392,7 +395,7 @@ impl Client {
                     let Some(bad) = config.replica_at_rank(rank).map(|d| d.id) else {
                         return;
                     };
-                    self.evict_reply(req_id, key, bad);
+                    evict_reply(&mut self.pending, req_id, key, bad);
                 }
                 // Bad replyx or primary reply: wait for more replies; retry
                 // will also re-fetch the replyx from a different replica.
@@ -419,29 +422,34 @@ impl Client {
         self.pending_by_hash.remove(&p.digest);
         p
     }
+}
 
-    /// Forget `bad`'s reply for batch `key`: for `req_id`, and for every
-    /// other pending request the same reply message covered.
-    fn evict_reply(&mut self, req_id: u64, key: (View, SeqNum), bad: ReplicaId) {
-        let Some(reply) = self.batch_replies_mut(req_id, key).and_then(|m| m.remove(&bad)) else {
-            return;
-        };
-        for &other in &reply.req_ids {
-            if let Some(replies) = self.batch_replies_mut(other, key) {
-                if replies.get(&bad) == Some(&reply) {
-                    replies.remove(&bad);
-                }
+/// Forget `bad`'s reply for batch `key`: for `req_id`, and for every
+/// other pending request the same reply message covered.
+fn evict_reply(
+    pending: &mut HashMap<u64, PendingReq>,
+    req_id: u64,
+    key: (View, SeqNum),
+    bad: ReplicaId,
+) {
+    let Some(reply) = batch_replies_mut(pending, req_id, key).and_then(|m| m.remove(&bad)) else {
+        return;
+    };
+    for &other in &reply.req_ids {
+        if let Some(replies) = batch_replies_mut(pending, other, key) {
+            if replies.get(&bad) == Some(&reply) {
+                replies.remove(&bad);
             }
         }
     }
+}
 
-    fn batch_replies_mut(
-        &mut self,
-        req_id: u64,
-        key: (View, SeqNum),
-    ) -> Option<&mut BTreeMap<ReplicaId, Reply>> {
-        self.pending.get_mut(&req_id)?.replies.get_mut(&key)
-    }
+fn batch_replies_mut(
+    pending: &mut HashMap<u64, PendingReq>,
+    req_id: u64,
+    key: (View, SeqNum),
+) -> Option<&mut BTreeMap<ReplicaId, Arc<Reply>>> {
+    pending.get_mut(&req_id)?.replies.get_mut(&key)
 }
 
 /// Assemble the receipt for `rx` from one batch's replies (§3.3): the
@@ -450,18 +458,18 @@ impl Client {
 fn assemble_receipt(
     config: &Configuration,
     rx: &ReplyX,
-    batch_replies: &BTreeMap<ReplicaId, Reply>,
+    batch_replies: &BTreeMap<ReplicaId, Arc<Reply>>,
 ) -> Option<Receipt> {
     let quorum = config.quorum();
     let primary = config.primary_of(rx.core.view);
-    let primary_reply = batch_replies.get(&primary)?;
+    let primary_reply: &Reply = batch_replies.get(&primary)?;
     if batch_replies.len() < quorum {
         return None;
     }
 
     let mut ranked: Vec<(usize, &Reply)> = batch_replies
         .values()
-        .filter_map(|r| config.rank_of(r.replica).map(|rank| (rank, r)))
+        .filter_map(|r| config.rank_of(r.replica).map(|rank| (rank, &**r)))
         .collect();
     ranked.sort_by_key(|(rank, _)| *rank);
     let primary_rank = config.rank_of(primary).expect("primary in config");

@@ -298,6 +298,7 @@ impl Replica {
 
                 // Gather and re-execute the batch.
                 let mut requests: Vec<SignedRequest> = Vec::with_capacity(tx_at.len());
+                let mut batch: Vec<Digest> = Vec::with_capacity(tx_at.len());
                 let mut recorded = Vec::with_capacity(tx_at.len());
                 for &ti in tx_at {
                     let LedgerEntry::Tx(tx) = &entries[ti] else {
@@ -305,9 +306,13 @@ impl Replica {
                     };
                     requests.push(tx.request.clone());
                     recorded.push((tx.index, tx.result.clone()));
-                    self.req_store.insert(tx.request.digest(), tx.request.clone());
+                    // Replay is the door these bytes come through: named here.
+                    let digest = tx.request.digest();
+                    batch.push(digest);
+                    self.req_store.insert(digest, tx.request.clone());
                 }
-                let exec = match self.execute_batch(*seq, *view, pp.core.kind, &requests) {
+                let exec = match self.execute_batch(*seq, *view, pp.core.kind, &requests, &batch)
+                {
                     Ok(exec) => exec,
                     Err(_) => {
                         self.rollback_batch(*seq, &mark);
@@ -330,11 +335,9 @@ impl Replica {
                 for &ti in tx_at {
                     self.ledger.append(entries[ti].clone());
                 }
-                for req in &requests {
-                    self.executed_reqs.insert(req.digest());
-                }
+                self.executed_reqs.extend(batch.iter().copied());
                 self.prepared_view.insert(*seq, *view);
-                self.msgs.put_pp(pp.clone(), requests.iter().map(|r| r.digest()).collect());
+                self.msgs.put_pp(pp.clone(), batch);
                 self.insert_batch_exec(*seq, exec);
                 self.batch_marks.insert(*seq, mark);
                 self.post_append_reconfig(*seq, pp.core.kind);

@@ -27,6 +27,13 @@
 //! validity is a pure function of the request bytes: the cache only
 //! ever holds facts, never timing. Out-of-order pre-prepares waiting
 //! for request bodies are stashed here too.
+//!
+//! **A request is named once.** `H(t)` — the `req_store` key, the
+//! pre-prepare's batch entry, the dedupe key, the first field of the `Ḡ`
+//! leaf — is computed from the bytes in `admit_request` and nowhere else
+//! on the live path: every later stage is handed the batch's requests
+//! *with* their names (`&[SignedRequest]` beside `&[Digest]`, same
+//! order), taken from the store's keys.
 
 use ia_ccf_crypto::VerifyJob;
 use ia_ccf_pool::{TaskHandle, WorkerPool};
@@ -131,9 +138,13 @@ impl Replica {
     /// batch's unverified requests become one [`VerifyJob`] slice fanned
     /// out over the worker pool (§3.4). Returns the digests of the
     /// requests that must not execute (forged, unkeyed, foreign); empty
-    /// when the whole batch verified.
-    pub(crate) fn ensure_batch_verified(&mut self, requests: &[SignedRequest]) -> Vec<Digest> {
-        let pass = self.start_batch_verify(requests);
+    /// when the whole batch verified. `names[i]` is `requests[i]`'s digest.
+    pub(crate) fn ensure_batch_verified(
+        &mut self,
+        requests: &[SignedRequest],
+        names: &[Digest],
+    ) -> Vec<Digest> {
+        let pass = self.start_batch_verify(requests, names);
         self.finish_batch_verify(pass)
     }
 
@@ -143,9 +154,14 @@ impl Replica {
     /// can execute the batch while signatures verify. With a size-1 pool
     /// (or nothing to verify) the pass completes inline, byte-for-byte
     /// like the pre-pool replica.
-    pub(crate) fn start_batch_verify(&mut self, requests: &[SignedRequest]) -> BatchVerify {
+    pub(crate) fn start_batch_verify(
+        &mut self,
+        requests: &[SignedRequest],
+        names: &[Digest],
+    ) -> BatchVerify {
+        debug_assert_eq!(requests.len(), names.len());
         self.harvest_prewarm();
-        let (digests, jobs, rejected) = self.collect_verify_jobs(requests.iter());
+        let (digests, jobs, rejected) = self.collect_verify_jobs(names.iter().zip(requests));
         if jobs.is_empty() {
             return BatchVerify::Done(rejected);
         }
@@ -189,27 +205,26 @@ impl Replica {
         rejected
     }
 
-    /// The signature jobs of the not-yet-verified `requests`, in order,
-    /// plus the digests rejected outright: a request bound to another
-    /// service, or one whose signer has no key. System requests carry no
-    /// signature — a checkpoint mark is legal only where
+    /// The signature jobs of the not-yet-verified `requests` (each with its
+    /// name), in order, plus the digests rejected outright: a request bound
+    /// to another service, or one whose signer has no key. System requests
+    /// carry no signature — a checkpoint mark is legal only where
     /// `validate_batch_kind` and the schedule put it, and is judged by the
     /// digest comparison at execution. App requests pass unchecked under
     /// the `verify_client_sigs` ablation.
     fn collect_verify_jobs<'a>(
         &self,
-        requests: impl Iterator<Item = &'a SignedRequest>,
+        requests: impl Iterator<Item = (&'a Digest, &'a SignedRequest)>,
     ) -> (Vec<Digest>, Vec<VerifyJob>, Vec<Digest>) {
         let mut rejected: Vec<Digest> = Vec::new();
         let mut digests: Vec<Digest> = Vec::new();
         let mut jobs: Vec<VerifyJob> = Vec::new();
-        for r in requests {
+        for (&digest, r) in requests {
             match r.request.action {
                 RequestAction::System(_) => continue,
                 RequestAction::App { .. } if !self.params.verify_client_sigs => continue,
                 _ => {}
             }
-            let digest = r.digest();
             if self.verified_reqs.contains(&digest) {
                 continue;
             }
@@ -246,8 +261,9 @@ impl Replica {
         } else {
             return;
         };
-        let (digests, jobs, _) =
-            self.collect_verify_jobs(candidates.iter().filter_map(|d| self.req_store.get(d)));
+        let (digests, jobs, _) = self.collect_verify_jobs(
+            candidates.iter().filter_map(|d| self.req_store.get(d).map(|r| (d, r))),
+        );
         if jobs.is_empty() {
             return;
         }
@@ -265,8 +281,9 @@ impl Replica {
         }
     }
 
-    /// Store a request body and queue it for ordering. System requests
-    /// are stored only (a checkpoint batch's backups fetch the mark's
+    /// Name a request body — the one place bytes from outside get their
+    /// `H(t)` — store it and queue it for ordering. System requests are
+    /// stored only (a checkpoint batch's backups fetch the mark's
     /// body): the schedule proposes them, the queue never does.
     pub(crate) fn admit_request(&mut self, req: SignedRequest) {
         let digest = req.digest();
@@ -335,5 +352,206 @@ impl Replica {
                 self.on_pre_prepare(sender, pp, batch);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::VecDeque;
+    use std::sync::Arc;
+
+    use ia_ccf_types::config::testutil::test_config;
+    use ia_ccf_types::{
+        ClientId, KeyPair, LedgerIdx, ProtocolMsg, ReplicaId, Request, RequestAction, SeqNum,
+        SignedRequest,
+    };
+
+    use crate::app::CounterApp;
+    use crate::events::{Input, NodeId, Output};
+    use crate::params::ProtocolParams;
+    use crate::replica::Replica;
+
+    const CLIENT: ClientId = ClientId(1000);
+
+    /// Four replicas on a FIFO bus, just enough of a cluster to commit
+    /// batches and change views inside this crate.
+    struct Bus {
+        replicas: Vec<Replica>,
+        queue: VecDeque<(ReplicaId, NodeId, ProtocolMsg)>,
+        crashed: Option<ReplicaId>,
+        drop_commits: bool,
+        client_key: KeyPair,
+        next_req_id: u64,
+    }
+
+    impl Bus {
+        fn new(batch_max: usize) -> Bus {
+            let (genesis, replica_keys, _) = test_config(4);
+            let client_key = KeyPair::from_label("client-0");
+            let params = ProtocolParams {
+                batch_max,
+                view_timeout_ticks: 8,
+                execution_shards: 1,
+                pool_threads: 1,
+                ..ProtocolParams::default()
+            };
+            let replicas = replica_keys
+                .into_iter()
+                .enumerate()
+                .map(|(rank, key)| {
+                    Replica::new(
+                        ReplicaId(rank as u32),
+                        key,
+                        genesis.clone(),
+                        Arc::new(CounterApp),
+                        params.clone(),
+                        [(CLIENT, client_key.public())],
+                    )
+                    .expect("build replica")
+                })
+                .collect();
+            Bus {
+                replicas,
+                queue: VecDeque::new(),
+                crashed: None,
+                drop_commits: false,
+                client_key,
+                next_req_id: 1,
+            }
+        }
+
+        fn submit(&mut self) {
+            let request = SignedRequest::sign(
+                Request {
+                    action: RequestAction::App {
+                        proc: CounterApp::INCR,
+                        args: format!("k{}", self.next_req_id % 3).into_bytes(),
+                    },
+                    client: CLIENT,
+                    gt_hash: self.replicas[0].gt_hash(),
+                    min_index: LedgerIdx(0),
+                    req_id: self.next_req_id,
+                },
+                &self.client_key,
+            );
+            self.next_req_id += 1;
+            for to in 0..4 {
+                let msg = ProtocolMsg::Request(request.clone());
+                self.queue.push_back((ReplicaId(to), NodeId::Client(CLIENT), msg));
+            }
+        }
+
+        fn route(&mut self, from: ReplicaId, outputs: Vec<Output>) {
+            for out in outputs {
+                match out {
+                    Output::SendReplica(to, msg) => {
+                        self.queue.push_back((to, NodeId::Replica(from), msg));
+                    }
+                    Output::BroadcastReplicas(msg) => {
+                        for to in (0..4).map(ReplicaId).filter(|to| *to != from) {
+                            self.queue.push_back((to, NodeId::Replica(from), msg.clone()));
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        fn drain(&mut self) {
+            let crashed = self.crashed;
+            while let Some((to, from, msg)) = self.queue.pop_front() {
+                let from_crashed = matches!(from, NodeId::Replica(r) if crashed == Some(r));
+                if crashed == Some(to) || from_crashed {
+                    continue;
+                }
+                if self.drop_commits && matches!(msg, ProtocolMsg::Commit(_)) {
+                    continue;
+                }
+                let outputs = self.replicas[to.0 as usize].handle(Input::Message { from, msg });
+                self.route(to, outputs);
+            }
+        }
+
+        /// Deliver to quiescence, tick every live replica, deliver again.
+        fn round(&mut self) {
+            self.drain();
+            let crashed = self.crashed;
+            for id in (0..4).map(ReplicaId).filter(|id| crashed != Some(*id)) {
+                let outputs = self.replicas[id.0 as usize].handle(Input::Tick);
+                self.route(id, outputs);
+            }
+            self.drain();
+        }
+
+        fn live(&self) -> impl Iterator<Item = &Replica> {
+            self.replicas.iter().filter(|r| self.crashed != Some(r.id()))
+        }
+
+        fn run_until_committed(&mut self, seq: SeqNum) {
+            for _ in 0..200 {
+                if self.live().all(|r| r.committed_up_to() >= seq) {
+                    return;
+                }
+                self.round();
+            }
+            panic!("batch {seq:?} did not commit on every live replica");
+        }
+
+        fn assert_no_executed_request_is_cached(&self) {
+            for r in self.live() {
+                assert!(!r.executed_reqs.is_empty());
+                let stale = r.verified_reqs.intersection(&r.executed_reqs).count();
+                assert_eq!(stale, 0, "replica {:?} still caches executed requests", r.id());
+            }
+        }
+    }
+
+    #[test]
+    fn verified_cache_holds_no_executed_request() {
+        let mut bus = Bus::new(4);
+        for _ in 0..40 {
+            bus.submit();
+        }
+        bus.run_until_committed(SeqNum(10));
+        bus.assert_no_executed_request_is_cached();
+        for r in bus.live() {
+            assert_eq!(r.executed_reqs.len(), 40);
+        }
+    }
+
+    #[test]
+    fn rolled_back_batch_is_verified_again_and_commits() {
+        let mut bus = Bus::new(4);
+        for _ in 0..4 {
+            bus.submit();
+        }
+        bus.run_until_committed(SeqNum(1));
+
+        // Batch 2 executes and prepares everywhere — its requests leave
+        // the cache — but no commit is ever delivered.
+        bus.drop_commits = true;
+        for _ in 0..4 {
+            bus.submit();
+        }
+        for _ in 0..3 {
+            bus.round();
+        }
+        for r in bus.live() {
+            assert_eq!(r.prepared_up_to(), SeqNum(2));
+            assert_eq!(r.committed_up_to(), SeqNum(1));
+        }
+        bus.assert_no_executed_request_is_cached();
+
+        // The primary fails; the survivors roll batch 2 back, and the new
+        // primary proposes it again: the backups must check its
+        // signatures afresh rather than find them cached.
+        bus.crashed = Some(ReplicaId(0));
+        bus.drop_commits = false;
+        bus.run_until_committed(SeqNum(2));
+        for r in bus.live() {
+            assert!(r.view().0 >= 1, "the view must have changed");
+            assert_eq!(r.executed_reqs.len(), 8);
+        }
+        bus.assert_no_executed_request_is_cached();
     }
 }

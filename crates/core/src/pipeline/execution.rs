@@ -141,13 +141,16 @@ enum Lane {
 }
 
 impl Replica {
+    /// Execute the batch at `seq`; `names[i]` is `requests[i]`'s digest.
     pub(crate) fn execute_batch(
         &mut self,
         seq: SeqNum,
         view: View,
         kind: BatchKind,
         requests: &[SignedRequest],
+        names: &[Digest],
     ) -> Result<BatchExec, ExecError> {
+        debug_assert_eq!(requests.len(), names.len());
         self.kv.begin_batch(seq.0);
         // Structural validation up front (indices are assigned by batch
         // position, so both checks are order-independent of execution).
@@ -165,15 +168,15 @@ impl Replica {
         // where parallel results fold back into the canonical batch order.
         let mut txs = Vec::with_capacity(requests.len());
         let mut leaves = Vec::with_capacity(requests.len());
-        for (req, result) in requests.iter().zip(results) {
+        for ((req, &request_digest), result) in requests.iter().zip(names).zip(results) {
             let is_gov = req.is_governance();
             let index = LedgerIdx(self.next_tx_index);
             if is_gov && result.ok {
                 self.last_gov_index = index;
             }
-            leaves.push(ia_ccf_types::entry::g_leaf_hash(&req.digest(), index, &result));
+            leaves.push(ia_ccf_types::entry::g_leaf_hash(&request_digest, index, &result));
             txs.push(ExecTx {
-                request_digest: req.digest(),
+                request_digest,
                 client: req.request.client,
                 index,
                 result,

@@ -79,7 +79,7 @@ impl Replica {
             }
             let requests: Vec<SignedRequest> =
                 eligible.iter().map(|d| self.req_store[d].clone()).collect();
-            let rejected = self.ensure_batch_verified(&requests);
+            let rejected = self.ensure_batch_verified(&requests, &eligible);
             if !rejected.is_empty() {
                 // Evict the forged requests — whatever their class — and
                 // retry with the valid remainder, back at the head of the
@@ -97,7 +97,7 @@ impl Replica {
             // verified; start the pool on the next batch's (the queue
             // head) before execution occupies this thread.
             self.prewarm_next_batch_verify();
-            if !self.send_batch(seq, BatchKind::Regular, requests, None) {
+            if !self.send_batch(seq, BatchKind::Regular, requests, eligible, None) {
                 return;
             }
         }
@@ -120,15 +120,17 @@ impl Replica {
         );
         let digest = mark.digest();
         self.req_store.insert(digest, mark.clone());
-        self.send_batch(seq, BatchKind::Checkpoint, vec![mark], None)
+        self.send_batch(seq, BatchKind::Checkpoint, vec![mark], vec![digest], None)
     }
 
     /// Assemble, early-execute, log and broadcast the batch at `seq`.
+    /// `batch_hashes[i]` is `requests[i]`'s digest (its `req_store` key).
     pub(crate) fn send_batch(
         &mut self,
         seq: SeqNum,
         kind: BatchKind,
         requests: Vec<SignedRequest>,
+        batch_hashes: Vec<Digest>,
         committed_root: Option<Digest>,
     ) -> bool {
         let view = self.view;
@@ -149,7 +151,7 @@ impl Replica {
             }
         }
 
-        let exec = match self.execute_batch(seq, view, kind, &requests) {
+        let exec = match self.execute_batch(seq, view, kind, &requests, &batch_hashes) {
             Ok(exec) => exec,
             Err(_) => {
                 // A correct primary only fails here on min-index races;
@@ -179,13 +181,10 @@ impl Replica {
         let sig = self.sign_replica_payload(&PrePrepare::signing_payload(&core, &root_g));
         let pp = PrePrepare { core, root_g, sig };
 
-        let batch_hashes: Vec<Digest> = requests.iter().map(|r| r.digest()).collect();
         if self.params.ledger_enabled {
             self.append_segment_entries(&pp, requests, &exec.txs);
         }
-        for d in &batch_hashes {
-            self.executed_reqs.insert(*d);
-        }
+        self.note_batch_appended(&batch_hashes);
         self.insert_batch_exec(seq, exec);
         self.batch_marks.insert(seq, mark);
         self.msgs.put_pp(pp.clone(), batch_hashes.clone());
@@ -197,6 +196,18 @@ impl Replica {
         self.try_advance_prepared();
         self.try_advance_committed();
         true
+    }
+
+    /// Request-pool bookkeeping for a batch that is now in the ledger: its
+    /// requests are executed (the dedupe set), and their verified-signature
+    /// facts have served their purpose — the cache holds only requests
+    /// still waiting for a batch. A rolled-back and re-queued request is
+    /// simply verified again.
+    fn note_batch_appended(&mut self, batch: &[Digest]) {
+        for d in batch {
+            self.executed_reqs.insert(*d);
+            self.verified_reqs.remove(d);
+        }
     }
 
     /// Append a batch's evidence pair (`P_{s−P}`, `K_{s−P}`) as one
@@ -331,9 +342,9 @@ impl Replica {
         // validity is a pure function of the request bytes: if any
         // signature turns out bad, the already-executed batch rolls back
         // through its mark — the same path a root mismatch takes.
-        let verify = self.start_batch_verify(&requests);
+        let verify = self.start_batch_verify(&requests, &batch);
         self.prewarm_next_batch_verify();
-        let exec_result = self.execute_batch(seq, view, pp.core.kind, &requests);
+        let exec_result = self.execute_batch(seq, view, pp.core.kind, &requests, &batch);
         if !self.finish_batch_verify(verify).is_empty() {
             // A correct primary never includes a forged request.
             self.rollback_batch(seq, &mark);
@@ -357,9 +368,7 @@ impl Replica {
         if self.params.ledger_enabled {
             self.append_segment_entries(&pp, requests, &exec.txs);
         }
-        for d in &batch {
-            self.executed_reqs.insert(*d);
-        }
+        self.note_batch_appended(&batch);
         self.insert_batch_exec(seq, exec);
         self.batch_marks.insert(seq, mark);
         self.post_append_reconfig(seq, pp.core.kind);

@@ -106,6 +106,7 @@ impl Replica {
                     seq,
                     BatchKind::EndOfConfig { phase },
                     Vec::new(),
+                    Vec::new(),
                     Some(committed_root),
                 )
             }
@@ -125,10 +126,16 @@ impl Replica {
                 );
                 let digest = mark.digest();
                 self.req_store.insert(digest, mark.clone());
-                self.send_batch(seq, BatchKind::Checkpoint, vec![mark], None)
+                self.send_batch(seq, BatchKind::Checkpoint, vec![mark], vec![digest], None)
             }
             Some(BatchKind::StartOfConfig { phase }) => {
-                self.send_batch(seq, BatchKind::StartOfConfig { phase }, Vec::new(), None)
+                self.send_batch(
+                    seq,
+                    BatchKind::StartOfConfig { phase },
+                    Vec::new(),
+                    Vec::new(),
+                    None,
+                )
             }
             // Past the schedule: nothing reconfiguration-specific to send
             // (the send loop's gate keeps us out of here).

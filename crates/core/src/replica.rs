@@ -63,9 +63,11 @@ pub struct Replica {
     pub(crate) executed_reqs: HashSet<Digest>,
     /// Requests whose signatures have been verified — client keys for app
     /// requests, member keys of the active configuration for governance
-    /// (signature checks are deferred and batch-verified, §3.4). Cleared
-    /// whenever the active configuration changes: the facts are relative
-    /// to its keys.
+    /// (signature checks are deferred and batch-verified, §3.4) and which
+    /// are still waiting for a batch: an entry leaves when its batch is
+    /// appended, so the set does not grow with the ledger.
+    /// Cleared whenever the active configuration changes: the facts are
+    /// relative to its keys.
     pub(crate) verified_reqs: HashSet<Digest>,
 
     // Message/nonce stores.

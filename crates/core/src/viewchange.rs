@@ -32,6 +32,8 @@ struct SavedBatch {
     seq: SeqNum,
     kind: BatchKind,
     requests: Vec<SignedRequest>,
+    /// The requests' digests, in batch order (the old pre-prepare's list).
+    digests: Vec<Digest>,
     committed_root: Option<Digest>,
 }
 
@@ -245,7 +247,13 @@ impl Replica {
         // content; fresh pre-prepares).
         for batch in saved {
             debug_assert_eq!(batch.seq, self.seq_next);
-            self.send_batch(batch.seq, batch.kind, batch.requests, batch.committed_root);
+            self.send_batch(
+                batch.seq,
+                batch.kind,
+                batch.requests,
+                batch.digests,
+                batch.committed_root,
+            );
         }
         self.maybe_send_pre_prepare();
     }
@@ -425,6 +433,7 @@ impl Replica {
                 seq,
                 kind: pp.core.kind,
                 requests,
+                digests: batch.clone(),
                 committed_root: pp.core.committed_root,
             });
         }

@@ -89,11 +89,10 @@ pub fn hash_bytes(bytes: &[u8]) -> Digest {
 /// Hash the concatenation of two digests — the Merkle interior-node rule
 /// `H(left || right)`.
 pub fn hash_pair(left: &Digest, right: &Digest) -> Digest {
-    let mut h = Sha256::new();
-    h.update(left.0);
-    h.update(right.0);
-    #[allow(clippy::useless_conversion)]
-    Digest(h.finalize().into())
+    let mut block = [0u8; 2 * DIGEST_LEN];
+    block[..DIGEST_LEN].copy_from_slice(&left.0);
+    block[DIGEST_LEN..].copy_from_slice(&right.0);
+    hash_bytes(&block)
 }
 
 /// Incremental hasher for multi-part inputs (checkpoint digests, leaf

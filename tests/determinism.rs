@@ -87,3 +87,53 @@ fn different_schedules_diverge() {
         .collect();
     assert_ne!(ledgers_a[0], entries);
 }
+
+/// SHA-256 of replica 0's encoded ledger and its final KV digest after the
+/// golden run below. Produced at the commit before the hash kernels,
+/// one-write padding and digest threading landed; any drift in the hash
+/// function, the wire codec or the name a request is executed under
+/// changes them, on any CPU, without running the parent.
+const GOLDEN_LEDGER_SHA256: &str =
+    "5d8e83ac052afa503ff17a79f77b082112b4ce8329db8116b667d2b974de0151";
+const GOLDEN_KV_DIGEST: &str = "15ba502db8f0e48214e0858e7477d3ee2109ece253ca8557687efa392f14eeda";
+
+#[test]
+fn golden_smallbank_ledger_is_pinned() {
+    use ia_ccf_smallbank::{load_accounts, SmallBankApp, Workload};
+
+    // Batches of at most 8, a checkpoint every 4 batches: the run crosses
+    // sequence number 8, where the first checkpoint mark is ordered.
+    let params = ProtocolParams { batch_max: 8, ..ProtocolParams::default() };
+    let spec = ClusterSpec::new(4, 2, params)
+        .with_config(|c| c.checkpoint_interval = 4)
+        .with_shards(2)
+        .with_pool_threads(1);
+    let mut cluster = DetCluster::new(&spec, Arc::new(SmallBankApp));
+    let load = load_accounts(16, 1_000);
+    assert!(cluster.commit_setup_tx(spec.clients[0].0, load.proc, load.args).ok);
+    let mut workload = Workload::new(16, 19);
+    let total = 60usize;
+    for i in 0..total {
+        let op = workload.next_op();
+        cluster.submit(spec.clients[i % 2].0, op.proc, op.args);
+        if i % 6 == 5 {
+            cluster.round();
+        }
+    }
+    assert!(cluster.run_until_finished(total, 500), "finished {}", cluster.finished.len());
+    cluster.assert_ledgers_consistent();
+
+    let replica = cluster.replica(ReplicaId(0));
+    let mut marks = 0;
+    let mut encoded = Vec::new();
+    for i in 0..replica.ledger().len() {
+        let entry = replica.ledger().entry(LedgerIdx(i)).expect("entry exists");
+        if let ia_ccf_types::LedgerEntry::Tx(tx) = &entry {
+            marks += usize::from(tx.request.is_system());
+        }
+        encoded.extend_from_slice(&entry.to_bytes());
+    }
+    assert!(marks >= 1, "the run must order a checkpoint mark");
+    assert_eq!(ia_ccf::crypto::hash_bytes(&encoded).to_string(), GOLDEN_LEDGER_SHA256);
+    assert_eq!(replica.kv().digest().to_string(), GOLDEN_KV_DIGEST);
+}
