@@ -5,9 +5,9 @@
 //! and replays the ledger from that checkpoint." This module implements the
 //! replay: the joining replica validates the structural grammar, verifies
 //! every pre-prepare signature under the configuration of its sequence
-//! number, re-executes every batch and demands that its own Merkle roots
-//! reproduce the signed ones. Governance receipts for served chains are
-//! reconstructed from the in-ledger evidence entries.
+//! number, and takes every batch in as a backup would (`apply_proposed`:
+//! this module owns no ledger writer for batches). Governance receipts for
+//! served chains are reconstructed from the in-ledger evidence entries.
 //!
 //! **Obtaining** the ledger is the resumable `FetchLedgerPage` protocol
 //! ([`LedgerSyncState`]): the recovering replica requests bounded pages
@@ -59,7 +59,7 @@ use crate::app::App;
 use crate::checkpoint::CheckpointRecord;
 use crate::events::Output;
 use crate::params::ProtocolParams;
-use crate::pipeline::BatchMark;
+use crate::pipeline::ordering::{EvidenceSet, RequestSigs};
 use crate::replica::Replica;
 
 /// Why a ledger could not be replayed.
@@ -73,8 +73,6 @@ pub enum BootstrapError {
     BadPrePrepareSig(SeqNum),
     /// Our re-execution diverged from the signed roots at this batch.
     ExecutionMismatch(SeqNum),
-    /// A recorded result differs from our re-execution.
-    ResultMismatch(SeqNum),
 }
 
 impl std::fmt::Display for BootstrapError {
@@ -84,7 +82,6 @@ impl std::fmt::Display for BootstrapError {
             BootstrapError::Malformed(e) => write!(f, "malformed ledger: {e}"),
             BootstrapError::BadPrePrepareSig(s) => write!(f, "bad pre-prepare signature at {s}"),
             BootstrapError::ExecutionMismatch(s) => write!(f, "execution mismatch at {s}"),
-            BootstrapError::ResultMismatch(s) => write!(f, "result mismatch at {s}"),
         }
     }
 }
@@ -263,93 +260,54 @@ impl Replica {
                 let LedgerEntry::PrePrepare(pp) = &entries[*pp_at] else {
                     unreachable!("segmenter guarantees");
                 };
-                let pp: PrePrepare = pp.clone();
-
                 // Verify the primary's signature under the batch's
                 // configuration — before any state is touched.
-                let config = self.config_for_seq(*seq).clone();
-                let payload = PrePrepare::signing_payload(&pp.core, &pp.root_g);
-                let ok = config
-                    .replica_key(pp.core.primary)
-                    .map(|k| k.verify(&payload, &pp.sig))
-                    .unwrap_or(false);
-                if !ok || config.primary_of(*view) != pp.core.primary {
+                if !self.signed_by_view_primary(self.config_for_seq(*seq), pp) {
                     return Err(BootstrapError::BadPrePrepareSig(*seq));
                 }
 
-                // Everything past this point mutates; the mark lets a
-                // failing segment restore the pre-segment state exactly.
-                let mark = BatchMark {
-                    ledger_len_before: self.ledger.len(),
-                    tx_index_before: self.next_tx_index,
-                    gov_index_before: self.last_gov_index,
-                    gov_before: Arc::clone(&self.gov_snapshot),
-                };
-
-                // Append evidence exactly as recorded.
-                if let (Some(ev), Some(no)) = (evidence_at, nonces_at) {
-                    self.ledger.append(entries[*ev].clone());
-                    self.ledger.append(entries[*no].clone());
-                }
-                if self.ledger.root_m() != pp.core.root_m {
-                    self.rollback_batch(*seq, &mark);
-                    return Err(BootstrapError::ExecutionMismatch(*seq));
-                }
-
-                // Gather and re-execute the batch.
-                let mut requests: Vec<SignedRequest> = Vec::with_capacity(tx_at.len());
-                let mut batch: Vec<Digest> = Vec::with_capacity(tx_at.len());
-                let mut recorded = Vec::with_capacity(tx_at.len());
-                for &ti in tx_at {
-                    let LedgerEntry::Tx(tx) = &entries[ti] else {
-                        unreachable!("segmenter guarantees");
-                    };
-                    requests.push(tx.request.clone());
-                    recorded.push((tx.index, tx.result.clone()));
-                    // Replay is the door these bytes come through: named here.
-                    let digest = tx.request.digest();
-                    batch.push(digest);
-                    self.req_store.insert(digest, tx.request.clone());
-                }
-                let exec = match self.execute_batch(*seq, *view, pp.core.kind, &requests, &batch)
-                {
-                    Ok(exec) => exec,
-                    Err(_) => {
-                        self.rollback_batch(*seq, &mark);
-                        return Err(BootstrapError::ExecutionMismatch(*seq));
+                // The batch as the primary proposed it: the evidence the
+                // segment records, and the requests under their names
+                // (replay is the door these bytes come through). The
+                // recorded `(i, o)` pairs are not read: the ledger gets the
+                // entries execution produces, and the signed Ḡ binds each
+                // `(H(t), i, o)` leaf of those.
+                let pair = evidence_at.zip(*nonces_at).map(|(ev, no)| (&entries[ev], &entries[no]));
+                let evidence = pair.map(|pair| match pair {
+                    (LedgerEntry::Evidence { seq, prepares }, LedgerEntry::Nonces { nonces, .. }) => {
+                        let (prepares, nonces) = (prepares.clone(), nonces.clone());
+                        EvidenceSet { seq: *seq, bitmap: pp.core.evidence_bitmap, prepares, nonces }
                     }
-                };
-                if exec.tree.root() != pp.root_g {
-                    self.rollback_batch(*seq, &mark);
-                    return Err(BootstrapError::ExecutionMismatch(*seq));
-                }
-                for (et, (idx, res)) in exec.txs.iter().zip(&recorded) {
-                    if et.index != *idx || &et.result != res {
-                        self.rollback_batch(*seq, &mark);
-                        return Err(BootstrapError::ResultMismatch(*seq));
-                    }
-                }
-
-                // Commit the segment.
-                self.ledger.append(LedgerEntry::PrePrepare(pp.clone()));
-                for &ti in tx_at {
-                    self.ledger.append(entries[ti].clone());
-                }
-                self.executed_reqs.extend(batch.iter().copied());
-                self.prepared_view.insert(*seq, *view);
-                self.msgs.put_pp(pp.clone(), batch);
-                self.insert_batch_exec(*seq, exec);
-                self.batch_marks.insert(*seq, mark);
-                self.post_append_reconfig(*seq, pp.core.kind);
+                    _ => unreachable!("segmenter guarantees"),
+                });
+                let bodies: Vec<&SignedRequest> = tx_at
+                    .iter()
+                    .map(|&ti| match &entries[ti] {
+                        LedgerEntry::Tx(tx) => &tx.request,
+                        _ => unreachable!("segmenter guarantees"),
+                    })
+                    .collect();
+                let names: Vec<Digest> = bodies.iter().map(|r| r.digest()).collect();
+                let requests: Vec<SignedRequest> = bodies.iter().map(|&r| r.clone()).collect();
+                self.apply_proposed(
+                    pp.clone(),
+                    names.clone(),
+                    requests,
+                    evidence,
+                    RequestSigs::CheckedByQuorum,
+                )
+                .map_err(|_| BootstrapError::ExecutionMismatch(*seq))?;
+                // Only an accepted segment's bodies are kept.
+                self.req_store.extend(names.into_iter().zip(bodies.into_iter().cloned()));
 
                 // Frontiers: a replayed batch is prepared; in-ledger
                 // evidence marks its target committed. We did not
                 // participate, so we hold no nonces for these slots — the
                 // evidence-fetch path covers gaps.
+                self.prepared_view.insert(*seq, *view);
                 self.prepared_up_to = self.prepared_up_to.max(*seq);
-                self.seq_next = self.seq_next.max(seq.next());
                 if let (Some(ev), Some(no)) = (evidence_at, nonces_at) {
-                    self.reconstruct_gov_receipts_from_ledger(&pp, entries, *ev, *no);
+                    self.reconstruct_gov_receipts_from_ledger(pp, entries, *ev, *no);
                     if pp.core.evidence_seq > self.committed_up_to {
                         self.committed_up_to = pp.core.evidence_seq;
                         self.kv.release_batches_up_to(self.committed_up_to.0);
@@ -621,13 +579,7 @@ impl Replica {
         }
         // Signature under the active configuration (the fast-path is
         // only offered for single-configuration histories).
-        let config = self.gov.active().clone();
-        let payload = PrePrepare::signing_payload(&pp.core, &pp.root_g);
-        let sig_ok = config
-            .replica_key(pp.core.primary)
-            .map(|k| k.verify(&payload, &pp.sig))
-            .unwrap_or(false);
-        if !sig_ok || config.primary_of(pp.view()) != pp.core.primary {
+        if !self.signed_by_view_primary(self.gov.active(), &pp) {
             return Err("seed pre-prepare signature invalid");
         }
         // The transaction run must carry contiguous indices ending at the
@@ -635,6 +587,7 @@ impl Replica {
         let base_index = next_tx_index
             .checked_sub(tail.len() as u64)
             .ok_or("seed transaction count exceeds the index counter")?;
+        let mut names = Vec::with_capacity(tail.len());
         let mut leaves = Vec::with_capacity(tail.len());
         for (pos, entry) in tail.iter().enumerate() {
             let LedgerEntry::Tx(tx) = entry else {
@@ -643,11 +596,9 @@ impl Replica {
             if tx.index.0 != base_index + pos as u64 {
                 return Err("seed transaction indices not contiguous");
             }
-            leaves.push(ia_ccf_types::entry::g_leaf_hash(
-                &tx.request.digest(),
-                tx.index,
-                &tx.result,
-            ));
+            let name = tx.request.digest();
+            leaves.push(ia_ccf_types::entry::g_leaf_hash(&name, tx.index, &tx.result));
+            names.push(name);
         }
         if MerkleTree::from_leaves(leaves).root() != pp.root_g {
             return Err("seed transaction run does not reproduce Ḡ");
@@ -674,17 +625,16 @@ impl Replica {
         self.committed_up_to = pinned.seq;
         self.view = pp.view().max(self.view);
         self.prepared_view.insert(pinned.seq, pp.view());
-        let mut digests = Vec::with_capacity(tail.len());
-        for entry in tail {
+        // The checkpoint batch is in the ledger without having executed
+        // here: its requests get the bookkeeping of any appended batch.
+        self.note_batch_appended(&names);
+        for (name, entry) in names.iter().zip(decoded.drain(1..)) {
             let LedgerEntry::Tx(tx) = entry else {
                 unreachable!("checked above");
             };
-            let digest = tx.request.digest();
-            self.req_store.insert(digest, tx.request.clone());
-            self.executed_reqs.insert(digest);
-            digests.push(digest);
+            self.req_store.insert(*name, tx.request);
         }
-        self.msgs.put_pp(pp, digests);
+        self.msgs.put_pp(pp, names);
         // The restored record is this replica's own checkpoint at `seq`:
         // the in-band mark batch at `seq + C` validates against it while
         // the suffix replays, and later audits can start from it.

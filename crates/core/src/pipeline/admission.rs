@@ -362,11 +362,12 @@ mod tests {
 
     use ia_ccf_types::config::testutil::test_config;
     use ia_ccf_types::{
-        ClientId, KeyPair, LedgerIdx, ProtocolMsg, ReplicaId, Request, RequestAction, SeqNum,
-        SignedRequest,
+        ClientId, KeyPair, LedgerEntry, LedgerIdx, ProtocolMsg, ReplicaId, Request, RequestAction,
+        SeqNum, SignedRequest,
     };
 
     use crate::app::CounterApp;
+    use crate::bootstrap::BootstrapError;
     use crate::events::{Input, NodeId, Output};
     use crate::params::ProtocolParams;
     use crate::replica::Replica;
@@ -516,6 +517,84 @@ mod tests {
         bus.assert_no_executed_request_is_cached();
         for r in bus.live() {
             assert_eq!(r.executed_reqs.len(), 40);
+        }
+    }
+
+    /// Replay is a door like any other: a batch it appends leaves the
+    /// verified-signature cache, and a segment it refuses — at execution
+    /// or at `Ḡ` — leaves no body behind.
+    #[test]
+    fn replay_prunes_the_verified_cache_and_keeps_no_refused_body() {
+        let mut bus = Bus::new(4);
+        for _ in 0..12 {
+            bus.submit();
+        }
+        bus.run_until_committed(SeqNum(3));
+        let honest = bus.replicas[0].ledger.entries().to_vec();
+        let requests: Vec<SignedRequest> = honest
+            .iter()
+            .filter_map(|e| match e {
+                LedgerEntry::Tx(tx) => Some(tx.request.clone()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(requests.len(), 12);
+        let spare = || {
+            let (genesis, mut replica_keys, _) = test_config(4);
+            Replica::new(
+                ReplicaId(3),
+                replica_keys.remove(3),
+                genesis,
+                Arc::new(CounterApp),
+                bus.replicas[0].params.clone(),
+                [(CLIENT, bus.client_key.public())],
+            )
+            .expect("build replica")
+        };
+
+        // The requests reached this replica from their client and were
+        // verified (a prewarm pass, a batch it later rolled back) before it
+        // fell behind and replayed them out of a ledger.
+        let mut behind = spare();
+        let names: Vec<_> = requests.iter().map(SignedRequest::digest).collect();
+        for req in &requests {
+            behind.on_request(req.clone());
+        }
+        assert!(behind.ensure_batch_verified(&requests, &names).is_empty());
+        assert_eq!(behind.verified_reqs.len(), 12);
+        behind.replay_entries(&honest[1..], 1).expect("honest ledger replays");
+        assert_eq!(behind.executed_reqs.len(), 12);
+        assert_eq!(behind.verified_reqs.intersection(&behind.executed_reqs).count(), 0);
+
+        // The last batch's segment, with its first request swapped for
+        // another the client really signed: one whose `min_index` cannot
+        // be met (refused at execution), one that merely is not what the
+        // primary executed (refused at `Ḡ`).
+        let pp_at = honest
+            .iter()
+            .rposition(|e| matches!(e, LedgerEntry::PrePrepare(_)))
+            .expect("a batch");
+        let start = pp_at - 2;
+        assert!(matches!(honest[start], LedgerEntry::Evidence { .. }));
+        for min_index in [LedgerIdx(u64::MAX), LedgerIdx(0)] {
+            let mut fresh = spare();
+            fresh.replay_entries(&honest[1..start], 1).expect("honest prefix replays");
+            let mut before: Vec<_> = fresh.req_store.keys().copied().collect();
+            before.sort_unstable();
+            assert_eq!(before.len(), 8);
+
+            let mut tampered = honest[start..].to_vec();
+            let LedgerEntry::Tx(tx) = &mut tampered[3] else { panic!("a transaction") };
+            tx.request = SignedRequest::sign(
+                Request { min_index, req_id: 999, ..tx.request.request.clone() },
+                &bus.client_key,
+            );
+            let refused = fresh.replay_entries(&tampered, start);
+            assert_eq!(refused, Err(BootstrapError::ExecutionMismatch(SeqNum(3))));
+            let mut after: Vec<_> = fresh.req_store.keys().copied().collect();
+            after.sort_unstable();
+            assert_eq!(after, before, "a refused segment's bodies must not be kept");
+            assert_eq!(fresh.ledger.len(), start as u64);
         }
     }
 

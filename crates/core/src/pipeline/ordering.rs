@@ -17,11 +17,13 @@
 use std::collections::BTreeMap;
 
 use ia_ccf_types::{
-    BatchKind, Commit, Digest, LedgerEntry, Nonce, PrePrepare, PrePrepareCore, Prepare,
-    ProtocolMsg, ReplicaBitmap, ReplicaId, SeqNum, SignedRequest, SystemOp, TxLedgerEntry, View,
+    BatchKind, Commit, Configuration, Digest, LedgerEntry, Nonce, PrePrepare, PrePrepareCore,
+    Prepare, ProtocolMsg, ReplicaBitmap, ReplicaId, SeqNum, SignedRequest, SystemOp, TxLedgerEntry,
+    View,
 };
 
-use crate::pipeline::execution::{BatchMark, ExecError};
+use crate::pipeline::admission::BatchVerify;
+use crate::pipeline::execution::{BatchExec, BatchMark, ExecError};
 use crate::replica::Replica;
 
 /// The commitment evidence for one batch: `P_s` and `K_s` plus the bitmap.
@@ -31,6 +33,30 @@ pub(crate) struct EvidenceSet {
     pub bitmap: ReplicaBitmap,
     pub prepares: Vec<Prepare>,
     pub nonces: Vec<Nonce>,
+}
+
+/// What [`Replica::apply_proposed`] has yet to establish about the
+/// signatures on a batch's requests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RequestSigs {
+    /// Nothing: each one not already in `verified_reqs` is checked now, on
+    /// the pool, while the batch executes.
+    Verify,
+    /// The batch is read out of a ledger, whose evidence entries say a
+    /// quorum prepared it — having checked them at their batch time.
+    /// (Whether a reader takes that on trust is ROADMAP item 5's question.)
+    CheckedByQuorum,
+}
+
+/// Why [`Replica::apply_proposed`] refused a batch: `M̄` after the evidence
+/// append or the re-executed `Ḡ` is not the signed one, a request's
+/// signature did not verify, or the kind rules or execution said no.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Refused {
+    RootM,
+    RootG,
+    ForgedRequest,
+    Exec(ExecError),
 }
 
 impl Replica {
@@ -135,21 +161,11 @@ impl Replica {
     ) -> bool {
         let view = self.view;
         let evidence = self.build_evidence(seq);
-        let mark = BatchMark {
-            ledger_len_before: self.ledger.len(),
-            tx_index_before: self.next_tx_index,
-            gov_index_before: self.last_gov_index,
-            gov_before: std::sync::Arc::clone(&self.gov_snapshot),
-        };
         let (evidence_seq, evidence_bitmap) = match &evidence {
             Some(ev) => (ev.seq, ev.bitmap),
             None => (SeqNum(0), ReplicaBitmap::empty()),
         };
-        if self.params.ledger_enabled {
-            if let Some(ev) = &evidence {
-                self.append_evidence_entries(ev);
-            }
-        }
+        let mark = self.open_batch(evidence);
 
         let exec = match self.execute_batch(seq, view, kind, &requests, &batch_hashes) {
             Ok(exec) => exec,
@@ -181,16 +197,8 @@ impl Replica {
         let sig = self.sign_replica_payload(&PrePrepare::signing_payload(&core, &root_g));
         let pp = PrePrepare { core, root_g, sig };
 
-        if self.params.ledger_enabled {
-            self.append_segment_entries(&pp, requests, &exec.txs);
-        }
-        self.note_batch_appended(&batch_hashes);
-        self.insert_batch_exec(seq, exec);
-        self.batch_marks.insert(seq, mark);
-        self.msgs.put_pp(pp.clone(), batch_hashes.clone());
-        self.seq_next = seq.next();
+        self.close_batch(pp.clone(), batch_hashes.clone(), requests, exec, mark);
         self.last_pp_tick = self.tick;
-        self.post_append_reconfig(seq, kind);
         self.broadcast(ProtocolMsg::PrePrepare { pp, batch: batch_hashes });
         // With a single replica (N = 1) the batch prepares immediately.
         self.try_advance_prepared();
@@ -198,45 +206,144 @@ impl Replica {
         true
     }
 
+    // ------------------------------------------------------------------
+    // A batch enters the ledger: open → execute → close. The primary signs
+    // in between; a backup and ledger replay go through `apply_proposed`.
+    // ------------------------------------------------------------------
+
+    /// Open the next batch: take its rollback mark, then append the
+    /// evidence pair (`P_{s−P}`, `K_{s−P}`) as one ledger segment write.
+    fn open_batch(&mut self, evidence: Option<EvidenceSet>) -> BatchMark {
+        let mark = BatchMark {
+            ledger_len_before: self.ledger.len(),
+            tx_index_before: self.next_tx_index,
+            gov_index_before: self.last_gov_index,
+            gov_before: std::sync::Arc::clone(&self.gov_snapshot),
+        };
+        if self.params.ledger_enabled {
+            if let Some(ev) = evidence {
+                self.ledger.append_batch(vec![
+                    LedgerEntry::Evidence { seq: ev.seq, prepares: ev.prepares },
+                    LedgerEntry::Nonces { seq: ev.seq, nonces: ev.nonces },
+                ]);
+            }
+        }
+        mark
+    }
+
+    /// Close an executed batch: append its pre-prepare and `⟨t, i, o⟩`
+    /// entries as one ledger segment write (one reservation per batch,
+    /// §3.4) and record what a replica keeps about a batch in its ledger.
+    fn close_batch(
+        &mut self,
+        pp: PrePrepare,
+        names: Vec<Digest>,
+        requests: Vec<SignedRequest>,
+        exec: BatchExec,
+        mark: BatchMark,
+    ) {
+        let (seq, kind) = (pp.seq(), pp.core.kind);
+        if self.params.ledger_enabled {
+            let mut entries = Vec::with_capacity(1 + requests.len());
+            entries.push(LedgerEntry::PrePrepare(pp.clone()));
+            for (req, et) in requests.into_iter().zip(&exec.txs) {
+                entries.push(LedgerEntry::Tx(TxLedgerEntry {
+                    request: req,
+                    index: et.index,
+                    result: et.result.clone(),
+                }));
+            }
+            self.ledger.append_batch(entries);
+        }
+        self.note_batch_appended(&names);
+        self.insert_batch_exec(seq, exec);
+        self.batch_marks.insert(seq, mark);
+        self.msgs.put_pp(pp, names);
+        self.seq_next = seq.next();
+        self.post_append_reconfig(seq, kind);
+    }
+
+    /// Take a batch somebody else proposed — live, or through a ledger —
+    /// into this replica's ledger (`receivePrePrepare`, Alg. 1 line 15,
+    /// past its network half): append the evidence, compare `M̄`, apply the
+    /// kind rules, execute, compare `Ḡ`, log the batch. **Atomic**: a
+    /// refused batch is rolled back to its mark first. `names[i]` is
+    /// `requests[i]`'s digest; the caller has checked `pp`'s signature.
+    pub(crate) fn apply_proposed(
+        &mut self,
+        pp: PrePrepare,
+        names: Vec<Digest>,
+        requests: Vec<SignedRequest>,
+        evidence: Option<EvidenceSet>,
+        sigs: RequestSigs,
+    ) -> Result<(), Refused> {
+        let mark = self.open_batch(evidence);
+        match self.execute_proposed(&pp, &names, &requests, sigs) {
+            Ok(exec) => {
+                self.close_batch(pp, names, requests, exec, mark);
+                Ok(())
+            }
+            Err(why) => {
+                self.debug_reject(&pp, &format!("{why:?}"));
+                self.rollback_batch(pp.seq(), &mark);
+                Err(why)
+            }
+        }
+    }
+
+    /// The checks between open and close (the caller rolls back).
+    fn execute_proposed(
+        &mut self,
+        pp: &PrePrepare,
+        names: &[Digest],
+        requests: &[SignedRequest],
+        sigs: RequestSigs,
+    ) -> Result<BatchExec, Refused> {
+        // The primary's M̄ was computed after the evidence append.
+        if self.params.ledger_enabled && self.ledger.root_m() != pp.core.root_m {
+            return Err(Refused::RootM);
+        }
+        // Kind-specific validation before execution.
+        self.validate_batch_kind(pp, requests).map_err(Refused::Exec)?;
+
+        // Pipelined verify-while-execute: hand this batch's signature
+        // checks to the worker pool, start verifying the *next* stashed
+        // pre-prepare's signatures too (cross-batch overlap), and execute
+        // the batch on this thread meanwhile. Safe because signature
+        // validity is a pure function of the request bytes: if any
+        // signature turns out bad, the already-executed batch rolls back
+        // through its mark — the same path a root mismatch takes.
+        let verify = match sigs {
+            RequestSigs::Verify => {
+                let verify = self.start_batch_verify(requests, names);
+                self.prewarm_next_batch_verify();
+                verify
+            }
+            RequestSigs::CheckedByQuorum => BatchVerify::Done(Vec::new()),
+        };
+        let exec = self.execute_batch(pp.seq(), pp.view(), pp.core.kind, requests, names);
+        if !self.finish_batch_verify(verify).is_empty() {
+            // A correct primary never includes a forged request.
+            return Err(Refused::ForgedRequest);
+        }
+        let exec = exec.map_err(Refused::Exec)?;
+        // Early-execution agreement: the roots must match (Alg. 1 line 22).
+        if exec.tree.root() != pp.root_g {
+            return Err(Refused::RootG);
+        }
+        Ok(exec)
+    }
+
     /// Request-pool bookkeeping for a batch that is now in the ledger: its
     /// requests are executed (the dedupe set), and their verified-signature
     /// facts have served their purpose — the cache holds only requests
     /// still waiting for a batch. A rolled-back and re-queued request is
     /// simply verified again.
-    fn note_batch_appended(&mut self, batch: &[Digest]) {
+    pub(crate) fn note_batch_appended(&mut self, batch: &[Digest]) {
         for d in batch {
             self.executed_reqs.insert(*d);
             self.verified_reqs.remove(d);
         }
-    }
-
-    /// Append a batch's evidence pair (`P_{s−P}`, `K_{s−P}`) as one
-    /// ledger segment write.
-    fn append_evidence_entries(&mut self, ev: &EvidenceSet) {
-        self.ledger.append_batch(vec![
-            LedgerEntry::Evidence { seq: ev.seq, prepares: ev.prepares.clone() },
-            LedgerEntry::Nonces { seq: ev.seq, nonces: ev.nonces.clone() },
-        ]);
-    }
-
-    /// Append a batch's pre-prepare and `⟨t, i, o⟩` entries as one ledger
-    /// segment write (one reservation per batch, §3.4).
-    fn append_segment_entries(
-        &mut self,
-        pp: &PrePrepare,
-        requests: Vec<SignedRequest>,
-        txs: &[super::execution::ExecTx],
-    ) {
-        let mut entries = Vec::with_capacity(1 + requests.len());
-        entries.push(LedgerEntry::PrePrepare(pp.clone()));
-        for (req, et) in requests.into_iter().zip(txs) {
-            entries.push(LedgerEntry::Tx(TxLedgerEntry {
-                request: req,
-                index: et.index,
-                result: et.result.clone(),
-            }));
-        }
-        self.ledger.append_batch(entries);
     }
 
     // ------------------------------------------------------------------
@@ -266,8 +373,7 @@ impl Replica {
         }
         // Signature check (parallelizable; sequential here, the sim layers
         // batching where it matters).
-        let payload = PrePrepare::signing_payload(&pp.core, &pp.root_g);
-        if !self.verify_replica_payload(&config, sender, &payload, &pp.sig) {
+        if !self.signed_by_view_primary(&config, &pp) {
             return;
         }
         // hasRequests: all bodies present?
@@ -298,85 +404,32 @@ impl Replica {
         self.accept_pre_prepare(pp, batch, evidence);
     }
 
-    /// Shared backup path: append evidence, execute, compare roots, prepare.
-    /// Used for both live pre-prepares and new-view resends.
-    pub(crate) fn accept_pre_prepare(
+    /// Whether `pp` names the primary of its view under `config` (its
+    /// sequence number's configuration) and carries that replica's
+    /// signature — asked of every pre-prepare before it touches state.
+    pub(crate) fn signed_by_view_primary(&self, config: &Configuration, pp: &PrePrepare) -> bool {
+        let payload = PrePrepare::signing_payload(&pp.core, &pp.root_g);
+        config.primary_of(pp.view()) == pp.core.primary
+            && self.verify_replica_payload(config, pp.core.primary, &payload, &pp.sig)
+    }
+
+    /// The backup's half of `receivePrePrepare` past the network checks:
+    /// take the batch into the ledger, then commit to a nonce and prepare.
+    fn accept_pre_prepare(
         &mut self,
         pp: PrePrepare,
         batch: Vec<Digest>,
         evidence: Option<EvidenceSet>,
     ) {
-        let seq = pp.seq();
-        let view = pp.view();
-        let mark = BatchMark {
-            ledger_len_before: self.ledger.len(),
-            tx_index_before: self.next_tx_index,
-            gov_index_before: self.last_gov_index,
-            gov_before: std::sync::Arc::clone(&self.gov_snapshot),
-        };
-        if self.params.ledger_enabled {
-            if let Some(ev) = &evidence {
-                self.append_evidence_entries(ev);
-            }
-            // The primary's M̄ was computed after the evidence append.
-            if self.ledger.root_m() != pp.core.root_m {
-                self.debug_reject(&pp, "root_m mismatch");
-                self.rollback_batch(seq, &mark);
-                return;
-            }
-        }
-
+        let (seq, view, pp_digest) = (pp.seq(), pp.view(), pp.digest());
         let requests: Vec<SignedRequest> =
             batch.iter().map(|h| self.req_store[h].clone()).collect();
-        // Kind-specific validation before execution.
-        if let Err(e) = self.validate_batch_kind(&pp, &requests) {
-            self.debug_reject(&pp, &format!("kind validation: {e:?}"));
-            self.rollback_batch(seq, &mark);
+        if self.apply_proposed(pp, batch, requests, evidence, RequestSigs::Verify).is_err() {
             return;
         }
-
-        // Pipelined verify-while-execute: hand this batch's signature
-        // checks to the worker pool, start verifying the *next* stashed
-        // pre-prepare's signatures too (cross-batch overlap), and execute
-        // the batch on this thread meanwhile. Safe because signature
-        // validity is a pure function of the request bytes: if any
-        // signature turns out bad, the already-executed batch rolls back
-        // through its mark — the same path a root mismatch takes.
-        let verify = self.start_batch_verify(&requests, &batch);
-        self.prewarm_next_batch_verify();
-        let exec_result = self.execute_batch(seq, view, pp.core.kind, &requests, &batch);
-        if !self.finish_batch_verify(verify).is_empty() {
-            // A correct primary never includes a forged request.
-            self.rollback_batch(seq, &mark);
-            return;
-        }
-        let exec = match exec_result {
-            Ok(e) => e,
-            Err(e) => {
-                self.debug_reject(&pp, &format!("execution: {e:?}"));
-                self.rollback_batch(seq, &mark);
-                return;
-            }
-        };
-        // Early-execution agreement: the roots must match (Alg. 1 line 22).
-        if exec.tree.root() != pp.root_g {
-            self.debug_reject(&pp, "root_g mismatch");
-            self.rollback_batch(seq, &mark);
-            return;
-        }
-
-        if self.params.ledger_enabled {
-            self.append_segment_entries(&pp, requests, &exec.txs);
-        }
-        self.note_batch_appended(&batch);
-        self.insert_batch_exec(seq, exec);
-        self.batch_marks.insert(seq, mark);
-        self.post_append_reconfig(seq, pp.core.kind);
 
         let nonce = Nonce::random(&mut self.rng);
         self.my_nonces.insert((view.0, seq.0), nonce);
-        let pp_digest = pp.digest();
-        self.msgs.put_pp(pp, batch);
         let payload =
             Prepare::signing_payload(view, seq, self.id, &nonce.commitment(), &pp_digest);
         let prepare = Prepare {
@@ -388,7 +441,6 @@ impl Replica {
             sig: self.sign_replica_payload(&payload),
         };
         self.msgs.put_prepare(prepare.clone());
-        self.seq_next = seq.next();
         self.note_progress();
         self.broadcast(ProtocolMsg::Prepare(prepare));
         self.try_advance_prepared();
@@ -594,8 +646,7 @@ impl Replica {
         let view = *self.prepared_view.get(&target)?;
         let slot = self.msgs.slot(target, view)?;
         let (pp, _) = slot.pp.as_ref()?;
-        let config = self.config_for_seq(target).clone();
-        let config = &config;
+        let config = self.config_for_seq(target);
         let quorum = config.quorum();
 
         // Pick the quorum: the primary of the evidenced batch plus backups
@@ -641,8 +692,7 @@ impl Replica {
         let view = *self.prepared_view.get(&target)?;
         let slot = self.msgs.slot(target, view)?;
         let (target_pp, _) = slot.pp.as_ref()?;
-        let config = self.config_for_seq(target).clone();
-        let config = &config;
+        let config = self.config_for_seq(target);
         let primary = target_pp.core.primary;
         let primary_rank = config.rank_of(primary)?;
         let mut prepares = Vec::new();

@@ -176,10 +176,7 @@ impl Replica {
             rc.committed_root = Some(self.ledger.root_m());
             return;
         }
-        let switch = rc.switch_seq();
-        let end = rc.end_seq();
-        let _ = end;
-        if matches!(kind, BatchKind::EndOfConfig { .. }) && seq == switch {
+        if matches!(kind, BatchKind::EndOfConfig { .. }) && seq == rc.switch_seq() {
             self.activate_new_config(seq);
         }
         // The state is retained after the schedule completes: view changes

@@ -10,7 +10,7 @@
 //! instead of O(history) — and a page server lying about the ledger tip
 //! is unmasked by cross-checking the claim against f+1 replicas.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use ia_ccf::core::app::{App, CounterApp};
@@ -323,6 +323,82 @@ fn crash_mid_sync_resumes_from_durable_prefix() {
         report.bytes
     );
     assert_ledgers_byte_identical(&cluster, ReplicaId(3), ReplicaId(1));
+}
+
+// ----------------------------------------------------------------------
+// Differential: a ledger that was synced is on disk as one that was lived.
+// ----------------------------------------------------------------------
+
+/// Every file of a (flat) durable data directory, by name.
+fn dir_files(dir: &std::path::Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("data dir")
+        .map(|entry| {
+            let entry = entry.expect("dir entry");
+            let name = entry.file_name().into_string().expect("utf-8 file name");
+            (name, std::fs::read(entry.path()).expect("data file"))
+        })
+        .collect()
+}
+
+/// Replay used to write a batch entry by entry where the live path writes
+/// two chunks (evidence pair; pre-prepare + transactions), so a replica
+/// that *synced* a history held different bytes from one that *accepted*
+/// it, and the per-batch fsync fired on the pre-prepare's own chunk —
+/// before the batch's transactions were written. Replay now enters
+/// batches through the backup's body: same chunks, same fsync points.
+#[test]
+fn synced_replica_holds_the_same_files_as_one_that_accepted_every_batch() {
+    let tmp = TempDir::new("sync-vs-accept").expect("tempdir");
+    // Checkpoints off: the sync replays the whole history from genesis.
+    let params = ProtocolParams { checkpoints_enabled: false, ..durable_params(1) };
+    let spec = ClusterSpec::new(4, 2, params);
+    let mut cluster = durable_cluster(&spec, &tmp);
+    drop(cluster.crash_and_drop(ReplicaId(3)));
+    for batch in 0..20 {
+        for i in 0..10 {
+            let client = spec.clients[i % 2].0;
+            cluster.submit(client, CounterApp::INCR, format!("k{}", i % 4).into_bytes());
+        }
+        assert!(cluster.run_until_finished((batch + 1) * 10, 400), "batch {batch}");
+    }
+    let survivor = cluster.replica(ReplicaId(1));
+    let multi_tx_batches = survivor
+        .ledger()
+        .entries()
+        .windows(3)
+        .filter(|w| {
+            matches!(w, [LedgerEntry::PrePrepare(_), LedgerEntry::Tx(_), LedgerEntry::Tx(_)])
+        })
+        .count();
+    assert!(multi_tx_batches >= 20, "only {multi_tx_batches} multi-transaction batches");
+
+    let mut params3 = spec.params.clone();
+    params3.data_dir = Some(tmp.subdir("r3-synced").expect("subdir"));
+    let fresh = spec.build_replica_with(3, Arc::new(CounterApp), params3);
+    cluster.recover(fresh, ReplicaId(0));
+    assert!(
+        cluster.run_until(200, |c| c.replica(ReplicaId(3)).sync_report().complete),
+        "sync did not complete: {:?}",
+        cluster.replica(ReplicaId(3)).sync_report()
+    );
+    assert_eq!(cluster.replica(ReplicaId(3)).sync_report().checkpoint_seed, None);
+    assert_ledgers_byte_identical(&cluster, ReplicaId(3), ReplicaId(1));
+
+    let log = cluster.replica(ReplicaId(3)).ledger().durable().expect("durable log attached");
+    assert_eq!(
+        log.written_len(),
+        log.synced_len(),
+        "fsync_interval_batches = 1: nothing of a synced batch may sit unsynced"
+    );
+    let (synced, accepted) =
+        (dir_files(&tmp.path().join("r3-synced")), dir_files(&tmp.path().join("r1")));
+    assert_eq!(
+        synced.iter().map(|(name, bytes)| (name, bytes.len())).collect::<Vec<_>>(),
+        accepted.iter().map(|(name, bytes)| (name, bytes.len())).collect::<Vec<_>>(),
+        "file names and sizes"
+    );
+    assert!(synced == accepted, "same names and sizes, different bytes");
 }
 
 // ----------------------------------------------------------------------

@@ -1,9 +1,11 @@
 //! No request executes on the live path unless its class's signature was
 //! verified — whatever door its body came through.
 //!
-//! Request bodies reach a replica through three doors: a client's
-//! `Request`, a peer's `FetchRequestsResponse`, and a view-change ledger
-//! page. Only the first used to check governance signatures, and the
+//! Request bodies reach a replica through four doors: a client's
+//! `Request`, a peer's `FetchRequestsResponse`, a view-change ledger
+//! page, and a ledger replayed at bootstrap or recovery (the last test:
+//! replay goes through the backup's own acceptance, kind rules included).
+//! Only the first used to check governance signatures, and the
 //! second did not even look at its sender, so anyone — no key needed —
 //! could hand the primary a governance action "from member 0" signed by a
 //! random key, or a `System(CheckpointMark)`, and have it ordered and
@@ -15,11 +17,11 @@
 use std::sync::Arc;
 
 use ia_ccf::core::app::CounterApp;
-use ia_ccf::core::{Fault, Input, NodeId, ProtocolParams};
+use ia_ccf::core::{BootstrapError, Fault, Input, NodeId, ProtocolParams, Replica};
 use ia_ccf_sim::{ClusterSpec, DetCluster};
 use ia_ccf_types::{
-    ClientId, Digest, GovAction, KeyPair, LedgerEntry, LedgerIdx, MemberId, ProtocolMsg,
-    ReplicaId, Request, RequestAction, SeqNum, SignedRequest, SystemOp,
+    BatchKind, ClientId, Digest, GovAction, KeyPair, LedgerEntry, LedgerIdx, MemberId, PrePrepare,
+    ProtocolMsg, ReplicaId, Request, RequestAction, SeqNum, SignedRequest, SystemOp,
 };
 
 fn gov_request(member: MemberId, key: &KeyPair, gt_hash: Digest, req_id: u64) -> SignedRequest {
@@ -183,4 +185,96 @@ fn byzantine_primary_proposing_a_forged_governance_body_gets_no_prepares() {
         assert_eq!(privileged_txs(&cluster, r), Vec::new(), "replica {r}");
     }
     cluster.assert_ledgers_consistent();
+}
+
+/// The ledger through the whole batch at `seq`, with that batch's
+/// pre-prepare handed to `forge` and re-signed with its primary's key —
+/// what a page server colluding with the primary could serve. The batch
+/// is the last one kept, so no later `M̄` covers the forged entry.
+fn ledger_with_forged_batch(
+    spec: &ClusterSpec,
+    honest: &[LedgerEntry],
+    seq: SeqNum,
+    forge: impl FnOnce(&mut PrePrepare, &mut Vec<LedgerEntry>),
+) -> Vec<LedgerEntry> {
+    let at = honest
+        .iter()
+        .position(|e| matches!(e, LedgerEntry::PrePrepare(pp) if pp.seq() == seq))
+        .expect("batch in ledger");
+    let txs = honest[at + 1..].iter().take_while(|e| matches!(e, LedgerEntry::Tx(_))).count();
+    let mut ledger = honest[..at].to_vec();
+    let LedgerEntry::PrePrepare(mut pp) = honest[at].clone() else { unreachable!() };
+    let mut run = honest[at + 1..at + 1 + txs].to_vec();
+    forge(&mut pp, &mut run);
+    let payload = PrePrepare::signing_payload(&pp.core, &pp.root_g);
+    pp.sig = spec.replica_keys[pp.core.primary.0 as usize].sign(&payload);
+    ledger.push(LedgerEntry::PrePrepare(pp));
+    ledger.extend(run);
+    ledger
+}
+
+#[test]
+fn ledger_replay_applies_the_kind_rules_a_backup_applies() {
+    let spec = ClusterSpec::new(4, 1, ProtocolParams::default())
+        .with_config(|c| c.checkpoint_interval = 2);
+    let client = spec.clients[0].0;
+    let mut cluster = DetCluster::new(&spec, Arc::new(CounterApp));
+    for done in 1..=5 {
+        cluster.submit(client, CounterApp::INCR, b"k".to_vec());
+        assert!(cluster.run_until_finished(done, 200));
+    }
+    let honest = cluster.replica(ReplicaId(0)).ledger().entries().to_vec();
+    let kind_of = |seq| {
+        honest.iter().find_map(|e| match e {
+            LedgerEntry::PrePrepare(pp) if pp.seq() == seq => Some(pp.core.kind),
+            _ => None,
+        })
+    };
+    // With C = 2 the first checkpoint batch is the fourth.
+    let (regular, checkpoint) = (SeqNum(3), SeqNum(4));
+    assert_eq!(kind_of(regular), Some(BatchKind::Regular));
+    assert_eq!(kind_of(checkpoint), Some(BatchKind::Checkpoint));
+
+    let bootstrap = |ledger: &[LedgerEntry]| {
+        Replica::bootstrap(
+            ReplicaId(3),
+            spec.replica_keys[3].clone(),
+            Arc::new(CounterApp),
+            spec.params.clone(),
+            spec.client_keys(),
+            ledger,
+        )
+        .map(|replica| replica.prepared_up_to())
+    };
+
+    // Untouched (re-signing included), both prefixes replay.
+    for seq in [regular, checkpoint] {
+        let ledger = ledger_with_forged_batch(&spec, &honest, seq, |_, _| {});
+        assert_eq!(bootstrap(&ledger), Ok(seq));
+    }
+
+    // The checkpoint mark ordered as a Regular batch; a Regular batch
+    // claiming a committed root; a Checkpoint batch carrying its mark
+    // twice (indices and Ḡ made consistent, so only the kind rule objects).
+    let relabelled = ledger_with_forged_batch(&spec, &honest, checkpoint, |pp, _| {
+        pp.core.kind = BatchKind::Regular;
+    });
+    let with_root = ledger_with_forged_batch(&spec, &honest, regular, |pp, _| {
+        pp.core.committed_root = Some(pp.root_g);
+    });
+    let doubled = ledger_with_forged_batch(&spec, &honest, checkpoint, |pp, run| {
+        let [LedgerEntry::Tx(mark)] = &run[..] else { panic!("one mark expected") };
+        let mut again = mark.clone();
+        again.index = LedgerIdx(mark.index.0 + 1);
+        let leaves = vec![mark.g_leaf(), again.g_leaf()];
+        pp.root_g = ia_ccf::merkle::MerkleTree::from_leaves(leaves).root();
+        run.push(LedgerEntry::Tx(again));
+    });
+    for (what, ledger, seq) in [
+        ("checkpoint batch relabelled Regular", relabelled, checkpoint),
+        ("Regular batch with a committed root", with_root, regular),
+        ("checkpoint batch with two requests", doubled, checkpoint),
+    ] {
+        assert_eq!(bootstrap(&ledger), Err(BootstrapError::ExecutionMismatch(seq)), "{what}");
+    }
 }
