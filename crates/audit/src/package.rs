@@ -9,11 +9,12 @@
 //! that fails any of these incriminates the replica that served it; one
 //! that passes but replays incorrectly incriminates its signers (§4.1).
 
+use ia_ccf_core::viewchange::check_new_view;
 use ia_ccf_kv::KvCheckpoint;
 use ia_ccf_ledger::segment::{segment_entries, Segment};
 use ia_ccf_merkle::MerkleTree;
 use ia_ccf_types::{
-    Configuration, Digest, LedgerEntry, PrePrepare, SeqNum, View, Wire,
+    Configuration, Digest, LedgerEntry, PrePrepare, ReplicaId, SeqNum, Signature, View, Wire,
 };
 
 /// A ledger package served for auditing.
@@ -92,21 +93,19 @@ pub struct ValidatedBatch {
     /// Replica ids that provably prepared the batch at `seq − P` (from the
     /// evidence this pre-prepare carries), i.e. the signers of that
     /// earlier batch.
-    pub evidenced_signers: Vec<ia_ccf_types::ReplicaId>,
+    pub evidenced_signers: Vec<ReplicaId>,
 }
+
+/// One view-change set's report: `(view, senders, reported (seq, Ḡ)
+/// pairs)`.
+pub type ViewChangeReport = (View, Vec<ReplicaId>, Vec<(SeqNum, Digest)>);
 
 /// The result of validating a package: per-batch views plus the
 /// view-change sets found, for the Lemma 5 case analysis.
-/// One view-change set's report: `(view, senders, reported (seq, Ḡ)
-/// pairs)`.
-pub type ViewChangeReport = (View, Vec<ia_ccf_types::ReplicaId>, Vec<(SeqNum, Digest)>);
-
 #[derive(Debug, Clone, Default)]
 pub struct ValidatedPackage {
     /// Batches ascending by position in the fragment.
     pub batches: Vec<ValidatedBatch>,
-    /// `(view, senders)` of each view-change set entry.
-    pub view_change_sets: Vec<(View, Vec<ia_ccf_types::ReplicaId>)>,
     /// Per view-change set: `(view, senders, reported (seq, Ḡ) pairs)` —
     /// the prepared batches the set's members claimed (Lemma 5 needs to
     /// distinguish honest reports from omissions).
@@ -140,41 +139,28 @@ pub fn validate_package(
                 tree.append(entries[*at].m_leaf());
             }
             Segment::ViewChange { set_at, nv_at, view } => {
-                let LedgerEntry::ViewChangeSet { view_changes, .. } = &entries[*set_at] else {
+                let (LedgerEntry::ViewChangeSet { view_changes, .. }, LedgerEntry::NewView(nv)) =
+                    (&entries[*set_at], &entries[*nv_at])
+                else {
                     unreachable!("segmenter guarantees");
                 };
-                // The set sits where the next batch would: its senders sign
-                // under the configuration governing that position, not a
-                // later one that may have dropped them.
+                // The pair sits where the next batch would: it is held to
+                // the replicas' own rule under the configuration governing
+                // that position, not a later one that may have dropped a
+                // sender — plus `M̄′` over the tree this walk has built.
                 let position = out.batches.last().map_or(SeqNum(1), |b| b.seq.next());
                 let config = config_for_seq(position);
-                let mut senders = Vec::new();
-                for vc in view_changes {
-                    let ok = config
-                        .replica_key(vc.replica)
-                        .map(|k| k.verify(&vc.own_payload(), &vc.sig))
-                        .unwrap_or(false);
-                    if !ok {
-                        return Err(PackageError::BadViewChange(*view));
-                    }
-                    senders.push(vc.replica);
-                }
-                let mut reported: Vec<(SeqNum, Digest)> = Vec::new();
-                for vc in view_changes {
-                    for pp in &vc.pps {
-                        reported.push((pp.seq(), pp.root_g));
-                    }
-                }
-                out.view_change_reports.push((*view, senders.clone(), reported));
-                out.view_change_sets.push((*view, senders));
-                tree.append(entries[*set_at].m_leaf());
-                let LedgerEntry::NewView(nv) = &entries[*nv_at] else {
-                    unreachable!("segmenter guarantees");
+                let key_of_config = |id: ReplicaId, payload: &[u8], sig: &Signature| {
+                    config.replica_key(id).is_some_and(|k| k.verify(payload, sig))
                 };
+                let facts = check_new_view(&config, &key_of_config, nv, view_changes)
+                    .map_err(|_| PackageError::BadViewChange(*view))?;
+                tree.append(entries[*set_at].m_leaf());
                 if nv.root_m != tree.root() {
-                    return Err(PackageError::RootMismatch(SeqNum(0)));
+                    return Err(PackageError::BadViewChange(*view));
                 }
                 tree.append(entries[*nv_at].m_leaf());
+                out.view_change_reports.push((*view, facts.senders, facts.reported));
             }
             Segment::Batch { evidence_at, nonces_at, pp_at, tx_at, seq, view } => {
                 let LedgerEntry::PrePrepare(pp) = &entries[*pp_at] else {

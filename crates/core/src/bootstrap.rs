@@ -5,9 +5,11 @@
 //! and replays the ledger from that checkpoint." This module implements the
 //! replay: the joining replica validates the structural grammar, verifies
 //! every pre-prepare signature under the configuration of its sequence
-//! number, and takes every batch in as a backup would (`apply_proposed`:
-//! this module owns no ledger writer for batches). Governance receipts for
-//! served chains are reconstructed from the in-ledger evidence entries.
+//! number, takes every batch in as a backup would (`apply_proposed`) and
+//! every view-change pair as a backup would (`check_new_view` →
+//! `log_new_view`): this module owns no ledger writer but the checkpoint
+//! seed's. Governance receipts for served chains are reconstructed from
+//! the in-ledger evidence entries.
 //!
 //! **Obtaining** the ledger is the resumable `FetchLedgerPage` protocol
 //! ([`LedgerSyncState`]): the recovering replica requests bounded pages
@@ -52,7 +54,7 @@ use ia_ccf_ledger::Ledger;
 use ia_ccf_merkle::{Frontier, MerkleTree};
 use ia_ccf_types::{
     BatchCertificate, ClientId, Configuration, Digest, LedgerEntry, PrePrepare, ProtocolMsg,
-    PublicKey, Receipt, ReceiptBody, ReplicaId, SeqNum, SignedRequest, TxWitness, Wire,
+    PublicKey, Receipt, ReceiptBody, ReplicaId, SeqNum, SignedRequest, TxWitness, View, Wire,
 };
 
 use crate::app::App;
@@ -61,6 +63,7 @@ use crate::events::Output;
 use crate::params::ProtocolParams;
 use crate::pipeline::ordering::{EvidenceSet, RequestSigs};
 use crate::replica::Replica;
+use crate::viewchange::{check_new_view, Refused};
 
 /// Why a ledger could not be replayed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,6 +76,9 @@ pub enum BootstrapError {
     BadPrePrepareSig(SeqNum),
     /// Our re-execution diverged from the signed roots at this batch.
     ExecutionMismatch(SeqNum),
+    /// The logged view-change set and new-view for this view break Alg. 2's
+    /// validity rule.
+    BadNewView(View, Refused),
 }
 
 impl std::fmt::Display for BootstrapError {
@@ -82,23 +88,12 @@ impl std::fmt::Display for BootstrapError {
             BootstrapError::Malformed(e) => write!(f, "malformed ledger: {e}"),
             BootstrapError::BadPrePrepareSig(s) => write!(f, "bad pre-prepare signature at {s}"),
             BootstrapError::ExecutionMismatch(s) => write!(f, "execution mismatch at {s}"),
+            BootstrapError::BadNewView(v, why) => write!(f, "bad new-view for {v}: {why:?}"),
         }
     }
 }
 
 impl std::error::Error for BootstrapError {}
-
-/// What a running ledger sync is for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SyncPurpose {
-    /// Full state transfer: every page is verified against the signed
-    /// batch artifacts and replayed through the execution machinery.
-    Recovery,
-    /// View-change synchronisation: the replica only needs the request
-    /// bodies of the re-proposed tail, so pages are mined for
-    /// transactions and the stashed new-view is retried once `done`.
-    ViewChange,
-}
 
 /// Where a recovery sync currently is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,11 +125,11 @@ pub(crate) struct TipCheckpoint {
     pub tree_root: Digest,
 }
 
-/// Requester side of the paged `FetchLedgerPage` protocol.
+/// Requester side of the paged `FetchLedgerPage` protocol: a full state
+/// transfer, every page verified against the signed batch artifacts and
+/// replayed through the execution machinery.
 #[derive(Debug, Clone)]
 pub(crate) struct LedgerSyncState {
-    pub purpose: SyncPurpose,
-    /// Phase of a recovery sync (view-change syncs page immediately).
     pub phase: SyncPhase,
     /// Tip claims collected during [`SyncPhase::TipQuery`].
     pub tip_claims: BTreeMap<ReplicaId, TipClaim>,
@@ -240,20 +235,20 @@ impl Replica {
                 Err(BootstrapError::Malformed("unexpected genesis".into()))
             }
             Segment::ViewChange { set_at, nv_at, view } => {
-                // A restarted page stream re-serves inter-batch entries
-                // after the previous batch token, so an already-applied
-                // pair must be skipped, not duplicated. The check is on
-                // ledger *content* (is this view's new-view entry
-                // present?), not on `self.view`: a divergence rollback
-                // can truncate the pair away while the view counter
-                // stays advanced, and the re-served pair must then be
-                // re-applied or every subsequent root_m check fails.
-                if self.ledger.has_new_view(*view) {
-                    return Ok(());
-                }
-                self.ledger.append(entries[*set_at].clone());
-                self.ledger.append(entries[*nv_at].clone());
-                self.view = (*view).max(self.view);
+                let (LedgerEntry::ViewChangeSet { view_changes, .. }, LedgerEntry::NewView(nv)) =
+                    (&entries[*set_at], &entries[*nv_at])
+                else {
+                    unreachable!("segmenter guarantees");
+                };
+                // The pair sits where the next batch would, so it is held
+                // to the rule under that position's configuration — the
+                // rule a backup held the new-view to — and logged by the
+                // same writer (a pair already in the ledger is a no-op).
+                let refused = |why| BootstrapError::BadNewView(*view, why);
+                let config = self.config_for_seq(self.seq_next);
+                check_new_view(config, &self.replica_auth(config), nv, view_changes)
+                    .map_err(refused)?;
+                self.log_new_view(*view, view_changes.clone(), Some(nv)).map_err(refused)?;
                 Ok(())
             }
             Segment::Batch { evidence_at, nonces_at, pp_at, tx_at, seq, view } => {
@@ -333,7 +328,6 @@ impl Replica {
     pub fn begin_ledger_sync(&mut self, server: ReplicaId) -> Vec<Output> {
         self.sync_report = SyncReport::default();
         self.ledger_sync = Some(LedgerSyncState {
-            purpose: SyncPurpose::Recovery,
             phase: SyncPhase::TipQuery,
             tip_claims: BTreeMap::new(),
             verified_tip: None,
@@ -382,7 +376,7 @@ impl Replica {
         let Some(state) = self.ledger_sync.as_mut() else {
             return;
         };
-        if state.purpose != SyncPurpose::Recovery || state.phase != SyncPhase::TipQuery {
+        if state.phase != SyncPhase::TipQuery {
             return;
         }
         let cp = (cp_seq.0 > 0).then_some(TipCheckpoint {
@@ -478,10 +472,7 @@ impl Replica {
         let Some(state) = &self.ledger_sync else {
             return;
         };
-        if state.purpose != SyncPurpose::Recovery
-            || state.phase != SyncPhase::Checkpoint
-            || state.server != sender
-        {
+        if state.phase != SyncPhase::Checkpoint || state.server != sender {
             return;
         }
         let Some(pinned) = state.pinned_cp else {
@@ -733,31 +724,7 @@ impl Replica {
     /// Whether a full recovery sync is in flight (consensus traffic is
     /// ignored until it completes).
     pub fn in_recovery_sync(&self) -> bool {
-        matches!(
-            &self.ledger_sync,
-            Some(LedgerSyncState { purpose: SyncPurpose::Recovery, .. })
-        )
-    }
-
-    /// Start a view-change ledger sync (request bodies for the
-    /// re-proposed tail; see [`crate::viewchange`]).
-    pub(crate) fn start_vc_ledger_sync(&mut self, server: ReplicaId, from_seq: SeqNum) {
-        self.sync_report = SyncReport::default();
-        self.ledger_sync = Some(LedgerSyncState {
-            purpose: SyncPurpose::ViewChange,
-            phase: SyncPhase::Paging,
-            tip_claims: BTreeMap::new(),
-            verified_tip: None,
-            pinned_cp: None,
-            server,
-            from_seq,
-            buffered: Vec::new(),
-            tried: BTreeSet::new(),
-            last_page_tick: self.tick,
-            rolled_back_at: None,
-            paused: false,
-        });
-        self.request_sync_page();
+        self.ledger_sync.is_some()
     }
 
     /// Ask the current server for the next page.
@@ -835,16 +802,7 @@ impl Replica {
             }
         }
 
-        let purpose = state.purpose;
-        match purpose {
-            SyncPurpose::ViewChange => self.vc_page_arrived(decoded, next_seq, done),
-            SyncPurpose::Recovery => self.recovery_page_arrived(decoded, next_seq, done),
-        }
-    }
-
-    /// Recovery purpose: buffer, replay every complete segment, continue
-    /// or finish.
-    fn recovery_page_arrived(&mut self, decoded: Vec<LedgerEntry>, next_seq: SeqNum, done: bool) {
+        // Buffer, replay every complete segment, continue or finish.
         {
             let state = self.ledger_sync.as_mut().expect("sync running");
             state.buffered.extend(decoded);
@@ -955,7 +913,6 @@ impl Replica {
         }
         let committed = self.committed_up_to;
         self.reset_to_seq(committed);
-        self.seq_next = committed.next();
         let state = self.ledger_sync.as_mut().expect("sync running");
         state.rolled_back_at = Some(token);
         state.from_seq = committed.next();
@@ -964,9 +921,8 @@ impl Replica {
     }
 
     /// Abandon the current server and move to the next replica of the
-    /// active configuration; a recovery sync cycles forever (a recovering
-    /// replica has nothing better to do), a view-change sync gives up and
-    /// leaves the pending new-view to the liveness timer.
+    /// active configuration; the sync cycles forever (a recovering replica
+    /// has nothing better to do).
     fn sync_failover(&mut self, why: &str) {
         let Some(mut state) = self.ledger_sync.take() else {
             return;
@@ -987,80 +943,39 @@ impl Replica {
         let next_server = match candidate {
             Some(id) => id,
             None => {
-                match state.purpose {
-                    SyncPurpose::ViewChange => return, // liveness timer takes over
-                    SyncPurpose::Recovery => {
-                        // Every peer tried: clear the slate and retry the
-                        // rotation after one timeout of backoff (a
-                        // recovering replica has nothing better to do,
-                        // and in a two-replica cluster the sole peer must
-                        // be retried rather than the sync silently
-                        // dying). The pause keeps a cluster-wide outage
-                        // at one request per timeout, not a storm.
-                        state.tried.clear();
-                        let Some(id) = peers
-                            .iter()
-                            .find(|id| **id != state.server)
-                            .or_else(|| peers.first())
-                            .copied()
-                        else {
-                            return; // single-replica cluster: nobody to ask
-                        };
-                        state.server = id;
-                        state.buffered.clear();
-                        state.rolled_back_at = None;
-                        state.from_seq = self.seq_next;
-                        state.paused = true;
-                        state.last_page_tick = self.tick;
-                        self.ledger_sync = Some(state);
-                        return;
-                    }
-                }
+                // Every peer tried: clear the slate and retry the rotation
+                // after one timeout of backoff (a recovering replica has
+                // nothing better to do, and in a two-replica cluster the
+                // sole peer must be retried rather than the sync silently
+                // dying). The pause keeps a cluster-wide outage at one
+                // request per timeout, not a storm.
+                state.tried.clear();
+                let Some(id) = peers
+                    .iter()
+                    .find(|id| **id != state.server)
+                    .or_else(|| peers.first())
+                    .copied()
+                else {
+                    return; // single-replica cluster: nobody to ask
+                };
+                state.server = id;
+                state.buffered.clear();
+                state.rolled_back_at = None;
+                state.from_seq = self.seq_next;
+                state.paused = true;
+                state.last_page_tick = self.tick;
+                self.ledger_sync = Some(state);
+                return;
             }
         };
         state.server = next_server;
         state.buffered.clear();
         state.rolled_back_at = None;
-        if state.purpose == SyncPurpose::Recovery {
-            // Resume from the first batch we have not applied — the
-            // applied prefix is verified and never re-fetched.
-            state.from_seq = self.seq_next;
-        }
+        // Resume from the first batch we have not applied — the applied
+        // prefix is verified and never re-fetched.
+        state.from_seq = self.seq_next;
         self.ledger_sync = Some(state);
         self.request_sync_page();
-    }
-
-    /// View-change purpose: admit the request bodies carried by the page
-    /// and retry the stashed new-view once the stream completes.
-    fn vc_page_arrived(&mut self, decoded: Vec<LedgerEntry>, next_seq: SeqNum, done: bool) {
-        for entry in decoded {
-            if let LedgerEntry::Tx(tx) = entry {
-                let digest: Digest = tx.request.digest();
-                self.req_store.entry(digest).or_insert(tx.request);
-            }
-        }
-        {
-            let state = self.ledger_sync.as_mut().expect("sync running");
-            state.from_seq = next_seq;
-            state.last_page_tick = self.tick;
-            state.paused = false;
-        }
-        if !done {
-            return self.request_sync_page();
-        }
-        self.ledger_sync = None;
-        self.sync_report.complete = true;
-        // Retry assembly/acceptance now that the bodies are present (the
-        // common case is missing request bodies only; a replica too far
-        // behind for that runs a full recovery sync instead).
-        let Some(pending) = self.pending_new_view.take() else {
-            return;
-        };
-        if let Some(nv) = pending.nv {
-            self.on_new_view(nv, pending.vcs, Vec::new());
-        } else {
-            self.try_assemble_new_view();
-        }
     }
 
     /// Rebuild governance receipts for an evidenced batch from the ledger's

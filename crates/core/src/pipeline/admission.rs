@@ -4,8 +4,8 @@
 //! and membership at admission, dedupes against the pool and the
 //! executed set, and queues the request for ordering. **Batch time is
 //! the one verification point**: whatever door a request body came
-//! through (a client, a `FetchRequestsResponse`, a view-change page), it
-//! executes on the live path only after its class's signature — the
+//! through (a client, a `FetchRequestsResponse`), it executes on the live
+//! path only after its class's signature — the
 //! client's key for app requests, the member's key under the active
 //! configuration for governance — and its service binding were checked
 //! there (§3.4: "Signature

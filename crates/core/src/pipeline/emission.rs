@@ -417,7 +417,7 @@ impl Replica {
     }
 
     // ------------------------------------------------------------------
-    // Fetch serving (view-change sync, bootstrap).
+    // Fetch serving (recovery sync, evidence gap fill).
     // ------------------------------------------------------------------
 
     pub(crate) fn serve_evidence_fetch(&mut self, sender: ReplicaId, seq: SeqNum) {

@@ -129,11 +129,7 @@ pub struct Replica {
     /// under the configuration of the *evidenced* sequence number.
     pub(crate) config_first_seq: Vec<(SeqNum, Configuration)>,
 
-    // View-change state (Alg. 2).
-    pub(crate) pending_new_view: Option<crate::viewchange::PendingNewView>,
-
-    // Paged state transfer (recovery and view-change sync; see
-    // `crate::bootstrap`).
+    // Paged state transfer (see `crate::bootstrap`).
     pub(crate) ledger_sync: Option<crate::bootstrap::LedgerSyncState>,
     pub(crate) sync_report: crate::bootstrap::SyncReport,
 
@@ -249,7 +245,6 @@ impl Replica {
             retired: false,
             retire_at: None,
             config_first_seq: vec![(SeqNum(0), genesis)],
-            pending_new_view: None,
             ledger_sync: None,
             sync_report: Default::default(),
             stashed_pps: Vec::new(),
@@ -539,9 +534,7 @@ impl Replica {
                 }
             }
             ProtocolMsg::ViewChange(vc) => self.on_view_change(vc),
-            ProtocolMsg::NewView { nv, view_changes, resends } => {
-                self.on_new_view(nv, view_changes, resends)
-            }
+            ProtocolMsg::NewView { nv, view_changes } => self.on_new_view(nv, view_changes),
             ProtocolMsg::FetchRequests { hashes } => {
                 if let NodeId::Replica(sender) = from {
                     let requests: Vec<SignedRequest> = hashes
@@ -656,13 +649,10 @@ impl Replica {
 
     fn on_tick(&mut self) {
         self.tick += 1;
-        if self.ledger_sync.is_some() {
-            self.sync_tick();
-            if self.in_recovery_sync() {
-                // State transfer in progress: no proposing, no view
-                // changes — the sync's own timeout drives failover.
-                return;
-            }
+        if self.in_recovery_sync() {
+            // State transfer in progress: no proposing, no view changes —
+            // the sync's own timeout drives failover.
+            return self.sync_tick();
         }
         if self.is_primary() && self.ready {
             self.maybe_send_pre_prepare();

@@ -7,24 +7,163 @@
 //! prepared-but-possibly-uncommitted tail `(s_lp − P, s_lp]` in the new
 //! view with byte-identical batch content, which re-execution reproduces
 //! (early execution is deterministic).
+//!
+//! "Was this view change legitimate?" has one answer, [`check_view_change`]
+//! and [`check_new_view`]: pure functions that a backup, a replica loading
+//! a ledger and the auditor all call. The logged pair has one writer,
+//! `log_new_view` (docs/ARCHITECTURE.md §1.5).
+
+use std::collections::BTreeSet;
 
 use ia_ccf_types::{
-    BatchKind, Digest, LedgerEntry, NewViewMsg, PrePrepare, ProtocolMsg, ReplicaBitmap, SeqNum,
-    SignedRequest, View, ViewChange, Wire,
+    BatchKind, Configuration, Digest, LedgerEntry, NewViewMsg, PrePrepare, ProtocolMsg,
+    ReplicaBitmap, ReplicaId, SeqNum, Signature, SignedRequest, View, ViewChange, Wire,
 };
 
 use crate::replica::Replica;
 
-/// A new-view the replica cannot finish yet because its ledger is behind
-/// the chosen last-prepared batch; resolved by a ledger fetch.
-#[derive(Debug, Clone)]
-pub struct PendingNewView {
-    /// The view being assembled/accepted.
-    pub view: View,
-    /// The chosen view-change quorum.
-    pub vcs: Vec<ViewChange>,
-    /// The new-view message (None while *we* are the assembling primary).
-    pub nv: Option<NewViewMsg>,
+/// How a replica's signature over a payload is checked — the one thing the
+/// rule's callers do differently: a replica goes through
+/// `verify_replica_payload` (which carries the MAC ablation), the auditor
+/// uses the configuration's key.
+pub type ReplicaAuthFn<'a> = &'a dyn Fn(ReplicaId, &[u8], &Signature) -> bool;
+
+/// The clause of Alg. 2's validity rule a view-change or a new-view broke.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refused {
+    /// A view-change sender is not ranked in the configuration.
+    UnknownSender(ReplicaId),
+    /// This replica's signature (on its view-change, or on the new-view)
+    /// does not verify.
+    BadSignature(ReplicaId),
+    /// `hasPrepares` fails: the last pre-prepare this sender reports is
+    /// not proven prepared.
+    NotPrepared(ReplicaId),
+    /// This sender's view-change is for another view than the new-view.
+    WrongView(ReplicaId),
+    /// Fewer than a quorum of distinct senders.
+    NoQuorum,
+    /// The senders' ranks are not the new-view's `E_vc`.
+    Bitmap,
+    /// The set entry does not hash to the new-view's `h_vc`.
+    SetHash,
+    /// The ledger with the set entry appended does not have root `M̄′`.
+    RootM,
+}
+
+/// What a valid new-view establishes, for callers to read instead of
+/// deriving it again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NewViewFacts {
+    /// The view-change senders, ascending.
+    pub senders: Vec<ReplicaId>,
+    /// The chosen last-prepared batch `(seq, H(pp))`; `None` when no
+    /// sender reports a prepared batch.
+    pub last_prepared: Option<(SeqNum, Digest)>,
+    /// Every `(seq, Ḡ)` a sender reports as prepared (Lemma 5 tells an
+    /// honest report from an omission by these).
+    pub reported: Vec<(SeqNum, Digest)>,
+}
+
+/// Alg. 2 line 6: `vc` comes from a replica of `config`, carries its
+/// signature, and — `hasPrepares` — proves that the last pre-prepare it
+/// reports prepared: quorum − 1 distinct signed prepares matching it, none
+/// from its primary.
+pub fn check_view_change(
+    config: &Configuration,
+    auth: ReplicaAuthFn<'_>,
+    vc: &ViewChange,
+) -> Result<(), Refused> {
+    if config.rank_of(vc.replica).is_none() {
+        return Err(Refused::UnknownSender(vc.replica));
+    }
+    if !auth(vc.replica, &vc.own_payload(), &vc.sig) {
+        return Err(Refused::BadSignature(vc.replica));
+    }
+    if let Some(last) = vc.pps.last() {
+        let ppd = last.digest();
+        let provers: BTreeSet<ReplicaId> = vc
+            .last_proof
+            .iter()
+            .filter(|p| p.pp_digest == ppd && p.seq == last.seq() && p.view == last.view())
+            .filter(|p| p.replica != last.core.primary)
+            .filter(|p| auth(p.replica, &p.own_payload(), &p.sig))
+            .map(|p| p.replica)
+            .collect();
+        if provers.len() + 1 < config.quorum() {
+            return Err(Refused::NotPrepared(vc.replica));
+        }
+    }
+    Ok(())
+}
+
+/// Alg. 2 line 18, all of it but `M̄′` (which needs a ledger; see
+/// `log_new_view`): every view-change is for `nv.view`, the senders are
+/// distinct members of `config` and a quorum, their ranks are
+/// `nv.vc_bitmap`, the set entry they form hashes to `nv.vc_entry_hash`,
+/// the primary of `nv.view` signed `nv`, and every view-change passes
+/// [`check_view_change`]. Ordered cheapest first: nothing is verified for
+/// a set whose shape is wrong, and the per-member signatures come last.
+pub fn check_new_view(
+    config: &Configuration,
+    auth: ReplicaAuthFn<'_>,
+    nv: &NewViewMsg,
+    view_changes: &[ViewChange],
+) -> Result<NewViewFacts, Refused> {
+    let mut senders = BTreeSet::new();
+    let mut bitmap = ReplicaBitmap::empty();
+    for vc in view_changes {
+        if vc.view != nv.view {
+            return Err(Refused::WrongView(vc.replica));
+        }
+        let rank = config.rank_of(vc.replica).ok_or(Refused::UnknownSender(vc.replica))?;
+        if !senders.insert(vc.replica) {
+            return Err(Refused::NoQuorum); // one sender counted twice
+        }
+        bitmap.set(rank);
+    }
+    if senders.len() < config.quorum() {
+        return Err(Refused::NoQuorum);
+    }
+    if bitmap != nv.vc_bitmap {
+        return Err(Refused::Bitmap);
+    }
+    let set_entry = view_change_set_entry(nv.view, view_changes.to_vec());
+    if ia_ccf_crypto::hash_bytes(&set_entry.to_bytes()) != nv.vc_entry_hash {
+        return Err(Refused::SetHash);
+    }
+    let primary = config.primary_of(nv.view);
+    if !auth(primary, &nv.own_payload(), &nv.sig) {
+        return Err(Refused::BadSignature(primary));
+    }
+    for vc in view_changes {
+        check_view_change(config, auth, vc)?;
+    }
+    Ok(NewViewFacts {
+        senders: senders.into_iter().collect(),
+        last_prepared: chosen_last_prepared(view_changes),
+        reported: view_changes
+            .iter()
+            .flat_map(|vc| &vc.pps)
+            .map(|pp| (pp.seq(), pp.root_g))
+            .collect(),
+    })
+}
+
+/// The ledger entry a view-change set is logged as: its members ascending
+/// by sender, so every replica hashes the same bytes to `h_vc`.
+fn view_change_set_entry(view: View, mut view_changes: Vec<ViewChange>) -> LedgerEntry {
+    view_changes.sort_by_key(|vc| vc.replica);
+    LedgerEntry::ViewChangeSet { view, view_changes }
+}
+
+/// The deterministic "last prepared" choice over a view-change set: the
+/// final pre-prepare with the highest (view, seq), identified by digest.
+fn chosen_last_prepared(vcs: &[ViewChange]) -> Option<(SeqNum, Digest)> {
+    vcs.iter()
+        .filter_map(|vc| vc.pps.last())
+        .max_by_key(|pp| (pp.view(), pp.seq()))
+        .map(|pp| (pp.seq(), pp.digest()))
 }
 
 /// A batch saved across the view-change reset, to be re-proposed.
@@ -70,7 +209,6 @@ impl Replica {
         self.view = new_view;
         self.ready = false;
         self.note_progress();
-        self.pending_new_view = None;
 
         // PP: the last P prepared pre-prepares (Alg. 2 line 3).
         let p = self.pipeline_depth() as usize;
@@ -107,45 +245,29 @@ impl Replica {
         self.try_assemble_new_view();
     }
 
+    /// The validity rule as this replica asks it: under `config`, replica
+    /// signatures checked by `verify_replica_payload`.
+    pub(crate) fn replica_auth<'a>(
+        &'a self,
+        config: &'a Configuration,
+    ) -> impl Fn(ReplicaId, &[u8], &Signature) -> bool + 'a {
+        move |sender, payload, sig| self.verify_replica_payload(config, sender, payload, sig)
+    }
+
     /// Alg. 2 line 6.
     pub(crate) fn on_view_change(&mut self, vc: ViewChange) {
         if vc.view < self.view {
             return;
         }
-        let config = self.gov.active().clone();
-        if config.rank_of(vc.replica).is_none() {
+        let config = self.gov.active();
+        if check_view_change(config, &self.replica_auth(config), &vc).is_err() {
             return;
         }
-        if !self.verify_replica_payload(&config, vc.replica, &vc.own_payload(), &vc.sig) {
-            return;
-        }
-        // hasPrepares: the last PP entry must be proven prepared.
-        if let Some(last) = vc.pps.last() {
-            let quorum = config.quorum();
-            let ppd = last.digest();
-            let mut senders = std::collections::BTreeSet::new();
-            for prep in &vc.last_proof {
-                if prep.pp_digest != ppd || prep.seq != last.seq() || prep.view != last.view() {
-                    continue;
-                }
-                if prep.replica == last.core.primary {
-                    continue;
-                }
-                if !self.verify_replica_payload(&config, prep.replica, &prep.own_payload(), &prep.sig)
-                {
-                    continue;
-                }
-                senders.insert(prep.replica);
-            }
-            if senders.len() + 1 < quorum {
-                return; // not proven prepared
-            }
-        }
+        let f = config.f();
         self.msgs.put_view_change(vc);
 
         // Liveness join rule (line 9): if more than f replicas are already
         // in a later view, join it.
-        let f = config.f();
         let later = self.msgs.later_view_change_senders(self.view);
         for (v, count) in later {
             if count > f && v > self.view {
@@ -157,10 +279,32 @@ impl Replica {
         self.try_assemble_new_view();
     }
 
+    /// Whether this replica's ledger holds the chosen last-prepared batch.
+    /// One that does not cannot replay the reset, and no request body it
+    /// could fetch stands in for a pre-prepare it never took in: it sits
+    /// the new view out until its liveness timer moves it on.
+    fn holds_batch(&self, (seq, digest): (SeqNum, Digest)) -> bool {
+        self.prepared_view
+            .get(&seq)
+            .and_then(|v| self.msgs.slot(seq, *v))
+            .and_then(|s| s.pp_digest)
+            == Some(digest)
+    }
+
+    /// Where a new view restarts the pipeline: `P` batches below the
+    /// chosen last-prepared one, or at the committed frontier when nothing
+    /// prepared anywhere.
+    fn reset_point(&self, last_prepared: Option<(SeqNum, Digest)>) -> SeqNum {
+        match last_prepared {
+            Some((lp_seq, _)) => SeqNum(lp_seq.0.saturating_sub(self.pipeline_depth())),
+            None => self.committed_up_to,
+        }
+    }
+
     /// New primary: once a quorum of view-changes for our view is in,
     /// assemble the new view (Alg. 2 line 12).
     pub(crate) fn try_assemble_new_view(&mut self) {
-        let config = self.gov.active().clone();
+        let config = self.gov.active();
         if config.primary_of(self.view) != self.id || self.ready {
             return;
         }
@@ -172,37 +316,14 @@ impl Replica {
         // Deterministic choice: the quorum with the lowest replica ids.
         let vcs: Vec<ViewChange> = all.into_iter().take(quorum).cloned().collect();
 
-        let Some((lp_seq, lp_digest)) = chosen_last_prepared(&vcs) else {
-            // Nothing prepared anywhere: rebuild from the committed state.
-            self.complete_new_view(vcs, SeqNum(self.committed_up_to.0), Vec::new());
-            return;
-        };
-
-        // Our ledger must contain the chosen last-prepared batch.
-        if self.prepared_up_to < lp_seq
-            || self
-                .prepared_view
-                .get(&lp_seq)
-                .and_then(|v| self.msgs.slot(lp_seq, *v))
-                .and_then(|s| s.pp_digest)
-                != Some(lp_digest)
-        {
-            // Behind: fetch the tail from the replica that reported it.
-            let source = vcs
-                .iter()
-                .find(|vc| vc.pps.last().map(|pp| pp.digest()) == Some(lp_digest))
-                .map(|vc| vc.replica);
-            if let Some(source) = source {
-                self.pending_new_view =
-                    Some(PendingNewView { view: self.view, vcs, nv: None });
-                let from = self.committed_up_to.next();
-                self.start_vc_ledger_sync(source, from);
-            }
+        let last_prepared = chosen_last_prepared(&vcs);
+        if last_prepared.is_some_and(|lp| !self.holds_batch(lp)) {
             return;
         }
-
-        let reset_to = SeqNum(lp_seq.0.saturating_sub(self.pipeline_depth()));
-        let saved = self.save_batches(reset_to.next(), lp_seq);
+        let reset_to = self.reset_point(last_prepared);
+        // Nothing prepared anywhere: nothing to re-propose.
+        let saved = last_prepared
+            .map_or(Vec::new(), |(lp_seq, _)| self.save_batches(reset_to.next(), lp_seq));
         self.complete_new_view(vcs, reset_to, saved);
     }
 
@@ -210,38 +331,17 @@ impl Replica {
     /// re-propose the saved tail in the new view.
     fn complete_new_view(
         &mut self,
-        mut vcs: Vec<ViewChange>,
+        vcs: Vec<ViewChange>,
         reset_to: SeqNum,
         saved: Vec<SavedBatch>,
     ) {
-        let config = self.gov.active().clone();
-        vcs.sort_by_key(|vc| vc.replica);
         self.reset_to_seq(reset_to);
-
-        let mut vc_bitmap = ReplicaBitmap::empty();
-        for vc in &vcs {
-            if let Some(rank) = config.rank_of(vc.replica) {
-                vc_bitmap.set(rank);
-            }
-        }
-        let set_entry = LedgerEntry::ViewChangeSet { view: self.view, view_changes: vcs.clone() };
-        let vc_entry_hash = ia_ccf_crypto::hash_bytes(&set_entry.to_bytes());
-        self.ledger.append(set_entry);
-        let root_m = self.ledger.root_m();
-        let payload =
-            NewViewMsg::signing_payload(self.view, &root_m, &vc_bitmap, &vc_entry_hash);
-        let nv = NewViewMsg {
-            view: self.view,
-            root_m,
-            vc_bitmap,
-            vc_entry_hash,
-            sig: self.sign_replica_payload(&payload),
+        let Ok(Some(nv)) = self.log_new_view(self.view, vcs.clone(), None) else {
+            return;
         };
-        self.ledger.append(LedgerEntry::NewView(nv.clone()));
         self.ready = true;
-        self.seq_next = reset_to.next();
         self.note_progress();
-        self.broadcast(ProtocolMsg::NewView { nv, view_changes: vcs, resends: Vec::new() });
+        self.broadcast(ProtocolMsg::NewView { nv, view_changes: vcs });
 
         // Re-propose the saved tail in the new view (byte-identical batch
         // content; fresh pre-prepares).
@@ -258,105 +358,93 @@ impl Replica {
         self.maybe_send_pre_prepare();
     }
 
-    /// Backup accepting a new-view (Alg. 2 line 18).
-    pub(crate) fn on_new_view(
-        &mut self,
-        nv: NewViewMsg,
-        view_changes: Vec<ViewChange>,
-        _resends: Vec<(PrePrepare, Vec<Digest>)>,
-    ) {
-        if nv.view < self.view {
+    /// Backup accepting a new-view (Alg. 2 line 18). Every check but `M̄′`
+    /// comes before the rollback: a refused new-view changes nothing.
+    pub(crate) fn on_new_view(&mut self, nv: NewViewMsg, view_changes: Vec<ViewChange>) {
+        // Stale, or a view this replica already entered (a re-delivered
+        // new-view must not restart anything).
+        if nv.view < self.view
+            || (nv.view == self.view && self.ready)
+            || self.ledger.has_new_view(nv.view)
+        {
             return;
         }
-        let config = self.gov.active().clone();
-        let new_primary = config.primary_of(nv.view);
-        if new_primary == self.id {
+        let config = self.gov.active();
+        if config.primary_of(nv.view) == self.id {
             return;
         }
-        if !self.verify_replica_payload(&config, new_primary, &nv.own_payload(), &nv.sig) {
+        let Ok(facts) = check_new_view(config, &self.replica_auth(config), &nv, &view_changes)
+        else {
             return;
-        }
-        let quorum = config.quorum();
-        if view_changes.len() < quorum {
-            return;
-        }
-        // Verify every view-change: correct view, valid signature, and the
-        // bitmap matches the senders.
-        let mut bitmap = ReplicaBitmap::empty();
-        for vc in &view_changes {
-            if vc.view != nv.view {
-                return;
-            }
-            let Some(rank) = config.rank_of(vc.replica) else {
-                return;
-            };
-            if !self.verify_replica_payload(&config, vc.replica, &vc.own_payload(), &vc.sig) {
-                return;
-            }
-            bitmap.set(rank);
-        }
-        if bitmap != nv.vc_bitmap {
-            return;
-        }
-
-        let lp = chosen_last_prepared(&view_changes);
-        let reset_to = match &lp {
-            Some((lp_seq, lp_digest)) => {
-                // We must hold the chosen batch to replay the reset.
-                let have = self
-                    .prepared_view
-                    .get(lp_seq)
-                    .and_then(|v| self.msgs.slot(*lp_seq, *v))
-                    .and_then(|s| s.pp_digest)
-                    == Some(*lp_digest);
-                if !have {
-                    // Behind: page the tail in from the new primary,
-                    // stash the nv (see `crate::bootstrap` for the
-                    // requester-side state machine).
-                    self.pending_new_view = Some(PendingNewView {
-                        view: nv.view,
-                        vcs: view_changes,
-                        nv: Some(nv),
-                    });
-                    let from = self.committed_up_to.next();
-                    self.start_vc_ledger_sync(new_primary, from);
-                    return;
-                }
-                SeqNum(lp_seq.0.saturating_sub(self.pipeline_depth()))
-            }
-            None => SeqNum(self.committed_up_to.0),
         };
-
-        let mut vcs = view_changes;
-        vcs.sort_by_key(|vc| vc.replica);
-        self.reset_to_seq(reset_to);
-
-        let set_entry = LedgerEntry::ViewChangeSet { view: nv.view, view_changes: vcs };
-        let vc_entry_hash = ia_ccf_crypto::hash_bytes(&set_entry.to_bytes());
-        if vc_entry_hash != nv.vc_entry_hash {
-            return; // primary lied about the set; stay unready, time out
-        }
-        self.ledger.append(set_entry);
-        if self.ledger.root_m() != nv.root_m {
-            // Our ledger disagrees with the new primary's (M̄′ ≠ M̄): undo
-            // and wait for another view change (Alg. 2 line 24).
-            self.ledger.truncate_to(self.ledger.len() - 1);
+        if facts.last_prepared.is_some_and(|lp| !self.holds_batch(lp)) {
             return;
         }
-        self.ledger.append(LedgerEntry::NewView(nv.clone()));
-        self.view = nv.view;
-        self.ready = true;
-        self.seq_next = reset_to.next();
-        self.pending_new_view = None;
-        self.note_progress();
-        // The re-proposed batches arrive as ordinary pre-prepares in the
-        // new view and flow through the normal backup path.
+        self.reset_to_seq(self.reset_point(facts.last_prepared));
+        // A ledger that disagrees with the new primary's (M̄′ ≠ M̄) stays
+        // unready and waits for another view change (Alg. 2 line 24). The
+        // re-proposed batches arrive as ordinary pre-prepares in the new
+        // view and flow through the normal backup path.
+        if let Ok(Some(_)) = self.log_new_view(nv.view, view_changes, Some(&nv)) {
+            self.ready = true;
+            self.note_progress();
+        }
     }
 
-    /// Roll back all batches with `seq > reset_to` (ledger, KV, counters),
-    /// returning requests to the pool. Also used by the recovery sync
-    /// when a mid-transfer view change makes the page stream diverge from
-    /// the applied-but-uncommitted tail (see [`crate::bootstrap`]).
+    /// The one writer of a view's `[ViewChangeSet, NewView]` pair: append
+    /// the set entry, take `M̄′` over the ledger that now ends with it, sign
+    /// the new-view (`given` = `None`: this replica assembles it) or hold
+    /// the given one to that root (anyone else: a different root takes the
+    /// set entry out again and is refused), append the new-view and move to
+    /// its view. Returns the new-view it logged; `None` when this view's
+    /// pair is already in the ledger — a restarted page stream re-serves
+    /// it, and the test is on ledger *content*, not on `self.view`: a
+    /// divergence rollback can truncate the pair away while the view
+    /// counter stays advanced, and the re-served pair must then be logged
+    /// again or every later `M̄` check fails.
+    pub(crate) fn log_new_view(
+        &mut self,
+        view: View,
+        view_changes: Vec<ViewChange>,
+        given: Option<&NewViewMsg>,
+    ) -> Result<Option<NewViewMsg>, Refused> {
+        if self.ledger.has_new_view(view) {
+            return Ok(None);
+        }
+        let nv = match given {
+            Some(nv) => {
+                self.ledger.append(view_change_set_entry(view, view_changes));
+                if self.ledger.root_m() != nv.root_m {
+                    self.ledger.truncate_to(self.ledger.len() - 1);
+                    return Err(Refused::RootM);
+                }
+                nv.clone()
+            }
+            None => {
+                let config = self.gov.active();
+                let vc_bitmap = ReplicaBitmap::from_ranks(
+                    view_changes.iter().filter_map(|vc| config.rank_of(vc.replica)),
+                );
+                let set_entry = view_change_set_entry(view, view_changes);
+                let vc_entry_hash = ia_ccf_crypto::hash_bytes(&set_entry.to_bytes());
+                self.ledger.append(set_entry);
+                let root_m = self.ledger.root_m();
+                let payload =
+                    NewViewMsg::signing_payload(view, &root_m, &vc_bitmap, &vc_entry_hash);
+                let sig = self.sign_replica_payload(&payload);
+                NewViewMsg { view, root_m, vc_bitmap, vc_entry_hash, sig }
+            }
+        };
+        self.ledger.append(LedgerEntry::NewView(nv.clone()));
+        self.view = self.view.max(view);
+        Ok(Some(nv))
+    }
+
+    /// Roll back all batches with `seq > reset_to` (ledger, KV, counters,
+    /// the next sequence number), returning requests to the pool. Also used
+    /// by the recovery sync when a mid-transfer view change makes the page
+    /// stream diverge from the applied-but-uncommitted tail (see
+    /// [`crate::bootstrap`]).
     pub(crate) fn reset_to_seq(&mut self, reset_to: SeqNum) {
         let first_rolled = reset_to.next();
         // Re-queue the rolled-back requests (primary will re-propose or
@@ -407,6 +495,7 @@ impl Replica {
         self.prepared_view.retain(|s, _| *s <= reset_to);
         self.prepared_up_to = self.prepared_up_to.min(reset_to);
         self.committed_up_to = self.committed_up_to.min(reset_to);
+        self.seq_next = self.seq_next.min(first_rolled);
         self.stashed_pps.clear();
     }
 
@@ -439,13 +528,4 @@ impl Replica {
         }
         out
     }
-}
-
-/// The deterministic "last prepared" choice over a view-change set: the
-/// final pre-prepare with the highest (view, seq), identified by digest.
-fn chosen_last_prepared(vcs: &[ViewChange]) -> Option<(SeqNum, Digest)> {
-    vcs.iter()
-        .filter_map(|vc| vc.pps.last())
-        .max_by_key(|pp| (pp.view(), pp.seq()))
-        .map(|pp| (pp.seq(), pp.digest()))
 }

@@ -24,6 +24,26 @@ enum Delivery {
     ToClient { to: ClientId, from: ReplicaId, msg: ProtocolMsg },
 }
 
+impl Delivery {
+    /// `from -> to: message kind`, for the livelock report.
+    fn describe(&self) -> String {
+        let (from, to, msg) = match self {
+            Delivery::ToReplica { to, from, msg } => (*from, NodeId::Replica(*to), msg),
+            Delivery::ToClient { to, from, msg } => (NodeId::Replica(*from), NodeId::Client(*to), msg),
+        };
+        let msg = format!("{msg:?}");
+        let kind = msg.split(|c: char| !c.is_alphanumeric()).next().unwrap_or_default();
+        format!("{from:?} -> {to:?}: {kind}")
+    }
+}
+
+/// Deliveries one [`DetCluster::drain`] may make. The largest drain of any
+/// passing test, example or benchmark-harness test in the tree makes 320;
+/// a livelocked queue reaches the bound in a few seconds.
+const DRAIN_BUDGET: u64 = 100_000;
+/// How many of the last deliveries a livelock report counts.
+const DRAIN_TAIL: u64 = 1_000;
+
 /// The deterministic cluster.
 pub struct DetCluster {
     /// Replicas by id (wrapped for fault injection).
@@ -201,12 +221,22 @@ impl DetCluster {
         }
     }
 
-    /// Drain the delivery queue completely.
+    /// Drain the delivery queue completely. A queue that is still busy
+    /// after [`DRAIN_BUDGET`] deliveries is a livelock: the panic names it
+    /// by the `from -> to: kind` counts of the last [`DRAIN_TAIL`].
     fn drain(&mut self) {
-        let mut budget: u64 = 2_000_000;
+        let mut delivered: u64 = 0;
+        let mut tail: BTreeMap<String, u64> = BTreeMap::new();
         while let Some(delivery) = self.queue.pop_front() {
-            budget -= 1;
-            assert!(budget > 0, "delivery queue did not quiesce");
+            delivered += 1;
+            if delivered > DRAIN_BUDGET - DRAIN_TAIL {
+                *tail.entry(delivery.describe()).or_default() += 1;
+            }
+            assert!(
+                delivered < DRAIN_BUDGET,
+                "delivery queue did not quiesce in {DRAIN_BUDGET} deliveries; the last {DRAIN_TAIL}:\n{}",
+                tail.iter().map(|(what, n)| format!("  {n:>5} x {what}\n")).collect::<String>()
+            );
             match delivery {
                 Delivery::ToReplica { to, from, msg } => {
                     if self.crashed.contains(&to) {

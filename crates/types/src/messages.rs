@@ -346,14 +346,13 @@ pub enum ProtocolMsg {
     ReplyX(ReplyX),
     /// View-change.
     ViewChange(ViewChange),
-    /// New-view with its justification and the re-proposed batches.
+    /// New-view with its justification (the re-proposed batches follow as
+    /// ordinary pre-prepares).
     NewView {
         /// The signed new-view message.
         nv: NewViewMsg,
         /// The quorum of view-change messages justifying it.
         view_changes: Vec<ViewChange>,
-        /// Pre-prepares re-issued in the new view with their batch lists.
-        resends: Vec<(PrePrepare, Vec<Digest>)>,
     },
     /// Ask a peer for request bodies by hash.
     FetchRequests {
@@ -779,15 +778,10 @@ impl Wire for ProtocolMsg {
                 buf.push(6);
                 vc.encode(buf);
             }
-            ProtocolMsg::NewView { nv, view_changes, resends } => {
+            ProtocolMsg::NewView { nv, view_changes } => {
                 buf.push(7);
                 nv.encode(buf);
                 encode_seq(view_changes, buf);
-                (resends.len() as u32).encode(buf);
-                for (pp, batch) in resends {
-                    pp.encode(buf);
-                    encode_seq(batch, buf);
-                }
             }
             ProtocolMsg::FetchRequests { hashes } => {
                 buf.push(8);
@@ -882,18 +876,10 @@ impl Wire for ProtocolMsg {
             4 => Ok(ProtocolMsg::Reply(Reply::decode(r)?)),
             5 => Ok(ProtocolMsg::ReplyX(ReplyX::decode(r)?)),
             6 => Ok(ProtocolMsg::ViewChange(ViewChange::decode(r)?)),
-            7 => {
-                let nv = NewViewMsg::decode(r)?;
-                let view_changes = decode_seq(r)?;
-                let n = u32::decode(r)?;
-                let mut resends = Vec::with_capacity(n.min(1024) as usize);
-                for _ in 0..n {
-                    let pp = PrePrepare::decode(r)?;
-                    let batch = decode_seq(r)?;
-                    resends.push((pp, batch));
-                }
-                Ok(ProtocolMsg::NewView { nv, view_changes, resends })
-            }
+            7 => Ok(ProtocolMsg::NewView {
+                nv: NewViewMsg::decode(r)?,
+                view_changes: decode_seq(r)?,
+            }),
             8 => Ok(ProtocolMsg::FetchRequests { hashes: decode_seq(r)? }),
             9 => Ok(ProtocolMsg::FetchRequestsResponse { requests: decode_seq(r)? }),
             // Tags 10 and 11 are reserved: never reassign them. They decode
@@ -969,14 +955,8 @@ impl Wire for ProtocolMsg {
             ProtocolMsg::Reply(r) => r.encoded_len(),
             ProtocolMsg::ReplyX(r) => r.encoded_len(),
             ProtocolMsg::ViewChange(vc) => vc.encoded_len(),
-            ProtocolMsg::NewView { nv, view_changes, resends } => {
-                nv.encoded_len()
-                    + encoded_len_seq(view_changes)
-                    + 4
-                    + resends
-                        .iter()
-                        .map(|(pp, batch)| pp.encoded_len() + encoded_len_seq(batch))
-                        .sum::<usize>()
+            ProtocolMsg::NewView { nv, view_changes } => {
+                nv.encoded_len() + encoded_len_seq(view_changes)
             }
             ProtocolMsg::FetchRequests { hashes } => encoded_len_seq(hashes),
             ProtocolMsg::FetchRequestsResponse { requests } => encoded_len_seq(requests),

@@ -14,17 +14,22 @@
 //! content in the new view, where re-execution must reproduce it exactly
 //! (early execution is deterministic, Lemma 2).
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{forge_new_view_pair, signed_view_change};
 use ia_ccf::audit::{AuditOutcome, Auditor, LedgerPackage, StoredReceipt};
 use ia_ccf::core::app::CounterApp;
 use ia_ccf::core::byzantine::Fault;
-use ia_ccf::core::ProtocolParams;
+use ia_ccf::core::viewchange::{check_new_view, Refused};
+use ia_ccf::core::{Input, NodeId, ProtocolParams};
 use ia_ccf::governance::chain::GovernanceChain;
 use ia_ccf_sim::{ClusterSpec, DetCluster};
 use ia_ccf_types::{
-    ClientId, GovAction, KeyPair, LedgerEntry, MemberDesc, MemberId, ReplicaDesc, ReplicaId,
-    Request, RequestAction, SeqNum, SignedRequest, Wire,
+    ClientId, GovAction, KeyPair, LedgerEntry, MemberDesc, MemberId, NonceCommitment, Prepare,
+    ProtocolMsg, ReplicaBitmap, ReplicaDesc, ReplicaId, Request, RequestAction, SeqNum,
+    Signature, SignedRequest, View, Wire,
 };
 
 /// The wire bytes of every `⟨t, i, o⟩` entry in a replica's ledger.
@@ -656,4 +661,203 @@ fn post_rollback_ledger_audits_clean() {
     let auditor = Auditor::new(spec.genesis.clone(), Arc::new(CounterApp));
     let outcome = auditor.audit(&receipts, &GovernanceChain::new(), &package);
     assert!(matches!(outcome, AuditOutcome::Clean), "{:?}", outcome.upom());
+}
+
+/// Alg. 2 line 18 on the live path: a new-view moves a backup only if its
+/// justification is a quorum of distinct, signed, proof-carrying
+/// view-changes for that view under the bitmap it names. Every hostile
+/// row is otherwise consistent — `h_vc` and `M̄′` computed over the
+/// backup's own ledger, the new-view signed with the would-be primary's
+/// key — so each is refused for the one clause it breaks, before anything
+/// is rolled back or sent; the genuine new-view for the same view is then
+/// accepted.
+#[test]
+fn hostile_new_views_leave_a_backup_untouched() {
+    let params = ProtocolParams { view_timeout_ticks: 15, ..ProtocolParams::default() };
+    let spec = ClusterSpec::new(4, 1, params);
+    let mut cluster = DetCluster::new(&spec, Arc::new(CounterApp));
+    let client = spec.clients[0].0;
+    for _ in 0..3 {
+        cluster.submit(client, CounterApp::INCR, b"k".to_vec());
+        cluster.round();
+    }
+    assert!(cluster.run_until_finished(3, 200));
+
+    let backup = ReplicaId(2);
+    let view = View(1);
+    let keys = &spec.replica_keys;
+    let ledger = cluster.replica(backup).ledger().entries().to_vec();
+    let nothing_prepared =
+        |r: u32| signed_view_change(view, ReplicaId(r), vec![], vec![], &keys[r as usize]);
+    // The backup's last batch, reported as prepared on the strength of one
+    // prepare (a quorum of 3 needs two besides the primary's pre-prepare).
+    let last_pp = cluster.replica(backup).ledger().pp_at(SeqNum(3)).expect("three batches").clone();
+    let one_prepare = {
+        let (view, seq, replica) = (last_pp.view(), last_pp.seq(), ReplicaId(2));
+        let (nonce_commit, pp_digest) = (NonceCommitment::default(), last_pp.digest());
+        let payload = Prepare::signing_payload(view, seq, replica, &nonce_commit, &pp_digest);
+        Prepare { view, seq, replica, nonce_commit, pp_digest, sig: keys[2].sign(&payload) }
+    };
+    let outsider = KeyPair::from_label("not-a-replica");
+
+    let rows: Vec<(&str, Vec<ia_ccf_types::ViewChange>, Vec<usize>, Refused)> = vec![
+        (
+            "one signer three times",
+            vec![nothing_prepared(1), nothing_prepared(1), nothing_prepared(1)],
+            vec![1],
+            Refused::NoQuorum,
+        ),
+        (
+            "third member outside the configuration",
+            vec![
+                nothing_prepared(1),
+                nothing_prepared(2),
+                signed_view_change(view, ReplicaId(9), vec![], vec![], &outsider),
+            ],
+            vec![1, 2],
+            Refused::UnknownSender(ReplicaId(9)),
+        ),
+        (
+            "one member changing to another view",
+            vec![
+                nothing_prepared(1),
+                nothing_prepared(2),
+                signed_view_change(View(2), ReplicaId(3), vec![], vec![], &keys[3]),
+            ],
+            vec![1, 2, 3],
+            Refused::WrongView(ReplicaId(3)),
+        ),
+        (
+            "one member signed by somebody else",
+            vec![
+                nothing_prepared(1),
+                nothing_prepared(2),
+                signed_view_change(view, ReplicaId(3), vec![], vec![], &keys[2]),
+            ],
+            vec![1, 2, 3],
+            Refused::BadSignature(ReplicaId(3)),
+        ),
+        (
+            "a reported pre-prepare with no proof",
+            vec![
+                nothing_prepared(1),
+                nothing_prepared(2),
+                signed_view_change(view, ReplicaId(3), vec![last_pp.clone()], vec![], &keys[3]),
+            ],
+            vec![1, 2, 3],
+            Refused::NotPrepared(ReplicaId(3)),
+        ),
+        (
+            "a reported pre-prepare with an under-sized proof",
+            vec![
+                nothing_prepared(1),
+                nothing_prepared(2),
+                signed_view_change(view, ReplicaId(3), vec![last_pp], vec![one_prepare], &keys[3]),
+            ],
+            vec![1, 2, 3],
+            Refused::NotPrepared(ReplicaId(3)),
+        ),
+        (
+            "a correct set under a bitmap with an extra rank",
+            vec![nothing_prepared(1), nothing_prepared(2), nothing_prepared(3)],
+            vec![0, 1, 2, 3],
+            Refused::Bitmap,
+        ),
+    ];
+
+    // Control for the forgeries' consistency: the same construction over a
+    // real quorum is a pair that a replica loading the ledger takes (`M̄′`
+    // included) — the rows above are wrong in their one clause only.
+    let quorum = vec![nothing_prepared(1), nothing_prepared(2), nothing_prepared(3)];
+    let (set, nv) =
+        forge_new_view_pair(&ledger, view, quorum, ReplicaBitmap::from_ranks([1, 2, 3]), &keys[1]);
+    let with_pair = [ledger.clone(), vec![set, LedgerEntry::NewView(nv)]].concat();
+    let loaded = ia_ccf::core::Replica::bootstrap(
+        ReplicaId(3),
+        keys[3].clone(),
+        Arc::new(CounterApp),
+        spec.params.clone(),
+        spec.client_keys(),
+        &with_pair,
+    );
+    assert_eq!(loaded.map(|r| r.view()).map_err(|e| e.to_string()), Ok(view));
+
+    let by_key = |id: ReplicaId, payload: &[u8], sig: &Signature| {
+        spec.genesis.replica_key(id).is_some_and(|k| k.verify(payload, sig))
+    };
+    let state = |c: &DetCluster| {
+        let r = c.replica(backup);
+        (r.view(), r.ledger().len(), r.prepared_up_to(), r.kv().digest())
+    };
+    let before = state(&cluster);
+    for (what, view_changes, ranks, clause) in rows {
+        let bitmap = ReplicaBitmap::from_ranks(ranks);
+        let (_, nv) = forge_new_view_pair(&ledger, view, view_changes.clone(), bitmap, &keys[1]);
+        assert_eq!(
+            check_new_view(&spec.genesis, &by_key, &nv, &view_changes).err(),
+            Some(clause),
+            "{what}"
+        );
+        for from in [NodeId::Replica(ReplicaId(1)), NodeId::Client(client)] {
+            let msg = ProtocolMsg::NewView { nv: nv.clone(), view_changes: view_changes.clone() };
+            let replica = &mut cluster.replicas.get_mut(&backup).expect("backup").inner;
+            let out = replica.handle(Input::Message { from, msg });
+            assert!(out.is_empty(), "{what}: a refused new-view sends nothing");
+            assert_eq!(state(&cluster), before, "{what}: a refused new-view changes nothing");
+        }
+    }
+
+    // The genuine article for the same view: crash the primary, the
+    // survivors assemble and accept it, and the service goes on.
+    cluster.crash(ReplicaId(0));
+    cluster.submit(client, CounterApp::INCR, b"k".to_vec());
+    assert!(cluster.run_until_finished(4, 600), "finished {}", cluster.finished.len());
+    assert_eq!(cluster.replica(backup).view(), view);
+    assert!(cluster.replica(backup).ledger().len() > before.1);
+    cluster.assert_ledgers_consistent();
+}
+
+/// A backup that lacks the chosen last-prepared batch cannot replay the
+/// new view's reset, and sits it out until its liveness timer moves it on.
+/// It used to page the new primary's ledger in for *request bodies* — which
+/// cannot supply the pre-prepare it missed — and the sync's completion
+/// re-entered `on_new_view`, which started the same sync again, without end
+/// (the delivery queue never drained). How such a replica catches up is a
+/// recovery sync's job (ROADMAP item 4).
+#[test]
+fn backup_behind_the_chosen_batch_sits_the_new_view_out() {
+    let params = ProtocolParams { view_timeout_ticks: 15, ..ProtocolParams::default() };
+    let spec = ClusterSpec::new(4, 1, params);
+    let mut cluster = DetCluster::new(&spec, Arc::new(CounterApp));
+    let client = spec.clients[0].0;
+    cluster.submit(client, CounterApp::INCR, b"k".to_vec());
+    assert!(cluster.run_until_finished(1, 200));
+
+    // Batch 2 prepares on replicas 0–2 and commits nowhere; replica 3 is
+    // cut off and never sees its pre-prepare.
+    let behind = ReplicaId(3);
+    cluster.crash(behind);
+    for r in 0..3 {
+        cluster.set_fault(ReplicaId(r), Fault::DropCommits);
+    }
+    cluster.submit(client, CounterApp::INCR, b"k".to_vec());
+    for _ in 0..5 {
+        cluster.round();
+    }
+    assert_eq!(cluster.replica(ReplicaId(1)).prepared_up_to(), SeqNum(2));
+    assert_eq!(cluster.replica(behind).prepared_up_to(), SeqNum(1));
+
+    // Replica 3 is back, the primary is gone: view 1's new-view chooses
+    // batch 2, which replica 3 does not hold.
+    cluster.crashed.remove(&behind);
+    cluster.crash(ReplicaId(0));
+    for r in 1..3 {
+        cluster.set_fault(ReplicaId(r), Fault::None);
+    }
+    assert!(cluster.run_until(60, |c| c.replica(ReplicaId(2)).view() == View(1)));
+    assert!(
+        cluster.run_until(60, |c| c.replica(behind).view() >= View(2)),
+        "the liveness timer moves the replica on"
+    );
+    assert_eq!(cluster.replica(behind).sync_report().pages, 0, "nothing was paged in");
 }

@@ -265,7 +265,6 @@ proptest! {
                     sig,
                 },
                 view_changes: Vec::new(),
-                resends: vec![(pp, hashes.clone())],
             },
         ];
         for m in msgs {
