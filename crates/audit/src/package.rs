@@ -14,7 +14,8 @@ use ia_ccf_kv::KvCheckpoint;
 use ia_ccf_ledger::segment::{segment_entries, Segment};
 use ia_ccf_merkle::MerkleTree;
 use ia_ccf_types::{
-    Configuration, Digest, LedgerEntry, PrePrepare, ReplicaId, SeqNum, Signature, View, Wire,
+    evidence_target, BatchCertificate, Configuration, Digest, EvidenceError, LedgerEntry,
+    PrePrepare, ReceiptError, ReplicaId, SeqNum, Signature, View, Wire,
 };
 
 /// A ledger package served for auditing.
@@ -168,59 +169,44 @@ pub fn validate_package(
                 };
                 let config = config_for_seq(*seq);
 
-                // Evidence first (it precedes the pp in the ledger and in M).
+                // Evidence first (it precedes the pp in the ledger and in
+                // M): the replicas' own rule — carrier clause, the
+                // certificate the pair encodes over the evidenced
+                // pre-prepare, Alg. 3's shape — then the prepare signatures,
+                // the one part a replica checks as the messages arrive. The
+                // evidenced pre-prepare's own signature was checked at its
+                // segment.
+                let p = config.pipeline_depth as u64;
+                let target = evidence_target(&pp.core, p)
+                    .map_err(|why| evidence_refusal(*seq, why))?;
                 let mut evidenced_signers = Vec::new();
                 if let (Some(ev_at), Some(no_at)) = (evidence_at, nonces_at) {
-                    let (LedgerEntry::Evidence { prepares, seq: ev_seq },
-                         LedgerEntry::Nonces { nonces, .. }) =
-                        (&entries[*ev_at], &entries[*no_at])
+                    let (
+                        LedgerEntry::Evidence { prepares, .. },
+                        LedgerEntry::Nonces { nonces, .. },
+                    ) = (&entries[*ev_at], &entries[*no_at])
                     else {
                         unreachable!("segmenter guarantees");
                     };
-                    // The evidenced batch's pp must be in the fragment.
-                    let ev_config = config_for_seq(*ev_seq);
-                    let Some(target) = out.batch_at(*ev_seq) else {
-                        return Err(PackageError::EvidenceShape(*ev_seq));
+                    let ev_seq = pp.core.evidence_seq;
+                    let Some(evidenced) = target.and_then(|t| out.batch_at(t)) else {
+                        return Err(PackageError::EvidenceShape(ev_seq));
                     };
-                    let target_pp_digest = target.pp_digest;
-                    let target_primary = target.pp.core.primary;
-                    let target_commit = target.pp.core.nonce_commit;
-                    let target_view = target.view;
-
-                    // Check bitmap ↔ entries shape and every signature/nonce.
-                    let ranks: Vec<usize> = pp.core.evidence_bitmap.iter().collect();
-                    if nonces.len() != ranks.len() || prepares.len() + 1 != ranks.len() {
-                        return Err(PackageError::EvidenceShape(*ev_seq));
-                    }
-                    let mut prep_iter = prepares.iter();
-                    for (i, rank) in ranks.iter().enumerate() {
-                        let Some(desc) = ev_config.replica_at_rank(*rank) else {
-                            return Err(PackageError::EvidenceShape(*ev_seq));
-                        };
-                        if desc.id == target_primary {
-                            if !target_commit.opens_with(&nonces[i]) {
-                                return Err(PackageError::BadNonce(*ev_seq));
-                            }
-                        } else {
-                            let Some(prep) = prep_iter.next() else {
-                                return Err(PackageError::EvidenceShape(*ev_seq));
-                            };
-                            if prep.replica != desc.id
-                                || prep.seq != *ev_seq
-                                || prep.view != target_view
-                                || prep.pp_digest != target_pp_digest
-                            {
-                                return Err(PackageError::EvidenceShape(*ev_seq));
-                            }
-                            if !desc.key.verify(&prep.own_payload(), &prep.sig) {
-                                return Err(PackageError::BadEvidenceSig(*ev_seq));
-                            }
-                            if !prep.nonce_commit.opens_with(&nonces[i]) {
-                                return Err(PackageError::BadNonce(*ev_seq));
-                            }
-                        }
-                        evidenced_signers.push(desc.id);
-                    }
+                    let ev_config = config_for_seq(ev_seq);
+                    let cert = BatchCertificate::from_evidence(
+                        &ev_config,
+                        &evidenced.pp,
+                        pp.core.evidence_bitmap,
+                        prepares,
+                        nonces,
+                    )
+                    .and_then(|cert| {
+                        cert.check_shape(&ev_config)?;
+                        cert.check_prepares(&ev_config, &evidenced.pp_digest)?;
+                        Ok(cert)
+                    })
+                    .map_err(|why| evidence_refusal(ev_seq, why))?;
+                    evidenced_signers = cert.signer_ids(&ev_config);
                     tree.append(entries[*ev_at].m_leaf());
                     tree.append(entries[*no_at].m_leaf());
                 }
@@ -263,4 +249,17 @@ pub fn validate_package(
         }
     }
     Ok(out)
+}
+
+/// A refusal of the replicas' evidence rule, in this module's terms.
+fn evidence_refusal(seq: SeqNum, why: EvidenceError) -> PackageError {
+    match why {
+        EvidenceError::Nonce(_) | EvidenceError::Certificate(ReceiptError::BadPrimaryNonce) => {
+            PackageError::BadNonce(seq)
+        }
+        EvidenceError::Certificate(ReceiptError::BadPrepareSig(_)) => {
+            PackageError::BadEvidenceSig(seq)
+        }
+        _ => PackageError::EvidenceShape(seq),
+    }
 }

@@ -27,9 +27,9 @@ use std::sync::Arc;
 
 use ia_ccf_governance::chain::{ConfigHistory, GovLink, GovernanceChain};
 use ia_ccf_types::{
-    BatchCertificate, ClientId, Configuration, Digest, KeyPair, LedgerIdx, ProcId, ProtocolMsg,
-    Receipt, ReceiptBody, ReceiptError, Reply, ReplyX, ReplicaBitmap, ReplicaId, Request,
-    RequestAction, SeqNum, SignedRequest, TxWitness, VerifiedCerts, View,
+    lowest_ranked_quorum, BatchCertificate, ClientId, Configuration, Digest, KeyPair, LedgerIdx,
+    ProcId, ProtocolMsg, Receipt, ReceiptBody, ReceiptError, Reply, ReplyX, ReplicaBitmap,
+    ReplicaId, Request, RequestAction, SeqNum, SignedRequest, TxWitness, VerifiedCerts, View,
 };
 
 /// Certificates the client remembers as verified: a few pipeline windows'
@@ -452,59 +452,22 @@ fn batch_replies_mut(
     pending.get_mut(&req_id)?.replies.get_mut(&key)
 }
 
-/// Assemble the receipt for `rx` from one batch's replies (§3.3): the
-/// primary plus the lowest-ranked backups up to a quorum, in rank order.
-/// `None` until the primary's reply and a quorum are on hand.
+/// Assemble the receipt for `rx` from one batch's replies (§3.3): the one
+/// selection over the replicas that replied, the one constructor over their
+/// shares. `None` until the primary's reply and a quorum are on hand.
 fn assemble_receipt(
     config: &Configuration,
     rx: &ReplyX,
     batch_replies: &BTreeMap<ReplicaId, Arc<Reply>>,
 ) -> Option<Receipt> {
-    let quorum = config.quorum();
-    let primary = config.primary_of(rx.core.view);
-    let primary_reply: &Reply = batch_replies.get(&primary)?;
-    if batch_replies.len() < quorum {
-        return None;
-    }
-
-    let mut ranked: Vec<(usize, &Reply)> = batch_replies
-        .values()
-        .filter_map(|r| config.rank_of(r.replica).map(|rank| (rank, &**r)))
-        .collect();
-    ranked.sort_by_key(|(rank, _)| *rank);
-    let primary_rank = config.rank_of(primary).expect("primary in config");
-    let mut chosen: Vec<(usize, &Reply)> = vec![(primary_rank, primary_reply)];
-    for (rank, r) in &ranked {
-        if chosen.len() >= quorum {
-            break;
-        }
-        if *rank != primary_rank {
-            chosen.push((*rank, r));
-        }
-    }
-    if chosen.len() < quorum {
-        return None;
-    }
-    chosen.sort_by_key(|(rank, _)| *rank);
-
-    let mut signers = ReplicaBitmap::empty();
-    let mut prepare_sigs = Vec::new();
-    let mut nonces = Vec::new();
-    for (rank, r) in &chosen {
-        signers.set(*rank);
-        nonces.push(r.nonce);
-        if *rank != primary_rank {
-            prepare_sigs.push(r.sig);
-        }
-    }
+    let replied = batch_replies.keys().filter_map(|r| config.rank_of(*r));
+    let primary_rank = config.rank_of(config.primary_of(rx.core.view))?;
+    let signers =
+        lowest_ranked_quorum(config, primary_rank, ReplicaBitmap::from_ranks(replied))?;
+    let share_of = |id| batch_replies.get(&id).map(|r| (r.sig, r.nonce));
+    let (core, primary_sig) = (rx.core.clone(), rx.primary_sig);
     Some(Receipt {
-        cert: BatchCertificate {
-            core: rx.core.clone(),
-            primary_sig: rx.primary_sig,
-            signers,
-            prepare_sigs,
-            nonces,
-        },
+        cert: BatchCertificate::assemble(config, core, primary_sig, signers, share_of)?,
         body: ReceiptBody::Tx(TxWitness {
             tx_hash: rx.tx_hash,
             index: rx.index,

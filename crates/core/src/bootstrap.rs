@@ -47,14 +47,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use ia_ccf_governance::chain::GovLink;
 use ia_ccf_kv::KvCheckpoint;
 use ia_ccf_ledger::segment::{segment_complete_prefix, segment_entries, Segment};
 use ia_ccf_ledger::Ledger;
 use ia_ccf_merkle::{Frontier, MerkleTree};
 use ia_ccf_types::{
-    BatchCertificate, ClientId, Configuration, Digest, LedgerEntry, PrePrepare, ProtocolMsg,
-    PublicKey, Receipt, ReceiptBody, ReplicaId, SeqNum, SignedRequest, TxWitness, View, Wire,
+    evidence_target, BatchCertificate, ClientId, Configuration, Digest, EvidenceError, LedgerEntry,
+    PrePrepare, ProtocolMsg, PublicKey, ReplicaId, SeqNum, SignedRequest, View, Wire,
 };
 
 use crate::app::App;
@@ -79,6 +78,9 @@ pub enum BootstrapError {
     /// The logged view-change set and new-view for this view break Alg. 2's
     /// validity rule.
     BadNewView(View, Refused),
+    /// The evidence this batch's pre-prepare orders in is not a quorum's
+    /// word on the batch `P` earlier.
+    BadEvidence(SeqNum, EvidenceError),
 }
 
 impl std::fmt::Display for BootstrapError {
@@ -89,6 +91,7 @@ impl std::fmt::Display for BootstrapError {
             BootstrapError::BadPrePrepareSig(s) => write!(f, "bad pre-prepare signature at {s}"),
             BootstrapError::ExecutionMismatch(s) => write!(f, "execution mismatch at {s}"),
             BootstrapError::BadNewView(v, why) => write!(f, "bad new-view for {v}: {why:?}"),
+            BootstrapError::BadEvidence(s, why) => write!(f, "bad evidence at {s}: {why:?}"),
         }
     }
 }
@@ -262,19 +265,22 @@ impl Replica {
                 }
 
                 // The batch as the primary proposed it: the evidence the
-                // segment records, and the requests under their names
-                // (replay is the door these bytes come through). The
-                // recorded `(i, o)` pairs are not read: the ledger gets the
-                // entries execution produces, and the signed Ḡ binds each
-                // `(H(t), i, o)` leaf of those.
+                // segment records — held to the rule first — and the
+                // requests under their names (replay is the door these
+                // bytes come through). The recorded `(i, o)` pairs are not
+                // read: the ledger gets the entries execution produces, and
+                // the signed Ḡ binds each `(H(t), i, o)` leaf of those.
                 let pair = evidence_at.zip(*nonces_at).map(|(ev, no)| (&entries[ev], &entries[no]));
                 let evidence = pair.map(|pair| match pair {
                     (LedgerEntry::Evidence { seq, prepares }, LedgerEntry::Nonces { nonces, .. }) => {
                         let (prepares, nonces) = (prepares.clone(), nonces.clone());
-                        EvidenceSet { seq: *seq, bitmap: pp.core.evidence_bitmap, prepares, nonces }
+                        EvidenceSet { seq: *seq, prepares, nonces }
                     }
                     _ => unreachable!("segmenter guarantees"),
                 });
+                let cert = self
+                    .certificate_from_ledger(pp, evidence.as_ref())
+                    .map_err(|why| BootstrapError::BadEvidence(*seq, why))?;
                 let bodies: Vec<&SignedRequest> = tx_at
                     .iter()
                     .map(|&ti| match &entries[ti] {
@@ -295,22 +301,58 @@ impl Replica {
                 // Only an accepted segment's bodies are kept.
                 self.req_store.extend(names.into_iter().zip(bodies.into_iter().cloned()));
 
-                // Frontiers: a replayed batch is prepared; in-ledger
-                // evidence marks its target committed. We did not
-                // participate, so we hold no nonces for these slots — the
-                // evidence-fetch path covers gaps.
+                // Frontiers: a replayed batch is prepared; evidence that
+                // passed the rule marks its target committed, and certifies
+                // it for the governance chain this replica serves (§5.2).
+                // We did not participate, so we hold no nonces for these
+                // slots — the evidence-fetch path covers gaps.
                 self.prepared_view.insert(*seq, *view);
                 self.prepared_up_to = self.prepared_up_to.max(*seq);
-                if let (Some(ev), Some(no)) = (evidence_at, nonces_at) {
-                    self.reconstruct_gov_receipts_from_ledger(pp, entries, *ev, *no);
-                    if pp.core.evidence_seq > self.committed_up_to {
-                        self.committed_up_to = pp.core.evidence_seq;
-                        self.kv.release_batches_up_to(self.committed_up_to.0);
+                if let Some(cert) = cert {
+                    let target = cert.core.seq;
+                    if let Some(exec) = self.batch_exec.get(&target).map(Arc::clone) {
+                        for link in self.gov_links(&exec, &cert) {
+                            self.insert_gov_link(link);
+                        }
+                    }
+                    if target > self.committed_up_to {
+                        self.committed_up_to = target;
+                        self.kv.release_batches_up_to(target.0);
                     }
                 }
                 Ok(())
             }
         }
+    }
+
+    /// The rule on the evidence a replayed segment records, before anything
+    /// is touched: the carrier clause, then the certificate the pair encodes
+    /// over the evidenced pre-prepare, held to Alg. 3's shape (prepare
+    /// signatures are not re-verified). `None`: the batch carries none — or,
+    /// just after a checkpoint seed, evidence for a batch below the seed,
+    /// which this ledger does not hold and which moves nothing.
+    fn certificate_from_ledger(
+        &self,
+        carrier: &PrePrepare,
+        recorded: Option<&EvidenceSet>,
+    ) -> Result<Option<BatchCertificate>, EvidenceError> {
+        let p = self.config_for_seq(carrier.seq()).pipeline_depth as u64;
+        let (target, recorded) = match (evidence_target(&carrier.core, p)?, recorded) {
+            (None, None) => return Ok(None),
+            (Some(target), Some(recorded)) => (target, recorded),
+            _ => return Err(EvidenceError::Unexpected),
+        };
+        let held = self.prepared_view.get(&target).and_then(|v| self.msgs.slot(target, *v));
+        let Some((target_pp, _)) = held.and_then(|slot| slot.pp.as_ref()) else {
+            let below_seed = target <= self.committed_up_to;
+            return if below_seed { Ok(None) } else { Err(EvidenceError::WrongTarget) };
+        };
+        let config = self.config_for_seq(target);
+        let signers = carrier.core.evidence_bitmap;
+        let EvidenceSet { prepares, nonces, .. } = recorded;
+        let cert = BatchCertificate::from_evidence(config, target_pp, signers, prepares, nonces)?;
+        cert.check_shape(config)?;
+        Ok(Some(cert))
     }
 
     // ------------------------------------------------------------------
@@ -976,78 +1018,5 @@ impl Replica {
         state.from_seq = self.seq_next;
         self.ledger_sync = Some(state);
         self.request_sync_page();
-    }
-
-    /// Rebuild governance receipts for an evidenced batch from the ledger's
-    /// own evidence entries (used by joining replicas so they can serve the
-    /// governance chain, §5.2).
-    fn reconstruct_gov_receipts_from_ledger(
-        &mut self,
-        carrier_pp: &PrePrepare,
-        entries: &[LedgerEntry],
-        evidence_at: usize,
-        nonces_at: usize,
-    ) {
-        let target = carrier_pp.core.evidence_seq;
-        // Find the evidenced batch's pre-prepare and transactions in what
-        // we already replayed.
-        let Some(exec) = self.batch_exec.get(&target) else {
-            return;
-        };
-        let p = self.pipeline_depth() as u32;
-        let has_gov = exec.txs.iter().any(|t| t.is_governance);
-        let is_boundary =
-            matches!(exec.kind, ia_ccf_types::BatchKind::EndOfConfig { phase } if phase == p);
-        if !has_gov && !is_boundary {
-            return;
-        }
-        let Some(&view) = self.prepared_view.get(&target) else {
-            return;
-        };
-        let Some(slot) = self.msgs.slot(target, view) else {
-            return;
-        };
-        let Some((pp, _)) = slot.pp.clone() else {
-            return;
-        };
-        let (LedgerEntry::Evidence { prepares, .. }, LedgerEntry::Nonces { nonces, .. }) =
-            (&entries[evidence_at], &entries[nonces_at])
-        else {
-            return;
-        };
-        let cert = BatchCertificate {
-            core: pp.core.clone(),
-            primary_sig: pp.sig,
-            signers: carrier_pp.core.evidence_bitmap,
-            prepare_sigs: prepares.iter().map(|p| p.sig).collect(),
-            nonces: nonces.clone(),
-        };
-        let exec = Arc::clone(exec);
-        for (pos, et) in exec.txs.iter().enumerate() {
-            if !et.is_governance {
-                continue;
-            }
-            let Some(request) = self.req_store.get(&et.request_digest).cloned() else {
-                continue;
-            };
-            let receipt = Receipt {
-                cert: cert.clone(),
-                body: ReceiptBody::Tx(TxWitness {
-                    tx_hash: et.request_digest,
-                    index: et.index,
-                    result: et.result.clone(),
-                    path: exec.path(pos as u64).expect("leaf exists"),
-                }),
-            };
-            self.gov_chain.push(GovLink::GovTx { request, receipt });
-        }
-        if is_boundary {
-            self.gov_chain.push(GovLink::Boundary {
-                receipt: Receipt {
-                    cert,
-                    body: ReceiptBody::Batch { root_g: ia_ccf_types::Digest::zero() },
-                },
-            });
-        }
     }
 }

@@ -18,9 +18,9 @@ use std::sync::Arc;
 
 use ia_ccf_governance::chain::GovLink;
 use ia_ccf_types::{
-    BatchCertificate, BatchKind, ClientId, Commit, Digest, LedgerEntry, LedgerIdx, Nonce,
-    Prepare, ProtocolMsg, Receipt, ReceiptBody, Reply, ReplyX, ReplicaBitmap, ReplicaId,
-    SeqNum, TxWitness, View,
+    BatchCertificate, BatchKind, ClientId, Commit, Configuration, Digest, LedgerEntry, LedgerIdx,
+    Nonce, PrePrepare, Prepare, ProtocolMsg, Receipt, ReceiptBody, Reply, ReplyX, ReplicaId,
+    SeqNum, Signature, TxWitness, View,
 };
 
 use crate::pipeline::BatchExec;
@@ -31,23 +31,10 @@ impl Replica {
         let Some(exec) = self.batch_exec.get(&seq) else {
             return;
         };
-        let Some(slot) = self.msgs.slot(seq, view) else {
+        let Some((pp, my_sig, nonce)) = self.own_share(seq, view) else {
             return;
         };
-        let Some((pp, _)) = slot.pp.clone() else {
-            return;
-        };
-        let i_am_primary = pp.core.primary == self.id;
-        let my_sig = if i_am_primary {
-            pp.sig
-        } else {
-            match slot.prepares.get(&self.id) {
-                Some(p) => p.sig,
-                None => return,
-            }
-        };
-        let nonce = self.my_nonces[&(view.0, seq.0)];
-        let exec = Arc::clone(exec);
+        let (pp, exec) = (pp.clone(), Arc::clone(exec));
 
         if self.params.peer_review {
             // PeerReview signs a reply per *transaction* (§6.1) — model the
@@ -107,6 +94,17 @@ impl Replica {
         }
     }
 
+    /// This replica's share in the quorum's word on `(seq, view)`, as its
+    /// replies carry it: the batch's pre-prepare, its own signature — the
+    /// pre-prepare's if it was the primary, else its prepare's — and nonce.
+    fn own_share(&self, seq: SeqNum, view: View) -> Option<(&PrePrepare, Signature, Nonce)> {
+        let slot = self.msgs.slot(seq, view)?;
+        let (pp, _) = slot.pp.as_ref()?;
+        let sig =
+            if pp.core.primary == self.id { pp.sig } else { slot.prepares.get(&self.id)?.sig };
+        Some((pp, sig, *self.my_nonces.get(&(view.0, seq.0))?))
+    }
+
     /// The designated replyx replica for a request: rank `H(t) mod N`
     /// ("chosen based on t", §3.3).
     pub(crate) fn is_designated(&self, tx_hash: &Digest) -> bool {
@@ -120,142 +118,67 @@ impl Replica {
     // Governance receipts (§5.2).
     // ------------------------------------------------------------------
 
-    /// The batch certificate for a committed batch, assembled from the
-    /// message store — the same data clients assemble from replies.
-    ///
-    /// This is the *uncached* assembly (it re-walks the message store on
-    /// every call); production paths go through the memoizing
+    /// The batch certificate for a committed batch — the same data clients
+    /// assemble from replies — out of the message store: the *uncached*
+    /// entry to the one assembly, which re-walks the store on every call.
+    /// Production paths go through the memoizing
     /// [`Replica::batch_certificate`], which calls this at most once per
-    /// committed `(seq, view)`. Kept public as the reference oracle for
-    /// cache-equivalence tests.
+    /// committed `(seq, view)`; kept public as its reference oracle.
     pub fn build_batch_certificate(&self, seq: SeqNum, view: View) -> Option<BatchCertificate> {
-        let dbg = crate::replica::debug_enabled();
-        let Some(slot) = self.msgs.slot(seq, view) else {
-            if dbg { eprintln!("[{}] cert {seq}: no slot at {view}", self.id); }
-            return None;
-        };
-        let Some((pp, _)) = slot.pp.as_ref() else {
-            if dbg { eprintln!("[{}] cert {seq}: no pp (prepares={} commits={})", self.id, slot.prepares.len(), slot.commits.len()); }
-            return None;
-        };
-        let config = self.config_for_seq(seq).clone();
-        let config = &config;
-        let quorum = config.quorum();
-        let nonces_by_replica: BTreeMap<ReplicaId, Nonce> =
-            self.valid_commit_nonces(seq, view).into_iter().collect();
-        let ppd = slot.pp_digest?;
-        let primary = pp.core.primary;
-        if !nonces_by_replica.contains_key(&primary) {
-            if dbg {
-                eprintln!(
-                    "[{}] cert {seq}: primary nonce missing (commits from {:?})",
-                    self.id,
-                    slot.commits.keys().collect::<Vec<_>>()
-                );
-            }
-            return None;
+        self.certificate_for(seq, view, None)
+    }
+
+    /// The links a certified batch contributes to the governance
+    /// sub-ledger (§5.2): a receipt per governance transaction, and the
+    /// boundary receipt of the `P`-th end-of-configuration batch.
+    pub(crate) fn gov_links(&self, exec: &BatchExec, cert: &BatchCertificate) -> Vec<GovLink> {
+        let mut links = Vec::new();
+        for (pos, et) in exec.txs.iter().enumerate().filter(|(_, et)| et.is_governance) {
+            let Some(request) = self.req_store.get(&et.request_digest).cloned() else {
+                continue;
+            };
+            let body = ReceiptBody::Tx(TxWitness {
+                tx_hash: et.request_digest,
+                index: et.index,
+                result: et.result.clone(),
+                path: exec.path(pos as u64).expect("leaf exists"),
+            });
+            links.push(GovLink::GovTx { request, receipt: Receipt { cert: cert.clone(), body } });
         }
-        let mut chosen = vec![primary];
-        for (r, prep) in &slot.prepares {
-            if chosen.len() >= quorum {
-                break;
-            }
-            if *r != primary && prep.pp_digest == ppd && nonces_by_replica.contains_key(r) {
-                chosen.push(*r);
-            }
+        if is_gov_boundary(exec.kind, self.config_for_seq(cert.core.seq)) {
+            let body = ReceiptBody::Batch { root_g: Digest::zero() };
+            links.push(GovLink::Boundary { receipt: Receipt { cert: cert.clone(), body } });
         }
-        if chosen.len() < quorum {
-            if dbg {
-                eprintln!(
-                    "[{}] cert {seq}: chosen {}/{quorum} (prepares from {:?}, nonces from {:?})",
-                    self.id,
-                    chosen.len(),
-                    slot.prepares.keys().collect::<Vec<_>>(),
-                    nonces_by_replica.keys().collect::<Vec<_>>(),
-                );
-            }
-            return None;
-        }
-        chosen.sort_unstable();
-        let mut signers = ReplicaBitmap::empty();
-        let mut prepare_sigs = Vec::new();
-        let mut nonces = Vec::new();
-        for r in &chosen {
-            signers.set(config.rank_of(*r)?);
-            nonces.push(nonces_by_replica[r]);
-            if *r != primary {
-                prepare_sigs.push(slot.prepares[r].sig);
-            }
-        }
-        Some(BatchCertificate {
-            core: pp.core.clone(),
-            primary_sig: pp.sig,
-            signers,
-            prepare_sigs,
-            nonces,
-        })
+        links
     }
 
     pub(crate) fn build_gov_receipts(&mut self, seq: SeqNum, view: View) {
         if !self.params.issue_receipts || !self.params.ledger_enabled {
             return;
         }
-        let dbg = crate::replica::debug_enabled();
-        let Some(exec) = self.batch_exec.get(&seq) else {
-            if dbg {
-                eprintln!("[{}] gov_receipts {seq}: no batch_exec", self.id);
-            }
+        let Some(exec) = self.batch_exec.get(&seq).map(Arc::clone) else {
             return;
         };
-        let has_gov_tx = exec.txs.iter().any(|t| t.is_governance);
-        let p = self.pipeline_depth() as u32;
-        let is_boundary = matches!(exec.kind, BatchKind::EndOfConfig { phase } if phase == p || phase == 2 * p);
-        if !has_gov_tx && !is_boundary {
+        if !exec.txs.iter().any(|t| t.is_governance)
+            && !is_gov_boundary(exec.kind, self.config_for_seq(seq))
+        {
             return;
         }
-        let exec = Arc::clone(exec);
         let Some(cert) = self.batch_certificate(seq, view) else {
-            if dbg {
-                eprintln!("[{}] gov_receipts {seq}: certificate deferred", self.id);
-            }
+            // Deferred until the missing commit nonce arrives.
             if !self.pending_gov_receipts.contains(&(seq, view)) {
                 self.pending_gov_receipts.push((seq, view));
             }
             return;
         };
-        for (pos, et) in exec.txs.iter().enumerate() {
-            if !et.is_governance {
-                continue;
-            }
-            let receipt = Receipt {
-                cert: cert.clone(),
-                body: ReceiptBody::Tx(TxWitness {
-                    tx_hash: et.request_digest,
-                    index: et.index,
-                    result: et.result.clone(),
-                    path: exec.path(pos as u64).expect("leaf exists"),
-                }),
-            };
-            let request = self.req_store.get(&et.request_digest).cloned();
-            if let Some(request) = request {
-                self.insert_gov_link(GovLink::GovTx { request, receipt });
-            }
-        }
-        if let BatchKind::EndOfConfig { phase } = exec.kind {
-            if phase == p {
-                self.insert_gov_link(GovLink::Boundary {
-                    receipt: Receipt {
-                        cert: cert.clone(),
-                        body: ReceiptBody::Batch { root_g: Digest::zero() },
-                    },
-                });
-            }
+        for link in self.gov_links(&exec, &cert) {
+            self.insert_gov_link(link);
         }
     }
 
     /// Insert a governance link keeping the chain in ledger order (deferred
     /// certificates can complete out of order).
-    fn insert_gov_link(&mut self, link: GovLink) {
+    pub(crate) fn insert_gov_link(&mut self, link: GovLink) {
         let key = |l: &GovLink| {
             let r = l.receipt();
             (r.seq(), r.tx_index().map(|i| i.0).unwrap_or(u64::MAX))
@@ -330,14 +253,7 @@ impl Replica {
     ) -> Option<(Reply, ReplyX)> {
         let et = &exec.txs[pos as usize];
         let view = exec.view;
-        let slot = self.msgs.slot(seq, view)?;
-        let (pp, _) = slot.pp.as_ref()?;
-        let my_sig = if pp.core.primary == self.id {
-            pp.sig
-        } else {
-            slot.prepares.get(&self.id)?.sig
-        };
-        let nonce = self.my_nonces.get(&(view.0, seq.0)).copied()?;
+        let (pp, my_sig, nonce) = self.own_share(seq, view)?;
         let reply = Reply {
             view,
             seq,
@@ -606,4 +522,10 @@ impl Replica {
         let from_pos = self.ledger.fetch_start_pos(from_seq);
         self.ledger.encode_range(LedgerIdx(from_pos), LedgerIdx(self.ledger.len()))
     }
+}
+
+/// Whether a batch of `kind` seals a configuration in the governance
+/// sub-ledger: the `P`-th end-of-configuration batch of `config` (§5.2).
+fn is_gov_boundary(kind: BatchKind, config: &Configuration) -> bool {
+    matches!(kind, BatchKind::EndOfConfig { phase } if phase == config.pipeline_depth)
 }

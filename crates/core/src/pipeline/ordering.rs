@@ -17,20 +17,21 @@
 use std::collections::BTreeMap;
 
 use ia_ccf_types::{
-    BatchKind, Commit, Configuration, Digest, LedgerEntry, Nonce, PrePrepare, PrePrepareCore,
-    Prepare, ProtocolMsg, ReplicaBitmap, ReplicaId, SeqNum, SignedRequest, SystemOp, TxLedgerEntry,
-    View,
+    evidence_target, lowest_ranked_quorum, BatchCertificate, BatchKind, Commit, Configuration,
+    Digest, LedgerEntry, Nonce, PrePrepare, PrePrepareCore, Prepare, ProtocolMsg, ReplicaBitmap,
+    ReplicaId, SeqNum, Signature, SignedRequest, SystemOp, TxLedgerEntry, View,
 };
 
 use crate::pipeline::admission::BatchVerify;
 use crate::pipeline::execution::{BatchExec, BatchMark, ExecError};
 use crate::replica::Replica;
 
-/// The commitment evidence for one batch: `P_s` and `K_s` plus the bitmap.
+/// The commitment evidence a pre-prepare orders in for the batch at `seq`:
+/// `P_s` and `K_s` (`E_s` rides in the pre-prepare itself). Built only by
+/// expanding a certificate or by reading a ledger segment.
 #[derive(Debug, Clone)]
 pub(crate) struct EvidenceSet {
     pub seq: SeqNum,
-    pub bitmap: ReplicaBitmap,
     pub prepares: Vec<Prepare>,
     pub nonces: Vec<Nonce>,
 }
@@ -68,8 +69,13 @@ impl Replica {
         loop {
             let seq = self.seq_next;
             let p = self.pipeline_depth();
-            // Evidence gate: pp at `s` needs the batch at `s − P` committed.
-            if seq.0 > p && self.committed_up_to.0 < seq.0 - p {
+            // Evidence gate: pp at `s` needs the batch at `s − P` committed
+            // and its certificate on hand — asked here, before a request
+            // leaves the queue, of what `send_batch` will order in.
+            if seq.0 > p
+                && (self.committed_up_to.0 < seq.0 - p
+                    || self.evidence_for(SeqNum(seq.0 - p), None).is_none())
+            {
                 return;
             }
             // Reconfiguration batches take priority (§5.1).
@@ -160,12 +166,22 @@ impl Replica {
         committed_root: Option<Digest>,
     ) -> bool {
         let view = self.view;
-        let evidence = self.build_evidence(seq);
-        let (evidence_seq, evidence_bitmap) = match &evidence {
-            Some(ev) => (ev.seq, ev.bitmap),
+        // §3.1: the pre-prepare at `s > P` orders in the quorum's word on
+        // `s − P`. Backups refuse one without it, so until that certificate
+        // assembles the primary waits, as on a min-index race.
+        let p = self.pipeline_depth();
+        let mut carried = None;
+        if seq.0 > p {
+            let Some(found) = self.evidence_for(SeqNum(seq.0 - p), None) else {
+                return false;
+            };
+            carried = Some(found);
+        }
+        let (evidence_seq, evidence_bitmap) = match &carried {
+            Some((cert, _)) => (cert.core.seq, cert.signers),
             None => (SeqNum(0), ReplicaBitmap::empty()),
         };
-        let mark = self.open_batch(evidence);
+        let mark = self.open_batch(carried.map(|(_, evidence)| evidence));
 
         let exec = match self.execute_batch(seq, view, kind, &requests, &batch_hashes) {
             Ok(exec) => exec,
@@ -193,6 +209,8 @@ impl Replica {
             committed_root,
             primary: self.id,
         };
+        // An honest primary never proposes what the carrier clause refuses.
+        debug_assert!(evidence_target(&core, p).is_ok(), "{core:?}");
         let root_g = exec.tree.root();
         let sig = self.sign_replica_payload(&PrePrepare::signing_payload(&core, &root_g));
         let pp = PrePrepare { core, root_g, sig };
@@ -372,10 +390,15 @@ impl Replica {
             return; // already prepared this slot in this view
         }
         // Signature check (parallelizable; sequential here, the sim layers
-        // batching where it matters).
+        // batching where it matters), then the carrier clause: evidence for
+        // any batch but `s − P`, or none above `P`, is dropped like a bad
+        // signature.
         if !self.signed_by_view_primary(&config, &pp) {
             return;
         }
+        let Ok(target) = evidence_target(&pp.core, self.pipeline_depth()) else {
+            return;
+        };
         // hasRequests: all bodies present?
         let missing: Vec<Digest> =
             batch.iter().filter(|h| !self.req_store.contains_key(*h)).copied().collect();
@@ -384,22 +407,25 @@ impl Replica {
             self.stash_pp(pp, batch);
             return;
         }
-        // hasEvidence: every prepare/nonce referenced by the bitmap.
-        let evidence = if pp.core.evidence_bitmap.count() > 0 {
-            match self.reconstruct_evidence(&pp) {
-                Some(ev) => Some(ev),
-                None => {
-                    // Missing evidence messages: fetch from the primary,
-                    // which is guaranteed to have them (§3.1).
-                    let target = pp.core.evidence_seq;
-                    self.send_replica(sender, ProtocolMsg::FetchEvidence { seq: target });
-                    self.stash_pp(pp, batch);
-                    return;
-                }
+        // hasEvidence (Alg. 1 line 17): the certificate the bitmap names,
+        // out of this replica's own verified messages, held to Alg. 3
+        // before anything is appended.
+        let mut evidence = None;
+        if let Some(target) = target {
+            let Some((cert, pair)) = self.evidence_for(target, Some(pp.core.evidence_bitmap))
+            else {
+                // A listed share is missing or its nonce does not open:
+                // fetch from the primary, which is guaranteed to have the
+                // messages (§3.1).
+                self.send_replica(sender, ProtocolMsg::FetchEvidence { seq: target });
+                self.stash_pp(pp, batch);
+                return;
+            };
+            if cert.check_shape(self.config_for_seq(target)).is_err() {
+                return;
             }
-        } else {
-            None
-        };
+            evidence = Some(pair);
+        }
 
         self.accept_pre_prepare(pp, batch, evidence);
     }
@@ -553,11 +579,23 @@ impl Replica {
         if c.replica != sender {
             return; // authenticated channel: senders can't impersonate
         }
-        self.msgs.put_commit(&c);
+        self.store_commit(&c);
         self.try_advance_committed();
         // A late commit (typically the primary's, which prepares last) may
         // unblock a deferred governance receipt.
         self.retry_pending_gov_receipts();
+    }
+
+    /// Store a commit nonce — its sender's own, or one relayed in a
+    /// `FetchEvidenceResponse`, which nothing authenticates. The first
+    /// nonce that opens the replica's signed commitment is kept for good:
+    /// no later one can shrink a certificate already on hand.
+    pub(crate) fn store_commit(&mut self, c: &Commit) {
+        let stored_opens =
+            self.valid_commit_nonces(c.seq, c.view).iter().any(|(r, _)| *r == c.replica);
+        if !stored_opens {
+            self.msgs.put_commit(c);
+        }
     }
 
     /// Advance the contiguous committed frontier: a batch commits once
@@ -632,79 +670,62 @@ impl Replica {
     }
 
     // ------------------------------------------------------------------
-    // Evidence (§3.1).
+    // The quorum's word on a batch (§3.1, §3.3).
     // ------------------------------------------------------------------
 
-    /// Build the commitment evidence to attach to the pre-prepare at `seq`:
-    /// quorum − 1 prepares and quorum nonces for the batch at `seq − P`.
-    pub(crate) fn build_evidence(&self, seq: SeqNum) -> Option<EvidenceSet> {
-        let p = self.pipeline_depth();
-        if seq.0 <= p {
-            return None;
-        }
-        let target = SeqNum(seq.0 - p);
-        let view = *self.prepared_view.get(&target)?;
-        let slot = self.msgs.slot(target, view)?;
+    /// The certificate over `(seq, view)` signed by `signers` — the set a
+    /// pre-prepare names, or `None` for the lowest-ranked quorum — out of
+    /// this replica's message store. A replica's share is a verified
+    /// prepare matching the stored pre-prepare (the pre-prepare itself for
+    /// its primary) **and** a commit nonce that opens the commitment it
+    /// signs. `None` while a signer's share, or a quorum of them, is
+    /// missing.
+    pub(crate) fn certificate_for(
+        &self,
+        seq: SeqNum,
+        view: View,
+        signers: Option<ReplicaBitmap>,
+    ) -> Option<BatchCertificate> {
+        let slot = self.msgs.slot(seq, view)?;
         let (pp, _) = slot.pp.as_ref()?;
-        let config = self.config_for_seq(target);
-        let quorum = config.quorum();
-
-        // Pick the quorum: the primary of the evidenced batch plus backups
-        // with both a matching prepare and a valid commit nonce, lowest
-        // ranks first (deterministic given the bitmap).
-        let nonces_by_replica: BTreeMap<ReplicaId, Nonce> =
-            self.valid_commit_nonces(target, view).into_iter().collect();
-        let primary = pp.core.primary;
-        if !nonces_by_replica.contains_key(&primary) {
-            return None;
-        }
-        let ppd = slot.pp_digest?;
-        let mut chosen: Vec<ReplicaId> = vec![primary];
-        for (r, prep) in &slot.prepares {
-            if chosen.len() >= quorum {
-                break;
+        let pp_digest = slot.pp_digest?;
+        let config = self.config_for_seq(seq);
+        let shares: BTreeMap<ReplicaId, (Signature, Nonce)> = self
+            .valid_commit_nonces(seq, view)
+            .into_iter()
+            .filter_map(|(id, nonce)| {
+                let sig = if id == pp.core.primary {
+                    pp.sig
+                } else {
+                    slot.prepares.get(&id).filter(|p| p.pp_digest == pp_digest)?.sig
+                };
+                Some((id, (sig, nonce)))
+            })
+            .collect();
+        let signers = match signers {
+            Some(named) => named,
+            None => {
+                let held = shares.keys().filter_map(|id| config.rank_of(*id));
+                let primary_rank = config.rank_of(pp.core.primary)?;
+                lowest_ranked_quorum(config, primary_rank, ReplicaBitmap::from_ranks(held))?
             }
-            if *r != primary && prep.pp_digest == ppd && nonces_by_replica.contains_key(r) {
-                chosen.push(*r);
-            }
-        }
-        if chosen.len() < quorum {
-            return None;
-        }
-        chosen.sort_unstable();
-        let mut bitmap = ReplicaBitmap::empty();
-        let mut prepares = Vec::new();
-        let mut nonces = Vec::new();
-        for r in &chosen {
-            bitmap.set(config.rank_of(*r)?);
-            nonces.push(nonces_by_replica[r]);
-            if *r != primary {
-                prepares.push(slot.prepares[r].clone());
-            }
-        }
-        Some(EvidenceSet { seq: target, bitmap, prepares, nonces })
+        };
+        let share_of = |id| shares.get(&id).copied();
+        BatchCertificate::assemble(config, pp.core.clone(), pp.sig, signers, share_of)
     }
 
-    /// A backup reconstructs the evidence bytes the primary chose, from its
-    /// own message store (messages are signed, hence byte-identical).
-    fn reconstruct_evidence(&self, pp: &PrePrepare) -> Option<EvidenceSet> {
-        let target = pp.core.evidence_seq;
+    /// [`Self::certificate_for`] the batch at `target` in the view it
+    /// prepared in, with its expansion into the evidence pair a later
+    /// pre-prepare orders in.
+    fn evidence_for(
+        &self,
+        target: SeqNum,
+        signers: Option<ReplicaBitmap>,
+    ) -> Option<(BatchCertificate, EvidenceSet)> {
         let view = *self.prepared_view.get(&target)?;
-        let slot = self.msgs.slot(target, view)?;
-        let (target_pp, _) = slot.pp.as_ref()?;
-        let config = self.config_for_seq(target);
-        let primary = target_pp.core.primary;
-        let primary_rank = config.rank_of(primary)?;
-        let mut prepares = Vec::new();
-        let mut nonces = Vec::new();
-        for rank in pp.core.evidence_bitmap.iter() {
-            let desc = config.replica_at_rank(rank)?;
-            let nonce = slot.commits.get(&desc.id)?;
-            nonces.push(*nonce);
-            if rank != primary_rank {
-                prepares.push(slot.prepares.get(&desc.id)?.clone());
-            }
-        }
-        Some(EvidenceSet { seq: target, bitmap: pp.core.evidence_bitmap, prepares, nonces })
+        let cert = self.certificate_for(target, view, signers)?;
+        let pp_digest = self.msgs.slot(target, view)?.pp_digest?;
+        let (prepares, nonces) = cert.to_evidence(self.config_for_seq(target), &pp_digest)?;
+        Some((cert, EvidenceSet { seq: target, prepares, nonces }))
     }
 }

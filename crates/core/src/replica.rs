@@ -622,16 +622,7 @@ impl Replica {
                         self.on_prepare(p);
                     }
                     for cmt in commits {
-                        // A relayed commit is unauthenticated: it must
-                        // never displace a stored nonce that already
-                        // opens its replica's signed commitment.
-                        let stored_opens = self
-                            .valid_commit_nonces(cmt.seq, cmt.view)
-                            .iter()
-                            .any(|(r, _)| *r == cmt.replica);
-                        if !stored_opens {
-                            self.msgs.put_commit(&cmt);
-                        }
+                        self.store_commit(&cmt);
                     }
                     self.retry_stashed();
                     self.try_advance_committed();

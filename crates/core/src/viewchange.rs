@@ -347,13 +347,18 @@ impl Replica {
         // content; fresh pre-prepares).
         for batch in saved {
             debug_assert_eq!(batch.seq, self.seq_next);
-            self.send_batch(
+            let sent = self.send_batch(
                 batch.seq,
                 batch.kind,
                 batch.requests,
                 batch.digests,
                 batch.committed_root,
             );
+            // One that must wait for the evidence it carries holds the rest
+            // back; their requests are in the queue again.
+            if !sent {
+                break;
+            }
         }
         self.maybe_send_pre_prepare();
     }

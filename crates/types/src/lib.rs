@@ -32,7 +32,8 @@ pub use messages::{
     ReplyX, ViewChange,
 };
 pub use receipt::{
-    BatchCertificate, Receipt, ReceiptBody, ReceiptError, TxWitness, VerifiedCerts,
+    evidence_target, lowest_ranked_quorum, BatchCertificate, EvidenceError, Receipt, ReceiptBody,
+    ReceiptError, TxWitness, VerifiedCerts,
 };
 pub use request::{GovAction, Request, RequestAction, SignedRequest, SystemOp};
 pub use wire::{CodecError, Reader, Wire};

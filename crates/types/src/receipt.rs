@@ -21,11 +21,11 @@
 //! [`Receipt::verify_with`] consults it, [`Receipt::verify`] is the same
 //! code path without one (always cold). The contract:
 //!
-//! * **Only signature checks are elided.** The structural checks
-//!   (primary of the view, quorum, signer/nonce/signature counts) and the
-//!   Merkle-path recomputation of `Ḡ` from *this* receipt's witness run on
-//!   every call; a hit skips the primary-signature, nonce-commitment and
-//!   prepare-signature checks and nothing else.
+//! * **Only signature checks are elided.** [`BatchCertificate::check_shape`]
+//!   (primary of the view, quorum, signer/nonce/signature counts, the
+//!   primary's nonce) and the Merkle-path recomputation of `Ḡ` from *this*
+//!   receipt's witness run on every call; a hit skips the primary-signature
+//!   and prepare-signature checks and nothing else.
 //! * **The key is everything those checks read.** SHA-256 over
 //!   `(n, quorum, per signer: rank, replica id, public key; the encoded
 //!   core; the recomputed Ḡ root; primary_sig; signer bitmap;
@@ -96,6 +96,62 @@ impl std::fmt::Display for ReceiptError {
 
 impl std::error::Error for ReceiptError {}
 
+/// Why the ledger's record of a quorum's word on a batch — the evidence
+/// pair the pre-prepare at `s` orders in for `s − P` (§3.1) — is refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EvidenceError {
+    /// A pre-prepare at `s ≤ P` carries evidence.
+    Unexpected,
+    /// A pre-prepare at `s > P` carries none.
+    Missing,
+    /// The evidence is for a batch other than `s − P`.
+    WrongTarget,
+    /// Bitmap, prepares and nonces disagree in number, or name a rank
+    /// outside the configuration.
+    Counts,
+    /// The recorded prepare at this rank is not the one the certificate
+    /// implies (view, sequence number, replica or `H(pp)`).
+    Prepare(usize),
+    /// The nonce recorded for this rank does not open the commitment its
+    /// recorded prepare signs.
+    Nonce(usize),
+    /// The certificate the pair encodes breaks Alg. 3.
+    Certificate(ReceiptError),
+}
+
+impl From<ReceiptError> for EvidenceError {
+    fn from(why: ReceiptError) -> Self {
+        EvidenceError::Certificate(why)
+    }
+}
+
+/// The carrier clause (Alg. 1 line 17's `hasEvidence`, App. B.1.1) under
+/// pipeline depth `p`: a pre-prepare at `s ≤ P` carries no evidence and one
+/// at `s > P` carries evidence for exactly `s − P`. Returns that target.
+pub fn evidence_target(core: &PrePrepareCore, p: u64) -> Result<Option<SeqNum>, EvidenceError> {
+    let carries = core.evidence_bitmap.count() > 0;
+    match core.seq.0.checked_sub(p).filter(|target| *target > 0) {
+        None if carries || core.evidence_seq != SeqNum(0) => Err(EvidenceError::Unexpected),
+        None => Ok(None),
+        Some(_) if !carries => Err(EvidenceError::Missing),
+        Some(target) if core.evidence_seq != SeqNum(target) => Err(EvidenceError::WrongTarget),
+        Some(target) => Ok(Some(SeqNum(target))),
+    }
+}
+
+/// The one choice of signers (§3.3): the batch's primary plus the
+/// lowest-ranked others among `available`, `N − f` in all. `None` until the
+/// primary and a quorum are available.
+pub fn lowest_ranked_quorum(
+    config: &Configuration,
+    primary_rank: usize,
+    available: ReplicaBitmap,
+) -> Option<ReplicaBitmap> {
+    let others = available.iter().filter(|rank| *rank != primary_rank);
+    let chosen = ReplicaBitmap::from_ranks(others.take(config.quorum() - 1).chain([primary_rank]));
+    (available.contains(primary_rank) && chosen.count() == config.quorum()).then_some(chosen)
+}
+
 /// The quorum's signatures over one batch.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BatchCertificate {
@@ -119,6 +175,103 @@ impl BatchCertificate {
             .iter()
             .filter_map(|rank| config.replica_at_rank(rank).map(|r| r.id))
             .collect()
+    }
+
+    /// The one constructor: the certificate over `core` signed by
+    /// `signers`, from each signer's share — its nonce, and its prepare
+    /// signature (not read for the primary, whose share in `Σ_s` is
+    /// `primary_sig`). `None` when a signer is unranked or has no share.
+    pub fn assemble(
+        config: &Configuration,
+        core: PrePrepareCore,
+        primary_sig: Signature,
+        signers: ReplicaBitmap,
+        mut share_of: impl FnMut(ReplicaId) -> Option<(Signature, Nonce)>,
+    ) -> Option<Self> {
+        let (mut prepare_sigs, mut nonces) = (Vec::new(), Vec::new());
+        for rank in signers.iter() {
+            let id = config.replica_at_rank(rank)?.id;
+            let (sig, nonce) = share_of(id)?;
+            nonces.push(nonce);
+            if id != core.primary {
+                prepare_sigs.push(sig);
+            }
+        }
+        Some(BatchCertificate { core, primary_sig, signers, prepare_sigs, nonces })
+    }
+
+    /// The prepares this certificate stands for, with their ranks: for
+    /// every signer but the primary, `⟨prepare, v, s, r, H(K_s[r]), H(pp)⟩`
+    /// under its `Σ_s` signature.
+    fn prepares(
+        &self,
+        config: &Configuration,
+        pp_digest: &Digest,
+    ) -> Result<Vec<(usize, Prepare)>, ReceiptError> {
+        let mut sigs = self.prepare_sigs.iter();
+        let mut out = Vec::with_capacity(self.prepare_sigs.len());
+        for (rank, nonce) in self.signers.iter().zip(&self.nonces) {
+            let desc = config.replica_at_rank(rank).ok_or(ReceiptError::UnknownSigner(rank))?;
+            if desc.id == self.core.primary {
+                continue;
+            }
+            out.push((
+                rank,
+                Prepare {
+                    view: self.core.view,
+                    seq: self.core.seq,
+                    replica: desc.id,
+                    nonce_commit: nonce.commitment(),
+                    pp_digest: *pp_digest,
+                    sig: *sigs.next().ok_or(ReceiptError::Malformed("sig underrun"))?,
+                },
+            ));
+        }
+        Ok(out)
+    }
+
+    /// The ledger encoding (§3.1): the `P_s` and `K_s` entries a later
+    /// pre-prepare orders in next to `E_s = signers`. `pp_digest` is
+    /// `H(pp)` of the certified pre-prepare.
+    pub fn to_evidence(
+        &self,
+        config: &Configuration,
+        pp_digest: &Digest,
+    ) -> Option<(Vec<Prepare>, Vec<Nonce>)> {
+        let prepares = self.prepares(config, pp_digest).ok()?;
+        Some((prepares.into_iter().map(|(_, p)| p).collect(), self.nonces.clone()))
+    }
+
+    /// The inverse of [`Self::to_evidence`] over the pre-prepare `target`:
+    /// refuses unless every recorded prepare is, byte for byte, the one the
+    /// certificate implies.
+    pub fn from_evidence(
+        config: &Configuration,
+        target: &PrePrepare,
+        signers: ReplicaBitmap,
+        prepares: &[Prepare],
+        nonces: &[Nonce],
+    ) -> Result<Self, EvidenceError> {
+        let (mut recorded, mut revealed) = (prepares.iter(), nonces.iter());
+        let cert = Self::assemble(config, target.core.clone(), target.sig, signers, |id| {
+            let sig = if id == target.core.primary { target.sig } else { recorded.next()?.sig };
+            Some((sig, *revealed.next()?))
+        })
+        .filter(|_| recorded.next().is_none() && revealed.next().is_none())
+        .ok_or(EvidenceError::Counts)?;
+        let implied = cert.prepares(config, &target.digest())?;
+        for ((rank, implied), recorded) in implied.iter().zip(prepares) {
+            if implied != recorded {
+                let commit_only =
+                    Prepare { nonce_commit: recorded.nonce_commit, ..implied.clone() } == *recorded;
+                return Err(if commit_only {
+                    EvidenceError::Nonce(*rank)
+                } else {
+                    EvidenceError::Prepare(*rank)
+                });
+            }
+        }
+        Ok(cert)
     }
 }
 
@@ -230,89 +383,87 @@ impl Receipt {
         config: &Configuration,
         memo: Option<&mut VerifiedCerts>,
     ) -> Result<Digest, ReceiptError> {
-        let core = &self.cert.core;
-
-        // The primary is determined by the view (p = v mod N).
-        if config.primary_of(core.view) != core.primary {
-            return Err(ReceiptError::WrongPrimary);
-        }
-        let primary_rank = config.rank_of(core.primary).ok_or(ReceiptError::WrongPrimary)?;
-
-        let signer_count = self.cert.signers.count();
-        if signer_count < config.quorum() {
-            return Err(ReceiptError::InsufficientSigners {
-                got: signer_count,
-                need: config.quorum(),
-            });
-        }
-        if !self.cert.signers.contains(primary_rank) {
-            return Err(ReceiptError::Malformed("primary not among signers"));
-        }
-        if self.cert.nonces.len() != signer_count {
-            return Err(ReceiptError::Malformed("nonce count mismatch"));
-        }
-        if self.cert.prepare_sigs.len() != signer_count - 1 {
-            return Err(ReceiptError::Malformed("prepare signature count mismatch"));
-        }
-
+        self.cert.check_shape(config)?;
         // Recompute Ḡ from this receipt's own witness (Alg. 3 lines 2–4).
         let root_g = self.implied_root_g()?;
         let Some(memo) = memo else {
-            return self.cert.check_signatures(config, primary_rank, &root_g);
+            return self.cert.check_signatures(config, &root_g);
         };
         let key = self.cert.memo_key(config, &root_g);
         if let Some(pp_digest) = memo.lookup(&key) {
             return Ok(pp_digest);
         }
-        let pp_digest = self.cert.check_signatures(config, primary_rank, &root_g)?;
+        let pp_digest = self.cert.check_signatures(config, &root_g)?;
         memo.insert(key, pp_digest);
         Ok(pp_digest)
     }
 }
 
 impl BatchCertificate {
-    /// The cryptographic half of Alg. 3: the primary's signature over the
-    /// pre-prepare rebuilt around `root_g`, its nonce commitment, and every
-    /// backup's prepare signature. The caller has checked the counts.
+    /// Alg. 3 without its signatures: `core.primary` is the primary of
+    /// `core.view`, at least `N − f` signers with the primary among them,
+    /// one nonce per signer and one prepare signature per backup, and the
+    /// primary's nonce opens the commitment its pre-prepare signs.
+    pub fn check_shape(&self, config: &Configuration) -> Result<(), ReceiptError> {
+        let core = &self.core;
+        // The primary is determined by the view (p = v mod N).
+        if config.primary_of(core.view) != core.primary {
+            return Err(ReceiptError::WrongPrimary);
+        }
+        let primary_rank = config.rank_of(core.primary).ok_or(ReceiptError::WrongPrimary)?;
+        let signer_count = self.signers.count();
+        if signer_count < config.quorum() {
+            return Err(ReceiptError::InsufficientSigners {
+                got: signer_count,
+                need: config.quorum(),
+            });
+        }
+        let Some(primary_at) = self.signers.iter().position(|rank| rank == primary_rank) else {
+            return Err(ReceiptError::Malformed("primary not among signers"));
+        };
+        if self.nonces.len() != signer_count {
+            return Err(ReceiptError::Malformed("nonce count mismatch"));
+        }
+        if self.prepare_sigs.len() != signer_count - 1 {
+            return Err(ReceiptError::Malformed("prepare signature count mismatch"));
+        }
+        if !core.nonce_commit.opens_with(&self.nonces[primary_at]) {
+            return Err(ReceiptError::BadPrimaryNonce);
+        }
+        Ok(())
+    }
+
+    /// Every backup's signature over the prepare the certificate stands
+    /// for (Alg. 3 lines 7–9), `pp_digest` being `H(pp_{σp})`.
+    pub fn check_prepares(
+        &self,
+        config: &Configuration,
+        pp_digest: &Digest,
+    ) -> Result<(), ReceiptError> {
+        for (rank, prepare) in self.prepares(config, pp_digest)? {
+            let desc = config.replica_at_rank(rank).ok_or(ReceiptError::UnknownSigner(rank))?;
+            if !desc.key.verify(&prepare.own_payload(), &prepare.sig) {
+                return Err(ReceiptError::BadPrepareSig(rank));
+            }
+        }
+        Ok(())
+    }
+
+    /// The signatures of Alg. 3: the primary's over the pre-prepare
+    /// rebuilt around `root_g`, then every backup's prepare. The caller has
+    /// run [`Self::check_shape`].
     fn check_signatures(
         &self,
         config: &Configuration,
-        primary_rank: usize,
         root_g: &Digest,
     ) -> Result<Digest, ReceiptError> {
-        let core = &self.core;
-        let pp_payload = PrePrepare::signing_payload(core, root_g);
-        let primary_key = config
-            .replica_key(core.primary)
-            .ok_or(ReceiptError::UnknownSigner(primary_rank))?;
+        let pp_payload = PrePrepare::signing_payload(&self.core, root_g);
+        let primary_key = config.replica_key(self.core.primary).ok_or(ReceiptError::WrongPrimary)?;
         if !primary_key.verify(&pp_payload, &self.primary_sig) {
             return Err(ReceiptError::BadPrimarySig);
         }
-        let pp_digest = PrePrepare::digest_from_parts(core, root_g, &self.primary_sig);
-
-        // Check every signer (Alg. 3 lines 7–9).
-        let mut prepare_iter = self.prepare_sigs.iter();
-        for (nonce_idx, rank) in self.signers.iter().enumerate() {
-            let desc = config.replica_at_rank(rank).ok_or(ReceiptError::UnknownSigner(rank))?;
-            let nonce = &self.nonces[nonce_idx];
-            if rank == primary_rank {
-                if nonce.commitment() != core.nonce_commit {
-                    return Err(ReceiptError::BadPrimaryNonce);
-                }
-            } else {
-                let sig = prepare_iter.next().ok_or(ReceiptError::Malformed("sig underrun"))?;
-                let payload = Prepare::signing_payload(
-                    core.view,
-                    core.seq,
-                    desc.id,
-                    &nonce.commitment(),
-                    &pp_digest,
-                );
-                if !desc.key.verify(&payload, sig) {
-                    return Err(ReceiptError::BadPrepareSig(rank));
-                }
-            }
-        }
+        let pp_digest = PrePrepare::digest_from_parts(&self.core, root_g, &self.primary_sig);
+        self.check_prepares(config, &pp_digest)?;
         Ok(pp_digest)
     }
 
@@ -508,7 +659,6 @@ pub mod testutil {
         entries: &[(Digest, LedgerIdx, TxResult)],
     ) -> Vec<Receipt> {
         let n = config.n();
-        let quorum = config.quorum();
         let primary = config.primary_of(view);
         let primary_rank = config.rank_of(primary).unwrap();
 
@@ -529,7 +679,7 @@ pub mod testutil {
             root_m,
             nonce_commit: nonces[primary_rank].commitment(),
             evidence_seq: seq.minus(2),
-            evidence_bitmap: ReplicaBitmap::from_ranks(0..quorum.min(n)),
+            evidence_bitmap: ReplicaBitmap::from_ranks(0..config.quorum()),
             gov_index,
             checkpoint_digest,
             kind: BatchKind::Regular,
@@ -540,41 +690,15 @@ pub mod testutil {
             replica_keys[primary_rank].sign(&PrePrepare::signing_payload(&core, &root_g));
         let pp_digest = PrePrepare::digest_from_parts(&core, &root_g, &primary_sig);
 
-        // Signers: primary plus the lowest-ranked backups up to quorum.
-        let mut signer_ranks = vec![primary_rank];
-        for r in 0..n {
-            if signer_ranks.len() == quorum {
-                break;
-            }
-            if r != primary_rank {
-                signer_ranks.push(r);
-            }
-        }
-        signer_ranks.sort_unstable();
-
-        let mut prepare_sigs = Vec::new();
-        let mut signer_nonces = Vec::new();
-        for &rank in &signer_ranks {
-            signer_nonces.push(nonces[rank]);
-            if rank != primary_rank {
-                let payload = Prepare::signing_payload(
-                    view,
-                    seq,
-                    config.replicas[rank].id,
-                    &nonces[rank].commitment(),
-                    &pp_digest,
-                );
-                prepare_sigs.push(replica_keys[rank].sign(&payload));
-            }
-        }
-
-        let cert = BatchCertificate {
-            core,
-            primary_sig,
-            signers: ReplicaBitmap::from_ranks(signer_ranks.iter().copied()),
-            prepare_sigs,
-            nonces: signer_nonces,
-        };
+        let signers =
+            lowest_ranked_quorum(config, primary_rank, ReplicaBitmap::from_ranks(0..n)).unwrap();
+        let cert = BatchCertificate::assemble(config, core, primary_sig, signers, |id| {
+            let rank = config.rank_of(id)?;
+            let commit = nonces[rank].commitment();
+            let payload = Prepare::signing_payload(view, seq, id, &commit, &pp_digest);
+            Some((replica_keys[rank].sign(&payload), nonces[rank]))
+        })
+        .unwrap();
 
         entries
             .iter()
@@ -866,6 +990,86 @@ mod tests {
         }
         assert_eq!((none.hits(), none.misses(), none.len()), (0, k as u64, 0));
         assert!(none.is_empty());
+    }
+
+    #[test]
+    fn selection_is_the_primary_plus_the_lowest_ranked_others() {
+        let (config, _, _) = test_config(4);
+        let pick = |primary, ranks: &[usize]| {
+            lowest_ranked_quorum(&config, primary, ReplicaBitmap::from_ranks(ranks.iter().copied()))
+                .map(|chosen| chosen.iter().collect::<Vec<_>>())
+        };
+        assert_eq!(pick(0, &[0, 1, 2, 3]), Some(vec![0, 1, 2]));
+        assert_eq!(pick(3, &[0, 1, 2, 3]), Some(vec![0, 1, 3]));
+        assert_eq!(pick(1, &[1, 2, 3]), Some(vec![1, 2, 3]));
+        assert_eq!(pick(0, &[1, 2, 3]), None, "no primary, no quorum");
+        assert_eq!(pick(0, &[0, 3]), None, "two of four");
+    }
+
+    #[test]
+    fn carrier_clause_is_no_evidence_up_to_p_and_exactly_s_minus_p_above() {
+        let (_, receipts) = sample_receipts(4, 1);
+        let carrier = |seq: u64, evidence_seq: u64, ranks: &[usize]| {
+            let mut core = receipts[0].cert.core.clone();
+            (core.seq, core.evidence_seq) = (SeqNum(seq), SeqNum(evidence_seq));
+            core.evidence_bitmap = ReplicaBitmap::from_ranks(ranks.iter().copied());
+            evidence_target(&core, 2)
+        };
+        assert_eq!(carrier(1, 0, &[]), Ok(None));
+        assert_eq!(carrier(2, 0, &[]), Ok(None));
+        assert_eq!(carrier(3, 1, &[0, 1, 2]), Ok(Some(SeqNum(1))));
+        assert_eq!(carrier(2, 1, &[0, 1, 2]), Err(EvidenceError::Unexpected));
+        assert_eq!(carrier(2, 1, &[]), Err(EvidenceError::Unexpected));
+        assert_eq!(carrier(3, 0, &[]), Err(EvidenceError::Missing));
+        assert_eq!(carrier(3, 2, &[0, 1, 2]), Err(EvidenceError::WrongTarget));
+        assert_eq!(carrier(3, 1000, &[0]), Err(EvidenceError::WrongTarget));
+    }
+
+    #[test]
+    fn the_ledger_encoding_round_trips_and_pins_every_prepare_field() {
+        for (n, view) in [(4, View(0)), (4, View(2)), (10, View(13))] {
+            let (config, keys, _) = test_config(n);
+            let entries = [(hash_bytes(b"t"), LedgerIdx(3), result("r"))];
+            let root_m = hash_bytes(b"root-m");
+            let (seq, gov, cp) = (SeqNum(7), LedgerIdx(0), Digest::zero());
+            let receipt =
+                make_tx_receipts(&config, &keys, view, seq, root_m, gov, cp, &entries).remove(0);
+            let cert = &receipt.cert;
+            let root_g = receipt.implied_root_g().unwrap();
+            let pp = PrePrepare { core: cert.core.clone(), root_g, sig: cert.primary_sig };
+            let (prepares, nonces) = cert.to_evidence(&config, &pp.digest()).unwrap();
+            assert_eq!((prepares.len(), nonces.len()), (config.quorum() - 1, config.quorum()));
+            let back = |prepares: &[Prepare], nonces: &[Nonce]| {
+                BatchCertificate::from_evidence(&config, &pp, cert.signers, prepares, nonces)
+            };
+            assert_eq!(back(&prepares, &nonces).as_ref(), Ok(cert));
+            assert_eq!(cert.check_prepares(&config, &pp.digest()), Ok(()));
+
+            assert_eq!(back(&prepares[1..], &nonces), Err(EvidenceError::Counts));
+            assert_eq!(back(&prepares, &nonces[1..]), Err(EvidenceError::Counts));
+            let extra = [&nonces[..], &nonces[..1]].concat();
+            assert_eq!(back(&prepares, &extra), Err(EvidenceError::Counts));
+            let rank = config.rank_of(prepares[0].replica).unwrap();
+            let off = |change: &dyn Fn(&mut Prepare)| {
+                let mut prepares = prepares.clone();
+                change(&mut prepares[0]);
+                back(&prepares, &nonces).err()
+            };
+            assert_eq!(off(&|p| p.view = View(99)), Some(EvidenceError::Prepare(rank)));
+            assert_eq!(off(&|p| p.seq = SeqNum(8)), Some(EvidenceError::Prepare(rank)));
+            assert_eq!(off(&|p| p.replica = ReplicaId(63)), Some(EvidenceError::Prepare(rank)));
+            assert_eq!(off(&|p| p.pp_digest.0[0] ^= 1), Some(EvidenceError::Prepare(rank)));
+            assert_eq!(off(&|p| p.nonce_commit.0 .0[0] ^= 1), Some(EvidenceError::Nonce(rank)));
+            // A signature is carried, not implied: checking it is
+            // `check_prepares`' job.
+            let mut forged = prepares.clone();
+            forged[0].sig.0[1] ^= 1;
+            let carried = back(&forged, &nonces).unwrap();
+            assert_eq!(
+                carried.check_prepares(&config, &pp.digest()),
+                Err(ReceiptError::BadPrepareSig(rank))
+            );
+        }
     }
 
     #[test]

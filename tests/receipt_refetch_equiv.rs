@@ -336,6 +336,12 @@ fn garbage_evidence_response_cannot_displace_valid_commit_nonces() {
     assert!(!v.has_cached_certificate(SeqNum(1), View(0)));
     deliver(v, NodeId::Client(client), &garbage);
     deliver(v, NodeId::Replica(ReplicaId(2)), &garbage);
+    // And through the other door: each peer's own, authenticated `Commit`
+    // with a second nonce. The first one that opened stays.
+    for r in [0, 2, 3].map(ReplicaId) {
+        let second = Commit { view: View(0), seq: SeqNum(1), replica: r, nonce: Nonce([0xCD; 16]) };
+        deliver(v, NodeId::Replica(r), &ProtocolMsg::Commit(second));
+    }
     assert!(v.batch_certificate(SeqNum(1), View(0)).is_some(), "certificate must assemble");
     let refetch = ProtocolMsg::FetchReceipt { tx_hash };
     let served = client_sends(deliver(v, NodeId::Client(client), &refetch));
