@@ -15,7 +15,7 @@ use ia_ccf_ledger::segment::{segment_entries, Segment};
 use ia_ccf_merkle::MerkleTree;
 use ia_ccf_types::{
     evidence_target, BatchCertificate, Configuration, Digest, EvidenceError, LedgerEntry,
-    PrePrepare, ReceiptError, ReplicaId, SeqNum, Signature, View, Wire,
+    PrePrepare, ReceiptError, ReplicaId, SeqNum, View, Wire,
 };
 
 /// A ledger package served for auditing.
@@ -151,10 +151,7 @@ pub fn validate_package(
                 // sender — plus `M̄′` over the tree this walk has built.
                 let position = out.batches.last().map_or(SeqNum(1), |b| b.seq.next());
                 let config = config_for_seq(position);
-                let key_of_config = |id: ReplicaId, payload: &[u8], sig: &Signature| {
-                    config.replica_key(id).is_some_and(|k| k.verify(payload, sig))
-                };
-                let facts = check_new_view(&config, &key_of_config, nv, view_changes)
+                let facts = check_new_view(&config, nv, view_changes)
                     .map_err(|_| PackageError::BadViewChange(*view))?;
                 tree.append(entries[*set_at].m_leaf());
                 if nv.root_m != tree.root() {

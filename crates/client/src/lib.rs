@@ -43,8 +43,8 @@ pub struct FinishedTx {
     pub request: SignedRequest,
     /// Client-chosen request number.
     pub req_id: u64,
-    /// The verified receipt (`None` only in `require_receipt = false`
-    /// mode, the IA-CCF-NoReceipt baseline).
+    /// The verified receipt; always `Some` (the `Option` is what
+    /// `benchmark/` reads — ROADMAP item 1).
     pub receipt: Option<Receipt>,
     /// The execution output.
     pub output: Vec<u8>,
@@ -106,9 +106,6 @@ pub struct Client {
     tick: u64,
     /// Ticks before a pending request is retried.
     pub retry_ticks: u64,
-    /// When `false` (the IA-CCF-NoReceipt baseline), complete on a quorum
-    /// of matching replies without assembling a receipt.
-    pub require_receipt: bool,
 }
 
 impl Client {
@@ -134,7 +131,6 @@ impl Client {
             outbox: Vec::new(),
             tick: 0,
             retry_ticks: 50,
-            require_receipt: true,
         }
     }
 
@@ -343,23 +339,6 @@ impl Client {
         let Some(p) = self.pending.get(&req_id) else {
             return;
         };
-        if !self.require_receipt {
-            // NoReceipt baseline: done on a quorum of matching replies.
-            let quorum = self.current_config().quorum();
-            if p.replies.values().any(|m| m.len() >= quorum) {
-                let p = self.remove_pending(req_id);
-                self.completed.push(FinishedTx {
-                    request: p.request,
-                    req_id,
-                    output: Vec::new(),
-                    ok: true,
-                    receipt: None,
-                    sent_tick: p.sent_tick,
-                    done_tick: self.tick,
-                });
-            }
-            return;
-        }
         let Some(rx) = &p.replyx else {
             return;
         };

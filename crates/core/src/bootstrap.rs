@@ -249,8 +249,7 @@ impl Replica {
                 // same writer (a pair already in the ledger is a no-op).
                 let refused = |why| BootstrapError::BadNewView(*view, why);
                 let config = self.config_for_seq(self.seq_next);
-                check_new_view(config, &self.replica_auth(config), nv, view_changes)
-                    .map_err(refused)?;
+                check_new_view(config, nv, view_changes).map_err(refused)?;
                 self.log_new_view(*view, view_changes.clone(), Some(nv)).map_err(refused)?;
                 Ok(())
             }

@@ -43,7 +43,7 @@ pub use bootstrap::{BootstrapError, SyncReport};
 pub use byzantine::{ByzantineReplica, Fault};
 pub use checkpoint::{CheckpointRecord, CheckpointStore};
 pub use events::{Input, NodeId, Output};
-pub use params::{ProtocolParams, ReplicaAuth};
+pub use params::ProtocolParams;
 pub use pipeline::ReceiptCacheStats;
 pub use replica::{Replica, ReplicaInitError};
 pub use seedfile::SeedCheckpointFile;

@@ -1,21 +1,8 @@
-//! Protocol parameters and the feature switches behind Tab. 3.
-
-/// How replicas authenticate protocol messages to each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicaAuth {
-    /// Real signatures (the protocol as specified; receipts and audits
-    /// work).
-    Signatures,
-    /// MAC-style authenticators: a keyed hash stands in for the signature.
-    /// This is Tab. 3 row (f) — it breaks third-party verifiability (a MAC
-    /// convinces only the key holder), so receipts/audits are meaningless
-    /// in this mode. Benchmark-only.
-    Macs,
-}
+//! Protocol parameters.
 
 /// Tunable parameters of one replica. Defaults mirror the paper's LAN
 /// setup (§6: `P = 2`, batch ≤ 300, checkpoint every 10k) scaled to the
-/// simulator; the Tab. 3 ablation switches default to the full protocol.
+/// simulator.
 #[derive(Debug, Clone)]
 pub struct ProtocolParams {
     /// Maximum transactions per batch (300 LAN / 800 WAN in the paper).
@@ -24,21 +11,8 @@ pub struct ProtocolParams {
     pub batch_delay_ticks: u64,
     /// Ticks without progress before a backup starts a view change.
     pub view_timeout_ticks: u64,
-    /// Verify client request signatures (Tab. 3 row (e) disables).
-    pub verify_client_sigs: bool,
-    /// Produce receipts — replies carry nonces/signatures and the
-    /// designated replica sends `replyx` (row (b) disables).
-    pub issue_receipts: bool,
-    /// Take checkpoints and agree their digests (row (c) disables).
+    /// Take checkpoints and agree their digests.
     pub checkpoints_enabled: bool,
-    /// Maintain the ledger and Merkle trees (row (g) disables).
-    pub ledger_enabled: bool,
-    /// Replica-to-replica authentication (row (f) switches to MACs).
-    pub replica_auth: ReplicaAuth,
-    /// PeerReview mode (§6 baseline): additionally sign every outbound
-    /// message and send a signed acknowledgement for every inbound one,
-    /// emulating PeerReview's per-message logging/acking cost.
-    pub peer_review: bool,
     /// KV shard count for the execution stage: `0` resolves to the
     /// machine's available parallelism (capped at 8), `1` forces fully
     /// serial execution, `n > 1` shards the store and lets the execution
@@ -111,12 +85,7 @@ impl Default for ProtocolParams {
             batch_max: 300,
             batch_delay_ticks: 1,
             view_timeout_ticks: 40,
-            verify_client_sigs: true,
-            issue_receipts: true,
             checkpoints_enabled: true,
-            ledger_enabled: true,
-            replica_auth: ReplicaAuth::Signatures,
-            peer_review: false,
             execution_shards: 0,
             pool_threads: 0,
             exec_retention_batches: 64,
@@ -175,62 +144,11 @@ impl ProtocolParams {
     pub fn effective_sync_page_bytes(&self) -> u64 {
         self.sync_page_bytes.clamp(1, ia_ccf_types::messages::PAGE_CEILING_BYTES as u64)
     }
-
-    /// The full protocol (Tab. 3 row (a)).
-    pub fn full() -> Self {
-        Self::default()
-    }
-
-    /// IA-CCF-NoReceipt (row (b)): ledger, no receipts.
-    pub fn no_receipt() -> Self {
-        ProtocolParams { issue_receipts: false, ..Self::default() }
-    }
-
-    /// Row (c): no receipts, no checkpoints.
-    pub fn no_checkpoints() -> Self {
-        ProtocolParams { checkpoints_enabled: false, ..Self::no_receipt() }
-    }
-
-    /// Row (e): additionally skip client signature verification.
-    pub fn unsigned_clients() -> Self {
-        ProtocolParams { verify_client_sigs: false, ..Self::no_checkpoints() }
-    }
-
-    /// Row (f): additionally use MACs between replicas.
-    pub fn macs_only() -> Self {
-        ProtocolParams { replica_auth: ReplicaAuth::Macs, ..Self::unsigned_clients() }
-    }
-
-    /// Row (g): additionally drop the ledger.
-    pub fn no_ledger() -> Self {
-        ProtocolParams { ledger_enabled: false, ..Self::macs_only() }
-    }
-
-    /// IA-CCF-PeerReview baseline (§6.1).
-    pub fn peer_review() -> Self {
-        ProtocolParams { peer_review: true, ..Self::default() }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ablation_ladder_strips_monotonically() {
-        let a = ProtocolParams::full();
-        assert!(a.issue_receipts && a.checkpoints_enabled && a.verify_client_sigs);
-        let b = ProtocolParams::no_receipt();
-        assert!(!b.issue_receipts && b.checkpoints_enabled);
-        let c = ProtocolParams::no_checkpoints();
-        assert!(!c.issue_receipts && !c.checkpoints_enabled && c.verify_client_sigs);
-        let e = ProtocolParams::unsigned_clients();
-        assert!(!e.verify_client_sigs && e.replica_auth == ReplicaAuth::Signatures);
-        let f = ProtocolParams::macs_only();
-        assert!(f.replica_auth == ReplicaAuth::Macs && f.ledger_enabled);
-        let g = ProtocolParams::no_ledger();
-        assert!(!g.ledger_enabled);
-    }
 
     #[test]
     fn sync_page_bytes_clamps_under_frame_limit() {

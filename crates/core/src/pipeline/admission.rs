@@ -107,16 +107,10 @@ impl Replica {
 
     /// `verify(t)` at the client-facing door: service binding and a known
     /// signer — a cheap filter. Signatures themselves are checked at batch
-    /// time, in parallel (§3.4), for every door alike.
+    /// time, in parallel (§3.4), for every door alike. System requests
+    /// have no signer: they are never accepted from the network.
     fn verify_request(&self, req: &SignedRequest) -> bool {
-        req.request.gt_hash == self.gt_hash
-            && match &req.request.action {
-                RequestAction::System(_) => false, // never accepted from the network
-                RequestAction::Governance(_) => self.signer_key(req).is_some(),
-                RequestAction::App { .. } => {
-                    !self.params.verify_client_sigs || self.signer_key(req).is_some()
-                }
-            }
+        req.request.gt_hash == self.gt_hash && self.signer_key(req).is_some()
     }
 
     /// The key `req`'s signature must verify under: the registered client
@@ -210,8 +204,7 @@ impl Replica {
     /// to another service, or one whose signer has no key. System requests
     /// carry no signature — a checkpoint mark is legal only where
     /// `validate_batch_kind` and the schedule put it, and is judged by the
-    /// digest comparison at execution. App requests pass unchecked under
-    /// the `verify_client_sigs` ablation.
+    /// digest comparison at execution.
     fn collect_verify_jobs<'a>(
         &self,
         requests: impl Iterator<Item = (&'a Digest, &'a SignedRequest)>,
@@ -220,12 +213,9 @@ impl Replica {
         let mut digests: Vec<Digest> = Vec::new();
         let mut jobs: Vec<VerifyJob> = Vec::new();
         for (&digest, r) in requests {
-            match r.request.action {
-                RequestAction::System(_) => continue,
-                RequestAction::App { .. } if !self.params.verify_client_sigs => continue,
-                _ => {}
-            }
-            if self.verified_reqs.contains(&digest) {
+            if matches!(r.request.action, RequestAction::System(_))
+                || self.verified_reqs.contains(&digest)
+            {
                 continue;
             }
             match self.signer_key(r).filter(|_| r.request.gt_hash == self.gt_hash) {

@@ -36,14 +36,6 @@ impl Replica {
         };
         let (pp, exec) = (pp.clone(), Arc::clone(exec));
 
-        if self.params.peer_review {
-            // PeerReview signs a reply per *transaction* (§6.1) — model the
-            // signature cost.
-            for et in &exec.txs {
-                let _ = self.keypair.sign(et.result.digest().as_ref());
-            }
-        }
-
         // One reply per client per batch, listing that client's request
         // ids (§3.3).
         let mut per_client: BTreeMap<ClientId, Vec<u64>> = BTreeMap::new();
@@ -75,7 +67,7 @@ impl Replica {
             if et.client == ClientId(0) {
                 continue;
             }
-            if self.params.issue_receipts && self.is_designated(&et.request_digest) {
+            if self.is_designated(&et.request_digest) {
                 // Leaves were appended in tx order, so the enumeration
                 // index IS the leaf position.
                 let path = exec.path(pos as u64).expect("leaf exists");
@@ -153,9 +145,6 @@ impl Replica {
     }
 
     pub(crate) fn build_gov_receipts(&mut self, seq: SeqNum, view: View) {
-        if !self.params.issue_receipts || !self.params.ledger_enabled {
-            return;
-        }
         let Some(exec) = self.batch_exec.get(&seq).map(Arc::clone) else {
             return;
         };

@@ -24,7 +24,7 @@ use ia_ccf_types::{
 
 use crate::pipeline::admission::BatchVerify;
 use crate::pipeline::execution::{BatchExec, BatchMark, ExecError};
-use crate::replica::Replica;
+use crate::replica::{verify_replica_payload, Replica};
 
 /// The commitment evidence a pre-prepare orders in for the batch at `seq`:
 /// `P_s` and `K_s` (`E_s` rides in the pre-prepare itself). Built only by
@@ -193,7 +193,7 @@ impl Replica {
             }
         };
 
-        let root_m = if self.params.ledger_enabled { self.ledger.root_m() } else { Digest::zero() };
+        let root_m = self.ledger.root_m();
         let nonce = Nonce::random(&mut self.rng);
         self.my_nonces.insert((view.0, seq.0), nonce);
         let core = PrePrepareCore {
@@ -238,13 +238,11 @@ impl Replica {
             gov_index_before: self.last_gov_index,
             gov_before: std::sync::Arc::clone(&self.gov_snapshot),
         };
-        if self.params.ledger_enabled {
-            if let Some(ev) = evidence {
-                self.ledger.append_batch(vec![
-                    LedgerEntry::Evidence { seq: ev.seq, prepares: ev.prepares },
-                    LedgerEntry::Nonces { seq: ev.seq, nonces: ev.nonces },
-                ]);
-            }
+        if let Some(ev) = evidence {
+            self.ledger.append_batch(vec![
+                LedgerEntry::Evidence { seq: ev.seq, prepares: ev.prepares },
+                LedgerEntry::Nonces { seq: ev.seq, nonces: ev.nonces },
+            ]);
         }
         mark
     }
@@ -261,18 +259,16 @@ impl Replica {
         mark: BatchMark,
     ) {
         let (seq, kind) = (pp.seq(), pp.core.kind);
-        if self.params.ledger_enabled {
-            let mut entries = Vec::with_capacity(1 + requests.len());
-            entries.push(LedgerEntry::PrePrepare(pp.clone()));
-            for (req, et) in requests.into_iter().zip(&exec.txs) {
-                entries.push(LedgerEntry::Tx(TxLedgerEntry {
-                    request: req,
-                    index: et.index,
-                    result: et.result.clone(),
-                }));
-            }
-            self.ledger.append_batch(entries);
+        let mut entries = Vec::with_capacity(1 + requests.len());
+        entries.push(LedgerEntry::PrePrepare(pp.clone()));
+        for (req, et) in requests.into_iter().zip(&exec.txs) {
+            entries.push(LedgerEntry::Tx(TxLedgerEntry {
+                request: req,
+                index: et.index,
+                result: et.result.clone(),
+            }));
         }
+        self.ledger.append_batch(entries);
         self.note_batch_appended(&names);
         self.insert_batch_exec(seq, exec);
         self.batch_marks.insert(seq, mark);
@@ -318,7 +314,7 @@ impl Replica {
         sigs: RequestSigs,
     ) -> Result<BatchExec, Refused> {
         // The primary's M̄ was computed after the evidence append.
-        if self.params.ledger_enabled && self.ledger.root_m() != pp.core.root_m {
+        if self.ledger.root_m() != pp.core.root_m {
             return Err(Refused::RootM);
         }
         // Kind-specific validation before execution.
@@ -436,7 +432,7 @@ impl Replica {
     pub(crate) fn signed_by_view_primary(&self, config: &Configuration, pp: &PrePrepare) -> bool {
         let payload = PrePrepare::signing_payload(&pp.core, &pp.root_g);
         config.primary_of(pp.view()) == pp.core.primary
-            && self.verify_replica_payload(config, pp.core.primary, &payload, &pp.sig)
+            && verify_replica_payload(config, pp.core.primary, &payload, &pp.sig)
     }
 
     /// The backup's half of `receivePrePrepare` past the network checks:
@@ -515,7 +511,7 @@ impl Replica {
         if config.rank_of(p.replica).is_none() {
             return;
         }
-        if !self.verify_replica_payload(&config, p.replica, &p.own_payload(), &p.sig) {
+        if !verify_replica_payload(&config, p.replica, &p.own_payload(), &p.sig) {
             return;
         }
         self.msgs.put_prepare(p);

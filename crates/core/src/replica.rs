@@ -29,7 +29,7 @@ use crate::app::App;
 use crate::checkpoint::{receipt_checkpoint_seq, CheckpointRecord, CheckpointStore};
 use crate::events::{Input, NodeId, Output};
 use crate::msgstore::MsgStore;
-use crate::params::{ProtocolParams, ReplicaAuth};
+use crate::params::ProtocolParams;
 use crate::pipeline::{BatchExec, BatchMark};
 
 /// The L-PBFT replica. Construct with [`Replica::new`], drive with
@@ -98,7 +98,7 @@ pub struct Replica {
     pub(crate) gt_hash: Digest,
     /// Logical transaction index counter (assigned to `⟨t, i, o⟩`;
     /// independent of physical entry positions so view-change re-execution
-    /// reproduces identical entries — see DESIGN.md).
+    /// reproduces identical entries — see docs/ARCHITECTURE.md §1.3).
     pub(crate) next_tx_index: u64,
     pub(crate) last_gov_index: LedgerIdx,
     /// Executed batches, shared behind `Arc`: emission, governance
@@ -501,9 +501,6 @@ impl Replica {
     /// Route one message to its pipeline stage (admission, ordering,
     /// emission) or to the view-change module.
     fn on_message(&mut self, from: NodeId, msg: ProtocolMsg) {
-        if self.params.peer_review {
-            self.peer_review_inbound(&from, &msg);
-        }
         // During a full recovery sync the replica is a state-transfer
         // client, not a consensus participant: only page responses are
         // processed (mixing live execution with replay would corrupt the
@@ -629,11 +626,8 @@ impl Replica {
                     self.retry_pending_gov_receipts();
                 }
             }
-            ProtocolMsg::Reply(_)
-            | ProtocolMsg::ReplyX(_)
-            | ProtocolMsg::GovReceipts { .. }
-            | ProtocolMsg::SignedAck { .. } => {
-                // Client-bound or baseline-only messages; nothing to do.
+            ProtocolMsg::Reply(_) | ProtocolMsg::ReplyX(_) | ProtocolMsg::GovReceipts { .. } => {
+                // Client-bound messages; nothing to do.
             }
         }
     }
@@ -652,45 +646,11 @@ impl Replica {
     }
 
     // ------------------------------------------------------------------
-    // Crypto helpers (signatures vs MACs, Tab. 3 row (f)).
+    // Crypto helpers.
     // ------------------------------------------------------------------
 
     pub(crate) fn sign_replica_payload(&self, payload: &[u8]) -> Signature {
-        match self.params.replica_auth {
-            ReplicaAuth::Signatures => self.keypair.sign(payload),
-            ReplicaAuth::Macs => mac_authenticate(payload),
-        }
-    }
-
-    pub(crate) fn verify_replica_payload(
-        &self,
-        config: &Configuration,
-        sender: ReplicaId,
-        payload: &[u8],
-        sig: &Signature,
-    ) -> bool {
-        match self.params.replica_auth {
-            ReplicaAuth::Signatures => match config.replica_key(sender) {
-                Some(key) => key.verify(payload, sig),
-                None => false,
-            },
-            ReplicaAuth::Macs => mac_authenticate(payload) == *sig,
-        }
-    }
-
-    fn peer_review_inbound(&mut self, from: &NodeId, msg: &ProtocolMsg) {
-        // PeerReview: every received message is acknowledged with a signed
-        // ack (one extra signature) after verifying the sender's message
-        // signature (one extra verification). We model the crypto cost.
-        let digest = hash_bytes(&msg.to_bytes());
-        let _ = self.keypair.public().verify(digest.as_ref(), &Signature::zero());
-        let sig = self.keypair.sign(digest.as_ref());
-        if let NodeId::Replica(r) = from {
-            self.send_replica(
-                *r,
-                ProtocolMsg::SignedAck { msg_digest: digest, replica: self.id, sig },
-            );
-        }
+        self.keypair.sign(payload)
     }
 
     // ------------------------------------------------------------------
@@ -698,16 +658,10 @@ impl Replica {
     // ------------------------------------------------------------------
 
     pub(crate) fn broadcast(&mut self, msg: ProtocolMsg) {
-        if self.params.peer_review {
-            let _ = self.keypair.sign(hash_bytes(&msg.to_bytes()).as_ref());
-        }
         self.out.push(Output::BroadcastReplicas(msg));
     }
 
     pub(crate) fn send_replica(&mut self, to: ReplicaId, msg: ProtocolMsg) {
-        if self.params.peer_review {
-            let _ = self.keypair.sign(hash_bytes(&msg.to_bytes()).as_ref());
-        }
         self.out.push(Output::SendReplica(to, msg));
     }
 
@@ -756,13 +710,13 @@ pub(crate) fn debug_enabled() -> bool {
     *FLAG.get_or_init(|| std::env::var_os("IACCF_DEBUG").is_some())
 }
 
-/// MAC-mode authenticator: a keyed hash folded to signature width. Not a
-/// signature — used only for the Tab. 3 row (f) measurement.
-fn mac_authenticate(payload: &[u8]) -> Signature {
-    let h1 = hash_bytes(&[b"mac-key-1".as_slice(), payload].concat());
-    let h2 = hash_bytes(&[b"mac-key-2".as_slice(), payload].concat());
-    let mut out = [0u8; 64];
-    out[..32].copy_from_slice(h1.as_ref());
-    out[32..].copy_from_slice(h2.as_ref());
-    Signature(out)
+/// Whether `sig` is `sender`'s signature over `payload` under `config` —
+/// the one place a replica's signature is checked.
+pub(crate) fn verify_replica_payload(
+    config: &Configuration,
+    sender: ReplicaId,
+    payload: &[u8],
+    sig: &Signature,
+) -> bool {
+    config.replica_key(sender).is_some_and(|key| key.verify(payload, sig))
 }

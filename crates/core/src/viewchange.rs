@@ -17,16 +17,10 @@ use std::collections::BTreeSet;
 
 use ia_ccf_types::{
     BatchKind, Configuration, Digest, LedgerEntry, NewViewMsg, PrePrepare, ProtocolMsg,
-    ReplicaBitmap, ReplicaId, SeqNum, Signature, SignedRequest, View, ViewChange, Wire,
+    ReplicaBitmap, ReplicaId, SeqNum, SignedRequest, View, ViewChange, Wire,
 };
 
-use crate::replica::Replica;
-
-/// How a replica's signature over a payload is checked — the one thing the
-/// rule's callers do differently: a replica goes through
-/// `verify_replica_payload` (which carries the MAC ablation), the auditor
-/// uses the configuration's key.
-pub type ReplicaAuthFn<'a> = &'a dyn Fn(ReplicaId, &[u8], &Signature) -> bool;
+use crate::replica::{verify_replica_payload, Replica};
 
 /// The clause of Alg. 2's validity rule a view-change or a new-view broke.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,15 +63,11 @@ pub struct NewViewFacts {
 /// signature, and — `hasPrepares` — proves that the last pre-prepare it
 /// reports prepared: quorum − 1 distinct signed prepares matching it, none
 /// from its primary.
-pub fn check_view_change(
-    config: &Configuration,
-    auth: ReplicaAuthFn<'_>,
-    vc: &ViewChange,
-) -> Result<(), Refused> {
+pub fn check_view_change(config: &Configuration, vc: &ViewChange) -> Result<(), Refused> {
     if config.rank_of(vc.replica).is_none() {
         return Err(Refused::UnknownSender(vc.replica));
     }
-    if !auth(vc.replica, &vc.own_payload(), &vc.sig) {
+    if !verify_replica_payload(config, vc.replica, &vc.own_payload(), &vc.sig) {
         return Err(Refused::BadSignature(vc.replica));
     }
     if let Some(last) = vc.pps.last() {
@@ -87,7 +77,7 @@ pub fn check_view_change(
             .iter()
             .filter(|p| p.pp_digest == ppd && p.seq == last.seq() && p.view == last.view())
             .filter(|p| p.replica != last.core.primary)
-            .filter(|p| auth(p.replica, &p.own_payload(), &p.sig))
+            .filter(|p| verify_replica_payload(config, p.replica, &p.own_payload(), &p.sig))
             .map(|p| p.replica)
             .collect();
         if provers.len() + 1 < config.quorum() {
@@ -106,7 +96,6 @@ pub fn check_view_change(
 /// a set whose shape is wrong, and the per-member signatures come last.
 pub fn check_new_view(
     config: &Configuration,
-    auth: ReplicaAuthFn<'_>,
     nv: &NewViewMsg,
     view_changes: &[ViewChange],
 ) -> Result<NewViewFacts, Refused> {
@@ -133,11 +122,11 @@ pub fn check_new_view(
         return Err(Refused::SetHash);
     }
     let primary = config.primary_of(nv.view);
-    if !auth(primary, &nv.own_payload(), &nv.sig) {
+    if !verify_replica_payload(config, primary, &nv.own_payload(), &nv.sig) {
         return Err(Refused::BadSignature(primary));
     }
     for vc in view_changes {
-        check_view_change(config, auth, vc)?;
+        check_view_change(config, vc)?;
     }
     Ok(NewViewFacts {
         senders: senders.into_iter().collect(),
@@ -245,22 +234,13 @@ impl Replica {
         self.try_assemble_new_view();
     }
 
-    /// The validity rule as this replica asks it: under `config`, replica
-    /// signatures checked by `verify_replica_payload`.
-    pub(crate) fn replica_auth<'a>(
-        &'a self,
-        config: &'a Configuration,
-    ) -> impl Fn(ReplicaId, &[u8], &Signature) -> bool + 'a {
-        move |sender, payload, sig| self.verify_replica_payload(config, sender, payload, sig)
-    }
-
     /// Alg. 2 line 6.
     pub(crate) fn on_view_change(&mut self, vc: ViewChange) {
         if vc.view < self.view {
             return;
         }
         let config = self.gov.active();
-        if check_view_change(config, &self.replica_auth(config), &vc).is_err() {
+        if check_view_change(config, &vc).is_err() {
             return;
         }
         let f = config.f();
@@ -378,8 +358,7 @@ impl Replica {
         if config.primary_of(nv.view) == self.id {
             return;
         }
-        let Ok(facts) = check_new_view(config, &self.replica_auth(config), &nv, &view_changes)
-        else {
+        let Ok(facts) = check_new_view(config, &nv, &view_changes) else {
             return;
         };
         if facts.last_prepared.is_some_and(|lp| !self.holds_batch(lp)) {

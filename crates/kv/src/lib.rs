@@ -71,7 +71,7 @@ pub(crate) fn digest_entries<'a>(
 
 /// Object-safe data-plane access to a store: the subset of operations a
 /// stored procedure may perform. Implemented by [`KvStore`] (one shard;
-/// baselines, tests), [`ShardedKvStore`] (the replica's serial execution
+/// tests), [`ShardedKvStore`] (the replica's serial execution
 /// lane and, with one shard, the auditor's replay) and [`SpeculativeTx`] (conflict-free groups executing
 /// in parallel). Keeping `App::execute` behind this trait is what lets the
 /// execution stage swap the backing view without the application noticing.

@@ -2,14 +2,8 @@
 //!
 //! The paper runs replicas on a 16-machine cluster and Azure LAN/WAN
 //! (§6, Testbeds); this crate supplies the substitution documented in
-//! DESIGN.md:
+//! docs/ARCHITECTURE.md §6:
 //!
-//! * [`latency`] — the latency models (zero / LAN / WAN) used by both the
-//!   simulator and the threaded harness. Tab. 2's round-trip effects come
-//!   from here.
-//! * [`bus`] — a threaded in-memory message bus with per-link latency
-//!   injection and sender authentication (the paper's MbedTLS channels are
-//!   modelled by the bus stamping unforgeable sender ids).
 //! * [`frame`] — the single length-prefixed frame codec: scratch-buffer
 //!   encoding (no per-message allocation on the hot path) and
 //!   hostile-prefix-safe decoding.
@@ -24,15 +18,11 @@
 //! * [`conn`] — per-connection state: incremental frame reassembly
 //!   ([`conn::FrameAssembler`]) and the bounded outbound queue.
 
-pub mod bus;
 pub mod conn;
 pub mod frame;
-pub mod latency;
 pub mod poll;
 pub mod tcp;
 
-pub use bus::{Bus, BusEndpoint, Envelope};
 pub use conn::FrameAssembler;
 pub use frame::FrameError;
-pub use latency::LatencyModel;
 pub use tcp::{TcpConfig, TcpNode, TcpPeer};

@@ -4,22 +4,15 @@
 //!   and a FIFO message queue driven to quiescence, with fault injection
 //!   (crash, mute, tampered apps). All protocol tests, the audit scenarios
 //!   and the examples run on this.
-//! * [`rt`] — a threaded real-time cluster over the `ia-ccf-net` bus with
-//!   latency models; the benchmark binaries (Fig. 4–7, Tab. 2–3) run on
-//!   this and measure wall-clock throughput/latency with real crypto.
-//! * [`metrics`] — latency histograms and throughput counters.
-//! * [`scenario`] — canned cluster constructions shared by tests, examples
-//!   and benches.
+//! * [`scenario`] — canned cluster constructions shared by tests and
+//!   examples.
 //! * [`testdir`] — std-only temporary directories for the durable-ledger
 //!   crash-restart harnesses.
 
 pub mod det;
-pub mod metrics;
-pub mod rt;
 pub mod scenario;
 pub mod testdir;
 
 pub use det::DetCluster;
-pub use metrics::{Histogram, Throughput};
 pub use scenario::ClusterSpec;
 pub use testdir::TempDir;

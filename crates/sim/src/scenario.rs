@@ -1,4 +1,4 @@
-//! Canned cluster constructions shared by tests, examples and benches.
+//! Canned cluster constructions shared by tests and examples.
 
 use std::sync::Arc;
 

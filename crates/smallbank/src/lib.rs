@@ -24,8 +24,6 @@ pub const WITHDRAW: ProcId = ProcId(12);
 pub const BALANCE: ProcId = ProcId(13);
 /// Move savings+checking of one account into another (`Amalgamate`).
 pub const AMALGAMATE: ProcId = ProcId(14);
-/// A no-op procedure for the "empty requests" rows of Tab. 3.
-pub const NOOP: ProcId = ProcId(15);
 /// Bulk load: create `accounts` accounts holding `initial` in both
 /// balances. Arguments: `accounts: u64 LE, initial: i64 LE`; the output is
 /// `accounts`, LE. Initial state is a ledger fact like any other — a
@@ -170,7 +168,6 @@ impl App for SmallBankApp {
                 write_account(kv, to, tb)?;
                 Ok(tb.checking.to_le_bytes().to_vec())
             }
-            NOOP => Ok(Vec::new()),
             LOAD_ACCOUNTS => {
                 let accounts = arg_u64(args, 0)?;
                 let initial = arg_i64(args, 8)?;
@@ -201,7 +198,7 @@ impl App for SmallBankApp {
                 (Ok(from), Ok(to)) => vec![account_key(from), account_key(to)],
                 _ => Vec::new(),
             },
-            // NOOP and unknown procedures never touch the store.
+            // Unknown procedures never touch the store.
             _ => Vec::new(),
         })
     }
@@ -489,7 +486,7 @@ mod tests {
             app.key_hints(TRANSFER, &xfer_args, ClientId(1)),
             Some(vec![account_key(1), account_key(2)])
         );
-        assert_eq!(app.key_hints(NOOP, &[], ClientId(1)), Some(Vec::new()));
+        assert_eq!(app.key_hints(ProcId(15), &[], ClientId(1)), Some(Vec::new()));
         // Unparseable args error before any store access: empty footprint.
         assert_eq!(app.key_hints(TRANSFER, &[1, 2, 3], ClientId(1)), Some(Vec::new()));
     }

@@ -13,8 +13,8 @@
 //! * receipts and their verification (Alg. 3) ([`receipt`]).
 //!
 //! Splitting the vocabulary from the replica state machine keeps
-//! `ia-ccf-core` (the protocol) auditable and lets the auditor, client and
-//! baselines speak the same types without depending on replica internals.
+//! `ia-ccf-core` (the protocol) auditable and lets the auditor and client
+//! speak the same types without depending on replica internals.
 
 pub mod config;
 pub mod entry;

@@ -474,16 +474,6 @@ pub enum ProtocolMsg {
         /// Commit messages (revealed nonces) for the batch.
         commits: Vec<Commit>,
     },
-    /// A signed acknowledgement of message receipt — only used by the
-    /// PeerReview baseline mode (§6.1), which acks every message.
-    SignedAck {
-        /// Digest of the acknowledged message.
-        msg_digest: Digest,
-        /// Acknowledging replica.
-        replica: ReplicaId,
-        /// Signature over the digest.
-        sig: Signature,
-    },
 }
 
 // ---------------------------------------------------------------------
@@ -812,12 +802,6 @@ impl Wire for ProtocolMsg {
                 encode_seq(prepares, buf);
                 encode_seq(commits, buf);
             }
-            ProtocolMsg::SignedAck { msg_digest, replica, sig } => {
-                buf.push(15);
-                msg_digest.encode(buf);
-                replica.encode(buf);
-                sig.encode(buf);
-            }
             ProtocolMsg::FetchLedgerPage { from_seq, max_bytes } => {
                 buf.push(18);
                 from_seq.encode(buf);
@@ -882,16 +866,11 @@ impl Wire for ProtocolMsg {
             }),
             8 => Ok(ProtocolMsg::FetchRequests { hashes: decode_seq(r)? }),
             9 => Ok(ProtocolMsg::FetchRequestsResponse { requests: decode_seq(r)? }),
-            // Tags 10 and 11 are reserved: never reassign them. They decode
-            // to `BadTag` like any unknown tag.
+            // Tags 10, 11 and 15 are reserved: never reassign them. They
+            // decode to `BadTag` like any unknown tag.
             12 => Ok(ProtocolMsg::FetchGovReceipts { from_index: LedgerIdx::decode(r)? }),
             13 => Ok(ProtocolMsg::GovReceipts { receipts: decode_seq(r)? }),
             14 => Ok(ProtocolMsg::FetchReceipt { tx_hash: Digest::decode(r)? }),
-            15 => Ok(ProtocolMsg::SignedAck {
-                msg_digest: Digest::decode(r)?,
-                replica: ReplicaId::decode(r)?,
-                sig: Signature::decode(r)?,
-            }),
             16 => Ok(ProtocolMsg::FetchEvidence { seq: SeqNum::decode(r)? }),
             17 => Ok(ProtocolMsg::FetchEvidenceResponse {
                 prepares: decode_seq(r)?,
@@ -966,9 +945,6 @@ impl Wire for ProtocolMsg {
             ProtocolMsg::FetchEvidence { seq } => seq.encoded_len(),
             ProtocolMsg::FetchEvidenceResponse { prepares, commits } => {
                 encoded_len_seq(prepares) + encoded_len_seq(commits)
-            }
-            ProtocolMsg::SignedAck { msg_digest, replica, sig } => {
-                msg_digest.encoded_len() + replica.encoded_len() + sig.encoded_len()
             }
             ProtocolMsg::FetchLedgerPage { from_seq, max_bytes } => {
                 from_seq.encoded_len() + max_bytes.encoded_len()

@@ -1,5 +1,6 @@
-//! IA-CCF over real sockets: four replicas and a client on localhost TCP
-//! with length-prefixed frames, exchanging the actual wire encoding.
+//! IA-CCF over real sockets: four replica threads and a client on
+//! localhost TCP with length-prefixed frames, exchanging the actual wire
+//! encoding under a window of outstanding requests.
 //!
 //! ```sh
 //! cargo run --release --example tcp_cluster
@@ -15,6 +16,11 @@ use ia_ccf::net::TcpNode;
 use ia_ccf_client::{Client, ClientSend};
 use ia_ccf_sim::ClusterSpec;
 use ia_ccf_types::{ClientId, ProtocolMsg, ReplicaId, Wire};
+
+/// Transactions driven through the cluster, and how many the client keeps
+/// outstanding.
+const TRANSACTIONS: usize = 200;
+const WINDOW: usize = 16;
 
 fn main() {
     let spec = ClusterSpec::new(4, 1, ProtocolParams::default());
@@ -92,7 +98,9 @@ fn main() {
         }));
     }
 
-    // The client drives 10 transactions through real sockets.
+    // The client keeps a window of requests outstanding through real
+    // sockets: the four replica threads batch, execute and reply under
+    // load, and every completion carries a receipt the client verified.
     let (client_id, client_kp) = spec.clients[0].clone();
     let gt_hash = ia_ccf::ledger::Ledger::new(spec.genesis.clone())
         .genesis_hash()
@@ -102,8 +110,8 @@ fn main() {
     let mut finished = 0usize;
     let mut submitted = 0usize;
     let t0 = Instant::now();
-    while finished < 10 && t0.elapsed() < Duration::from_secs(30) {
-        if submitted == finished {
+    while finished < TRANSACTIONS && t0.elapsed() < Duration::from_secs(30) {
+        while submitted < TRANSACTIONS && submitted - finished < WINDOW {
             client.submit(CounterApp::INCR, b"tcp-counter".to_vec());
             submitted += 1;
         }
@@ -120,28 +128,37 @@ fn main() {
                 }
             }
         }
-        if let Ok((peer, frame)) = client_node.inbound.recv_timeout(Duration::from_millis(2)) {
+        // Wait for one frame, then take whatever else has queued behind it.
+        let mut next = client_node.inbound.recv_timeout(Duration::from_millis(2)).ok();
+        while let Some((peer, frame)) = next {
             if let Ok(msg) = ProtocolMsg::from_bytes(&frame) {
                 client.on_message(ReplicaId(peer as u32), msg);
             }
+            next = client_node.inbound.try_recv().ok();
         }
         client.on_tick();
         for tx in client.take_completed() {
             finished += 1;
-            let receipt = tx.receipt.expect("receipts on");
-            println!(
-                "tx {} committed at index {} — receipt with {} signers verified over TCP",
-                tx.req_id,
-                receipt.tx_index().expect("tx receipt").0,
-                receipt.cert.signers.count(),
-            );
+            let receipt = tx.receipt.expect("receipt");
+            receipt.verify(&spec.genesis).expect("receipt verifies");
+            if finished.is_multiple_of(50) {
+                println!(
+                    "{finished} committed (index {}) — receipts with {} signers verified over TCP",
+                    receipt.tx_index().expect("tx receipt").0,
+                    receipt.cert.signers.count(),
+                );
+            }
         }
     }
+    let elapsed = t0.elapsed();
     stop.store(true, Ordering::Relaxed);
     client_node.shutdown();
     for h in handles {
         let _ = h.join();
     }
-    assert_eq!(finished, 10, "all transactions must complete over TCP");
-    println!("tcp_cluster complete: 10 receipts over real sockets");
+    assert_eq!(finished, TRANSACTIONS, "all transactions must complete over TCP");
+    println!(
+        "tcp_cluster complete: {TRANSACTIONS} receipts over real sockets, {WINDOW} outstanding, {} ms",
+        elapsed.as_millis()
+    );
 }

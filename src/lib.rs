@@ -17,15 +17,13 @@
 //! * [`types`], [`crypto`], [`merkle`], [`kv`], [`ledger`],
 //!   [`governance`] — the substrates.
 //! * [`net`], [`sim`] — transports and cluster harnesses.
-//! * [`smallbank`], [`baselines`] — the evaluation workload and the
-//!   comparison systems (§6).
+//! * [`smallbank`] — the evaluation workload (§6).
 //!
 //! Start with `examples/quickstart.rs`; the audit flow is demonstrated in
 //! `examples/banking_audit.rs` and reconfiguration in
 //! `examples/governance_reconfig.rs`.
 
 pub use ia_ccf_audit as audit;
-pub use ia_ccf_baselines as baselines;
 pub use ia_ccf_client as client;
 pub use ia_ccf_core as core;
 pub use ia_ccf_crypto as crypto;

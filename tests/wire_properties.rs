@@ -232,7 +232,6 @@ proptest! {
                 prepares: vec![prepare.clone()],
                 commits: Vec::new(),
             },
-            ProtocolMsg::SignedAck { msg_digest: root_g, replica: core.primary, sig },
             ProtocolMsg::ReplyX(ia_ccf_types::messages::ReplyX {
                 core: core.clone(),
                 primary_sig: sig,
@@ -398,17 +397,17 @@ proptest! {
         }
     }
 
-    /// Tags 10 and 11 are reserved (the retired single-shot ledger
-    /// fetch): a frame carrying either tag is rejected on the tag byte,
-    /// whatever follows — including a body that opens with a forged
-    /// `u32::MAX` entry count, which must never be read as a length to
-    /// allocate from.
+    /// Tags 10, 11 and 15 are reserved (the retired single-shot ledger
+    /// fetch and the PeerReview ack): a frame carrying one is rejected on
+    /// the tag byte, whatever follows — including a body that opens with a
+    /// forged `u32::MAX` entry count, which must never be read as a length
+    /// to allocate from.
     #[test]
     fn reserved_tags_always_error(
         body in proptest::collection::vec(any::<u8>(), 0..256),
         forge_count in any::<bool>(),
     ) {
-        for tag in [10u8, 11] {
+        for tag in [10u8, 11, 15] {
             let mut payload = vec![tag];
             if forge_count {
                 payload.extend_from_slice(&u32::MAX.to_le_bytes());
