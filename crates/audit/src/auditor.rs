@@ -352,7 +352,7 @@ impl Auditor {
         let config = history.config_for_gov_index(first.receipt.gov_index());
         let interval = config.checkpoint_interval;
         let scp = receipt_checkpoint_seq(first.receipt.seq(), interval);
-        let Some((cp_seq, cp)) = &package.checkpoint else {
+        let Some((checkpoint_seq, cp)) = &package.checkpoint else {
             return Some(Upom {
                 kind: UpomKind::BadCheckpoint,
                 blamed: BTreeSet::new(),
@@ -361,13 +361,13 @@ impl Auditor {
                 receipts: vec![first.receipt.clone()],
             });
         };
-        if *cp_seq != scp || cp.digest() != d_c || !cp.verify_integrity() {
+        if *checkpoint_seq != scp || cp.digest() != d_c || !cp.verify_integrity() {
             return Some(Upom {
                 kind: UpomKind::BadCheckpoint,
                 blamed: first.receipt.cert.signer_ids(config).into_iter().collect(),
                 at_seq: scp,
                 details: format!(
-                    "checkpoint at {cp_seq} (digest {}) does not match receipt d_C {}",
+                    "checkpoint at {checkpoint_seq} (digest {}) does not match receipt d_C {}",
                     cp.digest().short_hex(),
                     d_c.short_hex()
                 ),
@@ -511,9 +511,9 @@ impl Auditor {
         let mut kv = ShardedKvStore::new(1);
         let mut next_tx_index: u64 = 1;
         let mut start_seq = SeqNum(0);
-        if let Some((cp_seq, cp)) = &package.checkpoint {
+        if let Some((checkpoint_seq, cp)) = &package.checkpoint {
             kv.restore(cp);
-            start_seq = *cp_seq;
+            start_seq = *checkpoint_seq;
         }
         let mut gov = GovernanceState::new(self.genesis.clone());
         let mut cp_digests: Vec<(SeqNum, Digest)> =

@@ -27,7 +27,7 @@
 //! per continuation point and resumes, so partially-applied state is
 //! never corrupted.
 //!
-//! A recovery sync opens with a **tip query** ([`SyncPhase::TipQuery`]):
+//! A recovery sync opens with a **tip query** ([`Phase::TipQuery`]):
 //! the recoveree broadcasts `FetchLedgerTip` and waits for `f + 1`
 //! replies. The `(f+1)`-th largest claimed committed tip is then a floor
 //! at least one honest replica vouches for, and the final `done` page is
@@ -37,7 +37,7 @@
 //! replies also carry each replica's newest agreed checkpoint; when
 //! `f + 1` of them pin the *same* `(seq, kv digest, tree root)` triple, a
 //! fresh recoveree takes the **checkpoint fast-path**
-//! ([`SyncPhase::Checkpoint`], §3.4): it fetches the KV snapshot plus the
+//! ([`Phase::Checkpoint`], §3.4): it fetches the KV snapshot plus the
 //! ledger-tree frontier, verifies both against the pinned digests and the
 //! checkpoint batch's signed pre-prepare, restores, and then pages only
 //! the ledger *suffix* — O(window) I/O instead of O(history) replay. Any
@@ -47,13 +47,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use ia_ccf_kv::KvCheckpoint;
 use ia_ccf_ledger::segment::{segment_complete_prefix, segment_entries, Segment};
 use ia_ccf_ledger::Ledger;
-use ia_ccf_merkle::{Frontier, MerkleTree};
+use ia_ccf_merkle::MerkleTree;
 use ia_ccf_types::{
-    evidence_target, BatchCertificate, ClientId, Configuration, Digest, EvidenceError, LedgerEntry,
-    PrePrepare, ProtocolMsg, PublicKey, ReplicaId, SeqNum, SignedRequest, View, Wire,
+    evidence_target, BatchCertificate, CheckpointPayload, CheckpointPin, ClientId, Configuration,
+    Digest, EvidenceError, LedgerEntry, LedgerIdx, PrePrepare, ProtocolMsg, PublicKey, ReplicaId,
+    SeqNum, SignedRequest, View, Wire,
 };
 
 use crate::app::App;
@@ -62,6 +62,7 @@ use crate::events::Output;
 use crate::params::ProtocolParams;
 use crate::pipeline::ordering::{EvidenceSet, RequestSigs};
 use crate::replica::Replica;
+use crate::seedfile::SeedCheckpointFile;
 use crate::viewchange::{check_new_view, Refused};
 
 /// Why a ledger could not be replayed.
@@ -98,72 +99,53 @@ impl std::fmt::Display for BootstrapError {
 
 impl std::error::Error for BootstrapError {}
 
-/// Where a recovery sync currently is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SyncPhase {
-    /// Broadcasting `FetchLedgerTip` and collecting claims; nothing is
-    /// applied yet.
-    TipQuery,
-    /// An `f + 1`-pinned checkpoint offer is being fetched and verified.
-    Checkpoint,
-    /// Paged replay toward the (verified) tip.
-    Paging,
-}
-
-/// One replica's answer to the tip query.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TipClaim {
-    /// Claimed committed tip.
-    pub tip: SeqNum,
-    /// Claimed newest offerable checkpoint, if any.
-    pub cp: Option<TipCheckpoint>,
-}
-
-/// A checkpoint offer as pinned by tip replies: `f + 1` identical triples
-/// mean at least one honest replica holds exactly this agreed checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct TipCheckpoint {
-    pub seq: SeqNum,
-    pub kv_digest: Digest,
-    pub tree_root: Digest,
-}
-
 /// Requester side of the paged `FetchLedgerPage` protocol: a full state
 /// transfer, every page verified against the signed batch artifacts and
-/// replayed through the execution machinery.
+/// replayed through the execution machinery. Holds what every phase
+/// shares; the [`Phase`] holds the rest.
 #[derive(Debug, Clone)]
 pub(crate) struct LedgerSyncState {
-    pub phase: SyncPhase,
-    /// Tip claims collected during [`SyncPhase::TipQuery`].
-    pub tip_claims: BTreeMap<ReplicaId, TipClaim>,
+    /// The replica currently serving (tip claims aside).
+    server: ReplicaId,
+    /// Servers already abandoned this sync.
+    tried: BTreeSet<ReplicaId>,
     /// The `(f+1)`-th largest claimed tip: a floor at least one honest
     /// replica vouches for. The final `done` is rejected until the
     /// applied frontier passes it.
-    pub verified_tip: Option<SeqNum>,
-    /// The checkpoint offer being fetched during [`SyncPhase::Checkpoint`].
-    pub pinned_cp: Option<TipCheckpoint>,
-    /// The replica currently serving pages.
-    pub server: ReplicaId,
-    /// Continuation token: the batch sequence number the next page must
-    /// start at.
-    pub from_seq: SeqNum,
-    /// Decoded entries not yet replayed (the withheld tail of the last
-    /// page — a trailing batch segment may still gain transactions).
-    pub buffered: Vec<LedgerEntry>,
-    /// Servers already abandoned this sync.
-    pub tried: BTreeSet<ReplicaId>,
-    /// Tick the last page (or the initial request) was seen, for the
+    verified_tip: Option<SeqNum>,
+    /// Tick the last page (or the phase's request) was seen, for the
     /// failover timeout.
-    pub last_page_tick: u64,
-    /// Continuation token at which the divergent-tail rollback already
-    /// ran — a second mismatch at the same token is the server's fault,
-    /// not a mid-transfer view change.
-    pub rolled_back_at: Option<SeqNum>,
-    /// Every peer failed and the sync is waiting out one timeout before
-    /// retrying the rotation from scratch — backoff, so a cluster-wide
-    /// outage produces one request per timeout instead of a request
-    /// storm.
-    pub paused: bool,
+    last_page_tick: u64,
+    phase: Phase,
+}
+
+/// Where a recovery sync is, with the data only that phase has.
+#[derive(Debug, Clone)]
+pub(crate) enum Phase {
+    /// Broadcasting `FetchLedgerTip` and collecting each configuration
+    /// peer's claimed committed tip and checkpoint offer; nothing is
+    /// applied yet.
+    TipQuery { claims: BTreeMap<ReplicaId, (SeqNum, Option<CheckpointPin>)> },
+    /// An `f + 1`-pinned checkpoint offer is being fetched from `server`.
+    Checkpoint { pin: CheckpointPin },
+    /// Paged replay toward the (verified) tip.
+    Paging {
+        /// Continuation token: the batch sequence number the next page
+        /// must start at.
+        from_seq: SeqNum,
+        /// Decoded entries not yet replayed (the withheld tail of the last
+        /// page — a trailing batch segment may still gain transactions).
+        buffered: Vec<LedgerEntry>,
+        /// Continuation token at which the divergent-tail rollback already
+        /// ran — a second mismatch at the same token is the server's
+        /// fault, not a mid-transfer view change.
+        rolled_back_at: Option<SeqNum>,
+        /// Every peer failed and the sync is waiting out one timeout
+        /// before retrying the rotation from scratch — backoff, so a
+        /// cluster-wide outage produces one request per timeout instead of
+        /// a request storm.
+        paused: bool,
+    },
 }
 
 /// Counters and outcome of the most recent ledger sync (kept after the
@@ -369,17 +351,11 @@ impl Replica {
     pub fn begin_ledger_sync(&mut self, server: ReplicaId) -> Vec<Output> {
         self.sync_report = SyncReport::default();
         self.ledger_sync = Some(LedgerSyncState {
-            phase: SyncPhase::TipQuery,
-            tip_claims: BTreeMap::new(),
-            verified_tip: None,
-            pinned_cp: None,
             server,
-            from_seq: self.seq_next,
-            buffered: Vec::new(),
             tried: BTreeSet::new(),
+            verified_tip: None,
             last_page_tick: self.tick,
-            rolled_back_at: None,
-            paused: false,
+            phase: Phase::TipQuery { claims: BTreeMap::new() },
         });
         self.broadcast_tip_query();
         std::mem::take(&mut self.out)
@@ -404,29 +380,26 @@ impl Replica {
         }
     }
 
-    /// One `LedgerTipResponse` arrived during the tip-query phase.
+    /// One `LedgerTipResponse` arrived during the tip-query phase. Only
+    /// the configuration's peers vote: a claim from any other replica id —
+    /// authenticated or not — would let `f` liars and outsiders together
+    /// pin a forged offer or raise the tip floor.
     pub(crate) fn on_ledger_tip(
         &mut self,
         sender: ReplicaId,
         tip: SeqNum,
-        cp_seq: SeqNum,
-        cp_kv_digest: Digest,
-        cp_tree_root: Digest,
+        offer: Option<CheckpointPin>,
     ) {
-        let n_peers = self.sync_peers().len();
-        let Some(state) = self.ledger_sync.as_mut() else {
-            return;
-        };
-        if state.phase != SyncPhase::TipQuery {
+        let peers = self.sync_peers();
+        if !peers.contains(&sender) {
             return;
         }
-        let cp = (cp_seq.0 > 0).then_some(TipCheckpoint {
-            seq: cp_seq,
-            kv_digest: cp_kv_digest,
-            tree_root: cp_tree_root,
-        });
-        state.tip_claims.insert(sender, TipClaim { tip, cp });
-        if state.tip_claims.len() >= n_peers {
+        let Some(LedgerSyncState { phase: Phase::TipQuery { claims }, .. }) = &mut self.ledger_sync
+        else {
+            return;
+        };
+        claims.insert(sender, (tip, offer));
+        if claims.len() >= peers.len() {
             self.finalize_tip_phase();
         }
     }
@@ -442,7 +415,10 @@ impl Replica {
         let Some(state) = self.ledger_sync.as_mut() else {
             return;
         };
-        let mut tips: Vec<SeqNum> = state.tip_claims.values().map(|c| c.tip).collect();
+        let Phase::TipQuery { claims } = &state.phase else {
+            return;
+        };
+        let mut tips: Vec<SeqNum> = claims.values().map(|(tip, _)| *tip).collect();
         if tips.len() < f + 1 {
             return;
         }
@@ -451,162 +427,123 @@ impl Replica {
         // under-claiming only lower the floor (benign — the per-server
         // `done` checks still apply); they cannot raise it.
         tips.sort_unstable_by(|a, b| b.cmp(a));
-        let verified = tips[f];
-        state.verified_tip = Some(verified);
+        state.verified_tip = Some(tips[f]);
         // Checkpoint fast-path: only for a fresh recoveree (a replica
         // with an applied prefix keeps it and pages the remainder), and
         // only when f + 1 replies pin the *same* (seq, kv digest, tree
         // root) — then at least one honest replica holds exactly this
         // agreed checkpoint. Highest such seq wins.
-        let mut best: Option<TipCheckpoint> = None;
+        let mut best: Option<CheckpointPin> = None;
         if fresh && checkpoints_ok {
-            let cps: Vec<TipCheckpoint> = state.tip_claims.values().filter_map(|c| c.cp).collect();
-            for cp in &cps {
-                let votes = cps.iter().filter(|o| *o == cp).count();
-                if votes > f && best.is_none_or(|b| cp.seq > b.seq) {
-                    best = Some(*cp);
+            let offers: Vec<CheckpointPin> = claims.values().filter_map(|(_, o)| *o).collect();
+            for pin in &offers {
+                let votes = offers.iter().filter(|o| *o == pin).count();
+                if votes > f && best.is_none_or(|b| pin.seq > b.seq) {
+                    best = Some(*pin);
                 }
             }
         }
-        match best {
-            Some(cp) => {
-                // Fetch from a replica that actually claimed this offer
-                // (prefer the current server).
-                let claimers: Vec<ReplicaId> = state
-                    .tip_claims
-                    .iter()
-                    .filter(|(_, c)| c.cp == Some(cp))
-                    .map(|(id, _)| *id)
-                    .collect();
-                let server = claimers
-                    .iter()
-                    .find(|id| **id == state.server)
-                    .or_else(|| claimers.first())
-                    .copied()
-                    .expect("f+1 > 0 claimers");
-                state.phase = SyncPhase::Checkpoint;
-                state.pinned_cp = Some(cp);
-                state.server = server;
-                state.last_page_tick = self.tick;
-                self.send_replica(server, ProtocolMsg::FetchCheckpoint { seq: cp.seq });
-            }
-            None => {
-                state.phase = SyncPhase::Paging;
-                state.from_seq = self.seq_next;
-                self.request_sync_page();
-            }
-        }
+        let Some(pin) = best else {
+            let server = state.server;
+            return self.start_paging(server, false);
+        };
+        // Fetch from a replica that actually claimed this offer (prefer
+        // the current server).
+        let claimed = |id: &ReplicaId| claims.get(id).is_some_and(|(_, o)| *o == Some(pin));
+        let server = if claimed(&state.server) {
+            state.server
+        } else {
+            *claims.keys().find(|id| claimed(id)).expect("f+1 > 0 claimers")
+        };
+        state.server = server;
+        state.phase = Phase::Checkpoint { pin };
+        state.last_page_tick = self.tick;
+        self.send_replica(server, ProtocolMsg::FetchCheckpoint { seq: pin.seq });
     }
 
     /// One `FetchCheckpointResponse` arrived during the checkpoint phase.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_checkpoint_payload(
         &mut self,
         sender: ReplicaId,
         seq: SeqNum,
-        kv_bytes: Vec<u8>,
-        frontier: Vec<u8>,
-        ledger_len: u64,
-        next_tx_index: u64,
-        seed_entries: Vec<Vec<u8>>,
+        payload: Option<CheckpointPayload>,
     ) {
-        let Some(state) = &self.ledger_sync else {
+        let Some(LedgerSyncState { server, phase: Phase::Checkpoint { pin }, .. }) =
+            self.ledger_sync
+        else {
             return;
         };
-        if state.phase != SyncPhase::Checkpoint || state.server != sender {
+        if server != sender {
             return;
         }
-        let Some(pinned) = state.pinned_cp else {
-            return;
-        };
-        self.sync_report.bytes += kv_bytes.len() as u64
-            + frontier.len() as u64
-            + seed_entries.iter().map(|e| e.len() as u64).sum::<u64>();
-        if seq != pinned.seq {
+        if let Some(p) = &payload {
+            self.sync_report.bytes += (p.kv_bytes.len() + p.frontier.len()) as u64
+                + p.seed_entries.iter().map(|e| e.len() as u64).sum::<u64>();
+        }
+        if seq != pin.seq {
             return self.sync_failover("checkpoint payload for a different seq");
         }
-        if kv_bytes.is_empty() {
+        let Some(payload) = payload else {
             // Honest refusal (the record aged out, or the server cannot
             // vouch for a single-configuration history): page from
             // genesis on the same server.
-            let state = self.ledger_sync.as_mut().expect("sync running");
-            state.phase = SyncPhase::Paging;
-            state.pinned_cp = None;
-            state.from_seq = self.seq_next;
-            state.last_page_tick = self.tick;
-            return self.request_sync_page();
+            return self.start_paging(server, false);
+        };
+        // The genesis entry rides into the persisted seed: a seeded
+        // restart must rebuild the service configuration and `H(gt)`
+        // without a ledger prefix. Captured before the suffix ledger
+        // replaces the full one.
+        let genesis_entry = self.ledger.entry(LedgerIdx(0)).map(Wire::to_bytes);
+        if let Err(why) = self.verify_and_restore_checkpoint(&pin, &payload) {
+            return self.sync_failover(&format!("checkpoint rejected: {why}"));
         }
-        match self.verify_and_restore_checkpoint(
-            pinned,
-            &kv_bytes,
-            &frontier,
-            ledger_len,
-            next_tx_index,
-            &seed_entries,
-        ) {
-            Ok(()) => {
-                self.sync_report.checkpoint_seed = Some(pinned.seq);
-                self.note_progress();
-                let state = self.ledger_sync.as_mut().expect("sync running");
-                state.phase = SyncPhase::Paging;
-                state.pinned_cp = None;
-                state.from_seq = self.seq_next;
-                state.last_page_tick = self.tick;
-                self.request_sync_page();
-            }
-            Err(why) => self.sync_failover(&format!("checkpoint rejected: {why}")),
+        self.sync_report.checkpoint_seed = Some(pin.seq);
+        self.note_progress();
+        // A durable replica persists what it just verified so its *next*
+        // crash restarts locally (a local seeded restart runs with
+        // `data_dir` unset, so this never re-persists its own input).
+        if let Some(genesis_entry) = genesis_entry {
+            self.persist_checkpoint_seed(SeedCheckpointFile { pin, genesis_entry, payload });
         }
+        self.start_paging(server, false);
     }
 
-    /// Verify a checkpoint payload against the `f + 1`-pinned digests and
-    /// the checkpoint batch's signed pre-prepare, then restore: the KV
-    /// store becomes the snapshot, the ledger becomes a suffix ledger
-    /// seeded with the frontier plus the checkpoint batch's own entries,
-    /// and the protocol frontiers move to the checkpoint's sequence
-    /// number. Paged replay then covers only the suffix.
+    /// Verify a checkpoint payload against its pin and the checkpoint
+    /// batch's signed pre-prepare, then restore: the KV store becomes the
+    /// snapshot, the ledger becomes a suffix ledger seeded with the
+    /// frontier plus the checkpoint batch's own entries, and the protocol
+    /// frontiers move to the checkpoint's sequence number. Paged replay
+    /// then covers only the suffix. The one restore, whether the pair came
+    /// from `f + 1` peers or from the local seed file.
     ///
     /// Nothing mutates until every check has passed, so a rejected
     /// payload leaves the recoveree exactly where it was (free to fail
     /// over or fall back to genesis replay).
-    fn verify_and_restore_checkpoint(
+    pub(crate) fn verify_and_restore_checkpoint(
         &mut self,
-        pinned: TipCheckpoint,
-        kv_bytes: &[u8],
-        frontier_bytes: &[u8],
-        ledger_len: u64,
-        next_tx_index: u64,
-        seed_entries: &[Vec<u8>],
+        pin: &CheckpointPin,
+        payload: &CheckpointPayload,
     ) -> Result<(), &'static str> {
-        let cp = KvCheckpoint::from_bytes(kv_bytes).ok_or("undecodable KV checkpoint")?;
-        if !cp.verify_integrity() {
-            return Err("KV digest lies about contents");
-        }
-        if cp.digest() != pinned.kv_digest {
-            return Err("KV digest differs from the pinned digest");
-        }
-        let frontier = Frontier::from_bytes(frontier_bytes).ok_or("undecodable frontier")?;
-        if frontier.root() != pinned.tree_root {
-            return Err("frontier root differs from the pinned root");
-        }
+        let record = CheckpointRecord::pinned(pin, payload)?;
         // The seed is the checkpoint batch's own [pre-prepare, tx*] run —
         // the record's (ledger_len, frontier) were captured just before
         // these entries were appended, so the restored ledger needs them
         // to end exactly at the checkpointed execution state.
-        let mut decoded = Vec::with_capacity(seed_entries.len());
-        for bytes in seed_entries {
+        let mut decoded = Vec::with_capacity(payload.seed_entries.len());
+        for bytes in &payload.seed_entries {
             decoded.push(LedgerEntry::from_bytes(bytes).map_err(|_| "undecodable seed entry")?);
         }
         let Some((LedgerEntry::PrePrepare(pp), tail)) = decoded.split_first() else {
             return Err("seed does not start with the checkpoint pre-prepare");
         };
         let pp = pp.clone();
-        if pp.seq() != pinned.seq {
+        if pp.seq() != pin.seq {
             return Err("seed pre-prepare is not the checkpoint batch");
         }
         // The pinned tree root doubles as the batch's pre-state root: the
         // checkpoint frontier was captured at the same instant root_m was,
         // chaining the snapshot to the signed history.
-        if pp.core.root_m != pinned.tree_root {
+        if pp.core.root_m != pin.tree_root {
             return Err("seed pre-prepare root_m differs from the pinned root");
         }
         // Signature under the active configuration (the fast-path is
@@ -616,7 +553,8 @@ impl Replica {
         }
         // The transaction run must carry contiguous indices ending at the
         // checkpoint's counter, and must reproduce the signed Ḡ.
-        let base_index = next_tx_index
+        let base_index = record
+            .next_tx_index
             .checked_sub(tail.len() as u64)
             .ok_or("seed transaction count exceeds the index counter")?;
         let mut names = Vec::with_capacity(tail.len());
@@ -637,26 +575,18 @@ impl Replica {
         }
 
         // ---- everything verified: restore ----
-        // The genesis entry (if this replica materializes it) rides into
-        // the persisted seed: a seeded restart must rebuild the service
-        // configuration and `H(gt)` without a ledger prefix. Captured
-        // before the suffix ledger replaces the full one.
-        let genesis_entry = self
-            .ledger
-            .entry(ia_ccf_types::LedgerIdx(0))
-            .map(|e| e.to_bytes());
-        self.kv.restore(&cp);
-        let mut ledger = Ledger::from_checkpoint(ledger_len, frontier.clone());
+        self.kv.restore(&record.kv);
+        let mut ledger = Ledger::from_checkpoint(record.ledger_len, record.frontier.clone());
         for entry in &decoded {
             ledger.append(entry.clone());
         }
         self.ledger = ledger;
-        self.next_tx_index = next_tx_index;
-        self.seq_next = pinned.seq.next();
-        self.prepared_up_to = pinned.seq;
-        self.committed_up_to = pinned.seq;
+        self.next_tx_index = record.next_tx_index;
+        self.seq_next = pin.seq.next();
+        self.prepared_up_to = pin.seq;
+        self.committed_up_to = pin.seq;
         self.view = pp.view().max(self.view);
-        self.prepared_view.insert(pinned.seq, pp.view());
+        self.prepared_view.insert(pin.seq, pp.view());
         // The checkpoint batch is in the ledger without having executed
         // here: its requests get the bookkeeping of any appended batch.
         self.note_batch_appended(&names);
@@ -670,32 +600,8 @@ impl Replica {
         // The restored record is this replica's own checkpoint at `seq`:
         // the in-band mark batch at `seq + C` validates against it while
         // the suffix replays, and later audits can start from it.
-        self.cp_digests.insert(pinned.seq, cp.digest());
-        self.checkpoints.insert(CheckpointRecord {
-            seq: pinned.seq,
-            kv: cp,
-            frontier,
-            ledger_len,
-            next_tx_index,
-        });
-        // A durable replica persists what it just verified so its *next*
-        // crash restarts locally (a local seeded restart runs with
-        // `data_dir` unset, so this never re-persists its own input).
-        if self.params.data_dir.is_some() {
-            if let Some(genesis_entry) = genesis_entry {
-                self.persist_checkpoint_seed(crate::seedfile::SeedCheckpointFile {
-                    seq: pinned.seq,
-                    kv_digest: pinned.kv_digest,
-                    tree_root: pinned.tree_root,
-                    ledger_len,
-                    next_tx_index,
-                    genesis_entry,
-                    kv_bytes: kv_bytes.to_vec(),
-                    frontier_bytes: frontier_bytes.to_vec(),
-                    seed_entries: seed_entries.to_vec(),
-                });
-            }
-        }
+        self.cp_digests.insert(pin.seq, pin.kv_digest);
+        self.checkpoints.insert(record);
         Ok(())
     }
 
@@ -709,13 +615,13 @@ impl Replica {
     /// any failure detaches durability with the one-shot warning instead
     /// of failing the restore (the replica is already correct in
     /// memory; safety rests on the quorum).
-    fn persist_checkpoint_seed(&mut self, file: crate::seedfile::SeedCheckpointFile) {
+    fn persist_checkpoint_seed(&mut self, file: SeedCheckpointFile) {
         let Some(dir) = self.params.data_dir.clone() else {
             return;
         };
         let fsync = self.params.fsync_interval_batches;
         let roll = self.params.resolved_durable_roll_bytes();
-        let base = file.ledger_len;
+        let base = file.payload.ledger_len;
         let result = (|| -> std::io::Result<()> {
             file.write_atomic(&dir)?;
             // The replaced ledger (and its open segment file handles)
@@ -728,33 +634,6 @@ impl Replica {
         if let Err(e) = result {
             self.ledger.note_durability_lost(&format!("checkpoint seed persistence: {e}"));
         }
-    }
-
-    /// Re-run the checkpoint verification chain against a locally
-    /// persisted seed file and restore from it — the restart-from-disk
-    /// twin of the network fast-path. The pinned digests come from the
-    /// file; they were agreed in-band (through `f+1` matching mark-batch
-    /// offers) when the seed was persisted, and the load path already
-    /// digest-checked the payload bytes against them.
-    pub(crate) fn restore_checkpoint_from_seed(
-        &mut self,
-        seed: &crate::seedfile::SeedCheckpointFile,
-    ) -> Result<(), BootstrapError> {
-        self.verify_and_restore_checkpoint(
-            TipCheckpoint {
-                seq: seed.seq,
-                kv_digest: seed.kv_digest,
-                tree_root: seed.tree_root,
-            },
-            &seed.kv_bytes,
-            &seed.frontier_bytes,
-            seed.ledger_len,
-            seed.next_tx_index,
-            &seed.seed_entries,
-        )
-        .map_err(|why| {
-            BootstrapError::Malformed(format!("durable seed checkpoint rejected: {why}"))
-        })
     }
 
     /// Counters of the most recent (or running) ledger sync.
@@ -773,38 +652,54 @@ impl Replica {
         let Some(state) = &mut self.ledger_sync else {
             return;
         };
+        let Phase::Paging { from_seq, .. } = state.phase else {
+            return;
+        };
         state.last_page_tick = self.tick;
-        let (server, from_seq) = (state.server, state.from_seq);
+        let server = state.server;
         let max_bytes = self.params.effective_sync_page_bytes();
         self.send_replica(server, ProtocolMsg::FetchLedgerPage { from_seq, max_bytes });
+    }
+
+    /// Page from `server`, starting at the first batch this replica has
+    /// not applied — the applied prefix is verified and never re-fetched.
+    /// A `paused` start waits out one timeout before its first request.
+    fn start_paging(&mut self, server: ReplicaId, paused: bool) {
+        let Some(state) = &mut self.ledger_sync else {
+            return;
+        };
+        state.server = server;
+        state.last_page_tick = self.tick;
+        let from_seq = self.seq_next;
+        state.phase =
+            Phase::Paging { from_seq, buffered: Vec::new(), rolled_back_at: None, paused };
+        if !paused {
+            self.request_sync_page();
+        }
     }
 
     /// Liveness check, called every tick while a sync is active: a server
     /// that has not produced a page within the timeout is abandoned; a
     /// paused sync (every peer failed) re-enters the rotation instead.
     pub(crate) fn sync_tick(&mut self) {
-        let Some(state) = &self.ledger_sync else {
+        let Some(state) = &mut self.ledger_sync else {
             return;
         };
         if self.tick.saturating_sub(state.last_page_tick) <= self.params.sync_timeout_ticks {
             return;
         }
-        if state.phase == SyncPhase::TipQuery {
+        match &mut state.phase {
             // Enough claims to pin a floor? Proceed with what arrived;
             // otherwise ask again (peers may still be starting up).
-            let f = self.gov.active().f();
-            if state.tip_claims.len() > f {
-                self.finalize_tip_phase();
-            } else {
-                self.broadcast_tip_query();
+            Phase::TipQuery { claims } if claims.len() > self.gov.active().f() => {
+                self.finalize_tip_phase()
             }
-            return;
-        }
-        if state.paused {
-            self.ledger_sync.as_mut().expect("sync running").paused = false;
-            self.request_sync_page();
-        } else {
-            self.sync_failover("page timeout");
+            Phase::TipQuery { .. } => self.broadcast_tip_query(),
+            Phase::Paging { paused, .. } if *paused => {
+                *paused = false;
+                self.request_sync_page();
+            }
+            _ => self.sync_failover("page timeout"),
         }
     }
 
@@ -816,16 +711,16 @@ impl Replica {
         next_seq: SeqNum,
         done: bool,
     ) {
-        let Some(state) = &self.ledger_sync else {
-            return; // no sync running: stale or unsolicited page
+        // No sync running, or a stale page while querying the tip or a
+        // checkpoint: ignore it.
+        let Some(LedgerSyncState { server, phase: Phase::Paging { from_seq, .. }, .. }) =
+            self.ledger_sync
+        else {
+            return;
         };
-        if state.server != sender {
+        if server != sender {
             return; // page from an abandoned server
         }
-        if state.phase != SyncPhase::Paging {
-            return; // stale page while querying the tip or a checkpoint
-        }
-        let from_seq = state.from_seq;
         self.sync_report.pages += 1;
         self.sync_report.bytes += entries.iter().map(|e| e.len() as u64).sum::<u64>();
 
@@ -844,18 +739,23 @@ impl Replica {
         }
 
         // Buffer, replay every complete segment, continue or finish.
+        if let Some(LedgerSyncState {
+            last_page_tick,
+            phase: Phase::Paging { from_seq, buffered, paused, .. },
+            ..
+        }) = &mut self.ledger_sync
         {
-            let state = self.ledger_sync.as_mut().expect("sync running");
-            state.buffered.extend(decoded);
-            state.from_seq = next_seq;
-            state.last_page_tick = self.tick;
-            state.paused = false;
+            buffered.extend(decoded);
+            *from_seq = next_seq;
+            *last_page_tick = self.tick;
+            *paused = false;
         }
-        match self.replay_sync_buffer(done) {
-            Ok(()) => {}
-            Err(e) => return self.sync_diverged(&e),
+        if let Err(e) = self.replay_sync_buffer(done) {
+            return self.sync_diverged(&e);
         }
-        let Some(state) = &self.ledger_sync else {
+        let Some(LedgerSyncState { verified_tip, phase: Phase::Paging { buffered, .. }, .. }) =
+            &self.ledger_sync
+        else {
             return;
         };
         // After replay the buffer holds at most one withheld segment (a
@@ -863,7 +763,7 @@ impl Replica {
         // segment is bounded by the batch size; a server streaming a
         // never-terminating transaction run to balloon the buffer is
         // hostile and abandoned before memory grows without bound.
-        if state.buffered.len() > 4 * self.params.batch_max.max(1) + 16 {
+        if buffered.len() > 4 * self.params.batch_max.max(1) + 16 {
             return self.sync_failover("batch segment never terminates");
         }
         if !done {
@@ -873,17 +773,16 @@ impl Replica {
         // must reach the server's advertised continuation — a server
         // whose final page falls short (truncated entries, forged token)
         // is abandoned like any other misbehaviour.
-        if !state.buffered.is_empty() || self.seq_next != next_seq {
+        if !buffered.is_empty() || self.seq_next != next_seq {
             return self.sync_failover("done short of advertised continuation");
         }
         // The applied frontier must also pass the f+1-verified cluster
         // tip: a lying server that advertises an early `done` (with a
         // self-consistent continuation token) would otherwise freeze
         // this replica short of the real history.
-        if state.verified_tip.is_some_and(|t| self.seq_next <= t) {
+        if verified_tip.is_some_and(|t| self.seq_next <= t) {
             return self.sync_failover("done short of verified cluster tip");
         }
-        let server = state.server;
         self.ledger_sync = None;
         self.sync_report.complete = true;
         self.note_progress();
@@ -898,10 +797,12 @@ impl Replica {
     /// Replay every provably-complete segment in the sync buffer; with
     /// `done` the whole buffer must segment cleanly.
     fn replay_sync_buffer(&mut self, done: bool) -> Result<(), BootstrapError> {
-        let mut buffered = {
-            let state = self.ledger_sync.as_mut().expect("sync running");
-            std::mem::take(&mut state.buffered)
+        let Some(LedgerSyncState { phase: Phase::Paging { buffered, .. }, .. }) =
+            &mut self.ledger_sync
+        else {
+            return Ok(());
         };
+        let mut buffered = std::mem::take(buffered);
         let base = self.ledger.len() as usize; // nonzero ⇒ genesis rejected
         let result = (|| {
             if done {
@@ -921,8 +822,10 @@ impl Replica {
             }
             Ok(())
         })();
-        if let Some(state) = self.ledger_sync.as_mut() {
-            state.buffered = buffered;
+        if let Some(LedgerSyncState { phase: Phase::Paging { buffered: slot, .. }, .. }) =
+            &mut self.ledger_sync
+        {
+            *slot = buffered;
         }
         result
     }
@@ -938,10 +841,11 @@ impl Replica {
     fn sync_diverged(&mut self, err: &BootstrapError) {
         let token = self.committed_up_to.next();
         let can_roll_back = self.seq_next > token;
-        let already = self
-            .ledger_sync
-            .as_ref()
-            .is_some_and(|s| s.rolled_back_at == Some(token));
+        let already = matches!(
+            self.ledger_sync,
+            Some(LedgerSyncState { phase: Phase::Paging { rolled_back_at: Some(t), .. }, .. })
+                if t == token
+        );
         if !can_roll_back || already {
             return self.sync_failover(&format!("replay failed: {err}"));
         }
@@ -954,68 +858,47 @@ impl Replica {
         }
         let committed = self.committed_up_to;
         self.reset_to_seq(committed);
-        let state = self.ledger_sync.as_mut().expect("sync running");
-        state.rolled_back_at = Some(token);
-        state.from_seq = committed.next();
-        state.buffered.clear();
+        if let Some(LedgerSyncState {
+            phase: Phase::Paging { from_seq, buffered, rolled_back_at, .. },
+            ..
+        }) = &mut self.ledger_sync
+        {
+            *rolled_back_at = Some(token);
+            *from_seq = committed.next();
+            buffered.clear();
+        }
         self.request_sync_page();
     }
 
-    /// Abandon the current server and move to the next replica of the
-    /// active configuration; the sync cycles forever (a recovering replica
-    /// has nothing better to do).
+    /// Abandon the current server and page from the next replica of the
+    /// active configuration. A failed checkpoint fetch (or any
+    /// misbehaviour mid-phase) falls back to paged replay; the verified
+    /// tip survives. The fast-path is not retried: paging is the
+    /// always-available stronger check. The sync cycles forever (a
+    /// recovering replica has nothing better to do): once every peer has
+    /// been tried the slate is cleared and the rotation restarts after one
+    /// timeout of backoff — in a two-replica cluster the sole peer must be
+    /// retried rather than the sync silently dying, and the pause keeps a
+    /// cluster-wide outage at one request per timeout, not a storm.
     fn sync_failover(&mut self, why: &str) {
-        let Some(mut state) = self.ledger_sync.take() else {
+        let peers = self.sync_peers();
+        let Some(state) = self.ledger_sync.as_mut() else {
             return;
         };
         self.sync_report.failovers += 1;
         if crate::replica::debug_enabled() {
             eprintln!("[{}] sync: abandoning server {} ({why})", self.id, state.server);
         }
-        // A failed checkpoint fetch (or any misbehaviour mid-phase) falls
-        // back to paged replay; the verified tip and collected claims
-        // survive — only the pinned offer is dropped. The fast-path is
-        // not retried: paging is the always-available stronger check.
-        state.phase = SyncPhase::Paging;
-        state.pinned_cp = None;
-        state.tried.insert(state.server);
-        let peers = self.sync_peers();
-        let candidate = peers.iter().find(|id| !state.tried.contains(id)).copied();
-        let next_server = match candidate {
-            Some(id) => id,
-            None => {
-                // Every peer tried: clear the slate and retry the rotation
-                // after one timeout of backoff (a recovering replica has
-                // nothing better to do, and in a two-replica cluster the
-                // sole peer must be retried rather than the sync silently
-                // dying). The pause keeps a cluster-wide outage at one
-                // request per timeout, not a storm.
-                state.tried.clear();
-                let Some(id) = peers
-                    .iter()
-                    .find(|id| **id != state.server)
-                    .or_else(|| peers.first())
-                    .copied()
-                else {
-                    return; // single-replica cluster: nobody to ask
-                };
-                state.server = id;
-                state.buffered.clear();
-                state.rolled_back_at = None;
-                state.from_seq = self.seq_next;
-                state.paused = true;
-                state.last_page_tick = self.tick;
-                self.ledger_sync = Some(state);
-                return;
-            }
-        };
-        state.server = next_server;
-        state.buffered.clear();
-        state.rolled_back_at = None;
-        // Resume from the first batch we have not applied — the applied
-        // prefix is verified and never re-fetched.
-        state.from_seq = self.seq_next;
-        self.ledger_sync = Some(state);
-        self.request_sync_page();
+        let current = state.server;
+        state.tried.insert(current);
+        let untried = peers.iter().find(|id| !state.tried.contains(id));
+        let paused = untried.is_none();
+        if paused {
+            state.tried.clear();
+        }
+        let next = untried.or_else(|| peers.iter().find(|id| **id != current)).or(peers.first());
+        if let Some(&next) = next {
+            self.start_paging(next, paused);
+        }
     }
 }

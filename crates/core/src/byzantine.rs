@@ -189,21 +189,15 @@ impl ByzantineReplica {
             Fault::LieAboutLedgerTip { claim } => outs
                 .into_iter()
                 .map(|o| match o {
-                    Output::SendReplica(
-                        to,
-                        ProtocolMsg::LedgerTipResponse { cp_kv_digest, cp_tree_root, .. },
-                    ) => Output::SendReplica(
-                        to,
-                        // Under-claim the tip and withhold any checkpoint
-                        // offer (an offer above the claim would expose
-                        // the lie immediately).
-                        ProtocolMsg::LedgerTipResponse {
-                            tip: claim,
-                            cp_seq: SeqNum(0),
-                            cp_kv_digest,
-                            cp_tree_root,
-                        },
-                    ),
+                    // Under-claim the tip and withhold any checkpoint offer
+                    // (an offer above the claim would expose the lie
+                    // immediately).
+                    Output::SendReplica(to, ProtocolMsg::LedgerTipResponse { .. }) => {
+                        Output::SendReplica(
+                            to,
+                            ProtocolMsg::LedgerTipResponse { tip: claim, offer: None },
+                        )
+                    }
                     Output::SendReplica(
                         to,
                         ProtocolMsg::FetchLedgerPageResponse { entries, .. },

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use ia_ccf_kv::KvCheckpoint;
 use ia_ccf_merkle::Frontier;
-use ia_ccf_types::{Digest, SeqNum};
+use ia_ccf_types::{CheckpointPayload, CheckpointPin, Digest, SeqNum};
 
 /// One checkpoint: the KV snapshot plus the ledger-tree frontier and the
 /// ledger length, taken after executing batch `seq`.
@@ -28,6 +28,57 @@ pub struct CheckpointRecord {
     pub ledger_len: u64,
     /// Logical transaction index counter at that point.
     pub next_tx_index: u64,
+}
+
+impl CheckpointRecord {
+    /// The pin a tip reply offers for this checkpoint.
+    pub fn pin(&self) -> CheckpointPin {
+        CheckpointPin {
+            seq: self.seq,
+            kv_digest: self.kv.digest(),
+            tree_root: self.frontier.root(),
+        }
+    }
+
+    /// The payload a checkpoint reply carries for it, given the checkpoint
+    /// batch's own encoded `[pre-prepare, tx*]` entries.
+    pub fn payload(&self, seed_entries: Vec<Vec<u8>>) -> CheckpointPayload {
+        CheckpointPayload {
+            kv_bytes: self.kv.to_bytes(),
+            frontier: self.frontier.to_bytes(),
+            ledger_len: self.ledger_len,
+            next_tx_index: self.next_tx_index,
+            seed_entries,
+        }
+    }
+
+    /// The pin check, whichever door the payload came through: the KV
+    /// bytes decode to a self-consistent snapshot with the pinned digest
+    /// and the frontier bytes to a frontier with the pinned root. Returns
+    /// the record the payload describes.
+    pub(crate) fn pinned(
+        pin: &CheckpointPin,
+        payload: &CheckpointPayload,
+    ) -> Result<Self, &'static str> {
+        let kv = KvCheckpoint::from_bytes(&payload.kv_bytes).ok_or("undecodable KV checkpoint")?;
+        if !kv.verify_integrity() {
+            return Err("KV digest lies about contents");
+        }
+        if kv.digest() != pin.kv_digest {
+            return Err("KV digest differs from the pinned digest");
+        }
+        let frontier = Frontier::from_bytes(&payload.frontier).ok_or("undecodable frontier")?;
+        if frontier.root() != pin.tree_root {
+            return Err("frontier root differs from the pinned root");
+        }
+        Ok(CheckpointRecord {
+            seq: pin.seq,
+            kv,
+            frontier,
+            ledger_len: payload.ledger_len,
+            next_tx_index: payload.next_tx_index,
+        })
+    }
 }
 
 /// Recent checkpoints, kept until superseded.

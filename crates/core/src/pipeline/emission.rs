@@ -23,6 +23,7 @@ use ia_ccf_types::{
     SeqNum, Signature, TxWitness, View,
 };
 
+use crate::checkpoint::CheckpointRecord;
 use crate::pipeline::BatchExec;
 use crate::replica::Replica;
 
@@ -370,9 +371,10 @@ impl Replica {
         let len = self.ledger.len();
         let start = self.ledger.fetch_start_pos(from_seq);
         // Work is O(page), not O(remaining ledger): batch boundaries come
-        // off a lazy range iterator and each candidate segment is *sized*
-        // (exact `encoded_len`) before it is encoded, so the segment that
-        // overflows the budget — and everything past it — costs nothing.
+        // off a lazy range iterator and the page is cut from the bytes it
+        // sends — each segment is encoded once and kept if it fits, so
+        // only the segment that overflows the budget is encoded in vain.
+        let mut entries = Vec::new();
         let mut cut = start;
         let mut total = 0u64;
         let mut next_seq = from_seq;
@@ -384,13 +386,14 @@ impl Replica {
                     Some(next) => self.ledger.fetch_start_pos(*next),
                     None => len,
                 };
-                let seg_bytes =
-                    self.ledger.encoded_range_len(LedgerIdx(cut), LedgerIdx(seg_end));
+                let segment = self.ledger.encode_range(LedgerIdx(cut), LedgerIdx(seg_end));
+                let seg_bytes: u64 = segment.iter().map(|e| e.len() as u64 + 4).sum();
                 if cut > start && total + seg_bytes > budget {
                     next_seq = s;
                     done = false;
                     break;
                 }
+                entries.extend(segment);
                 total += seg_bytes;
                 cut = seg_end;
                 next_seq = s.next();
@@ -400,30 +403,20 @@ impl Replica {
             // Everything fit: include any trailing non-batch entries; the
             // final token is the next-to-assign sequence number (or the
             // request's own token when nothing was served).
-            cut = len;
+            entries.extend(self.ledger.encode_range(LedgerIdx(cut), LedgerIdx(len)));
         }
-        let entries = self.ledger.encode_range(LedgerIdx(start), LedgerIdx(cut));
-        self.send_replica(
-            sender,
-            ProtocolMsg::FetchLedgerPageResponse { entries, next_seq, done },
-        );
+        self.send_replica(sender, ProtocolMsg::FetchLedgerPageResponse { entries, next_seq, done });
     }
 
     /// Answer a [`ProtocolMsg::FetchLedgerTip`]: the committed frontier
-    /// this replica vouches for, plus its newest *offerable* checkpoint
-    /// (see [`Replica::offerable_checkpoint`]) — `cp_seq = 0` when there
-    /// is none. Recovering replicas collect `f + 1` of these to pin both
-    /// a tip floor and, when the claims agree, a checkpoint fast-path.
+    /// this replica vouches for, plus the pin of its newest *offerable*
+    /// checkpoint (see [`Replica::offerable_checkpoint`]), if any.
+    /// Recovering replicas collect `f + 1` of these to pin both a tip
+    /// floor and, when the claims agree, a checkpoint fast-path.
     pub(crate) fn serve_ledger_tip(&mut self, sender: ReplicaId) {
         let tip = self.committed_up_to;
-        let (cp_seq, cp_kv_digest, cp_tree_root) = match self.offerable_checkpoint() {
-            Some(r) => (r.seq, r.kv.digest(), r.frontier.root()),
-            None => (SeqNum(0), Digest::zero(), Digest::zero()),
-        };
-        self.send_replica(
-            sender,
-            ProtocolMsg::LedgerTipResponse { tip, cp_seq, cp_kv_digest, cp_tree_root },
-        );
+        let offer = self.offerable_checkpoint().map(CheckpointRecord::pin);
+        self.send_replica(sender, ProtocolMsg::LedgerTipResponse { tip, offer });
     }
 
     /// The newest checkpoint this replica may offer a recoveree: its
@@ -433,7 +426,7 @@ impl Replica {
     /// a checkpoint-seeded replica starts from a suffix and cannot
     /// reconstruct either, so reconfigured or governed histories fall
     /// back to full replay.
-    pub(crate) fn offerable_checkpoint(&self) -> Option<&crate::checkpoint::CheckpointRecord> {
+    pub(crate) fn offerable_checkpoint(&self) -> Option<&CheckpointRecord> {
         if !self.params.checkpoints_enabled
             || !self.gov_chain.is_empty()
             || self.config_first_seq.len() != 1
@@ -451,53 +444,30 @@ impl Replica {
 
     /// Answer a [`ProtocolMsg::FetchCheckpoint`]: the KV snapshot, the
     /// ledger-tree frontier, and the checkpoint batch's own
-    /// `[pre-prepare, tx*]` seed entries. An empty `kv_bytes` is an
-    /// honest refusal (the record aged out or is not offerable) — the
+    /// `[pre-prepare, tx*]` seed entries — or no payload, an honest
+    /// refusal (the record aged out or is not offerable), on which the
     /// requester falls back to paging from genesis.
     pub(crate) fn serve_checkpoint_fetch(&mut self, sender: ReplicaId, seq: SeqNum) {
-        let refusal = ProtocolMsg::FetchCheckpointResponse {
-            seq,
-            kv_bytes: Vec::new(),
-            frontier: Vec::new(),
-            ledger_len: 0,
-            next_tx_index: 0,
-            seed_entries: Vec::new(),
-        };
-        let offer = self
-            .offerable_checkpoint()
-            .filter(|r| r.seq == seq)
-            .map(|r| (r.kv.to_bytes(), r.frontier.to_bytes(), r.ledger_len, r.next_tx_index));
-        let Some((kv_bytes, frontier, ledger_len, next_tx_index)) = offer else {
-            return self.send_replica(sender, refusal);
-        };
-        // The record's prefix ends just before the checkpoint batch's own
-        // entries; the seed spans that pre-prepare and its tx run.
-        let start = ledger_len;
-        let pp_here = matches!(
-            self.ledger.entry(LedgerIdx(start)),
-            Some(LedgerEntry::PrePrepare(pp)) if pp.seq() == seq
-        );
-        if !pp_here {
+        let payload = self.offerable_checkpoint().filter(|r| r.seq == seq).and_then(|record| {
+            // The record's prefix ends just before the checkpoint batch's
+            // own entries; the seed spans that pre-prepare and its tx run.
+            let start = record.ledger_len;
+            let pp_here = matches!(
+                self.ledger.entry(LedgerIdx(start)),
+                Some(LedgerEntry::PrePrepare(pp)) if pp.seq() == seq
+            );
             // Suffix no longer in this ledger (shouldn't happen for an
             // offerable record) — refuse rather than mis-seed.
-            return self.send_replica(sender, refusal);
-        }
-        let mut end = start + 1;
-        while matches!(self.ledger.entry(LedgerIdx(end)), Some(LedgerEntry::Tx(_))) {
-            end += 1;
-        }
-        let seed_entries = self.ledger.encode_range(LedgerIdx(start), LedgerIdx(end));
-        self.send_replica(
-            sender,
-            ProtocolMsg::FetchCheckpointResponse {
-                seq,
-                kv_bytes,
-                frontier,
-                ledger_len,
-                next_tx_index,
-                seed_entries,
-            },
-        );
+            if !pp_here {
+                return None;
+            }
+            let mut end = start + 1;
+            while matches!(self.ledger.entry(LedgerIdx(end)), Some(LedgerEntry::Tx(_))) {
+                end += 1;
+            }
+            Some(record.payload(self.ledger.encode_range(LedgerIdx(start), LedgerIdx(end))))
+        });
+        self.send_replica(sender, ProtocolMsg::FetchCheckpointResponse { seq, payload });
     }
 
     /// The seed's monolithic fetch response — the whole remaining ledger

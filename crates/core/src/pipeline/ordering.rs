@@ -88,7 +88,7 @@ impl Replica {
             // Checkpoint batches at multiples of C (digest of cp at s − C).
             let c = self.checkpoint_interval();
             if self.params.checkpoints_enabled && seq.0.is_multiple_of(c) && seq.0 >= 2 * c {
-                if !self.send_checkpoint_batch(seq) {
+                if !self.send_mark_batch(seq, SeqNum(seq.0 - c)) {
                     return;
                 }
                 continue;
@@ -135,19 +135,21 @@ impl Replica {
         }
     }
 
-    fn send_checkpoint_batch(&mut self, seq: SeqNum) -> bool {
-        let c = self.checkpoint_interval();
-        let cp_seq = SeqNum(seq.0 - c);
-        let Some(kv_digest) = self.cp_digests.get(&cp_seq).copied() else {
+    /// Send the checkpoint batch at `seq`: one system transaction marking
+    /// the digest of the checkpoint at `checkpoint_seq` — `seq − C` on
+    /// the regular schedule, the switch point during a reconfiguration.
+    /// `false` (wait) until that checkpoint's digest is known.
+    pub(crate) fn send_mark_batch(&mut self, seq: SeqNum, checkpoint_seq: SeqNum) -> bool {
+        let Some(kv_digest) = self.cp_digests.get(&checkpoint_seq).copied() else {
             return false;
         };
         let tree_root = self
             .checkpoints
-            .at(cp_seq)
+            .at(checkpoint_seq)
             .map(|r| r.frontier.root())
             .unwrap_or_else(Digest::zero);
         let mark = SignedRequest::system(
-            SystemOp::CheckpointMark { checkpoint_seq: cp_seq, kv_digest, tree_root },
+            SystemOp::CheckpointMark { checkpoint_seq, kv_digest, tree_root },
             self.gt_hash,
         );
         let digest = mark.digest();

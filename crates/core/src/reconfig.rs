@@ -23,9 +23,7 @@
 //! Replicas leaving the configuration retire once the switch batch commits
 //! locally; new replicas bootstrap from the ledger ([`Replica::bootstrap`]).
 
-use ia_ccf_types::{
-    BatchKind, Configuration, Digest, PrePrepare, SeqNum, SignedRequest, SystemOp,
-};
+use ia_ccf_types::{BatchKind, Configuration, Digest, PrePrepare, SeqNum};
 
 use crate::events::Output;
 use crate::pipeline::ExecError;
@@ -110,24 +108,7 @@ impl Replica {
                     Some(committed_root),
                 )
             }
-            Some(BatchKind::Checkpoint) => {
-                let cp_seq = rc.switch_seq();
-                let Some(kv_digest) = self.cp_digests.get(&cp_seq).copied() else {
-                    return false;
-                };
-                let tree_root = self
-                    .checkpoints
-                    .at(cp_seq)
-                    .map(|r| r.frontier.root())
-                    .unwrap_or_else(Digest::zero);
-                let mark = SignedRequest::system(
-                    SystemOp::CheckpointMark { checkpoint_seq: cp_seq, kv_digest, tree_root },
-                    self.gt_hash,
-                );
-                let digest = mark.digest();
-                self.req_store.insert(digest, mark.clone());
-                self.send_batch(seq, BatchKind::Checkpoint, vec![mark], vec![digest], None)
-            }
+            Some(BatchKind::Checkpoint) => self.send_mark_batch(seq, rc.switch_seq()),
             Some(BatchKind::StartOfConfig { phase }) => {
                 self.send_batch(
                     seq,

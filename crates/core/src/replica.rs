@@ -353,28 +353,33 @@ impl Replica {
                 // point.
                 if log.base() == 0 {
                     drop(log);
-                    let base = seed.ledger_len;
+                    let base = seed.payload.ledger_len;
                     log = ia_ccf_ledger::DurableLog::create_suffix(&dir, fsync, roll, base)
                         .map_err(|e| malformed("durable log", &e))?;
-                } else if log.base() != seed.ledger_len {
+                } else if log.base() != seed.payload.ledger_len {
                     return Err(BootstrapError::Malformed(format!(
                         "suffix log base {} does not match the seed checkpoint's ledger length {}",
                         log.base(),
-                        seed.ledger_len
+                        seed.payload.ledger_len
                     )));
                 }
-                // The verified checkpoint restore — the same chain a
-                // network-seeded recovery runs.
-                replica.restore_checkpoint_from_seed(&seed)?;
+                // The verified checkpoint restore — the one a
+                // network-seeded recovery runs. The pin came from the
+                // file; it was agreed in-band (through `f+1` matching
+                // mark-batch offers) when the seed was persisted.
+                replica
+                    .verify_and_restore_checkpoint(&seed.pin, &seed.payload)
+                    .map_err(|why| malformed("durable seed checkpoint rejected", &why))?;
                 // The suffix run opens with the seed batch's own entries
                 // (the attach reconcile wrote them at seed time). A disk
                 // run that does not reproduce them byte for byte — or stops
                 // short of them — is corruption or a torn reconcile: drop
                 // the run entirely; the restored seed plus paged sync
                 // re-covers it.
-                let n = seed.seed_entries.len();
+                let seed_entries = &seed.payload.seed_entries;
+                let n = seed_entries.len();
                 let matches = raw.len() >= n
-                    && raw[..n].iter().zip(&seed.seed_entries).all(|(e, b)| &e.to_bytes() == b);
+                    && raw[..n].iter().zip(seed_entries).all(|(e, b)| &e.to_bytes() == b);
                 if !matches {
                     log.truncate_entries(0).map_err(|e| malformed("durable log", &e))?;
                     raw.clear();
@@ -568,9 +573,9 @@ impl Replica {
                     self.serve_ledger_tip(sender);
                 }
             }
-            ProtocolMsg::LedgerTipResponse { tip, cp_seq, cp_kv_digest, cp_tree_root } => {
+            ProtocolMsg::LedgerTipResponse { tip, offer } => {
                 if let NodeId::Replica(sender) = from {
-                    self.on_ledger_tip(sender, tip, cp_seq, cp_kv_digest, cp_tree_root);
+                    self.on_ledger_tip(sender, tip, offer);
                 }
             }
             ProtocolMsg::FetchCheckpoint { seq } => {
@@ -578,24 +583,9 @@ impl Replica {
                     self.serve_checkpoint_fetch(sender, seq);
                 }
             }
-            ProtocolMsg::FetchCheckpointResponse {
-                seq,
-                kv_bytes,
-                frontier,
-                ledger_len,
-                next_tx_index,
-                seed_entries,
-            } => {
+            ProtocolMsg::FetchCheckpointResponse { seq, payload } => {
                 if let NodeId::Replica(sender) = from {
-                    self.on_checkpoint_payload(
-                        sender,
-                        seq,
-                        kv_bytes,
-                        frontier,
-                        ledger_len,
-                        next_tx_index,
-                        seed_entries,
-                    );
+                    self.on_checkpoint_payload(sender, seq, payload);
                 }
             }
             ProtocolMsg::FetchGovReceipts { from_index } => {

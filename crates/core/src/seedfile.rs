@@ -11,141 +11,58 @@
 //! for the prefix**.
 //!
 //! The file is written atomically (tmp + fsync + rename + directory
-//! fsync) and is entirely self-contained: besides the checkpoint payload
-//! it stores the genesis entry bytes (the restart path must rebuild the
-//! service configuration and `H(gt)` without a ledger prefix) and the
-//! seed batch entries whose pre-prepare signature anchors the pinned
-//! digests to the replica set.
+//! fsync) and is entirely self-contained: besides the checkpoint pin and
+//! payload it stores the genesis entry bytes (the restart path must
+//! rebuild the service configuration and `H(gt)` without a ledger prefix).
 
 use std::fs::{self, File};
 use std::io::{self, Write as _};
 use std::path::Path;
 
-use ia_ccf_crypto::Digest;
-use ia_ccf_kv::KvCheckpoint;
 use ia_ccf_ledger::CHECKPOINT_FILE;
-use ia_ccf_merkle::Frontier;
-use ia_ccf_types::SeqNum;
+use ia_ccf_types::{CheckpointPayload, CheckpointPin, Reader, Wire};
 
-const MAGIC: &[u8; 16] = b"IACCF-SEED-CP-01";
+use crate::checkpoint::CheckpointRecord;
 
-/// The persisted form of a verified checkpoint seed. Field for field,
-/// this is the input [`crate::Replica`]'s checkpoint restore path takes:
-/// the pinned `(seq, kv_digest, tree_root)` agreement plus the payload
-/// bytes that must reproduce it.
+const MAGIC: &[u8; 16] = b"IACCF-SEED-CP-02";
+
+/// The persisted form of a verified checkpoint seed: the input
+/// [`crate::Replica`]'s checkpoint restore takes — the pin agreed in-band
+/// plus the payload that must reproduce it — and the genesis entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeedCheckpointFile {
-    /// Sequence number of the seed batch (the mark batch agreed by
-    /// `f+1` matching offers).
-    pub seq: SeqNum,
-    /// Agreed digest of the KV snapshot.
-    pub kv_digest: Digest,
-    /// Agreed root of the ledger tree `M` at the seed point.
-    pub tree_root: Digest,
-    /// Absolute ledger length at the restore point — the base of the
-    /// suffix ledger and of the suffix segment run.
-    pub ledger_len: u64,
-    /// Next transaction index after the seed batch.
-    pub next_tx_index: u64,
+    /// The agreed checkpoint (the mark batch's `f+1` matching offers).
+    pub pin: CheckpointPin,
     /// Encoded genesis ledger entry (rebuilds the configuration and
     /// `H(gt)` locally).
     pub genesis_entry: Vec<u8>,
-    /// Serialized [`KvCheckpoint`].
-    pub kv_bytes: Vec<u8>,
-    /// Serialized [`Frontier`] of `M` at the restore point.
-    pub frontier_bytes: Vec<u8>,
-    /// Encoded seed batch entries (`[PrePrepare, Tx...]`) starting at
-    /// `ledger_len`.
-    pub seed_entries: Vec<Vec<u8>>,
-}
-
-fn put_chunk(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(bytes);
-}
-
-fn take_chunk(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
-    let (len_bytes, rest) = bytes.split_first_chunk::<4>()?;
-    let len = u32::from_le_bytes(*len_bytes) as usize;
-    if rest.len() < len {
-        return None;
-    }
-    Some(rest.split_at(len))
+    /// What the restore verified; its `ledger_len` is the base of the
+    /// suffix ledger and of the suffix segment run.
+    pub payload: CheckpointPayload,
 }
 
 impl SeedCheckpointFile {
-    /// Serialize: magic, pinned digests, lengths, then the
-    /// length-prefixed payload sections.
+    /// Serialize: the magic, then pin, genesis entry and payload in their
+    /// wire encoding.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&self.seq.0.to_le_bytes());
-        out.extend_from_slice(self.kv_digest.as_ref());
-        out.extend_from_slice(self.tree_root.as_ref());
-        out.extend_from_slice(&self.ledger_len.to_le_bytes());
-        out.extend_from_slice(&self.next_tx_index.to_le_bytes());
-        put_chunk(&mut out, &self.genesis_entry);
-        put_chunk(&mut out, &self.kv_bytes);
-        put_chunk(&mut out, &self.frontier_bytes);
-        out.extend_from_slice(&(self.seed_entries.len() as u32).to_le_bytes());
-        for e in &self.seed_entries {
-            put_chunk(&mut out, e);
-        }
+        let mut out = MAGIC.to_vec();
+        self.pin.encode(&mut out);
+        self.genesis_entry.encode(&mut out);
+        self.payload.encode(&mut out);
         out
     }
 
     /// Decode [`SeedCheckpointFile::to_bytes`]. Purely structural —
-    /// truncated, oversized or trailing bytes reject; digest checks are
-    /// [`SeedCheckpointFile::digest_check`]'s job.
+    /// truncated, oversized or trailing bytes reject; the pin check is
+    /// [`SeedCheckpointFile::load`]'s job.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let rest = bytes.strip_prefix(MAGIC.as_slice())?;
-        let (seq, rest) = rest.split_first_chunk::<8>()?;
-        let (kv_digest, rest) = rest.split_first_chunk::<32>()?;
-        let (tree_root, rest) = rest.split_first_chunk::<32>()?;
-        let (ledger_len, rest) = rest.split_first_chunk::<8>()?;
-        let (next_tx_index, rest) = rest.split_first_chunk::<8>()?;
-        let (genesis_entry, rest) = take_chunk(rest)?;
-        let (kv_bytes, rest) = take_chunk(rest)?;
-        let (frontier_bytes, rest) = take_chunk(rest)?;
-        let (n_bytes, mut rest) = rest.split_first_chunk::<4>()?;
-        let n = u32::from_le_bytes(*n_bytes) as usize;
-        // Each listed entry costs at least its 4-byte length prefix, so
-        // a hostile count cannot exceed the remaining input.
-        if n > rest.len() / 4 + 1 {
-            return None;
-        }
-        let mut seed_entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (e, r) = take_chunk(rest)?;
-            seed_entries.push(e.to_vec());
-            rest = r;
-        }
-        if !rest.is_empty() {
-            return None;
-        }
-        Some(SeedCheckpointFile {
-            seq: SeqNum(u64::from_le_bytes(*seq)),
-            kv_digest: Digest(*kv_digest),
-            tree_root: Digest(*tree_root),
-            ledger_len: u64::from_le_bytes(*ledger_len),
-            next_tx_index: u64::from_le_bytes(*next_tx_index),
-            genesis_entry: genesis_entry.to_vec(),
-            kv_bytes: kv_bytes.to_vec(),
-            frontier_bytes: frontier_bytes.to_vec(),
-            seed_entries,
-        })
-    }
-
-    /// Check the stored payload still reproduces the pinned digests the
-    /// in-band mark-batch agreement fixed: the KV bytes must decode to a
-    /// self-consistent snapshot with digest `kv_digest`, the frontier
-    /// bytes to a frontier with root `tree_root`. Bit rot (or tampering)
-    /// in any section fails here before the restart path commits to the
-    /// seed.
-    pub fn digest_check(&self) -> bool {
-        KvCheckpoint::from_bytes_verified(&self.kv_bytes)
-            .is_some_and(|cp| cp.digest() == self.kv_digest)
-            && Frontier::decode_root(&self.frontier_bytes) == Some(self.tree_root)
+        let mut r = Reader::new(bytes.strip_prefix(MAGIC.as_slice())?);
+        let file = SeedCheckpointFile {
+            pin: CheckpointPin::decode(&mut r).ok()?,
+            genesis_entry: Vec::<u8>::decode(&mut r).ok()?,
+            payload: CheckpointPayload::decode(&mut r).ok()?,
+        };
+        (r.remaining() == 0).then_some(file)
     }
 
     /// Write to `dir/checkpoint.cp` crash-atomically: tmp file, fsync,
@@ -160,9 +77,11 @@ impl SeedCheckpointFile {
         File::open(dir)?.sync_all()
     }
 
-    /// Load `dir/checkpoint.cp` if present and digest-consistent.
+    /// Load `dir/checkpoint.cp` if present and its payload passes the pin
+    /// check ([`CheckpointRecord::pinned`]) — bit rot or tampering in any
+    /// section fails here before the restart path commits to the seed.
     /// Returns `Ok(None)` when the file is absent; undecodable or
-    /// digest-inconsistent contents are an error (the directory claims a
+    /// pin-inconsistent contents are an error (the directory claims a
     /// seeded layout it cannot back).
     pub fn load(dir: &Path) -> io::Result<Option<Self>> {
         let bytes = match fs::read(dir.join(CHECKPOINT_FILE)) {
@@ -172,11 +91,7 @@ impl SeedCheckpointFile {
         };
         let seed = Self::from_bytes(&bytes)
             .ok_or_else(|| io::Error::other("seed checkpoint file does not decode"))?;
-        if !seed.digest_check() {
-            return Err(io::Error::other(
-                "seed checkpoint payload does not reproduce its pinned digests",
-            ));
-        }
+        CheckpointRecord::pinned(&seed.pin, &seed.payload).map_err(io::Error::other)?;
         Ok(Some(seed))
     }
 }
@@ -184,32 +99,38 @@ impl SeedCheckpointFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ia_ccf_merkle::Frontier;
+    use ia_ccf_types::{Digest, SeqNum};
 
     fn sample() -> SeedCheckpointFile {
         let mut kv = ia_ccf_kv::KvStore::new();
         kv.begin_tx().unwrap();
         kv.put(b"k".to_vec(), b"v".to_vec()).unwrap();
         kv.commit_tx().unwrap();
-        let cp = kv.checkpoint();
         let mut frontier = Frontier::new();
         frontier.append(ia_ccf_crypto::hash_bytes(b"leaf"));
-        SeedCheckpointFile {
+        let record = CheckpointRecord {
             seq: SeqNum(40),
-            kv_digest: cp.digest(),
-            tree_root: frontier.root(),
+            kv: kv.checkpoint(),
+            frontier,
             ledger_len: 123,
             next_tx_index: 99,
+        };
+        SeedCheckpointFile {
+            pin: record.pin(),
             genesis_entry: vec![1, 2, 3],
-            kv_bytes: cp.to_bytes(),
-            frontier_bytes: frontier.to_bytes(),
-            seed_entries: vec![vec![4, 5], vec![6]],
+            payload: record.payload(vec![vec![4, 5], vec![6]]),
         }
+    }
+
+    fn pin_holds(seed: &SeedCheckpointFile) -> bool {
+        CheckpointRecord::pinned(&seed.pin, &seed.payload).is_ok()
     }
 
     #[test]
     fn roundtrip_and_digest_check() {
         let seed = sample();
-        assert!(seed.digest_check());
+        assert!(pin_holds(&seed));
         let decoded = SeedCheckpointFile::from_bytes(&seed.to_bytes()).unwrap();
         assert_eq!(decoded, seed);
         // Truncations never decode.
@@ -227,13 +148,13 @@ mod tests {
     fn digest_check_catches_payload_rot() {
         let mut seed = sample();
         // Flip a byte deep inside the KV payload.
-        let n = seed.kv_bytes.len();
-        seed.kv_bytes[n - 1] ^= 0xff;
-        assert!(!seed.digest_check());
+        let n = seed.payload.kv_bytes.len();
+        seed.payload.kv_bytes[n - 1] ^= 0xff;
+        assert!(!pin_holds(&seed));
 
         let mut seed = sample();
-        seed.tree_root = Digest::zero();
-        assert!(!seed.digest_check());
+        seed.pin.tree_root = Digest::zero();
+        assert!(!pin_holds(&seed));
     }
 
     #[test]

@@ -478,7 +478,8 @@ impl Ledger {
 
     /// Exact framed size of entries `[from, to_exclusive)` as a fetch
     /// response carries them: encoded bytes plus the `u32` length prefix
-    /// each — lets a page server budget a segment without encoding it.
+    /// each (the benchmark's `ledger_bytes_per_tx`). Costs an encode per
+    /// entry, so a page server sizes what it has already encoded instead.
     pub fn encoded_range_len(&self, from: LedgerIdx, to_exclusive: LedgerIdx) -> u64 {
         let (lo, hi) = self.clamp_range(from, to_exclusive);
         self.entries[lo..hi].iter().map(|e| e.encoded_len() as u64 + 4).sum()

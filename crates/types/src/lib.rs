@@ -28,8 +28,8 @@ pub use config::{Configuration, MemberDesc, ReplicaDesc};
 pub use entry::{LedgerEntry, TxLedgerEntry, TxResult};
 pub use ids::{ClientId, LedgerIdx, MemberId, ProcId, ReplicaBitmap, ReplicaId, SeqNum, View};
 pub use messages::{
-    BatchKind, Commit, NewViewMsg, PrePrepare, PrePrepareCore, Prepare, ProtocolMsg, Reply,
-    ReplyX, ViewChange,
+    BatchKind, CheckpointPayload, CheckpointPin, Commit, NewViewMsg, PrePrepare, PrePrepareCore,
+    Prepare, ProtocolMsg, Reply, ReplyX, ViewChange,
 };
 pub use receipt::{
     evidence_target, lowest_ranked_quorum, BatchCertificate, EvidenceError, Receipt, ReceiptBody,

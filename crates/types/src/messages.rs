@@ -402,13 +402,9 @@ pub enum ProtocolMsg {
         /// Highest batch sequence number this replica has committed.
         tip: SeqNum,
         /// Newest *agreed* checkpoint this replica can serve (its digest
-        /// is pinned by a committed checkpoint batch), or `SeqNum(0)`
-        /// when it offers none — recovery then pages from genesis.
-        cp_seq: SeqNum,
-        /// The checkpoint's KV digest `d_C`.
-        cp_kv_digest: Digest,
-        /// Root of the ledger tree `M` at the checkpoint's restore point.
-        cp_tree_root: Digest,
+        /// is pinned by a committed checkpoint batch); `None` when it
+        /// offers none — recovery then pages from genesis.
+        offer: Option<CheckpointPin>,
     },
     /// Ask a peer for the checkpoint it offered in its tip response.
     FetchCheckpoint {
@@ -416,29 +412,12 @@ pub enum ProtocolMsg {
         seq: SeqNum,
     },
     /// The checkpoint payload answering a [`ProtocolMsg::FetchCheckpoint`].
-    /// Everything here is attacker-controlled until verified: the KV bytes
-    /// against the agreed `d_C`, the frontier's root against the agreed
-    /// tree root, and the seed entries against the frontier and the
-    /// pre-prepare's signature. Empty `kv_bytes` means the server refuses
-    /// (no longer holds that checkpoint).
     FetchCheckpointResponse {
         /// Which checkpoint this is.
         seq: SeqNum,
-        /// `KvCheckpoint::to_bytes` of the store snapshot (empty =
-        /// refusal).
-        kv_bytes: Vec<u8>,
-        /// `Frontier::to_bytes` of the ledger tree at the restore point.
-        frontier: Vec<u8>,
-        /// Ledger entry count at the restore point.
-        ledger_len: u64,
-        /// Next transaction index after the checkpoint batch executed.
-        next_tx_index: u64,
-        /// Wire-encoded ledger entries from the restore point through the
-        /// end of the checkpoint batch's segment (its pre-prepare and tx
-        /// entries) — the checkpoint is taken mid-batch, after the
-        /// evidence pair but before the batch's own segment, so replay
-        /// must be seeded with that segment to resume at `cp_seq + 1`.
-        seed_entries: Vec<Vec<u8>>,
+        /// The payload, or `None`: the server refuses (it no longer holds
+        /// that checkpoint).
+        payload: Option<CheckpointPayload>,
     },
     /// Client asks for governance receipts from an index (§5.2).
     FetchGovReceipts {
@@ -474,6 +453,42 @@ pub enum ProtocolMsg {
         /// Commit messages (revealed nonces) for the batch.
         commits: Vec<Commit>,
     },
+}
+
+/// A checkpoint offer as tip replies pin it (§3.4): `f + 1` identical pins
+/// mean at least one honest replica holds exactly this agreed checkpoint.
+/// Whichever door a checkpoint comes through — a peer's reply or the local
+/// seed file — its [`CheckpointPayload`] is checked against one of these.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CheckpointPin {
+    /// Sequence number the checkpoint was taken at.
+    pub seq: SeqNum,
+    /// The checkpoint's KV digest `d_C`.
+    pub kv_digest: Digest,
+    /// Root of the ledger tree `M` at the checkpoint's restore point.
+    pub tree_root: Digest,
+}
+
+/// What restoring a pinned checkpoint takes. Everything here is
+/// attacker-controlled until checked: the KV bytes against the pinned
+/// `d_C`, the frontier's root against the pinned tree root, and the seed
+/// entries against the frontier and the pre-prepare's signature.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckpointPayload {
+    /// `KvCheckpoint::to_bytes` of the store snapshot.
+    pub kv_bytes: Vec<u8>,
+    /// `Frontier::to_bytes` of the ledger tree at the restore point.
+    pub frontier: Vec<u8>,
+    /// Ledger entry count at the restore point.
+    pub ledger_len: u64,
+    /// Next transaction index after the checkpoint batch executed.
+    pub next_tx_index: u64,
+    /// Wire-encoded ledger entries from the restore point through the end
+    /// of the checkpoint batch's segment (its pre-prepare and tx entries)
+    /// — the checkpoint is taken mid-batch, after the evidence pair but
+    /// before the batch's own segment, so replay must be seeded with that
+    /// segment to resume at the batch after the checkpoint.
+    pub seed_entries: Vec<Vec<u8>>,
 }
 
 // ---------------------------------------------------------------------
@@ -736,6 +751,50 @@ impl Wire for NewViewMsg {
     }
 }
 
+impl Wire for CheckpointPin {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.seq.encode(buf);
+        self.kv_digest.encode(buf);
+        self.tree_root.encode(buf);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(CheckpointPin {
+            seq: SeqNum::decode(r)?,
+            kv_digest: Digest::decode(r)?,
+            tree_root: Digest::decode(r)?,
+        })
+    }
+    fn encoded_len(&self) -> usize {
+        self.seq.encoded_len() + self.kv_digest.encoded_len() + self.tree_root.encoded_len()
+    }
+}
+
+impl Wire for CheckpointPayload {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.kv_bytes.encode(buf);
+        self.frontier.encode(buf);
+        self.ledger_len.encode(buf);
+        self.next_tx_index.encode(buf);
+        encode_seq(&self.seed_entries, buf);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(CheckpointPayload {
+            kv_bytes: Vec::<u8>::decode(r)?,
+            frontier: Vec::<u8>::decode(r)?,
+            ledger_len: u64::decode(r)?,
+            next_tx_index: u64::decode(r)?,
+            seed_entries: decode_seq(r)?,
+        })
+    }
+    fn encoded_len(&self) -> usize {
+        self.kv_bytes.encoded_len()
+            + self.frontier.encoded_len()
+            + self.ledger_len.encoded_len()
+            + self.next_tx_index.encoded_len()
+            + encoded_len_seq(&self.seed_entries)
+    }
+}
+
 impl Wire for ProtocolMsg {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
@@ -819,35 +878,19 @@ impl Wire for ProtocolMsg {
             ProtocolMsg::FetchLedgerTip => {
                 buf.push(20);
             }
-            ProtocolMsg::LedgerTipResponse { tip, cp_seq, cp_kv_digest, cp_tree_root } => {
+            ProtocolMsg::LedgerTipResponse { tip, offer } => {
                 buf.push(21);
                 tip.encode(buf);
-                cp_seq.encode(buf);
-                cp_kv_digest.encode(buf);
-                cp_tree_root.encode(buf);
+                offer.encode(buf);
             }
             ProtocolMsg::FetchCheckpoint { seq } => {
                 buf.push(22);
                 seq.encode(buf);
             }
-            ProtocolMsg::FetchCheckpointResponse {
-                seq,
-                kv_bytes,
-                frontier,
-                ledger_len,
-                next_tx_index,
-                seed_entries,
-            } => {
+            ProtocolMsg::FetchCheckpointResponse { seq, payload } => {
                 buf.push(23);
                 seq.encode(buf);
-                kv_bytes.encode(buf);
-                frontier.encode(buf);
-                ledger_len.encode(buf);
-                next_tx_index.encode(buf);
-                (seed_entries.len() as u32).encode(buf);
-                for e in seed_entries {
-                    e.encode(buf);
-                }
+                payload.encode(buf);
             }
         }
     }
@@ -895,31 +938,13 @@ impl Wire for ProtocolMsg {
             20 => Ok(ProtocolMsg::FetchLedgerTip),
             21 => Ok(ProtocolMsg::LedgerTipResponse {
                 tip: SeqNum::decode(r)?,
-                cp_seq: SeqNum::decode(r)?,
-                cp_kv_digest: Digest::decode(r)?,
-                cp_tree_root: Digest::decode(r)?,
+                offer: Option::decode(r)?,
             }),
             22 => Ok(ProtocolMsg::FetchCheckpoint { seq: SeqNum::decode(r)? }),
-            23 => {
-                let seq = SeqNum::decode(r)?;
-                let kv_bytes = Vec::<u8>::decode(r)?;
-                let frontier = Vec::<u8>::decode(r)?;
-                let ledger_len = u64::decode(r)?;
-                let next_tx_index = u64::decode(r)?;
-                let n = u32::decode(r)?;
-                let mut seed_entries = Vec::with_capacity(n.min(4096) as usize);
-                for _ in 0..n {
-                    seed_entries.push(Vec::<u8>::decode(r)?);
-                }
-                Ok(ProtocolMsg::FetchCheckpointResponse {
-                    seq,
-                    kv_bytes,
-                    frontier,
-                    ledger_len,
-                    next_tx_index,
-                    seed_entries,
-                })
-            }
+            23 => Ok(ProtocolMsg::FetchCheckpointResponse {
+                seq: SeqNum::decode(r)?,
+                payload: Option::decode(r)?,
+            }),
             tag => Err(CodecError::BadTag { context: "ProtocolMsg", tag }),
         }
     }
@@ -955,28 +980,12 @@ impl Wire for ProtocolMsg {
                     + done.encoded_len()
             }
             ProtocolMsg::FetchLedgerTip => 0,
-            ProtocolMsg::LedgerTipResponse { tip, cp_seq, cp_kv_digest, cp_tree_root } => {
-                tip.encoded_len()
-                    + cp_seq.encoded_len()
-                    + cp_kv_digest.encoded_len()
-                    + cp_tree_root.encoded_len()
+            ProtocolMsg::LedgerTipResponse { tip, offer } => {
+                tip.encoded_len() + offer.encoded_len()
             }
             ProtocolMsg::FetchCheckpoint { seq } => seq.encoded_len(),
-            ProtocolMsg::FetchCheckpointResponse {
-                seq,
-                kv_bytes,
-                frontier,
-                ledger_len,
-                next_tx_index,
-                seed_entries,
-            } => {
-                seq.encoded_len()
-                    + kv_bytes.encoded_len()
-                    + frontier.encoded_len()
-                    + ledger_len.encoded_len()
-                    + next_tx_index.encoded_len()
-                    + 4
-                    + seed_entries.iter().map(Wire::encoded_len).sum::<usize>()
+            ProtocolMsg::FetchCheckpointResponse { seq, payload } => {
+                seq.encoded_len() + payload.encoded_len()
             }
         }
     }
@@ -1113,19 +1122,25 @@ mod tests {
             ProtocolMsg::FetchLedgerTip,
             ProtocolMsg::LedgerTipResponse {
                 tip: SeqNum(42),
-                cp_seq: SeqNum(40),
-                cp_kv_digest: hash_bytes(b"kv"),
-                cp_tree_root: hash_bytes(b"tree"),
+                offer: Some(CheckpointPin {
+                    seq: SeqNum(40),
+                    kv_digest: hash_bytes(b"kv"),
+                    tree_root: hash_bytes(b"tree"),
+                }),
             },
+            ProtocolMsg::LedgerTipResponse { tip: SeqNum(42), offer: None },
             ProtocolMsg::FetchCheckpoint { seq: SeqNum(40) },
             ProtocolMsg::FetchCheckpointResponse {
                 seq: SeqNum(40),
-                kv_bytes: vec![1, 2, 3],
-                frontier: vec![4, 5],
-                ledger_len: 123,
-                next_tx_index: 77,
-                seed_entries: vec![vec![9], vec![], vec![8, 8]],
+                payload: Some(CheckpointPayload {
+                    kv_bytes: vec![1, 2, 3],
+                    frontier: vec![4, 5],
+                    ledger_len: 123,
+                    next_tx_index: 77,
+                    seed_entries: vec![vec![9], vec![], vec![8, 8]],
+                }),
             },
+            ProtocolMsg::FetchCheckpointResponse { seq: SeqNum(40), payload: None },
         ];
         for m in msgs {
             assert_eq!(ProtocolMsg::from_bytes(&m.to_bytes()).unwrap(), m);
@@ -1141,19 +1156,23 @@ mod tests {
         assert_eq!(bytes, [20], "FetchLedgerTip is just its tag");
         assert_eq!(bytes.len(), tip_req.encoded_len());
 
-        let tip_resp = ProtocolMsg::LedgerTipResponse {
-            tip: SeqNum(5),
-            cp_seq: SeqNum(4),
-            cp_kv_digest: Digest([0xAB; 32]),
-            cp_tree_root: Digest([0xCD; 32]),
+        let pin = CheckpointPin {
+            seq: SeqNum(4),
+            kv_digest: Digest([0xAB; 32]),
+            tree_root: Digest([0xCD; 32]),
         };
+        let tip_resp = ProtocolMsg::LedgerTipResponse { tip: SeqNum(5), offer: Some(pin) };
         let bytes = tip_resp.to_bytes();
         assert_eq!(bytes[0], 21, "LedgerTipResponse tag");
         assert_eq!(bytes[1..9], [5, 0, 0, 0, 0, 0, 0, 0], "tip");
-        assert_eq!(bytes[9..17], [4, 0, 0, 0, 0, 0, 0, 0], "cp_seq");
-        assert_eq!(bytes[17..49], [0xAB; 32], "cp_kv_digest");
-        assert_eq!(bytes[49..81], [0xCD; 32], "cp_tree_root");
+        assert_eq!(bytes[9], 1, "an offer follows");
+        assert_eq!(bytes[10..18], [4, 0, 0, 0, 0, 0, 0, 0], "pin seq");
+        assert_eq!(bytes[18..50], [0xAB; 32], "pin kv_digest");
+        assert_eq!(bytes[50..82], [0xCD; 32], "pin tree_root");
         assert_eq!(bytes.len(), tip_resp.encoded_len());
+        let no_offer = ProtocolMsg::LedgerTipResponse { tip: SeqNum(5), offer: None };
+        assert_eq!(no_offer.to_bytes(), [21, 5, 0, 0, 0, 0, 0, 0, 0, 0], "tip, no offer");
+        assert_eq!(no_offer.to_bytes().len(), no_offer.encoded_len());
 
         let cp_req = ProtocolMsg::FetchCheckpoint { seq: SeqNum(4) };
         let bytes = cp_req.to_bytes();
@@ -1163,11 +1182,13 @@ mod tests {
 
         let cp_resp = ProtocolMsg::FetchCheckpointResponse {
             seq: SeqNum(4),
-            kv_bytes: vec![0xEE],
-            frontier: vec![0xFF, 0xFE],
-            ledger_len: 9,
-            next_tx_index: 3,
-            seed_entries: vec![vec![0x11]],
+            payload: Some(CheckpointPayload {
+                kv_bytes: vec![0xEE],
+                frontier: vec![0xFF, 0xFE],
+                ledger_len: 9,
+                next_tx_index: 3,
+                seed_entries: vec![vec![0x11]],
+            }),
         };
         let bytes = cp_resp.to_bytes();
         assert_eq!(bytes[0], 23, "FetchCheckpointResponse tag");
@@ -1175,6 +1196,7 @@ mod tests {
             bytes[1..],
             [
                 4, 0, 0, 0, 0, 0, 0, 0, // seq
+                1, // a payload follows
                 1, 0, 0, 0, 0xEE, // kv_bytes
                 2, 0, 0, 0, 0xFF, 0xFE, // frontier
                 9, 0, 0, 0, 0, 0, 0, 0, // ledger_len
@@ -1183,6 +1205,10 @@ mod tests {
                 1, 0, 0, 0, 0x11, // one 1-byte seed entry
             ],
         );
+        assert_eq!(bytes.len(), cp_resp.encoded_len());
+        let refusal = ProtocolMsg::FetchCheckpointResponse { seq: SeqNum(4), payload: None };
+        assert_eq!(refusal.to_bytes(), [23, 4, 0, 0, 0, 0, 0, 0, 0, 0], "seq, refusal");
+        assert_eq!(refusal.to_bytes().len(), refusal.encoded_len());
         assert_eq!(bytes.len(), cp_resp.encoded_len());
     }
 

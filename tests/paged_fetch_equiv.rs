@@ -331,12 +331,7 @@ fn endless_transaction_stream_is_bounded_and_abandoned() {
     for r in 0..3 {
         outs = fresh.handle(Input::Message {
             from: NodeId::Replica(ReplicaId(r)),
-            msg: ProtocolMsg::LedgerTipResponse {
-                tip: SeqNum(0),
-                cp_seq: SeqNum(0),
-                cp_kv_digest: ia_ccf_crypto::Digest::zero(),
-                cp_tree_root: ia_ccf_crypto::Digest::zero(),
-            },
+            msg: ProtocolMsg::LedgerTipResponse { tip: SeqNum(0), offer: None },
         });
     }
     assert!(outs
