@@ -11,7 +11,9 @@
 //!    [`VerifiedCerts`] memo for its own duration: a certificate's
 //!    signatures are checked once, every further receipt of the batch
 //!    costs its Merkle path. The memo is built per [`Auditor::audit`] call
-//!    and dropped on return — audits stay independent of each other;
+//!    and dropped on return — audits stay independent of each other — and
+//!    starts with the certificates step 2 proved for the receipts'
+//!    batches, so step 2 runs first; its verdict is still reported second;
 //! 2. **getCheckpointAndLedger** — obtain a well-formed package spanning
 //!    the receipts (a malformed one incriminates its server; checkpoint
 //!    digests must match the receipts' `d_C`);
@@ -154,20 +156,17 @@ impl Auditor {
             return violation(upom);
         }
 
+        // 2. Validate the package (well-formedness; Lemma 4). Run first so
+        // that step 1 need not re-check what it proves; reported second.
+        let config_for_seq = seq_config_fn(&package.entries, &history);
+        let validated = validate_package(&package.entries, &config_for_seq);
+
         // 1. auditReceipts.
-        if let Some(upom) = self.audit_receipts(receipts, &history) {
+        if let Some(upom) = self.audit_receipts(receipts, &history, validated.as_ref().ok()) {
             return violation(upom);
         }
 
-        // Order receipts by (seq, index, view) (§B.1.3).
-        let mut ordered: Vec<&StoredReceipt> = receipts.iter().collect();
-        ordered.sort_by_key(|r| {
-            (r.receipt.seq(), r.receipt.tx_index().unwrap_or_default(), r.receipt.view())
-        });
-
-        // 2. Validate the package (well-formedness; Lemma 4).
-        let config_for_seq = seq_config_fn(&package.entries, &history);
-        let validated = match validate_package(&package.entries, &config_for_seq) {
+        let validated = match validated {
             Ok(v) => v,
             Err(e) => {
                 return violation(Upom {
@@ -179,6 +178,12 @@ impl Auditor {
                 })
             }
         };
+
+        // Order receipts by (seq, index, view) (§B.1.3).
+        let mut ordered: Vec<&StoredReceipt> = receipts.iter().collect();
+        ordered.sort_by_key(|r| {
+            (r.receipt.seq(), r.receipt.tx_index().unwrap_or_default(), r.receipt.view())
+        });
 
         // Checkpoint consistency with the earliest receipt's d_C.
         if let Some(first) = ordered.first() {
@@ -253,14 +258,22 @@ impl Auditor {
 
     // ------------------------------------------------------------------
 
+    /// Step 1. `proved` is the package, when it is well-formed: the
+    /// certificates it proved for a receipt's batch go into the memo first,
+    /// so a receipt carrying one byte for byte under the same keys is not
+    /// signature-checked again.
     fn audit_receipts(
         &self,
         receipts: &[StoredReceipt],
         history: &ConfigHistory,
+        proved: Option<&ValidatedPackage>,
     ) -> Option<Upom> {
         // Local to this audit: repeated audits share nothing.
         let mut verified_certs = VerifiedCerts::new(VERIFIED_CERTS_CAPACITY);
         for sr in receipts {
+            for entry in proved.into_iter().flat_map(|v| v.proved_at(sr.receipt.seq())) {
+                verified_certs.insert_verified(entry);
+            }
             let config = history.config_for_gov_index(sr.receipt.gov_index());
             if let Err(e) = sr.receipt.verify_with(config, &mut verified_certs) {
                 return Some(Upom {

@@ -10,12 +10,13 @@
 //! that passes but replays incorrectly incriminates its signers (§4.1).
 
 use ia_ccf_core::viewchange::check_new_view;
+use ia_ccf_crypto::VerifyJob;
 use ia_ccf_kv::KvCheckpoint;
 use ia_ccf_ledger::segment::{segment_entries, Segment};
 use ia_ccf_merkle::MerkleTree;
 use ia_ccf_types::{
     evidence_target, BatchCertificate, Configuration, Digest, EvidenceError, LedgerEntry,
-    PrePrepare, ReceiptError, ReplicaId, SeqNum, View, Wire,
+    PrePrepare, ProvedCert, ReceiptError, ReplicaId, SeqNum, View, Wire,
 };
 
 /// A ledger package served for auditing.
@@ -111,6 +112,10 @@ pub struct ValidatedPackage {
     /// the prepared batches the set's members claimed (Lemma 5 needs to
     /// distinguish honest reports from omissions).
     pub view_change_reports: Vec<ViewChangeReport>,
+    /// Ascending by sequence number: the receipt memo's entry for every
+    /// batch certificate the evidence encodes, its signatures proved by the
+    /// validation under the configuration governing that sequence number.
+    pub proved: Vec<(SeqNum, ProvedCert)>,
 }
 
 impl ValidatedPackage {
@@ -119,15 +124,47 @@ impl ValidatedPackage {
     pub fn batch_at(&self, seq: SeqNum) -> Option<&ValidatedBatch> {
         self.batches.iter().rev().find(|b| b.seq == seq)
     }
+
+    /// The proved certificates of the batches at `seq` (one per ordering
+    /// of it that a later batch evidences).
+    pub fn proved_at(&self, seq: SeqNum) -> impl Iterator<Item = ProvedCert> + '_ {
+        let from = self.proved.partition_point(|(s, _)| *s < seq);
+        self.proved[from..].iter().take_while(move |(s, _)| *s == seq).map(|(_, p)| *p)
+    }
 }
+
+/// Most signatures one combined equation checks. The pending chunk is
+/// flushed at this size, which bounds the payload bytes it holds.
+pub const SIG_CHUNK: usize = 256;
 
 /// Validate `entries` (a full ledger starting at genesis) without
 /// executing transactions: grammar, signatures, nonces, root progression.
 /// `config_for_seq` supplies the configuration governing each sequence
 /// number (derived from the governance sub-ledger).
+///
+/// The pre-prepare and evidence-prepare signatures are checked a chunk of
+/// [`SIG_CHUNK`] at a time by one combined equation
+/// (`ia_ccf_crypto::verify_batch_indices`, whose failed indices are exactly
+/// the single checks' verdicts). The verdict is still the first failing
+/// check in ledger order: a structural refusal is reported only once every
+/// signature queued before it has passed.
 pub fn validate_package(
     entries: &[LedgerEntry],
     config_for_seq: &dyn Fn(SeqNum) -> Configuration,
+) -> Result<ValidatedPackage, PackageError> {
+    let mut pending = PendingSigs::default();
+    match walk(entries, config_for_seq, &mut pending) {
+        Ok(out) => pending.flush().map(|()| out),
+        Err(why) => Err(pending.flush().err().unwrap_or(why)),
+    }
+}
+
+/// [`validate_package`]'s walk, with every signature check queued on
+/// `pending` rather than run.
+fn walk(
+    entries: &[LedgerEntry],
+    config_for_seq: &dyn Fn(SeqNum) -> Configuration,
+    pending: &mut PendingSigs,
 ) -> Result<ValidatedPackage, PackageError> {
     let segments =
         segment_entries(entries, 0).map_err(|e| PackageError::Malformed(e.to_string()))?;
@@ -171,8 +208,8 @@ pub fn validate_package(
                 // certificate the pair encodes over the evidenced
                 // pre-prepare, Alg. 3's shape — then the prepare signatures,
                 // the one part a replica checks as the messages arrive. The
-                // evidenced pre-prepare's own signature was checked at its
-                // segment.
+                // evidenced pre-prepare's own signature was queued at its
+                // segment; once both pass, the certificate is proved.
                 let p = config.pipeline_depth as u64;
                 let target = evidence_target(&pp.core, p)
                     .map_err(|why| evidence_refusal(*seq, why))?;
@@ -199,11 +236,17 @@ pub fn validate_package(
                     )
                     .and_then(|cert| {
                         cert.check_shape(&ev_config)?;
-                        cert.check_prepares(&ev_config, &evidenced.pp_digest)?;
                         Ok(cert)
                     })
                     .map_err(|why| evidence_refusal(ev_seq, why))?;
+                    let jobs = cert
+                        .prepare_jobs(&ev_config, &evidenced.pp_digest)
+                        .map_err(|why| evidence_refusal(ev_seq, why.into()))?;
+                    for (_, job) in jobs {
+                        pending.push(job, PackageError::BadEvidenceSig(ev_seq))?;
+                    }
                     evidenced_signers = cert.signer_ids(&ev_config);
+                    out.proved.push((ev_seq, cert.proved(&ev_config, &evidenced.pp.root_g)));
                     tree.append(entries[*ev_at].m_leaf());
                     tree.append(entries[*no_at].m_leaf());
                 }
@@ -213,14 +256,15 @@ pub fn validate_package(
                     return Err(PackageError::RootMismatch(*seq));
                 }
                 // Primary signature.
-                let payload = PrePrepare::signing_payload(&pp.core, &pp.root_g);
-                let ok = config
+                let key = config
                     .replica_key(pp.core.primary)
-                    .map(|k| k.verify(&payload, &pp.sig))
-                    .unwrap_or(false);
-                if !ok || config.primary_of(*view) != pp.core.primary {
-                    return Err(PackageError::BadPrePrepareSig(*seq));
-                }
+                    .filter(|_| config.primary_of(*view) == pp.core.primary)
+                    .ok_or(PackageError::BadPrePrepareSig(*seq))?;
+                let msg = PrePrepare::signing_payload(&pp.core, &pp.root_g);
+                pending.push(
+                    VerifyJob { key: *key, msg, sig: pp.sig },
+                    PackageError::BadPrePrepareSig(*seq),
+                )?;
                 // Ḡ over the recorded ⟨t, i, o⟩ entries.
                 let mut g = MerkleTree::new();
                 for &ti in tx_at {
@@ -245,7 +289,37 @@ pub fn validate_package(
             }
         }
     }
+    out.proved.sort_by_key(|(seq, _)| *seq);
     Ok(out)
+}
+
+/// Signature checks queued in ledger order, each with the refusal its
+/// failure reports.
+#[derive(Default)]
+struct PendingSigs {
+    jobs: Vec<VerifyJob>,
+    fails_as: Vec<PackageError>,
+}
+
+impl PendingSigs {
+    /// Queue one check; a full chunk is checked on the spot.
+    fn push(&mut self, job: VerifyJob, fails_as: PackageError) -> Result<(), PackageError> {
+        self.jobs.push(job);
+        self.fails_as.push(fails_as);
+        if self.jobs.len() >= SIG_CHUNK {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Check everything queued: the earliest failure is the refusal.
+    fn flush(&mut self) -> Result<(), PackageError> {
+        let first_failed = ia_ccf_crypto::verify_batch_indices(&self.jobs).first().copied();
+        self.jobs.clear();
+        let refusal = first_failed.map(|i| self.fails_as.swap_remove(i));
+        self.fails_as.clear();
+        refusal.map_or(Ok(()), Err)
+    }
 }
 
 /// A refusal of the replicas' evidence rule, in this module's terms.

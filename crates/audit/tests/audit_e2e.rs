@@ -5,6 +5,7 @@
 
 use std::sync::Arc;
 
+use ia_ccf_audit::package::validate_package;
 use ia_ccf_audit::{
     AuditOutcome, Auditor, Enforcer, LedgerPackage, StoredReceipt, Upom, UpomKind,
 };
@@ -168,6 +169,47 @@ fn tampered_ledger_fragment_is_not_well_formed() {
     let upom = outcome.upom().expect("violation");
     // The forged entry breaks Ḡ against the signed pre-prepare.
     assert_eq!(upom.kind, UpomKind::BadPackage);
+}
+
+/// The package is validated before the receipts are (the certificates it
+/// proves seed the receipts' memo), yet a bad receipt is still reported
+/// before a bad package, and a receipt whose certificate differs in one
+/// signature from the one the ledger proved is still checked in full.
+#[test]
+fn receipts_are_judged_first_and_only_proved_bytes_skip_their_checks() {
+    let s = spec(4);
+    let counter: Arc<dyn ia_ccf_core::App> = Arc::new(CounterApp);
+    let (cluster, receipts) = run_cluster(&s, |_| Arc::clone(&counter), 8);
+    let honest = LedgerPackage::from_replica(cluster.replica(ReplicaId(0)), SeqNum(0));
+    let validated = validate_package(&honest.entries, &|_| s.genesis.clone()).expect("well-formed");
+    let proved = receipts
+        .iter()
+        .position(|sr| {
+            let root_g = sr.receipt.implied_root_g().expect("a valid receipt");
+            let ours = sr.receipt.cert.proved(&s.genesis, &root_g);
+            validated.proved_at(sr.receipt.seq()).any(|proved| proved == ours)
+        })
+        .expect("the ledger proves some receipt's certificate byte for byte");
+
+    let mut forged = receipts.clone();
+    forged[proved].receipt.cert.prepare_sigs[0].0[7] ^= 1;
+    let mut tampered = honest.clone();
+    let at = tampered
+        .entries
+        .iter()
+        .rposition(|e| matches!(e, LedgerEntry::Tx(_)))
+        .expect("a transaction");
+    let LedgerEntry::Tx(tx) = &mut tampered.entries[at] else { unreachable!() };
+    tx.result.output.push(0xFF);
+
+    let auditor = Auditor::new(s.genesis.clone(), Arc::new(CounterApp));
+    let kind = |receipts: &[StoredReceipt], package: &LedgerPackage| {
+        auditor.audit(receipts, &GovernanceChain::new(), package).upom().map(|u| u.kind.clone())
+    };
+    assert_eq!(kind(&receipts, &honest), None);
+    assert_eq!(kind(&forged, &honest), Some(UpomKind::InvalidReceipt));
+    assert_eq!(kind(&forged, &tampered), Some(UpomKind::InvalidReceipt));
+    assert_eq!(kind(&receipts, &tampered), Some(UpomKind::BadPackage));
 }
 
 #[test]

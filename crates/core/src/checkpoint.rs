@@ -53,8 +53,9 @@ impl CheckpointRecord {
     }
 
     /// The pin check, whichever door the payload came through: the KV
-    /// bytes decode to a self-consistent snapshot with the pinned digest
-    /// and the frontier bytes to a frontier with the pinned root. Returns
+    /// bytes are a canonical body (`KvCheckpoint::from_bytes`) that hashes
+    /// to its advertised digest, and that digest is the pinned one; the
+    /// frontier bytes decode to a frontier with the pinned root. Returns
     /// the record the payload describes.
     pub(crate) fn pinned(
         pin: &CheckpointPin,

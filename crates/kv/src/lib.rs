@@ -30,6 +30,12 @@
 //! [`ShardedKvStore`] splits the key space into hash-partitioned shards
 //! ([`shard_of`]); every digest/checkpoint is computed over the merged key
 //! order and is byte-identical for any shard count.
+//!
+//! A store's digest is the digest of its checkpoint, and a checkpoint is
+//! its canonical encoding ([`KvCheckpoint`]): one definition of the bytes
+//! for the store digest, the checkpoint record, the transfer payload and
+//! the restore. Checkpoint agreement and audit replay compare these
+//! digests across replicas with different shard layouts.
 
 mod checkpoint;
 mod shard;
@@ -47,27 +53,6 @@ pub use write_set::TxWriteSet;
 pub type Key = Vec<u8>;
 /// Values are arbitrary byte strings.
 pub type Value = Vec<u8>;
-
-/// The canonical store-contents digest:
-/// `len ‖ (key-len ‖ key ‖ value-len ‖ value)*` over entries in global
-/// key order. Single definition on purpose — [`KvStore::digest`],
-/// [`ShardedKvStore::digest`] and [`KvCheckpoint`] digests must stay
-/// byte-identical, since checkpoint agreement and audit replay compare
-/// them across replicas with different shard layouts.
-pub(crate) fn digest_entries<'a>(
-    len: usize,
-    entries: impl Iterator<Item = (&'a Key, &'a Value)>,
-) -> ia_ccf_crypto::Digest {
-    let mut h = ia_ccf_crypto::Hasher::new();
-    h.update((len as u64).to_le_bytes());
-    for (k, v) in entries {
-        h.update((k.len() as u32).to_le_bytes());
-        h.update(k);
-        h.update((v.len() as u32).to_le_bytes());
-        h.update(v);
-    }
-    h.finalize()
-}
 
 /// Object-safe data-plane access to a store: the subset of operations a
 /// stored procedure may perform. Implemented by [`KvStore`] (one shard;

@@ -20,7 +20,6 @@
 //!   per shard but driven in lockstep, so the replica's rollback and
 //!   checkpoint paths keep their single-store semantics.
 
-use std::collections::BTreeMap;
 use std::iter::Peekable;
 
 use ia_ccf_crypto::Digest;
@@ -240,31 +239,30 @@ impl ShardedKvStore {
     // Checkpoints — canonical (shard-count independent)
     // ------------------------------------------------------------------
 
-    /// Deterministic digest over the merged contents. Byte-identical to
-    /// [`KvStore::digest`] of an equivalent single store, for any shard
-    /// count — checkpoint agreement must not depend on local layout (both
-    /// delegate to the crate's single `digest_entries` definition).
+    /// Deterministic digest over the merged contents: the digest of
+    /// [`Self::checkpoint`]. Byte-identical to [`KvStore::digest`] of an
+    /// equivalent single store, for any shard count — checkpoint agreement
+    /// must not depend on local layout.
     pub fn digest(&self) -> Digest {
-        crate::digest_entries(self.len(), self.iter())
+        self.checkpoint().digest()
     }
 
-    /// Snapshot the merged state into a (layout-independent) checkpoint.
+    /// Snapshot the merged state into a (layout-independent) checkpoint:
+    /// the canonical body written in one pass over the merged key order.
     pub fn checkpoint(&self) -> KvCheckpoint {
-        let entries: BTreeMap<Key, Value> =
-            self.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        KvCheckpoint::from_entries(entries)
+        KvCheckpoint::encode(self.len(), self.iter())
     }
 
     /// Replace the contents from a checkpoint, routing each entry to its
     /// shard; clears all undo state.
     pub fn restore(&mut self, cp: &KvCheckpoint) {
         let n = self.shards.len();
-        let mut parts: Vec<BTreeMap<Key, Value>> = (0..n).map(|_| BTreeMap::new()).collect();
+        let mut parts: Vec<Vec<(Key, Value)>> = (0..n).map(|_| Vec::new()).collect();
         for (k, v) in cp.entries() {
-            parts[shard_of(k, n)].insert(k.clone(), v.clone());
+            parts[shard_of(k, n)].push((k.to_vec(), v.to_vec()));
         }
         for (shard, part) in self.shards.iter_mut().zip(parts) {
-            shard.set_entries(part);
+            shard.set_entries(part.into_iter().collect());
         }
     }
 }

@@ -234,20 +234,22 @@ impl KvStore {
     // Checkpoints
     // ------------------------------------------------------------------
 
-    /// Deterministic digest over the full store contents. O(n) — the cost
-    /// that makes frequent checkpoints over large stores expensive (Fig. 6).
+    /// Deterministic digest over the full store contents: the digest of
+    /// its checkpoint. O(n) — the cost that makes frequent checkpoints over
+    /// large stores expensive (Fig. 6).
     pub fn digest(&self) -> Digest {
-        crate::digest_entries(self.map.len(), self.map.iter())
+        self.checkpoint().digest()
     }
 
-    /// Snapshot the current state into a checkpoint (digest + contents).
+    /// Snapshot the current state into a checkpoint: one pass encodes the
+    /// map into its canonical body, one hash digests it.
     pub fn checkpoint(&self) -> KvCheckpoint {
-        KvCheckpoint::from_entries(self.map.clone())
+        KvCheckpoint::encode(self.map.len(), self.map.iter())
     }
 
     /// Replace the store contents from a checkpoint; clears all undo state.
     pub fn restore(&mut self, cp: &KvCheckpoint) {
-        self.set_entries(cp.entries().clone());
+        self.set_entries(cp.entries().map(|(k, v)| (k.to_vec(), v.to_vec())).collect());
     }
 }
 

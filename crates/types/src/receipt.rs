@@ -34,13 +34,17 @@
 //!   the configuration, a root recomputed from a tampered witness — is a
 //!   different key, hence a miss, hence a full check.
 //! * **Only successes are stored.** A failing check stores nothing and
-//!   returns the same [`ReceiptError`] as a cold [`Receipt::verify`].
+//!   returns the same [`ReceiptError`] as a cold [`Receipt::verify`]. A
+//!   verifier that has proved a certificate's signatures by other means
+//!   (the auditor's package validation) may seed it with
+//!   [`VerifiedCerts::insert_verified`] and [`BatchCertificate::proved`],
+//!   under the same key.
 //! * **Bounded, FIFO.** At capacity the oldest entry is evicted; an
 //!   evicted certificate is simply verified again.
 
 use std::collections::{HashMap, VecDeque};
 
-use ia_ccf_crypto::{hash_bytes, Digest, Nonce, Signature};
+use ia_ccf_crypto::{hash_bytes, Digest, Nonce, Signature, VerifyJob};
 use serde::{Deserialize, Serialize};
 
 use crate::config::Configuration;
@@ -440,13 +444,30 @@ impl BatchCertificate {
         config: &Configuration,
         pp_digest: &Digest,
     ) -> Result<(), ReceiptError> {
-        for (rank, prepare) in self.prepares(config, pp_digest)? {
-            let desc = config.replica_at_rank(rank).ok_or(ReceiptError::UnknownSigner(rank))?;
-            if !desc.key.verify(&prepare.own_payload(), &prepare.sig) {
+        for (rank, job) in self.prepare_jobs(config, pp_digest)? {
+            if !job.key.verify(&job.msg, &job.sig) {
                 return Err(ReceiptError::BadPrepareSig(rank));
             }
         }
         Ok(())
+    }
+
+    /// The signature checks [`Self::check_prepares`] runs, with their
+    /// ranks, for a verifier that checks many at once (the auditor's
+    /// package validation): job `i` failing is `BadPrepareSig(rank_i)`.
+    pub fn prepare_jobs(
+        &self,
+        config: &Configuration,
+        pp_digest: &Digest,
+    ) -> Result<Vec<(usize, VerifyJob)>, ReceiptError> {
+        self.prepares(config, pp_digest)?
+            .into_iter()
+            .map(|(rank, prepare)| {
+                let desc = config.replica_at_rank(rank).ok_or(ReceiptError::UnknownSigner(rank))?;
+                let msg = prepare.own_payload();
+                Ok((rank, VerifyJob { key: desc.key, msg, sig: prepare.sig }))
+            })
+            .collect()
     }
 
     /// The signatures of Alg. 3: the primary's over the pre-prepare
@@ -465,6 +486,18 @@ impl BatchCertificate {
         let pp_digest = PrePrepare::digest_from_parts(&self.core, root_g, &self.primary_sig);
         self.check_prepares(config, &pp_digest)?;
         Ok(pp_digest)
+    }
+
+    /// The [`VerifiedCerts`] entry for this certificate over `root_g` under
+    /// `config`, for a verifier that has itself passed every check the memo
+    /// elides: the primary's signature over the pre-prepare rebuilt around
+    /// `root_g` and [`Self::check_prepares`], under `config`'s keys. The
+    /// auditor's package validation is that verifier.
+    pub fn proved(&self, config: &Configuration, root_g: &Digest) -> ProvedCert {
+        ProvedCert {
+            key: self.memo_key(config, root_g),
+            pp_digest: PrePrepare::digest_from_parts(&self.core, root_g, &self.primary_sig),
+        }
     }
 
     /// The [`VerifiedCerts`] key: a digest of every byte
@@ -495,6 +528,14 @@ impl BatchCertificate {
         encode_seq(&self.nonces, &mut buf);
         hash_bytes(&buf)
     }
+}
+
+/// One [`VerifiedCerts`] entry: a certificate's key and the `H(pp)` its
+/// signature checks return, made by [`BatchCertificate::proved`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ProvedCert {
+    key: Digest,
+    pp_digest: Digest,
 }
 
 /// A bounded, success-only memo of batch certificates whose signature
@@ -544,6 +585,16 @@ impl VerifiedCerts {
         self.verified.is_empty()
     }
 
+    /// Remember a certificate its verifier proved by other means (see
+    /// [`BatchCertificate::proved`]). The key is the one a receipt
+    /// computes, so only a receipt carrying that certificate byte for byte,
+    /// implying the same root, under the same keys, hits.
+    pub fn insert_verified(&mut self, proved: ProvedCert) {
+        if !self.verified.contains_key(&proved.key) {
+            self.insert(proved.key, proved.pp_digest);
+        }
+    }
+
     fn lookup(&mut self, key: &Digest) -> Option<Digest> {
         let found = self.verified.get(key).copied();
         match found {
@@ -562,7 +613,8 @@ impl VerifiedCerts {
                 self.verified.remove(&oldest);
             }
         }
-        // `insert` follows a failed `lookup`, so the key is new.
+        // `insert` follows a failed `lookup` or a `contains_key` miss, so
+        // the key is new.
         self.verified.insert(key, pp_digest);
         self.order.push_back(key);
     }
@@ -939,6 +991,31 @@ mod tests {
         config_c.replicas[3].key = ia_ccf_crypto::KeyPair::from_label("bystander").public();
         assert_eq!(receipts[1].verify_with(&config_c, &mut memo), receipts[1].verify(&config_c));
         assert_eq!((memo.hits(), memo.misses()), (1, 2));
+    }
+
+    #[test]
+    fn a_seeded_certificate_answers_only_for_its_own_bytes_and_keys() {
+        let (config, receipts) = sample_receipts(4, 3);
+        let proved = receipts[0].cert.proved(&config, &receipts[0].implied_root_g().unwrap());
+        let mut memo = VerifiedCerts::new(4);
+        memo.insert_verified(proved);
+        memo.insert_verified(proved);
+        assert_eq!(memo.len(), 1, "seeding twice remembers once");
+
+        let pp_digest = receipts[0].verify(&config).unwrap();
+        for honest in &receipts {
+            assert_eq!(honest.verify_with(&config, &mut memo), Ok(pp_digest));
+        }
+        assert_eq!((memo.hits(), memo.misses()), (3, 0), "no signature was checked");
+        let mut other_keys = config.clone();
+        other_keys.replicas[1].key = ia_ccf_crypto::KeyPair::from_label("intruder").public();
+        let cold = receipts[0].verify(&other_keys);
+        assert!(cold.is_err());
+        assert_eq!(receipts[0].verify_with(&other_keys, &mut memo), cold);
+        for (name, mutated) in single_field_mutations(&receipts[0]) {
+            assert_eq!(mutated.verify_with(&config, &mut memo), mutated.verify(&config), "{name}");
+        }
+        assert_eq!(memo.hits(), 3, "only the seeded bytes hit");
     }
 
     #[test]

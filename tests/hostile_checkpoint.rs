@@ -180,7 +180,8 @@ fn tip_claims_from_outside_the_configuration_do_not_vote() {
     let forged_seq = SeqNum(honest.seq.0 + C);
     let liar = cluster.replica(ReplicaId(1));
     let record = liar.checkpoints().at(forged_seq).expect("the liar holds the next checkpoint");
-    let mut entries = record.kv.entries().clone();
+    let mut entries: BTreeMap<Vec<u8>, Vec<u8>> =
+        record.kv.entries().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
     entries.insert(b"forged".to_vec(), b"1".to_vec());
     let forged_kv = KvCheckpoint::from_entries(entries);
     let forged_pin = CheckpointPin { kv_digest: forged_kv.digest(), ..record.pin() };
@@ -245,6 +246,8 @@ enum Row {
     UndecodableKv,
     KvIntegrityLie,
     KvDigestNotPinned,
+    /// The honest entries under the honest digest, in another order.
+    NonCanonicalKv,
     UndecodableFrontier,
     FrontierRootNotPinned,
     UndecodableSeedEntry,
@@ -260,10 +263,11 @@ enum Row {
     ReplyForAnotherSeq,
 }
 
-const ROWS: [Row; 15] = [
+const ROWS: [Row; 16] = [
     Row::UndecodableKv,
     Row::KvIntegrityLie,
     Row::KvDigestNotPinned,
+    Row::NonCanonicalKv,
     Row::UndecodableFrontier,
     Row::FrontierRootNotPinned,
     Row::UndecodableSeedEntry,
@@ -296,6 +300,22 @@ fn doctored(row: Row, honest: &CheckpointPayload) -> CheckpointPayload {
         Row::KvIntegrityLie => p.kv_bytes[0] ^= 1,
         Row::KvDigestNotPinned => {
             p.kv_bytes = KvCheckpoint::from_entries(BTreeMap::new()).to_bytes()
+        }
+        // Descending keys: a decoder that sorts them back into a map finds
+        // the honest store, and the honest digest, in bytes that are not its
+        // encoding.
+        Row::NonCanonicalKv => {
+            let honest = KvCheckpoint::from_bytes(&p.kv_bytes).expect("the honest body decodes");
+            let entries: Vec<(&[u8], &[u8])> = honest.entries().collect();
+            assert!(entries.len() >= 2, "the snapshot holds two keys to swap");
+            let mut bytes = p.kv_bytes[..32 + 8].to_vec();
+            for (k, v) in entries.iter().rev() {
+                bytes.extend_from_slice(&(k.len() as u32).to_le_bytes());
+                bytes.extend_from_slice(k);
+                bytes.extend_from_slice(&(v.len() as u32).to_le_bytes());
+                bytes.extend_from_slice(v);
+            }
+            p.kv_bytes = bytes;
         }
         Row::UndecodableFrontier => p.frontier = vec![0xFF],
         Row::FrontierRootNotPinned => p.frontier = Frontier::new().to_bytes(),

@@ -17,7 +17,7 @@ mod common;
 use std::sync::Arc;
 
 use common::{forge_new_view_pair, m_root, signed_view_change};
-use ia_ccf::audit::package::validate_package;
+use ia_ccf::audit::package::{validate_package, SIG_CHUNK};
 use ia_ccf::audit::{AuditOutcome, Auditor, LedgerPackage, PackageError, StoredReceipt};
 use ia_ccf::core::app::CounterApp;
 use ia_ccf::core::byzantine::Fault;
@@ -458,6 +458,78 @@ fn evidence_is_read_under_the_evidenced_batchs_view() {
     assert_eq!(
         validate_package(&ledger, &genesis_config).err(),
         Some(PackageError::EvidenceShape(SeqNum(1)))
+    );
+}
+
+/// The auditor checks a package's signatures a chunk at a time, and its
+/// verdict is still the first failing check in ledger order: of two forged
+/// signatures the earlier, a forged prepare before a structural refusal the
+/// prepare, and a forgery in the second chunk is still found.
+#[test]
+fn validate_package_reports_the_first_failure_in_ledger_order() {
+    let spec = spec();
+    let h = honest(&spec);
+    let genesis_config = |_: SeqNum| spec.genesis.clone();
+    let verdict = |segment: &[LedgerEntry]| {
+        validate_package(&[&h.prefix[..], segment].concat(), &genesis_config).err()
+    };
+    let forged_prepare = {
+        let mut ev = h.for_s1.clone();
+        ev.prepares[0].sig.0[7] ^= 1;
+        ev
+    };
+    let (_, segment) = h.carrier(&spec, &h.prefix, View(0), 3, Some(&forged_prepare));
+    let pp_at = segment.len() - 2;
+
+    // The prepare (ledger order: evidence before its carrier) and the
+    // carrier's own signature.
+    let mut both = segment.clone();
+    let LedgerEntry::PrePrepare(pp) = &mut both[pp_at] else { panic!("the carrier") };
+    pp.sig.0[7] ^= 1;
+    assert_eq!(verdict(&both), Some(PackageError::BadEvidenceSig(SeqNum(1))), "two forgeries");
+    let (_, honest_evidence) = h.carrier(&spec, &h.prefix, View(0), 3, Some(&h.for_s1));
+    let mut carrier_only = honest_evidence.clone();
+    let LedgerEntry::PrePrepare(pp) = &mut carrier_only[pp_at] else { panic!("the carrier") };
+    pp.sig.0[7] ^= 1;
+    assert_eq!(verdict(&carrier_only), Some(PackageError::BadPrePrepareSig(SeqNum(3))));
+
+    // A forged prepare, then a transaction that does not hash to `Ḡ`.
+    let mut then_root = segment.clone();
+    let LedgerEntry::Tx(tx) = &mut then_root[pp_at + 1] else { panic!("the transaction") };
+    tx.result.output.push(0xFF);
+    assert_eq!(verdict(&then_root), Some(PackageError::BadEvidenceSig(SeqNum(1))), "then Ḡ");
+    let mut root_only = honest_evidence;
+    root_only[pp_at + 1] = then_root[pp_at + 1].clone();
+    assert_eq!(verdict(&root_only), Some(PackageError::RootMismatch(SeqNum(3))));
+
+    // Past a chunk: the first pre-prepare whose signature the walk meets
+    // after the first `SIG_CHUNK`, as the last batch of a ledger that ends
+    // there, its signature forged.
+    let ledger = cluster_after(&spec, 95, None).replica(BACKUP).ledger().entries().to_vec();
+    let mut sigs = 0;
+    let past = ledger
+        .iter()
+        .position(|e| {
+            let before = sigs;
+            match e {
+                LedgerEntry::Evidence { prepares, .. } => sigs += prepares.len(),
+                LedgerEntry::PrePrepare(_) => sigs += 1,
+                _ => {}
+            }
+            before >= SIG_CHUNK && matches!(e, LedgerEntry::PrePrepare(_))
+        })
+        .expect("a ledger long enough for two chunks");
+    let txs = ledger[past + 1..].iter().take_while(|e| matches!(e, LedgerEntry::Tx(_))).count();
+    let end = past + 1 + txs;
+    let mut tail = ledger[..end].to_vec();
+    validate_package(&tail, &genesis_config).expect("the honest ledger is well-formed");
+    let LedgerEntry::PrePrepare(pp) = &mut tail[past] else { unreachable!() };
+    let seq = pp.seq();
+    pp.sig.0[7] ^= 1;
+    assert_eq!(
+        validate_package(&tail, &genesis_config).err(),
+        Some(PackageError::BadPrePrepareSig(seq)),
+        "a forgery in the second chunk"
     );
 }
 
