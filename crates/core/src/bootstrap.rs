@@ -60,7 +60,7 @@ use crate::app::App;
 use crate::checkpoint::CheckpointRecord;
 use crate::events::Output;
 use crate::params::ProtocolParams;
-use crate::pipeline::ordering::{EvidenceSet, RequestSigs};
+use crate::pipeline::ordering::{signed_by_view_primary, EvidenceSet, RequestSigs};
 use crate::replica::Replica;
 use crate::seedfile::SeedCheckpointFile;
 use crate::viewchange::{check_new_view, Refused};
@@ -241,7 +241,7 @@ impl Replica {
                 };
                 // Verify the primary's signature under the batch's
                 // configuration — before any state is touched.
-                if !self.signed_by_view_primary(self.config_for_seq(*seq), pp) {
+                if !signed_by_view_primary(self.config_for_seq(*seq), pp) {
                     return Err(BootstrapError::BadPrePrepareSig(*seq));
                 }
 
@@ -548,7 +548,7 @@ impl Replica {
         }
         // Signature under the active configuration (the fast-path is
         // only offered for single-configuration histories).
-        if !self.signed_by_view_primary(self.gov.active(), &pp) {
+        if !signed_by_view_primary(self.gov.active(), &pp) {
             return Err("seed pre-prepare signature invalid");
         }
         // The transaction run must carry contiguous indices ending at the

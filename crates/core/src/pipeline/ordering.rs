@@ -60,6 +60,16 @@ pub(crate) enum Refused {
     Exec(ExecError),
 }
 
+/// Whether `pp` names the primary of its view under `config` (its
+/// sequence number's configuration) and carries that replica's signature
+/// — asked of every pre-prepare before it touches state, and of every one
+/// a view-change reports.
+pub(crate) fn signed_by_view_primary(config: &Configuration, pp: &PrePrepare) -> bool {
+    let payload = PrePrepare::signing_payload(&pp.core, &pp.root_g);
+    config.primary_of(pp.view()) == pp.core.primary
+        && verify_replica_payload(config, pp.core.primary, &payload, &pp.sig)
+}
+
 impl Replica {
     // ------------------------------------------------------------------
     // Primary: sendPrePrepare (Alg. 1 line 4).
@@ -391,7 +401,7 @@ impl Replica {
         // batching where it matters), then the carrier clause: evidence for
         // any batch but `s − P`, or none above `P`, is dropped like a bad
         // signature.
-        if !self.signed_by_view_primary(&config, &pp) {
+        if !signed_by_view_primary(&config, &pp) {
             return;
         }
         let Ok(target) = evidence_target(&pp.core, self.pipeline_depth()) else {
@@ -426,15 +436,6 @@ impl Replica {
         }
 
         self.accept_pre_prepare(pp, batch, evidence);
-    }
-
-    /// Whether `pp` names the primary of its view under `config` (its
-    /// sequence number's configuration) and carries that replica's
-    /// signature — asked of every pre-prepare before it touches state.
-    pub(crate) fn signed_by_view_primary(&self, config: &Configuration, pp: &PrePrepare) -> bool {
-        let payload = PrePrepare::signing_payload(&pp.core, &pp.root_g);
-        config.primary_of(pp.view()) == pp.core.primary
-            && verify_replica_payload(config, pp.core.primary, &payload, &pp.sig)
     }
 
     /// The backup's half of `receivePrePrepare` past the network checks:

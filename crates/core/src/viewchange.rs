@@ -20,6 +20,7 @@ use ia_ccf_types::{
     ReplicaBitmap, ReplicaId, SeqNum, SignedRequest, View, ViewChange, Wire,
 };
 
+use crate::pipeline::ordering::signed_by_view_primary;
 use crate::replica::{verify_replica_payload, Replica};
 
 /// The clause of Alg. 2's validity rule a view-change or a new-view broke.
@@ -30,6 +31,9 @@ pub enum Refused {
     /// This replica's signature (on its view-change, or on the new-view)
     /// does not verify.
     BadSignature(ReplicaId),
+    /// A pre-prepare this sender reports does not carry the signature of
+    /// the primary of its view.
+    UnsignedPrePrepare(ReplicaId),
     /// `hasPrepares` fails: the last pre-prepare this sender reports is
     /// not proven prepared.
     NotPrepared(ReplicaId),
@@ -60,15 +64,19 @@ pub struct NewViewFacts {
 }
 
 /// Alg. 2 line 6: `vc` comes from a replica of `config`, carries its
-/// signature, and — `hasPrepares` — proves that the last pre-prepare it
-/// reports prepared: quorum − 1 distinct signed prepares matching it, none
-/// from its primary.
+/// signature, every pre-prepare it reports carries the signature of its
+/// view's primary, and — `hasPrepares` — the last of them is proven
+/// prepared: quorum − 1 distinct signed prepares matching it, none from
+/// its primary.
 pub fn check_view_change(config: &Configuration, vc: &ViewChange) -> Result<(), Refused> {
     if config.rank_of(vc.replica).is_none() {
         return Err(Refused::UnknownSender(vc.replica));
     }
     if !verify_replica_payload(config, vc.replica, &vc.own_payload(), &vc.sig) {
         return Err(Refused::BadSignature(vc.replica));
+    }
+    if !vc.pps.iter().all(|pp| signed_by_view_primary(config, pp)) {
+        return Err(Refused::UnsignedPrePrepare(vc.replica));
     }
     if let Some(last) = vc.pps.last() {
         let ppd = last.digest();

@@ -16,7 +16,8 @@
 //! parse — every job is checked by [`PublicKey::verify`] on its own, so
 //! the failed indices are exactly the singles' verdicts (§6.5: blame is
 //! per signature). A slice with one forged signature therefore costs the
-//! failed combined check plus the singles, ≈ 1.25× the singles alone.
+//! failed combined check plus the singles, ≈ 1.4× the singles alone in a
+//! slice of 300 with four keys.
 //!
 //! **One accept set.** The combined equation and the single check are both
 //! RFC 8032's cofactored equation (see `vendor/ed25519-dalek`), which is
@@ -34,15 +35,18 @@ use ia_ccf_pool::WorkerPool;
 use crate::keys::{PublicKey, Signature};
 
 /// Shortest slice the combined equation is tried on. Measured against
-/// singles, keys all distinct (its worst case): 1.07× their cost at 2
-/// jobs, 0.88× at 3, 0.77× at 4, 0.61× at 8 — 4 leaves room for the
-/// occasional failed slice, which pays for both.
-pub const VERIFY_BATCH_MIN: usize = 4;
+/// singles (≈ 24 µs each, the split kernel), keys all distinct (its worst
+/// case): 1.25× their cost at 4 jobs, 1.1× at 6, 1.0× at 8, 0.93× at 12,
+/// 0.89× at 16; four keys coalesced, 0.8× at 8 and 0.68× at 12. 12 is the
+/// first length where the worst case is ahead, and a failed slice pays
+/// for both.
+pub const VERIFY_BATCH_MIN: usize = 12;
 
 /// Smallest per-worker chunk: the combined equation has a fixed cost per
-/// slice (one chain of 253 doublings for the keys and `B`), so a chunk
-/// should hold enough signatures to spread it — at 32 a signature costs
-/// ≈ 14 µs against ≈ 11 µs in a slice of 300 and ≈ 43 µs singly.
+/// slice (one chain of 253 doublings for the keys and `B`, a table per
+/// key), so a chunk should hold enough signatures to spread it — at 32 a
+/// signature costs ≈ 20 µs with distinct keys and ≈ 12.5 µs with four,
+/// against ≈ 9 µs in a slice of 300 and ≈ 24 µs singly.
 pub const VERIFY_MIN_CHUNK: usize = 32;
 
 /// One verification work item: `sig` must verify over `msg` under `key`.
@@ -67,7 +71,7 @@ fn combined_check(jobs: &[VerifyJob]) -> bool {
         let next = keys.len();
         let slot = *slot_of.entry(job.key).or_insert(next);
         if slot == next {
-            match job.key.with_parsed(|vk| *vk) {
+            match job.key.with_parsed(ed25519_dalek::VerifyingKey::clone) {
                 Some(vk) => keys.push(vk),
                 None => return false,
             }

@@ -7,15 +7,16 @@
 //! sizes (Tab. 1, §6.4) keep their shape.
 //!
 //! [`PublicKey`] is the 32 wire bytes; turning them into a curve point
-//! and the table of multiples verification walks costs a field square
-//! root and eight point additions (≈ 5 µs of a ≈ 48 µs verification).
-//! The protocol verifies under a small fixed set of keys — the replicas,
-//! and the clients with requests in flight — so [`PublicKey::verify`]
-//! and the batch kernel keep the parsed form in a **thread-local,
-//! direct-mapped, fixed-size cache**: no lock for pool workers to
-//! contend on, a full 32-byte compare on every hit, only successfully
-//! parsed keys stored, a colliding key simply takes the slot. It changes
-//! no verdict — a miss parses exactly as before.
+//! and the split table verification walks costs a field square root,
+//! 192 doublings and 32 additions (≈ 28 µs, more than the ≈ 25 µs
+//! verification that uses it). The protocol verifies under a small fixed
+//! set of keys — the replicas, and the clients with requests in flight —
+//! so [`PublicKey::verify`] and the batch kernel keep the parsed form in a
+//! **thread-local, two-way set-associative cache of boxed keys**: no lock
+//! for pool workers to contend on, a full 32-byte compare on every hit,
+//! only successfully parsed keys stored, two keys whose first bytes meet
+//! in one set both stay, a third evicts the one used less recently. It
+//! changes no verdict — a miss parses exactly as before.
 
 use ed25519_dalek::{Signer as _, Verifier as _, VerifyingKey};
 use serde::{Deserialize, Serialize};
@@ -40,16 +41,20 @@ impl KeyPair {
     /// Generate a key pair from an OS RNG.
     pub fn generate() -> Self {
         let mut rng = rand::rngs::OsRng;
-        let signing = ed25519_dalek::SigningKey::generate(&mut rng);
-        let public = PublicKey(signing.verifying_key().to_bytes());
-        KeyPair { signing, public }
+        Self::from_signing(ed25519_dalek::SigningKey::generate(&mut rng))
     }
 
     /// Deterministic key pair from a 32-byte seed. Used by tests and the
     /// simulator so clusters are reproducible run-to-run.
     pub fn from_seed(seed: [u8; 32]) -> Self {
-        let signing = ed25519_dalek::SigningKey::from_bytes(&seed);
-        let public = PublicKey(signing.verifying_key().to_bytes());
+        Self::from_signing(ed25519_dalek::SigningKey::from_bytes(&seed))
+    }
+
+    /// The pair around `signing`. The public half is taken as bytes:
+    /// parsing it would build verification tables nobody may use.
+    fn from_signing(signing: ed25519_dalek::SigningKey) -> Self {
+        let mut public = PublicKey([0; PUBLIC_KEY_LEN]);
+        public.0.copy_from_slice(&signing.to_keypair_bytes()[32..]);
         KeyPair { signing, public }
     }
 
@@ -79,14 +84,18 @@ impl fmt::Debug for KeyPair {
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct PublicKey(pub [u8; PUBLIC_KEY_LEN]);
 
-/// Slots in each thread's parsed-key cache (≈ 1.5 KB each: the point
-/// and its eight-entry table).
-const KEY_CACHE_SLOTS: usize = 64;
+/// Sets in each thread's parsed-key cache. A set is two pointers, most
+/// recently used first; a parsed key (≈ 5.3 KB: the point and its split
+/// table) is on the heap, so only the keys in use take memory.
+const KEY_CACHE_SETS: usize = 32;
+
+/// One set of the cache.
+type KeySet = [Option<Box<VerifyingKey>>; 2];
 
 thread_local! {
-    /// Parsed keys, indexed by the key's first byte modulo the slot count.
-    static KEY_CACHE: RefCell<[Option<VerifyingKey>; KEY_CACHE_SLOTS]> =
-        const { RefCell::new([None; KEY_CACHE_SLOTS]) };
+    /// Parsed keys, in the set of the key's first byte modulo the set count.
+    static KEY_CACHE: RefCell<[KeySet; KEY_CACHE_SETS]> =
+        const { RefCell::new([const { [None, None] }; KEY_CACHE_SETS]) };
 }
 
 impl PublicKey {
@@ -94,11 +103,17 @@ impl PublicKey {
     /// is there; `None` when the bytes are not a curve point.
     pub(crate) fn with_parsed<T>(&self, f: impl FnOnce(&VerifyingKey) -> T) -> Option<T> {
         KEY_CACHE.with(|cache| {
-            let slot = &mut cache.borrow_mut()[self.0[0] as usize % KEY_CACHE_SLOTS];
-            if slot.as_ref().is_none_or(|vk| vk.to_bytes() != self.0) {
-                *slot = Some(VerifyingKey::from_bytes(&self.0).ok()?);
+            let set = &mut cache.borrow_mut()[self.0[0] as usize % KEY_CACHE_SETS];
+            let holds = |way: &Option<Box<VerifyingKey>>| {
+                way.as_ref().is_some_and(|vk| vk.to_bytes() == self.0)
+            };
+            if holds(&set[1]) {
+                set.swap(0, 1);
+            } else if !holds(&set[0]) {
+                let parsed = Box::new(VerifyingKey::from_bytes(&self.0).ok()?);
+                set[1] = set[0].replace(parsed);
             }
-            slot.as_ref().map(f)
+            set[0].as_deref().map(f)
         })
     }
 
@@ -220,23 +235,57 @@ mod tests {
         assert!(!kp.public().verify(b"m", &sig));
     }
 
-    #[test]
-    fn key_cache_never_changes_a_verdict() {
-        // Keys whose first byte maps to one slot evict each other; every
-        // verdict is still the key's own.
-        let mut same_slot: Vec<KeyPair> = Vec::new();
-        let mut i = 0;
-        while same_slot.len() < 3 {
-            let kp = KeyPair::from_label(&format!("slot-{i}"));
-            i += 1;
-            let slot = |k: &KeyPair| k.public().0[0] as usize % KEY_CACHE_SLOTS;
-            if same_slot.first().is_none_or(|first| slot(first) == slot(&kp)) {
-                same_slot.push(kp);
+    /// `n` keys whose first bytes map to one set.
+    fn same_set(n: usize) -> Vec<KeyPair> {
+        let set = |k: &KeyPair| k.public().0[0] as usize % KEY_CACHE_SETS;
+        let mut keys: Vec<KeyPair> = Vec::new();
+        for i in 0.. {
+            let kp = KeyPair::from_label(&format!("set-{i}"));
+            if keys.first().is_none_or(|first| set(first) == set(&kp)) {
+                keys.push(kp);
+            }
+            if keys.len() == n {
+                break;
             }
         }
-        let sigs: Vec<Signature> = same_slot.iter().map(|kp| kp.sign(b"m")).collect();
+        keys
+    }
+
+    /// The keys this thread's cache holds in `key`'s set, most recent first.
+    fn cached_in_set_of(key: &PublicKey) -> Vec<[u8; PUBLIC_KEY_LEN]> {
+        KEY_CACHE.with(|cache| {
+            cache.borrow()[key.0[0] as usize % KEY_CACHE_SETS]
+                .iter()
+                .flatten()
+                .map(|vk| vk.to_bytes())
+                .collect()
+        })
+    }
+
+    #[test]
+    fn two_keys_of_one_set_both_stay_cached() {
+        let keys = same_set(3);
+        let (a, b, c) = (keys[0].public(), keys[1].public(), keys[2].public());
+        let sigs: Vec<Signature> = keys.iter().map(|kp| kp.sign(b"m")).collect();
         for _ in 0..3 {
-            for (i, kp) in same_slot.iter().enumerate() {
+            assert!(a.verify(b"m", &sigs[0]) && b.verify(b"m", &sigs[1]));
+            assert_eq!(cached_in_set_of(&a), vec![b.0, a.0]);
+        }
+        // A third key evicts the one used less recently.
+        assert!(c.verify(b"m", &sigs[2]));
+        assert_eq!(cached_in_set_of(&a), vec![c.0, b.0]);
+        assert!(a.verify(b"m", &sigs[0]));
+        assert_eq!(cached_in_set_of(&a), vec![a.0, c.0]);
+    }
+
+    #[test]
+    fn key_cache_never_changes_a_verdict() {
+        // Three keys whose first bytes map to one two-way set evict each
+        // other; every verdict is still the key's own.
+        let same_set = same_set(3);
+        let sigs: Vec<Signature> = same_set.iter().map(|kp| kp.sign(b"m")).collect();
+        for _ in 0..3 {
+            for (i, kp) in same_set.iter().enumerate() {
                 for (j, sig) in sigs.iter().enumerate() {
                     assert_eq!(kp.public().verify(b"m", sig), i == j, "key {i}, sig {j}");
                 }

@@ -333,6 +333,36 @@ fn the_two_rules_differ_only_by_small_order_residues() {
     }
 }
 
+/// Mixed-order keys: `A' = A + T` for each of the eight small-order `T`,
+/// signed with `A`'s scalar (residue `−k·T`). The verification table of a
+/// key holds `A'` shifted by `2^(64j)`; each row must carry what is left of
+/// `T` for the verdict to be the reference's — which accepts all eight,
+/// while the cofactorless rule accepted only those with `k·T` zero.
+#[test]
+fn mixed_order_keys_get_the_same_verdict() {
+    let mut identity = [0u8; 32];
+    identity[0] = 1;
+    for (seed, msg) in [([5u8; 32], &b"m0"[..]), ([0x42; 32], &b"a client request"[..])] {
+        let signer = oracle::SigningKey::from_bytes(&seed);
+        let mut old_accepts = 0;
+        for t in small_order_encodings() {
+            let torsion = EdwardsPoint::decompress(&t).unwrap();
+            let (key, sig) = signer.sign_for_shifted_key(msg, &torsion);
+            let (old, new) = both_rules(&key, msg, &sig);
+            assert_eq!(new, Some(true), "torsion {t:02x?}");
+            old_accepts += (old == Some(true)) as u32;
+            if t == identity {
+                assert_eq!((key, old), (signer.public(), Some(true)));
+            }
+            // Made for one message only.
+            assert_eq!(both_rules(&key, b"another", &sig), (Some(false), Some(false)));
+        }
+        // `k·T` is zero for the identity and about one `T` in eight
+        // otherwise (`k` hashes `A'` too); the count is pinned.
+        assert_eq!(old_accepts, 2, "seed {seed:02x?}");
+    }
+}
+
 #[test]
 fn all_zero_inputs_get_the_same_verdict() {
     let (key, _) = honest(&[1; 32], b"m");

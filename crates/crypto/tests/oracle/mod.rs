@@ -5,8 +5,9 @@
 //! `point.rs` and `scalar.rs` are the old files (their unit tests run as
 //! part of this test crate); the signing and verification routines below
 //! are the old `SigningKey` / `VerifyingKey` method bodies (signing now
-//! with an optional small-order offset on `R`, for the tests that craft
-//! mixed-order signatures; the offset-free case is the old body), and
+//! with an optional small-order offset on `R` or on the key, for the
+//! tests that craft mixed-order signatures; the offset-free case is the
+//! old body), and
 //! the helpers at the end are shared by the test files that include this
 //! module.
 //!
@@ -70,17 +71,34 @@ impl SigningKey {
     /// it unless `T` is the identity; the cofactored rule accepts it; and
     /// in a sum of several without the factor 8 the `T`s can cancel.
     pub fn sign_with_torsion(&self, msg: &[u8], torsion: &EdwardsPoint) -> [u8; 64] {
+        self.sign_under(msg, torsion, &self.public)
+    }
+
+    /// The mixed-order key `A' = A + T` and a signature made with `a` as if
+    /// it were `A'`'s: `k = H(R ‖ A' ‖ M)`, `s = r + k·a`, so
+    /// `s·B − k·A' − R = −k·T`. The cofactored rule accepts it for every
+    /// `T`; the cofactorless one only where `k·T` is the identity.
+    pub fn sign_for_shifted_key(&self, msg: &[u8], torsion: &EdwardsPoint) -> ([u8; 32], [u8; 64]) {
+        let shifted = EdwardsPoint::decompress(&self.public)
+            .expect("A = a·B decodes")
+            .add(torsion)
+            .compress();
+        (shifted, self.sign_under(msg, &EdwardsPoint::identity(), &shifted))
+    }
+
+    /// `R ‖ s` with `R = r·B + r_torsion` and `k` hashed over `public`.
+    fn sign_under(&self, msg: &[u8], r_torsion: &EdwardsPoint, public: &[u8; 32]) -> [u8; 64] {
         // r = H(prefix ‖ M) mod ℓ; R = r·B (+ T); k = H(R ‖ A ‖ M) mod ℓ;
         // s = k·a + r mod ℓ.
         let mut h = Sha512::new();
         h.update(self.prefix);
         h.update(msg);
         let r = scalar::reduce_bytes(&h.finalize());
-        let big_r = EdwardsPoint::basepoint().mul_scalar(&r).add(torsion).compress();
+        let big_r = EdwardsPoint::basepoint().mul_scalar(&r).add(r_torsion).compress();
 
         let mut h = Sha512::new();
         h.update(big_r);
-        h.update(self.public);
+        h.update(public);
         h.update(msg);
         let k = scalar::reduce_bytes(&h.finalize());
         let s = scalar::mul_add(&k, &self.a, &r);

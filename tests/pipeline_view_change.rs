@@ -19,17 +19,18 @@ mod common;
 use std::sync::Arc;
 
 use common::{forge_new_view_pair, signed_view_change};
-use ia_ccf::audit::{AuditOutcome, Auditor, LedgerPackage, StoredReceipt};
+use ia_ccf::audit::package::validate_package;
+use ia_ccf::audit::{AuditOutcome, Auditor, LedgerPackage, PackageError, StoredReceipt};
 use ia_ccf::core::app::CounterApp;
 use ia_ccf::core::byzantine::Fault;
-use ia_ccf::core::viewchange::{check_new_view, Refused};
-use ia_ccf::core::{Input, NodeId, ProtocolParams};
+use ia_ccf::core::viewchange::{check_new_view, check_view_change, Refused};
+use ia_ccf::core::{BootstrapError, Input, NodeId, ProtocolParams};
 use ia_ccf::governance::chain::GovernanceChain;
 use ia_ccf_sim::{ClusterSpec, DetCluster};
 use ia_ccf_types::{
-    ClientId, GovAction, KeyPair, LedgerEntry, MemberDesc, MemberId, NonceCommitment, Prepare,
-    ProtocolMsg, ReplicaBitmap, ReplicaDesc, ReplicaId, Request, RequestAction, SeqNum,
-    SignedRequest, View, Wire,
+    ClientId, GovAction, KeyPair, LedgerEntry, MemberDesc, MemberId, NonceCommitment, PrePrepare,
+    Prepare, ProtocolMsg, ReplicaBitmap, ReplicaDesc, ReplicaId, Request, RequestAction, SeqNum,
+    Signature, SignedRequest, View, Wire,
 };
 
 /// The wire bytes of every `⟨t, i, o⟩` entry in a replica's ledger.
@@ -663,14 +664,17 @@ fn post_rollback_ledger_audits_clean() {
     assert!(matches!(outcome, AuditOutcome::Clean), "{:?}", outcome.upom());
 }
 
-/// Alg. 2 line 18 on the live path: a new-view moves a backup only if its
+/// Alg. 2 line 18 at its three doors: a new-view moves a backup, and a
+/// logged pair passes ledger replay and the auditor, only if its
 /// justification is a quorum of distinct, signed, proof-carrying
-/// view-changes for that view under the bitmap it names. Every hostile
-/// row is otherwise consistent — `h_vc` and `M̄′` computed over the
-/// backup's own ledger, the new-view signed with the would-be primary's
-/// key — so each is refused for the one clause it breaks, before anything
-/// is rolled back or sent; the genuine new-view for the same view is then
-/// accepted.
+/// view-changes for that view under the bitmap it names, each reported
+/// pre-prepare signed by its view's primary. Every hostile row is
+/// otherwise consistent — `h_vc` and `M̄′` computed over the backup's own
+/// ledger, the new-view signed with the would-be primary's key — so each
+/// is refused for the one clause it breaks: by the pure rule, by the live
+/// backup before anything is rolled back or sent, by `Replica::bootstrap`
+/// and by `validate_package`. The genuine new-view for the same view is
+/// then accepted.
 #[test]
 fn hostile_new_views_leave_a_backup_untouched() {
     let params = ProtocolParams { view_timeout_ticks: 15, ..ProtocolParams::default() };
@@ -692,12 +696,29 @@ fn hostile_new_views_leave_a_backup_untouched() {
     // The backup's last batch, reported as prepared on the strength of one
     // prepare (a quorum of 3 needs two besides the primary's pre-prepare).
     let last_pp = cluster.replica(backup).ledger().pp_at(SeqNum(3)).expect("three batches").clone();
-    let one_prepare = {
-        let (view, seq, replica) = (last_pp.view(), last_pp.seq(), ReplicaId(2));
-        let (nonce_commit, pp_digest) = (NonceCommitment::default(), last_pp.digest());
+    let prepare = |pp: &PrePrepare, r: u32| {
+        let (view, seq, replica) = (pp.view(), pp.seq(), ReplicaId(r));
+        let (nonce_commit, pp_digest) = (NonceCommitment::default(), pp.digest());
         let payload = Prepare::signing_payload(view, seq, replica, &nonce_commit, &pp_digest);
-        Prepare { view, seq, replica, nonce_commit, pp_digest, sig: keys[2].sign(&payload) }
+        let sig = keys[r as usize].sign(&payload);
+        Prepare { view, seq, replica, nonce_commit, pp_digest, sig }
     };
+    let one_prepare = prepare(&last_pp, 2);
+    // Replica 3 reports `pps`, the last one proven prepared by a genuine
+    // quorum of prepares for exactly its bytes.
+    let proven = |pps: Vec<PrePrepare>| {
+        let last = pps.last().expect("a reported batch");
+        let proof = vec![prepare(last, 2), prepare(last, 3)];
+        signed_view_change(view, ReplicaId(3), pps.clone(), proof, &keys[3])
+    };
+    // A batch with garbage where the primary's signature was.
+    let unsigned = |seq: u64| {
+        let pp = cluster.replica(backup).ledger().pp_at(SeqNum(seq)).expect("three batches");
+        PrePrepare { sig: Signature([0xa5; 64]), ..pp.clone() }
+    };
+    let earlier_pp = cluster.replica(backup).ledger().pp_at(SeqNum(2)).expect("batch 2").clone();
+    let honest = proven(vec![earlier_pp, last_pp.clone()]);
+    assert_eq!(check_view_change(&spec.genesis, &honest), Ok(()), "the proof is a quorum's");
     let outsider = KeyPair::from_label("not-a-replica");
 
     let rows: Vec<(&str, Vec<ia_ccf_types::ViewChange>, Vec<usize>, Refused)> = vec![
@@ -752,10 +773,30 @@ fn hostile_new_views_leave_a_backup_untouched() {
             vec![
                 nothing_prepared(1),
                 nothing_prepared(2),
-                signed_view_change(view, ReplicaId(3), vec![last_pp], vec![one_prepare], &keys[3]),
+                signed_view_change(
+                    view,
+                    ReplicaId(3),
+                    vec![last_pp.clone()],
+                    vec![one_prepare],
+                    &keys[3],
+                ),
             ],
             vec![1, 2, 3],
             Refused::NotPrepared(ReplicaId(3)),
+        ),
+        (
+            "a proven pre-prepare its primary never signed",
+            vec![nothing_prepared(1), nothing_prepared(2), proven(vec![unsigned(3)])],
+            vec![1, 2, 3],
+            Refused::UnsignedPrePrepare(ReplicaId(3)),
+        ),
+        (
+            // The chosen batch is the backup's own: only this clause stands
+            // between the live backup and the new view.
+            "an earlier reported pre-prepare its primary never signed",
+            vec![nothing_prepared(1), nothing_prepared(2), proven(vec![unsigned(2), last_pp])],
+            vec![1, 2, 3],
+            Refused::UnsignedPrePrepare(ReplicaId(3)),
         ),
         (
             "a correct set under a bitmap with an extra rank",
@@ -786,14 +827,31 @@ fn hostile_new_views_leave_a_backup_untouched() {
         let r = c.replica(backup);
         (r.view(), r.ledger().len(), r.prepared_up_to(), r.kv().digest())
     };
+    let genesis = spec.genesis.clone();
+    let config_for_seq = move |_: SeqNum| genesis.clone();
     let before = state(&cluster);
     for (what, view_changes, ranks, clause) in rows {
         let bitmap = ReplicaBitmap::from_ranks(ranks);
-        let (_, nv) = forge_new_view_pair(&ledger, view, view_changes.clone(), bitmap, &keys[1]);
+        let (set, nv) = forge_new_view_pair(&ledger, view, view_changes.clone(), bitmap, &keys[1]);
         assert_eq!(
             check_new_view(&spec.genesis, &nv, &view_changes).err(),
             Some(clause),
             "{what}"
+        );
+        let logged = [ledger.clone(), vec![set, LedgerEntry::NewView(nv.clone())]].concat();
+        let replayed = ia_ccf::core::Replica::bootstrap(
+            ReplicaId(3),
+            keys[3].clone(),
+            Arc::new(CounterApp),
+            spec.params.clone(),
+            spec.client_keys(),
+            &logged,
+        );
+        assert_eq!(replayed.err(), Some(BootstrapError::BadNewView(view, clause)), "{what}");
+        assert_eq!(
+            validate_package(&logged, &config_for_seq).err(),
+            Some(PackageError::BadViewChange(view)),
+            "{what}: the auditor"
         );
         for from in [NodeId::Replica(ReplicaId(1)), NodeId::Client(client)] {
             let msg = ProtocolMsg::NewView { nv: nv.clone(), view_changes: view_changes.clone() };
