@@ -61,7 +61,7 @@ use crate::checkpoint::CheckpointRecord;
 use crate::events::Output;
 use crate::params::ProtocolParams;
 use crate::pipeline::ordering::{signed_by_view_primary, EvidenceSet, RequestSigs};
-use crate::replica::Replica;
+use crate::replica::{Replica, Status};
 use crate::seedfile::SeedCheckpointFile;
 use crate::viewchange::{check_new_view, Refused};
 
@@ -347,10 +347,12 @@ impl Replica {
     /// replicas on timeout or misbehaviour. While the sync runs the
     /// replica processes only sync responses (state transfer, not
     /// consensus). Returns the outputs to route (the tip query
-    /// broadcast).
+    /// broadcast). Called on a freshly built or restarted replica: the
+    /// sync is entered from normal operation and left to it.
     pub fn begin_ledger_sync(&mut self, server: ReplicaId) -> Vec<Output> {
+        debug_assert!(matches!(self.status, Status::Normal), "sync from {:?}", self.status);
         self.sync_report = SyncReport::default();
-        self.ledger_sync = Some(LedgerSyncState {
+        self.status = Status::Recovery(LedgerSyncState {
             server,
             tried: BTreeSet::new(),
             verified_tip: None,
@@ -372,7 +374,7 @@ impl Replica {
 
     /// (Re-)broadcast the tip query to every active peer.
     fn broadcast_tip_query(&mut self) {
-        if let Some(state) = self.ledger_sync.as_mut() {
+        if let Status::Recovery(state) = &mut self.status {
             state.last_page_tick = self.tick;
         }
         for id in self.sync_peers() {
@@ -394,7 +396,8 @@ impl Replica {
         if !peers.contains(&sender) {
             return;
         }
-        let Some(LedgerSyncState { phase: Phase::TipQuery { claims }, .. }) = &mut self.ledger_sync
+        let Status::Recovery(LedgerSyncState { phase: Phase::TipQuery { claims }, .. }) =
+            &mut self.status
         else {
             return;
         };
@@ -412,7 +415,7 @@ impl Replica {
         let f = self.gov.active().f();
         let fresh = self.seq_next == SeqNum(1);
         let checkpoints_ok = self.params.checkpoints_enabled;
-        let Some(state) = self.ledger_sync.as_mut() else {
+        let Status::Recovery(state) = &mut self.status else {
             return;
         };
         let Phase::TipQuery { claims } = &state.phase else {
@@ -468,8 +471,8 @@ impl Replica {
         seq: SeqNum,
         payload: Option<CheckpointPayload>,
     ) {
-        let Some(LedgerSyncState { server, phase: Phase::Checkpoint { pin }, .. }) =
-            self.ledger_sync
+        let Status::Recovery(LedgerSyncState { server, phase: Phase::Checkpoint { pin }, .. }) =
+            self.status
         else {
             return;
         };
@@ -641,15 +644,9 @@ impl Replica {
         self.sync_report
     }
 
-    /// Whether a full recovery sync is in flight (consensus traffic is
-    /// ignored until it completes).
-    pub fn in_recovery_sync(&self) -> bool {
-        self.ledger_sync.is_some()
-    }
-
     /// Ask the current server for the next page.
     fn request_sync_page(&mut self) {
-        let Some(state) = &mut self.ledger_sync else {
+        let Status::Recovery(state) = &mut self.status else {
             return;
         };
         let Phase::Paging { from_seq, .. } = state.phase else {
@@ -665,7 +662,7 @@ impl Replica {
     /// not applied — the applied prefix is verified and never re-fetched.
     /// A `paused` start waits out one timeout before its first request.
     fn start_paging(&mut self, server: ReplicaId, paused: bool) {
-        let Some(state) = &mut self.ledger_sync else {
+        let Status::Recovery(state) = &mut self.status else {
             return;
         };
         state.server = server;
@@ -682,7 +679,7 @@ impl Replica {
     /// that has not produced a page within the timeout is abandoned; a
     /// paused sync (every peer failed) re-enters the rotation instead.
     pub(crate) fn sync_tick(&mut self) {
-        let Some(state) = &mut self.ledger_sync else {
+        let Status::Recovery(state) = &mut self.status else {
             return;
         };
         if self.tick.saturating_sub(state.last_page_tick) <= self.params.sync_timeout_ticks {
@@ -713,8 +710,9 @@ impl Replica {
     ) {
         // No sync running, or a stale page while querying the tip or a
         // checkpoint: ignore it.
-        let Some(LedgerSyncState { server, phase: Phase::Paging { from_seq, .. }, .. }) =
-            self.ledger_sync
+        let Status::Recovery(LedgerSyncState {
+            server, phase: Phase::Paging { from_seq, .. }, ..
+        }) = self.status
         else {
             return;
         };
@@ -739,11 +737,11 @@ impl Replica {
         }
 
         // Buffer, replay every complete segment, continue or finish.
-        if let Some(LedgerSyncState {
+        if let Status::Recovery(LedgerSyncState {
             last_page_tick,
             phase: Phase::Paging { from_seq, buffered, paused, .. },
             ..
-        }) = &mut self.ledger_sync
+        }) = &mut self.status
         {
             buffered.extend(decoded);
             *from_seq = next_seq;
@@ -753,8 +751,9 @@ impl Replica {
         if let Err(e) = self.replay_sync_buffer(done) {
             return self.sync_diverged(&e);
         }
-        let Some(LedgerSyncState { verified_tip, phase: Phase::Paging { buffered, .. }, .. }) =
-            &self.ledger_sync
+        let Status::Recovery(LedgerSyncState {
+            verified_tip, phase: Phase::Paging { buffered, .. }, ..
+        }) = &self.status
         else {
             return;
         };
@@ -783,7 +782,7 @@ impl Replica {
         if verified_tip.is_some_and(|t| self.seq_next <= t) {
             return self.sync_failover("done short of verified cluster tip");
         }
-        self.ledger_sync = None;
+        self.status = Status::Normal;
         self.sync_report.complete = true;
         self.note_progress();
         // Close the commit gap: the synced tail is prepared but its
@@ -797,8 +796,8 @@ impl Replica {
     /// Replay every provably-complete segment in the sync buffer; with
     /// `done` the whole buffer must segment cleanly.
     fn replay_sync_buffer(&mut self, done: bool) -> Result<(), BootstrapError> {
-        let Some(LedgerSyncState { phase: Phase::Paging { buffered, .. }, .. }) =
-            &mut self.ledger_sync
+        let Status::Recovery(LedgerSyncState { phase: Phase::Paging { buffered, .. }, .. }) =
+            &mut self.status
         else {
             return Ok(());
         };
@@ -822,8 +821,9 @@ impl Replica {
             }
             Ok(())
         })();
-        if let Some(LedgerSyncState { phase: Phase::Paging { buffered: slot, .. }, .. }) =
-            &mut self.ledger_sync
+        if let Status::Recovery(LedgerSyncState {
+            phase: Phase::Paging { buffered: slot, .. }, ..
+        }) = &mut self.status
         {
             *slot = buffered;
         }
@@ -842,9 +842,10 @@ impl Replica {
         let token = self.committed_up_to.next();
         let can_roll_back = self.seq_next > token;
         let already = matches!(
-            self.ledger_sync,
-            Some(LedgerSyncState { phase: Phase::Paging { rolled_back_at: Some(t), .. }, .. })
-                if t == token
+            self.status,
+            Status::Recovery(LedgerSyncState {
+                phase: Phase::Paging { rolled_back_at: Some(t), .. }, ..
+            }) if t == token
         );
         if !can_roll_back || already {
             return self.sync_failover(&format!("replay failed: {err}"));
@@ -858,10 +859,10 @@ impl Replica {
         }
         let committed = self.committed_up_to;
         self.reset_to_seq(committed);
-        if let Some(LedgerSyncState {
+        if let Status::Recovery(LedgerSyncState {
             phase: Phase::Paging { from_seq, buffered, rolled_back_at, .. },
             ..
-        }) = &mut self.ledger_sync
+        }) = &mut self.status
         {
             *rolled_back_at = Some(token);
             *from_seq = committed.next();
@@ -882,7 +883,7 @@ impl Replica {
     /// cluster-wide outage at one request per timeout, not a storm.
     fn sync_failover(&mut self, why: &str) {
         let peers = self.sync_peers();
-        let Some(state) = self.ledger_sync.as_mut() else {
+        let Status::Recovery(state) = &mut self.status else {
             return;
         };
         self.sync_report.failovers += 1;

@@ -381,7 +381,7 @@ impl Replica {
         if config.primary_of(self.view) == self.id {
             return; // primaries don't take pre-prepares
         }
-        if pp.view() != self.view || !self.ready {
+        if pp.view() != self.view {
             return;
         }
         if pp.core.primary != sender || config.primary_of(pp.view()) != sender {
@@ -652,7 +652,7 @@ impl Replica {
         self.build_gov_receipts(seq, view);
 
         // Retirement completes once the switch batch commits (§5.1).
-        self.maybe_retire(seq);
+        self.maybe_retire();
 
         // Prune execution state we no longer need (keep a window for
         // receipt re-serving; floor of 2P so in-flight rollback always

@@ -27,7 +27,7 @@ use ia_ccf_types::{BatchKind, Configuration, Digest, PrePrepare, SeqNum};
 
 use crate::events::Output;
 use crate::pipeline::ExecError;
-use crate::replica::Replica;
+use crate::replica::{Replica, Status};
 
 /// An in-flight reconfiguration: the target configuration and the anchor
 /// sequence number. All schedule state derives from these two.
@@ -171,10 +171,10 @@ impl Replica {
         self.reconfig.as_ref().is_some_and(|rc| self.seq_next <= rc.end_seq())
     }
 
-    /// The switch at `s + 2P`: activate the new configuration, checkpoint
-    /// the store, and schedule retirement if we left the replica set.
-    /// Idempotent: re-proposal of the switch batch after a view change
-    /// re-runs this harmlessly.
+    /// The switch at `s + 2P`: activate the new configuration, record it in
+    /// the configuration history and checkpoint the store. Idempotent:
+    /// re-proposal of the switch batch after a view change re-runs this
+    /// harmlessly.
     fn activate_new_config(&mut self, seq: SeqNum) {
         let Some(rc) = self.reconfig.as_ref() else {
             return;
@@ -194,21 +194,25 @@ impl Replica {
         if self.params.checkpoints_enabled {
             self.take_checkpoint(seq);
         }
-        self.out.push(Output::ConfigActivated { config: Box::new(new_config.clone()) });
-        if new_config.rank_of(self.id).is_none() {
-            // Retire once this batch commits locally (we still help commit
-            // it). §5.1: removed replicas delete their signing keys.
-            self.retire_at = Some(seq);
-        }
+        self.out.push(Output::ConfigActivated { config: Box::new(new_config) });
     }
 
-    /// Called when a batch commits; completes deferred retirement.
-    pub(crate) fn maybe_retire(&mut self, committed: SeqNum) {
-        if let Some(at) = self.retire_at {
-            if committed >= at {
-                self.retired = true;
-                self.out.push(Output::Retired);
-            }
+    /// Called when a batch commits: retire once the newest configuration in
+    /// the history excludes this replica and its switch batch (`first − 1`)
+    /// has committed locally — until then it still helps commit it. The
+    /// history is what a rollback of the switch trims, so an undone switch
+    /// retires nobody. One-way and announced once: §5.1's removed replica
+    /// deletes its signing key and does not come back.
+    pub(crate) fn maybe_retire(&mut self) {
+        let Some((first, config)) = self.config_first_seq.last() else {
+            return;
+        };
+        let removed = first.0 > 0
+            && config.rank_of(self.id).is_none()
+            && self.committed_up_to.0 >= first.0 - 1;
+        if removed && !matches!(self.status, Status::Retired) {
+            self.status = Status::Retired;
+            self.out.push(Output::Retired);
         }
     }
 
@@ -222,5 +226,42 @@ impl Replica {
             }
         }
         chosen
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use ia_ccf_types::config::testutil::test_config;
+    use ia_ccf_types::{ReplicaId, SeqNum};
+
+    use crate::app::CounterApp;
+    use crate::events::Output;
+    use crate::params::ProtocolParams;
+    use crate::replica::{Replica, Status};
+
+    /// Two batches past the switch that removed this replica commit in one
+    /// turn — one `try_advance_committed` loop, two `maybe_retire` calls:
+    /// `Output::Retired` is pushed once.
+    #[test]
+    fn retirement_is_announced_once() {
+        let (genesis, keys, _) = test_config(4);
+        let me = ReplicaId(3);
+        let params = ProtocolParams::default();
+        let mut replica =
+            Replica::new(me, keys[3].clone(), genesis.clone(), Arc::new(CounterApp), params, [])
+                .expect("build replica");
+        let mut without = genesis;
+        without.number = 1;
+        without.replicas.retain(|r| r.id != me);
+        replica.config_first_seq.push((SeqNum(7), without));
+        for committed in 5..=7 {
+            replica.committed_up_to = SeqNum(committed);
+            replica.maybe_retire();
+        }
+        let announced = replica.out.iter().filter(|o| matches!(o, Output::Retired)).count();
+        assert_eq!(announced, 1);
+        assert!(matches!(replica.status, Status::Retired));
     }
 }

@@ -26,11 +26,31 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::app::App;
+use crate::bootstrap::LedgerSyncState;
 use crate::checkpoint::{receipt_checkpoint_seq, CheckpointRecord, CheckpointStore};
 use crate::events::{Input, NodeId, Output};
 use crate::msgstore::MsgStore;
 use crate::params::ProtocolParams;
 use crate::pipeline::{BatchExec, BatchMark};
+
+/// The mode a replica is in; [`Replica::handle`] dispatches on it once.
+/// docs/ARCHITECTURE.md §1.7 lists each transition with the one function
+/// that makes it.
+#[derive(Debug)]
+pub(crate) enum Status {
+    /// Ordering batches in `view` (Alg. 1).
+    Normal,
+    /// Moved to `view` and waiting for its new-view (Alg. 2): takes no
+    /// pre-prepare and proposes nothing.
+    ViewChange,
+    /// Replaying a fetched ledger before rejoining (§3.4): a state-transfer
+    /// client, not a consensus participant. Entered from and left to
+    /// `Normal`.
+    Recovery(LedgerSyncState),
+    /// Left the configuration once the switch batch that removed it
+    /// committed (§5.1). One-way: takes no further input.
+    Retired,
+}
 
 /// The L-PBFT replica. Construct with [`Replica::new`], drive with
 /// [`Replica::handle`].
@@ -50,7 +70,7 @@ pub struct Replica {
 
     // Protocol state.
     pub(crate) view: View,
-    pub(crate) ready: bool,
+    pub(crate) status: Status,
     pub(crate) seq_next: SeqNum,
     pub(crate) prepared_up_to: SeqNum,
     pub(crate) committed_up_to: SeqNum,
@@ -120,17 +140,18 @@ pub struct Replica {
     /// yet (waiting for the primary's commit nonce).
     pub(crate) pending_gov_receipts: Vec<(SeqNum, View)>,
 
-    // Reconfiguration progress (§5.1).
+    /// The reconfiguration schedule (§5.1). A schedule, not a mode: it
+    /// outlives view changes, re-proposed batches are checked against it,
+    /// and ledger replay rebuilds it.
     pub(crate) reconfig: Option<crate::reconfig::ReconfigState>,
-    pub(crate) retired: bool,
-    pub(crate) retire_at: Option<SeqNum>,
     /// Configuration history: first sequence number governed by each
     /// configuration (genesis at 0). Evidence bitmaps are interpreted
-    /// under the configuration of the *evidenced* sequence number.
+    /// under the configuration of the *evidenced* sequence number; a
+    /// rollback trims it with the batches it undoes.
     pub(crate) config_first_seq: Vec<(SeqNum, Configuration)>,
 
-    // Paged state transfer (see `crate::bootstrap`).
-    pub(crate) ledger_sync: Option<crate::bootstrap::LedgerSyncState>,
+    /// Counters of the most recent paged state transfer (see
+    /// `crate::bootstrap`; the transfer's own state is `Status::Recovery`).
     pub(crate) sync_report: crate::bootstrap::SyncReport,
 
     // Stashed pre-prepares waiting for request bodies.
@@ -214,7 +235,7 @@ impl Replica {
             gov,
             client_keys: client_keys.into_iter().collect(),
             view: View(0),
-            ready: true,
+            status: Status::Normal,
             seq_next: SeqNum(1),
             prepared_up_to: SeqNum(0),
             committed_up_to: SeqNum(0),
@@ -242,10 +263,7 @@ impl Replica {
             gov_chain: Vec::new(),
             pending_gov_receipts: Vec::new(),
             reconfig: None,
-            retired: false,
-            retire_at: None,
             config_first_seq: vec![(SeqNum(0), genesis)],
-            ledger_sync: None,
             sync_report: Default::default(),
             stashed_pps: Vec::new(),
             tick: 0,
@@ -491,148 +509,106 @@ impl Replica {
     // Main entry point: stage dispatch.
     // ------------------------------------------------------------------
 
-    /// Feed one input, collect the resulting outputs.
+    /// Feed one input, collect the resulting outputs. The one place the
+    /// replica's [`Status`] decides what runs (docs/ARCHITECTURE.md §1.7).
     pub fn handle(&mut self, input: Input) -> Vec<Output> {
-        if self.retired {
-            return Vec::new();
+        if let Input::Tick = input {
+            self.tick += 1;
         }
-        match input {
-            Input::Message { from, msg } => self.on_message(from, msg),
-            Input::Tick => self.on_tick(),
+        match (&self.status, input) {
+            (Status::Retired, _) => {}
+            // A state-transfer client, not a consensus participant: mixing
+            // live execution with replay would corrupt the partially applied
+            // ledger. What it misses is replayed from later pages or fetched
+            // once the sync completes; the sync's own timeout drives
+            // failover.
+            (Status::Recovery(_), Input::Tick) => self.sync_tick(),
+            (Status::Recovery(_), Input::Message { from: NodeId::Replica(sender), msg }) => {
+                match msg {
+                    ProtocolMsg::FetchLedgerPageResponse { entries, next_seq, done } => {
+                        self.on_ledger_page(sender, entries, next_seq, done)
+                    }
+                    ProtocolMsg::LedgerTipResponse { tip, offer } => {
+                        self.on_ledger_tip(sender, tip, offer)
+                    }
+                    ProtocolMsg::FetchCheckpointResponse { seq, payload } => {
+                        self.on_checkpoint_payload(sender, seq, payload)
+                    }
+                    _ => {}
+                }
+            }
+            (Status::Recovery(_), Input::Message { .. }) => {}
+            // Between view-change and new-view nothing is ordered.
+            (Status::ViewChange, Input::Message { msg: ProtocolMsg::PrePrepare { .. }, .. }) => {}
+            (_, Input::Message { from, msg }) => self.on_message(from, msg),
+            (Status::Normal, Input::Tick) if self.is_primary() => {
+                self.maybe_send_pre_prepare();
+                self.maybe_start_view_change();
+            }
+            (_, Input::Tick) => self.maybe_start_view_change(),
         }
         std::mem::take(&mut self.out)
     }
 
     /// Route one message to its pipeline stage (admission, ordering,
-    /// emission) or to the view-change module.
+    /// emission) or to the view-change module. Each arm names the class of
+    /// sender it takes; anything else — a client-bound message, a sync
+    /// response outside a recovery sync, the wrong class of sender — is
+    /// dropped.
     fn on_message(&mut self, from: NodeId, msg: ProtocolMsg) {
-        // During a full recovery sync the replica is a state-transfer
-        // client, not a consensus participant: only page responses are
-        // processed (mixing live execution with replay would corrupt the
-        // partially-applied ledger). Everything missed is either replayed
-        // from later pages or recovered through the normal fetch paths
-        // once the sync completes.
-        if self.in_recovery_sync()
-            && !matches!(
-                msg,
-                ProtocolMsg::FetchLedgerPageResponse { .. }
-                    | ProtocolMsg::LedgerTipResponse { .. }
-                    | ProtocolMsg::FetchCheckpointResponse { .. }
-            )
-        {
-            return;
-        }
-        match msg {
-            ProtocolMsg::Request(req) => self.on_request(req),
-            ProtocolMsg::PrePrepare { pp, batch } => {
-                if let NodeId::Replica(sender) = from {
-                    self.on_pre_prepare(sender, pp, batch);
+        match (from, msg) {
+            (_, ProtocolMsg::Request(req)) => self.on_request(req),
+            (NodeId::Replica(sender), ProtocolMsg::PrePrepare { pp, batch }) => {
+                self.on_pre_prepare(sender, pp, batch)
+            }
+            (_, ProtocolMsg::Prepare(p)) => self.on_prepare(p),
+            (NodeId::Replica(sender), ProtocolMsg::Commit(c)) => self.on_commit(sender, c),
+            (_, ProtocolMsg::ViewChange(vc)) => self.on_view_change(vc),
+            (_, ProtocolMsg::NewView { nv, view_changes }) => self.on_new_view(nv, view_changes),
+            (NodeId::Replica(sender), ProtocolMsg::FetchRequests { hashes }) => {
+                let requests: Vec<SignedRequest> =
+                    hashes.iter().filter_map(|h| self.req_store.get(h).cloned()).collect();
+                if !requests.is_empty() {
+                    self.send_replica(sender, ProtocolMsg::FetchRequestsResponse { requests });
                 }
             }
-            ProtocolMsg::Prepare(p) => self.on_prepare(p),
-            ProtocolMsg::Commit(c) => {
-                if let NodeId::Replica(sender) = from {
-                    self.on_commit(sender, c);
-                }
-            }
-            ProtocolMsg::ViewChange(vc) => self.on_view_change(vc),
-            ProtocolMsg::NewView { nv, view_changes } => self.on_new_view(nv, view_changes),
-            ProtocolMsg::FetchRequests { hashes } => {
-                if let NodeId::Replica(sender) = from {
-                    let requests: Vec<SignedRequest> = hashes
-                        .iter()
-                        .filter_map(|h| self.req_store.get(h).cloned())
-                        .collect();
-                    if !requests.is_empty() {
-                        self.send_replica(sender, ProtocolMsg::FetchRequestsResponse { requests });
-                    }
-                }
-            }
-            ProtocolMsg::FetchRequestsResponse { requests } => {
+            (NodeId::Replica(_), ProtocolMsg::FetchRequestsResponse { requests }) => {
                 // Bodies only: nothing here is trusted until batch time
                 // verifies it (see `pipeline::admission`).
-                if let NodeId::Replica(_) = from {
-                    for r in requests {
-                        self.admit_request(r);
-                    }
-                    self.retry_stashed();
+                for r in requests {
+                    self.admit_request(r);
                 }
+                self.retry_stashed();
             }
-            ProtocolMsg::FetchLedgerPage { from_seq, max_bytes } => {
-                if let NodeId::Replica(sender) = from {
-                    self.serve_ledger_page(sender, from_seq, max_bytes);
+            (NodeId::Replica(sender), ProtocolMsg::FetchLedgerPage { from_seq, max_bytes }) => {
+                self.serve_ledger_page(sender, from_seq, max_bytes)
+            }
+            (NodeId::Replica(sender), ProtocolMsg::FetchLedgerTip) => self.serve_ledger_tip(sender),
+            (NodeId::Replica(sender), ProtocolMsg::FetchCheckpoint { seq }) => {
+                self.serve_checkpoint_fetch(sender, seq)
+            }
+            (NodeId::Client(client), ProtocolMsg::FetchGovReceipts { from_index }) => {
+                self.serve_gov_receipts(client, from_index)
+            }
+            (NodeId::Client(client), ProtocolMsg::FetchReceipt { tx_hash }) => {
+                self.serve_receipt_refetch(client, tx_hash)
+            }
+            (NodeId::Replica(sender), ProtocolMsg::FetchEvidence { seq }) => {
+                self.serve_evidence_fetch(sender, seq)
+            }
+            (NodeId::Replica(_), ProtocolMsg::FetchEvidenceResponse { prepares, commits }) => {
+                for p in prepares {
+                    self.on_prepare(p);
                 }
-            }
-            ProtocolMsg::FetchLedgerPageResponse { entries, next_seq, done } => {
-                if let NodeId::Replica(sender) = from {
-                    self.on_ledger_page(sender, entries, next_seq, done);
+                for cmt in commits {
+                    self.store_commit(&cmt);
                 }
+                self.retry_stashed();
+                self.try_advance_committed();
+                self.retry_pending_gov_receipts();
             }
-            ProtocolMsg::FetchLedgerTip => {
-                if let NodeId::Replica(sender) = from {
-                    self.serve_ledger_tip(sender);
-                }
-            }
-            ProtocolMsg::LedgerTipResponse { tip, offer } => {
-                if let NodeId::Replica(sender) = from {
-                    self.on_ledger_tip(sender, tip, offer);
-                }
-            }
-            ProtocolMsg::FetchCheckpoint { seq } => {
-                if let NodeId::Replica(sender) = from {
-                    self.serve_checkpoint_fetch(sender, seq);
-                }
-            }
-            ProtocolMsg::FetchCheckpointResponse { seq, payload } => {
-                if let NodeId::Replica(sender) = from {
-                    self.on_checkpoint_payload(sender, seq, payload);
-                }
-            }
-            ProtocolMsg::FetchGovReceipts { from_index } => {
-                if let NodeId::Client(client) = from {
-                    self.serve_gov_receipts(client, from_index);
-                }
-            }
-            ProtocolMsg::FetchReceipt { tx_hash } => {
-                if let NodeId::Client(client) = from {
-                    self.serve_receipt_refetch(client, tx_hash);
-                }
-            }
-            ProtocolMsg::FetchEvidence { seq } => {
-                if let NodeId::Replica(sender) = from {
-                    self.serve_evidence_fetch(sender, seq);
-                }
-            }
-            ProtocolMsg::FetchEvidenceResponse { prepares, commits } => {
-                if let NodeId::Replica(_) = from {
-                    for p in prepares {
-                        self.on_prepare(p);
-                    }
-                    for cmt in commits {
-                        self.store_commit(&cmt);
-                    }
-                    self.retry_stashed();
-                    self.try_advance_committed();
-                    self.retry_pending_gov_receipts();
-                }
-            }
-            ProtocolMsg::Reply(_) | ProtocolMsg::ReplyX(_) | ProtocolMsg::GovReceipts { .. } => {
-                // Client-bound messages; nothing to do.
-            }
+            _ => {}
         }
-    }
-
-    fn on_tick(&mut self) {
-        self.tick += 1;
-        if self.in_recovery_sync() {
-            // State transfer in progress: no proposing, no view changes —
-            // the sync's own timeout drives failover.
-            return self.sync_tick();
-        }
-        if self.is_primary() && self.ready {
-            self.maybe_send_pre_prepare();
-        }
-        self.maybe_start_view_change();
     }
 
     // ------------------------------------------------------------------

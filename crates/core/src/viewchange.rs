@@ -21,7 +21,7 @@ use ia_ccf_types::{
 };
 
 use crate::pipeline::ordering::signed_by_view_primary;
-use crate::replica::{verify_replica_payload, Replica};
+use crate::replica::{verify_replica_payload, Replica, Status};
 
 /// The clause of Alg. 2's validity rule a view-change or a new-view broke.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,9 +177,6 @@ impl Replica {
     /// Liveness timer (Alg. 2 line 1): with pending work and no progress
     /// for `view_timeout_ticks`, suspect the primary.
     pub(crate) fn maybe_start_view_change(&mut self) {
-        if self.retired {
-            return;
-        }
         // Only consult the timer once it could have expired; the cleanup
         // below is O(queue) and must not run on every tick under load.
         if self.tick.saturating_sub(self.last_progress_tick) < self.params.view_timeout_ticks {
@@ -204,7 +201,7 @@ impl Replica {
     pub(crate) fn send_view_change(&mut self) {
         let new_view = self.view.next();
         self.view = new_view;
-        self.ready = false;
+        self.status = Status::ViewChange;
         self.note_progress();
 
         // PP: the last P prepared pre-prepares (Alg. 2 line 3).
@@ -293,7 +290,7 @@ impl Replica {
     /// assemble the new view (Alg. 2 line 12).
     pub(crate) fn try_assemble_new_view(&mut self) {
         let config = self.gov.active();
-        if config.primary_of(self.view) != self.id || self.ready {
+        if config.primary_of(self.view) != self.id || !matches!(self.status, Status::ViewChange) {
             return;
         }
         let quorum = config.quorum();
@@ -327,7 +324,7 @@ impl Replica {
         let Ok(Some(nv)) = self.log_new_view(self.view, vcs.clone(), None) else {
             return;
         };
-        self.ready = true;
+        self.status = Status::Normal;
         self.note_progress();
         self.broadcast(ProtocolMsg::NewView { nv, view_changes: vcs });
 
@@ -357,7 +354,7 @@ impl Replica {
         // Stale, or a view this replica already entered (a re-delivered
         // new-view must not restart anything).
         if nv.view < self.view
-            || (nv.view == self.view && self.ready)
+            || (nv.view == self.view && matches!(self.status, Status::Normal))
             || self.ledger.has_new_view(nv.view)
         {
             return;
@@ -373,12 +370,12 @@ impl Replica {
             return;
         }
         self.reset_to_seq(self.reset_point(facts.last_prepared));
-        // A ledger that disagrees with the new primary's (M̄′ ≠ M̄) stays
-        // unready and waits for another view change (Alg. 2 line 24). The
+        // A ledger that disagrees with the new primary's (M̄′ ≠ M̄) keeps its
+        // status and waits for another view change (Alg. 2 line 24). The
         // re-proposed batches arrive as ordinary pre-prepares in the new
         // view and flow through the normal backup path.
         if let Ok(Some(_)) = self.log_new_view(nv.view, view_changes, Some(&nv)) {
-            self.ready = true;
+            self.status = Status::Normal;
             self.note_progress();
         }
     }

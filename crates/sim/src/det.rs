@@ -55,6 +55,9 @@ pub struct DetCluster {
     queue: VecDeque<Delivery>,
     /// Completed transactions in completion order.
     pub finished: Vec<(ClientId, FinishedTx)>,
+    /// Every `Output::Retired` each replica emitted, as the replica's
+    /// committed frontier after the turn that emitted it.
+    pub retirements: BTreeMap<ReplicaId, Vec<SeqNum>>,
     /// Rounds executed so far.
     pub rounds: u64,
 }
@@ -94,6 +97,7 @@ impl DetCluster {
             clients,
             queue: VecDeque::new(),
             finished: Vec::new(),
+            retirements: BTreeMap::new(),
             rounds: 0,
         }
     }
@@ -213,10 +217,13 @@ impl DetCluster {
                 Output::SendClient(to, msg) => {
                     self.queue.push_back(Delivery::ToClient { to, from, msg });
                 }
+                Output::Retired => {
+                    let committed = self.replicas[&from].inner.committed_up_to();
+                    self.retirements.entry(from).or_default().push(committed);
+                }
                 Output::Committed { .. }
                 | Output::CheckpointTaken { .. }
-                | Output::ConfigActivated { .. }
-                | Output::Retired => {}
+                | Output::ConfigActivated { .. } => {}
             }
         }
     }

@@ -24,13 +24,13 @@ use ia_ccf::audit::{AuditOutcome, Auditor, LedgerPackage, PackageError, StoredRe
 use ia_ccf::core::app::CounterApp;
 use ia_ccf::core::byzantine::Fault;
 use ia_ccf::core::viewchange::{check_new_view, check_view_change, Refused};
-use ia_ccf::core::{BootstrapError, Input, NodeId, ProtocolParams};
+use ia_ccf::core::{BootstrapError, Input, NodeId, Output, ProtocolParams, Replica};
 use ia_ccf::governance::chain::GovernanceChain;
 use ia_ccf_sim::{ClusterSpec, DetCluster};
 use ia_ccf_types::{
-    ClientId, GovAction, KeyPair, LedgerEntry, MemberDesc, MemberId, NonceCommitment, PrePrepare,
-    Prepare, ProtocolMsg, ReplicaBitmap, ReplicaDesc, ReplicaId, Request, RequestAction, SeqNum,
-    Signature, SignedRequest, View, Wire,
+    ClientId, Commit, GovAction, KeyPair, LedgerEntry, MemberDesc, MemberId, NonceCommitment,
+    PrePrepare, Prepare, ProtocolMsg, Reply, ReplicaBitmap, ReplicaDesc, ReplicaId, Request,
+    RequestAction, SeqNum, Signature, SignedRequest, View, Wire,
 };
 
 /// The wire bytes of every `⟨t, i, o⟩` entry in a replica's ledger.
@@ -618,6 +618,346 @@ fn view_change_mid_ledger_sync_does_not_corrupt_partial_state() {
     assert_eq!(fresh.kv().digest(), survivor.kv().digest());
     assert!(fresh.view().0 >= 1, "the replayed view change must advance the view");
     cluster.assert_ledgers_consistent();
+}
+
+/// Deliver `msg` from the hand-held `fresh` to cluster replica `to`, hand
+/// `fresh` every reply addressed to it, and return what `fresh` sends next.
+fn relay(
+    cluster: &mut DetCluster,
+    fresh: &mut Replica,
+    to: ReplicaId,
+    msg: ProtocolMsg,
+) -> Vec<(ReplicaId, ProtocolMsg)> {
+    let from = NodeId::Replica(fresh.id());
+    let peer = &mut cluster.replicas.get_mut(&to).expect("peer").inner;
+    let mut next = Vec::new();
+    for reply in peer.handle(Input::Message { from, msg }) {
+        let Output::SendReplica(dest, msg) = reply else { continue };
+        if dest != fresh.id() {
+            continue;
+        }
+        for out in fresh.handle(Input::Message { from: NodeId::Replica(to), msg }) {
+            if let Output::SendReplica(peer, msg) = out {
+                next.push((peer, msg));
+            }
+        }
+    }
+    next
+}
+
+/// Each kind of message by name. No wildcard arm: a new kind does not
+/// compile until it is named here, and the table below counts the names.
+fn kind(msg: &ProtocolMsg) -> &'static str {
+    match msg {
+        ProtocolMsg::Request(_) => "Request",
+        ProtocolMsg::PrePrepare { .. } => "PrePrepare",
+        ProtocolMsg::Prepare(_) => "Prepare",
+        ProtocolMsg::Commit(_) => "Commit",
+        ProtocolMsg::Reply(_) => "Reply",
+        ProtocolMsg::ReplyX(_) => "ReplyX",
+        ProtocolMsg::ViewChange(_) => "ViewChange",
+        ProtocolMsg::NewView { .. } => "NewView",
+        ProtocolMsg::FetchRequests { .. } => "FetchRequests",
+        ProtocolMsg::FetchRequestsResponse { .. } => "FetchRequestsResponse",
+        ProtocolMsg::FetchLedgerPage { .. } => "FetchLedgerPage",
+        ProtocolMsg::FetchLedgerTip => "FetchLedgerTip",
+        ProtocolMsg::FetchCheckpoint { .. } => "FetchCheckpoint",
+        ProtocolMsg::FetchGovReceipts { .. } => "FetchGovReceipts",
+        ProtocolMsg::GovReceipts { .. } => "GovReceipts",
+        ProtocolMsg::FetchReceipt { .. } => "FetchReceipt",
+        ProtocolMsg::FetchEvidence { .. } => "FetchEvidence",
+        ProtocolMsg::FetchEvidenceResponse { .. } => "FetchEvidenceResponse",
+        // The three a recovery sync takes.
+        ProtocolMsg::FetchLedgerPageResponse { .. } => "FetchLedgerPageResponse",
+        ProtocolMsg::LedgerTipResponse { .. } => "LedgerTipResponse",
+        ProtocolMsg::FetchCheckpointResponse { .. } => "FetchCheckpointResponse",
+    }
+}
+
+/// A replica in a recovery sync is a state-transfer client: every kind of
+/// message but the three sync responses — each built from the cluster's
+/// own traffic and ledger, each from a replica and from a client — gets no
+/// answer and moves nothing (view, frontier, ledger, sync counters). The
+/// sync then finishes byte-identical to its server.
+#[test]
+fn a_recovering_replica_takes_only_sync_responses() {
+    let params = ProtocolParams {
+        view_timeout_ticks: 15,
+        // One batch segment per page: the sync is still paging below.
+        sync_page_bytes: 1,
+        ..ProtocolParams::default()
+    };
+    let spec = ClusterSpec::new(4, 1, params);
+    let mut cluster = DetCluster::new(&spec, Arc::new(CounterApp));
+    let (client, client_key) = spec.clients[0].clone();
+    for _ in 0..4 {
+        cluster.submit(client, CounterApp::INCR, b"k".to_vec());
+        cluster.round();
+    }
+    assert!(cluster.run_until_finished(4, 200));
+
+    // A second instance of replica 3, pumped by hand: the tip query, then
+    // three pages.
+    let server = ReplicaId(1);
+    let mut fresh = spec.build_replica(3, Arc::new(CounterApp));
+    let mut sends: Vec<(ReplicaId, ProtocolMsg)> = fresh
+        .begin_ledger_sync(server)
+        .into_iter()
+        .filter_map(|o| match o {
+            Output::SendReplica(to, msg) => Some((to, msg)),
+            _ => None,
+        })
+        .collect();
+    for (to, msg) in std::mem::take(&mut sends) {
+        sends.extend(relay(&mut cluster, &mut fresh, to, msg));
+    }
+    for _ in 0..3 {
+        let (to, msg) = sends.pop().expect("a page request in flight");
+        sends.extend(relay(&mut cluster, &mut fresh, to, msg));
+    }
+    assert!(!fresh.sync_report().complete, "the sync must still be paging");
+    assert!(fresh.prepared_up_to() > SeqNum(0), "a prefix is applied");
+
+    // One message of each kind.
+    let keys = &spec.replica_keys;
+    let ledger = cluster.replica(server).ledger().entries().to_vec();
+    let next = fresh.prepared_up_to().next();
+    let at = ledger
+        .iter()
+        .position(|e| matches!(e, LedgerEntry::PrePrepare(pp) if pp.seq() == next))
+        .expect("the next batch");
+    let LedgerEntry::PrePrepare(pp) = ledger[at].clone() else { unreachable!() };
+    let batch: Vec<_> = ledger[at + 1..]
+        .iter()
+        .map_while(|e| match e {
+            LedgerEntry::Tx(tx) => Some(tx.request.digest()),
+            _ => None,
+        })
+        .collect();
+    let prepares = ledger
+        .iter()
+        .find_map(|e| match e {
+            LedgerEntry::Evidence { prepares, .. } => Some(prepares.clone()),
+            _ => None,
+        })
+        .expect("an evidence entry");
+    let nonces = ledger
+        .iter()
+        .find_map(|e| match e {
+            LedgerEntry::Nonces { nonces, .. } => Some(nonces.clone()),
+            _ => None,
+        })
+        .expect("a nonces entry");
+    let prepare = prepares[0].clone();
+    let (view, seq) = (prepare.view, prepare.seq);
+    let commit = Commit { view, seq, replica: prepare.replica, nonce: nonces[0] };
+    let finished = cluster.finished[0].1.request.clone();
+    let tx_hash = finished.digest();
+    let replyx = cluster
+        .replicas
+        .get_mut(&server)
+        .expect("server")
+        .inner
+        .handle(Input::Message {
+            from: NodeId::Client(client),
+            msg: ProtocolMsg::FetchReceipt { tx_hash },
+        })
+        .into_iter()
+        .find_map(|o| match o {
+            Output::SendClient(_, msg @ ProtocolMsg::ReplyX(_)) => Some(msg),
+            _ => None,
+        })
+        .expect("the server re-serves a receipt");
+    let request = SignedRequest::sign(
+        Request {
+            action: RequestAction::App { proc: CounterApp::INCR, args: b"k".to_vec() },
+            client,
+            gt_hash: fresh.gt_hash(),
+            min_index: ia_ccf_types::LedgerIdx(0),
+            req_id: 99,
+        },
+        &client_key,
+    );
+    let next_view = View(1);
+    let vcs: Vec<_> = (1..4u32)
+        .map(|r| signed_view_change(next_view, ReplicaId(r), vec![], vec![], &keys[r as usize]))
+        .collect();
+    let bitmap = ReplicaBitmap::from_ranks([1, 2, 3]);
+    let prefix = fresh.ledger().entries().to_vec();
+    let (_, nv) = forge_new_view_pair(&prefix, next_view, vcs.clone(), bitmap, &keys[1]);
+    let messages = vec![
+        ProtocolMsg::Request(request.clone()),
+        ProtocolMsg::PrePrepare { pp, batch: batch.clone() },
+        ProtocolMsg::Prepare(prepare.clone()),
+        ProtocolMsg::Commit(commit.clone()),
+        ProtocolMsg::Reply(Reply {
+            view,
+            seq,
+            replica: prepare.replica,
+            sig: prepare.sig,
+            nonce: nonces[0],
+            req_ids: vec![1],
+        }),
+        replyx,
+        ProtocolMsg::ViewChange(vcs[0].clone()),
+        ProtocolMsg::NewView { nv, view_changes: vcs },
+        ProtocolMsg::FetchRequests { hashes: batch },
+        ProtocolMsg::FetchRequestsResponse { requests: vec![request] },
+        ProtocolMsg::FetchLedgerPage { from_seq: SeqNum(1), max_bytes: 1 << 16 },
+        ProtocolMsg::FetchLedgerTip,
+        ProtocolMsg::FetchCheckpoint { seq: SeqNum(0) },
+        ProtocolMsg::FetchGovReceipts { from_index: ia_ccf_types::LedgerIdx(0) },
+        ProtocolMsg::GovReceipts { receipts: vec![] },
+        ProtocolMsg::FetchReceipt { tx_hash },
+        ProtocolMsg::FetchEvidence { seq },
+        ProtocolMsg::FetchEvidenceResponse { prepares, commits: vec![commit] },
+    ];
+    let kinds: std::collections::BTreeSet<_> = messages.iter().map(kind).collect();
+    assert_eq!(kinds.len(), messages.len(), "one message per kind");
+    assert_eq!(kinds.len(), 18, "every kind but the three sync responses");
+
+    let state = |r: &Replica| {
+        let report = format!("{:?}", r.sync_report());
+        (r.view(), r.prepared_up_to(), r.ledger().len(), report)
+    };
+    let before = state(&fresh);
+    for msg in messages {
+        for from in [NodeId::Replica(ReplicaId(0)), NodeId::Client(client)] {
+            let what = format!("{} from {from:?}", kind(&msg));
+            let out = fresh.handle(Input::Message { from, msg: msg.clone() });
+            assert!(out.is_empty(), "{what}: a recovering replica answered");
+            assert_eq!(state(&fresh), before, "{what}: a recovering replica moved");
+        }
+    }
+
+    // The sync runs to the end, byte-identical to the server.
+    let mut hops = 0;
+    while !fresh.sync_report().complete {
+        hops += 1;
+        assert!(hops < 100, "the sync did not finish: {:?}", fresh.sync_report());
+        let (to, msg) = sends.pop().expect("a page request in flight");
+        sends.extend(relay(&mut cluster, &mut fresh, to, msg));
+    }
+    let survivor = cluster.replica(server);
+    assert_eq!(fresh.ledger().len(), survivor.ledger().len());
+    for i in 0..survivor.ledger().len() {
+        let i = ia_ccf_types::LedgerIdx(i);
+        assert_eq!(
+            fresh.ledger().entry(i).map(Wire::to_bytes),
+            survivor.ledger().entry(i).map(Wire::to_bytes),
+            "ledger divergence at entry {i:?}"
+        );
+    }
+    assert_eq!(fresh.kv().digest(), survivor.kv().digest());
+}
+
+/// Cluster replica `r`, driven by hand.
+fn held(cluster: &mut DetCluster, r: u32) -> &mut Replica {
+    &mut cluster.replicas.get_mut(&ReplicaId(r)).expect("replica").inner
+}
+
+/// A replica that has moved to a view and not yet taken its new-view
+/// orders nothing: a genuine pre-prepare for that view, from its primary,
+/// whose request body the replica lacks, gets no answer (taken, it would
+/// ask for the body) and moves nothing. Once the new-view is in, the
+/// primary's pre-prepares for the view are taken.
+#[test]
+fn a_replica_between_view_change_and_new_view_drops_a_pre_prepare() {
+    let params = ProtocolParams { view_timeout_ticks: 15, ..ProtocolParams::default() };
+    let spec = ClusterSpec::new(4, 1, params);
+    let mut cluster = DetCluster::new(&spec, Arc::new(CounterApp));
+    let (client, client_key) = spec.clients[0].clone();
+    cluster.submit(client, CounterApp::INCR, b"k".to_vec());
+    assert!(cluster.run_until_finished(1, 200));
+
+    // The view-0 primary goes. The survivors hold one pending request;
+    // a second one reaches only replica 1, the primary of view 1.
+    cluster.crash(ReplicaId(0));
+    cluster.submit(client, CounterApp::INCR, b"k".to_vec());
+    cluster.round();
+    let only_primary = SignedRequest::sign(
+        Request {
+            action: RequestAction::App { proc: CounterApp::INCR, args: b"k".to_vec() },
+            client,
+            gt_hash: cluster.replica(ReplicaId(1)).gt_hash(),
+            min_index: ia_ccf_types::LedgerIdx(0),
+            req_id: 99,
+        },
+        &client_key,
+    );
+    let msg = ProtocolMsg::Request(only_primary);
+    held(&mut cluster, 1).handle(Input::Message { from: NodeId::Client(client), msg });
+
+    // Each survivor's own clock moves it to view 1; the messages are held.
+    let mut vcs = std::collections::BTreeMap::new();
+    for r in 1..4u32 {
+        for _ in 0..100 {
+            let out = held(&mut cluster, r).handle(Input::Tick);
+            if let Some(vc) = out.into_iter().find_map(|o| match o {
+                Output::BroadcastReplicas(ProtocolMsg::ViewChange(vc)) => Some(vc),
+                _ => None,
+            }) {
+                vcs.insert(r, vc);
+                break;
+            }
+        }
+        assert_eq!(cluster.replica(ReplicaId(r)).view(), View(1), "replica {r} moved");
+    }
+
+    // Replica 1 takes the other two view-changes and opens view 1.
+    let mut outs = Vec::new();
+    for r in [2, 3] {
+        let msg = ProtocolMsg::ViewChange(vcs[&r].clone());
+        outs.extend(held(&mut cluster, 1).handle(Input::Message {
+            from: NodeId::Replica(ReplicaId(r)),
+            msg,
+        }));
+    }
+    for _ in 0..3 {
+        outs.extend(held(&mut cluster, 1).handle(Input::Tick));
+    }
+    let broadcast: Vec<ProtocolMsg> = outs
+        .into_iter()
+        .filter_map(|o| match o {
+            Output::BroadcastReplicas(msg) => Some(msg),
+            _ => None,
+        })
+        .collect();
+    let new_view = broadcast
+        .iter()
+        .find(|m| matches!(m, ProtocolMsg::NewView { .. }))
+        .expect("the new-view")
+        .clone();
+    let pre_prepare = |seq: u64| {
+        broadcast
+            .iter()
+            .find(|m| matches!(m, ProtocolMsg::PrePrepare { pp, .. } if pp.seq() == SeqNum(seq)))
+            .unwrap_or_else(|| panic!("the view-1 pre-prepare at {seq}"))
+            .clone()
+    };
+
+    // Replica 3 is at seq 2 in view 1, waiting for the new-view: the
+    // pre-prepare at 2 names its next slot, but it is not taken.
+    let from = NodeId::Replica(ReplicaId(1));
+    let state = |r: &Replica| (r.view(), r.prepared_up_to(), r.ledger().len());
+    let backup = held(&mut cluster, 3);
+    let before = state(backup);
+    let out = backup.handle(Input::Message { from, msg: pre_prepare(2) });
+    assert!(out.is_empty(), "a replica between views answered a pre-prepare: {out:?}");
+    assert_eq!(state(backup), before, "a replica between views moved");
+
+    // With the new-view in, the view's pre-prepares are taken.
+    assert!(backup.handle(Input::Message { from, msg: new_view }).is_empty());
+    let out = backup.handle(Input::Message { from, msg: pre_prepare(1) });
+    assert!(
+        out.iter().any(|o| matches!(o, Output::BroadcastReplicas(ProtocolMsg::Prepare(_)))),
+        "the re-proposed batch is prepared in view 1: {out:?}"
+    );
+    let out = backup.handle(Input::Message { from, msg: pre_prepare(2) });
+    assert!(
+        out.iter().any(|o| matches!(o, Output::SendReplica(_, ProtocolMsg::FetchRequests { .. }))),
+        "the missing body is fetched: {out:?}"
+    );
 }
 
 #[test]
