@@ -16,8 +16,9 @@
 //! parse — every job is checked by [`PublicKey::verify`] on its own, so
 //! the failed indices are exactly the singles' verdicts (§6.5: blame is
 //! per signature). A slice with one forged signature therefore costs the
-//! failed combined check plus the singles, ≈ 1.4× the singles alone in a
-//! slice of 300 with four keys.
+//! failed combined check plus the singles, ≈ 1.3× the singles alone in a
+//! slice of 300 with four keys (the combined check is ≈ 7 µs per
+//! signature there, a single ≈ 26 µs).
 //!
 //! **One accept set.** The combined equation and the single check are both
 //! RFC 8032's cofactored equation (see `vendor/ed25519-dalek`), which is
@@ -35,19 +36,22 @@ use ia_ccf_pool::WorkerPool;
 use crate::keys::{PublicKey, Signature};
 
 /// Shortest slice the combined equation is tried on. Measured against
-/// singles (≈ 24 µs each, the split kernel), keys all distinct (its worst
-/// case): 1.25× their cost at 4 jobs, 1.1× at 6, 1.0× at 8, 0.93× at 12,
-/// 0.89× at 16; four keys coalesced, 0.8× at 8 and 0.68× at 12. 12 is the
-/// first length where the worst case is ahead, and a failed slice pays
-/// for both.
-pub const VERIFY_BATCH_MIN: usize = 12;
+/// singles (≈ 26 µs each, the split kernel), keys all distinct (its worst
+/// case), with `R` decompressed eight at a time on AVX-512 IFMA: 1.18×
+/// their cost at 4 jobs, 1.0× at 6, 0.93× at 8, 0.88× at 10, 0.82× at 12;
+/// four keys coalesced, 0.73–0.86× at 8. 8 is the first length where the
+/// worst case is ahead, and a failed slice pays for both. (Without the
+/// lanes the same ratios put it at 12: 1.0× at 8, 0.95× at 12.)
+pub const VERIFY_BATCH_MIN: usize = 8;
 
 /// Smallest per-worker chunk: the combined equation has a fixed cost per
 /// slice (one chain of 253 doublings for the keys and `B`, a table per
-/// key), so a chunk should hold enough signatures to spread it — at 32 a
-/// signature costs ≈ 20 µs with distinct keys and ≈ 12.5 µs with four,
-/// against ≈ 9 µs in a slice of 300 and ≈ 24 µs singly.
-pub const VERIFY_MIN_CHUNK: usize = 32;
+/// key), so a chunk should hold enough signatures to spread it. At 24 a
+/// signature costs ≈ 19.5 µs with distinct keys and ≈ 11.5 µs with four
+/// (0.75× and 0.46× a single), against ≈ 7 µs in a slice of 300 and
+/// ≈ 26 µs singly; the scalar kernel reached 0.83× and 0.52× only at 32.
+/// At 16 the four-key chunk is back at 0.53×.
+pub const VERIFY_MIN_CHUNK: usize = 24;
 
 /// One verification work item: `sig` must verify over `msg` under `key`.
 pub struct VerifyJob {

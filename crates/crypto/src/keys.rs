@@ -123,6 +123,14 @@ impl PublicKey {
         self.with_parsed(|vk| vk.verify(msg, &s).is_ok()).unwrap_or(false)
     }
 
+    /// Whether the key is a curve point of small order, under which
+    /// anyone can make a signature that verifies for any message
+    /// ([`VerifyingKey::is_weak`]); `None` when the bytes are not a curve
+    /// point.
+    pub fn is_weak(&self) -> Option<bool> {
+        self.with_parsed(VerifyingKey::is_weak)
+    }
+
     /// Raw bytes.
     pub fn as_bytes(&self) -> &[u8; PUBLIC_KEY_LEN] {
         &self.0

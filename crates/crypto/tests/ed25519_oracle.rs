@@ -15,9 +15,15 @@
 //! `the_two_rules_differ_only_by_small_order_residues` lists where the new
 //! rule accepts more.
 //!
+//! Every input whose key parses also goes through `verify_batch`, once in a
+//! full chunk of eight square roots and once in a padded partial one,
+//! among honest signatures: the slice verdict must be the reference's too.
+//!
 //! Case counts are bounded: the oracle costs ≈ 0.2 ms per verification.
 
 mod oracle;
+
+use std::sync::OnceLock;
 
 use ed25519_dalek::{Signature, Signer as _, SigningKey, Verifier as _, VerifyingKey};
 use oracle::point::EdwardsPoint;
@@ -31,9 +37,48 @@ fn fast_verify(key: &[u8; 32], msg: &[u8], sig: &[u8; 64]) -> Option<bool> {
     Some(vk.verify(msg, &Signature::from_bytes(sig)).is_ok())
 }
 
+/// Ten honest signatures under three keys: the company an input keeps in
+/// [`batch_verdict`]'s slices.
+struct Company {
+    keys: Vec<VerifyingKey>,
+    jobs: Vec<(Vec<u8>, Signature, usize)>,
+}
+
+fn company() -> &'static Company {
+    static COMPANY: OnceLock<Company> = OnceLock::new();
+    COMPANY.get_or_init(|| {
+        let signers: Vec<SigningKey> = (0..3).map(|j| SigningKey::from_bytes(&[0xc0 + j; 32])).collect();
+        let jobs = (0..10)
+            .map(|i| {
+                let msg = format!("company {i}").into_bytes();
+                let sig = signers[i % 3].sign(&msg);
+                (msg, sig, i % 3)
+            })
+            .collect();
+        Company { keys: signers.iter().map(SigningKey::verifying_key).collect(), jobs }
+    })
+}
+
+/// `verify_batch`'s verdict on a slice of eleven: the honest company with
+/// the input at index `at`. Index 5 sits in the first, full chunk of eight
+/// square roots; index 9 in the second, a partial chunk of three.
+fn batch_verdict(key: &VerifyingKey, msg: &[u8], sig: &[u8; 64], at: usize) -> bool {
+    let company = company();
+    let mut keys = company.keys.clone();
+    keys.push(key.clone());
+    let mut jobs: Vec<(&[u8], Signature, usize)> =
+        company.jobs.iter().map(|(m, s, j)| (m.as_slice(), *s, *j)).collect();
+    jobs.insert(at, (msg, Signature::from_bytes(sig), keys.len() - 1));
+    let messages: Vec<&[u8]> = jobs.iter().map(|job| job.0).collect();
+    let signatures: Vec<Signature> = jobs.iter().map(|job| job.1).collect();
+    let key_of: Vec<usize> = jobs.iter().map(|job| job.2).collect();
+    ed25519_dalek::verify_batch(&messages, &signatures, &keys, &key_of).is_ok()
+}
+
 /// One input under the retired cofactorless rule and under the
 /// reference: `(old, new)`. Panics when the implementation under test
 /// disagrees with the reference or when the new rule is not a superset.
+/// Where the key parses, [`batch_verdict`] must be the reference's too.
 fn both_rules(key: &[u8; 32], msg: &[u8], sig: &[u8; 64]) -> (Option<bool>, Option<bool>) {
     let old = oracle::verify(key, msg, sig);
     let new = oracle::verify_cofactored(key, msg, sig);
@@ -42,6 +87,15 @@ fn both_rules(key: &[u8; 32], msg: &[u8], sig: &[u8; 64]) -> (Option<bool>, Opti
         got, new,
         "verdicts differ (fast vs oracle)\n key {key:02x?}\n msg {msg:02x?}\n sig {sig:02x?}"
     );
+    if let Ok(vk) = VerifyingKey::from_bytes(key) {
+        for at in [5, 9] {
+            assert_eq!(
+                Some(batch_verdict(&vk, msg, sig, at)),
+                new,
+                "batch verdict differs (index {at} of 11)\n key {key:02x?}\n msg {msg:02x?}\n sig {sig:02x?}"
+            );
+        }
+    }
     assert!(
         old.is_some() == new.is_some() && (old != Some(true) || new == Some(true)),
         "not a superset: old {old:?}, new {new:?}\n key {key:02x?}\n msg {msg:02x?}\n sig {sig:02x?}"

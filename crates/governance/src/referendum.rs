@@ -209,9 +209,9 @@ fn replica_delta(old: &Configuration, new: &Configuration) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ia_ccf_crypto::KeyPair;
+    use ia_ccf_crypto::{KeyPair, PublicKey};
     use ia_ccf_types::config::testutil::test_config;
-    use ia_ccf_types::{ReplicaDesc, ReplicaId};
+    use ia_ccf_types::{MemberDesc, ReplicaDesc, ReplicaId};
 
     /// A next configuration replacing one replica (delta 2 ≤ f only when
     /// f ≥ 2, so we use swap-one for N=4: delta 2 > f=1 — instead ADD one).
@@ -324,6 +324,67 @@ mod tests {
             gov.apply(MemberId(0), &GovAction::Propose { proposal_id: 1, new_config: next }),
             Err(GovError::InvalidConfig(_))
         ));
+    }
+
+    /// The eight small-order encodings, then the identity's `y = p + 1`
+    /// alias: under each, `R` = identity with `s = 0` verifies for every
+    /// message.
+    fn weak_keys() -> Vec<PublicKey> {
+        [
+            "0100000000000000000000000000000000000000000000000000000000000000",
+            "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+            "0000000000000000000000000000000000000000000000000000000000000080",
+            "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+            "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+            "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85",
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa",
+            "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        ]
+        .iter()
+        .map(|hex| {
+            PublicKey(std::array::from_fn(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).unwrap()))
+        })
+        .collect()
+    }
+
+    /// `base` plus a replica under `key`, endorsed by its operator, and
+    /// `base` plus a member under `key`: the two referendums that register
+    /// a key.
+    fn configs_registering(base: &Configuration, key: PublicKey) -> [Configuration; 2] {
+        let (mut with_replica, member_kp, _) = next_config_add_replica(base);
+        let replica = with_replica.replicas.last_mut().unwrap();
+        replica.key = key;
+        replica.endorsement = member_kp.sign(&ReplicaDesc::endorsement_payload(replica.id, &key));
+        let mut with_member = base.clone();
+        with_member.number = base.number + 1;
+        with_member.members.push(MemberDesc { id: MemberId(4), key });
+        [with_replica, with_member]
+    }
+
+    #[test]
+    fn referendum_refuses_weak_and_undecodable_keys() {
+        let (config, _, _) = test_config(4);
+        // x = 0 with the sign bit set: not a curve point.
+        let mut undecodable = [0u8; 32];
+        undecodable[0] = 1;
+        undecodable[31] = 0x80;
+        let mut refused = weak_keys();
+        refused.push(PublicKey(undecodable));
+        for key in refused {
+            for next in configs_registering(&config, key) {
+                let mut gov = GovernanceState::new(config.clone());
+                let propose = GovAction::Propose { proposal_id: 1, new_config: next };
+                let got = gov.apply(MemberId(0), &propose);
+                assert!(matches!(got, Err(GovError::InvalidConfig(_))), "{key}: {got:?}");
+            }
+        }
+        // The same referendums with an honest key pass validation.
+        for next in configs_registering(&config, KeyPair::from_label("fresh").public()) {
+            let mut gov = GovernanceState::new(config.clone());
+            let propose = GovAction::Propose { proposal_id: 1, new_config: next };
+            assert_eq!(gov.apply(MemberId(0), &propose), Ok(GovOutcome::Recorded));
+        }
     }
 
     #[test]

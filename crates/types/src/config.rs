@@ -124,8 +124,13 @@ impl Configuration {
         self.replicas.iter().find(|r| r.id == id).map(|r| r.operator)
     }
 
-    /// Structural validity: sorted unique ids, ≤ 64 replicas, operators
+    /// Structural validity: sorted unique ids, ≤ 64 replicas, every member
+    /// and replica key a curve point of more than small order, operators
     /// exist, all endorsements verify, sane vote threshold.
+    ///
+    /// A small-order key is refused because under it `R` = identity,
+    /// `s = 0` verifies for every message: anyone could sign as that
+    /// member or replica, and blame on it would prove nothing.
     pub fn validate(&self) -> Result<(), String> {
         if self.replicas.is_empty() {
             return Err("no replicas".into());
@@ -151,7 +156,11 @@ impl Configuration {
         if self.checkpoint_interval <= self.pipeline_depth as u64 {
             return Err("checkpoint interval must exceed pipeline depth".into());
         }
+        for m in &self.members {
+            usable_key(&m.key).map_err(|why| format!("member {} key {why}", m.id))?;
+        }
         for r in &self.replicas {
+            usable_key(&r.key).map_err(|why| format!("replica {} key {why}", r.id))?;
             let Some(key) = self.member_key(r.operator) else {
                 return Err(format!("replica {} operator {} unknown", r.id, r.operator));
             };
@@ -165,6 +174,16 @@ impl Configuration {
     /// Digest identifying this configuration's contents.
     pub fn digest(&self) -> ia_ccf_crypto::Digest {
         ia_ccf_crypto::hash_bytes(&self.to_bytes())
+    }
+}
+
+/// `Ok` for a key that is a curve point of more than small order;
+/// otherwise what is wrong with it.
+fn usable_key(key: &PublicKey) -> Result<(), &'static str> {
+    match key.is_weak() {
+        None => Err("is not a curve point"),
+        Some(true) => Err("has small order"),
+        Some(false) => Ok(()),
     }
 }
 
