@@ -13,7 +13,8 @@
 //! clients"): the batch's signatures form one job slice, checked by the
 //! combined equation of [`ia_ccf_crypto::verify_batch_indices`] — whole
 //! on a size-1 pool, in deterministically ordered chunks of at least
-//! [`ia_ccf_crypto::VERIFY_MIN_CHUNK`] over the replica's persistent
+//! [`ia_ccf_crypto::VERIFY_MIN_CHUNK`] (the kernel's own cut,
+//! [`ia_ccf_crypto::batch::verify_chunk_len`]) over the replica's persistent
 //! [`ia_ccf_pool::WorkerPool`] otherwise; a failing slice or chunk is
 //! re-checked job by job, so the failed indices are exact either way.
 //! Verification is split into `start_batch_verify` /
@@ -80,7 +81,7 @@ fn spawn_verify_chunks(
     pool: &WorkerPool,
     mut jobs: Vec<VerifyJob>,
 ) -> Vec<(usize, TaskHandle<Vec<usize>>)> {
-    let chunk = jobs.len().div_ceil(pool.threads()).max(ia_ccf_crypto::VERIFY_MIN_CHUNK);
+    let chunk = ia_ccf_crypto::batch::verify_chunk_len(jobs.len(), pool.threads());
     let mut chunks = Vec::new();
     let mut base = 0;
     while !jobs.is_empty() {

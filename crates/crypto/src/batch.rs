@@ -16,8 +16,8 @@
 //! parse — every job is checked by [`PublicKey::verify`] on its own, so
 //! the failed indices are exactly the singles' verdicts (§6.5: blame is
 //! per signature). A slice with one forged signature therefore costs the
-//! failed combined check plus the singles, ≈ 1.3× the singles alone in a
-//! slice of 300 with four keys (the combined check is ≈ 7 µs per
+//! failed combined check plus the singles, ≈ 1.2× the singles alone in a
+//! slice of 300 with four keys (the combined check is ≈ 5 µs per
 //! signature there, a single ≈ 26 µs).
 //!
 //! **One accept set.** The combined equation and the single check are both
@@ -37,21 +37,33 @@ use crate::keys::{PublicKey, Signature};
 
 /// Shortest slice the combined equation is tried on. Measured against
 /// singles (≈ 26 µs each, the split kernel), keys all distinct (its worst
-/// case), with `R` decompressed eight at a time on AVX-512 IFMA: 1.18×
-/// their cost at 4 jobs, 1.0× at 6, 0.93× at 8, 0.88× at 10, 0.82× at 12;
-/// four keys coalesced, 0.73–0.86× at 8. 8 is the first length where the
-/// worst case is ahead, and a failed slice pays for both. (Without the
-/// lanes the same ratios put it at 12: 1.0× at 8, 0.95× at 12.)
+/// case), on AVX-512 IFMA (`R` decompressed eight at a time, bucket sums
+/// from 10 points up one window per lane): 1.18× their cost at 4 jobs,
+/// 1.0× at 6, 0.9× at 8, 0.85× at 10, 0.75× at 12; four keys coalesced,
+/// 0.75× at 8. 8 is the first length where the worst case is ahead, and a
+/// failed slice pays for both. (Without the lanes the same ratios put it
+/// at 12: 1.0× at 8, 0.95× at 12.)
 pub const VERIFY_BATCH_MIN: usize = 8;
 
 /// Smallest per-worker chunk: the combined equation has a fixed cost per
-/// slice (one chain of 253 doublings for the keys and `B`, a table per
-/// key), so a chunk should hold enough signatures to spread it. At 24 a
-/// signature costs ≈ 19.5 µs with distinct keys and ≈ 11.5 µs with four
-/// (0.75× and 0.46× a single), against ≈ 7 µs in a slice of 300 and
-/// ≈ 26 µs singly; the scalar kernel reached 0.83× and 0.52× only at 32.
-/// At 16 the four-key chunk is back at 0.53×.
+/// slice (one sum over the keys and `B` with full-width scalars, a table
+/// per key), so a chunk should hold enough signatures to spread it. At 24
+/// a signature costs ≈ 13.5 µs with distinct keys and ≈ 10–11.5 µs with
+/// four (0.57× and 0.45× a single), against ≈ 5 µs in a slice of 300 and
+/// ≈ 24–26 µs singly. The bucket lanes would make 16 worth it too (≈ 16.3
+/// and ≈ 12.9 µs: 0.69× and 0.55×); 24 stays, since the benchmark's
+/// replicas run one pool thread and the auditor checks its chunks
+/// unpooled, so no measured path would gain. Without the bucket lanes 24
+/// cost 0.75× and 0.46×; the scalar kernels reached 0.83× and 0.52× only
+/// at 32.
 pub const VERIFY_MIN_CHUNK: usize = 24;
+
+/// Jobs per pool chunk when `jobs` are cut over `threads` workers: an even
+/// share each, but never below [`VERIFY_MIN_CHUNK`]. The one rule for
+/// [`verify_batch_indices_on`] and for a replica's own pooled admission.
+pub fn verify_chunk_len(jobs: usize, threads: usize) -> usize {
+    jobs.div_ceil(threads).max(VERIFY_MIN_CHUNK)
+}
 
 /// One verification work item: `sig` must verify over `msg` under `key`.
 pub struct VerifyJob {
@@ -119,7 +131,7 @@ pub fn verify_batch_on(pool: &WorkerPool, jobs: &[VerifyJob]) -> bool {
 /// back in ascending order regardless of pool size (chunk results are
 /// stitched in slice order).
 pub fn verify_batch_indices_on(pool: &WorkerPool, jobs: &[VerifyJob]) -> Vec<usize> {
-    let chunk = jobs.len().div_ceil(pool.threads()).max(VERIFY_MIN_CHUNK);
+    let chunk = verify_chunk_len(jobs.len(), pool.threads());
     let parts: Vec<&[VerifyJob]> = jobs.chunks(chunk).collect();
     pool.map_chunked(&parts, 1, |part, jobs| {
         verify_batch_indices(jobs).into_iter().map(|i| part * chunk + i).collect::<Vec<_>>()

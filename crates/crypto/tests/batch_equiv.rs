@@ -239,6 +239,49 @@ fn crossover_lengths_locate_a_forgery() {
     }
 }
 
+/// Every edge between the kernels the combined equation's two sums take:
+/// both sides of the bucket lanes' minimum (10 points), of their window
+/// width's steps for 128-bit scalars (48/49, 64/65), `sat_hot_durable`'s
+/// 100-request slices, both sides of the scalar `BUCKET_METHOD_MIN`
+/// (128) and the auditor's 256-signature chunks. Each length runs clean
+/// (crafted-but-valid jobs and cancelling torsion pairs inside), then
+/// with one forgery first and one last, under four keys and under all
+/// distinct keys, whose full-width sum is then as long as the slice.
+#[test]
+fn kernel_edges_agree_with_singles() {
+    let pools = pools();
+    for n in [9usize, 10, 11, 48, 49, 64, 65, 100, 127, 128, 129, 256] {
+        for keys in [4, n] {
+            let generator = Generator::new(keys, (1000 * n + keys) as u64);
+            let mut state = n as u64 ^ 0xed9e;
+            let mut kinds = vec![Kind::Honest; n];
+            for i in (3..n).step_by(11) {
+                kinds[i] = VALID_KINDS[i % 3];
+            }
+            let mut jobs: Vec<VerifyJob> = kinds
+                .iter()
+                .enumerate()
+                .map(|(i, &kind)| generator.job(i, kind, splitmix(&mut state)))
+                .collect();
+            // Pairs stay clear of the first and the last job.
+            for at in (1..n - 2).step_by(37) {
+                let [a, b] = generator.cancelling_pair(at, splitmix(&mut state));
+                (jobs[at], jobs[at + 1]) = (a, b);
+                (kinds[at], kinds[at + 1]) = (Kind::Torsion, Kind::Torsion);
+            }
+            check_slice(&jobs, &kinds, &pools);
+
+            for at in [0, n - 1] {
+                let forged = generator.job(at, Kind::BitFlippedSig, splitmix(&mut state));
+                let (saved_job, saved_kind) = (std::mem::replace(&mut jobs[at], forged), kinds[at]);
+                kinds[at] = Kind::BitFlippedSig;
+                check_slice(&jobs, &kinds, &pools);
+                (jobs[at], kinds[at]) = (saved_job, saved_kind);
+            }
+        }
+    }
+}
+
 /// The benchmark's batch size — the bucket-method kernel, and more than
 /// one `VERIFY_MIN_CHUNK` per worker — with few keys and with 300.
 #[test]
