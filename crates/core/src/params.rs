@@ -7,8 +7,6 @@
 pub struct ProtocolParams {
     /// Maximum transactions per batch (300 LAN / 800 WAN in the paper).
     pub batch_max: usize,
-    /// Ticks the primary waits before flushing a partial batch.
-    pub batch_delay_ticks: u64,
     /// Ticks without progress before a backup starts a view change.
     pub view_timeout_ticks: u64,
     /// Take checkpoints and agree their digests.
@@ -83,7 +81,6 @@ impl Default for ProtocolParams {
     fn default() -> Self {
         ProtocolParams {
             batch_max: 300,
-            batch_delay_ticks: 1,
             view_timeout_ticks: 40,
             checkpoints_enabled: true,
             execution_shards: 0,

@@ -19,12 +19,15 @@ use std::collections::BTreeMap;
 use ia_ccf_types::{
     evidence_target, lowest_ranked_quorum, BatchCertificate, BatchKind, Commit, Configuration,
     Digest, LedgerEntry, Nonce, PrePrepare, PrePrepareCore, Prepare, ProtocolMsg, ReplicaBitmap,
-    ReplicaId, SeqNum, Signature, SignedRequest, SystemOp, TxLedgerEntry, View,
+    ReplicaId, RequestAction, SeqNum, Signature, SignedRequest, SystemOp, TxLedgerEntry, View,
 };
 
 use crate::pipeline::admission::BatchVerify;
 use crate::pipeline::execution::{BatchExec, BatchMark, ExecError};
 use crate::replica::{verify_replica_payload, Replica};
+
+/// Ticks the primary waits before flushing a partial batch.
+const BATCH_DELAY_TICKS: u64 = 1;
 
 /// The commitment evidence a pre-prepare orders in for the batch at `seq`:
 /// `P_s` and `K_s` (`E_s` rides in the pre-prepare itself). Built only by
@@ -70,6 +73,16 @@ pub(crate) fn signed_by_view_primary(config: &Configuration, pp: &PrePrepare) ->
         && verify_replica_payload(config, pp.core.primary, &payload, &pp.sig)
 }
 
+/// The checkpoint `req` marks, when it is a checkpoint mark.
+fn marked_checkpoint(req: &SignedRequest) -> Option<SeqNum> {
+    match &req.request.action {
+        RequestAction::System(SystemOp::CheckpointMark { checkpoint_seq, .. }) => {
+            Some(*checkpoint_seq)
+        }
+        _ => None,
+    }
+}
+
 impl Replica {
     // ------------------------------------------------------------------
     // Primary: sendPrePrepare (Alg. 1 line 4).
@@ -96,9 +109,8 @@ impl Replica {
                 continue;
             }
             // Checkpoint batches at multiples of C (digest of cp at s − C).
-            let c = self.checkpoint_interval();
-            if self.params.checkpoints_enabled && seq.0.is_multiple_of(c) && seq.0 >= 2 * c {
-                if !self.send_mark_batch(seq, SeqNum(seq.0 - c)) {
+            if let Some(target) = self.mark_target(seq).filter(|_| self.params.checkpoints_enabled) {
+                if !self.send_mark_batch(seq, target) {
                     return;
                 }
                 continue;
@@ -110,8 +122,7 @@ impl Replica {
                 return;
             }
             let full = eligible.len() >= self.params.batch_max;
-            let timer_ok = self.tick.saturating_sub(self.last_pp_tick)
-                >= self.params.batch_delay_ticks;
+            let timer_ok = self.tick.saturating_sub(self.last_pp_tick) >= BATCH_DELAY_TICKS;
             if !full && !timer_ok {
                 // Put them back; wait for more.
                 for d in eligible.into_iter().rev() {
@@ -143,6 +154,20 @@ impl Replica {
                 return;
             }
         }
+    }
+
+    /// The checkpoint a mark batch at `seq` names, where the send loop
+    /// proposes one: the switch point at the reconfiguration schedule's
+    /// checkpoint slot, else `seq − C` for `seq` a multiple of `C` and at
+    /// least `2C`. `None` anywhere else, a reconfiguration slot included.
+    fn mark_target(&self, seq: SeqNum) -> Option<SeqNum> {
+        if let Some(rc) = &self.reconfig {
+            if let Some(kind) = rc.expected_kind(seq) {
+                return (kind == BatchKind::Checkpoint).then(|| rc.switch_seq());
+            }
+        }
+        let c = self.checkpoint_interval();
+        (seq.0.is_multiple_of(c) && seq.0 >= 2 * c).then(|| SeqNum(seq.0 - c))
     }
 
     /// Send the checkpoint batch at `seq`: one system transaction marking
@@ -490,12 +515,13 @@ impl Replica {
                 }
                 Ok(())
             }
-            BatchKind::Checkpoint => {
-                if batch.len() != 1 || !batch[0].is_system() {
-                    return Err(ExecError::KindMismatch);
-                }
-                Ok(()) // digest equality validated during execution
-            }
+            // One mark, naming the checkpoint the primary's send loop
+            // would have named at this sequence number; digest equality
+            // is validated during execution.
+            BatchKind::Checkpoint => match (batch, self.mark_target(pp.seq())) {
+                ([mark], Some(target)) if marked_checkpoint(mark) == Some(target) => Ok(()),
+                _ => Err(ExecError::KindMismatch),
+            },
             BatchKind::EndOfConfig { .. } | BatchKind::StartOfConfig { .. } => {
                 if !batch.is_empty() {
                     return Err(ExecError::KindMismatch);

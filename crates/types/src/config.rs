@@ -10,7 +10,7 @@ use ia_ccf_crypto::{PublicKey, Signature};
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{MemberId, ReplicaId, View};
-use crate::wire::{decode_seq, encode_seq, CodecError, Reader, Wire};
+use crate::wire::Wire;
 
 /// Domain-separation tag for member endorsements of replica keys.
 pub const ENDORSEMENT_DOMAIN: u8 = 0x10;
@@ -187,54 +187,16 @@ fn usable_key(key: &PublicKey) -> Result<(), &'static str> {
     }
 }
 
-impl Wire for MemberDesc {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.id.encode(buf);
-        self.key.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(MemberDesc { id: MemberId::decode(r)?, key: PublicKey::decode(r)? })
-    }
-}
-
-use ia_ccf_crypto::PublicKey as PK;
-impl Wire for ReplicaDesc {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.id.encode(buf);
-        self.key.encode(buf);
-        self.operator.encode(buf);
-        self.endorsement.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(ReplicaDesc {
-            id: ReplicaId::decode(r)?,
-            key: PK::decode(r)?,
-            operator: MemberId::decode(r)?,
-            endorsement: Signature::decode(r)?,
-        })
-    }
-}
-
-impl Wire for Configuration {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.number.encode(buf);
-        encode_seq(&self.members, buf);
-        encode_seq(&self.replicas, buf);
-        self.vote_threshold.encode(buf);
-        self.pipeline_depth.encode(buf);
-        self.checkpoint_interval.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Configuration {
-            number: u64::decode(r)?,
-            members: decode_seq(r)?,
-            replicas: decode_seq(r)?,
-            vote_threshold: u32::decode(r)?,
-            pipeline_depth: u32::decode(r)?,
-            checkpoint_interval: u64::decode(r)?,
-        })
-    }
-}
+wire_struct!(MemberDesc { id, key });
+wire_struct!(ReplicaDesc { id, key, operator, endorsement });
+wire_struct!(Configuration {
+    number,
+    members: seq,
+    replicas: seq,
+    vote_threshold,
+    pipeline_depth,
+    checkpoint_interval,
+});
 
 /// Test-support builders shared with downstream crates' tests.
 pub mod testutil {

@@ -22,7 +22,7 @@ use crate::config::Configuration;
 use crate::ids::{LedgerIdx, SeqNum, View};
 use crate::messages::{NewViewMsg, PrePrepare, Prepare, ViewChange};
 use crate::request::SignedRequest;
-use crate::wire::{decode_seq, encode_seq, CodecError, Reader, Wire};
+use crate::wire::Wire;
 
 /// Leaf-domain byte for G-tree (per-batch) leaves.
 const G_LEAF_DOMAIN: u8 = 0x20;
@@ -135,94 +135,17 @@ impl LedgerEntry {
     }
 }
 
-impl Wire for TxResult {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.ok.encode(buf);
-        self.output.encode(buf);
-        self.write_set_digest.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(TxResult {
-            ok: bool::decode(r)?,
-            output: Vec::<u8>::decode(r)?,
-            write_set_digest: Digest::decode(r)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.ok.encoded_len() + self.output.encoded_len() + self.write_set_digest.encoded_len()
-    }
-}
-
-impl Wire for TxLedgerEntry {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.request.encode(buf);
-        self.index.encode(buf);
-        self.result.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(TxLedgerEntry {
-            request: SignedRequest::decode(r)?,
-            index: LedgerIdx::decode(r)?,
-            result: TxResult::decode(r)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.request.encoded_len() + self.index.encoded_len() + self.result.encoded_len()
-    }
-}
-
-impl Wire for LedgerEntry {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            LedgerEntry::Genesis { config } => {
-                buf.push(0);
-                config.encode(buf);
-            }
-            LedgerEntry::Evidence { seq, prepares } => {
-                buf.push(1);
-                seq.encode(buf);
-                encode_seq(prepares, buf);
-            }
-            LedgerEntry::Nonces { seq, nonces } => {
-                buf.push(2);
-                seq.encode(buf);
-                encode_seq(nonces, buf);
-            }
-            LedgerEntry::PrePrepare(pp) => {
-                buf.push(3);
-                pp.encode(buf);
-            }
-            LedgerEntry::Tx(tx) => {
-                buf.push(4);
-                tx.encode(buf);
-            }
-            LedgerEntry::ViewChangeSet { view, view_changes } => {
-                buf.push(5);
-                view.encode(buf);
-                encode_seq(view_changes, buf);
-            }
-            LedgerEntry::NewView(nv) => {
-                buf.push(6);
-                nv.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.u8()? {
-            0 => Ok(LedgerEntry::Genesis { config: Configuration::decode(r)? }),
-            1 => Ok(LedgerEntry::Evidence { seq: SeqNum::decode(r)?, prepares: decode_seq(r)? }),
-            2 => Ok(LedgerEntry::Nonces { seq: SeqNum::decode(r)?, nonces: decode_seq(r)? }),
-            3 => Ok(LedgerEntry::PrePrepare(PrePrepare::decode(r)?)),
-            4 => Ok(LedgerEntry::Tx(TxLedgerEntry::decode(r)?)),
-            5 => Ok(LedgerEntry::ViewChangeSet {
-                view: View::decode(r)?,
-                view_changes: decode_seq(r)?,
-            }),
-            6 => Ok(LedgerEntry::NewView(NewViewMsg::decode(r)?)),
-            tag => Err(CodecError::BadTag { context: "LedgerEntry", tag }),
-        }
-    }
-}
+wire_struct!(TxResult { ok, output, write_set_digest });
+wire_struct!(TxLedgerEntry { request, index, result });
+wire_enum!(LedgerEntry {
+    0 => Genesis { config },
+    1 => Evidence { seq, prepares: seq },
+    2 => Nonces { seq, nonces: seq },
+    3 => PrePrepare(pp),
+    4 => Tx(tx),
+    5 => ViewChangeSet { view, view_changes: seq },
+    6 => NewView(nv),
+});
 
 #[cfg(test)]
 mod tests {

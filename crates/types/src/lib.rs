@@ -16,13 +16,16 @@
 //! `ia-ccf-core` (the protocol) auditable and lets the auditor and client
 //! speak the same types without depending on replica internals.
 
+// First, so its layout macros are in scope in every module below.
+#[macro_use]
+pub mod wire;
+
 pub mod config;
 pub mod entry;
 pub mod ids;
 pub mod messages;
 pub mod receipt;
 pub mod request;
-pub mod wire;
 
 pub use config::{Configuration, MemberDesc, ReplicaDesc};
 pub use entry::{LedgerEntry, TxLedgerEntry, TxResult};

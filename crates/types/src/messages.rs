@@ -14,7 +14,7 @@ use crate::entry::TxResult;
 use crate::ids::{LedgerIdx, ReplicaBitmap, ReplicaId, SeqNum, View};
 use crate::receipt::Receipt;
 use crate::request::SignedRequest;
-use crate::wire::{decode_seq, encode_seq, encoded_len_seq, CodecError, Reader, Wire};
+use crate::wire::{encode_seq, Wire};
 use ia_ccf_merkle::MerklePath;
 
 /// Server-side hard ceiling on the page budget of a
@@ -492,504 +492,70 @@ pub struct CheckpointPayload {
 }
 
 // ---------------------------------------------------------------------
-// Wire impls
+// Wire layouts
 // ---------------------------------------------------------------------
 
-impl Wire for BatchKind {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            BatchKind::Regular => buf.push(0),
-            BatchKind::Checkpoint => buf.push(1),
-            BatchKind::EndOfConfig { phase } => {
-                buf.push(2);
-                phase.encode(buf);
-            }
-            BatchKind::StartOfConfig { phase } => {
-                buf.push(3);
-                phase.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.u8()? {
-            0 => Ok(BatchKind::Regular),
-            1 => Ok(BatchKind::Checkpoint),
-            2 => Ok(BatchKind::EndOfConfig { phase: u32::decode(r)? }),
-            3 => Ok(BatchKind::StartOfConfig { phase: u32::decode(r)? }),
-            tag => Err(CodecError::BadTag { context: "BatchKind", tag }),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        match self {
-            BatchKind::Regular | BatchKind::Checkpoint => 1,
-            BatchKind::EndOfConfig { .. } | BatchKind::StartOfConfig { .. } => 5,
-        }
-    }
-}
+wire_enum!(BatchKind {
+    0 => Regular,
+    1 => Checkpoint,
+    2 => EndOfConfig { phase },
+    3 => StartOfConfig { phase },
+});
 
-impl Wire for PrePrepareCore {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.view.encode(buf);
-        self.seq.encode(buf);
-        self.root_m.encode(buf);
-        self.nonce_commit.encode(buf);
-        self.evidence_seq.encode(buf);
-        self.evidence_bitmap.encode(buf);
-        self.gov_index.encode(buf);
-        self.checkpoint_digest.encode(buf);
-        self.kind.encode(buf);
-        self.committed_root.encode(buf);
-        self.primary.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(PrePrepareCore {
-            view: View::decode(r)?,
-            seq: SeqNum::decode(r)?,
-            root_m: Digest::decode(r)?,
-            nonce_commit: NonceCommitment::decode(r)?,
-            evidence_seq: SeqNum::decode(r)?,
-            evidence_bitmap: ReplicaBitmap::decode(r)?,
-            gov_index: LedgerIdx::decode(r)?,
-            checkpoint_digest: Digest::decode(r)?,
-            kind: BatchKind::decode(r)?,
-            committed_root: Option::<Digest>::decode(r)?,
-            primary: ReplicaId::decode(r)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.view.encoded_len()
-            + self.seq.encoded_len()
-            + self.root_m.encoded_len()
-            + self.nonce_commit.encoded_len()
-            + self.evidence_seq.encoded_len()
-            + self.evidence_bitmap.encoded_len()
-            + self.gov_index.encoded_len()
-            + self.checkpoint_digest.encoded_len()
-            + self.kind.encoded_len()
-            + self.committed_root.encoded_len()
-            + self.primary.encoded_len()
-    }
-}
+wire_struct!(PrePrepareCore {
+    view,
+    seq,
+    root_m,
+    nonce_commit,
+    evidence_seq,
+    evidence_bitmap,
+    gov_index,
+    checkpoint_digest,
+    kind,
+    committed_root,
+    primary,
+});
+wire_struct!(PrePrepare { core, root_g, sig });
+wire_struct!(Prepare { view, seq, replica, nonce_commit, pp_digest, sig });
+wire_struct!(Commit { view, seq, replica, nonce });
+wire_struct!(Reply { view, seq, replica, sig, nonce, req_ids: seq });
+wire_struct!(ReplyX { core, primary_sig, tx_hash, index, result, path });
+wire_struct!(ViewChange { view, replica, pps: seq, last_proof: seq, sig });
+wire_struct!(NewViewMsg { view, root_m, vc_bitmap, vc_entry_hash, sig });
+wire_struct!(CheckpointPin { seq, kv_digest, tree_root });
+wire_struct!(CheckpointPayload {
+    kv_bytes,
+    frontier,
+    ledger_len,
+    next_tx_index,
+    seed_entries: seq,
+});
 
-impl Wire for PrePrepare {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.core.encode(buf);
-        self.root_g.encode(buf);
-        self.sig.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(PrePrepare {
-            core: PrePrepareCore::decode(r)?,
-            root_g: Digest::decode(r)?,
-            sig: Signature::decode(r)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.core.encoded_len() + self.root_g.encoded_len() + self.sig.encoded_len()
-    }
-}
-
-impl Wire for Prepare {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.view.encode(buf);
-        self.seq.encode(buf);
-        self.replica.encode(buf);
-        self.nonce_commit.encode(buf);
-        self.pp_digest.encode(buf);
-        self.sig.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Prepare {
-            view: View::decode(r)?,
-            seq: SeqNum::decode(r)?,
-            replica: ReplicaId::decode(r)?,
-            nonce_commit: NonceCommitment::decode(r)?,
-            pp_digest: Digest::decode(r)?,
-            sig: Signature::decode(r)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.view.encoded_len()
-            + self.seq.encoded_len()
-            + self.replica.encoded_len()
-            + self.nonce_commit.encoded_len()
-            + self.pp_digest.encoded_len()
-            + self.sig.encoded_len()
-    }
-}
-
-impl Wire for Commit {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.view.encode(buf);
-        self.seq.encode(buf);
-        self.replica.encode(buf);
-        self.nonce.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Commit {
-            view: View::decode(r)?,
-            seq: SeqNum::decode(r)?,
-            replica: ReplicaId::decode(r)?,
-            nonce: Nonce::decode(r)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.view.encoded_len()
-            + self.seq.encoded_len()
-            + self.replica.encoded_len()
-            + self.nonce.encoded_len()
-    }
-}
-
-impl Wire for Reply {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.view.encode(buf);
-        self.seq.encode(buf);
-        self.replica.encode(buf);
-        self.sig.encode(buf);
-        self.nonce.encode(buf);
-        encode_seq(&self.req_ids, buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Reply {
-            view: View::decode(r)?,
-            seq: SeqNum::decode(r)?,
-            replica: ReplicaId::decode(r)?,
-            sig: Signature::decode(r)?,
-            nonce: Nonce::decode(r)?,
-            req_ids: decode_seq(r)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.view.encoded_len()
-            + self.seq.encoded_len()
-            + self.replica.encoded_len()
-            + self.sig.encoded_len()
-            + self.nonce.encoded_len()
-            + encoded_len_seq(&self.req_ids)
-    }
-}
-
-impl Wire for ReplyX {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.core.encode(buf);
-        self.primary_sig.encode(buf);
-        self.tx_hash.encode(buf);
-        self.index.encode(buf);
-        self.result.encode(buf);
-        self.path.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(ReplyX {
-            core: PrePrepareCore::decode(r)?,
-            primary_sig: Signature::decode(r)?,
-            tx_hash: Digest::decode(r)?,
-            index: LedgerIdx::decode(r)?,
-            result: TxResult::decode(r)?,
-            path: MerklePath::decode(r)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.core.encoded_len()
-            + self.primary_sig.encoded_len()
-            + self.tx_hash.encoded_len()
-            + self.index.encoded_len()
-            + self.result.encoded_len()
-            + self.path.encoded_len()
-    }
-}
-
-impl Wire for ViewChange {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.view.encode(buf);
-        self.replica.encode(buf);
-        encode_seq(&self.pps, buf);
-        encode_seq(&self.last_proof, buf);
-        self.sig.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(ViewChange {
-            view: View::decode(r)?,
-            replica: ReplicaId::decode(r)?,
-            pps: decode_seq(r)?,
-            last_proof: decode_seq(r)?,
-            sig: Signature::decode(r)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.view.encoded_len()
-            + self.replica.encoded_len()
-            + encoded_len_seq(&self.pps)
-            + encoded_len_seq(&self.last_proof)
-            + self.sig.encoded_len()
-    }
-}
-
-impl Wire for NewViewMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.view.encode(buf);
-        self.root_m.encode(buf);
-        self.vc_bitmap.encode(buf);
-        self.vc_entry_hash.encode(buf);
-        self.sig.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(NewViewMsg {
-            view: View::decode(r)?,
-            root_m: Digest::decode(r)?,
-            vc_bitmap: ReplicaBitmap::decode(r)?,
-            vc_entry_hash: Digest::decode(r)?,
-            sig: Signature::decode(r)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.view.encoded_len()
-            + self.root_m.encoded_len()
-            + self.vc_bitmap.encoded_len()
-            + self.vc_entry_hash.encoded_len()
-            + self.sig.encoded_len()
-    }
-}
-
-impl Wire for CheckpointPin {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.seq.encode(buf);
-        self.kv_digest.encode(buf);
-        self.tree_root.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(CheckpointPin {
-            seq: SeqNum::decode(r)?,
-            kv_digest: Digest::decode(r)?,
-            tree_root: Digest::decode(r)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.seq.encoded_len() + self.kv_digest.encoded_len() + self.tree_root.encoded_len()
-    }
-}
-
-impl Wire for CheckpointPayload {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.kv_bytes.encode(buf);
-        self.frontier.encode(buf);
-        self.ledger_len.encode(buf);
-        self.next_tx_index.encode(buf);
-        encode_seq(&self.seed_entries, buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(CheckpointPayload {
-            kv_bytes: Vec::<u8>::decode(r)?,
-            frontier: Vec::<u8>::decode(r)?,
-            ledger_len: u64::decode(r)?,
-            next_tx_index: u64::decode(r)?,
-            seed_entries: decode_seq(r)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.kv_bytes.encoded_len()
-            + self.frontier.encoded_len()
-            + self.ledger_len.encoded_len()
-            + self.next_tx_index.encoded_len()
-            + encoded_len_seq(&self.seed_entries)
-    }
-}
-
-impl Wire for ProtocolMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            ProtocolMsg::Request(r) => {
-                buf.push(0);
-                r.encode(buf);
-            }
-            ProtocolMsg::PrePrepare { pp, batch } => {
-                buf.push(1);
-                pp.encode(buf);
-                encode_seq(batch, buf);
-            }
-            ProtocolMsg::Prepare(p) => {
-                buf.push(2);
-                p.encode(buf);
-            }
-            ProtocolMsg::Commit(c) => {
-                buf.push(3);
-                c.encode(buf);
-            }
-            ProtocolMsg::Reply(r) => {
-                buf.push(4);
-                r.encode(buf);
-            }
-            ProtocolMsg::ReplyX(r) => {
-                buf.push(5);
-                r.encode(buf);
-            }
-            ProtocolMsg::ViewChange(vc) => {
-                buf.push(6);
-                vc.encode(buf);
-            }
-            ProtocolMsg::NewView { nv, view_changes } => {
-                buf.push(7);
-                nv.encode(buf);
-                encode_seq(view_changes, buf);
-            }
-            ProtocolMsg::FetchRequests { hashes } => {
-                buf.push(8);
-                encode_seq(hashes, buf);
-            }
-            ProtocolMsg::FetchRequestsResponse { requests } => {
-                buf.push(9);
-                encode_seq(requests, buf);
-            }
-            ProtocolMsg::FetchGovReceipts { from_index } => {
-                buf.push(12);
-                from_index.encode(buf);
-            }
-            ProtocolMsg::GovReceipts { receipts } => {
-                buf.push(13);
-                encode_seq(receipts, buf);
-            }
-            ProtocolMsg::FetchReceipt { tx_hash } => {
-                buf.push(14);
-                tx_hash.encode(buf);
-            }
-            ProtocolMsg::FetchEvidence { seq } => {
-                buf.push(16);
-                seq.encode(buf);
-            }
-            ProtocolMsg::FetchEvidenceResponse { prepares, commits } => {
-                buf.push(17);
-                encode_seq(prepares, buf);
-                encode_seq(commits, buf);
-            }
-            ProtocolMsg::FetchLedgerPage { from_seq, max_bytes } => {
-                buf.push(18);
-                from_seq.encode(buf);
-                max_bytes.encode(buf);
-            }
-            ProtocolMsg::FetchLedgerPageResponse { entries, next_seq, done } => {
-                buf.push(19);
-                (entries.len() as u32).encode(buf);
-                for e in entries {
-                    e.encode(buf);
-                }
-                next_seq.encode(buf);
-                done.encode(buf);
-            }
-            ProtocolMsg::FetchLedgerTip => {
-                buf.push(20);
-            }
-            ProtocolMsg::LedgerTipResponse { tip, offer } => {
-                buf.push(21);
-                tip.encode(buf);
-                offer.encode(buf);
-            }
-            ProtocolMsg::FetchCheckpoint { seq } => {
-                buf.push(22);
-                seq.encode(buf);
-            }
-            ProtocolMsg::FetchCheckpointResponse { seq, payload } => {
-                buf.push(23);
-                seq.encode(buf);
-                payload.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.u8()? {
-            0 => Ok(ProtocolMsg::Request(SignedRequest::decode(r)?)),
-            1 => Ok(ProtocolMsg::PrePrepare { pp: PrePrepare::decode(r)?, batch: decode_seq(r)? }),
-            2 => Ok(ProtocolMsg::Prepare(Prepare::decode(r)?)),
-            3 => Ok(ProtocolMsg::Commit(Commit::decode(r)?)),
-            4 => Ok(ProtocolMsg::Reply(Reply::decode(r)?)),
-            5 => Ok(ProtocolMsg::ReplyX(ReplyX::decode(r)?)),
-            6 => Ok(ProtocolMsg::ViewChange(ViewChange::decode(r)?)),
-            7 => Ok(ProtocolMsg::NewView {
-                nv: NewViewMsg::decode(r)?,
-                view_changes: decode_seq(r)?,
-            }),
-            8 => Ok(ProtocolMsg::FetchRequests { hashes: decode_seq(r)? }),
-            9 => Ok(ProtocolMsg::FetchRequestsResponse { requests: decode_seq(r)? }),
-            // Tags 10, 11 and 15 are reserved: never reassign them. They
-            // decode to `BadTag` like any unknown tag.
-            12 => Ok(ProtocolMsg::FetchGovReceipts { from_index: LedgerIdx::decode(r)? }),
-            13 => Ok(ProtocolMsg::GovReceipts { receipts: decode_seq(r)? }),
-            14 => Ok(ProtocolMsg::FetchReceipt { tx_hash: Digest::decode(r)? }),
-            16 => Ok(ProtocolMsg::FetchEvidence { seq: SeqNum::decode(r)? }),
-            17 => Ok(ProtocolMsg::FetchEvidenceResponse {
-                prepares: decode_seq(r)?,
-                commits: decode_seq(r)?,
-            }),
-            18 => Ok(ProtocolMsg::FetchLedgerPage {
-                from_seq: SeqNum::decode(r)?,
-                max_bytes: u64::decode(r)?,
-            }),
-            19 => {
-                let n = u32::decode(r)?;
-                let mut entries = Vec::with_capacity(n.min(4096) as usize);
-                for _ in 0..n {
-                    entries.push(Vec::<u8>::decode(r)?);
-                }
-                Ok(ProtocolMsg::FetchLedgerPageResponse {
-                    entries,
-                    next_seq: SeqNum::decode(r)?,
-                    done: bool::decode(r)?,
-                })
-            }
-            20 => Ok(ProtocolMsg::FetchLedgerTip),
-            21 => Ok(ProtocolMsg::LedgerTipResponse {
-                tip: SeqNum::decode(r)?,
-                offer: Option::decode(r)?,
-            }),
-            22 => Ok(ProtocolMsg::FetchCheckpoint { seq: SeqNum::decode(r)? }),
-            23 => Ok(ProtocolMsg::FetchCheckpointResponse {
-                seq: SeqNum::decode(r)?,
-                payload: Option::decode(r)?,
-            }),
-            tag => Err(CodecError::BadTag { context: "ProtocolMsg", tag }),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            ProtocolMsg::Request(r) => r.encoded_len(),
-            ProtocolMsg::PrePrepare { pp, batch } => {
-                pp.encoded_len() + encoded_len_seq(batch)
-            }
-            ProtocolMsg::Prepare(p) => p.encoded_len(),
-            ProtocolMsg::Commit(c) => c.encoded_len(),
-            ProtocolMsg::Reply(r) => r.encoded_len(),
-            ProtocolMsg::ReplyX(r) => r.encoded_len(),
-            ProtocolMsg::ViewChange(vc) => vc.encoded_len(),
-            ProtocolMsg::NewView { nv, view_changes } => {
-                nv.encoded_len() + encoded_len_seq(view_changes)
-            }
-            ProtocolMsg::FetchRequests { hashes } => encoded_len_seq(hashes),
-            ProtocolMsg::FetchRequestsResponse { requests } => encoded_len_seq(requests),
-            ProtocolMsg::FetchGovReceipts { from_index } => from_index.encoded_len(),
-            ProtocolMsg::GovReceipts { receipts } => encoded_len_seq(receipts),
-            ProtocolMsg::FetchReceipt { tx_hash } => tx_hash.encoded_len(),
-            ProtocolMsg::FetchEvidence { seq } => seq.encoded_len(),
-            ProtocolMsg::FetchEvidenceResponse { prepares, commits } => {
-                encoded_len_seq(prepares) + encoded_len_seq(commits)
-            }
-            ProtocolMsg::FetchLedgerPage { from_seq, max_bytes } => {
-                from_seq.encoded_len() + max_bytes.encoded_len()
-            }
-            ProtocolMsg::FetchLedgerPageResponse { entries, next_seq, done } => {
-                4 + entries.iter().map(Wire::encoded_len).sum::<usize>()
-                    + next_seq.encoded_len()
-                    + done.encoded_len()
-            }
-            ProtocolMsg::FetchLedgerTip => 0,
-            ProtocolMsg::LedgerTipResponse { tip, offer } => {
-                tip.encoded_len() + offer.encoded_len()
-            }
-            ProtocolMsg::FetchCheckpoint { seq } => seq.encoded_len(),
-            ProtocolMsg::FetchCheckpointResponse { seq, payload } => {
-                seq.encoded_len() + payload.encoded_len()
-            }
-        }
-    }
-}
+wire_enum!(ProtocolMsg {
+    0 => Request(r),
+    1 => PrePrepare { pp, batch: seq },
+    2 => Prepare(p),
+    3 => Commit(c),
+    4 => Reply(r),
+    5 => ReplyX(r),
+    6 => ViewChange(vc),
+    7 => NewView { nv, view_changes: seq },
+    8 => FetchRequests { hashes: seq },
+    9 => FetchRequestsResponse { requests: seq },
+    // Tags 10, 11 and 15 are reserved: never reassign them. They decode
+    // to `BadTag` like any unknown tag.
+    12 => FetchGovReceipts { from_index },
+    13 => GovReceipts { receipts: seq },
+    14 => FetchReceipt { tx_hash },
+    16 => FetchEvidence { seq },
+    17 => FetchEvidenceResponse { prepares: seq, commits: seq },
+    18 => FetchLedgerPage { from_seq, max_bytes },
+    19 => FetchLedgerPageResponse { entries: seq, next_seq, done },
+    20 => FetchLedgerTip,
+    21 => LedgerTipResponse { tip, offer },
+    22 => FetchCheckpoint { seq },
+    23 => FetchCheckpointResponse { seq, payload },
+});
 
 /// Test-support builders shared with downstream crates' tests.
 pub mod testutil {

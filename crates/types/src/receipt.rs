@@ -51,7 +51,7 @@ use crate::config::Configuration;
 use crate::entry::{g_leaf_hash, TxResult};
 use crate::ids::{LedgerIdx, ReplicaBitmap, ReplicaId, SeqNum, View};
 use crate::messages::{BatchKind, PrePrepare, PrePrepareCore, Prepare};
-use crate::wire::{decode_seq, encode_seq, CodecError, Reader, Wire};
+use crate::wire::{encode_seq, Wire};
 use ia_ccf_merkle::MerklePath;
 
 /// Why a receipt failed verification.
@@ -620,73 +620,13 @@ impl VerifiedCerts {
     }
 }
 
-impl Wire for BatchCertificate {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.core.encode(buf);
-        self.primary_sig.encode(buf);
-        self.signers.encode(buf);
-        encode_seq(&self.prepare_sigs, buf);
-        encode_seq(&self.nonces, buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(BatchCertificate {
-            core: PrePrepareCore::decode(r)?,
-            primary_sig: Signature::decode(r)?,
-            signers: ReplicaBitmap::decode(r)?,
-            prepare_sigs: decode_seq(r)?,
-            nonces: decode_seq(r)?,
-        })
-    }
-}
-
-impl Wire for TxWitness {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.tx_hash.encode(buf);
-        self.index.encode(buf);
-        self.result.encode(buf);
-        self.path.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(TxWitness {
-            tx_hash: Digest::decode(r)?,
-            index: LedgerIdx::decode(r)?,
-            result: TxResult::decode(r)?,
-            path: MerklePath::decode(r)?,
-        })
-    }
-}
-
-impl Wire for ReceiptBody {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            ReceiptBody::Tx(w) => {
-                buf.push(0);
-                w.encode(buf);
-            }
-            ReceiptBody::Batch { root_g } => {
-                buf.push(1);
-                root_g.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.u8()? {
-            0 => Ok(ReceiptBody::Tx(TxWitness::decode(r)?)),
-            1 => Ok(ReceiptBody::Batch { root_g: Digest::decode(r)? }),
-            tag => Err(CodecError::BadTag { context: "ReceiptBody", tag }),
-        }
-    }
-}
-
-impl Wire for Receipt {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.cert.encode(buf);
-        self.body.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Receipt { cert: BatchCertificate::decode(r)?, body: ReceiptBody::decode(r)? })
-    }
-}
+wire_struct!(BatchCertificate { core, primary_sig, signers, prepare_sigs: seq, nonces: seq });
+wire_struct!(TxWitness { tx_hash, index, result, path });
+wire_enum!(ReceiptBody {
+    0 => Tx(w),
+    1 => Batch { root_g },
+});
+wire_struct!(Receipt { cert, body });
 
 /// Test-support builders producing honestly signed receipts without a
 /// running cluster. Shared by this crate's tests and downstream crates.
@@ -1155,6 +1095,6 @@ mod tests {
         // monotone shape (absolute numbers are properties of our codec).
         let (_, r1) = sample_receipts(4, 1);
         let (_, r3) = sample_receipts(10, 1);
-        assert!(r3[0].wire_len() > r1[0].wire_len());
+        assert!(r3[0].encoded_len() > r1[0].encoded_len());
     }
 }

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::Configuration;
 use crate::ids::{ClientId, LedgerIdx, ProcId, SeqNum};
-use crate::wire::{CodecError, Reader, Wire};
+use crate::wire::Wire;
 
 /// Domain-separation tag for request signatures.
 pub const REQUEST_DOMAIN: u8 = 0x01;
@@ -157,148 +157,20 @@ impl SignedRequest {
     }
 }
 
-impl Wire for GovAction {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            GovAction::Propose { proposal_id, new_config } => {
-                buf.push(0);
-                proposal_id.encode(buf);
-                new_config.encode(buf);
-            }
-            GovAction::Vote { proposal_id, approve } => {
-                buf.push(1);
-                proposal_id.encode(buf);
-                approve.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.u8()? {
-            0 => Ok(GovAction::Propose {
-                proposal_id: u64::decode(r)?,
-                new_config: Configuration::decode(r)?,
-            }),
-            1 => Ok(GovAction::Vote { proposal_id: u64::decode(r)?, approve: bool::decode(r)? }),
-            tag => Err(CodecError::BadTag { context: "GovAction", tag }),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            GovAction::Propose { proposal_id, new_config } => {
-                proposal_id.encoded_len() + new_config.encoded_len()
-            }
-            GovAction::Vote { proposal_id, approve } => {
-                proposal_id.encoded_len() + approve.encoded_len()
-            }
-        }
-    }
-}
-
-impl Wire for SystemOp {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            SystemOp::CheckpointMark { checkpoint_seq, kv_digest, tree_root } => {
-                buf.push(0);
-                checkpoint_seq.encode(buf);
-                kv_digest.encode(buf);
-                tree_root.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.u8()? {
-            0 => Ok(SystemOp::CheckpointMark {
-                checkpoint_seq: SeqNum::decode(r)?,
-                kv_digest: Digest::decode(r)?,
-                tree_root: Digest::decode(r)?,
-            }),
-            tag => Err(CodecError::BadTag { context: "SystemOp", tag }),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        match self {
-            SystemOp::CheckpointMark { checkpoint_seq, kv_digest, tree_root } => {
-                1 + checkpoint_seq.encoded_len()
-                    + kv_digest.encoded_len()
-                    + tree_root.encoded_len()
-            }
-        }
-    }
-}
-
-impl Wire for RequestAction {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            RequestAction::App { proc, args } => {
-                buf.push(0);
-                proc.encode(buf);
-                args.encode(buf);
-            }
-            RequestAction::Governance(g) => {
-                buf.push(1);
-                g.encode(buf);
-            }
-            RequestAction::System(s) => {
-                buf.push(2);
-                s.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.u8()? {
-            0 => Ok(RequestAction::App { proc: ProcId::decode(r)?, args: Vec::<u8>::decode(r)? }),
-            1 => Ok(RequestAction::Governance(GovAction::decode(r)?)),
-            2 => Ok(RequestAction::System(SystemOp::decode(r)?)),
-            tag => Err(CodecError::BadTag { context: "RequestAction", tag }),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            RequestAction::App { proc, args } => proc.encoded_len() + args.encoded_len(),
-            RequestAction::Governance(g) => g.encoded_len(),
-            RequestAction::System(s) => s.encoded_len(),
-        }
-    }
-}
-
-impl Wire for Request {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.action.encode(buf);
-        self.client.encode(buf);
-        self.gt_hash.encode(buf);
-        self.min_index.encode(buf);
-        self.req_id.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Request {
-            action: RequestAction::decode(r)?,
-            client: ClientId::decode(r)?,
-            gt_hash: Digest::decode(r)?,
-            min_index: LedgerIdx::decode(r)?,
-            req_id: u64::decode(r)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.action.encoded_len()
-            + self.client.encoded_len()
-            + self.gt_hash.encoded_len()
-            + self.min_index.encoded_len()
-            + self.req_id.encoded_len()
-    }
-}
-
-impl Wire for SignedRequest {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.request.encode(buf);
-        self.sig.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(SignedRequest { request: Request::decode(r)?, sig: Signature::decode(r)? })
-    }
-    fn encoded_len(&self) -> usize {
-        self.request.encoded_len() + self.sig.encoded_len()
-    }
-}
+wire_enum!(GovAction {
+    0 => Propose { proposal_id, new_config },
+    1 => Vote { proposal_id, approve },
+});
+wire_enum!(SystemOp {
+    0 => CheckpointMark { checkpoint_seq, kv_digest, tree_root },
+});
+wire_enum!(RequestAction {
+    0 => App { proc, args },
+    1 => Governance(g),
+    2 => System(s),
+});
+wire_struct!(Request { action, client, gt_hash, min_index, req_id });
+wire_struct!(SignedRequest { request, sig });
 
 #[cfg(test)]
 mod tests {

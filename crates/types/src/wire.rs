@@ -10,6 +10,34 @@
 //! Conventions: little-endian integers; `Vec<T>` as `u32` count + elements;
 //! byte strings as `u32` length + bytes; `Option<T>` as presence byte + T;
 //! enums as a `u8` tag + variant fields.
+//!
+//! # A layout is one list
+//!
+//! The leaves — integers, `bool`, byte strings, `Option`, pairs, digests,
+//! signatures, nonces, keys and Merkle paths — are written by hand below.
+//! Every protocol type above them states its layout once, as an ordered
+//! field list, and `wire_struct!` / `wire_enum!` generate `encode`,
+//! `decode` and the exact `encoded_len` from that one list:
+//!
+//! ```text
+//! wire_struct!(Prepare { view, seq, replica, nonce_commit, pp_digest, sig });
+//! wire_enum!(LedgerEntry {
+//!     0 => Genesis { config },
+//!     1 => Evidence { seq, prepares: seq },
+//!     3 => PrePrepare(pp),
+//!     // …
+//! });
+//! ```
+//!
+//! Fields are encoded in list order, each through its own [`Wire`] impl.
+//! A field marked `: seq` is a sequence and goes through [`encode_seq`] /
+//! [`decode_seq`] instead — `Vec<u8>` is a byte string, not a sequence, so
+//! a `Vec<T>` field says which it is. An enum variant is unit, one-field
+//! tuple or struct, behind its `u8` tag; a tag absent from the list (a
+//! reserved one included) decodes to `BadTag` naming the type. A list must
+//! name every field and every variant — the generated destructuring and
+//! `match` do not compile otherwise — so the one thing left to get wrong
+//! is order, which `tests/wire_properties.rs` pins byte for byte.
 
 use ia_ccf_crypto::{Digest, Nonce, NonceCommitment, Signature, DIGEST_LEN, NONCE_LEN, SIGNATURE_LEN};
 
@@ -76,14 +104,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-thread_local! {
-    /// Scratch buffer backing the default [`Wire::encoded_len`]: after
-    /// warm-up, size queries encode into this retained buffer instead of
-    /// allocating. Taken/replaced (not borrowed) so nested `encoded_len`
-    /// calls degrade to a fresh allocation rather than a panic.
-    static LEN_SCRATCH: std::cell::Cell<Vec<u8>> = const { std::cell::Cell::new(Vec::new()) };
-}
-
 /// Deterministic binary encoding/decoding.
 pub trait Wire: Sized {
     /// Append this value's encoding to `buf`.
@@ -92,19 +112,9 @@ pub trait Wire: Sized {
     /// Decode a value, consuming bytes from `r`.
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError>;
 
-    /// Exact size of the encoding in bytes.
-    ///
-    /// The default encodes into a thread-local scratch buffer and counts
-    /// — no allocation after warm-up. Hot types override this with plain
-    /// arithmetic so framing layers can reserve before encoding.
-    fn encoded_len(&self) -> usize {
-        let mut buf = LEN_SCRATCH.with(std::cell::Cell::take);
-        buf.clear();
-        self.encode(&mut buf);
-        let len = buf.len();
-        LEN_SCRATCH.with(|s| s.set(buf));
-        len
-    }
+    /// Exact size of the encoding in bytes, by arithmetic: framing layers
+    /// reserve from it before encoding, and Tab. 1's sizes are read from it.
+    fn encoded_len(&self) -> usize;
 
     /// Encode into a caller-owned reusable scratch buffer, clearing it
     /// first; returns the encoded bytes. The scratch keeps its capacity
@@ -130,11 +140,6 @@ pub trait Wire: Sized {
             return Err(CodecError::TrailingBytes(r.remaining()));
         }
         Ok(v)
-    }
-
-    /// Size of the encoding in bytes (measured; drives Tab. 1).
-    fn wire_len(&self) -> usize {
-        self.encoded_len()
     }
 }
 
@@ -385,6 +390,85 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     fn encoded_len(&self) -> usize {
         self.0.encoded_len() + self.1.encoded_len()
     }
+}
+
+/// One field of a `wire_struct!` / `wire_enum!` list, bound by
+/// reference: through its own [`Wire`] impl, or as a sequence when marked
+/// `seq`.
+macro_rules! wire_field {
+    (encode $buf:ident, $f:ident) => { $crate::wire::Wire::encode($f, $buf) };
+    (encode $buf:ident, $f:ident, seq) => { $crate::wire::encode_seq($f, $buf) };
+    (decode $r:ident) => { $crate::wire::Wire::decode($r)? };
+    (decode $r:ident, seq) => { $crate::wire::decode_seq($r)? };
+    (len $f:ident) => { $crate::wire::Wire::encoded_len($f) };
+    (len $f:ident, seq) => { $crate::wire::encoded_len_seq($f) };
+}
+
+/// `impl Wire` for a struct from its fields in wire order (module docs):
+/// `wire_struct!(Reply { view, seq, replica, sig, nonce, req_ids: seq })`.
+macro_rules! wire_struct {
+    ($ty:ident { $($f:ident $(: $m:ident)?),* $(,)? }) => {
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                let $ty { $($f),* } = self;
+                $(wire_field!(encode buf, $f $(, $m)?);)*
+            }
+            fn decode(
+                r: &mut $crate::wire::Reader<'_>,
+            ) -> Result<Self, $crate::wire::CodecError> {
+                Ok($ty { $($f: wire_field!(decode r $(, $m)?)),* })
+            }
+            fn encoded_len(&self) -> usize {
+                let $ty { $($f),* } = self;
+                0 $(+ wire_field!(len $f $(, $m)?))*
+            }
+        }
+    };
+}
+
+/// `impl Wire` for an enum from its tagged variants (module docs): unit
+/// (`20 => FetchLedgerTip`), one-field tuple (`2 => Prepare(p)`) or struct
+/// (`17 => FetchEvidenceResponse { prepares: seq, commits: seq }`).
+macro_rules! wire_enum {
+    (@decode $r:ident, $ty:ident::$v:ident) => { $ty::$v };
+    (@decode $r:ident, $ty:ident::$v:ident ($x:ident)) => {
+        $ty::$v($crate::wire::Wire::decode($r)?)
+    };
+    (@decode $r:ident, $ty:ident::$v:ident { $($f:ident $(: $m:ident)?),* }) => {
+        $ty::$v { $($f: wire_field!(decode $r $(, $m)?)),* }
+    };
+    ($ty:ident {
+        $($tag:literal => $v:ident $(($x:ident))? $({ $($f:ident $(: $m:ident)?),* $(,)? })?),*
+        $(,)?
+    }) => {
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $($ty::$v $(($x))? $({ $($f),* })? => {
+                        buf.push($tag);
+                        $($crate::wire::Wire::encode($x, buf);)?
+                        $($(wire_field!(encode buf, $f $(, $m)?);)*)?
+                    })*
+                }
+            }
+            fn decode(
+                r: &mut $crate::wire::Reader<'_>,
+            ) -> Result<Self, $crate::wire::CodecError> {
+                match r.u8()? {
+                    $($tag => Ok(wire_enum!(@decode r, $ty::$v $(($x))? $({ $($f $(: $m)?),* })?)),)*
+                    tag => Err($crate::wire::CodecError::BadTag { context: stringify!($ty), tag }),
+                }
+            }
+            fn encoded_len(&self) -> usize {
+                1 + match self {
+                    $($ty::$v $(($x))? $({ $($f),* })? => {
+                        0 $(+ $crate::wire::Wire::encoded_len($x))?
+                            $($(+ wire_field!(len $f $(, $m)?))*)?
+                    })*
+                }
+            }
+        }
+    };
 }
 
 #[cfg(test)]

@@ -22,6 +22,7 @@ use ia_ccf_sim::{ClusterSpec, DetCluster};
 use ia_ccf_types::{
     BatchKind, ClientId, Digest, GovAction, KeyPair, LedgerEntry, LedgerIdx, MemberId, PrePrepare,
     ProtocolMsg, ReplicaId, Request, RequestAction, SeqNum, SignedRequest, SystemOp,
+    TxLedgerEntry, TxResult,
 };
 
 fn gov_request(member: MemberId, key: &KeyPair, gt_hash: Digest, req_id: u64) -> SignedRequest {
@@ -219,6 +220,17 @@ fn ledger_replay_applies_the_kind_rules_a_backup_applies() {
         .with_config(|c| c.checkpoint_interval = 2);
     let client = spec.clients[0].0;
     let mut cluster = DetCluster::new(&spec, Arc::new(CounterApp));
+    // A mark naming the genesis checkpoint with its true digests: correct
+    // in content, so only where it sits and what it names can refuse it.
+    let genesis = cluster.replica(ReplicaId(0)).checkpoints().at(SeqNum(0)).unwrap();
+    let names_genesis = SignedRequest::system(
+        SystemOp::CheckpointMark {
+            checkpoint_seq: SeqNum(0),
+            kv_digest: genesis.kv.digest(),
+            tree_root: genesis.frontier.root(),
+        },
+        cluster.replica(ReplicaId(0)).gt_hash(),
+    );
     for done in 1..=5 {
         cluster.submit(client, CounterApp::INCR, b"k".to_vec());
         assert!(cluster.run_until_finished(done, 200));
@@ -270,10 +282,30 @@ fn ledger_replay_applies_the_kind_rules_a_backup_applies() {
         pp.root_g = ia_ccf::merkle::MerkleTree::from_leaves(leaves).root();
         run.push(LedgerEntry::Tx(again));
     });
+    // The batch's one transaction replaced by the genesis mark, at the
+    // same index and with the result any mark records; Ḡ made consistent.
+    let mark_genesis = |pp: &mut PrePrepare, run: &mut Vec<LedgerEntry>| {
+        let LedgerEntry::Tx(first) = &run[0] else { panic!("a transaction expected") };
+        let mark = TxLedgerEntry {
+            request: names_genesis.clone(),
+            index: first.index,
+            result: TxResult { ok: true, output: Vec::new(), write_set_digest: Digest::zero() },
+        };
+        pp.root_g = ia_ccf::merkle::MerkleTree::from_leaves(vec![mark.g_leaf()]).root();
+        *run = vec![LedgerEntry::Tx(mark)];
+    };
+    let names_the_wrong_checkpoint =
+        ledger_with_forged_batch(&spec, &honest, checkpoint, mark_genesis);
+    let off_schedule = ledger_with_forged_batch(&spec, &honest, regular, |pp, run| {
+        pp.core.kind = BatchKind::Checkpoint;
+        mark_genesis(pp, run);
+    });
     for (what, ledger, seq) in [
         ("checkpoint batch relabelled Regular", relabelled, checkpoint),
         ("Regular batch with a committed root", with_root, regular),
         ("checkpoint batch with two requests", doubled, checkpoint),
+        ("mark at s4 naming s0, not s2", names_the_wrong_checkpoint, checkpoint),
+        ("Regular batch at s3 relabelled Checkpoint", off_schedule, regular),
     ] {
         assert_eq!(bootstrap(&ledger), Err(BootstrapError::ExecutionMismatch(seq)), "{what}");
     }

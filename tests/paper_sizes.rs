@@ -1,6 +1,7 @@
 //! The paper's deterministic size claims — Tab. 1 (ledger entries) and
-//! §6.4 (the governance sub-ledger) — asserted exactly, on ledgers that
-//! replicas wrote, at f = 1 (n = 4) and f = 3 (n = 10). A pinned figure
+//! §6.4 (the governance sub-ledger) — asserted exactly, as the
+//! `Wire::encoded_len` of entries and votes on ledgers that replicas
+//! wrote, at f = 1 (n = 4) and f = 3 (n = 10). A pinned figure
 //! that moves means a ledger or receipt encoding changed size: that is a
 //! consensus fact, so move the pin in the same change and say why.
 //!
@@ -141,7 +142,7 @@ fn run(n: usize) -> Sizes {
 
     let entries = replica.ledger().entries();
     let of = |pick: fn(&LedgerEntry) -> bool| {
-        span(entries.iter().filter(|e| pick(e)).map(Wire::wire_len))
+        span(entries.iter().filter(|e| pick(e)).map(Wire::encoded_len))
     };
     let votes = || {
         replica.gov_chain().iter().filter_map(|link| match link {
@@ -157,8 +158,8 @@ fn run(n: usize) -> Sizes {
         evidence: of(|e| matches!(e, LedgerEntry::Evidence { .. })),
         nonces: of(|e| matches!(e, LedgerEntry::Nonces { .. })),
         transaction: of(|e| matches!(e, LedgerEntry::Tx(tx) if is_app(&tx.request))),
-        gov_receipt: span(votes().map(|(_, receipt)| receipt.wire_len())),
-        vote_request: span(votes().map(|(request, _)| request.wire_len())),
+        gov_receipt: span(votes().map(|(_, receipt)| receipt.encoded_len())),
+        vote_request: span(votes().map(|(request, _)| request.encoded_len())),
     }
 }
 

@@ -9,10 +9,11 @@ use ia_ccf_net::frame;
 use proptest::prelude::*;
 
 use ia_ccf_types::{
-    BatchKind, ClientId, CodecError, Commit, Digest, LedgerEntry, LedgerIdx, Nonce,
-    NonceCommitment, PrePrepare, PrePrepareCore, Prepare, ProcId, ProtocolMsg, Reply,
-    ReplicaBitmap, ReplicaId, Request, RequestAction, SeqNum, Signature, SignedRequest,
-    TxLedgerEntry, TxResult, View, Wire,
+    BatchCertificate, BatchKind, CheckpointPayload, CheckpointPin, ClientId, CodecError, Commit,
+    Digest, GovAction, LedgerEntry, LedgerIdx, MerklePath, NewViewMsg, Nonce, NonceCommitment,
+    PrePrepare, PrePrepareCore, Prepare, ProcId, ProtocolMsg, Receipt, ReceiptBody, Reply,
+    ReplicaBitmap, ReplicaId, ReplyX, Request, RequestAction, SeqNum, Signature, SignedRequest,
+    SystemOp, TxLedgerEntry, TxResult, TxWitness, View, ViewChange, Wire,
 };
 
 fn arb_digest() -> impl Strategy<Value = Digest> {
@@ -173,11 +174,8 @@ proptest! {
     }
 
     /// `encoded_len` must agree exactly with the materialized encoding for
-    /// every message variant with a hand-written impl (framing layers size
+    /// every message variant and every ledger entry (framing layers size
     /// buffers from it, and a drifting impl must show up here).
-    /// `GovReceipts` is the one variant not constructed: its `Receipt`
-    /// payload uses the default `encoded_len` (encode-and-count), which is
-    /// exact by construction and cannot drift.
     #[test]
     fn encoded_len_is_exact(
         core in arb_core(),
@@ -199,6 +197,40 @@ proptest! {
             pp_digest: root_g,
             sig,
         };
+        let result = TxResult { ok, output: output.clone(), write_set_digest: root_g };
+        let path = MerklePath { index: 2, tree_len: 5, siblings: hashes.clone() };
+        let view_change = ViewChange {
+            view: core.view,
+            replica: core.primary,
+            pps: vec![pp.clone()],
+            last_proof: vec![prepare.clone()],
+            sig,
+        };
+        let nv = NewViewMsg {
+            view: core.view,
+            root_m: root_g,
+            vc_bitmap: core.evidence_bitmap,
+            vc_entry_hash: root_g,
+            sig,
+        };
+        let cert = BatchCertificate {
+            core: core.clone(),
+            primary_sig: sig,
+            signers: core.evidence_bitmap,
+            prepare_sigs: vec![sig; hashes.len()],
+            nonces: vec![Nonce(nonce); req_ids.len()],
+        };
+        let tx_receipt = Receipt {
+            cert: cert.clone(),
+            body: ReceiptBody::Tx(TxWitness {
+                tx_hash: root_g,
+                index: core.gov_index,
+                result: result.clone(),
+                path: path.clone(),
+            }),
+        };
+        let batch_receipt = Receipt { cert, body: ReceiptBody::Batch { root_g } };
+        let pin = CheckpointPin { seq: core.seq, kv_digest: root_g, tree_root: core.root_m };
         let msgs = vec![
             ProtocolMsg::Request(req.clone()),
             ProtocolMsg::PrePrepare { pp: pp.clone(), batch: hashes.clone() },
@@ -232,49 +264,53 @@ proptest! {
                 prepares: vec![prepare.clone()],
                 commits: Vec::new(),
             },
-            ProtocolMsg::ReplyX(ia_ccf_types::messages::ReplyX {
+            ProtocolMsg::ReplyX(ReplyX {
                 core: core.clone(),
                 primary_sig: sig,
                 tx_hash: root_g,
                 index: core.gov_index,
-                result: TxResult {
-                    ok,
-                    output: output.clone(),
-                    write_set_digest: root_g,
-                },
-                path: ia_ccf_types::MerklePath {
-                    index: 2,
-                    tree_len: 5,
-                    siblings: hashes.clone(),
-                },
+                result: result.clone(),
+                path,
             }),
-            ProtocolMsg::ViewChange(ia_ccf_types::messages::ViewChange {
-                view: core.view,
-                replica: core.primary,
-                pps: vec![pp.clone()],
-                last_proof: vec![prepare],
-                sig,
-            }),
+            ProtocolMsg::ViewChange(view_change.clone()),
             ProtocolMsg::NewView {
-                nv: ia_ccf_types::messages::NewViewMsg {
-                    view: core.view,
-                    root_m: root_g,
-                    vc_bitmap: core.evidence_bitmap,
-                    vc_entry_hash: root_g,
-                    sig,
-                },
-                view_changes: Vec::new(),
+                nv: nv.clone(),
+                view_changes: vec![view_change.clone()],
             },
+            ProtocolMsg::GovReceipts {
+                receipts: vec![(Some(req.clone()), tx_receipt), (None, batch_receipt)],
+            },
+            ProtocolMsg::FetchLedgerTip,
+            ProtocolMsg::LedgerTipResponse { tip: core.seq, offer: Some(pin) },
+            ProtocolMsg::LedgerTipResponse { tip: core.seq, offer: None },
+            ProtocolMsg::FetchCheckpoint { seq: core.seq },
+            ProtocolMsg::FetchCheckpointResponse {
+                seq: core.seq,
+                payload: Some(CheckpointPayload {
+                    kv_bytes: output.clone(),
+                    frontier: root_g.as_bytes().to_vec(),
+                    ledger_len: core.gov_index.0,
+                    next_tx_index: core.evidence_seq.0,
+                    seed_entries: vec![output.clone(), Vec::new()],
+                }),
+            },
+            ProtocolMsg::FetchCheckpointResponse { seq: core.seq, payload: None },
         ];
         for m in msgs {
             prop_assert_eq!(m.encoded_len(), m.to_bytes().len());
         }
-        let entry = LedgerEntry::Tx(TxLedgerEntry {
-            request: req,
-            index: core.gov_index,
-            result: TxResult { ok, output, write_set_digest: root_g },
-        });
-        prop_assert_eq!(entry.encoded_len(), entry.to_bytes().len());
+        let entries = vec![
+            LedgerEntry::Genesis { config: ia_ccf_types::config::testutil::test_config(4).0 },
+            LedgerEntry::Evidence { seq: core.evidence_seq, prepares: vec![prepare] },
+            LedgerEntry::Nonces { seq: core.evidence_seq, nonces: vec![Nonce(nonce); hashes.len()] },
+            LedgerEntry::PrePrepare(pp),
+            LedgerEntry::Tx(TxLedgerEntry { request: req, index: core.gov_index, result }),
+            LedgerEntry::ViewChangeSet { view: core.view, view_changes: vec![view_change] },
+            LedgerEntry::NewView(nv),
+        ];
+        for entry in entries {
+            prop_assert_eq!(entry.encoded_len(), entry.to_bytes().len());
+        }
     }
 
     /// Frame round-trip: any payload survives encode → decode_exact, and
@@ -564,4 +600,247 @@ proptest! {
             }
         }
     }
+}
+
+/// One fixed instance of every layout the ledger, receipts and the
+/// protocol rest on, each pinned by the SHA-256 of its encoding. A round
+/// trip cannot catch a reordered field or a wrong tag — a generated
+/// `encode` and `decode` always agree with each other — so the bytes
+/// themselves are pinned. A pin that moves is a wire-format change: every
+/// stored ledger, receipt and uPoM moves with it.
+#[test]
+fn every_variant_encodes_to_its_pinned_bytes() {
+    let d = |b: u8| Digest([b; 32]);
+    let sig = |b: u8| Signature([b; 64]);
+    let core = |kind, committed_root| PrePrepareCore {
+        view: View(3),
+        seq: SeqNum(17),
+        root_m: d(1),
+        nonce_commit: NonceCommitment(d(2)),
+        evidence_seq: SeqNum(15),
+        evidence_bitmap: ReplicaBitmap(0b1011),
+        gov_index: LedgerIdx(9),
+        checkpoint_digest: d(3),
+        kind,
+        committed_root,
+        primary: ReplicaId(3),
+    };
+    let pp = PrePrepare { core: core(BatchKind::Regular, None), root_g: d(4), sig: sig(5) };
+    let prepare = Prepare {
+        view: View(3),
+        seq: SeqNum(17),
+        replica: ReplicaId(1),
+        nonce_commit: NonceCommitment(d(6)),
+        pp_digest: d(7),
+        sig: sig(8),
+    };
+    let commit = Commit { view: View(3), seq: SeqNum(17), replica: ReplicaId(2), nonce: Nonce([9; 16]) };
+    let config = ia_ccf_types::config::testutil::test_config(4).0;
+    let request = |action, client| SignedRequest {
+        request: Request {
+            action,
+            client: ClientId(client),
+            gt_hash: d(10),
+            min_index: LedgerIdx(4),
+            req_id: 11,
+        },
+        sig: sig(12),
+    };
+    let app = request(RequestAction::App { proc: ProcId(2), args: b"args".to_vec() }, 7);
+    let propose = GovAction::Propose { proposal_id: 1, new_config: config.clone() };
+    let vote = GovAction::Vote { proposal_id: 1, approve: true };
+    let mark = SignedRequest::system(
+        SystemOp::CheckpointMark { checkpoint_seq: SeqNum(10), kv_digest: d(13), tree_root: d(14) },
+        d(10),
+    );
+    let result = TxResult { ok: true, output: b"out".to_vec(), write_set_digest: d(15) };
+    let path = MerklePath { index: 2, tree_len: 5, siblings: vec![d(16), d(17)] };
+    let cert = BatchCertificate {
+        core: core(BatchKind::Checkpoint, None),
+        primary_sig: sig(18),
+        signers: ReplicaBitmap(0b0111),
+        prepare_sigs: vec![sig(19), sig(20)],
+        nonces: vec![Nonce([21; 16]), Nonce([22; 16]), Nonce([23; 16])],
+    };
+    let tx_receipt = Receipt {
+        cert: cert.clone(),
+        body: ReceiptBody::Tx(TxWitness {
+            tx_hash: d(24),
+            index: LedgerIdx(40),
+            result: result.clone(),
+            path: path.clone(),
+        }),
+    };
+    let batch_receipt = Receipt {
+        cert: BatchCertificate { core: core(BatchKind::EndOfConfig { phase: 2 }, Some(d(25))), ..cert },
+        body: ReceiptBody::Batch { root_g: d(26) },
+    };
+    let view_change = ViewChange {
+        view: View(4),
+        replica: ReplicaId(1),
+        pps: vec![pp.clone()],
+        last_proof: vec![prepare.clone()],
+        sig: sig(27),
+    };
+    let nv = NewViewMsg {
+        view: View(4),
+        root_m: d(28),
+        vc_bitmap: ReplicaBitmap(0b1110),
+        vc_entry_hash: d(29),
+        sig: sig(30),
+    };
+    let pin = CheckpointPin { seq: SeqNum(10), kv_digest: d(13), tree_root: d(14) };
+    let payload = CheckpointPayload {
+        kv_bytes: vec![1, 2, 3],
+        frontier: vec![4, 5],
+        ledger_len: 77,
+        next_tx_index: 41,
+        seed_entries: vec![vec![6], Vec::new()],
+    };
+    let gov_request = request(RequestAction::Governance(vote.clone()), 1);
+
+    let msgs = [
+        ("Request", ProtocolMsg::Request(app.clone())),
+        ("PrePrepare", ProtocolMsg::PrePrepare { pp: pp.clone(), batch: vec![d(31), d(32)] }),
+        ("Prepare", ProtocolMsg::Prepare(prepare.clone())),
+        ("Commit", ProtocolMsg::Commit(commit.clone())),
+        (
+            "Reply",
+            ProtocolMsg::Reply(Reply {
+                view: View(3),
+                seq: SeqNum(17),
+                replica: ReplicaId(2),
+                sig: sig(33),
+                nonce: Nonce([34; 16]),
+                req_ids: vec![11, 12],
+            }),
+        ),
+        (
+            "ReplyX",
+            ProtocolMsg::ReplyX(ReplyX {
+                core: core(BatchKind::StartOfConfig { phase: 1 }, None),
+                primary_sig: sig(35),
+                tx_hash: d(24),
+                index: LedgerIdx(40),
+                result: result.clone(),
+                path,
+            }),
+        ),
+        ("ViewChange", ProtocolMsg::ViewChange(view_change.clone())),
+        (
+            "NewView",
+            ProtocolMsg::NewView { nv: nv.clone(), view_changes: vec![view_change.clone()] },
+        ),
+        ("FetchRequests", ProtocolMsg::FetchRequests { hashes: vec![d(36)] }),
+        (
+            "FetchRequestsResponse",
+            ProtocolMsg::FetchRequestsResponse { requests: vec![app.clone(), mark.clone()] },
+        ),
+        ("FetchGovReceipts", ProtocolMsg::FetchGovReceipts { from_index: LedgerIdx(5) }),
+        (
+            "GovReceipts",
+            ProtocolMsg::GovReceipts {
+                receipts: vec![(Some(gov_request), tx_receipt.clone()), (None, batch_receipt.clone())],
+            },
+        ),
+        ("FetchReceipt", ProtocolMsg::FetchReceipt { tx_hash: d(24) }),
+        ("FetchEvidence", ProtocolMsg::FetchEvidence { seq: SeqNum(15) }),
+        (
+            "FetchEvidenceResponse",
+            ProtocolMsg::FetchEvidenceResponse { prepares: vec![prepare.clone()], commits: vec![commit] },
+        ),
+        ("FetchLedgerPage", ProtocolMsg::FetchLedgerPage { from_seq: SeqNum(8), max_bytes: 1 << 20 }),
+        (
+            "FetchLedgerPageResponse",
+            ProtocolMsg::FetchLedgerPageResponse {
+                entries: vec![vec![7, 8], Vec::new()],
+                next_seq: SeqNum(9),
+                done: true,
+            },
+        ),
+        ("FetchLedgerTip", ProtocolMsg::FetchLedgerTip),
+        ("LedgerTipResponse", ProtocolMsg::LedgerTipResponse { tip: SeqNum(12), offer: Some(pin) }),
+        ("FetchCheckpoint", ProtocolMsg::FetchCheckpoint { seq: SeqNum(10) }),
+        (
+            "FetchCheckpointResponse",
+            ProtocolMsg::FetchCheckpointResponse { seq: SeqNum(10), payload: Some(payload) },
+        ),
+    ];
+    let entries = [
+        ("Genesis", LedgerEntry::Genesis { config: config.clone() }),
+        ("Evidence", LedgerEntry::Evidence { seq: SeqNum(15), prepares: vec![prepare] }),
+        ("Nonces", LedgerEntry::Nonces { seq: SeqNum(15), nonces: vec![Nonce([37; 16])] }),
+        ("PrePrepare", LedgerEntry::PrePrepare(pp)),
+        ("Tx", LedgerEntry::Tx(TxLedgerEntry { request: mark, index: LedgerIdx(40), result })),
+        ("ViewChangeSet", LedgerEntry::ViewChangeSet { view: View(4), view_changes: vec![view_change] }),
+        ("NewView", LedgerEntry::NewView(nv)),
+    ];
+    let kinds = [
+        BatchKind::Regular,
+        BatchKind::Checkpoint,
+        BatchKind::EndOfConfig { phase: 3 },
+        BatchKind::StartOfConfig { phase: 1 },
+    ];
+
+    let mut encodings: Vec<(String, Vec<u8>)> = Vec::new();
+    encodings.extend(msgs.iter().map(|(name, m)| (format!("ProtocolMsg::{name}"), m.to_bytes())));
+    encodings.extend(entries.iter().map(|(name, e)| (format!("LedgerEntry::{name}"), e.to_bytes())));
+    encodings.push(("Receipt(Tx)".into(), tx_receipt.to_bytes()));
+    encodings.push(("Receipt(Batch)".into(), batch_receipt.to_bytes()));
+    encodings.push(("GovAction::Propose".into(), propose.to_bytes()));
+    encodings.push(("GovAction::Vote".into(), vote.to_bytes()));
+    encodings.push(("Configuration".into(), config.to_bytes()));
+    encodings.extend(kinds.iter().map(|k| (format!("BatchKind::{k:?}"), k.to_bytes())));
+
+    let pinned = [
+        ("ProtocolMsg::Request", "2a6a51efce008d09d380297523adf2681f76ce92739be53d410475f6d76ca4d6"),
+        ("ProtocolMsg::PrePrepare", "fb3997779a34cff8fa876a21648044fdc2572bc13b47e9b588cfee49839d938f"),
+        ("ProtocolMsg::Prepare", "53a1644d17225117d705c7b17e732cb42d133e19b21ee40748685431336a3df4"),
+        ("ProtocolMsg::Commit", "05af270d6357f99715c8142afaed6563bba660ceabb99dd193d99e67dc771e98"),
+        ("ProtocolMsg::Reply", "f937b4fc5418eb73e1e9b07b7d234ed69df2e12e5dcaeeda8542d8b41b06f843"),
+        ("ProtocolMsg::ReplyX", "d42b5e2797c8864a631c30995a5aedf0205fd50a15addecdf166d1c11a597273"),
+        ("ProtocolMsg::ViewChange", "cf3ff7f714609f8cf70c8c8149c118c3519501d165b88208161857099b175f91"),
+        ("ProtocolMsg::NewView", "a2bc0b2c117bfa76740961eeb299caf5a0c0f82c18c104d3c3cf61ed04e67dd7"),
+        ("ProtocolMsg::FetchRequests", "f65c65cf707dadb35b35c2289e2a3e3efa96ff7ae19eeddac4de4a297d5a02e0"),
+        ("ProtocolMsg::FetchRequestsResponse", "2a0a0d299c6a424e819028c3cbecd6fb4a5b45a55f7fdfb27dbc53e0e63929ac"),
+        ("ProtocolMsg::FetchGovReceipts", "79838d2e03061e5326760c3394d9dda6fd31f9de8893bb69d62ad53ff9f124ee"),
+        ("ProtocolMsg::GovReceipts", "b5e761630fd5a10cccd58b99719d7abb79486c03edfeae178fd488952be3b706"),
+        ("ProtocolMsg::FetchReceipt", "833d348ed00dd6812c1c5964e1fec9bfdc0fcd4f3c5fbfc99c6631cf52759f76"),
+        ("ProtocolMsg::FetchEvidence", "9a7e54463249882e7b29e88e0be4d2c0db0570c72302f19bbcbc34873335c602"),
+        ("ProtocolMsg::FetchEvidenceResponse", "8c18a91451faef63ee19d05c3b2ac166f1611db5197c8e866566c6dc7649f911"),
+        ("ProtocolMsg::FetchLedgerPage", "9d370a7d59d3269a19b660948a170cd8b96070fee122290eb5c68a5259352ca7"),
+        ("ProtocolMsg::FetchLedgerPageResponse", "8de078709df18af39d93ae3bdbfa540cb1c4fdd4d79a7bf1249aaae1df2c7b2f"),
+        ("ProtocolMsg::FetchLedgerTip", "83891d7fe85c33e52c8b4e5814c92fb6a3b9467299200538a6babaa8b452d879"),
+        ("ProtocolMsg::LedgerTipResponse", "de047ebd7b14ffafcc289e11a3ff0a8c9e64bfa457f23c47731ac4a537f30276"),
+        ("ProtocolMsg::FetchCheckpoint", "555762594b5ef91f992957c16fa19c4de699d193d99a27f0287613661ce3bbd8"),
+        ("ProtocolMsg::FetchCheckpointResponse", "ead23295e0415f73d01b8d9c3a37e635475ac226f13ada203d90a4f252b2f69b"),
+        ("LedgerEntry::Genesis", "bd0e322f38e7b617f69ad5a14e23695a8a8eb593fd8ea4ae7962261912a68207"),
+        ("LedgerEntry::Evidence", "3c33a24334f9a9e1117bce37552904356444ca2a4e1f27e6aae481c3159512ff"),
+        ("LedgerEntry::Nonces", "4e61d98a3dd003c3e8aca0428fb8770a7936c8d12b55fb87c78e09ce014454d9"),
+        ("LedgerEntry::PrePrepare", "f0238f1169624e94dcdeb68bdcb176ebea701c5412f780ebca4c1d06125009d1"),
+        ("LedgerEntry::Tx", "58cd00b09be0bdaf7a6cf0a8647d55f263502545bd62175aecaad0602805ad1c"),
+        ("LedgerEntry::ViewChangeSet", "cc0f1b29121c6bcff0521ed3b86de41e8b66e818d58645232a06456d4ae547dc"),
+        ("LedgerEntry::NewView", "0c7354c7d383866bee003a812a070be414831cb507b006f9453b96f6ec143004"),
+        ("Receipt(Tx)", "824ebde99bd34cbbf2a23dbbb0a618e48b7cf37add0983603fe9850f2e1f764e"),
+        ("Receipt(Batch)", "6f4e4cd2cf575d96ffda5e0c9adee04bfedf0d9ee8818d75e133a4fcfc4376f2"),
+        ("GovAction::Propose", "c911709bec78d82f62a7158bead907c282b8409991ccf29047d1b65af134d7f4"),
+        ("GovAction::Vote", "eb52bdaca91ec03c5f17216695b93acbc2e18ee88da59167cf3fbc4e4a1de445"),
+        ("Configuration", "7004595d24e1f49bea4e3d4068dc41fa26ecf05cb02ba2e7ee4c5e15d0b60f42"),
+        ("BatchKind::Regular", "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d"),
+        ("BatchKind::Checkpoint", "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a"),
+        ("BatchKind::EndOfConfig { phase: 3 }", "d646946b266cab1b9dd80687664cf12f224aaea2cc914488a0f3c3016564d05b"),
+        ("BatchKind::StartOfConfig { phase: 1 }", "395c561424653325a9316b52fcd2aa36785264da11d4dcd9e288d6974a7006a7"),
+    ];
+    let actual: Vec<(String, String)> = encodings
+        .iter()
+        .map(|(name, bytes)| (name.clone(), ia_ccf_crypto::hash_bytes(bytes).to_string()))
+        .collect();
+    let moved: Vec<String> = actual
+        .iter()
+        .zip(pinned)
+        .filter(|((name, hex), pin)| (name.as_str(), hex.as_str()) != *pin)
+        .map(|((name, hex), _)| format!("(\"{name}\", \"{hex}\")"))
+        .collect();
+    assert_eq!(actual.len(), pinned.len(), "one pin per encoding");
+    assert!(moved.is_empty(), "encodings moved:\n{}", moved.join("\n"));
 }
