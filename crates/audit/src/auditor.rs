@@ -34,7 +34,7 @@ use ia_ccf_core::execute::{execute_tx, Effect, Executed, MarkCheck};
 use ia_ccf_governance::chain::{ConfigHistory, GovernanceChain};
 use ia_ccf_governance::fork::find_fork;
 use ia_ccf_governance::{GovOutcome, GovernanceState};
-use ia_ccf_kv::ShardedKvStore;
+use ia_ccf_kv::KvStore;
 use ia_ccf_types::{
     Configuration, Digest, LedgerEntry, Receipt, ReplicaId, SeqNum, SignedRequest, VerifiedCerts,
 };
@@ -520,8 +520,7 @@ impl Auditor {
         history: &ConfigHistory,
         receipts: &[&StoredReceipt],
     ) -> Option<Upom> {
-        // A one-shard store: the rule the replicas run takes theirs.
-        let mut kv = ShardedKvStore::new(1);
+        let mut kv = KvStore::new();
         let mut next_tx_index: u64 = 1;
         let mut start_seq = SeqNum(0);
         if let Some((checkpoint_seq, cp)) = &package.checkpoint {
@@ -530,11 +529,11 @@ impl Auditor {
         }
         let mut gov = GovernanceState::new(self.genesis.clone());
         let mut cp_digests: Vec<(SeqNum, Digest)> =
-            vec![(SeqNum(0), ShardedKvStore::new(1).digest())];
+            vec![(SeqNum(0), KvStore::new().digest())];
         // Before the replay window only governance state is carried
         // forward (governance transactions are rare, §6.4): the rule runs
         // against a scratch store, so nothing pre-window reaches `kv`.
-        let mut scratch = ShardedKvStore::new(1);
+        let mut scratch = KvStore::new();
 
         for batch in &validated.batches {
             let replaying = batch.seq > start_seq;

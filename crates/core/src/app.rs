@@ -9,24 +9,11 @@
 //! checkpoints).
 //!
 //! Procedures run against a [`KvAccess`] view rather than a concrete
-//! store: replicas hand out their sharded store (serial lane), a
-//! speculative group view (parallel execution of conflict-free batches),
-//! the auditor a one-shard store (replay) — the procedure cannot tell the
-//! difference, which is exactly the property the differential sharding
-//! harness (`tests/sharded_execution.rs`) checks.
-//!
-//! [`App::key_hints`] pre-declares a request's key footprint so the
-//! execution stage can partition a batch into conflict-free groups.
-//! Returning `None` (the default) routes the request to the serial
-//! fallback lane — always correct, never parallel. Returning `Some(keys)`
-//! is a **promise** that the procedure touches only those keys; the
-//! speculative view enforces it and panics on violation (a wrong hint must
-//! fail loudly, not let replicas diverge).
+//! store, so a procedure can only read and write inside the transaction
+//! the executor opened for it.
 
 use ia_ccf_kv::{Key, KvAccess};
 use ia_ccf_types::{ClientId, ProcId};
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// An application-level execution failure. Failed transactions are still
 /// ordered and logged (with `ok = false`); they simply don't change state —
@@ -55,10 +42,11 @@ pub trait App: Send + Sync {
         client: ClientId,
     ) -> Result<Vec<u8>, AppError>;
 
-    /// The set of keys `execute` may touch (reads *and* writes) for this
-    /// call, or `None` if unknown. `None` routes the request to the serial
-    /// execution lane; `Some` admits it to sharded parallel execution.
-    /// Must be a sound over-approximation — see the module docs.
+    /// Read by nothing: execution is serial. `benchmark/` still
+    /// implements it, and a product PR may not touch that directory, so it
+    /// stays with its default body: removed by the next benchmark-only PR
+    /// (ROADMAP item 8).
+    #[doc(hidden)]
     fn key_hints(&self, _proc: ProcId, _args: &[u8], _client: ClientId) -> Option<Vec<Key>> {
         None
     }
@@ -78,60 +66,6 @@ impl App for NullApp {
         _client: ClientId,
     ) -> Result<Vec<u8>, AppError> {
         Err(AppError(format!("no procedure {proc:?}")))
-    }
-    // Deliberately no `key_hints`: NullApp exercises the serial fallback
-    // lane for apps that do not declare footprints.
-}
-
-/// Dispatches procedure ids to registered apps, so a service can combine
-/// several procedure families (e.g. SmallBank plus a no-op procedure for
-/// empty-request benchmarks).
-#[derive(Default, Clone)]
-pub struct AppRegistry {
-    routes: BTreeMap<u16, Arc<dyn App>>,
-}
-
-impl AppRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register `app` for procedure ids `procs`.
-    pub fn register(&mut self, procs: impl IntoIterator<Item = ProcId>, app: Arc<dyn App>) {
-        for p in procs {
-            self.routes.insert(p.0, Arc::clone(&app));
-        }
-    }
-
-    /// Registry with a single app handling every procedure id routed to it.
-    pub fn single(procs: impl IntoIterator<Item = ProcId>, app: Arc<dyn App>) -> Self {
-        let mut r = Self::new();
-        r.register(procs, app);
-        r
-    }
-}
-
-impl App for AppRegistry {
-    fn execute(
-        &self,
-        kv: &mut dyn KvAccess,
-        proc: ProcId,
-        args: &[u8],
-        client: ClientId,
-    ) -> Result<Vec<u8>, AppError> {
-        match self.routes.get(&proc.0) {
-            Some(app) => app.execute(kv, proc, args, client),
-            None => Err(AppError(format!("no procedure {proc:?}"))),
-        }
-    }
-
-    fn key_hints(&self, proc: ProcId, args: &[u8], client: ClientId) -> Option<Vec<Key>> {
-        match self.routes.get(&proc.0) {
-            Some(app) => app.key_hints(proc, args, client),
-            // An unknown procedure errors without touching the store.
-            None => Some(Vec::new()),
-        }
     }
 }
 
@@ -171,11 +105,6 @@ impl App for CounterApp {
             other => Err(AppError(format!("counter: unknown proc {other:?}"))),
         }
     }
-
-    fn key_hints(&self, _proc: ProcId, args: &[u8], _client: ClientId) -> Option<Vec<Key>> {
-        // Every counter procedure touches exactly the key named by args.
-        Some(vec![args.to_vec()])
-    }
 }
 
 #[cfg(test)]
@@ -198,34 +127,10 @@ mod tests {
     }
 
     #[test]
-    fn registry_routes_by_proc() {
-        let mut reg = AppRegistry::new();
-        reg.register([CounterApp::INCR, CounterApp::READ], Arc::new(CounterApp));
-        let mut kv = KvStore::new();
-        kv.begin_tx().unwrap();
-        assert!(reg.execute(&mut kv, CounterApp::INCR, b"x", ClientId(1)).is_ok());
-        assert!(reg.execute(&mut kv, ProcId(99), b"x", ClientId(1)).is_err());
-        kv.commit_tx().unwrap();
-    }
-
-    #[test]
-    fn registry_routes_key_hints() {
-        let mut reg = AppRegistry::new();
-        reg.register([CounterApp::INCR], Arc::new(CounterApp));
-        assert_eq!(
-            reg.key_hints(CounterApp::INCR, b"x", ClientId(1)),
-            Some(vec![b"x".to_vec()])
-        );
-        // Unknown procedures error without store access: empty footprint.
-        assert_eq!(reg.key_hints(ProcId(99), b"x", ClientId(1)), Some(Vec::new()));
-    }
-
-    #[test]
     fn null_app_rejects_and_stays_serial() {
         let mut kv = KvStore::new();
         kv.begin_tx().unwrap();
         assert!(NullApp.execute(&mut kv, ProcId(1), b"", ClientId(1)).is_err());
         kv.commit_tx().unwrap();
-        assert_eq!(NullApp.key_hints(ProcId(1), b"", ClientId(1)), None);
     }
 }

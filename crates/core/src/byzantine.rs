@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use ia_ccf_kv::{Key, KvAccess};
+use ia_ccf_kv::KvAccess;
 use ia_ccf_types::{ClientId, LedgerEntry, ProcId, ProtocolMsg, SeqNum, Wire};
 
 use crate::app::{App, AppError};
@@ -285,12 +285,6 @@ impl App for TamperedApp {
             return Ok(forged);
         }
         self.inner.execute(kv, proc, args, client)
-    }
-
-    fn key_hints(&self, proc: ProcId, args: &[u8], client: ClientId) -> Option<Vec<Key>> {
-        // Forgeries only tamper with outputs; the state footprint is the
-        // honest app's, so tampered replicas shard identically.
-        self.inner.key_hints(proc, args, client)
     }
 }
 

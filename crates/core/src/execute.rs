@@ -3,10 +3,10 @@
 //! State is a function of the ledger (§3.4: a joining replica "replays
 //! the ledger from that checkpoint"; §4.1: the auditor replays because
 //! `N − f` replicas may have lied), and this module is that function's
-//! per-transaction step, written once. The replica's serial lane, its
-//! speculative lane and the auditor's replay all call it, so a recorded
-//! result can only differ from a replayed one if somebody misbehaved —
-//! never because two copies of the rule drifted apart.
+//! per-transaction step, written once. The replica's execution stage and
+//! the auditor's replay both call it, so a recorded result can only
+//! differ from a replayed one if somebody misbehaved — never because two
+//! copies of the rule drifted apart.
 //!
 //! The rule covers what every executor must agree on byte for byte: the
 //! stored-procedure call, the governance `apply` with its
@@ -21,7 +21,7 @@
 use ia_ccf_crypto::{Digest, Hasher};
 use ia_ccf_governance::chain::{member_of, GOV_OUTPUT_PASSED, GOV_OUTPUT_RECORDED};
 use ia_ccf_governance::{GovOutcome, GovernanceState};
-use ia_ccf_kv::{KvAccess, ShardedKvStore, TxWriteSet};
+use ia_ccf_kv::{KvStore, TxWriteSet};
 use ia_ccf_types::{RequestAction, SeqNum, SignedRequest, SystemOp, TxResult};
 
 use crate::app::{App, AppError};
@@ -70,16 +70,22 @@ pub struct Executed {
 pub fn execute_tx(
     app: &dyn App,
     gov: &mut GovernanceState,
-    kv: &mut ShardedKvStore,
+    kv: &mut KvStore,
     req: &SignedRequest,
     checkpoint_digest: impl FnOnce(SeqNum) -> Option<Digest>,
 ) -> Executed {
     kv.begin_tx().expect("no nested tx");
-    let commit = |kv: &mut ShardedKvStore| kv.commit_tx().expect("tx open");
-    let abort = |kv: &mut ShardedKvStore| kv.abort_tx().expect("tx open");
+    let commit = |kv: &mut KvStore| kv.commit_tx().expect("tx open");
+    let abort = |kv: &mut KvStore| kv.abort_tx().expect("tx open");
     match &req.request.action {
-        RequestAction::App { .. } => {
-            let (result, _) = run_procedure(app, req, kv, commit, abort);
+        RequestAction::App { proc, args } => {
+            let result = match app.execute(kv, *proc, args, req.request.client) {
+                Ok(output) => committed(output, &commit(kv)),
+                Err(AppError(why)) => {
+                    abort(kv);
+                    failed(why)
+                }
+            };
             Executed { result, effect: Effect::None }
         }
         RequestAction::Governance(action) => match gov.apply(member_of(req), action) {
@@ -111,33 +117,6 @@ pub fn execute_tx(
                 result: TxResult { ok: true, output: Vec::new(), write_set_digest: Digest::zero() },
                 effect: Effect::Mark(check),
             }
-        }
-    }
-}
-
-/// The rule's application arm over any open transaction view: call the
-/// stored procedure `req` names, close the transaction accordingly and
-/// record the result. The serial lane passes the store itself, the
-/// speculative lane a conflict group's transaction (whose write set is
-/// merged into the store later, hence returned).
-pub(crate) fn run_procedure<T: KvAccess>(
-    app: &dyn App,
-    req: &SignedRequest,
-    mut tx: T,
-    commit: impl FnOnce(T) -> TxWriteSet,
-    abort: impl FnOnce(T),
-) -> (TxResult, Option<TxWriteSet>) {
-    let RequestAction::App { proc, args } = &req.request.action else {
-        unreachable!("only application requests call stored procedures");
-    };
-    match app.execute(&mut tx, *proc, args, req.request.client) {
-        Ok(output) => {
-            let ws = commit(tx);
-            (committed(output, &ws), Some(ws))
-        }
-        Err(AppError(why)) => {
-            abort(tx);
-            (failed(why), None)
         }
     }
 }

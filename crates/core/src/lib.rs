@@ -38,7 +38,7 @@ pub mod replica;
 pub mod seedfile;
 pub mod viewchange;
 
-pub use app::{App, AppError, AppRegistry, NullApp};
+pub use app::{App, AppError, NullApp};
 pub use bootstrap::{BootstrapError, SyncReport};
 pub use byzantine::{ByzantineReplica, Fault};
 pub use checkpoint::{CheckpointRecord, CheckpointStore};

@@ -11,27 +11,23 @@ pub struct ProtocolParams {
     pub view_timeout_ticks: u64,
     /// Take checkpoints and agree their digests.
     pub checkpoints_enabled: bool,
-    /// KV shard count for the execution stage: `0` resolves to the
-    /// machine's available parallelism (capped at 8), `1` forces fully
-    /// serial execution, `n > 1` shards the store and lets the execution
-    /// stage run conflict-free transaction groups in parallel. **Local**
-    /// knob: ledger bytes, digests and receipts are byte-identical for any
-    /// value (the differential harness in `tests/sharded_execution.rs`
-    /// enforces this), so replicas of one cluster may differ.
+    /// Ignored: execution is serial. `benchmark/` still sets it, and a
+    /// product PR may not touch that directory: removed by the next
+    /// benchmark-only PR (ROADMAP item 8).
+    #[doc(hidden)]
     pub execution_shards: usize,
     /// Worker threads in the replica's persistent pool
     /// ([`ia_ccf_pool::WorkerPool`]), which carries every parallel hot
-    /// path: batched client-signature verification, speculative
-    /// conflict-group execution, the per-shard write-set merge, and the
-    /// cross-batch overlap (verify pre-prepare *n+1*'s signatures while
-    /// batch *n* executes). `0` resolves to the `IACCF_POOL_THREADS`
-    /// environment variable if set, else the machine's available
-    /// parallelism (capped at 8); `1` disables all pool offload — every
-    /// path runs inline, byte-for-byte like the pre-pool replica.
-    /// **Local** knob like the shard count: ledger bytes, digests and
-    /// receipts are byte-identical for any value (pool-size sweeps in
-    /// `tests/sharded_execution.rs` and `tests/pipeline_view_change.rs`
-    /// enforce this), so replicas of one cluster may differ.
+    /// path: batched client-signature verification and the cross-batch
+    /// overlap (verify pre-prepare *n+1*'s signatures while batch *n*
+    /// executes). `0` resolves to the `IACCF_POOL_THREADS` environment
+    /// variable if set, else the machine's available parallelism (capped
+    /// at 8); `1` disables all pool offload — every path runs inline,
+    /// byte-for-byte like the pre-pool replica. **Local** knob: ledger
+    /// bytes, digests and receipts are byte-identical for any value
+    /// (pool-size sweeps in `tests/sharded_execution.rs` and
+    /// `tests/pipeline_view_change.rs` enforce this), so replicas of one
+    /// cluster may differ.
     pub pool_threads: usize,
     /// How many committed batches of execution state (and with them the
     /// receipt-serving caches: locator entries, certificates, frozen
@@ -96,17 +92,6 @@ impl Default for ProtocolParams {
 }
 
 impl ProtocolParams {
-    /// The shard count `execution_shards` resolves to on this machine.
-    /// `0` = available parallelism capped at 8; the cap bounds both the
-    /// key-space split and the per-batch worker fan-out (which is derived
-    /// from the shard count) — set an explicit value to exceed it.
-    pub fn resolved_execution_shards(&self) -> usize {
-        match self.execution_shards {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).clamp(1, 8),
-            n => n,
-        }
-    }
-
     /// The worker-thread count `pool_threads` resolves to on this
     /// machine. An explicit value always wins; `0` (auto) consults
     /// `IACCF_POOL_THREADS` first — that is what lets CI pin a
@@ -157,17 +142,6 @@ mod tests {
         assert_eq!(huge.effective_sync_page_bytes(), ceiling);
         let zero = ProtocolParams { sync_page_bytes: 0, ..ProtocolParams::default() };
         assert_eq!(zero.effective_sync_page_bytes(), 1, "a zero budget still pages one batch");
-    }
-
-    #[test]
-    fn execution_shards_resolve_sanely() {
-        let auto = ProtocolParams::default();
-        let resolved = auto.resolved_execution_shards();
-        assert!((1..=8).contains(&resolved), "auto resolved to {resolved}");
-        let pinned = ProtocolParams { execution_shards: 5, ..ProtocolParams::default() };
-        assert_eq!(pinned.resolved_execution_shards(), 5);
-        let serial = ProtocolParams { execution_shards: 1, ..ProtocolParams::default() };
-        assert_eq!(serial.resolved_execution_shards(), 1);
     }
 
     #[test]

@@ -383,7 +383,6 @@ mod tests {
             let params = ProtocolParams {
                 batch_max,
                 view_timeout_ticks: 8,
-                execution_shards: 1,
                 pool_threads: 1,
                 ..ProtocolParams::default()
             };

@@ -10,52 +10,20 @@
 //! reservation. Every executed batch leaves a [`BatchMark`] so a view
 //! change can roll it back (Lemma 1) and re-execute it identically.
 //!
-//! # Sharded execution
-//!
-//! When the store has more than one shard
-//! (`ProtocolParams::execution_shards`), application transactions that
-//! pre-declare their key footprint ([`crate::app::App::key_hints`]) are
-//! partitioned into **conflict-free groups** (union-find over declared
-//! keys) and executed speculatively in parallel on the replica's
-//! persistent worker pool ([`ia_ccf_pool::WorkerPool`] — no per-batch
-//! thread spawns); each group sees the pre-batch store plus its own
-//! earlier writes ([`ia_ccf_kv::SpeculativeGroup`]). Transactions
-//! without hints, plus every governance/system transaction, run on the
-//! **serial fallback lane**, which also acts as a barrier: the batch is
-//! split into segments at serial transactions so cross-lane ordering is
-//! preserved. After a parallel segment completes, its write sets are
-//! merged into the sharded store **in original batch order**, with the
-//! per-shard apply lists themselves fanned out over the pool
-//! ([`ia_ccf_kv::ShardedKvStore::apply_write_sets`]).
-//!
-//! The invariant the whole subsystem hangs on: ledger bytes, result
-//! outputs, write-set digests, `Ḡ` leaves and receipts are byte-identical
-//! to fully serial execution for **any** shard count — which is why the
-//! shard count can stay a per-replica knob instead of a consensus
-//! parameter. `tests/sharded_execution.rs` enforces this differentially;
-//! a footprint under-declaration panics in the speculative view rather
-//! than risking divergence.
+//! Requests execute one after another, in batch order, through the rule
+//! the auditor replays ([`crate::execute::execute_tx`]).
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use ia_ccf_crypto::Digest;
 use ia_ccf_governance::GovOutcome;
-use ia_ccf_kv::{Key, SpeculativeGroup, TxWriteSet};
 use ia_ccf_merkle::MerkleTree;
-use ia_ccf_types::{
-    BatchKind, ClientId, LedgerIdx, RequestAction, SeqNum, SignedRequest, TxResult, View,
-};
+use ia_ccf_types::{BatchKind, ClientId, LedgerIdx, SeqNum, SignedRequest, TxResult, View};
 
 use crate::checkpoint::CheckpointRecord;
 use crate::events::Output;
-use crate::execute::{execute_tx, run_procedure, Effect, Executed, MarkCheck};
+use crate::execute::{execute_tx, Effect, Executed, MarkCheck};
 use crate::replica::Replica;
-
-/// One conflict-free group's speculative output: `(batch position,
-/// result, write set)` per transaction, in group order.
-type GroupOutput = Vec<(usize, TxResult, Option<TxWriteSet>)>;
 
 /// Result of executing one transaction, plus the bookkeeping needed for
 /// replies and receipts.
@@ -112,9 +80,8 @@ impl BatchExec {
 /// only when governance actually mutates), so gov-free batches pay one
 /// refcount bump, not a deep configuration clone.
 ///
-/// The KV side needs no extra state here: every shard carries the batch
-/// mark, so `rollback_to_batch` restores all shards in lockstep —
-/// including writes that arrived via the sharded-execution merge.
+/// The KV side needs no extra state here: the store carries the batch
+/// mark, so `rollback_to_batch` restores it.
 #[derive(Debug, Clone)]
 pub(crate) struct BatchMark {
     pub ledger_len_before: u64,
@@ -130,14 +97,6 @@ pub(crate) enum ExecError {
     CheckpointMismatch,
     GovNotLast,
     KindMismatch,
-}
-
-/// Which execution lane a request takes.
-enum Lane {
-    /// Declared key footprint: eligible for conflict-free grouping.
-    Parallel(Vec<Key>),
-    /// Unknown footprint or non-app action: serial fallback lane.
-    Serial,
 }
 
 impl Replica {
@@ -163,9 +122,11 @@ impl Replica {
                 return Err(ExecError::MinIndexViolated);
             }
         }
-        let results = self.execute_requests(seq, requests)?;
-        // One serial pass assigns indices and builds the leaves — this is
-        // where parallel results fold back into the canonical batch order.
+        let results = requests
+            .iter()
+            .map(|r| self.execute_one(seq, r))
+            .collect::<Result<Vec<_>, _>>()?;
+        // One pass assigns indices and builds the leaves.
         let mut txs = Vec::with_capacity(requests.len());
         let mut leaves = Vec::with_capacity(requests.len());
         for ((req, &request_digest), result) in requests.iter().zip(names).zip(results) {
@@ -193,187 +154,7 @@ impl Replica {
         Ok(BatchExec::new(view, kind, txs, tree))
     }
 
-    /// Execute every request of the batch, in (observable) batch order.
-    /// Chooses between the fully serial path (single shard or tiny batch)
-    /// and segmented sharded execution.
-    fn execute_requests(
-        &mut self,
-        seq: SeqNum,
-        requests: &[SignedRequest],
-    ) -> Result<Vec<TxResult>, ExecError> {
-        if self.kv.shard_count() <= 1 || requests.len() < 2 {
-            return requests.iter().map(|r| self.execute_one(seq, r)).collect();
-        }
-        let lanes: Vec<Lane> = requests.iter().map(|r| self.plan_lane(r)).collect();
-        let mut results: Vec<Option<TxResult>> = Vec::new();
-        results.resize_with(requests.len(), || None);
-        let mut pos = 0;
-        while pos < requests.len() {
-            if matches!(lanes[pos], Lane::Serial) {
-                // Serial transactions are barriers: everything before them
-                // has merged, everything after sees their effects.
-                results[pos] = Some(self.execute_one(seq, &requests[pos])?);
-                pos += 1;
-                continue;
-            }
-            let start = pos;
-            while pos < requests.len() && matches!(lanes[pos], Lane::Parallel(_)) {
-                pos += 1;
-            }
-            self.execute_parallel_segment(
-                &requests[start..pos],
-                &lanes[start..pos],
-                &mut results[start..pos],
-            );
-        }
-        Ok(results.into_iter().map(|r| r.expect("every position executed")).collect())
-    }
-
-    /// The lane a request executes on. Only app requests with declared
-    /// footprints are parallel-eligible; governance and system
-    /// transactions mutate replica-local state and stay serial.
-    fn plan_lane(&self, req: &SignedRequest) -> Lane {
-        match &req.request.action {
-            RequestAction::App { proc, args } => {
-                match self.app.key_hints(*proc, args, req.request.client) {
-                    Some(mut keys) => {
-                        keys.sort_unstable();
-                        keys.dedup();
-                        Lane::Parallel(keys)
-                    }
-                    None => Lane::Serial,
-                }
-            }
-            _ => Lane::Serial,
-        }
-    }
-
-    /// Execute one contiguous run of parallel-eligible transactions:
-    /// group by footprint overlap, run groups on scoped workers, then
-    /// merge the write sets into the sharded store in batch order.
-    fn execute_parallel_segment(
-        &mut self,
-        reqs: &[SignedRequest],
-        lanes: &[Lane],
-        out: &mut [Option<TxResult>],
-    ) {
-        let n = reqs.len();
-        // Union-find over segment positions, keyed by footprint keys: two
-        // transactions sharing any declared key land in the same group.
-        // Deterministic — driven only by batch order and key equality.
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]]; // path halving
-                x = parent[x];
-            }
-            x
-        }
-        let mut key_owner: HashMap<&[u8], usize> = HashMap::new();
-        for (i, lane) in lanes.iter().enumerate() {
-            let Lane::Parallel(keys) = lane else { unreachable!("segment is parallel-only") };
-            for k in keys {
-                match key_owner.entry(k.as_slice()) {
-                    Entry::Occupied(o) => {
-                        let (a, b) = (find(&mut parent, i), find(&mut parent, *o.get()));
-                        parent[a] = b;
-                    }
-                    Entry::Vacant(v) => {
-                        v.insert(i);
-                    }
-                }
-            }
-        }
-        // Groups in first-appearance order; members stay in batch order.
-        let mut group_of_root: Vec<Option<usize>> = vec![None; n];
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for i in 0..n {
-            let root = find(&mut parent, i);
-            let gi = match group_of_root[root] {
-                Some(g) => g,
-                None => {
-                    groups.push(Vec::new());
-                    group_of_root[root] = Some(groups.len() - 1);
-                    groups.len() - 1
-                }
-            };
-            groups[gi].push(i);
-        }
-
-        let app = Arc::clone(&self.app);
-        let outputs: Vec<GroupOutput> = {
-            let base = &self.kv;
-            let run_group = |members: &[usize]| -> GroupOutput {
-                let mut spec = SpeculativeGroup::new(base);
-                members
-                    .iter()
-                    .enumerate()
-                    .map(|(pos_in_group, &i)| {
-                        let Lane::Parallel(keys) = &lanes[i] else { unreachable!() };
-                        // The group's last tx has no readers left: skip
-                        // publishing its delta (singleton groups dominate
-                        // uncontended batches).
-                        let is_last = pos_in_group + 1 == members.len();
-                        let (result, ws) = run_procedure(
-                            &*app,
-                            &reqs[i],
-                            spec.begin_tx(keys),
-                            |tx| if is_last { tx.commit_final() } else { tx.commit() },
-                            |tx| tx.abort(),
-                        );
-                        (i, result, ws)
-                    })
-                    .collect()
-            };
-            // Worker count derives from the *pool*, not the shard count:
-            // conflict groups routinely out-number shards (every
-            // uncontended transaction is its own group), and capping the
-            // fan-out at the key-space split was leaving workers idle.
-            let workers = groups.len().min(self.pool.threads());
-            if workers <= 1 {
-                groups.iter().map(|g| run_group(g)).collect()
-            } else {
-                // Persistent pool: groups are round-robined over `workers`
-                // stripes. Scheduling cannot influence results — groups
-                // are key-disjoint and results are keyed by batch
-                // position.
-                let mut stripes: Vec<Option<GroupOutput>> = Vec::new();
-                stripes.resize_with(workers, || None);
-                self.pool.scope(|s| {
-                    for (w, slot) in stripes.iter_mut().enumerate() {
-                        let groups = &groups;
-                        let run_group = &run_group;
-                        s.spawn(move || {
-                            let mut acc = Vec::new();
-                            let mut gi = w;
-                            while gi < groups.len() {
-                                acc.extend(run_group(&groups[gi]));
-                                gi += workers;
-                            }
-                            *slot = Some(acc);
-                        });
-                    }
-                });
-                stripes.into_iter().map(|s| s.expect("every stripe executed")).collect()
-            }
-        };
-
-        // Ordered write-set merge: apply each transaction's effects to the
-        // sharded store in original batch order, so per-shard undo logs —
-        // and therefore rollback — match serial execution's state history.
-        // The per-shard apply lists fan out over the pool (shards are
-        // disjoint stores, order within each is preserved).
-        let mut merged: Vec<Option<TxWriteSet>> = Vec::new();
-        merged.resize_with(n, || None);
-        for (i, result, ws) in outputs.into_iter().flatten() {
-            out[i] = Some(result);
-            merged[i] = ws;
-        }
-        let write_sets: Vec<TxWriteSet> = merged.into_iter().flatten().collect();
-        self.kv.apply_write_sets(&self.pool, write_sets);
-    }
-
-    /// The serial lane: one call of the shared rule
+    /// One request: one call of the shared rule
     /// ([`crate::execute::execute_tx`]) plus the replica's own reaction to
     /// its effect.
     fn execute_one(&mut self, seq: SeqNum, req: &SignedRequest) -> Result<TxResult, ExecError> {

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use ia_ccf_crypto::hash_bytes;
 use ia_ccf_governance::chain::GovLink;
 use ia_ccf_governance::GovernanceState;
-use ia_ccf_kv::ShardedKvStore;
+use ia_ccf_kv::KvStore;
 use ia_ccf_ledger::Ledger;
 use ia_ccf_types::{
     ClientId, Configuration, Digest, LedgerEntry, LedgerIdx, Nonce, PrePrepare, ProtocolMsg,
@@ -95,17 +95,13 @@ pub struct Replica {
     pub(crate) my_nonces: HashMap<(u64, u64), Nonce>,
     pub(crate) rng: StdRng,
 
-    // Execution state. The store is sharded for parallel execution of
-    // conflict-free transaction groups; the shard count is a local choice
-    // (see `ProtocolParams::execution_shards`) and never visible in
-    // ledger bytes, digests or receipts.
-    pub(crate) kv: ShardedKvStore,
+    // Execution state.
+    pub(crate) kv: KvStore,
     /// Persistent worker pool carrying every parallel hot path: batched
-    /// client-signature verification, speculative conflict-group
-    /// execution and the per-shard write-set merge. A local knob like
-    /// the shard count — nothing scheduled on it may influence
-    /// consensus-visible bytes. `Arc` so verification work can be handed
-    /// to the pool's own workers while the replica keeps executing.
+    /// client-signature verification and its cross-batch prewarm. A local
+    /// knob — nothing scheduled on it may influence consensus-visible
+    /// bytes. `Arc` so verification work can be handed to the pool's own
+    /// workers while the replica keeps executing.
     pub(crate) pool: Arc<ia_ccf_pool::WorkerPool>,
     /// In-flight cross-batch signature verification: pre-prepare *n+1*'s
     /// client signatures verify on the pool while batch *n* executes on
@@ -212,7 +208,7 @@ impl Replica {
     ) -> Result<Self, ReplicaInitError> {
         let ledger = Ledger::new(genesis.clone());
         let gt_hash = ledger.genesis_hash().expect("genesis present");
-        let kv = ShardedKvStore::new(params.resolved_execution_shards());
+        let kv = KvStore::new();
         let mut cp_digests = BTreeMap::new();
         let mut checkpoints = CheckpointStore::new(3);
         // The genesis checkpoint: empty store at seq 0.
@@ -477,7 +473,7 @@ impl Replica {
         &mut self.ledger
     }
     /// The key-value store.
-    pub fn kv(&self) -> &ShardedKvStore {
+    pub fn kv(&self) -> &KvStore {
         &self.kv
     }
     /// The persistent worker pool (stats and lifecycle test hooks).

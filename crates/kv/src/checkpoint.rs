@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 
 use ia_ccf_crypto::{hash_bytes, Digest};
 
-use crate::{Key, KvStore, Value};
+use crate::{Key, Value};
 
 /// A point-in-time snapshot of the store: its canonical body and the
 /// body's digest.
@@ -59,9 +59,7 @@ impl KvCheckpoint {
 
     /// Build a checkpoint from a full entry map.
     pub fn from_entries(entries: BTreeMap<Key, Value>) -> Self {
-        let mut store = KvStore::new();
-        store.set_entries(entries);
-        store.checkpoint()
+        Self::encode(entries.len(), entries.iter())
     }
 
     /// The checkpoint digest `d_C` referenced by pre-prepares and receipts.
@@ -181,6 +179,7 @@ fn take_chunk(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KvStore;
 
     #[test]
     fn checkpoint_digest_matches_store_digest() {

@@ -18,34 +18,26 @@
 //! * [`KvStore::digest`] / [`KvStore::checkpoint`] / [`KvStore::restore`] —
 //!   checkpoint creation and restoration (§3.4, §4.1 replay).
 //!
-//! Strict serializability still holds with sharded execution: replicas
-//! commit effects in ledger order — conflict-free transaction groups
-//! execute speculatively ([`SpeculativeGroup`]) and their write sets are
-//! merged back **in original batch order**
-//! ([`ShardedKvStore::apply_write_set`]), so the observable history is the
-//! serial one (Lemma 2 unchanged).
+//! Replicas and the auditor execute one transaction at a time, in ledger
+//! order, so the observable history is the serial one (Lemma 2).
 //!
-//! CCF uses a CHAMP map; we use ordered maps with O(log n) access, which
+//! CCF uses a CHAMP map; we use an ordered map with O(log n) access, which
 //! reproduces Fig. 7's "throughput decreases as the store grows" shape.
-//! [`ShardedKvStore`] splits the key space into hash-partitioned shards
-//! ([`shard_of`]); every digest/checkpoint is computed over the merged key
-//! order and is byte-identical for any shard count.
 //!
 //! A store's digest is the digest of its checkpoint, and a checkpoint is
 //! its canonical encoding ([`KvCheckpoint`]): one definition of the bytes
 //! for the store digest, the checkpoint record, the transfer payload and
 //! the restore. Checkpoint agreement and audit replay compare these
-//! digests across replicas with different shard layouts.
+//! digests across replicas.
 
 mod checkpoint;
 mod shard;
-mod speculative;
 mod store;
 mod write_set;
 
 pub use checkpoint::KvCheckpoint;
-pub use shard::{shard_of, MergedIter, ShardedKvStore};
-pub use speculative::{SpeculativeGroup, SpeculativeTx};
+#[doc(hidden)]
+pub use shard::ShardedKvStore;
 pub use store::{KvError, KvStore};
 pub use write_set::TxWriteSet;
 
@@ -55,11 +47,8 @@ pub type Key = Vec<u8>;
 pub type Value = Vec<u8>;
 
 /// Object-safe data-plane access to a store: the subset of operations a
-/// stored procedure may perform. Implemented by [`KvStore`] (one shard;
-/// tests), [`ShardedKvStore`] (the replica's serial execution
-/// lane and, with one shard, the auditor's replay) and [`SpeculativeTx`] (conflict-free groups executing
-/// in parallel). Keeping `App::execute` behind this trait is what lets the
-/// execution stage swap the backing view without the application noticing.
+/// stored procedure may perform. `App::execute` runs behind this trait, so
+/// a procedure sees only reads and writes inside its open transaction.
 pub trait KvAccess {
     /// Read a key (read-your-writes inside a transaction).
     fn get(&self, key: &[u8]) -> Option<&Value>;
@@ -67,18 +56,4 @@ pub trait KvAccess {
     fn put(&mut self, key: Key, value: Value) -> Result<(), KvError>;
     /// Delete `key` inside the open transaction.
     fn delete(&mut self, key: Key) -> Result<(), KvError>;
-}
-
-/// A mutable borrow of a view is a view: lets code that owns "some open
-/// transaction" by value take the serial store by reference.
-impl<T: KvAccess + ?Sized> KvAccess for &mut T {
-    fn get(&self, key: &[u8]) -> Option<&Value> {
-        (**self).get(key)
-    }
-    fn put(&mut self, key: Key, value: Value) -> Result<(), KvError> {
-        (**self).put(key, value)
-    }
-    fn delete(&mut self, key: Key) -> Result<(), KvError> {
-        (**self).delete(key)
-    }
 }

@@ -83,35 +83,6 @@ impl KvStore {
         self.map.iter()
     }
 
-    /// The concrete map iterator — the sharded store's k-way merge needs a
-    /// nameable type to hold peekable per-shard cursors.
-    pub(crate) fn raw_iter(&self) -> std::collections::btree_map::Iter<'_, Key, Value> {
-        self.map.iter()
-    }
-
-    /// Apply one already-committed write (the ordered write-set merge of
-    /// sharded execution). Records an undo entry so batch rollback still
-    /// works, but needs no open transaction: the write set was produced —
-    /// and its digest recorded — by the speculative execution that owns
-    /// transaction semantics.
-    pub(crate) fn apply_one(&mut self, key: Key, value: Option<Value>) {
-        debug_assert!(self.open_tx.is_none(), "write-set merge must run outside transactions");
-        let prior = match value {
-            Some(v) => self.map.insert(key.clone(), v),
-            None => self.map.remove(&key),
-        };
-        self.undo.push(UndoOp { key, prior });
-    }
-
-    /// Replace the contents wholesale (per-shard restore); clears all undo
-    /// state like [`KvStore::restore`].
-    pub(crate) fn set_entries(&mut self, entries: BTreeMap<Key, Value>) {
-        self.map = entries;
-        self.undo.clear();
-        self.open_tx = None;
-        self.batch_marks.clear();
-    }
-
     // ------------------------------------------------------------------
     // Transactions
     // ------------------------------------------------------------------
@@ -249,12 +220,14 @@ impl KvStore {
 
     /// Replace the store contents from a checkpoint; clears all undo state.
     pub fn restore(&mut self, cp: &KvCheckpoint) {
-        self.set_entries(cp.entries().map(|(k, v)| (k.to_vec(), v.to_vec())).collect());
+        self.map = cp.entries().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+        self.undo.clear();
+        self.open_tx = None;
+        self.batch_marks.clear();
     }
 }
 
-/// [`KvAccess`] routes straight to the inherent methods: a single-store
-/// replica (or the auditor's replay) is the degenerate one-shard case.
+/// [`crate::KvAccess`] routes straight to the inherent methods.
 impl crate::KvAccess for KvStore {
     fn get(&self, key: &[u8]) -> Option<&Value> {
         KvStore::get(self, key)

@@ -34,23 +34,6 @@ impl TxWriteSet {
         self.writes.insert(key, None);
     }
 
-    /// Build a write set directly from a final-effects map (the speculative
-    /// execution path accumulates exactly this shape).
-    pub(crate) fn from_map(writes: BTreeMap<Key, Option<Value>>) -> Self {
-        TxWriteSet { writes }
-    }
-
-    /// Fold `other` into `self`. Used to merge the per-shard fragments of
-    /// one transaction's write set; fragments partition the key space, so
-    /// the union is canonical.
-    pub(crate) fn absorb(&mut self, other: TxWriteSet) {
-        if self.writes.is_empty() {
-            self.writes = other.writes;
-        } else {
-            self.writes.extend(other.writes);
-        }
-    }
-
     /// Final effect on `key`: `None` if untouched, `Some(None)` if deleted,
     /// `Some(Some(v))` if written.
     pub fn get(&self, key: &[u8]) -> Option<Option<&[u8]>> {
@@ -90,17 +73,6 @@ impl TxWriteSet {
             }
         }
         h.finalize()
-    }
-}
-
-/// Consuming iteration in key order — the ordered write-set merge applies
-/// a transaction's final effects without cloning keys or values.
-impl IntoIterator for TxWriteSet {
-    type Item = (Key, Option<Value>);
-    type IntoIter = std::collections::btree_map::IntoIter<Key, Option<Value>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.writes.into_iter()
     }
 }
 

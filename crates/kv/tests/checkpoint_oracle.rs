@@ -4,13 +4,13 @@
 //! value)*` and its digest is one hash of those bytes. Before, the digest
 //! was streamed field by field over the map (`digest_entries`, kept below
 //! as the oracle) and the checkpoint was a cloned `BTreeMap`. Every digest
-//! replicas and auditors agree on must be unchanged, for any shard count,
-//! and a body that is not the encoding of some store must not decode.
+//! replicas and auditors agree on must be unchanged, and a body that is not
+//! the encoding of some store must not decode.
 
 use std::collections::BTreeMap;
 
 use ia_ccf_crypto::{hash_bytes, Digest, Hasher};
-use ia_ccf_kv::{KvCheckpoint, KvStore, ShardedKvStore};
+use ia_ccf_kv::{KvCheckpoint, KvStore};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -48,22 +48,10 @@ fn self_consistent(body: Vec<u8>) -> Vec<u8> {
     out
 }
 
-/// Apply `puts` then `deletes` to a store of `shards` shards (0 = a plain
-/// `KvStore`), returning the checkpoint bytes and the store digest.
-fn run(shards: usize, puts: &[(Vec<u8>, Vec<u8>)], deletes: &[Vec<u8>]) -> (Vec<u8>, Digest) {
-    if shards == 0 {
-        let mut kv = KvStore::new();
-        kv.begin_tx().unwrap();
-        for (k, v) in puts {
-            kv.put(k.clone(), v.clone()).unwrap();
-        }
-        for k in deletes {
-            kv.delete(k.clone()).unwrap();
-        }
-        kv.commit_tx().unwrap();
-        return (kv.checkpoint().to_bytes(), kv.digest());
-    }
-    let mut kv = ShardedKvStore::new(shards);
+/// Apply `puts` then `deletes` to a store, returning the checkpoint bytes
+/// and the store digest.
+fn run(puts: &[(Vec<u8>, Vec<u8>)], deletes: &[Vec<u8>]) -> (Vec<u8>, Digest) {
+    let mut kv = KvStore::new();
     kv.begin_tx().unwrap();
     for (k, v) in puts {
         kv.put(k.clone(), v.clone()).unwrap();
@@ -76,9 +64,8 @@ fn run(shards: usize, puts: &[(Vec<u8>, Vec<u8>)], deletes: &[Vec<u8>]) -> (Vec<
 }
 
 proptest! {
-    /// Every store layout writes the same bytes, and their digest is the
-    /// streaming oracle's; the bytes round-trip and restore into every
-    /// layout.
+    /// A store writes the body the model encodes, and its digest is the
+    /// streaming oracle's; the bytes round-trip and restore.
     #[test]
     fn one_encoding_for_every_layout(
         puts in vec((vec(any::<u8>(), 0..4), vec(any::<u8>(), 0..12)), 0..60),
@@ -92,26 +79,21 @@ proptest! {
         let reference = KvCheckpoint::from_entries(model.clone());
         prop_assert_eq!(reference.digest(), want);
         prop_assert_eq!(reference.len(), model.len());
-        for shards in [0, 1, 2, 8] {
-            let (bytes, digest) = run(shards, &puts, &deletes);
-            prop_assert_eq!(&bytes, &reference.to_bytes());
-            prop_assert_eq!(digest, want);
-            prop_assert_eq!(hash_bytes(&bytes[32..]), want);
+        let (bytes, digest) = run(&puts, &deletes);
+        prop_assert_eq!(&bytes, &reference.to_bytes());
+        prop_assert_eq!(digest, want);
+        prop_assert_eq!(hash_bytes(&bytes[32..]), want);
 
-            let decoded = KvCheckpoint::from_bytes_verified(&bytes).expect("round trip");
-            prop_assert_eq!(&decoded, &reference);
-            let entries: BTreeMap<Vec<u8>, Vec<u8>> =
-                decoded.entries().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
-            prop_assert_eq!(&entries, &model);
+        let decoded = KvCheckpoint::from_bytes_verified(&bytes).expect("round trip");
+        prop_assert_eq!(&decoded, &reference);
+        let entries: BTreeMap<Vec<u8>, Vec<u8>> =
+            decoded.entries().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+        prop_assert_eq!(&entries, &model);
 
-            let mut single = KvStore::new();
-            single.restore(&decoded);
-            prop_assert_eq!(single.digest(), want);
-            let mut sharded = ShardedKvStore::new(shards.max(1));
-            sharded.restore(&decoded);
-            prop_assert_eq!(sharded.digest(), want);
-            prop_assert_eq!(sharded.len(), model.len());
-        }
+        let mut restored = KvStore::new();
+        restored.restore(&decoded);
+        prop_assert_eq!(restored.digest(), want);
+        prop_assert_eq!(restored.len(), model.len());
     }
 }
 
@@ -119,7 +101,6 @@ proptest! {
 fn empty_store_digest_is_the_oracles() {
     let empty = BTreeMap::new();
     assert_eq!(KvStore::new().digest(), streaming_digest(&empty));
-    assert_eq!(ShardedKvStore::new(4).digest(), streaming_digest(&empty));
     assert_eq!(KvStore::new().checkpoint().to_bytes().len(), 32 + 8);
 }
 

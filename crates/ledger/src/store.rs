@@ -65,16 +65,6 @@ enum MTree {
 }
 
 impl MTree {
-    fn append(&mut self, leaf: Digest) {
-        match self {
-            MTree::Full(t) => t.append(leaf),
-            MTree::Cont { leaves, cur, .. } => {
-                leaves.push(leaf);
-                cur.append(leaf);
-            }
-        }
-    }
-
     fn extend(&mut self, new: Vec<Digest>) {
         match self {
             MTree::Full(t) => t.extend(new),
@@ -315,41 +305,18 @@ impl Ledger {
         }
     }
 
-    /// Append an entry, returning its index.
+    /// Append an entry as a chunk of its own, returning its index.
     pub fn append(&mut self, entry: LedgerEntry) -> LedgerIdx {
-        let idx = self.base + self.entries.len() as u64;
-        if entry.is_m_leaf() {
-            self.tree.append(entry.m_leaf());
-            self.m_leaf_entries.push(idx);
-        }
-        if let LedgerEntry::PrePrepare(pp) = &entry {
-            self.pp_by_seq.insert(pp.seq(), idx as usize);
-        }
-        if let LedgerEntry::NewView(nv) = &entry {
-            self.nv_entries.push((idx, nv.view));
-        }
-        let mut write_err = None;
-        if let Some(log) = &mut self.durable {
-            if let Err(e) = log.append_chunk(
-                std::slice::from_ref(&entry),
-                matches!(entry, LedgerEntry::PrePrepare(_)),
-            ) {
-                write_err = Some(e);
-            }
-        }
-        if let Some(e) = write_err {
-            self.note_durability_lost(&format!("append failed: {e}"));
-        }
-        self.entries.push(entry);
-        LedgerIdx(idx)
+        self.append_batch(vec![entry])
     }
 
     /// Append a whole batch's entries with one reservation per backing
     /// store — the entry list grows once and the Merkle tree `M` absorbs
     /// all the batch's leaves in a single [`MerkleTree::extend`] pass
-    /// (§3.4: per-request cost amortized across the batch). Byte-for-byte
-    /// equivalent to appending each entry in order. Returns the index of
-    /// the first appended entry (the batch's segment start).
+    /// (§3.4: per-request cost amortized across the batch). In memory the
+    /// same as appending each entry in order; on disk the batch is one
+    /// chunk. Returns the index of the first appended entry (the batch's
+    /// segment start).
     pub fn append_batch(&mut self, batch: Vec<LedgerEntry>) -> LedgerIdx {
         let first = self.base + self.entries.len() as u64;
         let mut m_leaves: Vec<Digest> = Vec::new();
@@ -380,7 +347,7 @@ impl Ledger {
             }
         }
         if let Some(e) = write_err {
-            self.note_durability_lost(&format!("batch append failed: {e}"));
+            self.note_durability_lost(&format!("append failed: {e}"));
         }
         self.tree.extend(m_leaves);
         self.entries.reserve(batch.len());
@@ -549,19 +516,6 @@ impl Ledger {
         if let Some(e) = write_err {
             self.note_durability_lost(&format!("rollback mirror failed: {e}"));
         }
-    }
-
-    /// Index of the last governance transaction entry (`i_g`), scanning
-    /// back from the tail. `LedgerIdx(0)` (genesis) when none exists.
-    pub fn last_gov_index(&self) -> LedgerIdx {
-        for (i, e) in self.entries.iter().enumerate().rev() {
-            if let LedgerEntry::Tx(tx) = e {
-                if tx.request.is_governance() {
-                    return LedgerIdx(self.base + i as u64);
-                }
-            }
-        }
-        LedgerIdx(0)
     }
 
     /// Serialize a range of entries for transmission (ledger fragments,

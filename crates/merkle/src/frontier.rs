@@ -88,14 +88,6 @@ impl Frontier {
         Some(Frontier { len, peaks })
     }
 
-    /// Decode serialized frontier bytes and return the root they
-    /// produce, without keeping the frontier — for callers that only
-    /// need to digest-check stored bytes against an agreed root before
-    /// committing to a restore from them.
-    pub fn decode_root(bytes: &[u8]) -> Option<Digest> {
-        Some(Self::from_bytes(bytes)?.root())
-    }
-
     /// Number of leaves in the summarized tree.
     pub fn len(&self) -> u64 {
         self.len

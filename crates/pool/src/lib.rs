@@ -1,7 +1,7 @@
 //! Persistent worker pool for the replica's parallel hot paths.
 //!
 //! IA-CCF's throughput comes from overlapping batch signature
-//! verification, speculative execution and ledger emission across cores
+//! verification, execution and ledger emission across cores
 //! (§3.4, §6.8). Spawning scoped threads per batch segment pays thread
 //! start-up on every batch; [`WorkerPool`] instead owns a fixed set of
 //! worker threads for the replica's lifetime and hands them work three
@@ -19,13 +19,11 @@
 //!   deterministically ordered chunks (the batched Ed25519 verification
 //!   path).
 //!
-//! The pool is a **local** knob, exactly like the KV shard count: nothing
-//! scheduled on it may influence consensus-visible bytes. Callers uphold
-//! that by only offloading pure computations (signature checks) or
-//! key-disjoint speculative work whose results are merged back in batch
-//! order; the differential harnesses in `tests/sharded_execution.rs` and
-//! `tests/pipeline_view_change.rs` sweep pool sizes {1, 2, 8} to enforce
-//! it.
+//! The pool is a **local** knob: nothing scheduled on it may influence
+//! consensus-visible bytes. Callers uphold that by only offloading pure
+//! computations (signature checks); the differential harnesses in
+//! `tests/sharded_execution.rs` and `tests/pipeline_view_change.rs` sweep
+//! pool sizes {1, 2, 8} to enforce it.
 //!
 //! Deadlock rule: pool tasks must never call [`WorkerPool::scope`] or
 //! block on a [`TaskHandle`] of the same pool — only the replica (driver)

@@ -581,40 +581,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_execution_matches_serial_in_sim() {
-        // Mini differential check at the sim layer (the full proptest
-        // harness lives in tests/sharded_execution.rs): the same schedule
-        // on 1-, 2- and 8-shard clusters yields byte-identical ledgers.
-        // Keys k0..k3 overlap across the batch, so conflict-free grouping
-        // and the ordered write-set merge are both exercised.
-        let run = |shards: usize| -> (Vec<Vec<u8>>, [u8; 32]) {
-            let s = spec(4, 2).with_shards(shards);
-            let mut cluster = DetCluster::new(&s, Arc::new(CounterApp));
-            for i in 0..24u64 {
-                let client = s.clients[(i % 2) as usize].0;
-                cluster.submit(client, CounterApp::INCR, format!("k{}", i % 4).into_bytes());
-                if i % 6 == 5 {
-                    cluster.round();
-                }
-            }
-            assert!(cluster.run_until_finished(24, 300), "finished {}", cluster.finished.len());
-            cluster.assert_ledgers_consistent();
-            let r = cluster.replica(ReplicaId(0));
-            let entries: Vec<Vec<u8>> = (0..r.ledger().len())
-                .map(|i| {
-                    use ia_ccf_types::Wire;
-                    r.ledger().entry(ia_ccf_types::LedgerIdx(i)).expect("entry").to_bytes()
-                })
-                .collect();
-            (entries, *r.kv().digest().as_bytes())
-        };
-        let serial = run(1);
-        for shards in [2, 8] {
-            assert_eq!(run(shards), serial, "{shards} shards diverged from serial");
-        }
-    }
-
-    #[test]
     fn hundred_txs_multiple_clients() {
         let s = spec(4, 4);
         let mut cluster = DetCluster::new(&s, Arc::new(CounterApp));

@@ -43,19 +43,9 @@ impl ClusterSpec {
         self
     }
 
-    /// Pin the execution-stage shard count on every replica. Sharding is a
-    /// local knob (ledger bytes are shard-count independent), but pinning
-    /// it keeps simulated runs reproducible across machines with different
-    /// core counts — the deterministic harness should never depend on
-    /// `available_parallelism`.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.params.execution_shards = shards;
-        self
-    }
-
-    /// Pin the worker-pool thread count on every replica. Like the shard
-    /// count, a local knob (artifacts are pool-size independent — the
-    /// pool-size sweeps enforce it); pinning keeps simulated runs
+    /// Pin the worker-pool thread count on every replica. A local knob
+    /// (artifacts are pool-size independent — the pool-size sweeps
+    /// enforce it); pinning keeps simulated runs
     /// reproducible regardless of the host's core count or the
     /// `IACCF_POOL_THREADS` environment.
     pub fn with_pool_threads(mut self, threads: usize) -> Self {

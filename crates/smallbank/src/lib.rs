@@ -9,7 +9,7 @@
 //! paper's names.
 
 use ia_ccf_core::app::{App, AppError};
-use ia_ccf_kv::{Key, KvAccess};
+use ia_ccf_kv::KvAccess;
 use ia_ccf_types::{ClientId, ProcId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -180,28 +180,6 @@ impl App for SmallBankApp {
             other => Err(AppError(format!("smallbank: unknown proc {other:?}"))),
         }
     }
-
-    /// Every SmallBank procedure touches exactly the accounts named in its
-    /// arguments, so the footprint is exact. Calls whose arguments fail to
-    /// parse error out before any store access: empty footprint. The bulk
-    /// load declares none and runs on the serial lane.
-    fn key_hints(&self, proc: ProcId, args: &[u8], _client: ClientId) -> Option<Vec<Key>> {
-        if proc == LOAD_ACCOUNTS {
-            return None;
-        }
-        Some(match proc {
-            DEPOSIT | WITHDRAW | BALANCE => match arg_u64(args, 0) {
-                Ok(account) => vec![account_key(account)],
-                Err(_) => Vec::new(),
-            },
-            TRANSFER | AMALGAMATE => match (arg_u64(args, 0), arg_u64(args, 8)) {
-                (Ok(from), Ok(to)) => vec![account_key(from), account_key(to)],
-                _ => Vec::new(),
-            },
-            // Unknown procedures never touch the store.
-            _ => Vec::new(),
-        })
-    }
 }
 
 /// One generated request.
@@ -226,9 +204,8 @@ pub const HOT_ACCOUNTS: u64 = 4;
 
 /// The SmallBank request mix: uniform choice over the five types (§6).
 /// Accounts are drawn uniformly, or — with a conflict-skew knob — from a
-/// small hot set with probability `skew_pct`%, concentrating footprint
-/// overlap so sharded execution's conflict handling is measurable from
-/// fully uncontended (0%) to fully contended (100%).
+/// small hot set with probability `skew_pct`%, so transactions contend for
+/// the same accounts anywhere from never (0%) to always (100%).
 pub struct Workload {
     rng: StdRng,
     accounts: u64,
@@ -363,8 +340,7 @@ mod tests {
         assert_eq!(kv.len(), accounts as usize);
         assert_eq!(kv.digest(), expected.digest());
 
-        // Serial lane, and short arguments fail before touching anything.
-        assert_eq!(SmallBankApp.key_hints(LOAD_ACCOUNTS, &args, ClientId(1)), None);
+        // Short arguments fail before touching anything.
         let mut empty = KvStore::new();
         assert!(exec(&mut empty, LOAD_ACCOUNTS, &args[..15]).is_err());
         assert!(empty.is_empty());
@@ -471,24 +447,6 @@ mod tests {
         }
         // Most operations succeed (failures are insufficient-funds only).
         assert!(ok > 400, "ok = {ok}");
-    }
-
-    #[test]
-    fn key_hints_cover_exactly_the_touched_accounts() {
-        let app = SmallBankApp;
-        let dep_args = [3u64.to_le_bytes(), 10i64.to_le_bytes()].concat();
-        assert_eq!(
-            app.key_hints(DEPOSIT, &dep_args, ClientId(1)),
-            Some(vec![account_key(3)])
-        );
-        let xfer_args = [1u64.to_le_bytes(), 2u64.to_le_bytes(), 5i64.to_le_bytes()].concat();
-        assert_eq!(
-            app.key_hints(TRANSFER, &xfer_args, ClientId(1)),
-            Some(vec![account_key(1), account_key(2)])
-        );
-        assert_eq!(app.key_hints(ProcId(15), &[], ClientId(1)), Some(Vec::new()));
-        // Unparseable args error before any store access: empty footprint.
-        assert_eq!(app.key_hints(TRANSFER, &[1, 2, 3], ClientId(1)), Some(Vec::new()));
     }
 
     #[test]

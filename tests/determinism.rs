@@ -106,7 +106,6 @@ fn golden_smallbank_ledger_is_pinned() {
     let params = ProtocolParams { batch_max: 8, ..ProtocolParams::default() };
     let spec = ClusterSpec::new(4, 2, params)
         .with_config(|c| c.checkpoint_interval = 4)
-        .with_shards(2)
         .with_pool_threads(1);
     let mut cluster = DetCluster::new(&spec, Arc::new(SmallBankApp));
     let load = load_accounts(16, 1_000);

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use ia_ccf::core::app::{App, AppError};
 use ia_ccf::core::{Input, NodeId, Output, ProtocolParams, Replica};
-use ia_ccf_kv::{Key, KvAccess};
+use ia_ccf_kv::KvAccess;
 use ia_ccf_net::frame;
 use ia_ccf_sim::{ClusterSpec, DetCluster};
 use ia_ccf_types::messages::PAGE_CEILING_BYTES;
@@ -32,7 +32,7 @@ use ia_ccf_types::{
 
 /// An app whose outputs are `size`-byte blobs — the cheapest way to grow
 /// a ledger toward the frame limit (outputs are embedded in `⟨t, i, o⟩`
-/// entries). Writes nothing: empty footprint.
+/// entries). Writes nothing.
 struct BlobApp {
     size: usize,
 }
@@ -46,10 +46,6 @@ impl App for BlobApp {
         _client: ClientId,
     ) -> Result<Vec<u8>, AppError> {
         Ok(vec![0xAB; self.size])
-    }
-
-    fn key_hints(&self, _proc: ProcId, _args: &[u8], _client: ClientId) -> Option<Vec<Key>> {
-        Some(Vec::new())
     }
 }
 

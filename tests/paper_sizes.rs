@@ -66,7 +66,7 @@ fn span(lens: impl Iterator<Item = usize>) -> (usize, usize) {
 /// verified under the governance chain and the ledger audited.
 fn run(n: usize) -> Sizes {
     let spec =
-        ClusterSpec::new(n, 2, ProtocolParams::default()).with_shards(1).with_pool_threads(1);
+        ClusterSpec::new(n, 2, ProtocolParams::default()).with_pool_threads(1);
     let mut cluster = DetCluster::new(&spec, Arc::new(SmallBankApp));
     let load = load_accounts(ACCOUNTS, 1_000);
     let loaded = cluster.commit_setup_tx(spec.clients[0].0, load.proc, load.args);

@@ -180,20 +180,16 @@ fn rolled_back_governance_tx_reexecutes_identically() {
 
 #[test]
 fn sharded_batch_rolls_back_and_reexecutes_identically() {
-    // Rollback under sharding and pooled execution: a multi-transaction
-    // SmallBank batch is executed through the parallel path (conflict-free
-    // groups striped over the worker pool + ordered write-set merge across
-    // 8 shards), prepared everywhere, committed nowhere — with the
+    // Rollback under a pooled replica: a multi-transaction SmallBank batch
+    // is executed, prepared everywhere, committed nowhere — with the
     // admission stage's signature verification overlapping execution on
-    // the pool. The view change must roll *every shard* back via the
+    // the pool. The view change must roll the store back via the
     // `BatchMark` and the new view's re-execution must be byte-identical —
-    // and identical to a fully serial (1 shard, 1 pool thread) cluster
-    // driven through the exact same schedule, crash included. The pool
-    // dimension sweeps pool = shards and pool < shards.
-    let run = |shards: usize, pool: usize| -> (Vec<Vec<u8>>, Vec<[u8; 32]>) {
+    // and identical to an inline (1 pool thread) cluster driven through
+    // the exact same schedule, crash included. The sweep covers pool sizes.
+    let run = |pool: usize| -> (Vec<Vec<u8>>, Vec<[u8; 32]>) {
         let params = ProtocolParams {
             view_timeout_ticks: 15,
-            execution_shards: shards,
             pool_threads: pool,
             ..ProtocolParams::default()
         };
@@ -208,9 +204,8 @@ fn sharded_batch_rolls_back_and_reexecutes_identically() {
         for r in 0..4 {
             cluster.set_fault(ReplicaId(r), Fault::DropCommits);
         }
-        // One batch, six transactions: two conflicting transfers (0→1,
-        // 1→2 share account 1 — same group, ordered), independent ops on
-        // other accounts (parallel groups), and an overdraft that fails.
+        // One batch, six transactions: two transfers sharing account 1,
+        // independent ops on other accounts, and an overdraft that fails.
         let amount = |v: i64| v.to_le_bytes();
         let acct = |a: u64| a.to_le_bytes();
         let ops: Vec<(ia_ccf_types::ProcId, Vec<u8>)> = vec![
@@ -241,17 +236,17 @@ fn sharded_batch_rolls_back_and_reexecutes_identically() {
         }
         assert!(
             cluster.run_until(400, |c| c.min_committed() >= SeqNum(2)),
-            "{shards} shards: batch must recommit in the new view"
+            "{pool} pool threads: batch must recommit in the new view"
         );
         for r in 1..4 {
             let after = tx_entries(&cluster, ReplicaId(r));
             assert_eq!(
                 after, before,
-                "{shards} shards, replica {r}: re-execution must be byte-identical"
+                "{pool} pool threads, replica {r}: re-execution must be byte-identical"
             );
         }
         // Exactly-once: the deposit landed once, not twice — rollback
-        // restored the shard holding account 3 before re-execution.
+        // restored account 3 before re-execution.
         for r in 1..4 {
             let kv = cluster.replica(ReplicaId(r)).kv();
             let b = ia_ccf_smallbank::Balances::from_bytes(
@@ -268,12 +263,12 @@ fn sharded_batch_rolls_back_and_reexecutes_identically() {
         )
     };
 
-    let serial = run(1, 1);
-    for (shards, pool) in [(8usize, 8usize), (8, 2)] {
-        let parallel = run(shards, pool);
+    let inline = run(1);
+    for pool in [8, 2] {
         assert_eq!(
-            parallel, serial,
-            "({shards} shards, {pool} pool threads) rollback/re-execution diverged from serial"
+            run(pool),
+            inline,
+            "{pool} pool threads: rollback/re-execution diverged from the inline run"
         );
     }
 }

@@ -1,21 +1,19 @@
-//! Differential harness for sharded KV execution.
+//! Differential harness for the worker-pool size.
 //!
-//! The sharding contract (see `crates/core/src/pipeline/execution.rs`):
-//! for **any** shard count and **any** worker-pool size, a replica
-//! produces byte-identical ledger entries, KV digests, receipts and
-//! outputs to a fully serial replica driven by the same schedule —
-//! sharding and the pool are local parallelism knobs, never consensus
-//! parameters. This harness proves it differentially: proptest-generated
-//! SmallBank schedules, with a conflict-skew parameter sweeping hot-key
-//! contention from 0% (footprints almost never overlap — maximal
-//! grouping) to 100% (every transaction fights over
-//! [`ia_ccf_smallbank::HOT_ACCOUNTS`] keys — groups collapse toward
-//! serial), executed on sharded clusters (shards ∈ {2, 8}, pool threads
-//! ∈ {1, 2, 8}) and a serial cluster (shards = 1, pool = 1) from the
-//! same seed. On top of byte equality, the sharded replica's ledger must
-//! replay **clean through the auditor** (which re-executes serially on a
-//! one-shard store) — the end-to-end proof that audit replay cannot tell
-//! parallel execution happened.
+//! Execution is serial: a replica runs a batch's requests one after
+//! another through the rule the auditor replays. The worker pool
+//! (`ProtocolParams::pool_threads`) carries batched client-signature
+//! verification and its cross-batch prewarm, and is a local knob, never a
+//! consensus parameter: for **any** pool size a replica produces
+//! byte-identical ledger entries, KV digests, receipts and outputs to an
+//! inline replica (pool = 1) driven by the same schedule. This harness
+//! proves it differentially: proptest-generated SmallBank schedules, with
+//! a conflict-skew parameter sweeping hot-key contention from 0% to 100%
+//! ([`ia_ccf_smallbank::HOT_ACCOUNTS`]), run on pooled clusters (pool
+//! threads ∈ {2, 8}) and an inline cluster from the same seed. On top of
+//! byte equality, every ledger must replay **clean through the auditor**.
+//! (The file is named for the sharded execution path it used to sweep as
+//! well; that path is gone.)
 
 use std::sync::Arc;
 
@@ -30,7 +28,7 @@ use ia_ccf_types::{
 };
 use proptest::prelude::*;
 
-const ACCOUNTS: u64 = 12; // small account set → frequent footprint overlap
+const ACCOUNTS: u64 = 12; // small account set → frequent contention
 const INITIAL: i64 = 500;
 const N_CLIENTS: usize = 3;
 
@@ -44,15 +42,14 @@ struct Observed {
     outputs: Vec<(bool, Vec<u8>)>,
 }
 
-/// Drive one cluster with `shards` shards and `pool` worker-pool threads
-/// through `ops` and collect everything observable; also audit the
-/// resulting ledger against the receipts. The second return is the total
-/// number of tasks the replicas' worker pools executed — zero proves a
-/// run stayed fully inline, non-zero proves the pool engaged.
-fn run(shards: usize, pool: usize, ops: &[WorkloadOp]) -> (Observed, u64) {
-    let spec = ClusterSpec::new(4, N_CLIENTS, ProtocolParams::default())
-        .with_shards(shards)
-        .with_pool_threads(pool);
+/// Drive one cluster with `pool` worker-pool threads through `ops` and
+/// collect everything observable; also audit the resulting ledger against
+/// the receipts. The second return is the total number of tasks the
+/// replicas' worker pools executed — zero proves a run stayed fully
+/// inline.
+fn run(pool: usize, ops: &[WorkloadOp]) -> (Observed, u64) {
+    let spec =
+        ClusterSpec::new(4, N_CLIENTS, ProtocolParams::default()).with_pool_threads(pool);
     let mut cluster = DetCluster::new(&spec, Arc::new(SmallBankApp));
     let load = load_accounts(ACCOUNTS, INITIAL);
     assert!(cluster.commit_setup_tx(spec.clients[0].0, load.proc, load.args).ok);
@@ -66,14 +63,14 @@ fn run(shards: usize, pool: usize, ops: &[WorkloadOp]) -> (Observed, u64) {
     }
     assert!(
         cluster.run_until_finished(ops.len(), 1_000),
-        "{shards} shards: finished {}/{}",
+        "{pool} pool threads: finished {}/{}",
         cluster.finished.len(),
         ops.len()
     );
     cluster.assert_ledgers_consistent();
 
-    // Audit: replay the sharded ledger on the auditor's one-shard store
-    // against every receipt the clients collected.
+    // Audit: replay the ledger against every receipt the clients
+    // collected.
     let receipts: Vec<StoredReceipt> = cluster
         .finished
         .iter()
@@ -87,7 +84,7 @@ fn run(shards: usize, pool: usize, ops: &[WorkloadOp]) -> (Observed, u64) {
     let outcome = auditor.audit(&receipts, &GovernanceChain::new(), &package);
     assert!(
         matches!(outcome, AuditOutcome::Clean),
-        "{shards} shards: audit not clean: {:?}",
+        "{pool} pool threads: audit not clean: {:?}",
         outcome.upom()
     );
 
@@ -124,72 +121,37 @@ fn schedule(seed: u64, skew_pct: u8, len: usize) -> Vec<WorkloadOp> {
     (0..len).map(|_| w.next_op()).collect()
 }
 
-/// The acceptance-criteria sweep: (shards, pool threads) combinations at
-/// representative skews, fixed seed — byte-identical everything. The
-/// pool dimension includes pool > shards (the pool, not the shard count,
-/// caps execution workers), pool < shards, and pool = 1 (every parallel
-/// path degenerates to today's inline behaviour).
+/// The sweep: pool sizes at representative skews, fixed seed —
+/// byte-identical everything.
 #[test]
 fn shard_sweep_is_byte_identical_across_skews() {
     for skew in [0u8, 50, 100] {
         let ops = schedule(4242 + skew as u64, skew, 32);
-        let (serial, serial_tasks) = run(1, 1, &ops);
-        assert_eq!(serial_tasks, 0, "a 1-thread pool must never dispatch tasks");
-        assert!(!serial.ledgers[0].is_empty(), "schedule produced no entries");
-        assert_eq!(serial.receipts.len(), ops.len());
-        for (shards, pool) in [(2usize, 2usize), (8, 8), (2, 8), (8, 2), (8, 1)] {
-            let (parallel, tasks) = run(shards, pool, &ops);
-            assert_eq!(
-                parallel, serial,
-                "skew {skew}%: ({shards} shards, {pool} pool threads) diverged from serial"
-            );
-            if pool > 1 {
-                assert!(
-                    tasks > 0,
-                    "skew {skew}%: ({shards} shards, {pool} pool threads) never engaged the pool"
-                );
-            } else {
-                assert_eq!(tasks, 0, "a 1-thread pool must never dispatch tasks");
-            }
+        let (inline, inline_tasks) = run(1, &ops);
+        assert_eq!(inline_tasks, 0, "a 1-thread pool must never dispatch tasks");
+        assert!(!inline.ledgers[0].is_empty(), "schedule produced no entries");
+        assert_eq!(inline.receipts.len(), ops.len());
+        for pool in [2usize, 8] {
+            let (pooled, tasks) = run(pool, &ops);
+            assert_eq!(pooled, inline, "skew {skew}%: {pool} pool threads diverged from inline");
+            assert!(tasks > 0, "skew {skew}%: {pool} pool threads never engaged the pool");
         }
     }
-}
-
-/// More conflict-free groups than shards: with 12 accounts at skew 0 a
-/// batch regularly splits into more disjoint groups than a 2-shard store
-/// has shards. The worker count is derived from the pool (8 threads),
-/// not capped at the shard count — and the artifacts still match serial.
-#[test]
-fn more_groups_than_shards_uses_pool_and_stays_identical() {
-    // Disjoint deposits: every tx touches exactly one distinct account,
-    // so a 4-tx batch forms 4 singleton groups > 2 shards.
-    let amount = 25i64.to_le_bytes();
-    let ops: Vec<WorkloadOp> = (0..24u64)
-        .map(|i| WorkloadOp {
-            proc: ia_ccf_smallbank::DEPOSIT,
-            args: [(i % ACCOUNTS).to_le_bytes().as_slice(), &amount].concat(),
-        })
-        .collect();
-    let (serial, _) = run(1, 1, &ops);
-    let (parallel, tasks) = run(2, 8, &ops);
-    assert_eq!(parallel, serial, "(2 shards, 8 pool threads) diverged from serial");
-    assert!(tasks > 0, "the pool must engage when groups exceed the shard count");
 }
 
 /// A history with every kind of transaction the execution rule knows —
 /// the accounts' bulk load, successful and failing (insufficient funds)
 /// application transactions, a referendum that passes, in-band checkpoint
-/// marks and the reconfiguration schedule's own mark — on `shards`
-/// shards. Returns the spec, a replica's ledger, the governance chain and
-/// the clients' receipts.
+/// marks and the reconfiguration schedule's own mark — with `pool`
+/// worker-pool threads. Returns the spec, a replica's ledger, the
+/// governance chain and the clients' receipts.
 fn mixed_history(
-    shards: usize,
+    pool: usize,
 ) -> (ClusterSpec, Vec<LedgerEntry>, GovernanceChain, Vec<StoredReceipt>) {
     const C: u64 = 4;
     let spec = ClusterSpec::new(4, N_CLIENTS, ProtocolParams::default())
         .with_config(|c| c.checkpoint_interval = C)
-        .with_shards(shards)
-        .with_pool_threads(2);
+        .with_pool_threads(pool);
     let mut cluster = DetCluster::new(&spec, Arc::new(SmallBankApp));
     let load = load_accounts(ACCOUNTS, INITIAL);
     assert!(cluster.commit_setup_tx(spec.clients[0].0, load.proc, load.args).ok);
@@ -218,7 +180,7 @@ fn mixed_history(
         }
         assert!(
             cluster.run_until_finished(submitted, 1_000),
-            "{shards} shards: finished {}/{submitted}",
+            "{pool} pool threads: finished {}/{submitted}",
             cluster.finished.len()
         );
     };
@@ -248,7 +210,7 @@ fn mixed_history(
     assert!(
         cluster
             .run_until(400, |c| c.replicas.values().all(|r| r.inner.active_config().number == 1)),
-        "{shards} shards: configuration 1 never activated"
+        "{pool} pool threads: configuration 1 never activated"
     );
     traffic(&mut cluster, C);
     cluster.assert_ledgers_consistent();
@@ -270,25 +232,25 @@ fn mixed_history(
 }
 
 /// The differential for the shared execution rule
-/// (`ia_ccf::core::execute`): what the replicas recorded — on one shard or
-/// eight — is what the auditor's replay from the empty store recomputes,
+/// (`ia_ccf::core::execute`): what the replicas recorded — inline or on a
+/// pool — is what the auditor's replay from the empty store recomputes,
 /// for every kind of transaction; and a ledger that records anything
 /// else, by as little as one output byte or one digest bit, convicts.
 #[test]
 fn mixed_history_audits_clean_and_any_other_recorded_result_convicts() {
-    let (spec, serial, chain, receipts) = mixed_history(1);
-    let (_, sharded, _, _) = mixed_history(8);
+    let (spec, inline, chain, receipts) = mixed_history(1);
+    let (_, pooled, _, _) = mixed_history(2);
     assert_eq!(
-        serial.iter().map(Wire::to_bytes).collect::<Vec<_>>(),
-        sharded.iter().map(Wire::to_bytes).collect::<Vec<_>>(),
-        "8 shards diverged from serial"
+        inline.iter().map(Wire::to_bytes).collect::<Vec<_>>(),
+        pooled.iter().map(Wire::to_bytes).collect::<Vec<_>>(),
+        "2 pool threads diverged from inline"
     );
 
     let tx_of = |e: &LedgerEntry| match e {
         LedgerEntry::Tx(tx) => Some(tx.clone()),
         _ => None,
     };
-    let txs: Vec<TxLedgerEntry> = sharded.iter().filter_map(tx_of).collect();
+    let txs: Vec<TxLedgerEntry> = pooled.iter().filter_map(tx_of).collect();
     let is_app = |tx: &TxLedgerEntry| !tx.request.is_governance() && !tx.request.is_system();
     assert!(txs.iter().any(|tx| is_app(tx) && !tx.result.ok), "no failing app transaction");
     assert!(
@@ -306,7 +268,7 @@ fn mixed_history_audits_clean_and_any_other_recorded_result_convicts() {
         let package = LedgerPackage { entries, checkpoint: Some((SeqNum(0), genesis_cp.clone())) };
         auditor.audit(receipts, &chain, &package)
     };
-    for ledger in [&serial, &sharded] {
+    for ledger in [&inline, &pooled] {
         let outcome = audit(ledger.clone(), &receipts);
         assert!(matches!(outcome, AuditOutcome::Clean), "audit not clean: {:?}", outcome.upom());
     }
@@ -316,15 +278,15 @@ fn mixed_history_audits_clean_and_any_other_recorded_result_convicts() {
     // pre-prepare re-sealed over the lie by its primary: well-formed,
     // signed, and wrong.
     let lying_ledger = |pick: &dyn Fn(&TxLedgerEntry) -> bool, lie: &dyn Fn(&mut TxLedgerEntry)| {
-        let at = sharded
+        let at = pooled
             .iter()
             .position(|e| tx_of(e).is_some_and(|tx| pick(&tx)))
             .expect("the history holds such a transaction");
         let pp_at =
-            (0..at).rev().find(|&i| matches!(sharded[i], LedgerEntry::PrePrepare(_))).unwrap();
+            (0..at).rev().find(|&i| matches!(pooled[i], LedgerEntry::PrePrepare(_))).unwrap();
         let end =
-            (at..sharded.len()).find(|&i| tx_of(&sharded[i]).is_none()).unwrap_or(sharded.len());
-        let mut entries = sharded[..end].to_vec();
+            (at..pooled.len()).find(|&i| tx_of(&pooled[i]).is_none()).unwrap_or(pooled.len());
+        let mut entries = pooled[..end].to_vec();
         let LedgerEntry::Tx(tx) = &mut entries[at] else { unreachable!() };
         lie(tx);
         let leaves = entries[pp_at + 1..].iter().map(|e| tx_of(e).expect("tx run").g_leaf());
@@ -400,9 +362,8 @@ fn mixed_history_audits_clean_and_any_other_recorded_result_convicts() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
-    /// Random schedules and skews: sharded (2 and 8, pool = shards) ≡
-    /// serial, and the sharded ledger audits clean (asserted inside
-    /// `run`).
+    /// Random schedules and skews: pooled (2 and 8 threads) ≡ inline,
+    /// and every ledger audits clean (asserted inside `run`).
     #[test]
     fn differential_sharded_vs_serial(
         seed in any::<u64>(),
@@ -410,12 +371,12 @@ proptest! {
         len in 8..36usize,
     ) {
         let ops = schedule(seed, skew, len);
-        let (serial, _) = run(1, 1, &ops);
-        for shards in [2usize, 8] {
-            let (parallel, _) = run(shards, shards, &ops);
+        let (inline, _) = run(1, &ops);
+        for pool in [2usize, 8] {
+            let (pooled, _) = run(pool, &ops);
             prop_assert_eq!(
-                &parallel, &serial,
-                "seed {} skew {}% len {}: {} shards diverged", seed, skew, len, shards
+                &pooled, &inline,
+                "seed {} skew {}% len {}: {} pool threads diverged", seed, skew, len, pool
             );
         }
     }

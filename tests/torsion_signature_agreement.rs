@@ -84,7 +84,7 @@ fn committed_digests(cluster: &DetCluster, replica: u32) -> Vec<Digest> {
 /// transaction entry.
 fn run(pool_threads: usize) -> Vec<Vec<u8>> {
     let params = ProtocolParams { view_timeout_ticks: 20, ..ProtocolParams::default() };
-    let spec = ClusterSpec::new(4, 2, params).with_pool_threads(pool_threads).with_shards(1);
+    let spec = ClusterSpec::new(4, 2, params).with_pool_threads(pool_threads);
     let mut cluster = DetCluster::new(&spec, Arc::new(CounterApp));
     let gt_hash = cluster.replica(ReplicaId(0)).gt_hash();
     // The spec's client keys are seeded from their labels; the oracle
