@@ -93,7 +93,9 @@ pub struct Client {
     /// Largest ledger index seen in a receipt (`M_i`); requests carry
     /// `min_index = M_i + 1` to encode real-time ordering (§B.1).
     max_seen_index: u64,
-    pending: HashMap<u64, PendingReq>,
+    /// In-flight requests by id; ordered, so retries go out in `req_id`
+    /// order and two identically driven clients send identical bytes.
+    pending: BTreeMap<u64, PendingReq>,
     /// `H(t)` → request id for every pending request, so a `replyx` finds
     /// its request without scanning `pending`.
     pending_by_hash: HashMap<Digest, u64>,
@@ -123,7 +125,7 @@ impl Client {
             verified_gov_index: LedgerIdx(0),
             next_req_id: 1,
             max_seen_index: 0,
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
             pending_by_hash: HashMap::new(),
             verified_certs: VerifiedCerts::new(VERIFIED_CERTS_CAPACITY),
             waiting_for_gov: Vec::new(),
@@ -208,15 +210,16 @@ impl Client {
         }
     }
 
-    /// Advance the client clock; retries stale requests.
+    /// Advance the client clock; retries stale requests, in ascending
+    /// `req_id`.
     pub fn on_tick(&mut self) {
         self.tick += 1;
-        let mut to_retry = Vec::new();
-        for (req_id, p) in &self.pending {
-            if self.tick.saturating_sub(p.last_action_tick) >= self.retry_ticks {
-                to_retry.push(*req_id);
-            }
-        }
+        let to_retry: Vec<u64> = self
+            .pending
+            .iter()
+            .filter(|(_, p)| self.tick.saturating_sub(p.last_action_tick) >= self.retry_ticks)
+            .map(|(&req_id, _)| req_id)
+            .collect();
         for req_id in to_retry {
             self.retry(req_id);
         }
@@ -406,7 +409,7 @@ impl Client {
 /// Forget `bad`'s reply for batch `key`: for `req_id`, and for every
 /// other pending request the same reply message covered.
 fn evict_reply(
-    pending: &mut HashMap<u64, PendingReq>,
+    pending: &mut BTreeMap<u64, PendingReq>,
     req_id: u64,
     key: (View, SeqNum),
     bad: ReplicaId,
@@ -424,7 +427,7 @@ fn evict_reply(
 }
 
 fn batch_replies_mut(
-    pending: &mut HashMap<u64, PendingReq>,
+    pending: &mut BTreeMap<u64, PendingReq>,
     req_id: u64,
     key: (View, SeqNum),
 ) -> Option<&mut BTreeMap<ReplicaId, Arc<Reply>>> {
@@ -506,6 +509,34 @@ mod tests {
         assert_eq!(sends.len(), 2);
         assert!(matches!(sends[0], ClientSend::Broadcast(ProtocolMsg::Request(_))));
         assert!(matches!(sends[1], ClientSend::To(_, ProtocolMsg::FetchReceipt { .. })));
+    }
+
+    /// Two clients driven identically send identical retries: every timed
+    /// out request is retransmitted, with its receipt fetch, in `req_id`
+    /// order.
+    #[test]
+    fn retries_go_out_in_req_id_order() {
+        let (mut a, mut b) = (client(), client());
+        for c in [&mut a, &mut b] {
+            c.retry_ticks = 2;
+            for i in 0..24u8 {
+                c.submit(ProcId(1), vec![i]);
+            }
+            c.poll_send();
+            c.on_tick();
+            c.on_tick();
+        }
+        let sends = a.poll_send();
+        assert_eq!(sends, b.poll_send());
+        let retried: Vec<u64> = sends
+            .iter()
+            .filter_map(|send| match send {
+                ClientSend::Broadcast(ProtocolMsg::Request(r)) => Some(r.request.req_id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(retried, (1..=24).collect::<Vec<u64>>());
+        assert_eq!(sends.len(), 48, "a retransmission and a receipt fetch each");
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! the failed indices are exactly the singles' verdicts (§6.5: blame is
 //! per signature). A slice with one forged signature therefore costs the
 //! failed combined check plus the singles, ≈ 1.2× the singles alone in a
-//! slice of 300 with four keys (the combined check is ≈ 5 µs per
-//! signature there, a single ≈ 26 µs).
+//! slice of 300 with four keys (the combined check is ≈ 4–5 µs per
+//! signature there, a single ≈ 20 µs).
 //!
 //! **One accept set.** The combined equation and the single check are both
 //! RFC 8032's cofactored equation (see `vendor/ed25519-dalek`), which is
@@ -35,27 +35,32 @@ use ia_ccf_pool::WorkerPool;
 
 use crate::keys::{PublicKey, Signature};
 
-/// Shortest slice the combined equation is tried on. Measured against
-/// singles (≈ 26 µs each, the split kernel), keys all distinct (its worst
-/// case), on AVX-512 IFMA (`R` decompressed eight at a time, bucket sums
-/// from 10 points up one window per lane): 1.18× their cost at 4 jobs,
-/// 1.0× at 6, 0.9× at 8, 0.85× at 10, 0.75× at 12; four keys coalesced,
-/// 0.75× at 8. 8 is the first length where the worst case is ahead, and a
-/// failed slice pays for both. (Without the lanes the same ratios put it
-/// at 12: 1.0× at 8, 0.95× at 12.)
-pub const VERIFY_BATCH_MIN: usize = 8;
+/// Shortest slice the combined equation is tried on. Measured on AVX-512
+/// IFMA (`R` decompressed eight at a time, bucket sums from 10 points up
+/// one window per lane) against singles of ≈ 18–20 µs (the split kernel
+/// over `Z = 1` tables, accepting when `s·B − k·A` compresses to `R`), in
+/// two sets of runs: with keys all distinct (its worst case) 1.16–1.21×
+/// their cost at 8 jobs, 1.13–1.19× at 10, 1.04–1.09× at 11, 0.95–1.03× at
+/// 12, 0.91–0.98× at 13 and 0.83–0.87× at 16; with four keys coalesced
+/// 0.96–0.98× at 8, 0.93–0.96× at 10, 0.84–0.89× at 11 and 0.77–0.82× at
+/// 12. 13 is the first length where the worst case is ahead in both sets,
+/// and a failed slice pays for both. (When singles cost ≈ 26 µs the
+/// distinct keys were ahead from 8; singles got cheaper, the combined
+/// check did not. Without the lanes it sat at 12 then and was not
+/// re-measured.)
+pub const VERIFY_BATCH_MIN: usize = 13;
 
 /// Smallest per-worker chunk: the combined equation has a fixed cost per
 /// slice (one sum over the keys and `B` with full-width scalars, a table
 /// per key), so a chunk should hold enough signatures to spread it. At 24
-/// a signature costs ≈ 13.5 µs with distinct keys and ≈ 10–11.5 µs with
-/// four (0.57× and 0.45× a single), against ≈ 5 µs in a slice of 300 and
-/// ≈ 24–26 µs singly. The bucket lanes would make 16 worth it too (≈ 16.3
-/// and ≈ 12.9 µs: 0.69× and 0.55×); 24 stays, since the benchmark's
-/// replicas run one pool thread and the auditor checks its chunks
-/// unpooled, so no measured path would gain. Without the bucket lanes 24
-/// cost 0.75× and 0.46×; the scalar kernels reached 0.83× and 0.52× only
-/// at 32.
+/// a signature costs ≈ 12.5–13 µs with distinct keys and ≈ 9.3 µs with
+/// four (0.69–0.71× and 0.52× a single), against ≈ 4–7.5 µs in a slice of
+/// 300 and ≈ 18–20 µs singly; at 16, ≈ 15.6–15.9 and ≈ 12 µs (0.83–0.87×
+/// and 0.60–0.67×). 24 stays: the benchmark's replicas run one pool thread
+/// and the auditor checks its chunks unpooled, so no measured path would
+/// gain from another value. Without the bucket lanes 24 cost 0.75× and
+/// 0.46× of ≈ 26 µs singles; the scalar kernels reached 0.83× and 0.52×
+/// only at 32.
 pub const VERIFY_MIN_CHUNK: usize = 24;
 
 /// Jobs per pool chunk when `jobs` are cut over `threads` workers: an even

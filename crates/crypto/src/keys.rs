@@ -8,8 +8,8 @@
 //!
 //! [`PublicKey`] is the 32 wire bytes; turning them into a curve point
 //! and the split table verification walks costs a field square root,
-//! 192 doublings and 32 additions (≈ 28 µs, more than the ≈ 25 µs
-//! verification that uses it). The protocol verifies under a small fixed
+//! 192 doublings, 32 additions and one batched inversion (≈ 33 µs, more
+//! than the ≈ 20 µs verification that uses it). The protocol verifies under a small fixed
 //! set of keys — the replicas, and the clients with requests in flight —
 //! so [`PublicKey::verify`] and the batch kernel keep the parsed form in a
 //! **thread-local, two-way set-associative cache of boxed keys**: no lock
@@ -85,7 +85,7 @@ impl fmt::Debug for KeyPair {
 pub struct PublicKey(pub [u8; PUBLIC_KEY_LEN]);
 
 /// Sets in each thread's parsed-key cache. A set is two pointers, most
-/// recently used first; a parsed key (≈ 5.3 KB: the point and its split
+/// recently used first; a parsed key (≈ 4 KB: the point and its split
 /// table) is on the heap, so only the keys in use take memory.
 const KEY_CACHE_SETS: usize = 32;
 

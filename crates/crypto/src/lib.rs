@@ -23,9 +23,9 @@
 //! one combined equation, and one by one only to locate a failure.
 //!
 //! The primitive itself is the in-tree `vendor/ed25519-dalek` (windowed,
-//! variable-time; ≈ 26 µs per single verification, ≈ 5 µs per signature
-//! in a slice of 300 on AVX-512 IFMA, ≈ 16 µs per signature made, on the
-//! benchmark box).
+//! variable-time; ≈ 20–22 µs per single verification, an honest one
+//! accepted without decompressing `R`, ≈ 5 µs per signature in a slice of
+//! 300 on AVX-512 IFMA, ≈ 13 µs per signature made, on the benchmark box).
 //! Two things here sit on top of it:
 //!
 //! * [`PublicKey::verify`] and the slice kernel keep parsed keys — the

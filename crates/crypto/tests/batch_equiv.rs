@@ -240,17 +240,22 @@ fn crossover_lengths_locate_a_forgery() {
 }
 
 /// Every edge between the kernels the combined equation's two sums take:
-/// both sides of the bucket lanes' minimum (10 points), of their window
-/// width's steps for 128-bit scalars (48/49, 64/65), `sat_hot_durable`'s
-/// 100-request slices, both sides of the scalar `BUCKET_METHOD_MIN`
-/// (128) and the auditor's 256-signature chunks. Each length runs clean
+/// both sides of the bucket lanes' minimum (10 points; below
+/// `VERIFY_BATCH_MIN` only the direct call of the vendored equation
+/// reaches it), of `VERIFY_BATCH_MIN` itself (singles below, the combined
+/// equation from it), of the lanes' window width's steps for 128-bit
+/// scalars (48/49, 64/65), `sat_hot_durable`'s 100-request slices, both
+/// sides of the scalar `BUCKET_METHOD_MIN` (128) and the auditor's
+/// 256-signature chunks. Each length runs clean
 /// (crafted-but-valid jobs and cancelling torsion pairs inside), then
 /// with one forgery first and one last, under four keys and under all
 /// distinct keys, whose full-width sum is then as long as the slice.
 #[test]
 fn kernel_edges_agree_with_singles() {
     let pools = pools();
-    for n in [9usize, 10, 11, 48, 49, 64, 65, 100, 127, 128, 129, 256] {
+    let crossover = [VERIFY_BATCH_MIN - 1, VERIFY_BATCH_MIN, VERIFY_BATCH_MIN + 1];
+    let lengths = [9usize, 10, 11].into_iter().chain(crossover);
+    for n in lengths.chain([48, 49, 64, 65, 100, 127, 128, 129, 256]) {
         for keys in [4, n] {
             let generator = Generator::new(keys, (1000 * n + keys) as u64);
             let mut state = n as u64 ^ 0xed9e;

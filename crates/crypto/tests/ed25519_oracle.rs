@@ -417,6 +417,94 @@ fn mixed_order_keys_get_the_same_verdict() {
     }
 }
 
+/// `s·B − k·A` by the oracle's arithmetic, compressed, for a key of prime
+/// order or the identity (where `(ℓ − k)·A` is `−k·A`).
+fn oracle_s_b_minus_k_a(key: &[u8; 32], msg: &[u8], sig: &[u8; 64]) -> [u8; 32] {
+    use sha2::{Digest as _, Sha512};
+    let mut h = Sha512::new();
+    h.update(&sig[..32]);
+    h.update(key);
+    h.update(msg);
+    let k = oracle::scalar::reduce_bytes(&h.finalize());
+    // ℓ − k, k < ℓ.
+    let mut minus_k = [0u8; 32];
+    let mut borrow = 0i16;
+    for i in 0..32 {
+        let d = ELL[i] as i16 - k[i] as i16 - borrow;
+        minus_k[i] = d.rem_euclid(256) as u8;
+        borrow = (d < 0) as i16;
+    }
+    let s: [u8; 32] = sig[32..].try_into().unwrap();
+    let a = EdwardsPoint::decompress(key).expect("the key decodes");
+    EdwardsPoint::basepoint().mul_scalar(&s).add(&a.mul_scalar(&minus_k)).compress()
+}
+
+/// `verify` accepts at once when `s·B − k·A` compresses to `R`'s bytes,
+/// and otherwise decides by the cofactored equation. Every row gets the
+/// reference verdict, whichever way it is decided: honest signatures
+/// (whose `s·B − k·A` is `R`, byte for byte), `R + T` for each of the
+/// eight small-order `T` (shifted after signing, and signed for), a
+/// non-canonical `s`, undecodable `R`s; and under the identity key, where
+/// `s·B − k·A = s·B` whatever `k`, `R` equal to that point's encoding, to
+/// it with the sign bit flipped (rejected: the bytes agree in `y` only),
+/// and to a non-canonical encoding of it (accepted by the equation).
+#[test]
+fn verify_fast_path_rows_get_the_reference_verdict() {
+    let mut identity = [0u8; 32];
+    identity[0] = 1;
+    let signed: [([u8; 32], &[u8]); 3] = [([3; 32], b"m0"), ([0x42; 32], b"a client request"), ([0x77; 32], b"")];
+    for (seed, msg) in signed {
+        let (key, sig) = honest(&seed, msg);
+        let (r, s): ([u8; 32], [u8; 32]) =
+            (sig[..32].try_into().unwrap(), sig[32..].try_into().unwrap());
+        assert_eq!(oracle_s_b_minus_k_a(&key, msg, &sig), r, "s·B − k·A is R, honestly signed");
+        assert_eq!(same_verdict(&key, msg, &sig), Some(true));
+
+        let signer = oracle::SigningKey::from_bytes(&seed);
+        let big_r = EdwardsPoint::decompress(&r).unwrap();
+        for t in small_order_encodings() {
+            let torsion = EdwardsPoint::decompress(&t).unwrap();
+            let shifted = big_r.add(&torsion).compress();
+            let verdict = same_verdict(&key, msg, &signature(&shifted, &s));
+            assert_eq!(verdict, Some(t == identity), "R + T {t:02x?}");
+            let crafted = signer.sign_with_torsion(msg, &torsion);
+            assert_eq!(
+                oracle_s_b_minus_k_a(&key, msg, &crafted) == crafted[..32],
+                t == identity,
+                "a signature made for R + T leaves −T: only the equation accepts it"
+            );
+            assert_eq!(same_verdict(&key, msg, &crafted), Some(true), "signed for R + T {t:02x?}");
+        }
+
+        assert_eq!(same_verdict(&key, msg, &signature(&r, &add_le(&s, &ELL))), Some(false), "s + ℓ");
+        let mut undecodable = identity;
+        undecodable[31] |= 0x80;
+        let no_x = (2u64..).map(scalar).find(|enc| EdwardsPoint::decompress(enc).is_none()).unwrap();
+        for bad_r in [undecodable, no_x] {
+            assert_eq!(same_verdict(&key, msg, &signature(&bad_r, &s)), Some(false), "R {bad_r:02x?}");
+        }
+        let mut flipped = r;
+        flipped[31] ^= 0x80;
+        assert_eq!(same_verdict(&key, msg, &signature(&flipped, &s)), Some(false), "−R");
+    }
+
+    // Under the identity key, R = s·B verifies for every message.
+    let mut identity_alias = [0xffu8; 32];
+    identity_alias[0] = 0xee;
+    identity_alias[31] = 0x7f;
+    let unsigned: [([u8; 32], &[u8]); 3] = [(scalar(1), b"m0"), (scalar(0xdead_beef), b"any"), (scalar(0), b"")];
+    for (s, msg) in unsigned {
+        let p = oracle_s_b_minus_k_a(&identity, msg, &signature(&identity, &s));
+        assert_eq!(same_verdict(&identity, msg, &signature(&p, &s)), Some(true), "R = s·B, s {s:02x?}");
+        let mut flipped = p;
+        flipped[31] ^= 0x80;
+        let verdict = same_verdict(&identity, msg, &signature(&flipped, &s));
+        assert_eq!(verdict, Some(false), "R = −s·B, s {s:02x?}");
+    }
+    // s = 0: s·B is the identity, which y = p + 1 also encodes.
+    assert_eq!(same_verdict(&identity, b"m0", &signature(&identity_alias, &scalar(0))), Some(true));
+}
+
 #[test]
 fn all_zero_inputs_get_the_same_verdict() {
     let (key, _) = honest(&[1; 32], b"m");

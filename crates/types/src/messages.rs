@@ -14,7 +14,7 @@ use crate::entry::TxResult;
 use crate::ids::{LedgerIdx, ReplicaBitmap, ReplicaId, SeqNum, View};
 use crate::receipt::Receipt;
 use crate::request::SignedRequest;
-use crate::wire::{encode_seq, Wire};
+use crate::wire::{encode_seq, encoded_len_seq, signing_buffer, Wire};
 use ia_ccf_merkle::MerklePath;
 
 /// Server-side hard ceiling on the page budget of a
@@ -116,7 +116,7 @@ pub struct PrePrepare {
 impl PrePrepare {
     /// Canonical signed bytes for a (core, `Ḡ`) pair.
     pub fn signing_payload(core: &PrePrepareCore, root_g: &Digest) -> Vec<u8> {
-        let mut buf = vec![domains::PRE_PREPARE];
+        let mut buf = signing_buffer(domains::PRE_PREPARE, core.encoded_len() + root_g.encoded_len());
         core.encode(&mut buf);
         root_g.encode(&mut buf);
         buf
@@ -172,7 +172,12 @@ impl Prepare {
         nonce_commit: &NonceCommitment,
         pp_digest: &Digest,
     ) -> Vec<u8> {
-        let mut buf = vec![domains::PREPARE];
+        let len = view.encoded_len()
+            + seq.encoded_len()
+            + replica.encoded_len()
+            + nonce_commit.encoded_len()
+            + pp_digest.encoded_len();
+        let mut buf = signing_buffer(domains::PREPARE, len);
         view.encode(&mut buf);
         seq.encode(&mut buf);
         replica.encode(&mut buf);
@@ -271,7 +276,11 @@ impl ViewChange {
         pps: &[PrePrepare],
         last_proof: &[Prepare],
     ) -> Vec<u8> {
-        let mut buf = vec![domains::VIEW_CHANGE];
+        let len = view.encoded_len()
+            + replica.encoded_len()
+            + encoded_len_seq(pps)
+            + encoded_len_seq(last_proof);
+        let mut buf = signing_buffer(domains::VIEW_CHANGE, len);
         view.encode(&mut buf);
         replica.encode(&mut buf);
         encode_seq(pps, &mut buf);
@@ -309,7 +318,11 @@ impl NewViewMsg {
         vc_bitmap: &ReplicaBitmap,
         vc_entry_hash: &Digest,
     ) -> Vec<u8> {
-        let mut buf = vec![domains::NEW_VIEW];
+        let len = view.encoded_len()
+            + root_m.encoded_len()
+            + vc_bitmap.encoded_len()
+            + vc_entry_hash.encoded_len();
+        let mut buf = signing_buffer(domains::NEW_VIEW, len);
         view.encode(&mut buf);
         root_m.encode(&mut buf);
         vc_bitmap.encode(&mut buf);
@@ -587,6 +600,7 @@ pub mod testutil {
 mod tests {
     use super::testutil::test_pp;
     use super::*;
+    use crate::request::RequestAction;
     use ia_ccf_crypto::KeyPair;
 
     #[test]
@@ -659,6 +673,37 @@ mod tests {
         let d = ViewChange::from_bytes(&vc.to_bytes()).unwrap();
         assert_eq!(d, vc);
         assert!(kp.public().verify(&d.own_payload(), &d.sig));
+    }
+
+    /// Every signing payload and `to_bytes` is encoded into a buffer
+    /// allocated once at its exact size: a wrong length sum would show as
+    /// capacity ≠ length.
+    #[test]
+    fn payloads_are_encoded_into_buffers_of_their_size() {
+        let kp = KeyPair::from_label("r1");
+        let pp = test_pp(0, 5, &kp);
+        let nc = Nonce([1; 16]).commitment();
+        let request = crate::request::Request {
+            action: RequestAction::App { proc: crate::ids::ProcId(3), args: vec![7; 135] },
+            client: crate::ids::ClientId(9),
+            gt_hash: hash_bytes(b"gt"),
+            min_index: LedgerIdx(4),
+            req_id: 11,
+        };
+        let signed = SignedRequest::sign(request.clone(), &kp);
+        let payloads = [
+            PrePrepare::signing_payload(&pp.core, &pp.root_g),
+            Prepare::signing_payload(View(1), SeqNum(2), ReplicaId(3), &nc, &pp.digest()),
+            ViewChange::signing_payload(View(1), ReplicaId(1), &[pp.clone(), pp.clone()], &[]),
+            NewViewMsg::signing_payload(View(2), &nc.0, &ReplicaBitmap::from_ranks([0, 2]), &pp.root_g),
+            request.signing_payload(),
+            signed.to_bytes(),
+            pp.to_bytes(),
+            ProtocolMsg::PrePrepare { pp, batch: vec![hash_bytes(b"t1")] }.to_bytes(),
+        ];
+        for (i, bytes) in payloads.iter().enumerate() {
+            assert_eq!(bytes.capacity(), bytes.len(), "payload {i}");
+        }
     }
 
     #[test]

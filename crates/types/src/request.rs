@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::Configuration;
 use crate::ids::{ClientId, LedgerIdx, ProcId, SeqNum};
-use crate::wire::Wire;
+use crate::wire::{signing_buffer, Wire};
 
 /// Domain-separation tag for request signatures.
 pub const REQUEST_DOMAIN: u8 = 0x01;
@@ -99,7 +99,7 @@ pub struct Request {
 impl Request {
     /// Canonical signed payload: domain byte plus the encoded body.
     pub fn signing_payload(&self) -> Vec<u8> {
-        let mut buf = vec![REQUEST_DOMAIN];
+        let mut buf = signing_buffer(REQUEST_DOMAIN, self.encoded_len());
         self.encode(&mut buf);
         buf
     }

@@ -125,9 +125,9 @@ pub trait Wire: Sized {
         scratch
     }
 
-    /// Encode to a fresh buffer.
+    /// Encode to a fresh buffer of exactly the encoding's size.
     fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(self.encoded_len());
         self.encode(&mut buf);
         buf
     }
@@ -141,6 +141,14 @@ pub trait Wire: Sized {
         }
         Ok(v)
     }
+}
+
+/// A signing-payload buffer: the domain byte, with room for the `len`
+/// bytes of the fields that follow it.
+pub(crate) fn signing_buffer(domain: u8, len: usize) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(1 + len);
+    buf.push(domain);
+    buf
 }
 
 macro_rules! impl_wire_int {
