@@ -7,13 +7,16 @@
 //!
 //! 1. **auditReceipts** — verify every receipt cryptographically and check
 //!    each request's `min_index` was honoured (real-time ordering, Thm. 2).
-//!    Receipts of one batch share a certificate, so each audit keeps a
-//!    [`VerifiedCerts`] memo for its own duration: a certificate's
-//!    signatures are checked once, every further receipt of the batch
-//!    costs its Merkle path. The memo is built per [`Auditor::audit`] call
-//!    and dropped on return — audits stay independent of each other — and
-//!    starts with the certificates step 2 proved for the receipts'
-//!    batches, so step 2 runs first; its verdict is still reported second;
+//!    Alg. 3's structural part runs on the spot. Its signature checks join
+//!    the queue the package's validation uses,
+//!    [`SIG_CHUNK`](crate::package::SIG_CHUNK) per combined
+//!    equation, and a check the package proved (same key, signature and
+//!    bytes) is not run again; so step 2 runs first, and its verdict is
+//!    still reported second. A receipt with the previous receipt's
+//!    certificate and `Ḡ` (receipts of a batch arrive together) adds no
+//!    check. The verdict is the one-at-a-time rule's: the first failing
+//!    receipt in input order, a structural refusal reported only once
+//!    every signature queued before it has passed;
 //! 2. **getCheckpointAndLedger** — obtain a well-formed package spanning
 //!    the receipts (a malformed one incriminates its server; checkpoint
 //!    digests must match the receipts' `d_C`);
@@ -25,7 +28,7 @@
 //!    "N − f or more replicas may have misbehaved, so it is necessary to
 //!    replay").
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 use ia_ccf_core::app::App;
@@ -36,15 +39,14 @@ use ia_ccf_governance::fork::find_fork;
 use ia_ccf_governance::{GovOutcome, GovernanceState};
 use ia_ccf_kv::KvStore;
 use ia_ccf_types::{
-    Configuration, Digest, LedgerEntry, Receipt, ReplicaId, SeqNum, SignedRequest, VerifiedCerts,
+    BatchCertificate, Configuration, Digest, LedgerEntry, Receipt, ReceiptError, ReplicaId, SeqNum,
+    SignedRequest,
 };
 
-use crate::package::{validate_package, LedgerPackage, PackageError, ValidatedPackage};
+use crate::package::{validate_package, LedgerPackage, PackageError, PendingSigs, ValidatedPackage};
 
-/// Certificates one audit remembers as verified. Stored receipts come
-/// grouped by batch (clients complete a batch's requests together), so a
-/// window of recent batches is all a hit needs.
-const VERIFIED_CERTS_CAPACITY: usize = 256;
+/// The auditor's receipt queue: a failure names the receipt's position.
+type ReceiptSigs = PendingSigs<(usize, ReceiptError)>;
 
 /// A receipt together with the request it certifies — what clients store
 /// "to resolve future disputes" (§3.3).
@@ -159,10 +161,12 @@ impl Auditor {
         // 2. Validate the package (well-formedness; Lemma 4). Run first so
         // that step 1 need not re-check what it proves; reported second.
         let config_for_seq = seq_config_fn(&package.entries, &history);
-        let validated = validate_package(&package.entries, &config_for_seq);
+        let mut validated = validate_package(&package.entries, &config_for_seq);
 
-        // 1. auditReceipts.
-        if let Some(upom) = self.audit_receipts(receipts, &history, validated.as_ref().ok()) {
+        // 1. auditReceipts. Step 1 is the last reader of the proved set.
+        let proved =
+            validated.as_mut().map(|v| std::mem::take(&mut v.proved)).unwrap_or_default();
+        if let Some(upom) = self.audit_receipts(receipts, &history, proved) {
             return violation(upom);
         }
 
@@ -258,63 +262,22 @@ impl Auditor {
 
     // ------------------------------------------------------------------
 
-    /// Step 1. `proved` is the package, when it is well-formed: the
-    /// certificates it proved for a receipt's batch go into the memo first,
-    /// so a receipt carrying one byte for byte under the same keys is not
-    /// signature-checked again.
+    /// Step 1. `proved` holds the fingerprints of the signatures the
+    /// package proved (empty when it is not well-formed): a receipt's check
+    /// among them is not run again.
     fn audit_receipts(
         &self,
         receipts: &[StoredReceipt],
         history: &ConfigHistory,
-        proved: Option<&ValidatedPackage>,
+        proved: HashSet<Digest>,
     ) -> Option<Upom> {
-        // Local to this audit: repeated audits share nothing.
-        let mut verified_certs = VerifiedCerts::new(VERIFIED_CERTS_CAPACITY);
-        for sr in receipts {
-            for entry in proved.into_iter().flat_map(|v| v.proved_at(sr.receipt.seq())) {
-                verified_certs.insert_verified(entry);
-            }
-            let config = history.config_for_gov_index(sr.receipt.gov_index());
-            if let Err(e) = sr.receipt.verify_with(config, &mut verified_certs) {
-                return Some(Upom {
-                    kind: UpomKind::InvalidReceipt,
-                    blamed: BTreeSet::new(),
-                    at_seq: sr.receipt.seq(),
-                    details: format!("receipt failed verification: {e}"),
-                    receipts: vec![sr.receipt.clone()],
-                });
-            }
-            // Witness must certify the request it is stored with.
-            let Some(index) = sr.receipt.tx_index() else { continue };
-            let matches = match &sr.receipt.body {
-                ia_ccf_types::ReceiptBody::Tx(w) => w.tx_hash == sr.request.digest(),
-                _ => true,
-            };
-            if !matches {
-                return Some(Upom {
-                    kind: UpomKind::InvalidReceipt,
-                    blamed: BTreeSet::new(),
-                    at_seq: sr.receipt.seq(),
-                    details: "receipt does not certify the stored request".into(),
-                    receipts: vec![sr.receipt.clone()],
-                });
-            }
-            // Thm. 2: `i ≥ mi` or every signer is blamed.
-            if index < sr.request.request.min_index {
-                let config = history.config_for_gov_index(sr.receipt.gov_index());
-                return Some(Upom {
-                    kind: UpomKind::MinIndexViolation,
-                    blamed: sr.receipt.cert.signer_ids(config).into_iter().collect(),
-                    at_seq: sr.receipt.seq(),
-                    details: format!(
-                        "request with min_index {} executed at {} — real-time ordering violated",
-                        sr.request.request.min_index, index
-                    ),
-                    receipts: vec![sr.receipt.clone()],
-                });
-            }
+        let mut pending = ReceiptSigs::new(proved);
+        let refused = queue_receipts(receipts, history, &mut pending).err();
+        // A structural refusal ranks after every signature queued before it.
+        match pending.flush() {
+            Err((at, why)) => Some(invalid_receipt(&receipts[at].receipt, &why)),
+            Ok(()) => refused,
         }
-        None
     }
 
     fn check_governance_forks(
@@ -428,7 +391,7 @@ impl Auditor {
                     // intersection of the receipt's signers and the
                     // replicas evidenced to have prepared the ledger's
                     // batch.
-                    let ledger_signers = self.signers_of(validated, s_r);
+                    let ledger_signers = validated.signers_of(s_r);
                     let blamed: BTreeSet<ReplicaId> =
                         receipt_signers.intersection(&ledger_signers).copied().collect();
                     Some(Upom {
@@ -494,21 +457,6 @@ impl Auditor {
                 })
             }
         }
-    }
-
-    /// The replicas that provably signed (prepared) the batch at `seq`:
-    /// from the evidence carried by the batch at `seq + P`, falling back to
-    /// the batch's own pre-prepare signer set.
-    fn signers_of(&self, validated: &ValidatedPackage, seq: SeqNum) -> BTreeSet<ReplicaId> {
-        for b in &validated.batches {
-            if b.pp.core.evidence_seq == seq && !b.evidenced_signers.is_empty() {
-                return b.evidenced_signers.iter().copied().collect();
-            }
-        }
-        validated
-            .batch_at(seq)
-            .map(|b| [b.pp.core.primary].into_iter().collect())
-            .unwrap_or_default()
     }
 
     /// Replay every transaction from the checkpoint (or genesis), checking
@@ -614,7 +562,7 @@ impl Auditor {
         // of any receipt the auditor holds for that batch (§4.1: "assign
         // blame to any replica that signed the batch that contains the
         // transaction").
-        let mut blamed = self.signers_of(validated, seq);
+        let mut blamed = validated.signers_of(seq);
         if let Some(b) = validated.batch_at(seq) {
             blamed.insert(b.pp.core.primary);
         }
@@ -638,6 +586,81 @@ impl Auditor {
 
 fn violation(upom: Upom) -> AuditOutcome {
     AuditOutcome::Violation(Box::new(upom))
+}
+
+/// Walk `receipts` in input order: Alg. 3's structural part, the request
+/// match and `min_index` on the spot, every signature check queued on
+/// `pending`, owned by its receipt's position. `Err` is the first refusal
+/// met, a signature's only if a full chunk failed; what is still queued
+/// ranks before it.
+fn queue_receipts<'a>(
+    receipts: &'a [StoredReceipt],
+    history: &ConfigHistory,
+    pending: &mut ReceiptSigs,
+) -> Result<(), Upom> {
+    let mut previous: Option<(&'a BatchCertificate, Digest)> = None;
+    for (at, sr) in receipts.iter().enumerate() {
+        let receipt = &sr.receipt;
+        let invalid = |why: ReceiptError| invalid_receipt(receipt, &why);
+        let config = history.config_for_gov_index(receipt.gov_index());
+        receipt.cert.check_shape(config).map_err(invalid)?;
+        let root_g = receipt.implied_root_g().map_err(invalid)?;
+        // Receipts of one batch arrive together: the first one's checks
+        // stand for the rest.
+        if previous != Some((&receipt.cert, root_g)) {
+            let sigs = receipt.cert.signature_checks(config, &root_g).map_err(invalid)?;
+            for check in sigs.checks {
+                pending
+                    .push(check.job, (at, check.fails_as))
+                    .map_err(|(owner, why)| invalid_receipt(&receipts[owner].receipt, &why))?;
+            }
+            if let Some(why) = sigs.refused {
+                return Err(invalid(why));
+            }
+            previous = Some((&receipt.cert, root_g));
+        }
+        // Witness must certify the request it is stored with.
+        let Some(index) = receipt.tx_index() else { continue };
+        let matches = match &receipt.body {
+            ia_ccf_types::ReceiptBody::Tx(w) => w.tx_hash == sr.request.digest(),
+            _ => true,
+        };
+        if !matches {
+            return Err(Upom {
+                kind: UpomKind::InvalidReceipt,
+                blamed: BTreeSet::new(),
+                at_seq: receipt.seq(),
+                details: "receipt does not certify the stored request".into(),
+                receipts: vec![receipt.clone()],
+            });
+        }
+        // Thm. 2: `i ≥ mi` or every signer is blamed.
+        if index < sr.request.request.min_index {
+            return Err(Upom {
+                kind: UpomKind::MinIndexViolation,
+                blamed: receipt.cert.signer_ids(config).into_iter().collect(),
+                at_seq: receipt.seq(),
+                details: format!(
+                    "request with min_index {} executed at {} — real-time ordering violated",
+                    sr.request.request.min_index, index
+                ),
+                receipts: vec![receipt.clone()],
+            });
+        }
+    }
+    Ok(())
+}
+
+/// The uPoM of a receipt that fails Alg. 3. It blames nobody: a receipt a
+/// quorum did not sign proves nothing about the quorum.
+fn invalid_receipt(receipt: &Receipt, why: &ReceiptError) -> Upom {
+    Upom {
+        kind: UpomKind::InvalidReceipt,
+        blamed: BTreeSet::new(),
+        at_seq: receipt.seq(),
+        details: format!("receipt failed verification: {why}"),
+        receipts: vec![receipt.clone()],
+    }
 }
 
 /// Derive the configuration per sequence number from the package itself:

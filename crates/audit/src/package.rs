@@ -9,6 +9,8 @@
 //! that fails any of these incriminates the replica that served it; one
 //! that passes but replays incorrectly incriminates its signers (§4.1).
 
+use std::collections::{BTreeSet, HashMap, HashSet};
+
 use ia_ccf_core::viewchange::check_new_view;
 use ia_ccf_crypto::VerifyJob;
 use ia_ccf_kv::KvCheckpoint;
@@ -16,7 +18,7 @@ use ia_ccf_ledger::segment::{segment_entries, Segment};
 use ia_ccf_merkle::MerkleTree;
 use ia_ccf_types::{
     evidence_target, BatchCertificate, Configuration, Digest, EvidenceError, LedgerEntry,
-    PrePrepare, ProvedCert, ReceiptError, ReplicaId, SeqNum, View, Wire,
+    PrePrepare, ReceiptError, ReplicaId, SeqNum, View, Wire,
 };
 
 /// A ledger package served for auditing.
@@ -112,24 +114,41 @@ pub struct ValidatedPackage {
     /// the prepared batches the set's members claimed (Lemma 5 needs to
     /// distinguish honest reports from omissions).
     pub view_change_reports: Vec<ViewChangeReport>,
-    /// Ascending by sequence number: the receipt memo's entry for every
-    /// batch certificate the evidence encodes, its signatures proved by the
-    /// validation under the configuration governing that sequence number.
-    pub proved: Vec<(SeqNum, ProvedCert)>,
+    /// The [`VerifyJob::fingerprint`] of every signature the validation
+    /// proved: each pre-prepare's and each evidence prepare's, under the
+    /// configuration governing its position.
+    pub proved: HashSet<Digest>,
+    /// Per sequence number, the position in `batches` of its latest batch.
+    latest: HashMap<SeqNum, usize>,
+    /// Per sequence number, the position of the first batch whose evidence
+    /// names its signers.
+    first_evidence: HashMap<SeqNum, usize>,
 }
 
 impl ValidatedPackage {
     /// The latest validated batch for a sequence number (re-proposals in a
     /// later view supersede earlier ones).
     pub fn batch_at(&self, seq: SeqNum) -> Option<&ValidatedBatch> {
-        self.batches.iter().rev().find(|b| b.seq == seq)
+        self.latest.get(&seq).map(|&at| &self.batches[at])
     }
 
-    /// The proved certificates of the batches at `seq` (one per ordering
-    /// of it that a later batch evidences).
-    pub fn proved_at(&self, seq: SeqNum) -> impl Iterator<Item = ProvedCert> + '_ {
-        let from = self.proved.partition_point(|(s, _)| *s < seq);
-        self.proved[from..].iter().take_while(move |(s, _)| *s == seq).map(|(_, p)| *p)
+    /// The replicas that provably signed (prepared) the batch at `seq`:
+    /// the signers the first batch evidencing it names, falling back to the
+    /// primary of the batch's own pre-prepare.
+    pub fn signers_of(&self, seq: SeqNum) -> BTreeSet<ReplicaId> {
+        match self.first_evidence.get(&seq) {
+            Some(&at) => self.batches[at].evidenced_signers.iter().copied().collect(),
+            None => self.batch_at(seq).map(|b| [b.pp.core.primary].into()).unwrap_or_default(),
+        }
+    }
+
+    fn push(&mut self, batch: ValidatedBatch) {
+        let at = self.batches.len();
+        self.latest.insert(batch.seq, at);
+        if !batch.evidenced_signers.is_empty() {
+            self.first_evidence.entry(batch.pp.core.evidence_seq).or_insert(at);
+        }
+        self.batches.push(batch);
     }
 }
 
@@ -143,18 +162,21 @@ pub const SIG_CHUNK: usize = 256;
 /// number (derived from the governance sub-ledger).
 ///
 /// The pre-prepare and evidence-prepare signatures are checked a chunk of
-/// [`SIG_CHUNK`] at a time by one combined equation
-/// (`ia_ccf_crypto::verify_batch_indices`, whose failed indices are exactly
-/// the single checks' verdicts). The verdict is still the first failing
-/// check in ledger order: a structural refusal is reported only once every
-/// signature queued before it has passed.
+/// [`SIG_CHUNK`] at a time by one combined equation (`PendingSigs`). The
+/// verdict is still the first failing check in ledger order: a structural
+/// refusal is reported only once every signature queued before it has
+/// passed.
 pub fn validate_package(
     entries: &[LedgerEntry],
     config_for_seq: &dyn Fn(SeqNum) -> Configuration,
 ) -> Result<ValidatedPackage, PackageError> {
-    let mut pending = PendingSigs::default();
+    let mut pending = PendingSigs::new(HashSet::new());
     match walk(entries, config_for_seq, &mut pending) {
-        Ok(out) => pending.flush().map(|()| out),
+        Ok(mut out) => {
+            pending.flush()?;
+            out.proved = pending.into_proved();
+            Ok(out)
+        }
         Err(why) => Err(pending.flush().err().unwrap_or(why)),
     }
 }
@@ -164,7 +186,7 @@ pub fn validate_package(
 fn walk(
     entries: &[LedgerEntry],
     config_for_seq: &dyn Fn(SeqNum) -> Configuration,
-    pending: &mut PendingSigs,
+    pending: &mut PendingSigs<PackageError>,
 ) -> Result<ValidatedPackage, PackageError> {
     let segments =
         segment_entries(entries, 0).map_err(|e| PackageError::Malformed(e.to_string()))?;
@@ -209,7 +231,7 @@ fn walk(
                 // pre-prepare, Alg. 3's shape — then the prepare signatures,
                 // the one part a replica checks as the messages arrive. The
                 // evidenced pre-prepare's own signature was queued at its
-                // segment; once both pass, the certificate is proved.
+                // segment.
                 let p = config.pipeline_depth as u64;
                 let target = evidence_target(&pp.core, p)
                     .map_err(|why| evidence_refusal(*seq, why))?;
@@ -239,14 +261,13 @@ fn walk(
                         Ok(cert)
                     })
                     .map_err(|why| evidence_refusal(ev_seq, why))?;
-                    let jobs = cert
-                        .prepare_jobs(&ev_config, &evidenced.pp_digest)
+                    let checks = cert
+                        .prepare_checks(&ev_config, &evidenced.pp_digest)
                         .map_err(|why| evidence_refusal(ev_seq, why.into()))?;
-                    for (_, job) in jobs {
-                        pending.push(job, PackageError::BadEvidenceSig(ev_seq))?;
+                    for check in checks {
+                        pending.push(check.job, PackageError::BadEvidenceSig(ev_seq))?;
                     }
                     evidenced_signers = cert.signer_ids(&ev_config);
-                    out.proved.push((ev_seq, cert.proved(&ev_config, &evidenced.pp.root_g)));
                     tree.append(entries[*ev_at].m_leaf());
                     tree.append(entries[*no_at].m_leaf());
                 }
@@ -278,7 +299,7 @@ fn walk(
                 }
 
                 tree.append(entries[*pp_at].m_leaf());
-                out.batches.push(ValidatedBatch {
+                out.push(ValidatedBatch {
                     seq: *seq,
                     view: *view,
                     pp: pp.clone(),
@@ -289,21 +310,41 @@ fn walk(
             }
         }
     }
-    out.proved.sort_by_key(|(seq, _)| *seq);
     Ok(out)
 }
 
-/// Signature checks queued in ledger order, each with the refusal its
-/// failure reports.
-#[derive(Default)]
-struct PendingSigs {
+/// Signature checks queued in the order their verdicts rank, each with the
+/// refusal `E` its failure reports, and checked [`SIG_CHUNK`] at a time by
+/// one combined equation (`ia_ccf_crypto::verify_batch_indices`, whose
+/// failed indices are exactly the single checks' verdicts). The one queue
+/// of the package's validation and of the auditor's receipts.
+///
+/// A check whose [`VerifyJob::fingerprint`] has passed, or waits in the
+/// queue, is not queued again: it passes exactly when its twin does, and
+/// its twin ranks first.
+pub(crate) struct PendingSigs<E> {
     jobs: Vec<VerifyJob>,
-    fails_as: Vec<PackageError>,
+    fails_as: Vec<E>,
+    /// Fingerprints of `jobs`.
+    queued: HashSet<Digest>,
+    /// Fingerprints of every check that passed.
+    proved: HashSet<Digest>,
 }
 
-impl PendingSigs {
-    /// Queue one check; a full chunk is checked on the spot.
-    fn push(&mut self, job: VerifyJob, fails_as: PackageError) -> Result<(), PackageError> {
+impl<E> PendingSigs<E> {
+    /// An empty queue that takes the checks fingerprinted in `proved` as
+    /// passed.
+    pub(crate) fn new(proved: HashSet<Digest>) -> Self {
+        PendingSigs { jobs: Vec::new(), fails_as: Vec::new(), queued: HashSet::new(), proved }
+    }
+
+    /// Queue one check unless it is known; a full chunk is checked on the
+    /// spot.
+    pub(crate) fn push(&mut self, job: VerifyJob, fails_as: E) -> Result<(), E> {
+        let fingerprint = job.fingerprint();
+        if self.proved.contains(&fingerprint) || !self.queued.insert(fingerprint) {
+            return Ok(());
+        }
         self.jobs.push(job);
         self.fails_as.push(fails_as);
         if self.jobs.len() >= SIG_CHUNK {
@@ -312,13 +353,28 @@ impl PendingSigs {
         Ok(())
     }
 
-    /// Check everything queued: the earliest failure is the refusal.
-    fn flush(&mut self) -> Result<(), PackageError> {
+    /// Check everything queued: the earliest failure is the refusal. When
+    /// none fails, every queued check is proved.
+    pub(crate) fn flush(&mut self) -> Result<(), E> {
         let first_failed = ia_ccf_crypto::verify_batch_indices(&self.jobs).first().copied();
         self.jobs.clear();
         let refusal = first_failed.map(|i| self.fails_as.swap_remove(i));
         self.fails_as.clear();
-        refusal.map_or(Ok(()), Err)
+        match refusal {
+            Some(why) => {
+                self.queued.clear();
+                Err(why)
+            }
+            None => {
+                self.proved.extend(self.queued.drain());
+                Ok(())
+            }
+        }
+    }
+
+    /// The fingerprints of every check that passed.
+    pub(crate) fn into_proved(self) -> HashSet<Digest> {
+        self.proved
     }
 }
 

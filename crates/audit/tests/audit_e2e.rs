@@ -3,6 +3,7 @@
 //! blaming at least f + 1 replicas — including when **all** replicas
 //! collude (§4.1).
 
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use ia_ccf_audit::package::validate_package;
@@ -16,8 +17,9 @@ use ia_ccf_governance::chain::GovernanceChain;
 use ia_ccf_sim::{ClusterSpec, DetCluster};
 use ia_ccf_types::receipt::testutil::make_tx_receipts;
 use ia_ccf_types::{
-    ClientId, Digest, LedgerEntry, LedgerIdx, ProcId, ReplicaId, Request, RequestAction, SeqNum,
-    SignedRequest, TxResult, View,
+    BatchCertificate, ClientId, Configuration, Digest, LedgerEntry, LedgerIdx, Nonce, PrePrepare,
+    Prepare, ProcId, Receipt, ReceiptError, ReplicaBitmap, ReplicaId, Request, RequestAction,
+    SeqNum, Signature, SignedRequest, TxResult, View,
 };
 
 fn spec(n: usize) -> ClusterSpec {
@@ -171,28 +173,60 @@ fn tampered_ledger_fragment_is_not_well_formed() {
     assert_eq!(upom.kind, UpomKind::BadPackage);
 }
 
-/// The package is validated before the receipts are (the certificates it
-/// proves seed the receipts' memo), yet a bad receipt is still reported
-/// before a bad package, and a receipt whose certificate differs in one
-/// signature from the one the ledger proved is still checked in full.
+/// The checks of `receipt`'s signatures that `proved` does not name, as
+/// the refusals they report.
+fn unproved(receipt: &Receipt, config: &Configuration, proved: &HashSet<Digest>) -> Vec<ReceiptError> {
+    let root_g = receipt.implied_root_g().expect("a valid receipt");
+    let sigs = receipt.cert.signature_checks(config, &root_g).expect("a ranked primary");
+    sigs.checks
+        .into_iter()
+        .filter(|check| !proved.contains(&check.job.fingerprint()))
+        .map(|check| check.fails_as)
+        .collect()
+}
+
+/// An honest cluster's receipts, its replica 0's package, what that package
+/// proves, and the position of a receipt every signature of which it
+/// proves.
+fn proved_receipt(s: &ClusterSpec) -> (Vec<StoredReceipt>, LedgerPackage, HashSet<Digest>, usize) {
+    let counter: Arc<dyn ia_ccf_core::App> = Arc::new(CounterApp);
+    let (cluster, receipts) = run_cluster(s, |_| Arc::clone(&counter), 8);
+    let package = LedgerPackage::from_replica(cluster.replica(ReplicaId(0)), SeqNum(0));
+    let validated = validate_package(&package.entries, &|_| s.genesis.clone()).expect("well-formed");
+    let at = receipts
+        .iter()
+        .position(|sr| unproved(&sr.receipt, &s.genesis, &validated.proved).is_empty())
+        .expect("the ledger proves every signature of some receipt");
+    (receipts, package, validated.proved, at)
+}
+
+/// The uPoM of `receipt` failing Alg. 3 with `why`.
+fn invalid(receipt: &Receipt, why: ReceiptError) -> (UpomKind, SeqNum, String, Vec<Receipt>) {
+    let details = format!("receipt failed verification: {why}");
+    (UpomKind::InvalidReceipt, receipt.seq(), details, vec![receipt.clone()])
+}
+
+fn verdict(upom: Option<&Upom>) -> Option<(UpomKind, SeqNum, String, Vec<Receipt>)> {
+    upom.map(|u| (u.kind.clone(), u.at_seq, u.details.clone(), u.receipts.clone()))
+}
+
+/// The package is validated before the receipts are (a signature it
+/// proves is not checked again), yet a bad receipt is still reported
+/// before a bad package, and a receipt one signature of which differs from
+/// what the ledger proved has that signature checked.
 #[test]
 fn receipts_are_judged_first_and_only_proved_bytes_skip_their_checks() {
     let s = spec(4);
-    let counter: Arc<dyn ia_ccf_core::App> = Arc::new(CounterApp);
-    let (cluster, receipts) = run_cluster(&s, |_| Arc::clone(&counter), 8);
-    let honest = LedgerPackage::from_replica(cluster.replica(ReplicaId(0)), SeqNum(0));
-    let validated = validate_package(&honest.entries, &|_| s.genesis.clone()).expect("well-formed");
-    let proved = receipts
-        .iter()
-        .position(|sr| {
-            let root_g = sr.receipt.implied_root_g().expect("a valid receipt");
-            let ours = sr.receipt.cert.proved(&s.genesis, &root_g);
-            validated.proved_at(sr.receipt.seq()).any(|proved| proved == ours)
-        })
-        .expect("the ledger proves some receipt's certificate byte for byte");
+    let (receipts, honest, proved_sigs, proved) = proved_receipt(&s);
 
     let mut forged = receipts.clone();
     forged[proved].receipt.cert.prepare_sigs[0].0[7] ^= 1;
+    let rank = backup_rank(&forged[proved].receipt.cert, &s.genesis, 0);
+    assert_eq!(
+        unproved(&forged[proved].receipt, &s.genesis, &proved_sigs),
+        vec![ReceiptError::BadPrepareSig(rank)],
+        "only the forged signature is left to check"
+    );
     let mut tampered = honest.clone();
     let at = tampered
         .entries
@@ -210,6 +244,111 @@ fn receipts_are_judged_first_and_only_proved_bytes_skip_their_checks() {
     assert_eq!(kind(&forged, &honest), Some(UpomKind::InvalidReceipt));
     assert_eq!(kind(&forged, &tampered), Some(UpomKind::InvalidReceipt));
     assert_eq!(kind(&receipts, &tampered), Some(UpomKind::BadPackage));
+    let upom = auditor.audit(&forged, &GovernanceChain::new(), &honest);
+    let forged_receipt = &forged[proved].receipt;
+    assert_eq!(
+        verdict(upom.upom()),
+        Some(invalid(forged_receipt, ReceiptError::BadPrepareSig(rank)))
+    );
+}
+
+/// The rank of the backup whose prepare is `cert.prepare_sigs[slot]`.
+fn backup_rank(cert: &BatchCertificate, config: &Configuration, slot: usize) -> usize {
+    let primary = config.rank_of(cert.core.primary).expect("a ranked primary");
+    cert.signers.iter().filter(|rank| *rank != primary).nth(slot).expect("a backup")
+}
+
+/// `receipt`'s certificate with its highest-ranked backup replaced by a
+/// replica outside its quorum, which prepares the same pre-prepare
+/// honestly under a nonce of its own. Returns it and the newcomer's rank.
+fn swap_one_backup(s: &ClusterSpec, receipt: &Receipt) -> (BatchCertificate, usize) {
+    let (cert, config) = (&receipt.cert, &s.genesis);
+    let primary = config.rank_of(cert.core.primary).expect("a ranked primary");
+    let outsider = (0..config.n()).find(|rank| !cert.signers.contains(*rank)).expect("n > quorum");
+    let dropped = backup_rank(cert, config, cert.prepare_sigs.len() - 1);
+    let signers =
+        ReplicaBitmap::from_ranks(cert.signers.iter().filter(|r| *r != dropped).chain([outsider]));
+
+    // Every signer's share as the certificate holds it, and the newcomer's.
+    let mut prepare_sigs = cert.prepare_sigs.iter();
+    let mut shares: HashMap<usize, (Signature, Nonce)> = cert
+        .signers
+        .iter()
+        .zip(&cert.nonces)
+        .map(|(rank, nonce)| {
+            let sig = if rank == primary { cert.primary_sig } else { *prepare_sigs.next().unwrap() };
+            (rank, (sig, *nonce))
+        })
+        .collect();
+    let root_g = receipt.implied_root_g().expect("a valid receipt");
+    let pp_digest = PrePrepare::digest_from_parts(&cert.core, &root_g, &cert.primary_sig);
+    let nonce = Nonce([0x5A; ia_ccf_crypto::NONCE_LEN]);
+    let id = config.replica_at_rank(outsider).expect("ranked").id;
+    let payload =
+        Prepare::signing_payload(cert.core.view, cert.core.seq, id, &nonce.commitment(), &pp_digest);
+    shares.insert(outsider, (s.replica_keys[outsider].sign(&payload), nonce));
+
+    let swapped = BatchCertificate::assemble(config, cert.core.clone(), cert.primary_sig, signers, |id| {
+        shares.get(&config.rank_of(id)?).copied()
+    });
+    (swapped.expect("every signer has a share"), outsider)
+}
+
+/// The `lat_single` shape: a client builds its quorum from the first
+/// replies, the primary its evidence from the shares it holds, so a
+/// receipt's signers may differ from the ledger's in one backup. The
+/// signatures the package proved are skipped and the other one is
+/// checked: honest, the audit is clean; forged, the receipt is convicted.
+#[test]
+fn a_receipt_one_signer_off_the_ledger_evidence_has_that_signature_checked() {
+    let s = spec(4);
+    let (receipts, package, proved, at) = proved_receipt(&s);
+    let (cert, outsider) = swap_one_backup(&s, &receipts[at].receipt);
+    let mut swapped = receipts.clone();
+    swapped[at].receipt.cert = cert;
+    assert_eq!(
+        unproved(&swapped[at].receipt, &s.genesis, &proved),
+        vec![ReceiptError::BadPrepareSig(outsider)]
+    );
+    let auditor = Auditor::new(s.genesis.clone(), Arc::new(CounterApp));
+    let outcome = auditor.audit(&swapped, &GovernanceChain::new(), &package);
+    assert!(matches!(outcome, AuditOutcome::Clean), "{:?}", outcome.upom());
+
+    let mut forged = swapped;
+    let cert = &mut forged[at].receipt.cert;
+    let slot = (0..cert.prepare_sigs.len())
+        .find(|slot| backup_rank(cert, &s.genesis, *slot) == outsider)
+        .expect("the newcomer signs a prepare");
+    cert.prepare_sigs[slot].0[7] ^= 1;
+    let outcome = auditor.audit(&forged, &GovernanceChain::new(), &package);
+    assert_eq!(
+        verdict(outcome.upom()),
+        Some(invalid(&forged[at].receipt, ReceiptError::BadPrepareSig(outsider)))
+    );
+}
+
+/// A proved key and signature are proved over their own bytes only: the
+/// same prepare signature presented over another nonce commitment is
+/// checked, and refused.
+#[test]
+fn a_proved_signature_over_other_bytes_is_checked() {
+    let s = spec(4);
+    let (receipts, package, proved, at) = proved_receipt(&s);
+    let mut moved = receipts.clone();
+    let cert = &mut moved[at].receipt.cert;
+    let rank = backup_rank(cert, &s.genesis, 0);
+    let slot = cert.signers.iter().position(|r| r == rank).expect("a signer");
+    cert.nonces[slot].0[0] ^= 1;
+    let receipt = &moved[at].receipt;
+    assert_eq!(receipt.verify(&s.genesis), Err(ReceiptError::BadPrepareSig(rank)));
+    assert_eq!(
+        unproved(receipt, &s.genesis, &proved),
+        vec![ReceiptError::BadPrepareSig(rank)],
+        "key and signature proved, the bytes not"
+    );
+    let auditor = Auditor::new(s.genesis.clone(), Arc::new(CounterApp));
+    let outcome = auditor.audit(&moved, &GovernanceChain::new(), &package);
+    assert_eq!(verdict(outcome.upom()), Some(invalid(receipt, ReceiptError::BadPrepareSig(rank))));
 }
 
 #[test]

@@ -33,6 +33,7 @@ use std::collections::HashMap;
 
 use ia_ccf_pool::WorkerPool;
 
+use crate::digest::{Digest, Hasher};
 use crate::keys::{PublicKey, Signature};
 
 /// Shortest slice the combined equation is tried on. Measured on AVX-512
@@ -78,6 +79,20 @@ pub struct VerifyJob {
     pub msg: Vec<u8>,
     /// Detached signature.
     pub sig: Signature,
+}
+
+impl VerifyJob {
+    /// `H(key ‖ sig ‖ msg)` (key and signature are fixed-length): the name
+    /// of exactly this check. A verifier that has seen a check pass may
+    /// skip one with the same fingerprint; the same signature under another
+    /// key or over other bytes has another.
+    pub fn fingerprint(&self) -> Digest {
+        let mut h = Hasher::new();
+        h.update(self.key.as_bytes());
+        h.update(self.sig.as_bytes());
+        h.update(&self.msg);
+        h.finalize()
+    }
 }
 
 /// Whether the combined equation over all of `jobs` holds. `false` also
@@ -182,6 +197,20 @@ mod tests {
         let mut failed = verify_batch_indices(&js);
         failed.sort_unstable();
         assert_eq!(failed, vec![3, 11]);
+    }
+
+    #[test]
+    fn a_fingerprint_names_the_key_the_signature_and_the_bytes() {
+        let js = jobs(2);
+        let fp = |job: &VerifyJob| job.fingerprint();
+        let same = VerifyJob { key: js[0].key, msg: js[0].msg.clone(), sig: js[0].sig };
+        assert_eq!(fp(&same), fp(&js[0]));
+        let other_key = VerifyJob { key: js[1].key, ..same };
+        let other_sig = VerifyJob { sig: js[1].sig, msg: js[0].msg.clone(), ..js[0] };
+        let other_msg = VerifyJob { msg: js[1].msg.clone(), ..js[0] };
+        for (what, job) in [("key", other_key), ("sig", other_sig), ("msg", other_msg)] {
+            assert_ne!(fp(&job), fp(&js[0]), "another {what}");
+        }
     }
 
     #[test]

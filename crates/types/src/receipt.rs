@@ -12,6 +12,15 @@
 //! the reconstructed prepare embeds `H(K_s[r])`, so a wrong nonce changes
 //! the signed bytes and the signature check fails.
 //!
+//! Alg. 3 is written once, in two parts. The structural part is
+//! [`BatchCertificate::check_shape`] and [`Receipt::implied_root_g`]. The
+//! signature part is [`BatchCertificate::signature_checks`]: the
+//! primary's signature over the pre-prepare rebuilt around `Ḡ`, then each
+//! backup's prepare in rank order, each with the [`ReceiptError`] its
+//! failure reports. [`Receipt::verify`] runs that list one check at a
+//! time; the auditor queues it into combined equations and skips the
+//! checks its ledger package already proved.
+//!
 //! # Verifying a certificate once per batch
 //!
 //! Every receipt of a batch carries the same [`BatchCertificate`], so a
@@ -34,11 +43,7 @@
 //!   the configuration, a root recomputed from a tampered witness — is a
 //!   different key, hence a miss, hence a full check.
 //! * **Only successes are stored.** A failing check stores nothing and
-//!   returns the same [`ReceiptError`] as a cold [`Receipt::verify`]. A
-//!   verifier that has proved a certificate's signatures by other means
-//!   (the auditor's package validation) may seed it with
-//!   [`VerifiedCerts::insert_verified`] and [`BatchCertificate::proved`],
-//!   under the same key.
+//!   returns the same [`ReceiptError`] as a cold [`Receipt::verify`].
 //! * **Bounded, FIFO.** At capacity the oldest entry is evicted; an
 //!   evicted certificate is simply verified again.
 
@@ -391,15 +396,55 @@ impl Receipt {
         // Recompute Ḡ from this receipt's own witness (Alg. 3 lines 2–4).
         let root_g = self.implied_root_g()?;
         let Some(memo) = memo else {
-            return self.cert.check_signatures(config, &root_g);
+            return self.cert.signature_checks(config, &root_g)?.run();
         };
         let key = self.cert.memo_key(config, &root_g);
         if let Some(pp_digest) = memo.lookup(&key) {
             return Ok(pp_digest);
         }
-        let pp_digest = self.cert.check_signatures(config, &root_g)?;
+        let pp_digest = self.cert.signature_checks(config, &root_g)?.run()?;
         memo.insert(key, pp_digest);
         Ok(pp_digest)
+    }
+}
+
+/// One of Alg. 3's signature checks, with the refusal its failure reports.
+pub struct SigCheck {
+    /// The key, the signature and the bytes it must sign.
+    pub job: VerifyJob,
+    /// What the receipt fails as when this check does.
+    pub fails_as: ReceiptError,
+}
+
+impl SigCheck {
+    fn passes(&self) -> bool {
+        self.job.key.verify(&self.job.msg, &self.job.sig)
+    }
+}
+
+/// Alg. 3's signature checks over one certificate and implied `Ḡ`, in the
+/// order a one-at-a-time verifier meets them: the first failure is the
+/// verdict.
+pub struct SignatureChecks {
+    /// `H(pp_σp)` of the pre-prepare rebuilt around `Ḡ`, what the receipt
+    /// proves once every check passes.
+    pub pp_digest: Digest,
+    /// The primary's signature over that pre-prepare, then each backup's
+    /// prepare in rank order.
+    pub checks: Vec<SigCheck>,
+    /// A refusal met while building the prepares (a signer rank outside
+    /// the configuration). It ranks after the primary's check, which
+    /// `checks` then holds alone.
+    pub refused: Option<ReceiptError>,
+}
+
+impl SignatureChecks {
+    /// Run the checks one at a time, in order.
+    pub fn run(self) -> Result<Digest, ReceiptError> {
+        if let Some(failed) = self.checks.into_iter().find(|check| !check.passes()) {
+            return Err(failed.fails_as);
+        }
+        self.refused.map_or(Ok(self.pp_digest), Err)
     }
 }
 
@@ -444,64 +489,59 @@ impl BatchCertificate {
         config: &Configuration,
         pp_digest: &Digest,
     ) -> Result<(), ReceiptError> {
-        for (rank, job) in self.prepare_jobs(config, pp_digest)? {
-            if !job.key.verify(&job.msg, &job.sig) {
-                return Err(ReceiptError::BadPrepareSig(rank));
-            }
+        match self.prepare_checks(config, pp_digest)?.into_iter().find(|c| !c.passes()) {
+            Some(failed) => Err(failed.fails_as),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// The signature checks [`Self::check_prepares`] runs, with their
-    /// ranks, for a verifier that checks many at once (the auditor's
-    /// package validation): job `i` failing is `BadPrepareSig(rank_i)`.
-    pub fn prepare_jobs(
+    /// The checks [`Self::check_prepares`] runs, in rank order, each
+    /// failing as `BadPrepareSig(rank)`.
+    pub fn prepare_checks(
         &self,
         config: &Configuration,
         pp_digest: &Digest,
-    ) -> Result<Vec<(usize, VerifyJob)>, ReceiptError> {
+    ) -> Result<Vec<SigCheck>, ReceiptError> {
         self.prepares(config, pp_digest)?
             .into_iter()
             .map(|(rank, prepare)| {
                 let desc = config.replica_at_rank(rank).ok_or(ReceiptError::UnknownSigner(rank))?;
                 let msg = prepare.own_payload();
-                Ok((rank, VerifyJob { key: desc.key, msg, sig: prepare.sig }))
+                Ok(SigCheck {
+                    job: VerifyJob { key: desc.key, msg, sig: prepare.sig },
+                    fails_as: ReceiptError::BadPrepareSig(rank),
+                })
             })
             .collect()
     }
 
-    /// The signatures of Alg. 3: the primary's over the pre-prepare
-    /// rebuilt around `root_g`, then every backup's prepare. The caller has
-    /// run [`Self::check_shape`].
-    fn check_signatures(
+    /// The signatures of Alg. 3 over `root_g`, in order (see
+    /// [`SignatureChecks`]). The caller has run [`Self::check_shape`].
+    pub fn signature_checks(
         &self,
         config: &Configuration,
         root_g: &Digest,
-    ) -> Result<Digest, ReceiptError> {
-        let pp_payload = PrePrepare::signing_payload(&self.core, root_g);
-        let primary_key = config.replica_key(self.core.primary).ok_or(ReceiptError::WrongPrimary)?;
-        if !primary_key.verify(&pp_payload, &self.primary_sig) {
-            return Err(ReceiptError::BadPrimarySig);
-        }
+    ) -> Result<SignatureChecks, ReceiptError> {
+        let key = *config.replica_key(self.core.primary).ok_or(ReceiptError::WrongPrimary)?;
+        let msg = PrePrepare::signing_payload(&self.core, root_g);
         let pp_digest = PrePrepare::digest_from_parts(&self.core, root_g, &self.primary_sig);
-        self.check_prepares(config, &pp_digest)?;
-        Ok(pp_digest)
-    }
-
-    /// The [`VerifiedCerts`] entry for this certificate over `root_g` under
-    /// `config`, for a verifier that has itself passed every check the memo
-    /// elides: the primary's signature over the pre-prepare rebuilt around
-    /// `root_g` and [`Self::check_prepares`], under `config`'s keys. The
-    /// auditor's package validation is that verifier.
-    pub fn proved(&self, config: &Configuration, root_g: &Digest) -> ProvedCert {
-        ProvedCert {
-            key: self.memo_key(config, root_g),
-            pp_digest: PrePrepare::digest_from_parts(&self.core, root_g, &self.primary_sig),
-        }
+        let primary = SigCheck {
+            job: VerifyJob { key, msg, sig: self.primary_sig },
+            fails_as: ReceiptError::BadPrimarySig,
+        };
+        let mut checks = vec![primary];
+        let refused = match self.prepare_checks(config, &pp_digest) {
+            Ok(prepares) => {
+                checks.extend(prepares);
+                None
+            }
+            Err(why) => Some(why),
+        };
+        Ok(SignatureChecks { pp_digest, checks, refused })
     }
 
     /// The [`VerifiedCerts`] key: a digest of every byte
-    /// [`Self::check_signatures`] reads (module docs).
+    /// [`Self::signature_checks`] reads (module docs).
     fn memo_key(&self, config: &Configuration, root_g: &Digest) -> Digest {
         let mut buf = Vec::with_capacity(768);
         buf.extend_from_slice(b"ia-ccf/verified-cert");
@@ -530,18 +570,9 @@ impl BatchCertificate {
     }
 }
 
-/// One [`VerifiedCerts`] entry: a certificate's key and the `H(pp)` its
-/// signature checks return, made by [`BatchCertificate::proved`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProvedCert {
-    key: Digest,
-    pp_digest: Digest,
-}
-
 /// A bounded, success-only memo of batch certificates whose signature
 /// checks have passed, keyed by a digest of everything those checks read
-/// (module docs). One per verifier: the client keeps one for its
-/// lifetime, the auditor builds one per audit.
+/// (module docs). The client keeps one for its lifetime.
 #[derive(Debug)]
 pub struct VerifiedCerts {
     capacity: usize,
@@ -585,16 +616,6 @@ impl VerifiedCerts {
         self.verified.is_empty()
     }
 
-    /// Remember a certificate its verifier proved by other means (see
-    /// [`BatchCertificate::proved`]). The key is the one a receipt
-    /// computes, so only a receipt carrying that certificate byte for byte,
-    /// implying the same root, under the same keys, hits.
-    pub fn insert_verified(&mut self, proved: ProvedCert) {
-        if !self.verified.contains_key(&proved.key) {
-            self.insert(proved.key, proved.pp_digest);
-        }
-    }
-
     fn lookup(&mut self, key: &Digest) -> Option<Digest> {
         let found = self.verified.get(key).copied();
         match found {
@@ -613,8 +634,7 @@ impl VerifiedCerts {
                 self.verified.remove(&oldest);
             }
         }
-        // `insert` follows a failed `lookup` or a `contains_key` miss, so
-        // the key is new.
+        // `insert` follows a failed `lookup`, so the key is new.
         self.verified.insert(key, pp_digest);
         self.order.push_back(key);
     }
@@ -933,29 +953,49 @@ mod tests {
         assert_eq!((memo.hits(), memo.misses()), (1, 2));
     }
 
+    /// Alg. 3 as the auditor runs it: every check whose fingerprint is in
+    /// `proved` is skipped. Also returns how many checks ran.
+    fn verify_skipping(
+        receipt: &Receipt,
+        config: &Configuration,
+        proved: &std::collections::HashSet<Digest>,
+    ) -> (Result<Digest, ReceiptError>, usize) {
+        let checks = receipt.cert.check_shape(config).and_then(|()| {
+            let root_g = receipt.implied_root_g()?;
+            receipt.cert.signature_checks(config, &root_g)
+        });
+        let mut checks = match checks {
+            Ok(checks) => checks,
+            Err(why) => return (Err(why), 0),
+        };
+        checks.checks.retain(|check| !proved.contains(&check.job.fingerprint()));
+        let ran = checks.checks.len();
+        (checks.run(), ran)
+    }
+
     #[test]
-    fn a_seeded_certificate_answers_only_for_its_own_bytes_and_keys() {
+    fn a_proved_signature_answers_only_for_its_own_key_and_bytes() {
         let (config, receipts) = sample_receipts(4, 3);
-        let proved = receipts[0].cert.proved(&config, &receipts[0].implied_root_g().unwrap());
-        let mut memo = VerifiedCerts::new(4);
-        memo.insert_verified(proved);
-        memo.insert_verified(proved);
-        assert_eq!(memo.len(), 1, "seeding twice remembers once");
+        let root_g = receipts[0].implied_root_g().unwrap();
+        let checks = receipts[0].cert.signature_checks(&config, &root_g).unwrap();
+        let proved = checks.checks.iter().map(|check| check.job.fingerprint()).collect();
 
         let pp_digest = receipts[0].verify(&config).unwrap();
         for honest in &receipts {
-            assert_eq!(honest.verify_with(&config, &mut memo), Ok(pp_digest));
+            assert_eq!(verify_skipping(honest, &config, &proved), (Ok(pp_digest), 0));
         }
-        assert_eq!((memo.hits(), memo.misses()), (3, 0), "no signature was checked");
+        // The same signatures over the same bytes under another key of the
+        // signer's rank.
         let mut other_keys = config.clone();
         other_keys.replicas[1].key = ia_ccf_crypto::KeyPair::from_label("intruder").public();
         let cold = receipts[0].verify(&other_keys);
-        assert!(cold.is_err());
-        assert_eq!(receipts[0].verify_with(&other_keys, &mut memo), cold);
+        assert_eq!(cold, Err(ReceiptError::BadPrepareSig(1)));
+        assert_eq!(verify_skipping(&receipts[0], &other_keys, &proved).0, cold);
+        // Every field: a nonce changes the bytes its backup's signature is
+        // checked over, the rest the pre-prepare's.
         for (name, mutated) in single_field_mutations(&receipts[0]) {
-            assert_eq!(mutated.verify_with(&config, &mut memo), mutated.verify(&config), "{name}");
+            assert_eq!(verify_skipping(&mutated, &config, &proved).0, mutated.verify(&config), "{name}");
         }
-        assert_eq!(memo.hits(), 3, "only the seeded bytes hit");
     }
 
     #[test]
