@@ -11,6 +11,17 @@
 //! seed's. Governance receipts for served chains are reconstructed from
 //! the in-ledger evidence entries.
 //!
+//! One loop, `replay_segments`, replays a whole ledger
+//! ([`Replica::bootstrap`]), a restart's disk run and each sync page. It
+//! proves the run's pre-prepare signatures first, in combined equations
+//! chunked over the worker pool (§3.4 parallelises signature
+//! verification), then applies the segments in order. A segment is taken
+//! without a second check only when its signature was proven under the key
+//! its configuration names at replay time; one whose job failed, or whose
+//! key a reconfiguration earlier in the run changed, is checked singly. A
+//! refusal is therefore the single checks' `BootstrapError` at the same
+//! seq, with the same prefix applied.
+//!
 //! **Obtaining** the ledger is the resumable `FetchLedgerPage` protocol
 //! ([`LedgerSyncState`]): the recovering replica requests bounded pages
 //! (continuation token = next batch sequence number), replays every
@@ -47,6 +58,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use ia_ccf_crypto::{verify_batch_indices_on, VerifyJob, VERIFY_MIN_CHUNK};
 use ia_ccf_ledger::segment::{segment_complete_prefix, segment_entries, Segment};
 use ia_ccf_ledger::Ledger;
 use ia_ccf_merkle::MerkleTree;
@@ -199,21 +211,84 @@ impl Replica {
     ) -> Result<(), BootstrapError> {
         let segments = segment_entries(entries, base)
             .map_err(|e| BootstrapError::Malformed(e.to_string()))?;
-        for seg in &segments {
-            self.replay_segment(seg, entries)?;
+        self.replay_segments(&segments, entries)
+    }
+
+    /// The one replay loop — a whole ledger, a restart's disk run, a sync
+    /// page: prove the batch segments' pre-prepare signatures in combined
+    /// equations first, then validate and apply the segments in order. The
+    /// first refusal stops the loop with exactly the prefix before it
+    /// applied, as one single check per segment would leave it.
+    fn replay_segments(
+        &mut self,
+        segs: &[Segment],
+        entries: &[LedgerEntry],
+    ) -> Result<(), BootstrapError> {
+        let proven = self.prove_pre_prepare_sigs(segs, entries);
+        for (seg, key) in segs.iter().zip(&proven) {
+            self.replay_segment(seg, entries, key.as_ref())?;
         }
         Ok(())
+    }
+
+    /// The pre-pass, which only reads: per segment, the key its
+    /// pre-prepare's signature is proven under, checked on the pool in
+    /// [`ia_ccf_crypto::verify_batch_indices_on`]'s chunks under each
+    /// sequence number's configuration as known now. `None` for a segment
+    /// that is not a batch, names no key, or whose signature failed (the
+    /// failed indices are exactly the single checks' verdicts) or was not
+    /// reached.
+    ///
+    /// The jobs go in windows that double, from one minimum chunk per
+    /// worker, and a window is checked only when every earlier one passed.
+    /// A failed window falls back to single checks for each of its jobs,
+    /// so a page of forgeries costs singles over at most one window past
+    /// the signatures it proved, never over the whole page; an honest run
+    /// pays a few more, smaller equations.
+    fn prove_pre_prepare_sigs(
+        &self,
+        segs: &[Segment],
+        entries: &[LedgerEntry],
+    ) -> Vec<Option<PublicKey>> {
+        let mut jobs = Vec::new();
+        let job_of: Vec<Option<usize>> = segs
+            .iter()
+            .map(|seg| {
+                let Segment::Batch { pp_at, seq, .. } = seg else {
+                    return None;
+                };
+                let LedgerEntry::PrePrepare(pp) = &entries[*pp_at] else {
+                    unreachable!("segmenter guarantees");
+                };
+                let key = *self.config_for_seq(*seq).replica_key(pp.core.primary)?;
+                let msg = PrePrepare::signing_payload(&pp.core, &pp.root_g);
+                jobs.push(VerifyJob { key, msg, sig: pp.sig });
+                Some(jobs.len() - 1)
+            })
+            .collect();
+        let (mut checked, mut window) = (0, VERIFY_MIN_CHUNK * self.pool.threads());
+        let mut failed = Vec::new();
+        while checked < jobs.len() && failed.is_empty() {
+            let end = jobs.len().min(checked + window);
+            failed = verify_batch_indices_on(&self.pool, &jobs[checked..end]);
+            failed.iter_mut().for_each(|i| *i += checked);
+            (checked, window) = (end, 2 * window);
+        }
+        let proven = |i: &usize| *i < checked && failed.binary_search(i).is_err();
+        job_of.into_iter().map(|job| job.filter(proven).map(|i| jobs[i].key)).collect()
     }
 
     /// Validate and apply one ledger segment, updating the frontiers
     /// incrementally. **Atomic**: on any error the segment's partial
     /// effects (evidence appends, execution state) are rolled back before
     /// the error propagates, so a paged sync can fail over to another
-    /// server with a clean applied prefix.
-    pub(crate) fn replay_segment(
+    /// server with a clean applied prefix. `proven`: the key the
+    /// pre-pass proved a batch's pre-prepare signature under, if any.
+    fn replay_segment(
         &mut self,
         seg: &Segment,
         entries: &[LedgerEntry],
+        proven: Option<&PublicKey>,
     ) -> Result<(), BootstrapError> {
         match seg {
             Segment::Genesis { .. } => {
@@ -239,9 +314,11 @@ impl Replica {
                 let LedgerEntry::PrePrepare(pp) = &entries[*pp_at] else {
                     unreachable!("segmenter guarantees");
                 };
-                // Verify the primary's signature under the batch's
-                // configuration — before any state is touched.
-                if !signed_by_view_primary(self.config_for_seq(*seq), pp) {
+                // The primary's signature under the batch's configuration
+                // as it stands now — before any state is touched. A proof
+                // under another key (the configuration changed since the
+                // pre-pass) is checked again, singly.
+                if !signed_by_view_primary(self.config_for_seq(*seq), pp, proven) {
                     return Err(BootstrapError::BadPrePrepareSig(*seq));
                 }
 
@@ -551,7 +628,7 @@ impl Replica {
         }
         // Signature under the active configuration (the fast-path is
         // only offered for single-configuration histories).
-        if !signed_by_view_primary(self.gov.active(), &pp) {
+        if !signed_by_view_primary(self.gov.active(), &pp, None) {
             return Err("seed pre-prepare signature invalid");
         }
         // The transaction run must carry contiguous indices ending at the
@@ -807,16 +884,12 @@ impl Replica {
             if done {
                 let segs = segment_entries(&buffered, base)
                     .map_err(|e| BootstrapError::Malformed(e.to_string()))?;
-                for seg in &segs {
-                    self.replay_segment(seg, &buffered)?;
-                }
+                self.replay_segments(&segs, &buffered)?;
                 buffered.clear();
             } else {
                 let (segs, consumed) = segment_complete_prefix(&buffered, base)
                     .map_err(|e| BootstrapError::Malformed(e.to_string()))?;
-                for seg in &segs {
-                    self.replay_segment(seg, &buffered)?;
-                }
+                self.replay_segments(&segs, &buffered)?;
                 buffered.drain(..consumed);
             }
             Ok(())
@@ -900,6 +973,91 @@ impl Replica {
         let next = untried.or_else(|| peers.iter().find(|id| **id != current)).or(peers.first());
         if let Some(&next) = next {
             self.start_paging(next, paused);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use ia_ccf_crypto::batch::verify_chunk_len;
+    use ia_ccf_crypto::VERIFY_MIN_CHUNK;
+    use ia_ccf_ledger::segment::{segment_entries, Segment};
+    use ia_ccf_types::{Digest, LedgerEntry, SeqNum};
+
+    use super::BootstrapError;
+    use crate::params::ProtocolParams;
+    use crate::replica::Replica;
+    use crate::test_bus::Bus;
+
+
+    /// `entries` with one bit flipped in the pre-prepare signature of each
+    /// segment listed in `forged`.
+    fn forge(entries: &[LedgerEntry], segs: &[Segment], forged: &[usize]) -> Vec<LedgerEntry> {
+        let mut out = entries.to_vec();
+        for &k in forged {
+            let Segment::Batch { pp_at, .. } = segs[k] else { panic!("not a batch segment") };
+            let LedgerEntry::PrePrepare(pp) = &mut out[pp_at] else { unreachable!("a batch") };
+            pp.sig.0[0] ^= 1;
+        }
+        out
+    }
+
+    /// A replay's verdict, and the ledger length and request bodies it
+    /// left behind.
+    type Outcome = (Result<(), BootstrapError>, u64, Vec<Digest>);
+
+    fn outcome(replica: &Replica, verdict: Result<(), BootstrapError>) -> Outcome {
+        let mut bodies: Vec<Digest> = replica.req_store.keys().copied().collect();
+        bodies.sort_unstable();
+        (verdict, replica.ledger.len(), bodies)
+    }
+
+    /// Wherever forgeries sit against the pre-pass's chunks and windows, a
+    /// replay gives what one segment at a time with a single check each
+    /// gave: the same `BadPrePrepareSig` at the same seq, the same prefix
+    /// applied and the same bodies kept. On four workers the first window
+    /// holds every job, cut into chunks of `VERIFY_MIN_CHUNK`; on one, the
+    /// first window is one such chunk and the second holds the rest.
+    #[test]
+    fn replay_refuses_where_single_checks_refuse() {
+        let mut bus = Bus::new(1);
+        for _ in 0..40 {
+            bus.submit();
+        }
+        bus.run_until_committed(SeqNum(40));
+        let ledger = bus.replicas[0].ledger.entries()[1..].to_vec();
+        let segs = segment_entries(&ledger, 1).expect("an honest ledger segments");
+        assert!(segs.iter().all(|seg| matches!(seg, Segment::Batch { .. })));
+        let edge = VERIFY_MIN_CHUNK;
+        assert_eq!(verify_chunk_len(segs.len(), 4), edge);
+        assert!(segs.len() > edge + 2, "{} jobs fit one chunk", segs.len());
+
+        let last = segs.len() - 1;
+        let rows: [(&str, Vec<usize>); 6] = [
+            ("honest", vec![]),
+            ("the first segment", vec![0]),
+            ("one past the first chunk", vec![edge]),
+            ("the last segment of the page", vec![last]),
+            ("two forgeries, the earlier wins", vec![edge + 2, 3]),
+            ("honest segments sharing the forgery's failed chunk replay", vec![edge - 1]),
+        ];
+        for threads in [1, 4] {
+            let params = ProtocolParams { pool_threads: threads, ..bus.replicas[0].params.clone() };
+            for (row, forged) in &rows {
+                let entries = forge(&ledger, &segs, forged);
+                let mut subject = bus.spare(params.clone());
+                let verdict = subject.replay_entries(&entries, 1);
+                let got = outcome(&subject, verdict);
+                // The rule before the pre-pass: one segment at a time, each
+                // pre-prepare checked singly.
+                let mut reference = bus.spare(params.clone());
+                let verdict =
+                    segs.iter().try_for_each(|seg| reference.replay_segment(seg, &entries, None));
+                assert_eq!(got, outcome(&reference, verdict), "{row}, {threads} threads");
+                let first = forged.iter().min().map(|&k| segs[k].seq().expect("a batch"));
+                let want = first.map_or(Ok(()), |s| Err(BootstrapError::BadPrePrepareSig(s)));
+                assert_eq!(got.0, want, "{row}, {threads} threads");
+            }
         }
     }
 }

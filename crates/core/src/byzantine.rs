@@ -75,6 +75,11 @@ pub enum Fault {
         /// The sequence number the server pretends the ledger ends at.
         claim: SeqNum,
     },
+    /// Serve ledger pages with one forged signature each: the first
+    /// pre-prepare of every outgoing `FetchLedgerPageResponse` has one bit
+    /// of its signature flipped. A recovering replica's replay refuses it
+    /// (`BadPrePrepareSig`) and must fail over to an honest server.
+    ForgeLedgerPageSig,
     /// A primary that does not check what it proposes: every request in
     /// its queue counts as verified, so a forged body — a governance
     /// action "from member 0" under a random key, say — is ordered,
@@ -183,6 +188,30 @@ impl ByzantineReplica {
                             done: false,
                         },
                     ),
+                    other => other,
+                })
+                .collect(),
+            Fault::ForgeLedgerPageSig => outs
+                .into_iter()
+                .map(|o| match o {
+                    Output::SendReplica(
+                        to,
+                        ProtocolMsg::FetchLedgerPageResponse { mut entries, next_seq, done },
+                    ) => {
+                        for bytes in &mut entries {
+                            if let Ok(LedgerEntry::PrePrepare(mut pp)) =
+                                LedgerEntry::from_bytes(bytes)
+                            {
+                                pp.sig.0[0] ^= 1;
+                                *bytes = LedgerEntry::PrePrepare(pp).to_bytes();
+                                break;
+                            }
+                        }
+                        Output::SendReplica(
+                            to,
+                            ProtocolMsg::FetchLedgerPageResponse { entries, next_seq, done },
+                        )
+                    }
                     other => other,
                 })
                 .collect(),

@@ -36,6 +36,8 @@ pub mod pipeline;
 pub mod reconfig;
 pub mod replica;
 pub mod seedfile;
+#[cfg(test)]
+mod test_bus;
 pub mod viewchange;
 
 pub use app::{App, AppError, NullApp};

@@ -241,10 +241,10 @@ impl Replica {
             return;
         }
         let next_seq = self.seq_next.next();
-        let candidates: Vec<Digest> = if let Some((_, batch)) = self
+        let candidates: Vec<Digest> = if let Some((_, batch, _)) = self
             .stashed_pps
             .iter()
-            .find(|(pp, _)| pp.seq() == next_seq && pp.view() == self.view)
+            .find(|(pp, ..)| pp.seq() == next_seq && pp.view() == self.view)
         {
             batch.clone()
         } else if self.is_primary() {
@@ -323,12 +323,19 @@ impl Replica {
         taken
     }
 
-    pub(crate) fn stash_pp(&mut self, pp: PrePrepare, batch: Vec<Digest>) {
-        if self.stashed_pps.iter().any(|(p, _)| p.seq() == pp.seq() && p.view() == pp.view()) {
+    /// Hold `pp` for a retry, with the key its signature was proven under
+    /// (`None` when it was stashed before the check).
+    pub(crate) fn stash_pp(
+        &mut self,
+        pp: PrePrepare,
+        batch: Vec<Digest>,
+        proven: Option<PublicKey>,
+    ) {
+        if self.stashed_pps.iter().any(|(p, ..)| p.seq() == pp.seq() && p.view() == pp.view()) {
             return;
         }
         if self.stashed_pps.len() < 1024 {
-            self.stashed_pps.push((pp, batch));
+            self.stashed_pps.push((pp, batch, proven));
         }
     }
 
@@ -337,10 +344,10 @@ impl Replica {
             return;
         }
         let stashed = std::mem::take(&mut self.stashed_pps);
-        for (pp, batch) in stashed {
+        for (pp, batch, proven) in stashed {
             if pp.seq() >= self.seq_next && pp.view() == self.view {
                 let sender = pp.core.primary;
-                self.on_pre_prepare(sender, pp, batch);
+                self.on_pre_prepare(sender, pp, batch, proven);
             }
         }
     }
@@ -348,152 +355,16 @@ impl Replica {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::VecDeque;
-    use std::sync::Arc;
+    use ia_ccf_types::{LedgerEntry, LedgerIdx, ReplicaId, Request, SeqNum, SignedRequest};
 
-    use ia_ccf_types::config::testutil::test_config;
-    use ia_ccf_types::{
-        ClientId, KeyPair, LedgerEntry, LedgerIdx, ProtocolMsg, ReplicaId, Request, RequestAction,
-        SeqNum, SignedRequest,
-    };
-
-    use crate::app::CounterApp;
     use crate::bootstrap::BootstrapError;
-    use crate::events::{Input, NodeId, Output};
-    use crate::params::ProtocolParams;
-    use crate::replica::Replica;
+    use crate::test_bus::Bus;
 
-    const CLIENT: ClientId = ClientId(1000);
-
-    /// Four replicas on a FIFO bus, just enough of a cluster to commit
-    /// batches and change views inside this crate.
-    struct Bus {
-        replicas: Vec<Replica>,
-        queue: VecDeque<(ReplicaId, NodeId, ProtocolMsg)>,
-        crashed: Option<ReplicaId>,
-        drop_commits: bool,
-        client_key: KeyPair,
-        next_req_id: u64,
-    }
-
-    impl Bus {
-        fn new(batch_max: usize) -> Bus {
-            let (genesis, replica_keys, _) = test_config(4);
-            let client_key = KeyPair::from_label("client-0");
-            let params = ProtocolParams {
-                batch_max,
-                view_timeout_ticks: 8,
-                pool_threads: 1,
-                ..ProtocolParams::default()
-            };
-            let replicas = replica_keys
-                .into_iter()
-                .enumerate()
-                .map(|(rank, key)| {
-                    Replica::new(
-                        ReplicaId(rank as u32),
-                        key,
-                        genesis.clone(),
-                        Arc::new(CounterApp),
-                        params.clone(),
-                        [(CLIENT, client_key.public())],
-                    )
-                    .expect("build replica")
-                })
-                .collect();
-            Bus {
-                replicas,
-                queue: VecDeque::new(),
-                crashed: None,
-                drop_commits: false,
-                client_key,
-                next_req_id: 1,
-            }
-        }
-
-        fn submit(&mut self) {
-            let request = SignedRequest::sign(
-                Request {
-                    action: RequestAction::App {
-                        proc: CounterApp::INCR,
-                        args: format!("k{}", self.next_req_id % 3).into_bytes(),
-                    },
-                    client: CLIENT,
-                    gt_hash: self.replicas[0].gt_hash(),
-                    min_index: LedgerIdx(0),
-                    req_id: self.next_req_id,
-                },
-                &self.client_key,
-            );
-            self.next_req_id += 1;
-            for to in 0..4 {
-                let msg = ProtocolMsg::Request(request.clone());
-                self.queue.push_back((ReplicaId(to), NodeId::Client(CLIENT), msg));
-            }
-        }
-
-        fn route(&mut self, from: ReplicaId, outputs: Vec<Output>) {
-            for out in outputs {
-                match out {
-                    Output::SendReplica(to, msg) => {
-                        self.queue.push_back((to, NodeId::Replica(from), msg));
-                    }
-                    Output::BroadcastReplicas(msg) => {
-                        for to in (0..4).map(ReplicaId).filter(|to| *to != from) {
-                            self.queue.push_back((to, NodeId::Replica(from), msg.clone()));
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-
-        fn drain(&mut self) {
-            let crashed = self.crashed;
-            while let Some((to, from, msg)) = self.queue.pop_front() {
-                let from_crashed = matches!(from, NodeId::Replica(r) if crashed == Some(r));
-                if crashed == Some(to) || from_crashed {
-                    continue;
-                }
-                if self.drop_commits && matches!(msg, ProtocolMsg::Commit(_)) {
-                    continue;
-                }
-                let outputs = self.replicas[to.0 as usize].handle(Input::Message { from, msg });
-                self.route(to, outputs);
-            }
-        }
-
-        /// Deliver to quiescence, tick every live replica, deliver again.
-        fn round(&mut self) {
-            self.drain();
-            let crashed = self.crashed;
-            for id in (0..4).map(ReplicaId).filter(|id| crashed != Some(*id)) {
-                let outputs = self.replicas[id.0 as usize].handle(Input::Tick);
-                self.route(id, outputs);
-            }
-            self.drain();
-        }
-
-        fn live(&self) -> impl Iterator<Item = &Replica> {
-            self.replicas.iter().filter(|r| self.crashed != Some(r.id()))
-        }
-
-        fn run_until_committed(&mut self, seq: SeqNum) {
-            for _ in 0..200 {
-                if self.live().all(|r| r.committed_up_to() >= seq) {
-                    return;
-                }
-                self.round();
-            }
-            panic!("batch {seq:?} did not commit on every live replica");
-        }
-
-        fn assert_no_executed_request_is_cached(&self) {
-            for r in self.live() {
-                assert!(!r.executed_reqs.is_empty());
-                let stale = r.verified_reqs.intersection(&r.executed_reqs).count();
-                assert_eq!(stale, 0, "replica {:?} still caches executed requests", r.id());
-            }
+    fn assert_no_executed_request_is_cached(bus: &Bus) {
+        for r in bus.live() {
+            assert!(!r.executed_reqs.is_empty());
+            let stale = r.verified_reqs.intersection(&r.executed_reqs).count();
+            assert_eq!(stale, 0, "replica {:?} still caches executed requests", r.id());
         }
     }
 
@@ -504,7 +375,7 @@ mod tests {
             bus.submit();
         }
         bus.run_until_committed(SeqNum(10));
-        bus.assert_no_executed_request_is_cached();
+        assert_no_executed_request_is_cached(&bus);
         for r in bus.live() {
             assert_eq!(r.executed_reqs.len(), 40);
         }
@@ -529,18 +400,7 @@ mod tests {
             })
             .collect();
         assert_eq!(requests.len(), 12);
-        let spare = || {
-            let (genesis, mut replica_keys, _) = test_config(4);
-            Replica::new(
-                ReplicaId(3),
-                replica_keys.remove(3),
-                genesis,
-                Arc::new(CounterApp),
-                bus.replicas[0].params.clone(),
-                [(CLIENT, bus.client_key.public())],
-            )
-            .expect("build replica")
-        };
+        let spare = || bus.spare(bus.replicas[0].params.clone());
 
         // The requests reached this replica from their client and were
         // verified (a prewarm pass, a batch it later rolled back) before it
@@ -609,7 +469,7 @@ mod tests {
             assert_eq!(r.prepared_up_to(), SeqNum(2));
             assert_eq!(r.committed_up_to(), SeqNum(1));
         }
-        bus.assert_no_executed_request_is_cached();
+        assert_no_executed_request_is_cached(&bus);
 
         // The primary fails; the survivors roll batch 2 back, and the new
         // primary proposes it again: the backups must check its
@@ -621,6 +481,6 @@ mod tests {
             assert!(r.view().0 >= 1, "the view must have changed");
             assert_eq!(r.executed_reqs.len(), 8);
         }
-        bus.assert_no_executed_request_is_cached();
+        assert_no_executed_request_is_cached(&bus);
     }
 }

@@ -18,8 +18,9 @@ use std::collections::BTreeMap;
 
 use ia_ccf_types::{
     evidence_target, lowest_ranked_quorum, BatchCertificate, BatchKind, Commit, Configuration,
-    Digest, LedgerEntry, Nonce, PrePrepare, PrePrepareCore, Prepare, ProtocolMsg, ReplicaBitmap,
-    ReplicaId, RequestAction, SeqNum, Signature, SignedRequest, SystemOp, TxLedgerEntry, View,
+    Digest, LedgerEntry, Nonce, PrePrepare, PrePrepareCore, Prepare, ProtocolMsg, PublicKey,
+    ReplicaBitmap, ReplicaId, RequestAction, SeqNum, Signature, SignedRequest, SystemOp,
+    TxLedgerEntry, View,
 };
 
 use crate::pipeline::admission::BatchVerify;
@@ -66,11 +67,24 @@ pub(crate) enum Refused {
 /// Whether `pp` names the primary of its view under `config` (its
 /// sequence number's configuration) and carries that replica's signature
 /// — asked of every pre-prepare before it touches state, and of every one
-/// a view-change reports.
-pub(crate) fn signed_by_view_primary(config: &Configuration, pp: &PrePrepare) -> bool {
+/// a view-change reports. `proven` is the key this exact pre-prepare's
+/// signature was already proven under (a replay pre-pass, a stashed
+/// check), if any: the check is skipped only when that is the key
+/// `config` names for the primary, and runs singly otherwise.
+pub(crate) fn signed_by_view_primary(
+    config: &Configuration,
+    pp: &PrePrepare,
+    proven: Option<&PublicKey>,
+) -> bool {
+    let primary = pp.core.primary;
+    if config.primary_of(pp.view()) != primary {
+        return false;
+    }
+    if proven.is_some() && proven == config.replica_key(primary) {
+        return true;
+    }
     let payload = PrePrepare::signing_payload(&pp.core, &pp.root_g);
-    config.primary_of(pp.view()) == pp.core.primary
-        && verify_replica_payload(config, pp.core.primary, &payload, &pp.sig)
+    verify_replica_payload(config, primary, &payload, &pp.sig)
 }
 
 /// The checkpoint `req` marks, when it is a checkpoint mark.
@@ -401,7 +415,16 @@ impl Replica {
     // Backup: receivePrePrepare (Alg. 1 line 15).
     // ------------------------------------------------------------------
 
-    pub(crate) fn on_pre_prepare(&mut self, sender: ReplicaId, pp: PrePrepare, batch: Vec<Digest>) {
+    /// `proven`: the key this pre-prepare's signature was proven under
+    /// when it was stashed (see [`signed_by_view_primary`]); `None` off
+    /// the wire.
+    pub(crate) fn on_pre_prepare(
+        &mut self,
+        sender: ReplicaId,
+        pp: PrePrepare,
+        batch: Vec<Digest>,
+        proven: Option<PublicKey>,
+    ) {
         let config = self.gov.active().clone();
         if config.primary_of(self.view) == self.id {
             return; // primaries don't take pre-prepares
@@ -415,7 +438,7 @@ impl Replica {
         if pp.seq() != self.seq_next {
             // Out of order: stash future, ignore past.
             if pp.seq() > self.seq_next {
-                self.stash_pp(pp, batch);
+                self.stash_pp(pp, batch, None);
             }
             return;
         }
@@ -426,9 +449,11 @@ impl Replica {
         // batching where it matters), then the carrier clause: evidence for
         // any batch but `s − P`, or none above `P`, is dropped like a bad
         // signature.
-        if !signed_by_view_primary(&config, &pp) {
+        if !signed_by_view_primary(&config, &pp, proven.as_ref()) {
             return;
         }
+        // A stash below keeps the key, so the retry does not check again.
+        let proven = config.replica_key(pp.core.primary).copied();
         let Ok(target) = evidence_target(&pp.core, self.pipeline_depth()) else {
             return;
         };
@@ -437,7 +462,7 @@ impl Replica {
             batch.iter().filter(|h| !self.req_store.contains_key(*h)).copied().collect();
         if !missing.is_empty() {
             self.send_replica(sender, ProtocolMsg::FetchRequests { hashes: missing });
-            self.stash_pp(pp, batch);
+            self.stash_pp(pp, batch, proven);
             return;
         }
         // hasEvidence (Alg. 1 line 17): the certificate the bitmap names,
@@ -451,7 +476,7 @@ impl Replica {
                 // fetch from the primary, which is guaranteed to have the
                 // messages (§3.1).
                 self.send_replica(sender, ProtocolMsg::FetchEvidence { seq: target });
-                self.stash_pp(pp, batch);
+                self.stash_pp(pp, batch, proven);
                 return;
             };
             if cert.check_shape(self.config_for_seq(target)).is_err() {
@@ -752,5 +777,39 @@ impl Replica {
         let pp_digest = self.msgs.slot(target, view)?.pp_digest?;
         let (prepares, nonces) = cert.to_evidence(self.config_for_seq(target), &pp_digest)?;
         Some((cert, EvidenceSet { seq: target, prepares, nonces }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use ia_ccf_types::config::testutil::test_config;
+    use ia_ccf_types::messages::testutil::test_pp;
+    use ia_ccf_types::KeyPair;
+
+    use super::signed_by_view_primary;
+
+    /// A proof stands only under the key the configuration names for the
+    /// view's primary; under any other key the check runs singly, and the
+    /// primary clause comes first either way.
+    #[test]
+    fn a_proven_signature_is_tied_to_its_key() {
+        let (config, keys, _) = test_config(4);
+        let named = keys[0].public();
+        let other = KeyPair::from_label("not-replica-0");
+        let honest = test_pp(0, 3, &keys[0]);
+        let foreign = test_pp(0, 3, &other);
+        let wrong_primary = test_pp(1, 3, &keys[0]);
+        let foreign_key = other.public();
+        let rows = [
+            ("valid only under another key, proven under it", &foreign, Some(&foreign_key), false),
+            ("valid only under another key, unproven", &foreign, None, false),
+            ("honest, proven under the named key", &honest, Some(&named), true),
+            ("honest, unproven", &honest, None, true),
+            ("honest, proven under another key", &honest, Some(&foreign_key), true),
+            ("not the view's primary, proven", &wrong_primary, Some(&named), false),
+        ];
+        for (row, pp, proven, accepted) in rows {
+            assert_eq!(signed_by_view_primary(&config, pp, proven), accepted, "{row}");
+        }
     }
 }

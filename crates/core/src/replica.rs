@@ -150,8 +150,10 @@ pub struct Replica {
     /// `crate::bootstrap`; the transfer's own state is `Status::Recovery`).
     pub(crate) sync_report: crate::bootstrap::SyncReport,
 
-    // Stashed pre-prepares waiting for request bodies.
-    pub(crate) stashed_pps: Vec<(PrePrepare, Vec<Digest>)>,
+    // Stashed pre-prepares waiting for their slot, request bodies or
+    // evidence, each with the key its signature was proven under (`None`
+    // when stashed before the check).
+    pub(crate) stashed_pps: Vec<(PrePrepare, Vec<Digest>, Option<PublicKey>)>,
 
     // Timers.
     pub(crate) tick: u64,
@@ -555,7 +557,7 @@ impl Replica {
         match (from, msg) {
             (_, ProtocolMsg::Request(req)) => self.on_request(req),
             (NodeId::Replica(sender), ProtocolMsg::PrePrepare { pp, batch }) => {
-                self.on_pre_prepare(sender, pp, batch)
+                self.on_pre_prepare(sender, pp, batch, None)
             }
             (_, ProtocolMsg::Prepare(p)) => self.on_prepare(p),
             (NodeId::Replica(sender), ProtocolMsg::Commit(c)) => self.on_commit(sender, c),

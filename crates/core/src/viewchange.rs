@@ -75,7 +75,7 @@ pub fn check_view_change(config: &Configuration, vc: &ViewChange) -> Result<(), 
     if !verify_replica_payload(config, vc.replica, &vc.own_payload(), &vc.sig) {
         return Err(Refused::BadSignature(vc.replica));
     }
-    if !vc.pps.iter().all(|pp| signed_by_view_primary(config, pp)) {
+    if !vc.pps.iter().all(|pp| signed_by_view_primary(config, pp, None)) {
         return Err(Refused::UnsignedPrePrepare(vc.replica));
     }
     if let Some(last) = vc.pps.last() {

@@ -11,7 +11,7 @@
 //! through the paged state transfer must end with a ledger and KV digest
 //! byte-identical to a replica that never crashed — and must detect and
 //! fail over from Byzantine page servers (truncated pages, stalled
-//! pages) to an honest one.
+//! pages, forged pre-prepare signatures) to an honest one.
 
 use std::sync::Arc;
 
@@ -228,6 +228,18 @@ fn stalled_pages_are_detected_and_failed_over() {
     assert!(
         report.failovers >= 1,
         "the stalling server must be abandoned: {report:?}"
+    );
+}
+
+/// A server whose pages carry a forged pre-prepare signature: the page's
+/// pre-pass fails that job, its single check refuses it, and the sync
+/// abandons the server.
+#[test]
+fn forged_page_signatures_are_detected_and_failed_over() {
+    let report = recover_from_byzantine_server(Fault::ForgeLedgerPageSig);
+    assert!(
+        report.failovers >= 1,
+        "the forging server must be abandoned: {report:?}"
     );
 }
 

@@ -12,7 +12,7 @@ use ia_ccf::core::{Input, NodeId, ProtocolParams, Replica};
 use ia_ccf_sim::{ClusterSpec, DetCluster};
 use ia_ccf_types::{
     ClientId, Configuration, GovAction, KeyPair, LedgerIdx, MemberDesc, MemberId, ProtocolMsg,
-    ReplicaDesc, ReplicaId, Request, RequestAction, SeqNum, SignedRequest,
+    ReplicaDesc, ReplicaId, Request, RequestAction, SeqNum, SignedRequest, Wire,
 };
 
 /// Build the next configuration: same members plus member 4, who operates
@@ -376,4 +376,26 @@ fn referendum_removes_a_replica_that_retires_once() {
     // The survivors agree, replica 4 included.
     cluster.crash(removed);
     cluster.assert_ledgers_consistent();
+
+    // A replica that replays this whole history — both switches inside one
+    // run, so the replay pre-pass proves every pre-prepare under the
+    // genesis keys — holds a survivor's bytes.
+    let survivor = cluster.replica(ReplicaId(0));
+    let entries = survivor.ledger().entries().to_vec();
+    let replayed = Replica::bootstrap(
+        ReplicaId(4),
+        KeyPair::from_label("replica-4"),
+        Arc::new(CounterApp),
+        ProtocolParams::default(),
+        spec.client_keys(),
+        &entries,
+    )
+    .expect("bootstrap replays both reconfigurations");
+    assert_eq!(replayed.active_config().number, 2);
+    assert_eq!(replayed.ledger().len(), survivor.ledger().len());
+    for (i, entry) in entries.iter().enumerate() {
+        let at = LedgerIdx(i as u64);
+        assert_eq!(replayed.ledger().entry(at).map(Wire::to_bytes), Some(entry.to_bytes()), "{i}");
+    }
+    assert_eq!(replayed.kv().digest(), survivor.kv().digest());
 }
