@@ -16,6 +16,8 @@
 //!   checkpoint interval, and punishes the members operating blamed
 //!   replicas (via the configuration's operator endorsements).
 
+#![forbid(unsafe_code)]
+
 pub mod auditor;
 pub mod enforcer;
 pub mod package;

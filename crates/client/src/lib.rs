@@ -22,6 +22,8 @@
 //! [`Client::on_message`], drain sends with [`Client::poll_send`], collect
 //! finished transactions with [`Client::take_completed`].
 
+#![forbid(unsafe_code)]
+
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 

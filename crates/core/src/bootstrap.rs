@@ -250,7 +250,7 @@ impl Replica {
         segs: &[Segment],
         entries: &[LedgerEntry],
     ) -> Vec<Option<PublicKey>> {
-        let mut jobs = Vec::new();
+        let (mut jobs, mut keys) = (Vec::new(), Vec::new());
         let job_of: Vec<Option<usize>> = segs
             .iter()
             .map(|seg| {
@@ -263,19 +263,22 @@ impl Replica {
                 let key = *self.config_for_seq(*seq).replica_key(pp.core.primary)?;
                 let msg = PrePrepare::signing_payload(&pp.core, &pp.root_g);
                 jobs.push(VerifyJob { key, msg, sig: pp.sig });
-                Some(jobs.len() - 1)
+                keys.push(key);
+                Some(keys.len() - 1)
             })
             .collect();
+        let mut jobs = jobs.into_iter();
         let (mut checked, mut window) = (0, VERIFY_MIN_CHUNK * self.pool.threads());
         let mut failed = Vec::new();
-        while checked < jobs.len() && failed.is_empty() {
-            let end = jobs.len().min(checked + window);
-            failed = verify_batch_indices_on(&self.pool, &jobs[checked..end]);
+        while checked < keys.len() && failed.is_empty() {
+            let part: Vec<VerifyJob> = jobs.by_ref().take(window).collect();
+            let end = checked + part.len();
+            failed = verify_batch_indices_on(&self.pool, part);
             failed.iter_mut().for_each(|i| *i += checked);
             (checked, window) = (end, 2 * window);
         }
         let proven = |i: &usize| *i < checked && failed.binary_search(i).is_err();
-        job_of.into_iter().map(|job| job.filter(proven).map(|i| jobs[i].key)).collect()
+        job_of.into_iter().map(|job| job.filter(proven).map(|i| keys[i])).collect()
     }
 
     /// Validate and apply one ledger segment, updating the frontiers

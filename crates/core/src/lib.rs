@@ -24,6 +24,8 @@
 //! deterministic simulator in `ia-ccf-sim`. Byzantine behaviours for tests
 //! and audit demonstrations are in [`byzantine`].
 
+#![forbid(unsafe_code)]
+
 pub mod app;
 pub mod bootstrap;
 pub mod byzantine;

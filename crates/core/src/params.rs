@@ -18,12 +18,14 @@ pub struct ProtocolParams {
     pub execution_shards: usize,
     /// Worker threads in the replica's persistent pool
     /// ([`ia_ccf_pool::WorkerPool`]), which carries every parallel hot
-    /// path: batched client-signature verification and the cross-batch
-    /// overlap (verify pre-prepare *n+1*'s signatures while batch *n*
-    /// executes). `0` resolves to the `IACCF_POOL_THREADS` environment
+    /// path — each a signature check, cut into chunks by the one chunker
+    /// [`ia_ccf_crypto::start_verify`]: batched client-signature
+    /// verification, the cross-batch overlap (verify pre-prepare *n+1*'s
+    /// signatures while batch *n* executes) and recovery's pre-prepare
+    /// pre-pass. `0` resolves to the `IACCF_POOL_THREADS` environment
     /// variable if set, else the machine's available parallelism (capped
-    /// at 8); `1` disables all pool offload — every path runs inline,
-    /// byte-for-byte like the pre-pool replica. **Local** knob: ledger
+    /// at 8); `1` disables all pool offload — every check runs inline, in
+    /// one `verify_batch_indices` call, and nothing is queued. **Local** knob: ledger
     /// bytes, digests and receipts are byte-identical for any value
     /// (pool-size sweeps in `tests/sharded_execution.rs` and
     /// `tests/pipeline_view_change.rs` enforce this), so replicas of one

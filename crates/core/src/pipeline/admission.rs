@@ -10,13 +10,13 @@
 //! configuration for governance — and its service binding were checked
 //! there (§3.4: "Signature
 //! verification is parallelized for messages received from replicas and
-//! clients"): the batch's signatures form one job slice, checked by the
-//! combined equation of [`ia_ccf_crypto::verify_batch_indices`] — whole
-//! on a size-1 pool, in deterministically ordered chunks of at least
-//! [`ia_ccf_crypto::VERIFY_MIN_CHUNK`] (the kernel's own cut,
-//! [`ia_ccf_crypto::batch::verify_chunk_len`]) over the replica's persistent
-//! [`ia_ccf_pool::WorkerPool`] otherwise; a failing slice or chunk is
-//! re-checked job by job, so the failed indices are exact either way.
+//! clients"): the batch's signatures form one job slice, handed to
+//! [`ia_ccf_crypto::start_verify`] — the one place that cuts signature
+//! checks over the replica's persistent [`ia_ccf_pool::WorkerPool`]:
+//! checked whole and inline on a size-1 pool, in deterministically ordered
+//! chunks of at least [`ia_ccf_crypto::VERIFY_MIN_CHUNK`] otherwise; a
+//! failing slice or chunk is re-checked job by job, so the failed indices
+//! are exact either way.
 //! Verification is split into `start_batch_verify` /
 //! `finish_batch_verify` halves so the ordering stage can overlap it
 //! with batch execution, and `prewarm_next_batch_verify` pushes the
@@ -36,62 +36,19 @@
 //! *with* their names (`&[SignedRequest]` beside `&[Digest]`, same
 //! order), taken from the store's keys.
 
-use ia_ccf_crypto::VerifyJob;
-use ia_ccf_pool::{TaskHandle, WorkerPool};
+use ia_ccf_crypto::{PendingChecks, VerifyJob};
 use ia_ccf_types::{Digest, PrePrepare, PublicKey, RequestAction, SignedRequest};
 
 use crate::replica::Replica;
 
-/// Request-signature verification in flight on the worker pool: the
-/// batch's unverified request digests, plus one [`TaskHandle`] per job
-/// chunk (chunk results carry their base offset so the failed-index list
-/// stitches back in ascending order).
+/// Request-signature verification started by `start_batch_verify`: the
+/// checked requests' digests, in job order, and their checks.
 pub(crate) struct PendingVerify {
     digests: Vec<Digest>,
-    chunks: Vec<(usize, TaskHandle<Vec<usize>>)>,
+    checks: PendingChecks,
     /// Requests rejected at collection time (unknown key, foreign
-    /// service): not worth a pool round-trip.
+    /// service): not worth a check.
     rejected: Vec<Digest>,
-}
-
-impl PendingVerify {
-    /// Join every chunk and return the failed indices, ascending.
-    fn join_failed(self) -> (Vec<Digest>, Vec<usize>, Vec<Digest>) {
-        let mut failed = Vec::new();
-        for (base, handle) in self.chunks {
-            failed.extend(handle.join().into_iter().map(|i| base + i));
-        }
-        failed.sort_unstable();
-        (self.digests, failed, self.rejected)
-    }
-}
-
-/// A batch-verification pass either completed inline (serial pool or an
-/// empty job list) — carrying the rejected requests' digests — or is
-/// pending on the pool.
-pub(crate) enum BatchVerify {
-    Done(Vec<Digest>),
-    Pending(PendingVerify),
-}
-
-/// Split `jobs` into per-worker chunks, each long enough for the combined
-/// equation to pay, and submit each to the pool, recording the base index
-/// of every chunk.
-fn spawn_verify_chunks(
-    pool: &WorkerPool,
-    mut jobs: Vec<VerifyJob>,
-) -> Vec<(usize, TaskHandle<Vec<usize>>)> {
-    let chunk = ia_ccf_crypto::batch::verify_chunk_len(jobs.len(), pool.threads());
-    let mut chunks = Vec::new();
-    let mut base = 0;
-    while !jobs.is_empty() {
-        let take = chunk.min(jobs.len());
-        let rest = jobs.split_off(take);
-        let part = std::mem::replace(&mut jobs, rest);
-        chunks.push((base, pool.submit(move || ia_ccf_crypto::verify_batch_indices(&part))));
-        base += take;
-    }
-    chunks
 }
 
 impl Replica {
@@ -144,57 +101,31 @@ impl Replica {
     }
 
     /// First half of batch verification: harvest any cross-batch prewarm
-    /// results, collect the still-unverified jobs and — when the pool
-    /// has real workers — hand them off without blocking, so the caller
-    /// can execute the batch while signatures verify. With a size-1 pool
-    /// (or nothing to verify) the pass completes inline, byte-for-byte
-    /// like the pre-pool replica.
+    /// results, collect the still-unverified jobs and start them, so the
+    /// caller can execute the batch while signatures verify. On a size-1
+    /// pool they are checked here, inline, like the pre-pool replica.
     pub(crate) fn start_batch_verify(
         &mut self,
         requests: &[SignedRequest],
         names: &[Digest],
-    ) -> BatchVerify {
+    ) -> PendingVerify {
         debug_assert_eq!(requests.len(), names.len());
         self.harvest_prewarm();
         let (digests, jobs, rejected) = self.collect_verify_jobs(names.iter().zip(requests));
-        if jobs.is_empty() {
-            return BatchVerify::Done(rejected);
-        }
-        if self.pool.threads() <= 1 {
-            let failed = ia_ccf_crypto::verify_batch_indices(&jobs);
-            return BatchVerify::Done(self.absorb_verify_results(&digests, &failed, rejected));
-        }
-        let chunks = spawn_verify_chunks(&self.pool, jobs);
-        BatchVerify::Pending(PendingVerify { digests, chunks, rejected })
+        let checks = ia_ccf_crypto::start_verify(&self.pool, jobs);
+        PendingVerify { digests, checks, rejected }
     }
 
-    /// Second half: join the in-flight chunks (if any), cache the valid
-    /// digests, and return the rejected ones (empty: the batch verified).
-    pub(crate) fn finish_batch_verify(&mut self, pass: BatchVerify) -> Vec<Digest> {
-        match pass {
-            BatchVerify::Done(rejected) => rejected,
-            BatchVerify::Pending(pending) => {
-                let (digests, failed, rejected) = pending.join_failed();
-                self.absorb_verify_results(&digests, &failed, rejected)
-            }
-        }
-    }
-
-    /// Cache every digest whose index is not in the (ascending) failed
-    /// list; the failed ones join `rejected`.
-    fn absorb_verify_results(
-        &mut self,
-        digests: &[Digest],
-        failed: &[usize],
-        mut rejected: Vec<Digest>,
-    ) -> Vec<Digest> {
-        let mut next_failure = failed.iter().peekable();
-        for (i, digest) in digests.iter().enumerate() {
-            if next_failure.peek() == Some(&&i) {
-                next_failure.next();
-                rejected.push(*digest);
+    /// Second half: join the checks, cache the valid digests, and return
+    /// the rejected ones (empty: the batch verified).
+    pub(crate) fn finish_batch_verify(&mut self, pass: PendingVerify) -> Vec<Digest> {
+        let PendingVerify { digests, checks, mut rejected } = pass;
+        let mut next_failure = checks.join().into_iter().peekable();
+        for (i, digest) in digests.into_iter().enumerate() {
+            if next_failure.next_if_eq(&i).is_some() {
+                rejected.push(digest);
             } else {
-                self.verified_reqs.insert(*digest);
+                self.verified_reqs.insert(digest);
             }
         }
         rejected
@@ -258,8 +189,8 @@ impl Replica {
         if jobs.is_empty() {
             return;
         }
-        let chunks = spawn_verify_chunks(&self.pool, jobs);
-        self.prewarm_verify = Some(PendingVerify { digests, chunks, rejected: Vec::new() });
+        let checks = ia_ccf_crypto::start_verify(&self.pool, jobs);
+        self.prewarm_verify = Some(PendingVerify { digests, checks, rejected: Vec::new() });
     }
 
     /// Fold a finished (or still-running: join blocks) prewarm pass into
@@ -267,8 +198,7 @@ impl Replica {
     /// cached — the owning batch's own verification pass rejects them.
     pub(crate) fn harvest_prewarm(&mut self) {
         if let Some(pending) = self.prewarm_verify.take() {
-            let (digests, failed, rejected) = pending.join_failed();
-            self.absorb_verify_results(&digests, &failed, rejected);
+            self.finish_batch_verify(pending);
         }
     }
 

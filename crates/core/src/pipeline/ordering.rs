@@ -23,7 +23,6 @@ use ia_ccf_types::{
     TxLedgerEntry, View,
 };
 
-use crate::pipeline::admission::BatchVerify;
 use crate::pipeline::execution::{BatchExec, BatchMark, ExecError};
 use crate::replica::{verify_replica_payload, Replica};
 
@@ -382,12 +381,12 @@ impl Replica {
             RequestSigs::Verify => {
                 let verify = self.start_batch_verify(requests, names);
                 self.prewarm_next_batch_verify();
-                verify
+                Some(verify)
             }
-            RequestSigs::CheckedByQuorum => BatchVerify::Done(Vec::new()),
+            RequestSigs::CheckedByQuorum => None,
         };
         let exec = self.execute_batch(pp.seq(), pp.view(), pp.core.kind, requests, names);
-        if !self.finish_batch_verify(verify).is_empty() {
+        if verify.is_some_and(|v| !self.finish_batch_verify(v).is_empty()) {
             // A correct primary never includes a forged request.
             return Err(Refused::ForgedRequest);
         }

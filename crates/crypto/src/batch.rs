@@ -24,14 +24,21 @@
 //! RFC 8032's cofactored equation (see `vendor/ed25519-dalek`), which is
 //! what makes them agree: a slice passes combined iff each member passes
 //! singly, up to a ≈ 2⁻¹²⁸ chance that a forgery slips through the random
-//! combination. How a slice is cut — whole on one thread, or per worker by
-//! [`verify_batch_indices_on`] — changes the coefficients but not the
-//! verdicts, so callers pick purely on whether they own a pool.
-//! `tests/batch_equiv.rs` is the differential that holds this down.
+//! combination. How a slice is cut changes the coefficients but not the
+//! verdicts. `tests/batch_equiv.rs` is the differential that holds this
+//! down.
+//!
+//! **One chunker.** This module is the one place that cuts signature
+//! checks over a [`WorkerPool`]: [`start_verify`] hands a slice to the
+//! workers in [`verify_chunk_len`] chunks and returns [`PendingChecks`] to
+//! join later (a replica's admission overlaps them with execution);
+//! [`verify_batch_indices_on`] is its blocking form (recovery's
+//! pre-prepare pre-pass). On a one-thread pool both run
+//! [`verify_batch_indices`] whole on the calling thread and queue nothing.
 
 use std::collections::HashMap;
 
-use ia_ccf_pool::WorkerPool;
+use ia_ccf_pool::{TaskHandle, WorkerPool};
 
 use crate::digest::{Digest, Hasher};
 use crate::keys::{PublicKey, Signature};
@@ -65,8 +72,8 @@ pub const VERIFY_BATCH_MIN: usize = 13;
 pub const VERIFY_MIN_CHUNK: usize = 24;
 
 /// Jobs per pool chunk when `jobs` are cut over `threads` workers: an even
-/// share each, but never below [`VERIFY_MIN_CHUNK`]. The one rule for
-/// [`verify_batch_indices_on`] and for a replica's own pooled admission.
+/// share each, but never below [`VERIFY_MIN_CHUNK`]. The one rule
+/// [`start_verify`] cuts by.
 pub fn verify_chunk_len(jobs: usize, threads: usize) -> usize {
     jobs.div_ceil(threads).max(VERIFY_MIN_CHUNK)
 }
@@ -120,12 +127,6 @@ fn combined_check(jobs: &[VerifyJob]) -> bool {
     ed25519_dalek::verify_batch(&messages, &signatures, &keys, &key_of).is_ok()
 }
 
-/// Verify all jobs on the calling thread; `true` iff every signature
-/// verifies.
-pub fn verify_batch(jobs: &[VerifyJob]) -> bool {
-    verify_batch_indices(jobs).is_empty()
-}
-
 /// Verify all jobs on the calling thread and return the indices that
 /// *failed*, ascending.
 ///
@@ -141,22 +142,52 @@ pub fn verify_batch_indices(jobs: &[VerifyJob]) -> Vec<usize> {
         .collect()
 }
 
-/// [`verify_batch`] fanned out over `pool` in chunks; same answer.
-pub fn verify_batch_on(pool: &WorkerPool, jobs: &[VerifyJob]) -> bool {
-    verify_batch_indices_on(pool, jobs).is_empty()
+/// Signature checks started by [`start_verify`]: the failed indices of
+/// what ran inline, and one task per chunk beside the chunk's first index.
+pub struct PendingChecks {
+    failed: Vec<usize>,
+    chunks: Vec<(usize, TaskHandle<Vec<usize>>)>,
 }
 
-/// [`verify_batch_indices`] run per chunk of at least
-/// [`VERIFY_MIN_CHUNK`] jobs on `pool`'s workers. The failed indices come
-/// back in ascending order regardless of pool size (chunk results are
-/// stitched in slice order).
-pub fn verify_batch_indices_on(pool: &WorkerPool, jobs: &[VerifyJob]) -> Vec<usize> {
-    let chunk = verify_chunk_len(jobs.len(), pool.threads());
-    let parts: Vec<&[VerifyJob]> = jobs.chunks(chunk).collect();
-    pool.map_chunked(&parts, 1, |part, jobs| {
-        verify_batch_indices(jobs).into_iter().map(|i| part * chunk + i).collect::<Vec<_>>()
-    })
-    .concat()
+impl PendingChecks {
+    /// Wait for every chunk and return the failed indices, ascending
+    /// (chunks are joined in slice order).
+    pub fn join(self) -> Vec<usize> {
+        let mut failed = self.failed;
+        for (base, chunk) in self.chunks {
+            failed.extend(chunk.join().into_iter().map(|i| base + i));
+        }
+        failed
+    }
+}
+
+/// Start [`verify_batch_indices`] on `jobs` without waiting for it: one
+/// pool task per [`verify_chunk_len`] chunk. A one-thread pool has no
+/// spare worker to overlap onto, so there the whole slice is checked
+/// inline, now, and nothing is queued.
+pub fn start_verify(pool: &WorkerPool, jobs: Vec<VerifyJob>) -> PendingChecks {
+    if pool.threads() <= 1 {
+        return PendingChecks { failed: verify_batch_indices(&jobs), chunks: Vec::new() };
+    }
+    let (n, chunk) = (jobs.len(), verify_chunk_len(jobs.len(), pool.threads()));
+    let mut jobs = jobs.into_iter();
+    let chunks = (0..n)
+        .step_by(chunk)
+        .map(|base| {
+            let part: Vec<VerifyJob> = jobs.by_ref().take(chunk).collect();
+            (base, pool.submit(move || verify_batch_indices(&part)))
+        })
+        .collect();
+    PendingChecks { failed: Vec::new(), chunks }
+}
+
+/// [`start_verify`] joined at once: the failed indices, ascending, for any
+/// pool size. A slice of one chunk is checked inline.
+pub fn verify_batch_indices_on(pool: &WorkerPool, jobs: Vec<VerifyJob>) -> Vec<usize> {
+    if jobs.len() <= verify_chunk_len(jobs.len(), pool.threads()) {
+        return verify_batch_indices(&jobs);
+    }
+    start_verify(pool, jobs).join()
 }
 
 #[cfg(test)]
@@ -177,7 +208,6 @@ mod tests {
 
     #[test]
     fn all_valid_batch_passes() {
-        assert!(verify_batch(&jobs(32)));
         assert!(verify_batch_indices(&jobs(32)).is_empty());
     }
 
@@ -185,7 +215,6 @@ mod tests {
     fn single_bad_signature_is_located() {
         let mut js = jobs(16);
         js[7].sig.0[0] ^= 1;
-        assert!(!verify_batch(&js));
         assert_eq!(verify_batch_indices(&js), vec![7]);
     }
 
@@ -215,23 +244,36 @@ mod tests {
 
     #[test]
     fn empty_batch_is_vacuously_valid() {
-        assert!(verify_batch(&[]));
+        assert!(verify_batch_indices(&[]).is_empty());
     }
 
     #[test]
     fn pooled_verification_matches_sequential() {
-        let mut js = jobs(3 * VERIFY_MIN_CHUNK + 1);
-        js[0].sig.0[5] ^= 9;
-        js[VERIFY_MIN_CHUNK].msg.push(b'x');
-        js[3 * VERIFY_MIN_CHUNK].sig.0[63] ^= 1;
-        let serial = verify_batch_indices(&js);
+        let forged = || {
+            let mut js = jobs(3 * VERIFY_MIN_CHUNK + 1);
+            js[0].sig.0[5] ^= 9;
+            js[VERIFY_MIN_CHUNK].msg.push(b'x');
+            // On eight threads the last job is the last chunk, alone.
+            js[3 * VERIFY_MIN_CHUNK].sig.0[63] ^= 1;
+            js
+        };
+        let serial = verify_batch_indices(&forged());
+        assert_eq!(serial, vec![0, VERIFY_MIN_CHUNK, 3 * VERIFY_MIN_CHUNK]);
         for threads in [1, 2, 8] {
             let pool = WorkerPool::new(threads);
-            assert_eq!(verify_batch_indices_on(&pool, &js), serial, "{threads} threads");
-            assert!(!verify_batch_on(&pool, &js));
+            assert_eq!(start_verify(&pool, forged()).join(), serial, "started, {threads} threads");
+            let blocking = verify_batch_indices_on(&pool, forged());
+            assert_eq!(blocking, serial, "blocking, {threads} threads");
         }
+
+        let single = WorkerPool::new(1);
+        assert!(start_verify(&single, jobs(2 * VERIFY_MIN_CHUNK + 1)).join().is_empty());
+        assert!(verify_batch_indices_on(&single, jobs(2 * VERIFY_MIN_CHUNK + 1)).is_empty());
+        assert_eq!(single.tasks_completed(), 0, "a size-1 pool must not queue checks");
         let pool = WorkerPool::new(4);
-        assert!(verify_batch_on(&pool, &jobs(2 * VERIFY_MIN_CHUNK + 1)));
+        assert!(verify_batch_indices_on(&pool, jobs(VERIFY_MIN_CHUNK)).is_empty());
+        assert_eq!(pool.tasks_completed(), 0, "one chunk runs inline");
+        assert!(verify_batch_indices_on(&pool, jobs(2 * VERIFY_MIN_CHUNK + 1)).is_empty());
         assert!(pool.tasks_completed() > 0, "chunks must have hit the pool");
     }
 }

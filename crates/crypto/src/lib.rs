@@ -16,11 +16,14 @@
 //!   message, halving the signatures on the critical path.
 //!
 //! Signature verification dominates IA-CCF's cost (§6.8), so this crate also
-//! provides batch verification ([`batch::verify_batch_indices`] on the
-//! calling thread, [`batch::verify_batch_indices_on`] cut into chunks over
-//! a persistent [`ia_ccf_pool::WorkerPool`]), mirroring the paper's
-//! parallelized verification (§3.4): a slice of signatures is checked by
-//! one combined equation, and one by one only to locate a failure.
+//! provides batch verification, mirroring the paper's parallelized
+//! verification (§3.4): a slice of signatures is checked by one combined
+//! equation, and one by one only to locate a failure
+//! ([`batch::verify_batch_indices`], on the calling thread). It is also the
+//! one place that cuts such a slice over a persistent
+//! [`ia_ccf_pool::WorkerPool`]: [`batch::start_verify`] queues the chunks
+//! and returns [`batch::PendingChecks`] to join later, and
+//! [`batch::verify_batch_indices_on`] waits for them.
 //!
 //! The primitive itself is the in-tree `vendor/ed25519-dalek` (windowed,
 //! variable-time; ≈ 20–22 µs per single verification, an honest one
@@ -41,13 +44,15 @@
 //!   point decoding, no small-order rejection; one rule for single and
 //!   slice checks) is frozen by those tests.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod digest;
 pub mod keys;
 pub mod nonce;
 
 pub use batch::{
-    verify_batch, verify_batch_indices, verify_batch_indices_on, verify_batch_on, VerifyJob,
+    start_verify, verify_batch_indices, verify_batch_indices_on, PendingChecks, VerifyJob,
     VERIFY_MIN_CHUNK,
 };
 pub use digest::{hash_bytes, hash_pair, Digest, Hasher, DIGEST_LEN};

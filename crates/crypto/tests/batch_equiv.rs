@@ -21,8 +21,7 @@ mod oracle;
 
 use ia_ccf_crypto::batch::VERIFY_BATCH_MIN;
 use ia_ccf_crypto::{
-    verify_batch_indices, verify_batch_indices_on, PublicKey, Signature, VerifyJob,
-    VERIFY_MIN_CHUNK,
+    start_verify, verify_batch_indices, PublicKey, Signature, VerifyJob, VERIFY_MIN_CHUNK,
 };
 use ia_ccf_pool::WorkerPool;
 use oracle::point::EdwardsPoint;
@@ -174,7 +173,8 @@ fn check_slice(jobs: &[VerifyJob], kinds: &[Kind], pools: &[WorkerPool]) {
         assert_eq!(holds, singles.is_empty(), "combined equation, kinds {kinds:?}");
     }
     for pool in pools {
-        let pooled = verify_batch_indices_on(pool, jobs);
+        let copy = jobs.iter().map(|j| VerifyJob { msg: j.msg.clone(), ..*j }).collect();
+        let pooled = start_verify(pool, copy).join();
         assert_eq!(pooled, singles, "{} threads, kinds {kinds:?}", pool.threads());
     }
 }

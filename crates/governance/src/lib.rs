@@ -14,6 +14,8 @@
 //!   non-equivalent `P`-th end-of-configuration batches for the same
 //!   configuration number convict every replica that signed both.
 
+#![forbid(unsafe_code)]
+
 pub mod chain;
 pub mod fork;
 pub mod referendum;

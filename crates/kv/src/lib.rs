@@ -30,6 +30,8 @@
 //! the restore. Checkpoint agreement and audit replay compare these
 //! digests across replicas.
 
+#![forbid(unsafe_code)]
+
 mod checkpoint;
 mod shard;
 mod store;

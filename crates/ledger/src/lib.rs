@@ -17,6 +17,8 @@
 //! * [`durable`] — the disk-backed segment files behind a durable
 //!   replica: chunk-framed appends, batched fsync, torn-tail repair.
 
+#![forbid(unsafe_code)]
+
 pub mod durable;
 pub mod segment;
 pub mod store;

@@ -27,6 +27,8 @@
 //! second-preimage ambiguity between trees of different sizes at the same
 //! root position — the verifier always knows the tree length).
 
+#![forbid(unsafe_code)]
+
 mod frontier;
 mod frozen;
 mod path;

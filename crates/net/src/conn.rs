@@ -85,7 +85,8 @@ impl FrameAssembler {
 /// by the event loop when the socket is writable.
 ///
 /// `enqueue` is the only producer-side operation and never blocks: when
-/// the queue already holds [`max_outbound`](TcpNodeConfig) bytes the
+/// the queue already holds
+/// [`max_outbound_bytes`](crate::tcp::TcpConfig::max_outbound_bytes) bytes the
 /// chunk is refused and the caller sees a failed send — a slow or stuck
 /// peer backpressures its sender instead of growing memory without
 /// bound. One chunk is always admitted into an empty queue, so any

@@ -1,23 +1,15 @@
 //! Persistent worker pool for the replica's parallel hot paths.
 //!
-//! IA-CCF's throughput comes from overlapping batch signature
-//! verification, execution and ledger emission across cores
-//! (§3.4, §6.8). Spawning scoped threads per batch segment pays thread
-//! start-up on every batch; [`WorkerPool`] instead owns a fixed set of
-//! worker threads for the replica's lifetime and hands them work three
-//! ways:
-//!
-//! * [`WorkerPool::scope`] — structured borrowing parallelism in the
-//!   style of [`std::thread::scope`]: tasks may borrow from the caller's
-//!   stack, the call returns only after every spawned task finished, and
-//!   a task panic is propagated to the caller.
-//! * [`WorkerPool::submit`] — fire one `'static` task and get a
-//!   [`TaskHandle`] to join later. This is the cross-batch overlap
-//!   primitive: verify pre-prepare *n+1*'s signatures while batch *n*
-//!   executes, harvest the result at the next stage boundary.
-//! * [`WorkerPool::map_chunked`] — map a function over a slice in
-//!   deterministically ordered chunks (the batched Ed25519 verification
-//!   path).
+//! IA-CCF parallelises signature verification for messages from replicas
+//! and clients (§3.4). Spawning threads per batch pays thread start-up on
+//! every batch; [`WorkerPool`] instead owns a fixed set of worker threads
+//! for the replica's lifetime and runs work one way:
+//! [`WorkerPool::submit`] queues one `'static` task and returns a
+//! [`TaskHandle`] to join later. That is also the cross-batch overlap
+//! primitive: verify pre-prepare *n+1*'s signatures while batch *n*
+//! executes, and harvest the result at the next stage boundary. How a
+//! slice of signature checks is cut into tasks is decided in one place,
+//! `ia_ccf_crypto::batch::start_verify`.
 //!
 //! The pool is a **local** knob: nothing scheduled on it may influence
 //! consensus-visible bytes. Callers uphold that by only offloading pure
@@ -25,15 +17,17 @@
 //! `tests/sharded_execution.rs` and `tests/pipeline_view_change.rs` sweep
 //! pool sizes {1, 2, 8} to enforce it.
 //!
-//! Deadlock rule: pool tasks must never call [`WorkerPool::scope`] or
-//! block on a [`TaskHandle`] of the same pool — only the replica (driver)
-//! thread does. A size-1 pool would self-deadlock otherwise, and larger
-//! pools would waste a worker on waiting.
+//! Deadlock rule: pool tasks must never block on a [`TaskHandle`] of the
+//! same pool — only the replica (driver) thread does. A size-1 pool would
+//! self-deadlock otherwise, and larger pools would waste a worker on
+//! waiting.
 //!
 //! Lifecycle mirrors the net crate's transport loop: worker threads carry
 //! a drop-guard gauge ([`WorkerPool::live_pool_threads`]), and `Drop`
 //! drains the queue, then joins every worker — a dropped replica leaves
 //! zero pool threads behind.
+
+#![forbid(unsafe_code)]
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -100,18 +94,12 @@ impl WorkerPool {
         Arc::clone(&self.live)
     }
 
-    /// Total tasks completed by the workers since construction. Inline
-    /// fast paths (size-1 pools, tiny inputs) bypass the queue and do not
-    /// count — the counter reading non-zero is evidence the pool engaged.
+    /// Total tasks completed by the workers since construction. Work a
+    /// caller runs inline (`ia_ccf_crypto::batch::start_verify` on a
+    /// size-1 pool) never reaches the queue and does not count — the
+    /// counter reading non-zero is evidence the pool engaged.
     pub fn tasks_completed(&self) -> u64 {
         self.shared.tasks_completed.load(Ordering::Relaxed)
-    }
-
-    fn push_task(&self, task: Task) {
-        let mut q = self.shared.queue.lock().unwrap();
-        q.tasks.push_back(task);
-        drop(q);
-        self.shared.work.notify_one();
     }
 
     /// Submit a `'static` task; the returned [`TaskHandle`] joins it.
@@ -127,74 +115,14 @@ impl WorkerPool {
             done: Condvar::new(),
         });
         let task_shared = Arc::clone(&shared);
-        self.push_task(Box::new(move || {
+        let task: Task = Box::new(move || {
             let result = catch_unwind(AssertUnwindSafe(f));
             *task_shared.slot.lock().unwrap() = Some(result);
             task_shared.done.notify_all();
-        }));
-        TaskHandle { shared }
-    }
-
-    /// Structured borrowing parallelism: run `f` with a [`Scope`] whose
-    /// spawned tasks may borrow from the enclosing stack frame. Does not
-    /// return until every spawned task has finished — even if `f` or a
-    /// task panics — and then re-raises the first task panic (or `f`'s).
-    pub fn scope<'env, R>(&self, f: impl FnOnce(&Scope<'_, 'env>) -> R) -> R {
-        let scope = Scope {
-            pool: self,
-            state: Arc::new(ScopeState {
-                pending: Mutex::new(0),
-                done: Condvar::new(),
-                panic: Mutex::new(None),
-            }),
-            env: std::marker::PhantomData,
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        // The wait below is what makes `Scope::spawn`'s lifetime erasure
-        // sound: no borrow handed to a task outlives this function.
-        let mut pending = scope.state.pending.lock().unwrap();
-        while *pending > 0 {
-            pending = scope.state.done.wait(pending).unwrap();
-        }
-        drop(pending);
-        if let Some(payload) = scope.state.panic.lock().unwrap().take() {
-            resume_unwind(payload);
-        }
-        match result {
-            Ok(r) => r,
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-
-    /// Map `f` over `items` with deterministic output order (identical to
-    /// the serial `items.iter().enumerate().map(f)`), chunking the slice
-    /// across the workers. Runs inline when the pool has one thread or
-    /// the input is no bigger than `min_chunk` — a size-1 pool behaves
-    /// exactly like serial code, with no queue handoff.
-    pub fn map_chunked<T, R, F>(&self, items: &[T], min_chunk: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let n = items.len();
-        let min_chunk = min_chunk.max(1);
-        if self.threads() <= 1 || n <= min_chunk {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
-        let chunk = n.div_ceil(self.threads()).max(min_chunk);
-        let mut slots: Vec<Option<Vec<R>>> = Vec::new();
-        slots.resize_with(n.div_ceil(chunk), || None);
-        self.scope(|s| {
-            for (ci, (slot, part)) in slots.iter_mut().zip(items.chunks(chunk)).enumerate() {
-                let f = &f;
-                s.spawn(move || {
-                    let base = ci * chunk;
-                    *slot = Some(part.iter().enumerate().map(|(j, t)| f(base + j, t)).collect());
-                });
-            }
         });
-        slots.into_iter().flat_map(|v| v.expect("every chunk executed")).collect()
+        self.shared.queue.lock().unwrap().tasks.push_back(task);
+        self.shared.work.notify_one();
+        TaskHandle { shared }
     }
 }
 
@@ -287,57 +215,6 @@ impl<R> TaskHandle<R> {
     }
 }
 
-/// Bookkeeping for one [`WorkerPool::scope`] call.
-struct ScopeState {
-    pending: Mutex<usize>,
-    done: Condvar,
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
-/// Spawn surface handed to the closure of [`WorkerPool::scope`].
-pub struct Scope<'pool, 'env> {
-    pool: &'pool WorkerPool,
-    state: Arc<ScopeState>,
-    /// Invariant over `'env`, like [`std::thread::Scope`]: prevents the
-    /// environment lifetime from being shortened through variance.
-    env: std::marker::PhantomData<&'env mut &'env ()>,
-}
-
-impl<'pool, 'env> Scope<'pool, 'env> {
-    /// Spawn a task that may borrow from the scope's environment. Panics
-    /// in the task are captured and re-raised when the scope closes.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce() + Send + 'env,
-    {
-        let boxed: Box<dyn FnOnce() + Send + 'env> = Box::new(f);
-        // SAFETY: the task is erased to 'static only to sit in the queue;
-        // `WorkerPool::scope` waits for `pending` to reach zero before
-        // returning (on success *and* panic paths), so every borrow in
-        // the closure strictly outlives its execution.
-        let boxed: Task = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Box<dyn FnOnce() + Send + 'static>>(
-                boxed,
-            )
-        };
-        *self.state.pending.lock().unwrap() += 1;
-        let state = Arc::clone(&self.state);
-        self.pool.push_task(Box::new(move || {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(boxed)) {
-                let mut slot = state.panic.lock().unwrap();
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-            }
-            let mut pending = state.pending.lock().unwrap();
-            *pending -= 1;
-            if *pending == 0 {
-                state.done.notify_all();
-            }
-        }));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,69 +237,6 @@ mod tests {
         // The worker that ran the panicking task is still serving.
         assert_eq!(pool.live_pool_threads(), 2);
         assert_eq!(pool.submit(|| 5).join(), 5);
-    }
-
-    #[test]
-    fn scope_tasks_borrow_and_results_are_ordered() {
-        let pool = WorkerPool::new(4);
-        let input = [3u64, 1, 4, 1, 5, 9, 2, 6];
-        let mut doubled = vec![0u64; input.len()];
-        pool.scope(|s| {
-            for (slot, v) in doubled.iter_mut().zip(&input) {
-                s.spawn(move || *slot = v * 2);
-            }
-        });
-        assert_eq!(doubled, vec![6, 2, 8, 2, 10, 18, 4, 12]);
-    }
-
-    #[test]
-    fn scope_panic_propagates_after_all_tasks_finish() {
-        let pool = WorkerPool::new(2);
-        let finished = Arc::new(AtomicUsize::new(0));
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                for i in 0..8 {
-                    let finished = Arc::clone(&finished);
-                    s.spawn(move || {
-                        if i == 3 {
-                            panic!("group boom");
-                        }
-                        finished.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-            });
-        }))
-        .unwrap_err();
-        let msg = err.downcast_ref::<&str>().copied().unwrap_or("");
-        assert_eq!(msg, "group boom");
-        // The scope waited for the 7 non-panicking tasks before raising.
-        assert_eq!(finished.load(Ordering::SeqCst), 7);
-        // And the pool is intact.
-        assert_eq!(pool.live_pool_threads(), 2);
-        assert_eq!(pool.submit(|| 1).join(), 1);
-    }
-
-    #[test]
-    fn map_chunked_matches_serial_for_any_size() {
-        for threads in [1, 2, 3, 8] {
-            let pool = WorkerPool::new(threads);
-            for n in [0usize, 1, 2, 7, 8, 9, 64, 65] {
-                let items: Vec<usize> = (0..n).collect();
-                let got = pool.map_chunked(&items, 2, |i, v| i * 1000 + v * 3);
-                let want: Vec<usize> =
-                    items.iter().enumerate().map(|(i, v)| i * 1000 + v * 3).collect();
-                assert_eq!(got, want, "threads={threads} n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn single_thread_pool_runs_map_inline() {
-        let pool = WorkerPool::new(1);
-        let items: Vec<u32> = (0..100).collect();
-        let out = pool.map_chunked(&items, 4, |_, v| v + 1);
-        assert_eq!(out.len(), 100);
-        assert_eq!(pool.tasks_completed(), 0, "size-1 pools must not queue map work");
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! * [`testdir`] — std-only temporary directories for the durable-ledger
 //!   crash-restart harnesses.
 
+#![forbid(unsafe_code)]
+
 pub mod det;
 pub mod scenario;
 pub mod testdir;

@@ -8,6 +8,8 @@
 //! procedures below match the classic SmallBank operations under the
 //! paper's names.
 
+#![forbid(unsafe_code)]
+
 use ia_ccf_core::app::{App, AppError};
 use ia_ccf_kv::KvAccess;
 use ia_ccf_types::{ClientId, ProcId};

@@ -16,6 +16,8 @@
 //! `ia-ccf-core` (the protocol) auditable and lets the auditor and client
 //! speak the same types without depending on replica internals.
 
+#![forbid(unsafe_code)]
+
 // First, so its layout macros are in scope in every module below.
 #[macro_use]
 pub mod wire;

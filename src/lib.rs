@@ -23,6 +23,8 @@
 //! `examples/banking_audit.rs` and reconfiguration in
 //! `examples/governance_reconfig.rs`.
 
+#![forbid(unsafe_code)]
+
 pub use ia_ccf_audit as audit;
 pub use ia_ccf_client as client;
 pub use ia_ccf_core as core;
