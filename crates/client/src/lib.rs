@@ -240,19 +240,21 @@ impl Client {
     // ------------------------------------------------------------------
 
     fn retry(&mut self, req_id: u64) {
-        let config_n = self.current_config().n() as u32;
+        let config = self.history.latest();
         let Some(p) = self.pending.get_mut(&req_id) else {
             return;
         };
         p.last_action_tick = self.tick;
         p.refetch_attempts += 1;
-        // Retransmit the request and ask a rotating replica for the
+        // Retransmit the request and ask a rotating member for the
         // receipt parts (§3.3: "selects a different replica to send back
         // replyx").
         self.outbox.push(ClientSend::Broadcast(ProtocolMsg::Request(p.request.clone())));
-        let target = ReplicaId(p.refetch_attempts % config_n);
-        let digest = p.digest;
-        self.outbox.push(ClientSend::To(target, ProtocolMsg::FetchReceipt { tx_hash: digest }));
+        let rank = p.refetch_attempts as usize % config.n();
+        if let Some(target) = config.replica_at_rank(rank) {
+            let fetch = ProtocolMsg::FetchReceipt { tx_hash: p.digest };
+            self.outbox.push(ClientSend::To(target.id, fetch));
+        }
     }
 
     fn on_reply(&mut self, from: ReplicaId, reply: Reply) {
@@ -511,6 +513,31 @@ mod tests {
         assert_eq!(sends.len(), 2);
         assert!(matches!(sends[0], ClientSend::Broadcast(ProtocolMsg::Request(_))));
         assert!(matches!(sends[1], ClientSend::To(_, ProtocolMsg::FetchReceipt { .. })));
+    }
+
+    /// Receipt re-fetches rotate over the configuration's members by rank,
+    /// not over raw ids: with replica 0 gone (ids 1..=4), four retries ask
+    /// each of the four members once.
+    #[test]
+    fn retries_refetch_from_each_member_once() {
+        let (mut config, _, _) = test_config(5);
+        config.replicas.remove(0);
+        let gt = ia_ccf_crypto::hash_bytes(b"gt");
+        let mut c = Client::new(ClientId(7), KeyPair::from_label("client-7"), gt, config);
+        c.retry_ticks = 1;
+        c.submit(ProcId(1), vec![]);
+        c.poll_send();
+        let mut targets = Vec::new();
+        for _ in 0..4 {
+            c.on_tick();
+            for send in c.poll_send() {
+                if let ClientSend::To(to, ProtocolMsg::FetchReceipt { .. }) = send {
+                    targets.push(to.0);
+                }
+            }
+        }
+        targets.sort_unstable();
+        assert_eq!(targets, [1, 2, 3, 4]);
     }
 
     /// Two clients driven identically send identical retries: every timed

@@ -494,7 +494,6 @@ impl Replica {
     fn finalize_tip_phase(&mut self) {
         let f = self.gov.active().f();
         let fresh = self.seq_next == SeqNum(1);
-        let checkpoints_ok = self.params.checkpoints_enabled;
         let Status::Recovery(state) = &mut self.status else {
             return;
         };
@@ -517,7 +516,7 @@ impl Replica {
         // root) — then at least one honest replica holds exactly this
         // agreed checkpoint. Highest such seq wins.
         let mut best: Option<CheckpointPin> = None;
-        if fresh && checkpoints_ok {
+        if fresh {
             let offers: Vec<CheckpointPin> = claims.values().filter_map(|(_, o)| *o).collect();
             for pin in &offers {
                 let votes = offers.iter().filter(|o| *o == pin).count();

@@ -9,8 +9,6 @@ pub struct ProtocolParams {
     pub batch_max: usize,
     /// Ticks without progress before a backup starts a view change.
     pub view_timeout_ticks: u64,
-    /// Take checkpoints and agree their digests.
-    pub checkpoints_enabled: bool,
     /// Ignored: execution is serial. `benchmark/` still sets it, and a
     /// product PR may not touch that directory: removed by the next
     /// benchmark-only PR (ROADMAP item 8).
@@ -31,14 +29,6 @@ pub struct ProtocolParams {
     /// `tests/pipeline_view_change.rs` enforce this), so replicas of one
     /// cluster may differ.
     pub pool_threads: usize,
-    /// How many committed batches of execution state (and with them the
-    /// receipt-serving caches: locator entries, certificates, frozen
-    /// paths) are retained for receipt re-fetch. Older transactions
-    /// answer re-fetch with silence and the client retries another
-    /// replica. Floored at `2 × pipeline_depth` so in-flight rollback
-    /// always finds its state. **Local** knob — never visible in ledger
-    /// bytes or receipts.
-    pub exec_retention_batches: u64,
     /// Page budget (encoded-entry bytes) this replica asks for in each
     /// `FetchLedgerPage` during state transfer. Clamped on both sides to
     /// [`ia_ccf_types::messages::PAGE_CEILING_BYTES`], which sits well
@@ -80,10 +70,8 @@ impl Default for ProtocolParams {
         ProtocolParams {
             batch_max: 300,
             view_timeout_ticks: 40,
-            checkpoints_enabled: true,
             execution_shards: 0,
             pool_threads: 0,
-            exec_retention_batches: 64,
             sync_page_bytes: 1 << 20,
             sync_timeout_ticks: 8,
             data_dir: None,

@@ -7,11 +7,12 @@
 //! the fetch-serving paths (receipt re-fetch, evidence, ledger ranges)
 //! that let slow clients and recovering replicas catch up.
 //!
-//! The stage is cache-backed (see [`crate::pipeline::receipt_cache`]):
-//! executed batches are shared behind `Arc`, batch certificates are
-//! memoized per `(seq, view)`, authentication paths are served from each
+//! It reads executed batches from [`crate::pipeline::exec_window`]: they
+//! are shared behind `Arc`, authentication paths are served from each
 //! batch's frozen-paths view, and re-fetch locates its transaction
 //! through the `tx_hash → (seq, pos)` index instead of a linear scan.
+//! A governance batch's certificate is assembled once, when it commits,
+//! and lives on in the governance-chain links built from it.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -112,11 +113,8 @@ impl Replica {
     // ------------------------------------------------------------------
 
     /// The batch certificate for a committed batch — the same data clients
-    /// assemble from replies — out of the message store: the *uncached*
-    /// entry to the one assembly, which re-walks the store on every call.
-    /// Production paths go through the memoizing
-    /// [`Replica::batch_certificate`], which calls this at most once per
-    /// committed `(seq, view)`; kept public as its reference oracle.
+    /// assemble from replies — out of the message store: the lowest-ranked
+    /// quorum's shares, assembled by `certificate_for`.
     pub fn build_batch_certificate(&self, seq: SeqNum, view: View) -> Option<BatchCertificate> {
         self.certificate_for(seq, view, None)
     }
@@ -154,7 +152,7 @@ impl Replica {
         {
             return;
         }
-        let Some(cert) = self.batch_certificate(seq, view) else {
+        let Some(cert) = self.build_batch_certificate(seq, view) else {
             // Deferred until the missing commit nonce arrives.
             if !self.pending_gov_receipts.contains(&(seq, view)) {
                 self.pending_gov_receipts.push((seq, view));
@@ -222,10 +220,9 @@ impl Replica {
     /// lookup plus a frozen-path slice — O(log batch), not a scan over
     /// the retained batches.
     pub(crate) fn serve_receipt_refetch(&mut self, client: ClientId, tx_hash: Digest) {
-        let Some((seq, pos)) = self.receipt_cache.locate(&tx_hash) else {
+        let Some((seq, pos, exec)) = self.batch_exec.locate(&tx_hash) else {
             return; // unknown or pruned past the retention window
         };
-        let exec = Arc::clone(self.batch_exec.get(&seq).expect("locator entry backed by exec"));
         if let Some((reply, replyx)) = self.assemble_refetch(seq, &exec, pos, tx_hash) {
             self.send_client(client, ProtocolMsg::Reply(reply));
             self.send_client(client, ProtocolMsg::ReplyX(replyx));
@@ -269,13 +266,13 @@ impl Replica {
 
     /// The seed's linear-scan re-fetch, preserved verbatim as the
     /// reference oracle for the differential tests
-    /// (`tests/receipt_refetch_equiv.rs`): scan `batch_exec` in sequence
-    /// order for the transaction and rebuild the reply pair from the tree
-    /// directly, bypassing every cache. Returns the messages instead of
-    /// sending them.
+    /// (`tests/receipt_refetch_equiv.rs`): scan the executed batches in
+    /// sequence order for the transaction and rebuild the reply pair from
+    /// the tree directly, bypassing the locator and the frozen paths.
+    /// Returns the messages instead of sending them.
     #[doc(hidden)]
     pub fn refetch_oracle_linear(&self, tx_hash: Digest) -> Vec<ProtocolMsg> {
-        for (seq, exec) in self.batch_exec.iter() {
+        for (seq, exec) in self.batch_exec.range(..) {
             if let Some(pos) = exec.txs.iter().position(|t| t.request_digest == tx_hash) {
                 let et = &exec.txs[pos];
                 let view = exec.view;
@@ -427,10 +424,7 @@ impl Replica {
     /// reconstruct either, so reconfigured or governed histories fall
     /// back to full replay.
     pub(crate) fn offerable_checkpoint(&self) -> Option<&CheckpointRecord> {
-        if !self.params.checkpoints_enabled
-            || !self.gov_chain.is_empty()
-            || self.config_first_seq.len() != 1
-        {
+        if !self.gov_chain.is_empty() || self.config_first_seq.len() != 1 {
             return None;
         }
         // The newest checkpoint whose mark batch (at `seq + C`) has

@@ -39,9 +39,9 @@ pub(crate) struct ExecTx {
 /// Everything remembered about an executed (possibly not yet committed)
 /// batch.
 ///
-/// Shared behind `Arc` on the replica (`Replica::batch_exec`): the
-/// emission stage, governance receipt builder and re-fetch serving all
-/// read it without deep-cloning the transaction vector or the tree.
+/// Shared behind `Arc` in the replica's `ExecWindow`: the emission stage,
+/// governance receipt builder and re-fetch serving all read it without
+/// deep-cloning the transaction vector or the tree.
 #[derive(Debug)]
 pub(crate) struct BatchExec {
     pub view: View,
@@ -148,7 +148,7 @@ impl Replica {
         // One bulk pass builds `Ḡ` (batch amortization, §3.4).
         let tree = MerkleTree::from_leaves(leaves);
         // Checkpoint after executing a batch at a multiple of C (§3.4).
-        if self.params.checkpoints_enabled && seq.0.is_multiple_of(self.checkpoint_interval()) {
+        if seq.0.is_multiple_of(self.checkpoint_interval()) {
             self.take_checkpoint(seq);
         }
         Ok(BatchExec::new(view, kind, txs, tree))
@@ -175,7 +175,7 @@ impl Replica {
             }
             // A backup that cannot vouch for the digest rejects the batch.
             Effect::Mark(check) => {
-                if self.params.checkpoints_enabled && check != MarkCheck::Matches {
+                if check != MarkCheck::Matches {
                     return Err(ExecError::CheckpointMismatch);
                 }
             }

@@ -14,10 +14,10 @@
 //! | [`execution`] | batch execute + rollback marks | lines 19–26 (early execution, Lemma 1/2) |
 //! | [`emission`] | replies, receipts, checkpoint/evidence serving | lines 34–38 (`reply`, `replyx`) and §5.2 receipts |
 //!
-//! The emission stage is backed by [`receipt_cache`]: `Arc`-shared
-//! batches, memoized certificates, frozen Merkle paths and a
-//! `tx_hash → (seq, pos)` re-fetch locator, invalidated exactly on
-//! rollback and pruned in lockstep with the execution-state GC.
+//! Executed batches have one owner, [`exec_window`]: the batches behind
+//! `Arc` (each with its frozen Merkle paths) and the `tx_hash → (seq,
+//! pos)` re-fetch locator over them. Rollback and the GC drop batches
+//! only through it, so a locator entry never outlives its batch.
 //!
 //! View changes (Alg. 2) and reconfiguration (§5.1) stay outside the
 //! pipeline in [`crate::viewchange`] and [`crate::reconfig`]: they
@@ -27,10 +27,10 @@
 
 pub(crate) mod admission;
 pub(crate) mod emission;
+pub(crate) mod exec_window;
 pub(crate) mod execution;
 pub(crate) mod ordering;
-pub(crate) mod receipt_cache;
 
-pub use receipt_cache::ReceiptCacheStats;
+pub use exec_window::ReceiptCacheStats;
 
 pub(crate) use execution::{BatchExec, BatchMark, ExecError};

@@ -23,6 +23,7 @@ use ia_ccf_types::{
     TxLedgerEntry, View,
 };
 
+use crate::pipeline::exec_window::RETENTION_BATCHES;
 use crate::pipeline::execution::{BatchExec, BatchMark, ExecError};
 use crate::replica::{verify_replica_payload, Replica};
 
@@ -122,7 +123,7 @@ impl Replica {
                 continue;
             }
             // Checkpoint batches at multiples of C (digest of cp at s − C).
-            if let Some(target) = self.mark_target(seq).filter(|_| self.params.checkpoints_enabled) {
+            if let Some(target) = self.mark_target(seq) {
                 if !self.send_mark_batch(seq, target) {
                     return;
                 }
@@ -320,7 +321,7 @@ impl Replica {
         }
         self.ledger.append_batch(entries);
         self.note_batch_appended(&names);
-        self.insert_batch_exec(seq, exec);
+        self.batch_exec.insert(seq, exec);
         self.batch_marks.insert(seq, mark);
         self.msgs.put_pp(pp, names);
         self.seq_next = seq.next();
@@ -706,13 +707,10 @@ impl Replica {
 
         // Prune execution state we no longer need (keep a window for
         // receipt re-serving; floor of 2P so in-flight rollback always
-        // has its state). Cached certificates and locator entries are
-        // dropped in lockstep so the caches never outlive the batches
-        // that back them.
+        // has its state).
         let p = self.pipeline_depth();
-        let keep_from = seq.0.saturating_sub(self.params.exec_retention_batches.max(2 * p));
-        self.prune_receipt_caches_up_to(SeqNum(keep_from));
-        self.batch_exec.retain(|s, _| s.0 > keep_from);
+        let keep_from = seq.0.saturating_sub(RETENTION_BATCHES.max(2 * p));
+        self.batch_exec.drop_up_to(SeqNum(keep_from));
         self.batch_marks.retain(|s, _| s.0 + 2 * p > seq.0);
         let compact_to = seq.0.saturating_sub(4 * self.pipeline_depth().max(8));
         self.msgs.compact(SeqNum(compact_to), View(self.view.0.saturating_sub(2)));

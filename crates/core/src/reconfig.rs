@@ -191,9 +191,7 @@ impl Replica {
         }
         // "The replicas in the new configuration create a checkpoint of the
         // key-value store at sequence number s+2P."
-        if self.params.checkpoints_enabled {
-            self.take_checkpoint(seq);
-        }
+        self.take_checkpoint(seq);
         self.out.push(Output::ConfigActivated { config: Box::new(new_config) });
     }
 

@@ -31,7 +31,8 @@ use crate::checkpoint::{receipt_checkpoint_seq, CheckpointRecord, CheckpointStor
 use crate::events::{Input, NodeId, Output};
 use crate::msgstore::MsgStore;
 use crate::params::ProtocolParams;
-use crate::pipeline::{BatchExec, BatchMark};
+use crate::pipeline::exec_window::ExecWindow;
+use crate::pipeline::BatchMark;
 
 /// The mode a replica is in; [`Replica::handle`] dispatches on it once.
 /// docs/ARCHITECTURE.md §1.7 lists each transition with the one function
@@ -117,14 +118,12 @@ pub struct Replica {
     /// reproduces identical entries — see docs/ARCHITECTURE.md §1.3).
     pub(crate) next_tx_index: u64,
     pub(crate) last_gov_index: LedgerIdx,
-    /// Executed batches, shared behind `Arc`: emission, governance
-    /// receipts and re-fetch serving read them without deep clones.
-    pub(crate) batch_exec: BTreeMap<SeqNum, Arc<BatchExec>>,
+    /// Executed batches, shared behind `Arc`, and the `tx_hash → (seq,
+    /// pos)` re-fetch locator over them: emission, governance receipts and
+    /// re-fetch serving read them without deep clones. Only its own
+    /// methods insert or drop a batch (see [`crate::pipeline::exec_window`]).
+    pub(crate) batch_exec: ExecWindow,
     pub(crate) batch_marks: BTreeMap<SeqNum, BatchMark>,
-    /// Emission-stage caches: memoized batch certificates and the
-    /// `tx_hash → (seq, pos)` re-fetch locator (see
-    /// [`crate::pipeline::receipt_cache`] for the invalidation contract).
-    pub(crate) receipt_cache: crate::pipeline::receipt_cache::ReceiptCache,
 
     // Checkpoints.
     pub(crate) checkpoints: CheckpointStore,
@@ -253,9 +252,8 @@ impl Replica {
             gt_hash,
             next_tx_index: 1,
             last_gov_index: LedgerIdx(0),
-            batch_exec: BTreeMap::new(),
+            batch_exec: ExecWindow::default(),
             batch_marks: BTreeMap::new(),
-            receipt_cache: Default::default(),
             checkpoints,
             cp_digests,
             gov_chain: Vec::new(),
@@ -658,9 +656,6 @@ impl Replica {
     }
 
     pub(crate) fn receipt_checkpoint_digest(&self, seq: SeqNum) -> Digest {
-        if !self.params.checkpoints_enabled {
-            return Digest::zero();
-        }
         let scp = receipt_checkpoint_seq(seq, self.checkpoint_interval());
         self.cp_digests.get(&scp).copied().unwrap_or_else(Digest::zero)
     }

@@ -474,12 +474,12 @@ impl Replica {
                 self.pending_reqs.push_front(d);
             }
         }
-        // Exact cache invalidation: certificates, locator entries and
-        // governance-chain links of rolled-back batches die with them, so
-        // a batch re-executed in the new view rebuilds fresh artifacts
-        // (byte-identical content, new-view certificate).
-        self.invalidate_receipt_caches_after(reset_to);
-        self.batch_exec.retain(|s, _| *s <= reset_to);
+        // Governance links (and deferred builds) of rolled-back batches
+        // carry the old view's certificate: the re-committed batch builds
+        // fresh ones (byte-identical content, new-view certificate).
+        self.batch_exec.drop_after(reset_to);
+        self.gov_chain.retain(|l| l.receipt().seq() <= reset_to);
+        self.pending_gov_receipts.retain(|(s, _)| *s <= reset_to);
         self.batch_marks.retain(|s, _| *s <= reset_to);
         self.prepared_view.retain(|s, _| *s <= reset_to);
         self.prepared_up_to = self.prepared_up_to.min(reset_to);

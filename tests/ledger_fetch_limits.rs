@@ -54,8 +54,9 @@ const BLOB: usize = 4 * 1024 * 1024;
 /// Grow a single-replica cluster's ledger to roughly `txs * BLOB` bytes
 /// and return the cluster (replica 0 holds the ledger).
 fn grown_cluster(txs: usize) -> (ClusterSpec, DetCluster) {
-    let params = ProtocolParams { checkpoints_enabled: false, ..ProtocolParams::default() };
-    let spec = ClusterSpec::new(1, 1, params);
+    // No checkpoint falls in the run: the sync replays from genesis.
+    let spec = ClusterSpec::new(1, 1, ProtocolParams::default())
+        .with_config(|c| c.checkpoint_interval = 1 << 20);
     let mut cluster = DetCluster::new(&spec, Arc::new(BlobApp { size: BLOB }));
     let client = spec.clients[0].0;
     for _ in 0..txs {
@@ -146,13 +147,12 @@ fn oversized_ledger_suffix_transfers_fully_via_pages() {
 
     // And the point of it all: a recovering replica ingests the pages,
     // replays them with full verification, and ends byte-identical.
-    let params = ProtocolParams { checkpoints_enabled: false, ..ProtocolParams::default() };
     let mut fresh = Replica::new(
         ReplicaId(9),
         KeyPair::from_label("recovering"),
         spec.genesis.clone(),
         Arc::new(BlobApp { size: BLOB }),
-        params,
+        ProtocolParams::default(),
         spec.client_keys(),
     )
     .expect("fresh replica");
