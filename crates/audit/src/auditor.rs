@@ -7,11 +7,11 @@
 //!
 //! 1. **auditReceipts** — verify every receipt cryptographically and check
 //!    each request's `min_index` was honoured (real-time ordering, Thm. 2).
-//!    Alg. 3's structural part runs on the spot. Its signature checks join
-//!    the queue the package's validation uses,
-//!    [`SIG_CHUNK`](crate::package::SIG_CHUNK) per combined
-//!    equation, and a check the package proved (same key, signature and
-//!    bytes) is not run again; so step 2 runs first, and its verdict is
+//!    Alg. 3's structural part runs on the spot. Its signature checks go
+//!    on the queue the package's validation uses ([`SigQueue`],
+//!    [`SIG_CHUNK`](ia_ccf_crypto::SIG_CHUNK) per combined equation), and
+//!    a check the package proved (same key, signature and bytes) is not
+//!    run again; so step 2 runs first, and its verdict is
 //!    still reported second. A receipt with the previous receipt's
 //!    certificate and `Ḡ` (receipts of a batch arrive together) adds no
 //!    check. The verdict is the one-at-a-time rule's: the first failing
@@ -32,21 +32,22 @@ use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 use ia_ccf_core::app::App;
-use ia_ccf_core::checkpoint::receipt_checkpoint_seq;
 use ia_ccf_core::execute::{execute_tx, Effect, Executed, MarkCheck};
-use ia_ccf_governance::chain::{ConfigHistory, GovernanceChain};
+use ia_ccf_crypto::SigQueue;
+use ia_ccf_governance::chain::{ConfigHistory, GovLink, GovernanceChain};
 use ia_ccf_governance::fork::find_fork;
 use ia_ccf_governance::{GovOutcome, GovernanceState};
 use ia_ccf_kv::KvStore;
 use ia_ccf_types::{
-    BatchCertificate, Configuration, Digest, LedgerEntry, Receipt, ReceiptError, ReplicaId, SeqNum,
-    SignedRequest,
+    receipt_checkpoint_seq, BatchCertificate, Configuration, Digest, LedgerEntry, Receipt,
+    ReceiptError, ReplicaId, SeqNum, SignedRequest,
 };
 
-use crate::package::{validate_package, LedgerPackage, PackageError, PendingSigs, ValidatedPackage};
+use crate::package::{validate_package, LedgerPackage, PackageError, ValidatedPackage};
 
-/// The auditor's receipt queue: a failure names the receipt's position.
-type ReceiptSigs = PendingSigs<(usize, ReceiptError)>;
+/// The auditor's receipt queue, checked inline: a failure names the
+/// receipt's position.
+type ReceiptSigs = SigQueue<'static, (usize, ReceiptError)>;
 
 /// A receipt together with the request it certifies — what clients store
 /// "to resolve future disputes" (§3.3).
@@ -211,6 +212,20 @@ impl Auditor {
         AuditOutcome::Clean
     }
 
+    /// The configuration that governs `seq`, as an audit of `package` under
+    /// `gov_chain` derives it (the package's end-of-configuration batches).
+    pub(crate) fn config_at(
+        &self,
+        gov_chain: &GovernanceChain,
+        package: &LedgerPackage,
+        seq: SeqNum,
+    ) -> Result<Configuration, String> {
+        let history =
+            gov_chain.verify(&self.genesis).map_err(|e| format!("governance chain invalid: {e}"))?;
+        let config_for_seq = seq_config_fn(&package.entries, &history);
+        Ok(config_for_seq(seq))
+    }
+
     /// Compare two independently valid governance chains for the same
     /// service (§B.2, Lemma 7): if they seal the same configuration number
     /// with non-equivalent P-th end-of-configuration batches, the replicas
@@ -221,43 +236,15 @@ impl Auditor {
         chain_a: &GovernanceChain,
         chain_b: &GovernanceChain,
     ) -> Result<Option<Upom>, String> {
-        use ia_ccf_governance::chain::GovLink;
-        let history_a =
-            chain_a.verify(&self.genesis).map_err(|e| format!("chain A invalid: {e}"))?;
-        let _history_b =
-            chain_b.verify(&self.genesis).map_err(|e| format!("chain B invalid: {e}"))?;
-        let boundaries = |c: &GovernanceChain| -> Vec<Receipt> {
-            c.links
-                .iter()
-                .filter_map(|l| match l {
-                    GovLink::Boundary { receipt } => Some(receipt.clone()),
-                    _ => None,
-                })
-                .collect()
-        };
-        for (i, a) in boundaries(chain_a).iter().enumerate() {
-            for (j, b) in boundaries(chain_b).iter().enumerate() {
-                if i != j {
-                    continue; // same configuration number = same position
-                }
-                if let Some(fork) = find_fork(a, b) {
-                    // Both certificates are from the same preceding
-                    // configuration: resolve ranks under it.
-                    let config = history_a.config_for_gov_index(a.gov_index());
-                    return Ok(Some(Upom {
-                        kind: UpomKind::GovernanceFork,
-                        blamed: fork.blamed_ids(config).into_iter().collect(),
-                        at_seq: a.seq(),
-                        details: format!(
-                            "two valid governance chains seal configuration step {} differently",
-                            i + 1
-                        ),
-                        receipts: vec![a.clone(), b.clone()],
-                    }));
-                }
-            }
-        }
-        Ok(None)
+        let history_a = chain_a.verify(&self.genesis).map_err(|e| format!("chain A invalid: {e}"))?;
+        chain_b.verify(&self.genesis).map_err(|e| format!("chain B invalid: {e}"))?;
+        // The same configuration number is the same position.
+        let mut pairs = boundaries(chain_a).into_iter().zip(boundaries(chain_b)).enumerate();
+        Ok(pairs.find_map(|(i, (a, b))| {
+            let details =
+                format!("two valid governance chains seal configuration step {} differently", i + 1);
+            governance_fork(a, b, &history_a, details)
+        }))
     }
 
     // ------------------------------------------------------------------
@@ -271,7 +258,7 @@ impl Auditor {
         history: &ConfigHistory,
         proved: HashSet<Digest>,
     ) -> Option<Upom> {
-        let mut pending = ReceiptSigs::new(proved);
+        let mut pending = ReceiptSigs::new(None, proved);
         let refused = queue_receipts(receipts, history, &mut pending).err();
         // A structural refusal ranks after every signature queued before it.
         match pending.flush() {
@@ -285,34 +272,14 @@ impl Auditor {
         chain: &GovernanceChain,
         history: &ConfigHistory,
     ) -> Option<Upom> {
-        use ia_ccf_governance::chain::GovLink;
-        let boundaries: Vec<&Receipt> = chain
-            .links
-            .iter()
-            .filter_map(|l| match l {
-                GovLink::Boundary { receipt } => Some(receipt),
-                _ => None,
+        let boundaries = boundaries(chain);
+        boundaries.iter().enumerate().find_map(|(i, a)| {
+            // Same preceding configuration ⇒ same gov_index.
+            boundaries[i + 1..].iter().filter(|b| a.gov_index() == b.gov_index()).find_map(|b| {
+                let details = "two non-equivalent P-th end-of-configuration batches".into();
+                governance_fork(a, b, history, details)
             })
-            .collect();
-        for (i, a) in boundaries.iter().enumerate() {
-            for b in &boundaries[i + 1..] {
-                // Same preceding configuration ⇒ same gov_index.
-                if a.gov_index() != b.gov_index() {
-                    continue;
-                }
-                if let Some(fork) = find_fork(a, b) {
-                    let config = history.config_for_gov_index(a.gov_index());
-                    return Some(Upom {
-                        kind: UpomKind::GovernanceFork,
-                        blamed: fork.blamed_ids(config).into_iter().collect(),
-                        at_seq: a.seq(),
-                        details: "two non-equivalent P-th end-of-configuration batches".into(),
-                        receipts: vec![(*a).clone(), (*b).clone()],
-                    });
-                }
-            }
-        }
-        None
+        })
     }
 
     fn check_checkpoint(
@@ -586,6 +553,38 @@ impl Auditor {
 
 fn violation(upom: Upom) -> AuditOutcome {
     AuditOutcome::Violation(Box::new(upom))
+}
+
+/// The boundary receipts of `chain`, in chain order.
+fn boundaries(chain: &GovernanceChain) -> Vec<&Receipt> {
+    chain
+        .links
+        .iter()
+        .filter_map(|l| match l {
+            GovLink::Boundary { receipt } => Some(receipt),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The Lemma 7 uPoM when boundary receipts `a` and `b` fork: both
+/// certificates are from the same preceding configuration, so ranks are
+/// resolved under it.
+fn governance_fork(
+    a: &Receipt,
+    b: &Receipt,
+    history: &ConfigHistory,
+    details: String,
+) -> Option<Upom> {
+    let fork = find_fork(a, b)?;
+    let config = history.config_for_gov_index(a.gov_index());
+    Some(Upom {
+        kind: UpomKind::GovernanceFork,
+        blamed: fork.blamed_ids(config).into_iter().collect(),
+        at_seq: a.seq(),
+        details,
+        receipts: vec![a.clone(), b.clone()],
+    })
 }
 
 /// Walk `receipts` in input order: Alg. 3's structural part, the request

@@ -7,7 +7,6 @@
 //! member-signed endorsements of replica keys in the configuration (§5.1)
 //! are what turn replica blame into member punishment.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use ia_ccf_core::app::App;
@@ -91,11 +90,12 @@ impl Enforcer {
         out
     }
 
-    /// Verify a uPoM by re-running the (bounded) audit, then punish the
-    /// members operating the blamed replicas. An invalid uPoM instead
+    /// Verify a uPoM by re-running the (bounded) audit: it stands only if
+    /// the audit derives its kind, its `at_seq` and exactly its blame set.
+    /// Then punish the members operating the blamed replicas, mapped
+    /// through the configuration that governs `at_seq`. An invalid uPoM
     /// sanctions nobody and reports `Err` (the paper punishes the auditor;
     /// we surface it to the caller).
-    #[allow(clippy::too_many_arguments)]
     pub fn process_upom(
         &mut self,
         upom: &Upom,
@@ -104,28 +104,22 @@ impl Enforcer {
         package: &LedgerPackage,
         genesis: &Configuration,
         app: Arc<dyn App>,
-        blame_config: &Configuration,
     ) -> Result<Vec<Sanction>, String> {
         let auditor = Auditor::new(genesis.clone(), app);
-        let outcome = auditor.audit(receipts, gov_chain, package);
-        let AuditOutcome::Violation(reverified) = outcome else {
+        let AuditOutcome::Violation(derived) = auditor.audit(receipts, gov_chain, package) else {
             return Err("uPoM did not reverify: audit is clean".into());
         };
-        if reverified.kind != upom.kind {
-            return Err(format!(
-                "uPoM kind mismatch: claimed {:?}, found {:?}",
-                upom.kind, reverified.kind
-            ));
+        let claim = |u: &Upom| (u.kind.clone(), u.at_seq, u.blamed.clone());
+        let (claimed, found) = (claim(upom), claim(&derived));
+        if claimed != found {
+            return Err(format!("uPoM mismatch: claimed {claimed:?}, found {found:?}"));
         }
-        let blamed: BTreeSet<ReplicaId> =
-            upom.blamed.union(&reverified.blamed).copied().collect();
-        let mut new_sanctions = Vec::new();
-        for replica in blamed {
-            if let Some(s) = self.sanction_replica(replica, blame_config, &upom.details) {
-                new_sanctions.push(s);
-            }
+        if upom.blamed.is_empty() {
+            return Ok(Vec::new());
         }
-        Ok(new_sanctions)
+        let config = auditor.config_at(gov_chain, package, upom.at_seq)?;
+        let blamed = upom.blamed.iter();
+        Ok(blamed.filter_map(|&r| self.sanction_replica(r, &config, &upom.details)).collect())
     }
 
     /// Punish the member operating `replica` (per the configuration's
@@ -138,14 +132,10 @@ impl Enforcer {
         reason: &str,
     ) -> Option<Sanction> {
         let member = config.operator_of(replica)?;
-        let sanction = Sanction { member, replica, reason: to_owned_reason(reason) };
+        let sanction = Sanction { member, replica, reason: reason.to_string() };
         self.sanctions.push(sanction.clone());
         Some(sanction)
     }
-}
-
-fn to_owned_reason(reason: &str) -> String {
-    reason.to_string()
 }
 
 #[cfg(test)]

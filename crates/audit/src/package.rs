@@ -11,10 +11,10 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-use ia_ccf_core::viewchange::check_new_view;
-use ia_ccf_crypto::VerifyJob;
+use ia_ccf_crypto::SigQueue;
 use ia_ccf_kv::KvCheckpoint;
 use ia_ccf_ledger::segment::{segment_entries, Segment};
+use ia_ccf_ledger::validity::{check_new_view, view_primary_job};
 use ia_ccf_merkle::MerkleTree;
 use ia_ccf_types::{
     evidence_target, BatchCertificate, Configuration, Digest, EvidenceError, LedgerEntry,
@@ -114,9 +114,9 @@ pub struct ValidatedPackage {
     /// the prepared batches the set's members claimed (Lemma 5 needs to
     /// distinguish honest reports from omissions).
     pub view_change_reports: Vec<ViewChangeReport>,
-    /// The [`VerifyJob::fingerprint`] of every signature the validation
-    /// proved: each pre-prepare's and each evidence prepare's, under the
-    /// configuration governing its position.
+    /// The [`ia_ccf_crypto::VerifyJob::fingerprint`] of every signature
+    /// the validation proved: each pre-prepare's and each evidence
+    /// prepare's, under the configuration governing its position.
     pub proved: HashSet<Digest>,
     /// Per sequence number, the position in `batches` of its latest batch.
     latest: HashMap<SeqNum, usize>,
@@ -152,25 +152,21 @@ impl ValidatedPackage {
     }
 }
 
-/// Most signatures one combined equation checks. The pending chunk is
-/// flushed at this size, which bounds the payload bytes it holds.
-pub const SIG_CHUNK: usize = 256;
-
 /// Validate `entries` (a full ledger starting at genesis) without
 /// executing transactions: grammar, signatures, nonces, root progression.
 /// `config_for_seq` supplies the configuration governing each sequence
 /// number (derived from the governance sub-ledger).
 ///
-/// The pre-prepare and evidence-prepare signatures are checked a chunk of
-/// [`SIG_CHUNK`] at a time by one combined equation (`PendingSigs`). The
-/// verdict is still the first failing check in ledger order: a structural
-/// refusal is reported only once every signature queued before it has
-/// passed.
+/// The pre-prepare and evidence-prepare signatures go on one
+/// [`SigQueue`], checked inline a window of [`ia_ccf_crypto::SIG_CHUNK`]
+/// at a time by one combined equation. The verdict is still the first
+/// failing check in ledger order: a structural refusal is reported only
+/// once every signature queued before it has passed.
 pub fn validate_package(
     entries: &[LedgerEntry],
     config_for_seq: &dyn Fn(SeqNum) -> Configuration,
 ) -> Result<ValidatedPackage, PackageError> {
-    let mut pending = PendingSigs::new(HashSet::new());
+    let mut pending = SigQueue::new(None, HashSet::new());
     match walk(entries, config_for_seq, &mut pending) {
         Ok(mut out) => {
             pending.flush()?;
@@ -186,7 +182,7 @@ pub fn validate_package(
 fn walk(
     entries: &[LedgerEntry],
     config_for_seq: &dyn Fn(SeqNum) -> Configuration,
-    pending: &mut PendingSigs<PackageError>,
+    pending: &mut SigQueue<'_, PackageError>,
 ) -> Result<ValidatedPackage, PackageError> {
     let segments =
         segment_entries(entries, 0).map_err(|e| PackageError::Malformed(e.to_string()))?;
@@ -276,16 +272,10 @@ fn walk(
                 if pp.core.root_m != tree.root() {
                     return Err(PackageError::RootMismatch(*seq));
                 }
-                // Primary signature.
-                let key = config
-                    .replica_key(pp.core.primary)
-                    .filter(|_| config.primary_of(*view) == pp.core.primary)
-                    .ok_or(PackageError::BadPrePrepareSig(*seq))?;
-                let msg = PrePrepare::signing_payload(&pp.core, &pp.root_g);
-                pending.push(
-                    VerifyJob { key: *key, msg, sig: pp.sig },
-                    PackageError::BadPrePrepareSig(*seq),
-                )?;
+                // The primary's signature: the replicas' own rule.
+                let unsigned = PackageError::BadPrePrepareSig(*seq);
+                let job = view_primary_job(&config, pp).ok_or(unsigned.clone())?;
+                pending.push(job, unsigned)?;
                 // Ḡ over the recorded ⟨t, i, o⟩ entries.
                 let mut g = MerkleTree::new();
                 for &ti in tx_at {
@@ -311,71 +301,6 @@ fn walk(
         }
     }
     Ok(out)
-}
-
-/// Signature checks queued in the order their verdicts rank, each with the
-/// refusal `E` its failure reports, and checked [`SIG_CHUNK`] at a time by
-/// one combined equation (`ia_ccf_crypto::verify_batch_indices`, whose
-/// failed indices are exactly the single checks' verdicts). The one queue
-/// of the package's validation and of the auditor's receipts.
-///
-/// A check whose [`VerifyJob::fingerprint`] has passed, or waits in the
-/// queue, is not queued again: it passes exactly when its twin does, and
-/// its twin ranks first.
-pub(crate) struct PendingSigs<E> {
-    jobs: Vec<VerifyJob>,
-    fails_as: Vec<E>,
-    /// Fingerprints of `jobs`.
-    queued: HashSet<Digest>,
-    /// Fingerprints of every check that passed.
-    proved: HashSet<Digest>,
-}
-
-impl<E> PendingSigs<E> {
-    /// An empty queue that takes the checks fingerprinted in `proved` as
-    /// passed.
-    pub(crate) fn new(proved: HashSet<Digest>) -> Self {
-        PendingSigs { jobs: Vec::new(), fails_as: Vec::new(), queued: HashSet::new(), proved }
-    }
-
-    /// Queue one check unless it is known; a full chunk is checked on the
-    /// spot.
-    pub(crate) fn push(&mut self, job: VerifyJob, fails_as: E) -> Result<(), E> {
-        let fingerprint = job.fingerprint();
-        if self.proved.contains(&fingerprint) || !self.queued.insert(fingerprint) {
-            return Ok(());
-        }
-        self.jobs.push(job);
-        self.fails_as.push(fails_as);
-        if self.jobs.len() >= SIG_CHUNK {
-            self.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Check everything queued: the earliest failure is the refusal. When
-    /// none fails, every queued check is proved.
-    pub(crate) fn flush(&mut self) -> Result<(), E> {
-        let first_failed = ia_ccf_crypto::verify_batch_indices(&self.jobs).first().copied();
-        self.jobs.clear();
-        let refusal = first_failed.map(|i| self.fails_as.swap_remove(i));
-        self.fails_as.clear();
-        match refusal {
-            Some(why) => {
-                self.queued.clear();
-                Err(why)
-            }
-            None => {
-                self.proved.extend(self.queued.drain());
-                Ok(())
-            }
-        }
-    }
-
-    /// The fingerprints of every check that passed.
-    pub(crate) fn into_proved(self) -> HashSet<Digest> {
-        self.proved
-    }
 }
 
 /// A refusal of the replicas' evidence rule, in this module's terms.

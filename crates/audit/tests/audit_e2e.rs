@@ -3,7 +3,7 @@
 //! blaming at least f + 1 replicas — including when **all** replicas
 //! collude (§4.1).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use ia_ccf_audit::package::validate_package;
@@ -17,9 +17,9 @@ use ia_ccf_governance::chain::GovernanceChain;
 use ia_ccf_sim::{ClusterSpec, DetCluster};
 use ia_ccf_types::receipt::testutil::make_tx_receipts;
 use ia_ccf_types::{
-    BatchCertificate, ClientId, Configuration, Digest, LedgerEntry, LedgerIdx, Nonce, PrePrepare,
-    Prepare, ProcId, Receipt, ReceiptError, ReplicaBitmap, ReplicaId, Request, RequestAction,
-    SeqNum, Signature, SignedRequest, TxResult, View,
+    receipt_checkpoint_seq, BatchCertificate, ClientId, Configuration, Digest, LedgerEntry,
+    LedgerIdx, MemberId, Nonce, PrePrepare, Prepare, ProcId, Receipt, ReceiptError, ReplicaBitmap,
+    ReplicaId, Request, RequestAction, SeqNum, Signature, SignedRequest, TxResult, View,
 };
 
 fn spec(n: usize) -> ClusterSpec {
@@ -116,10 +116,106 @@ fn colluding_quorum_wrong_execution_is_caught_by_replay() {
             &package,
             &s.genesis,
             Arc::new(CounterApp),
-            &s.genesis,
         )
         .expect("uPoM verifies");
     assert!(sanctions.len() > s.genesis.f());
+}
+
+/// A cluster of `n` whose ranks in `tampered` run an app that claims 999
+/// for reads of "acct", its receipts, the package of replica 0 (a
+/// tamperer) and the honest audit's uPoM.
+fn tampered_audit(
+    n: usize,
+    tampered: std::ops::Range<usize>,
+) -> (ClusterSpec, Vec<StoredReceipt>, LedgerPackage, Upom) {
+    let s = spec(n);
+    let (cluster, receipts) = run_cluster(
+        &s,
+        |rank| -> Arc<dyn ia_ccf_core::App> {
+            if !tampered.contains(&rank) {
+                return Arc::new(CounterApp);
+            }
+            Arc::new(TamperedApp::new(Arc::new(CounterApp), |proc, args, _| {
+                (proc == CounterApp::READ && args == b"acct").then(|| 999u64.to_le_bytes().to_vec())
+            }))
+        },
+        12,
+    );
+    let package = LedgerPackage::from_replica(cluster.replica(ReplicaId(0)), SeqNum(0));
+    let auditor = Auditor::new(s.genesis.clone(), Arc::new(CounterApp));
+    let outcome = auditor.audit(&receipts, &GovernanceChain::new(), &package);
+    let upom = outcome.upom().expect("the audit finds the lie").clone();
+    (s, receipts, package, upom)
+}
+
+/// What the enforcer makes of `upom`: its verdict and the sanctions it
+/// recorded.
+fn enforce(
+    s: &ClusterSpec,
+    receipts: &[StoredReceipt],
+    package: &LedgerPackage,
+    upom: &Upom,
+) -> (Result<Vec<MemberId>, String>, usize) {
+    let mut enforcer = Enforcer::new();
+    let verdict = enforcer
+        .process_upom(upom, receipts, &GovernanceChain::new(), package, &s.genesis, Arc::new(CounterApp))
+        .map(|sanctions| sanctions.iter().map(|sanction| sanction.member).collect());
+    (verdict, enforcer.sanctions.len())
+}
+
+/// The uPoM of a cluster of seven, five of them tampering, altered by
+/// `alter`, is refused and sanctions nobody, while the uPoM as the audit
+/// derived it stands.
+fn assert_refused_when_altered(alter: impl Fn(&mut Upom)) {
+    let (s, receipts, package, upom) = tampered_audit(7, 0..5);
+    assert_eq!(upom.kind, UpomKind::WrongExecution);
+    let mut altered = upom.clone();
+    alter(&mut altered);
+    let (verdict, recorded) = enforce(&s, &receipts, &package, &altered);
+    assert!(verdict.is_err(), "{verdict:?}");
+    assert_eq!(recorded, 0, "nobody is sanctioned");
+    let (verdict, _) = enforce(&s, &receipts, &package, &upom);
+    assert_eq!(verdict.map(|members| members.len()), Ok(upom.blamed.len()));
+}
+
+/// A uPoM names exactly the blame set the enforcer derives: an innocent
+/// replica added to it is not punished with the rest.
+#[test]
+fn an_inflated_blame_set_is_refused() {
+    assert_refused_when_altered(|upom| {
+        assert!(upom.blamed.insert(ReplicaId(5)), "replica 5 ran the honest app");
+    });
+}
+
+#[test]
+fn a_deflated_blame_set_is_refused() {
+    assert_refused_when_altered(|upom| {
+        upom.blamed.pop_first();
+    });
+}
+
+#[test]
+fn a_wrong_at_seq_is_refused() {
+    assert_refused_when_altered(|upom| upom.at_seq = upom.at_seq.next());
+}
+
+/// At n = 7 with five replicas running the lie (a quorum of them) and two
+/// honest ones, the honest uPoM sanctions exactly the five tamperers'
+/// members, and a claim that adds the honest two is refused.
+#[test]
+fn the_honest_upom_sanctions_exactly_the_tamperers() {
+    let (s, receipts, package, upom) = tampered_audit(7, 0..5);
+    let tamperers: BTreeSet<ReplicaId> = (0..5).map(ReplicaId).collect();
+    assert_eq!(upom.blamed, tamperers);
+    let members: Vec<MemberId> =
+        (0..5).map(|r| s.genesis.operator_of(ReplicaId(r)).expect("an operator")).collect();
+    assert_eq!(enforce(&s, &receipts, &package, &upom), (Ok(members), 5));
+
+    let mut everyone = upom.clone();
+    everyone.blamed.extend([ReplicaId(5), ReplicaId(6)]);
+    let (verdict, recorded) = enforce(&s, &receipts, &package, &everyone);
+    assert!(verdict.is_err(), "{verdict:?}");
+    assert_eq!(recorded, 0);
 }
 
 #[test]
@@ -144,7 +240,6 @@ fn bogus_upom_is_rejected_by_enforcer() {
             &package,
             &s.genesis,
             Arc::new(CounterApp),
-            &s.genesis,
         )
         .unwrap_err();
     assert!(err.contains("clean"), "{err}");
@@ -458,9 +553,7 @@ fn audit_from_checkpoint_is_bounded_and_clean() {
     // the replicas (the freshest group): those are the ones a real client
     // would audit soon after the fact.
     let retained = cluster.replica(ReplicaId(2)).checkpoints().seqs();
-    let scp_of = |seq| {
-        ia_ccf_core::checkpoint::receipt_checkpoint_seq(seq, s.genesis.checkpoint_interval)
-    };
+    let scp_of = |seq| receipt_checkpoint_seq(seq, s.genesis.checkpoint_interval);
     let max_scp = receipts
         .iter()
         .map(|r| scp_of(r.receipt.seq()))

@@ -9,10 +9,10 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use ia_ccf_audit::package::SIG_CHUNK;
 use ia_ccf_audit::{Auditor, LedgerPackage, StoredReceipt, Upom, UpomKind};
 use ia_ccf_core::app::CounterApp;
 use ia_ccf_core::ProtocolParams;
+use ia_ccf_crypto::SIG_CHUNK;
 use ia_ccf_governance::chain::GovernanceChain;
 use ia_ccf_sim::ClusterSpec;
 use ia_ccf_types::receipt::testutil::make_tx_receipts;

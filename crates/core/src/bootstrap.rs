@@ -13,14 +13,16 @@
 //!
 //! One loop, `replay_segments`, replays a whole ledger
 //! ([`Replica::bootstrap`]), a restart's disk run and each sync page. It
-//! proves the run's pre-prepare signatures first, in combined equations
-//! chunked over the worker pool (§3.4 parallelises signature
-//! verification), then applies the segments in order. A segment is taken
-//! without a second check only when its signature was proven under the key
-//! its configuration names at replay time; one whose job failed, or whose
-//! key a reconfiguration earlier in the run changed, is checked singly. A
-//! refusal is therefore the single checks' `BootstrapError` at the same
-//! seq, with the same prefix applied.
+//! proves the run's pre-prepare signatures first — each segment's
+//! `view_primary_job`, the pre-prepare rule a backup and the auditor apply
+//! too, on the one ordered [`ia_ccf_crypto::SigQueue`], whose windows of
+//! [`ia_ccf_crypto::SIG_CHUNK`] are checked over the worker pool (§3.4
+//! parallelises signature verification) — then applies the segments in
+//! order. A segment is taken without a second check only when that exact
+//! job passed under the key its configuration names at replay time; one
+//! whose job failed, or whose key a reconfiguration earlier in the run
+//! changed, is checked singly. A refusal is therefore the single checks'
+//! `BootstrapError` at the same seq, with the same prefix applied.
 //!
 //! **Obtaining** the ledger is the resumable `FetchLedgerPage` protocol
 //! ([`LedgerSyncState`]): the recovering replica requests bounded pages
@@ -55,11 +57,12 @@
 //! verification failure or refusal falls back to paged replay from
 //! genesis, which remains the stronger (and always-available) check.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 
-use ia_ccf_crypto::{verify_batch_indices_on, VerifyJob, VERIFY_MIN_CHUNK};
+use ia_ccf_crypto::SigQueue;
 use ia_ccf_ledger::segment::{segment_complete_prefix, segment_entries, Segment};
+use ia_ccf_ledger::validity::{check_new_view, signed_by_view_primary, view_primary_job, Refused};
 use ia_ccf_ledger::Ledger;
 use ia_ccf_merkle::MerkleTree;
 use ia_ccf_types::{
@@ -72,10 +75,9 @@ use crate::app::App;
 use crate::checkpoint::CheckpointRecord;
 use crate::events::Output;
 use crate::params::ProtocolParams;
-use crate::pipeline::ordering::{signed_by_view_primary, EvidenceSet, RequestSigs};
+use crate::pipeline::ordering::{EvidenceSet, RequestSigs};
 use crate::replica::{Replica, Status};
 use crate::seedfile::SeedCheckpointFile;
-use crate::viewchange::{check_new_view, Refused};
 
 /// Why a ledger could not be replayed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -224,7 +226,7 @@ impl Replica {
         segs: &[Segment],
         entries: &[LedgerEntry],
     ) -> Result<(), BootstrapError> {
-        let proven = self.prove_pre_prepare_sigs(segs, entries);
+        let proven = self.proven_primary_keys(segs, entries);
         for (seg, key) in segs.iter().zip(&proven) {
             self.replay_segment(seg, entries, key.as_ref())?;
         }
@@ -232,53 +234,39 @@ impl Replica {
     }
 
     /// The pre-pass, which only reads: per segment, the key its
-    /// pre-prepare's signature is proven under, checked on the pool in
-    /// [`ia_ccf_crypto::verify_batch_indices_on`]'s chunks under each
-    /// sequence number's configuration as known now. `None` for a segment
-    /// that is not a batch, names no key, or whose signature failed (the
-    /// failed indices are exactly the single checks' verdicts) or was not
-    /// reached.
-    ///
-    /// The jobs go in windows that double, from one minimum chunk per
-    /// worker, and a window is checked only when every earlier one passed.
-    /// A failed window falls back to single checks for each of its jobs,
-    /// so a page of forgeries costs singles over at most one window past
-    /// the signatures it proved, never over the whole page; an honest run
-    /// pays a few more, smaller equations.
-    fn prove_pre_prepare_sigs(
+    /// pre-prepare's signature is proven under. Each batch segment's
+    /// [`view_primary_job`], under its sequence number's configuration as
+    /// known now, goes on one [`SigQueue`] checked on the pool, until the
+    /// first failure. `None` (checked singly when applied) for a segment
+    /// that is not a batch, fails the primary clause, or whose job failed
+    /// or was not reached.
+    fn proven_primary_keys(
         &self,
         segs: &[Segment],
         entries: &[LedgerEntry],
     ) -> Vec<Option<PublicKey>> {
-        let (mut jobs, mut keys) = (Vec::new(), Vec::new());
-        let job_of: Vec<Option<usize>> = segs
-            .iter()
-            .map(|seg| {
-                let Segment::Batch { pp_at, seq, .. } = seg else {
-                    return None;
-                };
-                let LedgerEntry::PrePrepare(pp) = &entries[*pp_at] else {
-                    unreachable!("segmenter guarantees");
-                };
-                let key = *self.config_for_seq(*seq).replica_key(pp.core.primary)?;
-                let msg = PrePrepare::signing_payload(&pp.core, &pp.root_g);
-                jobs.push(VerifyJob { key, msg, sig: pp.sig });
-                keys.push(key);
-                Some(keys.len() - 1)
-            })
-            .collect();
-        let mut jobs = jobs.into_iter();
-        let (mut checked, mut window) = (0, VERIFY_MIN_CHUNK * self.pool.threads());
-        let mut failed = Vec::new();
-        while checked < keys.len() && failed.is_empty() {
-            let part: Vec<VerifyJob> = jobs.by_ref().take(window).collect();
-            let end = checked + part.len();
-            failed = verify_batch_indices_on(&self.pool, part);
-            failed.iter_mut().for_each(|i| *i += checked);
-            (checked, window) = (end, 2 * window);
+        let mut queue = SigQueue::new(Some(&self.pool), HashSet::new());
+        let mut queued = vec![None; segs.len()];
+        for (seg, queued) in segs.iter().zip(&mut queued) {
+            let Segment::Batch { pp_at, seq, .. } = seg else {
+                continue;
+            };
+            let LedgerEntry::PrePrepare(pp) = &entries[*pp_at] else {
+                unreachable!("segmenter guarantees");
+            };
+            let Some(job) = view_primary_job(self.config_for_seq(*seq), pp) else {
+                continue;
+            };
+            *queued = Some((job.key, job.fingerprint()));
+            if queue.push(job, ()).is_err() {
+                break;
+            }
         }
-        let proven = |i: &usize| *i < checked && failed.binary_search(i).is_err();
-        job_of.into_iter().map(|job| job.filter(proven).map(|i| keys[i])).collect()
+        // A failure only ends the proofs: the proved set says which passed.
+        let _ = queue.flush();
+        let proved = queue.into_proved();
+        let proven = |(key, fingerprint)| proved.contains(&fingerprint).then_some(key);
+        queued.into_iter().map(|job| job.and_then(proven)).collect()
     }
 
     /// Validate and apply one ledger segment, updating the frontiers
@@ -1017,9 +1005,9 @@ mod tests {
     /// Wherever forgeries sit against the pre-pass's chunks and windows, a
     /// replay gives what one segment at a time with a single check each
     /// gave: the same `BadPrePrepareSig` at the same seq, the same prefix
-    /// applied and the same bodies kept. On four workers the first window
-    /// holds every job, cut into chunks of `VERIFY_MIN_CHUNK`; on one, the
-    /// first window is one such chunk and the second holds the rest.
+    /// applied and the same bodies kept. Every job fits one window of the
+    /// queue; on four workers it is cut into chunks of `VERIFY_MIN_CHUNK`,
+    /// on one it is checked whole.
     #[test]
     fn replay_refuses_where_single_checks_refuse() {
         let mut bus = Bus::new(1);

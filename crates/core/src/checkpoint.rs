@@ -132,18 +132,6 @@ impl CheckpointStore {
     }
 }
 
-/// The sequence number whose checkpoint digest a receipt at `seq` carries:
-/// the penultimate checkpoint (Appx. B):
-/// `scp = 0 if s < C, else C · (⌈s/C⌉ − 2)` (clamped at zero).
-pub fn receipt_checkpoint_seq(seq: SeqNum, interval: u64) -> SeqNum {
-    let s = seq.0;
-    if s < interval {
-        return SeqNum(0);
-    }
-    let k = s.div_ceil(interval);
-    SeqNum(interval * k.saturating_sub(2))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,23 +177,5 @@ mod tests {
         store.truncate_after(SeqNum(15));
         assert!(store.at(SeqNum(20)).is_none());
         assert!(store.at(SeqNum(10)).is_some());
-    }
-
-    #[test]
-    fn receipt_checkpoint_seq_matches_paper_formula() {
-        let c = 10;
-        // s < C ⇒ 0.
-        assert_eq!(receipt_checkpoint_seq(SeqNum(0), c), SeqNum(0));
-        assert_eq!(receipt_checkpoint_seq(SeqNum(9), c), SeqNum(0));
-        // s = C: ⌈10/10⌉ = 1 ⇒ clamp to 0.
-        assert_eq!(receipt_checkpoint_seq(SeqNum(10), c), SeqNum(0));
-        // s in (C, 2C]: ⌈s/C⌉ = 2 ⇒ 0.
-        assert_eq!(receipt_checkpoint_seq(SeqNum(15), c), SeqNum(0));
-        assert_eq!(receipt_checkpoint_seq(SeqNum(20), c), SeqNum(0));
-        // s in (2C, 3C]: ⌈s/C⌉ = 3 ⇒ C.
-        assert_eq!(receipt_checkpoint_seq(SeqNum(21), c), SeqNum(10));
-        assert_eq!(receipt_checkpoint_seq(SeqNum(30), c), SeqNum(10));
-        // s = 45: ⌈45/10⌉ = 5 ⇒ 30.
-        assert_eq!(receipt_checkpoint_seq(SeqNum(45), c), SeqNum(30));
     }
 }

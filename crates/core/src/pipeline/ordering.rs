@@ -16,16 +16,16 @@
 
 use std::collections::BTreeMap;
 
+use ia_ccf_ledger::validity::{signed_by_view_primary, verify_replica_payload};
 use ia_ccf_types::{
-    evidence_target, lowest_ranked_quorum, BatchCertificate, BatchKind, Commit, Configuration,
-    Digest, LedgerEntry, Nonce, PrePrepare, PrePrepareCore, Prepare, ProtocolMsg, PublicKey,
-    ReplicaBitmap, ReplicaId, RequestAction, SeqNum, Signature, SignedRequest, SystemOp,
-    TxLedgerEntry, View,
+    evidence_target, lowest_ranked_quorum, BatchCertificate, BatchKind, Commit, Digest,
+    LedgerEntry, Nonce, PrePrepare, PrePrepareCore, Prepare, ProtocolMsg, PublicKey, ReplicaBitmap,
+    ReplicaId, RequestAction, SeqNum, Signature, SignedRequest, SystemOp, TxLedgerEntry, View,
 };
 
 use crate::pipeline::exec_window::RETENTION_BATCHES;
 use crate::pipeline::execution::{BatchExec, BatchMark, ExecError};
-use crate::replica::{verify_replica_payload, Replica};
+use crate::replica::Replica;
 
 /// Ticks the primary waits before flushing a partial batch.
 const BATCH_DELAY_TICKS: u64 = 1;
@@ -62,29 +62,6 @@ pub(crate) enum Refused {
     RootG,
     ForgedRequest,
     Exec(ExecError),
-}
-
-/// Whether `pp` names the primary of its view under `config` (its
-/// sequence number's configuration) and carries that replica's signature
-/// — asked of every pre-prepare before it touches state, and of every one
-/// a view-change reports. `proven` is the key this exact pre-prepare's
-/// signature was already proven under (a replay pre-pass, a stashed
-/// check), if any: the check is skipped only when that is the key
-/// `config` names for the primary, and runs singly otherwise.
-pub(crate) fn signed_by_view_primary(
-    config: &Configuration,
-    pp: &PrePrepare,
-    proven: Option<&PublicKey>,
-) -> bool {
-    let primary = pp.core.primary;
-    if config.primary_of(pp.view()) != primary {
-        return false;
-    }
-    if proven.is_some() && proven == config.replica_key(primary) {
-        return true;
-    }
-    let payload = PrePrepare::signing_payload(&pp.core, &pp.root_g);
-    verify_replica_payload(config, primary, &payload, &pp.sig)
 }
 
 /// The checkpoint `req` marks, when it is a checkpoint mark.
@@ -774,39 +751,5 @@ impl Replica {
         let pp_digest = self.msgs.slot(target, view)?.pp_digest?;
         let (prepares, nonces) = cert.to_evidence(self.config_for_seq(target), &pp_digest)?;
         Some((cert, EvidenceSet { seq: target, prepares, nonces }))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use ia_ccf_types::config::testutil::test_config;
-    use ia_ccf_types::messages::testutil::test_pp;
-    use ia_ccf_types::KeyPair;
-
-    use super::signed_by_view_primary;
-
-    /// A proof stands only under the key the configuration names for the
-    /// view's primary; under any other key the check runs singly, and the
-    /// primary clause comes first either way.
-    #[test]
-    fn a_proven_signature_is_tied_to_its_key() {
-        let (config, keys, _) = test_config(4);
-        let named = keys[0].public();
-        let other = KeyPair::from_label("not-replica-0");
-        let honest = test_pp(0, 3, &keys[0]);
-        let foreign = test_pp(0, 3, &other);
-        let wrong_primary = test_pp(1, 3, &keys[0]);
-        let foreign_key = other.public();
-        let rows = [
-            ("valid only under another key, proven under it", &foreign, Some(&foreign_key), false),
-            ("valid only under another key, unproven", &foreign, None, false),
-            ("honest, proven under the named key", &honest, Some(&named), true),
-            ("honest, unproven", &honest, None, true),
-            ("honest, proven under another key", &honest, Some(&foreign_key), true),
-            ("not the view's primary, proven", &wrong_primary, Some(&named), false),
-        ];
-        for (row, pp, proven, accepted) in rows {
-            assert_eq!(signed_by_view_primary(&config, pp, proven), accepted, "{row}");
-        }
     }
 }

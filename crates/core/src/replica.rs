@@ -19,15 +19,15 @@ use ia_ccf_governance::GovernanceState;
 use ia_ccf_kv::KvStore;
 use ia_ccf_ledger::Ledger;
 use ia_ccf_types::{
-    ClientId, Configuration, Digest, LedgerEntry, LedgerIdx, Nonce, PrePrepare, ProtocolMsg,
-    PublicKey, ReplicaId, SeqNum, Signature, SignedRequest, View, Wire,
+    receipt_checkpoint_seq, ClientId, Configuration, Digest, LedgerEntry, LedgerIdx, Nonce,
+    PrePrepare, ProtocolMsg, PublicKey, ReplicaId, SeqNum, Signature, SignedRequest, View, Wire,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::app::App;
 use crate::bootstrap::LedgerSyncState;
-use crate::checkpoint::{receipt_checkpoint_seq, CheckpointRecord, CheckpointStore};
+use crate::checkpoint::{CheckpointRecord, CheckpointStore};
 use crate::events::{Input, NodeId, Output};
 use crate::msgstore::MsgStore;
 use crate::params::ProtocolParams;
@@ -667,15 +667,4 @@ impl Replica {
 pub(crate) fn debug_enabled() -> bool {
     static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *FLAG.get_or_init(|| std::env::var_os("IACCF_DEBUG").is_some())
-}
-
-/// Whether `sig` is `sender`'s signature over `payload` under `config` —
-/// the one place a replica's signature is checked.
-pub(crate) fn verify_replica_payload(
-    config: &Configuration,
-    sender: ReplicaId,
-    payload: &[u8],
-    sig: &Signature,
-) -> bool {
-    config.replica_key(sender).is_some_and(|key| key.verify(payload, sig))
 }

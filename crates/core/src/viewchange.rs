@@ -8,160 +8,22 @@
 //! view with byte-identical batch content, which re-execution reproduces
 //! (early execution is deterministic).
 //!
-//! "Was this view change legitimate?" has one answer, [`check_view_change`]
-//! and [`check_new_view`]: pure functions that a backup, a replica loading
-//! a ledger and the auditor all call. The logged pair has one writer,
-//! `log_new_view` (docs/ARCHITECTURE.md §1.5).
+//! "Was this view change legitimate?" has one answer,
+//! [`check_view_change`] and [`check_new_view`]: pure functions in
+//! [`ia_ccf_ledger::validity`] that a backup, a replica loading a ledger
+//! and the auditor all call. This module holds the protocol handlers and
+//! the logged pair's one writer, `log_new_view` (docs/ARCHITECTURE.md
+//! §1.5).
 
-use std::collections::BTreeSet;
-
+use ia_ccf_ledger::validity::{
+    check_new_view, check_view_change, chosen_last_prepared, view_change_set_entry, Refused,
+};
 use ia_ccf_types::{
-    BatchKind, Configuration, Digest, LedgerEntry, NewViewMsg, PrePrepare, ProtocolMsg,
-    ReplicaBitmap, ReplicaId, SeqNum, SignedRequest, View, ViewChange, Wire,
+    BatchKind, Digest, LedgerEntry, NewViewMsg, PrePrepare, ProtocolMsg, ReplicaBitmap, SeqNum,
+    SignedRequest, View, ViewChange, Wire,
 };
 
-use crate::pipeline::ordering::signed_by_view_primary;
-use crate::replica::{verify_replica_payload, Replica, Status};
-
-/// The clause of Alg. 2's validity rule a view-change or a new-view broke.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Refused {
-    /// A view-change sender is not ranked in the configuration.
-    UnknownSender(ReplicaId),
-    /// This replica's signature (on its view-change, or on the new-view)
-    /// does not verify.
-    BadSignature(ReplicaId),
-    /// A pre-prepare this sender reports does not carry the signature of
-    /// the primary of its view.
-    UnsignedPrePrepare(ReplicaId),
-    /// `hasPrepares` fails: the last pre-prepare this sender reports is
-    /// not proven prepared.
-    NotPrepared(ReplicaId),
-    /// This sender's view-change is for another view than the new-view.
-    WrongView(ReplicaId),
-    /// Fewer than a quorum of distinct senders.
-    NoQuorum,
-    /// The senders' ranks are not the new-view's `E_vc`.
-    Bitmap,
-    /// The set entry does not hash to the new-view's `h_vc`.
-    SetHash,
-    /// The ledger with the set entry appended does not have root `M̄′`.
-    RootM,
-}
-
-/// What a valid new-view establishes, for callers to read instead of
-/// deriving it again.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NewViewFacts {
-    /// The view-change senders, ascending.
-    pub senders: Vec<ReplicaId>,
-    /// The chosen last-prepared batch `(seq, H(pp))`; `None` when no
-    /// sender reports a prepared batch.
-    pub last_prepared: Option<(SeqNum, Digest)>,
-    /// Every `(seq, Ḡ)` a sender reports as prepared (Lemma 5 tells an
-    /// honest report from an omission by these).
-    pub reported: Vec<(SeqNum, Digest)>,
-}
-
-/// Alg. 2 line 6: `vc` comes from a replica of `config`, carries its
-/// signature, every pre-prepare it reports carries the signature of its
-/// view's primary, and — `hasPrepares` — the last of them is proven
-/// prepared: quorum − 1 distinct signed prepares matching it, none from
-/// its primary.
-pub fn check_view_change(config: &Configuration, vc: &ViewChange) -> Result<(), Refused> {
-    if config.rank_of(vc.replica).is_none() {
-        return Err(Refused::UnknownSender(vc.replica));
-    }
-    if !verify_replica_payload(config, vc.replica, &vc.own_payload(), &vc.sig) {
-        return Err(Refused::BadSignature(vc.replica));
-    }
-    if !vc.pps.iter().all(|pp| signed_by_view_primary(config, pp, None)) {
-        return Err(Refused::UnsignedPrePrepare(vc.replica));
-    }
-    if let Some(last) = vc.pps.last() {
-        let ppd = last.digest();
-        let provers: BTreeSet<ReplicaId> = vc
-            .last_proof
-            .iter()
-            .filter(|p| p.pp_digest == ppd && p.seq == last.seq() && p.view == last.view())
-            .filter(|p| p.replica != last.core.primary)
-            .filter(|p| verify_replica_payload(config, p.replica, &p.own_payload(), &p.sig))
-            .map(|p| p.replica)
-            .collect();
-        if provers.len() + 1 < config.quorum() {
-            return Err(Refused::NotPrepared(vc.replica));
-        }
-    }
-    Ok(())
-}
-
-/// Alg. 2 line 18, all of it but `M̄′` (which needs a ledger; see
-/// `log_new_view`): every view-change is for `nv.view`, the senders are
-/// distinct members of `config` and a quorum, their ranks are
-/// `nv.vc_bitmap`, the set entry they form hashes to `nv.vc_entry_hash`,
-/// the primary of `nv.view` signed `nv`, and every view-change passes
-/// [`check_view_change`]. Ordered cheapest first: nothing is verified for
-/// a set whose shape is wrong, and the per-member signatures come last.
-pub fn check_new_view(
-    config: &Configuration,
-    nv: &NewViewMsg,
-    view_changes: &[ViewChange],
-) -> Result<NewViewFacts, Refused> {
-    let mut senders = BTreeSet::new();
-    let mut bitmap = ReplicaBitmap::empty();
-    for vc in view_changes {
-        if vc.view != nv.view {
-            return Err(Refused::WrongView(vc.replica));
-        }
-        let rank = config.rank_of(vc.replica).ok_or(Refused::UnknownSender(vc.replica))?;
-        if !senders.insert(vc.replica) {
-            return Err(Refused::NoQuorum); // one sender counted twice
-        }
-        bitmap.set(rank);
-    }
-    if senders.len() < config.quorum() {
-        return Err(Refused::NoQuorum);
-    }
-    if bitmap != nv.vc_bitmap {
-        return Err(Refused::Bitmap);
-    }
-    let set_entry = view_change_set_entry(nv.view, view_changes.to_vec());
-    if ia_ccf_crypto::hash_bytes(&set_entry.to_bytes()) != nv.vc_entry_hash {
-        return Err(Refused::SetHash);
-    }
-    let primary = config.primary_of(nv.view);
-    if !verify_replica_payload(config, primary, &nv.own_payload(), &nv.sig) {
-        return Err(Refused::BadSignature(primary));
-    }
-    for vc in view_changes {
-        check_view_change(config, vc)?;
-    }
-    Ok(NewViewFacts {
-        senders: senders.into_iter().collect(),
-        last_prepared: chosen_last_prepared(view_changes),
-        reported: view_changes
-            .iter()
-            .flat_map(|vc| &vc.pps)
-            .map(|pp| (pp.seq(), pp.root_g))
-            .collect(),
-    })
-}
-
-/// The ledger entry a view-change set is logged as: its members ascending
-/// by sender, so every replica hashes the same bytes to `h_vc`.
-fn view_change_set_entry(view: View, mut view_changes: Vec<ViewChange>) -> LedgerEntry {
-    view_changes.sort_by_key(|vc| vc.replica);
-    LedgerEntry::ViewChangeSet { view, view_changes }
-}
-
-/// The deterministic "last prepared" choice over a view-change set: the
-/// final pre-prepare with the highest (view, seq), identified by digest.
-fn chosen_last_prepared(vcs: &[ViewChange]) -> Option<(SeqNum, Digest)> {
-    vcs.iter()
-        .filter_map(|vc| vc.pps.last())
-        .max_by_key(|pp| (pp.view(), pp.seq()))
-        .map(|pp| (pp.seq(), pp.digest()))
-}
+use crate::replica::{Replica, Status};
 
 /// A batch saved across the view-change reset, to be re-proposed.
 struct SavedBatch {

@@ -32,11 +32,15 @@
 //! checks over a [`WorkerPool`]: [`start_verify`] hands a slice to the
 //! workers in [`verify_chunk_len`] chunks and returns [`PendingChecks`] to
 //! join later (a replica's admission overlaps them with execution);
-//! [`verify_batch_indices_on`] is its blocking form (recovery's
-//! pre-prepare pre-pass). On a one-thread pool both run
-//! [`verify_batch_indices`] whole on the calling thread and queue nothing.
+//! [`verify_batch_indices_on`] is its blocking form. On a one-thread pool
+//! both run [`verify_batch_indices`] whole on the calling thread and queue
+//! nothing.
+//!
+//! **One ordered queue.** [`SigQueue`] judges a ledger's signatures in
+//! ledger order, a window of [`SIG_CHUNK`] at a time: on a pool for
+//! recovery's pre-pass, inline for the auditor.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use ia_ccf_pool::{TaskHandle, WorkerPool};
 
@@ -65,8 +69,8 @@ pub const VERIFY_BATCH_MIN: usize = 13;
 /// four (0.69–0.71× and 0.52× a single), against ≈ 4–7.5 µs in a slice of
 /// 300 and ≈ 18–20 µs singly; at 16, ≈ 15.6–15.9 and ≈ 12 µs (0.83–0.87×
 /// and 0.60–0.67×). 24 stays: the benchmark's replicas run one pool thread
-/// and the auditor checks its chunks unpooled, so no measured path would
-/// gain from another value. Without the bucket lanes 24 cost 0.75× and
+/// and the auditor checks its [`SigQueue`] windows inline, so no measured
+/// path would gain from another value. Without the bucket lanes 24 cost 0.75× and
 /// 0.46× of ≈ 26 µs singles; the scalar kernels reached 0.83× and 0.52×
 /// only at 32.
 pub const VERIFY_MIN_CHUNK: usize = 24;
@@ -190,6 +194,74 @@ pub fn verify_batch_indices_on(pool: &WorkerPool, jobs: Vec<VerifyJob>) -> Vec<u
     start_verify(pool, jobs).join()
 }
 
+/// Most checks one window of a [`SigQueue`] holds, which bounds the
+/// payload bytes it keeps. Fixed windows are no slower than windows
+/// doubling from [`VERIFY_MIN_CHUNK`]: ≈ 6.4–8.3 against ≈ 7.8–8.7 µs per
+/// honest signature over 300–1,000 jobs under one to four keys (medians of
+/// 7 rounds on a 2-vCPU Xeon with AVX-512 IFMA).
+pub const SIG_CHUNK: usize = 256;
+
+/// Signature checks in the order their verdicts rank, each with the
+/// refusal `E` its failure reports. The refusal is the earliest failure in
+/// push order, and every check that passed is proved. A check whose
+/// [`VerifyJob::fingerprint`] is proved or queued is not queued again: it
+/// passes exactly when its twin does, and its twin ranks first.
+pub struct SigQueue<'p, E> {
+    /// Where a window is checked: `None` checks it on the calling thread.
+    pool: Option<&'p WorkerPool>,
+    jobs: Vec<(VerifyJob, E, Digest)>,
+    queued: HashSet<Digest>,
+    proved: HashSet<Digest>,
+}
+
+impl<'p, E> SigQueue<'p, E> {
+    /// An empty queue that checks its windows on `pool` (or inline) and
+    /// takes the checks fingerprinted in `proved` as passed.
+    pub fn new(pool: Option<&'p WorkerPool>, proved: HashSet<Digest>) -> Self {
+        SigQueue { pool, jobs: Vec::new(), queued: HashSet::new(), proved }
+    }
+
+    /// Queue one check unless it is known; a full window is checked on the
+    /// spot, and its earliest failure is returned.
+    pub fn push(&mut self, job: VerifyJob, refusal: E) -> Result<(), E> {
+        let fingerprint = job.fingerprint();
+        if self.proved.contains(&fingerprint) || !self.queued.insert(fingerprint) {
+            return Ok(());
+        }
+        self.jobs.push((job, refusal, fingerprint));
+        if self.jobs.len() >= SIG_CHUNK {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Check everything queued: every check that passes is proved, and the
+    /// earliest failure in push order is the refusal.
+    pub fn flush(&mut self) -> Result<(), E> {
+        let (jobs, queued): (Vec<VerifyJob>, Vec<(E, Digest)>) =
+            self.jobs.drain(..).map(|(job, refusal, fp)| (job, (refusal, fp))).unzip();
+        let failed = match self.pool {
+            Some(pool) => verify_batch_indices_on(pool, jobs),
+            None => verify_batch_indices(&jobs),
+        };
+        self.queued.clear();
+        let mut refusal = None;
+        for (i, (why, fingerprint)) in queued.into_iter().enumerate() {
+            if failed.binary_search(&i).is_err() {
+                self.proved.insert(fingerprint);
+            } else if refusal.is_none() {
+                refusal = Some(why);
+            }
+        }
+        refusal.map_or(Ok(()), Err)
+    }
+
+    /// The fingerprints of every check that passed.
+    pub fn into_proved(self) -> HashSet<Digest> {
+        self.proved
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,5 +347,114 @@ mod tests {
         assert_eq!(pool.tasks_completed(), 0, "one chunk runs inline");
         assert!(verify_batch_indices_on(&pool, jobs(2 * VERIFY_MIN_CHUNK + 1)).is_empty());
         assert!(pool.tasks_completed() > 0, "chunks must have hit the pool");
+    }
+
+    /// `n` honest jobs under four keys, each refused as its own position.
+    fn queue_jobs(n: usize) -> Vec<VerifyJob> {
+        let keys: Vec<KeyPair> = (0..4).map(|k| KeyPair::from_label(&format!("q{k}"))).collect();
+        (0..n)
+            .map(|i| {
+                let kp = &keys[i % keys.len()];
+                let msg = format!("queued {i}").into_bytes();
+                let sig = kp.sign(&msg);
+                VerifyJob { key: kp.public(), msg, sig }
+            })
+            .collect()
+    }
+
+    /// Push `jobs` in order until one refuses, then flush what is left.
+    fn drain<E>(queue: &mut SigQueue<'_, E>, jobs: Vec<(VerifyJob, E)>) -> Result<(), E> {
+        for (job, refusal) in jobs {
+            queue.push(job, refusal)?;
+        }
+        queue.flush()
+    }
+
+    /// The inline queue and queues on pools of 1 and 4 threads.
+    fn pools() -> [Option<WorkerPool>; 3] {
+        [None, Some(WorkerPool::new(1)), Some(WorkerPool::new(4))]
+    }
+
+    #[test]
+    fn the_queue_refuses_as_the_earliest_forgery_in_push_order() {
+        let n = 2 * SIG_CHUNK + 88;
+        let rows: [&[usize]; 7] = [
+            &[0],
+            &[SIG_CHUNK - 1],
+            &[SIG_CHUNK],
+            &[n - 1],
+            &[100, SIG_CHUNK + 100],
+            &[3, 200],
+            &[SIG_CHUNK + 7, 2 * SIG_CHUNK + 1],
+        ];
+        for pool in pools() {
+            let threads = pool.as_ref().map(WorkerPool::threads);
+            for forged in rows {
+                let mut jobs = queue_jobs(n);
+                for &at in forged {
+                    jobs[at].sig.0[9] ^= 1;
+                }
+                let mut queue = SigQueue::new(pool.as_ref(), HashSet::new());
+                let got = drain(&mut queue, jobs.into_iter().zip(0..).collect());
+                assert_eq!(got, Err(forged[0]), "forged at {forged:?}, pool {threads:?}");
+            }
+            let mut honest = SigQueue::new(pool.as_ref(), HashSet::new());
+            assert_eq!(drain(&mut honest, queue_jobs(n).into_iter().zip(0..).collect()), Ok(()));
+        }
+    }
+
+    #[test]
+    fn a_proved_or_queued_check_is_not_checked_again() {
+        for pool in pools() {
+            let mut jobs = queue_jobs(3);
+            jobs[0].sig.0[9] ^= 1;
+            let twin = |job: &VerifyJob| VerifyJob { msg: job.msg.clone(), ..*job };
+
+            // Taken as proved: a forgery the caller vouches for passes.
+            let vouched: HashSet<Digest> = [jobs[0].fingerprint()].into();
+            let mut queue = SigQueue::new(pool.as_ref(), vouched);
+            assert_eq!(queue.push(twin(&jobs[0]), "vouched"), Ok(()));
+            assert!(queue.jobs.is_empty(), "a proved fingerprint is not queued");
+            assert_eq!(queue.flush(), Ok(()));
+
+            // Already queued: the twin is dropped, the first refusal stands.
+            let mut queue = SigQueue::new(pool.as_ref(), HashSet::new());
+            queue.push(twin(&jobs[0]), "first").unwrap();
+            queue.push(twin(&jobs[0]), "second").unwrap();
+            assert_eq!(queue.jobs.len(), 1, "a queued fingerprint is not queued twice");
+            assert_eq!(queue.flush(), Err("first"));
+
+            // Passed in an earlier window: not queued again.
+            let mut queue = SigQueue::new(pool.as_ref(), HashSet::new());
+            queue.push(twin(&jobs[1]), "honest").unwrap();
+            assert_eq!(queue.flush(), Ok(()));
+            queue.push(twin(&jobs[1]), "honest again").unwrap();
+            assert!(queue.jobs.is_empty(), "a passed check is not queued again");
+        }
+    }
+
+    #[test]
+    fn the_proved_set_is_exactly_the_checks_that_passed() {
+        let n = SIG_CHUNK + 40;
+        let forged = [5, 90, SIG_CHUNK + 3];
+        for pool in pools() {
+            let mut jobs = queue_jobs(n);
+            for &at in &forged {
+                jobs[at].msg.push(b'!');
+            }
+            let passed: HashSet<Digest> = (0..n)
+                .filter(|i| !forged.contains(i))
+                .map(|i| jobs[i].fingerprint())
+                .collect();
+            // Every check reaches the queue: the refusals are ignored.
+            let mut queue = SigQueue::new(pool.as_ref(), HashSet::new());
+            let mut refusals = Vec::new();
+            for (i, job) in jobs.into_iter().enumerate() {
+                refusals.extend(queue.push(job, i).err());
+            }
+            refusals.extend(queue.flush().err());
+            assert_eq!(refusals, [5, SIG_CHUNK + 3], "each window's earliest forgery");
+            assert_eq!(queue.into_proved(), passed);
+        }
     }
 }

@@ -23,7 +23,9 @@
 //! one place that cuts such a slice over a persistent
 //! [`ia_ccf_pool::WorkerPool`]: [`batch::start_verify`] queues the chunks
 //! and returns [`batch::PendingChecks`] to join later, and
-//! [`batch::verify_batch_indices_on`] waits for them.
+//! [`batch::verify_batch_indices_on`] waits for them. [`batch::SigQueue`]
+//! is the one ordered queue a ledger's signatures are judged through, by
+//! recovery and by the auditor alike.
 //!
 //! The primitive itself is the in-tree `vendor/ed25519-dalek` (windowed,
 //! variable-time; ≈ 20–22 µs per single verification, an honest one
@@ -52,8 +54,8 @@ pub mod keys;
 pub mod nonce;
 
 pub use batch::{
-    start_verify, verify_batch_indices, verify_batch_indices_on, PendingChecks, VerifyJob,
-    VERIFY_MIN_CHUNK,
+    start_verify, verify_batch_indices, verify_batch_indices_on, PendingChecks, SigQueue,
+    VerifyJob, SIG_CHUNK, VERIFY_MIN_CHUNK,
 };
 pub use digest::{hash_bytes, hash_pair, Digest, Hasher, DIGEST_LEN};
 pub use keys::{KeyPair, PublicKey, Signature, PUBLIC_KEY_LEN, SIGNATURE_LEN};

@@ -130,11 +130,6 @@ impl KvStore {
         Ok(())
     }
 
-    /// Whether a transaction is currently open.
-    pub fn in_tx(&self) -> bool {
-        self.open_tx.is_some()
-    }
-
     // ------------------------------------------------------------------
     // Batches (Lemma 1: roll back a suffix of executed batches)
     // ------------------------------------------------------------------

@@ -7,13 +7,15 @@
 //! Merkle tree `M`, whose root every signed pre-prepare carries, committing
 //! each replica to the entire history.
 //!
-//! Three facilities live here:
+//! Four facilities live here:
 //!
 //! * [`Ledger`] — the replica-side structure: append, rollback
 //!   ([`Ledger::truncate_to`], Lemma 1), roots, lookups;
 //! * [`segment`] — the shared structural grammar ("well-formedness" in
 //!   Appx. B terms) used by replicas validating fetched fragments and by
 //!   the auditor;
+//! * [`validity`] — the signed half of validity: the pre-prepare and
+//!   view-change rules a backup, ledger replay and the auditor all call;
 //! * [`durable`] — the disk-backed segment files behind a durable
 //!   replica: chunk-framed appends, batched fsync, torn-tail repair.
 
@@ -22,6 +24,7 @@
 pub mod durable;
 pub mod segment;
 pub mod store;
+pub mod validity;
 
 pub use durable::{DurableLog, ARCHIVE_DIR, CHECKPOINT_FILE, MANIFEST_FILE};
 pub use segment::{segment_entries, Segment, SegmentError};

@@ -13,9 +13,10 @@
 //! with the side conditions that evidence/nonce entries must be referenced
 //! by the immediately following pre-prepare (same `evidence_seq`, matching
 //! counts) and sequence numbers advance by one per batch within a view.
-//! Deeper *validity* (signatures, Merkle roots, execution correctness) is
-//! layered on top by `ia-ccf-core` (for fetched fragments) and
-//! `ia-ccf-audit` (Alg. 4).
+//! Deeper *validity* is layered on top: who must have signed what is
+//! [`crate::validity`]'s, shared by replicas and the auditor; Merkle roots
+//! and execution correctness are checked by `ia-ccf-core` (for fetched
+//! fragments) and `ia-ccf-audit` (Alg. 4).
 
 use ia_ccf_types::{LedgerEntry, SeqNum, View};
 

@@ -37,8 +37,8 @@ pub use messages::{
     Prepare, ProtocolMsg, Reply, ReplyX, ViewChange,
 };
 pub use receipt::{
-    evidence_target, lowest_ranked_quorum, BatchCertificate, EvidenceError, Receipt, ReceiptBody,
-    ReceiptError, SigCheck, SignatureChecks, TxWitness, VerifiedCerts,
+    evidence_target, lowest_ranked_quorum, receipt_checkpoint_seq, BatchCertificate, EvidenceError,
+    Receipt, ReceiptBody, ReceiptError, SigCheck, SignatureChecks, TxWitness, VerifiedCerts,
 };
 pub use request::{GovAction, Request, RequestAction, SignedRequest, SystemOp};
 pub use wire::{CodecError, Reader, Wire};

@@ -408,6 +408,18 @@ impl Receipt {
     }
 }
 
+/// The sequence number whose checkpoint digest a receipt at `seq` carries:
+/// the penultimate checkpoint (Appx. B):
+/// `scp = 0 if s < C, else C · (⌈s/C⌉ − 2)` (clamped at zero).
+pub fn receipt_checkpoint_seq(seq: SeqNum, interval: u64) -> SeqNum {
+    let s = seq.0;
+    if s < interval {
+        return SeqNum(0);
+    }
+    let k = s.div_ceil(interval);
+    SeqNum(interval * k.saturating_sub(2))
+}
+
 /// One of Alg. 3's signature checks, with the refusal its failure reports.
 pub struct SigCheck {
     /// The key, the signature and the bytes it must sign.
@@ -483,20 +495,8 @@ impl BatchCertificate {
     }
 
     /// Every backup's signature over the prepare the certificate stands
-    /// for (Alg. 3 lines 7–9), `pp_digest` being `H(pp_{σp})`.
-    pub fn check_prepares(
-        &self,
-        config: &Configuration,
-        pp_digest: &Digest,
-    ) -> Result<(), ReceiptError> {
-        match self.prepare_checks(config, pp_digest)?.into_iter().find(|c| !c.passes()) {
-            Some(failed) => Err(failed.fails_as),
-            None => Ok(()),
-        }
-    }
-
-    /// The checks [`Self::check_prepares`] runs, in rank order, each
-    /// failing as `BadPrepareSig(rank)`.
+    /// for (Alg. 3 lines 7–9), `pp_digest` being `H(pp_{σp})`: one check
+    /// per backup, in rank order, each failing as `BadPrepareSig(rank)`.
     pub fn prepare_checks(
         &self,
         config: &Configuration,
@@ -1100,7 +1100,11 @@ mod tests {
                 BatchCertificate::from_evidence(&config, &pp, cert.signers, prepares, nonces)
             };
             assert_eq!(back(&prepares, &nonces).as_ref(), Ok(cert));
-            assert_eq!(cert.check_prepares(&config, &pp.digest()), Ok(()));
+            let failed = |cert: &BatchCertificate| -> Vec<ReceiptError> {
+                let checks = cert.prepare_checks(&config, &pp.digest()).unwrap();
+                checks.into_iter().filter(|c| !c.passes()).map(|c| c.fails_as).collect()
+            };
+            assert_eq!(failed(cert), vec![]);
 
             assert_eq!(back(&prepares[1..], &nonces), Err(EvidenceError::Counts));
             assert_eq!(back(&prepares, &nonces[1..]), Err(EvidenceError::Counts));
@@ -1118,14 +1122,11 @@ mod tests {
             assert_eq!(off(&|p| p.pp_digest.0[0] ^= 1), Some(EvidenceError::Prepare(rank)));
             assert_eq!(off(&|p| p.nonce_commit.0 .0[0] ^= 1), Some(EvidenceError::Nonce(rank)));
             // A signature is carried, not implied: checking it is
-            // `check_prepares`' job.
+            // `prepare_checks`' job.
             let mut forged = prepares.clone();
             forged[0].sig.0[1] ^= 1;
             let carried = back(&forged, &nonces).unwrap();
-            assert_eq!(
-                carried.check_prepares(&config, &pp.digest()),
-                Err(ReceiptError::BadPrepareSig(rank))
-            );
+            assert_eq!(failed(&carried), vec![ReceiptError::BadPrepareSig(rank)]);
         }
     }
 
@@ -1136,5 +1137,23 @@ mod tests {
         let (_, r1) = sample_receipts(4, 1);
         let (_, r3) = sample_receipts(10, 1);
         assert!(r3[0].encoded_len() > r1[0].encoded_len());
+    }
+
+    #[test]
+    fn receipt_checkpoint_seq_matches_paper_formula() {
+        let c = 10;
+        // s < C ⇒ 0.
+        assert_eq!(receipt_checkpoint_seq(SeqNum(0), c), SeqNum(0));
+        assert_eq!(receipt_checkpoint_seq(SeqNum(9), c), SeqNum(0));
+        // s = C: ⌈10/10⌉ = 1 ⇒ clamp to 0.
+        assert_eq!(receipt_checkpoint_seq(SeqNum(10), c), SeqNum(0));
+        // s in (C, 2C]: ⌈s/C⌉ = 2 ⇒ 0.
+        assert_eq!(receipt_checkpoint_seq(SeqNum(15), c), SeqNum(0));
+        assert_eq!(receipt_checkpoint_seq(SeqNum(20), c), SeqNum(0));
+        // s in (2C, 3C]: ⌈s/C⌉ = 3 ⇒ C.
+        assert_eq!(receipt_checkpoint_seq(SeqNum(21), c), SeqNum(10));
+        assert_eq!(receipt_checkpoint_seq(SeqNum(30), c), SeqNum(10));
+        // s = 45: ⌈45/10⌉ = 5 ⇒ 30.
+        assert_eq!(receipt_checkpoint_seq(SeqNum(45), c), SeqNum(30));
     }
 }

@@ -100,7 +100,6 @@ fn main() {
             package,
             &spec.genesis,
             Arc::new(SmallBankApp),
-            &spec.genesis,
         )
         .expect("uPoM verifies");
     println!("\nsanctions:");

@@ -17,11 +17,12 @@ mod common;
 use std::sync::Arc;
 
 use common::{forge_new_view_pair, m_root, signed_view_change};
-use ia_ccf::audit::package::{validate_package, SIG_CHUNK};
+use ia_ccf::audit::package::validate_package;
 use ia_ccf::audit::{AuditOutcome, Auditor, LedgerPackage, PackageError, StoredReceipt};
 use ia_ccf::core::app::CounterApp;
 use ia_ccf::core::byzantine::Fault;
 use ia_ccf::core::{BootstrapError, Input, NodeId, Output, ProtocolParams, Replica};
+use ia_ccf::crypto::{VerifyJob, SIG_CHUNK};
 use ia_ccf::governance::chain::GovernanceChain;
 use ia_ccf_sim::{ClusterSpec, DetCluster};
 use ia_ccf_types::{
@@ -306,7 +307,11 @@ fn rule(
     let signers = carrier.core.evidence_bitmap;
     let cert = BatchCertificate::from_evidence(config, target, signers, &ev.prepares, &ev.nonces)?;
     cert.check_shape(config)?;
-    cert.check_prepares(config, &target.digest())?;
+    let checks = cert.prepare_checks(config, &target.digest())?;
+    let passes = |job: &VerifyJob| job.key.verify(&job.msg, &job.sig);
+    if let Some(failed) = checks.into_iter().find(|check| !passes(&check.job)) {
+        return Err(failed.fails_as.into());
+    }
     Ok(Some(cert))
 }
 

@@ -23,9 +23,9 @@ use ia_ccf::audit::package::validate_package;
 use ia_ccf::audit::{AuditOutcome, Auditor, LedgerPackage, PackageError, StoredReceipt};
 use ia_ccf::core::app::CounterApp;
 use ia_ccf::core::byzantine::Fault;
-use ia_ccf::core::viewchange::{check_new_view, check_view_change, Refused};
 use ia_ccf::core::{BootstrapError, Input, NodeId, Output, ProtocolParams, Replica};
 use ia_ccf::governance::chain::GovernanceChain;
+use ia_ccf::ledger::validity::{check_new_view, check_view_change, Refused};
 use ia_ccf_sim::{ClusterSpec, DetCluster};
 use ia_ccf_types::{
     ClientId, Commit, GovAction, KeyPair, LedgerEntry, MemberDesc, MemberId, NonceCommitment,
