@@ -366,7 +366,8 @@ impl Replica {
                     }
                     if target > self.committed_up_to {
                         self.committed_up_to = target;
-                        self.kv.release_batches_up_to(target.0);
+                        let p = self.pipeline_depth();
+                        self.raise_rollback_floor(SeqNum(target.0.saturating_sub(p)));
                     }
                 }
                 Ok(())
@@ -655,6 +656,8 @@ impl Replica {
         self.seq_next = pin.seq.next();
         self.prepared_up_to = pin.seq;
         self.committed_up_to = pin.seq;
+        // The snapshot holds no undo state below the checkpoint.
+        self.raise_rollback_floor(pin.seq);
         self.view = pp.view().max(self.view);
         self.prepared_view.insert(pin.seq, pp.view());
         // The checkpoint batch is in the ledger without having executed
@@ -1000,6 +1003,37 @@ mod tests {
         let mut bodies: Vec<Digest> = replica.req_store.keys().copied().collect();
         bodies.sort_unstable();
         (verdict, replica.ledger.len(), bodies)
+    }
+
+    /// Replay trims undo and receipt state as live commit does: a replica
+    /// that replayed a ledger holds no more executed batches and rollback
+    /// marks than the live replica whose ledger it replayed. The live
+    /// replica stops with two batches prepared and uncommitted, so the
+    /// ledger records its whole committed frontier.
+    #[test]
+    fn replay_holds_no_more_undo_state_than_the_live_replica() {
+        let mut bus = Bus::new(1);
+        for _ in 0..80 {
+            bus.submit();
+        }
+        bus.run_until_committed(SeqNum(80));
+        bus.drop_commits = true;
+        bus.submit();
+        bus.submit();
+        for _ in 0..3 {
+            bus.round();
+        }
+        let live = &bus.replicas[0];
+        assert_eq!((live.committed_up_to, live.seq_next), (SeqNum(80), SeqNum(83)));
+
+        let mut replayed = bus.spare(live.params.clone());
+        replayed.replay_entries(&live.ledger.entries()[1..], 1).expect("an honest ledger");
+        assert_eq!(replayed.committed_up_to, live.committed_up_to);
+        let held = |r: &Replica| (r.batch_exec.range(..).count(), r.batch_marks.len());
+        let (exec, marks) = held(&replayed);
+        let (live_exec, live_marks) = held(live);
+        assert!(exec <= live_exec, "{exec} executed batches held, live {live_exec}");
+        assert!(marks <= live_marks, "{marks} rollback marks held, live {live_marks}");
     }
 
     /// Wherever forgeries sit against the pre-pass's chunks and windows, a

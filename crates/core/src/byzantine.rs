@@ -50,6 +50,10 @@ pub enum Fault {
     /// this freezes the committed frontier with a live executed pipeline
     /// — the setup for the pipelined-batch view-change rollback tests.
     DropCommits,
+    /// Suppress outbound pre-prepares, the twin of `DropCommits`: as a
+    /// primary this replica executes and logs its batches, but no backup
+    /// sees them. Its other messages (a new-view included) still go out.
+    DropPrePrepares,
     /// Serve truncated ledger pages: every outgoing
     /// `FetchLedgerPageResponse` loses the second half of its entries
     /// while keeping the honest continuation token and `done` flag. A
@@ -155,6 +159,16 @@ impl ByzantineReplica {
                         o,
                         Output::BroadcastReplicas(ProtocolMsg::Commit(_))
                             | Output::SendReplica(_, ProtocolMsg::Commit(_))
+                    )
+                })
+                .collect(),
+            Fault::DropPrePrepares => outs
+                .into_iter()
+                .filter(|o| {
+                    !matches!(
+                        o,
+                        Output::BroadcastReplicas(ProtocolMsg::PrePrepare { .. })
+                            | Output::SendReplica(_, ProtocolMsg::PrePrepare { .. })
                     )
                 })
                 .collect(),

@@ -5,8 +5,8 @@
 //! position)` locator over their transactions. Only its methods insert or
 //! drop a batch, and each drop un-indexes exactly the batches it removes,
 //! so a locator entry never outlives its batch: a view change drops the
-//! rolled-back tail ([`ExecWindow::drop_after`]), the ordering-stage GC
-//! what falls out of the window ([`ExecWindow::drop_up_to`]).
+//! rolled-back tail ([`ExecWindow::drop_after`]), raising the rollback
+//! floor what falls out of the window ([`ExecWindow::drop_up_to`]).
 
 use std::collections::{btree_map, BTreeMap, HashMap};
 use std::ops::RangeBounds;
@@ -17,9 +17,9 @@ use ia_ccf_types::{Digest, SeqNum};
 use crate::pipeline::BatchExec;
 use crate::replica::Replica;
 
-/// Committed batches kept for receipt re-fetch, floored at `2P` so
-/// in-flight rollback finds its batches. Older transactions are not
-/// served; the client asks another replica.
+/// Committed batches kept for receipt re-fetch. The window never cuts
+/// above the rollback floor, so a rollback always finds its batches.
+/// Older transactions are not served; the client asks another replica.
 pub(crate) const RETENTION_BATCHES: u64 = 64;
 
 /// Re-fetch counters, read by the benchmark harness.

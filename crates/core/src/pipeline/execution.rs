@@ -23,6 +23,7 @@ use ia_ccf_types::{BatchKind, ClientId, LedgerIdx, SeqNum, SignedRequest, TxResu
 use crate::checkpoint::CheckpointRecord;
 use crate::events::Output;
 use crate::execute::{execute_tx, Effect, Executed, MarkCheck};
+use crate::pipeline::exec_window::RETENTION_BATCHES;
 use crate::replica::Replica;
 
 /// Result of executing one transaction, plus the bookkeeping needed for
@@ -81,7 +82,7 @@ impl BatchExec {
 /// refcount bump, not a deep configuration clone.
 ///
 /// The KV side needs no extra state here: the store carries the batch
-/// mark, so `rollback_to_batch` restores it.
+/// mark, taken when the batch opens, so `rollback_to_batch` restores it.
 #[derive(Debug, Clone)]
 pub(crate) struct BatchMark {
     pub ledger_len_before: u64,
@@ -110,7 +111,6 @@ impl Replica {
         names: &[Digest],
     ) -> Result<BatchExec, ExecError> {
         debug_assert_eq!(requests.len(), names.len());
-        self.kv.begin_batch(seq.0);
         // Structural validation up front (indices are assigned by batch
         // position, so both checks are order-independent of execution).
         let base_index = self.next_tx_index;
@@ -200,8 +200,34 @@ impl Replica {
         self.cp_digests.retain(|s, _| s.0 >= keep_from || s.0 == 0);
     }
 
+    /// Raise the rollback floor to `floor` (it never goes down) and trim
+    /// every holder of undo state to it: the KV undo log, the batch marks,
+    /// the `M` leaves the ledger keeps for rollback, and the executed
+    /// batches. Batches at or below the floor never roll back (Lemma 1
+    /// undoes only the pipelined tail); a view change whose reset point
+    /// lies below it is refused before anything moves. Live commit, ledger
+    /// replay and checkpoint restore all raise it here.
+    pub(crate) fn raise_rollback_floor(&mut self, floor: SeqNum) {
+        let floor = self.rollback_floor.max(floor);
+        self.rollback_floor = floor;
+        self.kv.release_batches_up_to(floor.0);
+        self.batch_marks = self.batch_marks.split_off(&floor.next());
+        // Where the first batch above the floor opened.
+        if let Some(mark) = self.batch_marks.values().next() {
+            self.ledger.settle(mark.ledger_len_before);
+        }
+        // Receipts are served from a window of committed batches; the
+        // window never cuts above the floor.
+        let window = self.committed_up_to.0.saturating_sub(RETENTION_BATCHES);
+        self.batch_exec.drop_up_to(floor.min(SeqNum(window)));
+    }
+
+    /// Undo the batch at `seq` and every later one (Lemma 1). `seq` is
+    /// above the rollback floor, so its KV mark, taken when it opened, is
+    /// still held.
     pub(crate) fn rollback_batch(&mut self, seq: SeqNum, mark: &BatchMark) {
-        let _ = self.kv.rollback_to_batch(seq.0);
+        let undone = self.kv.rollback_to_batch(seq.0);
+        debug_assert!(undone.is_ok(), "batch {seq} below the rollback floor {}", self.rollback_floor);
         self.ledger.truncate_to(mark.ledger_len_before);
         self.next_tx_index = mark.tx_index_before;
         self.last_gov_index = mark.gov_index_before;

@@ -23,7 +23,6 @@ use ia_ccf_types::{
     ReplicaId, RequestAction, SeqNum, Signature, SignedRequest, SystemOp, TxLedgerEntry, View,
 };
 
-use crate::pipeline::exec_window::RETENTION_BATCHES;
 use crate::pipeline::execution::{BatchExec, BatchMark, ExecError};
 use crate::replica::Replica;
 
@@ -209,7 +208,7 @@ impl Replica {
             Some((cert, _)) => (cert.core.seq, cert.signers),
             None => (SeqNum(0), ReplicaBitmap::empty()),
         };
-        let mark = self.open_batch(carried.map(|(_, evidence)| evidence));
+        let mark = self.open_batch(seq, carried.map(|(_, evidence)| evidence));
 
         let exec = match self.execute_batch(seq, view, kind, &requests, &batch_hashes) {
             Ok(exec) => exec,
@@ -257,9 +256,11 @@ impl Replica {
     // in between; a backup and ledger replay go through `apply_proposed`.
     // ------------------------------------------------------------------
 
-    /// Open the next batch: take its rollback mark, then append the
-    /// evidence pair (`P_{s−P}`, `K_{s−P}`) as one ledger segment write.
-    fn open_batch(&mut self, evidence: Option<EvidenceSet>) -> BatchMark {
+    /// Open the batch at `seq`: take its rollback marks (the KV store's
+    /// and the replica's), then append the evidence pair (`P_{s−P}`,
+    /// `K_{s−P}`) as one ledger segment write.
+    fn open_batch(&mut self, seq: SeqNum, evidence: Option<EvidenceSet>) -> BatchMark {
+        self.kv.begin_batch(seq.0);
         let mark = BatchMark {
             ledger_len_before: self.ledger.len(),
             tx_index_before: self.next_tx_index,
@@ -319,7 +320,7 @@ impl Replica {
         evidence: Option<EvidenceSet>,
         sigs: RequestSigs,
     ) -> Result<(), Refused> {
-        let mark = self.open_batch(evidence);
+        let mark = self.open_batch(pp.seq(), evidence);
         match self.execute_proposed(&pp, &names, &requests, sigs) {
             Ok(exec) => {
                 self.close_batch(pp, names, requests, exec, mark);
@@ -672,23 +673,14 @@ impl Replica {
         let tx_count = self.batch_exec.get(&seq).map(|e| e.txs.len()).unwrap_or(0);
         self.out.push(crate::events::Output::Committed { seq, tx_count });
 
-        // Committed batches beyond the pipeline can no longer roll back.
-        let release = seq.0.saturating_sub(self.pipeline_depth());
-        self.kv.release_batches_up_to(release);
-
         // Build governance receipts (§5.2) while evidence is at hand.
         self.build_gov_receipts(seq, view);
 
         // Retirement completes once the switch batch commits (§5.1).
         self.maybe_retire();
 
-        // Prune execution state we no longer need (keep a window for
-        // receipt re-serving; floor of 2P so in-flight rollback always
-        // has its state).
-        let p = self.pipeline_depth();
-        let keep_from = seq.0.saturating_sub(RETENTION_BATCHES.max(2 * p));
-        self.batch_exec.drop_up_to(SeqNum(keep_from));
-        self.batch_marks.retain(|s, _| s.0 + 2 * p > seq.0);
+        // Committed batches beyond the pipeline can no longer roll back.
+        self.raise_rollback_floor(SeqNum(seq.0.saturating_sub(self.pipeline_depth())));
         let compact_to = seq.0.saturating_sub(4 * self.pipeline_depth().max(8));
         self.msgs.compact(SeqNum(compact_to), View(self.view.0.saturating_sub(2)));
     }

@@ -123,7 +123,12 @@ pub struct Replica {
     /// re-fetch serving read them without deep clones. Only its own
     /// methods insert or drop a batch (see [`crate::pipeline::exec_window`]).
     pub(crate) batch_exec: ExecWindow,
+    /// Rollback marks of the batches above `rollback_floor`.
     pub(crate) batch_marks: BTreeMap<SeqNum, BatchMark>,
+    /// Batches at or below this never roll back. Raised, and every holder
+    /// of undo state trimmed to it, only by `raise_rollback_floor`; it
+    /// never goes down.
+    pub(crate) rollback_floor: SeqNum,
 
     // Checkpoints.
     pub(crate) checkpoints: CheckpointStore,
@@ -254,6 +259,7 @@ impl Replica {
             last_gov_index: LedgerIdx(0),
             batch_exec: ExecWindow::default(),
             batch_marks: BTreeMap::new(),
+            rollback_floor: SeqNum(0),
             checkpoints,
             cp_digests,
             gov_chain: Vec::new(),

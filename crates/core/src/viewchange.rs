@@ -25,6 +25,14 @@ use ia_ccf_types::{
 
 use crate::replica::{Replica, Status};
 
+/// A view change asked to reset below the rollback floor: the batches it
+/// would undo are past rolling back here (see `raise_rollback_floor`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BelowFloor {
+    pub reset_to: SeqNum,
+    pub floor: SeqNum,
+}
+
 /// A batch saved across the view-change reset, to be re-proposed.
 struct SavedBatch {
     seq: SeqNum,
@@ -140,12 +148,21 @@ impl Replica {
 
     /// Where a new view restarts the pipeline: `P` batches below the
     /// chosen last-prepared one, or at the committed frontier when nothing
-    /// prepared anywhere.
-    fn reset_point(&self, last_prepared: Option<(SeqNum, Digest)>) -> SeqNum {
-        match last_prepared {
+    /// prepared anywhere. Refused below the rollback floor, which this
+    /// replica cannot undo.
+    fn reset_point(&self, last_prepared: Option<(SeqNum, Digest)>) -> Result<SeqNum, BelowFloor> {
+        let reset_to = match last_prepared {
             Some((lp_seq, _)) => SeqNum(lp_seq.0.saturating_sub(self.pipeline_depth())),
             None => self.committed_up_to,
+        };
+        if reset_to < self.rollback_floor {
+            let refused = BelowFloor { reset_to, floor: self.rollback_floor };
+            if crate::replica::debug_enabled() {
+                eprintln!("[{}] refuse view {}: {refused:?}", self.id, self.view);
+            }
+            return Err(refused);
         }
+        Ok(reset_to)
     }
 
     /// New primary: once a quorum of view-changes for our view is in,
@@ -167,7 +184,9 @@ impl Replica {
         if last_prepared.is_some_and(|lp| !self.holds_batch(lp)) {
             return;
         }
-        let reset_to = self.reset_point(last_prepared);
+        let Ok(reset_to) = self.reset_point(last_prepared) else {
+            return;
+        };
         // Nothing prepared anywhere: nothing to re-propose.
         let saved = last_prepared
             .map_or(Vec::new(), |(lp_seq, _)| self.save_batches(reset_to.next(), lp_seq));
@@ -231,7 +250,10 @@ impl Replica {
         if facts.last_prepared.is_some_and(|lp| !self.holds_batch(lp)) {
             return;
         }
-        self.reset_to_seq(self.reset_point(facts.last_prepared));
+        let Ok(reset_to) = self.reset_point(facts.last_prepared) else {
+            return;
+        };
+        self.reset_to_seq(reset_to);
         // A ledger that disagrees with the new primary's (M̄′ ≠ M̄) keeps its
         // status and waits for another view change (Alg. 2 line 24). The
         // re-proposed batches arrive as ordinary pre-prepares in the new
@@ -295,8 +317,11 @@ impl Replica {
     /// the next sequence number), returning requests to the pool. Also used
     /// by the recovery sync when a mid-transfer view change makes the page
     /// stream diverge from the applied-but-uncommitted tail (see
-    /// [`crate::bootstrap`]).
+    /// [`crate::bootstrap`]). `reset_to` is never below the rollback floor:
+    /// a view change refuses such a point (`reset_point`), and the sync
+    /// resets to the committed frontier, which is never below it.
     pub(crate) fn reset_to_seq(&mut self, reset_to: SeqNum) {
+        debug_assert!(reset_to >= self.rollback_floor, "reset to {reset_to} below the floor");
         let first_rolled = reset_to.next();
         // Re-queue the rolled-back requests (primary will re-propose or
         // re-order them).

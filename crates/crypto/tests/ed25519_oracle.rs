@@ -280,7 +280,7 @@ fn non_canonical_point_encodings_get_the_same_verdict() {
 /// the equation says, and it must be the same one. Includes the
 /// degenerate triple `A` = identity, `R` = identity, `s = 0`, which
 /// verifies for every message (whether governance should refuse such
-/// keys is ROADMAP item 4's question, not this crate's).
+/// keys is ROADMAP item 9's question, not this crate's).
 #[test]
 fn small_order_points_get_the_same_verdict() {
     let torsion = small_order_encodings();

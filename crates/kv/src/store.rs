@@ -143,11 +143,14 @@ impl KvStore {
 
     /// Roll back every batch with sequence number `>= seq` (and any open
     /// transaction), restoring the store to the state at `seq`'s start.
+    /// Refused with [`KvError::UnknownBatch`], changing nothing, unless
+    /// `seq`'s own mark is held: a released or never-begun batch has no
+    /// start state to restore.
     pub fn rollback_to_batch(&mut self, seq: u64) -> Result<(), KvError> {
         let pos = self
             .batch_marks
             .iter()
-            .position(|m| m.seq >= seq)
+            .position(|m| m.seq == seq)
             .ok_or(KvError::UnknownBatch)?;
         self.open_tx = None;
         let target = self.batch_marks[pos].undo_len;
@@ -340,8 +343,8 @@ mod tests {
             kv.commit_tx().unwrap();
         }
         kv.release_batches_up_to(2);
-        assert_eq!(kv.rollback_to_batch(2), Ok(())); // rolls back 3.. (first mark >= 2 is 3)
-        assert_eq!(kv.get(b"k3"), None);
+        assert_eq!(kv.rollback_to_batch(2), Err(KvError::UnknownBatch));
+        assert_eq!(kv.get(b"k3"), Some(&v("x")), "a refused rollback undoes nothing");
         assert_eq!(kv.get(b"k2"), Some(&v("x")));
     }
 

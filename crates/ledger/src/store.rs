@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use ia_ccf_merkle::{Frontier, MerkleTree};
+use ia_ccf_merkle::Frontier;
 use ia_ccf_types::{
     Configuration, Digest, LedgerEntry, LedgerIdx, SeqNum, View, Wire,
 };
@@ -45,77 +45,63 @@ impl From<std::io::Error> for AttachError {
     }
 }
 
-/// The Merkle tree `M`, in one of two representations: the full tree
-/// (normal operation — supports membership paths), or a checkpoint
-/// *continuation* that knows only the frontier at the checkpoint plus the
-/// leaves appended since (§3.4: a replica restoring from a checkpoint
-/// keeps appending and rolling back within the window without the
-/// interior of the tree).
+/// The Merkle tree `M` as a replica needs it (§3.4): the frontier at the
+/// rollback floor, the leaves appended since, and the live frontier.
+/// Appending and rolling back need no interior of the tree. Nothing below
+/// the floor rolls back: [`Ledger::settle`] raises it, and a
+/// [`Ledger::from_checkpoint`] suffix starts at its restore point.
 #[derive(Debug, Clone)]
-enum MTree {
-    Full(MerkleTree),
-    Cont {
-        /// The frontier at the restore point — the rollback floor.
-        base: Frontier,
-        /// Leaves appended since the restore point.
-        leaves: Vec<Digest>,
-        /// `base` advanced over `leaves` (the live frontier).
-        cur: Frontier,
-    },
+struct MTree {
+    /// Ledger length at the floor; no truncation may cut below it.
+    floor_len: u64,
+    /// The frontier over the M-leaves of the entries below `floor_len`.
+    floor: Frontier,
+    /// `(entry index, leaf)` of each M-leaf since the floor, ascending.
+    leaves: Vec<(u64, Digest)>,
+    /// `floor` advanced over `leaves`.
+    cur: Frontier,
 }
 
 impl MTree {
-    fn extend(&mut self, new: Vec<Digest>) {
-        match self {
-            MTree::Full(t) => t.extend(new),
-            MTree::Cont { leaves, cur, .. } => {
-                for l in &new {
-                    cur.append(*l);
-                }
-                leaves.extend(new);
-            }
+    fn at(floor_len: u64, floor: Frontier) -> Self {
+        MTree { floor_len, cur: floor.clone(), floor, leaves: Vec::new() }
+    }
+
+    fn extend(&mut self, new: Vec<(u64, Digest)>) {
+        for (_, l) in &new {
+            self.cur.append(*l);
+        }
+        self.leaves.extend(new);
+    }
+
+    /// Drop the leaves of entries at or past `new_len`: the live frontier
+    /// is the floor advanced over the leaves that stay.
+    fn truncate(&mut self, new_len: u64) {
+        assert!(
+            new_len >= self.floor_len,
+            "rollback below the ledger's rollback floor (the floor is committed)"
+        );
+        let keep = self.leaves.partition_point(|&(idx, _)| idx < new_len);
+        if keep == self.leaves.len() {
+            return;
+        }
+        self.leaves.truncate(keep);
+        self.cur = self.floor.clone();
+        for (_, l) in &self.leaves {
+            self.cur.append(*l);
         }
     }
 
-    fn len(&self) -> u64 {
-        match self {
-            MTree::Full(t) => t.len(),
-            MTree::Cont { base, leaves, .. } => base.len() + leaves.len() as u64,
+    /// Fold the leaves of entries below `len` into the floor.
+    fn settle(&mut self, len: u64) {
+        if len <= self.floor_len {
+            return;
         }
-    }
-
-    fn root(&self) -> Digest {
-        match self {
-            MTree::Full(t) => t.root(),
-            MTree::Cont { cur, .. } => cur.root(),
+        let settled = self.leaves.partition_point(|&(idx, _)| idx < len);
+        for (_, l) in self.leaves.drain(..settled) {
+            self.floor.append(l);
         }
-    }
-
-    fn frontier(&self) -> Frontier {
-        match self {
-            MTree::Full(t) => t.frontier(),
-            MTree::Cont { cur, .. } => cur.clone(),
-        }
-    }
-
-    /// Truncate to `keep_total` leaves overall. A continuation can only
-    /// roll back to its restore point — never past it (rollback is
-    /// bounded by committed state, and the restore point is committed).
-    fn truncate(&mut self, keep_total: u64) {
-        match self {
-            MTree::Full(t) => t.truncate(keep_total),
-            MTree::Cont { base, leaves, cur } => {
-                let keep = keep_total
-                    .checked_sub(base.len())
-                    .expect("rollback past the checkpoint restore point");
-                leaves.truncate(keep as usize);
-                let mut rebuilt = base.clone();
-                for l in leaves.iter() {
-                    rebuilt.append(*l);
-                }
-                *cur = rebuilt;
-            }
-        }
+        self.floor_len = len;
     }
 }
 
@@ -127,7 +113,11 @@ impl MTree {
 /// (Alg. 1 appends only evidence/pre-prepare/view-change/new-view entries
 /// to `M`).
 ///
-/// Two orthogonal modes extend the in-memory seed behaviour:
+/// `M` is held as the frontier at the rollback floor plus the leaves
+/// since. Rolling back ([`Ledger::truncate_to`]) never cuts below the
+/// floor, which [`Ledger::settle`] raises as batches commit.
+///
+/// Two orthogonal modes change where entries live, not the tree:
 ///
 /// * **Durable** ([`Ledger::attach_durable`]): every append/rollback is
 ///   mirrored into an on-disk [`DurableLog`] and `encode_range` (the
@@ -136,18 +126,15 @@ impl MTree {
 /// * **Suffix** ([`Ledger::from_checkpoint`]): the ledger holds only the
 ///   entries after a checkpoint restore point; `base()` entries before it
 ///   exist logically (indices stay absolute) but are not materialized.
+///   Its floor starts at the restore point.
 #[derive(Debug)]
 pub struct Ledger {
     /// Entries from `base` onward (all entries when `base == 0`).
     entries: Vec<LedgerEntry>,
-    /// Number of pre-`entries` ledger positions summarized by the tree's
-    /// checkpoint frontier. `0` except after [`Ledger::from_checkpoint`].
+    /// Number of pre-`entries` ledger positions not materialized. `0`
+    /// except after [`Ledger::from_checkpoint`].
     base: u64,
     tree: MTree,
-    /// Entry index of each M-leaf appended since `base`, ascending
-    /// (absolute indices); used to truncate the tree in step with the
-    /// entries.
-    m_leaf_entries: Vec<u64>,
     /// Entry index of the pre-prepare for each sequence number. A sequence
     /// number re-proposed in a later view overwrites the earlier mapping —
     /// rollback rebuilds it.
@@ -175,7 +162,6 @@ impl Clone for Ledger {
             entries: self.entries.clone(),
             base: self.base,
             tree: self.tree.clone(),
-            m_leaf_entries: self.m_leaf_entries.clone(),
             pp_by_seq: self.pp_by_seq.clone(),
             nv_entries: self.nv_entries.clone(),
             durable: None,
@@ -190,8 +176,7 @@ impl Ledger {
         let mut ledger = Ledger {
             entries: Vec::new(),
             base: 0,
-            tree: MTree::Full(MerkleTree::new()),
-            m_leaf_entries: Vec::new(),
+            tree: MTree::at(0, Frontier::new()),
             pp_by_seq: BTreeMap::new(),
             nv_entries: Vec::new(),
             durable: None,
@@ -211,8 +196,7 @@ impl Ledger {
         Ledger {
             entries: Vec::new(),
             base: base_entries,
-            tree: MTree::Cont { base: frontier.clone(), leaves: Vec::new(), cur: frontier },
-            m_leaf_entries: Vec::new(),
+            tree: MTree::at(base_entries, frontier),
             pp_by_seq: BTreeMap::new(),
             nv_entries: Vec::new(),
             durable: None,
@@ -312,19 +296,17 @@ impl Ledger {
 
     /// Append a whole batch's entries with one reservation per backing
     /// store — the entry list grows once and the Merkle tree `M` absorbs
-    /// all the batch's leaves in a single [`MerkleTree::extend`] pass
-    /// (§3.4: per-request cost amortized across the batch). In memory the
-    /// same as appending each entry in order; on disk the batch is one
-    /// chunk. Returns the index of the first appended entry (the batch's
+    /// all the batch's leaves in one pass (§3.4: per-request cost
+    /// amortized across the batch). In memory the same as appending each
+    /// entry in order; on disk the batch is one chunk. Returns the index of the first appended entry (the batch's
     /// segment start).
     pub fn append_batch(&mut self, batch: Vec<LedgerEntry>) -> LedgerIdx {
         let first = self.base + self.entries.len() as u64;
-        let mut m_leaves: Vec<Digest> = Vec::new();
+        let mut m_leaves = Vec::new();
         for (off, entry) in batch.iter().enumerate() {
             let idx = first + off as u64;
             if entry.is_m_leaf() {
-                m_leaves.push(entry.m_leaf());
-                self.m_leaf_entries.push(idx);
+                m_leaves.push((idx, entry.m_leaf()));
             }
             if let LedgerEntry::PrePrepare(pp) = entry {
                 self.pp_by_seq.insert(pp.seq(), idx as usize);
@@ -380,13 +362,13 @@ impl Ledger {
 
     /// Current root of the ledger tree `M` (`M̄` for the next pre-prepare).
     pub fn root_m(&self) -> Digest {
-        self.tree.root()
+        self.tree.cur.root()
     }
 
     /// The tree frontier — persisted in checkpoints so a restoring replica
     /// can continue appending without the interior of `M` (§3.4).
     pub fn frontier(&self) -> Frontier {
-        self.tree.frontier()
+        self.tree.cur.clone()
     }
 
     /// Entry index of the pre-prepare currently governing `seq`, if any.
@@ -460,23 +442,24 @@ impl Ledger {
         (lo, hi.max(lo))
     }
 
+    /// Raise the rollback floor to ledger length `len` (never lowers it):
+    /// the `M` leaves of the entries below it fold into the floor
+    /// frontier. The entries themselves stay.
+    pub fn settle(&mut self, len: u64) {
+        debug_assert!(len <= self.len(), "settle past the ledger's end");
+        self.tree.settle(len);
+    }
+
     /// Roll back to the first `new_len` entries (Lemma 1): truncates the
     /// entry list, the Merkle tree and the sequence index together.
+    /// `new_len` is never below the rollback floor ([`Ledger::settle`], a
+    /// suffix ledger's restore point): the floor is committed, and a
+    /// replica refuses a view change that would reset below it.
     pub fn truncate_to(&mut self, new_len: u64) {
         if new_len >= self.len() {
             return;
         }
-        assert!(
-            new_len >= self.base,
-            "rollback past a suffix ledger's restore point (restore points are committed)"
-        );
-        // Tree leaves to keep: m-leaves whose entry index < new_len. The
-        // m-leaf list only covers post-base entries; the tree target is
-        // its total count minus the leaves dropped here.
-        let keep_leaves = self.m_leaf_entries.partition_point(|&e| e < new_len);
-        let dropped = (self.m_leaf_entries.len() - keep_leaves) as u64;
-        self.tree.truncate(self.tree.len() - dropped);
-        self.m_leaf_entries.truncate(keep_leaves);
+        self.tree.truncate(new_len);
         self.entries.truncate((new_len - self.base) as usize);
         self.nv_entries.retain(|(idx, _)| *idx < new_len);
         // Rebuild the seq index for dropped/overwritten pre-prepares.
@@ -1072,5 +1055,138 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&dir2);
         let _ = std::fs::remove_dir_all(&dir3);
+    }
+}
+
+#[cfg(test)]
+mod rollback_properties {
+    use super::*;
+    use ia_ccf_crypto::{KeyPair, Signature};
+    use ia_ccf_types::config::testutil::test_config;
+    use ia_ccf_types::messages::testutil::test_pp;
+    use ia_ccf_types::{NewViewMsg, PrePrepare, ReplicaBitmap, TxLedgerEntry};
+
+    const VIEWS: u64 = 3;
+    const SEQS: u64 = 8;
+
+    /// xorshift64: the cases are reproducible from their index.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+
+        /// Uniform in `lo..=hi`.
+        fn between(&mut self, lo: u64, hi: u64) -> u64 {
+            lo + self.below(hi - lo + 1)
+        }
+    }
+
+    /// One of each entry kind, pre-prepares signed once up front.
+    struct Pool {
+        config: Configuration,
+        pps: Vec<PrePrepare>,
+        tx: TxLedgerEntry,
+    }
+
+    impl Pool {
+        fn new() -> Self {
+            let (config, rk, _) = test_config(4);
+            let pps = (0..VIEWS)
+                .flat_map(|v| (1..=SEQS).map(move |s| (v, s)))
+                .map(|(v, s)| test_pp(v, s, &rk[0]))
+                .collect();
+            let request = ia_ccf_types::SignedRequest::sign(
+                ia_ccf_types::Request {
+                    action: ia_ccf_types::RequestAction::App {
+                        proc: ia_ccf_types::ProcId(1),
+                        args: vec![],
+                    },
+                    client: ia_ccf_types::ClientId(1),
+                    gt_hash: Digest::zero(),
+                    min_index: LedgerIdx(0),
+                    req_id: 1,
+                },
+                &KeyPair::from_label("c"),
+            );
+            let tx = TxLedgerEntry {
+                request,
+                index: LedgerIdx(0),
+                result: ia_ccf_types::TxResult {
+                    ok: true,
+                    output: vec![],
+                    write_set_digest: Digest::zero(),
+                },
+            };
+            Pool { config, pps, tx }
+        }
+
+        fn entry(&self, rng: &mut Rng) -> LedgerEntry {
+            match rng.below(5) {
+                0 => LedgerEntry::PrePrepare(self.pps[rng.below(VIEWS * SEQS) as usize].clone()),
+                1 => LedgerEntry::Tx(TxLedgerEntry {
+                    index: LedgerIdx(rng.below(100)),
+                    ..self.tx.clone()
+                }),
+                2 => LedgerEntry::Nonces { seq: SeqNum(rng.between(1, SEQS)), nonces: vec![] },
+                3 => LedgerEntry::ViewChangeSet { view: View(rng.below(VIEWS)), view_changes: vec![] },
+                _ => LedgerEntry::NewView(NewViewMsg {
+                    view: View(rng.below(VIEWS)),
+                    root_m: Digest::zero(),
+                    vc_bitmap: ReplicaBitmap::empty(),
+                    vc_entry_hash: Digest::zero(),
+                    sig: Signature::zero(),
+                }),
+            }
+        }
+    }
+
+    /// What a ledger built fresh from the same entries reads.
+    fn assert_matches_fresh(ledger: &Ledger, pool: &Pool, case: u64, step: usize) {
+        let mut fresh = Ledger::new(pool.config.clone());
+        fresh.append_batch(ledger.entries()[1..].to_vec());
+        let at = format!("case {case}, step {step}");
+        assert_eq!(ledger.len(), fresh.len(), "{at}");
+        assert_eq!(ledger.root_m(), fresh.root_m(), "{at}");
+        assert_eq!(ledger.frontier(), fresh.frontier(), "{at}");
+        for s in 0..=SEQS + 1 {
+            assert_eq!(ledger.pp_at(SeqNum(s)), fresh.pp_at(SeqNum(s)), "{at}: pp_at({s})");
+        }
+        for v in 0..=VIEWS {
+            assert_eq!(ledger.has_new_view(View(v)), fresh.has_new_view(View(v)), "{at}");
+        }
+    }
+
+    /// Random `append_batch`, `settle` and `truncate_to` calls, never
+    /// truncating below the floor, read the same `M`, pre-prepare index
+    /// and new-view set as a ledger built fresh from the entries that
+    /// survive. `PROPTEST_CASES` sets the case count (default 64).
+    #[test]
+    fn rollback_matches_a_fresh_ledger() {
+        let cases = std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok());
+        let pool = Pool::new();
+        for case in 0..cases.unwrap_or(64u64) {
+            let mut rng = Rng(0x9E37_79B9_7F4A_7C15 ^ (case + 1));
+            let mut ledger = Ledger::new(pool.config.clone());
+            let mut floor = 1;
+            for step in 0..rng.between(1, 16) as usize {
+                match rng.below(4) {
+                    0 | 1 => {
+                        let batch = (0..rng.between(1, 4)).map(|_| pool.entry(&mut rng)).collect();
+                        ledger.append_batch(batch);
+                    }
+                    2 => {
+                        floor = rng.between(floor, ledger.len());
+                        ledger.settle(floor);
+                    }
+                    _ => ledger.truncate_to(rng.between(floor, ledger.len())),
+                }
+                assert_matches_fresh(&ledger, &pool, case, step);
+            }
+        }
     }
 }

@@ -165,15 +165,21 @@ mod tests {
 
     #[test]
     fn extracted_frontier_continues_correctly() {
+        // A frontier taken at 30 leaves (a checkpoint's) keeps appending
+        // to the same roots as the whole tree.
         let ls = leaves(50);
         let mut tree = MerkleTree::from_leaves(ls[..30].iter().copied());
-        let mut frontier = tree.frontier();
-        assert_eq!(frontier.root(), tree.root());
-        for l in &ls[30..] {
-            tree.append(*l);
+        let mut frontier = Frontier::new();
+        for l in &ls[..30] {
             frontier.append(*l);
         }
-        assert_eq!(frontier.root(), tree.root());
+        let mut resumed = Frontier::from_bytes(&frontier.to_bytes()).expect("roundtrip");
+        assert_eq!(resumed.root(), tree.root());
+        for l in &ls[30..] {
+            tree.append(*l);
+            resumed.append(*l);
+        }
+        assert_eq!(resumed.root(), tree.root());
     }
 
     #[test]
@@ -203,9 +209,14 @@ mod tests {
     fn frontier_of_power_of_two_has_single_peak() {
         let ls = leaves(16);
         let t = MerkleTree::from_leaves(ls.iter().copied());
-        let f = t.frontier();
-        let peak_count = (0..f.len()).filter(|_| false).count(); // structural check below
-        let _ = peak_count;
+        let mut f = Frontier::new();
+        for l in &ls {
+            f.append(*l);
+        }
+        let peaks: Vec<usize> =
+            f.peaks().iter().enumerate().filter(|(_, p)| p.is_some()).map(|(k, _)| k).collect();
+        assert_eq!(peaks, [4], "16 leaves are one complete subtree");
+        assert_eq!(f.peaks()[4], Some(t.root()));
         assert_eq!(f.root(), t.root());
         assert_eq!(f.len(), 16);
     }
@@ -238,7 +249,11 @@ mod proptests {
             let ls: Vec<Digest> =
                 (0..total).map(|i| hash_bytes(&(i as u64).to_le_bytes())).collect();
             let mut tree = MerkleTree::from_leaves(ls[..cut].iter().copied());
-            let mut f = tree.frontier();
+            let mut f = Frontier::new();
+            for l in &ls[..cut] {
+                f.append(*l);
+            }
+            let mut f = Frontier::from_bytes(&f.to_bytes()).expect("roundtrip");
             for l in &ls[cut..] {
                 tree.append(*l);
                 f.append(*l);

@@ -10,17 +10,18 @@
 //!   one batch, whose root `Ḡ` also appears in the pre-prepare. Receipts
 //!   carry a sibling path `S` in `G` (§3.3).
 //!
-//! Both are [`MerkleTree`]s. The structure supports:
+//! `G` is a [`MerkleTree`]. The structure supports:
 //!
 //! * O(log n) amortized [`MerkleTree::append`];
-//! * [`MerkleTree::truncate`] — rollback of a suffix, required by
-//!   Appx. A Lemma 1 (failed pre-prepares and view changes undo execution);
 //! * [`MerkleTree::path`] / [`MerklePath::verify`] — succinct existence
 //!   proofs, plus [`FrozenPaths`] — a memoized view for immutable trees
 //!   that computes each level's sibling array once and answers `path(i)`
 //!   by slicing (receipt emission/re-fetch serve from it);
 //! * [`Frontier`] — the "newest leaf, root, and connecting branches"
 //!   checkpointed in §3.4, enough to continue appending without old leaves.
+//!   The ledger holds `M` as a frontier: rolling back a suffix (Appx. A
+//!   Lemma 1) re-appends the surviving leaves to the frontier at the
+//!   replica's rollback floor, so `M` never needs its interior.
 //!
 //! Interior node rule: `H(left || right)`; a node without a right sibling is
 //! promoted unchanged to the next level (no self-duplication, so no

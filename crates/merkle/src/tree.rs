@@ -1,9 +1,8 @@
-//! The append-only Merkle tree with rollback.
+//! The append-only Merkle tree.
 
 use ia_ccf_crypto::{hash_pair, Digest};
 use serde::{Deserialize, Serialize};
 
-use crate::frontier::Frontier;
 use crate::path::MerklePath;
 
 /// An append-only Merkle tree over 32-byte leaf digests.
@@ -124,44 +123,6 @@ impl MerkleTree {
         }
     }
 
-    /// Roll back to the first `new_len` leaves (Lemma 1). No-op when
-    /// `new_len >= len`. O(log n): only the right-edge parents change.
-    pub fn truncate(&mut self, new_len: u64) {
-        let new_len = new_len as usize;
-        if self.levels.is_empty() || new_len >= self.levels[0].len() {
-            return;
-        }
-        if new_len == 0 {
-            self.levels.clear();
-            return;
-        }
-        let mut expected = new_len;
-        let mut lvl = 0;
-        loop {
-            self.levels[lvl].truncate(expected);
-            if expected == 1 {
-                self.levels.truncate(lvl + 1);
-                return;
-            }
-            let parent_len = expected.div_ceil(2);
-            let pi = parent_len - 1;
-            let left = self.levels[lvl][2 * pi];
-            let parent = match self.levels[lvl].get(2 * pi + 1) {
-                Some(right) => hash_pair(&left, right),
-                None => left,
-            };
-            let up = &mut self.levels[lvl + 1];
-            up.truncate(parent_len);
-            if pi == up.len() {
-                up.push(parent);
-            } else {
-                up[pi] = parent;
-            }
-            expected = parent_len;
-            lvl += 1;
-        }
-    }
-
     /// Existence path for the leaf at `index`: the sibling hashes from leaf
     /// to root (promoted levels contribute nothing). `None` when out of
     /// range.
@@ -201,28 +162,6 @@ impl MerkleTree {
     /// after execution).
     pub fn freeze_paths(&self) -> crate::FrozenPaths {
         crate::FrozenPaths::new(self)
-    }
-
-    /// Extract the [`Frontier`] — enough state to keep appending (and
-    /// computing roots) without the interior of the tree. Checkpoints store
-    /// this (§3.4: "the Merkle tree M's newest leaf, root, and the
-    /// connecting branches").
-    pub fn frontier(&self) -> Frontier {
-        // A peak exists at level k iff bit k of the leaf count is set; it is
-        // the root of the maximal complete subtree covering leaves
-        // [base, base + 2^k) with base = len with the low k+1 bits cleared.
-        // Complete aligned subtrees contain no promoted nodes, so their
-        // roots sit at `levels[k][base >> k]` in the pyramid.
-        let n = self.len();
-        let nbits = (64 - n.leading_zeros()) as usize;
-        let mut peaks = vec![None; nbits];
-        for k in 0..nbits as u32 {
-            if (n >> k) & 1 == 1 {
-                let base = n & !((1u64 << (k + 1)) - 1);
-                peaks[k as usize] = Some(self.levels[k as usize][(base >> k) as usize]);
-            }
-        }
-        Frontier::from_parts(n, peaks)
     }
 }
 
@@ -305,45 +244,10 @@ mod tests {
     }
 
     #[test]
-    fn extend_after_truncate_reconverges() {
-        let ls = leaves(30);
-        let mut t = MerkleTree::from_leaves(ls.iter().copied());
-        t.truncate(11);
-        t.extend(ls[11..].iter().copied());
-        assert_eq!(t.root(), naive_root(&ls));
-    }
-
-    #[test]
     fn single_leaf_root_is_leaf() {
         let l = hash_bytes(b"only");
         let t = MerkleTree::from_leaves([l]);
         assert_eq!(t.root(), l);
-    }
-
-    #[test]
-    fn truncate_matches_fresh_build() {
-        let ls = leaves(33);
-        let full = MerkleTree::from_leaves(ls.iter().copied());
-        for keep in (0..=33).rev() {
-            let mut t = full.clone();
-            t.truncate(keep as u64);
-            let fresh = MerkleTree::from_leaves(ls[..keep].iter().copied());
-            assert_eq!(t.root(), fresh.root(), "keep {keep}");
-            assert_eq!(t.len(), keep as u64);
-        }
-    }
-
-    #[test]
-    fn truncate_then_append_diverges_and_reconverges() {
-        let ls = leaves(20);
-        let mut t = MerkleTree::from_leaves(ls.iter().copied());
-        t.truncate(10);
-        let r10 = t.root();
-        assert_eq!(r10, naive_root(&ls[..10]));
-        for l in &ls[10..] {
-            t.append(*l);
-        }
-        assert_eq!(t.root(), naive_root(&ls));
     }
 
     #[test]
@@ -398,15 +302,6 @@ mod proptests {
         }
 
         #[test]
-        fn truncate_is_prefix_root(n in 1usize..150, keep_frac in 0.0f64..1.0) {
-            let ls = leaves(n);
-            let keep = ((n as f64) * keep_frac) as usize;
-            let mut t = MerkleTree::from_leaves(ls.iter().copied());
-            t.truncate(keep as u64);
-            prop_assert_eq!(t.root(), naive_root(&ls[..keep]));
-        }
-
-        #[test]
         fn every_path_verifies(n in 1usize..120, pick in 0usize..120) {
             let ls = leaves(n);
             let i = pick % n;
@@ -424,30 +319,6 @@ mod proptests {
             // A path for position `a` must not verify the leaf at `b`.
             let p = t.path(a as u64).unwrap();
             prop_assert!(!p.verify(ls[b], t.root()) || ls[a] == ls[b]);
-        }
-
-        #[test]
-        fn interleaved_append_truncate_matches_model(
-            ops in proptest::collection::vec((any::<bool>(), 0usize..50), 1..60)
-        ) {
-            let pool = leaves(64);
-            let mut model: Vec<Digest> = Vec::new();
-            let mut t = MerkleTree::new();
-            let mut next = 0usize;
-            for (is_append, amount) in ops {
-                if is_append {
-                    let l = pool[next % pool.len()];
-                    next += 1;
-                    model.push(l);
-                    t.append(l);
-                } else {
-                    let keep = amount.min(model.len());
-                    model.truncate(keep);
-                    t.truncate(keep as u64);
-                }
-                prop_assert_eq!(t.root(), naive_root(&model));
-                prop_assert_eq!(t.len(), model.len() as u64);
-            }
         }
     }
 }

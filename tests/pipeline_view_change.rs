@@ -1189,7 +1189,7 @@ fn hostile_new_views_leave_a_backup_untouched() {
 /// cannot supply the pre-prepare it missed — and the sync's completion
 /// re-entered `on_new_view`, which started the same sync again, without end
 /// (the delivery queue never drained). How such a replica catches up is a
-/// recovery sync's job (ROADMAP item 4).
+/// recovery sync's job (ROADMAP item 3).
 #[test]
 fn backup_behind_the_chosen_batch_sits_the_new_view_out() {
     let params = ProtocolParams { view_timeout_ticks: 15, ..ProtocolParams::default() };
@@ -1226,4 +1226,82 @@ fn backup_behind_the_chosen_batch_sits_the_new_view_out() {
         "the liveness timer moves the replica on"
     );
     assert_eq!(cluster.replica(behind).sync_report().pages, 0, "nothing was paged in");
+}
+
+/// A view change may not reset below a replica's rollback floor: batches
+/// committed beyond the pipeline never roll back. Eight batches commit in
+/// view 0; the primary crashes, and every pre-prepare the view-1 primary
+/// sends is lost, though its new-view arrives. The view-2 reset then asks
+/// for a point below every survivor's floor. A survivor that took it used
+/// to undo less than it was asked (its store kept two committed batches
+/// its ledger dropped), re-execute them, rewrite its committed prefix and
+/// convict itself under audit. Liveness is not asserted: until a view
+/// change carries the rolled-back tail's prepared certificates, the
+/// survivors refuse the reset and stall (ROADMAP item 3).
+#[test]
+fn a_reset_below_the_rollback_floor_is_refused() {
+    let params = ProtocolParams { view_timeout_ticks: 15, ..ProtocolParams::default() };
+    let spec = ClusterSpec::new(4, 1, params);
+    let mut cluster = DetCluster::new(&spec, Arc::new(CounterApp));
+    let client = spec.clients[0].0;
+    for done in 1..=8 {
+        cluster.submit(client, CounterApp::INCR, b"k".to_vec());
+        assert!(cluster.run_until_finished(done, 200), "request {done}");
+    }
+    assert!(cluster.run_until(200, |c| c.min_committed() >= SeqNum(8)));
+    let committed_in_view_0 = tx_entries(&cluster, ReplicaId(1));
+    assert_eq!(committed_in_view_0.len(), 8);
+    // One transaction per batch: the floor is `committed − P` batches in.
+    let floor = 8 - spec.genesis.pipeline_depth as usize;
+    let receipts: Vec<StoredReceipt> = cluster
+        .finished
+        .iter()
+        .map(|(_, tx)| StoredReceipt {
+            request: tx.request.clone(),
+            receipt: tx.receipt.clone().expect("receipts"),
+        })
+        .collect();
+
+    cluster.crash(ReplicaId(0));
+    cluster.set_fault(ReplicaId(1), Fault::DropPrePrepares);
+    cluster.submit(client, CounterApp::INCR, b"k".to_vec());
+    let live = [ReplicaId(1), ReplicaId(2), ReplicaId(3)];
+    assert!(
+        cluster.run_until(400, |c| live.iter().all(|&r| c.replica(r).view() >= View(2))),
+        "views: {:?}",
+        live.map(|r| cluster.replica(r).view())
+    );
+
+    let auditor = Auditor::new(spec.genesis.clone(), Arc::new(CounterApp));
+    for r in live {
+        let replica = cluster.replica(r);
+        let replayed = Replica::bootstrap(
+            r,
+            spec.replica_keys[r.0 as usize].clone(),
+            Arc::new(CounterApp),
+            spec.params.clone(),
+            spec.client_keys(),
+            replica.ledger().entries(),
+        )
+        .unwrap_or_else(|e| panic!("replica {r}: its own ledger does not load: {e}"));
+        assert_eq!(
+            replayed.kv().digest(),
+            replica.kv().digest(),
+            "replica {r}: its store is not the one its ledger executes to"
+        );
+        // Batches above the floor may roll back (Lemma 1), so the ledger
+        // may hold fewer of them; none it holds is rewritten.
+        let txs = tx_entries(&cluster, r);
+        let common = txs.len().min(committed_in_view_0.len());
+        assert!(common >= floor, "replica {r}: a batch at or below the floor rolled back");
+        assert!(
+            txs[..common] == committed_in_view_0[..common],
+            "replica {r}: the transactions committed in view 0 were rewritten"
+        );
+        // Audited with the receipts of the batches that can no longer
+        // roll back.
+        let package = LedgerPackage::from_replica(replica, SeqNum(0));
+        let outcome = auditor.audit(&receipts[..floor], &GovernanceChain::new(), &package);
+        assert!(matches!(outcome, AuditOutcome::Clean), "replica {r}: {:?}", outcome.upom());
+    }
 }
