@@ -223,7 +223,7 @@ impl Auditor {
         let history =
             gov_chain.verify(&self.genesis).map_err(|e| format!("governance chain invalid: {e}"))?;
         let config_for_seq = seq_config_fn(&package.entries, &history);
-        Ok(config_for_seq(seq))
+        Ok(config_for_seq(seq).clone())
     }
 
     /// Compare two independently valid governance chains for the same
@@ -665,32 +665,32 @@ fn invalid_receipt(receipt: &Receipt, why: &ReceiptError) -> Upom {
 /// Derive the configuration per sequence number from the package itself:
 /// configuration boundaries are visible as end-of-configuration batches.
 fn seq_config_fn<'a>(
-    entries: &'a [LedgerEntry],
+    entries: &[LedgerEntry],
     history: &'a ConfigHistory,
-) -> impl Fn(SeqNum) -> Configuration + 'a {
+) -> impl Fn(SeqNum) -> &'a Configuration {
     // Build (first_seq, config) steps: a new configuration governs from
     // the sequence number after the 2P-th end-of-config batch.
-    let mut steps: Vec<(SeqNum, Configuration)> = vec![(SeqNum(0), history.steps[0].1.clone())];
+    let mut steps: Vec<(SeqNum, &Configuration)> = vec![(SeqNum(0), &history.steps[0].1)];
     let mut next_cfg = 1usize;
     for e in entries {
         if let LedgerEntry::PrePrepare(pp) = e {
             if let ia_ccf_types::BatchKind::EndOfConfig { phase } = pp.core.kind {
-                let config = &steps.last().expect("non-empty").1;
+                let config = steps.last().expect("non-empty").1;
                 if phase == 2 * config.pipeline_depth && next_cfg < history.steps.len() {
-                    steps.push((pp.seq().next(), history.steps[next_cfg].1.clone()));
+                    steps.push((pp.seq().next(), &history.steps[next_cfg].1));
                     next_cfg += 1;
                 }
             }
         }
     }
     move |seq: SeqNum| {
-        let mut chosen = &steps[0].1;
-        for (first, cfg) in &steps {
-            if *first <= seq {
+        let mut chosen = steps[0].1;
+        for &(first, cfg) in &steps {
+            if first <= seq {
                 chosen = cfg;
             }
         }
-        chosen.clone()
+        chosen
     }
 }
 

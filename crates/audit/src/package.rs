@@ -15,7 +15,7 @@ use ia_ccf_crypto::SigQueue;
 use ia_ccf_kv::KvCheckpoint;
 use ia_ccf_ledger::segment::{segment_entries, Segment};
 use ia_ccf_ledger::validity::{check_new_view, view_primary_job};
-use ia_ccf_merkle::MerkleTree;
+use ia_ccf_merkle::{Frontier, MerkleTree};
 use ia_ccf_types::{
     evidence_target, BatchCertificate, Configuration, Digest, EvidenceError, LedgerEntry,
     PrePrepare, ReceiptError, ReplicaId, SeqNum, View, Wire,
@@ -162,9 +162,9 @@ impl ValidatedPackage {
 /// at a time by one combined equation. The verdict is still the first
 /// failing check in ledger order: a structural refusal is reported only
 /// once every signature queued before it has passed.
-pub fn validate_package(
+pub fn validate_package<'c>(
     entries: &[LedgerEntry],
-    config_for_seq: &dyn Fn(SeqNum) -> Configuration,
+    config_for_seq: &dyn Fn(SeqNum) -> &'c Configuration,
 ) -> Result<ValidatedPackage, PackageError> {
     let mut pending = SigQueue::new(None, HashSet::new());
     match walk(entries, config_for_seq, &mut pending) {
@@ -179,15 +179,17 @@ pub fn validate_package(
 
 /// [`validate_package`]'s walk, with every signature check queued on
 /// `pending` rather than run.
-fn walk(
+fn walk<'c>(
     entries: &[LedgerEntry],
-    config_for_seq: &dyn Fn(SeqNum) -> Configuration,
+    config_for_seq: &dyn Fn(SeqNum) -> &'c Configuration,
     pending: &mut SigQueue<'_, PackageError>,
 ) -> Result<ValidatedPackage, PackageError> {
     let segments =
         segment_entries(entries, 0).map_err(|e| PackageError::Malformed(e.to_string()))?;
     let mut out = ValidatedPackage::default();
-    let mut tree = MerkleTree::new();
+    // `M` as the replicas hold it: a frontier, appended to and read at its
+    // root.
+    let mut tree = Frontier::new();
 
     for seg in &segments {
         match seg {
@@ -206,7 +208,7 @@ fn walk(
                 // sender — plus `M̄′` over the tree this walk has built.
                 let position = out.batches.last().map_or(SeqNum(1), |b| b.seq.next());
                 let config = config_for_seq(position);
-                let facts = check_new_view(&config, nv, view_changes)
+                let facts = check_new_view(config, nv, view_changes)
                     .map_err(|_| PackageError::BadViewChange(*view))?;
                 tree.append(entries[*set_at].m_leaf());
                 if nv.root_m != tree.root() {
@@ -246,24 +248,24 @@ fn walk(
                     };
                     let ev_config = config_for_seq(ev_seq);
                     let cert = BatchCertificate::from_evidence(
-                        &ev_config,
+                        ev_config,
                         &evidenced.pp,
                         pp.core.evidence_bitmap,
                         prepares,
                         nonces,
                     )
                     .and_then(|cert| {
-                        cert.check_shape(&ev_config)?;
+                        cert.check_shape(ev_config)?;
                         Ok(cert)
                     })
                     .map_err(|why| evidence_refusal(ev_seq, why))?;
                     let checks = cert
-                        .prepare_checks(&ev_config, &evidenced.pp_digest)
+                        .prepare_checks(ev_config, &evidenced.pp_digest)
                         .map_err(|why| evidence_refusal(ev_seq, why.into()))?;
                     for check in checks {
                         pending.push(check.job, PackageError::BadEvidenceSig(ev_seq))?;
                     }
-                    evidenced_signers = cert.signer_ids(&ev_config);
+                    evidenced_signers = cert.signer_ids(ev_config);
                     tree.append(entries[*ev_at].m_leaf());
                     tree.append(entries[*no_at].m_leaf());
                 }
@@ -274,16 +276,15 @@ fn walk(
                 }
                 // The primary's signature: the replicas' own rule.
                 let unsigned = PackageError::BadPrePrepareSig(*seq);
-                let job = view_primary_job(&config, pp).ok_or(unsigned.clone())?;
+                let job = view_primary_job(config, pp).ok_or(unsigned.clone())?;
                 pending.push(job, unsigned)?;
                 // Ḡ over the recorded ⟨t, i, o⟩ entries.
-                let mut g = MerkleTree::new();
-                for &ti in tx_at {
+                let g = MerkleTree::from_leaves(tx_at.iter().map(|&ti| {
                     let LedgerEntry::Tx(tx) = &entries[ti] else {
                         unreachable!("segmenter guarantees");
                     };
-                    g.append(tx.g_leaf());
-                }
+                    tx.g_leaf()
+                }));
                 if g.root() != pp.root_g {
                     return Err(PackageError::RootMismatch(*seq));
                 }

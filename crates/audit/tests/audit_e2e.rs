@@ -287,7 +287,7 @@ fn proved_receipt(s: &ClusterSpec) -> (Vec<StoredReceipt>, LedgerPackage, HashSe
     let counter: Arc<dyn ia_ccf_core::App> = Arc::new(CounterApp);
     let (cluster, receipts) = run_cluster(s, |_| Arc::clone(&counter), 8);
     let package = LedgerPackage::from_replica(cluster.replica(ReplicaId(0)), SeqNum(0));
-    let validated = validate_package(&package.entries, &|_| s.genesis.clone()).expect("well-formed");
+    let validated = validate_package(&package.entries, &|_| &s.genesis).expect("well-formed");
     let at = receipts
         .iter()
         .position(|sr| unproved(&sr.receipt, &s.genesis, &validated.proved).is_empty())

@@ -22,10 +22,6 @@ pub struct Slot {
     pub prepares: BTreeMap<ReplicaId, Prepare>,
     /// Commit nonces by sender (validated lazily against commitments).
     pub commits: BTreeMap<ReplicaId, Nonce>,
-    /// Whether this batch has prepared locally.
-    pub prepared: bool,
-    /// Whether this batch has committed locally.
-    pub committed: bool,
 }
 
 /// The message store.
@@ -114,11 +110,6 @@ impl MsgStore {
         self.slots.retain(|(s, _), _| *s > upto);
         self.view_changes.retain(|(v, _), _| *v >= upto_view);
     }
-
-    /// Iterate slots in ascending `(seq, view)` order.
-    pub fn slots(&self) -> impl Iterator<Item = (&(SeqNum, View), &Slot)> {
-        self.slots.iter()
-    }
 }
 
 #[cfg(test)]
@@ -192,8 +183,8 @@ mod tests {
     #[test]
     fn compact_drops_old_slots() {
         let mut store = MsgStore::new();
-        store.slot_mut(SeqNum(1), View(0)).prepared = true;
-        store.slot_mut(SeqNum(5), View(0)).prepared = true;
+        store.slot_mut(SeqNum(1), View(0));
+        store.slot_mut(SeqNum(5), View(0));
         store.compact(SeqNum(3), View(0));
         assert!(store.slot(SeqNum(1), View(0)).is_none());
         assert!(store.slot(SeqNum(5), View(0)).is_some());

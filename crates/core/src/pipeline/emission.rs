@@ -8,8 +8,8 @@
 //! that let slow clients and recovering replicas catch up.
 //!
 //! It reads executed batches from [`crate::pipeline::exec_window`]: they
-//! are shared behind `Arc`, authentication paths are served from each
-//! batch's frozen-paths view, and re-fetch locates its transaction
+//! are shared behind `Arc`, authentication paths are served by each
+//! batch's tree `G`, and re-fetch locates its transaction
 //! through the `tx_hash → (seq, pos)` index instead of a linear scan.
 //! A governance batch's certificate is assembled once, when it commits,
 //! and lives on in the governance-chain links built from it.
@@ -217,8 +217,8 @@ impl Replica {
     }
 
     /// Re-send reply + replyx for a committed transaction: one locator
-    /// lookup plus a frozen-path slice — O(log batch), not a scan over
-    /// the retained batches.
+    /// lookup plus one path out of the batch's tree — O(log batch), not a
+    /// scan over the retained batches.
     pub(crate) fn serve_receipt_refetch(&mut self, client: ClientId, tx_hash: Digest) {
         let Some((seq, pos, exec)) = self.batch_exec.locate(&tx_hash) else {
             return; // unknown or pruned past the retention window
@@ -268,7 +268,7 @@ impl Replica {
     /// reference oracle for the differential tests
     /// (`tests/receipt_refetch_equiv.rs`): scan the executed batches in
     /// sequence order for the transaction and rebuild the reply pair from
-    /// the tree directly, bypassing the locator and the frozen paths.
+    /// the tree directly, bypassing the locator.
     /// Returns the messages instead of sending them.
     #[doc(hidden)]
     pub fn refetch_oracle_linear(&self, tx_hash: Digest) -> Vec<ProtocolMsg> {
@@ -462,18 +462,6 @@ impl Replica {
             Some(record.payload(self.ledger.encode_range(LedgerIdx(start), LedgerIdx(end))))
         });
         self.send_replica(sender, ProtocolMsg::FetchCheckpointResponse { seq, payload });
-    }
-
-    /// The seed's monolithic fetch response — the whole remaining ledger
-    /// from `from_seq` as one entry list — kept as the reference oracle
-    /// for the paged-transfer differential harness
-    /// (`tests/paged_fetch_equiv.rs`): the concatenation of served pages
-    /// must be byte-identical to this, for every `from_seq` and page
-    /// budget. Returns the encoded entries instead of sending them.
-    #[doc(hidden)]
-    pub fn ledger_fetch_oracle(&self, from_seq: SeqNum) -> Vec<Vec<u8>> {
-        let from_pos = self.ledger.fetch_start_pos(from_seq);
-        self.ledger.encode_range(LedgerIdx(from_pos), LedgerIdx(self.ledger.len()))
     }
 }
 

@@ -48,24 +48,20 @@ pub(crate) struct BatchExec {
     pub view: View,
     pub kind: BatchKind,
     pub txs: Vec<ExecTx>,
+    /// The batch tree `G`, built once from the batch's leaves at
+    /// execution; every receipt and re-fetch reads its paths. A
+    /// rolled-back batch drops the whole `BatchExec`.
     pub tree: MerkleTree,
-    /// Memoized authentication paths ([`ia_ccf_merkle::FrozenPaths`]):
-    /// the tree is immutable once the batch executed, so the per-level
-    /// sibling arrays are computed once on first path request and every
-    /// later receipt/re-fetch serves from them. A rolled-back batch drops
-    /// the whole `BatchExec`, so re-execution can never see stale paths.
-    frozen: std::sync::OnceLock<ia_ccf_merkle::FrozenPaths>,
 }
 
 impl BatchExec {
     pub(crate) fn new(view: View, kind: BatchKind, txs: Vec<ExecTx>, tree: MerkleTree) -> Self {
-        BatchExec { view, kind, txs, tree, frozen: std::sync::OnceLock::new() }
+        BatchExec { view, kind, txs, tree }
     }
 
-    /// The authentication path for the leaf at `pos`, served from the
-    /// frozen view (byte-identical to `self.tree.path(pos)`).
+    /// The authentication path for the leaf at `pos`.
     pub(crate) fn path(&self, pos: u64) -> Option<ia_ccf_merkle::MerklePath> {
-        self.frozen.get_or_init(|| self.tree.freeze_paths()).path(pos)
+        self.tree.path(pos)
     }
 }
 

@@ -15,9 +15,10 @@
 //! | [`emission`] | replies, receipts, checkpoint/evidence serving | lines 34–38 (`reply`, `replyx`) and §5.2 receipts |
 //!
 //! Executed batches have one owner, [`exec_window`]: the batches behind
-//! `Arc` (each with its frozen Merkle paths) and the `tx_hash → (seq,
-//! pos)` re-fetch locator over them. Rollback and the GC drop batches
-//! only through it, so a locator entry never outlives its batch.
+//! `Arc` (each with its tree `G`, which serves its receipt paths) and the
+//! `tx_hash → (seq, pos)` re-fetch locator over them. Rollback and the GC
+//! drop batches only through it, so a locator entry never outlives its
+//! batch.
 //!
 //! View changes (Alg. 2) and reconfiguration (§5.1) stay outside the
 //! pipeline in [`crate::viewchange`] and [`crate::reconfig`]: they

@@ -583,7 +583,6 @@ impl Replica {
     }
 
     fn mark_prepared(&mut self, seq: SeqNum, view: View) {
-        self.msgs.slot_mut(seq, view).prepared = true;
         self.prepared_up_to = seq;
         self.prepared_view.insert(seq, view);
         self.note_progress();
@@ -667,7 +666,6 @@ impl Replica {
     }
 
     fn mark_committed(&mut self, seq: SeqNum, view: View) {
-        self.msgs.slot_mut(seq, view).committed = true;
         self.committed_up_to = seq;
         self.note_progress();
         let tx_count = self.batch_exec.get(&seq).map(|e| e.txs.len()).unwrap_or(0);

@@ -7,6 +7,12 @@
 //! on the [`fsync_interval_batches`] knob, and repaired at open time by
 //! truncating any torn trailing chunk.
 //!
+//! The log is what a restart needs and nothing more: a write-only mirror
+//! of the in-memory ledger while the replica runs, plus the scan that
+//! decodes it when it is opened. Nothing reads entries back from it in
+//! between — pages and checkpoint seeds are encoded from memory — so it
+//! indexes chunks, not entries.
+//!
 //! # Chunk framing and the torn-tail contract
 //!
 //! Every append call becomes one *chunk*:
@@ -59,7 +65,6 @@
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use ia_ccf_types::{LedgerEntry, Wire};
@@ -74,14 +79,6 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.cp";
 pub const ARCHIVE_DIR: &str = "archive";
 
 const MANIFEST_MAGIC: &[u8; 16] = b"IACCF-SEG-BASE-1";
-
-/// Where one entry's encoded bytes live on disk.
-#[derive(Debug, Clone, Copy)]
-struct EntryLoc {
-    file: u32,
-    offset: u64,
-    len: u32,
-}
 
 /// One chunk's extent: which file, where it ends there, and through which
 /// entry it reaches — what truncation needs to find the chunk floor.
@@ -99,7 +96,6 @@ pub struct DurableLog {
     files: Vec<File>,
     /// Byte length of each file (the tail file's may exceed `synced`).
     file_lens: Vec<u64>,
-    entries: Vec<EntryLoc>,
     chunks: Vec<ChunkMeta>,
     /// Absolute ledger index of the first entry this segment run holds.
     base: u64,
@@ -152,8 +148,8 @@ fn write_manifest(dir: &Path, base: u64) -> io::Result<()> {
 }
 
 impl DurableLog {
-    /// Default segment roll size; page serving and repair never need to
-    /// touch more than one file's tail.
+    /// Default segment roll size; repair never needs to touch more than
+    /// one file's tail.
     pub const DEFAULT_ROLL_BYTES: u64 = 8 << 20;
 
     /// Open (or create) the log under `dir`, repair any torn tail, and
@@ -179,7 +175,6 @@ impl DurableLog {
             dir: dir.to_path_buf(),
             files: Vec::new(),
             file_lens: Vec::new(),
-            entries: Vec::new(),
             chunks: Vec::new(),
             base,
             completed_bytes: 0,
@@ -298,9 +293,9 @@ impl DurableLog {
             || dir.join(CHECKPOINT_FILE).exists()
     }
 
-    /// Parse one file's bytes, recording entry/chunk locations and
-    /// decoding entries into `decoded`. Returns the byte length of the
-    /// valid chunk prefix.
+    /// Parse one file's bytes, recording chunk extents and decoding
+    /// entries into `decoded`. Returns the byte length of the valid chunk
+    /// prefix.
     fn scan_file(&mut self, file: u32, bytes: &[u8], decoded: &mut Vec<LedgerEntry>) -> u64 {
         let mut pos = 0usize;
         loop {
@@ -314,7 +309,6 @@ impl DurableLog {
             };
             // Parse the payload tentatively: nothing is committed to the
             // log's state unless the whole chunk is well formed.
-            let mut locs = Vec::with_capacity(entry_count);
             let mut parsed = Vec::with_capacity(entry_count);
             let mut p = 0usize;
             for _ in 0..entry_count {
@@ -325,11 +319,6 @@ impl DurableLog {
                 let Ok(entry) = LedgerEntry::from_bytes(ebytes) else {
                     return chunk_start as u64;
                 };
-                locs.push(EntryLoc {
-                    file,
-                    offset: (pos + p) as u64,
-                    len: elen as u32,
-                });
                 parsed.push(entry);
                 p += elen;
             }
@@ -337,12 +326,11 @@ impl DurableLog {
                 return chunk_start as u64;
             }
             pos += payload_len;
-            self.entries.extend(locs);
             decoded.extend(parsed);
             self.chunks.push(ChunkMeta {
                 file,
                 end: pos as u64,
-                entry_end: self.entries.len() as u64,
+                entry_end: self.entry_count() + entry_count as u64,
             });
         }
     }
@@ -363,9 +351,10 @@ impl DurableLog {
         Ok(())
     }
 
-    /// Number of entries the log holds (relative to [`DurableLog::base`]).
+    /// Number of entries the log holds (relative to [`DurableLog::base`]):
+    /// where its last chunk reaches.
     pub fn entry_count(&self) -> u64 {
-        self.entries.len() as u64
+        self.chunks.last().map_or(0, |c| c.entry_end)
     }
 
     /// Absolute ledger index of the first entry this segment run
@@ -437,18 +426,10 @@ impl DurableLog {
             self.fsync_tail()?;
             self.push_new_file()?;
         }
-        let file_idx = (self.files.len() - 1) as u32;
         let base = *self.file_lens.last().unwrap();
         let mut payload = Vec::new();
-        let mut locs = Vec::with_capacity(entries.len());
         for entry in entries {
             let ebytes = entry.to_bytes();
-            locs.push(EntryLoc {
-                file: file_idx,
-                // + 8 for the chunk header that precedes the payload.
-                offset: base + 8 + (payload.len() + 4) as u64,
-                len: ebytes.len() as u32,
-            });
             payload.extend_from_slice(&(ebytes.len() as u32).to_le_bytes());
             payload.extend_from_slice(&ebytes);
         }
@@ -459,12 +440,11 @@ impl DurableLog {
         let file = self.files.last_mut().unwrap();
         file.seek(SeekFrom::Start(base))?;
         file.write_all(&chunk)?;
-        self.entries.extend(locs);
         *self.file_lens.last_mut().unwrap() = base + chunk.len() as u64;
         self.chunks.push(ChunkMeta {
-            file: file_idx,
+            file: (self.files.len() - 1) as u32,
             end: base + chunk.len() as u64,
-            entry_end: self.entries.len() as u64,
+            entry_end: self.entry_count() + entries.len() as u64,
         });
         if counts_as_batch {
             self.unsynced_batches += 1;
@@ -496,8 +476,7 @@ impl DurableLog {
         while self.chunks.last().is_some_and(|c| c.entry_end > keep) {
             self.chunks.pop();
         }
-        let floor = self.chunks.last().map_or(0, |c| c.entry_end);
-        self.entries.truncate(floor as usize);
+        let floor = self.entry_count();
         let (keep_file, keep_len) = match self.chunks.last() {
             Some(c) => (c.file as usize, c.end),
             None => (0, 0),
@@ -517,22 +496,6 @@ impl DurableLog {
         self.unsynced_batches = 0;
         sync_dir(&self.dir)?;
         Ok(floor)
-    }
-
-    /// Read the encoded bytes of entries `[from, to_exclusive)` (indices
-    /// relative to the log's base) straight from the segment files — the
-    /// page-serving read path. Out-of-range indices clamp to what the log
-    /// holds.
-    pub fn read_encoded_range(&self, from: u64, to_exclusive: u64) -> io::Result<Vec<Vec<u8>>> {
-        let to = to_exclusive.min(self.entries.len() as u64);
-        let mut out = Vec::with_capacity(to.saturating_sub(from) as usize);
-        for loc in self.entries.iter().skip(from as usize).take(to.saturating_sub(from) as usize)
-        {
-            let mut buf = vec![0u8; loc.len as usize];
-            self.files[loc.file as usize].read_exact_at(&mut buf, loc.offset)?;
-            out.push(buf);
-        }
-        Ok(out)
     }
 }
 
@@ -582,11 +545,6 @@ mod tests {
         assert_eq!(prefix, all);
         assert_eq!(log.entry_count(), 20);
         assert_eq!(log.base(), 0, "manifest-less directory reads as base 0");
-        // The disk read path serves the same bytes the entries encode to.
-        let encoded = log.read_encoded_range(5, 9).unwrap();
-        for (bytes, entry) in encoded.iter().zip(&all[5..9]) {
-            assert_eq!(&LedgerEntry::from_bytes(bytes).unwrap(), entry);
-        }
     }
 
     #[test]
@@ -602,11 +560,7 @@ mod tests {
         }
         let (log, prefix) = DurableLog::open_with_roll(&td.0, 1, 128).unwrap();
         assert_eq!(prefix, all);
-        let encoded = log.read_encoded_range(0, 64).unwrap();
-        assert_eq!(encoded.len(), 64);
-        for (bytes, entry) in encoded.iter().zip(&all) {
-            assert_eq!(&LedgerEntry::from_bytes(bytes).unwrap(), entry);
-        }
+        assert_eq!(log.entry_count(), 64, "the count spans every file's chunks");
     }
 
     /// The torn-tail contract, byte by byte: truncating the tail file at
@@ -841,9 +795,8 @@ mod tests {
         let (log, prefix) = DurableLog::open_with_roll(&td.0, 1, 64).unwrap();
         assert_eq!(log.base(), 10, "manifest base survives reopen");
         assert_eq!(prefix, suffix);
-        // Reads are relative to the run, not absolute.
-        let encoded = log.read_encoded_range(0, 2).unwrap();
-        assert_eq!(LedgerEntry::from_bytes(&encoded[0]).unwrap(), suffix[0]);
+        // The count is relative to the run, not absolute.
+        assert_eq!(log.entry_count(), suffix.len() as u64);
         // create_suffix refuses a directory that still holds segments.
         assert!(DurableLog::create_suffix(&td.0, 1, 64, 20).is_err());
     }

@@ -117,12 +117,12 @@ impl MTree {
 /// since. Rolling back ([`Ledger::truncate_to`]) never cuts below the
 /// floor, which [`Ledger::settle`] raises as batches commit.
 ///
-/// Two orthogonal modes change where entries live, not the tree:
+/// The entries in memory are the one source of every byte the ledger
+/// serves. Two orthogonal modes change what else is kept, not the tree:
 ///
 /// * **Durable** ([`Ledger::attach_durable`]): every append/rollback is
-///   mirrored into an on-disk [`DurableLog`] and `encode_range` (the
-///   page-serving read path) reads the entry bytes straight from the
-///   segment files.
+///   mirrored into an on-disk [`DurableLog`], written and never read back
+///   while the replica runs; a restart reads it once, when it opens.
 /// * **Suffix** ([`Ledger::from_checkpoint`]): the ledger holds only the
 ///   entries after a checkpoint restore point; `base()` entries before it
 ///   exist logically (indices stay absolute) but are not materialized.
@@ -502,21 +502,9 @@ impl Ledger {
     }
 
     /// Serialize a range of entries for transmission (ledger fragments,
-    /// fetch responses). With a durable log attached the bytes come
-    /// straight from the segment files — the page-serving read path does
-    /// not re-encode from memory.
+    /// fetch responses, checkpoint seeds), encoded from memory.
     pub fn encode_range(&self, from: LedgerIdx, to_exclusive: LedgerIdx) -> Vec<Vec<u8>> {
         let (lo, hi) = self.clamp_range(from, to_exclusive);
-        if let Some(log) = &self.durable {
-            // The mirror is reconciled on every append/truncate, so it
-            // always holds exactly the in-memory entries (at matching
-            // relative positions). A read error falls back to the
-            // in-memory encoding — serving pages must not depend on one
-            // disk staying healthy.
-            if let Ok(encoded) = log.read_encoded_range(lo as u64, hi as u64) {
-                return encoded;
-            }
-        }
         self.entries[lo..hi].iter().map(|e| e.to_bytes()).collect()
     }
 }
@@ -875,17 +863,15 @@ mod tests {
             LedgerEntry::PrePrepare(test_pp(0, 2, &rk[0])),
         ]);
 
-        // Page serving reads the same bytes off disk as the in-memory
-        // encoding produces.
-        let from_disk = ledger.encode_range(LedgerIdx(0), LedgerIdx(ledger.len()));
-        let from_mem: Vec<Vec<u8>> = ledger.entries().iter().map(|e| e.to_bytes()).collect();
-        assert_eq!(from_disk, from_mem);
-
-        // Reopening the directory yields exactly the live entries.
+        // Reopening the directory yields exactly the live entries, and
+        // they encode to the bytes the ledger serves.
         let expect = ledger.entries().to_vec();
+        let served = ledger.encode_range(LedgerIdx(0), LedgerIdx(ledger.len()));
         drop(ledger);
         let (_, reopened) = crate::durable::DurableLog::open(&dir, 1).unwrap();
         assert_eq!(reopened, expect);
+        let reencoded: Vec<Vec<u8>> = reopened.iter().map(|e| e.to_bytes()).collect();
+        assert_eq!(reencoded, served);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -981,11 +967,13 @@ mod tests {
             LedgerEntry::Nonces { seq: SeqNum(2), nonces: vec![Nonce([2; 16])] },
             LedgerEntry::PrePrepare(test_pp(0, 2, &rk[0])),
         ]);
-        // Page serving reads the mirror at the right relative offsets.
-        let from_disk = suffix.encode_range(LedgerIdx(cut), LedgerIdx(suffix.len()));
+        // The mirror counts the suffix at relative positions; pages are
+        // served from memory at absolute ones.
+        assert_eq!(suffix.durable().unwrap().entry_count(), 2);
+        let served = suffix.encode_range(LedgerIdx(cut), LedgerIdx(suffix.len()));
         let from_mem: Vec<Vec<u8>> =
             suffix.entries().iter().map(|e| e.to_bytes()).collect();
-        assert_eq!(from_disk, from_mem);
+        assert_eq!(served, from_mem);
         // Rollback inside the suffix mirrors at relative indices too.
         suffix.truncate_to(suffix.len() - 1);
         assert_eq!(suffix.durable().unwrap().entry_count(), 1);

@@ -98,9 +98,9 @@ impl Frontier {
         self.len == 0
     }
 
-    /// Append a leaf. Mirrors [`crate::MerkleTree::append`] but carries only
-    /// unpaired nodes: when the incoming node finds a peak at its level, the
-    /// two are hashed and the combination carries to the next level.
+    /// Append a leaf. Carries only unpaired nodes: when the incoming node
+    /// finds a peak at its level, the two are hashed and the combination
+    /// carries to the next level, so a leaf costs a hash only per pairing.
     pub fn append(&mut self, leaf: Digest) {
         let mut carry = leaf;
         let mut lvl = 0;
@@ -152,11 +152,10 @@ mod tests {
     #[test]
     fn frontier_root_matches_tree_root_at_every_size() {
         let ls = leaves(70);
-        let mut tree = MerkleTree::new();
         let mut frontier = Frontier::new();
-        assert_eq!(frontier.root(), tree.root());
-        for l in &ls {
-            tree.append(*l);
+        assert_eq!(frontier.root(), MerkleTree::new().root());
+        for (i, l) in ls.iter().enumerate() {
+            let tree = MerkleTree::from_leaves(ls[..=i].iter().copied());
             frontier.append(*l);
             assert_eq!(frontier.root(), tree.root(), "len {}", tree.len());
             assert_eq!(frontier.len(), tree.len());
@@ -176,10 +175,10 @@ mod tests {
         let mut resumed = Frontier::from_bytes(&frontier.to_bytes()).expect("roundtrip");
         assert_eq!(resumed.root(), tree.root());
         for l in &ls[30..] {
-            tree.append(*l);
+            tree.extend([*l]);
             resumed.append(*l);
+            assert_eq!(resumed.root(), tree.root());
         }
-        assert_eq!(resumed.root(), tree.root());
     }
 
     #[test]
@@ -232,12 +231,11 @@ mod proptests {
     proptest! {
         #[test]
         fn frontier_always_tracks_tree(n in 0usize..256) {
-            let mut tree = MerkleTree::new();
+            let ls: Vec<Digest> = (0..n).map(|i| hash_bytes(&(i as u64).to_le_bytes())).collect();
+            let tree = MerkleTree::from_leaves(ls.iter().copied());
             let mut frontier = Frontier::new();
-            for i in 0..n {
-                let l = hash_bytes(&(i as u64).to_le_bytes());
-                tree.append(l);
-                frontier.append(l);
+            for l in &ls {
+                frontier.append(*l);
             }
             prop_assert_eq!(frontier.root(), tree.root());
             prop_assert_eq!(frontier.len(), tree.len());
@@ -248,14 +246,13 @@ mod proptests {
             let cut = ((total as f64) * cut_frac) as usize;
             let ls: Vec<Digest> =
                 (0..total).map(|i| hash_bytes(&(i as u64).to_le_bytes())).collect();
-            let mut tree = MerkleTree::from_leaves(ls[..cut].iter().copied());
+            let tree = MerkleTree::from_leaves(ls.iter().copied());
             let mut f = Frontier::new();
             for l in &ls[..cut] {
                 f.append(*l);
             }
             let mut f = Frontier::from_bytes(&f.to_bytes()).expect("roundtrip");
             for l in &ls[cut..] {
-                tree.append(*l);
                 f.append(*l);
             }
             prop_assert_eq!(f.root(), tree.root());

@@ -10,18 +10,18 @@
 //!   one batch, whose root `Ḡ` also appears in the pre-prepare. Receipts
 //!   carry a sibling path `S` in `G` (§3.3).
 //!
-//! `G` is a [`MerkleTree`]. The structure supports:
+//! Each tree has one representation:
 //!
-//! * O(log n) amortized [`MerkleTree::append`];
-//! * [`MerkleTree::path`] / [`MerklePath::verify`] — succinct existence
-//!   proofs, plus [`FrozenPaths`] — a memoized view for immutable trees
-//!   that computes each level's sibling array once and answers `path(i)`
-//!   by slicing (receipt emission/re-fetch serve from it);
-//! * [`Frontier`] — the "newest leaf, root, and connecting branches"
-//!   checkpointed in §3.4, enough to continue appending without old leaves.
-//!   The ledger holds `M` as a frontier: rolling back a suffix (Appx. A
-//!   Lemma 1) re-appends the surviving leaves to the frontier at the
-//!   replica's rollback floor, so `M` never needs its interior.
+//! * `G` is a [`MerkleTree`], built once from its leaves
+//!   ([`MerkleTree::from_leaves`], [`MerkleTree::extend`]); it serves its
+//!   own succinct existence proofs, [`MerkleTree::path`] /
+//!   [`MerklePath::verify`], to receipt emission and re-fetch;
+//! * `M` is a [`Frontier`] — the "newest leaf, root, and connecting
+//!   branches" checkpointed in §3.4, enough to keep appending without old
+//!   leaves — in the replica's ledger and in the auditor alike. Rolling
+//!   back a suffix (Appx. A Lemma 1) re-appends the surviving leaves to
+//!   the frontier at the replica's rollback floor, so `M` never needs its
+//!   interior.
 //!
 //! Interior node rule: `H(left || right)`; a node without a right sibling is
 //! promoted unchanged to the next level (no self-duplication, so no
@@ -31,12 +31,10 @@
 #![forbid(unsafe_code)]
 
 mod frontier;
-mod frozen;
 mod path;
 mod tree;
 
 pub use frontier::Frontier;
-pub use frozen::FrozenPaths;
 pub use path::MerklePath;
 pub use tree::MerkleTree;
 

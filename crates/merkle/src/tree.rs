@@ -40,51 +40,14 @@ impl MerkleTree {
         self.len() == 0
     }
 
-    /// The leaf digest at `index`, if present.
-    pub fn leaf(&self, index: u64) -> Option<Digest> {
-        self.levels.first()?.get(index as usize).copied()
-    }
-
     /// The root digest. The empty tree has the all-zero sentinel root.
     pub fn root(&self) -> Digest {
         self.levels.last().and_then(|l| l.first()).copied().unwrap_or_else(Digest::zero)
     }
 
-    /// Append a leaf, updating the right edge of the pyramid in O(log n).
-    pub fn append(&mut self, leaf: Digest) {
-        if self.levels.is_empty() {
-            self.levels.push(Vec::new());
-        }
-        self.levels[0].push(leaf);
-        let mut lvl = 0;
-        let mut idx = self.levels[0].len() - 1;
-        while self.levels[lvl].len() > 1 {
-            let parent_idx = idx / 2;
-            let left = self.levels[lvl][2 * parent_idx];
-            let parent = match self.levels[lvl].get(2 * parent_idx + 1) {
-                Some(right) => hash_pair(&left, right),
-                None => left,
-            };
-            if lvl + 1 == self.levels.len() {
-                self.levels.push(Vec::new());
-            }
-            let up = &mut self.levels[lvl + 1];
-            if parent_idx == up.len() {
-                up.push(parent);
-            } else {
-                up[parent_idx] = parent;
-            }
-            lvl += 1;
-            idx = parent_idx;
-        }
-    }
-
-    /// Append many leaves at once (batch amortization, §3.4).
-    ///
-    /// Equivalent to calling [`MerkleTree::append`] for each leaf, but
-    /// each level of the pyramid is rebuilt in a single pass per batch —
-    /// one reservation and one contiguous recompute from the first dirty
-    /// node — instead of one right-edge walk per leaf.
+    /// Append many leaves at once (batch amortization, §3.4): each level
+    /// of the pyramid is rebuilt in a single pass per call — one
+    /// reservation and one contiguous recompute from the first dirty node.
     pub fn extend(&mut self, leaves: impl IntoIterator<Item = Digest>) {
         if self.levels.is_empty() {
             self.levels.push(Vec::new());
@@ -131,7 +94,7 @@ impl MerkleTree {
         if index >= n {
             return None;
         }
-        let mut siblings = Vec::new();
+        let mut siblings = Vec::with_capacity(self.levels.len().saturating_sub(1));
         let mut idx = index as usize;
         let mut len = n as usize;
         let mut lvl = 0;
@@ -151,17 +114,11 @@ impl MerkleTree {
         Some(MerklePath { index, tree_len: n, siblings })
     }
 
-    /// The raw pyramid levels (for [`crate::FrozenPaths`] construction).
-    pub(crate) fn levels(&self) -> &[Vec<Digest>] {
-        &self.levels
-    }
-
-    /// Freeze this tree's authentication paths: compute every level's
-    /// sibling array once so later `path(i)` calls are array slices. Only
-    /// meaningful for trees that will not grow again (per-batch `G` trees
-    /// after execution).
-    pub fn freeze_paths(&self) -> crate::FrozenPaths {
-        crate::FrozenPaths::new(self)
+    /// This tree, which serves its own authentication paths through
+    /// [`MerkleTree::path`]. Kept as a name only: the benchmark's
+    /// `merkle.frozen_path_ns` probe calls it.
+    pub fn freeze_paths(&self) -> &Self {
+        self
     }
 }
 
@@ -200,7 +157,7 @@ mod tests {
         let ls = leaves(65);
         let mut tree = MerkleTree::new();
         for (i, l) in ls.iter().enumerate() {
-            tree.append(*l);
+            tree.extend([*l]);
             assert_eq!(tree.root(), naive_root(&ls[..=i]), "size {}", i + 1);
         }
     }
@@ -210,15 +167,12 @@ mod tests {
         let ls = leaves(48);
         for old in 0..=16usize {
             for add in 0..=16usize {
-                let mut by_extend = MerkleTree::new();
-                for l in &ls[..old] {
-                    by_extend.append(*l);
-                }
+                let mut by_extend = MerkleTree::from_leaves(ls[..old].iter().copied());
                 by_extend.extend(ls[old..old + add].iter().copied());
 
                 let mut by_append = MerkleTree::new();
                 for l in &ls[..old + add] {
-                    by_append.append(*l);
+                    by_append.extend([*l]);
                 }
                 assert_eq!(by_extend.root(), by_append.root(), "old={old} add={add}");
                 assert_eq!(by_extend.len(), by_append.len());
@@ -276,14 +230,6 @@ mod tests {
         let t = MerkleTree::from_leaves(leaves(4));
         assert!(t.path(4).is_none());
         assert!(MerkleTree::new().path(0).is_none());
-    }
-
-    #[test]
-    fn leaf_accessor() {
-        let ls = leaves(5);
-        let t = MerkleTree::from_leaves(ls.iter().copied());
-        assert_eq!(t.leaf(3), Some(ls[3]));
-        assert_eq!(t.leaf(5), None);
     }
 }
 

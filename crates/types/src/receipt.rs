@@ -675,10 +675,9 @@ pub mod testutil {
         let primary_rank = config.rank_of(primary).unwrap();
 
         // Per-batch tree G.
-        let mut g = MerkleTree::new();
-        for (tx_hash, index, result) in entries {
-            g.append(g_leaf_hash(tx_hash, *index, result));
-        }
+        let g = MerkleTree::from_leaves(
+            entries.iter().map(|(tx_hash, index, result)| g_leaf_hash(tx_hash, *index, result)),
+        );
         let root_g = g.root();
 
         // Nonces: one per replica, deterministic for tests.

@@ -142,13 +142,12 @@ fn view_change_senders_are_checked_under_the_configuration_of_their_position() {
     let last = entries.iter().rev().find_map(seq_of).expect("batches");
     assert!(position <= last, "batches follow the view change");
 
-    let genesis = spec.genesis.clone();
+    let genesis = &spec.genesis;
     let mut without_sender = genesis.clone();
     without_sender.replicas.retain(|r| r.id != sender);
-    let dropped_from = |first: SeqNum| {
-        let (genesis, without_sender) = (genesis.clone(), without_sender.clone());
-        move |seq: SeqNum| if seq >= first { without_sender.clone() } else { genesis.clone() }
-    };
+    let without_sender = &without_sender;
+    let dropped_from =
+        |first: SeqNum| move |seq: SeqNum| if seq >= first { without_sender } else { genesis };
 
     // Removed by a later reconfiguration: the view change stays valid.
     let validated = validate_package(&entries, &dropped_from(last.next()));
@@ -225,8 +224,7 @@ fn forged_view_change_sets_incriminate_their_server_not_the_receipt_signers() {
         }),
     ];
 
-    let genesis = spec.genesis.clone();
-    let config_for_seq = move |_: SeqNum| genesis.clone();
+    let config_for_seq = |_: SeqNum| &spec.genesis;
     let load = |entries: &[LedgerEntry]| {
         Replica::bootstrap(
             ReplicaId(2),

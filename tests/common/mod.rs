@@ -3,7 +3,7 @@
 //! refused for the one clause it breaks and not for a sloppy hash.
 
 use ia_ccf_crypto::{hash_bytes, KeyPair};
-use ia_ccf_merkle::MerkleTree;
+use ia_ccf_merkle::Frontier;
 use ia_ccf_types::{
     Digest, LedgerEntry, NewViewMsg, PrePrepare, Prepare, ReplicaBitmap, ReplicaId, View,
     ViewChange, Wire,
@@ -12,7 +12,7 @@ use ia_ccf_types::{
 /// Root of the ledger tree `M` over `entries` (transactions are not `M`
 /// leaves).
 pub fn m_root<'a>(entries: impl IntoIterator<Item = &'a LedgerEntry>) -> Digest {
-    let mut tree = MerkleTree::new();
+    let mut tree = Frontier::new();
     for entry in entries.into_iter().filter(|e| e.is_m_leaf()) {
         tree.append(entry.m_leaf());
     }

@@ -56,7 +56,14 @@ fn assert_ledgers_byte_identical(cluster: &DetCluster, a: ReplicaId, b: ReplicaI
 /// Total encoded bytes a from-genesis transfer would move (the oracle a
 /// recovering replica's `SyncReport::bytes` is measured against).
 fn genesis_transfer_bytes(cluster: &DetCluster, server: ReplicaId) -> u64 {
-    cluster.replica(server).ledger_fetch_oracle(SeqNum(1)).iter().map(|e| e.len() as u64).sum()
+    whole_suffix(cluster.replica(server), SeqNum(1)).iter().map(|e| e.len() as u64).sum()
+}
+
+/// The monolithic whole-suffix fetch response from `from_seq`: every
+/// entry from the ledger's fetch start to its tip, encoded.
+fn whole_suffix(replica: &Replica, from_seq: SeqNum) -> Vec<Vec<u8>> {
+    let ledger = replica.ledger();
+    ledger.encode_range(LedgerIdx(ledger.fetch_start_pos(from_seq)), LedgerIdx(ledger.len()))
 }
 
 // ----------------------------------------------------------------------
@@ -302,9 +309,7 @@ fn crash_mid_sync_resumes_from_durable_prefix() {
 
     // The resumed sync moves only the missing suffix.
     let genesis_bytes = genesis_transfer_bytes(&cluster, ReplicaId(0));
-    let suffix_bytes: u64 = cluster
-        .replica(ReplicaId(0))
-        .ledger_fetch_oracle(resumed_tip.next())
+    let suffix_bytes: u64 = whole_suffix(cluster.replica(ReplicaId(0)), resumed_tip.next())
         .iter()
         .map(|e| e.len() as u64)
         .sum();
@@ -400,6 +405,92 @@ fn synced_replica_holds_the_same_files_as_one_that_accepted_every_batch() {
         "file names and sizes"
     );
     assert!(synced == accepted, "same names and sizes, different bytes");
+}
+
+/// Pages and checkpoint seeds are encoded from memory; the disk is read
+/// only when a replica restarts. A view change that rolls back a durable
+/// survivor's tail cuts both copies (`truncate_to` mirrors the cut into
+/// the segment files): a batch executes and prepares everywhere but
+/// commits nowhere, and the view change after the primary's crash rolls
+/// it back and re-proposes it. A fresh replica synced from that survivor
+/// must then hold its ledger byte for byte; the survivor's directory must
+/// decode to its ledger, and a restart from a copy of it must replay the
+/// same bytes.
+#[test]
+fn a_rolled_back_durable_tail_syncs_and_restarts_byte_identical() {
+    let tmp = TempDir::new("rollback-mirror").expect("tempdir");
+    let params = ProtocolParams { view_timeout_ticks: 15, ..durable_params(1) };
+    let spec = ClusterSpec::new(4, 1, params).with_config(|c| c.checkpoint_interval = 1 << 20);
+    let mut cluster = durable_cluster(&spec, &tmp);
+    let client = spec.clients[0].0;
+    for r in 0..4 {
+        cluster.set_fault(ReplicaId(r), Fault::DropCommits);
+    }
+    cluster.submit(client, CounterApp::INCR, b"k".to_vec());
+    for _ in 0..5 {
+        cluster.round();
+    }
+    let survivor = ReplicaId(1);
+    let views_of_seq_1 = |cluster: &DetCluster| -> Vec<u64> {
+        let entries = cluster.replica(survivor).ledger().entries();
+        let pps = entries.iter().filter_map(|e| match e {
+            LedgerEntry::PrePrepare(pp) if pp.seq() == SeqNum(1) => Some(pp.view().0),
+            _ => None,
+        });
+        pps.collect()
+    };
+    assert_eq!(cluster.replica(survivor).prepared_up_to(), SeqNum(1));
+    assert_eq!(cluster.replica(survivor).committed_up_to(), SeqNum(0));
+    assert_eq!(views_of_seq_1(&cluster), [0], "batch 1 is on disk in view 0");
+
+    drop(cluster.crash_and_drop(ReplicaId(0)).expect("replica 0 present"));
+    for r in 1..4 {
+        cluster.set_fault(ReplicaId(r), Fault::None);
+    }
+    assert!(cluster.run_until_finished(1, 400), "the rolled-back batch recommits");
+    // One more batch, so the rolled-back one is not the ledger's last.
+    cluster.submit(client, CounterApp::INCR, b"k".to_vec());
+    assert!(cluster.run_until_finished(2, 400), "the new view keeps committing");
+    let views = views_of_seq_1(&cluster);
+    assert!(views.len() == 1 && views[0] >= 1, "batch 1 rolled back and re-proposed: {views:?}");
+    let ledger = cluster.replica(survivor).ledger();
+    assert!(ledger.durable().is_some() && !ledger.durability_lost(), "the mirror stayed attached");
+
+    // A fresh replica synced from the survivor holds its ledger.
+    let mut fresh = spec.params.clone();
+    fresh.data_dir = Some(tmp.subdir("r0-fresh").expect("subdir"));
+    cluster.recover(spec.build_replica_with(0, Arc::new(CounterApp), fresh), survivor);
+    assert!(
+        cluster.run_until(200, |c| c.replica(ReplicaId(0)).sync_report().complete),
+        "sync did not complete: {:?}",
+        cluster.replica(ReplicaId(0)).sync_report()
+    );
+    assert_ledgers_byte_identical(&cluster, ReplicaId(0), survivor);
+
+    // The survivor's directory decodes to its ledger.
+    let copy = tmp.subdir("r1-copy").expect("subdir");
+    for (name, bytes) in dir_files(&tmp.path().join("r1")) {
+        std::fs::write(copy.join(name), bytes).expect("copy data file");
+    }
+    let ledger = cluster.replica(survivor).ledger();
+    let (log, on_disk) = ia_ccf::ledger::DurableLog::open(&copy, 1).expect("open the copy");
+    drop(log);
+    assert!(on_disk == ledger.entries(), "the disk holds the survivor's ledger");
+
+    // A restart from the copy replays the same bytes through the
+    // re-proposed batch. (The run's last batch segment is cut, as on
+    // every restart, and paged in again by the sync that follows.)
+    let mut params = spec.params.clone();
+    params.data_dir = Some(copy);
+    let restarted =
+        spec.restart_replica(1, Arc::new(CounterApp), params).expect("restart from the copy");
+    let restarted = restarted.ledger();
+    assert!(restarted.pp_at(SeqNum(1)).is_some_and(|pp| pp.view().0 >= 1));
+    let end = LedgerIdx(restarted.len());
+    assert!(
+        restarted.encode_range(LedgerIdx(0), end) == ledger.encode_range(LedgerIdx(0), end),
+        "the restart replays the survivor's bytes"
+    );
 }
 
 // ----------------------------------------------------------------------
@@ -687,9 +778,7 @@ fn double_crashed_seeded_replica_restarts_locally_and_matches_survivor() {
         "local restart must reach at least the seed point: {durable_tip:?}"
     );
     let genesis_bytes = genesis_transfer_bytes(&cluster, ReplicaId(0));
-    let suffix_bytes: u64 = cluster
-        .replica(ReplicaId(0))
-        .ledger_fetch_oracle(durable_tip.next())
+    let suffix_bytes: u64 = whole_suffix(cluster.replica(ReplicaId(0)), durable_tip.next())
         .iter()
         .map(|e| e.len() as u64)
         .sum();

@@ -354,7 +354,7 @@ fn hostile_evidence_gets_one_verdict_at_every_door() {
     let spec = spec();
     let config = &spec.genesis;
     let h = honest(&spec);
-    let genesis_config = |_: SeqNum| spec.genesis.clone();
+    let genesis_config = |_: SeqNum| &spec.genesis;
     let state = |c: &DetCluster| {
         let r = c.replica(BACKUP);
         (r.view(), r.ledger().len(), r.prepared_up_to(), r.kv().digest())
@@ -442,7 +442,7 @@ fn evidence_is_read_under_the_evidenced_batchs_view() {
     let bitmap = ReplicaBitmap::from_ranks([1, 2, 3]);
     let (set, nv) = forge_new_view_pair(&h.prefix, view, quorum, bitmap, &spec.replica_keys[1]);
     let prefix = [h.prefix.clone(), vec![set, LedgerEntry::NewView(nv)]].concat();
-    let genesis_config = |_: SeqNum| spec.genesis.clone();
+    let genesis_config = |_: SeqNum| &spec.genesis;
 
     let (_, segment) = h.carrier(&spec, &prefix, view, 3, Some(&h.for_s1));
     let ledger = [&prefix[..], &segment[..]].concat();
@@ -474,7 +474,7 @@ fn evidence_is_read_under_the_evidenced_batchs_view() {
 fn validate_package_reports_the_first_failure_in_ledger_order() {
     let spec = spec();
     let h = honest(&spec);
-    let genesis_config = |_: SeqNum| spec.genesis.clone();
+    let genesis_config = |_: SeqNum| &spec.genesis;
     let verdict = |segment: &[LedgerEntry]| {
         validate_package(&[&h.prefix[..], segment].concat(), &genesis_config).err()
     };
@@ -631,7 +631,7 @@ fn a_faulty_primary_cannot_get_honest_replicas_blamed() {
         let replica = cluster.replica(id);
         assert!(replica.view() > View(0), "{id} voted the primary out");
         let package = LedgerPackage::from_replica(replica, SeqNum(0));
-        validate_package(&package.entries, &|_| spec.genesis.clone())
+        validate_package(&package.entries, &|_| &spec.genesis)
             .unwrap_or_else(|e| panic!("{id}: an honest replica's ledger is ill-formed: {e}"));
         let outcome = auditor.audit(&receipts, &GovernanceChain::new(), &package);
         assert!(matches!(outcome, AuditOutcome::Clean), "{id}: {:?}", outcome.upom());

@@ -71,6 +71,13 @@ fn grown_cluster(txs: usize) -> (ClusterSpec, DetCluster) {
     (spec, cluster)
 }
 
+/// The monolithic whole-suffix fetch response from `from_seq`: every
+/// entry from the ledger's fetch start to its tip, encoded.
+fn whole_suffix(replica: &Replica, from_seq: SeqNum) -> Vec<Vec<u8>> {
+    let ledger = replica.ledger();
+    ledger.encode_range(LedgerIdx(ledger.fetch_start_pos(from_seq)), LedgerIdx(ledger.len()))
+}
+
 /// Ask replica 0 for one ledger page and return it.
 fn fetch_page(
     cluster: &mut DetCluster,
@@ -140,7 +147,7 @@ fn oversized_ledger_suffix_transfers_fully_via_pages() {
     let (paged, pages) = fetch_all_pages(&mut cluster, 1, u64::MAX);
     assert!(pages >= 2, "a 72 MiB suffix cannot be one page (got {pages})");
 
-    let oracle = cluster.replica(ReplicaId(0)).ledger_fetch_oracle(SeqNum(1));
+    let oracle = whole_suffix(cluster.replica(ReplicaId(0)), SeqNum(1));
     assert_eq!(paged, oracle, "concatenated pages must equal the monolithic response");
     let ledger_len = cluster.replica(ReplicaId(0)).ledger().len();
     assert_eq!(paged.len() as u64, ledger_len - 1, "everything after genesis is served");

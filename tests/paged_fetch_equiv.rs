@@ -6,7 +6,7 @@
 //! larger than the whole remainder — the concatenation of
 //! `FetchLedgerPageResponse` entries is byte-identical to the
 //! monolithic whole-suffix oracle
-//! (`Replica::ledger_fetch_oracle`). On top of the byte-level
+//! (`whole_suffix`, encoded straight from the server's ledger). On top of the byte-level
 //! equivalence, a replica that crashes, misses traffic and recovers
 //! through the paged state transfer must end with a ledger and KV digest
 //! byte-identical to a replica that never crashed — and must detect and
@@ -17,10 +17,17 @@ use std::sync::Arc;
 
 use ia_ccf::core::app::CounterApp;
 use ia_ccf::core::byzantine::Fault;
-use ia_ccf::core::{Input, NodeId, Output, ProtocolParams};
+use ia_ccf::core::{Input, NodeId, Output, ProtocolParams, Replica};
 use ia_ccf_sim::{ClusterSpec, DetCluster};
 use ia_ccf_types::{LedgerIdx, ProtocolMsg, ReplicaId, SeqNum, Wire};
 use proptest::prelude::*;
+
+/// The monolithic whole-suffix fetch response from `from_seq`: every
+/// entry from the ledger's fetch start to its tip, encoded.
+fn whole_suffix(replica: &Replica, from_seq: SeqNum) -> Vec<Vec<u8>> {
+    let ledger = replica.ledger();
+    ledger.encode_range(LedgerIdx(ledger.fetch_start_pos(from_seq)), LedgerIdx(ledger.len()))
+}
 
 /// Commit `n_txs` counter increments with a round every `cadence`
 /// submissions on a 4-replica cluster.
@@ -114,7 +121,7 @@ proptest! {
         // from_seq sweeps below, inside and past the served range.
         let from_seq = from_off.min(max_seq + 2);
         let (paged, pages) = fetch_all_pages(&mut cluster, ReplicaId(0), from_seq, budget);
-        let oracle = cluster.replica(ReplicaId(0)).ledger_fetch_oracle(SeqNum(from_seq));
+        let oracle = whole_suffix(cluster.replica(ReplicaId(0)), SeqNum(from_seq));
         prop_assert_eq!(&paged, &oracle, "paged != monolithic for from_seq={}", from_seq);
         // A one-byte budget forces batch-granular pages: as many pages as
         // batches in range (plus none when the range is empty).

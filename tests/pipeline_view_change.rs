@@ -1138,8 +1138,7 @@ fn hostile_new_views_leave_a_backup_untouched() {
         let r = c.replica(backup);
         (r.view(), r.ledger().len(), r.prepared_up_to(), r.kv().digest())
     };
-    let genesis = spec.genesis.clone();
-    let config_for_seq = move |_: SeqNum| genesis.clone();
+    let config_for_seq = |_: SeqNum| &spec.genesis;
     let before = state(&cluster);
     for (what, view_changes, ranks, clause) in rows {
         let bitmap = ReplicaBitmap::from_ranks(ranks);
