@@ -297,10 +297,11 @@ impl Replica {
     /// Rebuild a crashed replica from its durable ledger directory
     /// (`params.data_dir`): open the segment files (the chunk-level
     /// torn-tail repair runs inside the open), pick the state the run
-    /// continues from, cut any structurally incomplete trailing segment
-    /// the crash left behind, replay the surviving run through the normal
-    /// bootstrap verification, and re-attach the log so the repaired file
-    /// tail matches the replayed state byte for byte. The replica then
+    /// continues from, cut a trailing segment whose second append the
+    /// crash left off the disk (`closed_prefix`), replay the surviving
+    /// run through the normal bootstrap verification, and re-attach the
+    /// log so the repaired file tail matches the replayed state byte for
+    /// byte. The replica then
     /// resumes — typically via [`Replica::begin_ledger_sync`], which pages
     /// only from its first missing batch (the applied prefix is never
     /// re-fetched).
@@ -411,37 +412,34 @@ impl Replica {
         // One body from here: structural repair, replay, re-attach.
         let tail = &raw[covered..];
         let base = replica.ledger.len() as usize;
-        let keep = Self::structural_prefix_at(tail, base);
+        let chunk_ends = log.chunk_ends().filter_map(|end| (end as usize).checked_sub(covered));
+        let keep = Self::closed_prefix(tail, base, chunk_ends);
         replica.replay_entries(&tail[..keep], base)?;
         replica.params.data_dir = Some(dir);
         replica.ledger.attach_durable(log).map_err(|e| malformed("durable log", &e))?;
         Ok(replica)
     }
 
-    /// The longest prefix of a post-genesis entry run, starting at
-    /// absolute ledger position `base`, that parses into complete segments
-    /// — the structural half of torn-tail repair. The chunk framing
-    /// already guarantees crash cuts land on append-call boundaries, but
-    /// one batch is *two* appends (evidence pair, then pre-prepare +
-    /// transactions) and a view change is two as well, so a crash between
-    /// them leaves a structurally incomplete tail that must be cut — never
-    /// parsed into state. Committed batches are always complete on disk,
-    /// so the cut only ever drops an unfinished tail.
-    fn structural_prefix_at(entries: &[LedgerEntry], base: usize) -> usize {
-        use ia_ccf_ledger::segment::segment_complete_prefix;
-        let mut end = entries.len();
-        while end > 0 {
-            match segment_complete_prefix(&entries[..end], base) {
-                Ok((_, consumed)) => return consumed,
-                Err(e) => {
-                    // Structure broken *before* the tail (corruption, not
-                    // a clean crash cut): retry on the prefix before the
-                    // offending entry until something parses.
-                    end = e.at.min(end - 1);
-                }
-            }
-        }
-        0
+    /// How much of a post-base entry run restart keeps — the structural
+    /// half of torn-tail repair: the longest prefix that ends where a chunk
+    /// of the durable log ends (`chunk_ends`, ascending, in entries of
+    /// `tail`) and that parses into complete segments (`segment_entries`,
+    /// `tail` starting at absolute ledger position `base`). The log frames
+    /// each `[PrePrepare, Tx…]` run as one chunk, so a chunk end closes a
+    /// transaction run. A batch's evidence pair and a view change's set
+    /// are chunks of their own, so a crash between a segment's two
+    /// appends leaves a run the complete grammar refuses, and the kept
+    /// prefix ends at the chunk before; a clean cut costs at most two
+    /// parses.
+    fn closed_prefix(
+        tail: &[LedgerEntry],
+        base: usize,
+        chunk_ends: impl DoubleEndedIterator<Item = usize>,
+    ) -> usize {
+        chunk_ends
+            .rev()
+            .find(|&end| ia_ccf_ledger::segment::segment_entries(&tail[..end], base).is_ok())
+            .unwrap_or(0)
     }
 
     // ------------------------------------------------------------------

@@ -16,9 +16,9 @@
 //! parse — every job is checked by [`PublicKey::verify`] on its own, so
 //! the failed indices are exactly the singles' verdicts (§6.5: blame is
 //! per signature). A slice with one forged signature therefore costs the
-//! failed combined check plus the singles, ≈ 1.2× the singles alone in a
-//! slice of 300 with four keys (the combined check is ≈ 4–5 µs per
-//! signature there, a single ≈ 20 µs).
+//! failed combined check plus the singles, ≈ 1.24× the singles alone in
+//! a slice of 300 with four keys (the combined check is ≈ 4.2–4.4 µs per
+//! signature there, a single ≈ 18 µs).
 //!
 //! **One accept set.** The combined equation and the single check are both
 //! RFC 8032's cofactored equation (see `vendor/ed25519-dalek`), which is
@@ -49,31 +49,32 @@ use crate::keys::{PublicKey, Signature};
 
 /// Shortest slice the combined equation is tried on. Measured on AVX-512
 /// IFMA (`R` decompressed eight at a time, bucket sums from 10 points up
-/// one window per lane) against singles of ≈ 18–20 µs (the split kernel
-/// over `Z = 1` tables, accepting when `s·B − k·A` compresses to `R`), in
-/// two sets of runs: with keys all distinct (its worst case) 1.16–1.21×
-/// their cost at 8 jobs, 1.13–1.19× at 10, 1.04–1.09× at 11, 0.95–1.03× at
-/// 12, 0.91–0.98× at 13 and 0.83–0.87× at 16; with four keys coalesced
-/// 0.96–0.98× at 8, 0.93–0.96× at 10, 0.84–0.89× at 11 and 0.77–0.82× at
-/// 12. 13 is the first length where the worst case is ahead in both sets,
-/// and a failed slice pays for both. (When singles cost ≈ 26 µs the
-/// distinct keys were ahead from 8; singles got cheaper, the combined
-/// check did not. Without the lanes it sat at 12 then and was not
-/// re-measured.)
-pub const VERIFY_BATCH_MIN: usize = 13;
+/// one window per lane) against singles of ≈ 15 µs (sixteen 16-bit
+/// pieces per scalar, accepting when `s·B − k·A` compresses to `R`),
+/// best of 200–400 rounds, in two sets of runs: with keys all distinct
+/// (its worst case) 1.26–1.28× their cost at 12, 1.20–1.25× at 13,
+/// 1.14–1.21× at 14, 1.08× at 15, 1.04–1.06× at 16, 1.03× at 17, 0.99×
+/// at 18, 0.96–0.97× at 19 and 0.92–0.99× at 20; with four keys coalesced
+/// 1.01–1.04× at 12, 0.95–0.98× at 13, 0.91–0.92× at 14 and 0.82–0.86×
+/// at 16. 18 is the
+/// first length where the worst case is ahead in both sets, and a failed
+/// slice pays for both. (Against singles of ≈ 18–20 µs, with four 64-bit
+/// pieces, that length was 13; against ≈ 26 µs, 8. Singles got cheaper,
+/// the combined check did not.)
+pub const VERIFY_BATCH_MIN: usize = 18;
 
 /// Smallest per-worker chunk: the combined equation has a fixed cost per
-/// slice (one sum over the keys and `B` with full-width scalars, a table
-/// per key), so a chunk should hold enough signatures to spread it. At 24
-/// a signature costs ≈ 12.5–13 µs with distinct keys and ≈ 9.3 µs with
-/// four (0.69–0.71× and 0.52× a single), against ≈ 4–7.5 µs in a slice of
-/// 300 and ≈ 18–20 µs singly; at 16, ≈ 15.6–15.9 and ≈ 12 µs (0.83–0.87×
-/// and 0.60–0.67×). 24 stays: the benchmark's replicas run one pool thread
+/// slice (one sum over the keys and `B` with full-width scalars), so a
+/// chunk should hold enough signatures to spread it. The rule: the
+/// shortest chunk where a signature costs ≈ 0.7× a single with distinct
+/// keys and ≈ 0.5× with four. Against singles of ≈ 15 µs, in the runs
+/// above: at 24 a signature costs 0.80–0.87× and 0.63–0.70× a single, at
+/// 28 0.67–0.79× and 0.58×, at 32 0.73–0.74× and 0.52–0.56×, at 36
+/// 0.66–0.69× and 0.50×. 32 it is (24 met the rule against ≈ 18–20 µs singles, at
+/// 0.69–0.71× and 0.52×). The benchmark's replicas run one pool thread
 /// and the auditor checks its [`SigQueue`] windows inline, so no measured
-/// path would gain from another value. Without the bucket lanes 24 cost 0.75× and
-/// 0.46× of ≈ 26 µs singles; the scalar kernels reached 0.83× and 0.52×
-/// only at 32.
-pub const VERIFY_MIN_CHUNK: usize = 24;
+/// path moves with this value.
+pub const VERIFY_MIN_CHUNK: usize = 32;
 
 /// Jobs per pool chunk when `jobs` are cut over `threads` workers: an even
 /// share each, but never below [`VERIFY_MIN_CHUNK`]. The one rule
@@ -110,7 +111,8 @@ impl VerifyJob {
 /// when a key does not parse: the singles then say which.
 fn combined_check(jobs: &[VerifyJob]) -> bool {
     // Distinct keys first, so each is parsed (and weighs on the
-    // multi-scalar multiplication) once.
+    // multi-scalar multiplication) once. Only the bytes and point are
+    // taken: the combined equation neither builds nor reads a split table.
     let mut slot_of: HashMap<PublicKey, usize> = HashMap::new();
     let mut keys = Vec::new();
     let mut key_of = Vec::with_capacity(jobs.len());
@@ -118,7 +120,7 @@ fn combined_check(jobs: &[VerifyJob]) -> bool {
         let next = keys.len();
         let slot = *slot_of.entry(job.key).or_insert(next);
         if slot == next {
-            match job.key.with_parsed(ed25519_dalek::VerifyingKey::clone) {
+            match job.key.with_parsed(ed25519_dalek::VerifyingKey::public_point) {
                 Some(vk) => keys.push(vk),
                 None => return false,
             }

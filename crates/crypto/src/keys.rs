@@ -7,9 +7,11 @@
 //! sizes (Tab. 1, §6.4) keep their shape.
 //!
 //! [`PublicKey`] is the 32 wire bytes; turning them into a curve point
-//! and the split table verification walks costs a field square root,
-//! 192 doublings, 32 additions and one batched inversion (≈ 33 µs, more
-//! than the ≈ 20 µs verification that uses it). The protocol verifies under a small fixed
+//! costs a field square root (≈ 5 µs). The first single check under a key
+//! then builds the split table it walks: 256 doublings, 240 additions and
+//! one batched inversion (≈ 120 µs, seven times the ≈ 17 µs check that
+//! uses it). The combined check reads the point only, so a key seen only
+//! there never builds one. The protocol verifies under a small fixed
 //! set of keys — the replicas, and the clients with requests in flight —
 //! so [`PublicKey::verify`] and the batch kernel keep the parsed form in a
 //! **thread-local, two-way set-associative cache of boxed keys**: no lock
@@ -85,8 +87,9 @@ impl fmt::Debug for KeyPair {
 pub struct PublicKey(pub [u8; PUBLIC_KEY_LEN]);
 
 /// Sets in each thread's parsed-key cache. A set is two pointers, most
-/// recently used first; a parsed key (≈ 4 KB: the point and its split
-/// table) is on the heap, so only the keys in use take memory.
+/// recently used first; a parsed key is on the heap, so only the keys in
+/// use take memory: ≈ 200 B for the point, ≈ 31 KB once a single check
+/// has built its split table. At most 64 keys per thread, ≈ 2 MB.
 const KEY_CACHE_SETS: usize = 32;
 
 /// One set of the cache.
@@ -315,6 +318,34 @@ mod tests {
         neighbour.0[31] ^= 0x01;
         assert!(!neighbour.verify(b"m", &sig));
         assert!(honest.public().verify(b"m", &sig));
+    }
+
+    /// Whether this thread's cache holds `key`'s split table; `None` when
+    /// it does not hold the key.
+    fn cached_split_table(key: &PublicKey) -> Option<bool> {
+        KEY_CACHE.with(|cache| {
+            cache.borrow()[key.0[0] as usize % KEY_CACHE_SETS]
+                .iter()
+                .flatten()
+                .find(|vk| vk.to_bytes() == key.0)
+                .map(|vk| vk.has_split_table())
+        })
+    }
+
+    #[test]
+    fn a_key_checked_only_in_combined_checks_builds_no_split_table() {
+        use crate::batch::{verify_batch_indices, VerifyJob, VERIFY_BATCH_MIN};
+        let kp = KeyPair::from_label("combined-only");
+        let jobs: Vec<VerifyJob> = (0..VERIFY_BATCH_MIN as u8)
+            .map(|i| VerifyJob { key: kp.public(), msg: vec![i], sig: kp.sign(&[i]) })
+            .collect();
+        for _ in 0..2 {
+            assert!(verify_batch_indices(&jobs).is_empty());
+            assert_eq!(cached_split_table(&kp.public()), Some(false), "parsed, no table");
+        }
+        // The first single check builds it.
+        assert!(kp.public().verify(&jobs[0].msg, &jobs[0].sig));
+        assert_eq!(cached_split_table(&kp.public()), Some(true));
     }
 
     #[test]

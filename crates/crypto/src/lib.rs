@@ -28,15 +28,15 @@
 //! recovery and by the auditor alike.
 //!
 //! The primitive itself is the in-tree `vendor/ed25519-dalek` (windowed,
-//! variable-time; ≈ 20–22 µs per single verification, an honest one
+//! variable-time; ≈ 17 µs per single verification, an honest one
 //! accepted without decompressing `R`, ≈ 5 µs per signature in a slice of
 //! 300 on AVX-512 IFMA, ≈ 13 µs per signature made, on the benchmark box).
 //! Two things here sit on top of it:
 //!
 //! * [`PublicKey::verify`] and the slice kernel keep parsed keys — the
-//!   point and the table of multiples verification walks — in a small
-//!   thread-local cache ([`keys`] module docs), so a key is parsed once
-//!   per thread;
+//!   point, and once a key has checked a signature singly the table of
+//!   multiples that check walks — in a small thread-local cache ([`keys`]
+//!   module docs), so a key is parsed once per thread;
 //! * `tests/ed25519_oracle.rs` holds the previous bit-serial
 //!   implementation and compares key bytes, signature bytes and verdicts
 //!   against it, and `tests/batch_equiv.rs` holds slice verdicts to single

@@ -20,6 +20,7 @@
 //! among honest signatures: the slice verdict must be the reference's too.
 //!
 //! Case counts are bounded: the oracle costs ≈ 0.2 ms per verification.
+//! The properties run 48 cases unless `PROPTEST_CASES` says otherwise.
 
 mod oracle;
 
@@ -140,8 +141,13 @@ fn small_order_encodings() -> Vec<[u8; 32]> {
     oracle::small_order_points().iter().map(EdwardsPoint::compress).collect()
 }
 
+/// Cases per property: `PROPTEST_CASES` when set, else 48.
+fn oracle_cases() -> u32 {
+    std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(48)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: oracle_cases(), ..ProptestConfig::default() })]
 
     /// Keys and signatures are byte-identical; honest signatures verify
     /// under both; one random bit flipped in each of R, s, the message

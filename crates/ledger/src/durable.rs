@@ -357,6 +357,13 @@ impl DurableLog {
         self.chunks.last().map_or(0, |c| c.entry_end)
     }
 
+    /// Where each chunk ends, in entries from [`DurableLog::base`],
+    /// ascending: the only places a crash can cut the run, since open
+    /// drops a torn chunk whole.
+    pub fn chunk_ends(&self) -> impl DoubleEndedIterator<Item = u64> + '_ {
+        self.chunks.iter().map(|c| c.entry_end)
+    }
+
     /// Absolute ledger index of the first entry this segment run
     /// represents: `0` for a full-history log, the seed checkpoint's
     /// ledger length for a suffix log.

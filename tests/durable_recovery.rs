@@ -292,19 +292,13 @@ fn crash_mid_sync_resumes_from_durable_prefix() {
     assert!(tip_at_crash >= SeqNum(3), "a real prefix was applied before the crash");
     drop(fresh); // the crash: instance gone, durable prefix stays on disk
 
-    // Restart: the applied prefix is back without any network traffic.
-    // The structural repair conservatively re-fetches the trailing batch
-    // (nothing after it proves its transaction run ended), so the
-    // restored frontier may sit exactly one batch short of the crash tip
-    // — never more, and never at genesis.
+    // Restart: the applied prefix is back without any network traffic,
+    // through the crash tip: every applied batch's chunk closed its
+    // transaction run.
     let resumed =
         spec.restart_replica(3, Arc::new(CounterApp), params3).expect("restart from dir");
     let resumed_tip = resumed.prepared_up_to();
-    assert!(
-        resumed_tip.0 + 1 >= tip_at_crash.0 && resumed_tip <= tip_at_crash,
-        "the applied frontier must survive the crash: resumed {resumed_tip:?}, \
-         crashed at {tip_at_crash:?}"
-    );
+    assert_eq!(resumed_tip, tip_at_crash, "the applied frontier must survive the crash");
     assert!(resumed_tip > SeqNum(0), "resume must not restart from genesis");
 
     // The resumed sync moves only the missing suffix.
@@ -478,19 +472,82 @@ fn a_rolled_back_durable_tail_syncs_and_restarts_byte_identical() {
     assert!(on_disk == ledger.entries(), "the disk holds the survivor's ledger");
 
     // A restart from the copy replays the same bytes through the
-    // re-proposed batch. (The run's last batch segment is cut, as on
-    // every restart, and paged in again by the sync that follows.)
+    // re-proposed batch, and keeps the run's last batch: its chunk closed
+    // its transaction run.
     let mut params = spec.params.clone();
     params.data_dir = Some(copy);
     let restarted =
         spec.restart_replica(1, Arc::new(CounterApp), params).expect("restart from the copy");
     let restarted = restarted.ledger();
     assert!(restarted.pp_at(SeqNum(1)).is_some_and(|pp| pp.view().0 >= 1));
+    assert_eq!(restarted.len(), ledger.len(), "the run's last batch is not cut");
     let end = LedgerIdx(restarted.len());
     assert!(
         restarted.encode_range(LedgerIdx(0), end) == ledger.encode_range(LedgerIdx(0), end),
         "the restart replays the survivor's bytes"
     );
+}
+
+// ----------------------------------------------------------------------
+// Whole-cluster restart: no receipted batch is lost.
+// ----------------------------------------------------------------------
+
+/// Every replica of a cluster restarts from its own directory after six
+/// receipted batches (n = 4, `fsync_interval_batches` = 1, no fault).
+/// There is no live peer to page a lost batch from, so each restarted
+/// ledger must hold all 21 entries its disk closed (genesis, two bare
+/// batches, four with their evidence pair), and the six receipts must
+/// audit `Clean` against each. Cutting the last batch instead turns the
+/// sixth receipt into a view-change omission that blames honest
+/// replicas. Committing again after such a restart is not asserted here.
+#[test]
+fn whole_cluster_restart_keeps_every_receipted_batch() {
+    use ia_ccf::audit::{AuditOutcome, Auditor, LedgerPackage, StoredReceipt};
+    use ia_ccf::governance::chain::GovernanceChain;
+
+    let tmp = TempDir::new("whole-cluster").expect("tempdir");
+    let spec = ClusterSpec::new(4, 1, durable_params(1));
+    let mut cluster = durable_cluster(&spec, &tmp);
+    let client = spec.clients[0].0;
+    for i in 1..=6 {
+        cluster.submit(client, CounterApp::INCR, b"k".to_vec());
+        assert!(cluster.run_until_finished(i, 400), "batch {i} commits");
+    }
+    let receipts: Vec<StoredReceipt> = cluster
+        .finished
+        .iter()
+        .map(|(_, tx)| StoredReceipt {
+            request: tx.request.clone(),
+            receipt: tx.receipt.clone().expect("receipts"),
+        })
+        .collect();
+    let written: Vec<Vec<Vec<u8>>> = (0..4)
+        .map(|r| {
+            let ledger = cluster.replica(ReplicaId(r)).ledger();
+            ledger.encode_range(LedgerIdx(0), LedgerIdx(ledger.len()))
+        })
+        .collect();
+    for r in 0..4 {
+        drop(cluster.crash_and_drop(ReplicaId(r)).expect("replica present"));
+    }
+
+    let auditor = Auditor::new(spec.genesis.clone(), Arc::new(CounterApp));
+    for (r, written) in written.iter().enumerate() {
+        let mut params = spec.params.clone();
+        params.data_dir = Some(tmp.path().join(format!("r{r}")));
+        let restarted = spec
+            .restart_replica(r, Arc::new(CounterApp), params)
+            .unwrap_or_else(|e| panic!("replica {r} restarts: {e:?}"));
+        let ledger = restarted.ledger();
+        assert_eq!(ledger.len(), 21, "replica {r}: every closed batch is kept");
+        assert!(
+            ledger.encode_range(LedgerIdx(0), LedgerIdx(ledger.len())) == *written,
+            "replica {r}: the restart holds the bytes it wrote"
+        );
+        let package = LedgerPackage::from_replica(&restarted, SeqNum(0));
+        let outcome = auditor.audit(&receipts, &GovernanceChain::new(), &package);
+        assert!(matches!(outcome, AuditOutcome::Clean), "replica {r}: {:?}", outcome.upom());
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -616,15 +673,13 @@ fn torn_tail_sweep_across_view_change_never_parses_partial_state() {
         keep_at.insert(cut, keep);
         drop(restarted);
     }
-    // Nothing torn ⇒ every complete segment survives; the trailing batch
-    // may be conservatively re-fetched but the view-change entries and
-    // every batch before them must be there.
+    // Nothing torn ⇒ everything survives, the trailing batch included:
+    // its chunk closed its transaction run.
     let full_keep = keep_at[&(bytes.len() as u64)];
-    assert!(
-        full_keep as usize > vc_idx + 1,
-        "untorn restart must retain the complete view-change pair \
-         (kept {full_keep} of {}, VC at {vc_idx})",
-        reference.len()
+    assert_eq!(
+        full_keep as usize,
+        reference.len(),
+        "untorn restart must retain every entry (VC at {vc_idx})"
     );
 }
 
