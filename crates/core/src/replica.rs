@@ -429,17 +429,26 @@ impl Replica {
     /// transaction run. A batch's evidence pair and a view change's set
     /// are chunks of their own, so a crash between a segment's two
     /// appends leaves a run the complete grammar refuses, and the kept
-    /// prefix ends at the chunk before; a clean cut costs at most two
-    /// parses.
+    /// prefix ends at the chunk before. A refused prefix names the entry
+    /// it broke at, and every longer prefix breaks there too, so the
+    /// search skips the chunk ends past it: a few parses at most, however
+    /// early the run breaks, never one per chunk.
     fn closed_prefix(
         tail: &[LedgerEntry],
         base: usize,
         chunk_ends: impl DoubleEndedIterator<Item = usize>,
     ) -> usize {
-        chunk_ends
-            .rev()
-            .find(|&end| ia_ccf_ledger::segment::segment_entries(&tail[..end], base).is_ok())
-            .unwrap_or(0)
+        let mut broken_at = usize::MAX;
+        for end in chunk_ends.rev() {
+            if end > broken_at {
+                continue;
+            }
+            match ia_ccf_ledger::segment::segment_entries(&tail[..end], base) {
+                Ok(_) => return end,
+                Err(e) => broken_at = e.at,
+            }
+        }
+        0
     }
 
     // ------------------------------------------------------------------

@@ -49,32 +49,34 @@ use crate::keys::{PublicKey, Signature};
 
 /// Shortest slice the combined equation is tried on. Measured on AVX-512
 /// IFMA (`R` decompressed eight at a time, bucket sums from 10 points up
-/// one window per lane) against singles of ≈ 15 µs (sixteen 16-bit
-/// pieces per scalar, accepting when `s·B − k·A` compresses to `R`),
-/// best of 200–400 rounds, in two sets of runs: with keys all distinct
-/// (its worst case) 1.26–1.28× their cost at 12, 1.20–1.25× at 13,
-/// 1.14–1.21× at 14, 1.08× at 15, 1.04–1.06× at 16, 1.03× at 17, 0.99×
-/// at 18, 0.96–0.97× at 19 and 0.92–0.99× at 20; with four keys coalesced
-/// 1.01–1.04× at 12, 0.95–0.98× at 13, 0.91–0.92× at 14 and 0.82–0.86×
-/// at 16. 18 is the
-/// first length where the worst case is ahead in both sets, and a failed
-/// slice pays for both. (Against singles of ≈ 18–20 µs, with four 64-bit
-/// pieces, that length was 13; against ≈ 26 µs, 8. Singles got cheaper,
-/// the combined check did not.)
-pub const VERIFY_BATCH_MIN: usize = 18;
+/// one window per lane) in three key regimes. Warm keys (parsed, split
+/// table built; singles ≈ 15 µs, best of 200–400 rounds): with keys all
+/// distinct the combined check costs 1.26–1.28× the singles at 12,
+/// 1.20–1.25× at 13, 1.08× at 15, 1.03× at 17 and 0.99× at 18; with four
+/// keys coalesced 1.01–1.04× at 12, 0.95–0.98× at 13 and 0.82–0.86× at 16.
+/// Cold keys, all distinct and out of the thread's cache (a single then
+/// parses the key and builds its table, ≈ 150 µs; the combined check
+/// parses the point only): 0.11–0.22× at every length from 8 to 24. The
+/// combined check is no dearer than with four 64-bit pieces, where 13 was
+/// the first length ahead with warm distinct keys; only the singles moved.
+/// 13 is kept: at 18 a cold slice of 13–17 jobs would pay 5–7× its
+/// combined check in singles, at 13 a warm slice of distinct keys pays at
+/// most ≈ 1.25× the singles, and no slice costs more than it did with
+/// four pieces. (Against ≈ 26 µs singles that length was 8.)
+pub const VERIFY_BATCH_MIN: usize = 13;
 
 /// Smallest per-worker chunk: the combined equation has a fixed cost per
 /// slice (one sum over the keys and `B` with full-width scalars), so a
-/// chunk should hold enough signatures to spread it. The rule: the
-/// shortest chunk where a signature costs ≈ 0.7× a single with distinct
-/// keys and ≈ 0.5× with four. Against singles of ≈ 15 µs, in the runs
-/// above: at 24 a signature costs 0.80–0.87× and 0.63–0.70× a single, at
-/// 28 0.67–0.79× and 0.58×, at 32 0.73–0.74× and 0.52–0.56×, at 36
-/// 0.66–0.69× and 0.50×. 32 it is (24 met the rule against ≈ 18–20 µs singles, at
-/// 0.69–0.71× and 0.52×). The benchmark's replicas run one pool thread
+/// chunk should hold enough signatures to spread it. At 24 a signature
+/// costs ≈ 12.5–13 µs with distinct keys and ≈ 9.3 µs with four, against
+/// ≈ 4–7.5 µs in a slice of 300. That is 0.80–0.87× and 0.63–0.70× a warm
+/// single of ≈ 15 µs (0.69–0.71× and 0.52× of the ≈ 18–20 µs singles of
+/// four 64-bit pieces; 32 would give 0.73–0.74× and 0.52–0.56× now), and
+/// ≈ 0.13× a cold one. 24 is kept for the reason 13 is: the combined
+/// check did not get dearer. The benchmark's replicas run one pool thread
 /// and the auditor checks its [`SigQueue`] windows inline, so no measured
 /// path moves with this value.
-pub const VERIFY_MIN_CHUNK: usize = 32;
+pub const VERIFY_MIN_CHUNK: usize = 24;
 
 /// Jobs per pool chunk when `jobs` are cut over `threads` workers: an even
 /// share each, but never below [`VERIFY_MIN_CHUNK`]. The one rule

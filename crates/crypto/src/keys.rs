@@ -11,7 +11,14 @@
 //! then builds the split table it walks: 256 doublings, 240 additions and
 //! one batched inversion (≈ 120 µs, seven times the ≈ 17 µs check that
 //! uses it). The combined check reads the point only, so a key seen only
-//! there never builds one. The protocol verifies under a small fixed
+//! there never builds one. The table pays for itself only when a thread
+//! checks the key singly about 16 times while it stays cached: over 256
+//! keys each checked `r` times in a row, one check costs 137–192 µs at
+//! `r` = 1 (64–76 µs with four 64-bit pieces and their ≈ 3.8 KB table),
+//! about the same at `r` = 16 (28–31 against 27–28 µs) and less from
+//! `r` = 32 (22–25 against 25–33 µs). Traffic with more clients than the
+//! cache holds, each sending few requests at low load, pays more per
+//! check than with four pieces. The protocol verifies under a small fixed
 //! set of keys — the replicas, and the clients with requests in flight —
 //! so [`PublicKey::verify`] and the batch kernel keep the parsed form in a
 //! **thread-local, two-way set-associative cache of boxed keys**: no lock

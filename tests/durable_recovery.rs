@@ -550,6 +550,70 @@ fn whole_cluster_restart_keeps_every_receipted_batch() {
     }
 }
 
+/// Every chunk boundary of an untorn segment file, from its start: the
+/// byte offset and how many entries the chunks before it hold.
+fn chunk_boundaries(bytes: &[u8]) -> Vec<(u64, usize)> {
+    let mut boundaries: Vec<(u64, usize)> = vec![(0, 0)];
+    let (mut pos, mut entries_so_far) = (0usize, 0usize);
+    while pos + 8 <= bytes.len() {
+        let payload_len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        let entry_count = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap()) as usize;
+        pos += 8 + payload_len;
+        assert!(pos <= bytes.len(), "reference log must not itself be torn");
+        entries_so_far += entry_count;
+        boundaries.push((pos as u64, entries_so_far));
+    }
+    boundaries
+}
+
+/// A run whose structure breaks early: the first batch written with an
+/// evidence pair loses its `[PrePrepare, Tx…]` chunk, and whole batches
+/// follow. Restart keeps exactly the entries before the dangling pair.
+#[test]
+fn a_run_broken_early_restarts_to_the_chunk_before_the_break() {
+    let tmp = TempDir::new("broken-early").expect("tempdir");
+    let spec = ClusterSpec::new(4, 1, durable_params(1));
+    let mut cluster = durable_cluster(&spec, &tmp);
+    let client = spec.clients[0].0;
+    for i in 1..=12 {
+        cluster.submit(client, CounterApp::INCR, b"k".to_vec());
+        assert!(cluster.run_until_finished(i, 400), "batch {i} commits");
+    }
+    let dead = cluster.crash_and_drop(ReplicaId(3)).expect("replica 3");
+    let reference: Vec<LedgerEntry> = (0..dead.ledger().len())
+        .map(|i| dead.ledger().entry(LedgerIdx(i)).expect("entry").clone())
+        .collect();
+    drop(dead);
+
+    let seg = tmp.path().join("r3").join("ledger-000000.seg");
+    let bytes = std::fs::read(&seg).expect("segment file");
+    let boundaries = chunk_boundaries(&bytes);
+    assert_eq!(boundaries.last().unwrap().1, reference.len(), "every entry is on disk");
+    // Chunk `ev` holds the first evidence pair; chunk `ev + 1` is its
+    // batch's pre-prepare run, the one dropped.
+    let ev = boundaries
+        .iter()
+        .position(|&(_, at)| matches!(reference.get(at), Some(LedgerEntry::Evidence { .. })))
+        .expect("an evidence pair in the ledger");
+    let (start, after) = (boundaries[ev + 1].0 as usize, boundaries[ev + 2].0 as usize);
+    assert!(boundaries.len() - (ev + 2) >= 10, "ten chunks or more follow the break");
+    std::fs::write(&seg, [&bytes[..start], &bytes[after..]].concat()).expect("rewrite");
+
+    let mut params = spec.params.clone();
+    params.data_dir = Some(tmp.path().join("r3"));
+    let restarted =
+        spec.restart_replica(3, Arc::new(CounterApp), params).expect("restart from a broken run");
+    let keep = boundaries[ev].1;
+    assert_eq!(restarted.ledger().len() as usize, keep, "kept up to the dangling evidence pair");
+    for (i, entry) in reference[..keep].iter().enumerate() {
+        assert_eq!(
+            restarted.ledger().entry(LedgerIdx(i as u64)).map(Wire::to_bytes),
+            Some(entry.to_bytes()),
+            "kept entry {i} is the one written"
+        );
+    }
+}
+
 // ----------------------------------------------------------------------
 // Torn-tail crash-point sweep across a view change.
 // ----------------------------------------------------------------------
@@ -598,24 +662,10 @@ fn torn_tail_sweep_across_view_change_never_parses_partial_state() {
     );
     drop(dead);
 
-    // Walk the chunk framing of the (single) segment file to find every
-    // chunk boundary and how many entries each prefix of chunks holds.
     let seg = tmp.path().join("r3").join("ledger-000000.seg");
     let bytes = std::fs::read(&seg).expect("segment file");
-    let mut boundaries: Vec<(u64, usize)> = vec![(0, 0)]; // (byte, entries)
-    let mut pos = 0usize;
-    let mut entries_so_far = 0usize;
-    while pos + 8 <= bytes.len() {
-        let payload_len =
-            u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let entry_count =
-            u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap()) as usize;
-        pos += 8 + payload_len;
-        assert!(pos <= bytes.len(), "reference log must not itself be torn");
-        entries_so_far += entry_count;
-        boundaries.push((pos as u64, entries_so_far));
-    }
-    assert_eq!(entries_so_far, reference.len(), "every entry is on disk");
+    let boundaries = chunk_boundaries(&bytes);
+    assert_eq!(boundaries.last().unwrap().1, reference.len(), "every entry is on disk");
 
     // Crash points: every chunk boundary ±1, plus an interior stride.
     let mut cuts: Vec<u64> = Vec::new();
