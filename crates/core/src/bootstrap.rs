@@ -972,8 +972,7 @@ impl Replica {
 
 #[cfg(test)]
 mod tests {
-    use ia_ccf_crypto::batch::verify_chunk_len;
-    use ia_ccf_crypto::VERIFY_MIN_CHUNK;
+    use ia_ccf_crypto::batch::verify_chunks;
     use ia_ccf_ledger::segment::{segment_entries, Segment};
     use ia_ccf_types::{Digest, LedgerEntry, SeqNum};
 
@@ -1040,21 +1039,21 @@ mod tests {
     /// replay gives what one segment at a time with a single check each
     /// gave: the same `BadPrePrepareSig` at the same seq, the same prefix
     /// applied and the same bodies kept. Every job fits one window of the
-    /// queue; on four workers it is cut into chunks of `VERIFY_MIN_CHUNK`,
+    /// queue; on four workers it is cut into two chunks (`verify_chunks`),
     /// on one it is checked whole.
     #[test]
     fn replay_refuses_where_single_checks_refuse() {
         let mut bus = Bus::new(1);
-        for _ in 0..40 {
+        for _ in 0..60 {
             bus.submit();
         }
-        bus.run_until_committed(SeqNum(40));
+        bus.run_until_committed(SeqNum(60));
         let ledger = bus.replicas[0].ledger.entries()[1..].to_vec();
         let segs = segment_entries(&ledger, 1).expect("an honest ledger segments");
         assert!(segs.iter().all(|seg| matches!(seg, Segment::Batch { .. })));
-        let edge = VERIFY_MIN_CHUNK;
-        assert_eq!(verify_chunk_len(segs.len(), 4), edge);
-        assert!(segs.len() > edge + 2, "{} jobs fit one chunk", segs.len());
+        let chunks: Vec<_> = verify_chunks(segs.len(), 4).collect();
+        assert_eq!(chunks.len(), 2, "{} jobs", segs.len());
+        let edge = chunks[1].start;
 
         let last = segs.len() - 1;
         let rows: [(&str, Vec<usize>); 6] = [

@@ -30,7 +30,7 @@
 //!
 //! **One chunker.** This module is the one place that cuts signature
 //! checks over a [`WorkerPool`]: [`start_verify`] hands a slice to the
-//! workers in [`verify_chunk_len`] chunks and returns [`PendingChecks`] to
+//! workers in [`verify_chunks`] chunks and returns [`PendingChecks`] to
 //! join later (a replica's admission overlaps them with execution);
 //! [`verify_batch_indices_on`] is its blocking form. On a one-thread pool
 //! both run [`verify_batch_indices`] whole on the calling thread and queue
@@ -41,6 +41,7 @@
 //! recovery's pre-pass, inline for the auditor.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 use ia_ccf_pool::{TaskHandle, WorkerPool};
 
@@ -78,11 +79,18 @@ pub const VERIFY_BATCH_MIN: usize = 13;
 /// path moves with this value.
 pub const VERIFY_MIN_CHUNK: usize = 24;
 
-/// Jobs per pool chunk when `jobs` are cut over `threads` workers: an even
-/// share each, but never below [`VERIFY_MIN_CHUNK`]. The one rule
-/// [`start_verify`] cuts by.
-pub fn verify_chunk_len(jobs: usize, threads: usize) -> usize {
-    jobs.div_ceil(threads).max(VERIFY_MIN_CHUNK)
+/// The pool chunks `jobs` checks are cut into over `threads` workers, in
+/// order: `min(threads, max(1, jobs / VERIFY_MIN_CHUNK))` of them, whose
+/// lengths differ by at most one, so no chunk falls below
+/// [`VERIFY_MIN_CHUNK`] unless it is the only one. The one rule
+/// [`start_verify`] and [`verify_batch_indices_on`] cut by.
+pub fn verify_chunks(jobs: usize, threads: usize) -> impl ExactSizeIterator<Item = Range<usize>> {
+    let count = threads.min(jobs / VERIFY_MIN_CHUNK).max(1);
+    let (len, longer) = (jobs / count, jobs % count);
+    (0..count).map(move |i| {
+        let start = i * len + i.min(longer);
+        start..start + len + usize::from(i < longer)
+    })
 }
 
 /// One verification work item: `sig` must verify over `msg` under `key`.
@@ -170,20 +178,19 @@ impl PendingChecks {
 }
 
 /// Start [`verify_batch_indices`] on `jobs` without waiting for it: one
-/// pool task per [`verify_chunk_len`] chunk. A one-thread pool has no
+/// pool task per [`verify_chunks`] chunk. A one-thread pool has no
 /// spare worker to overlap onto, so there the whole slice is checked
 /// inline, now, and nothing is queued.
 pub fn start_verify(pool: &WorkerPool, jobs: Vec<VerifyJob>) -> PendingChecks {
     if pool.threads() <= 1 {
         return PendingChecks { failed: verify_batch_indices(&jobs), chunks: Vec::new() };
     }
-    let (n, chunk) = (jobs.len(), verify_chunk_len(jobs.len(), pool.threads()));
+    let cuts = verify_chunks(jobs.len(), pool.threads());
     let mut jobs = jobs.into_iter();
-    let chunks = (0..n)
-        .step_by(chunk)
-        .map(|base| {
-            let part: Vec<VerifyJob> = jobs.by_ref().take(chunk).collect();
-            (base, pool.submit(move || verify_batch_indices(&part)))
+    let chunks = cuts
+        .map(|range| {
+            let part: Vec<VerifyJob> = jobs.by_ref().take(range.len()).collect();
+            (range.start, pool.submit(move || verify_batch_indices(&part)))
         })
         .collect();
     PendingChecks { failed: Vec::new(), chunks }
@@ -192,7 +199,7 @@ pub fn start_verify(pool: &WorkerPool, jobs: Vec<VerifyJob>) -> PendingChecks {
 /// [`start_verify`] joined at once: the failed indices, ascending, for any
 /// pool size. A slice of one chunk is checked inline.
 pub fn verify_batch_indices_on(pool: &WorkerPool, jobs: Vec<VerifyJob>) -> Vec<usize> {
-    if jobs.len() <= verify_chunk_len(jobs.len(), pool.threads()) {
+    if verify_chunks(jobs.len(), pool.threads()).len() == 1 {
         return verify_batch_indices(&jobs);
     }
     start_verify(pool, jobs).join()
@@ -323,13 +330,34 @@ mod tests {
         assert!(verify_batch_indices(&[]).is_empty());
     }
 
+    /// Every cut covers `0..n` in order with at most `threads` chunks,
+    /// none shorter than `VERIFY_MIN_CHUNK` unless it is the only one. A
+    /// ceiling share floored at the minimum cut 30 jobs on two threads
+    /// into 24 and 6, and the 6 fell to single checks.
+    #[test]
+    fn chunks_cover_the_slice_and_none_is_short() {
+        for n in 1..=200 {
+            for threads in 1..=8 {
+                let chunks: Vec<Range<usize>> = verify_chunks(n, threads).collect();
+                assert!(!chunks.is_empty() && chunks.len() <= threads, "{n} jobs, {threads} threads");
+                assert_eq!(chunks[0].start, 0);
+                assert_eq!(chunks.last().map(|c| c.end), Some(n));
+                assert!(chunks.windows(2).all(|w| w[0].end == w[1].start), "{chunks:?}");
+                let short = chunks.iter().any(|c| c.len() < VERIFY_MIN_CHUNK);
+                assert!(chunks.len() == 1 || !short, "{n} jobs, {threads} threads: {chunks:?}");
+            }
+        }
+        assert_eq!(verify_chunks(30, 2).collect::<Vec<_>>(), vec![0..30]);
+        assert_eq!(verify_chunks(49, 2).collect::<Vec<_>>(), vec![0..25, 25..49]);
+    }
+
     #[test]
     fn pooled_verification_matches_sequential() {
         let forged = || {
             let mut js = jobs(3 * VERIFY_MIN_CHUNK + 1);
             js[0].sig.0[5] ^= 9;
             js[VERIFY_MIN_CHUNK].msg.push(b'x');
-            // On eight threads the last job is the last chunk, alone.
+            // On eight threads the last job is in the third of three chunks.
             js[3 * VERIFY_MIN_CHUNK].sig.0[63] ^= 1;
             js
         };

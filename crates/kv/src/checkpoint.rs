@@ -5,61 +5,66 @@
 //! KV half; the Merkle frontier lives in `ia-ccf-merkle` and the two are
 //! combined by the replica's checkpoint record in `ia-ccf-core`.
 //!
-//! A checkpoint *is* its canonical encoding (CCF treats a snapshot the
-//! same way: its serialized bytes, whose digest the ledger records). The
-//! body is
+//! A checkpoint holds the store's buckets by pointer (`buckets.rs`) and
+//! their digest, so taking one costs the buckets written since the last
+//! one, not the store. Its wire and seed form is `digest ‖ body`, with the
+//! canonical body
 //!
 //! ```text
 //! len: u64 ‖ (key-len: u32 ‖ key ‖ value-len: u32 ‖ value)*   (little-endian)
 //! ```
 //!
-//! over the entries in strictly ascending key order, and the digest is
-//! SHA-256 of exactly those bytes. The store writes it in one pass
-//! ([`KvCheckpoint::encode`]), the wire form is `digest ‖ body`, and a
-//! restore decodes the body on demand — so store digest, checkpoint digest,
-//! record, transfer payload and restore all read one definition, and every
-//! byte string has at most one reading: [`KvCheckpoint::from_bytes`]
-//! refuses a body that is not the canonical encoding of some store.
+//! over the entries in strictly ascending key order, encoded only when the
+//! checkpoint is served ([`KvCheckpoint::to_bytes`]). Every byte string has
+//! at most one reading: [`KvCheckpoint::from_bytes`] refuses a body that is
+//! not the canonical encoding of some store. The digest is the store digest
+//! of `buckets.rs`, over the same entries.
 
 use std::collections::BTreeMap;
 
-use ia_ccf_crypto::{hash_bytes, Digest};
+use ia_ccf_crypto::Digest;
 
+use crate::buckets::Buckets;
 use crate::{Key, Value};
 
-/// A point-in-time snapshot of the store: its canonical body and the
-/// body's digest.
+/// A point-in-time snapshot of the store: its entries and their digest.
 ///
 /// Replicas create one every C sequence numbers; auditors load one to replay
 /// a ledger fragment from `s_{C0}` (§4.1) instead of from genesis.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct KvCheckpoint {
-    /// The digest the checkpoint advertises: `H(body)` when built from a
-    /// store, whatever the bytes said when decoded (see
+    /// The digest the checkpoint advertises: the store digest when taken
+    /// from a store, whatever the bytes said when decoded (see
     /// [`KvCheckpoint::verify_integrity`]).
     digest: Digest,
-    /// The canonical encoding (module docs); well-formed by construction.
-    body: Vec<u8>,
+    /// The entries, shared with the store they were taken from.
+    buckets: Buckets,
+}
+
+impl std::fmt::Debug for KvCheckpoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KvCheckpoint").field("digest", &self.digest).field("len", &self.len()).finish()
+    }
 }
 
 impl KvCheckpoint {
-    /// Encode `len` entries, given in strictly ascending key order: the one
-    /// writer of the body.
-    pub(crate) fn encode<'a>(len: usize, entries: impl Iterator<Item = (&'a Key, &'a Value)>) -> Self {
-        let mut body = Vec::new();
-        body.extend_from_slice(&(len as u64).to_le_bytes());
-        for (k, v) in entries {
-            body.extend_from_slice(&(k.len() as u32).to_le_bytes());
-            body.extend_from_slice(k);
-            body.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            body.extend_from_slice(v);
-        }
-        KvCheckpoint { digest: hash_bytes(&body), body }
+    /// Freeze `buckets` under their digest.
+    pub(crate) fn of(buckets: &Buckets) -> Self {
+        KvCheckpoint { digest: buckets.digest(), buckets: buckets.clone() }
+    }
+
+    /// The frozen entries, for a store to restore by pointer.
+    pub(crate) fn buckets(&self) -> &Buckets {
+        &self.buckets
     }
 
     /// Build a checkpoint from a full entry map.
     pub fn from_entries(entries: BTreeMap<Key, Value>) -> Self {
-        Self::encode(entries.len(), entries.iter())
+        let mut buckets = Buckets::default();
+        for (k, v) in entries {
+            buckets.insert(k, v);
+        }
+        Self::of(&buckets)
     }
 
     /// The checkpoint digest `d_C` referenced by pre-prepares and receipts.
@@ -67,17 +72,14 @@ impl KvCheckpoint {
         self.digest
     }
 
-    /// The snapshotted entries in ascending key order, decoded from the
-    /// body as they are read.
+    /// The snapshotted entries in ascending key order.
     pub fn entries(&self) -> impl Iterator<Item = (&[u8], &[u8])> + '_ {
-        let mut cursor = Cursor::over(&self.body).expect("the body is well-formed");
-        std::iter::from_fn(move || cursor.next_entry())
+        self.buckets.sorted().into_iter().map(|(k, v)| (k.as_slice(), v.as_slice()))
     }
 
     /// Number of keys in the snapshot.
     pub fn len(&self) -> usize {
-        let (count, _) = self.body.split_first_chunk::<8>().expect("the body opens with its count");
-        u64::from_le_bytes(*count) as usize
+        self.buckets.len()
     }
 
     /// Whether the snapshot is empty (genesis checkpoint).
@@ -85,20 +87,27 @@ impl KvCheckpoint {
         self.len() == 0
     }
 
-    /// Re-derive the digest from the body and compare — used by auditors
-    /// and recoverees to detect checkpoints whose advertised digest lies
-    /// about their contents.
+    /// Re-derive the digest from the entries, reading no cached bucket
+    /// digest, and compare — used by auditors and recoverees to detect
+    /// checkpoints whose advertised digest lies about their contents.
     pub fn verify_integrity(&self) -> bool {
-        hash_bytes(&self.body) == self.digest
+        self.buckets.fresh_digest() == self.digest
     }
 
     /// Serialize for checkpoint transfer: `digest ‖ body`. The advertised
     /// digest travels with the body so the receiver can run
     /// [`KvCheckpoint::verify_integrity`] before trusting either.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.body.len());
+        let entries = self.buckets.sorted();
+        let mut out = Vec::new();
         out.extend_from_slice(self.digest.as_ref());
-        out.extend_from_slice(&self.body);
+        out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+        for (k, v) in entries {
+            out.extend_from_slice(&(k.len() as u32).to_le_bytes());
+            out.extend_from_slice(k);
+            out.extend_from_slice(&(v.len() as u32).to_le_bytes());
+            out.extend_from_slice(v);
+        }
         out
     }
 
@@ -106,10 +115,11 @@ impl KvCheckpoint {
     /// encoding of some store: its count matches its entries, keys are
     /// strictly ascending (no duplicates), nothing is truncated or
     /// trailing. Length prefixes are checked against the remaining input
-    /// and nothing is allocated per entry, so hostile counts cannot balloon
-    /// memory. The decoded checkpoint's digest is whatever the bytes
-    /// advertise — callers must still [`KvCheckpoint::verify_integrity`]
-    /// and compare against the digest agreed through the protocol.
+    /// and the whole body is checked before anything is allocated per
+    /// entry, so hostile counts cannot balloon memory. The decoded
+    /// checkpoint's digest is whatever the bytes advertise — callers must
+    /// still [`KvCheckpoint::verify_integrity`] and compare against the
+    /// digest agreed through the protocol.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let (digest, body) = bytes.split_first_chunk::<32>()?;
         let mut cursor = Cursor::over(body)?;
@@ -121,8 +131,15 @@ impl KvCheckpoint {
             }
             prev = Some(k);
         }
-        let canonical = cursor.rest.is_empty();
-        canonical.then(|| KvCheckpoint { digest: Digest(*digest), body: body.to_vec() })
+        if !cursor.rest.is_empty() {
+            return None;
+        }
+        let mut cursor = Cursor::over(body)?;
+        let mut buckets = Buckets::default();
+        while let Some((k, v)) = cursor.next_entry() {
+            buckets.insert(k.to_vec(), v.to_vec());
+        }
+        Some(KvCheckpoint { digest: Digest(*digest), buckets })
     }
 
     /// Decode and integrity-check in one step: the loading path for

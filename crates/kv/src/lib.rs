@@ -21,17 +21,20 @@
 //! Replicas and the auditor execute one transaction at a time, in ledger
 //! order, so the observable history is the serial one (Lemma 2).
 //!
-//! CCF uses a CHAMP map; we use an ordered map with O(log n) access, which
-//! reproduces Fig. 7's "throughput decreases as the store grows" shape.
+//! CCF uses a CHAMP map and snapshots a version of it; we cut the store
+//! into a fixed number of copy-on-write buckets, each an ordered map with
+//! O(log n) access and a cached digest. A checkpoint shares the buckets
+//! by pointer, and the store digest hashes the bucket digests, so a
+//! checkpoint re-hashes only the buckets written since the last one.
 //!
-//! A store's digest is the digest of its checkpoint, and a checkpoint is
-//! its canonical encoding ([`KvCheckpoint`]): one definition of the bytes
-//! for the store digest, the checkpoint record, the transfer payload and
-//! the restore. Checkpoint agreement and audit replay compare these
+//! A store's digest is the digest of its checkpoint, and a checkpoint's
+//! transfer form is its canonical encoding ([`KvCheckpoint`]), decoded into
+//! the same buckets. Checkpoint agreement and audit replay compare these
 //! digests across replicas.
 
 #![forbid(unsafe_code)]
 
+mod buckets;
 mod checkpoint;
 mod shard;
 mod store;

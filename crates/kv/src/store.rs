@@ -1,9 +1,9 @@
-//! The store proper: ordered map + undo log + transaction/batch marks.
-
-use std::collections::BTreeMap;
+//! The store proper: copy-on-write buckets + undo log + transaction/batch
+//! marks.
 
 use ia_ccf_crypto::Digest;
 
+use crate::buckets::Buckets;
 use crate::checkpoint::KvCheckpoint;
 use crate::write_set::TxWriteSet;
 use crate::{Key, Value};
@@ -49,7 +49,7 @@ struct BatchMark {
 /// rollback and checkpointing. See the crate docs for the paper mapping.
 #[derive(Debug, Default)]
 pub struct KvStore {
-    map: BTreeMap<Key, Value>,
+    map: Buckets,
     undo: Vec<UndoOp>,
     /// Undo-log length at `begin_tx`, plus the accumulating write set.
     open_tx: Option<(usize, TxWriteSet)>,
@@ -69,7 +69,7 @@ impl KvStore {
 
     /// Whether the store holds no keys.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.map.len() == 0
     }
 
     /// Read a key. Reads inside a transaction see the transaction's own
@@ -80,7 +80,7 @@ impl KvStore {
 
     /// Iterate over all live entries in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&Key, &Value)> {
-        self.map.iter()
+        self.map.sorted().into_iter()
     }
 
     // ------------------------------------------------------------------
@@ -171,6 +171,9 @@ impl KvStore {
                 for m in &mut self.batch_marks[i..] {
                     m.undo_len -= first_kept_undo;
                 }
+                if let Some((m, _)) = self.open_tx.as_mut() {
+                    *m = m.saturating_sub(first_kept_undo);
+                }
                 self.batch_marks.drain(..i);
             }
             None => {
@@ -203,22 +206,26 @@ impl KvStore {
     // Checkpoints
     // ------------------------------------------------------------------
 
-    /// Deterministic digest over the full store contents: the digest of
-    /// its checkpoint. O(n) — the cost that makes frequent checkpoints over
-    /// large stores expensive (Fig. 6).
+    /// Deterministic digest over the full store contents, equal to its
+    /// checkpoint's. Cached until the next write; after writes it
+    /// re-hashes only the buckets written since the last digest,
+    /// O(keys written × n / buckets) plus one hash over the bucket
+    /// digests, and O(n) only for a store written everywhere (a bulk load,
+    /// a restore from bytes).
     pub fn digest(&self) -> Digest {
-        self.checkpoint().digest()
+        self.map.digest()
     }
 
-    /// Snapshot the current state into a checkpoint: one pass encodes the
-    /// map into its canonical body, one hash digests it.
+    /// Snapshot the current state into a checkpoint: the bucket pointers,
+    /// shared until the store next writes a bucket, and their digest.
     pub fn checkpoint(&self) -> KvCheckpoint {
-        KvCheckpoint::encode(self.map.len(), self.map.iter())
+        KvCheckpoint::of(&self.map)
     }
 
-    /// Replace the store contents from a checkpoint; clears all undo state.
+    /// Replace the store contents from a checkpoint, sharing its buckets;
+    /// clears all undo state.
     pub fn restore(&mut self, cp: &KvCheckpoint) {
-        self.map = cp.entries().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+        self.map = cp.buckets().clone();
         self.undo.clear();
         self.open_tx = None;
         self.batch_marks.clear();
@@ -346,6 +353,24 @@ mod tests {
         assert_eq!(kv.rollback_to_batch(2), Err(KvError::UnknownBatch));
         assert_eq!(kv.get(b"k3"), Some(&v("x")), "a refused rollback undoes nothing");
         assert_eq!(kv.get(b"k2"), Some(&v("x")));
+    }
+
+    #[test]
+    fn abort_after_a_partial_release_undoes_the_whole_tx() {
+        let mut kv = KvStore::new();
+        for s in 1..=2u64 {
+            kv.begin_batch(s);
+            kv.begin_tx().unwrap();
+            kv.put(k(&format!("k{s}")), v("x")).unwrap();
+            kv.commit_tx().unwrap();
+        }
+        kv.begin_tx().unwrap();
+        kv.put(k("k1"), v("y")).unwrap();
+        kv.release_batches_up_to(1);
+        kv.abort_tx().unwrap();
+        assert_eq!(kv.get(b"k1"), Some(&v("x")));
+        kv.rollback_to_batch(2).unwrap();
+        assert_eq!(kv.get(b"k2"), None);
     }
 
     #[test]
