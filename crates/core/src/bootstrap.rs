@@ -26,19 +26,21 @@
 //!
 //! **Obtaining** the ledger is the resumable `FetchLedgerPage` protocol
 //! ([`LedgerSyncState`]): the recovering replica requests bounded pages
-//! (continuation token = next batch sequence number), replays every
-//! *complete* segment as it arrives — each one verified against the signed
-//! batch artifacts and applied atomically (a failing segment rolls back
-//! before the error propagates) — and re-requests the continuation until
-//! the server reports `done`. A server that times out, stops progressing,
-//! sends undecodable or structurally broken pages, or claims `done` short
-//! of its own advertised continuation is abandoned and the sync fails
-//! over to the next replica, resuming from the first unapplied batch. A
-//! view change landing mid-transfer shows up as a divergence between the
-//! server's (post-rollback) stream and our applied-but-uncommitted tail;
-//! the requester rolls its own tail back to the committed frontier once
-//! per continuation point and resumes, so partially-applied state is
-//! never corrupted.
+//! from its own `seq_next` (the continuation token) and replays each page
+//! whole through the same loop — every segment verified against the
+//! signed batch artifacts and applied atomically — which must leave
+//! `seq_next` at the page's token; it re-requests from there until the
+//! server reports `done`. Nothing is carried between pages: an honest
+//! server cuts at batch segments, a page cut inside a segment is
+//! malformed, and one cut inside a transaction run fails the signed `Ḡ`.
+//! A server that times out, stops progressing, sends undecodable or
+//! refused pages, or a token its page does not reach is abandoned and the
+//! sync fails over to the next replica, resuming from the first unapplied
+//! batch. A view change landing mid-transfer shows up as a divergence
+//! between the server's (post-rollback) stream and our
+//! applied-but-uncommitted tail; the requester rolls its own tail back to
+//! the committed frontier once per continuation point and resumes, so
+//! partially-applied state is never corrupted.
 //!
 //! A recovery sync opens with a **tip query** ([`Phase::TipQuery`]):
 //! the recoveree broadcasts `FetchLedgerTip` and waits for `f + 1`
@@ -61,7 +63,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 
 use ia_ccf_crypto::SigQueue;
-use ia_ccf_ledger::segment::{segment_complete_prefix, segment_entries, Segment};
+use ia_ccf_ledger::segment::{segment_entries, Segment};
 use ia_ccf_ledger::validity::{check_new_view, signed_by_view_primary, view_primary_job, Refused};
 use ia_ccf_ledger::Ledger;
 use ia_ccf_merkle::MerkleTree;
@@ -142,14 +144,10 @@ pub(crate) enum Phase {
     TipQuery { claims: BTreeMap<ReplicaId, (SeqNum, Option<CheckpointPin>)> },
     /// An `f + 1`-pinned checkpoint offer is being fetched from `server`.
     Checkpoint { pin: CheckpointPin },
-    /// Paged replay toward the (verified) tip.
+    /// Paged replay toward the (verified) tip. The continuation token is
+    /// the replica's own `seq_next`: every page is replayed whole and must
+    /// end there.
     Paging {
-        /// Continuation token: the batch sequence number the next page
-        /// must start at.
-        from_seq: SeqNum,
-        /// Decoded entries not yet replayed (the withheld tail of the last
-        /// page — a trailing batch segment may still gain transactions).
-        buffered: Vec<LedgerEntry>,
         /// Continuation token at which the divergent-tail rollback already
         /// ran — a second mismatch at the same token is the server's
         /// fault, not a mid-transfer view change.
@@ -673,8 +671,7 @@ impl Replica {
         // The restored record is this replica's own checkpoint at `seq`:
         // the in-band mark batch at `seq + C` validates against it while
         // the suffix replays, and later audits can start from it.
-        self.cp_digests.insert(pin.seq, pin.kv_digest);
-        self.checkpoints.insert(record);
+        self.checkpoints.insert(record, self.checkpoint_interval());
         Ok(())
     }
 
@@ -719,12 +716,13 @@ impl Replica {
         let Status::Recovery(state) = &mut self.status else {
             return;
         };
-        let Phase::Paging { from_seq, .. } = state.phase else {
+        let Phase::Paging { .. } = state.phase else {
             return;
         };
         state.last_page_tick = self.tick;
         let server = state.server;
         let max_bytes = self.params.effective_sync_page_bytes();
+        let from_seq = self.seq_next;
         self.send_replica(server, ProtocolMsg::FetchLedgerPage { from_seq, max_bytes });
     }
 
@@ -737,9 +735,7 @@ impl Replica {
         };
         state.server = server;
         state.last_page_tick = self.tick;
-        let from_seq = self.seq_next;
-        state.phase =
-            Phase::Paging { from_seq, buffered: Vec::new(), rolled_back_at: None, paused };
+        state.phase = Phase::Paging { rolled_back_at: None, paused };
         if !paused {
             self.request_sync_page();
         }
@@ -770,7 +766,8 @@ impl Replica {
         }
     }
 
-    /// One `FetchLedgerPageResponse` arrived.
+    /// One `FetchLedgerPageResponse` arrived: the page is replayed whole
+    /// and must leave the applied frontier at its continuation token.
     pub(crate) fn on_ledger_page(
         &mut self,
         sender: ReplicaId,
@@ -780,9 +777,8 @@ impl Replica {
     ) {
         // No sync running, or a stale page while querying the tip or a
         // checkpoint: ignore it.
-        let Status::Recovery(LedgerSyncState {
-            server, phase: Phase::Paging { from_seq, .. }, ..
-        }) = self.status
+        let Status::Recovery(LedgerSyncState { server, phase: Phase::Paging { .. }, .. }) =
+            self.status
         else {
             return;
         };
@@ -795,6 +791,7 @@ impl Replica {
         // A page must be decodable and must progress: a non-final page
         // with no entries, or a continuation that fails to advance (or
         // goes backwards), is a stalled or hostile server.
+        let from_seq = self.seq_next;
         if next_seq < from_seq || (!done && (entries.is_empty() || next_seq <= from_seq)) {
             return self.sync_failover("page does not progress");
         }
@@ -805,50 +802,37 @@ impl Replica {
                 Err(_) => return self.sync_failover("undecodable ledger entry"),
             }
         }
-
-        // Buffer, replay every complete segment, continue or finish.
         if let Status::Recovery(LedgerSyncState {
             last_page_tick,
-            phase: Phase::Paging { from_seq, buffered, paused, .. },
+            phase: Phase::Paging { paused, .. },
             ..
         }) = &mut self.status
         {
-            buffered.extend(decoded);
-            *from_seq = next_seq;
             *last_page_tick = self.tick;
             *paused = false;
         }
-        if let Err(e) = self.replay_sync_buffer(done) {
+
+        // Replay the page, then hold it to its token: a server whose page
+        // stops short of (or runs past) the continuation it advertises —
+        // truncated entries, a forged token — is abandoned like any other
+        // misbehaviour.
+        let base = self.ledger.len() as usize; // nonzero ⇒ genesis rejected
+        if let Err(e) = self.replay_entries(&decoded, base) {
             return self.sync_diverged(&e);
         }
-        let Status::Recovery(LedgerSyncState {
-            verified_tip, phase: Phase::Paging { buffered, .. }, ..
-        }) = &self.status
-        else {
-            return;
-        };
-        // After replay the buffer holds at most one withheld segment (a
-        // trailing batch whose transaction run may still grow). An honest
-        // segment is bounded by the batch size; a server streaming a
-        // never-terminating transaction run to balloon the buffer is
-        // hostile and abandoned before memory grows without bound.
-        if buffered.len() > 4 * self.params.batch_max.max(1) + 16 {
-            return self.sync_failover("batch segment never terminates");
+        if self.seq_next != next_seq {
+            return self.sync_failover("page short of its continuation");
         }
         if !done {
             return self.request_sync_page();
-        }
-        // Done: everything must have replayed, and our applied frontier
-        // must reach the server's advertised continuation — a server
-        // whose final page falls short (truncated entries, forged token)
-        // is abandoned like any other misbehaviour.
-        if !buffered.is_empty() || self.seq_next != next_seq {
-            return self.sync_failover("done short of advertised continuation");
         }
         // The applied frontier must also pass the f+1-verified cluster
         // tip: a lying server that advertises an early `done` (with a
         // self-consistent continuation token) would otherwise freeze
         // this replica short of the real history.
+        let Status::Recovery(LedgerSyncState { verified_tip, .. }) = self.status else {
+            return;
+        };
         if verified_tip.is_some_and(|t| self.seq_next <= t) {
             return self.sync_failover("done short of verified cluster tip");
         }
@@ -861,39 +845,6 @@ impl Replica {
         for s in self.committed_up_to.0 + 1..=self.prepared_up_to.0 {
             self.send_replica(server, ProtocolMsg::FetchEvidence { seq: SeqNum(s) });
         }
-    }
-
-    /// Replay every provably-complete segment in the sync buffer; with
-    /// `done` the whole buffer must segment cleanly.
-    fn replay_sync_buffer(&mut self, done: bool) -> Result<(), BootstrapError> {
-        let Status::Recovery(LedgerSyncState { phase: Phase::Paging { buffered, .. }, .. }) =
-            &mut self.status
-        else {
-            return Ok(());
-        };
-        let mut buffered = std::mem::take(buffered);
-        let base = self.ledger.len() as usize; // nonzero ⇒ genesis rejected
-        let result = (|| {
-            if done {
-                let segs = segment_entries(&buffered, base)
-                    .map_err(|e| BootstrapError::Malformed(e.to_string()))?;
-                self.replay_segments(&segs, &buffered)?;
-                buffered.clear();
-            } else {
-                let (segs, consumed) = segment_complete_prefix(&buffered, base)
-                    .map_err(|e| BootstrapError::Malformed(e.to_string()))?;
-                self.replay_segments(&segs, &buffered)?;
-                buffered.drain(..consumed);
-            }
-            Ok(())
-        })();
-        if let Status::Recovery(LedgerSyncState {
-            phase: Phase::Paging { buffered: slot, .. }, ..
-        }) = &mut self.status
-        {
-            *slot = buffered;
-        }
-        result
     }
 
     /// A replayed segment failed verification. The benign cause is a view
@@ -926,13 +877,10 @@ impl Replica {
         let committed = self.committed_up_to;
         self.reset_to_seq(committed);
         if let Status::Recovery(LedgerSyncState {
-            phase: Phase::Paging { from_seq, buffered, rolled_back_at, .. },
-            ..
+            phase: Phase::Paging { rolled_back_at, .. }, ..
         }) = &mut self.status
         {
             *rolled_back_at = Some(token);
-            *from_seq = committed.next();
-            buffered.clear();
         }
         self.request_sync_page();
     }

@@ -82,28 +82,24 @@ impl CheckpointRecord {
     }
 }
 
-/// Recent checkpoints, kept until superseded.
+/// A replica's recent checkpoints: the one holder of checkpoint state,
+/// digests included.
 #[derive(Debug, Default)]
 pub struct CheckpointStore {
     by_seq: BTreeMap<SeqNum, CheckpointRecord>,
-    /// How many recent checkpoints to retain (audits need two: the
-    /// penultimate digest is referenced by receipts).
-    keep: usize,
 }
 
 impl CheckpointStore {
-    /// A store retaining `keep` checkpoints (at least 2).
-    pub fn new(keep: usize) -> Self {
-        CheckpointStore { by_seq: BTreeMap::new(), keep: keep.max(2) }
-    }
-
-    /// Insert a checkpoint, evicting the oldest beyond the retention limit.
-    pub fn insert(&mut self, record: CheckpointRecord) {
+    /// Insert a checkpoint and drop every one taken more than `2 · interval`
+    /// sequence numbers before it. Nothing older is read again: the mark
+    /// at `s` reads `s − C` or the switch checkpoint just before it, and
+    /// the pre-prepare at `s` reads `d_C` at `C · (⌈s/C⌉ − 2) ≥ s − 2C`,
+    /// where `s` is never below the newest checkpoint. A count would not
+    /// do: a switch checkpoint adds a record inside an interval.
+    pub fn insert(&mut self, record: CheckpointRecord, interval: u64) {
+        let keep_from = SeqNum(record.seq.0.saturating_sub(2 * interval));
         self.by_seq.insert(record.seq, record);
-        while self.by_seq.len() > self.keep {
-            let oldest = *self.by_seq.keys().next().expect("non-empty");
-            self.by_seq.remove(&oldest);
-        }
+        self.by_seq = self.by_seq.split_off(&keep_from);
     }
 
     /// The checkpoint at exactly `seq`.
@@ -147,23 +143,26 @@ mod tests {
         }
     }
 
+    /// Records more than `2C` before the newest go, and a switch
+    /// checkpoint inside an interval (15, `C` = 10) pushes nothing out:
+    /// the pre-prepare at 20 reads `d_C` at 0.
     #[test]
     fn retention_evicts_oldest() {
-        let mut store = CheckpointStore::new(2);
-        store.insert(record(10));
-        store.insert(record(20));
-        store.insert(record(30));
-        assert!(store.at(SeqNum(10)).is_none());
-        assert!(store.at(SeqNum(20)).is_some());
-        assert!(store.at(SeqNum(30)).is_some());
-        assert_eq!(store.seqs(), vec![SeqNum(20), SeqNum(30)]);
+        let mut store = CheckpointStore::default();
+        for seq in [0, 10, 15, 20] {
+            store.insert(record(seq), 10);
+        }
+        assert_eq!(store.seqs(), vec![SeqNum(0), SeqNum(10), SeqNum(15), SeqNum(20)]);
+        store.insert(record(30), 10);
+        assert!(store.at(SeqNum(0)).is_none());
+        assert_eq!(store.seqs(), vec![SeqNum(10), SeqNum(15), SeqNum(20), SeqNum(30)]);
     }
 
     #[test]
     fn latest_at_or_before_picks_correctly() {
-        let mut store = CheckpointStore::new(4);
-        store.insert(record(10));
-        store.insert(record(20));
+        let mut store = CheckpointStore::default();
+        store.insert(record(10), 10);
+        store.insert(record(20), 10);
         assert_eq!(store.latest_at_or_before(SeqNum(15)).unwrap().seq, SeqNum(10));
         assert_eq!(store.latest_at_or_before(SeqNum(20)).unwrap().seq, SeqNum(20));
         assert!(store.latest_at_or_before(SeqNum(9)).is_none());
@@ -171,9 +170,9 @@ mod tests {
 
     #[test]
     fn truncate_after_drops_new() {
-        let mut store = CheckpointStore::new(4);
-        store.insert(record(10));
-        store.insert(record(20));
+        let mut store = CheckpointStore::default();
+        store.insert(record(10), 10);
+        store.insert(record(20), 10);
         store.truncate_after(SeqNum(15));
         assert!(store.at(SeqNum(20)).is_none());
         assert!(store.at(SeqNum(10)).is_some());

@@ -25,7 +25,7 @@ pub struct ProtocolParams {
     /// at 8); `1` disables all pool offload — every check runs inline, in
     /// one `verify_batch_indices` call, and nothing is queued. **Local** knob: ledger
     /// bytes, digests and receipts are byte-identical for any value
-    /// (pool-size sweeps in `tests/sharded_execution.rs` and
+    /// (pool-size sweeps in `tests/pool_size_equiv.rs` and
     /// `tests/pipeline_view_change.rs` enforce this), so replicas of one
     /// cluster may differ.
     pub pool_threads: usize,

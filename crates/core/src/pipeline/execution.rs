@@ -154,10 +154,9 @@ impl Replica {
     /// ([`crate::execute::execute_tx`]) plus the replica's own reaction to
     /// its effect.
     fn execute_one(&mut self, seq: SeqNum, req: &SignedRequest) -> Result<TxResult, ExecError> {
-        let cp_digests = &self.cp_digests;
         let Executed { result, effect } =
             execute_tx(&*self.app, &mut self.gov, &mut self.kv, req, |s| {
-                cp_digests.get(&s).copied()
+                self.checkpoints.digest_at(s)
             });
         match effect {
             Effect::None => {}
@@ -187,13 +186,9 @@ impl Replica {
             ledger_len: self.ledger.len(),
             next_tx_index: self.next_tx_index,
         };
-        let digest = record.kv.digest();
-        self.cp_digests.insert(seq, digest);
-        self.checkpoints.insert(record);
-        self.out.push(Output::CheckpointTaken { seq, kv_digest: digest });
-        // Prune digests older than two intervals before the checkpoint.
-        let keep_from = seq.0.saturating_sub(4 * self.checkpoint_interval());
-        self.cp_digests.retain(|s, _| s.0 >= keep_from || s.0 == 0);
+        let kv_digest = record.kv.digest();
+        self.checkpoints.insert(record, self.checkpoint_interval());
+        self.out.push(Output::CheckpointTaken { seq, kv_digest });
     }
 
     /// Raise the rollback floor to `floor` (it never goes down) and trim

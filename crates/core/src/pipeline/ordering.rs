@@ -165,14 +165,10 @@ impl Replica {
     /// the regular schedule, the switch point during a reconfiguration.
     /// `false` (wait) until that checkpoint's digest is known.
     pub(crate) fn send_mark_batch(&mut self, seq: SeqNum, checkpoint_seq: SeqNum) -> bool {
-        let Some(kv_digest) = self.cp_digests.get(&checkpoint_seq).copied() else {
+        let Some(record) = self.checkpoints.at(checkpoint_seq) else {
             return false;
         };
-        let tree_root = self
-            .checkpoints
-            .at(checkpoint_seq)
-            .map(|r| r.frontier.root())
-            .unwrap_or_else(Digest::zero);
+        let (kv_digest, tree_root) = (record.kv.digest(), record.frontier.root());
         let mark = SignedRequest::system(
             SystemOp::CheckpointMark { checkpoint_seq, kv_digest, tree_root },
             self.gt_hash,

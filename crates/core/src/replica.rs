@@ -132,7 +132,6 @@ pub struct Replica {
 
     // Checkpoints.
     pub(crate) checkpoints: CheckpointStore,
-    pub(crate) cp_digests: BTreeMap<SeqNum, Digest>,
 
     // Governance receipts served to clients (§5.2).
     pub(crate) gov_chain: Vec<GovLink>,
@@ -215,17 +214,16 @@ impl Replica {
         let ledger = Ledger::new(genesis.clone());
         let gt_hash = ledger.genesis_hash().expect("genesis present");
         let kv = KvStore::new();
-        let mut cp_digests = BTreeMap::new();
-        let mut checkpoints = CheckpointStore::new(3);
+        let mut checkpoints = CheckpointStore::default();
         // The genesis checkpoint: empty store at seq 0.
-        cp_digests.insert(SeqNum(0), kv.digest());
-        checkpoints.insert(CheckpointRecord {
+        let genesis_cp = CheckpointRecord {
             seq: SeqNum(0),
             kv: kv.checkpoint(),
             frontier: ledger.frontier(),
             ledger_len: ledger.len(),
             next_tx_index: 1,
-        });
+        };
+        checkpoints.insert(genesis_cp, genesis.checkpoint_interval);
         let seed = hash_bytes(&[gt_hash.as_ref(), &id.0.to_le_bytes()].concat());
         let gov = GovernanceState::new(genesis.clone());
         let pool = Arc::new(ia_ccf_pool::WorkerPool::new(params.resolved_pool_threads()));
@@ -261,7 +259,6 @@ impl Replica {
             batch_marks: BTreeMap::new(),
             rollback_floor: SeqNum(0),
             checkpoints,
-            cp_digests,
             gov_chain: Vec::new(),
             pending_gov_receipts: Vec::new(),
             reconfig: None,
@@ -670,7 +667,7 @@ impl Replica {
 
     pub(crate) fn receipt_checkpoint_digest(&self, seq: SeqNum) -> Digest {
         let scp = receipt_checkpoint_seq(seq, self.checkpoint_interval());
-        self.cp_digests.get(&scp).copied().unwrap_or_else(Digest::zero)
+        self.checkpoints.digest_at(scp).unwrap_or_else(Digest::zero)
     }
 }
 

@@ -88,40 +88,6 @@ impl std::error::Error for SegmentError {}
 /// a segment cut off mid-way (dangling evidence, a view-change set with
 /// no new-view) is malformed.
 pub fn segment_entries(entries: &[LedgerEntry], base: usize) -> Result<Vec<Segment>, SegmentError> {
-    let (segments, consumed) = parse_segments(entries, base, true)?;
-    debug_assert_eq!(consumed, entries.len(), "complete mode consumes everything");
-    Ok(segments)
-}
-
-/// Segment the *complete prefix* of a possibly-truncated entry stream
-/// (incremental state transfer: pages arrive in batch-aligned chunks but
-/// a hostile or mid-cut server may deliver any prefix).
-///
-/// Returns the segments that are provably finished plus the number of
-/// entries they consume; the unconsumed tail must be buffered until more
-/// entries arrive. A batch segment is only finished once the entry
-/// *after* its transaction run has arrived (a trailing batch may still
-/// gain transactions); view-change and genesis segments are fixed-size
-/// and complete as soon as both entries are present. Errors are reserved
-/// for malformations that no future entries could repair — a truncated
-/// tail is never an error here.
-pub fn segment_complete_prefix(
-    entries: &[LedgerEntry],
-    base: usize,
-) -> Result<(Vec<Segment>, usize), SegmentError> {
-    parse_segments(entries, base, false)
-}
-
-/// The one grammar implementation behind both entry points.
-/// `eof_closes` decides what the end of input means: a terminator (a
-/// trailing batch's tx run is over, a missing piece is malformed) for
-/// complete streams, or "more may arrive" (stop before the unfinished
-/// segment) for streaming prefixes.
-fn parse_segments(
-    entries: &[LedgerEntry],
-    base: usize,
-    eof_closes: bool,
-) -> Result<(Vec<Segment>, usize), SegmentError> {
     let mut segments = Vec::new();
     let mut i = 0usize;
     while i < entries.len() {
@@ -135,28 +101,13 @@ fn parse_segments(
             }
             LedgerEntry::Evidence { seq: ev_seq, prepares } => {
                 // Must be followed by nonces then a pre-prepare referencing them.
-                let Some(next) = entries.get(i + 1) else {
-                    if eof_closes {
-                        return Err(SegmentError { at: i, what: "evidence not followed by nonces" });
-                    }
-                    return Ok((segments, i)); // nonces not here yet
-                };
-                let LedgerEntry::Nonces { seq: n_seq, nonces } = next else {
+                let Some(LedgerEntry::Nonces { seq: n_seq, nonces }) = entries.get(i + 1) else {
                     return Err(SegmentError { at: i, what: "evidence not followed by nonces" });
                 };
                 if n_seq != ev_seq {
                     return Err(SegmentError { at: i + 1, what: "nonce seq != evidence seq" });
                 }
-                let Some(third) = entries.get(i + 2) else {
-                    if eof_closes {
-                        return Err(SegmentError {
-                            at: i,
-                            what: "evidence not followed by pre-prepare",
-                        });
-                    }
-                    return Ok((segments, i)); // pre-prepare not here yet
-                };
-                let LedgerEntry::PrePrepare(pp) = third else {
+                let Some(LedgerEntry::PrePrepare(pp)) = entries.get(i + 2) else {
                     return Err(SegmentError { at: i, what: "evidence not followed by pre-prepare" });
                 };
                 if pp.core.evidence_seq != *ev_seq {
@@ -174,9 +125,6 @@ fn parse_segments(
                 }
                 let txs = collect_txs(entries, i + 3);
                 let end = i + 3 + txs.len();
-                if end == entries.len() && !eof_closes {
-                    return Ok((segments, i)); // the tx run may not have ended
-                }
                 segments.push(Segment::Batch {
                     evidence_at: Some(i),
                     nonces_at: Some(i + 1),
@@ -201,9 +149,6 @@ fn parse_segments(
                 }
                 let txs = collect_txs(entries, i + 1);
                 let end = i + 1 + txs.len();
-                if end == entries.len() && !eof_closes {
-                    return Ok((segments, i)); // the tx run may not have ended
-                }
                 segments.push(Segment::Batch {
                     evidence_at: None,
                     nonces_at: None,
@@ -218,16 +163,7 @@ fn parse_segments(
                 return Err(SegmentError { at: i, what: "transaction outside a batch" });
             }
             LedgerEntry::ViewChangeSet { view, .. } => {
-                let Some(next) = entries.get(i + 1) else {
-                    if eof_closes {
-                        return Err(SegmentError {
-                            at: i,
-                            what: "view-change set not followed by new-view",
-                        });
-                    }
-                    return Ok((segments, i)); // new-view not here yet
-                };
-                let LedgerEntry::NewView(nv) = next else {
+                let Some(LedgerEntry::NewView(nv)) = entries.get(i + 1) else {
                     return Err(SegmentError {
                         at: i,
                         what: "view-change set not followed by new-view",
@@ -244,7 +180,7 @@ fn parse_segments(
             }
         }
     }
-    Ok((segments, i))
+    Ok(segments)
 }
 
 fn collect_txs(entries: &[LedgerEntry], from: usize) -> Vec<usize> {
@@ -419,77 +355,5 @@ mod tests {
         })];
         let err = segment_entries(&entries, 1).unwrap_err();
         assert_eq!(err.what, "new-view without view-change set");
-    }
-
-    #[test]
-    fn complete_prefix_withholds_unfinished_tail() {
-        let [ev, no] = evidence(1, 3);
-        let pp2 = LedgerEntry::PrePrepare(pp_with_evidence(0, 2, 1, 3));
-        let stream = vec![
-            LedgerEntry::PrePrepare(pp_no_evidence(0, 1)),
-            tx_entry(1),
-            tx_entry(2),
-            ev,
-            no,
-            pp2,
-            tx_entry(3),
-        ];
-        // Cut after every prefix length: the parser must never flush a
-        // segment that could still grow, and never call a truncation
-        // malformed.
-        for cut in 0..=stream.len() {
-            let (segs, consumed) = segment_complete_prefix(&stream[..cut], 1).unwrap();
-            assert!(consumed <= cut);
-            // Batch 1 is only complete once the evidence entry (cut >= 4)
-            // proves its tx run ended.
-            if cut <= 3 {
-                assert!(segs.is_empty(), "cut {cut}: trailing batch must be withheld");
-                assert_eq!(consumed, 0);
-            } else {
-                assert_eq!(segs.len(), 1, "cut {cut}: batch 1 complete");
-                assert_eq!(segs[0].seq(), Some(SeqNum(1)));
-                assert_eq!(consumed, 3);
-            }
-            // The full stream still ends in a withheld batch (its tx run
-            // is unterminated), so batch 2 never flushes here.
-        }
-        // Terminated by a following view-change set: batch 2 flushes and
-        // the fixed-size view-change segment flushes immediately too.
-        let mut full = stream.clone();
-        full.push(LedgerEntry::ViewChangeSet { view: View(1), view_changes: vec![] });
-        full.push(LedgerEntry::NewView(ia_ccf_types::NewViewMsg {
-            view: View(1),
-            root_m: ia_ccf_crypto::hash_bytes(b"m"),
-            vc_bitmap: ReplicaBitmap::empty(),
-            vc_entry_hash: ia_ccf_crypto::hash_bytes(b"vc"),
-            sig: ia_ccf_types::Signature::zero(),
-        }));
-        let (segs, consumed) = segment_complete_prefix(&full, 1).unwrap();
-        assert_eq!(segs.len(), 3);
-        assert_eq!(consumed, full.len());
-        assert!(matches!(segs[2], Segment::ViewChange { view: View(1), .. }));
-        // The complete-prefix segmentation agrees with the one-shot
-        // segmenter on the consumed prefix.
-        assert_eq!(segs, segment_entries(&full[..consumed], 1).unwrap());
-    }
-
-    #[test]
-    fn complete_prefix_rejects_unrepairable_malformations() {
-        let [ev, _] = evidence(1, 3);
-        // Evidence followed by a transaction can never become well-formed.
-        let entries = vec![ev, tx_entry(1)];
-        let err = segment_complete_prefix(&entries, 1).unwrap_err();
-        assert_eq!(err.what, "evidence not followed by nonces");
-        // A bare leading transaction is an orphan regardless of what
-        // arrives later.
-        let entries = vec![tx_entry(1)];
-        let err = segment_complete_prefix(&entries, 1).unwrap_err();
-        assert_eq!(err.what, "transaction outside a batch");
-        // Truncations of these same streams that end *before* the
-        // contradiction are incomplete, not malformed.
-        let [ev, _] = evidence(1, 3);
-        let (segs, consumed) = segment_complete_prefix(&[ev], 1).unwrap();
-        assert!(segs.is_empty());
-        assert_eq!(consumed, 0);
     }
 }

@@ -14,7 +14,7 @@
 //! The pool is a **local** knob: nothing scheduled on it may influence
 //! consensus-visible bytes. Callers uphold that by only offloading pure
 //! computations (signature checks); the differential harnesses in
-//! `tests/sharded_execution.rs` and `tests/pipeline_view_change.rs` sweep
+//! `tests/pool_size_equiv.rs` and `tests/pipeline_view_change.rs` sweep
 //! pool sizes {1, 2, 8} to enforce it.
 //!
 //! Deadlock rule: pool tasks must never block on a [`TaskHandle`] of the

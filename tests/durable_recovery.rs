@@ -493,10 +493,10 @@ fn a_rolled_back_durable_tail_syncs_and_restarts_byte_identical() {
 // ----------------------------------------------------------------------
 
 /// Every replica of a cluster restarts from its own directory after six
-/// receipted batches (n = 4, `fsync_interval_batches` = 1, no fault).
-/// There is no live peer to page a lost batch from, so each restarted
-/// ledger must hold all 21 entries its disk closed (genesis, two bare
-/// batches, four with their evidence pair), and the six receipts must
+/// receipted batches (n = 4 and n = 7, `fsync_interval_batches` = 1, no
+/// fault). There is no live peer to page a lost batch from, so each
+/// restarted ledger must hold all 21 entries its disk closed (genesis, two
+/// bare batches, four with their evidence pair), and the six receipts must
 /// audit `Clean` against each. Cutting the last batch instead turns the
 /// sixth receipt into a view-change omission that blames honest
 /// replicas. Committing again after such a restart is not asserted here.
@@ -505,48 +505,51 @@ fn whole_cluster_restart_keeps_every_receipted_batch() {
     use ia_ccf::audit::{AuditOutcome, Auditor, LedgerPackage, StoredReceipt};
     use ia_ccf::governance::chain::GovernanceChain;
 
-    let tmp = TempDir::new("whole-cluster").expect("tempdir");
-    let spec = ClusterSpec::new(4, 1, durable_params(1));
-    let mut cluster = durable_cluster(&spec, &tmp);
-    let client = spec.clients[0].0;
-    for i in 1..=6 {
-        cluster.submit(client, CounterApp::INCR, b"k".to_vec());
-        assert!(cluster.run_until_finished(i, 400), "batch {i} commits");
-    }
-    let receipts: Vec<StoredReceipt> = cluster
-        .finished
-        .iter()
-        .map(|(_, tx)| StoredReceipt {
-            request: tx.request.clone(),
-            receipt: tx.receipt.clone().expect("receipts"),
-        })
-        .collect();
-    let written: Vec<Vec<Vec<u8>>> = (0..4)
-        .map(|r| {
-            let ledger = cluster.replica(ReplicaId(r)).ledger();
-            ledger.encode_range(LedgerIdx(0), LedgerIdx(ledger.len()))
-        })
-        .collect();
-    for r in 0..4 {
-        drop(cluster.crash_and_drop(ReplicaId(r)).expect("replica present"));
-    }
+    for n in [4, 7] {
+        let tmp = TempDir::new(&format!("whole-cluster-{n}")).expect("tempdir");
+        let spec = ClusterSpec::new(n, 1, durable_params(1));
+        let mut cluster = durable_cluster(&spec, &tmp);
+        let client = spec.clients[0].0;
+        for i in 1..=6 {
+            cluster.submit(client, CounterApp::INCR, b"k".to_vec());
+            assert!(cluster.run_until_finished(i, 400), "n = {n}: batch {i} commits");
+        }
+        let receipts: Vec<StoredReceipt> = cluster
+            .finished
+            .iter()
+            .map(|(_, tx)| StoredReceipt {
+                request: tx.request.clone(),
+                receipt: tx.receipt.clone().expect("receipts"),
+            })
+            .collect();
+        let written: Vec<Vec<Vec<u8>>> = (0..n as u32)
+            .map(|r| {
+                let ledger = cluster.replica(ReplicaId(r)).ledger();
+                ledger.encode_range(LedgerIdx(0), LedgerIdx(ledger.len()))
+            })
+            .collect();
+        for r in 0..n as u32 {
+            drop(cluster.crash_and_drop(ReplicaId(r)).expect("replica present"));
+        }
 
-    let auditor = Auditor::new(spec.genesis.clone(), Arc::new(CounterApp));
-    for (r, written) in written.iter().enumerate() {
-        let mut params = spec.params.clone();
-        params.data_dir = Some(tmp.path().join(format!("r{r}")));
-        let restarted = spec
-            .restart_replica(r, Arc::new(CounterApp), params)
-            .unwrap_or_else(|e| panic!("replica {r} restarts: {e:?}"));
-        let ledger = restarted.ledger();
-        assert_eq!(ledger.len(), 21, "replica {r}: every closed batch is kept");
-        assert!(
-            ledger.encode_range(LedgerIdx(0), LedgerIdx(ledger.len())) == *written,
-            "replica {r}: the restart holds the bytes it wrote"
-        );
-        let package = LedgerPackage::from_replica(&restarted, SeqNum(0));
-        let outcome = auditor.audit(&receipts, &GovernanceChain::new(), &package);
-        assert!(matches!(outcome, AuditOutcome::Clean), "replica {r}: {:?}", outcome.upom());
+        let auditor = Auditor::new(spec.genesis.clone(), Arc::new(CounterApp));
+        for (r, written) in written.iter().enumerate() {
+            let mut params = spec.params.clone();
+            params.data_dir = Some(tmp.path().join(format!("r{r}")));
+            let restarted = spec
+                .restart_replica(r, Arc::new(CounterApp), params)
+                .unwrap_or_else(|e| panic!("n = {n}, replica {r} restarts: {e:?}"));
+            let ledger = restarted.ledger();
+            assert_eq!(ledger.len(), 21, "n = {n}, replica {r}: every closed batch is kept");
+            assert!(
+                ledger.encode_range(LedgerIdx(0), LedgerIdx(ledger.len())) == *written,
+                "n = {n}, replica {r}: the restart holds the bytes it wrote"
+            );
+            let package = LedgerPackage::from_replica(&restarted, SeqNum(0));
+            let outcome = auditor.audit(&receipts, &GovernanceChain::new(), &package);
+            let clean = matches!(outcome, AuditOutcome::Clean);
+            assert!(clean, "n = {n}, replica {r}: {:?}", outcome.upom());
+        }
     }
 }
 

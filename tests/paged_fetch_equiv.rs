@@ -49,6 +49,30 @@ fn committed_cluster(n_txs: usize, cadence: usize, params: ProtocolParams) -> (C
     (spec, cluster)
 }
 
+/// One page `server` serves from `from_seq`: its entries, continuation
+/// token and `done` flag.
+fn serve_page(
+    cluster: &mut DetCluster,
+    server: ReplicaId,
+    from_seq: SeqNum,
+    max_bytes: u64,
+) -> (Vec<Vec<u8>>, SeqNum, bool) {
+    let replica = cluster.replicas.get_mut(&server).expect("server");
+    let outs = replica.inner.handle(Input::Message {
+        from: NodeId::Replica(ReplicaId(9)),
+        msg: ProtocolMsg::FetchLedgerPage { from_seq, max_bytes },
+    });
+    outs.into_iter()
+        .find_map(|o| match o {
+            Output::SendReplica(
+                _,
+                ProtocolMsg::FetchLedgerPageResponse { entries, next_seq, done },
+            ) => Some((entries, next_seq, done)),
+            _ => None,
+        })
+        .expect("page served")
+}
+
 /// Drive the paged protocol against `server` to completion; returns the
 /// concatenated entries and the number of pages.
 fn fetch_all_pages(
@@ -61,21 +85,7 @@ fn fetch_all_pages(
     let mut all = Vec::new();
     let mut pages = 0;
     loop {
-        let replica = cluster.replicas.get_mut(&server).expect("server");
-        let outs = replica.inner.handle(Input::Message {
-            from: NodeId::Replica(ReplicaId(9)),
-            msg: ProtocolMsg::FetchLedgerPage { from_seq: SeqNum(token), max_bytes },
-        });
-        let (entries, next_seq, done) = outs
-            .into_iter()
-            .find_map(|o| match o {
-                Output::SendReplica(
-                    _,
-                    ProtocolMsg::FetchLedgerPageResponse { entries, next_seq, done },
-                ) => Some((entries, next_seq, done)),
-                _ => None,
-            })
-            .expect("page served");
+        let (entries, next_seq, done) = serve_page(cluster, server, SeqNum(token), max_bytes);
         pages += 1;
         assert!(pages < 10_000, "paging did not terminate");
         all.extend(entries);
@@ -328,39 +338,34 @@ fn two_replica_recovery_retries_the_sole_peer() {
     assert_ledgers_byte_identical(&cluster, ReplicaId(1), ReplicaId(0));
 }
 
-/// A hostile server streaming a never-terminating batch segment (an
-/// endless run of transaction entries that no grammar rule can close)
-/// must be abandoned once the withheld buffer exceeds any honest batch —
-/// memory stays bounded.
+/// A hostile page — an endless transaction stream among them — is refused
+/// on the page it arrives in: a page is replayed whole and must end at its
+/// own continuation token, so nothing of it waits for the next page, and
+/// nothing is buffered to bound. Each row hands a fresh recoveree one
+/// page (`done = false`) from its first server, which must be abandoned
+/// at once: the next page request goes to another replica, from the first
+/// batch the recoveree has not applied, and no refused batch is applied.
 #[test]
 fn endless_transaction_stream_is_bounded_and_abandoned() {
     use ia_ccf_types::{
         ClientId, KeyPair, LedgerEntry, ProcId, ReplicaBitmap, Request, RequestAction,
         SignedRequest, TxLedgerEntry, TxResult,
     };
-    let params = ProtocolParams { batch_max: 4, ..ProtocolParams::default() };
-    let spec = ClusterSpec::new(4, 1, params);
-    let mut fresh = spec.build_replica(3, Arc::new(CounterApp));
+    let params = ProtocolParams { batch_max: 4, sync_page_bytes: 1, ..ProtocolParams::default() };
+    let (spec, mut cluster) = committed_cluster(6, 3, params);
     let first_server = ReplicaId(0);
-    let outs = fresh.begin_ledger_sync(first_server);
-    // The sync opens with the tip query; answer it from every peer (no
-    // checkpoint offers) so it proceeds to paging from `first_server`.
-    assert!(outs.iter().any(|o| matches!(o, Output::SendReplica(_, ProtocolMsg::FetchLedgerTip))));
-    let mut outs = Vec::new();
-    for r in 0..3 {
-        outs = fresh.handle(Input::Message {
-            from: NodeId::Replica(ReplicaId(r)),
-            msg: ProtocolMsg::LedgerTipResponse { tip: SeqNum(0), offer: None },
-        });
-    }
-    assert!(outs
-        .iter()
-        .any(|o| matches!(o, Output::SendReplica(r, ProtocolMsg::FetchLedgerPage { .. }) if *r == first_server)));
+    // A one-byte budget serves one batch segment: batch 1 alone, a bare
+    // pre-prepare and its transaction run.
+    let (honest, token, _) = serve_page(&mut cluster, first_server, SeqNum(1), 1);
+    assert_eq!(token, SeqNum(2));
+    assert!(honest.len() >= 3, "batch 1 holds at least two transactions");
 
+    // A pre-prepare no primary signed, then eight transactions (twice
+    // `batch_max`) running to the end of the page.
     let kp = KeyPair::from_label("hostile");
     let tx_kp = KeyPair::from_label("hostile-client");
-    let gt = fresh.gt_hash();
-    let junk_tx = move |i: u64| {
+    let gt = cluster.replica(first_server).gt_hash();
+    let junk_tx = |i: u64| {
         LedgerEntry::Tx(TxLedgerEntry {
             request: SignedRequest::sign(
                 Request {
@@ -381,40 +386,57 @@ fn endless_transaction_stream_is_bounded_and_abandoned() {
         })
         .to_bytes()
     };
-    // Page 1 opens a batch segment (bare pre-prepare, no evidence) whose
-    // transaction run then never ends.
     let mut pp = ia_ccf_types::messages::testutil::test_pp(0, 1, &kp);
     pp.core.evidence_bitmap = ReplicaBitmap::empty();
-    let mut next = 2u64;
-    let mut entries = vec![LedgerEntry::PrePrepare(pp).to_bytes(), junk_tx(1)];
-    let mut fed = 0usize;
-    loop {
-        fed += entries.len();
-        assert!(fed < 200, "buffer cap never tripped after {fed} entries");
+    let mut forged = vec![LedgerEntry::PrePrepare(pp).to_bytes()];
+    forged.extend((1..=8).map(junk_tx));
+
+    let cut = honest[..honest.len() - 1].to_vec();
+    // (row, page entries, continuation token, batches held after the page)
+    let rows = [
+        ("a forged pre-prepare opening an endless transaction run", forged, SeqNum(2), SeqNum(0)),
+        ("an honest batch under a token past it", honest.clone(), SeqNum(3), SeqNum(1)),
+        ("an honest batch missing its last transaction", cut, SeqNum(2), SeqNum(0)),
+    ];
+    for (row, entries, next_seq, applied) in rows {
+        let kept = if applied == SeqNum(0) { 0 } else { honest.len() as u64 };
+        let mut fresh = spec.build_replica(3, Arc::new(CounterApp));
+        // The sync opens with the tip query; answer it from every peer (no
+        // checkpoint offers) so it proceeds to paging from `first_server`.
+        let outs = fresh.begin_ledger_sync(first_server);
+        assert!(outs
+            .iter()
+            .any(|o| matches!(o, Output::SendReplica(_, ProtocolMsg::FetchLedgerTip))));
+        let mut outs = Vec::new();
+        for r in 0..3 {
+            outs = fresh.handle(Input::Message {
+                from: NodeId::Replica(ReplicaId(r)),
+                msg: ProtocolMsg::LedgerTipResponse { tip: SeqNum(0), offer: None },
+            });
+        }
+        assert!(outs.iter().any(|o| matches!(
+            o,
+            Output::SendReplica(r, ProtocolMsg::FetchLedgerPage { .. }) if *r == first_server
+        )));
+
         let outs = fresh.handle(Input::Message {
             from: NodeId::Replica(first_server),
-            msg: ProtocolMsg::FetchLedgerPageResponse {
-                entries: std::mem::take(&mut entries),
-                next_seq: SeqNum(next),
-                done: false,
-            },
+            msg: ProtocolMsg::FetchLedgerPageResponse { entries, next_seq, done: false },
         });
-        if fresh.sync_report().failovers >= 1 {
-            // The cap tripped: the hostile server is abandoned and the
-            // next page request goes to a *different* replica.
-            assert!(outs.iter().any(|o| matches!(
-                o,
-                Output::SendReplica(r, ProtocolMsg::FetchLedgerPage { .. }) if *r != first_server
-            )));
-            break;
-        }
-        next += 1;
-        entries = (0..8).map(|k| junk_tx(next * 100 + k)).collect();
+        assert_eq!(fresh.sync_report().failovers, 1, "{row}: abandoned on this page");
+        let requests: Vec<(ReplicaId, SeqNum)> = outs
+            .iter()
+            .filter_map(|o| match o {
+                Output::SendReplica(r, ProtocolMsg::FetchLedgerPage { from_seq, .. }) => {
+                    Some((*r, *from_seq))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(requests, vec![(ReplicaId(1), applied.next())], "{row}: the next page request");
+        assert_eq!(fresh.prepared_up_to(), applied, "{row}");
+        assert_eq!(fresh.ledger().len(), 1 + kept, "{row}: only genesis and verified batches");
     }
-    // 4 × batch_max + 16 with batch_max 4 ⇒ the buffer never exceeded ~32
-    // entries before the failover; nothing was ever applied.
-    assert_eq!(fresh.prepared_up_to(), SeqNum(0));
-    assert_eq!(fresh.ledger().len(), 1, "only genesis: junk was never applied");
 }
 
 // ----------------------------------------------------------------------

@@ -140,7 +140,14 @@ fn run(n: usize) -> Sizes {
     let outcome = auditor.audit(&receipts, &chain, &package);
     assert!(matches!(outcome, AuditOutcome::Clean), "{:?}", outcome.upom());
 
+    // Every pre-prepare names the digest `d_C` of a checkpoint its
+    // replicas still held, the switch checkpoint's interval included:
+    // none falls back to the zero digest.
     let entries = replica.ledger().entries();
+    let zero_d_c = |e: &&LedgerEntry| {
+        matches!(e, LedgerEntry::PrePrepare(pp) if pp.core.checkpoint_digest.is_zero())
+    };
+    assert_eq!(entries.iter().filter(zero_d_c).count(), 0, "pre-prepares without d_C");
     let of = |pick: fn(&LedgerEntry) -> bool| {
         span(entries.iter().filter(|e| pick(e)).map(Wire::encoded_len))
     };

@@ -479,9 +479,8 @@ fn view_change_mid_ledger_sync_does_not_corrupt_partial_state() {
     }
 
     // Pump exactly three pages (batches 1–3): the first frozen batch has
-    // crossed the wire in its view-0 form — applied or held in the
-    // requester's segment buffer — and the `done` page for batch 4 is
-    // never delivered: the transfer stops mid-flight.
+    // crossed the wire in its view-0 form and been applied, and the `done`
+    // page for batch 4 is never delivered: the transfer stops mid-flight.
     for _ in 0..3 {
         let msg = requests.pop().expect("page request in flight");
         let outs = cluster
@@ -511,11 +510,10 @@ fn view_change_mid_ledger_sync_does_not_corrupt_partial_state() {
     }
     assert!(!fresh.sync_report().complete, "transfer must still be mid-flight");
     assert!(fresh.sync_report().pages >= 3, "three pages delivered");
-    // Batches 1 and 2 are applied; the view-0 frozen batch 3 crossed the
-    // wire and sits withheld in the segment buffer (its transaction run
-    // could still grow), to be applied — and then found divergent — when
-    // the stream resumes.
-    assert_eq!(fresh.prepared_up_to(), SeqNum(2), "committed prefix applied");
+    // Each page is replayed whole: batches 1 and 2 and the view-0 frozen
+    // batch 3 are applied, the last to be found divergent when the stream
+    // resumes.
+    assert_eq!(fresh.prepared_up_to(), SeqNum(3), "every delivered page applied");
 
     // Mid-transfer interruption: view change rolls the frozen batch back
     // cluster-side, re-proposes it in view ≥ 1, and new commits land.

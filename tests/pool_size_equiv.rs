@@ -12,8 +12,6 @@
 //! ([`ia_ccf_smallbank::HOT_ACCOUNTS`]), run on pooled clusters (pool
 //! threads ∈ {2, 8}) and an inline cluster from the same seed. On top of
 //! byte equality, every ledger must replay **clean through the auditor**.
-//! (The file is named for the sharded execution path it used to sweep as
-//! well; that path is gone.)
 
 use std::sync::Arc;
 
@@ -124,7 +122,7 @@ fn schedule(seed: u64, skew_pct: u8, len: usize) -> Vec<WorkloadOp> {
 /// The sweep: pool sizes at representative skews, fixed seed —
 /// byte-identical everything.
 #[test]
-fn shard_sweep_is_byte_identical_across_skews() {
+fn pool_size_sweep_is_byte_identical_across_skews() {
     for skew in [0u8, 50, 100] {
         let ops = schedule(4242 + skew as u64, skew, 32);
         let (inline, inline_tasks) = run(1, &ops);
@@ -365,7 +363,7 @@ proptest! {
     /// Random schedules and skews: pooled (2 and 8 threads) ≡ inline,
     /// and every ledger audits clean (asserted inside `run`).
     #[test]
-    fn differential_sharded_vs_serial(
+    fn differential_pooled_vs_inline(
         seed in any::<u64>(),
         skew in 0..=100u8,
         len in 8..36usize,
