@@ -21,7 +21,7 @@
 use ia_ccf_crypto::{Digest, Hasher};
 use ia_ccf_governance::chain::{member_of, GOV_OUTPUT_PASSED, GOV_OUTPUT_RECORDED};
 use ia_ccf_governance::{GovOutcome, GovernanceState};
-use ia_ccf_kv::{KvStore, TxWriteSet};
+use ia_ccf_kv::KvStore;
 use ia_ccf_types::{RequestAction, SeqNum, SignedRequest, SystemOp, TxResult};
 
 use crate::app::{App, AppError};
@@ -80,7 +80,7 @@ pub fn execute_tx(
     match &req.request.action {
         RequestAction::App { proc, args } => {
             let result = match app.execute(kv, *proc, args, req.request.client) {
-                Ok(output) => committed(output, &commit(kv)),
+                Ok(output) => committed(output, commit(kv)),
                 Err(AppError(why)) => {
                     abort(kv);
                     failed(why)
@@ -96,7 +96,7 @@ pub fn execute_tx(
                     GovOutcome::ReferendumPassed(_) => GOV_OUTPUT_PASSED,
                 };
                 Executed {
-                    result: committed(output.to_vec(), &commit(kv)),
+                    result: committed(output.to_vec(), commit(kv)),
                     effect: Effect::Governance(outcome),
                 }
             }
@@ -122,8 +122,8 @@ pub fn execute_tx(
 }
 
 /// `Ok ⇒ (true, output, digest of the write set)`.
-fn committed(output: Vec<u8>, ws: &TxWriteSet) -> TxResult {
-    TxResult { ok: true, output, write_set_digest: ws.digest() }
+fn committed(output: Vec<u8>, write_set_digest: Digest) -> TxResult {
+    TxResult { ok: true, output, write_set_digest }
 }
 
 /// `Err ⇒ (false, error bytes, zero digest)`: failed transactions are

@@ -11,8 +11,9 @@
 //!
 //! * [`KvStore::begin_tx`] / [`KvStore::put`] / [`KvStore::delete`] /
 //!   [`KvStore::commit_tx`] / [`KvStore::abort_tx`] — transaction-granularity
-//!   execution with an undo log and per-transaction write sets (whose digest
-//!   goes into the ledger entry's result `o`, Fig. 3);
+//!   execution with an undo log; `commit_tx` returns the digest of the
+//!   transaction's write set, which goes into the ledger entry's result `o`
+//!   (Fig. 3);
 //! * [`KvStore::begin_batch`] / [`KvStore::rollback_to_batch`] /
 //!   [`KvStore::release_batches_up_to`] — batch-suffix rollback (Lemma 1);
 //! * [`KvStore::digest`] / [`KvStore::checkpoint`] / [`KvStore::restore`] —
@@ -20,6 +21,16 @@
 //!
 //! Replicas and the auditor execute one transaction at a time, in ledger
 //! order, so the observable history is the serial one (Lemma 2).
+//!
+//! A write is one bucket insert plus one undo record, the key and the
+//! value it replaced. The write set is read off the open transaction's
+//! undo records at commit: their distinct keys, sorted, each with the
+//! value it holds then (`write_set` states the digest's framing). Undo
+//! records live only as long as something can roll them back: an abort
+//! reads the open transaction's, a batch rollback those since a held batch
+//! mark. So a commit with no batch mark held (the auditor, seeding, tests)
+//! drops the log, and [`KvStore::release_batches_up_to`] drops what a
+//! released batch held, never the open transaction's records.
 //!
 //! CCF uses a CHAMP map and snapshots a version of it; we cut the store
 //! into a fixed number of copy-on-write buckets, each an ordered map with
@@ -44,7 +55,6 @@ pub use checkpoint::KvCheckpoint;
 #[doc(hidden)]
 pub use shard::ShardedKvStore;
 pub use store::{KvError, KvStore};
-pub use write_set::TxWriteSet;
 
 /// Keys are arbitrary byte strings.
 pub type Key = Vec<u8>;

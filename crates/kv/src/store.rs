@@ -5,8 +5,7 @@ use ia_ccf_crypto::Digest;
 
 use crate::buckets::Buckets;
 use crate::checkpoint::KvCheckpoint;
-use crate::write_set::TxWriteSet;
-use crate::{Key, Value};
+use crate::{write_set, Key, Value};
 
 /// Errors from misuse of the transactional API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,8 +50,9 @@ struct BatchMark {
 pub struct KvStore {
     map: Buckets,
     undo: Vec<UndoOp>,
-    /// Undo-log length at `begin_tx`, plus the accumulating write set.
-    open_tx: Option<(usize, TxWriteSet)>,
+    /// Undo-log length at `begin_tx`: the open transaction's records, and
+    /// so its write set, are `undo[mark..]`.
+    open_tx: Option<usize>,
     batch_marks: Vec<BatchMark>,
 }
 
@@ -93,39 +93,49 @@ impl KvStore {
         if self.open_tx.is_some() {
             return Err(KvError::TransactionAlreadyOpen);
         }
-        self.open_tx = Some((self.undo.len(), TxWriteSet::new()));
+        self.open_tx = Some(self.undo.len());
         Ok(())
     }
 
     /// Write `key = value` inside the open transaction.
     pub fn put(&mut self, key: Key, value: Value) -> Result<(), KvError> {
-        let (_, ws) = self.open_tx.as_mut().ok_or(KvError::NoOpenTransaction)?;
-        ws.record_put(key.clone(), value.clone());
+        self.open_tx.ok_or(KvError::NoOpenTransaction)?;
         let prior = self.map.insert(key.clone(), value);
         self.undo.push(UndoOp { key, prior });
         Ok(())
     }
 
-    /// Delete `key` inside the open transaction.
+    /// Delete `key` inside the open transaction. Deleting an absent key
+    /// still puts it in the write set.
     pub fn delete(&mut self, key: Key) -> Result<(), KvError> {
-        let (_, ws) = self.open_tx.as_mut().ok_or(KvError::NoOpenTransaction)?;
-        ws.record_delete(key.clone());
+        self.open_tx.ok_or(KvError::NoOpenTransaction)?;
         let prior = self.map.remove(&key);
         self.undo.push(UndoOp { key, prior });
         Ok(())
     }
 
-    /// Commit the open transaction, returning its write set. The undo
-    /// records are retained so the *batch* can still be rolled back
-    /// (Lemma 1) until [`KvStore::release_batches_up_to`] frees them.
-    pub fn commit_tx(&mut self) -> Result<TxWriteSet, KvError> {
-        let (_, ws) = self.open_tx.take().ok_or(KvError::NoOpenTransaction)?;
-        Ok(ws)
+    /// Commit the open transaction, returning the digest of its write set
+    /// (`write_set::digest`): the distinct keys of its undo records,
+    /// each with the value it holds now. While a batch mark is held the
+    /// records stay, so the *batch* can still be rolled back (Lemma 1)
+    /// until [`KvStore::release_batches_up_to`] frees them; with none held
+    /// nothing can read them, and they go here.
+    pub fn commit_tx(&mut self) -> Result<Digest, KvError> {
+        let mark = self.open_tx.take().ok_or(KvError::NoOpenTransaction)?;
+        let mut writes: Vec<(&Key, Option<&Value>)> =
+            self.undo[mark..].iter().map(|op| (&op.key, self.map.get(&op.key))).collect();
+        writes.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        writes.dedup_by(|a, b| a.0 == b.0);
+        let digest = write_set::digest(&writes);
+        if self.batch_marks.is_empty() {
+            self.undo.clear();
+        }
+        Ok(digest)
     }
 
     /// Abort the open transaction, undoing its writes.
     pub fn abort_tx(&mut self) -> Result<(), KvError> {
-        let (mark, _) = self.open_tx.take().ok_or(KvError::NoOpenTransaction)?;
+        let mark = self.open_tx.take().ok_or(KvError::NoOpenTransaction)?;
         self.undo_to(mark);
         Ok(())
     }
@@ -161,30 +171,18 @@ impl KvStore {
 
     /// Drop undo state for batches with sequence number `<= seq`; they are
     /// committed (prepared at N−f replicas) and can no longer be rolled back.
+    /// The open transaction's records are its write set and stay.
     pub fn release_batches_up_to(&mut self, seq: u64) {
-        let keep_from = self.batch_marks.iter().position(|m| m.seq > seq);
-        match keep_from {
-            Some(0) => {}
-            Some(i) => {
-                let first_kept_undo = self.batch_marks[i].undo_len;
-                self.undo.drain(..first_kept_undo);
-                for m in &mut self.batch_marks[i..] {
-                    m.undo_len -= first_kept_undo;
-                }
-                if let Some((m, _)) = self.open_tx.as_mut() {
-                    *m = m.saturating_sub(first_kept_undo);
-                }
-                self.batch_marks.drain(..i);
-            }
-            None => {
-                // Everything released. Any open tx keeps its relative mark.
-                let base = self.open_tx.as_ref().map_or(self.undo.len(), |(m, _)| *m);
-                self.undo.drain(..base);
-                if let Some((m, _)) = self.open_tx.as_mut() {
-                    *m = 0;
-                }
-                self.batch_marks.clear();
-            }
+        let kept = self.batch_marks.iter().position(|m| m.seq > seq).unwrap_or(self.batch_marks.len());
+        let first_kept = self.batch_marks.get(kept).map_or(self.undo.len(), |m| m.undo_len);
+        let cut = self.open_tx.map_or(first_kept, |mark| mark.min(first_kept));
+        self.undo.drain(..cut);
+        self.batch_marks.drain(..kept);
+        for m in &mut self.batch_marks {
+            m.undo_len -= cut;
+        }
+        if let Some(mark) = self.open_tx.as_mut() {
+            *mark -= cut;
         }
     }
 
@@ -305,9 +303,96 @@ mod tests {
         kv.put(k("y"), v("9")).unwrap();
         kv.delete(k("y")).unwrap();
         let ws = kv.commit_tx().unwrap();
-        assert_eq!(ws.get(b"x"), Some(Some(v("2").as_slice())));
-        assert_eq!(ws.get(b"y"), Some(None));
-        assert_eq!(ws.len(), 2);
+        let (x2, y) = (v("2"), k("y"));
+        assert_eq!(ws, write_set::digest(&[(&k("x"), Some(&x2)), (&y, None)]));
+
+        // The value is the one at commit, not the one a write saw: a
+        // later write in the same transaction wins.
+        kv.begin_tx().unwrap();
+        kv.put(k("x"), v("3")).unwrap();
+        kv.put(k("x"), v("2")).unwrap();
+        assert_eq!(kv.commit_tx().unwrap(), write_set::digest(&[(&k("x"), Some(&x2))]));
+    }
+
+    /// The framing is a consensus fact: pinned to values computed from the
+    /// formula in `write_set`'s docs with an independent SHA-256, so a
+    /// framing change fails a unit test before it fails the golden ledger.
+    #[test]
+    fn write_set_digests_are_pinned() {
+        let mut kv = KvStore::new();
+        kv.begin_tx().unwrap();
+        assert_eq!(
+            kv.commit_tx().unwrap().to_string(),
+            "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"
+        );
+        // A SmallBank transfer: two account keys, `checking ‖ savings`.
+        let account = |id: u64| [&[b'a'][..], &id.to_le_bytes()].concat();
+        let balances = |c: i64, s: i64| [c.to_le_bytes(), s.to_le_bytes()].concat();
+        kv.begin_tx().unwrap();
+        kv.put(account(1), balances(1100, 1000)).unwrap();
+        kv.put(account(0), balances(900, 1000)).unwrap();
+        assert_eq!(
+            kv.commit_tx().unwrap().to_string(),
+            "a1cba3b711c6363222427a586b61164efee8709555e2b42803a4c4bf78f1d461"
+        );
+    }
+
+    #[test]
+    fn no_undo_record_survives_a_commit_without_a_batch_mark() {
+        let mut kv = KvStore::new();
+        for round in 0..3 {
+            kv.begin_tx().unwrap();
+            kv.put(k("a"), v("1")).unwrap();
+            kv.delete(k("b")).unwrap();
+            assert_eq!(kv.undo.len(), 2, "round {round}");
+            kv.commit_tx().unwrap();
+            assert!(kv.undo.is_empty(), "round {round}");
+        }
+        // A release of everything leaves the log empty too.
+        kv.begin_batch(1);
+        kv.begin_tx().unwrap();
+        kv.put(k("c"), v("1")).unwrap();
+        kv.commit_tx().unwrap();
+        assert_eq!(kv.undo.len(), 1);
+        kv.release_batches_up_to(1);
+        kv.begin_tx().unwrap();
+        kv.put(k("c"), v("2")).unwrap();
+        kv.commit_tx().unwrap();
+        assert!(kv.undo.is_empty());
+    }
+
+    #[test]
+    fn with_a_batch_mark_held_undo_records_last_until_release() {
+        let mut kv = KvStore::new();
+        kv.begin_batch(1);
+        for i in 0..3 {
+            kv.begin_tx().unwrap();
+            kv.put(k("a"), v(&i.to_string())).unwrap();
+            kv.commit_tx().unwrap();
+        }
+        assert_eq!(kv.undo.len(), 3);
+        kv.begin_batch(2);
+        kv.begin_tx().unwrap();
+        kv.put(k("b"), v("1")).unwrap();
+        kv.commit_tx().unwrap();
+        assert_eq!(kv.undo.len(), 4);
+        kv.rollback_to_batch(2).unwrap();
+        assert_eq!((kv.get(b"a"), kv.get(b"b")), (Some(&v("2")), None));
+        kv.rollback_to_batch(1).unwrap();
+        assert!(kv.is_empty() && kv.undo.is_empty());
+
+        kv.begin_batch(3);
+        kv.begin_tx().unwrap();
+        kv.put(k("a"), v("1")).unwrap();
+        kv.commit_tx().unwrap();
+        kv.begin_batch(4);
+        kv.begin_tx().unwrap();
+        kv.put(k("a"), v("2")).unwrap();
+        kv.commit_tx().unwrap();
+        kv.release_batches_up_to(3);
+        assert_eq!(kv.undo.len(), 1);
+        kv.rollback_to_batch(4).unwrap();
+        assert_eq!(kv.get(b"a"), Some(&v("1")));
     }
 
     #[test]

@@ -1,118 +1,93 @@
-//! Per-transaction write sets.
+//! The write-set digest.
 //!
 //! The ledger entry for a transaction is `⟨t, i, o⟩` where `o` "includes the
 //! reply sent to the client and the hash of the transaction's write-set"
 //! (Fig. 3). The write-set digest lets an auditor replaying the ledger
 //! confirm a transaction's *effects*, not just its reply bytes.
+//!
+//! A transaction's write set is its net effect: each key it wrote or
+//! deleted, once, with its final value (`None` for deleted), in ascending
+//! key order. The store reads it off the transaction's undo records
+//! ([`crate::KvStore::commit_tx`]) and nothing holds it between writes.
+//! The digest is a consensus fact:
+//!
+//! ```text
+//! H(count: u64 ‖ (key-len: u32 ‖ key ‖ 1 ‖ value-len: u32 ‖ value | key-len: u32 ‖ key ‖ 0)*)
+//! ```
+//!
+//! little-endian, hashed in one preimage.
 
-use std::collections::BTreeMap;
-
-use ia_ccf_crypto::{Digest, Hasher};
+use ia_ccf_crypto::{hash_bytes, Digest};
 
 use crate::{Key, Value};
 
-/// The net effect of one transaction: for each touched key, the final value
-/// (`Some`) or deletion (`None`). Later writes to the same key overwrite
-/// earlier ones, so this is canonical regardless of the write order inside
-/// the transaction.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TxWriteSet {
-    writes: BTreeMap<Key, Option<Value>>,
-}
-
-impl TxWriteSet {
-    /// An empty write set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub(crate) fn record_put(&mut self, key: Key, value: Value) {
-        self.writes.insert(key, Some(value));
-    }
-
-    pub(crate) fn record_delete(&mut self, key: Key) {
-        self.writes.insert(key, None);
-    }
-
-    /// Final effect on `key`: `None` if untouched, `Some(None)` if deleted,
-    /// `Some(Some(v))` if written.
-    pub fn get(&self, key: &[u8]) -> Option<Option<&[u8]>> {
-        self.writes.get(key).map(|v| v.as_deref())
-    }
-
-    /// Number of touched keys.
-    pub fn len(&self) -> usize {
-        self.writes.len()
-    }
-
-    /// Whether the transaction touched no keys (read-only).
-    pub fn is_empty(&self) -> bool {
-        self.writes.is_empty()
-    }
-
-    /// Iterate over the touched keys in order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Key, &Option<Value>)> {
-        self.writes.iter()
-    }
-
-    /// Canonical digest of the write set, recorded in the ledger entry's
-    /// result `o`.
-    pub fn digest(&self) -> Digest {
-        let mut h = Hasher::new();
-        h.update((self.writes.len() as u64).to_le_bytes());
-        for (k, v) in &self.writes {
-            h.update((k.len() as u32).to_le_bytes());
-            h.update(k);
-            match v {
-                Some(v) => {
-                    h.update([1u8]);
-                    h.update((v.len() as u32).to_le_bytes());
-                    h.update(v);
-                }
-                None => h.update([0u8]),
+/// Digest of a write set, given as distinct keys in ascending order, each
+/// with its final value (`None` = deleted).
+pub(crate) fn digest(writes: &[(&Key, Option<&Value>)]) -> Digest {
+    let size = writes.iter().map(|(k, v)| 5 + k.len() + v.map_or(0, |v| 4 + v.len())).sum::<usize>();
+    let mut preimage = Vec::with_capacity(8 + size);
+    preimage.extend_from_slice(&(writes.len() as u64).to_le_bytes());
+    for &(k, v) in writes {
+        preimage.extend_from_slice(&(k.len() as u32).to_le_bytes());
+        preimage.extend_from_slice(k);
+        match v {
+            Some(v) => {
+                preimage.push(1);
+                preimage.extend_from_slice(&(v.len() as u32).to_le_bytes());
+                preimage.extend_from_slice(v);
             }
+            None => preimage.push(0),
         }
-        h.finalize()
     }
+    hash_bytes(&preimage)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::KvStore;
+
+    /// The write-set digest of one transaction on a fresh store.
+    fn tx(body: impl FnOnce(&mut KvStore)) -> ia_ccf_crypto::Digest {
+        let mut kv = KvStore::new();
+        kv.begin_tx().unwrap();
+        body(&mut kv);
+        kv.commit_tx().unwrap()
+    }
 
     #[test]
     fn digest_is_insertion_order_independent() {
-        let mut a = TxWriteSet::new();
-        a.record_put(b"k1".to_vec(), b"v1".to_vec());
-        a.record_put(b"k2".to_vec(), b"v2".to_vec());
-        let mut b = TxWriteSet::new();
-        b.record_put(b"k2".to_vec(), b"v2".to_vec());
-        b.record_put(b"k1".to_vec(), b"v1".to_vec());
-        assert_eq!(a.digest(), b.digest());
+        let a = tx(|kv| {
+            kv.put(b"k1".to_vec(), b"v1".to_vec()).unwrap();
+            kv.put(b"k2".to_vec(), b"v2".to_vec()).unwrap();
+        });
+        let b = tx(|kv| {
+            kv.put(b"k2".to_vec(), b"v2".to_vec()).unwrap();
+            kv.put(b"k1".to_vec(), b"v1".to_vec()).unwrap();
+        });
+        assert_eq!(a, b);
     }
 
     #[test]
     fn digest_distinguishes_delete_from_empty_value() {
-        let mut del = TxWriteSet::new();
-        del.record_delete(b"k".to_vec());
-        let mut empty = TxWriteSet::new();
-        empty.record_put(b"k".to_vec(), Vec::new());
-        assert_ne!(del.digest(), empty.digest());
+        let deleted = tx(|kv| kv.delete(b"k".to_vec()).unwrap());
+        let empty = tx(|kv| kv.put(b"k".to_vec(), Vec::new()).unwrap());
+        let untouched = tx(|_| {});
+        assert_ne!(deleted, empty);
+        assert_ne!(deleted, untouched, "deleting an absent key is a write");
     }
 
     #[test]
     fn last_write_wins() {
-        let mut ws = TxWriteSet::new();
-        ws.record_put(b"k".to_vec(), b"a".to_vec());
-        ws.record_delete(b"k".to_vec());
-        ws.record_put(b"k".to_vec(), b"b".to_vec());
-        assert_eq!(ws.get(b"k"), Some(Some(b"b".as_slice())));
-        assert_eq!(ws.len(), 1);
+        let rewritten = tx(|kv| {
+            kv.put(b"k".to_vec(), b"a".to_vec()).unwrap();
+            kv.delete(b"k".to_vec()).unwrap();
+            kv.put(b"k".to_vec(), b"b".to_vec()).unwrap();
+        });
+        assert_eq!(rewritten, tx(|kv| kv.put(b"k".to_vec(), b"b".to_vec()).unwrap()));
     }
 
     #[test]
     fn empty_write_set_digest_is_stable() {
-        assert_eq!(TxWriteSet::new().digest(), TxWriteSet::new().digest());
-        assert!(TxWriteSet::new().is_empty());
+        assert_eq!(tx(|_| {}), tx(|_| {}));
     }
 }

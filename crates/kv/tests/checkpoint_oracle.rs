@@ -9,6 +9,10 @@
 //! [`streaming_digest`] computes it from scratch, and every digest
 //! replicas and auditors agree on must equal it. A body that is not the
 //! encoding of some store must not decode.
+//!
+//! A transaction's write-set digest, which `commit_tx` reads off the undo
+//! log, is held the same way to [`write_set_digest`], taken over a model of
+//! the transaction's final effects.
 
 use std::collections::BTreeMap;
 
@@ -51,6 +55,27 @@ fn streaming_digest<'a>(entries: impl IntoIterator<Item = (&'a [u8], &'a [u8])>)
         top.update(h.finalize());
     }
     top.finalize()
+}
+
+/// The write-set digest of a transaction whose final effects are `writes`
+/// (`None` = deleted): `count: u64 ‖ (key-len: u32 ‖ key ‖ 1 ‖ value-len:
+/// u32 ‖ value | key-len: u32 ‖ key ‖ 0)*`, little-endian, ascending keys.
+fn write_set_digest(writes: &BTreeMap<Vec<u8>, Option<Vec<u8>>>) -> Digest {
+    let mut h = Hasher::new();
+    h.update((writes.len() as u64).to_le_bytes());
+    for (k, v) in writes {
+        h.update((k.len() as u32).to_le_bytes());
+        h.update(k);
+        match v {
+            Some(v) => {
+                h.update([1u8]);
+                h.update((v.len() as u32).to_le_bytes());
+                h.update(v);
+            }
+            None => h.update([0u8]),
+        }
+    }
+    h.finalize()
 }
 
 /// [`streaming_digest`] of a model store.
@@ -242,13 +267,17 @@ proptest! {
     /// Random interleavings of transactions, batch rollbacks and releases,
     /// checkpoints, restores and byte round trips: after every step the
     /// store digest is the naive one over a model map, and every earlier
-    /// checkpoint still reads its own entries, bytes and digest.
+    /// checkpoint still reads its own entries, bytes and digest. Every
+    /// commit's write-set digest is the naive one over the transaction's
+    /// final effects (rewrites, put-then-delete, deletes of absent keys,
+    /// releases while it is open).
     #[test]
     fn the_incremental_digest_is_the_naive_one(steps in vec(step(), 1..60)) {
         let pool = key_pool();
         let mut kv = KvStore::new();
         let mut model = Model::new();
         let mut tx_start: Option<Model> = None;
+        let mut tx_writes: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
         let mut marks: Vec<(u64, Model)> = Vec::new();
         let mut next_seq = 1u64;
         let mut taken: Vec<Taken> = Vec::new();
@@ -257,6 +286,7 @@ proptest! {
                 Step::Put(..) | Step::Delete(_) if tx_start.is_none() => {
                     kv.begin_tx().unwrap();
                     tx_start = Some(model.clone());
+                    tx_writes.clear();
                 }
                 _ => {}
             }
@@ -264,14 +294,16 @@ proptest! {
                 Step::Put(k, v) => {
                     kv.put(pool[k].clone(), vec![v; 1 + k % 3]).unwrap();
                     model.insert(pool[k].clone(), vec![v; 1 + k % 3]);
+                    tx_writes.insert(pool[k].clone(), Some(vec![v; 1 + k % 3]));
                 }
                 Step::Delete(k) => {
                     kv.delete(pool[k].clone()).unwrap();
                     model.remove(&pool[k]);
+                    tx_writes.insert(pool[k].clone(), None);
                 }
                 Step::CommitTx => {
                     if tx_start.take().is_some() {
-                        kv.commit_tx().unwrap();
+                        prop_assert_eq!(kv.commit_tx().unwrap(), write_set_digest(&tx_writes));
                     }
                 }
                 Step::AbortTx => {
@@ -282,7 +314,7 @@ proptest! {
                 }
                 Step::BeginBatch => {
                     if tx_start.take().is_some() {
-                        kv.commit_tx().unwrap();
+                        prop_assert_eq!(kv.commit_tx().unwrap(), write_set_digest(&tx_writes));
                     }
                     kv.begin_batch(next_seq);
                     marks.push((next_seq, model.clone()));
@@ -333,4 +365,28 @@ proptest! {
             }
         }
     }
+}
+
+/// Each write-set case once, by name: a rewrite, a put then a delete, a
+/// delete of an absent key, an aborted transaction, and a release while a
+/// transaction is open.
+#[test]
+fn each_write_set_case_is_the_models() {
+    let (a, b, c) = (b"a".to_vec(), b"b".to_vec(), b"absent".to_vec());
+    let mut kv = KvStore::new();
+    kv.begin_batch(1);
+    kv.begin_tx().unwrap();
+    kv.put(a.clone(), b"1".to_vec()).unwrap();
+    kv.put(b.clone(), b"1".to_vec()).unwrap();
+    kv.abort_tx().unwrap();
+
+    kv.begin_tx().unwrap();
+    kv.put(a.clone(), b"1".to_vec()).unwrap();
+    kv.put(a.clone(), b"2".to_vec()).unwrap();
+    kv.put(b.clone(), b"1".to_vec()).unwrap();
+    kv.release_batches_up_to(1);
+    kv.delete(b.clone()).unwrap();
+    kv.delete(c.clone()).unwrap();
+    let want = BTreeMap::from([(a, Some(b"2".to_vec())), (b, None), (c, None)]);
+    assert_eq!(kv.commit_tx().unwrap(), write_set_digest(&want));
 }

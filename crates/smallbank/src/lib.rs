@@ -64,16 +64,20 @@ impl Balances {
     }
 }
 
-/// Key for an account id.
+/// Key for an account id: `'a' ‖ id` (little-endian).
 pub fn account_key(account: u64) -> Vec<u8> {
-    let mut k = Vec::with_capacity(9);
-    k.push(b'a');
-    k.extend_from_slice(&account.to_le_bytes());
+    account_key_bytes(account).to_vec()
+}
+
+/// [`account_key`] on the stack, so a read allocates nothing.
+fn account_key_bytes(account: u64) -> [u8; 9] {
+    let mut k = [b'a'; 9];
+    k[1..].copy_from_slice(&account.to_le_bytes());
     k
 }
 
 fn read_account(kv: &dyn KvAccess, account: u64) -> Balances {
-    kv.get(&account_key(account)).map(|v| Balances::from_bytes(v)).unwrap_or_default()
+    kv.get(&account_key_bytes(account)).map(|v| Balances::from_bytes(v)).unwrap_or_default()
 }
 
 fn write_account(kv: &mut dyn KvAccess, account: u64, b: Balances) -> Result<(), AppError> {
