@@ -336,17 +336,17 @@ impl Replica {
                     })
                     .collect();
                 let names: Vec<Digest> = bodies.iter().map(|r| r.digest()).collect();
-                let requests: Vec<SignedRequest> = bodies.iter().map(|&r| r.clone()).collect();
+                let requests: Vec<SignedRequest> = bodies.into_iter().cloned().collect();
+                // An accepted segment's bodies live on in this replica's
+                // ledger only; a refused one's are dropped.
                 self.apply_proposed(
                     pp.clone(),
-                    names.clone(),
+                    names,
                     requests,
                     evidence,
                     RequestSigs::CheckedByQuorum,
                 )
                 .map_err(|_| BootstrapError::ExecutionMismatch(*seq))?;
-                // Only an accepted segment's bodies are kept.
-                self.req_store.extend(names.into_iter().zip(bodies.into_iter().cloned()));
 
                 // Frontiers: a replayed batch is prepared; evidence that
                 // passed the rule marks its target committed, and certifies
@@ -646,8 +646,8 @@ impl Replica {
         // ---- everything verified: restore ----
         self.kv.restore(&record.kv);
         let mut ledger = Ledger::from_checkpoint(record.ledger_len, record.frontier.clone());
-        for entry in &decoded {
-            ledger.append(entry.clone());
+        for entry in decoded {
+            ledger.append(entry);
         }
         self.ledger = ledger;
         self.next_tx_index = record.next_tx_index;
@@ -659,14 +659,9 @@ impl Replica {
         self.view = pp.view().max(self.view);
         self.prepared_view.insert(pin.seq, pp.view());
         // The checkpoint batch is in the ledger without having executed
-        // here: its requests get the bookkeeping of any appended batch.
+        // here: its requests get the bookkeeping of any appended batch, and
+        // its bodies are the ledger's.
         self.note_batch_appended(&names);
-        for (name, entry) in names.iter().zip(decoded.drain(1..)) {
-            let LedgerEntry::Tx(tx) = entry else {
-                unreachable!("checked above");
-            };
-            self.req_store.insert(*name, tx.request);
-        }
         self.msgs.put_pp(pp, names);
         // The restored record is this replica's own checkpoint at `seq`:
         // the in-band mark batch at `seq + C` validates against it while
@@ -942,14 +937,15 @@ mod tests {
         out
     }
 
-    /// A replay's verdict, and the ledger length and request bodies it
+    /// A replay's verdict, and the ledger length and ordered requests it
     /// left behind.
     type Outcome = (Result<(), BootstrapError>, u64, Vec<Digest>);
 
     fn outcome(replica: &Replica, verdict: Result<(), BootstrapError>) -> Outcome {
-        let mut bodies: Vec<Digest> = replica.req_store.keys().copied().collect();
-        bodies.sort_unstable();
-        (verdict, replica.ledger.len(), bodies)
+        assert!(replica.req_store.is_empty(), "replay keeps no body");
+        let mut ordered: Vec<Digest> = replica.executed_reqs.iter().copied().collect();
+        ordered.sort_unstable();
+        (verdict, replica.ledger.len(), ordered)
     }
 
     /// Replay trims undo and receipt state as live commit does: a replica
@@ -964,7 +960,7 @@ mod tests {
             bus.submit();
         }
         bus.run_until_committed(SeqNum(80));
-        bus.drop_commits = true;
+        bus.drop_if = Some(crate::test_bus::commits);
         bus.submit();
         bus.submit();
         for _ in 0..3 {
@@ -986,7 +982,7 @@ mod tests {
     /// Wherever forgeries sit against the pre-pass's chunks and windows, a
     /// replay gives what one segment at a time with a single check each
     /// gave: the same `BadPrePrepareSig` at the same seq, the same prefix
-    /// applied and the same bodies kept. Every job fits one window of the
+    /// applied and the same requests ordered. Every job fits one window of the
     /// queue; on four workers it is cut into two chunks (`verify_chunks`),
     /// on one it is checked whole.
     #[test]

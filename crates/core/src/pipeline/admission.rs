@@ -218,30 +218,32 @@ impl Replica {
         self.req_store.insert(digest, req);
     }
 
-    /// Pop up to `batch_max` orderable requests, stopping after a
-    /// governance transaction (a correct primary ends the batch there,
-    /// §B.2), and deferring requests whose `min_index` is not yet
-    /// satisfiable.
-    pub(crate) fn take_eligible_requests(&mut self) -> Vec<Digest> {
-        let mut taken = Vec::new();
+    /// Pop up to `batch_max` orderable requests, with their bodies moved
+    /// out of `req_store`, stopping after a governance transaction (a
+    /// correct primary ends the batch there, §B.2), and deferring requests
+    /// whose `min_index` is not yet satisfiable. A queued name without a
+    /// body was ordered already.
+    pub(crate) fn take_eligible_requests(&mut self) -> (Vec<Digest>, Vec<SignedRequest>) {
+        let mut names = Vec::new();
+        let mut bodies = Vec::new();
         let mut deferred = Vec::new();
         let mut projected_index = self.next_tx_index;
-        while taken.len() < self.params.batch_max {
+        while names.len() < self.params.batch_max {
             let Some(digest) = self.pending_reqs.pop_front() else {
                 break;
             };
-            let Some(req) = self.req_store.get(&digest) else {
+            let Some(req) = self.req_store.remove(&digest) else {
                 continue;
             };
-            if self.executed_reqs.contains(&digest) {
-                continue;
-            }
+            debug_assert!(!self.executed_reqs.contains(&digest), "a stored body was ordered");
             if req.request.min_index.0 > projected_index {
+                self.req_store.insert(digest, req);
                 deferred.push(digest);
                 continue;
             }
             let is_gov = req.is_governance();
-            taken.push(digest);
+            names.push(digest);
+            bodies.push(req);
             projected_index += 1;
             if is_gov {
                 break;
@@ -250,7 +252,16 @@ impl Replica {
         for d in deferred.into_iter().rev() {
             self.pending_reqs.push_front(d);
         }
-        taken
+        (names, bodies)
+    }
+
+    /// Undo [`Self::take_eligible_requests`] for `names`: the bodies go
+    /// back to the store and the names to the head of the queue, in order.
+    pub(crate) fn requeue_front(&mut self, names: Vec<Digest>, bodies: Vec<SignedRequest>) {
+        for (digest, req) in names.into_iter().zip(bodies).rev() {
+            self.pending_reqs.push_front(digest);
+            self.req_store.insert(digest, req);
+        }
     }
 
     /// Hold `pp` for a retry, with the key its signature was proven under
@@ -312,8 +323,9 @@ mod tests {
     }
 
     /// Replay is a door like any other: a batch it appends leaves the
-    /// verified-signature cache, and a segment it refuses — at execution
-    /// or at `Ḡ` — leaves no body behind.
+    /// verified-signature cache and the body store (the ledger holds its
+    /// bodies), and a segment it refuses — at execution or at `Ḡ` —
+    /// leaves no body behind either.
     #[test]
     fn replay_prunes_the_verified_cache_and_keeps_no_refused_body() {
         let mut bus = Bus::new(4);
@@ -345,6 +357,7 @@ mod tests {
         behind.replay_entries(&honest[1..], 1).expect("honest ledger replays");
         assert_eq!(behind.executed_reqs.len(), 12);
         assert_eq!(behind.verified_reqs.intersection(&behind.executed_reqs).count(), 0);
+        assert!(behind.req_store.is_empty(), "appended bodies live in the ledger only");
 
         // The last batch's segment, with its first request swapped for
         // another the client really signed: one whose `min_index` cannot
@@ -359,9 +372,8 @@ mod tests {
         for min_index in [LedgerIdx(u64::MAX), LedgerIdx(0)] {
             let mut fresh = spare();
             fresh.replay_entries(&honest[1..start], 1).expect("honest prefix replays");
-            let mut before: Vec<_> = fresh.req_store.keys().copied().collect();
-            before.sort_unstable();
-            assert_eq!(before.len(), 8);
+            assert_eq!(fresh.executed_reqs.len(), 8);
+            assert!(fresh.req_store.is_empty(), "replay keeps no body");
 
             let mut tampered = honest[start..].to_vec();
             let LedgerEntry::Tx(tx) = &mut tampered[3] else { panic!("a transaction") };
@@ -371,9 +383,8 @@ mod tests {
             );
             let refused = fresh.replay_entries(&tampered, start);
             assert_eq!(refused, Err(BootstrapError::ExecutionMismatch(SeqNum(3))));
-            let mut after: Vec<_> = fresh.req_store.keys().copied().collect();
-            after.sort_unstable();
-            assert_eq!(after, before, "a refused segment's bodies must not be kept");
+            assert!(fresh.req_store.is_empty(), "a refused segment's bodies must not be kept");
+            assert_eq!(fresh.executed_reqs.len(), 8);
             assert_eq!(fresh.ledger.len(), start as u64);
         }
     }
@@ -388,7 +399,7 @@ mod tests {
 
         // Batch 2 executes and prepares everywhere — its requests leave
         // the cache — but no commit is ever delivered.
-        bus.drop_commits = true;
+        bus.drop_if = Some(crate::test_bus::commits);
         for _ in 0..4 {
             bus.submit();
         }
@@ -405,7 +416,7 @@ mod tests {
         // primary proposes it again: the backups must check its
         // signatures afresh rather than find them cached.
         bus.crashed = Some(ReplicaId(0));
-        bus.drop_commits = false;
+        bus.drop_if = None;
         bus.run_until_committed(SeqNum(2));
         for r in bus.live() {
             assert!(r.view().0 >= 1, "the view must have changed");

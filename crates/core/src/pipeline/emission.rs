@@ -45,12 +45,7 @@ impl Replica {
             if et.client == ClientId(0) {
                 continue; // system transaction
             }
-            let req_id = self
-                .req_store
-                .get(&et.request_digest)
-                .map(|r| r.request.req_id)
-                .unwrap_or(0);
-            per_client.entry(et.client).or_default().push(req_id);
+            per_client.entry(et.client).or_default().push(et.req_id);
         }
         for (client, req_ids) in per_client {
             self.send_client(
@@ -125,7 +120,7 @@ impl Replica {
     pub(crate) fn gov_links(&self, exec: &BatchExec, cert: &BatchCertificate) -> Vec<GovLink> {
         let mut links = Vec::new();
         for (pos, et) in exec.txs.iter().enumerate().filter(|(_, et)| et.is_governance) {
-            let Some(request) = self.req_store.get(&et.request_digest).cloned() else {
+            let Some(request) = self.request_body(&et.request_digest).cloned() else {
                 continue;
             };
             let body = ReceiptBody::Tx(TxWitness {
@@ -247,11 +242,7 @@ impl Replica {
             replica: self.id,
             sig: my_sig,
             nonce,
-            req_ids: vec![self
-                .req_store
-                .get(&tx_hash)
-                .map(|r| r.request.req_id)
-                .unwrap_or(0)],
+            req_ids: vec![et.req_id],
         };
         let replyx = ReplyX {
             core: pp.core.clone(),
@@ -299,11 +290,7 @@ impl Replica {
                     replica: self.id,
                     sig: my_sig,
                     nonce,
-                    req_ids: vec![self
-                        .req_store
-                        .get(&tx_hash)
-                        .map(|r| r.request.req_id)
-                        .unwrap_or(0)],
+                    req_ids: vec![et.req_id],
                 };
                 let replyx = ReplyX {
                     core: pp.core.clone(),

@@ -7,6 +7,10 @@
 //! so a locator entry never outlives its batch: a view change drops the
 //! rolled-back tail ([`ExecWindow::drop_after`]), raising the rollback
 //! floor what falls out of the window ([`ExecWindow::drop_up_to`]).
+//!
+//! The locator also finds the body of an ordered request: it is the
+//! ledger's `Tx` entry at the batch's pre-prepare plus one plus the
+//! position (`Replica::request_body`).
 
 use std::collections::{btree_map, BTreeMap, HashMap};
 use std::ops::RangeBounds;
@@ -66,6 +70,12 @@ impl ExecWindow {
         seqs: impl RangeBounds<SeqNum>,
     ) -> btree_map::Range<'_, SeqNum, Arc<BatchExec>> {
         self.batches.range(seqs)
+    }
+
+    /// Where `tx_hash` sits: its batch's seq and its position in that
+    /// batch. Not counted: the counters are for re-fetches.
+    pub(crate) fn position(&self, tx_hash: &Digest) -> Option<(SeqNum, u64)> {
+        self.locator.get(tx_hash).copied()
     }
 
     /// The batch holding `tx_hash`, its seq and the transaction's position
@@ -131,6 +141,7 @@ mod tests {
             .map(|label| ExecTx {
                 request_digest: tx(label),
                 client: ClientId(1),
+                req_id: 0,
                 index: LedgerIdx(0),
                 result: TxResult { ok: true, output: Vec::new(), write_set_digest: Digest::zero() },
                 is_governance: false,

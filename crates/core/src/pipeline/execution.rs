@@ -32,6 +32,9 @@ use crate::replica::Replica;
 pub(crate) struct ExecTx {
     pub request_digest: Digest,
     pub client: ClientId,
+    /// The client's request id, which every reply for this transaction
+    /// carries: replies and re-fetches read it here, not off the body.
+    pub req_id: u64,
     pub index: LedgerIdx,
     pub result: TxResult,
     pub is_governance: bool,
@@ -135,6 +138,7 @@ impl Replica {
             txs.push(ExecTx {
                 request_digest,
                 client: req.request.client,
+                req_id: req.request.req_id,
                 index,
                 result,
                 is_governance: is_gov,
@@ -194,10 +198,12 @@ impl Replica {
     /// Raise the rollback floor to `floor` (it never goes down) and trim
     /// every holder of undo state to it: the KV undo log, the batch marks,
     /// the `M` leaves the ledger keeps for rollback, and the executed
-    /// batches. Batches at or below the floor never roll back (Lemma 1
-    /// undoes only the pipelined tail); a view change whose reset point
-    /// lies below it is refused before anything moves. Live commit, ledger
-    /// replay and checkpoint restore all raise it here.
+    /// batches with the per-batch maps receipts read (this replica's
+    /// nonces, the views batches prepared in). Batches at or below the
+    /// floor never roll back (Lemma 1 undoes only the pipelined tail); a
+    /// view change whose reset point lies below it is refused before
+    /// anything moves. Live commit, ledger replay and checkpoint restore
+    /// all raise it here.
     pub(crate) fn raise_rollback_floor(&mut self, floor: SeqNum) {
         let floor = self.rollback_floor.max(floor);
         self.rollback_floor = floor;
@@ -208,9 +214,15 @@ impl Replica {
             self.ledger.settle(mark.ledger_len_before);
         }
         // Receipts are served from a window of committed batches; the
-        // window never cuts above the floor.
+        // window never cuts above the floor. A receipt served from it
+        // reads its batch's nonce, and evidence is fetched for batches far
+        // above it (the message store keeps the last 32), so both maps
+        // are cut where the window is.
         let window = self.committed_up_to.0.saturating_sub(RETENTION_BATCHES);
-        self.batch_exec.drop_up_to(floor.min(SeqNum(window)));
+        let cut = floor.min(SeqNum(window));
+        self.batch_exec.drop_up_to(cut);
+        self.my_nonces.retain(|&(_, seq), _| seq > cut.0);
+        self.prepared_view = self.prepared_view.split_off(&cut.next());
     }
 
     /// Undo the batch at `seq` and every later one (Lemma 1). `seq` is

@@ -107,7 +107,7 @@ impl Replica {
             }
             // Regular batch: need requests and either a full batch or an
             // expired batch timer.
-            let eligible = self.take_eligible_requests();
+            let (eligible, requests) = self.take_eligible_requests();
             if eligible.is_empty() {
                 return;
             }
@@ -115,25 +115,20 @@ impl Replica {
             let timer_ok = self.tick.saturating_sub(self.last_pp_tick) >= BATCH_DELAY_TICKS;
             if !full && !timer_ok {
                 // Put them back; wait for more.
-                for d in eligible.into_iter().rev() {
-                    self.pending_reqs.push_front(d);
-                }
+                self.requeue_front(eligible, requests);
                 return;
             }
-            let requests: Vec<SignedRequest> =
-                eligible.iter().map(|d| self.req_store[d].clone()).collect();
             let rejected = self.ensure_batch_verified(&requests, &eligible);
             if !rejected.is_empty() {
-                // Evict the forged requests — whatever their class — and
+                // Drop the forged requests — whatever their class — and
                 // retry with the valid remainder, back at the head of the
                 // queue in its order.
-                for digest in eligible.iter().rev() {
-                    if rejected.contains(digest) {
-                        self.req_store.remove(digest);
-                    } else {
-                        self.pending_reqs.push_front(*digest);
-                    }
-                }
+                let (names, bodies) = eligible
+                    .into_iter()
+                    .zip(requests)
+                    .filter(|(digest, _)| !rejected.contains(digest))
+                    .unzip();
+                self.requeue_front(names, bodies);
                 continue;
             }
             // Cross-batch overlap: the current batch's signatures are
@@ -174,12 +169,12 @@ impl Replica {
             self.gt_hash,
         );
         let digest = mark.digest();
-        self.req_store.insert(digest, mark.clone());
         self.send_batch(seq, BatchKind::Checkpoint, vec![mark], vec![digest], None)
     }
 
     /// Assemble, early-execute, log and broadcast the batch at `seq`.
     /// `batch_hashes[i]` is `requests[i]`'s digest (its `req_store` key).
+    /// A batch that is not sent hands its bodies back to `req_store`.
     pub(crate) fn send_batch(
         &mut self,
         seq: SeqNum,
@@ -196,6 +191,7 @@ impl Replica {
         let mut carried = None;
         if seq.0 > p {
             let Some(found) = self.evidence_for(SeqNum(seq.0 - p), None) else {
+                self.hand_back_bodies(batch_hashes, requests);
                 return false;
             };
             carried = Some(found);
@@ -212,6 +208,7 @@ impl Replica {
                 // A correct primary only fails here on min-index races;
                 // roll back and retry later.
                 self.rollback_batch(seq, &mark);
+                self.hand_back_bodies(batch_hashes, requests);
                 return false;
             }
         };
@@ -306,8 +303,9 @@ impl Replica {
     /// into this replica's ledger (`receivePrePrepare`, Alg. 1 line 15,
     /// past its network half): append the evidence, compare `M̄`, apply the
     /// kind rules, execute, compare `Ḡ`, log the batch. **Atomic**: a
-    /// refused batch is rolled back to its mark first. `names[i]` is
-    /// `requests[i]`'s digest; the caller has checked `pp`'s signature.
+    /// refused batch is rolled back to its mark first, and its names and
+    /// bodies are handed back to the caller. `names[i]` is `requests[i]`'s
+    /// digest; the caller has checked `pp`'s signature.
     pub(crate) fn apply_proposed(
         &mut self,
         pp: PrePrepare,
@@ -315,7 +313,7 @@ impl Replica {
         requests: Vec<SignedRequest>,
         evidence: Option<EvidenceSet>,
         sigs: RequestSigs,
-    ) -> Result<(), Refused> {
+    ) -> Result<(), (Vec<Digest>, Vec<SignedRequest>)> {
         let mark = self.open_batch(pp.seq(), evidence);
         match self.execute_proposed(&pp, &names, &requests, sigs) {
             Ok(exec) => {
@@ -325,7 +323,7 @@ impl Replica {
             Err(why) => {
                 self.debug_reject(&pp, &format!("{why:?}"));
                 self.rollback_batch(pp.seq(), &mark);
-                Err(why)
+                Err((names, requests))
             }
         }
     }
@@ -374,13 +372,16 @@ impl Replica {
     }
 
     /// Request-pool bookkeeping for a batch that is now in the ledger: its
-    /// requests are executed (the dedupe set), and their verified-signature
-    /// facts have served their purpose — the cache holds only requests
-    /// still waiting for a batch. A rolled-back and re-queued request is
-    /// simply verified again.
+    /// requests are executed (the dedupe set), their bodies live on in the
+    /// ledger's `Tx` entries only, and their verified-signature facts have
+    /// served their purpose — the store and the cache hold only requests
+    /// still waiting for a batch. A rolled-back and re-queued request gets
+    /// its body back from the ledger tail (`reset_to_seq`) and is simply
+    /// verified again.
     pub(crate) fn note_batch_appended(&mut self, batch: &[Digest]) {
         for d in batch {
             self.executed_reqs.insert(*d);
+            self.req_store.remove(d);
             self.verified_reqs.remove(d);
         }
     }
@@ -433,7 +434,7 @@ impl Replica {
         };
         // hasRequests: all bodies present?
         let missing: Vec<Digest> =
-            batch.iter().filter(|h| !self.req_store.contains_key(*h)).copied().collect();
+            batch.iter().filter(|h| self.request_body(h).is_none()).copied().collect();
         if !missing.is_empty() {
             self.send_replica(sender, ProtocolMsg::FetchRequests { hashes: missing });
             self.stash_pp(pp, batch, proven);
@@ -471,9 +472,25 @@ impl Replica {
         evidence: Option<EvidenceSet>,
     ) {
         let (seq, view, pp_digest) = (pp.seq(), pp.view(), pp.digest());
-        let requests: Vec<SignedRequest> =
-            batch.iter().map(|h| self.req_store[h].clone()).collect();
-        if self.apply_proposed(pp, batch, requests, evidence, RequestSigs::Verify).is_err() {
+        // Bodies move out of the store. One named twice in the batch, or
+        // ordered here before, is copied from where it is held.
+        let mut requests: Vec<SignedRequest> = Vec::with_capacity(batch.len());
+        for (i, h) in batch.iter().enumerate() {
+            let body = match self.req_store.remove(h) {
+                Some(body) => body,
+                None => batch[..i]
+                    .iter()
+                    .position(|d| d == h)
+                    .map(|j| requests[j].clone())
+                    .or_else(|| self.request_body(h).cloned())
+                    .expect("hasRequests found every body"),
+            };
+            requests.push(body);
+        }
+        if let Err((names, requests)) =
+            self.apply_proposed(pp, batch, requests, evidence, RequestSigs::Verify)
+        {
+            self.hand_back_bodies(names, requests);
             return;
         }
 

@@ -75,11 +75,18 @@ pub struct Replica {
     pub(crate) seq_next: SeqNum,
     pub(crate) prepared_up_to: SeqNum,
     pub(crate) committed_up_to: SeqNum,
-    /// View each prepared sequence number prepared in.
+    /// View each prepared sequence number prepared in, above the receipt
+    /// window's cut (`raise_rollback_floor`): at most `RETENTION_BATCHES`
+    /// plus the pipeline.
     pub(crate) prepared_view: BTreeMap<SeqNum, View>,
 
     // Request pool.
     pub(crate) pending_reqs: VecDeque<Digest>,
+    /// The bodies of the requests this replica has not appended yet, by
+    /// name: admitted, fetched, or handed back by a refused or rolled-back
+    /// batch. A body leaves when its batch goes into the ledger, whose
+    /// `Tx` entry is then its one copy; [`Replica::request_body`] reads
+    /// either place. Never shares a key with `executed_reqs`.
     pub(crate) req_store: HashMap<Digest, SignedRequest>,
     pub(crate) executed_reqs: HashSet<Digest>,
     /// Requests whose signatures have been verified — client keys for app
@@ -93,6 +100,8 @@ pub struct Replica {
 
     // Message/nonce stores.
     pub(crate) msgs: MsgStore,
+    /// This replica's nonce per `(view, seq)` it signed a commitment in,
+    /// cut with `prepared_view`; a rollback drops the undone seqs'.
     pub(crate) my_nonces: HashMap<(u64, u64), Nonce>,
     pub(crate) rng: StdRng,
 
@@ -506,7 +515,8 @@ impl Replica {
     pub fn is_primary(&self) -> bool {
         self.gov.active().primary_of(self.view) == self.id
     }
-    /// The view in which `seq` prepared on this replica, if it has.
+    /// The view in which `seq` prepared on this replica, if it has and
+    /// `seq` is still inside the receipt window.
     pub fn prepared_view_of(&self, seq: SeqNum) -> Option<View> {
         self.prepared_view.get(&seq).copied()
     }
@@ -573,7 +583,7 @@ impl Replica {
             (_, ProtocolMsg::NewView { nv, view_changes }) => self.on_new_view(nv, view_changes),
             (NodeId::Replica(sender), ProtocolMsg::FetchRequests { hashes }) => {
                 let requests: Vec<SignedRequest> =
-                    hashes.iter().filter_map(|h| self.req_store.get(h).cloned()).collect();
+                    hashes.iter().filter_map(|h| self.request_body(h).cloned()).collect();
                 if !requests.is_empty() {
                     self.send_replica(sender, ProtocolMsg::FetchRequestsResponse { requests });
                 }
@@ -614,6 +624,42 @@ impl Replica {
                 self.retry_pending_gov_receipts();
             }
             _ => {}
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Request bodies.
+    // ------------------------------------------------------------------
+
+    /// The body named `digest`, wherever this replica holds it: in
+    /// `req_store` while it waits for a batch, else in the ledger's `Tx`
+    /// entry of an executed batch still in the window — the pre-prepare's
+    /// position plus one plus the transaction's. The one reader of an
+    /// ordered body. `None` for a body never seen, or ordered in a batch
+    /// that has left the window.
+    pub(crate) fn request_body(&self, digest: &Digest) -> Option<&SignedRequest> {
+        if let Some(req) = self.req_store.get(digest) {
+            return Some(req);
+        }
+        let (seq, pos) = self.batch_exec.position(digest)?;
+        let at = self.ledger.pp_index_at(seq)? as u64 + 1 + pos;
+        match self.ledger.entry(LedgerIdx(at))? {
+            LedgerEntry::Tx(tx) => {
+                debug_assert_eq!(tx.request.digest(), *digest, "batch {seq} position {pos}");
+                Some(&tx.request)
+            }
+            _ => None,
+        }
+    }
+
+    /// Put back the bodies of a batch that did not go into the ledger, so
+    /// the requests can be ordered again. A body this replica has
+    /// appended elsewhere stays out: the ledger holds it.
+    pub(crate) fn hand_back_bodies(&mut self, names: Vec<Digest>, requests: Vec<SignedRequest>) {
+        for (name, req) in names.into_iter().zip(requests) {
+            if !self.executed_reqs.contains(&name) {
+                self.req_store.insert(name, req);
+            }
         }
     }
 
@@ -677,4 +723,207 @@ impl Replica {
 pub(crate) fn debug_enabled() -> bool {
     static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *FLAG.get_or_init(|| std::env::var_os("IACCF_DEBUG").is_some())
+}
+
+#[cfg(test)]
+mod tests {
+    use ia_ccf_governance::chain::GovLink;
+    use ia_ccf_types::config::testutil::test_config;
+    use ia_ccf_types::{
+        BatchKind, ClientId, GovAction, LedgerEntry, LedgerIdx, ProtocolMsg, ReplicaId, Request,
+        RequestAction, SeqNum, SignedRequest, View,
+    };
+
+    use super::Replica;
+    use crate::events::{Input, NodeId, Output};
+    use crate::params::ProtocolParams;
+    use crate::pipeline::exec_window::RETENTION_BATCHES;
+    use crate::test_bus::{Bus, CLIENT};
+
+    /// The store holds only bodies not yet appended, and the per-batch
+    /// maps stay within the receipt window plus the pipeline.
+    fn bounded(r: &Replica) {
+        let ordered = r.req_store.keys().filter(|d| r.executed_reqs.contains(d)).count();
+        assert_eq!(ordered, 0, "replica {} stores {ordered} ordered bodies", r.id);
+        let bound = (RETENTION_BATCHES + r.pipeline_depth() + 1) as usize;
+        assert!(r.my_nonces.len() <= bound, "replica {}: {} nonces", r.id, r.my_nonces.len());
+        let prepared = r.prepared_view.len();
+        assert!(prepared <= bound, "replica {}: {prepared} prepared views", r.id);
+    }
+
+    /// Submit `n` requests and run until every replica has ordered them
+    /// and committed what it ordered.
+    fn commit(bus: &mut Bus, n: usize) -> Vec<SignedRequest> {
+        let sent: Vec<SignedRequest> = (0..n).map(|_| bus.submit()).collect();
+        for _ in 0..300 {
+            let done = bus.replicas.iter().all(|r| {
+                r.committed_up_to().next() == r.seq_next
+                    && sent.iter().all(|req| r.executed_reqs.contains(&req.digest()))
+            });
+            if done {
+                return sent;
+            }
+            bus.round();
+        }
+        panic!("{n} requests were not ordered and committed everywhere");
+    }
+
+    /// Over 230 batches — checkpoint marks every 10 and a view change
+    /// that rolls back a tail that executed everywhere but never prepared,
+    /// whose requests only the bodies put back from the ledger carry into
+    /// the new view — every replica, after every input, stores no ordered
+    /// body and holds bounded per-batch maps; at the end it has ordered
+    /// every request and stores no body at all.
+    #[test]
+    fn request_store_soak_holds_only_pending_bodies() {
+        let mut bus = Bus::with_params(ProtocolParams {
+            batch_max: 1,
+            view_timeout_ticks: 8,
+            // Live pools, sized by `IACCF_POOL_THREADS` or the host.
+            pool_threads: 0,
+            ..ProtocolParams::default()
+        });
+        bus.check = Some(bounded);
+        let mut sent = commit(&mut bus, 100);
+
+        // Batches execute everywhere but never prepare: the view changes,
+        // and the tail rolls back with its requests back in the queue.
+        bus.drop_if =
+            Some(|_, _, msg| matches!(msg, ProtocolMsg::Prepare(_) | ProtocolMsg::Commit(_)));
+        sent.extend((0..4).map(|_| bus.submit()));
+        for _ in 0..3 {
+            bus.round();
+        }
+        let new_primary = &bus.replicas[1];
+        assert!(new_primary.seq_next.0 > new_primary.prepared_up_to().0 + 1, "an unprepared tail");
+        bus.drop_if = None;
+        sent.extend(commit(&mut bus, 110));
+
+        for r in &bus.replicas {
+            assert_eq!(r.view(), View(1), "replica {}", r.id);
+            assert!(r.committed_up_to() >= SeqNum(230), "{}", r.committed_up_to());
+            assert!(r.req_store.is_empty(), "replica {} stores {}", r.id, r.req_store.len());
+            assert!(sent.iter().all(|req| r.executed_reqs.contains(&req.digest())));
+        }
+    }
+
+    /// A backup that never saw the requests asks the primary for them
+    /// after the primary appended the batch: the primary serves the bodies
+    /// out of its ledger, and the backup commits.
+    #[test]
+    fn a_backup_fetches_bodies_the_primary_holds_only_in_its_ledger() {
+        let mut bus = Bus::new(4);
+        bus.drop_if =
+            Some(|to, _, msg| to == ReplicaId(2) && matches!(msg, ProtocolMsg::Request(_)));
+        let sent = commit(&mut bus, 4);
+        assert!(bus.replicas[0].req_store.is_empty());
+        let backup = &bus.replicas[2];
+        assert!(sent.iter().all(|req| backup.executed_reqs.contains(&req.digest())));
+    }
+
+    /// A pre-prepare may name one request twice (nothing but the primary's
+    /// queue dedupes a batch): each backup moves the body out of its store
+    /// once and copies it for the second name, and the batch commits.
+    #[test]
+    fn a_batch_naming_a_request_twice_commits() {
+        let mut bus = Bus::new(2);
+        // The backups take the request off the bus before the batch.
+        let req = bus.submit();
+        let name = req.digest();
+        let primary = &mut bus.replicas[0];
+        let twice = vec![req.clone(), req];
+        assert!(primary.send_batch(SeqNum(1), BatchKind::Regular, twice, vec![name; 2], None));
+        let outputs = std::mem::take(&mut primary.out);
+        bus.route(ReplicaId(0), outputs);
+        bus.run_until_committed(SeqNum(1));
+        for r in &bus.replicas {
+            let pp_at = r.ledger.pp_index_at(SeqNum(1)).expect("batch 1") as u64;
+            let txs = [pp_at + 1, pp_at + 2].map(|at| match r.ledger.entry(LedgerIdx(at)) {
+                Some(LedgerEntry::Tx(tx)) => tx.request.digest(),
+                other => panic!("replica {}: {other:?}", r.id),
+            });
+            assert_eq!(txs, [name; 2], "replica {}", r.id);
+            assert!(r.req_store.is_empty(), "replica {}", r.id);
+        }
+    }
+
+    /// A receipt re-fetch for a transaction whose body has left the store
+    /// carries the request's own `req_id`, the key a client matches its
+    /// replies on, on every replica.
+    #[test]
+    fn a_refetch_after_the_body_left_the_store_carries_its_req_id() {
+        let mut bus = Bus::new(1);
+        let sent = commit(&mut bus, 6);
+        for r in &mut bus.replicas {
+            for req in &sent {
+                let tx_hash = req.digest();
+                assert!(!r.req_store.contains_key(&tx_hash));
+                let fetch = ProtocolMsg::FetchReceipt { tx_hash };
+                let outputs = r.handle(Input::Message { from: NodeId::Client(CLIENT), msg: fetch });
+                let msgs: Vec<ProtocolMsg> = outputs
+                    .into_iter()
+                    .map(|out| match out {
+                        Output::SendClient(CLIENT, msg) => msg,
+                        other => panic!("not a reply to the client: {other:?}"),
+                    })
+                    .collect();
+                assert_eq!(msgs, r.refetch_oracle_linear(tx_hash));
+                let [ProtocolMsg::Reply(reply), ProtocolMsg::ReplyX(replyx)] = &msgs[..] else {
+                    panic!("replica {}: {msgs:?}", r.id);
+                };
+                assert_eq!(reply.req_ids, [req.request.req_id], "replica {}", r.id);
+                assert_eq!(replyx.tx_hash, tx_hash);
+            }
+        }
+    }
+
+    /// A governance transaction whose certificate is deferred — replica 1
+    /// never gets the primary's commit, so it commits the batch without
+    /// the primary's share — gets its link once a later pre-prepare's
+    /// evidence fetch brings the nonce, long after the body was appended.
+    #[test]
+    fn a_deferred_governance_certificate_still_links_its_transaction() {
+        let mut bus = Bus::new(1);
+        bus.drop_if = Some(|to, from, msg| {
+            to == ReplicaId(1)
+                && from == NodeId::Replica(ReplicaId(0))
+                && matches!(msg, ProtocolMsg::Commit(_))
+        });
+        let (genesis, _, member_keys) = test_config(4);
+        let mut next = genesis;
+        next.number += 1;
+        let propose = SignedRequest::sign(
+            Request {
+                action: RequestAction::Governance(GovAction::Propose {
+                    proposal_id: 1,
+                    new_config: next,
+                }),
+                client: ClientId(0),
+                gt_hash: bus.replicas[0].gt_hash(),
+                min_index: LedgerIdx(0),
+                req_id: 1,
+            },
+            &member_keys[0],
+        );
+        bus.submit_request(ClientId(0), propose.clone());
+        bus.run_until_committed(SeqNum(1));
+        let deferred = &bus.replicas[1];
+        assert_eq!(deferred.pending_gov_receipts, [(SeqNum(1), View(0))]);
+        assert!(deferred.gov_chain.is_empty());
+        assert!(!deferred.req_store.contains_key(&propose.digest()));
+
+        commit(&mut bus, 4);
+        for r in &bus.replicas {
+            assert!(r.pending_gov_receipts.is_empty(), "replica {}", r.id);
+            let links: Vec<_> = r
+                .gov_chain
+                .iter()
+                .map(|link| match link {
+                    GovLink::GovTx { request, receipt } => (request, receipt.seq()),
+                    GovLink::Boundary { .. } => panic!("no reconfiguration ran"),
+                })
+                .collect();
+            assert_eq!(links, [(&propose, SeqNum(1))], "replica {}", r.id);
+        }
+    }
 }

@@ -22,21 +22,32 @@ pub(crate) struct Bus {
     pub replicas: Vec<Replica>,
     queue: VecDeque<(ReplicaId, NodeId, ProtocolMsg)>,
     pub crashed: Option<ReplicaId>,
-    pub drop_commits: bool,
+    /// Drops every message `(to, from, msg)` it returns `true` for.
+    pub drop_if: Option<fn(ReplicaId, NodeId, &ProtocolMsg) -> bool>,
+    /// Run on a replica after each input it handles.
+    pub check: Option<fn(&Replica)>,
     pub client_key: KeyPair,
     next_req_id: u64,
 }
 
+/// A `drop_if` that loses every commit: batches prepare but never commit.
+pub(crate) fn commits(_: ReplicaId, _: NodeId, msg: &ProtocolMsg) -> bool {
+    matches!(msg, ProtocolMsg::Commit(_))
+}
+
 impl Bus {
     pub fn new(batch_max: usize) -> Bus {
-        let (genesis, replica_keys, _) = test_config(4);
-        let client_key = KeyPair::from_label("client-0");
-        let params = ProtocolParams {
+        Bus::with_params(ProtocolParams {
             batch_max,
             view_timeout_ticks: 8,
             pool_threads: 1,
             ..ProtocolParams::default()
-        };
+        })
+    }
+
+    pub fn with_params(params: ProtocolParams) -> Bus {
+        let (genesis, replica_keys, _) = test_config(4);
+        let client_key = KeyPair::from_label("client-0");
         let replicas = replica_keys
             .into_iter()
             .enumerate()
@@ -56,7 +67,8 @@ impl Bus {
             replicas,
             queue: VecDeque::new(),
             crashed: None,
-            drop_commits: false,
+            drop_if: None,
+            check: None,
             client_key,
             next_req_id: 1,
         }
@@ -77,7 +89,8 @@ impl Bus {
         .expect("build replica")
     }
 
-    pub fn submit(&mut self) {
+    /// Sign and send the next counter increment; returns it.
+    pub fn submit(&mut self) -> SignedRequest {
         let request = SignedRequest::sign(
             Request {
                 action: RequestAction::App {
@@ -92,13 +105,30 @@ impl Bus {
             &self.client_key,
         );
         self.next_req_id += 1;
+        self.submit_request(CLIENT, request.clone());
+        request
+    }
+
+    /// Send `request` from `client` to every replica.
+    pub fn submit_request(&mut self, client: ClientId, request: SignedRequest) {
         for to in 0..4 {
             let msg = ProtocolMsg::Request(request.clone());
-            self.queue.push_back((ReplicaId(to), NodeId::Client(CLIENT), msg));
+            self.queue.push_back((ReplicaId(to), NodeId::Client(client), msg));
         }
     }
 
-    fn route(&mut self, from: ReplicaId, outputs: Vec<Output>) {
+    /// Feed `input` to replica `to`, run the check on it, and return its
+    /// outputs.
+    fn deliver(&mut self, to: ReplicaId, input: Input) -> Vec<Output> {
+        let replica = &mut self.replicas[to.0 as usize];
+        let outputs = replica.handle(input);
+        if let Some(check) = self.check {
+            check(replica);
+        }
+        outputs
+    }
+
+    pub fn route(&mut self, from: ReplicaId, outputs: Vec<Output>) {
         for out in outputs {
             match out {
                 Output::SendReplica(to, msg) => {
@@ -121,10 +151,10 @@ impl Bus {
             if crashed == Some(to) || from_crashed {
                 continue;
             }
-            if self.drop_commits && matches!(msg, ProtocolMsg::Commit(_)) {
+            if self.drop_if.is_some_and(|drop| drop(to, from, &msg)) {
                 continue;
             }
-            let outputs = self.replicas[to.0 as usize].handle(Input::Message { from, msg });
+            let outputs = self.deliver(to, Input::Message { from, msg });
             self.route(to, outputs);
         }
     }
@@ -134,7 +164,7 @@ impl Bus {
         self.drain();
         let crashed = self.crashed;
         for id in (0..4).map(ReplicaId).filter(|id| crashed != Some(*id)) {
-            let outputs = self.replicas[id.0 as usize].handle(Input::Tick);
+            let outputs = self.deliver(id, Input::Tick);
             self.route(id, outputs);
         }
         self.drain();

@@ -348,6 +348,13 @@ impl Replica {
         requeue.retain(|d| seen.insert(*d));
         let already_pending: std::collections::HashSet<Digest> =
             self.pending_reqs.iter().copied().collect();
+        // The ledger tail about to be truncated holds the one copy of these
+        // bodies: back into the store with them first.
+        let bodies: Vec<(Digest, SignedRequest)> = requeue
+            .iter()
+            .filter_map(|d| Some((*d, self.request_body(d)?.clone())))
+            .collect();
+        self.req_store.extend(bodies);
         if let Some(mark) = self.batch_marks.get(&first_rolled).cloned() {
             self.rollback_batch(first_rolled, &mark);
         }
@@ -369,6 +376,7 @@ impl Replica {
         self.pending_gov_receipts.retain(|(s, _)| *s <= reset_to);
         self.batch_marks.retain(|s, _| *s <= reset_to);
         self.prepared_view.retain(|s, _| *s <= reset_to);
+        self.my_nonces.retain(|&(_, s), _| s <= reset_to.0);
         self.prepared_up_to = self.prepared_up_to.min(reset_to);
         self.committed_up_to = self.committed_up_to.min(reset_to);
         self.seq_next = self.seq_next.min(first_rolled);
@@ -390,7 +398,7 @@ impl Replica {
                 continue;
             };
             let requests: Vec<SignedRequest> =
-                batch.iter().filter_map(|h| self.req_store.get(h).cloned()).collect();
+                batch.iter().filter_map(|h| self.request_body(h).cloned()).collect();
             if requests.len() != batch.len() {
                 continue;
             }
