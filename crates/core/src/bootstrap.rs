@@ -661,7 +661,7 @@ impl Replica {
         // The checkpoint batch is in the ledger without having executed
         // here: its requests get the bookkeeping of any appended batch, and
         // its bodies are the ledger's.
-        self.note_batch_appended(&names);
+        self.requests.appended(&names);
         self.msgs.put_pp(pp, names);
         // The restored record is this replica's own checkpoint at `seq`:
         // the in-band mark batch at `seq + C` validates against it while
@@ -942,8 +942,8 @@ mod tests {
     type Outcome = (Result<(), BootstrapError>, u64, Vec<Digest>);
 
     fn outcome(replica: &Replica, verdict: Result<(), BootstrapError>) -> Outcome {
-        assert!(replica.req_store.is_empty(), "replay keeps no body");
-        let mut ordered: Vec<Digest> = replica.executed_reqs.iter().copied().collect();
+        assert_eq!(replica.requests.pending_len(), 0, "replay keeps no body");
+        let mut ordered: Vec<Digest> = replica.requests.ordered().copied().collect();
         ordered.sort_unstable();
         (verdict, replica.ledger.len(), ordered)
     }

@@ -110,8 +110,7 @@ impl ByzantineReplica {
     /// Drive the wrapped replica and apply the fault to its outputs.
     pub fn handle(&mut self, input: Input) -> Vec<Output> {
         if self.fault == Fault::ProposeUnverified {
-            let queued = self.inner.pending_reqs.iter().copied();
-            self.inner.verified_reqs.extend(queued);
+            self.inner.requests.trust_queued();
         }
         let outs = self.inner.handle(input);
         match self.fault {

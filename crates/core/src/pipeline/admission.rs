@@ -1,8 +1,9 @@
 //! Pipeline stage 1 — admission (Alg. 1 lines 1–3).
 //!
 //! Requests enter here: `verify(t)` checks the service binding `H(gt)`
-//! and membership at admission, dedupes against the pool and the
-//! executed set, and queues the request for ordering. **Batch time is
+//! and membership at admission, and the request pool
+//! ([`crate::pipeline::request_pool`]) dedupes it against what it holds
+//! and what is ordered, and queues it for ordering. **Batch time is
 //! the one verification point**: whatever door a request body came
 //! through (a client, a `FetchRequestsResponse`), it executes on the live
 //! path only after its class's signature — the
@@ -23,18 +24,18 @@
 //! overlap across batches: while batch *n* executes, the pool verifies
 //! the signatures of the *next* batch (a stashed out-of-order
 //! pre-prepare on a backup, the head of the request queue on the
-//! primary), harvested into the `verified_reqs` cache at the next
+//! primary), harvested into the pool's signature facts at the next
 //! admission. Both overlaps are determinism-safe because signature
 //! validity is a pure function of the request bytes: the cache only
 //! ever holds facts, never timing. Out-of-order pre-prepares waiting
 //! for request bodies are stashed here too.
 //!
-//! **A request is named once.** `H(t)` — the `req_store` key, the
+//! **A request is named once.** `H(t)` — the pool's key, the
 //! pre-prepare's batch entry, the dedupe key, the first field of the `Ḡ`
-//! leaf — is computed from the bytes in `admit_request` and nowhere else
-//! on the live path: every later stage is handed the batch's requests
-//! *with* their names (`&[SignedRequest]` beside `&[Digest]`, same
-//! order), taken from the store's keys.
+//! leaf — is computed from the bytes in `RequestPool::admit` and nowhere
+//! else on the live path: every later stage is handed the batch's
+//! requests *with* their names (`&[SignedRequest]` beside `&[Digest]`,
+//! same order), taken from the pool's keys.
 
 use ia_ccf_crypto::{PendingChecks, VerifyJob};
 use ia_ccf_types::{Digest, PrePrepare, PublicKey, RequestAction, SignedRequest};
@@ -56,9 +57,9 @@ impl Replica {
         if !self.verify_request(&req) {
             return;
         }
-        self.admit_request(req);
+        self.requests.admit(req);
         // Note pending work for the liveness timer.
-        if !self.pending_reqs.is_empty() && self.last_progress_tick == 0 {
+        if self.requests.has_queued() && self.last_progress_tick == 0 {
             self.last_progress_tick = self.tick;
         }
     }
@@ -125,7 +126,7 @@ impl Replica {
             if next_failure.next_if_eq(&i).is_some() {
                 rejected.push(digest);
             } else {
-                self.verified_reqs.insert(digest);
+                self.requests.note_verified(digest);
             }
         }
         rejected
@@ -146,7 +147,7 @@ impl Replica {
         let mut jobs: Vec<VerifyJob> = Vec::new();
         for (&digest, r) in requests {
             if matches!(r.request.action, RequestAction::System(_))
-                || self.verified_reqs.contains(&digest)
+                || self.requests.is_verified(&digest)
             {
                 continue;
             }
@@ -172,20 +173,17 @@ impl Replica {
             return;
         }
         let next_seq = self.seq_next.next();
-        let candidates: Vec<Digest> = if let Some((_, batch, _)) = self
-            .stashed_pps
-            .iter()
-            .find(|(pp, ..)| pp.seq() == next_seq && pp.view() == self.view)
-        {
-            batch.clone()
+        let stashed =
+            self.stashed_pps.iter().find(|(pp, ..)| pp.seq() == next_seq && pp.view() == self.view);
+        let (digests, jobs, _) = if let Some((_, batch, _)) = stashed {
+            self.collect_verify_jobs(
+                batch.iter().filter_map(|d| self.requests.body(d).map(|r| (d, r))),
+            )
         } else if self.is_primary() {
-            self.pending_reqs.iter().take(self.params.batch_max).copied().collect()
+            self.collect_verify_jobs(self.requests.head(self.params.batch_max))
         } else {
             return;
         };
-        let (digests, jobs, _) = self.collect_verify_jobs(
-            candidates.iter().filter_map(|d| self.req_store.get(d).map(|r| (d, r))),
-        );
         if jobs.is_empty() {
             return;
         }
@@ -199,68 +197,6 @@ impl Replica {
     pub(crate) fn harvest_prewarm(&mut self) {
         if let Some(pending) = self.prewarm_verify.take() {
             self.finish_batch_verify(pending);
-        }
-    }
-
-    /// Name a request body — the one place bytes from outside get their
-    /// `H(t)` — store it and queue it for ordering. System requests are
-    /// stored only (a checkpoint batch's backups fetch the mark's
-    /// body): the schedule proposes them, the queue never does.
-    pub(crate) fn admit_request(&mut self, req: SignedRequest) {
-        let digest = req.digest();
-        if self.executed_reqs.contains(&digest) || self.req_store.contains_key(&digest) {
-            // Already known. If executed and committed, re-serve the reply.
-            return;
-        }
-        if !req.is_system() {
-            self.pending_reqs.push_back(digest);
-        }
-        self.req_store.insert(digest, req);
-    }
-
-    /// Pop up to `batch_max` orderable requests, with their bodies moved
-    /// out of `req_store`, stopping after a governance transaction (a
-    /// correct primary ends the batch there, §B.2), and deferring requests
-    /// whose `min_index` is not yet satisfiable. A queued name without a
-    /// body was ordered already.
-    pub(crate) fn take_eligible_requests(&mut self) -> (Vec<Digest>, Vec<SignedRequest>) {
-        let mut names = Vec::new();
-        let mut bodies = Vec::new();
-        let mut deferred = Vec::new();
-        let mut projected_index = self.next_tx_index;
-        while names.len() < self.params.batch_max {
-            let Some(digest) = self.pending_reqs.pop_front() else {
-                break;
-            };
-            let Some(req) = self.req_store.remove(&digest) else {
-                continue;
-            };
-            debug_assert!(!self.executed_reqs.contains(&digest), "a stored body was ordered");
-            if req.request.min_index.0 > projected_index {
-                self.req_store.insert(digest, req);
-                deferred.push(digest);
-                continue;
-            }
-            let is_gov = req.is_governance();
-            names.push(digest);
-            bodies.push(req);
-            projected_index += 1;
-            if is_gov {
-                break;
-            }
-        }
-        for d in deferred.into_iter().rev() {
-            self.pending_reqs.push_front(d);
-        }
-        (names, bodies)
-    }
-
-    /// Undo [`Self::take_eligible_requests`] for `names`: the bodies go
-    /// back to the store and the names to the head of the queue, in order.
-    pub(crate) fn requeue_front(&mut self, names: Vec<Digest>, bodies: Vec<SignedRequest>) {
-        for (digest, req) in names.into_iter().zip(bodies).rev() {
-            self.pending_reqs.push_front(digest);
-            self.req_store.insert(digest, req);
         }
     }
 
@@ -303,8 +239,8 @@ mod tests {
 
     fn assert_no_executed_request_is_cached(bus: &Bus) {
         for r in bus.live() {
-            assert!(!r.executed_reqs.is_empty());
-            let stale = r.verified_reqs.intersection(&r.executed_reqs).count();
+            assert!(r.requests.ordered_len() > 0);
+            let stale = r.requests.verified_ordered();
             assert_eq!(stale, 0, "replica {:?} still caches executed requests", r.id());
         }
     }
@@ -318,7 +254,7 @@ mod tests {
         bus.run_until_committed(SeqNum(10));
         assert_no_executed_request_is_cached(&bus);
         for r in bus.live() {
-            assert_eq!(r.executed_reqs.len(), 40);
+            assert_eq!(r.requests.ordered_len(), 40);
         }
     }
 
@@ -353,11 +289,11 @@ mod tests {
             behind.on_request(req.clone());
         }
         assert!(behind.ensure_batch_verified(&requests, &names).is_empty());
-        assert_eq!(behind.verified_reqs.len(), 12);
+        assert_eq!(behind.requests.verified_len(), 12);
         behind.replay_entries(&honest[1..], 1).expect("honest ledger replays");
-        assert_eq!(behind.executed_reqs.len(), 12);
-        assert_eq!(behind.verified_reqs.intersection(&behind.executed_reqs).count(), 0);
-        assert!(behind.req_store.is_empty(), "appended bodies live in the ledger only");
+        assert_eq!(behind.requests.ordered_len(), 12);
+        assert_eq!(behind.requests.verified_ordered(), 0);
+        assert_eq!(behind.requests.pending_len(), 0, "appended bodies live in the ledger only");
 
         // The last batch's segment, with its first request swapped for
         // another the client really signed: one whose `min_index` cannot
@@ -372,8 +308,8 @@ mod tests {
         for min_index in [LedgerIdx(u64::MAX), LedgerIdx(0)] {
             let mut fresh = spare();
             fresh.replay_entries(&honest[1..start], 1).expect("honest prefix replays");
-            assert_eq!(fresh.executed_reqs.len(), 8);
-            assert!(fresh.req_store.is_empty(), "replay keeps no body");
+            assert_eq!(fresh.requests.ordered_len(), 8);
+            assert_eq!(fresh.requests.pending_len(), 0, "replay keeps no body");
 
             let mut tampered = honest[start..].to_vec();
             let LedgerEntry::Tx(tx) = &mut tampered[3] else { panic!("a transaction") };
@@ -383,8 +319,9 @@ mod tests {
             );
             let refused = fresh.replay_entries(&tampered, start);
             assert_eq!(refused, Err(BootstrapError::ExecutionMismatch(SeqNum(3))));
-            assert!(fresh.req_store.is_empty(), "a refused segment's bodies must not be kept");
-            assert_eq!(fresh.executed_reqs.len(), 8);
+            let kept = fresh.requests.pending_len();
+            assert_eq!(kept, 0, "a refused segment's bodies must not be kept");
+            assert_eq!(fresh.requests.ordered_len(), 8);
             assert_eq!(fresh.ledger.len(), start as u64);
         }
     }
@@ -420,7 +357,7 @@ mod tests {
         bus.run_until_committed(SeqNum(2));
         for r in bus.live() {
             assert!(r.view().0 >= 1, "the view must have changed");
-            assert_eq!(r.executed_reqs.len(), 8);
+            assert_eq!(r.requests.ordered_len(), 8);
         }
         assert_no_executed_request_is_cached(&bus);
     }

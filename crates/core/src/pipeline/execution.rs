@@ -239,7 +239,7 @@ impl Replica {
         // configuration that first took effect after the rolled-back
         // point loses its history entry too.
         if self.gov.active().number != mark.gov_before.active().number {
-            self.verified_reqs.clear(); // back under the previous configuration's keys
+            self.requests.forget_verified(); // back under the previous configuration's keys
         }
         self.gov = (*mark.gov_before).clone();
         self.gov_snapshot = std::sync::Arc::clone(&mark.gov_before);

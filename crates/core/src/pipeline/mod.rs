@@ -14,6 +14,12 @@
 //! | [`execution`] | batch execute + rollback marks | lines 19–26 (early execution, Lemma 1/2) |
 //! | [`emission`] | replies, receipts, checkpoint/evidence serving | lines 34–38 (`reply`, `replyx`) and §5.2 receipts |
 //!
+//! Requests waiting for a batch have one owner, [`request_pool`]: the
+//! pending bodies, the primary's queue over them, their signature facts
+//! and the names already ordered, changed only by one method per step of
+//! a request's life, so a name is queued exactly while its orderable body
+//! waits.
+//!
 //! Executed batches have one owner, [`exec_window`]: the batches behind
 //! `Arc` (each with its tree `G`, which serves its receipt paths) and the
 //! `tx_hash → (seq, pos)` re-fetch locator over them. Rollback and the GC
@@ -31,6 +37,7 @@ pub(crate) mod emission;
 pub(crate) mod exec_window;
 pub(crate) mod execution;
 pub(crate) mod ordering;
+pub(crate) mod request_pool;
 
 pub use exec_window::ReceiptCacheStats;
 

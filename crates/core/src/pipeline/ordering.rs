@@ -43,8 +43,8 @@ pub(crate) struct EvidenceSet {
 /// signatures on a batch's requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum RequestSigs {
-    /// Nothing: each one not already in `verified_reqs` is checked now, on
-    /// the pool, while the batch executes.
+    /// Nothing: each one the request pool holds no fact for is checked
+    /// now, on the worker pool, while the batch executes.
     Verify,
     /// The batch is read out of a ledger, whose evidence entries say a
     /// quorum prepared it — having checked them at their batch time.
@@ -107,7 +107,8 @@ impl Replica {
             }
             // Regular batch: need requests and either a full batch or an
             // expired batch timer.
-            let (eligible, requests) = self.take_eligible_requests();
+            let (eligible, requests) =
+                self.requests.take_batch(self.params.batch_max, self.next_tx_index);
             if eligible.is_empty() {
                 return;
             }
@@ -115,7 +116,7 @@ impl Replica {
             let timer_ok = self.tick.saturating_sub(self.last_pp_tick) >= BATCH_DELAY_TICKS;
             if !full && !timer_ok {
                 // Put them back; wait for more.
-                self.requeue_front(eligible, requests);
+                self.requests.put_back(eligible, requests);
                 return;
             }
             let rejected = self.ensure_batch_verified(&requests, &eligible);
@@ -128,7 +129,7 @@ impl Replica {
                     .zip(requests)
                     .filter(|(digest, _)| !rejected.contains(digest))
                     .unzip();
-                self.requeue_front(names, bodies);
+                self.requests.put_back(names, bodies);
                 continue;
             }
             // Cross-batch overlap: the current batch's signatures are
@@ -173,8 +174,8 @@ impl Replica {
     }
 
     /// Assemble, early-execute, log and broadcast the batch at `seq`.
-    /// `batch_hashes[i]` is `requests[i]`'s digest (its `req_store` key).
-    /// A batch that is not sent hands its bodies back to `req_store`.
+    /// `batch_hashes[i]` is `requests[i]`'s digest (its request pool key).
+    /// A batch that is not sent hands its requests back to the pool.
     pub(crate) fn send_batch(
         &mut self,
         seq: SeqNum,
@@ -191,7 +192,7 @@ impl Replica {
         let mut carried = None;
         if seq.0 > p {
             let Some(found) = self.evidence_for(SeqNum(seq.0 - p), None) else {
-                self.hand_back_bodies(batch_hashes, requests);
+                self.requests.put_back(batch_hashes, requests);
                 return false;
             };
             carried = Some(found);
@@ -208,7 +209,7 @@ impl Replica {
                 // A correct primary only fails here on min-index races;
                 // roll back and retry later.
                 self.rollback_batch(seq, &mark);
-                self.hand_back_bodies(batch_hashes, requests);
+                self.requests.put_back(batch_hashes, requests);
                 return false;
             }
         };
@@ -291,7 +292,7 @@ impl Replica {
             }));
         }
         self.ledger.append_batch(entries);
-        self.note_batch_appended(&names);
+        self.requests.appended(&names);
         self.batch_exec.insert(seq, exec);
         self.batch_marks.insert(seq, mark);
         self.msgs.put_pp(pp, names);
@@ -369,21 +370,6 @@ impl Replica {
             return Err(Refused::RootG);
         }
         Ok(exec)
-    }
-
-    /// Request-pool bookkeeping for a batch that is now in the ledger: its
-    /// requests are executed (the dedupe set), their bodies live on in the
-    /// ledger's `Tx` entries only, and their verified-signature facts have
-    /// served their purpose — the store and the cache hold only requests
-    /// still waiting for a batch. A rolled-back and re-queued request gets
-    /// its body back from the ledger tail (`reset_to_seq`) and is simply
-    /// verified again.
-    pub(crate) fn note_batch_appended(&mut self, batch: &[Digest]) {
-        for d in batch {
-            self.executed_reqs.insert(*d);
-            self.req_store.remove(d);
-            self.verified_reqs.remove(d);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -472,11 +458,11 @@ impl Replica {
         evidence: Option<EvidenceSet>,
     ) {
         let (seq, view, pp_digest) = (pp.seq(), pp.view(), pp.digest());
-        // Bodies move out of the store. One named twice in the batch, or
+        // Bodies move out of the pool. One named twice in the batch, or
         // ordered here before, is copied from where it is held.
         let mut requests: Vec<SignedRequest> = Vec::with_capacity(batch.len());
         for (i, h) in batch.iter().enumerate() {
-            let body = match self.req_store.remove(h) {
+            let body = match self.requests.take(h) {
                 Some(body) => body,
                 None => batch[..i]
                     .iter()
@@ -490,7 +476,7 @@ impl Replica {
         if let Err((names, requests)) =
             self.apply_proposed(pp, batch, requests, evidence, RequestSigs::Verify)
         {
-            self.hand_back_bodies(names, requests);
+            self.requests.put_back(names, requests);
             return;
         }
 

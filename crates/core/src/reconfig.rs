@@ -185,7 +185,7 @@ impl Replica {
         }
         self.gov.activate(new_config.clone());
         self.gov_snapshot = std::sync::Arc::new(self.gov.clone());
-        self.verified_reqs.clear(); // member keys may have changed
+        self.requests.forget_verified(); // member keys may have changed
         if self.config_first_seq.last().map(|(s, _)| *s) != Some(seq.next()) {
             self.config_first_seq.push((seq.next(), new_config.clone()));
         }

@@ -10,7 +10,7 @@
 //! in [`crate::reconfig`]; all of them are `impl Replica` blocks over the
 //! state defined here.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use ia_ccf_crypto::hash_bytes;
@@ -32,6 +32,7 @@ use crate::events::{Input, NodeId, Output};
 use crate::msgstore::MsgStore;
 use crate::params::ProtocolParams;
 use crate::pipeline::exec_window::ExecWindow;
+use crate::pipeline::request_pool::RequestPool;
 use crate::pipeline::BatchMark;
 
 /// The mode a replica is in; [`Replica::handle`] dispatches on it once.
@@ -80,23 +81,9 @@ pub struct Replica {
     /// plus the pipeline.
     pub(crate) prepared_view: BTreeMap<SeqNum, View>,
 
-    // Request pool.
-    pub(crate) pending_reqs: VecDeque<Digest>,
-    /// The bodies of the requests this replica has not appended yet, by
-    /// name: admitted, fetched, or handed back by a refused or rolled-back
-    /// batch. A body leaves when its batch goes into the ledger, whose
-    /// `Tx` entry is then its one copy; [`Replica::request_body`] reads
-    /// either place. Never shares a key with `executed_reqs`.
-    pub(crate) req_store: HashMap<Digest, SignedRequest>,
-    pub(crate) executed_reqs: HashSet<Digest>,
-    /// Requests whose signatures have been verified — client keys for app
-    /// requests, member keys of the active configuration for governance
-    /// (signature checks are deferred and batch-verified, §3.4) and which
-    /// are still waiting for a batch: an entry leaves when its batch is
-    /// appended, so the set does not grow with the ledger.
-    /// Cleared whenever the active configuration changes: the facts are
-    /// relative to its keys.
-    pub(crate) verified_reqs: HashSet<Digest>,
+    /// The requests this replica holds outside its ledger, and the names
+    /// it has ordered (see [`crate::pipeline::request_pool`]).
+    pub(crate) requests: RequestPool,
 
     // Message/nonce stores.
     pub(crate) msgs: MsgStore,
@@ -249,10 +236,7 @@ impl Replica {
             prepared_up_to: SeqNum(0),
             committed_up_to: SeqNum(0),
             prepared_view: BTreeMap::new(),
-            pending_reqs: VecDeque::new(),
-            req_store: HashMap::new(),
-            executed_reqs: HashSet::new(),
-            verified_reqs: HashSet::new(),
+            requests: RequestPool::default(),
             msgs: MsgStore::new(),
             my_nonces: HashMap::new(),
             rng: StdRng::from_seed(seed.0),
@@ -592,7 +576,7 @@ impl Replica {
                 // Bodies only: nothing here is trusted until batch time
                 // verifies it (see `pipeline::admission`).
                 for r in requests {
-                    self.admit_request(r);
+                    self.requests.admit(r);
                 }
                 self.retry_stashed();
             }
@@ -631,14 +615,14 @@ impl Replica {
     // Request bodies.
     // ------------------------------------------------------------------
 
-    /// The body named `digest`, wherever this replica holds it: in
-    /// `req_store` while it waits for a batch, else in the ledger's `Tx`
+    /// The body named `digest`, wherever this replica holds it: in the
+    /// request pool while it waits for a batch, else in the ledger's `Tx`
     /// entry of an executed batch still in the window — the pre-prepare's
     /// position plus one plus the transaction's. The one reader of an
     /// ordered body. `None` for a body never seen, or ordered in a batch
     /// that has left the window.
     pub(crate) fn request_body(&self, digest: &Digest) -> Option<&SignedRequest> {
-        if let Some(req) = self.req_store.get(digest) {
+        if let Some(req) = self.requests.body(digest) {
             return Some(req);
         }
         let (seq, pos) = self.batch_exec.position(digest)?;
@@ -649,17 +633,6 @@ impl Replica {
                 Some(&tx.request)
             }
             _ => None,
-        }
-    }
-
-    /// Put back the bodies of a batch that did not go into the ledger, so
-    /// the requests can be ordered again. A body this replica has
-    /// appended elsewhere stays out: the ledger holds it.
-    pub(crate) fn hand_back_bodies(&mut self, names: Vec<Digest>, requests: Vec<SignedRequest>) {
-        for (name, req) in names.into_iter().zip(requests) {
-            if !self.executed_reqs.contains(&name) {
-                self.req_store.insert(name, req);
-            }
         }
     }
 
@@ -740,11 +713,11 @@ mod tests {
     use crate::pipeline::exec_window::RETENTION_BATCHES;
     use crate::test_bus::{Bus, CLIENT};
 
-    /// The store holds only bodies not yet appended, and the per-batch
-    /// maps stay within the receipt window plus the pipeline.
+    /// The pool holds only bodies not yet appended and queues exactly the
+    /// orderable ones, and the per-batch maps stay within the receipt
+    /// window plus the pipeline.
     fn bounded(r: &Replica) {
-        let ordered = r.req_store.keys().filter(|d| r.executed_reqs.contains(d)).count();
-        assert_eq!(ordered, 0, "replica {} stores {ordered} ordered bodies", r.id);
+        r.requests.check();
         let bound = (RETENTION_BATCHES + r.pipeline_depth() + 1) as usize;
         assert!(r.my_nonces.len() <= bound, "replica {}: {} nonces", r.id, r.my_nonces.len());
         let prepared = r.prepared_view.len();
@@ -758,7 +731,7 @@ mod tests {
         for _ in 0..300 {
             let done = bus.replicas.iter().all(|r| {
                 r.committed_up_to().next() == r.seq_next
-                    && sent.iter().all(|req| r.executed_reqs.contains(&req.digest()))
+                    && sent.iter().all(|req| r.requests.is_ordered(&req.digest()))
             });
             if done {
                 return sent;
@@ -772,8 +745,10 @@ mod tests {
     /// that rolls back a tail that executed everywhere but never prepared,
     /// whose requests only the bodies put back from the ledger carry into
     /// the new view — every replica, after every input, stores no ordered
-    /// body and holds bounded per-batch maps; at the end it has ordered
-    /// every request and stores no body at all.
+    /// body, queues exactly the orderable bodies it stores (a backup,
+    /// which never takes from the head, included) and holds bounded
+    /// per-batch maps; at the end it has ordered every request and stores
+    /// no body at all.
     #[test]
     fn request_store_soak_holds_only_pending_bodies() {
         let mut bus = Bus::with_params(ProtocolParams {
@@ -802,8 +777,9 @@ mod tests {
         for r in &bus.replicas {
             assert_eq!(r.view(), View(1), "replica {}", r.id);
             assert!(r.committed_up_to() >= SeqNum(230), "{}", r.committed_up_to());
-            assert!(r.req_store.is_empty(), "replica {} stores {}", r.id, r.req_store.len());
-            assert!(sent.iter().all(|req| r.executed_reqs.contains(&req.digest())));
+            let stored = r.requests.pending_len();
+            assert_eq!(stored, 0, "replica {} stores {stored}", r.id);
+            assert!(sent.iter().all(|req| r.requests.is_ordered(&req.digest())));
         }
     }
 
@@ -816,9 +792,9 @@ mod tests {
         bus.drop_if =
             Some(|to, _, msg| to == ReplicaId(2) && matches!(msg, ProtocolMsg::Request(_)));
         let sent = commit(&mut bus, 4);
-        assert!(bus.replicas[0].req_store.is_empty());
+        assert_eq!(bus.replicas[0].requests.pending_len(), 0);
         let backup = &bus.replicas[2];
-        assert!(sent.iter().all(|req| backup.executed_reqs.contains(&req.digest())));
+        assert!(sent.iter().all(|req| backup.requests.is_ordered(&req.digest())));
     }
 
     /// A pre-prepare may name one request twice (nothing but the primary's
@@ -843,7 +819,7 @@ mod tests {
                 other => panic!("replica {}: {other:?}", r.id),
             });
             assert_eq!(txs, [name; 2], "replica {}", r.id);
-            assert!(r.req_store.is_empty(), "replica {}", r.id);
+            assert_eq!(r.requests.pending_len(), 0, "replica {}", r.id);
         }
     }
 
@@ -857,7 +833,7 @@ mod tests {
         for r in &mut bus.replicas {
             for req in &sent {
                 let tx_hash = req.digest();
-                assert!(!r.req_store.contains_key(&tx_hash));
+                assert!(r.requests.body(&tx_hash).is_none());
                 let fetch = ProtocolMsg::FetchReceipt { tx_hash };
                 let outputs = r.handle(Input::Message { from: NodeId::Client(CLIENT), msg: fetch });
                 let msgs: Vec<ProtocolMsg> = outputs
@@ -910,7 +886,7 @@ mod tests {
         let deferred = &bus.replicas[1];
         assert_eq!(deferred.pending_gov_receipts, [(SeqNum(1), View(0))]);
         assert!(deferred.gov_chain.is_empty());
-        assert!(!deferred.req_store.contains_key(&propose.digest()));
+        assert!(deferred.requests.body(&propose.digest()).is_none());
 
         commit(&mut bus, 4);
         for r in &bus.replicas {

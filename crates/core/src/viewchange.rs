@@ -47,16 +47,10 @@ impl Replica {
     /// Liveness timer (Alg. 2 line 1): with pending work and no progress
     /// for `view_timeout_ticks`, suspect the primary.
     pub(crate) fn maybe_start_view_change(&mut self) {
-        // Only consult the timer once it could have expired; the cleanup
-        // below is O(queue) and must not run on every tick under load.
         if self.tick.saturating_sub(self.last_progress_tick) < self.params.view_timeout_ticks {
             return;
         }
-        // Drop requests that were already ordered (backups accumulate them
-        // but never pop): they are not pending work.
-        let executed = &self.executed_reqs;
-        self.pending_reqs.retain(|d| !executed.contains(d));
-        let has_pending_work = !self.pending_reqs.is_empty()
+        let has_pending_work = self.requests.has_queued()
             || !self.stashed_pps.is_empty()
             || self.committed_up_to < self.prepared_up_to
             || self.committed_up_to.next() < self.seq_next;
@@ -323,50 +317,22 @@ impl Replica {
     pub(crate) fn reset_to_seq(&mut self, reset_to: SeqNum) {
         debug_assert!(reset_to >= self.rollback_floor, "reset to {reset_to} below the floor");
         let first_rolled = reset_to.next();
-        // Re-queue the rolled-back requests (primary will re-propose or
-        // re-order them).
-        let mut requeue: Vec<Digest> = Vec::new();
-        for (&seq, &v) in self.prepared_view.range(first_rolled..) {
-            if let Some(slot) = self.msgs.slot(seq, v) {
-                if let Some((_, batch)) = &slot.pp {
-                    requeue.extend(batch.iter().copied());
-                }
-            }
-        }
-        // Batches that executed but never *prepared* (their prepares were
-        // lost before the view change) have no prepared_view entry; their
-        // requests live only in the BatchMark-guarded execution state.
-        // Without re-queueing them here, the executed_reqs dedupe would
-        // drop them forever once the batch rolls back. (Note: governance
-        // requests carry the member id in the client field — member 0 is
-        // ClientId(0) — so system requests are excluded by `is_system`
-        // below, never by client id.)
-        for exec in self.batch_exec.range(first_rolled..).map(|(_, e)| e) {
-            requeue.extend(exec.txs.iter().map(|t| t.request_digest));
-        }
-        let mut seen = std::collections::HashSet::new();
-        requeue.retain(|d| seen.insert(*d));
-        let already_pending: std::collections::HashSet<Digest> =
-            self.pending_reqs.iter().copied().collect();
-        // The ledger tail about to be truncated holds the one copy of these
-        // bodies: back into the store with them first.
-        let bodies: Vec<(Digest, SignedRequest)> = requeue
-            .iter()
-            .filter_map(|d| Some((*d, self.request_body(d)?.clone())))
+        // Every rolled-back request goes back to the pool, at the head of
+        // the queue (the primary will re-propose or re-order it) — a batch
+        // that executed but never prepared included: without it, the
+        // dedupe would drop its requests for good. The ledger tail about to
+        // be truncated holds the one copy of their bodies: read them first.
+        let rolled: Vec<(Digest, SignedRequest)> = self
+            .batch_exec
+            .range(first_rolled..)
+            .flat_map(|(_, exec)| exec.txs.iter().map(|t| t.request_digest))
+            .filter_map(|d| Some((d, self.request_body(&d)?.clone())))
             .collect();
-        self.req_store.extend(bodies);
         if let Some(mark) = self.batch_marks.get(&first_rolled).cloned() {
             self.rollback_batch(first_rolled, &mark);
         }
-        for d in requeue {
-            self.executed_reqs.remove(&d);
-            // System requests (checkpoint marks) are regenerated by the
-            // schedule — re-queueing one would smuggle it into a Regular
-            // batch.
-            let requeueable = self.req_store.get(&d).is_some_and(|r| !r.is_system());
-            if requeueable && !already_pending.contains(&d) {
-                self.pending_reqs.push_front(d);
-            }
+        for (name, body) in rolled {
+            self.requests.unorder(name, body);
         }
         // Governance links (and deferred builds) of rolled-back batches
         // carry the old view's certificate: the re-committed batch builds

@@ -20,7 +20,9 @@ use std::sync::Arc;
 
 use common::{forge_new_view_pair, signed_view_change};
 use ia_ccf::audit::package::validate_package;
-use ia_ccf::audit::{AuditOutcome, Auditor, LedgerPackage, PackageError, StoredReceipt};
+use ia_ccf::audit::{
+    AuditOutcome, Auditor, LedgerPackage, PackageError, StoredReceipt, UpomKind,
+};
 use ia_ccf::core::app::CounterApp;
 use ia_ccf::core::byzantine::Fault;
 use ia_ccf::core::{BootstrapError, Input, NodeId, Output, ProtocolParams, Replica};
@@ -1300,5 +1302,21 @@ fn a_reset_below_the_rollback_floor_is_refused() {
         let package = LedgerPackage::from_replica(replica, SeqNum(0));
         let outcome = auditor.audit(&receipts[..floor], &GovernanceChain::new(), &package);
         assert!(matches!(outcome, AuditOutcome::Clean), "replica {r}: {:?}", outcome.upom());
+        // All eight receipts meet a known defect (ROADMAP "Known open
+        // defects"): `reset_to_seq` drops the proof that batch 7 prepared,
+        // the next view change omits it, and the audit of r2's and r3's
+        // ledgers blames a quorum that includes r2, which is honest. These
+        // are the verdicts observed; ROADMAP item 20 (3 (d)) inverts them,
+        // after which every survivor must audit `Clean`.
+        let all = auditor.audit(&receipts, &GovernanceChain::new(), &package);
+        let verdict = all.upom().map(|u| (u.kind.clone(), u.at_seq, u.blamed.clone()));
+        let expected = match r {
+            ReplicaId(1) => None,
+            _ => {
+                let blamed = [ReplicaId(0), ReplicaId(1), ReplicaId(2)].into();
+                Some((UpomKind::ViewChangeOmission, SeqNum(7), blamed))
+            }
+        };
+        assert_eq!(verdict, expected, "replica {r}: all eight receipts");
     }
 }
