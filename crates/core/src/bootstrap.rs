@@ -299,7 +299,7 @@ impl Replica {
                 self.log_new_view(*view, view_changes.clone(), Some(nv)).map_err(refused)?;
                 Ok(())
             }
-            Segment::Batch { evidence_at, nonces_at, pp_at, tx_at, seq, view } => {
+            Segment::Batch { evidence_at, nonces_at, pp_at, tx_at, seq, .. } => {
                 let LedgerEntry::PrePrepare(pp) = &entries[*pp_at] else {
                     unreachable!("segmenter guarantees");
                 };
@@ -353,7 +353,6 @@ impl Replica {
                 // it for the governance chain this replica serves (§5.2).
                 // We did not participate, so we hold no nonces for these
                 // slots — the evidence-fetch path covers gaps.
-                self.prepared_view.insert(*seq, *view);
                 self.prepared_up_to = self.prepared_up_to.max(*seq);
                 if let Some(cert) = cert {
                     let target = cert.core.seq;
@@ -390,8 +389,7 @@ impl Replica {
             (Some(target), Some(recorded)) => (target, recorded),
             _ => return Err(EvidenceError::Unexpected),
         };
-        let held = self.prepared_view.get(&target).and_then(|v| self.msgs.slot(target, *v));
-        let Some((target_pp, _)) = held.and_then(|slot| slot.pp.as_ref()) else {
+        let Some(target_pp) = self.prepared_pp(target) else {
             let below_seed = target <= self.committed_up_to;
             return if below_seed { Ok(None) } else { Err(EvidenceError::WrongTarget) };
         };
@@ -605,7 +603,6 @@ impl Replica {
         let Some((LedgerEntry::PrePrepare(pp), tail)) = decoded.split_first() else {
             return Err("seed does not start with the checkpoint pre-prepare");
         };
-        let pp = pp.clone();
         if pp.seq() != pin.seq {
             return Err("seed pre-prepare is not the checkpoint batch");
         }
@@ -617,7 +614,7 @@ impl Replica {
         }
         // Signature under the active configuration (the fast-path is
         // only offered for single-configuration histories).
-        if !signed_by_view_primary(self.gov.active(), &pp, None) {
+        if !signed_by_view_primary(self.gov.active(), pp, None) {
             return Err("seed pre-prepare signature invalid");
         }
         // The transaction run must carry contiguous indices ending at the
@@ -644,6 +641,7 @@ impl Replica {
         }
 
         // ---- everything verified: restore ----
+        let (view, pp_digest) = (pp.view(), pp.digest());
         self.kv.restore(&record.kv);
         let mut ledger = Ledger::from_checkpoint(record.ledger_len, record.frontier.clone());
         for entry in decoded {
@@ -656,13 +654,12 @@ impl Replica {
         self.committed_up_to = pin.seq;
         // The snapshot holds no undo state below the checkpoint.
         self.raise_rollback_floor(pin.seq);
-        self.view = pp.view().max(self.view);
-        self.prepared_view.insert(pin.seq, pp.view());
+        self.view = view.max(self.view);
         // The checkpoint batch is in the ledger without having executed
         // here: its requests get the bookkeeping of any appended batch, and
         // its bodies are the ledger's.
         self.requests.appended(&names);
-        self.msgs.put_pp(pp, names);
+        self.msgs.set_pp_digest(pin.seq, view, pp_digest);
         // The restored record is this replica's own checkpoint at `seq`:
         // the in-band mark batch at `seq + C` validates against it while
         // the suffix replays, and later audits can start from it.

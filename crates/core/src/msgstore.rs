@@ -1,33 +1,40 @@
-//! The message store `M`: protocol messages indexed by slot.
+//! The message store `M`: the votes on each batch, indexed by slot.
 //!
-//! Replicas keep received pre-prepare/prepare/commit messages in
-//! non-volatile storage until the corresponding commitment evidence is
-//! ordered into the ledger (§3.1). Slots are keyed `(seq, view)` so
+//! Replicas keep received prepare and commit messages until the
+//! commitment evidence they make up is ordered into the ledger (§3.1) and
+//! their batch leaves the receipt window: `raise_rollback_floor` compacts
+//! the store where it cuts the executed batches. A batch's pre-prepare is
+//! the ledger's (`Ledger::pp_at`); a slot keeps only the digest its
+//! prepares are matched against. Slots are keyed `(seq, view)` so
 //! sequence-ordered scans are cheap.
 
 use std::collections::BTreeMap;
 
-use ia_ccf_types::{
-    Commit, Digest, Nonce, PrePrepare, Prepare, ReplicaId, SeqNum, View, ViewChange,
-};
+use ia_ccf_types::{Commit, Digest, Nonce, Prepare, ReplicaId, SeqNum, View, ViewChange};
 
-/// Messages accumulated for one `(seq, view)` slot.
+/// The votes on one `(seq, view)` slot.
 #[derive(Debug, Default, Clone)]
 pub struct Slot {
-    /// The pre-prepare and its batch hash list, once received/sent.
-    pub pp: Option<(PrePrepare, Vec<Digest>)>,
-    /// Digest of `pp`, cached.
+    /// Digest of the pre-prepare this replica took into its ledger at this
+    /// `(seq, view)`: what a matching prepare signs. Set when the batch
+    /// closes, forgotten when it rolls back.
     pub pp_digest: Option<Digest>,
     /// Prepares by sender.
     pub prepares: BTreeMap<ReplicaId, Prepare>,
     /// Commit nonces by sender (validated lazily against commitments).
     pub commits: BTreeMap<ReplicaId, Nonce>,
+    /// This replica's nonce, whose commitment its prepare (its pre-prepare,
+    /// as primary) signs and its commit reveals.
+    pub own_nonce: Option<Nonce>,
 }
 
 /// The message store.
 #[derive(Debug, Default)]
 pub struct MsgStore {
     slots: BTreeMap<(SeqNum, View), Slot>,
+    /// Slots at or below this were compacted; a late vote for one is
+    /// dropped.
+    compacted_to: SeqNum,
     /// View-change messages by (view, sender).
     view_changes: BTreeMap<(View, ReplicaId), ViewChange>,
 }
@@ -38,36 +45,47 @@ impl MsgStore {
         Self::default()
     }
 
-    /// The slot for `(seq, view)`, created on first touch.
-    pub fn slot_mut(&mut self, seq: SeqNum, view: View) -> &mut Slot {
-        self.slots.entry((seq, view)).or_default()
-    }
-
     /// The slot for `(seq, view)`, if it exists.
     pub fn slot(&self, seq: SeqNum, view: View) -> Option<&Slot> {
         self.slots.get(&(seq, view))
     }
 
-    /// Record a pre-prepare (and cache its digest).
-    pub fn put_pp(&mut self, pp: PrePrepare, batch: Vec<Digest>) {
-        let digest = pp.digest();
-        let slot = self.slot_mut(pp.seq(), pp.view());
-        slot.pp_digest = Some(digest);
-        slot.pp = Some((pp, batch));
+    /// The slot for `(seq, view)`, created on first touch; `None` at or
+    /// below the compaction point.
+    fn slot_mut(&mut self, seq: SeqNum, view: View) -> Option<&mut Slot> {
+        (seq > self.compacted_to).then(|| self.slots.entry((seq, view)).or_default())
+    }
+
+    /// The batch at `(seq, view)` closed with the pre-prepare digested
+    /// `pp_digest`.
+    pub fn set_pp_digest(&mut self, seq: SeqNum, view: View, pp_digest: Digest) {
+        if let Some(slot) = self.slot_mut(seq, view) {
+            slot.pp_digest = Some(pp_digest);
+        }
+    }
+
+    /// This replica committed to `nonce` at `(seq, view)`.
+    pub fn set_own_nonce(&mut self, seq: SeqNum, view: View, nonce: Nonce) {
+        if let Some(slot) = self.slot_mut(seq, view) {
+            slot.own_nonce = Some(nonce);
+        }
     }
 
     /// Record a prepare.
     pub fn put_prepare(&mut self, p: Prepare) {
-        self.slot_mut(p.seq, p.view).prepares.insert(p.replica, p);
+        if let Some(slot) = self.slot_mut(p.seq, p.view) {
+            slot.prepares.insert(p.replica, p);
+        }
     }
 
     /// Record a commit nonce.
     pub fn put_commit(&mut self, c: &Commit) {
-        self.slot_mut(c.seq, c.view).commits.insert(c.replica, c.nonce);
+        if let Some(slot) = self.slot_mut(c.seq, c.view) {
+            slot.commits.insert(c.replica, c.nonce);
+        }
     }
 
-    /// Prepares in the slot whose `pp_digest` matches the stored
-    /// pre-prepare.
+    /// Prepares in the slot whose `pp_digest` matches the closed batch's.
     pub fn matching_prepares(&self, seq: SeqNum, view: View) -> Vec<&Prepare> {
         let Some(slot) = self.slots.get(&(seq, view)) else {
             return Vec::new();
@@ -76,6 +94,16 @@ impl MsgStore {
             return Vec::new();
         };
         slot.prepares.values().filter(|p| p.pp_digest == ppd).collect()
+    }
+
+    /// A rollback to `seq`: every later slot forgets its batch's digest and
+    /// this replica's nonce. Other replicas' votes stay — a prepare for the
+    /// next view's re-proposal can arrive before its new-view.
+    pub fn forget_own_after(&mut self, seq: SeqNum) {
+        for (_, slot) in self.slots.range_mut((seq.next(), View(0))..) {
+            slot.pp_digest = None;
+            slot.own_nonce = None;
+        }
     }
 
     /// Record a view-change message.
@@ -104,19 +132,29 @@ impl MsgStore {
         counts
     }
 
-    /// Drop slots with `seq <= upto` (their evidence is in the ledger and
-    /// batches can no longer roll back) and view-changes for views `< upto_view`.
+    /// Drop slots with `seq <= upto` (their batches left the receipt window
+    /// and can no longer roll back), and refuse votes for them from now on;
+    /// drop view-changes for views `< upto_view`.
     pub fn compact(&mut self, upto: SeqNum, upto_view: View) {
-        self.slots.retain(|(s, _), _| *s > upto);
+        self.compacted_to = self.compacted_to.max(upto);
+        while let Some(slot) = self.slots.first_entry().filter(|s| s.key().0 <= upto) {
+            slot.remove();
+        }
         self.view_changes.retain(|(v, _), _| *v >= upto_view);
+    }
+}
+
+#[cfg(test)]
+impl MsgStore {
+    /// Every slot, ascending.
+    pub(crate) fn slots(&self) -> impl Iterator<Item = (&(SeqNum, View), &Slot)> {
+        self.slots.iter()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ia_ccf_crypto::KeyPair;
-    use ia_ccf_types::messages::testutil::test_pp;
     use ia_ccf_types::NonceCommitment;
 
     fn prepare(seq: u64, view: u64, replica: u32, ppd: Digest) -> Prepare {
@@ -132,11 +170,9 @@ mod tests {
 
     #[test]
     fn matching_prepares_filters_by_pp_digest() {
-        let kp = KeyPair::from_label("p");
-        let pp = test_pp(0, 1, &kp);
-        let ppd = pp.digest();
+        let ppd = ia_ccf_crypto::hash_bytes(b"pp");
         let mut store = MsgStore::new();
-        store.put_pp(pp, vec![]);
+        store.set_pp_digest(SeqNum(1), View(0), ppd);
         store.put_prepare(prepare(1, 0, 1, ppd));
         store.put_prepare(prepare(1, 0, 2, Digest::zero())); // mismatched
         store.put_prepare(prepare(1, 0, 3, ppd));
@@ -183,10 +219,43 @@ mod tests {
     #[test]
     fn compact_drops_old_slots() {
         let mut store = MsgStore::new();
-        store.slot_mut(SeqNum(1), View(0));
-        store.slot_mut(SeqNum(5), View(0));
+        store.put_prepare(prepare(1, 0, 1, Digest::zero()));
+        store.put_prepare(prepare(5, 0, 1, Digest::zero()));
         store.compact(SeqNum(3), View(0));
         assert!(store.slot(SeqNum(1), View(0)).is_none());
         assert!(store.slot(SeqNum(5), View(0)).is_some());
+    }
+
+    #[test]
+    fn a_vote_at_or_below_the_compaction_point_is_dropped() {
+        let mut store = MsgStore::new();
+        store.compact(SeqNum(3), View(0));
+        store.put_prepare(prepare(2, 0, 1, Digest::zero()));
+        store.set_own_nonce(SeqNum(3), View(0), Nonce([1; 16]));
+        assert!(store.slot(SeqNum(2), View(0)).is_none());
+        assert!(store.slot(SeqNum(3), View(0)).is_none());
+        // The point never goes down.
+        store.compact(SeqNum(1), View(0));
+        store.put_prepare(prepare(2, 0, 1, Digest::zero()));
+        assert!(store.slot(SeqNum(2), View(0)).is_none());
+    }
+
+    #[test]
+    fn a_rollback_forgets_own_state_after_the_point_and_keeps_votes() {
+        let mut store = MsgStore::new();
+        for seq in [1, 2] {
+            store.set_pp_digest(SeqNum(seq), View(0), Digest::zero());
+            store.set_own_nonce(SeqNum(seq), View(0), Nonce([seq as u8; 16]));
+            store.put_prepare(prepare(seq, 0, 1, Digest::zero()));
+        }
+        store.put_prepare(prepare(2, 1, 2, Digest::zero()));
+        store.forget_own_after(SeqNum(1));
+        let kept = store.slot(SeqNum(1), View(0)).unwrap();
+        assert_eq!((kept.pp_digest, kept.own_nonce), (Some(Digest::zero()), Some(Nonce([1; 16]))));
+        for view in [0, 1] {
+            let slot = store.slot(SeqNum(2), View(view)).unwrap();
+            assert_eq!((slot.pp_digest, slot.own_nonce), (None, None), "view {view}");
+            assert_eq!(slot.prepares.len(), 1, "view {view}");
+        }
     }
 }

@@ -29,14 +29,15 @@ use crate::pipeline::BatchExec;
 use crate::replica::Replica;
 
 impl Replica {
-    pub(crate) fn send_replies(&mut self, seq: SeqNum, view: View) {
+    pub(crate) fn send_replies(&mut self, seq: SeqNum) {
         let Some(exec) = self.batch_exec.get(&seq) else {
             return;
         };
-        let Some((pp, my_sig, nonce)) = self.own_share(seq, view) else {
+        let Some((pp, my_sig, nonce)) = self.own_share(seq) else {
             return;
         };
         let (pp, exec) = (pp.clone(), Arc::clone(exec));
+        let view = pp.view();
 
         // One reply per client per batch, listing that client's request
         // ids (§3.3).
@@ -83,15 +84,16 @@ impl Replica {
         }
     }
 
-    /// This replica's share in the quorum's word on `(seq, view)`, as its
-    /// replies carry it: the batch's pre-prepare, its own signature — the
-    /// pre-prepare's if it was the primary, else its prepare's — and nonce.
-    fn own_share(&self, seq: SeqNum, view: View) -> Option<(&PrePrepare, Signature, Nonce)> {
-        let slot = self.msgs.slot(seq, view)?;
-        let (pp, _) = slot.pp.as_ref()?;
+    /// This replica's share in the quorum's word on the batch at `seq`, as
+    /// its replies carry it: the ledger's pre-prepare, and out of that
+    /// pre-prepare's slot its own signature — the pre-prepare's if it was
+    /// the primary, else its prepare's — and nonce.
+    fn own_share(&self, seq: SeqNum) -> Option<(&PrePrepare, Signature, Nonce)> {
+        let pp = self.ledger.pp_at(seq)?;
+        let slot = self.msgs.slot(seq, pp.view())?;
         let sig =
             if pp.core.primary == self.id { pp.sig } else { slot.prepares.get(&self.id)?.sig };
-        Some((pp, sig, *self.my_nonces.get(&(view.0, seq.0))?))
+        Some((pp, sig, slot.own_nonce?))
     }
 
     /// The designated replyx replica for a request: rank `H(t) mod N`
@@ -234,10 +236,9 @@ impl Replica {
         tx_hash: Digest,
     ) -> Option<(Reply, ReplyX)> {
         let et = &exec.txs[pos as usize];
-        let view = exec.view;
-        let (pp, my_sig, nonce) = self.own_share(seq, view)?;
+        let (pp, my_sig, nonce) = self.own_share(seq)?;
         let reply = Reply {
-            view,
+            view: pp.view(),
             seq,
             replica: self.id,
             sig: my_sig,
@@ -255,55 +256,21 @@ impl Replica {
         Some((reply, replyx))
     }
 
-    /// The seed's linear-scan re-fetch, preserved verbatim as the
-    /// reference oracle for the differential tests
-    /// (`tests/receipt_refetch_equiv.rs`): scan the executed batches in
-    /// sequence order for the transaction and rebuild the reply pair from
-    /// the tree directly, bypassing the locator.
-    /// Returns the messages instead of sending them.
+    /// The seed's linear-scan re-fetch, kept as the reference oracle for
+    /// the differential tests (`tests/receipt_refetch_equiv.rs`): scan the
+    /// executed batches in sequence order for the transaction, bypassing
+    /// the locator, and build the pair as a re-fetch does. Returns the
+    /// messages instead of sending them.
     #[doc(hidden)]
     pub fn refetch_oracle_linear(&self, tx_hash: Digest) -> Vec<ProtocolMsg> {
-        for (seq, exec) in self.batch_exec.range(..) {
-            if let Some(pos) = exec.txs.iter().position(|t| t.request_digest == tx_hash) {
-                let et = &exec.txs[pos];
-                let view = exec.view;
-                let Some(slot) = self.msgs.slot(*seq, view) else {
-                    return Vec::new();
-                };
-                let Some((pp, _)) = slot.pp.as_ref() else {
-                    return Vec::new();
-                };
-                let my_sig = if pp.core.primary == self.id {
-                    pp.sig
-                } else {
-                    match slot.prepares.get(&self.id) {
-                        Some(p) => p.sig,
-                        None => return Vec::new(),
-                    }
-                };
-                let Some(nonce) = self.my_nonces.get(&(view.0, seq.0)).copied() else {
-                    return Vec::new();
-                };
-                let reply = Reply {
-                    view,
-                    seq: *seq,
-                    replica: self.id,
-                    sig: my_sig,
-                    nonce,
-                    req_ids: vec![et.req_id],
-                };
-                let replyx = ReplyX {
-                    core: pp.core.clone(),
-                    primary_sig: pp.sig,
-                    tx_hash,
-                    index: et.index,
-                    result: et.result.clone(),
-                    path: exec.tree.path(pos as u64).expect("leaf exists"),
-                };
-                return vec![ProtocolMsg::Reply(reply), ProtocolMsg::ReplyX(replyx)];
-            }
+        let pair = self.batch_exec.range(..).find_map(|(seq, exec)| {
+            let pos = exec.txs.iter().position(|t| t.request_digest == tx_hash)?;
+            Some(self.assemble_refetch(*seq, exec, pos as u64, tx_hash))
+        });
+        match pair.flatten() {
+            Some((reply, replyx)) => vec![ProtocolMsg::Reply(reply), ProtocolMsg::ReplyX(replyx)],
+            None => Vec::new(),
         }
-        Vec::new()
     }
 
     // ------------------------------------------------------------------
@@ -311,7 +278,7 @@ impl Replica {
     // ------------------------------------------------------------------
 
     pub(crate) fn serve_evidence_fetch(&mut self, sender: ReplicaId, seq: SeqNum) {
-        let Some(&view) = self.prepared_view.get(&seq) else {
+        let Some(view) = self.prepared_view_of(seq) else {
             return;
         };
         let Some(slot) = self.msgs.slot(seq, view) else {

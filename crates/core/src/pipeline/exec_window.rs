@@ -129,7 +129,7 @@ mod tests {
     use super::*;
     use crate::pipeline::execution::ExecTx;
     use ia_ccf_merkle::MerkleTree;
-    use ia_ccf_types::{BatchKind, ClientId, LedgerIdx, TxResult, View};
+    use ia_ccf_types::{BatchKind, ClientId, LedgerIdx, TxResult};
 
     fn tx(label: &str) -> Digest {
         ia_ccf_crypto::hash_bytes(label.as_bytes())
@@ -147,7 +147,7 @@ mod tests {
                 is_governance: false,
             })
             .collect();
-        BatchExec::new(View(0), BatchKind::Regular, txs, MerkleTree::new())
+        BatchExec::new(BatchKind::Regular, txs, MerkleTree::new())
     }
 
     /// Batches 1..=4 holding `a`, `b c`, `d`, `e`.

@@ -48,7 +48,6 @@ pub(crate) struct ExecTx {
 /// deep-cloning the transaction vector or the tree.
 #[derive(Debug)]
 pub(crate) struct BatchExec {
-    pub view: View,
     pub kind: BatchKind,
     pub txs: Vec<ExecTx>,
     /// The batch tree `G`, built once from the batch's leaves at
@@ -58,8 +57,8 @@ pub(crate) struct BatchExec {
 }
 
 impl BatchExec {
-    pub(crate) fn new(view: View, kind: BatchKind, txs: Vec<ExecTx>, tree: MerkleTree) -> Self {
-        BatchExec { view, kind, txs, tree }
+    pub(crate) fn new(kind: BatchKind, txs: Vec<ExecTx>, tree: MerkleTree) -> Self {
+        BatchExec { kind, txs, tree }
     }
 
     /// The authentication path for the leaf at `pos`.
@@ -104,7 +103,6 @@ impl Replica {
     pub(crate) fn execute_batch(
         &mut self,
         seq: SeqNum,
-        view: View,
         kind: BatchKind,
         requests: &[SignedRequest],
         names: &[Digest],
@@ -151,7 +149,7 @@ impl Replica {
         if seq.0.is_multiple_of(self.checkpoint_interval()) {
             self.take_checkpoint(seq);
         }
-        Ok(BatchExec::new(view, kind, txs, tree))
+        Ok(BatchExec::new(kind, txs, tree))
     }
 
     /// One request: one call of the shared rule
@@ -198,12 +196,11 @@ impl Replica {
     /// Raise the rollback floor to `floor` (it never goes down) and trim
     /// every holder of undo state to it: the KV undo log, the batch marks,
     /// the `M` leaves the ledger keeps for rollback, and the executed
-    /// batches with the per-batch maps receipts read (this replica's
-    /// nonces, the views batches prepared in). Batches at or below the
-    /// floor never roll back (Lemma 1 undoes only the pipelined tail); a
-    /// view change whose reset point lies below it is refused before
-    /// anything moves. Live commit, ledger replay and checkpoint restore
-    /// all raise it here.
+    /// batches with the votes receipts and evidence read (the message
+    /// store). Batches at or below the floor never roll back (Lemma 1
+    /// undoes only the pipelined tail); a view change whose reset point
+    /// lies below it is refused before anything moves. Live commit, ledger
+    /// replay and checkpoint restore all raise it here.
     pub(crate) fn raise_rollback_floor(&mut self, floor: SeqNum) {
         let floor = self.rollback_floor.max(floor);
         self.rollback_floor = floor;
@@ -213,16 +210,14 @@ impl Replica {
         if let Some(mark) = self.batch_marks.values().next() {
             self.ledger.settle(mark.ledger_len_before);
         }
-        // Receipts are served from a window of committed batches; the
-        // window never cuts above the floor. A receipt served from it
-        // reads its batch's nonce, and evidence is fetched for batches far
-        // above it (the message store keeps the last 32), so both maps
-        // are cut where the window is.
+        // Receipts are served from a window of committed batches, which
+        // never cuts above the floor. A receipt served from it reads this
+        // replica's share out of the batch's slot, so the message store is
+        // cut where the window is, and so are view-changes two views back.
         let window = self.committed_up_to.0.saturating_sub(RETENTION_BATCHES);
         let cut = floor.min(SeqNum(window));
         self.batch_exec.drop_up_to(cut);
-        self.my_nonces.retain(|&(_, seq), _| seq > cut.0);
-        self.prepared_view = self.prepared_view.split_off(&cut.next());
+        self.msgs.compact(cut, View(self.view.0.saturating_sub(2)));
     }
 
     /// Undo the batch at `seq` and every later one (Lemma 1). `seq` is

@@ -203,7 +203,7 @@ impl Replica {
         };
         let mark = self.open_batch(seq, carried.map(|(_, evidence)| evidence));
 
-        let exec = match self.execute_batch(seq, view, kind, &requests, &batch_hashes) {
+        let exec = match self.execute_batch(seq, kind, &requests, &batch_hashes) {
             Ok(exec) => exec,
             Err(_) => {
                 // A correct primary only fails here on min-index races;
@@ -216,7 +216,7 @@ impl Replica {
 
         let root_m = self.ledger.root_m();
         let nonce = Nonce::random(&mut self.rng);
-        self.my_nonces.insert((view.0, seq.0), nonce);
+        self.msgs.set_own_nonce(seq, view, nonce);
         let core = PrePrepareCore {
             view,
             seq,
@@ -272,7 +272,9 @@ impl Replica {
 
     /// Close an executed batch: append its pre-prepare and `⟨t, i, o⟩`
     /// entries as one ledger segment write (one reservation per batch,
-    /// §3.4) and record what a replica keeps about a batch in its ledger.
+    /// §3.4) and record what a replica keeps about a batch in its ledger:
+    /// the ledger holds the pre-prepare, the message store the digest its
+    /// prepares are matched against.
     fn close_batch(
         &mut self,
         pp: PrePrepare,
@@ -281,9 +283,9 @@ impl Replica {
         exec: BatchExec,
         mark: BatchMark,
     ) {
-        let (seq, kind) = (pp.seq(), pp.core.kind);
+        let (seq, view, kind, pp_digest) = (pp.seq(), pp.view(), pp.core.kind, pp.digest());
         let mut entries = Vec::with_capacity(1 + requests.len());
-        entries.push(LedgerEntry::PrePrepare(pp.clone()));
+        entries.push(LedgerEntry::PrePrepare(pp));
         for (req, et) in requests.into_iter().zip(&exec.txs) {
             entries.push(LedgerEntry::Tx(TxLedgerEntry {
                 request: req,
@@ -295,7 +297,7 @@ impl Replica {
         self.requests.appended(&names);
         self.batch_exec.insert(seq, exec);
         self.batch_marks.insert(seq, mark);
-        self.msgs.put_pp(pp, names);
+        self.msgs.set_pp_digest(seq, view, pp_digest);
         self.seq_next = seq.next();
         self.post_append_reconfig(seq, kind);
     }
@@ -359,7 +361,7 @@ impl Replica {
             }
             RequestSigs::CheckedByQuorum => None,
         };
-        let exec = self.execute_batch(pp.seq(), pp.view(), pp.core.kind, requests, names);
+        let exec = self.execute_batch(pp.seq(), pp.core.kind, requests, names);
         if verify.is_some_and(|v| !self.finish_batch_verify(v).is_empty()) {
             // A correct primary never includes a forged request.
             return Err(Refused::ForgedRequest);
@@ -403,7 +405,7 @@ impl Replica {
             }
             return;
         }
-        if self.my_nonces.contains_key(&(pp.view().0, pp.seq().0)) {
+        if self.msgs.slot(pp.seq(), pp.view()).is_some_and(|s| s.own_nonce.is_some()) {
             return; // already prepared this slot in this view
         }
         // Signature check (parallelizable; sequential here, the sim layers
@@ -481,7 +483,7 @@ impl Replica {
         }
 
         let nonce = Nonce::random(&mut self.rng);
-        self.my_nonces.insert((view.0, seq.0), nonce);
+        self.msgs.set_own_nonce(seq, view, nonce);
         let payload =
             Prepare::signing_payload(view, seq, self.id, &nonce.commitment(), &pp_digest);
         let prepare = Prepare {
@@ -554,12 +556,13 @@ impl Replica {
     pub(crate) fn try_advance_prepared(&mut self) {
         loop {
             let next = self.prepared_up_to.next();
-            // The slot must have a pre-prepare we executed in our view.
+            // The batch must be in our ledger, executed, in our view: its
+            // slot holds the pre-prepare's digest.
             let view = self.view;
             let Some(slot) = self.msgs.slot(next, view) else {
                 return;
             };
-            if slot.pp.is_none() || !self.batch_exec.contains_key(&next) {
+            if slot.pp_digest.is_none() || !self.batch_exec.contains_key(&next) {
                 return;
             }
             let quorum = self.config_for_seq(next).quorum();
@@ -568,12 +571,7 @@ impl Replica {
             // The pre-prepare counts as the primary's prepare; a backup's
             // own prepare is in the store already.
             let have = matching + 1; // + primary's pre-prepare
-            let own_ok = i_am_primary
-                || self
-                    .msgs
-                    .slot(next, view)
-                    .map(|s| s.prepares.contains_key(&self.id))
-                    .unwrap_or(false);
+            let own_ok = i_am_primary || slot.prepares.contains_key(&self.id);
             if have < quorum || !own_ok {
                 return;
             }
@@ -583,17 +581,20 @@ impl Replica {
 
     fn mark_prepared(&mut self, seq: SeqNum, view: View) {
         self.prepared_up_to = seq;
-        self.prepared_view.insert(seq, view);
         self.note_progress();
 
-        // Send commit, revealing the nonce (line 32).
-        let nonce = self.my_nonces[&(view.0, seq.0)];
+        // Send commit, revealing the nonce (line 32). A replica prepares
+        // only a batch whose commitment it signed: as primary in the
+        // pre-prepare, as a backup in the prepare `try_advance_prepared`
+        // found.
+        let nonce = self.msgs.slot(seq, view).and_then(|s| s.own_nonce);
+        let nonce = nonce.expect("a prepared batch holds this replica's nonce");
         let commit = Commit { view, seq, replica: self.id, nonce };
         self.msgs.put_commit(&commit);
         self.broadcast(ProtocolMsg::Commit(commit));
 
         // Replies to clients (lines 34–38).
-        self.send_replies(seq, view);
+        self.send_replies(seq);
         self.try_advance_committed();
     }
 
@@ -617,8 +618,9 @@ impl Replica {
     /// nonce that opens the replica's signed commitment is kept for good:
     /// no later one can shrink a certificate already on hand.
     pub(crate) fn store_commit(&mut self, c: &Commit) {
-        let stored_opens =
-            self.valid_commit_nonces(c.seq, c.view).iter().any(|(r, _)| *r == c.replica);
+        let stored_opens = self
+            .pp_in(c.seq, c.view)
+            .is_some_and(|pp| self.valid_commit_nonces(pp).iter().any(|(r, _)| *r == c.replica));
         if !stored_opens {
             self.msgs.put_commit(c);
         }
@@ -629,25 +631,22 @@ impl Replica {
     pub(crate) fn try_advance_committed(&mut self) {
         loop {
             let next = self.committed_up_to.next();
-            let Some(&view) = self.prepared_view.get(&next) else {
+            let Some(pp) = self.prepared_pp(next) else {
                 return;
             };
-            let quorum = self.config_for_seq(next).quorum();
-            let valid = self.valid_commit_nonces(next, view);
-            if valid.len() < quorum {
+            let view = pp.view();
+            if self.valid_commit_nonces(pp).len() < self.config_for_seq(next).quorum() {
                 return;
             }
             self.mark_committed(next, view);
         }
     }
 
-    /// The commit nonces for `(seq, view)` whose hashes match the signed
-    /// commitments (pp for the primary, prepare for backups).
-    pub(crate) fn valid_commit_nonces(&self, seq: SeqNum, view: View) -> Vec<(ReplicaId, Nonce)> {
-        let Some(slot) = self.msgs.slot(seq, view) else {
-            return Vec::new();
-        };
-        let Some((pp, _)) = &slot.pp else {
+    /// The commit nonces in the slot of the batch `pp` proposes whose
+    /// hashes match the signed commitments (`pp`'s for its primary, each
+    /// prepare's for a backup).
+    pub(crate) fn valid_commit_nonces(&self, pp: &PrePrepare) -> Vec<(ReplicaId, Nonce)> {
+        let Some(slot) = self.msgs.slot(pp.seq(), pp.view()) else {
             return Vec::new();
         };
         slot.commits
@@ -678,8 +677,11 @@ impl Replica {
 
         // Committed batches beyond the pipeline can no longer roll back.
         self.raise_rollback_floor(SeqNum(seq.0.saturating_sub(self.pipeline_depth())));
-        let compact_to = seq.0.saturating_sub(4 * self.pipeline_depth().max(8));
-        self.msgs.compact(SeqNum(compact_to), View(self.view.0.saturating_sub(2)));
+    }
+
+    /// The pre-prepare this replica took into its ledger at `(seq, view)`.
+    fn pp_in(&self, seq: SeqNum, view: View) -> Option<&PrePrepare> {
+        self.ledger.pp_at(seq).filter(|pp| pp.view() == view)
     }
 
     // ------------------------------------------------------------------
@@ -688,23 +690,23 @@ impl Replica {
 
     /// The certificate over `(seq, view)` signed by `signers` — the set a
     /// pre-prepare names, or `None` for the lowest-ranked quorum — out of
-    /// this replica's message store. A replica's share is a verified
-    /// prepare matching the stored pre-prepare (the pre-prepare itself for
-    /// its primary) **and** a commit nonce that opens the commitment it
-    /// signs. `None` while a signer's share, or a quorum of them, is
-    /// missing.
+    /// this replica's ledger and message store. A replica's share is a
+    /// verified prepare matching the ledger's pre-prepare (the pre-prepare
+    /// itself for its primary) **and** a commit nonce that opens the
+    /// commitment it signs. `None` while a signer's share, or a quorum of
+    /// them, is missing.
     pub(crate) fn certificate_for(
         &self,
         seq: SeqNum,
         view: View,
         signers: Option<ReplicaBitmap>,
     ) -> Option<BatchCertificate> {
+        let pp = self.pp_in(seq, view)?;
         let slot = self.msgs.slot(seq, view)?;
-        let (pp, _) = slot.pp.as_ref()?;
         let pp_digest = slot.pp_digest?;
         let config = self.config_for_seq(seq);
         let shares: BTreeMap<ReplicaId, (Signature, Nonce)> = self
-            .valid_commit_nonces(seq, view)
+            .valid_commit_nonces(pp)
             .into_iter()
             .filter_map(|(id, nonce)| {
                 let sig = if id == pp.core.primary {
@@ -735,7 +737,7 @@ impl Replica {
         target: SeqNum,
         signers: Option<ReplicaBitmap>,
     ) -> Option<(BatchCertificate, EvidenceSet)> {
-        let view = *self.prepared_view.get(&target)?;
+        let view = self.prepared_view_of(target)?;
         let cert = self.certificate_for(target, view, signers)?;
         let pp_digest = self.msgs.slot(target, view)?.pp_digest?;
         let (prepares, nonces) = cert.to_evidence(self.config_for_seq(target), &pp_digest)?;

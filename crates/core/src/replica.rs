@@ -19,8 +19,8 @@ use ia_ccf_governance::GovernanceState;
 use ia_ccf_kv::KvStore;
 use ia_ccf_ledger::Ledger;
 use ia_ccf_types::{
-    receipt_checkpoint_seq, ClientId, Configuration, Digest, LedgerEntry, LedgerIdx, Nonce,
-    PrePrepare, ProtocolMsg, PublicKey, ReplicaId, SeqNum, Signature, SignedRequest, View, Wire,
+    receipt_checkpoint_seq, ClientId, Configuration, Digest, LedgerEntry, LedgerIdx, PrePrepare,
+    ProtocolMsg, PublicKey, ReplicaId, SeqNum, Signature, SignedRequest, View, Wire,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,20 +76,13 @@ pub struct Replica {
     pub(crate) seq_next: SeqNum,
     pub(crate) prepared_up_to: SeqNum,
     pub(crate) committed_up_to: SeqNum,
-    /// View each prepared sequence number prepared in, above the receipt
-    /// window's cut (`raise_rollback_floor`): at most `RETENTION_BATCHES`
-    /// plus the pipeline.
-    pub(crate) prepared_view: BTreeMap<SeqNum, View>,
 
     /// The requests this replica holds outside its ledger, and the names
     /// it has ordered (see [`crate::pipeline::request_pool`]).
     pub(crate) requests: RequestPool,
 
-    // Message/nonce stores.
+    /// The votes on each batch, this replica's nonce among them.
     pub(crate) msgs: MsgStore,
-    /// This replica's nonce per `(view, seq)` it signed a commitment in,
-    /// cut with `prepared_view`; a rollback drops the undone seqs'.
-    pub(crate) my_nonces: HashMap<(u64, u64), Nonce>,
     pub(crate) rng: StdRng,
 
     // Execution state.
@@ -235,10 +228,8 @@ impl Replica {
             seq_next: SeqNum(1),
             prepared_up_to: SeqNum(0),
             committed_up_to: SeqNum(0),
-            prepared_view: BTreeMap::new(),
             requests: RequestPool::default(),
             msgs: MsgStore::new(),
-            my_nonces: HashMap::new(),
             rng: StdRng::from_seed(seed.0),
             kv,
             pool,
@@ -499,10 +490,16 @@ impl Replica {
     pub fn is_primary(&self) -> bool {
         self.gov.active().primary_of(self.view) == self.id
     }
-    /// The view in which `seq` prepared on this replica, if it has and
-    /// `seq` is still inside the receipt window.
+    /// The view in which `seq` prepared on this replica, if it has: its
+    /// ledger pre-prepare's.
     pub fn prepared_view_of(&self, seq: SeqNum) -> Option<View> {
-        self.prepared_view.get(&seq).copied()
+        self.prepared_pp(seq).map(PrePrepare::view)
+    }
+
+    /// The pre-prepare of the batch at `seq`, if it prepared here: the
+    /// ledger's, at or below the prepared frontier.
+    pub(crate) fn prepared_pp(&self, seq: SeqNum) -> Option<&PrePrepare> {
+        (seq <= self.prepared_up_to).then(|| self.ledger.pp_at(seq)).flatten()
     }
 
     // ------------------------------------------------------------------
@@ -714,14 +711,20 @@ mod tests {
     use crate::test_bus::{Bus, CLIENT};
 
     /// The pool holds only bodies not yet appended and queues exactly the
-    /// orderable ones, and the per-batch maps stay within the receipt
-    /// window plus the pipeline.
+    /// orderable ones; every message-store slot lies above the receipt
+    /// window's cut, and holds an own nonce only for the batch its ledger
+    /// holds at that `(seq, view)`.
     fn bounded(r: &Replica) {
         r.requests.check();
-        let bound = (RETENTION_BATCHES + r.pipeline_depth() + 1) as usize;
-        assert!(r.my_nonces.len() <= bound, "replica {}: {} nonces", r.id, r.my_nonces.len());
-        let prepared = r.prepared_view.len();
-        assert!(prepared <= bound, "replica {}: {prepared} prepared views", r.id);
+        let window = r.committed_up_to.0.saturating_sub(RETENTION_BATCHES);
+        let cut = r.rollback_floor.min(SeqNum(window));
+        for (&(seq, view), slot) in r.msgs.slots() {
+            assert!(seq > cut, "replica {}: slot ({seq}, {view}) at or below the cut {cut}", r.id);
+            if slot.own_nonce.is_some() {
+                let held = r.ledger.pp_at(seq).map(|pp| pp.view());
+                assert_eq!(held, Some(view), "replica {}: own nonce at ({seq}, {view})", r.id);
+            }
+        }
     }
 
     /// Submit `n` requests and run until every replica has ordered them

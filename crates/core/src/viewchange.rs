@@ -68,17 +68,12 @@ impl Replica {
         self.status = Status::ViewChange;
         self.note_progress();
 
-        // PP: the last P prepared pre-prepares (Alg. 2 line 3).
-        let p = self.pipeline_depth() as usize;
-        let mut pps: Vec<PrePrepare> = Vec::new();
-        for (&seq, &v) in self.prepared_view.iter().rev().take(p) {
-            if let Some(slot) = self.msgs.slot(seq, v) {
-                if let Some((pp, _)) = &slot.pp {
-                    pps.push(pp.clone());
-                }
-            }
-        }
-        pps.reverse();
+        // PP: the last P prepared pre-prepares (Alg. 2 line 3), the
+        // ledger's.
+        let last = self.prepared_up_to.0;
+        let pps: Vec<PrePrepare> = (last.saturating_sub(self.pipeline_depth()) + 1..=last)
+            .filter_map(|seq| self.prepared_pp(SeqNum(seq)).cloned())
+            .collect();
         // Proof that the newest entry prepared: quorum − 1 matching
         // prepares (the paper fetches these; we inline them).
         let last_proof = match pps.last() {
@@ -133,11 +128,7 @@ impl Replica {
     /// could fetch stands in for a pre-prepare it never took in: it sits
     /// the new view out until its liveness timer moves it on.
     fn holds_batch(&self, (seq, digest): (SeqNum, Digest)) -> bool {
-        self.prepared_view
-            .get(&seq)
-            .and_then(|v| self.msgs.slot(seq, *v))
-            .and_then(|s| s.pp_digest)
-            == Some(digest)
+        self.prepared_view_of(seq).and_then(|v| self.msgs.slot(seq, v)?.pp_digest) == Some(digest)
     }
 
     /// Where a new view restarts the pipeline: `P` batches below the
@@ -341,38 +332,33 @@ impl Replica {
         self.gov_chain.retain(|l| l.receipt().seq() <= reset_to);
         self.pending_gov_receipts.retain(|(s, _)| *s <= reset_to);
         self.batch_marks.retain(|s, _| *s <= reset_to);
-        self.prepared_view.retain(|s, _| *s <= reset_to);
-        self.my_nonces.retain(|&(_, s), _| s <= reset_to.0);
+        self.msgs.forget_own_after(reset_to);
         self.prepared_up_to = self.prepared_up_to.min(reset_to);
         self.committed_up_to = self.committed_up_to.min(reset_to);
         self.seq_next = self.seq_next.min(first_rolled);
         self.stashed_pps.clear();
     }
 
-    /// Capture batch content before a reset so it can be re-proposed.
+    /// Capture batch content before a reset so it can be re-proposed: the
+    /// ledger's pre-prepare and the names its executed batch holds.
     fn save_batches(&self, from: SeqNum, to: SeqNum) -> Vec<SavedBatch> {
         let mut out = Vec::new();
         for seq in from.0..=to.0 {
             let seq = SeqNum(seq);
-            let Some(&v) = self.prepared_view.get(&seq) else {
+            let (Some(pp), Some(exec)) = (self.prepared_pp(seq), self.batch_exec.get(&seq)) else {
                 continue;
             };
-            let Some(slot) = self.msgs.slot(seq, v) else {
-                continue;
-            };
-            let Some((pp, batch)) = &slot.pp else {
-                continue;
-            };
+            let digests: Vec<Digest> = exec.txs.iter().map(|t| t.request_digest).collect();
             let requests: Vec<SignedRequest> =
-                batch.iter().filter_map(|h| self.request_body(h).cloned()).collect();
-            if requests.len() != batch.len() {
+                digests.iter().filter_map(|h| self.request_body(h).cloned()).collect();
+            if requests.len() != digests.len() {
                 continue;
             }
             out.push(SavedBatch {
                 seq,
                 kind: pp.core.kind,
                 requests,
-                digests: batch.clone(),
+                digests,
                 committed_root: pp.core.committed_root,
             });
         }

@@ -393,6 +393,7 @@ mod tests {
     use super::*;
     use ia_ccf_core::app::CounterApp;
     use ia_ccf_core::ProtocolParams;
+    use ia_ccf_types::LedgerEntry;
 
     fn spec(n: usize, clients: usize) -> ClusterSpec {
         let params = ProtocolParams { view_timeout_ticks: 20, ..ProtocolParams::default() };
@@ -527,6 +528,23 @@ mod tests {
             cluster.set_fault(ReplicaId(id), Fault::None);
         }
         assert!(cluster.run_until_finished(1, 100), "refetch should complete the receipt");
+
+        // The client re-broadcast the request after it was ordered: no
+        // replica orders it again.
+        for _ in 0..40 {
+            cluster.round();
+        }
+        let name = cluster.finished[0].1.request.digest();
+        for (id, r) in &cluster.replicas {
+            let held = r
+                .inner
+                .ledger()
+                .entries()
+                .iter()
+                .filter(|e| matches!(e, LedgerEntry::Tx(tx) if tx.request.digest() == name))
+                .count();
+            assert_eq!(held, 1, "replica {} ledger holds the request {held} times", id.0);
+        }
     }
 
     #[test]

@@ -499,7 +499,17 @@ fn a_rolled_back_durable_tail_syncs_and_restarts_byte_identical() {
 /// bare batches, four with their evidence pair), and the six receipts must
 /// audit `Clean` against each. Cutting the last batch instead turns the
 /// sixth receipt into a view-change omission that blames honest
-/// replicas. Committing again after such a restart is not asserted here.
+/// replicas.
+///
+/// Then every restarted replica rejoins the cluster and the cluster
+/// stalls; this test pins the stall. Replay marks batches 5 and 6
+/// prepared, but the prepares that proved it lived in memory only: no
+/// replica can assemble the evidence for batch 5 that a seventh batch must
+/// carry, and every view change it sends reports batch 6 without a proof,
+/// so every replica refuses it (`NotPrepared`). Every replica stays at
+/// `committed_up_to` 4 and the seventh request gets no receipt. A prepare
+/// proof that survives a restart (ROADMAP item 20) is what inverts these
+/// assertions.
 #[test]
 fn whole_cluster_restart_keeps_every_receipted_batch() {
     use ia_ccf::audit::{AuditOutcome, Auditor, LedgerPackage, StoredReceipt};
@@ -549,6 +559,15 @@ fn whole_cluster_restart_keeps_every_receipted_batch() {
             let outcome = auditor.audit(&receipts, &GovernanceChain::new(), &package);
             let clean = matches!(outcome, AuditOutcome::Clean);
             assert!(clean, "n = {n}, replica {r}: {:?}", outcome.upom());
+            cluster.crashed.remove(&restarted.id());
+            cluster.add_replica(restarted);
+        }
+
+        cluster.submit(client, CounterApp::INCR, b"k".to_vec());
+        assert!(!cluster.run_until_finished(7, 1_000), "n = {n}: the seventh request commits");
+        for r in 0..n as u32 {
+            let committed = cluster.replica(ReplicaId(r)).committed_up_to();
+            assert_eq!(committed, SeqNum(4), "n = {n}, replica {r}");
         }
     }
 }

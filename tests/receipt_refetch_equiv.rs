@@ -117,6 +117,11 @@ fn refetch_equivalence_with_gc_misses() {
     check_schedule(80, 1);
 }
 
+/// After 72 singleton batches the first transaction has left the 64-batch
+/// window on every replica and the last is served. So is every
+/// transaction 33–63 batches behind the committed frontier: this
+/// replica's share of those batches is kept as long as the batches are.
+/// Every locator hit is a re-fetch served.
 #[test]
 fn gc_prunes_locator_and_serving_window() {
     let spec = ClusterSpec::new(4, 1, ProtocolParams::default());
@@ -127,17 +132,36 @@ fn gc_prunes_locator_and_serving_window() {
         cluster.round();
     }
     assert!(cluster.run_until_finished(72, 500));
-    let first = cluster.finished.first().expect("finished").1.request.digest();
-    let last = cluster.finished.last().expect("finished").1.request.digest();
-    let (idx_first, oracle_first) = refetch_both(&mut cluster, ReplicaId(1), client, first);
-    assert!(idx_first.is_empty(), "pruned tx must not be served");
-    assert!(oracle_first.is_empty(), "oracle must agree on the miss");
-    let (idx_last, oracle_last) = refetch_both(&mut cluster, ReplicaId(1), client, last);
-    assert!(!idx_last.is_empty(), "recent tx must be served");
-    assert_eq!(
-        idx_last.into_iter().map(|(_, b)| b).collect::<Vec<_>>(),
-        oracle_last
-    );
+    let receipted: Vec<(SeqNum, Digest)> = cluster
+        .finished
+        .iter()
+        .map(|(_, tx)| (tx.receipt.as_ref().expect("receipt").seq(), tx.request.digest()))
+        .collect();
+    let (first, last) = (receipted[0].1, receipted[receipted.len() - 1].1);
+    for r in 0..4 {
+        let id = ReplicaId(r);
+        let (idx_first, oracle_first) = refetch_both(&mut cluster, id, client, first);
+        assert!(idx_first.is_empty(), "replica {r}: pruned tx must not be served");
+        assert!(oracle_first.is_empty(), "replica {r}: oracle must agree on the miss");
+
+        let committed = cluster.replica(id).committed_up_to().0;
+        let behind = |seq: &SeqNum| committed.checked_sub(seq.0);
+        let far: Vec<Digest> = receipted
+            .iter()
+            .filter(|(seq, _)| behind(seq).is_some_and(|b| (33..64).contains(&b)))
+            .map(|(_, tx)| *tx)
+            .collect();
+        assert!(far.len() >= 20, "replica {r}: {} transactions 33-63 batches back", far.len());
+        let mut served = 0;
+        for tx in far.into_iter().chain([last]) {
+            let (indexed, oracle) = refetch_both(&mut cluster, id, client, tx);
+            assert!(!indexed.is_empty(), "replica {r}: a tx inside the window must be served");
+            assert_eq!(indexed.into_iter().map(|(_, b)| b).collect::<Vec<_>>(), oracle);
+            served += 1;
+        }
+        let stats = cluster.replica(id).receipt_cache_stats();
+        assert_eq!(stats.locator_hits, served, "replica {r}: a locator hit served nothing");
+    }
 }
 
 proptest! {
