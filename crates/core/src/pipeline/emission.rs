@@ -85,11 +85,12 @@ impl Replica {
     }
 
     /// This replica's share in the quorum's word on the batch at `seq`, as
-    /// its replies carry it: the ledger's pre-prepare, and out of that
+    /// its replies carry it: the prepared pre-prepare, and out of that
     /// pre-prepare's slot its own signature — the pre-prepare's if it was
-    /// the primary, else its prepare's — and nonce.
+    /// the primary, else its prepare's — and nonce. `None` until the batch
+    /// prepares here: the nonce is revealed only then (Alg. 1 line 32).
     fn own_share(&self, seq: SeqNum) -> Option<(&PrePrepare, Signature, Nonce)> {
-        let pp = self.ledger.pp_at(seq)?;
+        let pp = self.prepared_pp(seq)?;
         let slot = self.msgs.slot(seq, pp.view())?;
         let sig =
             if pp.core.primary == self.id { pp.sig } else { slot.prepares.get(&self.id)?.sig };
@@ -256,21 +257,31 @@ impl Replica {
         Some((reply, replyx))
     }
 
-    /// The seed's linear-scan re-fetch, kept as the reference oracle for
-    /// the differential tests (`tests/receipt_refetch_equiv.rs`): scan the
-    /// executed batches in sequence order for the transaction, bypassing
-    /// the locator, and build the pair as a re-fetch does. Returns the
-    /// messages instead of sending them.
+    /// The seed's linear-scan re-fetch, preserved as the reference oracle
+    /// for the differential tests (`tests/receipt_refetch_equiv.rs`):
+    /// scan the executed batches in sequence order for the transaction
+    /// and rebuild the reply pair from the prepared pre-prepare, the slot
+    /// and the tree directly, bypassing the locator and `own_share`.
+    /// Returns the messages instead of sending them.
     #[doc(hidden)]
     pub fn refetch_oracle_linear(&self, tx_hash: Digest) -> Vec<ProtocolMsg> {
-        let pair = self.batch_exec.range(..).find_map(|(seq, exec)| {
-            let pos = exec.txs.iter().position(|t| t.request_digest == tx_hash)?;
-            Some(self.assemble_refetch(*seq, exec, pos as u64, tx_hash))
-        });
-        match pair.flatten() {
-            Some((reply, replyx)) => vec![ProtocolMsg::Reply(reply), ProtocolMsg::ReplyX(replyx)],
-            None => Vec::new(),
-        }
+        let scan = || {
+            let (seq, exec, pos) = self.batch_exec.range(..).find_map(|(seq, exec)| {
+                Some((*seq, exec, exec.txs.iter().position(|t| t.request_digest == tx_hash)?))
+            })?;
+            let (et, pp) = (&exec.txs[pos], self.prepared_pp(seq)?);
+            let slot = self.msgs.slot(seq, pp.view())?;
+            let mine = slot.prepares.get(&self.id).map(|p| p.sig);
+            let sig = if pp.core.primary == self.id { pp.sig } else { mine? };
+            let (nonce, req_ids) = (slot.own_nonce?, vec![et.req_id]);
+            let reply = Reply { view: pp.view(), seq, replica: self.id, sig, nonce, req_ids };
+            let path = exec.tree.path(pos as u64).expect("leaf exists");
+            let (index, result) = (et.index, et.result.clone());
+            let core = pp.core.clone();
+            let replyx = ReplyX { core, primary_sig: pp.sig, tx_hash, index, result, path };
+            Some(vec![ProtocolMsg::Reply(reply), ProtocolMsg::ReplyX(replyx)])
+        };
+        scan().unwrap_or_default()
     }
 
     // ------------------------------------------------------------------

@@ -618,8 +618,12 @@ impl Replica {
     /// nonce that opens the replica's signed commitment is kept for good:
     /// no later one can shrink a certificate already on hand.
     pub(crate) fn store_commit(&mut self, c: &Commit) {
+        // A commit may arrive before this replica prepares the batch, so
+        // the ledger's pre-prepare counts here whether it prepared or not.
         let stored_opens = self
-            .pp_in(c.seq, c.view)
+            .ledger
+            .pp_at(c.seq)
+            .filter(|pp| pp.view() == c.view)
             .is_some_and(|pp| self.valid_commit_nonces(pp).iter().any(|(r, _)| *r == c.replica));
         if !stored_opens {
             self.msgs.put_commit(c);
@@ -679,29 +683,24 @@ impl Replica {
         self.raise_rollback_floor(SeqNum(seq.0.saturating_sub(self.pipeline_depth())));
     }
 
-    /// The pre-prepare this replica took into its ledger at `(seq, view)`.
-    fn pp_in(&self, seq: SeqNum, view: View) -> Option<&PrePrepare> {
-        self.ledger.pp_at(seq).filter(|pp| pp.view() == view)
-    }
-
     // ------------------------------------------------------------------
     // The quorum's word on a batch (§3.1, §3.3).
     // ------------------------------------------------------------------
 
     /// The certificate over `(seq, view)` signed by `signers` — the set a
-    /// pre-prepare names, or `None` for the lowest-ranked quorum — out of
-    /// this replica's ledger and message store. A replica's share is a
-    /// verified prepare matching the ledger's pre-prepare (the pre-prepare
-    /// itself for its primary) **and** a commit nonce that opens the
-    /// commitment it signs. `None` while a signer's share, or a quorum of
-    /// them, is missing.
+    /// pre-prepare names, or `None` for the lowest-ranked quorum — of a
+    /// batch that prepared here in `view`, out of this replica's ledger and
+    /// message store. A replica's share is a verified prepare matching the
+    /// prepared pre-prepare (the pre-prepare itself for its primary)
+    /// **and** a commit nonce that opens the commitment it signs. `None`
+    /// while a signer's share, or a quorum of them, is missing.
     pub(crate) fn certificate_for(
         &self,
         seq: SeqNum,
         view: View,
         signers: Option<ReplicaBitmap>,
     ) -> Option<BatchCertificate> {
-        let pp = self.pp_in(seq, view)?;
+        let pp = self.prepared_pp(seq).filter(|pp| pp.view() == view)?;
         let slot = self.msgs.slot(seq, view)?;
         let pp_digest = slot.pp_digest?;
         let config = self.config_for_seq(seq);

@@ -497,7 +497,9 @@ impl Replica {
     }
 
     /// The pre-prepare of the batch at `seq`, if it prepared here: the
-    /// ledger's, at or below the prepared frontier.
+    /// ledger's, at or below the prepared frontier. What "the batch at
+    /// `seq`" means wherever the quorum's word on it is read or served;
+    /// only `store_commit` also reads a batch above that frontier.
     pub(crate) fn prepared_pp(&self, seq: SeqNum) -> Option<&PrePrepare> {
         (seq <= self.prepared_up_to).then(|| self.ledger.pp_at(seq)).flatten()
     }

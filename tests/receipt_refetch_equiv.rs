@@ -266,27 +266,32 @@ fn gov_receipts_served_incrementally() {
 /// client id and from a replica id; the two late commits must still
 /// complete the quorum, the certificate must assemble and the receipt
 /// re-fetch must serve.
-#[test]
-fn garbage_evidence_response_cannot_displace_valid_commit_nonces() {
-    type Queue = VecDeque<(ReplicaId, ReplicaId, ProtocolMsg)>;
-    fn enqueue(from: ReplicaId, outs: Vec<Output>, queue: &mut Queue) {
-        for out in outs {
-            match out {
-                Output::SendReplica(to, msg) => queue.push_back((from, to, msg)),
-                Output::BroadcastReplicas(msg) => {
-                    for to in (0..4).map(ReplicaId).filter(|to| *to != from) {
-                        queue.push_back((from, to, msg.clone()));
-                    }
+type Queue = VecDeque<(ReplicaId, ReplicaId, ProtocolMsg)>;
+
+fn enqueue(from: ReplicaId, outs: Vec<Output>, queue: &mut Queue) {
+    for out in outs {
+        match out {
+            Output::SendReplica(to, msg) => queue.push_back((from, to, msg)),
+            Output::BroadcastReplicas(msg) => {
+                for to in (0..4).map(ReplicaId).filter(|to| *to != from) {
+                    queue.push_back((from, to, msg.clone()));
                 }
-                _ => {}
             }
+            _ => {}
         }
     }
+}
 
-    let spec = ClusterSpec::new(4, 1, ProtocolParams::default());
+/// One hand-driven ordering round of a single counter increment on four
+/// fresh replicas, holding back every replica-to-replica message `hold`
+/// picks. Returns the replicas, the request's digest and the held
+/// messages as `(from, msg)`, sorted by sender.
+fn round_holding(
+    spec: &ClusterSpec,
+    hold: impl Fn(ReplicaId, &ProtocolMsg) -> bool,
+) -> (Vec<Replica>, Digest, Vec<(ReplicaId, ProtocolMsg)>) {
     let mut replicas: Vec<Replica> =
         (0..4).map(|rank| spec.build_replica(rank, Arc::new(CounterApp))).collect();
-    let victim = ReplicaId(1);
     let (client, kp) = (spec.clients[0].0, &spec.clients[0].1);
     let req = SignedRequest::sign(
         Request {
@@ -298,10 +303,6 @@ fn garbage_evidence_response_cannot_displace_valid_commit_nonces() {
         },
         kp,
     );
-    let tx_hash = req.digest();
-
-    // One ordering round, with every commit addressed to the victim held
-    // back: it prepares batch 1 but stores only its own nonce.
     let mut queue = Queue::new();
     for r in replicas.iter_mut() {
         let outs = r.handle(Input::Message {
@@ -316,7 +317,7 @@ fn garbage_evidence_response_cannot_displace_valid_commit_nonces() {
     }
     let mut held: Vec<(ReplicaId, ProtocolMsg)> = Vec::new();
     while let Some((from, to, msg)) = queue.pop_front() {
-        if to == victim && matches!(msg, ProtocolMsg::Commit(_)) {
+        if hold(to, &msg) {
             held.push((from, msg));
             continue;
         }
@@ -325,6 +326,18 @@ fn garbage_evidence_response_cannot_displace_valid_commit_nonces() {
         enqueue(to, outs, &mut queue);
     }
     held.sort_by_key(|(from, _)| *from);
+    (replicas, req.digest(), held)
+}
+
+#[test]
+fn garbage_evidence_response_cannot_displace_valid_commit_nonces() {
+    let spec = ClusterSpec::new(4, 1, ProtocolParams::default());
+    let victim = ReplicaId(1);
+    let client = spec.clients[0].0;
+    // One ordering round, with every commit addressed to the victim held
+    // back: it prepares batch 1 but stores only its own nonce.
+    let (mut replicas, tx_hash, held) =
+        round_holding(&spec, |to, msg| to == victim && matches!(msg, ProtocolMsg::Commit(_)));
     assert_eq!(held.iter().map(|(from, _)| from.0).collect::<Vec<_>>(), [0, 2, 3]);
     let v = &mut replicas[victim.0 as usize];
     assert_eq!(v.prepared_view_of(SeqNum(1)), Some(View(0)), "victim prepared batch 1");
@@ -369,4 +382,43 @@ fn garbage_evidence_response_cannot_displace_valid_commit_nonces() {
     let refetch = ProtocolMsg::FetchReceipt { tx_hash };
     let served = client_sends(deliver(v, NodeId::Client(client), &refetch));
     assert_eq!(served.len(), 2, "re-fetch serves the Reply/ReplyX pair");
+}
+
+/// A re-fetch reveals this replica's nonce only once the batch prepared
+/// here, as its first reply does (Alg. 1 lines 32–38): a backup that
+/// executed batch 1 and sent its prepare, but holds no prepare quorum,
+/// serves nothing on either path. Once the held prepares arrive it
+/// prepares and serves the pair, byte-identical to the oracle's.
+#[test]
+fn refetch_before_prepared_serves_nothing() {
+    let spec = ClusterSpec::new(4, 1, ProtocolParams::default());
+    let victim = ReplicaId(1);
+    let client = spec.clients[0].0;
+    let (mut replicas, tx_hash, held) =
+        round_holding(&spec, |to, msg| to == victim && matches!(msg, ProtocolMsg::Prepare(_)));
+    assert_eq!(held.iter().map(|(from, _)| from.0).collect::<Vec<_>>(), [2, 3]);
+    let v = &mut replicas[victim.0 as usize];
+    assert!(v.ledger().pp_at(SeqNum(1)).is_some(), "victim took batch 1 in");
+    assert_eq!(v.prepared_view_of(SeqNum(1)), None, "victim has no prepare quorum");
+
+    let refetch = ProtocolMsg::FetchReceipt { tx_hash };
+    let both = |v: &mut Replica| {
+        let oracle: Vec<Vec<u8>> =
+            v.refetch_oracle_linear(tx_hash).iter().map(|m| m.to_bytes()).collect();
+        let indexed = client_sends(
+            v.handle(Input::Message { from: NodeId::Client(client), msg: refetch.clone() }),
+        );
+        (indexed.into_iter().map(|(_, b)| b).collect::<Vec<_>>(), oracle)
+    };
+    let (indexed, oracle) = both(v);
+    assert!(indexed.is_empty(), "an unprepared batch's re-fetch revealed the nonce");
+    assert!(oracle.is_empty(), "the oracle must agree on the silence");
+
+    for (from, prepare) in held {
+        v.handle(Input::Message { from: NodeId::Replica(from), msg: prepare });
+    }
+    assert_eq!(v.prepared_view_of(SeqNum(1)), Some(View(0)), "victim prepared batch 1");
+    let (indexed, oracle) = both(v);
+    assert_eq!(indexed.len(), 2, "re-fetch serves the Reply/ReplyX pair once prepared");
+    assert_eq!(indexed, oracle);
 }
