@@ -325,7 +325,7 @@ impl Auditor {
     fn verify_receipt_in_ledger(
         &self,
         sr: &StoredReceipt,
-        validated: &ValidatedPackage,
+        validated: &ValidatedPackage<'_>,
         history: &ConfigHistory,
     ) -> Option<Upom> {
         let receipt = &sr.receipt;
@@ -352,7 +352,7 @@ impl Auditor {
             // (Alg. 4's isReceiptInBatch is content-based).
             Some(batch) if batch.pp.root_g == root_g => None,
             Some(batch) => {
-                let v_l = batch.view;
+                let v_l = batch.pp.view();
                 if v_l == v_r {
                     // Case (i): same view, contradictory batches. Blame the
                     // intersection of the receipt's signers and the
@@ -431,7 +431,7 @@ impl Auditor {
     fn replay_ledger(
         &self,
         package: &LedgerPackage,
-        validated: &ValidatedPackage,
+        validated: &ValidatedPackage<'_>,
         history: &ConfigHistory,
         receipts: &[&StoredReceipt],
     ) -> Option<Upom> {
@@ -452,8 +452,7 @@ impl Auditor {
 
         for batch in &validated.batches {
             let replaying = batch.seq > start_seq;
-            for &ti in &batch.tx_at {
-                let LedgerEntry::Tx(recorded) = &package.entries[ti] else { unreachable!() };
+            for recorded in batch.txs.iter() {
                 if !replaying {
                     // Resume the tx-index counter from the recorded entries
                     // (their positions were validated structurally).
@@ -518,7 +517,7 @@ impl Auditor {
 
     fn wrong_execution(
         &self,
-        validated: &ValidatedPackage,
+        validated: &ValidatedPackage<'_>,
         history: &ConfigHistory,
         receipts: &[&StoredReceipt],
         seq: SeqNum,

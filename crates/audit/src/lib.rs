@@ -17,6 +17,7 @@
 //!   replicas (via the configuration's operator endorsements).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod auditor;
 pub mod enforcer;

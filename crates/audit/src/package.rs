@@ -13,7 +13,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 
 use ia_ccf_crypto::SigQueue;
 use ia_ccf_kv::KvCheckpoint;
-use ia_ccf_ledger::segment::{segment_entries, Segment};
+use ia_ccf_ledger::segment::{segment_entries, BatchSegment, Segment, TxRun};
 use ia_ccf_ledger::validity::{check_new_view, view_primary_job};
 use ia_ccf_merkle::{Frontier, MerkleTree};
 use ia_ccf_types::{
@@ -81,19 +81,18 @@ impl std::fmt::Display for PackageError {
 
 impl std::error::Error for PackageError {}
 
-/// A validated view of one batch inside a package.
+/// A validated view of one batch inside a package, borrowed from its
+/// entries.
 #[derive(Debug, Clone)]
-pub struct ValidatedBatch {
+pub struct ValidatedBatch<'a> {
     /// Sequence number.
     pub seq: SeqNum,
-    /// View.
-    pub view: View,
-    /// The pre-prepare.
-    pub pp: PrePrepare,
+    /// The pre-prepare (its view is the batch's).
+    pub pp: &'a PrePrepare,
     /// Digest of the pre-prepare (`H(pp_σp)`).
     pub pp_digest: Digest,
-    /// Entry indices of the batch's transactions.
-    pub tx_at: Vec<usize>,
+    /// The batch's `⟨t, i, o⟩` entries.
+    pub txs: TxRun<'a>,
     /// Replica ids that provably prepared the batch at `seq − P` (from the
     /// evidence this pre-prepare carries), i.e. the signers of that
     /// earlier batch.
@@ -107,9 +106,9 @@ pub type ViewChangeReport = (View, Vec<ReplicaId>, Vec<(SeqNum, Digest)>);
 /// The result of validating a package: per-batch views plus the
 /// view-change sets found, for the Lemma 5 case analysis.
 #[derive(Debug, Clone, Default)]
-pub struct ValidatedPackage {
+pub struct ValidatedPackage<'a> {
     /// Batches ascending by position in the fragment.
-    pub batches: Vec<ValidatedBatch>,
+    pub batches: Vec<ValidatedBatch<'a>>,
     /// Per view-change set: `(view, senders, reported (seq, Ḡ) pairs)` —
     /// the prepared batches the set's members claimed (Lemma 5 needs to
     /// distinguish honest reports from omissions).
@@ -125,10 +124,10 @@ pub struct ValidatedPackage {
     first_evidence: HashMap<SeqNum, usize>,
 }
 
-impl ValidatedPackage {
+impl<'a> ValidatedPackage<'a> {
     /// The latest validated batch for a sequence number (re-proposals in a
     /// later view supersede earlier ones).
-    pub fn batch_at(&self, seq: SeqNum) -> Option<&ValidatedBatch> {
+    pub fn batch_at(&self, seq: SeqNum) -> Option<&ValidatedBatch<'a>> {
         self.latest.get(&seq).map(|&at| &self.batches[at])
     }
 
@@ -142,7 +141,7 @@ impl ValidatedPackage {
         }
     }
 
-    fn push(&mut self, batch: ValidatedBatch) {
+    fn push(&mut self, batch: ValidatedBatch<'a>) {
         let at = self.batches.len();
         self.latest.insert(batch.seq, at);
         if !batch.evidenced_signers.is_empty() {
@@ -162,10 +161,10 @@ impl ValidatedPackage {
 /// at a time by one combined equation. The verdict is still the first
 /// failing check in ledger order: a structural refusal is reported only
 /// once every signature queued before it has passed.
-pub fn validate_package<'c>(
-    entries: &[LedgerEntry],
+pub fn validate_package<'a, 'c>(
+    entries: &'a [LedgerEntry],
     config_for_seq: &dyn Fn(SeqNum) -> &'c Configuration,
-) -> Result<ValidatedPackage, PackageError> {
+) -> Result<ValidatedPackage<'a>, PackageError> {
     let mut pending = SigQueue::new(None, HashSet::new());
     match walk(entries, config_for_seq, &mut pending) {
         Ok(mut out) => {
@@ -179,11 +178,11 @@ pub fn validate_package<'c>(
 
 /// [`validate_package`]'s walk, with every signature check queued on
 /// `pending` rather than run.
-fn walk<'c>(
-    entries: &[LedgerEntry],
+fn walk<'a, 'c>(
+    entries: &'a [LedgerEntry],
     config_for_seq: &dyn Fn(SeqNum) -> &'c Configuration,
     pending: &mut SigQueue<'_, PackageError>,
-) -> Result<ValidatedPackage, PackageError> {
+) -> Result<ValidatedPackage<'a>, PackageError> {
     let segments =
         segment_entries(entries, 0).map_err(|e| PackageError::Malformed(e.to_string()))?;
     let mut out = ValidatedPackage::default();
@@ -191,17 +190,12 @@ fn walk<'c>(
     // root.
     let mut tree = Frontier::new();
 
-    for seg in &segments {
+    for seg in segments {
         match seg {
-            Segment::Genesis { at } => {
-                tree.append(entries[*at].m_leaf());
+            Segment::Genesis(entry) => {
+                tree.append(entry.m_leaf());
             }
-            Segment::ViewChange { set_at, nv_at, view } => {
-                let (LedgerEntry::ViewChangeSet { view_changes, .. }, LedgerEntry::NewView(nv)) =
-                    (&entries[*set_at], &entries[*nv_at])
-                else {
-                    unreachable!("segmenter guarantees");
-                };
+            Segment::ViewChange { view_changes, nv, entries: [set_entry, nv_entry] } => {
                 // The pair sits where the next batch would: it is held to
                 // the replicas' own rule under the configuration governing
                 // that position, not a later one that may have dropped a
@@ -209,19 +203,17 @@ fn walk<'c>(
                 let position = out.batches.last().map_or(SeqNum(1), |b| b.seq.next());
                 let config = config_for_seq(position);
                 let facts = check_new_view(config, nv, view_changes)
-                    .map_err(|_| PackageError::BadViewChange(*view))?;
-                tree.append(entries[*set_at].m_leaf());
+                    .map_err(|_| PackageError::BadViewChange(nv.view))?;
+                tree.append(set_entry.m_leaf());
                 if nv.root_m != tree.root() {
-                    return Err(PackageError::BadViewChange(*view));
+                    return Err(PackageError::BadViewChange(nv.view));
                 }
-                tree.append(entries[*nv_at].m_leaf());
-                out.view_change_reports.push((*view, facts.senders, facts.reported));
+                tree.append(nv_entry.m_leaf());
+                out.view_change_reports.push((nv.view, facts.senders, facts.reported));
             }
-            Segment::Batch { evidence_at, nonces_at, pp_at, tx_at, seq, view } => {
-                let LedgerEntry::PrePrepare(pp) = &entries[*pp_at] else {
-                    unreachable!("segmenter guarantees");
-                };
-                let config = config_for_seq(*seq);
+            Segment::Batch(BatchSegment { evidence, pp, pp_entry, txs }) => {
+                let seq = pp.seq();
+                let config = config_for_seq(seq);
 
                 // Evidence first (it precedes the pp in the ledger and in
                 // M): the replicas' own rule — carrier clause, the
@@ -232,16 +224,9 @@ fn walk<'c>(
                 // segment.
                 let p = config.pipeline_depth as u64;
                 let target = evidence_target(&pp.core, p)
-                    .map_err(|why| evidence_refusal(*seq, why))?;
+                    .map_err(|why| evidence_refusal(seq, why))?;
                 let mut evidenced_signers = Vec::new();
-                if let (Some(ev_at), Some(no_at)) = (evidence_at, nonces_at) {
-                    let (
-                        LedgerEntry::Evidence { prepares, .. },
-                        LedgerEntry::Nonces { nonces, .. },
-                    ) = (&entries[*ev_at], &entries[*no_at])
-                    else {
-                        unreachable!("segmenter guarantees");
-                    };
+                if let Some(pair) = evidence {
                     let ev_seq = pp.core.evidence_seq;
                     let Some(evidenced) = target.and_then(|t| out.batch_at(t)) else {
                         return Err(PackageError::EvidenceShape(ev_seq));
@@ -249,10 +234,10 @@ fn walk<'c>(
                     let ev_config = config_for_seq(ev_seq);
                     let cert = BatchCertificate::from_evidence(
                         ev_config,
-                        &evidenced.pp,
+                        evidenced.pp,
                         pp.core.evidence_bitmap,
-                        prepares,
-                        nonces,
+                        pair.prepares,
+                        pair.nonces,
                     )
                     .and_then(|cert| {
                         cert.check_shape(ev_config)?;
@@ -266,36 +251,31 @@ fn walk<'c>(
                         pending.push(check.job, PackageError::BadEvidenceSig(ev_seq))?;
                     }
                     evidenced_signers = cert.signer_ids(ev_config);
-                    tree.append(entries[*ev_at].m_leaf());
-                    tree.append(entries[*no_at].m_leaf());
+                    for entry in pair.entries {
+                        tree.append(entry.m_leaf());
+                    }
                 }
 
                 // M̄ commits the ledger up to here (§3.1).
                 if pp.core.root_m != tree.root() {
-                    return Err(PackageError::RootMismatch(*seq));
+                    return Err(PackageError::RootMismatch(seq));
                 }
                 // The primary's signature: the replicas' own rule.
-                let unsigned = PackageError::BadPrePrepareSig(*seq);
+                let unsigned = PackageError::BadPrePrepareSig(seq);
                 let job = view_primary_job(config, pp).ok_or(unsigned.clone())?;
                 pending.push(job, unsigned)?;
                 // Ḡ over the recorded ⟨t, i, o⟩ entries.
-                let g = MerkleTree::from_leaves(tx_at.iter().map(|&ti| {
-                    let LedgerEntry::Tx(tx) = &entries[ti] else {
-                        unreachable!("segmenter guarantees");
-                    };
-                    tx.g_leaf()
-                }));
+                let g = MerkleTree::from_leaves(txs.iter().map(|tx| tx.g_leaf()));
                 if g.root() != pp.root_g {
-                    return Err(PackageError::RootMismatch(*seq));
+                    return Err(PackageError::RootMismatch(seq));
                 }
 
-                tree.append(entries[*pp_at].m_leaf());
+                tree.append(pp_entry.m_leaf());
                 out.push(ValidatedBatch {
-                    seq: *seq,
-                    view: *view,
-                    pp: pp.clone(),
+                    seq,
+                    pp,
                     pp_digest: ia_ccf_crypto::hash_bytes(&pp.to_bytes()),
-                    tx_at: tx_at.clone(),
+                    txs,
                     evidenced_signers,
                 });
             }

@@ -287,12 +287,12 @@ fn proved_receipt(s: &ClusterSpec) -> (Vec<StoredReceipt>, LedgerPackage, HashSe
     let counter: Arc<dyn ia_ccf_core::App> = Arc::new(CounterApp);
     let (cluster, receipts) = run_cluster(s, |_| Arc::clone(&counter), 8);
     let package = LedgerPackage::from_replica(cluster.replica(ReplicaId(0)), SeqNum(0));
-    let validated = validate_package(&package.entries, &|_| &s.genesis).expect("well-formed");
+    let proved = validate_package(&package.entries, &|_| &s.genesis).expect("well-formed").proved;
     let at = receipts
         .iter()
-        .position(|sr| unproved(&sr.receipt, &s.genesis, &validated.proved).is_empty())
+        .position(|sr| unproved(&sr.receipt, &s.genesis, &proved).is_empty())
         .expect("the ledger proves every signature of some receipt");
-    (receipts, package, validated.proved, at)
+    (receipts, package, proved, at)
 }
 
 /// The uPoM of `receipt` failing Alg. 3 with `why`.

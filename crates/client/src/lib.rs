@@ -23,6 +23,7 @@
 //! finished transactions with [`Client::take_completed`].
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;

@@ -63,7 +63,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 
 use ia_ccf_crypto::SigQueue;
-use ia_ccf_ledger::segment::{segment_entries, Segment};
+use ia_ccf_ledger::segment::{segment_entries, BatchSegment, Segment};
 use ia_ccf_ledger::validity::{check_new_view, signed_by_view_primary, view_primary_job, Refused};
 use ia_ccf_ledger::Ledger;
 use ia_ccf_merkle::MerkleTree;
@@ -211,7 +211,7 @@ impl Replica {
     ) -> Result<(), BootstrapError> {
         let segments = segment_entries(entries, base)
             .map_err(|e| BootstrapError::Malformed(e.to_string()))?;
-        self.replay_segments(&segments, entries)
+        self.replay_segments(&segments)
     }
 
     /// The one replay loop — a whole ledger, a restart's disk run, a sync
@@ -219,14 +219,10 @@ impl Replica {
     /// equations first, then validate and apply the segments in order. The
     /// first refusal stops the loop with exactly the prefix before it
     /// applied, as one single check per segment would leave it.
-    fn replay_segments(
-        &mut self,
-        segs: &[Segment],
-        entries: &[LedgerEntry],
-    ) -> Result<(), BootstrapError> {
-        let proven = self.proven_primary_keys(segs, entries);
+    fn replay_segments(&mut self, segs: &[Segment<'_>]) -> Result<(), BootstrapError> {
+        let proven = self.proven_primary_keys(segs);
         for (seg, key) in segs.iter().zip(&proven) {
-            self.replay_segment(seg, entries, key.as_ref())?;
+            self.replay_segment(seg, key.as_ref())?;
         }
         Ok(())
     }
@@ -238,21 +234,14 @@ impl Replica {
     /// first failure. `None` (checked singly when applied) for a segment
     /// that is not a batch, fails the primary clause, or whose job failed
     /// or was not reached.
-    fn proven_primary_keys(
-        &self,
-        segs: &[Segment],
-        entries: &[LedgerEntry],
-    ) -> Vec<Option<PublicKey>> {
+    fn proven_primary_keys(&self, segs: &[Segment<'_>]) -> Vec<Option<PublicKey>> {
         let mut queue = SigQueue::new(Some(&self.pool), HashSet::new());
         let mut queued = vec![None; segs.len()];
         for (seg, queued) in segs.iter().zip(&mut queued) {
-            let Segment::Batch { pp_at, seq, .. } = seg else {
+            let Segment::Batch(BatchSegment { pp, .. }) = seg else {
                 continue;
             };
-            let LedgerEntry::PrePrepare(pp) = &entries[*pp_at] else {
-                unreachable!("segmenter guarantees");
-            };
-            let Some(job) = view_primary_job(self.config_for_seq(*seq), pp) else {
+            let Some(job) = view_primary_job(self.config_for_seq(pp.seq()), pp) else {
                 continue;
             };
             *queued = Some((job.key, job.fingerprint()));
@@ -275,40 +264,32 @@ impl Replica {
     /// pre-pass proved a batch's pre-prepare signature under, if any.
     fn replay_segment(
         &mut self,
-        seg: &Segment,
-        entries: &[LedgerEntry],
+        seg: &Segment<'_>,
         proven: Option<&PublicKey>,
     ) -> Result<(), BootstrapError> {
         match seg {
             Segment::Genesis { .. } => {
                 Err(BootstrapError::Malformed("unexpected genesis".into()))
             }
-            Segment::ViewChange { set_at, nv_at, view } => {
-                let (LedgerEntry::ViewChangeSet { view_changes, .. }, LedgerEntry::NewView(nv)) =
-                    (&entries[*set_at], &entries[*nv_at])
-                else {
-                    unreachable!("segmenter guarantees");
-                };
+            Segment::ViewChange { view_changes, nv, .. } => {
                 // The pair sits where the next batch would, so it is held
                 // to the rule under that position's configuration — the
                 // rule a backup held the new-view to — and logged by the
                 // same writer (a pair already in the ledger is a no-op).
-                let refused = |why| BootstrapError::BadNewView(*view, why);
+                let refused = |why| BootstrapError::BadNewView(nv.view, why);
                 let config = self.config_for_seq(self.seq_next);
                 check_new_view(config, nv, view_changes).map_err(refused)?;
-                self.log_new_view(*view, view_changes.clone(), Some(nv)).map_err(refused)?;
+                self.log_new_view(nv.view, view_changes.to_vec(), Some(nv)).map_err(refused)?;
                 Ok(())
             }
-            Segment::Batch { evidence_at, nonces_at, pp_at, tx_at, seq, .. } => {
-                let LedgerEntry::PrePrepare(pp) = &entries[*pp_at] else {
-                    unreachable!("segmenter guarantees");
-                };
+            Segment::Batch(BatchSegment { evidence, pp, txs, .. }) => {
+                let seq = pp.seq();
                 // The primary's signature under the batch's configuration
                 // as it stands now — before any state is touched. A proof
                 // under another key (the configuration changed since the
                 // pre-pass) is checked again, singly.
-                if !signed_by_view_primary(self.config_for_seq(*seq), pp, proven) {
-                    return Err(BootstrapError::BadPrePrepareSig(*seq));
+                if !signed_by_view_primary(self.config_for_seq(seq), pp, proven) {
+                    return Err(BootstrapError::BadPrePrepareSig(seq));
                 }
 
                 // The batch as the primary proposed it: the evidence the
@@ -317,49 +298,38 @@ impl Replica {
                 // bytes come through). The recorded `(i, o)` pairs are not
                 // read: the ledger gets the entries execution produces, and
                 // the signed Ḡ binds each `(H(t), i, o)` leaf of those.
-                let pair = evidence_at.zip(*nonces_at).map(|(ev, no)| (&entries[ev], &entries[no]));
-                let evidence = pair.map(|pair| match pair {
-                    (LedgerEntry::Evidence { seq, prepares }, LedgerEntry::Nonces { nonces, .. }) => {
-                        let (prepares, nonces) = (prepares.clone(), nonces.clone());
-                        EvidenceSet { seq: *seq, prepares, nonces }
-                    }
-                    _ => unreachable!("segmenter guarantees"),
+                let evidence = evidence.map(|pair| EvidenceSet {
+                    seq: pp.core.evidence_seq,
+                    prepares: pair.prepares.to_vec(),
+                    nonces: pair.nonces.to_vec(),
                 });
                 let cert = self
                     .certificate_from_ledger(pp, evidence.as_ref())
-                    .map_err(|why| BootstrapError::BadEvidence(*seq, why))?;
-                let bodies: Vec<&SignedRequest> = tx_at
-                    .iter()
-                    .map(|&ti| match &entries[ti] {
-                        LedgerEntry::Tx(tx) => &tx.request,
-                        _ => unreachable!("segmenter guarantees"),
-                    })
-                    .collect();
-                let names: Vec<Digest> = bodies.iter().map(|r| r.digest()).collect();
-                let requests: Vec<SignedRequest> = bodies.into_iter().cloned().collect();
+                    .map_err(|why| BootstrapError::BadEvidence(seq, why))?;
+                let requests: Vec<SignedRequest> =
+                    txs.iter().map(|tx| tx.request.clone()).collect();
+                let names: Vec<Digest> = requests.iter().map(SignedRequest::digest).collect();
                 // An accepted segment's bodies live on in this replica's
                 // ledger only; a refused one's are dropped.
                 self.apply_proposed(
-                    pp.clone(),
+                    PrePrepare::clone(pp),
                     names,
                     requests,
                     evidence,
                     RequestSigs::CheckedByQuorum,
                 )
-                .map_err(|_| BootstrapError::ExecutionMismatch(*seq))?;
+                .map_err(|_| BootstrapError::ExecutionMismatch(seq))?;
 
                 // Frontiers: a replayed batch is prepared; evidence that
                 // passed the rule marks its target committed, and certifies
                 // it for the governance chain this replica serves (§5.2).
                 // We did not participate, so we hold no nonces for these
                 // slots — the evidence-fetch path covers gaps.
-                self.prepared_up_to = self.prepared_up_to.max(*seq);
+                self.prepared_up_to = self.prepared_up_to.max(seq);
                 if let Some(cert) = cert {
                     let target = cert.core.seq;
-                    if let Some(exec) = self.batch_exec.get(&target).map(Arc::clone) {
-                        for link in self.gov_links(&exec, &cert) {
-                            self.insert_gov_link(link);
-                        }
+                    for link in self.gov_links(&cert) {
+                        self.insert_gov_link(link);
                     }
                     if target > self.committed_up_to {
                         self.committed_up_to = target;
@@ -923,13 +893,17 @@ mod tests {
 
 
     /// `entries` with one bit flipped in the pre-prepare signature of each
-    /// segment listed in `forged`.
-    fn forge(entries: &[LedgerEntry], segs: &[Segment], forged: &[usize]) -> Vec<LedgerEntry> {
+    /// segment listed in `forged` (every segment a batch of its own seq).
+    fn forge(entries: &[LedgerEntry], segs: &[Segment<'_>], forged: &[usize]) -> Vec<LedgerEntry> {
         let mut out = entries.to_vec();
         for &k in forged {
-            let Segment::Batch { pp_at, .. } = segs[k] else { panic!("not a batch segment") };
-            let LedgerEntry::PrePrepare(pp) = &mut out[pp_at] else { unreachable!("a batch") };
-            pp.sig.0[0] ^= 1;
+            let Segment::Batch(batch) = segs[k] else { panic!("not a batch segment") };
+            let seq = batch.pp.seq();
+            let pp = out.iter_mut().find_map(|e| match e {
+                LedgerEntry::PrePrepare(pp) if pp.seq() == seq => Some(pp),
+                _ => None,
+            });
+            pp.expect("its pre-prepare").sig.0[0] ^= 1;
         }
         out
     }
@@ -991,7 +965,7 @@ mod tests {
         bus.run_until_committed(SeqNum(60));
         let ledger = bus.replicas[0].ledger.entries()[1..].to_vec();
         let segs = segment_entries(&ledger, 1).expect("an honest ledger segments");
-        assert!(segs.iter().all(|seg| matches!(seg, Segment::Batch { .. })));
+        assert!(segs.iter().all(|seg| matches!(seg, Segment::Batch(_))));
         let chunks: Vec<_> = verify_chunks(segs.len(), 4).collect();
         assert_eq!(chunks.len(), 2, "{} jobs", segs.len());
         let edge = chunks[1].start;
@@ -1015,10 +989,14 @@ mod tests {
                 // The rule before the pre-pass: one segment at a time, each
                 // pre-prepare checked singly.
                 let mut reference = bus.spare(params.clone());
+                let forged_segs = segment_entries(&entries, 1).expect("a forgery segments");
                 let verdict =
-                    segs.iter().try_for_each(|seg| reference.replay_segment(seg, &entries, None));
+                    forged_segs.iter().try_for_each(|seg| reference.replay_segment(seg, None));
                 assert_eq!(got, outcome(&reference, verdict), "{row}, {threads} threads");
-                let first = forged.iter().min().map(|&k| segs[k].seq().expect("a batch"));
+                let first = forged.iter().min().map(|&k| match segs[k] {
+                    Segment::Batch(batch) => batch.pp.seq(),
+                    _ => panic!("not a batch segment"),
+                });
                 let want = first.map_or(Ok(()), |s| Err(BootstrapError::BadPrePrepareSig(s)));
                 assert_eq!(got.0, want, "{row}, {threads} threads");
             }

@@ -25,6 +25,7 @@
 //! and audit demonstrations are in [`byzantine`].
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod app;
 pub mod bootstrap;

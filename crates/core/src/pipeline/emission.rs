@@ -11,11 +11,12 @@
 //! are shared behind `Arc`, authentication paths are served by each
 //! batch's tree `G`, and re-fetch locates its transaction
 //! through the `tx_hash → (seq, pos)` index instead of a linear scan.
+//! What a reply says of a transaction (client, request id, index, result)
+//! is read from the batch's `⟨t, i, o⟩` entries in the ledger.
 //! A governance batch's certificate is assembled once, when it commits,
 //! and lives on in the governance-chain links built from it.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use ia_ccf_governance::chain::GovLink;
 use ia_ccf_types::{
@@ -25,63 +26,55 @@ use ia_ccf_types::{
 };
 
 use crate::checkpoint::CheckpointRecord;
+use crate::events::Output;
 use crate::pipeline::BatchExec;
 use crate::replica::Replica;
 
 impl Replica {
+    /// Reply to the batch at `seq` once it prepared here: one `reply` per
+    /// client listing its request ids (§3.3), then a `replyx` for each
+    /// transaction this replica is designated for, in batch order.
     pub(crate) fn send_replies(&mut self, seq: SeqNum) {
-        let Some(exec) = self.batch_exec.get(&seq) else {
+        let (Some(exec), Some(txs)) = (self.batch_exec.get(&seq), self.ledger.tx_run(seq)) else {
             return;
         };
-        let Some((pp, my_sig, nonce)) = self.own_share(seq) else {
+        let Some((pp, sig, nonce)) = self.own_share(seq) else {
             return;
         };
-        let (pp, exec) = (pp.clone(), Arc::clone(exec));
-        let view = pp.view();
-
-        // One reply per client per batch, listing that client's request
-        // ids (§3.3).
+        let (view, replica) = (pp.view(), self.id);
         let mut per_client: BTreeMap<ClientId, Vec<u64>> = BTreeMap::new();
-        for et in &exec.txs {
-            if et.client == ClientId(0) {
-                continue; // system transaction
-            }
-            per_client.entry(et.client).or_default().push(et.req_id);
-        }
-        for (client, req_ids) in per_client {
-            self.send_client(
-                client,
-                ProtocolMsg::Reply(Reply {
-                    view,
-                    seq,
-                    replica: self.id,
-                    sig: my_sig,
-                    nonce,
-                    req_ids,
-                }),
-            );
-        }
-        for (pos, et) in exec.txs.iter().enumerate() {
-            if et.client == ClientId(0) {
-                continue;
-            }
-            if self.is_designated(&et.request_digest) {
-                // Leaves were appended in tx order, so the enumeration
-                // index IS the leaf position.
-                let path = exec.path(pos as u64).expect("leaf exists");
-                self.send_client(
-                    et.client,
-                    ProtocolMsg::ReplyX(ReplyX {
-                        core: pp.core.clone(),
-                        primary_sig: pp.sig,
-                        tx_hash: et.request_digest,
-                        index: et.index,
-                        result: et.result.clone(),
-                        path,
-                    }),
-                );
+        for tx in txs.iter() {
+            let request = &tx.request.request;
+            if request.client != ClientId(0) {
+                per_client.entry(request.client).or_default().push(request.req_id);
             }
         }
+        let mut out: Vec<Output> = per_client
+            .into_iter()
+            .map(|(client, req_ids)| {
+                let reply = Reply { view, seq, replica, sig, nonce, req_ids };
+                Output::SendClient(client, ProtocolMsg::Reply(reply))
+            })
+            .collect();
+        for (pos, (tx, name)) in txs.iter().zip(&exec.names).enumerate() {
+            let client = tx.request.request.client;
+            if client == ClientId(0) || !self.is_designated(name) {
+                continue; // a system transaction, or another replica's
+            }
+            // Leaves were appended in tx order, so the position in the
+            // batch IS the leaf position.
+            let path = exec.tree.path(pos as u64).expect("leaf exists");
+            let replyx = ReplyX {
+                core: pp.core.clone(),
+                primary_sig: pp.sig,
+                tx_hash: *name,
+                index: tx.index,
+                result: tx.result.clone(),
+                path,
+            };
+            out.push(Output::SendClient(client, ProtocolMsg::ReplyX(replyx)));
+        }
+        self.out.extend(out);
     }
 
     /// This replica's share in the quorum's word on the batch at `seq`, as
@@ -117,24 +110,29 @@ impl Replica {
         self.certificate_for(seq, view, None)
     }
 
-    /// The links a certified batch contributes to the governance
-    /// sub-ledger (§5.2): a receipt per governance transaction, and the
-    /// boundary receipt of the `P`-th end-of-configuration batch.
-    pub(crate) fn gov_links(&self, exec: &BatchExec, cert: &BatchCertificate) -> Vec<GovLink> {
+    /// The links a certified batch still in the window contributes to the
+    /// governance sub-ledger (§5.2): a receipt per governance transaction,
+    /// and the boundary receipt of the `P`-th end-of-configuration batch.
+    pub(crate) fn gov_links(&self, cert: &BatchCertificate) -> Vec<GovLink> {
+        let seq = cert.core.seq;
+        let (Some(exec), Some(txs)) = (self.batch_exec.get(&seq), self.ledger.tx_run(seq)) else {
+            return Vec::new();
+        };
         let mut links = Vec::new();
-        for (pos, et) in exec.txs.iter().enumerate().filter(|(_, et)| et.is_governance) {
-            let Some(request) = self.request_body(&et.request_digest).cloned() else {
+        for (pos, (tx, name)) in txs.iter().zip(&exec.names).enumerate() {
+            if !tx.request.is_governance() {
                 continue;
-            };
+            }
             let body = ReceiptBody::Tx(TxWitness {
-                tx_hash: et.request_digest,
-                index: et.index,
-                result: et.result.clone(),
-                path: exec.path(pos as u64).expect("leaf exists"),
+                tx_hash: *name,
+                index: tx.index,
+                result: tx.result.clone(),
+                path: exec.tree.path(pos as u64).expect("leaf exists"),
             });
+            let request = tx.request.clone();
             links.push(GovLink::GovTx { request, receipt: Receipt { cert: cert.clone(), body } });
         }
-        if is_gov_boundary(exec.kind, self.config_for_seq(cert.core.seq)) {
+        if is_gov_boundary(cert.core.kind, self.config_for_seq(seq)) {
             let body = ReceiptBody::Batch { root_g: Digest::zero() };
             links.push(GovLink::Boundary { receipt: Receipt { cert: cert.clone(), body } });
         }
@@ -142,11 +140,13 @@ impl Replica {
     }
 
     pub(crate) fn build_gov_receipts(&mut self, seq: SeqNum, view: View) {
-        let Some(exec) = self.batch_exec.get(&seq).map(Arc::clone) else {
+        let Some(pp) = self.prepared_pp(seq) else {
             return;
         };
-        if !exec.txs.iter().any(|t| t.is_governance)
-            && !is_gov_boundary(exec.kind, self.config_for_seq(seq))
+        let txs = self.ledger.tx_run(seq).unwrap_or_default();
+        let governs = txs.iter().any(|tx| tx.request.is_governance());
+        if !self.batch_exec.contains_key(&seq)
+            || (!governs && !is_gov_boundary(pp.core.kind, self.config_for_seq(seq)))
         {
             return;
         }
@@ -157,7 +157,7 @@ impl Replica {
             }
             return;
         };
-        for link in self.gov_links(&exec, &cert) {
+        for link in self.gov_links(&cert) {
             self.insert_gov_link(link);
         }
     }
@@ -236,7 +236,7 @@ impl Replica {
         pos: u64,
         tx_hash: Digest,
     ) -> Option<(Reply, ReplyX)> {
-        let et = &exec.txs[pos as usize];
+        let tx = self.ledger.tx_at(seq, pos)?;
         let (pp, my_sig, nonce) = self.own_share(seq)?;
         let reply = Reply {
             view: pp.view(),
@@ -244,15 +244,15 @@ impl Replica {
             replica: self.id,
             sig: my_sig,
             nonce,
-            req_ids: vec![et.req_id],
+            req_ids: vec![tx.request.request.req_id],
         };
         let replyx = ReplyX {
             core: pp.core.clone(),
             primary_sig: pp.sig,
             tx_hash,
-            index: et.index,
-            result: et.result.clone(),
-            path: exec.path(pos).expect("leaf exists"),
+            index: tx.index,
+            result: tx.result.clone(),
+            path: exec.tree.path(pos).expect("leaf exists"),
         };
         Some((reply, replyx))
     }
@@ -260,23 +260,30 @@ impl Replica {
     /// The seed's linear-scan re-fetch, preserved as the reference oracle
     /// for the differential tests (`tests/receipt_refetch_equiv.rs`):
     /// scan the executed batches in sequence order for the transaction
-    /// and rebuild the reply pair from the prepared pre-prepare, the slot
-    /// and the tree directly, bypassing the locator and `own_share`.
-    /// Returns the messages instead of sending them.
+    /// and rebuild the reply pair from the prepared pre-prepare, the slot,
+    /// the ledger entry at the pre-prepare's index plus one plus the
+    /// position, and the tree directly, bypassing the locator, the
+    /// ledger's run accessor and `own_share`. Returns the messages instead
+    /// of sending them.
     #[doc(hidden)]
     pub fn refetch_oracle_linear(&self, tx_hash: Digest) -> Vec<ProtocolMsg> {
         let scan = || {
             let (seq, exec, pos) = self.batch_exec.range(..).find_map(|(seq, exec)| {
-                Some((*seq, exec, exec.txs.iter().position(|t| t.request_digest == tx_hash)?))
+                Some((*seq, exec, exec.names.iter().position(|name| *name == tx_hash)?))
             })?;
-            let (et, pp) = (&exec.txs[pos], self.prepared_pp(seq)?);
+            let pp = self.prepared_pp(seq)?;
+            let (LedgerIdx(pp_at), _) = self.ledger.batch_span(seq)?;
+            let Some(LedgerEntry::Tx(tx)) = self.ledger.entry(LedgerIdx(pp_at + 1 + pos as u64))
+            else {
+                return None;
+            };
             let slot = self.msgs.slot(seq, pp.view())?;
             let mine = slot.prepares.get(&self.id).map(|p| p.sig);
             let sig = if pp.core.primary == self.id { pp.sig } else { mine? };
-            let (nonce, req_ids) = (slot.own_nonce?, vec![et.req_id]);
+            let (nonce, req_ids) = (slot.own_nonce?, vec![tx.request.request.req_id]);
             let reply = Reply { view: pp.view(), seq, replica: self.id, sig, nonce, req_ids };
             let path = exec.tree.path(pos as u64).expect("leaf exists");
-            let (index, result) = (et.index, et.result.clone());
+            let (index, result) = (tx.index, tx.result.clone());
             let core = pp.core.clone();
             let replyx = ReplyX { core, primary_sig: pp.sig, tx_hash, index, result, path };
             Some(vec![ProtocolMsg::Reply(reply), ProtocolMsg::ReplyX(replyx)])
@@ -410,21 +417,13 @@ impl Replica {
         let payload = self.offerable_checkpoint().filter(|r| r.seq == seq).and_then(|record| {
             // The record's prefix ends just before the checkpoint batch's
             // own entries; the seed spans that pre-prepare and its tx run.
-            let start = record.ledger_len;
-            let pp_here = matches!(
-                self.ledger.entry(LedgerIdx(start)),
-                Some(LedgerEntry::PrePrepare(pp)) if pp.seq() == seq
-            );
+            let (start, end) = self.ledger.batch_span(seq)?;
             // Suffix no longer in this ledger (shouldn't happen for an
             // offerable record) — refuse rather than mis-seed.
-            if !pp_here {
+            if start.0 != record.ledger_len {
                 return None;
             }
-            let mut end = start + 1;
-            while matches!(self.ledger.entry(LedgerIdx(end)), Some(LedgerEntry::Tx(_))) {
-                end += 1;
-            }
-            Some(record.payload(self.ledger.encode_range(LedgerIdx(start), LedgerIdx(end))))
+            Some(record.payload(self.ledger.encode_range(start, end)))
         });
         self.send_replica(sender, ProtocolMsg::FetchCheckpointResponse { seq, payload });
     }

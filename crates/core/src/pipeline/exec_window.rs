@@ -8,9 +8,11 @@
 //! rolled-back tail ([`ExecWindow::drop_after`]), raising the rollback
 //! floor what falls out of the window ([`ExecWindow::drop_up_to`]).
 //!
-//! The locator also finds the body of an ordered request: it is the
-//! ledger's `Tx` entry at the batch's pre-prepare plus one plus the
-//! position (`Replica::request_body`).
+//! A batch here is its requests' names and its tree `G`; the rest of it is
+//! the ledger's entries, so the ledger holds every batch the window holds,
+//! its `Tx` run exactly the names in order (`replica.rs`'s soak asserts it
+//! after every input). The locator thus also finds an ordered request's
+//! body: the ledger's `Tx` entry at `(seq, pos)` (`Replica::request_body`).
 
 use std::collections::{btree_map, BTreeMap, HashMap};
 use std::ops::RangeBounds;
@@ -51,8 +53,8 @@ impl ExecWindow {
         if let Some(old) = self.batches.remove(&seq) {
             self.unindex(seq, &old);
         }
-        for (pos, et) in exec.txs.iter().enumerate() {
-            self.locator.insert(et.request_digest, (seq, pos as u64));
+        for (pos, name) in exec.names.iter().enumerate() {
+            self.locator.insert(*name, (seq, pos as u64));
         }
         self.batches.insert(seq, Arc::new(exec));
     }
@@ -109,9 +111,9 @@ impl ExecWindow {
     /// Remove the batch at `seq`'s locator entries that still point at it:
     /// a transaction re-indexed at a later seq keeps its entry.
     fn unindex(&mut self, seq: SeqNum, exec: &BatchExec) {
-        for et in &exec.txs {
-            if self.locator.get(&et.request_digest).map(|(s, _)| *s) == Some(seq) {
-                self.locator.remove(&et.request_digest);
+        for name in &exec.names {
+            if self.locator.get(name).map(|(s, _)| *s) == Some(seq) {
+                self.locator.remove(name);
             }
         }
     }
@@ -127,27 +129,14 @@ impl Replica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::execution::ExecTx;
     use ia_ccf_merkle::MerkleTree;
-    use ia_ccf_types::{BatchKind, ClientId, LedgerIdx, TxResult};
 
     fn tx(label: &str) -> Digest {
         ia_ccf_crypto::hash_bytes(label.as_bytes())
     }
 
     fn batch(txs: &[&str]) -> BatchExec {
-        let txs = txs
-            .iter()
-            .map(|label| ExecTx {
-                request_digest: tx(label),
-                client: ClientId(1),
-                req_id: 0,
-                index: LedgerIdx(0),
-                result: TxResult { ok: true, output: Vec::new(), write_set_digest: Digest::zero() },
-                is_governance: false,
-            })
-            .collect();
-        BatchExec::new(BatchKind::Regular, txs, MerkleTree::new())
+        BatchExec { names: txs.iter().map(|label| tx(label)).collect(), tree: MerkleTree::new() }
     }
 
     /// Batches 1..=4 holding `a`, `b c`, `d`, `e`.
@@ -165,7 +154,7 @@ mod tests {
             .iter()
             .map(|label| {
                 w.locate(&tx(label)).map(|(seq, pos, exec)| {
-                    assert_eq!(exec.txs[pos as usize].request_digest, tx(label), "{label}");
+                    assert_eq!(exec.names[pos as usize], tx(label), "{label}");
                     (seq.0, pos)
                 })
             })

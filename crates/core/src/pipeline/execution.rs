@@ -18,7 +18,7 @@ use std::sync::Arc;
 use ia_ccf_crypto::Digest;
 use ia_ccf_governance::GovOutcome;
 use ia_ccf_merkle::MerkleTree;
-use ia_ccf_types::{BatchKind, ClientId, LedgerIdx, SeqNum, SignedRequest, TxResult, View};
+use ia_ccf_types::{LedgerIdx, SeqNum, SignedRequest, TxResult, View};
 
 use crate::checkpoint::CheckpointRecord;
 use crate::events::Output;
@@ -26,45 +26,33 @@ use crate::execute::{execute_tx, Effect, Executed, MarkCheck};
 use crate::pipeline::exec_window::RETENTION_BATCHES;
 use crate::replica::Replica;
 
-/// Result of executing one transaction, plus the bookkeeping needed for
-/// replies and receipts.
-#[derive(Debug, Clone)]
-pub(crate) struct ExecTx {
-    pub request_digest: Digest,
-    pub client: ClientId,
-    /// The client's request id, which every reply for this transaction
-    /// carries: replies and re-fetches read it here, not off the body.
-    pub req_id: u64,
-    pub index: LedgerIdx,
-    pub result: TxResult,
-    pub is_governance: bool,
-}
-
-/// Everything remembered about an executed (possibly not yet committed)
-/// batch.
+/// What a replica keeps about an executed (possibly not yet committed)
+/// batch beside its ledger, which holds the pre-prepare (and with it the
+/// kind) and the `⟨t, i, o⟩` entries: the names of the batch's requests,
+/// and its tree `G`.
 ///
 /// Shared behind `Arc` in the replica's `ExecWindow`: the emission stage,
 /// governance receipt builder and re-fetch serving all read it without
-/// deep-cloning the transaction vector or the tree.
+/// deep-cloning the names or the tree.
 #[derive(Debug)]
 pub(crate) struct BatchExec {
-    pub kind: BatchKind,
-    pub txs: Vec<ExecTx>,
+    /// The requests' digests in batch order: the re-fetch locator's keys,
+    /// and `H(t)` of the ledger's `Tx` entry at the same position.
+    pub names: Vec<Digest>,
     /// The batch tree `G`, built once from the batch's leaves at
     /// execution; every receipt and re-fetch reads its paths. A
     /// rolled-back batch drops the whole `BatchExec`.
     pub tree: MerkleTree,
 }
 
-impl BatchExec {
-    pub(crate) fn new(kind: BatchKind, txs: Vec<ExecTx>, tree: MerkleTree) -> Self {
-        BatchExec { kind, txs, tree }
-    }
-
-    /// The authentication path for the leaf at `pos`.
-    pub(crate) fn path(&self, pos: u64) -> Option<ia_ccf_merkle::MerklePath> {
-        self.tree.path(pos)
-    }
+/// A batch just executed, before it enters the ledger: its requests'
+/// results in batch order, the index of the first, and its tree `G`.
+/// `close_batch` moves the results into the batch's `⟨t, i, o⟩` entries.
+#[derive(Debug)]
+pub(crate) struct ExecutedBatch {
+    pub first_index: u64,
+    pub results: Vec<TxResult>,
+    pub tree: MerkleTree,
 }
 
 /// Rollback information for a batch (Lemma 1).
@@ -103,10 +91,9 @@ impl Replica {
     pub(crate) fn execute_batch(
         &mut self,
         seq: SeqNum,
-        kind: BatchKind,
         requests: &[SignedRequest],
         names: &[Digest],
-    ) -> Result<BatchExec, ExecError> {
+    ) -> Result<ExecutedBatch, ExecError> {
         debug_assert_eq!(requests.len(), names.len());
         // Structural validation up front (indices are assigned by batch
         // position, so both checks are order-independent of execution).
@@ -124,23 +111,14 @@ impl Replica {
             .map(|r| self.execute_one(seq, r))
             .collect::<Result<Vec<_>, _>>()?;
         // One pass assigns indices and builds the leaves.
-        let mut txs = Vec::with_capacity(requests.len());
+        let first_index = self.next_tx_index;
         let mut leaves = Vec::with_capacity(requests.len());
-        for ((req, &request_digest), result) in requests.iter().zip(names).zip(results) {
-            let is_gov = req.is_governance();
+        for ((req, name), result) in requests.iter().zip(names).zip(&results) {
             let index = LedgerIdx(self.next_tx_index);
-            if is_gov && result.ok {
+            if req.is_governance() && result.ok {
                 self.last_gov_index = index;
             }
-            leaves.push(ia_ccf_types::entry::g_leaf_hash(&request_digest, index, &result));
-            txs.push(ExecTx {
-                request_digest,
-                client: req.request.client,
-                req_id: req.request.req_id,
-                index,
-                result,
-                is_governance: is_gov,
-            });
+            leaves.push(ia_ccf_types::entry::g_leaf_hash(name, index, result));
             self.next_tx_index += 1;
         }
         // One bulk pass builds `Ḡ` (batch amortization, §3.4).
@@ -149,7 +127,7 @@ impl Replica {
         if seq.0.is_multiple_of(self.checkpoint_interval()) {
             self.take_checkpoint(seq);
         }
-        Ok(BatchExec::new(kind, txs, tree))
+        Ok(ExecutedBatch { first_index, results, tree })
     }
 
     /// One request: one call of the shared rule

@@ -21,10 +21,11 @@
 //! waits.
 //!
 //! Executed batches have one owner, [`exec_window`]: the batches behind
-//! `Arc` (each with its tree `G`, which serves its receipt paths) and the
-//! `tx_hash → (seq, pos)` re-fetch locator over them. Rollback and the GC
-//! drop batches only through it, so a locator entry never outlives its
-//! batch.
+//! `Arc` (each its requests' names and its tree `G`, which serves its
+//! receipt paths) and the `tx_hash → (seq, pos)` re-fetch locator over
+//! them. Rollback and the GC drop batches only through it, so a locator
+//! entry never outlives its batch. The rest of an executed batch is the
+//! ledger's entries.
 //!
 //! View changes (Alg. 2) and reconfiguration (§5.1) stay outside the
 //! pipeline in [`crate::viewchange`] and [`crate::reconfig`]: they

@@ -19,11 +19,12 @@ use std::collections::BTreeMap;
 use ia_ccf_ledger::validity::{signed_by_view_primary, verify_replica_payload};
 use ia_ccf_types::{
     evidence_target, lowest_ranked_quorum, BatchCertificate, BatchKind, Commit, Digest,
-    LedgerEntry, Nonce, PrePrepare, PrePrepareCore, Prepare, ProtocolMsg, PublicKey, ReplicaBitmap,
-    ReplicaId, RequestAction, SeqNum, Signature, SignedRequest, SystemOp, TxLedgerEntry, View,
+    LedgerEntry, LedgerIdx, Nonce, PrePrepare, PrePrepareCore, Prepare, ProtocolMsg, PublicKey,
+    ReplicaBitmap, ReplicaId, RequestAction, SeqNum, Signature, SignedRequest, SystemOp,
+    TxLedgerEntry, View,
 };
 
-use crate::pipeline::execution::{BatchExec, BatchMark, ExecError};
+use crate::pipeline::execution::{BatchExec, BatchMark, ExecError, ExecutedBatch};
 use crate::replica::Replica;
 
 /// Ticks the primary waits before flushing a partial batch.
@@ -203,7 +204,7 @@ impl Replica {
         };
         let mark = self.open_batch(seq, carried.map(|(_, evidence)| evidence));
 
-        let exec = match self.execute_batch(seq, kind, &requests, &batch_hashes) {
+        let exec = match self.execute_batch(seq, &requests, &batch_hashes) {
             Ok(exec) => exec,
             Err(_) => {
                 // A correct primary only fails here on min-index races;
@@ -272,30 +273,29 @@ impl Replica {
 
     /// Close an executed batch: append its pre-prepare and `⟨t, i, o⟩`
     /// entries as one ledger segment write (one reservation per batch,
-    /// §3.4) and record what a replica keeps about a batch in its ledger:
-    /// the ledger holds the pre-prepare, the message store the digest its
-    /// prepares are matched against.
+    /// §3.4), the requests and results moved into them, and record what a
+    /// replica keeps about a batch beside its ledger: the window its names
+    /// and tree `G`, the message store the digest its prepares are matched
+    /// against.
     fn close_batch(
         &mut self,
         pp: PrePrepare,
         names: Vec<Digest>,
         requests: Vec<SignedRequest>,
-        exec: BatchExec,
+        executed: ExecutedBatch,
         mark: BatchMark,
     ) {
         let (seq, view, kind, pp_digest) = (pp.seq(), pp.view(), pp.core.kind, pp.digest());
+        let ExecutedBatch { first_index, results, tree } = executed;
         let mut entries = Vec::with_capacity(1 + requests.len());
         entries.push(LedgerEntry::PrePrepare(pp));
-        for (req, et) in requests.into_iter().zip(&exec.txs) {
-            entries.push(LedgerEntry::Tx(TxLedgerEntry {
-                request: req,
-                index: et.index,
-                result: et.result.clone(),
-            }));
+        let indices = (first_index..).map(LedgerIdx);
+        for ((request, result), index) in requests.into_iter().zip(results).zip(indices) {
+            entries.push(LedgerEntry::Tx(TxLedgerEntry { request, index, result }));
         }
         self.ledger.append_batch(entries);
         self.requests.appended(&names);
-        self.batch_exec.insert(seq, exec);
+        self.batch_exec.insert(seq, BatchExec { names, tree });
         self.batch_marks.insert(seq, mark);
         self.msgs.set_pp_digest(seq, view, pp_digest);
         self.seq_next = seq.next();
@@ -338,7 +338,7 @@ impl Replica {
         names: &[Digest],
         requests: &[SignedRequest],
         sigs: RequestSigs,
-    ) -> Result<BatchExec, Refused> {
+    ) -> Result<ExecutedBatch, Refused> {
         // The primary's M̄ was computed after the evidence append.
         if self.ledger.root_m() != pp.core.root_m {
             return Err(Refused::RootM);
@@ -361,7 +361,7 @@ impl Replica {
             }
             RequestSigs::CheckedByQuorum => None,
         };
-        let exec = self.execute_batch(pp.seq(), pp.core.kind, requests, names);
+        let exec = self.execute_batch(pp.seq(), requests, names);
         if verify.is_some_and(|v| !self.finish_batch_verify(v).is_empty()) {
             // A correct primary never includes a forged request.
             return Err(Refused::ForgedRequest);
@@ -670,7 +670,7 @@ impl Replica {
     fn mark_committed(&mut self, seq: SeqNum, view: View) {
         self.committed_up_to = seq;
         self.note_progress();
-        let tx_count = self.batch_exec.get(&seq).map(|e| e.txs.len()).unwrap_or(0);
+        let tx_count = self.batch_exec.get(&seq).map_or(0, |exec| exec.names.len());
         self.out.push(crate::events::Output::Committed { seq, tx_count });
 
         // Build governance receipts (§5.2) while evidence is at hand.

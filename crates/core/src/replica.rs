@@ -616,23 +616,17 @@ impl Replica {
 
     /// The body named `digest`, wherever this replica holds it: in the
     /// request pool while it waits for a batch, else in the ledger's `Tx`
-    /// entry of an executed batch still in the window — the pre-prepare's
-    /// position plus one plus the transaction's. The one reader of an
-    /// ordered body. `None` for a body never seen, or ordered in a batch
+    /// entry of an executed batch still in the window, at the position the
+    /// locator gives. `None` for a body never seen, or ordered in a batch
     /// that has left the window.
     pub(crate) fn request_body(&self, digest: &Digest) -> Option<&SignedRequest> {
         if let Some(req) = self.requests.body(digest) {
             return Some(req);
         }
         let (seq, pos) = self.batch_exec.position(digest)?;
-        let at = self.ledger.pp_index_at(seq)? as u64 + 1 + pos;
-        match self.ledger.entry(LedgerIdx(at))? {
-            LedgerEntry::Tx(tx) => {
-                debug_assert_eq!(tx.request.digest(), *digest, "batch {seq} position {pos}");
-                Some(&tx.request)
-            }
-            _ => None,
-        }
+        let tx = self.ledger.tx_at(seq, pos)?;
+        debug_assert_eq!(tx.request.digest(), *digest, "batch {seq} position {pos}");
+        Some(&tx.request)
     }
 
     // ------------------------------------------------------------------
@@ -715,7 +709,8 @@ mod tests {
     /// The pool holds only bodies not yet appended and queues exactly the
     /// orderable ones; every message-store slot lies above the receipt
     /// window's cut, and holds an own nonce only for the batch its ledger
-    /// holds at that `(seq, view)`.
+    /// holds at that `(seq, view)`; and the ledger holds every batch the
+    /// window holds, its `Tx` run exactly the batch's names, in order.
     fn bounded(r: &Replica) {
         r.requests.check();
         let window = r.committed_up_to.0.saturating_sub(RETENTION_BATCHES);
@@ -726,6 +721,13 @@ mod tests {
                 let held = r.ledger.pp_at(seq).map(|pp| pp.view());
                 assert_eq!(held, Some(view), "replica {}: own nonce at ({seq}, {view})", r.id);
             }
+        }
+        for (seq, exec) in r.batch_exec.range(..) {
+            let id = r.id;
+            assert!(r.ledger.pp_at(*seq).is_some(), "replica {id}: batch {seq} not in the ledger");
+            let txs = r.ledger.tx_run(*seq).unwrap_or_default();
+            let held: Vec<_> = txs.iter().map(|tx| tx.request.digest()).collect();
+            assert_eq!(held, exec.names, "replica {id}: batch {seq}'s run");
         }
     }
 
@@ -788,6 +790,32 @@ mod tests {
         }
     }
 
+    /// The same per-input check with batches of up to four requests, over
+    /// a view change that rolls back a tail of such batches: the window's
+    /// names stay each ledger run's, in order, on every replica.
+    #[test]
+    fn the_window_holds_each_multi_request_batch_as_its_ledger_run() {
+        let mut bus = Bus::new(4);
+        bus.check = Some(bounded);
+        let mut sent = commit(&mut bus, 40);
+        bus.drop_if =
+            Some(|_, _, msg| matches!(msg, ProtocolMsg::Prepare(_) | ProtocolMsg::Commit(_)));
+        sent.extend((0..12).map(|_| bus.submit()));
+        for _ in 0..3 {
+            bus.round();
+        }
+        let new_primary = &bus.replicas[1];
+        assert!(new_primary.seq_next.0 > new_primary.prepared_up_to().0 + 1, "an unprepared tail");
+        bus.drop_if = None;
+        sent.extend(commit(&mut bus, 40));
+        for r in &bus.replicas {
+            assert_eq!(r.view(), View(1), "replica {}", r.id);
+            let most = r.batch_exec.range(..).map(|(_, exec)| exec.names.len()).max();
+            assert!(most > Some(1), "replica {}: batches of one request only", r.id);
+            assert!(sent.iter().all(|req| r.requests.is_ordered(&req.digest())));
+        }
+    }
+
     /// A backup that never saw the requests asks the primary for them
     /// after the primary appended the batch: the primary serves the bodies
     /// out of its ledger, and the backup commits.
@@ -818,7 +846,7 @@ mod tests {
         bus.route(ReplicaId(0), outputs);
         bus.run_until_committed(SeqNum(1));
         for r in &bus.replicas {
-            let pp_at = r.ledger.pp_index_at(SeqNum(1)).expect("batch 1") as u64;
+            let (LedgerIdx(pp_at), _) = r.ledger.batch_span(SeqNum(1)).expect("batch 1");
             let txs = [pp_at + 1, pp_at + 2].map(|at| match r.ledger.entry(LedgerIdx(at)) {
                 Some(LedgerEntry::Tx(tx)) => tx.request.digest(),
                 other => panic!("replica {}: {other:?}", r.id),

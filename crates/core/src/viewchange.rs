@@ -316,8 +316,10 @@ impl Replica {
         let rolled: Vec<(Digest, SignedRequest)> = self
             .batch_exec
             .range(first_rolled..)
-            .flat_map(|(_, exec)| exec.txs.iter().map(|t| t.request_digest))
-            .filter_map(|d| Some((d, self.request_body(&d)?.clone())))
+            .flat_map(|(seq, exec)| {
+                let bodies = self.ledger.tx_run(*seq).unwrap_or_default();
+                exec.names.iter().copied().zip(bodies.iter().map(|tx| tx.request.clone()))
+            })
             .collect();
         if let Some(mark) = self.batch_marks.get(&first_rolled).cloned() {
             self.rollback_batch(first_rolled, &mark);
@@ -340,25 +342,22 @@ impl Replica {
     }
 
     /// Capture batch content before a reset so it can be re-proposed: the
-    /// ledger's pre-prepare and the names its executed batch holds.
+    /// ledger's pre-prepare and `⟨t, i, o⟩` run, and the names its
+    /// executed batch holds.
     fn save_batches(&self, from: SeqNum, to: SeqNum) -> Vec<SavedBatch> {
         let mut out = Vec::new();
         for seq in from.0..=to.0 {
             let seq = SeqNum(seq);
-            let (Some(pp), Some(exec)) = (self.prepared_pp(seq), self.batch_exec.get(&seq)) else {
+            let (Some(pp), Some(exec), Some(txs)) =
+                (self.prepared_pp(seq), self.batch_exec.get(&seq), self.ledger.tx_run(seq))
+            else {
                 continue;
             };
-            let digests: Vec<Digest> = exec.txs.iter().map(|t| t.request_digest).collect();
-            let requests: Vec<SignedRequest> =
-                digests.iter().filter_map(|h| self.request_body(h).cloned()).collect();
-            if requests.len() != digests.len() {
-                continue;
-            }
             out.push(SavedBatch {
                 seq,
                 kind: pp.core.kind,
-                requests,
-                digests,
+                requests: txs.iter().map(|tx| tx.request.clone()).collect(),
+                digests: exec.names.clone(),
                 committed_root: pp.core.committed_root,
             });
         }

@@ -47,6 +47,7 @@
 //!   slice checks) is frozen by those tests.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod batch;
 pub mod digest;

@@ -15,6 +15,7 @@
 //!   configuration number convict every replica that signed both.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod chain;
 pub mod fork;

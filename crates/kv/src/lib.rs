@@ -44,6 +44,7 @@
 //! digests across replicas.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 mod buckets;
 mod checkpoint;

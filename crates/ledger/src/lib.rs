@@ -13,13 +13,14 @@
 //!   ([`Ledger::truncate_to`], Lemma 1), roots, lookups;
 //! * [`segment`] — the shared structural grammar ("well-formedness" in
 //!   Appx. B terms) used by replicas validating fetched fragments and by
-//!   the auditor;
+//!   the auditor, which hands out typed, borrowed views of each segment;
 //! * [`validity`] — the signed half of validity: the pre-prepare and
 //!   view-change rules a backup, ledger replay and the auditor all call;
 //! * [`durable`] — the disk-backed segment files behind a durable
 //!   replica: chunk-framed appends, batched fsync, torn-tail repair.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod durable;
 pub mod segment;
@@ -27,5 +28,5 @@ pub mod store;
 pub mod validity;
 
 pub use durable::{DurableLog, ARCHIVE_DIR, CHECKPOINT_FILE, MANIFEST_FILE};
-pub use segment::{segment_entries, Segment, SegmentError};
+pub use segment::{segment_entries, BatchSegment, EvidencePair, Segment, SegmentError, TxRun};
 pub use store::{AttachError, Ledger};

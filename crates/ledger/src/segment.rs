@@ -17,50 +17,99 @@
 //! [`crate::validity`]'s, shared by replicas and the auditor; Merkle roots
 //! and execution correctness are checked by `ia-ccf-core` (for fetched
 //! fragments) and `ia-ccf-audit` (Alg. 4).
+//!
+//! This module is where the grammar is known: a [`Segment`] is a typed view
+//! borrowed from the stream, so replay, `validate_package` and the auditor
+//! match no entry variant, and [`crate::Ledger::tx_run`] hands a live
+//! replica the same [`TxRun`] type.
 
-use ia_ccf_types::{LedgerEntry, SeqNum, View};
+use ia_ccf_types::{
+    LedgerEntry, NewViewMsg, Nonce, PrePrepare, Prepare, TxLedgerEntry, ViewChange,
+};
 
-/// One structural unit of the ledger.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Segment {
+/// One structural unit of the ledger, borrowed from the entry stream and
+/// typed. The parts that are `M` leaves keep their entries too, for the
+/// readers that rebuild `M`.
+#[derive(Debug, Clone, Copy)]
+pub enum Segment<'a> {
     /// The genesis entry (index 0 of a full ledger).
-    Genesis {
-        /// Entry index.
-        at: usize,
-    },
+    Genesis(&'a LedgerEntry),
     /// A batch: optional evidence pair, the pre-prepare, its transactions.
-    Batch {
-        /// Entry index of the `P_{s−P}` evidence, when present.
-        evidence_at: Option<usize>,
-        /// Entry index of the `K_{s−P}` nonces, when present.
-        nonces_at: Option<usize>,
-        /// Entry index of the pre-prepare.
-        pp_at: usize,
-        /// Entry indices of the batch's `⟨t, i, o⟩` entries.
-        tx_at: Vec<usize>,
-        /// The batch's sequence number.
-        seq: SeqNum,
-        /// The batch's view.
-        view: View,
-    },
-    /// A view change: the accepted view-change set and the new-view.
+    Batch(BatchSegment<'a>),
+    /// A view change: the accepted view-change set and the new-view, whose
+    /// view is the set's.
     ViewChange {
-        /// Entry index of the view-change set.
-        set_at: usize,
-        /// Entry index of the new-view message.
-        nv_at: usize,
-        /// The new view.
-        view: View,
+        /// The accepted view-change messages.
+        view_changes: &'a [ViewChange],
+        /// The new-view message.
+        nv: &'a NewViewMsg,
+        /// The set's entry and the new-view's.
+        entries: [&'a LedgerEntry; 2],
     },
 }
 
-impl Segment {
-    /// The sequence number, for batch segments.
-    pub fn seq(&self) -> Option<SeqNum> {
-        match self {
-            Segment::Batch { seq, .. } => Some(*seq),
-            _ => None,
-        }
+/// A batch segment: `(evidence nonces)? pre-prepare tx*`.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchSegment<'a> {
+    /// The evidence pair the pre-prepare orders in, if any.
+    pub evidence: Option<EvidencePair<'a>>,
+    /// The pre-prepare.
+    pub pp: &'a PrePrepare,
+    /// The pre-prepare's entry, whose `M` leaf follows the evidence pair's.
+    pub pp_entry: &'a LedgerEntry,
+    /// The batch's `⟨t, i, o⟩` entries.
+    pub txs: TxRun<'a>,
+}
+
+/// `P_{s−P}` and `K_{s−P}`, held by the segmenter to the pre-prepare's
+/// `evidence_seq` and bitmap counts.
+#[derive(Debug, Clone, Copy)]
+pub struct EvidencePair<'a> {
+    /// The prepares of every signer but the primary.
+    pub prepares: &'a [Prepare],
+    /// The revealed nonces, one per signer.
+    pub nonces: &'a [Nonce],
+    /// The two entries, whose `M` leaves precede the pre-prepare's.
+    pub entries: [&'a LedgerEntry; 2],
+}
+
+/// A batch's `⟨t, i, o⟩` entries: a run of entries that are all `Tx`, built
+/// only by this crate (the segmenter, [`crate::Ledger::tx_run`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TxRun<'a>(&'a [LedgerEntry]);
+
+impl<'a> TxRun<'a> {
+    /// `entries`, which the caller found to be all `Tx`.
+    pub(crate) fn new(entries: &'a [LedgerEntry]) -> Self {
+        debug_assert!(entries.iter().all(|e| matches!(e, LedgerEntry::Tx(_))));
+        TxRun(entries)
+    }
+
+    /// Number of transactions.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the batch holds no transaction.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The transaction at `pos`.
+    pub fn get(&self, pos: usize) -> Option<&'a TxLedgerEntry> {
+        self.0.get(pos).and_then(as_tx)
+    }
+
+    /// The transactions in batch order.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &'a TxLedgerEntry> + 'a {
+        self.0.iter().filter_map(as_tx)
+    }
+}
+
+fn as_tx(entry: &LedgerEntry) -> Option<&TxLedgerEntry> {
+    match entry {
+        LedgerEntry::Tx(tx) => Some(tx),
+        _ => None,
     }
 }
 
@@ -87,110 +136,90 @@ impl std::error::Error for SegmentError {}
 /// complete: end-of-input closes a trailing batch's transaction run, and
 /// a segment cut off mid-way (dangling evidence, a view-change set with
 /// no new-view) is malformed.
-pub fn segment_entries(entries: &[LedgerEntry], base: usize) -> Result<Vec<Segment>, SegmentError> {
+pub fn segment_entries(
+    entries: &[LedgerEntry],
+    base: usize,
+) -> Result<Vec<Segment<'_>>, SegmentError> {
     let mut segments = Vec::new();
     let mut i = 0usize;
-    while i < entries.len() {
-        match &entries[i] {
+    while let Some(entry) = entries.get(i) {
+        let err = |at, what| Err(SegmentError { at, what });
+        match entry {
             LedgerEntry::Genesis { .. } => {
                 if base + i != 0 {
-                    return Err(SegmentError { at: i, what: "genesis not at index 0" });
+                    return err(i, "genesis not at index 0");
                 }
-                segments.push(Segment::Genesis { at: i });
+                segments.push(Segment::Genesis(entry));
                 i += 1;
             }
             LedgerEntry::Evidence { seq: ev_seq, prepares } => {
                 // Must be followed by nonces then a pre-prepare referencing them.
-                let Some(LedgerEntry::Nonces { seq: n_seq, nonces }) = entries.get(i + 1) else {
-                    return Err(SegmentError { at: i, what: "evidence not followed by nonces" });
+                let next = entries.get(i + 1);
+                let Some(nonces_entry @ LedgerEntry::Nonces { seq: n_seq, nonces }) = next else {
+                    return err(i, "evidence not followed by nonces");
                 };
                 if n_seq != ev_seq {
-                    return Err(SegmentError { at: i + 1, what: "nonce seq != evidence seq" });
+                    return err(i + 1, "nonce seq != evidence seq");
                 }
-                let Some(LedgerEntry::PrePrepare(pp)) = entries.get(i + 2) else {
-                    return Err(SegmentError { at: i, what: "evidence not followed by pre-prepare" });
+                let Some(pp_entry @ LedgerEntry::PrePrepare(pp)) = entries.get(i + 2) else {
+                    return err(i, "evidence not followed by pre-prepare");
                 };
                 if pp.core.evidence_seq != *ev_seq {
-                    return Err(SegmentError {
-                        at: i + 2,
-                        what: "pre-prepare evidence_seq mismatch",
-                    });
+                    return err(i + 2, "pre-prepare evidence_seq mismatch");
                 }
                 let expected = pp.core.evidence_bitmap.count();
                 if nonces.len() != expected {
-                    return Err(SegmentError { at: i + 1, what: "nonce count != bitmap" });
+                    return err(i + 1, "nonce count != bitmap");
                 }
                 if expected > 0 && prepares.len() != expected - 1 {
-                    return Err(SegmentError { at: i, what: "prepare count != bitmap − 1" });
+                    return err(i, "prepare count != bitmap − 1");
                 }
-                let txs = collect_txs(entries, i + 3);
-                let end = i + 3 + txs.len();
-                segments.push(Segment::Batch {
-                    evidence_at: Some(i),
-                    nonces_at: Some(i + 1),
-                    pp_at: i + 2,
-                    tx_at: txs,
-                    seq: pp.seq(),
-                    view: pp.view(),
-                });
-                i = end;
+                let entries_pair = [entry, nonces_entry];
+                let evidence = Some(EvidencePair { prepares, nonces, entries: entries_pair });
+                let txs = tx_run(entries, i + 3);
+                segments.push(Segment::Batch(BatchSegment { evidence, pp, pp_entry, txs }));
+                i += 3 + txs.len();
             }
             LedgerEntry::Nonces { .. } => {
-                return Err(SegmentError { at: i, what: "nonces without preceding evidence" });
+                return err(i, "nonces without preceding evidence");
             }
             LedgerEntry::PrePrepare(pp) => {
                 // A bare pre-prepare: legal only when it carries no evidence
                 // (startup, or evidence for a seq before the fragment).
                 if pp.core.evidence_bitmap.count() != 0 {
-                    return Err(SegmentError {
-                        at: i,
-                        what: "pre-prepare claims evidence but none precedes",
-                    });
+                    return err(i, "pre-prepare claims evidence but none precedes");
                 }
-                let txs = collect_txs(entries, i + 1);
-                let end = i + 1 + txs.len();
-                segments.push(Segment::Batch {
-                    evidence_at: None,
-                    nonces_at: None,
-                    pp_at: i,
-                    tx_at: txs,
-                    seq: pp.seq(),
-                    view: pp.view(),
-                });
-                i = end;
+                let txs = tx_run(entries, i + 1);
+                let batch = BatchSegment { evidence: None, pp, pp_entry: entry, txs };
+                segments.push(Segment::Batch(batch));
+                i += 1 + txs.len();
             }
             LedgerEntry::Tx(_) => {
-                return Err(SegmentError { at: i, what: "transaction outside a batch" });
+                return err(i, "transaction outside a batch");
             }
-            LedgerEntry::ViewChangeSet { view, .. } => {
-                let Some(LedgerEntry::NewView(nv)) = entries.get(i + 1) else {
-                    return Err(SegmentError {
-                        at: i,
-                        what: "view-change set not followed by new-view",
-                    });
+            LedgerEntry::ViewChangeSet { view, view_changes } => {
+                let Some(nv_entry @ LedgerEntry::NewView(nv)) = entries.get(i + 1) else {
+                    return err(i, "view-change set not followed by new-view");
                 };
                 if nv.view != *view {
-                    return Err(SegmentError { at: i + 1, what: "new-view view mismatch" });
+                    return err(i + 1, "new-view view mismatch");
                 }
-                segments.push(Segment::ViewChange { set_at: i, nv_at: i + 1, view: *view });
+                segments.push(Segment::ViewChange { view_changes, nv, entries: [entry, nv_entry] });
                 i += 2;
             }
             LedgerEntry::NewView(_) => {
-                return Err(SegmentError { at: i, what: "new-view without view-change set" });
+                return err(i, "new-view without view-change set");
             }
         }
     }
     Ok(segments)
 }
 
-fn collect_txs(entries: &[LedgerEntry], from: usize) -> Vec<usize> {
-    let mut txs = Vec::new();
-    let mut j = from;
-    while matches!(entries.get(j), Some(LedgerEntry::Tx(_))) {
-        txs.push(j);
-        j += 1;
-    }
-    txs
+/// The `Tx` run of `entries` starting at `from` (empty past the end).
+fn tx_run(entries: &[LedgerEntry], from: usize) -> TxRun<'_> {
+    let rest = entries.get(from..).unwrap_or_default();
+    let len = rest.iter().take_while(|e| matches!(e, LedgerEntry::Tx(_))).count();
+    TxRun::new(&rest[..len])
 }
 
 #[cfg(test)]
@@ -201,7 +230,7 @@ mod tests {
     use ia_ccf_types::messages::testutil::test_pp;
     use ia_ccf_types::{
         ClientId, LedgerIdx, Nonce, PrePrepare, ProcId, ReplicaBitmap, Request, RequestAction,
-        SignedRequest, TxLedgerEntry, TxResult,
+        SeqNum, SignedRequest, TxLedgerEntry, TxResult, View,
     };
 
     fn pp_no_evidence(view: u64, seq: u64) -> PrePrepare {
@@ -281,15 +310,47 @@ mod tests {
         ];
         let segs = segment_entries(&entries, 0).unwrap();
         assert_eq!(segs.len(), 3);
-        assert!(matches!(segs[0], Segment::Genesis { at: 0 }));
-        assert!(
-            matches!(&segs[1], Segment::Batch { evidence_at: None, tx_at, seq, .. }
-                if tx_at.len() == 2 && *seq == SeqNum(1))
-        );
-        assert!(
-            matches!(&segs[2], Segment::Batch { evidence_at: Some(4), nonces_at: Some(5), tx_at, .. }
-                if tx_at.len() == 1)
-        );
+        assert!(matches!(segs[0], Segment::Genesis(entry) if std::ptr::eq(entry, &entries[0])));
+        let Segment::Batch(first) = segs[1] else { panic!("{:?}", segs[1]) };
+        assert!(first.evidence.is_none() && std::ptr::eq(first.pp_entry, &entries[1]));
+        assert_eq!(first.pp.seq(), SeqNum(1));
+        let index = |run: TxRun<'_>| run.iter().map(|tx| tx.index.0).collect::<Vec<_>>();
+        assert_eq!(index(first.txs), [2, 3]);
+        let Segment::Batch(second) = segs[2] else { panic!("{:?}", segs[2]) };
+        let evidence = second.evidence.expect("an evidence pair");
+        assert_eq!((evidence.prepares.len(), evidence.nonces.len()), (2, 3));
+        assert_eq!(evidence.entries, [&entries[4], &entries[5]]);
+        assert!(std::ptr::eq(second.pp_entry, &entries[6]));
+        assert_eq!(index(second.txs), [7]);
+        assert_eq!(second.txs.get(0).map(|tx| tx.index.0), Some(7));
+        assert!(second.txs.get(1).is_none());
+    }
+
+    #[test]
+    fn view_change_pair_segments() {
+        let [set, nv] = view_change_pair(1);
+        let entries = vec![set, nv, LedgerEntry::PrePrepare(pp_no_evidence(1, 1))];
+        let segs = segment_entries(&entries, 7).unwrap();
+        let Segment::ViewChange { view_changes, nv, entries: [set_entry, nv_entry] } = segs[0]
+        else {
+            panic!("{:?}", segs[0])
+        };
+        assert_eq!((nv.view, view_changes.len()), (View(1), 0));
+        assert!(std::ptr::eq(set_entry, &entries[0]) && std::ptr::eq(nv_entry, &entries[1]));
+        assert!(matches!(segs[1], Segment::Batch(b) if b.txs.is_empty()));
+    }
+
+    fn view_change_pair(view: u64) -> [LedgerEntry; 2] {
+        [
+            LedgerEntry::ViewChangeSet { view: View(view), view_changes: vec![] },
+            LedgerEntry::NewView(ia_ccf_types::NewViewMsg {
+                view: View(view),
+                root_m: ia_ccf_crypto::hash_bytes(b"m"),
+                vc_bitmap: ReplicaBitmap::empty(),
+                vc_entry_hash: ia_ccf_crypto::hash_bytes(b"vc"),
+                sig: ia_ccf_types::Signature::zero(),
+            }),
+        ]
     }
 
     #[test]

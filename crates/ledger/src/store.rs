@@ -4,10 +4,11 @@ use std::collections::BTreeMap;
 
 use ia_ccf_merkle::Frontier;
 use ia_ccf_types::{
-    Configuration, Digest, LedgerEntry, LedgerIdx, SeqNum, View, Wire,
+    Configuration, Digest, LedgerEntry, LedgerIdx, PrePrepare, SeqNum, TxLedgerEntry, View, Wire,
 };
 
 use crate::durable::DurableLog;
+use crate::segment::TxRun;
 
 /// Why a [`DurableLog`] could not be attached to a [`Ledger`].
 #[derive(Debug)]
@@ -105,6 +106,17 @@ impl MTree {
     }
 }
 
+/// Where a batch sits: its pre-prepare's entry index `at`, the end
+/// (exclusive) of the `⟨t, i, o⟩` run after it, and — for a re-proposal —
+/// the position in `Ledger::pps` of the batch its seq named before.
+#[derive(Debug, Clone, Copy)]
+struct BatchAt {
+    at: u64,
+    end: u64,
+    seq: SeqNum,
+    replaced: Option<usize>,
+}
+
 /// The append-only ledger of one replica.
 ///
 /// Every entry has a [`LedgerIdx`] (its position). Non-transaction entries
@@ -135,10 +147,13 @@ pub struct Ledger {
     /// except after [`Ledger::from_checkpoint`].
     base: u64,
     tree: MTree,
-    /// Entry index of the pre-prepare for each sequence number. A sequence
-    /// number re-proposed in a later view overwrites the earlier mapping —
-    /// rollback rebuilds it.
+    /// Position in `pps` of the batch currently governing each sequence
+    /// number. A re-proposal in a later view overwrites the earlier
+    /// mapping; rolling the re-proposal back restores it.
     pp_by_seq: BTreeMap<SeqNum, usize>,
+    /// Every batch in ledger order: a rollback pops the ones it cuts, and
+    /// a `Tx` appended extends the last one's run.
+    pps: Vec<BatchAt>,
     /// `(entry index, view)` of each new-view entry, ascending; lets a
     /// paged sync decide whether a re-served view-change pair is already
     /// applied (dedup must key on ledger *content*: a rollback can remove
@@ -163,6 +178,7 @@ impl Clone for Ledger {
             base: self.base,
             tree: self.tree.clone(),
             pp_by_seq: self.pp_by_seq.clone(),
+            pps: self.pps.clone(),
             nv_entries: self.nv_entries.clone(),
             durable: None,
             durability_lost: self.durability_lost,
@@ -178,6 +194,7 @@ impl Ledger {
             base: 0,
             tree: MTree::at(0, Frontier::new()),
             pp_by_seq: BTreeMap::new(),
+            pps: Vec::new(),
             nv_entries: Vec::new(),
             durable: None,
             durability_lost: false,
@@ -198,6 +215,7 @@ impl Ledger {
             base: base_entries,
             tree: MTree::at(base_entries, frontier),
             pp_by_seq: BTreeMap::new(),
+            pps: Vec::new(),
             nv_entries: Vec::new(),
             durable: None,
             durability_lost: false,
@@ -308,11 +326,18 @@ impl Ledger {
             if entry.is_m_leaf() {
                 m_leaves.push((idx, entry.m_leaf()));
             }
-            if let LedgerEntry::PrePrepare(pp) = entry {
-                self.pp_by_seq.insert(pp.seq(), idx as usize);
-            }
-            if let LedgerEntry::NewView(nv) = entry {
-                self.nv_entries.push((idx, nv.view));
+            match entry {
+                LedgerEntry::PrePrepare(pp) => {
+                    let replaced = self.pp_by_seq.insert(pp.seq(), self.pps.len());
+                    self.pps.push(BatchAt { at: idx, end: idx + 1, seq: pp.seq(), replaced });
+                }
+                LedgerEntry::Tx(_) => {
+                    if let Some(last) = self.pps.last_mut().filter(|last| last.end == idx) {
+                        last.end = idx + 1;
+                    }
+                }
+                LedgerEntry::NewView(nv) => self.nv_entries.push((idx, nv.view)),
+                _ => {}
             }
         }
         let mut write_err = None;
@@ -371,22 +396,35 @@ impl Ledger {
         self.tree.cur.clone()
     }
 
-    /// Entry index of the pre-prepare currently governing `seq`, if any.
-    pub fn pp_index_at(&self, seq: SeqNum) -> Option<usize> {
-        self.pp_by_seq.get(&seq).copied()
+    /// Where the batch currently governing `seq` sits.
+    fn batch_at(&self, seq: SeqNum) -> Option<&BatchAt> {
+        self.pps.get(*self.pp_by_seq.get(&seq)?)
     }
 
     /// The pre-prepare entry for `seq`, if any.
-    pub fn pp_at(&self, seq: SeqNum) -> Option<&ia_ccf_types::PrePrepare> {
-        match self.entry(LedgerIdx(self.pp_index_at(seq)? as u64)) {
-            Some(LedgerEntry::PrePrepare(pp)) => Some(pp),
+    pub fn pp_at(&self, seq: SeqNum) -> Option<&PrePrepare> {
+        match self.entry(LedgerIdx(self.batch_at(seq)?.at))? {
+            LedgerEntry::PrePrepare(pp) => Some(pp),
             _ => None,
         }
     }
 
-    /// Highest sequence number with a pre-prepare in the ledger.
-    pub fn max_seq(&self) -> Option<SeqNum> {
-        self.pp_by_seq.keys().next_back().copied()
+    /// The `⟨t, i, o⟩` run of the batch governing `seq`, in O(1).
+    pub fn tx_run(&self, seq: SeqNum) -> Option<TxRun<'_>> {
+        let batch = self.batch_at(seq)?;
+        let (lo, hi) = self.clamp_range(LedgerIdx(batch.at + 1), LedgerIdx(batch.end));
+        Some(TxRun::new(self.entries.get(lo..hi)?))
+    }
+
+    /// The transaction at position `pos` of the batch governing `seq`.
+    pub fn tx_at(&self, seq: SeqNum, pos: u64) -> Option<&TxLedgerEntry> {
+        self.tx_run(seq)?.get(usize::try_from(pos).ok()?)
+    }
+
+    /// The `[pre-prepare, tx*]` span of the batch governing `seq`: the
+    /// pre-prepare's index and the end (exclusive) of its transaction run.
+    pub fn batch_span(&self, seq: SeqNum) -> Option<(LedgerIdx, LedgerIdx)> {
+        self.batch_at(seq).map(|batch| (LedgerIdx(batch.at), LedgerIdx(batch.end)))
     }
 
     /// First entry position a ledger fetch from `from_seq` must serve: the
@@ -396,17 +434,13 @@ impl Ledger {
     /// fetch resumed at any batch token never skips them. With no batch
     /// before `from_seq` the whole post-genesis ledger is the suffix.
     pub fn fetch_start_pos(&self, from_seq: SeqNum) -> u64 {
-        let Some((_, &pp_idx)) = self.pp_by_seq.range(..from_seq).next_back() else {
+        match self.pp_by_seq.range(..from_seq).next_back().and_then(|(_, &k)| self.pps.get(k)) {
+            Some(batch) => batch.end,
             // A suffix ledger cannot serve below its base; a requester
             // needing earlier entries fails validation and fails over to
             // a replica with full history.
-            return self.base.max(1.min(self.len()));
-        };
-        let mut end = pp_idx as u64 + 1;
-        while matches!(self.entry(LedgerIdx(end)), Some(LedgerEntry::Tx(_))) {
-            end += 1;
+            None => self.base.max(1.min(self.len())),
         }
-        end
     }
 
     /// Sequence numbers of batches at or after `from_seq`, in ledger
@@ -455,26 +489,26 @@ impl Ledger {
     /// `new_len` is never below the rollback floor ([`Ledger::settle`], a
     /// suffix ledger's restore point): the floor is committed, and a
     /// replica refuses a view change that would reset below it.
+    /// The sequence index changes in O(cut tail): each batch cut, latest
+    /// first, gives its seq back the mapping it replaced.
     pub fn truncate_to(&mut self, new_len: u64) {
         if new_len >= self.len() {
             return;
         }
         self.tree.truncate(new_len);
         self.entries.truncate((new_len - self.base) as usize);
-        self.nv_entries.retain(|(idx, _)| *idx < new_len);
-        // Rebuild the seq index for dropped/overwritten pre-prepares.
-        self.pp_by_seq.retain(|_, idx| (*idx as u64) < new_len);
-        // A seq may have had an earlier pp (other view) that was overwritten
-        // in the map and survives the truncation; rescan the tail to restore
-        // the latest surviving mapping.
-        for (i, e) in self.entries.iter().enumerate() {
-            let abs = self.base as usize + i;
-            if let LedgerEntry::PrePrepare(pp) = e {
-                let cur = self.pp_by_seq.get(&pp.seq()).copied().unwrap_or(0);
-                if abs >= cur {
-                    self.pp_by_seq.insert(pp.seq(), abs);
-                }
-            }
+        let kept_nvs = self.nv_entries.partition_point(|(idx, _)| *idx < new_len);
+        self.nv_entries.truncate(kept_nvs);
+        let kept_pps = self.pps.partition_point(|batch| batch.at < new_len);
+        for cut in self.pps.drain(kept_pps..).rev() {
+            match cut.replaced {
+                Some(earlier) => self.pp_by_seq.insert(cut.seq, earlier),
+                None => self.pp_by_seq.remove(&cut.seq),
+            };
+        }
+        // Only the last batch left can have had its run cut.
+        if let Some(last) = self.pps.last_mut() {
+            last.end = last.end.min(new_len);
         }
         let mut write_err = None;
         if let Some(log) = &mut self.durable {
@@ -576,7 +610,7 @@ mod tests {
         assert_eq!(ledger.pp_at(SeqNum(1)).unwrap().seq(), SeqNum(1));
         assert_eq!(ledger.pp_at(SeqNum(2)).unwrap().seq(), SeqNum(2));
         assert!(ledger.pp_at(SeqNum(3)).is_none());
-        assert_eq!(ledger.max_seq(), Some(SeqNum(2)));
+        assert_eq!(ledger.batch_seqs_iter(SeqNum(0)).last(), Some(SeqNum(2)));
     }
 
     #[test]
@@ -608,13 +642,64 @@ mod tests {
     fn truncate_restores_older_view_pp_mapping() {
         let (mut ledger, rk) = ledger4();
         ledger.append(LedgerEntry::PrePrepare(test_pp(0, 1, &rk[0])));
-        let idx_v0 = ledger.pp_index_at(SeqNum(1)).unwrap();
+        let idx_v0 = ledger.batch_span(SeqNum(1)).unwrap();
         // Re-proposal of seq 1 in view 1 overwrites the mapping.
         ledger.append(LedgerEntry::PrePrepare(test_pp(1, 1, &rk[1])));
-        assert_ne!(ledger.pp_index_at(SeqNum(1)).unwrap(), idx_v0);
+        assert_ne!(ledger.batch_span(SeqNum(1)).unwrap(), idx_v0);
         // Rolling back the re-proposal restores the view-0 mapping.
         ledger.truncate_to(ledger.len() - 1);
-        assert_eq!(ledger.pp_index_at(SeqNum(1)).unwrap(), idx_v0);
+        assert_eq!(ledger.batch_span(SeqNum(1)).unwrap(), idx_v0);
+    }
+
+    /// One sequence number proposed in three views, each proposal with a
+    /// transaction run and another batch after it, rolled back one view at
+    /// a time: every cut gives back the proposal before it, run included.
+    #[test]
+    fn truncate_restores_each_older_view_in_turn() {
+        let (mut ledger, rk) = ledger4();
+        let tx = LedgerEntry::Tx(ia_ccf_types::TxLedgerEntry {
+            request: ia_ccf_types::SignedRequest::system(
+                ia_ccf_types::SystemOp::CheckpointMark {
+                    checkpoint_seq: SeqNum(0),
+                    kv_digest: Digest::zero(),
+                    tree_root: Digest::zero(),
+                },
+                Digest::zero(),
+            ),
+            index: LedgerIdx(0),
+            result: ia_ccf_types::TxResult {
+                ok: true,
+                output: vec![],
+                write_set_digest: Digest::zero(),
+            },
+        });
+        // View v proposes seq 1 with v + 1 transactions, then seq 2.
+        let mut cuts = Vec::new();
+        for v in 0..3u64 {
+            cuts.push(ledger.len());
+            let mut batch = vec![LedgerEntry::PrePrepare(test_pp(v, 1, &rk[v as usize]))];
+            batch.extend(std::iter::repeat_n(tx.clone(), v as usize + 1));
+            ledger.append_batch(batch);
+            ledger.append(LedgerEntry::PrePrepare(test_pp(v, 2, &rk[v as usize])));
+        }
+        let held = |l: &Ledger| {
+            let pp = l.pp_at(SeqNum(1)).map(|pp| pp.view().0);
+            (pp, l.tx_run(SeqNum(1)).map(|run| run.len()), l.pp_at(SeqNum(2)).map(|pp| pp.view().0))
+        };
+        assert_eq!(held(&ledger), (Some(2), Some(3), Some(2)));
+        let want = [(Some(1), Some(2), Some(1)), (Some(0), Some(1), Some(0)), (None, None, None)];
+        for (cut, want) in cuts.into_iter().rev().zip(want) {
+            ledger.truncate_to(cut);
+            assert_eq!(held(&ledger), want, "cut at {cut}");
+        }
+        // A cut inside a run shortens it, and the next `Tx` extends it again.
+        let pp = LedgerEntry::PrePrepare(test_pp(0, 1, &rk[0]));
+        ledger.append_batch(vec![pp, tx.clone(), tx.clone()]);
+        ledger.truncate_to(ledger.len() - 1);
+        assert_eq!(ledger.tx_run(SeqNum(1)).map(|run| run.len()), Some(1));
+        ledger.append(tx);
+        assert_eq!(ledger.tx_run(SeqNum(1)).map(|run| run.len()), Some(2));
+        assert_eq!(ledger.batch_span(SeqNum(1)), Some((LedgerIdx(1), LedgerIdx(4))));
     }
 
     #[test]
@@ -751,8 +836,8 @@ mod tests {
             assert_eq!(batched.entry(LedgerIdx(i)), sequential.entry(LedgerIdx(i)), "entry {i}");
         }
         assert_eq!(
-            batched.pp_index_at(SeqNum(2)),
-            sequential.pp_index_at(SeqNum(2)),
+            batched.batch_span(SeqNum(2)),
+            sequential.batch_span(SeqNum(2)),
             "seq index tracks batched appends"
         );
         // Truncation still unwinds batched appends entry by entry.
@@ -812,10 +897,11 @@ mod tests {
         assert_eq!(suffix.root_m(), full.root_m());
         assert_eq!(suffix.frontier(), full.frontier());
         assert_eq!(suffix.frontier().len(), full.frontier().len());
-        assert_eq!(suffix.max_seq(), full.max_seq());
+        let last_seq = |l: &Ledger| l.batch_seqs_iter(SeqNum(0)).last();
+        assert_eq!(last_seq(&suffix), last_seq(&full));
         assert_eq!(
-            suffix.pp_index_at(SeqNum(3)),
-            full.pp_index_at(SeqNum(3)),
+            suffix.batch_span(SeqNum(3)),
+            full.batch_span(SeqNum(3)),
             "absolute indices agree"
         );
         assert_eq!(suffix.pp_at(SeqNum(2)), full.pp_at(SeqNum(2)));
@@ -1142,7 +1228,10 @@ mod rollback_properties {
         assert_eq!(ledger.root_m(), fresh.root_m(), "{at}");
         assert_eq!(ledger.frontier(), fresh.frontier(), "{at}");
         for s in 0..=SEQS + 1 {
-            assert_eq!(ledger.pp_at(SeqNum(s)), fresh.pp_at(SeqNum(s)), "{at}: pp_at({s})");
+            let seq = SeqNum(s);
+            assert_eq!(ledger.pp_at(seq), fresh.pp_at(seq), "{at}: pp_at({s})");
+            assert_eq!(ledger.batch_span(seq), fresh.batch_span(seq), "{at}: batch_span({s})");
+            assert_eq!(ledger.fetch_start_pos(seq), fresh.fetch_start_pos(seq), "{at}: {s}");
         }
         for v in 0..=VIEWS {
             assert_eq!(ledger.has_new_view(View(v)), fresh.has_new_view(View(v)), "{at}");
@@ -1150,9 +1239,9 @@ mod rollback_properties {
     }
 
     /// Random `append_batch`, `settle` and `truncate_to` calls, never
-    /// truncating below the floor, read the same `M`, pre-prepare index
-    /// and new-view set as a ledger built fresh from the entries that
-    /// survive. `PROPTEST_CASES` sets the case count (default 64).
+    /// truncating below the floor, read the same `M`, pre-prepare index,
+    /// transaction runs and new-view set as a ledger built fresh from the
+    /// entries that survive. `PROPTEST_CASES` sets the case count (default 64).
     #[test]
     fn rollback_matches_a_fresh_ledger() {
         let cases = std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok());

@@ -29,6 +29,7 @@
 //! root position — the verifier always knows the tree length).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 mod frontier;
 mod path;

@@ -18,6 +18,8 @@
 //! * [`conn`] — per-connection state: incremental frame reassembly
 //!   ([`conn::FrameAssembler`]) and the bounded outbound queue.
 
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+
 pub mod conn;
 pub mod frame;
 pub mod poll;

@@ -28,6 +28,7 @@
 //! zero pool threads behind.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

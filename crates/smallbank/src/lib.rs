@@ -9,6 +9,7 @@
 //! paper's names.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 use ia_ccf_core::app::{App, AppError};
 use ia_ccf_kv::KvAccess;

@@ -17,6 +17,7 @@
 //! speak the same types without depending on replica internals.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 // First, so its layout macros are in scope in every module below.
 #[macro_use]
