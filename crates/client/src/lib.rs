@@ -2,10 +2,16 @@
 //!
 //! A client signs requests, sends them to all replicas, and waits for
 //! `N − f` matching `reply` messages plus the `replyx` from the designated
-//! replica. From these it assembles a [`Receipt`] — the pre-prepare core,
-//! the primary's signature, the backups' prepare signatures, the revealed
-//! nonces, and the Merkle path — and verifies it (Alg. 3) under the
-//! configuration determined by its cached **governance receipt chain**.
+//! replica. A `replyx` is a bundle, one per batch and designated replica:
+//! the batch's pre-prepare core and primary signature once, and a witness
+//! (request id, index, result, path) per transaction. The client finds
+//! each witness's request by its id, keeps the bundle's shared part once
+//! behind an `Arc`, and rebuilds the witness under the `H(t)` it computed
+//! when it submitted. From these it assembles a [`Receipt`] — the
+//! pre-prepare core, the primary's signature, the backups' prepare
+//! signatures, the revealed nonces, and the Merkle path — and verifies it
+//! (Alg. 3) under the configuration determined by its cached **governance
+//! receipt chain**.
 //! Clients never hold the ledger; the chain (genesis plus governance
 //! receipts plus `P`-th end-of-configuration receipts) is all they need to know the
 //! valid signing keys at any governance index.
@@ -25,14 +31,15 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ia_ccf_governance::chain::{ConfigHistory, GovLink, GovernanceChain};
 use ia_ccf_types::{
     lowest_ranked_quorum, BatchCertificate, ClientId, Configuration, Digest, KeyPair, LedgerIdx,
-    ProcId, ProtocolMsg, Receipt, ReceiptBody, ReceiptError, Reply, ReplyX, ReplicaBitmap,
-    ReplicaId, Request, RequestAction, SeqNum, SignedRequest, TxWitness, VerifiedCerts, View,
+    PrePrepareCore, ProcId, ProtocolMsg, Receipt, ReceiptBody, ReceiptError, Reply, ReplyTx,
+    ReplyX, ReplicaBitmap, ReplicaId, Request, RequestAction, SeqNum, Signature, SignedRequest,
+    TxWitness, VerifiedCerts, View,
 };
 
 /// Certificates the client remembers as verified: a few pipeline windows'
@@ -67,10 +74,26 @@ struct PendingReq {
     /// Replies keyed by (view, seq) then replica. One reply message covers
     /// every request of its batch: they share it.
     replies: BTreeMap<(View, SeqNum), BTreeMap<ReplicaId, Arc<Reply>>>,
-    replyx: Option<ReplyX>,
+    replyx: Option<Witness>,
     sent_tick: u64,
     last_action_tick: u64,
     refetch_attempts: u32,
+}
+
+/// What every witness of one `replyx` bundle shares: the batch's
+/// pre-prepare core and the primary's signature over it.
+#[derive(Debug)]
+struct BundleHead {
+    core: PrePrepareCore,
+    primary_sig: Signature,
+}
+
+/// One request's witness out of a `replyx` bundle, with the bundle's
+/// shared head.
+#[derive(Debug)]
+struct Witness {
+    head: Arc<BundleHead>,
+    tx: ReplyTx,
 }
 
 /// Where a client wants a message delivered.
@@ -99,9 +122,6 @@ pub struct Client {
     /// In-flight requests by id; ordered, so retries go out in `req_id`
     /// order and two identically driven clients send identical bytes.
     pending: BTreeMap<u64, PendingReq>,
-    /// `H(t)` → request id for every pending request, so a `replyx` finds
-    /// its request without scanning `pending`.
-    pending_by_hash: HashMap<Digest, u64>,
     /// Batch certificates already signature-checked.
     verified_certs: VerifiedCerts,
     /// Completions stalled on missing governance receipts.
@@ -129,7 +149,6 @@ impl Client {
             next_req_id: 1,
             max_seen_index: 0,
             pending: BTreeMap::new(),
-            pending_by_hash: HashMap::new(),
             verified_certs: VerifiedCerts::new(VERIFIED_CERTS_CAPACITY),
             waiting_for_gov: Vec::new(),
             completed: Vec::new(),
@@ -186,7 +205,6 @@ impl Client {
             &self.keypair,
         );
         let digest = request.digest();
-        self.pending_by_hash.insert(digest, req_id);
         self.pending.insert(
             req_id,
             PendingReq {
@@ -277,15 +295,23 @@ impl Client {
         }
     }
 
+    /// Hand each witness of a `replyx` bundle to the pending request its
+    /// `req_id` names, sharing the bundle's head between them; a witness
+    /// for an unknown or finished request is dropped.
     fn on_replyx(&mut self, rx: ReplyX) {
-        let Some(&req_id) = self.pending_by_hash.get(&rx.tx_hash) else {
-            return;
-        };
-        if let Some(p) = self.pending.get_mut(&req_id) {
-            p.replyx = Some(rx);
+        let head = Arc::new(BundleHead { core: rx.core, primary_sig: rx.primary_sig });
+        let mut touched = Vec::with_capacity(rx.txs.len());
+        for tx in rx.txs {
+            let Some(p) = self.pending.get_mut(&tx.req_id) else {
+                continue;
+            };
+            touched.push(tx.req_id);
+            p.replyx = Some(Witness { head: Arc::clone(&head), tx });
             p.last_action_tick = self.tick;
         }
-        self.try_complete(req_id);
+        for req_id in touched {
+            self.try_complete(req_id);
+        }
     }
 
     fn on_gov_receipts(&mut self, receipts: Vec<(Option<SignedRequest>, Receipt)>) {
@@ -344,14 +370,13 @@ impl Client {
 
     /// Attempt receipt assembly (§3.3 "Verifying receipts").
     fn try_complete(&mut self, req_id: u64) {
-        let Some(p) = self.pending.get(&req_id) else {
+        let Some(witness) = self.pending.get(&req_id).and_then(|p| p.replyx.as_ref()) else {
             return;
         };
-        let Some(rx) = &p.replyx else {
-            return;
-        };
+        let core = &witness.head.core;
+        let (gov_index, key) = (core.gov_index, (core.view, core.seq));
         // Do we have the governance receipts this receipt depends on?
-        if rx.core.gov_index > self.verified_gov_index {
+        if gov_index > self.verified_gov_index {
             if !self.waiting_for_gov.contains(&req_id) {
                 self.waiting_for_gov.push(req_id);
             }
@@ -362,14 +387,11 @@ impl Client {
             ));
             return;
         }
-        let config = self.history.config_for_gov_index(rx.core.gov_index);
-        let key = (rx.core.view, rx.core.seq);
+        let config = self.history.config_for_gov_index(gov_index);
         let receipt = loop {
-            let p = self.pending.get(&req_id).expect("looked up above");
-            let rx = p.replyx.as_ref().expect("checked above");
-            let Some(receipt) =
-                p.replies.get(&key).and_then(|replies| assemble_receipt(config, rx, replies))
-            else {
+            let Some(receipt) = self.pending.get(&req_id).and_then(|p| {
+                assemble_receipt(config, p.digest, p.replyx.as_ref()?, p.replies.get(&key)?)
+            }) else {
                 return;
             };
             match receipt.verify_with(config, &mut self.verified_certs) {
@@ -390,24 +412,22 @@ impl Client {
             }
         };
 
-        let p = self.remove_pending(req_id);
-        let rx = p.replyx.expect("the receipt was assembled from it");
-        self.max_seen_index = self.max_seen_index.max(rx.index.0);
+        let Some(PendingReq { request, replyx: Some(witness), sent_tick, .. }) =
+            self.pending.remove(&req_id)
+        else {
+            return;
+        };
+        let ReplyTx { index, result, .. } = witness.tx;
+        self.max_seen_index = self.max_seen_index.max(index.0);
         self.completed.push(FinishedTx {
-            request: p.request,
+            request,
             req_id,
-            output: rx.result.output,
-            ok: rx.result.ok,
+            output: result.output,
+            ok: result.ok,
             receipt: Some(receipt),
-            sent_tick: p.sent_tick,
+            sent_tick,
             done_tick: self.tick,
         });
-    }
-
-    fn remove_pending(&mut self, req_id: u64) -> PendingReq {
-        let p = self.pending.remove(&req_id).expect("caller looked it up");
-        self.pending_by_hash.remove(&p.digest);
-        p
     }
 }
 
@@ -439,27 +459,30 @@ fn batch_replies_mut(
     pending.get_mut(&req_id)?.replies.get_mut(&key)
 }
 
-/// Assemble the receipt for `rx` from one batch's replies (§3.3): the one
-/// selection over the replicas that replied, the one constructor over their
-/// shares. `None` until the primary's reply and a quorum are on hand.
+/// Assemble the receipt for the transaction `tx_hash` from its witness and
+/// its batch's replies (§3.3): the one selection over the replicas that
+/// replied, the one constructor over their shares. `None` until the
+/// primary's reply and a quorum are on hand.
 fn assemble_receipt(
     config: &Configuration,
-    rx: &ReplyX,
+    tx_hash: Digest,
+    witness: &Witness,
     batch_replies: &BTreeMap<ReplicaId, Arc<Reply>>,
 ) -> Option<Receipt> {
+    let BundleHead { core, primary_sig } = &*witness.head;
     let replied = batch_replies.keys().filter_map(|r| config.rank_of(*r));
-    let primary_rank = config.rank_of(config.primary_of(rx.core.view))?;
+    let primary_rank = config.rank_of(config.primary_of(core.view))?;
     let signers =
         lowest_ranked_quorum(config, primary_rank, ReplicaBitmap::from_ranks(replied))?;
     let share_of = |id| batch_replies.get(&id).map(|r| (r.sig, r.nonce));
-    let (core, primary_sig) = (rx.core.clone(), rx.primary_sig);
+    let tx = &witness.tx;
     Some(Receipt {
-        cert: BatchCertificate::assemble(config, core, primary_sig, signers, share_of)?,
+        cert: BatchCertificate::assemble(config, core.clone(), *primary_sig, signers, share_of)?,
         body: ReceiptBody::Tx(TxWitness {
-            tx_hash: rx.tx_hash,
-            index: rx.index,
-            result: rx.result.clone(),
-            path: rx.path.clone(),
+            tx_hash,
+            index: tx.index,
+            result: tx.result.clone(),
+            path: tx.path.clone(),
         }),
     })
 }
@@ -468,6 +491,8 @@ fn assemble_receipt(
 mod tests {
     use super::*;
     use ia_ccf_types::config::testutil::test_config;
+    use ia_ccf_types::receipt::testutil::make_tx_receipts;
+    use ia_ccf_types::TxResult;
 
     fn client() -> Client {
         let (config, _, _) = test_config(4);
@@ -587,6 +612,160 @@ mod tests {
         );
         assert!(c.take_completed().is_empty());
         assert_eq!(c.pending_count(), 1);
+    }
+
+    /// A client with three pending requests, and for one batch holding
+    /// them: the honestly certified receipts, and every signer's reply.
+    fn batch_of_three() -> (Client, Vec<Receipt>, Vec<Reply>) {
+        let (config, replica_keys, _) = test_config(4);
+        let gt = ia_ccf_crypto::hash_bytes(b"gt");
+        let mut c = Client::new(ClientId(7), KeyPair::from_label("client-7"), gt, config.clone());
+        for i in 0..3u8 {
+            c.submit(ProcId(1), vec![i]);
+        }
+        let entries: Vec<(Digest, LedgerIdx, TxResult)> = c
+            .pending
+            .values()
+            .zip(10u64..)
+            .map(|(p, i)| {
+                let result =
+                    TxResult { ok: true, output: vec![i as u8], write_set_digest: p.digest };
+                (p.digest, LedgerIdx(i), result)
+            })
+            .collect();
+        let receipts = make_tx_receipts(
+            &config,
+            &replica_keys,
+            View(0),
+            SeqNum(1),
+            ia_ccf_crypto::hash_bytes(b"root-m"),
+            LedgerIdx(0),
+            Digest::zero(),
+            &entries,
+        );
+        let cert = &receipts[0].cert;
+        let mut prepare_sigs = cert.prepare_sigs.iter();
+        let replies = cert
+            .signers
+            .iter()
+            .zip(&cert.nonces)
+            .map(|(rank, nonce)| {
+                let replica = config.replicas[rank].id;
+                let sig = if replica == cert.core.primary {
+                    cert.primary_sig
+                } else {
+                    *prepare_sigs.next().unwrap()
+                };
+                let req_ids = vec![1, 2, 3];
+                Reply { view: View(0), seq: SeqNum(1), replica, sig, nonce: *nonce, req_ids }
+            })
+            .collect();
+        (c, receipts, replies)
+    }
+
+    /// The `replyx` bundle answering each `(req_id, receipt)` pair, its
+    /// head out of the first receipt's certificate.
+    fn bundle(receipts: &[(u64, &Receipt)]) -> ProtocolMsg {
+        let cert = &receipts[0].1.cert;
+        let txs = receipts
+            .iter()
+            .map(|&(req_id, r)| {
+                let ReceiptBody::Tx(w) = &r.body else { panic!("a transaction receipt") };
+                let (index, result, path) = (w.index, w.result.clone(), w.path.clone());
+                ReplyTx { req_id, index, result, path }
+            })
+            .collect();
+        ProtocolMsg::ReplyX(ReplyX { core: cert.core.clone(), primary_sig: cert.primary_sig, txs })
+    }
+
+    fn numbered(receipts: &[Receipt]) -> Vec<(u64, &Receipt)> {
+        (1u64..).zip(receipts).collect()
+    }
+
+    fn deliver_replies(c: &mut Client, replies: &[Reply]) {
+        for reply in replies {
+            c.on_message(reply.replica, ProtocolMsg::Reply(reply.clone()));
+        }
+    }
+
+    fn receipts_by_req_id(c: &mut Client) -> BTreeMap<u64, Receipt> {
+        c.take_completed().into_iter().map(|tx| (tx.req_id, tx.receipt.unwrap())).collect()
+    }
+
+    /// One bundle naming three pending requests completes all three once
+    /// the quorum's replies are in, with the receipts three one-witness
+    /// bundles give, and those are the honestly certified receipts.
+    #[test]
+    fn one_bundle_completes_every_request_it_names() {
+        let (mut one, receipts, replies) = batch_of_three();
+        one.on_message(ReplicaId(2), bundle(&numbered(&receipts)));
+        deliver_replies(&mut one, &replies[..2]);
+        assert!(one.take_completed().is_empty(), "no quorum of replies yet");
+        deliver_replies(&mut one, &replies[2..]);
+        let bundled = receipts_by_req_id(&mut one);
+        assert_eq!(one.pending_count(), 0);
+
+        let (mut three, _, _) = batch_of_three();
+        deliver_replies(&mut three, &replies);
+        for witness in numbered(&receipts) {
+            three.on_message(ReplicaId(2), bundle(&[witness]));
+        }
+        let singles = receipts_by_req_id(&mut three);
+        assert_eq!(bundled, singles);
+        assert_eq!(bundled.into_values().collect::<Vec<_>>(), receipts);
+        assert_eq!(one.verified_cert_stats(), (2, 1), "one batch, one certificate check");
+    }
+
+    /// A witness whose result or path is corrupted fails its own request
+    /// alone: the other two complete, and the failed one is re-fetched on
+    /// retry and completes from an honest bundle of one.
+    #[test]
+    fn a_corrupted_witness_fails_only_its_own_request() {
+        type Corrupt = fn(&mut ReplyTx);
+        let corruptions: [Corrupt; 2] = [
+            |tx| tx.result.output.push(0xFF),
+            |tx| tx.path.siblings[0].0[0] ^= 1,
+        ];
+        for corrupt in corruptions {
+            let (mut c, receipts, replies) = batch_of_three();
+            c.retry_ticks = 2;
+            let ProtocolMsg::ReplyX(mut rx) = bundle(&numbered(&receipts)) else { unreachable!() };
+            corrupt(&mut rx.txs[1]);
+            c.on_message(ReplicaId(2), ProtocolMsg::ReplyX(rx));
+            deliver_replies(&mut c, &replies);
+            let done = receipts_by_req_id(&mut c);
+            assert_eq!(done.keys().copied().collect::<Vec<_>>(), [1, 3]);
+            assert_eq!(c.pending_count(), 1);
+
+            c.poll_send();
+            c.on_tick();
+            c.on_tick();
+            let failed = c.pending[&2].digest;
+            let sends = c.poll_send();
+            assert!(sends.iter().any(|s| matches!(s,
+                ClientSend::To(_, ProtocolMsg::FetchReceipt { tx_hash }) if *tx_hash == failed)));
+            c.on_message(ReplicaId(3), bundle(&[(2, &receipts[1])]));
+            assert_eq!(receipts_by_req_id(&mut c)[&2], receipts[1]);
+            assert_eq!(c.pending_count(), 0);
+        }
+    }
+
+    /// A witness naming an unknown request, or one already finished,
+    /// changes nothing: no completion, no send, no pending request.
+    #[test]
+    fn a_witness_for_an_unknown_or_finished_request_changes_nothing() {
+        let (mut c, receipts, replies) = batch_of_three();
+        deliver_replies(&mut c, &replies);
+        c.on_message(ReplicaId(2), bundle(&[(1, &receipts[0])]));
+        assert_eq!(receipts_by_req_id(&mut c).len(), 1);
+        c.poll_send();
+
+        // Request 1 finished, 99 was never sent; 2 and 3 stay pending.
+        c.on_message(ReplicaId(2), bundle(&[(1, &receipts[0]), (99, &receipts[1])]));
+        assert!(c.take_completed().is_empty());
+        assert!(c.poll_send().is_empty());
+        assert_eq!(c.pending_count(), 2);
+        assert!(c.pending.values().all(|p| p.replyx.is_none()));
     }
 
     // Full round trips (request → receipt) are covered by the simulator

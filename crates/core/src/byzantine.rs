@@ -35,9 +35,10 @@ pub enum Fault {
     /// result-carrying reply from this replica and must re-fetch from
     /// another (§3.3 timeout path).
     DropReplyX,
-    /// Corrupt the execution result inside outgoing `replyx` messages.
-    /// Receipt verification catches this: the forged leaf breaks the
-    /// recomputed `Ḡ` and the primary-signature check fails.
+    /// Corrupt the execution result of every witness inside outgoing
+    /// `replyx` bundles. Receipt verification catches this: the forged
+    /// leaf breaks the recomputed `Ḡ` and the primary-signature check
+    /// fails.
     CorruptReplyX,
     /// Flip a bit of the signature inside outgoing `reply` messages. A
     /// client that assembles its certificate from this replica's reply
@@ -134,8 +135,10 @@ impl ByzantineReplica {
                 .into_iter()
                 .map(|o| match o {
                     Output::SendClient(c, ProtocolMsg::ReplyX(mut rx)) => {
-                        rx.result.output.push(0xFF);
-                        rx.result.ok = !rx.result.ok;
+                        for tx in &mut rx.txs {
+                            tx.result.output.push(0xFF);
+                            tx.result.ok = !tx.result.ok;
+                        }
                         Output::SendClient(c, ProtocolMsg::ReplyX(rx))
                     }
                     other => other,

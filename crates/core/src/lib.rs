@@ -39,7 +39,6 @@ pub mod pipeline;
 pub mod reconfig;
 pub mod replica;
 pub mod seedfile;
-#[cfg(test)]
 mod test_bus;
 pub mod viewchange;
 

@@ -1,11 +1,14 @@
 //! Pipeline stage 4 — emission (Alg. 1 lines 34–38, §3.3, §5.2).
 //!
 //! Everything that leaves the replica for clients once a batch prepares
-//! or commits: one `reply` per client per batch listing its request ids,
-//! the result-carrying `replyx` from the designated replica (rank
-//! `H(t) mod N`), governance receipts chained for auditors (§5.2), and
-//! the fetch-serving paths (receipt re-fetch, evidence, ledger ranges)
-//! that let slow clients and recovering replicas catch up.
+//! or commits: one `reply` per client per batch listing its request ids;
+//! at most one `replyx` bundle per client per batch, carrying the batch's
+//! pre-prepare core and the primary's signature once and a witness for
+//! each of the client's transactions this replica is designated for
+//! (rank `H(t) mod N`); governance receipts chained for auditors (§5.2);
+//! and the fetch-serving paths (receipt re-fetch, which answers with a
+//! bundle of one, evidence, ledger ranges) that let slow clients and
+//! recovering replicas catch up.
 //!
 //! It reads executed batches from [`crate::pipeline::exec_window`]: they
 //! are shared behind `Arc`, authentication paths are served by each
@@ -21,8 +24,8 @@ use std::collections::BTreeMap;
 use ia_ccf_governance::chain::GovLink;
 use ia_ccf_types::{
     BatchCertificate, BatchKind, ClientId, Commit, Configuration, Digest, LedgerEntry, LedgerIdx,
-    Nonce, PrePrepare, Prepare, ProtocolMsg, Receipt, ReceiptBody, Reply, ReplyX, ReplicaId,
-    SeqNum, Signature, TxWitness, View,
+    Nonce, PrePrepare, Prepare, ProtocolMsg, Receipt, ReceiptBody, Reply, ReplyTx, ReplyX,
+    ReplicaId, SeqNum, Signature, TxLedgerEntry, TxWitness, View,
 };
 
 use crate::checkpoint::CheckpointRecord;
@@ -31,9 +34,10 @@ use crate::pipeline::BatchExec;
 use crate::replica::Replica;
 
 impl Replica {
-    /// Reply to the batch at `seq` once it prepared here: one `reply` per
-    /// client listing its request ids (§3.3), then a `replyx` for each
-    /// transaction this replica is designated for, in batch order.
+    /// Reply to the batch at `seq` once it prepared here: for each client,
+    /// one `reply` listing its request ids (§3.3) and, right after it, at
+    /// most one `replyx` bundle with a witness for each of its transactions
+    /// this replica is designated for, in batch order.
     pub(crate) fn send_replies(&mut self, seq: SeqNum) {
         let (Some(exec), Some(txs)) = (self.batch_exec.get(&seq), self.ledger.tx_run(seq)) else {
             return;
@@ -42,37 +46,26 @@ impl Replica {
             return;
         };
         let (view, replica) = (pp.view(), self.id);
-        let mut per_client: BTreeMap<ClientId, Vec<u64>> = BTreeMap::new();
-        for tx in txs.iter() {
-            let request = &tx.request.request;
-            if request.client != ClientId(0) {
-                per_client.entry(request.client).or_default().push(request.req_id);
-            }
-        }
-        let mut out: Vec<Output> = per_client
-            .into_iter()
-            .map(|(client, req_ids)| {
-                let reply = Reply { view, seq, replica, sig, nonce, req_ids };
-                Output::SendClient(client, ProtocolMsg::Reply(reply))
-            })
-            .collect();
+        let mut per_client: BTreeMap<ClientId, (Vec<u64>, Vec<ReplyTx>)> = BTreeMap::new();
         for (pos, (tx, name)) in txs.iter().zip(&exec.names).enumerate() {
             let client = tx.request.request.client;
-            if client == ClientId(0) || !self.is_designated(name) {
-                continue; // a system transaction, or another replica's
+            if client == ClientId(0) {
+                continue; // a system transaction
             }
-            // Leaves were appended in tx order, so the position in the
-            // batch IS the leaf position.
-            let path = exec.tree.path(pos as u64).expect("leaf exists");
-            let replyx = ReplyX {
-                core: pp.core.clone(),
-                primary_sig: pp.sig,
-                tx_hash: *name,
-                index: tx.index,
-                result: tx.result.clone(),
-                path,
-            };
-            out.push(Output::SendClient(client, ProtocolMsg::ReplyX(replyx)));
+            let (req_ids, witnesses) = per_client.entry(client).or_default();
+            req_ids.push(tx.request.request.req_id);
+            if self.is_designated(name) {
+                witnesses.extend(witness(exec, pos as u64, tx));
+            }
+        }
+        let mut out = Vec::with_capacity(2 * per_client.len());
+        for (client, (req_ids, txs)) in per_client {
+            let reply = Reply { view, seq, replica, sig, nonce, req_ids };
+            out.push(Output::SendClient(client, ProtocolMsg::Reply(reply)));
+            if !txs.is_empty() {
+                let replyx = ReplyX { core: pp.core.clone(), primary_sig: pp.sig, txs };
+                out.push(Output::SendClient(client, ProtocolMsg::ReplyX(replyx)));
+            }
         }
         self.out.extend(out);
     }
@@ -94,8 +87,9 @@ impl Replica {
     /// ("chosen based on t", §3.3).
     pub(crate) fn is_designated(&self, tx_hash: &Digest) -> bool {
         let config = self.gov.active();
-        let rank = (u64::from_le_bytes(tx_hash.as_ref()[..8].try_into().unwrap())
-            % config.n() as u64) as usize;
+        let [b0, b1, b2, b3, b4, b5, b6, b7, ..] = tx_hash.0;
+        let h = u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7]);
+        let rank = (h % config.n() as u64) as usize;
         config.replica_at_rank(rank).map(|r| r.id) == Some(self.id)
     }
 
@@ -123,11 +117,14 @@ impl Replica {
             if !tx.request.is_governance() {
                 continue;
             }
+            let Some(path) = exec.tree.path(pos as u64) else {
+                continue;
+            };
             let body = ReceiptBody::Tx(TxWitness {
                 tx_hash: *name,
                 index: tx.index,
                 result: tx.result.clone(),
-                path: exec.tree.path(pos as u64).expect("leaf exists"),
+                path,
             });
             let request = tx.request.clone();
             links.push(GovLink::GovTx { request, receipt: Receipt { cert: cert.clone(), body } });
@@ -214,14 +211,14 @@ impl Replica {
         self.send_client(client, ProtocolMsg::GovReceipts { receipts });
     }
 
-    /// Re-send reply + replyx for a committed transaction: one locator
-    /// lookup plus one path out of the batch's tree — O(log batch), not a
-    /// scan over the retained batches.
+    /// Re-send reply + replyx for a committed transaction, the `replyx` a
+    /// bundle of one: one locator lookup plus one path out of the batch's
+    /// tree — O(log batch), not a scan over the retained batches.
     pub(crate) fn serve_receipt_refetch(&mut self, client: ClientId, tx_hash: Digest) {
         let Some((seq, pos, exec)) = self.batch_exec.locate(&tx_hash) else {
             return; // unknown or pruned past the retention window
         };
-        if let Some((reply, replyx)) = self.assemble_refetch(seq, &exec, pos, tx_hash) {
+        if let Some((reply, replyx)) = self.assemble_refetch(seq, &exec, pos) {
             self.send_client(client, ProtocolMsg::Reply(reply));
             self.send_client(client, ProtocolMsg::ReplyX(replyx));
         }
@@ -229,13 +226,7 @@ impl Replica {
 
     /// Build the re-fetch response pair for the transaction at `pos` of
     /// the batch at `seq`.
-    fn assemble_refetch(
-        &self,
-        seq: SeqNum,
-        exec: &BatchExec,
-        pos: u64,
-        tx_hash: Digest,
-    ) -> Option<(Reply, ReplyX)> {
+    fn assemble_refetch(&self, seq: SeqNum, exec: &BatchExec, pos: u64) -> Option<(Reply, ReplyX)> {
         let tx = self.ledger.tx_at(seq, pos)?;
         let (pp, my_sig, nonce) = self.own_share(seq)?;
         let reply = Reply {
@@ -246,15 +237,8 @@ impl Replica {
             nonce,
             req_ids: vec![tx.request.request.req_id],
         };
-        let replyx = ReplyX {
-            core: pp.core.clone(),
-            primary_sig: pp.sig,
-            tx_hash,
-            index: tx.index,
-            result: tx.result.clone(),
-            path: exec.tree.path(pos).expect("leaf exists"),
-        };
-        Some((reply, replyx))
+        let txs = vec![witness(exec, pos, tx)?];
+        Some((reply, ReplyX { core: pp.core.clone(), primary_sig: pp.sig, txs }))
     }
 
     /// The seed's linear-scan re-fetch, preserved as the reference oracle
@@ -282,10 +266,10 @@ impl Replica {
             let sig = if pp.core.primary == self.id { pp.sig } else { mine? };
             let (nonce, req_ids) = (slot.own_nonce?, vec![tx.request.request.req_id]);
             let reply = Reply { view: pp.view(), seq, replica: self.id, sig, nonce, req_ids };
-            let path = exec.tree.path(pos as u64).expect("leaf exists");
+            let path = exec.tree.path(pos as u64)?;
             let (index, result) = (tx.index, tx.result.clone());
-            let core = pp.core.clone();
-            let replyx = ReplyX { core, primary_sig: pp.sig, tx_hash, index, result, path };
+            let txs = vec![ReplyTx { req_id: tx.request.request.req_id, index, result, path }];
+            let replyx = ReplyX { core: pp.core.clone(), primary_sig: pp.sig, txs };
             Some(vec![ProtocolMsg::Reply(reply), ProtocolMsg::ReplyX(replyx)])
         };
         scan().unwrap_or_default()
@@ -427,6 +411,19 @@ impl Replica {
         });
         self.send_replica(sender, ProtocolMsg::FetchCheckpointResponse { seq, payload });
     }
+}
+
+/// The `replyx` witness for `tx`, the transaction at `pos` of the batch
+/// `exec`; `None` if the batch's tree holds no such leaf. Leaves were
+/// appended in transaction order, so the position in the batch is the
+/// leaf position.
+fn witness(exec: &BatchExec, pos: u64, tx: &TxLedgerEntry) -> Option<ReplyTx> {
+    Some(ReplyTx {
+        req_id: tx.request.request.req_id,
+        index: tx.index,
+        result: tx.result.clone(),
+        path: exec.tree.path(pos)?,
+    })
 }
 
 /// Whether a batch of `kind` seals a configuration in the governance

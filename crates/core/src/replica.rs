@@ -881,7 +881,10 @@ mod tests {
                     panic!("replica {}: {msgs:?}", r.id);
                 };
                 assert_eq!(reply.req_ids, [req.request.req_id], "replica {}", r.id);
-                assert_eq!(replyx.tx_hash, tx_hash);
+                let [witness] = &replyx.txs[..] else {
+                    panic!("replica {}: a re-fetch is a bundle of one: {replyx:?}", r.id);
+                };
+                assert_eq!(witness.req_id, req.request.req_id, "replica {}", r.id);
             }
         }
     }

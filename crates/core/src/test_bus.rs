@@ -1,3 +1,4 @@
+#![cfg(test)]
 //! Four replicas on a FIFO bus, just enough of a cluster to commit
 //! batches and change views inside this crate's tests.
 

@@ -60,6 +60,9 @@ pub struct DetCluster {
     pub retirements: BTreeMap<ReplicaId, Vec<SeqNum>>,
     /// Rounds executed so far.
     pub rounds: u64,
+    /// Every message delivered to a client, as `(from, to, message)`, while
+    /// this is `Some` (it starts `None`: nothing is recorded).
+    pub client_log: Option<Vec<(ReplicaId, ClientId, ProtocolMsg)>>,
 }
 
 impl DetCluster {
@@ -99,6 +102,7 @@ impl DetCluster {
             finished: Vec::new(),
             retirements: BTreeMap::new(),
             rounds: 0,
+            client_log: None,
         }
     }
 
@@ -264,6 +268,9 @@ impl DetCluster {
                     if self.crashed.contains(&from) {
                         continue;
                     }
+                    if let Some(log) = &mut self.client_log {
+                        log.push((from, to, msg.clone()));
+                    }
                     if let Some(client) = self.clients.get_mut(&to) {
                         client.on_message(from, msg);
                     }
@@ -393,7 +400,7 @@ mod tests {
     use super::*;
     use ia_ccf_core::app::CounterApp;
     use ia_ccf_core::ProtocolParams;
-    use ia_ccf_types::LedgerEntry;
+    use ia_ccf_types::{LedgerEntry, View};
 
     fn spec(n: usize, clients: usize) -> ClusterSpec {
         let params = ProtocolParams { view_timeout_ticks: 20, ..ProtocolParams::default() };
@@ -568,6 +575,75 @@ mod tests {
         }
         assert!(cluster.run_until_finished(1, 100));
         assert!(cluster.finished[0].1.ok);
+    }
+
+    /// A `replyx` is one bundle per client, batch and designated replica:
+    /// across a view change, with two clients sharing batches of up to 8,
+    /// every committed transaction reaches its client in exactly one
+    /// witness per view its batch prepared in, from the replica `H(t) mod
+    /// N` designates, and no client gets two bundles from one replica for
+    /// one batch. (The new view re-proposes the last `P` prepared batches,
+    /// so their transactions are answered once in each view.)
+    #[test]
+    fn each_transaction_gets_one_witness_in_one_bundle_per_batch() {
+        let params =
+            ProtocolParams { view_timeout_ticks: 20, batch_max: 8, ..ProtocolParams::default() };
+        let s = ClusterSpec::new(4, 2, params);
+        let mut cluster = DetCluster::new(&s, Arc::new(CounterApp));
+        cluster.client_log = Some(Vec::new());
+        for c in cluster.clients.values_mut() {
+            c.retry_ticks = u64::MAX; // no re-fetch: every witness is a first answer
+        }
+        let burst = |cluster: &mut DetCluster, count: usize| {
+            for i in 0..count {
+                cluster.submit(s.clients[i % 2].0, CounterApp::INCR, vec![b'k', i as u8 % 5]);
+                if i % 6 == 5 {
+                    cluster.round();
+                }
+            }
+        };
+        burst(&mut cluster, 24);
+        assert!(cluster.run_until_finished(24, 200));
+        // The primary stops sending pre-prepares: the backups move to view 1.
+        cluster.set_fault(ReplicaId(0), Fault::DropPrePrepares);
+        burst(&mut cluster, 12);
+        assert!(cluster.run_until(400, |c| c.replicas.values().all(|r| r.inner.view().0 >= 1)));
+        cluster.set_fault(ReplicaId(0), Fault::None);
+        burst(&mut cluster, 24);
+        let submitted = 60;
+        assert!(cluster.run_until_finished(submitted, 400), "{}", cluster.finished.len());
+        cluster.assert_ledgers_consistent();
+
+        let config = cluster.replica(ReplicaId(1)).active_config().clone();
+        let designated = |request: &ia_ccf_types::SignedRequest| {
+            let h = u64::from_le_bytes(request.digest().0[..8].try_into().unwrap());
+            config.replica_at_rank((h % config.n() as u64) as usize).unwrap().id
+        };
+        let mut bundles = HashSet::new();
+        type Batch = (View, SeqNum);
+        let mut witnesses: BTreeMap<(ClientId, u64), Vec<(ReplicaId, Batch)>> = BTreeMap::new();
+        for (from, to, msg) in cluster.client_log.take().unwrap() {
+            let ProtocolMsg::ReplyX(rx) = msg else { continue };
+            let batch = (rx.core.view, rx.core.seq);
+            let first = bundles.insert((to, from, batch));
+            assert!(first, "{to:?} got two bundles from {from} for {batch:?}");
+            for tx in rx.txs {
+                witnesses.entry((to, tx.req_id)).or_default().push((from, batch));
+            }
+        }
+        assert_eq!(cluster.finished.len(), submitted);
+        assert_eq!(witnesses.len(), submitted, "a witness for an uncommitted transaction");
+        for (client, tx) in &cluster.finished {
+            let got = &witnesses[&(*client, tx.req_id)];
+            let core = &tx.receipt.as_ref().unwrap().cert.core;
+            assert!(got.contains(&(designated(&tx.request), (core.view, core.seq))));
+            let views: HashSet<View> = got.iter().map(|(_, (view, _))| *view).collect();
+            assert_eq!(views.len(), got.len(), "{client:?} request {}: {got:?}", tx.req_id);
+            assert!(got.iter().all(|(from, _)| *from == designated(&tx.request)));
+        }
+        assert!(witnesses.values().any(|got| got.len() == 2), "no batch was re-proposed");
+        let n = bundles.len();
+        assert!(n < submitted, "{n} bundles carry {submitted} transactions: none shared");
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub use entry::{LedgerEntry, TxLedgerEntry, TxResult};
 pub use ids::{ClientId, LedgerIdx, MemberId, ProcId, ReplicaBitmap, ReplicaId, SeqNum, View};
 pub use messages::{
     BatchKind, CheckpointPayload, CheckpointPin, Commit, NewViewMsg, PrePrepare, PrePrepareCore,
-    Prepare, ProtocolMsg, Reply, ReplyX, ViewChange,
+    Prepare, ProtocolMsg, Reply, ReplyTx, ReplyX, ViewChange,
 };
 pub use receipt::{
     evidence_target, lowest_ranked_quorum, receipt_checkpoint_seq, BatchCertificate, EvidenceError,

@@ -227,17 +227,29 @@ pub struct Reply {
     pub req_ids: Vec<u64>,
 }
 
-/// The result-carrying reply from the designated replica (Alg. 1 line 38):
-/// `⟨replyx, v, s, M̄, H(kp), E_{s−P}, i_g, d_C, H(t), i, o, S⟩`.
+/// The result-carrying replies from the designated replica (Alg. 1 line
+/// 38), bundled: one per client per batch, holding a witness for each of
+/// the client's transactions this replica is designated for (rank
+/// `H(t) mod N`). The paper's per-transaction
+/// `⟨replyx, v, s, M̄, H(kp), E_{s−P}, i_g, d_C, H(t), i, o, S⟩` is the
+/// bundle's shared pre-prepare core and primary signature plus one
+/// [`ReplyTx`]; the client supplies `H(t)` itself.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReplyX {
     /// Pre-prepare fields needed to rebuild the signed bytes (everything
-    /// except `Ḡ`, which the client recomputes from the witness).
+    /// except `Ḡ`, which the client recomputes from a witness).
     pub core: PrePrepareCore,
     /// The primary's pre-prepare signature σp.
     pub primary_sig: Signature,
-    /// `H(t)` of the client's request.
-    pub tx_hash: Digest,
+    /// One witness per transaction, in batch order.
+    pub txs: Vec<ReplyTx>,
+}
+
+/// One transaction's witness in a [`ReplyX`] bundle.
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ReplyTx {
+    /// The client's request id: the client knows the request's `H(t)`.
+    pub req_id: u64,
     /// Ledger index `i` the transaction executed at.
     pub index: LedgerIdx,
     /// The result `o`.
@@ -532,7 +544,8 @@ wire_struct!(PrePrepare { core, root_g, sig });
 wire_struct!(Prepare { view, seq, replica, nonce_commit, pp_digest, sig });
 wire_struct!(Commit { view, seq, replica, nonce });
 wire_struct!(Reply { view, seq, replica, sig, nonce, req_ids: seq });
-wire_struct!(ReplyX { core, primary_sig, tx_hash, index, result, path });
+wire_struct!(ReplyX { core, primary_sig, txs: seq });
+wire_struct!(ReplyTx { req_id, index, result, path });
 wire_struct!(ViewChange { view, replica, pps: seq, last_proof: seq, sig });
 wire_struct!(NewViewMsg { view, root_m, vc_bitmap, vc_entry_hash, sig });
 wire_struct!(CheckpointPin { seq, kv_digest, tree_root });

@@ -23,17 +23,35 @@
 //! f = 1 to f = 3 where the paper has ×2.51. The synthetic fixtures these
 //! checks replace (`tab1`, `governance_size`, gone with `crates/bench`)
 //! printed the same 239, 309 / 901, 61 / 125, 497 / 817 and 131.
+//!
+//! The paper does not size `replyx`, but it is most of what a client
+//! receives, so its framed bytes per transaction are pinned the same way
+//! (a regular batch of 300 leaves, SmallBank's 8-byte outputs):
+//!
+//! | `replyx` per transaction (bytes)                | retired | bundle |
+//! | ----------------------------------------------- | ------- | ------ |
+//! | 1 witness (a re-fetch)                          | 604     | 584    |
+//! | 23 witnesses (`sat_uniform`'s share of a batch) | 595.7   | 370    |
+//!
+//! The retired layout sent the batch's pre-prepare core, the primary's
+//! signature and `H(t)` with every transaction; a bundle carries the
+//! first two once per client, batch and designated replica (215 B with
+//! its frame) and no `H(t)` (the client knows it), so a witness costs its
+//! request id, index, result and path: 369 B for a 9-sibling path.
 
 use std::sync::Arc;
 
 use ia_ccf::audit::{AuditOutcome, Auditor, LedgerPackage, StoredReceipt};
 use ia_ccf::core::ProtocolParams;
 use ia_ccf::governance::chain::{GovLink, GovernanceChain};
+use ia_ccf::merkle::MerkleTree;
+use ia_ccf::net::frame::HEADER_LEN;
 use ia_ccf_sim::{ClusterSpec, DetCluster};
 use ia_ccf_smallbank::{load_accounts, SmallBankApp, Workload};
+use ia_ccf_types::messages::testutil::test_pp;
 use ia_ccf_types::{
-    ClientId, GovAction, LedgerEntry, LedgerIdx, ReplicaId, Request, RequestAction, SeqNum,
-    SignedRequest, Wire,
+    ClientId, Digest, GovAction, KeyPair, LedgerEntry, LedgerIdx, ProtocolMsg, ReplicaId, ReplyTx,
+    ReplyX, Request, RequestAction, SeqNum, SignedRequest, TxResult, Wire,
 };
 
 const ACCOUNTS: u64 = 40;
@@ -196,4 +214,47 @@ fn tab1_and_governance_sizes_are_pinned_at_f1_and_f3() {
     assert_eq!((f1.vote_request, f3.vote_request), ((131, 131), (131, 131)));
     let ratio = f3.gov_receipt.0 as f64 / f1.gov_receipt.0 as f64;
     assert!((1.6..1.7).contains(&ratio), "f = 3 : f = 1 governance receipt is {ratio:.2}");
+}
+
+/// `replyx` framed bytes per transaction out of a regular batch of 300
+/// leaves: a bundle of 1 witness (every re-fetch, and `lat_single`'s
+/// one-transaction batches) and of 23 spread over the batch (a
+/// `sat_uniform` client's share of one designated replica's witnesses),
+/// each next to the retired layout that sent the pre-prepare core, σp and
+/// `H(t)` with every transaction.
+#[test]
+fn replyx_bytes_per_transaction_are_pinned() {
+    let pp = test_pp(0, 5, &KeyPair::from_label("primary"));
+    let tree = MerkleTree::from_leaves((0..300u32).map(|i| Digest([i as u8; 32])));
+    let result = TxResult { ok: true, output: vec![7; 8], write_set_digest: Digest([9; 32]) };
+    let witness = |pos: u64| ReplyTx {
+        req_id: pos + 1,
+        index: LedgerIdx(1_000 + pos),
+        result: result.clone(),
+        path: tree.path(pos).expect("a leaf of the batch"),
+    };
+    let bundle = |positions: &[u64]| {
+        let txs = positions.iter().map(|&pos| witness(pos)).collect();
+        let msg = ProtocolMsg::ReplyX(ReplyX { core: pp.core.clone(), primary_sig: pp.sig, txs });
+        HEADER_LEN + msg.encoded_len()
+    };
+    // The retired layout: tag, core, σp, `H(t)`, index, result, path.
+    let retired = |positions: &[u64]| -> usize {
+        let one = |w: ReplyTx| {
+            let body = w.index.encoded_len() + w.result.encoded_len() + w.path.encoded_len();
+            HEADER_LEN + 1 + pp.core.encoded_len() + 64 + 32 + body
+        };
+        positions.iter().map(|&pos| one(witness(pos))).sum()
+    };
+
+    // A witness: request id, index, result and a 9-sibling path. What a
+    // bundle shares, frame included, is 215 B.
+    assert_eq!(witness(0).encoded_len(), 369);
+    assert_eq!((retired(&[0]), bundle(&[0])), (604, 369 + 215));
+    // Spread over the batch, 3 of the 23 paths are 7 siblings long.
+    let spread: Vec<u64> = (0..23).map(|k| k * 13).collect();
+    let witnesses: usize = spread.iter().map(|&pos| witness(pos).encoded_len()).sum();
+    assert_eq!(witnesses, 20 * 369 + 3 * 305);
+    assert_eq!((retired(&spread), bundle(&spread)), (13_700, 215 + witnesses));
+    assert_eq!(bundle(&spread) as f64 / 23.0, 370.0);
 }

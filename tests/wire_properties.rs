@@ -12,8 +12,8 @@ use ia_ccf_types::{
     BatchCertificate, BatchKind, CheckpointPayload, CheckpointPin, ClientId, CodecError, Commit,
     Digest, GovAction, LedgerEntry, LedgerIdx, MerklePath, NewViewMsg, Nonce, NonceCommitment,
     PrePrepare, PrePrepareCore, Prepare, ProcId, ProtocolMsg, Receipt, ReceiptBody, Reply,
-    ReplicaBitmap, ReplicaId, ReplyX, Request, RequestAction, SeqNum, Signature, SignedRequest,
-    SystemOp, TxLedgerEntry, TxResult, TxWitness, View, ViewChange, Wire,
+    ReplicaBitmap, ReplicaId, ReplyTx, ReplyX, Request, RequestAction, SeqNum, Signature,
+    SignedRequest, SystemOp, TxLedgerEntry, TxResult, TxWitness, View, ViewChange, Wire,
 };
 
 fn arb_digest() -> impl Strategy<Value = Digest> {
@@ -89,6 +89,48 @@ prop_compose! {
             sig,
         }
     }
+}
+
+prop_compose! {
+    fn arb_reply_tx()(
+        req_id in any::<u64>(),
+        index in 0u64..100_000,
+        ok in any::<bool>(),
+        output in proptest::collection::vec(any::<u8>(), 0..48),
+        write_set_digest in arb_digest(),
+        leaf in 0u64..300,
+        siblings in proptest::collection::vec(arb_digest(), 0..10),
+    ) -> ReplyTx {
+        ReplyTx {
+            req_id,
+            index: LedgerIdx(index),
+            result: TxResult { ok, output, write_set_digest },
+            path: MerklePath { index: leaf, tree_len: 300, siblings },
+        }
+    }
+}
+
+/// A `replyx` bundle of `txs` over `core`.
+fn bundle(core: &PrePrepareCore, sig: Signature, txs: &[ReplyTx]) -> ProtocolMsg {
+    ProtocolMsg::ReplyX(ReplyX { core: core.clone(), primary_sig: sig, txs: txs.to_vec() })
+}
+
+/// One witness per digest, request ids counting up from `req_id`, each
+/// digest the one sibling of its path.
+fn witnesses(hashes: &[Digest], req_id: u64) -> Vec<ReplyTx> {
+    (0u64..)
+        .zip(hashes)
+        .map(|(i, h)| ReplyTx {
+            req_id: req_id.wrapping_add(i),
+            index: LedgerIdx(i),
+            result: TxResult {
+                ok: i % 2 == 0,
+                output: vec![i as u8; i as usize],
+                write_set_digest: *h,
+            },
+            path: MerklePath { index: i, tree_len: 2 * i + 1, siblings: vec![*h] },
+        })
+        .collect()
 }
 
 proptest! {
@@ -264,14 +306,14 @@ proptest! {
                 prepares: vec![prepare.clone()],
                 commits: Vec::new(),
             },
-            ProtocolMsg::ReplyX(ReplyX {
-                core: core.clone(),
-                primary_sig: sig,
-                tx_hash: root_g,
+            bundle(&core, sig, &[]),
+            bundle(&core, sig, &[ReplyTx {
+                req_id: req.request.req_id,
                 index: core.gov_index,
                 result: result.clone(),
                 path,
-            }),
+            }]),
+            bundle(&core, sig, &witnesses(&hashes, req.request.req_id)),
             ProtocolMsg::ViewChange(view_change.clone()),
             ProtocolMsg::NewView {
                 nv: nv.clone(),
@@ -310,6 +352,46 @@ proptest! {
         ];
         for entry in entries {
             prop_assert_eq!(entry.encoded_len(), entry.to_bytes().len());
+        }
+    }
+
+    /// A `replyx` bundle of 0, 1 or many witnesses round-trips with an
+    /// exact `encoded_len`, and survives hostility: a strict prefix errors,
+    /// and a forged witness count or a single-byte corruption decodes to a
+    /// consistent message or errors — never panics.
+    #[test]
+    fn replyx_bundles_roundtrip_and_survive_hostility(
+        core in arb_core(),
+        sig in arb_sig(),
+        txs in proptest::collection::vec(arb_reply_tx(), 2..24),
+        forged_count in any::<u32>(),
+        cut_pos in any::<usize>(),
+        flip_pos in any::<usize>(),
+        flip_mask in 1u8..=255,
+    ) {
+        for some in [&[][..], &txs[..1], &txs[..]] {
+            let msg = bundle(&core, sig, some);
+            let bytes = msg.to_bytes();
+            prop_assert_eq!(msg.encoded_len(), bytes.len());
+            prop_assert_eq!(&ProtocolMsg::from_bytes(&bytes).unwrap(), &msg);
+
+            let cut = cut_pos % bytes.len();
+            prop_assert!(ProtocolMsg::from_bytes(&bytes[..cut]).is_err(), "prefix {}", cut);
+
+            // The witness count follows the tag, the core and σp.
+            let at = 1 + core.encoded_len() + 64;
+            let mut forged = bytes.clone();
+            forged[at..at + 4].copy_from_slice(&forged_count.to_le_bytes());
+            if let Ok(decoded) = ProtocolMsg::from_bytes(&forged) {
+                prop_assert_eq!(ProtocolMsg::from_bytes(&decoded.to_bytes()).unwrap(), decoded);
+            }
+
+            let mut corrupt = bytes;
+            let pos = flip_pos % corrupt.len();
+            corrupt[pos] ^= flip_mask;
+            if let Ok(decoded) = ProtocolMsg::from_bytes(&corrupt) {
+                prop_assert_eq!(ProtocolMsg::from_bytes(&decoded.to_bytes()).unwrap(), decoded);
+            }
         }
     }
 
@@ -585,6 +667,8 @@ proptest! {
                 next_seq: core.seq,
                 done: true,
             },
+            bundle(&core, sig, &[]),
+            bundle(&core, sig, &witnesses(&hashes, req.request.req_id)),
         ];
         for msg in msgs {
             let mut bytes = msg.to_bytes();
@@ -720,10 +804,15 @@ fn every_variant_encodes_to_its_pinned_bytes() {
             ProtocolMsg::ReplyX(ReplyX {
                 core: core(BatchKind::StartOfConfig { phase: 1 }, None),
                 primary_sig: sig(35),
-                tx_hash: d(24),
-                index: LedgerIdx(40),
-                result: result.clone(),
-                path,
+                txs: vec![
+                    ReplyTx { req_id: 11, index: LedgerIdx(40), result: result.clone(), path },
+                    ReplyTx {
+                        req_id: 12,
+                        index: LedgerIdx(41),
+                        result: result.clone(),
+                        path: MerklePath { index: 3, tree_len: 5, siblings: vec![d(38)] },
+                    },
+                ],
             }),
         ),
         ("ViewChange", ProtocolMsg::ViewChange(view_change.clone())),
@@ -798,7 +887,7 @@ fn every_variant_encodes_to_its_pinned_bytes() {
         ("ProtocolMsg::Prepare", "53a1644d17225117d705c7b17e732cb42d133e19b21ee40748685431336a3df4"),
         ("ProtocolMsg::Commit", "05af270d6357f99715c8142afaed6563bba660ceabb99dd193d99e67dc771e98"),
         ("ProtocolMsg::Reply", "f937b4fc5418eb73e1e9b07b7d234ed69df2e12e5dcaeeda8542d8b41b06f843"),
-        ("ProtocolMsg::ReplyX", "d42b5e2797c8864a631c30995a5aedf0205fd50a15addecdf166d1c11a597273"),
+        ("ProtocolMsg::ReplyX", "783dfe510b30860cfcbf916c9a281cf1e2167186ca156e5ee35d721234f69824"),
         ("ProtocolMsg::ViewChange", "cf3ff7f714609f8cf70c8c8149c118c3519501d165b88208161857099b175f91"),
         ("ProtocolMsg::NewView", "a2bc0b2c117bfa76740961eeb299caf5a0c0f82c18c104d3c3cf61ed04e67dd7"),
         ("ProtocolMsg::FetchRequests", "f65c65cf707dadb35b35c2289e2a3e3efa96ff7ae19eeddac4de4a297d5a02e0"),
