@@ -39,8 +39,8 @@ use ia_ccf_governance::fork::find_fork;
 use ia_ccf_governance::{GovOutcome, GovernanceState};
 use ia_ccf_kv::KvStore;
 use ia_ccf_types::{
-    receipt_checkpoint_seq, BatchCertificate, Configuration, Digest, LedgerEntry, Receipt,
-    ReceiptError, ReplicaId, SeqNum, SignedRequest,
+    receipt_checkpoint_seq, BatchCertificate, ConfigSteps, Configuration, Digest, LedgerEntry,
+    Receipt, ReceiptError, ReplicaId, SeqNum, SignedRequest,
 };
 
 use crate::package::{validate_package, LedgerPackage, PackageError, ValidatedPackage};
@@ -292,7 +292,7 @@ impl Auditor {
         if d_c.is_zero() {
             return None; // audit runs from genesis
         }
-        let config = history.config_for_gov_index(first.receipt.gov_index());
+        let config = history.at(first.receipt.gov_index());
         let interval = config.checkpoint_interval;
         let scp = receipt_checkpoint_seq(first.receipt.seq(), interval);
         let Some((checkpoint_seq, cp)) = &package.checkpoint else {
@@ -329,7 +329,7 @@ impl Auditor {
         history: &ConfigHistory,
     ) -> Option<Upom> {
         let receipt = &sr.receipt;
-        let config = history.config_for_gov_index(receipt.gov_index());
+        let config = history.at(receipt.gov_index());
         let receipt_signers: BTreeSet<ReplicaId> =
             receipt.cert.signer_ids(config).into_iter().collect();
         let v_r = receipt.view();
@@ -506,7 +506,7 @@ impl Auditor {
             }
             // Checkpoint bookkeeping while replaying.
             if replaying {
-                let config = history.config_for_gov_index(batch.pp.core.gov_index);
+                let config = history.at(batch.pp.core.gov_index);
                 if batch.seq.0 % config.checkpoint_interval == 0 {
                     cp_digests.push((batch.seq, kv.digest()));
                 }
@@ -535,7 +535,7 @@ impl Auditor {
         let mut evidence_receipts = Vec::new();
         for sr in receipts {
             if sr.receipt.seq() == seq {
-                let config = history.config_for_gov_index(sr.receipt.gov_index());
+                let config = history.at(sr.receipt.gov_index());
                 blamed.extend(sr.receipt.cert.signer_ids(config));
                 evidence_receipts.push(sr.receipt.clone());
             }
@@ -576,7 +576,7 @@ fn governance_fork(
     details: String,
 ) -> Option<Upom> {
     let fork = find_fork(a, b)?;
-    let config = history.config_for_gov_index(a.gov_index());
+    let config = history.at(a.gov_index());
     Some(Upom {
         kind: UpomKind::GovernanceFork,
         blamed: fork.blamed_ids(config).into_iter().collect(),
@@ -600,7 +600,7 @@ fn queue_receipts<'a>(
     for (at, sr) in receipts.iter().enumerate() {
         let receipt = &sr.receipt;
         let invalid = |why: ReceiptError| invalid_receipt(receipt, &why);
-        let config = history.config_for_gov_index(receipt.gov_index());
+        let config = history.at(receipt.gov_index());
         receipt.cert.check_shape(config).map_err(invalid)?;
         let root_g = receipt.implied_root_g().map_err(invalid)?;
         // Receipts of one batch arrive together: the first one's checks
@@ -667,30 +667,25 @@ fn seq_config_fn<'a>(
     entries: &[LedgerEntry],
     history: &'a ConfigHistory,
 ) -> impl Fn(SeqNum) -> &'a Configuration {
-    // Build (first_seq, config) steps: a new configuration governs from
-    // the sequence number after the 2P-th end-of-config batch.
-    let mut steps: Vec<(SeqNum, &Configuration)> = vec![(SeqNum(0), &history.steps[0].1)];
-    let mut next_cfg = 1usize;
+    // A new configuration governs from the sequence number after the
+    // 2P-th end-of-config batch. A later such batch at or below an earlier
+    // one (re-proposed after a view change) replaces the steps from its
+    // own on.
+    let mut steps = ConfigSteps::new(SeqNum(0), history.first());
+    let mut later = history.iter().skip(1).map(|(_, config)| config);
     for e in entries {
         if let LedgerEntry::PrePrepare(pp) = e {
             if let ia_ccf_types::BatchKind::EndOfConfig { phase } = pp.core.kind {
-                let config = steps.last().expect("non-empty").1;
-                if phase == 2 * config.pipeline_depth && next_cfg < history.steps.len() {
-                    steps.push((pp.seq().next(), &history.steps[next_cfg].1));
-                    next_cfg += 1;
+                if phase == 2 * steps.latest().pipeline_depth {
+                    if let Some(config) = later.next() {
+                        steps.truncate_from(pp.seq().next());
+                        steps.push(pp.seq().next(), config);
+                    }
                 }
             }
         }
     }
-    move |seq: SeqNum| {
-        let mut chosen = steps[0].1;
-        for &(first, cfg) in &steps {
-            if first <= seq {
-                chosen = cfg;
-            }
-        }
-        chosen
-    }
+    move |seq: SeqNum| *steps.at(seq)
 }
 
 fn package_error_seq(e: &PackageError) -> SeqNum {

@@ -18,6 +18,7 @@
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod auditor;
 pub mod enforcer;

@@ -5,20 +5,25 @@
 //! the governance sub-ledger `N`. *Well-formedness* is checked without
 //! re-executing transactions: the structural grammar (shared with
 //! `ia-ccf-ledger`), every pre-prepare/prepare signature, every revealed
-//! nonce against its commitment, and the `M̄` root progression. A fragment
-//! that fails any of these incriminates the replica that served it; one
-//! that passes but replays incorrectly incriminates its signers (§4.1).
+//! nonce against its commitment, the `M̄` root progression, and each
+//! batch's recorded evidence and `⟨t, i, o⟩` run under the rules replay
+//! applies ([`ia_ccf_ledger::validity::recorded_evidence`] and
+//! [`ia_ccf_ledger::validity::recorded_run`]). A fragment that fails any of
+//! these incriminates the replica that served it; one that passes but
+//! replays incorrectly incriminates its signers (§4.1).
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use ia_ccf_crypto::SigQueue;
 use ia_ccf_kv::KvCheckpoint;
 use ia_ccf_ledger::segment::{segment_entries, BatchSegment, Segment, TxRun};
-use ia_ccf_ledger::validity::{check_new_view, view_primary_job};
-use ia_ccf_merkle::{Frontier, MerkleTree};
+use ia_ccf_ledger::validity::{
+    check_new_view, recorded_evidence, recorded_run, view_primary_job, Evidenced,
+};
+use ia_ccf_merkle::Frontier;
 use ia_ccf_types::{
-    evidence_target, BatchCertificate, Configuration, Digest, EvidenceError, LedgerEntry,
-    PrePrepare, ReceiptError, ReplicaId, SeqNum, View, Wire,
+    Configuration, Digest, EvidenceError, LedgerEntry, PrePrepare, ReceiptError, ReplicaId,
+    SeqNum, View, Wire,
 };
 
 /// A ledger package served for auditing.
@@ -216,44 +221,30 @@ fn walk<'a, 'c>(
                 let config = config_for_seq(seq);
 
                 // Evidence first (it precedes the pp in the ledger and in
-                // M): the replicas' own rule — carrier clause, the
-                // certificate the pair encodes over the evidenced
-                // pre-prepare, Alg. 3's shape — then the prepare signatures,
+                // M): the replicas' own rule, then the prepare signatures,
                 // the one part a replica checks as the messages arrive. The
                 // evidenced pre-prepare's own signature was queued at its
                 // segment.
-                let p = config.pipeline_depth as u64;
-                let target = evidence_target(&pp.core, p)
-                    .map_err(|why| evidence_refusal(seq, why))?;
+                let mut ev_digest = Digest::zero();
+                let held = |t| out.batch_at(t).inspect(|b| ev_digest = b.pp_digest).map(|b| b.pp);
                 let mut evidenced_signers = Vec::new();
-                if let Some(pair) = evidence {
-                    let ev_seq = pp.core.evidence_seq;
-                    let Some(evidenced) = target.and_then(|t| out.batch_at(t)) else {
-                        return Err(PackageError::EvidenceShape(ev_seq));
-                    };
-                    let ev_config = config_for_seq(ev_seq);
-                    let cert = BatchCertificate::from_evidence(
-                        ev_config,
-                        evidenced.pp,
-                        pp.core.evidence_bitmap,
-                        pair.prepares,
-                        pair.nonces,
-                    )
-                    .and_then(|cert| {
-                        cert.check_shape(ev_config)?;
-                        Ok(cert)
-                    })
-                    .map_err(|why| evidence_refusal(ev_seq, why))?;
-                    let checks = cert
-                        .prepare_checks(ev_config, &evidenced.pp_digest)
-                        .map_err(|why| evidence_refusal(ev_seq, why.into()))?;
-                    for check in checks {
-                        pending.push(check.job, PackageError::BadEvidenceSig(ev_seq))?;
+                match recorded_evidence(pp, evidence, config_for_seq, held) {
+                    Err((at, why)) => return Err(evidence_refusal(at, why)),
+                    Ok(Evidenced::Unheld(at)) => return Err(PackageError::EvidenceShape(at)),
+                    Ok(Evidenced::Nothing) => {}
+                    Ok(Evidenced::Certified(cert)) => {
+                        let (ev_seq, ev_config) = (cert.core.seq, config_for_seq(cert.core.seq));
+                        let checks = cert
+                            .prepare_checks(ev_config, &ev_digest)
+                            .map_err(|why| evidence_refusal(ev_seq, why.into()))?;
+                        for check in checks {
+                            pending.push(check.job, PackageError::BadEvidenceSig(ev_seq))?;
+                        }
+                        evidenced_signers = cert.signer_ids(ev_config);
                     }
-                    evidenced_signers = cert.signer_ids(ev_config);
-                    for entry in pair.entries {
-                        tree.append(entry.m_leaf());
-                    }
+                }
+                for entry in evidence.iter().flat_map(|pair| pair.entries) {
+                    tree.append(entry.m_leaf());
                 }
 
                 // M̄ commits the ledger up to here (§3.1).
@@ -264,11 +255,9 @@ fn walk<'a, 'c>(
                 let unsigned = PackageError::BadPrePrepareSig(seq);
                 let job = view_primary_job(config, pp).ok_or(unsigned.clone())?;
                 pending.push(job, unsigned)?;
-                // Ḡ over the recorded ⟨t, i, o⟩ entries.
-                let g = MerkleTree::from_leaves(txs.iter().map(|tx| tx.g_leaf()));
-                if g.root() != pp.root_g {
-                    return Err(PackageError::RootMismatch(seq));
-                }
+                // The recorded ⟨t, i, o⟩ run against Ḡ: the rule replay
+                // applies. Who executed it wrongly is the replay's question.
+                recorded_run(pp, txs).ok_or(PackageError::RootMismatch(seq))?;
 
                 tree.append(pp_entry.m_leaf());
                 out.push(ValidatedBatch {

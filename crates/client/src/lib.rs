@@ -30,6 +30,7 @@
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -136,15 +137,13 @@ pub struct Client {
 impl Client {
     /// A client for the service whose genesis configuration is `genesis`.
     pub fn new(id: ClientId, keypair: KeyPair, gt_hash: Digest, genesis: Configuration) -> Self {
-        let chain = GovernanceChain::new();
-        let history = chain.verify(&genesis).expect("empty chain verifies");
         Client {
             id,
             keypair,
             gt_hash,
+            history: ConfigHistory::new(LedgerIdx(0), genesis.clone()),
             genesis,
-            chain,
-            history,
+            chain: GovernanceChain::new(),
             verified_gov_index: LedgerIdx(0),
             next_req_id: 1,
             max_seen_index: 0,
@@ -387,7 +386,7 @@ impl Client {
             ));
             return;
         }
-        let config = self.history.config_for_gov_index(gov_index);
+        let config = self.history.at(gov_index);
         let receipt = loop {
             let Some(receipt) = self.pending.get(&req_id).and_then(|p| {
                 assemble_receipt(config, p.digest, p.replyx.as_ref()?, p.replies.get(&key)?)

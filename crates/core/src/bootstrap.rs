@@ -5,7 +5,10 @@
 //! and replays the ledger from that checkpoint." This module implements the
 //! replay: the joining replica validates the structural grammar, verifies
 //! every pre-prepare signature under the configuration of its sequence
-//! number, takes every batch in as a backup would (`apply_proposed`) and
+//! number, holds each batch's recorded evidence and `⟨t, i, o⟩` run to the
+//! rules the auditor applies (`recorded_evidence`, `recorded_run`) before
+//! anything executes, then takes the batch in as a backup would
+//! (`apply_proposed`, execution reproducing each recorded `(i, o)`) and
 //! every view-change pair as a backup would (`check_new_view` →
 //! `log_new_view`): this module owns no ledger writer but the checkpoint
 //! seed's. Governance receipts for served chains are reconstructed from
@@ -63,21 +66,22 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 
 use ia_ccf_crypto::SigQueue;
-use ia_ccf_ledger::segment::{segment_entries, BatchSegment, Segment};
-use ia_ccf_ledger::validity::{check_new_view, signed_by_view_primary, view_primary_job, Refused};
+use ia_ccf_ledger::segment::{segment_entries, BatchSegment, Segment, TxRun};
+use ia_ccf_ledger::validity::{
+    check_new_view, recorded_evidence, recorded_run, signed_by_view_primary, view_primary_job,
+    Evidenced, Refused,
+};
 use ia_ccf_ledger::Ledger;
-use ia_ccf_merkle::MerkleTree;
 use ia_ccf_types::{
-    evidence_target, BatchCertificate, CheckpointPayload, CheckpointPin, ClientId, Configuration,
-    Digest, EvidenceError, LedgerEntry, LedgerIdx, PrePrepare, ProtocolMsg, PublicKey, ReplicaId,
-    SeqNum, SignedRequest, View, Wire,
+    CheckpointPayload, CheckpointPin, ClientId, Configuration, EvidenceError, LedgerEntry,
+    LedgerIdx, PrePrepare, ProtocolMsg, PublicKey, ReplicaId, SeqNum, View, Wire,
 };
 
 use crate::app::App;
 use crate::checkpoint::CheckpointRecord;
 use crate::events::Output;
 use crate::params::ProtocolParams;
-use crate::pipeline::ordering::{EvidenceSet, RequestSigs};
+use crate::pipeline::ordering::{EvidenceSet, Known};
 use crate::replica::{Replica, Status};
 use crate::seedfile::SeedCheckpointFile;
 
@@ -292,33 +296,34 @@ impl Replica {
                     return Err(BootstrapError::BadPrePrepareSig(seq));
                 }
 
-                // The batch as the primary proposed it: the evidence the
-                // segment records — held to the rule first — and the
-                // requests under their names (replay is the door these
-                // bytes come through). The recorded `(i, o)` pairs are not
-                // read: the ledger gets the entries execution produces, and
-                // the signed Ḡ binds each `(H(t), i, o)` leaf of those.
+                // What the batch records, held to the auditor's rules before
+                // anything is touched: the evidence pair (one for a batch
+                // below a checkpoint seed moves nothing), then the run.
+                let (config_at, held) = (|s| self.config_for_seq(s), |t| self.prepared_pp(t));
+                let cert = match recorded_evidence(pp, *evidence, config_at, held) {
+                    Ok(Evidenced::Certified(cert)) => Some(cert),
+                    Ok(Evidenced::Nothing) => None,
+                    Ok(Evidenced::Unheld(target)) if target <= self.committed_up_to => None,
+                    Ok(Evidenced::Unheld(_)) => {
+                        return Err(BootstrapError::BadEvidence(seq, EvidenceError::WrongTarget))
+                    }
+                    Err((_, why)) => return Err(BootstrapError::BadEvidence(seq, why)),
+                };
+                let (names, tree) =
+                    recorded_run(pp, *txs).ok_or(BootstrapError::ExecutionMismatch(seq))?;
+
+                // Taken in as a backup takes a batch, its bodies under the
+                // names the rule hashed; an accepted segment's bodies live
+                // on in this replica's ledger only.
                 let evidence = evidence.map(|pair| EvidenceSet {
                     seq: pp.core.evidence_seq,
                     prepares: pair.prepares.to_vec(),
                     nonces: pair.nonces.to_vec(),
                 });
-                let cert = self
-                    .certificate_from_ledger(pp, evidence.as_ref())
-                    .map_err(|why| BootstrapError::BadEvidence(seq, why))?;
-                let requests: Vec<SignedRequest> =
-                    txs.iter().map(|tx| tx.request.clone()).collect();
-                let names: Vec<Digest> = requests.iter().map(SignedRequest::digest).collect();
-                // An accepted segment's bodies live on in this replica's
-                // ledger only; a refused one's are dropped.
-                self.apply_proposed(
-                    PrePrepare::clone(pp),
-                    names,
-                    requests,
-                    evidence,
-                    RequestSigs::CheckedByQuorum,
-                )
-                .map_err(|_| BootstrapError::ExecutionMismatch(seq))?;
+                let requests = txs.iter().map(|tx| tx.request.clone()).collect();
+                let known = Known::Recorded { run: *txs, tree };
+                self.apply_proposed(PrePrepare::clone(pp), names, requests, evidence, known)
+                    .map_err(|_| BootstrapError::ExecutionMismatch(seq))?;
 
                 // Frontiers: a replayed batch is prepared; evidence that
                 // passed the rule marks its target committed, and certifies
@@ -340,35 +345,6 @@ impl Replica {
                 Ok(())
             }
         }
-    }
-
-    /// The rule on the evidence a replayed segment records, before anything
-    /// is touched: the carrier clause, then the certificate the pair encodes
-    /// over the evidenced pre-prepare, held to Alg. 3's shape (prepare
-    /// signatures are not re-verified). `None`: the batch carries none — or,
-    /// just after a checkpoint seed, evidence for a batch below the seed,
-    /// which this ledger does not hold and which moves nothing.
-    fn certificate_from_ledger(
-        &self,
-        carrier: &PrePrepare,
-        recorded: Option<&EvidenceSet>,
-    ) -> Result<Option<BatchCertificate>, EvidenceError> {
-        let p = self.config_for_seq(carrier.seq()).pipeline_depth as u64;
-        let (target, recorded) = match (evidence_target(&carrier.core, p)?, recorded) {
-            (None, None) => return Ok(None),
-            (Some(target), Some(recorded)) => (target, recorded),
-            _ => return Err(EvidenceError::Unexpected),
-        };
-        let Some(target_pp) = self.prepared_pp(target) else {
-            let below_seed = target <= self.committed_up_to;
-            return if below_seed { Ok(None) } else { Err(EvidenceError::WrongTarget) };
-        };
-        let config = self.config_for_seq(target);
-        let signers = carrier.core.evidence_bitmap;
-        let EvidenceSet { prepares, nonces, .. } = recorded;
-        let cert = BatchCertificate::from_evidence(config, target_pp, signers, prepares, nonces)?;
-        cert.check_shape(config)?;
-        Ok(Some(cert))
     }
 
     // ------------------------------------------------------------------
@@ -588,27 +564,19 @@ impl Replica {
             return Err("seed pre-prepare signature invalid");
         }
         // The transaction run must carry contiguous indices ending at the
-        // checkpoint's counter, and must reproduce the signed Ḡ.
+        // checkpoint's counter, and must build the signed Ḡ (the rule
+        // replay and the auditor apply to every recorded run).
+        let txs =
+            TxRun::whole(tail).ok_or("seed entry after the pre-prepare is not a transaction")?;
         let base_index = record
             .next_tx_index
-            .checked_sub(tail.len() as u64)
+            .checked_sub(txs.len() as u64)
             .ok_or("seed transaction count exceeds the index counter")?;
-        let mut names = Vec::with_capacity(tail.len());
-        let mut leaves = Vec::with_capacity(tail.len());
-        for (pos, entry) in tail.iter().enumerate() {
-            let LedgerEntry::Tx(tx) = entry else {
-                return Err("seed entry after the pre-prepare is not a transaction");
-            };
-            if tx.index.0 != base_index + pos as u64 {
-                return Err("seed transaction indices not contiguous");
-            }
-            let name = tx.request.digest();
-            leaves.push(ia_ccf_types::entry::g_leaf_hash(&name, tx.index, &tx.result));
-            names.push(name);
+        if !txs.iter().zip(base_index..).all(|(tx, index)| tx.index.0 == index) {
+            return Err("seed transaction indices not contiguous");
         }
-        if MerkleTree::from_leaves(leaves).root() != pp.root_g {
-            return Err("seed transaction run does not reproduce Ḡ");
-        }
+        let (names, _) =
+            recorded_run(pp, txs).ok_or("seed transaction run does not reproduce Ḡ")?;
 
         // ---- everything verified: restore ----
         let (view, pp_digest) = (pp.view(), pp.digest());

@@ -380,7 +380,7 @@ impl Replica {
     /// reconstruct either, so reconfigured or governed histories fall
     /// back to full replay.
     pub(crate) fn offerable_checkpoint(&self) -> Option<&CheckpointRecord> {
-        if !self.gov_chain.is_empty() || self.config_first_seq.len() != 1 {
+        if !self.gov_chain.is_empty() || self.config_first_seq.iter().count() > 1 {
             return None;
         }
         // The newest checkpoint whose mark batch (at `seq + C`) has

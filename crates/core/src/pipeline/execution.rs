@@ -4,9 +4,9 @@
 //! proposes the resulting Merkle root `Ḡ` inside the signed pre-prepare;
 //! backups re-execute and must reproduce it bit-for-bit or reject. All
 //! per-request costs are amortized across the batch (§3.4): the KV layer
-//! opens one batch scope, the result leaves are collected and absorbed
-//! into `Ḡ` with one [`MerkleTree::extend`] pass, and the caller appends
-//! the batch's ledger entries with one [`ia_ccf_ledger::Ledger::append_batch`]
+//! opens one batch scope, `G` is built in one pass over the results (a
+//! recorded run's is built and checked before it executes), and the caller
+//! appends the batch's ledger entries with one [`ia_ccf_ledger::Ledger::append_batch`]
 //! reservation. Every executed batch leaves a [`BatchMark`] so a view
 //! change can roll it back (Lemma 1) and re-execute it identically.
 //!
@@ -17,7 +17,9 @@ use std::sync::Arc;
 
 use ia_ccf_crypto::Digest;
 use ia_ccf_governance::GovOutcome;
+use ia_ccf_ledger::segment::TxRun;
 use ia_ccf_merkle::MerkleTree;
+use ia_ccf_types::entry::g_tree;
 use ia_ccf_types::{LedgerIdx, SeqNum, SignedRequest, TxResult, View};
 
 use crate::checkpoint::CheckpointRecord;
@@ -46,13 +48,28 @@ pub(crate) struct BatchExec {
 }
 
 /// A batch just executed, before it enters the ledger: its requests'
-/// results in batch order, the index of the first, and its tree `G`.
-/// `close_batch` moves the results into the batch's `⟨t, i, o⟩` entries.
+/// results in batch order and the index of the first. `close_batch` moves
+/// the results into the batch's `⟨t, i, o⟩` entries.
 #[derive(Debug)]
 pub(crate) struct ExecutedBatch {
     pub first_index: u64,
     pub results: Vec<TxResult>,
-    pub tree: MerkleTree,
+}
+
+impl ExecutedBatch {
+    /// The batch tree `G` over what executed, `names[i]` being the `i`-th
+    /// request's digest.
+    pub fn tree(&self, names: &[Digest]) -> MerkleTree {
+        let indices = (self.first_index..).map(LedgerIdx);
+        g_tree(names.iter().zip(indices).zip(&self.results).map(|((t, i), o)| (t, i, o)))
+    }
+
+    /// Whether execution reproduced each recorded `(i, o)` of `run`.
+    pub fn reproduces(&self, run: TxRun<'_>) -> bool {
+        let executed = (self.first_index..).zip(&self.results);
+        run.len() == self.results.len()
+            && run.iter().zip(executed).all(|(tx, (i, o))| tx.index.0 == i && tx.result == *o)
+    }
 }
 
 /// Rollback information for a batch (Lemma 1).
@@ -87,14 +104,12 @@ pub(crate) enum ExecError {
 }
 
 impl Replica {
-    /// Execute the batch at `seq`; `names[i]` is `requests[i]`'s digest.
+    /// Execute the batch at `seq`.
     pub(crate) fn execute_batch(
         &mut self,
         seq: SeqNum,
         requests: &[SignedRequest],
-        names: &[Digest],
     ) -> Result<ExecutedBatch, ExecError> {
-        debug_assert_eq!(requests.len(), names.len());
         // Structural validation up front (indices are assigned by batch
         // position, so both checks are order-independent of execution).
         let base_index = self.next_tx_index;
@@ -110,24 +125,19 @@ impl Replica {
             .iter()
             .map(|r| self.execute_one(seq, r))
             .collect::<Result<Vec<_>, _>>()?;
-        // One pass assigns indices and builds the leaves.
+        // One pass assigns indices.
         let first_index = self.next_tx_index;
-        let mut leaves = Vec::with_capacity(requests.len());
-        for ((req, name), result) in requests.iter().zip(names).zip(&results) {
-            let index = LedgerIdx(self.next_tx_index);
+        for (req, result) in requests.iter().zip(&results) {
             if req.is_governance() && result.ok {
-                self.last_gov_index = index;
+                self.last_gov_index = LedgerIdx(self.next_tx_index);
             }
-            leaves.push(ia_ccf_types::entry::g_leaf_hash(name, index, result));
             self.next_tx_index += 1;
         }
-        // One bulk pass builds `Ḡ` (batch amortization, §3.4).
-        let tree = MerkleTree::from_leaves(leaves);
         // Checkpoint after executing a batch at a multiple of C (§3.4).
         if seq.0.is_multiple_of(self.checkpoint_interval()) {
             self.take_checkpoint(seq);
         }
-        Ok(ExecutedBatch { first_index, results, tree })
+        Ok(ExecutedBatch { first_index, results })
     }
 
     /// One request: one call of the shared rule
@@ -216,7 +226,7 @@ impl Replica {
         }
         self.gov = (*mark.gov_before).clone();
         self.gov_snapshot = std::sync::Arc::clone(&mark.gov_before);
-        self.config_first_seq.retain(|(first, _)| first.0 <= seq.0);
+        self.config_first_seq.truncate_from(seq.next());
         // A rolled-back batch can't have passed a referendum anymore.
         if let Some(rc) = &self.reconfig {
             if rc.vote_seq >= seq {

@@ -16,7 +16,9 @@
 
 use std::collections::BTreeMap;
 
+use ia_ccf_ledger::segment::TxRun;
 use ia_ccf_ledger::validity::{signed_by_view_primary, verify_replica_payload};
+use ia_ccf_merkle::MerkleTree;
 use ia_ccf_types::{
     evidence_target, lowest_ranked_quorum, BatchCertificate, BatchKind, Commit, Digest,
     LedgerEntry, LedgerIdx, Nonce, PrePrepare, PrePrepareCore, Prepare, ProtocolMsg, PublicKey,
@@ -40,17 +42,17 @@ pub(crate) struct EvidenceSet {
     pub nonces: Vec<Nonce>,
 }
 
-/// What [`Replica::apply_proposed`] has yet to establish about the
-/// signatures on a batch's requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RequestSigs {
-    /// Nothing: each one the request pool holds no fact for is checked
-    /// now, on the worker pool, while the batch executes.
-    Verify,
-    /// The batch is read out of a ledger, whose evidence entries say a
-    /// quorum prepared it — having checked them at their batch time.
-    /// (Whether a reader takes that on trust is ROADMAP item 5's question.)
-    CheckedByQuorum,
+/// What [`Replica::apply_proposed`] already knows about a batch.
+#[derive(Debug)]
+pub(crate) enum Known<'a> {
+    /// Nothing: request signatures are checked on the pool while the batch
+    /// executes, and `G` is built from what executed and held to `Ḡ`.
+    Live,
+    /// A ledger's batch, its `run` bound to `Ḡ` in `tree`
+    /// ([`ia_ccf_ledger::validity::recorded_run`]): execution must reproduce
+    /// each recorded `(i, o)`. Its evidence says a quorum checked the request
+    /// signatures (whether to trust that is ROADMAP item 5's question).
+    Recorded { run: TxRun<'a>, tree: MerkleTree },
 }
 
 /// Why [`Replica::apply_proposed`] refused a batch: `M̄` after the evidence
@@ -204,7 +206,7 @@ impl Replica {
         };
         let mark = self.open_batch(seq, carried.map(|(_, evidence)| evidence));
 
-        let exec = match self.execute_batch(seq, &requests, &batch_hashes) {
+        let exec = match self.execute_batch(seq, &requests) {
             Ok(exec) => exec,
             Err(_) => {
                 // A correct primary only fails here on min-index races;
@@ -233,11 +235,13 @@ impl Replica {
         };
         // An honest primary never proposes what the carrier clause refuses.
         debug_assert!(evidence_target(&core, p).is_ok(), "{core:?}");
-        let root_g = exec.tree.root();
+        let tree = exec.tree(&batch_hashes);
+        let root_g = tree.root();
         let sig = self.sign_replica_payload(&PrePrepare::signing_payload(&core, &root_g));
         let pp = PrePrepare { core, root_g, sig };
 
-        self.close_batch(pp.clone(), batch_hashes.clone(), requests, exec, mark);
+        let kept = BatchExec { names: batch_hashes.clone(), tree };
+        self.close_batch(pp.clone(), kept, requests, exec, mark);
         self.last_pp_tick = self.tick;
         self.broadcast(ProtocolMsg::PrePrepare { pp, batch: batch_hashes });
         // With a single replica (N = 1) the batch prepares immediately.
@@ -274,19 +278,19 @@ impl Replica {
     /// Close an executed batch: append its pre-prepare and `⟨t, i, o⟩`
     /// entries as one ledger segment write (one reservation per batch,
     /// §3.4), the requests and results moved into them, and record what a
-    /// replica keeps about a batch beside its ledger: the window its names
-    /// and tree `G`, the message store the digest its prepares are matched
-    /// against.
+    /// replica keeps about a batch beside its ledger: the window `kept`, its
+    /// names and tree `G`, the message store the digest its prepares are
+    /// matched against.
     fn close_batch(
         &mut self,
         pp: PrePrepare,
-        names: Vec<Digest>,
+        kept: BatchExec,
         requests: Vec<SignedRequest>,
         executed: ExecutedBatch,
         mark: BatchMark,
     ) {
         let (seq, view, kind, pp_digest) = (pp.seq(), pp.view(), pp.core.kind, pp.digest());
-        let ExecutedBatch { first_index, results, tree } = executed;
+        let ExecutedBatch { first_index, results } = executed;
         let mut entries = Vec::with_capacity(1 + requests.len());
         entries.push(LedgerEntry::PrePrepare(pp));
         let indices = (first_index..).map(LedgerIdx);
@@ -294,8 +298,8 @@ impl Replica {
             entries.push(LedgerEntry::Tx(TxLedgerEntry { request, index, result }));
         }
         self.ledger.append_batch(entries);
-        self.requests.appended(&names);
-        self.batch_exec.insert(seq, BatchExec { names, tree });
+        self.requests.appended(&kept.names);
+        self.batch_exec.insert(seq, kept);
         self.batch_marks.insert(seq, mark);
         self.msgs.set_pp_digest(seq, view, pp_digest);
         self.seq_next = seq.next();
@@ -305,22 +309,22 @@ impl Replica {
     /// Take a batch somebody else proposed — live, or through a ledger —
     /// into this replica's ledger (`receivePrePrepare`, Alg. 1 line 15,
     /// past its network half): append the evidence, compare `M̄`, apply the
-    /// kind rules, execute, compare `Ḡ`, log the batch. **Atomic**: a
-    /// refused batch is rolled back to its mark first, and its names and
-    /// bodies are handed back to the caller. `names[i]` is `requests[i]`'s
-    /// digest; the caller has checked `pp`'s signature.
+    /// kind rules, execute, compare `Ḡ` (or the recorded run), log the
+    /// batch. **Atomic**: a refused batch is rolled back to its mark first,
+    /// and its names and bodies are handed back to the caller. `names[i]`
+    /// is `requests[i]`'s digest; the caller has checked `pp`'s signature.
     pub(crate) fn apply_proposed(
         &mut self,
         pp: PrePrepare,
         names: Vec<Digest>,
         requests: Vec<SignedRequest>,
         evidence: Option<EvidenceSet>,
-        sigs: RequestSigs,
+        known: Known<'_>,
     ) -> Result<(), (Vec<Digest>, Vec<SignedRequest>)> {
         let mark = self.open_batch(pp.seq(), evidence);
-        match self.execute_proposed(&pp, &names, &requests, sigs) {
-            Ok(exec) => {
-                self.close_batch(pp, names, requests, exec, mark);
+        match self.execute_proposed(&pp, &names, &requests, known) {
+            Ok((exec, tree)) => {
+                self.close_batch(pp, BatchExec { names, tree }, requests, exec, mark);
                 Ok(())
             }
             Err(why) => {
@@ -331,14 +335,15 @@ impl Replica {
         }
     }
 
-    /// The checks between open and close (the caller rolls back).
+    /// The checks between open and close (the caller rolls back). Returns
+    /// what executed and the batch's tree `G`.
     fn execute_proposed(
         &mut self,
         pp: &PrePrepare,
         names: &[Digest],
         requests: &[SignedRequest],
-        sigs: RequestSigs,
-    ) -> Result<ExecutedBatch, Refused> {
+        known: Known<'_>,
+    ) -> Result<(ExecutedBatch, MerkleTree), Refused> {
         // The primary's M̄ was computed after the evidence append.
         if self.ledger.root_m() != pp.core.root_m {
             return Err(Refused::RootM);
@@ -353,25 +358,31 @@ impl Replica {
         // validity is a pure function of the request bytes: if any
         // signature turns out bad, the already-executed batch rolls back
         // through its mark — the same path a root mismatch takes.
-        let verify = match sigs {
-            RequestSigs::Verify => {
+        let verify = match known {
+            Known::Live => {
                 let verify = self.start_batch_verify(requests, names);
                 self.prewarm_next_batch_verify();
                 Some(verify)
             }
-            RequestSigs::CheckedByQuorum => None,
+            Known::Recorded { .. } => None,
         };
-        let exec = self.execute_batch(pp.seq(), requests, names);
+        let exec = self.execute_batch(pp.seq(), requests);
         if verify.is_some_and(|v| !self.finish_batch_verify(v).is_empty()) {
             // A correct primary never includes a forged request.
             return Err(Refused::ForgedRequest);
         }
         let exec = exec.map_err(Refused::Exec)?;
-        // Early-execution agreement: the roots must match (Alg. 1 line 22).
-        if exec.tree.root() != pp.root_g {
+        // Early-execution agreement (Alg. 1 line 22): the roots must match
+        // — or, for a run already bound to `Ḡ`, every recorded `(i, o)`.
+        let tree = match known {
+            Known::Live => exec.tree(names),
+            Known::Recorded { run, tree } if exec.reproduces(run) => tree,
+            Known::Recorded { .. } => return Err(Refused::RootG),
+        };
+        if tree.root() != pp.root_g {
             return Err(Refused::RootG);
         }
-        Ok(exec)
+        Ok((exec, tree))
     }
 
     // ------------------------------------------------------------------
@@ -476,7 +487,7 @@ impl Replica {
             requests.push(body);
         }
         if let Err((names, requests)) =
-            self.apply_proposed(pp, batch, requests, evidence, RequestSigs::Verify)
+            self.apply_proposed(pp, batch, requests, evidence, Known::Live)
         {
             self.requests.put_back(names, requests);
             return;

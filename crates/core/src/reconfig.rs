@@ -186,8 +186,8 @@ impl Replica {
         self.gov.activate(new_config.clone());
         self.gov_snapshot = std::sync::Arc::new(self.gov.clone());
         self.requests.forget_verified(); // member keys may have changed
-        if self.config_first_seq.last().map(|(s, _)| *s) != Some(seq.next()) {
-            self.config_first_seq.push((seq.next(), new_config.clone()));
+        if self.config_first_seq.last().0 != seq.next() {
+            self.config_first_seq.push(seq.next(), new_config.clone());
         }
         // "The replicas in the new configuration create a checkpoint of the
         // key-value store at sequence number s+2P."
@@ -202,9 +202,7 @@ impl Replica {
     /// retires nobody. One-way and announced once: §5.1's removed replica
     /// deletes its signing key and does not come back.
     pub(crate) fn maybe_retire(&mut self) {
-        let Some((first, config)) = self.config_first_seq.last() else {
-            return;
-        };
+        let (first, config) = self.config_first_seq.last();
         let removed = first.0 > 0
             && config.rank_of(self.id).is_none()
             && self.committed_up_to.0 >= first.0 - 1;
@@ -217,13 +215,7 @@ impl Replica {
     /// The configuration that was active when `seq` was prepared — needed
     /// to interpret evidence bitmaps that straddle a reconfiguration.
     pub fn config_for_seq(&self, seq: SeqNum) -> &Configuration {
-        let mut chosen = self.config_first_seq.first().map(|(_, c)| c).expect("genesis config");
-        for (first, config) in &self.config_first_seq {
-            if *first <= seq {
-                chosen = config;
-            }
-        }
-        chosen
+        self.config_first_seq.at(seq)
     }
 }
 
@@ -253,7 +245,7 @@ mod tests {
         let mut without = genesis;
         without.number = 1;
         without.replicas.retain(|r| r.id != me);
-        replica.config_first_seq.push((SeqNum(7), without));
+        replica.config_first_seq.push(SeqNum(7), without);
         for committed in 5..=7 {
             replica.committed_up_to = SeqNum(committed);
             replica.maybe_retire();

@@ -19,8 +19,8 @@ use ia_ccf_governance::GovernanceState;
 use ia_ccf_kv::KvStore;
 use ia_ccf_ledger::Ledger;
 use ia_ccf_types::{
-    receipt_checkpoint_seq, ClientId, Configuration, Digest, LedgerEntry, LedgerIdx, PrePrepare,
-    ProtocolMsg, PublicKey, ReplicaId, SeqNum, Signature, SignedRequest, View, Wire,
+    receipt_checkpoint_seq, ClientId, ConfigSteps, Configuration, Digest, LedgerEntry, LedgerIdx,
+    PrePrepare, ProtocolMsg, PublicKey, ReplicaId, SeqNum, Signature, SignedRequest, View, Wire,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -136,7 +136,7 @@ pub struct Replica {
     /// configuration (genesis at 0). Evidence bitmaps are interpreted
     /// under the configuration of the *evidenced* sequence number; a
     /// rollback trims it with the batches it undoes.
-    pub(crate) config_first_seq: Vec<(SeqNum, Configuration)>,
+    pub(crate) config_first_seq: ConfigSteps<SeqNum>,
 
     /// Counters of the most recent paged state transfer (see
     /// `crate::bootstrap`; the transfer's own state is `Status::Recovery`).
@@ -246,7 +246,7 @@ impl Replica {
             gov_chain: Vec::new(),
             pending_gov_receipts: Vec::new(),
             reconfig: None,
-            config_first_seq: vec![(SeqNum(0), genesis)],
+            config_first_seq: ConfigSteps::new(SeqNum(0), genesis),
             sync_report: Default::default(),
             stashed_pps: Vec::new(),
             tick: 0,

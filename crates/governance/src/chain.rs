@@ -10,8 +10,8 @@
 
 use ia_ccf_crypto::Digest;
 use ia_ccf_types::{
-    BatchKind, Configuration, LedgerIdx, MemberId, Receipt, ReceiptBody, ReceiptError,
-    RequestAction, SignedRequest,
+    BatchKind, ConfigSteps, Configuration, LedgerIdx, MemberId, Receipt, ReceiptBody,
+    ReceiptError, RequestAction, SignedRequest,
 };
 
 use crate::referendum::{GovOutcome, GovernanceState};
@@ -100,29 +100,12 @@ pub fn member_of(request: &SignedRequest) -> MemberId {
     MemberId(request.request.client.0 as u32)
 }
 
-/// A verified view of the configuration history: which configuration is
-/// active after each governance index.
-#[derive(Debug, Clone)]
-pub struct ConfigHistory {
-    /// `(gov_index, config active from that governance transaction on)`,
-    /// ascending by index. The first element is `(0, genesis)`.
-    pub steps: Vec<(LedgerIdx, Configuration)>,
-}
-
-impl ConfigHistory {
-    /// The configuration used to verify a receipt whose `i_g` is
-    /// `gov_index`: the configuration active after the last governance
-    /// transaction at or before that index.
-    pub fn config_for_gov_index(&self, gov_index: LedgerIdx) -> &Configuration {
-        let pos = self.steps.partition_point(|(idx, _)| *idx <= gov_index);
-        &self.steps[pos.saturating_sub(1)].1
-    }
-
-    /// The configuration active at the end of the history.
-    pub fn latest(&self) -> &Configuration {
-        &self.steps.last().expect("non-empty").1
-    }
-}
+/// A verified view of the configuration history: the configuration active
+/// from each governance index on, the first step `(0, genesis)`. A receipt
+/// whose `i_g` is `gov_index` is verified under `at(gov_index)`: the
+/// configuration active after the last governance transaction at or before
+/// that index.
+pub type ConfigHistory = ConfigSteps<LedgerIdx>;
 
 /// A governance receipt chain, from genesis.
 #[derive(Debug, Clone, Default)]
@@ -143,7 +126,7 @@ impl GovernanceChain {
     /// signing keys at index i are used to validate the receipt").
     pub fn verify(&self, genesis: &Configuration) -> Result<ConfigHistory, ChainError> {
         let mut state = GovernanceState::new(genesis.clone());
-        let mut steps = vec![(LedgerIdx(0), genesis.clone())];
+        let mut steps = ConfigHistory::new(LedgerIdx(0), genesis.clone());
         let mut pending: Option<(Configuration, LedgerIdx)> = None;
 
         for (i, link) in self.links.iter().enumerate() {
@@ -209,15 +192,18 @@ impl GovernanceChain {
                     {
                         return Err(ChainError::BadBoundary(i, "end-of-config batch not empty"));
                     }
+                    if passed_at <= steps.last().0 {
+                        return Err(ChainError::BadBoundary(i, "referendum passed out of order"));
+                    }
                     state.activate(new_config.clone());
-                    steps.push((passed_at, new_config));
+                    steps.push(passed_at, new_config);
                 }
             }
         }
         if pending.is_some() {
             return Err(ChainError::MissingBoundary);
         }
-        Ok(ConfigHistory { steps })
+        Ok(steps)
     }
 
     /// Append a link (clients extend their cache incrementally as they
@@ -247,10 +233,10 @@ mod tests {
         let (genesis, _, _) = test_config(4);
         let chain = GovernanceChain::new();
         let history = chain.verify(&genesis).unwrap();
-        assert_eq!(history.steps.len(), 1);
+        assert_eq!(history, ConfigHistory::new(LedgerIdx(0), genesis.clone()));
         assert_eq!(history.latest(), &genesis);
-        assert_eq!(history.config_for_gov_index(LedgerIdx(0)), &genesis);
-        assert_eq!(history.config_for_gov_index(LedgerIdx(999)), &genesis);
+        assert_eq!(history.at(LedgerIdx(0)), &genesis);
+        assert_eq!(history.at(LedgerIdx(999)), &genesis);
     }
 
     #[test]
@@ -258,13 +244,12 @@ mod tests {
         let (a, _, _) = test_config(4);
         let mut b = a.clone();
         b.number = 1;
-        let history = ConfigHistory {
-            steps: vec![(LedgerIdx(0), a.clone()), (LedgerIdx(50), b.clone())],
-        };
-        assert_eq!(history.config_for_gov_index(LedgerIdx(0)).number, 0);
-        assert_eq!(history.config_for_gov_index(LedgerIdx(49)).number, 0);
-        assert_eq!(history.config_for_gov_index(LedgerIdx(50)).number, 1);
-        assert_eq!(history.config_for_gov_index(LedgerIdx(51)).number, 1);
+        let mut history = ConfigHistory::new(LedgerIdx(0), a.clone());
+        history.push(LedgerIdx(50), b.clone());
+        assert_eq!(history.at(LedgerIdx(0)).number, 0);
+        assert_eq!(history.at(LedgerIdx(49)).number, 0);
+        assert_eq!(history.at(LedgerIdx(50)).number, 1);
+        assert_eq!(history.at(LedgerIdx(51)).number, 1);
     }
 
     // End-to-end chain verification (with real receipts spanning a

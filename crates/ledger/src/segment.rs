@@ -85,6 +85,13 @@ impl<'a> TxRun<'a> {
         TxRun(entries)
     }
 
+    /// All of `entries`, when every one is a `Tx` (a checkpoint seed's
+    /// run after its pre-prepare).
+    pub fn whole(entries: &'a [LedgerEntry]) -> Option<Self> {
+        let run = tx_run(entries, 0);
+        (run.len() == entries.len()).then_some(run)
+    }
+
     /// Number of transactions.
     pub fn len(&self) -> usize {
         self.0.len()

@@ -1,10 +1,12 @@
-//! The signed half of ledger validity (Alg. 1 line 15, Alg. 2 lines 6 and
-//! 18), written once below the replica: a backup, ledger replay and the
-//! auditor call these functions, so a third party checks a ledger with the
-//! rules the replicas applied and links no replica code (§4).
+//! Ledger validity (Alg. 1 lines 15–22, Alg. 2 lines 6 and 18), written
+//! once below the replica: a backup, ledger replay, the checkpoint seed and
+//! the auditor call these functions, so a third party checks a ledger with
+//! the rules the replicas applied and links no replica code (§4).
 //! [`view_primary_job`] is the one pre-prepare rule:
 //! [`signed_by_view_primary`] runs it at once, replay's pre-pass and the
-//! package walk queue it on an [`ia_ccf_crypto::SigQueue`].
+//! package walk queue it on an [`ia_ccf_crypto::SigQueue`]. A recorded
+//! batch's evidence pair ([`recorded_evidence`]) and `⟨t, i, o⟩` run
+//! ([`recorded_run`]) are held to what was signed before anything executes.
 //!
 //! Left apart on purpose: replay and the auditor keep separate walks
 //! (replay learns each configuration by executing, the auditor reads it
@@ -14,10 +16,15 @@
 use std::collections::BTreeSet;
 
 use ia_ccf_crypto::VerifyJob;
+use ia_ccf_merkle::MerkleTree;
+use ia_ccf_types::entry::g_tree;
 use ia_ccf_types::{
-    Configuration, Digest, LedgerEntry, NewViewMsg, PrePrepare, PublicKey, ReplicaBitmap,
-    ReplicaId, SeqNum, Signature, View, ViewChange, Wire,
+    evidence_target, BatchCertificate, Configuration, Digest, EvidenceError, LedgerEntry,
+    NewViewMsg, PrePrepare, PublicKey, ReplicaBitmap, ReplicaId, SeqNum, Signature, View,
+    ViewChange, Wire,
 };
+
+use crate::segment::{EvidencePair, TxRun};
 
 /// Whether `sig` is `sender`'s signature over `payload` under `config` —
 /// the one place a replica's signature is checked.
@@ -60,6 +67,58 @@ pub fn signed_by_view_primary(
         return false;
     };
     proven == Some(&job.key) || job.key.verify(&job.msg, &job.sig)
+}
+
+/// What a recorded batch's evidence pair establishes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Evidenced {
+    /// The batch orders in none.
+    Nothing,
+    /// The pair is for this batch, which the reader does not hold.
+    Unheld(SeqNum),
+    /// The certificate the pair encodes.
+    Certified(Box<BatchCertificate>),
+}
+
+/// The rule on a recorded batch's evidence pair (Alg. 1 line 17, App.
+/// B.1.1): the carrier clause, then the certificate the pair encodes over
+/// the evidenced pre-prepare (`held`, when the reader holds it) in Alg. 3's
+/// shape; prepare signatures are left to [`BatchCertificate::prepare_checks`].
+/// A refusal names its batch: the carrier's for the carrier clause, the
+/// evidenced one's for the pair.
+pub fn recorded_evidence<'c, 'p>(
+    carrier: &PrePrepare,
+    recorded: Option<EvidencePair<'_>>,
+    config_at: impl Fn(SeqNum) -> &'c Configuration,
+    held: impl FnOnce(SeqNum) -> Option<&'p PrePrepare>,
+) -> Result<Evidenced, (SeqNum, EvidenceError)> {
+    let p = config_at(carrier.seq()).pipeline_depth as u64;
+    let target = evidence_target(&carrier.core, p).map_err(|why| (carrier.seq(), why))?;
+    let (target, pair) = match (target, recorded) {
+        (None, None) => return Ok(Evidenced::Nothing),
+        (Some(target), Some(pair)) => (target, pair),
+        _ => return Err((carrier.core.evidence_seq, EvidenceError::Unexpected)),
+    };
+    let Some(evidenced) = held(target) else {
+        return Ok(Evidenced::Unheld(target));
+    };
+    let (config, signers) = (config_at(target), carrier.core.evidence_bitmap);
+    let cert =
+        BatchCertificate::from_evidence(config, evidenced, signers, pair.prepares, pair.nonces)
+            .map_err(|why| (target, why))?;
+    cert.check_shape(config).map_err(|why| (target, why.into()))?;
+    Ok(Evidenced::Certified(Box::new(cert)))
+}
+
+/// The rule on a recorded batch's `⟨t, i, o⟩` run: its `G` has the signed
+/// root `Ḡ`. Returns the requests' names, each hashed once, and that tree.
+/// Index contiguity is not part of it: under a signed `Ḡ` a wrong index is
+/// its signers' wrong execution, which only executing finds.
+pub fn recorded_run(pp: &PrePrepare, txs: TxRun<'_>) -> Option<(Vec<Digest>, MerkleTree)> {
+    let mut names = Vec::with_capacity(txs.len());
+    names.extend(txs.iter().map(|tx| tx.request.digest()));
+    let tree = g_tree(names.iter().zip(txs.iter()).map(|(t, tx)| (t, tx.index, &tx.result)));
+    (tree.root() == pp.root_g).then_some((names, tree))
 }
 
 /// The clause of Alg. 2's validity rule a view-change or a new-view broke.

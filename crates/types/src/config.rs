@@ -198,6 +198,62 @@ wire_struct!(Configuration {
     checkpoint_interval,
 });
 
+/// Which configuration is in force at a position: steps `(key, config)`
+/// with ascending keys, the first given at construction. At a key, the last
+/// step at or before it is in force; below every key, the first. Keyed by
+/// sequence number in a replica and the auditor, by governance index in a
+/// verified governance chain.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigSteps<K, C = Configuration> {
+    first: (K, C),
+    later: Vec<(K, C)>,
+}
+
+impl<K: Ord + Copy + std::fmt::Debug, C> ConfigSteps<K, C> {
+    /// `config` from `key` on.
+    pub fn new(key: K, config: C) -> Self {
+        ConfigSteps { first: (key, config), later: Vec::new() }
+    }
+
+    /// `config` from `key` on, `key` above every key held (panics if not).
+    pub fn push(&mut self, key: K, config: C) {
+        let last = self.last().0;
+        assert!(key > last, "configuration step at {key:?} after one at {last:?}");
+        self.later.push((key, config));
+    }
+
+    /// The configuration in force at `key`.
+    pub fn at(&self, key: K) -> &C {
+        let pos = self.later.partition_point(|(first, _)| *first <= key);
+        &pos.checked_sub(1).and_then(|at| self.later.get(at)).unwrap_or(&self.first).1
+    }
+
+    /// The last step.
+    pub fn last(&self) -> &(K, C) {
+        self.later.last().unwrap_or(&self.first)
+    }
+
+    /// The configuration in force after the last step.
+    pub fn latest(&self) -> &C {
+        &self.last().1
+    }
+
+    /// The first step's configuration.
+    pub fn first(&self) -> &C {
+        &self.first.1
+    }
+
+    /// Drop every step but the first from `key` on (a rollback).
+    pub fn truncate_from(&mut self, key: K) {
+        self.later.truncate(self.later.partition_point(|(first, _)| *first < key));
+    }
+
+    /// The steps, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = &(K, C)> {
+        std::iter::once(&self.first).chain(&self.later)
+    }
+}
+
 /// Test-support builders shared with downstream crates' tests.
 pub mod testutil {
     use super::*;

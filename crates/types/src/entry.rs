@@ -13,9 +13,10 @@
 //!   new-views to `M`); transactions are *not* direct leaves of `M`, they
 //!   are bound through `Ḡ` inside their batch's signed pre-prepare.
 //! * **G-leaves** — `⟨t, i, o⟩` hashes into the per-batch tree `G`, which
-//!   receipts prove membership in.
+//!   receipts prove membership in. [`g_tree`] is the one builder of `G`.
 
 use ia_ccf_crypto::{hash_bytes, Digest, Hasher, Nonce};
+use ia_ccf_merkle::MerkleTree;
 use serde::{Deserialize, Serialize};
 
 use crate::config::Configuration;
@@ -76,6 +77,17 @@ pub fn g_leaf_hash(tx_hash: &Digest, index: LedgerIdx, result: &TxResult) -> Dig
     h.update(index.0.to_le_bytes());
     h.update(result.digest());
     h.finalize()
+}
+
+/// The batch tree `G` over `(H(t), i, o)` triples in batch order: what
+/// execution builds and what a reader of a recorded run rebuilds.
+pub fn g_tree<'a>(
+    triples: impl IntoIterator<Item = (&'a Digest, LedgerIdx, &'a TxResult)>,
+) -> MerkleTree {
+    let triples = triples.into_iter();
+    let mut leaves = Vec::with_capacity(triples.size_hint().1.unwrap_or(0));
+    leaves.extend(triples.map(|(t, i, o)| g_leaf_hash(t, i, o)));
+    MerkleTree::from_leaves(leaves)
 }
 
 /// One entry in the append-only ledger.

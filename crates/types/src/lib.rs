@@ -30,7 +30,7 @@ pub mod messages;
 pub mod receipt;
 pub mod request;
 
-pub use config::{Configuration, MemberDesc, ReplicaDesc};
+pub use config::{ConfigSteps, Configuration, MemberDesc, ReplicaDesc};
 pub use entry::{LedgerEntry, TxLedgerEntry, TxResult};
 pub use ids::{ClientId, LedgerIdx, MemberId, ProcId, ReplicaBitmap, ReplicaId, SeqNum, View};
 pub use messages::{

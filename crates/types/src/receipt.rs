@@ -654,7 +654,6 @@ pub mod testutil {
     use super::*;
     use crate::config::Configuration;
     use ia_ccf_crypto::KeyPair;
-    use ia_ccf_merkle::MerkleTree;
 
     /// Build a valid receipt for `⟨t, i, o⟩` entries, certifying the batch
     /// with the first `quorum` replicas as signers. `replica_keys` must
@@ -675,9 +674,7 @@ pub mod testutil {
         let primary_rank = config.rank_of(primary).unwrap();
 
         // Per-batch tree G.
-        let g = MerkleTree::from_leaves(
-            entries.iter().map(|(tx_hash, index, result)| g_leaf_hash(tx_hash, *index, result)),
-        );
+        let g = crate::entry::g_tree(entries.iter().map(|(t, i, o)| (t, *i, o)));
         let root_g = g.root();
 
         // Nonces: one per replica, deterministic for tests.

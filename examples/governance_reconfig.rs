@@ -129,11 +129,11 @@ fn main() {
     println!(
         "governance chain: {} links; configurations: {:?}",
         chain.len(),
-        history.steps.iter().map(|(i, c)| (i.0, c.number, c.n())).collect::<Vec<_>>()
+        history.iter().map(|(i, c)| (i.0, c.number, c.n())).collect::<Vec<_>>()
     );
     for (_, tx) in &cluster.finished[3..] {
         let receipt = tx.receipt.as_ref().expect("receipt");
-        let config = history.config_for_gov_index(receipt.gov_index());
+        let config = history.at(receipt.gov_index());
         receipt.verify(config).expect("verifies under the chain-derived configuration");
     }
     println!("all post-reconfiguration receipts verify via the governance chain alone");

@@ -310,3 +310,75 @@ fn ledger_replay_applies_the_kind_rules_a_backup_applies() {
         assert_eq!(bootstrap(&ledger), Err(BootstrapError::ExecutionMismatch(seq)), "{what}");
     }
 }
+
+/// A quorum running the same wrong app signs a `Ḡ` over the results it
+/// forged: each recorded run builds its signed root, so only executing it
+/// again tells. Ledger replay with the honest app refuses the ledger at the
+/// first forged batch, after applying every batch before it, and the audit
+/// of the same ledger convicts that batch's signers at the same seq.
+#[test]
+fn replay_refuses_a_forged_result_where_the_audit_convicts() {
+    use ia_ccf::audit::{Auditor, LedgerPackage, StoredReceipt, UpomKind};
+    use ia_ccf::core::byzantine::TamperedApp;
+    use ia_ccf::core::App;
+    use ia_ccf::governance::chain::GovernanceChain;
+
+    let spec = ClusterSpec::new(4, 1, ProtocolParams::default());
+    let client = spec.clients[0].0;
+    let mut cluster = DetCluster::with_apps(&spec, |_| -> Arc<dyn App> {
+        Arc::new(TamperedApp::new(Arc::new(CounterApp), |proc, args, _| {
+            (proc == CounterApp::READ && args == b"acct").then(|| 999u64.to_le_bytes().to_vec())
+        }))
+    });
+    let procs = [CounterApp::INCR, CounterApp::INCR, CounterApp::READ, CounterApp::INCR];
+    for (done, proc) in procs.into_iter().enumerate() {
+        cluster.submit(client, proc, b"acct".to_vec());
+        assert!(cluster.run_until_finished(done + 1, 200));
+    }
+    let ledger = cluster.replica(ReplicaId(0)).ledger().entries().to_vec();
+    // The batch holding the read, and where its segment opens.
+    let read_at = ledger
+        .iter()
+        .position(|e| {
+            matches!(e, LedgerEntry::Tx(tx) if matches!(tx.request.request.action,
+                RequestAction::App { proc, .. } if proc == CounterApp::READ))
+        })
+        .expect("the read is recorded");
+    let pp_at = ledger[..read_at]
+        .iter()
+        .rposition(|e| matches!(e, LedgerEntry::PrePrepare(_)))
+        .expect("its batch");
+    let LedgerEntry::PrePrepare(pp) = &ledger[pp_at] else { unreachable!() };
+    let forged = pp.seq();
+    let evidenced = matches!(ledger[pp_at - 1], LedgerEntry::Nonces { .. });
+    let opens = if evidenced { pp_at - 2 } else { pp_at };
+
+    let bootstrap = |entries: &[LedgerEntry]| {
+        Replica::bootstrap(
+            ReplicaId(3),
+            spec.replica_keys[3].clone(),
+            Arc::new(CounterApp),
+            spec.params.clone(),
+            spec.client_keys(),
+            entries,
+        )
+    };
+    assert_eq!(bootstrap(&ledger).err(), Some(BootstrapError::ExecutionMismatch(forged)));
+    let prefix = bootstrap(&ledger[..opens]).expect("every batch before the forged one");
+    assert_eq!(prefix.prepared_up_to(), SeqNum(forged.0 - 1));
+    assert_eq!(prefix.ledger().entries(), &ledger[..opens]);
+
+    let receipts: Vec<StoredReceipt> = cluster
+        .finished
+        .iter()
+        .map(|(_, tx)| StoredReceipt {
+            request: tx.request.clone(),
+            receipt: tx.receipt.clone().expect("receipts enabled"),
+        })
+        .collect();
+    let package = LedgerPackage::from_replica(cluster.replica(ReplicaId(0)), SeqNum(0));
+    let auditor = Auditor::new(spec.genesis.clone(), Arc::new(CounterApp));
+    let outcome = auditor.audit(&receipts, &GovernanceChain::new(), &package);
+    let upom = outcome.upom().expect("the audit convicts");
+    assert_eq!((&upom.kind, upom.at_seq), (&UpomKind::WrongExecution, forged));
+}

@@ -344,7 +344,9 @@ fn two_replica_recovery_retries_the_sole_peer() {
 /// nothing is buffered to bound. Each row hands a fresh recoveree one
 /// page (`done = false`) from its first server, which must be abandoned
 /// at once: the next page request goes to another replica, from the first
-/// batch the recoveree has not applied, and no refused batch is applied.
+/// batch the recoveree has not applied, and no refused batch is applied —
+/// nor executed: a run that does not build its signed `Ḡ` is refused
+/// before any of it runs, however long it is.
 #[test]
 fn endless_transaction_stream_is_bounded_and_abandoned() {
     use ia_ccf_types::{
@@ -392,15 +394,31 @@ fn endless_transaction_stream_is_bounded_and_abandoned() {
     forged.extend((1..=8).map(junk_tx));
 
     let cut = honest[..honest.len() - 1].to_vec();
+    // Batch 1 whole, then its last request again and again at the indices
+    // that follow: a run the signed `Ḡ` does not cover.
+    let Ok(LedgerEntry::Tx(last)) = LedgerEntry::from_bytes(&honest[honest.len() - 1]) else {
+        panic!("batch 1 ends with a transaction");
+    };
+    let junk_after = |n: u64| {
+        let mut page = honest.clone();
+        page.extend((1..=n).map(|k| {
+            let index = LedgerIdx(last.index.0 + k);
+            LedgerEntry::Tx(TxLedgerEntry { index, ..last.clone() }).to_bytes()
+        }));
+        page
+    };
     // (row, page entries, continuation token, batches held after the page)
     let rows = [
         ("a forged pre-prepare opening an endless transaction run", forged, SeqNum(2), SeqNum(0)),
         ("an honest batch under a token past it", honest.clone(), SeqNum(3), SeqNum(1)),
         ("an honest batch missing its last transaction", cut, SeqNum(2), SeqNum(0)),
+        ("an honest batch, then 1,000 junk transactions", junk_after(1_000), SeqNum(2), SeqNum(0)),
+        ("an honest batch, then 10,000 junk transactions", junk_after(10_000), SeqNum(2), SeqNum(0)),
     ];
     for (row, entries, next_seq, applied) in rows {
         let kept = if applied == SeqNum(0) { 0 } else { honest.len() as u64 };
-        let mut fresh = spec.build_replica(3, Arc::new(CounterApp));
+        let app = Arc::new(CountingApp::default());
+        let mut fresh = spec.build_replica(3, app.clone());
         // The sync opens with the tip query; answer it from every peer (no
         // checkpoint offers) so it proceeds to paging from `first_server`.
         let outs = fresh.begin_ledger_sync(first_server);
@@ -436,6 +454,31 @@ fn endless_transaction_stream_is_bounded_and_abandoned() {
         assert_eq!(requests, vec![(ReplicaId(1), applied.next())], "{row}: the next page request");
         assert_eq!(fresh.prepared_up_to(), applied, "{row}");
         assert_eq!(fresh.ledger().len(), 1 + kept, "{row}: only genesis and verified batches");
+        let executed = if applied == SeqNum(0) { 0 } else { honest.len() - 1 };
+        assert_eq!(app.calls(), executed, "{row}: requests executed");
+    }
+}
+
+/// `CounterApp`, counting its `execute` calls.
+#[derive(Default)]
+struct CountingApp(std::sync::atomic::AtomicUsize);
+
+impl CountingApp {
+    fn calls(&self) -> usize {
+        self.0.load(std::sync::atomic::Ordering::Relaxed)
+    }
+}
+
+impl ia_ccf::core::App for CountingApp {
+    fn execute(
+        &self,
+        kv: &mut dyn ia_ccf::kv::KvAccess,
+        proc: ia_ccf_types::ProcId,
+        args: &[u8],
+        client: ia_ccf_types::ClientId,
+    ) -> Result<Vec<u8>, ia_ccf::core::app::AppError> {
+        self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        CounterApp.execute(kv, proc, args, client)
     }
 }
 

@@ -143,7 +143,7 @@ fn run(n: usize) -> Sizes {
         .chain(cluster.finished.iter().map(|(_, tx)| tx))
         .map(|tx| {
             let receipt = tx.receipt.clone().expect("receipt");
-            receipt.verify(history.config_for_gov_index(receipt.gov_index())).expect("verifies");
+            receipt.verify(history.at(receipt.gov_index())).expect("verifies");
             StoredReceipt { request: tx.request.clone(), receipt }
         })
         .collect();
