@@ -14,7 +14,10 @@
 //! receipt chain**.
 //! Clients never hold the ledger; the chain (genesis plus governance
 //! receipts plus `P`-th end-of-configuration receipts) is all they need to know the
-//! valid signing keys at any governance index.
+//! valid signing keys at any governance index. A link is served once its
+//! carrier — the batch `P` later, which ledgers its evidence — is in the
+//! ledger, so the client asks a rotating member for the chain on every
+//! tick while a completion waits for it.
 //!
 //! All receipts of a batch carry the same certificate, so the client keeps
 //! one bounded [`VerifiedCerts`] memo: the first receipt of a batch pays
@@ -127,6 +130,9 @@ pub struct Client {
     verified_certs: VerifiedCerts,
     /// Completions stalled on missing governance receipts.
     waiting_for_gov: Vec<u64>,
+    /// Governance-receipt fetches sent: the next goes to the member at
+    /// rank `gov_fetches mod n`.
+    gov_fetches: u64,
     completed: Vec<FinishedTx>,
     outbox: Vec<ClientSend>,
     tick: u64,
@@ -150,6 +156,7 @@ impl Client {
             pending: BTreeMap::new(),
             verified_certs: VerifiedCerts::new(VERIFIED_CERTS_CAPACITY),
             waiting_for_gov: Vec::new(),
+            gov_fetches: 0,
             completed: Vec::new(),
             outbox: Vec::new(),
             tick: 0,
@@ -160,11 +167,6 @@ impl Client {
     /// This client's id.
     pub fn id(&self) -> ClientId {
         self.id
-    }
-
-    /// The configuration the client currently believes is active.
-    pub fn current_config(&self) -> &Configuration {
-        self.history.latest()
     }
 
     /// Number of in-flight requests.
@@ -231,7 +233,8 @@ impl Client {
     }
 
     /// Advance the client clock; retries stale requests, in ascending
-    /// `req_id`.
+    /// `req_id`, and asks for the governance chain again while a
+    /// completion waits for it.
     pub fn on_tick(&mut self) {
         self.tick += 1;
         let to_retry: Vec<u64> = self
@@ -242,6 +245,9 @@ impl Client {
             .collect();
         for req_id in to_retry {
             self.retry(req_id);
+        }
+        if !self.waiting_for_gov.is_empty() {
+            self.fetch_gov_receipts();
         }
     }
 
@@ -271,6 +277,19 @@ impl Client {
         let rank = p.refetch_attempts as usize % config.n();
         if let Some(target) = config.replica_at_rank(rank) {
             let fetch = ProtocolMsg::FetchReceipt { tx_hash: p.digest };
+            self.outbox.push(ClientSend::To(target.id, fetch));
+        }
+    }
+
+    /// Ask the next member in turn for the governance links past the
+    /// verified chain: an answer may predate a link's carrier, or never
+    /// come from a crashed member, so `on_tick` asks again while waiting.
+    fn fetch_gov_receipts(&mut self) {
+        let config = self.history.latest();
+        let rank = (self.gov_fetches % config.n() as u64) as usize;
+        self.gov_fetches += 1;
+        if let Some(target) = config.replica_at_rank(rank) {
+            let fetch = ProtocolMsg::FetchGovReceipts { from_index: self.verified_gov_index };
             self.outbox.push(ClientSend::To(target.id, fetch));
         }
     }
@@ -378,12 +397,8 @@ impl Client {
         if gov_index > self.verified_gov_index {
             if !self.waiting_for_gov.contains(&req_id) {
                 self.waiting_for_gov.push(req_id);
+                self.fetch_gov_receipts();
             }
-            let target = self.current_config().replicas[0].id;
-            self.outbox.push(ClientSend::To(
-                target,
-                ProtocolMsg::FetchGovReceipts { from_index: self.verified_gov_index },
-            ));
             return;
         }
         let config = self.history.at(gov_index);

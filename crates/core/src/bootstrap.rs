@@ -312,13 +312,17 @@ impl Replica {
                 let (names, tree) =
                     recorded_run(pp, *txs).ok_or(BootstrapError::ExecutionMismatch(seq))?;
 
-                // Taken in as a backup takes a batch, its bodies under the
-                // names the rule hashed; an accepted segment's bodies live
-                // on in this replica's ledger only.
+                // Taken in as a backup takes a batch: its bodies under the
+                // names the rule hashed, the certificate beside the pair it
+                // proves (which links the target's governance transactions,
+                // as live). An accepted segment's bodies live on in this
+                // replica's ledger only.
+                let certified = cert.as_ref().map(|cert| cert.core.seq);
                 let evidence = evidence.map(|pair| EvidenceSet {
                     seq: pp.core.evidence_seq,
                     prepares: pair.prepares.to_vec(),
                     nonces: pair.nonces.to_vec(),
+                    cert: cert.map(|cert| *cert),
                 });
                 let requests = txs.iter().map(|tx| tx.request.clone()).collect();
                 let known = Known::Recorded { run: *txs, tree };
@@ -326,16 +330,11 @@ impl Replica {
                     .map_err(|_| BootstrapError::ExecutionMismatch(seq))?;
 
                 // Frontiers: a replayed batch is prepared; evidence that
-                // passed the rule marks its target committed, and certifies
-                // it for the governance chain this replica serves (§5.2).
-                // We did not participate, so we hold no nonces for these
-                // slots — the evidence-fetch path covers gaps.
+                // passed the rule marks its target committed. We did not
+                // participate, so we hold no nonces for these slots — the
+                // evidence-fetch path covers gaps.
                 self.prepared_up_to = self.prepared_up_to.max(seq);
-                if let Some(cert) = cert {
-                    let target = cert.core.seq;
-                    for link in self.gov_links(&cert) {
-                        self.insert_gov_link(link);
-                    }
+                if let Some(target) = certified {
                     if target > self.committed_up_to {
                         self.committed_up_to = target;
                         let p = self.pipeline_depth();

@@ -16,8 +16,10 @@
 //! through the `tx_hash → (seq, pos)` index instead of a linear scan.
 //! What a reply says of a transaction (client, request id, index, result)
 //! is read from the batch's `⟨t, i, o⟩` entries in the ledger.
-//! A governance batch's certificate is assembled once, when it commits,
-//! and lives on in the governance-chain links built from it.
+//! A governance batch's links are made from the certificate its evidence
+//! pair proves, when the batch `P` later — the carrier — enters the ledger
+//! (`close_batch`): the governance sub-ledger a replica serves is what its
+//! ledger records, the same on every replica and on replay.
 
 use std::collections::BTreeMap;
 
@@ -25,7 +27,7 @@ use ia_ccf_governance::chain::GovLink;
 use ia_ccf_types::{
     BatchCertificate, BatchKind, ClientId, Commit, Configuration, Digest, LedgerEntry, LedgerIdx,
     Nonce, PrePrepare, Prepare, ProtocolMsg, Receipt, ReceiptBody, Reply, ReplyTx, ReplyX,
-    ReplicaId, SeqNum, Signature, TxLedgerEntry, TxWitness, View,
+    ReplicaId, SeqNum, Signature, TxLedgerEntry, TxWitness,
 };
 
 use crate::checkpoint::CheckpointRecord;
@@ -97,16 +99,10 @@ impl Replica {
     // Governance receipts (§5.2).
     // ------------------------------------------------------------------
 
-    /// The batch certificate for a committed batch — the same data clients
-    /// assemble from replies — out of the message store: the lowest-ranked
-    /// quorum's shares, assembled by `certificate_for`.
-    pub fn build_batch_certificate(&self, seq: SeqNum, view: View) -> Option<BatchCertificate> {
-        self.certificate_for(seq, view, None)
-    }
-
     /// The links a certified batch still in the window contributes to the
     /// governance sub-ledger (§5.2): a receipt per governance transaction,
     /// and the boundary receipt of the `P`-th end-of-configuration batch.
+    /// Called once per carrier, by `close_batch`.
     pub(crate) fn gov_links(&self, cert: &BatchCertificate) -> Vec<GovLink> {
         let seq = cert.core.seq;
         let (Some(exec), Some(txs)) = (self.batch_exec.get(&seq), self.ledger.tx_run(seq)) else {
@@ -134,55 +130,6 @@ impl Replica {
             links.push(GovLink::Boundary { receipt: Receipt { cert: cert.clone(), body } });
         }
         links
-    }
-
-    pub(crate) fn build_gov_receipts(&mut self, seq: SeqNum, view: View) {
-        let Some(pp) = self.prepared_pp(seq) else {
-            return;
-        };
-        let txs = self.ledger.tx_run(seq).unwrap_or_default();
-        let governs = txs.iter().any(|tx| tx.request.is_governance());
-        if !self.batch_exec.contains_key(&seq)
-            || (!governs && !is_gov_boundary(pp.core.kind, self.config_for_seq(seq)))
-        {
-            return;
-        }
-        let Some(cert) = self.build_batch_certificate(seq, view) else {
-            // Deferred until the missing commit nonce arrives.
-            if !self.pending_gov_receipts.contains(&(seq, view)) {
-                self.pending_gov_receipts.push((seq, view));
-            }
-            return;
-        };
-        for link in self.gov_links(&cert) {
-            self.insert_gov_link(link);
-        }
-    }
-
-    /// Insert a governance link keeping the chain in ledger order (deferred
-    /// certificates can complete out of order).
-    pub(crate) fn insert_gov_link(&mut self, link: GovLink) {
-        let key = |l: &GovLink| {
-            let r = l.receipt();
-            (r.seq(), r.tx_index().map(|i| i.0).unwrap_or(u64::MAX))
-        };
-        let k = key(&link);
-        if self.gov_chain.iter().any(|l| key(l) == k) {
-            return; // already present (retry after partial completion)
-        }
-        let pos = self.gov_chain.partition_point(|l| key(l) <= k);
-        self.gov_chain.insert(pos, link);
-    }
-
-    /// Retry deferred governance receipts (called when new commits arrive).
-    pub(crate) fn retry_pending_gov_receipts(&mut self) {
-        if self.pending_gov_receipts.is_empty() {
-            return;
-        }
-        let pending = std::mem::take(&mut self.pending_gov_receipts);
-        for (seq, view) in pending {
-            self.build_gov_receipts(seq, view);
-        }
     }
 
     /// Serve governance receipts from `from_index` on: a long-lived
@@ -380,6 +327,11 @@ impl Replica {
     /// reconstruct either, so reconfigured or governed histories fall
     /// back to full replay.
     pub(crate) fn offerable_checkpoint(&self) -> Option<&CheckpointRecord> {
+        // An empty chain is a governance-free history up to any checkpoint
+        // offered below: one sits at least `C` batches behind the commit
+        // frontier and `C > P` (`Configuration::validate`), so the carrier
+        // of a governance batch at or below it is in the ledger, and the
+        // batch linked.
         if !self.gov_chain.is_empty() || self.config_first_seq.iter().count() > 1 {
             return None;
         }

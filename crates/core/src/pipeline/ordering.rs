@@ -33,13 +33,18 @@ use crate::replica::Replica;
 const BATCH_DELAY_TICKS: u64 = 1;
 
 /// The commitment evidence a pre-prepare orders in for the batch at `seq`:
-/// `P_s` and `K_s` (`E_s` rides in the pre-prepare itself). Built only by
-/// expanding a certificate or by reading a ledger segment.
+/// `P_s` and `K_s` (`E_s` rides in the pre-prepare itself), beside the
+/// certificate they prove. Built only by expanding a certificate or by
+/// reading a ledger segment.
 #[derive(Debug, Clone)]
 pub(crate) struct EvidenceSet {
     pub seq: SeqNum,
     pub prepares: Vec<Prepare>,
     pub nonces: Vec<Nonce>,
+    /// The certificate the pair proves: what links `seq`'s governance
+    /// transactions (§5.2) once the carrier enters the ledger. `None` only
+    /// for a recorded pair whose target lies below a checkpoint seed.
+    pub cert: Option<BatchCertificate>,
 }
 
 /// What [`Replica::apply_proposed`] already knows about a batch.
@@ -112,11 +117,19 @@ impl Replica {
             // expired batch timer.
             let (eligible, requests) =
                 self.requests.take_batch(self.params.batch_max, self.next_tx_index);
+            let timer_ok = self.tick.saturating_sub(self.last_pp_tick) >= BATCH_DELAY_TICKS;
             if eligible.is_empty() {
+                // Idle: a governance batch is linked only once the batch `P`
+                // later is ledgered, and a receipt may wait for the link.
+                if timer_ok
+                    && self.awaits_gov_carrier(seq)
+                    && self.send_batch(seq, BatchKind::Regular, Vec::new(), Vec::new(), None)
+                {
+                    continue;
+                }
                 return;
             }
             let full = eligible.len() >= self.params.batch_max;
-            let timer_ok = self.tick.saturating_sub(self.last_pp_tick) >= BATCH_DELAY_TICKS;
             if !full && !timer_ok {
                 // Put them back; wait for more.
                 self.requests.put_back(eligible, requests);
@@ -143,6 +156,17 @@ impl Replica {
                 return;
             }
         }
+    }
+
+    /// Whether a committed batch among `seq − P … seq − 1`, whose carrier
+    /// is not yet ledgered, holds a governance transaction: `P` lookups of
+    /// a run's last entry, where a governance transaction sits.
+    fn awaits_gov_carrier(&self, seq: SeqNum) -> bool {
+        let from = seq.0.saturating_sub(self.pipeline_depth()).max(1);
+        (from..seq.0).map(SeqNum).filter(|s| *s <= self.committed_up_to).any(|s| {
+            let last = self.ledger.tx_run(s).and_then(|run| run.iter().next_back());
+            last.is_some_and(|tx| tx.request.is_governance())
+        })
     }
 
     /// The checkpoint a mark batch at `seq` names, where the send loop
@@ -200,11 +224,12 @@ impl Replica {
             };
             carried = Some(found);
         }
-        let (evidence_seq, evidence_bitmap) = match &carried {
-            Some((cert, _)) => (cert.core.seq, cert.signers),
-            None => (SeqNum(0), ReplicaBitmap::empty()),
-        };
-        let mark = self.open_batch(seq, carried.map(|(_, evidence)| evidence));
+        let (evidence_seq, evidence_bitmap) =
+            match carried.as_ref().and_then(|ev| ev.cert.as_ref()) {
+                Some(cert) => (cert.core.seq, cert.signers),
+                None => (SeqNum(0), ReplicaBitmap::empty()),
+            };
+        let (mark, proves) = self.open_batch(seq, carried);
 
         let exec = match self.execute_batch(seq, &requests) {
             Ok(exec) => exec,
@@ -241,7 +266,7 @@ impl Replica {
         let pp = PrePrepare { core, root_g, sig };
 
         let kept = BatchExec { names: batch_hashes.clone(), tree };
-        self.close_batch(pp.clone(), kept, requests, exec, mark);
+        self.close_batch(pp.clone(), kept, requests, exec, mark, proves);
         self.last_pp_tick = self.tick;
         self.broadcast(ProtocolMsg::PrePrepare { pp, batch: batch_hashes });
         // With a single replica (N = 1) the batch prepares immediately.
@@ -257,8 +282,13 @@ impl Replica {
 
     /// Open the batch at `seq`: take its rollback marks (the KV store's
     /// and the replica's), then append the evidence pair (`P_{s−P}`,
-    /// `K_{s−P}`) as one ledger segment write.
-    fn open_batch(&mut self, seq: SeqNum, evidence: Option<EvidenceSet>) -> BatchMark {
+    /// `K_{s−P}`) as one ledger segment write. Returns the marks and the
+    /// certificate the pair proves, for `close_batch`.
+    fn open_batch(
+        &mut self,
+        seq: SeqNum,
+        evidence: Option<EvidenceSet>,
+    ) -> (BatchMark, Option<BatchCertificate>) {
         self.kv.begin_batch(seq.0);
         let mark = BatchMark {
             ledger_len_before: self.ledger.len(),
@@ -266,13 +296,14 @@ impl Replica {
             gov_index_before: self.last_gov_index,
             gov_before: std::sync::Arc::clone(&self.gov_snapshot),
         };
-        if let Some(ev) = evidence {
-            self.ledger.append_batch(vec![
-                LedgerEntry::Evidence { seq: ev.seq, prepares: ev.prepares },
-                LedgerEntry::Nonces { seq: ev.seq, nonces: ev.nonces },
-            ]);
-        }
-        mark
+        let Some(ev) = evidence else {
+            return (mark, None);
+        };
+        self.ledger.append_batch(vec![
+            LedgerEntry::Evidence { seq: ev.seq, prepares: ev.prepares },
+            LedgerEntry::Nonces { seq: ev.seq, nonces: ev.nonces },
+        ]);
+        (mark, ev.cert)
     }
 
     /// Close an executed batch: append its pre-prepare and `⟨t, i, o⟩`
@@ -280,7 +311,9 @@ impl Replica {
     /// §3.4), the requests and results moved into them, and record what a
     /// replica keeps about a batch beside its ledger: the window `kept`, its
     /// names and tree `G`, the message store the digest its prepares are
-    /// matched against.
+    /// matched against. Then the certificate its evidence pair `proves`
+    /// becomes the governance links of the batch `P` earlier (§5.2): the
+    /// one place a link is made, on the primary, a backup and replay.
     fn close_batch(
         &mut self,
         pp: PrePrepare,
@@ -288,6 +321,7 @@ impl Replica {
         requests: Vec<SignedRequest>,
         executed: ExecutedBatch,
         mark: BatchMark,
+        proves: Option<BatchCertificate>,
     ) {
         let (seq, view, kind, pp_digest) = (pp.seq(), pp.view(), pp.core.kind, pp.digest());
         let ExecutedBatch { first_index, results } = executed;
@@ -304,6 +338,10 @@ impl Replica {
         self.msgs.set_pp_digest(seq, view, pp_digest);
         self.seq_next = seq.next();
         self.post_append_reconfig(seq, kind);
+        if let Some(cert) = proves {
+            let links = self.gov_links(&cert);
+            self.gov_chain.extend(links);
+        }
     }
 
     /// Take a batch somebody else proposed — live, or through a ledger —
@@ -321,10 +359,10 @@ impl Replica {
         evidence: Option<EvidenceSet>,
         known: Known<'_>,
     ) -> Result<(), (Vec<Digest>, Vec<SignedRequest>)> {
-        let mark = self.open_batch(pp.seq(), evidence);
+        let (mark, proves) = self.open_batch(pp.seq(), evidence);
         match self.execute_proposed(&pp, &names, &requests, known) {
             Ok((exec, tree)) => {
-                self.close_batch(pp, BatchExec { names, tree }, requests, exec, mark);
+                self.close_batch(pp, BatchExec { names, tree }, requests, exec, mark, proves);
                 Ok(())
             }
             Err(why) => {
@@ -444,8 +482,7 @@ impl Replica {
         // before anything is appended.
         let mut evidence = None;
         if let Some(target) = target {
-            let Some((cert, pair)) = self.evidence_for(target, Some(pp.core.evidence_bitmap))
-            else {
+            let Some(pair) = self.evidence_for(target, Some(pp.core.evidence_bitmap)) else {
                 // A listed share is missing or its nonce does not open:
                 // fetch from the primary, which is guaranteed to have the
                 // messages (§3.1).
@@ -453,7 +490,8 @@ impl Replica {
                 self.stash_pp(pp, batch, proven);
                 return;
             };
-            if cert.check_shape(self.config_for_seq(target)).is_err() {
+            let config = self.config_for_seq(target);
+            if pair.cert.as_ref().is_none_or(|cert| cert.check_shape(config).is_err()) {
                 return;
             }
             evidence = Some(pair);
@@ -619,9 +657,6 @@ impl Replica {
         }
         self.store_commit(&c);
         self.try_advance_committed();
-        // A late commit (typically the primary's, which prepares last) may
-        // unblock a deferred governance receipt.
-        self.retry_pending_gov_receipts();
     }
 
     /// Store a commit nonce — its sender's own, or one relayed in a
@@ -649,11 +684,10 @@ impl Replica {
             let Some(pp) = self.prepared_pp(next) else {
                 return;
             };
-            let view = pp.view();
             if self.valid_commit_nonces(pp).len() < self.config_for_seq(next).quorum() {
                 return;
             }
-            self.mark_committed(next, view);
+            self.mark_committed(next);
         }
     }
 
@@ -678,14 +712,11 @@ impl Replica {
             .collect()
     }
 
-    fn mark_committed(&mut self, seq: SeqNum, view: View) {
+    fn mark_committed(&mut self, seq: SeqNum) {
         self.committed_up_to = seq;
         self.note_progress();
         let tx_count = self.batch_exec.get(&seq).map_or(0, |exec| exec.names.len());
         self.out.push(crate::events::Output::Committed { seq, tx_count });
-
-        // Build governance receipts (§5.2) while evidence is at hand.
-        self.build_gov_receipts(seq, view);
 
         // Retirement completes once the switch batch commits (§5.1).
         self.maybe_retire();
@@ -740,17 +771,13 @@ impl Replica {
     }
 
     /// [`Self::certificate_for`] the batch at `target` in the view it
-    /// prepared in, with its expansion into the evidence pair a later
-    /// pre-prepare orders in.
-    fn evidence_for(
-        &self,
-        target: SeqNum,
-        signers: Option<ReplicaBitmap>,
-    ) -> Option<(BatchCertificate, EvidenceSet)> {
+    /// prepared in, expanded into the evidence pair a later pre-prepare
+    /// orders in, the certificate beside it.
+    fn evidence_for(&self, target: SeqNum, signers: Option<ReplicaBitmap>) -> Option<EvidenceSet> {
         let view = self.prepared_view_of(target)?;
         let cert = self.certificate_for(target, view, signers)?;
         let pp_digest = self.msgs.slot(target, view)?.pp_digest?;
         let (prepares, nonces) = cert.to_evidence(self.config_for_seq(target), &pp_digest)?;
-        Some((cert, EvidenceSet { seq: target, prepares, nonces }))
+        Some(EvidenceSet { seq: target, prepares, nonces, cert: Some(cert) })
     }
 }

@@ -122,11 +122,11 @@ pub struct Replica {
     // Checkpoints.
     pub(crate) checkpoints: CheckpointStore,
 
-    // Governance receipts served to clients (§5.2).
+    /// The governance sub-ledger served to clients (§5.2), in ledger
+    /// order: the links each carrier's evidence pair proves, appended as
+    /// the carrier enters the ledger and cut with it on a rollback —
+    /// exactly what a replay of the ledger yields.
     pub(crate) gov_chain: Vec<GovLink>,
-    /// Committed governance batches whose certificate could not be built
-    /// yet (waiting for the primary's commit nonce).
-    pub(crate) pending_gov_receipts: Vec<(SeqNum, View)>,
 
     /// The reconfiguration schedule (§5.1). A schedule, not a mode: it
     /// outlives view changes, re-proposed batches are checked against it,
@@ -244,7 +244,6 @@ impl Replica {
             rollback_floor: SeqNum(0),
             checkpoints,
             gov_chain: Vec::new(),
-            pending_gov_receipts: Vec::new(),
             reconfig: None,
             config_first_seq: ConfigSteps::new(SeqNum(0), genesis),
             sync_report: Default::default(),
@@ -604,7 +603,6 @@ impl Replica {
                 }
                 self.retry_stashed();
                 self.try_advance_committed();
-                self.retry_pending_gov_receipts();
             }
             _ => {}
         }
@@ -700,7 +698,10 @@ mod tests {
         RequestAction, SeqNum, SignedRequest, View,
     };
 
+    use std::sync::Arc;
+
     use super::Replica;
+    use crate::app::CounterApp;
     use crate::events::{Input, NodeId, Output};
     use crate::params::ProtocolParams;
     use crate::pipeline::exec_window::RETENTION_BATCHES;
@@ -889,10 +890,13 @@ mod tests {
         }
     }
 
-    /// A governance transaction whose certificate is deferred — replica 1
-    /// never gets the primary's commit, so it commits the batch without
-    /// the primary's share — gets its link once a later pre-prepare's
-    /// evidence fetch brings the nonce, long after the body was appended.
+    /// A governance transaction that replica 1 cannot certify out of its
+    /// own messages — it never gets the primary's commit, so it commits the
+    /// batch without the primary's share — is linked on every replica all
+    /// the same, by the evidence pair the batch `P` later records: the idle
+    /// primary carries it in at most `P` empty batches, with no further
+    /// client traffic, and every chain is the one a replay of its ledger
+    /// yields, byte for byte.
     #[test]
     fn a_deferred_governance_certificate_still_links_its_transaction() {
         let mut bus = Bus::new(1);
@@ -901,7 +905,8 @@ mod tests {
                 && from == NodeId::Replica(ReplicaId(0))
                 && matches!(msg, ProtocolMsg::Commit(_))
         });
-        let (genesis, _, member_keys) = test_config(4);
+        let (genesis, replica_keys, member_keys) = test_config(4);
+        let p = u64::from(genesis.pipeline_depth);
         let mut next = genesis;
         next.number += 1;
         let propose = SignedRequest::sign(
@@ -920,22 +925,37 @@ mod tests {
         bus.submit_request(ClientId(0), propose.clone());
         bus.run_until_committed(SeqNum(1));
         let deferred = &bus.replicas[1];
-        assert_eq!(deferred.pending_gov_receipts, [(SeqNum(1), View(0))]);
+        assert!(deferred.certificate_for(SeqNum(1), View(0), None).is_none());
         assert!(deferred.gov_chain.is_empty());
         assert!(deferred.requests.body(&propose.digest()).is_none());
 
-        commit(&mut bus, 4);
+        let carrier = SeqNum(1 + p);
+        bus.run_until_committed(carrier);
+        for _ in 0..10 {
+            bus.round();
+        }
+        let chain = bus.replicas[0].gov_chain.clone();
+        let links: Vec<_> = chain
+            .iter()
+            .map(|link| match link {
+                GovLink::GovTx { request, receipt } => (request, receipt.seq()),
+                GovLink::Boundary { .. } => panic!("no reconfiguration ran"),
+            })
+            .collect();
+        assert_eq!(links, [(&propose, SeqNum(1))]);
         for r in &bus.replicas {
-            assert!(r.pending_gov_receipts.is_empty(), "replica {}", r.id);
-            let links: Vec<_> = r
-                .gov_chain
-                .iter()
-                .map(|link| match link {
-                    GovLink::GovTx { request, receipt } => (request, receipt.seq()),
-                    GovLink::Boundary { .. } => panic!("no reconfiguration ran"),
-                })
-                .collect();
-            assert_eq!(links, [(&propose, SeqNum(1))], "replica {}", r.id);
+            assert_eq!(r.seq_next, carrier.next(), "replica {}: idle past the carrier", r.id);
+            assert_eq!(r.gov_chain, chain, "replica {}", r.id);
+            let replayed = Replica::bootstrap(
+                r.id,
+                replica_keys[r.id.0 as usize].clone(),
+                Arc::new(CounterApp),
+                ProtocolParams { pool_threads: 1, ..ProtocolParams::default() },
+                [(CLIENT, bus.client_key.public())],
+                r.ledger.entries(),
+            )
+            .expect("the ledger replays");
+            assert_eq!(replayed.gov_chain, chain, "replica {}: replay", r.id);
         }
     }
 }

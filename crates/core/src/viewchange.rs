@@ -321,18 +321,20 @@ impl Replica {
                 exec.names.iter().copied().zip(bodies.iter().map(|tx| tx.request.clone()))
             })
             .collect();
+        // A governance link goes with the carrier that proved it. Carriers
+        // name ascending targets, so every link from the first rolled-back
+        // carrier's target on is cut (all of them when it carries none).
+        if let Some(pp) = self.ledger.pp_at(first_rolled) {
+            let cut = pp.core.evidence_seq;
+            self.gov_chain.retain(|l| l.receipt().seq() < cut);
+        }
         if let Some(mark) = self.batch_marks.get(&first_rolled).cloned() {
             self.rollback_batch(first_rolled, &mark);
         }
         for (name, body) in rolled {
             self.requests.unorder(name, body);
         }
-        // Governance links (and deferred builds) of rolled-back batches
-        // carry the old view's certificate: the re-committed batch builds
-        // fresh ones (byte-identical content, new-view certificate).
         self.batch_exec.drop_after(reset_to);
-        self.gov_chain.retain(|l| l.receipt().seq() <= reset_to);
-        self.pending_gov_receipts.retain(|(s, _)| *s <= reset_to);
         self.batch_marks.retain(|s, _| *s <= reset_to);
         self.msgs.forget_own_after(reset_to);
         self.prepared_up_to = self.prepared_up_to.min(reset_to);

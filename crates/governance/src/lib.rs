@@ -16,6 +16,7 @@
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod chain;
 pub mod fork;

@@ -11,6 +11,7 @@
 //! governance transactions, so the outcome (including *which* vote is the
 //! final one) is part of the agreed history.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use ia_ccf_types::{Configuration, GovAction, MemberId};
@@ -174,24 +175,20 @@ impl GovernanceState {
     ) -> Result<GovOutcome, GovError> {
         // Votes reference a proposal by id across all proposers; ids are
         // globally unique in practice because proposers namespace them.
-        let key = self
-            .proposals
-            .keys()
-            .find(|(_, pid)| *pid == id)
-            .copied()
-            .ok_or(GovError::UnknownProposal(id))?;
-        let proposal = self.proposals.get_mut(&key).expect("key exists");
+        let key = self.proposals.keys().find(|(_, pid)| *pid == id).copied();
+        let Some(Entry::Occupied(mut proposal)) = key.map(|key| self.proposals.entry(key)) else {
+            return Err(GovError::UnknownProposal(id));
+        };
         if !approve {
             // A rejection is recorded as an ordered transaction but does not
             // count toward the threshold.
             return Ok(GovOutcome::Recorded);
         }
-        if !proposal.approvals.insert(member) {
+        if !proposal.get_mut().approvals.insert(member) {
             return Err(GovError::AlreadyVoted(member));
         }
-        if proposal.approvals.len() >= self.active.vote_threshold as usize {
-            let passed = self.proposals.remove(&key).expect("key exists");
-            return Ok(GovOutcome::ReferendumPassed(Box::new(passed.new_config)));
+        if proposal.get().approvals.len() >= self.active.vote_threshold as usize {
+            return Ok(GovOutcome::ReferendumPassed(Box::new(proposal.remove().new_config)));
         }
         Ok(GovOutcome::Recorded)
     }

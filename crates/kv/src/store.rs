@@ -187,8 +187,8 @@ impl KvStore {
     }
 
     fn undo_to(&mut self, target: usize) {
-        while self.undo.len() > target {
-            let op = self.undo.pop().expect("len checked");
+        let target = target.min(self.undo.len());
+        for op in self.undo.drain(target..).rev() {
             match op.prior {
                 Some(v) => {
                     self.map.insert(op.key, v);

@@ -24,15 +24,6 @@ impl Frontier {
         Frontier { len: 0, peaks: Vec::new() }
     }
 
-    /// Rebuild a frontier from its parts — the inverse of
-    /// [`Frontier::peaks`]/[`Frontier::len`], used when a frontier is
-    /// restored from a serialized checkpoint. A frontier forged from
-    /// inconsistent parts simply produces a root that matches nothing;
-    /// consumers must verify the root against an agreed digest.
-    pub fn from_parts(len: u64, peaks: Vec<Option<Digest>>) -> Self {
-        Frontier { len, peaks }
-    }
-
     /// The unpaired node (if any) at each level, ascending — together
     /// with [`Frontier::len`] the full serializable state.
     pub fn peaks(&self) -> &[Option<Digest>] {

@@ -106,10 +106,10 @@ pub type SplitFrame<'a> = (&'a [u8], &'a [u8]);
 /// payload and the remaining bytes, or `None` when more input is needed.
 /// Errors only on an oversized prefix.
 pub fn split(buf: &[u8]) -> Result<Option<SplitFrame<'_>>, FrameError> {
-    if buf.len() < HEADER_LEN {
+    let Some(header) = buf.first_chunk::<HEADER_LEN>() else {
         return Ok(None);
-    }
-    let len = u32::from_le_bytes(buf[..HEADER_LEN].try_into().expect("header"));
+    };
+    let len = u32::from_le_bytes(*header);
     if len > MAX_FRAME {
         return Err(FrameError::Oversized(len as u64));
     }
@@ -127,11 +127,9 @@ pub fn decode_exact(buf: &[u8]) -> Result<&[u8], FrameError> {
         Some((payload, [])) => Ok(payload),
         Some((_, rest)) => Err(FrameError::TrailingBytes(rest.len())),
         None => {
-            let need = if buf.len() < HEADER_LEN {
-                HEADER_LEN
-            } else {
-                HEADER_LEN
-                    + u32::from_le_bytes(buf[..HEADER_LEN].try_into().expect("header")) as usize
+            let need = match buf.first_chunk::<HEADER_LEN>() {
+                Some(header) => HEADER_LEN + u32::from_le_bytes(*header) as usize,
+                None => HEADER_LEN,
             };
             Err(FrameError::Truncated { have: buf.len(), need })
         }

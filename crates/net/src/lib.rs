@@ -19,6 +19,7 @@
 //!   ([`conn::FrameAssembler`]) and the bounded outbound queue.
 
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod conn;
 pub mod frame;

@@ -368,7 +368,8 @@ impl DetCluster {
     }
 
     /// Assert all live replicas share identical ledgers up to the shortest
-    /// committed prefix and identical KV digests when fully quiesced.
+    /// committed prefix and identical KV digests when fully quiesced, and
+    /// governance chains that agree on their common prefix.
     /// Suffix-aware: a checkpoint-seeded replica materializes nothing
     /// before its `base()`, so the comparison starts at the largest base
     /// among the live replicas — entries below it exist only logically
@@ -391,6 +392,10 @@ impl DetCluster {
                 let b = other.ledger().entry(ia_ccf_types::LedgerIdx(i));
                 assert_eq!(a, b, "ledger divergence at entry {i}");
             }
+            // The governance sub-ledger is what the ledger records.
+            let (ours, theirs) = (reference.gov_chain(), other.gov_chain());
+            let (common, a, b) = (ours.len().min(theirs.len()), reference.id(), other.id());
+            assert_eq!(ours[..common], theirs[..common], "governance chains {a}, {b} diverge");
         }
     }
 }

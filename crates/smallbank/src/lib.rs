@@ -10,6 +10,7 @@
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use ia_ccf_core::app::{App, AppError};
 use ia_ccf_kv::KvAccess;
@@ -55,13 +56,13 @@ impl Balances {
 
     /// Deserialize (missing/short values read as zero).
     pub fn from_bytes(bytes: &[u8]) -> Balances {
-        if bytes.len() < 16 {
+        let Some((checking, rest)) = bytes.split_first_chunk::<8>() else {
             return Balances::default();
-        }
-        Balances {
-            checking: i64::from_le_bytes(bytes[..8].try_into().expect("len checked")),
-            savings: i64::from_le_bytes(bytes[8..16].try_into().expect("len checked")),
-        }
+        };
+        let Some(savings) = rest.first_chunk::<8>() else {
+            return Balances::default();
+        };
+        Balances { checking: i64::from_le_bytes(*checking), savings: i64::from_le_bytes(*savings) }
     }
 }
 

@@ -26,7 +26,7 @@ use ia_ccf::audit::{
 use ia_ccf::core::app::CounterApp;
 use ia_ccf::core::byzantine::Fault;
 use ia_ccf::core::{BootstrapError, Input, NodeId, Output, ProtocolParams, Replica};
-use ia_ccf::governance::chain::GovernanceChain;
+use ia_ccf::governance::chain::{GovLink, GovernanceChain};
 use ia_ccf::ledger::validity::{check_new_view, check_view_change, Refused};
 use ia_ccf_sim::{ClusterSpec, DetCluster};
 use ia_ccf_types::{
@@ -50,7 +50,18 @@ fn tx_entries(cluster: &DetCluster, id: ReplicaId) -> Vec<Vec<u8>> {
 /// Drive a cluster into the frozen state: one batch executed and prepared
 /// on every replica, committed nowhere.
 fn freeze_one_batch(cluster: &mut DetCluster, client: ia_ccf_types::ClientId) {
-    freeze_one_batch_at(cluster, client, SeqNum(1));
+    for r in 0..4 {
+        cluster.set_fault(ReplicaId(r), Fault::DropCommits);
+    }
+    cluster.submit(client, CounterApp::INCR, b"k".to_vec());
+    for _ in 0..5 {
+        cluster.round();
+    }
+    for r in 0..4 {
+        let replica = cluster.replica(ReplicaId(r));
+        assert_eq!(replica.prepared_up_to(), SeqNum(1), "replica {r} must prepare");
+        assert_eq!(replica.committed_up_to(), SeqNum(0), "replica {r} must not commit it");
+    }
 }
 
 #[test]
@@ -275,27 +286,9 @@ fn sharded_batch_rolls_back_and_reexecutes_identically() {
     }
 }
 
-#[test]
-fn view_change_evicts_cached_receipt_artifacts() {
-    // A *committed* governance batch builds its governance-chain link
-    // (and its batch's frozen paths). With pipeline depth P, a view
-    // change whose last-prepared batch is `s` resets to `s − P` — so a
-    // batch that committed above the reset point is rolled back (and
-    // re-proposed byte-identically). Its view-0 link must go with it: the
-    // re-executed batch in the new view must build a *fresh* certificate
-    // (new view, new nonces), equal to the message store's assembly, and
-    // the governance chain must carry the new-view receipt, not the stale
-    // one.
-    let params = ProtocolParams { view_timeout_ticks: 15, ..ProtocolParams::default() };
-    let spec = ClusterSpec::new(4, 1, params);
-    let p = spec.genesis.pipeline_depth as u64;
-    assert!(p >= 2, "scenario needs the committed batch above the reset point");
-    let mut cluster = DetCluster::new(&spec, Arc::new(CounterApp));
-    let gt = cluster.replica(ReplicaId(0)).gt_hash();
-    let client = spec.clients[0].0;
-
-    // Batch 1: a recorded governance proposal; let it COMMIT everywhere,
-    // which builds its governance receipt.
+/// The member proposal every governance row below orders at seq 1: a
+/// recorded, non-passing `Propose`, so it is one link and no boundary.
+fn submit_proposal(cluster: &mut DetCluster, spec: &ClusterSpec) -> SignedRequest {
     let mut next = spec.genesis.clone();
     next.number = spec.genesis.number + 1;
     let propose = SignedRequest::sign(
@@ -305,96 +298,169 @@ fn view_change_evicts_cached_receipt_artifacts() {
                 new_config: next,
             }),
             client: ClientId(0),
-            gt_hash: gt,
+            gt_hash: cluster.replica(ReplicaId(0)).gt_hash(),
             min_index: ia_ccf_types::LedgerIdx(0),
             req_id: 1,
         },
         &spec.member_keys[0],
     );
-    cluster.submit_raw(ClientId(0), propose);
-    assert!(
-        cluster.run_until(50, |c| c.min_committed() >= SeqNum(1)),
-        "governance batch must commit in view 0"
-    );
-    for _ in 0..3 {
-        cluster.round(); // let deferred certificates (primary nonce) finish
-    }
-    for r in 0..4 {
-        let replica = cluster.replica(ReplicaId(r));
-        assert_eq!(replica.gov_chain().len(), 1, "replica {r}: one governance link");
-        assert_eq!(replica.gov_chain()[0].receipt().view(), ia_ccf_types::View(0));
-    }
-    let before = tx_entries(&cluster, ReplicaId(1));
-    assert_eq!(before.len(), 1);
+    cluster.submit_raw(ClientId(0), propose.clone());
+    propose
+}
 
-    // Batch 2: executed and prepared everywhere, committed nowhere.
-    freeze_one_batch_at(&mut cluster, client, SeqNum(2));
+/// The governance sub-ledger a replay of `id`'s ledger yields.
+fn replayed_gov_chain(cluster: &DetCluster, spec: &ClusterSpec, id: ReplicaId) -> Vec<GovLink> {
+    let replayed = Replica::bootstrap(
+        id,
+        spec.replica_keys[id.0 as usize].clone(),
+        Arc::new(CounterApp),
+        spec.params.clone(),
+        spec.client_keys(),
+        cluster.replica(id).ledger().entries(),
+    )
+    .expect("the ledger replays");
+    replayed.gov_chain().to_vec()
+}
 
-    // View change: last prepared is 2, reset point is 2 − P = 0 — batch 1
-    // (committed, governance link built) rolls back too.
-    cluster.crash(ReplicaId(0));
-    for r in 1..4 {
-        cluster.set_fault(ReplicaId(r), Fault::None);
-    }
-    assert!(
-        cluster.run_until(400, |c| c.min_committed() >= SeqNum(2)),
-        "both batches must recommit in the new view"
-    );
-
+/// After a view change, each survivor's chain is the one link for the
+/// proposal at seq 1, in `view`, verifies from genesis and is what a
+/// replay of its own ledger yields, byte for byte.
+fn assert_relinked(cluster: &DetCluster, spec: &ClusterSpec, view: View) {
+    let reference = cluster.replica(ReplicaId(1)).gov_chain().to_vec();
     for r in 1..4 {
         let id = ReplicaId(r);
-        let new_view = cluster.replica(id).view();
-        assert!(new_view.0 >= 1, "replica {r} stuck in view 0");
-
-        // The governance chain was rebuilt with the new view's receipt.
         let chain = cluster.replica(id).gov_chain();
-        assert_eq!(chain.len(), 1, "replica {r}: exactly one (fresh) governance link");
-        assert_eq!(
-            chain[0].receipt().view(),
-            new_view,
-            "replica {r}: chain must carry the re-executed batch's new-view receipt"
-        );
-        // And it verifies from genesis — the fresh certificate is real.
+        assert_eq!(chain.len(), 1, "replica {r}: exactly one governance link");
+        assert_eq!(chain[0].receipt().seq(), SeqNum(1));
+        assert_eq!(chain[0].receipt().view(), view, "replica {r}: the link's view");
         let rebuilt = GovernanceChain { links: chain.to_vec() };
-        assert!(rebuilt.verify(&spec.genesis).is_ok(), "replica {r}: fresh chain verifies");
-
-        // The rebuilt link's certificate is the message store's assembly
-        // for the new view.
-        assert_eq!(
-            Some(&chain[0].receipt().cert),
-            cluster.replica(id).build_batch_certificate(SeqNum(1), new_view).as_ref(),
-            "replica {r}: the link carries the store's new-view certificate"
-        );
-    }
-
-    // Ledger byte-identity: the re-executed ⟨t, i, o⟩ entries are the
-    // rolled-back ones, bit for bit.
-    for r in 1..4 {
-        let after = tx_entries(&cluster, ReplicaId(r));
-        assert_eq!(&after[..1], &before[..], "replica {r}: gov entry must be byte-identical");
+        assert!(rebuilt.verify(&spec.genesis).is_ok(), "replica {r}: chain verifies");
+        assert_eq!(chain, &reference[..], "replica {r}: chains agree");
+        assert_eq!(chain, &replayed_gov_chain(cluster, spec, id)[..], "replica {r}: replay");
     }
     cluster.assert_ledgers_consistent();
 }
 
-/// Like `freeze_one_batch`, but asserting the frozen batch lands at
-/// `expect_seq` (for scenarios with earlier committed batches).
-fn freeze_one_batch_at(cluster: &mut DetCluster, client: ia_ccf_types::ClientId, expect_seq: SeqNum) {
+#[test]
+fn view_change_evicts_cached_receipt_artifacts() {
+    // A governance batch's link is made when its carrier — the batch P
+    // later, which ledgers its evidence — enters the ledger. Here the
+    // carrier enters every ledger but prepares nowhere, so a view change
+    // resets below the governance batch although that batch committed:
+    // the batch rolls back with its link, is re-proposed byte-identically
+    // and re-commits in the new view, and its new carrier links it again
+    // under the new view's certificate — the chain a replay yields.
+    let params = ProtocolParams { view_timeout_ticks: 15, ..ProtocolParams::default() };
+    let spec = ClusterSpec::new(4, 1, params);
+    let p = spec.genesis.pipeline_depth as u64;
+    assert_eq!(p, 2, "the layout below is for P = 2");
+    let mut cluster = DetCluster::new(&spec, Arc::new(CounterApp));
+
+    // Batch 1: the proposal commits everywhere in view 0.
+    submit_proposal(&mut cluster, &spec);
+    assert!(
+        cluster.run_until(50, |c| c.min_committed() >= SeqNum(1)),
+        "governance batch must commit in view 0"
+    );
+    let before = tx_entries(&cluster, ReplicaId(1));
+    assert_eq!(before.len(), 1);
+
+    // Batch 2: the idle primary's first empty batch prepares everywhere
+    // and commits nowhere.
     for r in 0..4 {
         cluster.set_fault(ReplicaId(r), Fault::DropCommits);
     }
-    cluster.submit(client, CounterApp::INCR, b"k".to_vec());
-    for _ in 0..5 {
+    cluster.round();
+    // Batch 3, the carrier: every backup ledgers it, and links batch 1,
+    // but no prepare leaves a backup, so it prepares nowhere.
+    for r in 1..4 {
+        cluster.set_fault(ReplicaId(r), Fault::Mute);
+    }
+    cluster.round();
+    for r in 0..4 {
+        let replica = cluster.replica(ReplicaId(r));
+        assert_eq!(replica.ledger().pp_at(SeqNum(1 + p)).map(|pp| pp.view()), Some(View(0)));
+        assert_eq!(replica.gov_chain().len(), 1, "replica {r}: linked by the carrier");
+        assert_eq!(replica.gov_chain()[0].receipt().view(), View(0));
+    }
+    for r in 1..4 {
+        let replica = cluster.replica(ReplicaId(r));
+        assert_eq!(replica.prepared_up_to(), SeqNum(2), "replica {r}");
+        assert_eq!(replica.committed_up_to(), SeqNum(1), "replica {r}");
+    }
+
+    // View change: the last prepared batch is 2, the reset point 2 − P =
+    // 0, so batch 1 rolls back with its carrier and its link.
+    cluster.crash(ReplicaId(0));
+    for r in 1..4 {
+        cluster.set_fault(ReplicaId(r), Fault::None);
+    }
+    let relinked = |c: &DetCluster| {
+        (1..4).all(|r| {
+            let replica = c.replica(ReplicaId(r));
+            replica.committed_up_to() >= SeqNum(1 + p) && !replica.gov_chain().is_empty()
+        })
+    };
+    assert!(cluster.run_until(400, relinked), "batch 1 and its carrier must recommit");
+    let new_view = cluster.replica(ReplicaId(1)).view();
+    assert!(new_view.0 >= 1, "stuck in view 0");
+    assert_relinked(&cluster, &spec, new_view);
+
+    // The re-executed ⟨t, i, o⟩ entry is the rolled-back one, bit for bit.
+    for r in 1..4 {
+        let after = tx_entries(&cluster, ReplicaId(r));
+        assert_eq!(&after[..1], &before[..], "replica {r}: gov entry must be byte-identical");
+    }
+}
+
+/// The other rollback: the carrier rolls back while the governance batch
+/// it proved stays committed. The link goes with the carrier and comes
+/// back when the carrier is re-proposed, still with the view-0
+/// certificate the new carrier records — one link, not two.
+#[test]
+fn a_rolled_back_carrier_takes_its_link_and_relinks() {
+    let params = ProtocolParams { view_timeout_ticks: 15, ..ProtocolParams::default() };
+    let spec = ClusterSpec::new(4, 1, params);
+    let p = spec.genesis.pipeline_depth as u64;
+    assert_eq!(p, 2, "the layout below is for P = 2");
+    let mut cluster = DetCluster::new(&spec, Arc::new(CounterApp));
+
+    submit_proposal(&mut cluster, &spec);
+    assert!(cluster.run_until(50, |c| c.min_committed() >= SeqNum(1)));
+
+    // Batches 2 and 3 (the carrier) prepare everywhere, commit nowhere.
+    for r in 0..4 {
+        cluster.set_fault(ReplicaId(r), Fault::DropCommits);
+    }
+    for _ in 0..p {
         cluster.round();
     }
     for r in 0..4 {
         let replica = cluster.replica(ReplicaId(r));
-        assert_eq!(replica.prepared_up_to(), expect_seq, "replica {r} must prepare");
-        assert_eq!(
-            replica.committed_up_to(),
-            SeqNum(expect_seq.0 - 1),
-            "replica {r} must not commit the frozen batch"
-        );
+        assert_eq!(replica.prepared_up_to(), SeqNum(1 + p), "replica {r}");
+        assert_eq!(replica.committed_up_to(), SeqNum(1), "replica {r}");
+        assert_eq!(replica.gov_chain().len(), 1, "replica {r}: linked by the carrier");
     }
+
+    // View change: last prepared 3, reset point 1 — the carrier rolls back,
+    // batch 1 stays.
+    cluster.crash(ReplicaId(0));
+    for r in 1..4 {
+        cluster.set_fault(ReplicaId(r), Fault::None);
+    }
+    let carried_again = |c: &DetCluster| {
+        (1..4).all(|r| {
+            let replica = c.replica(ReplicaId(r));
+            let carrier = replica.ledger().pp_at(SeqNum(1 + p)).map(|pp| pp.view());
+            replica.committed_up_to() >= SeqNum(1 + p) && carrier.is_some_and(|v| v.0 >= 1)
+        })
+    };
+    assert!(cluster.run_until(400, carried_again), "the carrier must recommit in a new view");
+    for r in 1..4 {
+        let pp = cluster.replica(ReplicaId(r)).ledger().pp_at(SeqNum(1)).map(|pp| pp.view());
+        assert_eq!(pp, Some(View(0)), "replica {r}: batch 1 stayed");
+    }
+    assert_relinked(&cluster, &spec, View(0));
 }
 
 #[test]

@@ -8,7 +8,8 @@
 //! transactions pruned past the retention window of 64 batches). This harness proves it differentially against
 //! `Replica::refetch_oracle_linear`, the seed's scan preserved as a
 //! reference oracle, and pins the incremental governance-receipt serving
-//! (`from_index`) semantics.
+//! (`from_index`) semantics and how a client waiting for governance
+//! receipts gets them (a quiet cluster, a crashed rank 0).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -252,6 +253,86 @@ fn gov_receipts_served_incrementally() {
     );
 }
 
+/// Order a recorded (non-passing) member proposal at seq 1 and run until
+/// every replica committed it.
+fn commit_proposal(cluster: &mut DetCluster, spec: &ClusterSpec) {
+    let mut next = spec.genesis.clone();
+    next.number = spec.genesis.number + 1;
+    let propose = SignedRequest::sign(
+        Request {
+            action: RequestAction::Governance(GovAction::Propose {
+                proposal_id: 1,
+                new_config: next,
+            }),
+            client: ClientId(0),
+            gt_hash: cluster.replica(ReplicaId(0)).gt_hash(),
+            min_index: LedgerIdx(0),
+            req_id: 1,
+        },
+        &spec.member_keys[0],
+    );
+    cluster.submit_raw(ClientId(0), propose);
+    assert!(cluster.run_until(50, |c| c.min_committed() >= SeqNum(1)), "the proposal commits");
+}
+
+/// A request that follows a committed governance transaction on an
+/// otherwise quiet cluster completes. Its receipt names the new
+/// governance index, so the client first needs the proposal's link, and a
+/// link is made only when the batch `P` later — which ledgers the
+/// proposal's evidence — enters the ledger: the idle primary proposes it,
+/// empty, when no request would. The client asks for the chain again on
+/// every tick while it waits, so the wait is a few batches, not a retry
+/// period. Every replica's chain is then the one a replay of its ledger
+/// yields.
+#[test]
+fn a_request_after_a_proposal_completes_on_a_quiet_cluster() {
+    let spec = ClusterSpec::new(4, 1, ProtocolParams::default());
+    let p = u64::from(spec.genesis.pipeline_depth);
+    let mut cluster = DetCluster::new(&spec, Arc::new(CounterApp));
+    commit_proposal(&mut cluster, &spec);
+    let start = cluster.rounds;
+    cluster.submit(spec.clients[0].0, CounterApp::INCR, b"k".to_vec());
+    assert!(cluster.run_until_finished(1, 2_000), "the request never completed");
+    let waited = cluster.rounds - start;
+    assert!(waited <= 2 * p, "{waited} rounds: the client waited for a retry");
+
+    for r in 0..4 {
+        let id = ReplicaId(r);
+        let replica = cluster.replica(id);
+        assert_eq!(replica.gov_chain().len(), 1, "replica {r}: the proposal's link");
+        let replayed = Replica::bootstrap(
+            id,
+            spec.replica_keys[r as usize].clone(),
+            Arc::new(CounterApp),
+            spec.params.clone(),
+            spec.client_keys(),
+            replica.ledger().entries(),
+        )
+        .expect("the ledger replays");
+        assert_eq!(replayed.gov_chain(), replica.gov_chain(), "replica {r}: replay");
+    }
+    cluster.assert_ledgers_consistent();
+}
+
+/// A client that needs governance receipts asks a rotating member for
+/// them, as it does for a receipt: with replica 0 crashed after the
+/// proposal was linked, a request ordered in the next view still
+/// completes. (Asking rank 0 every time stalled it for good.)
+#[test]
+fn a_client_fetches_governance_receipts_past_a_crashed_member() {
+    let spec = ClusterSpec::new(4, 1, ProtocolParams::default());
+    let mut cluster = DetCluster::new(&spec, Arc::new(CounterApp));
+    commit_proposal(&mut cluster, &spec);
+    for _ in 0..10 {
+        cluster.round();
+    }
+    cluster.crash(ReplicaId(0));
+    cluster.submit(spec.clients[0].0, CounterApp::INCR, b"k".to_vec());
+    assert!(cluster.run_until_finished(1, 3_000), "the request never completed");
+    let receipt = cluster.finished[0].1.receipt.as_ref().expect("a verified receipt");
+    assert!(receipt.view() >= View(1), "ordered after the crash, in view {}", receipt.view());
+}
+
 // ----------------------------------------------------------------------
 // Hostile `FetchEvidenceResponse`: relayed commits are unauthenticated.
 // ----------------------------------------------------------------------
@@ -378,7 +459,26 @@ fn garbage_evidence_response_cannot_displace_valid_commit_nonces() {
         let second = Commit { view: View(0), seq: SeqNum(1), replica: r, nonce: Nonce([0xCD; 16]) };
         deliver(v, NodeId::Replica(r), &ProtocolMsg::Commit(second));
     }
-    assert!(v.build_batch_certificate(SeqNum(1), View(0)).is_some(), "certificate must assemble");
+    // The store kept each signer's first, opening nonce: the evidence a
+    // peer fetches for batch 1 relays the valid commits, none of the
+    // garbage ones.
+    let fetch = ProtocolMsg::FetchEvidence { seq: SeqNum(1) };
+    let fetched = deliver(v, NodeId::Replica(ReplicaId(2)), &fetch);
+    let [Output::SendReplica(ReplicaId(2), ProtocolMsg::FetchEvidenceResponse { commits, .. })] =
+        &fetched[..]
+    else {
+        panic!("the victim must serve its evidence for batch 1: {fetched:?}");
+    };
+    let signers: Vec<u32> = commits.iter().map(|c| c.replica.0).collect();
+    assert_eq!(signers, [0, 1, 2, 3], "one nonce per replica");
+    for (_, held_commit) in &held {
+        let ProtocolMsg::Commit(valid) = held_commit else {
+            panic!("only commits are held: {held_commit:?}");
+        };
+        assert!(commits.contains(valid), "replica {}'s valid nonce is relayed", valid.replica);
+    }
+    let forged = [Nonce([0xAB; 16]), Nonce([0xCD; 16])];
+    assert!(commits.iter().all(|c| !forged.contains(&c.nonce)), "{commits:?}");
     let refetch = ProtocolMsg::FetchReceipt { tx_hash };
     let served = client_sends(deliver(v, NodeId::Client(client), &refetch));
     assert_eq!(served.len(), 2, "re-fetch serves the Reply/ReplyX pair");

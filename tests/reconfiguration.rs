@@ -398,4 +398,8 @@ fn referendum_removes_a_replica_that_retires_once() {
         assert_eq!(replayed.ledger().entry(at).map(Wire::to_bytes), Some(entry.to_bytes()), "{i}");
     }
     assert_eq!(replayed.kv().digest(), survivor.kv().digest());
+    // Its governance sub-ledger too: both referendums and both boundaries,
+    // linked from the evidence the ledger records.
+    assert!(!survivor.gov_chain().is_empty());
+    assert_eq!(replayed.gov_chain(), survivor.gov_chain());
 }
